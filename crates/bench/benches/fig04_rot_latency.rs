@@ -87,18 +87,18 @@ fn edge_cache_cold_vs_warm(scale: Scale) -> EdgeCacheResult {
     }
 }
 
-/// Partial assembly under overlapping key sets: a sliding window of
-/// keys advances two at a time, so consecutive requests share half
-/// their keys. Whole-bundle replay rarely applies, but per-key
-/// fragments do — the edge assembles cached fragments plus one pinned
-/// upstream fetch for the new keys. Without partial assembly every one
-/// of these requests would fall through to the replicas.
+/// Partial assembly under widening key sets: each round reads a pair
+/// of keys, then the same pair widened by the next key. The pair's
+/// cached section proves nothing the wide read did not ask for, so the
+/// edge answers with it plus one upstream section for the new key,
+/// pinned at the cached batch. Without partial assembly every widened
+/// request would fall through to the replicas whole.
 struct PartialAssemblyResult {
     requests: u64,
     partial: u64,
     full_replays: u64,
     forwarded: u64,
-    fragment_hit_rate: f64,
+    key_hit_rate: f64,
     upstream_keys: u64,
     assembled_accepted: u64,
 }
@@ -113,18 +113,15 @@ fn edge_partial_assembly(scale: Scale) -> PartialAssemblyResult {
         .filter(|k| topo.partition_of(k) == transedge_common::ClusterId(0))
         .take(12)
         .collect();
-    // Below MULTI_MIN_KEYS: this experiment exercises the per-key
-    // fragment path (stitching), which only serves requests small
-    // enough to dodge the multiproof fast path.
     let window = 3usize;
     let stride = 2usize;
-    let rounds = scale.pick(40, 300);
+    let rounds = scale.pick(20, 150);
     let script: Vec<ClientOp> = (0..rounds)
-        .map(|i| {
+        .flat_map(|i| {
             let start = (i * stride) % (keys.len() - window);
-            ClientOp::ReadOnly {
-                keys: keys[start..start + window].to_vec(),
-            }
+            [window - 1, window].map(|width| ClientOp::ReadOnly {
+                keys: keys[start..start + width].to_vec(),
+            })
         })
         .collect();
     let mut dep = Deployment::build(config, vec![script]);
@@ -138,7 +135,7 @@ fn edge_partial_assembly(scale: Scale) -> PartialAssemblyResult {
         partial: stats.partial_assembled,
         full_replays: stats.served_from_cache,
         forwarded: stats.forwarded,
-        fragment_hit_rate: stats.fragment_hit_rate(),
+        key_hit_rate: stats.key_hit_rate(),
         upstream_keys: stats.keys_fetched_upstream,
         assembled_accepted: client.stats.assembled_accepted,
     }
@@ -560,8 +557,8 @@ fn edge_directory_fleet(scale: Scale) -> DirectoryResult {
     }
 }
 
-/// Saturating open-loop throughput run: multiproof-served point
-/// reads replayed through the sharded edge caches.
+/// Saturating open-loop throughput run: six-key point reads replayed
+/// through the sharded edge caches.
 struct ThroughputResult {
     ops: u64,
     window_s: f64,
@@ -569,11 +566,8 @@ struct ThroughputResult {
     mean_ms: f64,
     p95_ms: f64,
     p99_ms: f64,
-    multiproof_ratio: f64,
     bytes_per_read: f64,
-    multis_accepted: u64,
-    rot_multi_served: u64,
-    multis_from_cache: u64,
+    served_from_cache: u64,
     cache_shards: u64,
     cached_partitions: u64,
 }
@@ -581,11 +575,11 @@ struct ThroughputResult {
 /// Throughput mode: a wide fleet of closed-loop clients (offered load
 /// scales with fleet width — the sim's open-loop saturation knob)
 /// issuing single-partition multi-key point reads. Every replica
-/// answer with >= `MULTI_MIN_KEYS` keys ships as one deduplicated
-/// Merkle multiproof; edges admit the shared wire image zero-copy into
-/// the sharded replay caches and replay covering bodies locally.
+/// answer ships as one section under one deduplicated Merkle
+/// multiproof; edges admit the body into the sharded replay caches by
+/// reference and replay it locally.
 fn edge_throughput(scale: Scale) -> ThroughputResult {
-    const KEYS_PER_OP: usize = 6; // >= node::MULTI_MIN_KEYS
+    const KEYS_PER_OP: usize = 6;
     let mut config = experiment_config(scale);
     config.client.record_results = true;
     config.edge = EdgeConfig::honest(1);
@@ -595,8 +589,8 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
     let ops_per_client = scale.pick(12, 50);
     // Half the fleet draws fresh key sets; the other half mirrors them
     // one op behind (popular key sets repeat just after their first
-    // answer landed), so the edge tier replays admitted multiproof
-    // bodies instead of forwarding everything upstream.
+    // answer landed), so the edge tier replays admitted sections
+    // instead of forwarding everything upstream.
     let fresh = spec.generate_fleet((clients / 2).max(1), ops_per_client, 91);
     let mut scripts = fresh.clone();
     for script in fresh {
@@ -607,7 +601,6 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
     let mut dep = Deployment::build(config, scripts);
     dep.run_until_done(SimTime(3_600_000_000));
 
-    let mut multis_accepted = 0u64;
     let mut read_bytes = 0u64;
     for id in &dep.client_ids {
         let client = dep.client(*id);
@@ -615,7 +608,6 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
             client.stats.verification_failures, 0,
             "honest throughput run must verify everything"
         );
-        multis_accepted += client.metrics().multis_accepted();
         read_bytes += client.metrics().read_result_bytes();
     }
     let samples: Vec<_> = dep
@@ -630,23 +622,19 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
     let window_s = last.saturating_since(first).as_secs_f64();
     let summary = summarize(&samples, Some(OpKind::ReadOnly));
 
-    let mut rot_multi_served = 0u64;
-    for r in topo.all_replicas() {
-        rot_multi_served += dep.node(r).stats.rot_multi_served;
-    }
-    let mut multis_from_cache = 0u64;
+    let mut served_from_cache = 0u64;
     let mut cache_shards = 0u64;
     let mut cached_partitions = 0u64;
     for e in &dep.edge_ids {
         let node = dep.edge_node(*e);
-        multis_from_cache += node.stats.multis_from_cache;
+        served_from_cache += node.stats.served_from_cache;
         let shards = node.cache_shards();
         cache_shards = cache_shards.max(shards.shard_count() as u64);
         cached_partitions += shards.partition_count() as u64;
     }
     assert!(
-        multis_accepted > 0,
-        "multiproof path must carry the throughput workload"
+        served_from_cache > 0,
+        "the mirrored half of the fleet must replay from the edges"
     );
 
     ThroughputResult {
@@ -656,11 +644,8 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
         mean_ms: summary.mean_latency_ms,
         p95_ms: summary.p95_latency_ms,
         p99_ms: summary.p99_latency_ms,
-        multiproof_ratio: multis_accepted as f64 / ops.max(1) as f64,
         bytes_per_read: read_bytes as f64 / ops.max(1) as f64,
-        multis_accepted,
-        rot_multi_served,
-        multis_from_cache,
+        served_from_cache,
         cache_shards,
         cached_partitions,
     }
@@ -1008,20 +993,13 @@ fn main() {
     println!();
     println!("  partial assembly (sliding key window):");
     let pa = edge_partial_assembly(scale);
-    header(&[
-        "requests",
-        "partial",
-        "full",
-        "fwd",
-        "frag hits",
-        "upstream",
-    ]);
+    header(&["requests", "partial", "full", "fwd", "key hits", "upstream"]);
     row(&[
         pa.requests.to_string(),
         pa.partial.to_string(),
         pa.full_replays.to_string(),
         pa.forwarded.to_string(),
-        fmt_pct(pa.fragment_hit_rate * 100.0),
+        fmt_pct(pa.key_hit_rate * 100.0),
         pa.upstream_keys.to_string(),
     ]);
 
@@ -1098,17 +1076,17 @@ fn main() {
         ]);
     }
 
-    // Throughput mode: saturating open-loop fleet over multiproofs.
+    // Throughput mode: saturating open-loop fleet of 6-key reads.
     println!();
-    println!("  throughput (open-loop fleet, 6-key multiproof reads):");
+    println!("  throughput (open-loop fleet, 6-key reads):");
     let tp = edge_throughput(scale);
-    header(&["ops", "ops/sec", "p95", "p99", "multi%", "B/read"]);
+    header(&["ops", "ops/sec", "p95", "p99", "replayed", "B/read"]);
     row(&[
         tp.ops.to_string(),
         format!("{:.0}", tp.ops_per_sec),
         fmt_ms(tp.p95_ms),
         fmt_ms(tp.p99_ms),
-        fmt_pct(tp.multiproof_ratio * 100.0),
+        tp.served_from_cache.to_string(),
         format!("{:.0}", tp.bytes_per_read),
     ]);
 
@@ -1211,10 +1189,15 @@ fn main() {
     // `scenarios` block (chaos campaign trajectories under zero
     // invariant violations); 9 = added the `obs` block (causal-trace
     // per-phase p50/p95 decomposition of the single-contact and
-    // fan-out scatter runs, components summing to end-to-end).
+    // fan-out scatter runs, components summing to end-to-end);
+    // 10 = one point-read shape: `partial_assembly.fragment_hit_rate`
+    // renamed `key_hit_rate`; the throughput block lost
+    // `multiproof_ratio`, `multis_accepted`, `rot_multi_served` and
+    // `multis_from_cache` (every point answer is a multiproof section
+    // now) and gained `served_from_cache`.
     let mut doc = JsonObject::new()
         .field("figure", "fig04_rot_latency")
-        .field("schema_version", 9u64)
+        .field("schema_version", 10u64)
         .field("mode", if scale.full { "full" } else { "quick" });
     doc.set(
         "clusters",
@@ -1245,7 +1228,7 @@ fn main() {
             .field("partial", pa.partial)
             .field("full_replays", pa.full_replays)
             .field("forwarded", pa.forwarded)
-            .field("fragment_hit_rate", pa.fragment_hit_rate)
+            .field("key_hit_rate", pa.key_hit_rate)
             .field("upstream_keys", pa.upstream_keys)
             .field("assembled_accepted", pa.assembled_accepted),
     );
@@ -1336,11 +1319,8 @@ fn main() {
             .field("mean_ms", tp.mean_ms)
             .field("p95_ms", tp.p95_ms)
             .field("p99_ms", tp.p99_ms)
-            .field("multiproof_ratio", tp.multiproof_ratio)
             .field("bytes_per_read", tp.bytes_per_read)
-            .field("multis_accepted", tp.multis_accepted)
-            .field("rot_multi_served", tp.rot_multi_served)
-            .field("multis_from_cache", tp.multis_from_cache)
+            .field("served_from_cache", tp.served_from_cache)
             .field("cache_shards", tp.cache_shards)
             .field("cached_partitions", tp.cached_partitions),
     );

@@ -443,11 +443,11 @@ impl ReadSession {
 
 /// Tally one response's verification work in a single pass: every
 /// *distinct* certificate (keyed by its certified batch digest) costs
-/// one quorum signature check; every read or window bucket costs one
-/// leaf hash. Stitched sections and gather parts carrying a
+/// one quorum signature check; every proven key or window bucket costs
+/// one leaf hash. Sections and gather parts carrying a
 /// content-identical commitment — the partial-assembly and courier
-/// paths — share a single certificate check, mirroring
-/// `verify_assembled`'s one-certificate-per-response rule. `saved`
+/// paths — share a single certificate check, mirroring the verifier's
+/// one-certificate-per-response rule. `saved`
 /// counts the duplicate checks the sharing skipped. A scan's claimed
 /// window is *attacker-controlled* and unvalidated here, so its width
 /// is computed saturating and capped at the protocol maximum — the
@@ -488,7 +488,7 @@ fn tally_verification(
                     section.commitment.certified_digest(),
                     section.cert.sigs.len(),
                 );
-                *leaf_hashes += section.reads.len() as u64;
+                *leaf_hashes += section.body.keys().len() as u64;
             }
         }
         ReadResponse::Scan { bundle } => {
@@ -503,14 +503,6 @@ fn tally_verification(
                 .saturating_sub(claimed.first)
                 .saturating_add(1)
                 .min(MAX_RANGE_BUCKETS);
-        }
-        ReadResponse::Multi { bundle, .. } => {
-            note_cert(
-                certs,
-                bundle.commitment.certified_digest(),
-                bundle.cert.sigs.len(),
-            );
-            *leaf_hashes += bundle.body.keys.len() as u64;
         }
         ReadResponse::Gather { parts } => {
             for part in parts {
@@ -1138,15 +1130,6 @@ impl ClientActor {
                         self.stats.assembled_accepted += 1;
                     }
                     let header = &sections[0].commitment.header;
-                    part.view = Some(RotView {
-                        cluster,
-                        batch: header.num,
-                        cd: header.cd.clone(),
-                        lce: header.lce,
-                    });
-                } else if let ReadResponse::Multi { bundle, .. } = response {
-                    self.metrics.multis_accepted += 1;
-                    let header = &bundle.commitment.header;
                     part.view = Some(RotView {
                         cluster,
                         batch: header.num,

@@ -4,11 +4,13 @@
 //! An [`EdgeReadNode`] fronts one partition but caches certified
 //! responses of *any* partition it has couriered (see scatter-gather
 //! below). It holds no partition state, no Merkle tree, and no
-//! consensus role — only [`transedge_edge::ReplayCache`] fragments of
-//! certified responses it has forwarded before. A request it can cover
-//! is answered locally (zero upstream hops); anything else is forwarded
-//! to a replica of the home cluster (or a sibling edge) and the
-//! certified answer absorbed on the way back.
+//! consensus role — only the [`transedge_edge::ReplayCache`] sections
+//! and windows of certified responses it has forwarded before. A
+//! request it can cover is answered locally (zero upstream hops); one
+//! it covers in part is completed with a single upstream section
+//! pinned at the cached batch; anything else is forwarded to a replica
+//! of the home cluster (or a sibling edge) and the certified answer
+//! absorbed on the way back.
 //!
 //! Two subsystems ride on top of the replay path:
 //!
@@ -51,17 +53,15 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::{CoverageSummary, DirectoryAgent};
 use transedge_edge::{
-    is_stale_only, readmit, verify_object, Assembly, GatherPart, PersistPlan, QueryShape,
-    ReadQuery, ReadVerifier, ReplayCache, ShardedReplayCache, SnapshotObject, SnapshotStore,
-    VerifyParams,
+    is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PersistPlan, QueryShape,
+    ReadQuery, ReadVerifier, ReplayCache, ShardedReplayCache, SnapshotObject, SnapshotPolicy,
+    SnapshotStore, VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
 
 use crate::batch::CommittedHeader;
-use crate::messages::{
-    NetMsg, ReadPayload, RotBundle, RotDelta, RotMultiBundle, RotScanBundle, RotSnapshot,
-};
+use crate::messages::{NetMsg, ReadPayload, RotDelta, RotScanBundle, RotSection, RotSnapshot};
 
 /// Gossip timer token.
 const TOKEN_GOSSIP: u64 = 1;
@@ -84,17 +84,15 @@ pub enum EdgeBehavior {
     /// certificate (clients reject the certificate over the recomputed
     /// digest).
     StaleRoot,
-    /// Silently drop one answer: a read from a point-read bundle, a row
-    /// from a scan. The scan case is the attack completeness proofs
-    /// exist for — every surviving row still verifies individually, so
-    /// only `ReadVerifier::verify_scan`'s row-count-versus-proof check
+    /// Silently drop one answer. From a point-read section: one proven
+    /// key and its value slot, keeping the proof — which no longer
+    /// matches the advertised key set, so the client rejects it as a
+    /// bad proof (or, should the rest still verify, a missing key).
+    /// From a scan: one row — the attack completeness proofs exist for:
+    /// every surviving row still verifies individually, so only
+    /// `ReadVerifier::verify_scan`'s row-count-versus-proof check
     /// catches it.
     OmitKey,
-    /// Drop one key (and its value slot) from a replayed multiproof
-    /// body while keeping the proof: the proof no longer matches the
-    /// advertised key set, and the client rejects it as a bad
-    /// multiproof or a missing requested key.
-    OmitFromMulti,
     /// Inject a bogus key into an attached freshness feed's changed
     /// list: the changed-key digest no longer matches the delta digest
     /// the replica certificate covers, so the client rejects the
@@ -227,16 +225,12 @@ pub struct EdgeNodeStats {
     pub served_from_cache: u64,
     /// Forwarded upstream to a replica.
     pub forwarded: u64,
-    /// Partially assembled: cached fragments plus one pinned upstream
-    /// fetch for the misses.
+    /// Partially assembled: cached sections plus one pinned upstream
+    /// section for the misses.
     pub partial_assembled: u64,
-    /// Partial assemblies abandoned because the upstream replica could
-    /// not serve the pinned batch (the full fresh response was
-    /// forwarded instead).
-    pub assembly_fallbacks: u64,
     /// Keys requested across all client requests.
     pub keys_requested: u64,
-    /// Keys answered from cached fragments (full replays + the cached
+    /// Keys answered from cached sections (full replays + the cached
     /// side of partial assemblies).
     pub keys_from_cache: u64,
     /// Keys fetched upstream by partial assemblies (the misses only).
@@ -248,9 +242,6 @@ pub struct EdgeNodeStats {
     pub scans_from_cache: u64,
     /// Scans forwarded upstream to a replica.
     pub scans_forwarded: u64,
-    /// Batched requests answered by replaying one cached multiproof
-    /// body (a shared-wire refcount bump, no per-key assembly).
-    pub multis_from_cache: u64,
     /// Responses deliberately corrupted (byzantine modes).
     pub tampered: u64,
     /// Cross-partition queries taken as the single contact
@@ -302,7 +293,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
         reg.counter(scope, "edge.served_from_cache", self.served_from_cache);
         reg.counter(scope, "edge.forwarded", self.forwarded);
         reg.counter(scope, "edge.partial_assembled", self.partial_assembled);
-        reg.counter(scope, "edge.assembly_fallbacks", self.assembly_fallbacks);
         reg.counter(scope, "edge.keys_requested", self.keys_requested);
         reg.counter(scope, "edge.keys_from_cache", self.keys_from_cache);
         reg.counter(
@@ -313,7 +303,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
         reg.counter(scope, "edge.scan_requests", self.scan_requests);
         reg.counter(scope, "edge.scans_from_cache", self.scans_from_cache);
         reg.counter(scope, "edge.scans_forwarded", self.scans_forwarded);
-        reg.counter(scope, "edge.multis_from_cache", self.multis_from_cache);
         reg.counter(scope, "edge.tampered", self.tampered);
         reg.counter(scope, "edge.gather_requests", self.gather_requests);
         reg.counter(scope, "edge.gather_completed", self.gather_completed);
@@ -353,9 +342,9 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
 }
 
 impl EdgeNodeStats {
-    /// Fraction of requested keys served from cached fragments — the
+    /// Fraction of requested keys served from cached sections — the
     /// per-key hit rate partial assembly is designed to raise.
-    pub fn fragment_hit_rate(&self) -> f64 {
+    pub fn key_hit_rate(&self) -> f64 {
         if self.keys_requested == 0 {
             0.0
         } else {
@@ -378,10 +367,10 @@ impl EdgeNodeStats {
 struct PendingRequest {
     client: NodeId,
     client_req: u64,
-    /// Cached fragments reserved for a partial assembly, awaiting the
-    /// upstream fill pinned at the same batch. `None` for plain
+    /// Cached sections reserved for a partial assembly, awaiting the
+    /// upstream fill pinned at their batch. Empty for plain
     /// pass-through forwards.
-    partial: Option<RotBundle>,
+    partial: Vec<RotSection>,
 }
 
 /// One in-flight edge-tier scatter-gather: the client contact and the
@@ -497,6 +486,11 @@ impl EdgeReadNode {
         self.behavior = behavior;
     }
 
+    /// Client requests still waiting on an upstream answer.
+    pub fn pending_upstream(&self) -> usize {
+        self.pending.len()
+    }
+
     /// The gossip directory participant, when the plan enables one.
     pub fn directory(&self) -> Option<&DirectoryAgent<CommittedHeader>> {
         self.directory.as_ref()
@@ -578,100 +572,50 @@ impl EdgeReadNode {
             .map(|e| NodeId::Edge(*e))
     }
 
-    /// Apply this node's byzantine behaviour to an outgoing bundle.
-    fn corrupt(&mut self, mut bundle: RotBundle) -> RotBundle {
-        match self.behavior {
-            EdgeBehavior::Honest => {}
-            EdgeBehavior::Coalition => {
-                bundle.commitment.header.merkle_root = coalition_root(bundle.commitment.header.num);
-                self.stats.tampered += 1;
-            }
-            EdgeBehavior::TamperValue => {
-                if let Some(read) = bundle.reads.iter_mut().find(|r| r.value.is_some()) {
-                    read.value = Some(transedge_common::Value::from("forged-by-edge"));
-                    self.stats.tampered += 1;
-                }
-            }
-            EdgeBehavior::ForgeProof => {
-                if let Some(read) = bundle.reads.first_mut() {
-                    match read.proof.siblings.first_mut() {
-                        Some(sibling) => sibling.0[0] ^= 0xFF,
-                        None => read.proof.bucket.clear(),
-                    }
-                    self.stats.tampered += 1;
-                }
-            }
-            EdgeBehavior::StaleRoot => {
-                bundle.commitment.header.merkle_root = Digest([0xDE; 32]);
-                self.stats.tampered += 1;
-            }
-            EdgeBehavior::OmitKey => {
-                if !bundle.reads.is_empty() {
-                    bundle.reads.remove(0);
-                    self.stats.tampered += 1;
-                }
-            }
-            // Target other replay shapes; point bundles pass clean.
-            EdgeBehavior::OmitFromMulti | EdgeBehavior::TamperDelta => {}
+    /// Apply this node's byzantine behaviour to an outgoing section.
+    /// Tampering with the body rebuilds it (a body is immutable),
+    /// exactly as a lying edge would re-encode.
+    fn corrupt(&mut self, section: &mut RotSection) {
+        // The honest path must not pay for the copies below.
+        if matches!(
+            self.behavior,
+            EdgeBehavior::Honest | EdgeBehavior::TamperDelta
+        ) {
+            return;
         }
-        bundle
-    }
-
-    /// Apply this node's byzantine behaviour to an outgoing multiproof
-    /// bundle. Tampering rebuilds the body (the wire image is shared
-    /// and immutable), exactly as a lying edge would re-encode.
-    fn corrupt_multi(&mut self, bundle: RotMultiBundle) -> RotMultiBundle {
-        use transedge_edge::MultiProofBody;
-        let RotMultiBundle {
-            commitment,
-            cert,
-            body,
-        } = bundle;
-        let (mut commitment, mut keys, mut values, mut proof) = (
-            commitment,
-            body.keys.clone(),
-            body.values.clone(),
-            body.proof.clone(),
+        let body = &section.body;
+        let (mut keys, mut values, mut proof) = (
+            body.keys().to_vec(),
+            body.values().to_vec(),
+            body.proof().clone(),
         );
         match self.behavior {
             EdgeBehavior::Honest | EdgeBehavior::TamperDelta => {}
             EdgeBehavior::Coalition => {
-                commitment.header.merkle_root = coalition_root(commitment.header.num);
-                self.stats.tampered += 1;
-            }
-            EdgeBehavior::TamperValue => {
-                if let Some(value) = values.iter_mut().find(|v| v.is_some()) {
-                    *value = Some(transedge_common::Value::from("forged-by-edge"));
-                    self.stats.tampered += 1;
-                }
-            }
-            EdgeBehavior::ForgeProof => {
-                match proof.siblings.first_mut() {
-                    Some(sibling) => sibling.0[0] ^= 0xFF,
-                    None => proof.buckets.clear(),
-                }
-                self.stats.tampered += 1;
+                let header = &mut section.commitment.header;
+                header.merkle_root = coalition_root(header.num);
             }
             EdgeBehavior::StaleRoot => {
-                commitment.header.merkle_root = Digest([0xDE; 32]);
-                self.stats.tampered += 1;
+                section.commitment.header.merkle_root = Digest([0xDE; 32]);
             }
-            EdgeBehavior::OmitKey | EdgeBehavior::OmitFromMulti => {
-                // Drop one proven key and its value slot but keep the
-                // proof: the body's advertised set no longer matches
-                // the multiproof (or no longer covers the request).
-                if !keys.is_empty() {
-                    keys.remove(0);
-                    values.remove(0);
-                    self.stats.tampered += 1;
+            EdgeBehavior::TamperValue => match values.iter_mut().find(|v| v.is_some()) {
+                Some(value) => *value = Some(transedge_common::Value::from("forged-by-edge")),
+                None => return,
+            },
+            EdgeBehavior::ForgeProof => match proof.siblings.first_mut() {
+                Some(sibling) => sibling.0[0] ^= 0xFF,
+                None => proof.buckets.clear(),
+            },
+            EdgeBehavior::OmitKey => {
+                if keys.is_empty() {
+                    return;
                 }
+                keys.remove(0);
+                values.remove(0);
             }
         }
-        RotMultiBundle {
-            commitment,
-            cert,
-            body: MultiProofBody::new(keys, values, proof),
-        }
+        section.body = MultiProofBody::new(keys, values, proof);
+        self.stats.tampered += 1;
     }
 
     /// Apply this node's byzantine behaviour to an outgoing scan.
@@ -714,8 +658,8 @@ impl EdgeReadNode {
                     self.stats.tampered += 1;
                 }
             }
-            // Target other replay shapes; scans pass clean.
-            EdgeBehavior::OmitFromMulti | EdgeBehavior::TamperDelta => {}
+            // Targets freshness feeds; scans pass clean.
+            EdgeBehavior::TamperDelta => {}
         }
         bundle
     }
@@ -760,78 +704,30 @@ impl EdgeReadNode {
         );
     }
 
+    /// Send point sections (a full replay, a pass-through, or cached
+    /// sections + upstream fill). Byzantine behaviour applies to the
+    /// first section — for an assembly the cached one, which is
+    /// exactly what a lying edge controls.
     fn respond(
         &mut self,
         to: NodeId,
         req: u64,
-        bundle: RotBundle,
+        mut sections: Vec<RotSection>,
         fresh: Option<Vec<RotDelta>>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let bundle = self.corrupt(bundle);
-        let fresh = self.corrupt_fresh(fresh);
-        if fresh.is_some() {
-            self.stats.freshness_attached += 1;
-        }
-        ctx.send(
-            to,
-            NetMsg::ReadResult {
-                req,
-                result: ReadPayload::Point {
-                    sections: vec![bundle],
-                    fresh,
-                },
-            },
-        );
-    }
-
-    fn respond_multi(
-        &mut self,
-        to: NodeId,
-        req: u64,
-        bundle: RotMultiBundle,
-        fresh: Option<Vec<RotDelta>>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let bundle = self.corrupt_multi(bundle);
-        let fresh = self.corrupt_fresh(fresh);
-        if fresh.is_some() {
-            self.stats.freshness_attached += 1;
-        }
-        ctx.send(
-            to,
-            NetMsg::ReadResult {
-                req,
-                result: ReadPayload::Multi {
-                    bundle: Box::new(bundle),
-                    fresh,
-                },
-            },
-        );
-    }
-
-    /// Send an assembled (multi-section) response. Byzantine behaviour
-    /// applies to the first section — the cached one, which is exactly
-    /// what a lying edge controls.
-    fn respond_assembled(
-        &mut self,
-        to: NodeId,
-        req: u64,
-        mut sections: Vec<RotBundle>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         if let Some(first) = sections.first_mut() {
-            let corrupted = self.corrupt(first.clone());
-            *first = corrupted;
+            self.corrupt(first);
+        }
+        let fresh = self.corrupt_fresh(fresh);
+        if fresh.is_some() {
+            self.stats.freshness_attached += 1;
         }
         ctx.send(
             to,
             NetMsg::ReadResult {
                 req,
-                result: ReadPayload::Point {
-                    sections,
-                    fresh: None,
-                },
+                result: ReadPayload::Point { sections, fresh },
             },
         );
     }
@@ -879,7 +775,7 @@ impl EdgeReadNode {
         let upstream_req = self.track_pending(PendingRequest {
             client: from,
             client_req: req,
-            partial: None,
+            partial: Vec::new(),
         });
         let upstream = if cluster == self.me.cluster {
             self.upstream_replica(cluster)
@@ -1077,9 +973,9 @@ impl EdgeReadNode {
             ReadPayload::Point { sections, .. } => {
                 for section in sections {
                     let cluster = section.commitment.header.cluster;
-                    self.cache_for(cluster).admit(section);
+                    self.cache_for(cluster).admit_section(section);
                     if self.persistence.enabled {
-                        self.store.spill(SnapshotObject::Point(section.clone()));
+                        self.store.spill(SnapshotObject::Section(section.clone()));
                     }
                 }
             }
@@ -1088,13 +984,6 @@ impl EdgeReadNode {
                 self.cache_for(cluster).admit_scan(bundle);
                 if self.persistence.enabled {
                     self.store.spill(SnapshotObject::Scan((**bundle).clone()));
-                }
-            }
-            ReadPayload::Multi { bundle, .. } => {
-                let cluster = bundle.commitment.header.cluster;
-                self.cache_for(cluster).admit_multi(bundle);
-                if self.persistence.enabled {
-                    self.store.spill(SnapshotObject::Multi((**bundle).clone()));
                 }
             }
             // A nested gather can only come from a byzantine sibling;
@@ -1107,22 +996,10 @@ impl EdgeReadNode {
     /// Free of `self` borrows on purpose: callers hold `self.store`
     /// immutably while admitting.
     fn admit_object(caches: &mut ShardedReplayCache<CommittedHeader>, object: &RotSnapshot) {
+        let cache = caches.cache_for(object.cluster());
         match object {
-            SnapshotObject::Point(bundle) => {
-                caches
-                    .cache_for(bundle.commitment.header.cluster)
-                    .admit(bundle);
-            }
-            SnapshotObject::Scan(bundle) => {
-                caches
-                    .cache_for(bundle.commitment.header.cluster)
-                    .admit_scan(bundle);
-            }
-            SnapshotObject::Multi(bundle) => {
-                caches
-                    .cache_for(bundle.commitment.header.cluster)
-                    .admit_multi(bundle);
-            }
+            SnapshotObject::Section(section) => cache.admit_section(section),
+            SnapshotObject::Scan(bundle) => cache.admit_scan(bundle),
         }
     }
 
@@ -1132,11 +1009,7 @@ impl EdgeReadNode {
     /// response. Hydration pays it per object, which is what makes
     /// `restart_to_warm_ms` a real number rather than zero.
     fn verify_charge(&self, object: &RotSnapshot, ctx: &mut Context<'_, NetMsg>) {
-        let sigs = match object {
-            SnapshotObject::Point(b) => b.cert.sigs.len(),
-            SnapshotObject::Scan(b) => b.cert.sigs.len(),
-            SnapshotObject::Multi(b) => b.cert.sigs.len(),
-        };
+        let sigs = object.cert().sigs.len();
         let body = transedge_edge::persist::object_size(object);
         ctx.charge(|c| {
             SimDuration(c.ed25519_verify.0 * sigs as u64 + c.sha256_cost(body.max(1)).0)
@@ -1264,7 +1137,7 @@ impl EdgeReadNode {
     }
 
     /// Serve a point query from cache, partially assemble (cached
-    /// fragments + one pinned upstream fetch for the misses), or
+    /// sections + one pinned upstream section for the misses), or
     /// forward upstream.
     fn on_point_query(
         &mut self,
@@ -1281,95 +1154,64 @@ impl EdgeReadNode {
         self.stats.requests += 1;
         self.stats.keys_requested += keys.len() as u64;
         if query.pinned_batch().is_some() {
-            // Exact-batch point queries (edge fills use `RotFetchAt`;
-            // clients do not pin point reads today): pass through —
-            // the replica either holds the batch or parks.
+            // Exact-batch point queries (clients do not pin point reads
+            // today; this edge's own fills go straight to a replica):
+            // pass through — the replica either holds the batch or
+            // parks.
             self.stats.forwarded += 1;
             self.forward_upstream(from, req, cluster, query, ctx);
             return;
         }
-        let min_epoch = query.min_lce();
         let freshness_floor = SimTime(
             ctx.now()
                 .as_micros()
                 .saturating_sub(self.replay_staleness.as_micros()),
         );
-        // Batched reads first: a cached multiproof body covering every
-        // requested key answers the whole request with one shared-wire
-        // replay — a refcount bump, no per-key fragment walk.
-        if keys.len() >= 2 {
-            if let Some(bundle) =
-                self.cache_for(cluster)
-                    .replay_multi(&keys, min_epoch, freshness_floor)
-            {
-                self.stats.served_from_cache += 1;
-                self.stats.multis_from_cache += 1;
-                self.stats.keys_from_cache += keys.len() as u64;
-                // A subscriber asked for a freshness upgrade: attach
-                // the feed tail proving the replayed snapshot current
-                // (or refuse, letting the client fall back to round 2).
-                let fresh = query
-                    .fresh
-                    .then(|| {
-                        self.cache_for(cluster)
-                            .freshness_since(bundle.batch(), &keys)
-                    })
-                    .flatten();
-                self.respond_multi(from, req, bundle, fresh, ctx);
-                return;
-            }
+        let (sections, missing) =
+            self.cache_for(cluster)
+                .assemble(&keys, query.min_lce(), freshness_floor);
+        let Some(anchor) = sections.first().map(|s| s.batch()) else {
+            self.stats.forwarded += 1;
+            self.forward_upstream(from, req, cluster, query, ctx);
+            return;
+        };
+        self.stats.keys_from_cache += (keys.len() - missing.len()) as u64;
+        if missing.is_empty() {
+            self.stats.served_from_cache += 1;
+            // A subscriber asked for a freshness upgrade: attach the
+            // feed tail proving the replayed snapshot current (or
+            // refuse, letting the client fall back to round 2).
+            let fresh = query
+                .fresh
+                .then(|| self.cache_for(cluster).freshness_since(anchor, &keys))
+                .flatten();
+            self.respond(from, req, sections, fresh, ctx);
+            return;
         }
-        match self
-            .cache_for(cluster)
-            .assemble(&keys, min_epoch, freshness_floor)
-        {
-            Assembly::Full(bundle) => {
-                self.stats.served_from_cache += 1;
-                self.stats.keys_from_cache += bundle.reads.len() as u64;
-                let fresh = query
-                    .fresh
-                    .then(|| {
-                        self.cache_for(cluster)
-                            .freshness_since(bundle.batch(), &keys)
-                    })
-                    .flatten();
-                self.respond(from, req, bundle, fresh, ctx);
-            }
-            Assembly::Partial { cached, missing } => {
-                // Fetch only the misses, pinned at the anchor batch, so
-                // the merged response stays one consistent cut. Keys
-                // whose fragments aged past the staleness floor land in
-                // `missing` too — only they are refreshed, not the
-                // whole bundle.
-                self.stats.partial_assembled += 1;
-                self.stats.keys_from_cache += cached.reads.len() as u64;
-                self.stats.keys_fetched_upstream += missing.len() as u64;
-                let at_batch = cached.batch();
-                let upstream_req = self.track_pending(PendingRequest {
-                    client: from,
-                    client_req: req,
-                    partial: Some(cached),
-                });
-                let upstream = self.upstream_replica(cluster);
-                ctx.send(
-                    upstream,
-                    NetMsg::RotFetchAt {
-                        req: upstream_req,
-                        keys: missing,
-                        all_keys: keys,
-                        at_batch,
-                        min_epoch,
-                        // Continue the client's trace through the fill,
-                        // parented under this edge's serving span.
-                        trace: ctx.trace_here().or(query.trace),
-                    },
-                );
-            }
-            Assembly::Miss => {
-                self.stats.forwarded += 1;
-                self.forward_upstream(from, req, cluster, query, ctx);
-            }
-        }
+        // Fetch only the misses, pinned at the anchor batch, so the
+        // merged response stays one consistent cut. Keys whose entries
+        // aged past the staleness floor are among them — only they are
+        // refreshed, not the whole request. The fill is an ordinary
+        // read: a replica that has not applied the anchor yet parks it.
+        self.stats.partial_assembled += 1;
+        self.stats.keys_fetched_upstream += missing.len() as u64;
+        let upstream_req = self.track_pending(PendingRequest {
+            client: from,
+            client_req: req,
+            partial: sections,
+        });
+        let mut fill = ReadQuery::point(missing).with_policy(SnapshotPolicy::AtBatch(anchor));
+        // Continue the client's trace through the fill, parented under
+        // this edge's serving span.
+        fill.trace = ctx.trace_here().or(query.trace);
+        let upstream = self.upstream_replica(cluster);
+        ctx.send(
+            upstream,
+            NetMsg::Read {
+                req: upstream_req,
+                query: fill,
+            },
+        );
     }
 
     /// Serve a scan query from the replay cache — a cached window
@@ -1430,83 +1272,36 @@ impl EdgeReadNode {
     }
 
     fn on_upstream_result(&mut self, req: u64, result: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
-        // Absorb the certified fragments/windows regardless of who
+        // Absorb the certified sections/windows regardless of who
         // asked; a byzantine edge still caches honestly and lies on the
         // way out.
         self.absorb(&result);
+        let Some(pending) = self.pending.remove(&req) else {
+            return; // duplicate or late upstream answer
+        };
         match result {
             ReadPayload::Scan { bundle } => {
-                let Some(pending) = self.pending.remove(&req) else {
-                    return; // duplicate or late upstream answer
-                };
                 self.respond_scan(pending.client, pending.client_req, *bundle, ctx);
             }
-            ReadPayload::Multi { bundle, .. } => {
-                let Some(pending) = self.pending.remove(&req) else {
-                    return; // duplicate or late upstream answer
-                };
-                // A replica's multiproof answers the full request even
-                // when a partial assembly was reserved — the cached
-                // fragments stay cached, the bundle goes out as-is.
-                self.respond_multi(pending.client, pending.client_req, *bundle, None, ctx);
-            }
             ReadPayload::Point { sections, .. } => {
-                let Some(pending) = self.pending.remove(&req) else {
-                    return; // duplicate or late upstream answer
-                };
-                // Replicas answer with a single section; anything else
-                // is forwarded as-is (still verified end to end).
-                let [bundle] = &sections[..] else {
-                    self.respond_assembled(pending.client, pending.client_req, sections, ctx);
-                    return;
-                };
-                let bundle = bundle.clone();
-                match pending.partial {
-                    Some(cached) if bundle.batch() == cached.batch() => {
-                        // The pinned fill arrived: cached fragments +
-                        // upstream fill, two sections at one batch,
-                        // each carrying its own commitment and
-                        // certificate. A replica fallback can answer
-                        // the *whole* request at what happens to be the
-                        // anchor batch, so drop fill reads for keys the
-                        // cached section already covers — the client
-                        // rejects duplicate answers as byzantine.
-                        let mut fill = bundle;
-                        fill.reads
-                            .retain(|r| !cached.reads.iter().any(|c| c.key == r.key));
-                        self.respond_assembled(
-                            pending.client,
-                            pending.client_req,
-                            vec![cached, fill],
-                            ctx,
-                        );
-                    }
-                    Some(_) => {
-                        // The replica could not serve the pinned batch
-                        // and answered the full request at its latest
-                        // batch — forward that as a plain (still
-                        // verified) response.
-                        self.stats.assembly_fallbacks += 1;
-                        self.respond(pending.client, pending.client_req, bundle, None, ctx);
-                    }
-                    None => self.respond(pending.client, pending.client_req, bundle, None, ctx),
-                }
+                // A pinned fill joins the cached sections reserved for
+                // it (none for a plain forward): one response, one
+                // batch. Whatever upstream sent goes out as received —
+                // the client verifies it end to end either way.
+                let mut all = pending.partial;
+                all.extend(sections);
+                self.respond(pending.client, pending.client_req, all, None, ctx);
             }
-            ReadPayload::Gather { parts } => {
-                // Only a byzantine sibling sends a nested gather;
-                // forward it unmodified — the client's per-part shape
-                // check rejects it and blames this path's contact.
-                let Some(pending) = self.pending.remove(&req) else {
-                    return;
-                };
-                ctx.send(
-                    pending.client,
-                    NetMsg::ReadResult {
-                        req: pending.client_req,
-                        result: ReadPayload::Gather { parts },
-                    },
-                );
-            }
+            // Only a byzantine sibling sends a nested gather; forward
+            // it unmodified — the client's per-part shape check rejects
+            // it and blames this path's contact.
+            ReadPayload::Gather { parts } => ctx.send(
+                pending.client,
+                NetMsg::ReadResult {
+                    req: pending.client_req,
+                    result: ReadPayload::Gather { parts },
+                },
+            ),
         }
     }
 

@@ -18,7 +18,6 @@ use transedge_storage::VersionedStore;
 use crate::batch::{check_batch_shape, Batch, BatchHeader, CdVector, PreparedTxn, Transaction};
 use crate::conflict::{admit, Footprint};
 use crate::deps::{derive_cd_vector, LceIndex};
-use crate::messages::RotValue;
 use crate::prepared::PreparedBatches;
 use crate::records::{CommitEvidence, CommitRecord, Outcome};
 
@@ -613,12 +612,6 @@ impl Executor {
             None => (None, Epoch::NONE),
         }
     }
-
-    /// Serve read-only values with proofs as of `at_batch` (uncached;
-    /// the node actor runs this through its [`transedge_edge::ReadPipeline`]).
-    pub fn serve_rot(&self, keys: &[Key], at_batch: BatchNum) -> Vec<RotValue> {
-        transedge_edge::read_snapshot(self, keys, at_batch)
-    }
 }
 
 /// The executor's store + versioned tree are the partition's snapshot
@@ -806,22 +799,23 @@ mod tests {
 
     #[test]
     fn rot_serving_with_proofs() {
-        use transedge_crypto::merkle::{verify_proof, Verified};
+        use transedge_crypto::merkle::Verified;
+        use transedge_crypto::verify_multi_proof;
+        use transedge_edge::multi_snapshot;
         let mut exec = single_cluster_exec();
         let b0 = exec.seal_batch(vec![local_txn(1, &[(1, "a")])], vec![], &[], SimTime(0));
         exec.apply_batch(&b0);
         let b1 = exec.seal_batch(vec![local_txn(2, &[(1, "b")])], vec![], &[], SimTime(0));
         exec.apply_batch(&b1);
         // Serve at batch 0: old value with a valid proof against root 0.
-        let vals = exec.serve_rot(&[Key::from_u32(1)], BatchNum(0));
-        assert_eq!(vals[0].value, Some(Value::from("a")));
-        let got =
-            verify_proof(&b0.header.merkle_root, 8, &Key::from_u32(1), &vals[0].proof).unwrap();
-        assert_eq!(got, Verified::Present(value_digest(&Value::from("a"))));
+        let body = multi_snapshot(&exec, &[Key::from_u32(1)], BatchNum(0));
+        assert_eq!(body.values(), [Some(Value::from("a"))]);
+        let got = verify_multi_proof(&b0.header.merkle_root, 8, body.keys(), body.proof()).unwrap();
+        assert_eq!(got, [Verified::Present(value_digest(&Value::from("a")))]);
         // Serve at batch 1: new value against root 1.
-        let vals = exec.serve_rot(&[Key::from_u32(1)], BatchNum(1));
-        assert_eq!(vals[0].value, Some(Value::from("b")));
-        assert!(verify_proof(&b1.header.merkle_root, 8, &Key::from_u32(1), &vals[0].proof).is_ok());
+        let body = multi_snapshot(&exec, &[Key::from_u32(1)], BatchNum(1));
+        assert_eq!(body.values(), [Some(Value::from("b"))]);
+        assert!(verify_multi_proof(&b1.header.merkle_root, 8, body.keys(), body.proof()).is_ok());
     }
 
     #[test]

@@ -5,32 +5,22 @@ use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, TxnId, Value};
 use transedge_consensus::{BftMsg, Certificate};
 use transedge_crypto::Signature;
 use transedge_edge::{
-    persist::object_size, CertifiedDelta, MultiProofBundle, ProofBundle, ProvenRead, QueryShape,
-    ReadQuery, ReadResponse, ScanBundle, SnapshotObject,
+    persist::object_size, CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadResponse,
+    ScanBundle, SnapshotObject,
 };
-use transedge_obs::TraceContext;
 use transedge_simnet::SimMessage;
 
 use crate::batch::{Batch, BatchHeader, CommittedHeader, Transaction};
 use crate::records::{SignedCommit, SignedPrepared};
 
-/// One key's answer in a read-only response: the value (if present) and
-/// its Merkle (non-)inclusion proof against the response's root. Owned
-/// by the edge read subsystem; the old name stays as an alias.
-pub type RotValue = ProvenRead;
-
-/// A complete proof-carrying read-only response: certified header,
-/// consensus certificate, and per-key proven reads.
-pub type RotBundle = ProofBundle<CommittedHeader>;
-
 /// A complete proof-carrying range-scan response: certified header,
 /// consensus certificate, and the completeness-proven window.
 pub type RotScanBundle = ScanBundle<CommittedHeader>;
 
-/// A complete multiproof response: certified header, consensus
-/// certificate, and one deduplicated Merkle multiproof covering every
-/// requested key (throughput mode's batched point-read shape).
-pub type RotMultiBundle = MultiProofBundle<CommittedHeader>;
+/// One point-read section: certified header, consensus certificate,
+/// and one Merkle multiproof over the section's keys — the only shape
+/// a point answer travels, is cached, and is stored in.
+pub type RotSection = MultiProofBundle<CommittedHeader>;
 
 /// One certified commit-feed entry: a batch's certified header plus the
 /// sorted changed-key set whose digest the header (and therefore the
@@ -136,31 +126,15 @@ pub enum NetMsg {
     /// The unified read-query request: one typed message for every
     /// proof-carrying read shape — round-1 point reads
     /// (`SnapshotPolicy::Latest`), round-2 dependency fetches
-    /// (`SnapshotPolicy::MinEpoch`), verified range scans, paginated
-    /// scan continuations (`ReadQuery::page`), scatter-gather
+    /// (`SnapshotPolicy::MinEpoch`), an edge's pinned partial-assembly
+    /// fills (`SnapshotPolicy::AtBatch`), verified range scans,
+    /// paginated scan continuations (`ReadQuery::page`), scatter-gather
     /// sub-queries, and feed-freshness-upgraded subscriber reads
     /// (`ReadQuery::fresh`). Built through the [`ReadQuery`]
     /// constructors; the old per-shape `NetMsg` constructors are gone.
     Read { req: u64, query: ReadQuery },
     /// The unified proof-carrying answer to a [`NetMsg::Read`] query.
     ReadResult { req: u64, result: ReadPayload },
-    /// An edge node's upstream fill for a partial assembly: serve
-    /// `keys` pinned at `at_batch` so the fragments can join the edge's
-    /// cached ones in a single consistent cut. `all_keys` and
-    /// `min_epoch` carry the client's complete request — a replica that
-    /// does not hold `at_batch` yet (still catching up) answers the
-    /// whole request itself, honouring the round-2 LCE floor, and the
-    /// edge forwards that response unassembled.
-    RotFetchAt {
-        req: u64,
-        keys: Vec<Key>,
-        all_keys: Vec<Key>,
-        at_batch: BatchNum,
-        min_epoch: Epoch,
-        /// Causal-trace propagation from the edge's serving span (the
-        /// client-minted trace continues through the upstream fill).
-        trace: Option<TraceContext>,
-    },
 
     // ---- certified commit feed (replica → edge push) ------------------
     /// Subscribe the sender to a replica's certified commit feed from
@@ -266,10 +240,8 @@ impl NetMsg {
             NetMsg::ReadResult { result, .. } => match result {
                 ReadResponse::Point { .. } => "read-result-point",
                 ReadResponse::Scan { .. } => "read-result-scan",
-                ReadResponse::Multi { .. } => "read-result-multi",
                 ReadResponse::Gather { .. } => "read-result-gather",
             },
-            NetMsg::RotFetchAt { .. } => "rot-fetch-at",
             NetMsg::FeedSubscribe { .. } => "feed-subscribe",
             NetMsg::FeedDelta { .. } => "feed-delta",
             NetMsg::DirectoryGossip { .. } => "directory-gossip",
@@ -372,19 +344,6 @@ fn cert_size(c: &Certificate) -> usize {
     46 + c.sigs.len() * 101
 }
 
-fn rot_bundle_size(bundle: &RotBundle) -> usize {
-    header_size(&bundle.commitment.header)
-        + 32
-        + cert_size(&bundle.cert)
-        + bundle
-            .reads
-            .iter()
-            .map(|v| {
-                v.key.len() + v.value.as_ref().map(|x| x.len()).unwrap_or(0) + v.proof.encoded_len()
-            })
-            .sum::<usize>()
-}
-
 fn bft_size(m: &BftMsg<Batch>) -> usize {
     match m {
         BftMsg::Propose { value, .. } => 84 + batch_size(value),
@@ -412,23 +371,24 @@ fn scan_bundle_size(bundle: &RotScanBundle) -> usize {
 }
 
 /// Structural wire size of a proof-carrying read payload (the
-/// bandwidth model's estimate; exact for multiproof bodies).
+/// bandwidth model's estimate). A section body's structural size
+/// equals its shared wire image byte-for-byte (asserted in the edge
+/// crate), so the proof-carrying part of a point answer is exact.
 pub fn read_payload_size(result: &ReadPayload) -> usize {
     match result {
         ReadPayload::Point { sections, fresh } => {
-            sections.iter().map(rot_bundle_size).sum::<usize>() + feed_size(fresh)
-        }
-        ReadPayload::Scan { bundle } => scan_bundle_size(bundle),
-        // The body's structural size equals its shared wire image
-        // byte-for-byte (asserted in the edge crate), so this is exact
-        // for the proof-carrying part.
-        ReadPayload::Multi { bundle, fresh } => {
-            header_size(&bundle.commitment.header)
-                + 32
-                + cert_size(&bundle.cert)
-                + bundle.body.encoded_len()
+            sections
+                .iter()
+                .map(|s| {
+                    header_size(&s.commitment.header)
+                        + 32
+                        + cert_size(&s.cert)
+                        + s.body.encoded_len()
+                })
+                .sum::<usize>()
                 + feed_size(fresh)
         }
+        ReadPayload::Scan { bundle } => scan_bundle_size(bundle),
         ReadPayload::Gather { parts } => parts
             .iter()
             .map(|p| 2 + read_payload_size(&p.body))
@@ -450,19 +410,6 @@ impl SimMessage for NetMsg {
             // per-shape variants used flat constants for scans.
             NetMsg::Read { query, .. } => 8 + query.wire_size(),
             NetMsg::ReadResult { result, .. } => 8 + read_payload_size(result),
-            NetMsg::RotFetchAt {
-                keys,
-                all_keys,
-                trace,
-                ..
-            } => {
-                36 + if trace.is_some() { 16 } else { 0 }
-                    + keys
-                        .iter()
-                        .chain(all_keys.iter())
-                        .map(|k| k.len() + 4)
-                        .sum::<usize>()
-            }
             NetMsg::FeedSubscribe { .. } => 16,
             NetMsg::FeedDelta { delta } => 8 + rot_delta_size(delta),
             NetMsg::DirectoryGossip { digest } => 8 + digest.wire_size(),
@@ -498,7 +445,6 @@ impl SimMessage for NetMsg {
     fn trace_context(&self) -> Option<transedge_obs::TraceContext> {
         match self {
             NetMsg::Read { query, .. } => query.trace,
-            NetMsg::RotFetchAt { trace, .. } => *trace,
             _ => None,
         }
     }

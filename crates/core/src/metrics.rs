@@ -113,16 +113,14 @@ impl ReadQueryMetrics {
 /// One consolidated, typed snapshot of a client's read-protocol
 /// metrics: the per-shape served/verified/rejected counters plus the
 /// cross-cutting totals that used to live as ad-hoc `ClientStats`
-/// fields (`cert_checks_shared`, `read_result_bytes`,
-/// `multis_accepted`). Harnesses read it through
-/// `ClientActor::metrics()` and the accessors below — the fields are
-/// crate-private so the accessor API is the stable surface.
+/// fields (`cert_checks_shared`, `read_result_bytes`). Harnesses read
+/// it through `ClientActor::metrics()` and the accessors below — the
+/// fields are crate-private so the accessor API is the stable surface.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientMetrics {
     pub(crate) shapes: ReadQueryMetrics,
     pub(crate) cert_checks_shared: u64,
     pub(crate) read_result_bytes: u64,
-    pub(crate) multis_accepted: u64,
     pub(crate) freshness_upgrades: u64,
     pub(crate) round2_skipped_by_feed: u64,
 }
@@ -141,7 +139,6 @@ impl transedge_obs::RegisterMetrics for ClientMetrics {
         }
         reg.counter(scope, "query.cert_checks_shared", self.cert_checks_shared);
         reg.counter(scope, "query.read_result_bytes", self.read_result_bytes);
-        reg.counter(scope, "query.multis_accepted", self.multis_accepted);
         reg.counter(scope, "query.freshness_upgrades", self.freshness_upgrades);
         reg.counter(
             scope,
@@ -183,11 +180,6 @@ impl ClientMetrics {
     /// (structural sizes — the throughput bench's bytes-per-read).
     pub fn read_result_bytes(&self) -> u64 {
         self.read_result_bytes
-    }
-
-    /// Batched multiproof responses verified and accepted.
-    pub fn multis_accepted(&self) -> u64 {
-        self.multis_accepted
     }
 
     /// Responses whose attached delta-feed tail verified, upgrading the

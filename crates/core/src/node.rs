@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, Epoch, Key, NodeId, ReplicaId, SimDuration, TxnId,
+    BatchNum, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, TxnId,
 };
 use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output};
 use transedge_crypto::{KeyStore, Keypair, Signature};
@@ -32,13 +32,6 @@ const TOKEN_PROGRESS: u64 = 2;
 /// hand-mirroring the number (a mismatched depth makes replicas drop
 /// every scan as out-of-range, which surfaces only as client give-ups).
 pub const DEFAULT_TREE_DEPTH: u32 = 16;
-
-/// Point requests with at least this many keys are answered by one
-/// coalesced Merkle multiproof instead of independent per-key proofs.
-/// Four is the wire-size crossover: the crypto tests prove a
-/// multiproof strictly smaller than `n` independent proofs for
-/// `n >= 4`, while tiny requests can lose the bet to bucket overlap.
-pub const MULTI_MIN_KEYS: usize = 4;
 
 /// How many certified commit-feed entries a replica retains for
 /// catching up (re)subscribers. A subscriber further behind than this
@@ -114,9 +107,6 @@ pub struct NodeStats {
     pub txns_rejected: u64,
     pub rot_served: u64,
     pub rot_fetches_served: u64,
-    /// Point requests answered with one coalesced multiproof bundle
-    /// (throughput mode: `keys.len() >= MULTI_MIN_KEYS`).
-    pub rot_multi_served: u64,
     /// Edge partial-assembly fills served pinned at the requested
     /// batch.
     pub rot_pinned_served: u64,
@@ -141,7 +131,6 @@ impl transedge_obs::RegisterMetrics for NodeStats {
         reg.counter(scope, "node.txns_rejected", self.txns_rejected);
         reg.counter(scope, "node.rot_served", self.rot_served);
         reg.counter(scope, "node.rot_fetches_served", self.rot_fetches_served);
-        reg.counter(scope, "node.rot_multi_served", self.rot_multi_served);
         reg.counter(scope, "node.rot_pinned_served", self.rot_pinned_served);
         reg.counter(scope, "node.rot_scans_served", self.rot_scans_served);
         reg.counter(scope, "node.deltas_published", self.deltas_published);
@@ -185,8 +174,8 @@ pub struct TransEdgeNode {
     /// dependency stems from a commit elsewhere, so our commit is
     /// inevitable.
     pending_reads: Vec<(NodeId, u64, ReadQuery)>,
-    /// The edge read subsystem's serving pipeline: proof assembly with
-    /// a per-`(key, batch)` cache.
+    /// The edge read subsystem's serving pipeline: section bodies and
+    /// scan windows, memoised per exact key set (or window) and batch.
     pub read_pipeline: ReadPipeline,
     // ---- certified commit feed ----
     /// Subscribers to this replica's certified commit feed.
@@ -256,6 +245,11 @@ impl TransEdgeNode {
     /// its externally assembled certificate (see `setup::Deployment`).
     pub fn install_genesis(&mut self, batch: Batch, cert: Certificate) {
         self.engine.install_genesis(batch, cert);
+    }
+
+    /// Read queries parked until a later batch makes them servable.
+    pub fn parked_reads(&self) -> usize {
+        self.pending_reads.len()
     }
 
     pub fn is_leader(&self) -> bool {
@@ -1037,13 +1031,15 @@ impl TransEdgeNode {
     // Read-only serving
     // ------------------------------------------------------------------
 
+    /// Serve a point read pinned at `at_batch`: one section proving
+    /// exactly `keys` under one multiproof, memoised per key set and
+    /// batch by the read pipeline.
     fn respond_rot(
         &mut self,
         to: NodeId,
         req: u64,
         keys: &[Key],
         at_batch: BatchNum,
-        allow_multi: bool,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let Some((batch, cert)) = self.engine.log().get(at_batch) else {
@@ -1051,94 +1047,25 @@ impl TransEdgeNode {
         };
         let commitment = CommittedHeader::of(batch);
         let cert = cert.clone();
-        // Batched requests ship one coalesced multiproof: the shared
-        // sibling set is strictly smaller on the wire than independent
-        // per-key proofs from `MULTI_MIN_KEYS` up, and the body replays
-        // from edge caches as a refcount bump.
-        if allow_multi && keys.len() >= MULTI_MIN_KEYS {
-            let misses_before = self.read_pipeline.multi_stats().misses;
-            let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
-            let misses = self.read_pipeline.multi_stats().misses - misses_before;
-            // A cold multiproof hashes one path per proven key.
-            ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * body.keys.len() as u64));
-            self.stats.rot_multi_served += 1;
-            ctx.send(
-                to,
-                NetMsg::ReadResult {
-                    req,
-                    result: ReadPayload::Multi {
-                        bundle: Box::new(transedge_edge::MultiProofBundle {
-                            commitment,
-                            cert,
-                            body,
-                        }),
-                        fresh: None,
-                    },
-                },
-            );
-            return;
-        }
-        // Proof assembly goes through the edge pipeline; only cache
-        // misses pay the Merkle-path hashing cost.
         let misses_before = self.read_pipeline.stats().misses;
-        let reads = self.read_pipeline.serve(&self.exec, keys, at_batch);
+        let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
         let misses = self.read_pipeline.stats().misses - misses_before;
-        ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses));
+        // A cold multiproof hashes one path per proven key.
+        ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * body.keys().len() as u64));
         ctx.send(
             to,
             NetMsg::ReadResult {
                 req,
                 result: ReadPayload::Point {
-                    sections: vec![transedge_edge::ProofBundle {
+                    sections: vec![transedge_edge::MultiProofBundle {
                         commitment,
                         cert,
-                        reads,
+                        body,
                     }],
                     fresh: None,
                 },
             },
         );
-    }
-
-    /// An edge node's partial-assembly fill: serve `keys` pinned at
-    /// `at_batch` so the fragments merge with the edge's cached ones
-    /// into a single consistent cut. A replica that has not applied
-    /// `at_batch` yet falls back to answering the *whole* request
-    /// itself — honouring the client's round-2 LCE floor, exactly as
-    /// the unified dispatch would — and the edge forwards that
-    /// response unassembled, so a lagging replica never wedges the
-    /// client or feeds it something it must reject as stale.
-    #[allow(clippy::too_many_arguments)]
-    fn on_rot_fetch_at(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        keys: Vec<Key>,
-        all_keys: Vec<Key>,
-        at_batch: BatchNum,
-        min_epoch: Epoch,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let applied = self.exec.applied_batches();
-        if applied > at_batch.0 {
-            self.stats.rot_pinned_served += 1;
-            self.respond_rot(from, req, &keys, at_batch, false, ctx);
-        } else {
-            // Cannot serve the pin: answer the whole request under the
-            // unified policy rules instead (parking if even that is
-            // not possible yet).
-            let policy = if min_epoch.is_none() {
-                SnapshotPolicy::Latest
-            } else {
-                SnapshotPolicy::MinEpoch(min_epoch)
-            };
-            self.on_read_query(
-                from,
-                req,
-                ReadQuery::point(all_keys).with_policy(policy),
-                ctx,
-            );
-        }
     }
 
     /// Serve a verified range scan pinned at `at_batch`: rows from the
@@ -1230,7 +1157,7 @@ impl TransEdgeNode {
                             SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
                             SnapshotPolicy::AtBatch(_) => self.stats.rot_pinned_served += 1,
                         }
-                        self.respond_rot(from, req, &keys, batch, true, ctx);
+                        self.respond_rot(from, req, &keys, batch, ctx);
                     }
                     None => self.pending_reads.push((from, req, query)),
                 }
@@ -1381,16 +1308,6 @@ impl Actor<NetMsg> for TransEdgeNode {
             }
             NetMsg::CommitRequest { txn, reply_to } => self.on_commit_request(reply_to, txn, ctx),
             NetMsg::Read { req, query } => self.on_read_query(from, req, query, ctx),
-            NetMsg::RotFetchAt {
-                req,
-                keys,
-                all_keys,
-                at_batch,
-                min_epoch,
-                // Span recording happens centrally in the simulator;
-                // the replica's serving logic never branches on it.
-                trace: _,
-            } => self.on_rot_fetch_at(from, req, keys, all_keys, at_batch, min_epoch, ctx),
             NetMsg::FeedSubscribe { from_batch } => self.on_feed_subscribe(from, from_batch, ctx),
             NetMsg::Bft(msg) => {
                 let Some(replica) = from.as_replica() else {

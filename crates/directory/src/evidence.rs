@@ -20,70 +20,50 @@
 //! the fleet if the frame was false), while read correctness continues
 //! to rest solely on the client-side verifier.
 
-use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, Value, WireWriter};
+use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, WireWriter};
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Sha256, Signature};
 use transedge_edge::{
-    BatchCommitment, CertifiedDelta, ProofBundle, QueryShape, ReadQuery, ReadRejection,
+    BatchCommitment, CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadRejection,
     ReadResponse, ReadVerifier, ScanBundle, SnapshotPolicy,
 };
 
 /// Is this rejection class *cryptographic* — does producing it require
 /// corrupting proof-carrying material, rather than merely pairing an
 /// honest response with an unlucky query (wrong cluster, stale clock,
-/// mismatched shape, replayed token)? Only cryptographic classes are
-/// admissible as demotion evidence; the rest are circumstantial and
-/// feed nothing but local routing counters.
+/// mismatched shape, replayed token, a key the honest sections never
+/// claimed to cover)? Only cryptographic classes are admissible as
+/// demotion evidence; the rest are circumstantial and feed nothing but
+/// local routing counters.
 pub fn is_cryptographic(rejection: &ReadRejection) -> bool {
     matches!(
         rejection,
         ReadRejection::BadCertificate
-            | ReadRejection::BadProof(_)
+            | ReadRejection::BadProof
             | ReadRejection::ValueMismatch(_)
             | ReadRejection::PhantomValue(_)
             | ReadRejection::TornAssembly { .. }
-            | ReadRejection::DuplicateKey(_)
             | ReadRejection::BadRangeProof
             | ReadRejection::IncompleteScan { .. }
             | ReadRejection::ScanRowMismatch(_)
-            | ReadRejection::BadMultiProof
-            | ReadRejection::MultiProofKeyMissing(_)
             | ReadRejection::BadDelta
             | ReadRejection::FeedSpliced { .. }
     )
 }
 
-fn hash_value(h: &mut Sha256, value: &Option<Value>) {
-    match value {
-        Some(v) => {
-            h.update(&[1]);
-            h.update(v.as_bytes());
-        }
-        None => {
-            h.update(&[0]);
-        }
-    }
-}
-
-fn hash_bundle<H: BatchCommitment>(h: &mut Sha256, bundle: &ProofBundle<H>) {
-    h.update(&bundle.commitment.certified_digest().0);
-    h.update(&bundle.cert.digest.0);
-    for (node, sig) in &bundle.cert.sigs {
+/// Hash one point section: the certified digest, the certificate with
+/// every signature, and the body's wire image — which covers keys,
+/// value slots and the multiproof byte-for-byte, so this pins
+/// everything a verifier could object to.
+fn hash_section<H: BatchCommitment>(h: &mut Sha256, section: &MultiProofBundle<H>) {
+    h.update(&section.commitment.certified_digest().0);
+    h.update(&section.cert.digest.0);
+    for (node, sig) in &section.cert.sigs {
         let mut w = WireWriter::with_capacity(8);
         node.encode(&mut w);
         h.update(&w.into_bytes());
         h.update(&sig.0);
     }
-    for read in &bundle.reads {
-        h.update(read.key.as_bytes());
-        hash_value(h, &read.value);
-        for entry in &read.proof.bucket {
-            h.update(&entry.key_hash.0);
-            h.update(&entry.value_hash.0);
-        }
-        for sibling in &read.proof.siblings {
-            h.update(&sibling.0);
-        }
-    }
+    h.update(&section.body.encode_to_vec());
 }
 
 fn hash_scan<H: BatchCommitment>(h: &mut Sha256, bundle: &ScanBundle<H>) {
@@ -146,7 +126,7 @@ pub fn response_fingerprint<H: BatchCommitment>(response: &ReadResponse<H>) -> D
         ReadResponse::Point { sections, fresh } => {
             h.update(b"point");
             for section in sections {
-                hash_bundle(&mut h, section);
+                hash_section(&mut h, section);
             }
             if let Some(feed) = fresh {
                 hash_feed(&mut h, feed);
@@ -155,24 +135,6 @@ pub fn response_fingerprint<H: BatchCommitment>(response: &ReadResponse<H>) -> D
         ReadResponse::Scan { bundle } => {
             h.update(b"scan");
             hash_scan(&mut h, bundle);
-        }
-        ReadResponse::Multi { bundle, fresh } => {
-            // The body's wire image covers keys, values, and the
-            // multiproof byte-for-byte; pinning it plus the certificate
-            // fixes everything a verifier could object to.
-            h.update(b"multi");
-            h.update(&bundle.commitment.certified_digest().0);
-            h.update(&bundle.cert.digest.0);
-            for (node, sig) in &bundle.cert.sigs {
-                let mut w = WireWriter::with_capacity(8);
-                node.encode(&mut w);
-                h.update(&w.into_bytes());
-                h.update(&sig.0);
-            }
-            h.update(bundle.body.wire_bytes());
-            if let Some(feed) = fresh {
-                hash_feed(&mut h, feed);
-            }
         }
         ReadResponse::Gather { parts } => {
             h.update(b"gather");
@@ -347,27 +309,12 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
                 ReadResponse::Point { sections, fresh } => {
                     sections
                         .iter()
-                        .map(|s| {
-                            110 + s.cert.sigs.len() * 101
-                                + s.reads
-                                    .iter()
-                                    .map(|v| {
-                                        v.key.len()
-                                            + v.value.as_ref().map(|x| x.len()).unwrap_or(0)
-                                            + v.proof.encoded_len()
-                                    })
-                                    .sum::<usize>()
-                        })
+                        .map(|s| 110 + s.cert.sigs.len() * 101 + s.body.encoded_len())
                         .sum::<usize>()
                         + feed_size(fresh)
                 }
                 ReadResponse::Scan { bundle } => {
                     110 + bundle.cert.sigs.len() * 101 + bundle.scan.encoded_len()
-                }
-                ReadResponse::Multi { bundle, fresh } => {
-                    110 + bundle.cert.sigs.len() * 101
-                        + bundle.body.encoded_len()
-                        + feed_size(fresh)
                 }
                 ReadResponse::Gather { parts } => parts
                     .iter()

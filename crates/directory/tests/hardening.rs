@@ -22,7 +22,8 @@ use transedge_directory::{
     SignedObservation,
 };
 use transedge_edge::{
-    BatchCommitment, ProofBundle, ProvenRead, ReadQuery, ReadResponse, ReadVerifier, VerifyParams,
+    BatchCommitment, MultiProofBody, MultiProofBundle, ReadQuery, ReadResponse, ReadVerifier,
+    VerifyParams,
 };
 use transedge_storage::VersionedStore;
 
@@ -140,21 +141,25 @@ impl World {
         })
     }
 
-    fn bundle(&self, keys: &[Key]) -> ProofBundle<TestHeader> {
-        ProofBundle {
+    /// The honest section for `keys` (sorted), or — `forge` set — the
+    /// classic TamperValue forgery: first value swapped, proof kept.
+    fn section(&self, keys: &[Key], forge: bool) -> MultiProofBundle<TestHeader> {
+        let mut values: Vec<Option<Value>> = keys
+            .iter()
+            .map(|k| {
+                self.store
+                    .read_at(k, self.header.num)
+                    .map(|v| v.value.clone())
+            })
+            .collect();
+        if forge {
+            values[0] = Some(Value::from("forged-by-edge"));
+        }
+        let proof = self.tree.prove_multi(keys, self.header.num.0);
+        MultiProofBundle {
             commitment: self.header.clone(),
             cert: self.cert.clone(),
-            reads: keys
-                .iter()
-                .map(|k| ProvenRead {
-                    key: k.clone(),
-                    value: self
-                        .store
-                        .read_at(k, self.header.num)
-                        .map(|v| v.value.clone()),
-                    proof: self.tree.prove_at(k, self.header.num.0),
-                })
-                .collect(),
+            body: MultiProofBody::new(keys.to_vec(), values, proof),
         }
     }
 
@@ -183,10 +188,8 @@ fn genuine_evidence_is_admitted_and_demotes() {
     let query = ReadQuery::point(query_keys.clone());
     // The byzantine edge tampered with a value (keeping the honest
     // proof) — the classic TamperValue forgery.
-    let mut bundle = world.bundle(&query_keys);
-    bundle.reads[0].value = Some(Value::from("forged-by-edge"));
     let response: ReadResponse<TestHeader> = ReadResponse::Point {
-        sections: vec![bundle],
+        sections: vec![world.section(&query_keys, true)],
         fresh: None,
     };
     let rejection = world
@@ -233,7 +236,7 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
     let query_keys = vec![Key::from_u32(2)];
     let query = ReadQuery::point(query_keys.clone());
     let honest: ReadResponse<TestHeader> = ReadResponse::Point {
-        sections: vec![world.bundle(&query_keys)],
+        sections: vec![world.section(&query_keys, false)],
         fresh: None,
     };
     // Edge 2 frames edge 1 with honest material, signing the claim
@@ -340,10 +343,8 @@ fn delta_exchange_converges_in_two_legs_then_goes_quiet() {
     b.observe(edge(1), Some(1_100.0), 30, 2, 0, vec![], NOW);
     let query_keys = vec![Key::from_u32(0)];
     let query = ReadQuery::point(query_keys.clone());
-    let mut bundle = world.bundle(&query_keys);
-    bundle.reads[0].value = Some(Value::from("forged-by-edge"));
     let response: ReadResponse<TestHeader> = ReadResponse::Point {
-        sections: vec![bundle],
+        sections: vec![world.section(&query_keys, true)],
         fresh: None,
     };
     let rejection = world

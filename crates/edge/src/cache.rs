@@ -128,6 +128,13 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         }
     }
 
+    /// Drop one entry, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let (when, value) = self.map.remove(key)?;
+        self.recency.remove(&when);
+        Some(value)
+    }
+
     /// Drop every entry for which `pred` returns false.
     pub fn retain(&mut self, mut pred: impl FnMut(&K, &V) -> bool) {
         let recency = &mut self.recency;
@@ -189,6 +196,19 @@ mod tests {
         c.insert(1, 10);
         assert_eq!(c.get(&1), None);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn remove_drops_one_entry_and_its_recency_slot() {
+        let mut c: LruCache<u32, u32> = LruCache::new(2);
+        c.insert(1, 10);
+        c.insert(2, 20);
+        assert_eq!(c.remove(&1), Some(10));
+        assert_eq!(c.remove(&1), None);
+        // The freed slot is reusable without evicting the survivor.
+        c.insert(3, 30);
+        assert!(c.contains(&2) && c.contains(&3));
+        assert_eq!(c.stats.evictions, 0);
     }
 
     #[test]

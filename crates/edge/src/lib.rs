@@ -7,54 +7,55 @@
 //! TransEdge's headline property (paper §3–§4) is that read-only
 //! transactions are served by *single, untrusted* nodes, and clients
 //! verify what they get against cryptographic commitments: a Merkle
-//! (non-)inclusion proof per key, chained to a batch root, chained to
-//! an `f+1`-signed consensus certificate. WedgeChain's lazy-trust
-//! edge/cloud split and Axiograph's "untrusted engines compute, a small
-//! trusted checker verifies" design argue for isolating exactly that
-//! boundary — this crate is that boundary:
+//! proof, chained to a batch root, chained to an `f+1`-signed consensus
+//! certificate, checked for freshness and against the LCE floor.
+//! WedgeChain's lazy-trust edge/cloud split and Axiograph's "untrusted
+//! engines compute, a small trusted checker verifies" design argue for
+//! isolating exactly that boundary — this crate is that boundary.
+//!
+//! There are two proof shapes and one chain. A **point read** is a
+//! list of *sections* ([`MultiProofBundle`]): a certified commitment,
+//! its certificate, and a [`MultiProofBody`] proving a sorted key set
+//! (one key included) with one deduplicated Merkle multiproof. A
+//! replica answers with one section for exactly the keys asked; an
+//! edge answers with the cached sections covering the request plus,
+//! when some keys are missing, one upstream section fetched pinned at
+//! the same batch. A **scan** is a [`ScanBundle`]: the same commitment
+//! and certificate over a Merkle *range* proof
+//! (`transedge_crypto::range`), so the verifier can also check
+//! **completeness** — an untrusted node cannot omit a row inside a
+//! scanned window undetected. Both shapes are what the wire carries,
+//! what the caches hold and what the disk stores.
 //!
 //! * [`pipeline`] — the serving side. [`pipeline::SnapshotSource`]
 //!   abstracts a replica's multi-version store + versioned Merkle tree;
-//!   [`pipeline::ReadPipeline`] assembles [`ProvenRead`]s from it,
-//!   memoising per-`(key, batch)` proofs in an LRU cache (snapshot
-//!   reads are immutable, so cached entries never go stale).
+//!   [`pipeline::ReadPipeline`] builds section bodies and scan windows
+//!   from it, memoised per exact key set (or window) and batch in an
+//!   LRU cache (snapshot reads are immutable, so cached entries never
+//!   go stale).
 //! * [`cache`] — the LRU cache with hit/miss/eviction counters, also
 //!   used stand-alone by edge replay nodes.
 //! * [`replay`] — the store-free serving side: an edge cache node that
-//!   holds no partition state and no keys, only certified response
-//!   fragments it absorbed from upstream, replayed to clients who
-//!   verify them end to end.
+//!   holds no partition state and no keys, only the certified sections
+//!   and windows it absorbed from upstream, indexed per `(key, batch)`
+//!   and replayed to clients who verify them end to end;
+//!   [`replay::ShardedReplayCache`] spreads an edge's per-partition
+//!   caches over cluster-hash shards.
+//! * [`persist`] — the same two shapes as durable, content-addressed
+//!   objects, re-verified on hydration like any network response.
 //! * [`query`] — the unified typed read protocol: one
 //!   [`query::ReadQuery`] ([`query::SnapshotPolicy`] ×
-//!   [`query::QueryShape`] × [`query::PageToken`]) names every read
-//!   shape — point reads, LCE-floored round-2 fetches, verified scans,
-//!   paginated multi-window scans, scatter-gather sub-queries — and
-//!   one [`query::ReadResponse`] answers it.
+//!   [`query::QueryShape`] × [`query::PageToken`]) names every read —
+//!   point reads, LCE-floored round-2 fetches, pinned edge fills,
+//!   verified scans, paginated multi-window scans, scatter-gather
+//!   sub-queries — and one [`query::ReadResponse`] answers it.
 //! * [`verifier`] — the trusted-side checker. [`verifier::ReadVerifier`]
 //!   accepts a response only after proof → root → certificate →
 //!   freshness → snapshot-epoch checks all pass; everything an edge
 //!   node could forge is caught here and reported as a
-//!   [`verifier::ReadRejection`]. Its `verify_query` entry point
-//!   dispatches a [`query::ReadQuery`] to the right proof chain and
-//!   enforces snapshot pins and page tokens on top.
-//!
-//! Point reads and range scans share the same shape: [`ScanProof`] /
-//! [`ScanBundle`] are the scan analogues of [`ProvenRead`] /
-//! [`ProofBundle`], with a Merkle *range* proof
-//! (`transedge_crypto::range`) standing in for per-key proofs so the
-//! verifier can check **completeness** — an untrusted node cannot omit
-//! a row inside a scanned window undetected.
-//!
-//! Throughput mode adds a third proof shape: [`MultiProofBody`] /
-//! [`MultiProofBundle`] batch many point reads behind **one**
-//! deduplicated Merkle multiproof, encoded exactly once into a shared
-//! byte buffer — caching, replaying, or subset-serving a body is a
-//! refcount bump, not a re-serialisation. The serving pipeline
-//! coalesces concurrent reads pinned to the same batch into one body
-//! ([`ReadPipeline::serve_multi`]), and
-//! [`replay::ShardedReplayCache`] spreads an edge's per-partition
-//! replay caches over cluster-hash shards so the hot read path stops
-//! funnelling through one structure.
+//!   [`verifier::ReadRejection`]. Its `verify_query` entry point runs
+//!   the one section check (or the scan check) for the query's shape
+//!   and enforces snapshot pins and page tokens on top.
 //!
 //! The crate deliberately does not know about network messages or the
 //! batch format: commitments enter through the [`BatchCommitment`]
@@ -76,18 +77,16 @@ pub use persist::{
     is_stale_only, readmit, verify_object, HeadRecord, HydrateReject, PersistPlan, PersistStats,
     SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD,
 };
-pub use pipeline::{
-    multi_snapshot, read_snapshot, scan_snapshot, ReadPipeline, SnapshotSource, MAX_COALESCED_KEYS,
-};
+pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
     GatherPart, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
     SnapshotPolicy,
 };
 pub use replay::{
-    Assembly, ReplayCache, ReplayStats, ShardedReplayCache, DEFAULT_SHARD_COUNT, MAX_FEED_DELTAS,
+    ReplayCache, ReplayStats, ShardedReplayCache, DEFAULT_SHARD_COUNT, MAX_FEED_DELTAS,
 };
 pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
-    ProofBundle, ProvenRead, ScanBundle, ScanProof,
+    ScanBundle, ScanProof,
 };
 pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};

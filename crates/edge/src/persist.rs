@@ -19,8 +19,9 @@
 //! ## Layout
 //!
 //! The store is an append-only [`ObjectArchive`] of
-//! [`SnapshotObject`]s (the three proof shapes of the wire protocol,
-//! exactly as they travel) plus one small mutable [`HeadRecord`] per
+//! [`SnapshotObject`]s (the two proof shapes of the wire protocol —
+//! point-read sections and scan windows — exactly as they travel)
+//! plus one small mutable [`HeadRecord`] per
 //! cluster shard, naming the live object set and the newest persisted
 //! batch. Restart follows axiograph's accepted-plane replication:
 //! immutable objects first, then the head pointers — an interrupted
@@ -29,11 +30,11 @@
 
 use std::collections::BTreeMap;
 
-use transedge_common::{BatchNum, ClusterId, Key, SimTime};
+use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::{sha256, Digest, KeyStore, Sha256};
 
-use crate::response::{BatchCommitment, MultiProofBundle, ProofBundle, ScanBundle};
+use crate::response::{BatchCommitment, MultiProofBundle, ScanBundle};
 use crate::verifier::{ReadRejection, ReadVerifier};
 
 use transedge_storage::ObjectArchive;
@@ -90,60 +91,54 @@ pub const DEFAULT_SPILL_THRESHOLD: usize = 256;
 /// verification path).
 #[derive(Clone, Debug)]
 pub enum SnapshotObject<H> {
-    /// Per-key point proofs under one certified commitment.
-    Point(ProofBundle<H>),
+    /// A point-read section: one multiproof body under one certified
+    /// commitment.
+    Section(MultiProofBundle<H>),
     /// A proof-carrying scan window.
     Scan(ScanBundle<H>),
-    /// A batched multiproof body — its shared wire image serializes
-    /// for free, so its content digest covers every proof byte.
-    Multi(MultiProofBundle<H>),
 }
 
 impl<H: BatchCommitment> SnapshotObject<H> {
     /// Partition the object snapshots.
     pub fn cluster(&self) -> ClusterId {
         match self {
-            SnapshotObject::Point(b) => b.commitment.cluster(),
+            SnapshotObject::Section(b) => b.commitment.cluster(),
             SnapshotObject::Scan(b) => b.commitment.cluster(),
-            SnapshotObject::Multi(b) => b.commitment.cluster(),
         }
     }
 
     /// Batch the object snapshots.
     pub fn batch(&self) -> BatchNum {
         match self {
-            SnapshotObject::Point(b) => b.batch(),
+            SnapshotObject::Section(b) => b.batch(),
             SnapshotObject::Scan(b) => b.batch(),
-            SnapshotObject::Multi(b) => b.batch(),
+        }
+    }
+
+    /// The certificate the object's commitment is chained to.
+    pub fn cert(&self) -> &Certificate {
+        match self {
+            SnapshotObject::Section(b) => &b.cert,
+            SnapshotObject::Scan(b) => &b.cert,
         }
     }
 
     /// The content address: a domain-separated digest over the
-    /// certified commitment, its certificate, and the value-bearing
-    /// body. Any mutation of stored *values* changes the address (the
-    /// self-check half of the gate); mutations of proof or signature
-    /// bytes that the digest does not cover are exactly what the
-    /// verifier half of the gate re-checks cryptographically.
+    /// certified commitment, its certificate, and the body. For a
+    /// section that is the body's whole wire image — keys, value slots
+    /// and multiproof, encoded from the body's parts as they are now —
+    /// so *any* change to a stored section changes the address; for a
+    /// scan it is the window bounds and rows. This is the self-check
+    /// half of the gate; whatever the digest does not cover (a scan's
+    /// proof, signature bytes) is exactly what the verifier half
+    /// re-checks cryptographically.
     pub fn content_digest(&self) -> Digest {
         let mut h = Sha256::new();
         match self {
-            SnapshotObject::Point(b) => {
-                h.update(b"transedge/persist/point");
+            SnapshotObject::Section(b) => {
+                h.update(b"transedge/persist/section");
                 fold_commitment(&mut h, &b.commitment, &b.cert);
-                h.update(&(b.reads.len() as u64).to_le_bytes());
-                for read in &b.reads {
-                    fold_key(&mut h, &read.key);
-                    match &read.value {
-                        Some(v) => {
-                            h.update(&[1]);
-                            h.update(&(v.len() as u32).to_le_bytes());
-                            h.update(v.as_bytes());
-                        }
-                        None => {
-                            h.update(&[0]);
-                        }
-                    }
-                }
+                h.update(&b.body.encode_to_vec());
             }
             SnapshotObject::Scan(b) => {
                 h.update(b"transedge/persist/scan");
@@ -156,14 +151,6 @@ impl<H: BatchCommitment> SnapshotObject<H> {
                     h.update(&(value.len() as u32).to_le_bytes());
                     h.update(value.as_bytes());
                 }
-            }
-            SnapshotObject::Multi(b) => {
-                h.update(b"transedge/persist/multi");
-                fold_commitment(&mut h, &b.commitment, &b.cert);
-                // The body's canonical wire image (keys, value slots,
-                // joint proof) is shared by every clone — digesting it
-                // costs one pass over bytes that already exist.
-                h.update(b.body.wire_bytes());
             }
         }
         h.finalize()
@@ -399,19 +386,19 @@ pub fn verify_object<H: BatchCommitment>(
     now: SimTime,
 ) -> Result<(), ReadRejection> {
     let cluster = object.cluster();
-    let none = transedge_common::Epoch::NONE;
     match object {
-        SnapshotObject::Point(bundle) => {
-            let expected: Vec<Key> = bundle.reads.iter().map(|r| r.key.clone()).collect();
-            verifier
-                .verify_bundle(keys, cluster, bundle, &expected, none, now)
-                .map(|_| ())
-        }
-        SnapshotObject::Scan(bundle) => verifier
-            .verify_scan(keys, cluster, bundle, &bundle.scan.range, none, now)
+        SnapshotObject::Section(section) => verifier
+            .verify_sections(
+                keys,
+                cluster,
+                std::slice::from_ref(section),
+                section.body.keys(),
+                Epoch::NONE,
+                now,
+            )
             .map(|_| ()),
-        SnapshotObject::Multi(bundle) => verifier
-            .verify_multi(keys, cluster, bundle, &bundle.body.keys, none, now)
+        SnapshotObject::Scan(bundle) => verifier
+            .verify_scan(keys, cluster, bundle, &bundle.scan.range, Epoch::NONE, now)
             .map(|_| ()),
     }
 }
@@ -430,18 +417,8 @@ pub fn is_stale_only(reject: &HydrateReject) -> bool {
 pub fn object_size<H: BatchCommitment>(object: &SnapshotObject<H>) -> usize {
     const HEADER_AND_CERT: usize = 132;
     match object {
-        SnapshotObject::Point(b) => {
-            HEADER_AND_CERT
-                + b.reads
-                    .iter()
-                    .map(|r| {
-                        r.key.len() + r.value.as_ref().map_or(0, |v| v.len()) + 33 * 16
-                        // proof path estimate
-                    })
-                    .sum::<usize>()
-        }
+        SnapshotObject::Section(b) => HEADER_AND_CERT + b.body.encoded_len(),
         SnapshotObject::Scan(b) => HEADER_AND_CERT + b.scan.encoded_len(),
-        SnapshotObject::Multi(b) => HEADER_AND_CERT + b.body.encoded_len(),
     }
 }
 
@@ -453,9 +430,9 @@ pub fn null_digest() -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::response::{ProofBundle, ProvenRead};
-    use transedge_common::{Epoch, Value};
-    use transedge_crypto::MerkleProof;
+    use crate::response::MultiProofBody;
+    use transedge_common::Value;
+    use transedge_crypto::MultiProof;
 
     #[derive(Clone, Debug)]
     struct Header {
@@ -485,7 +462,7 @@ mod tests {
     }
 
     fn point(cluster: u16, batch: u64, key: &str, value: &str) -> SnapshotObject<Header> {
-        SnapshotObject::Point(ProofBundle {
+        SnapshotObject::Section(MultiProofBundle {
             commitment: Header {
                 cluster: ClusterId(cluster),
                 batch: BatchNum(batch),
@@ -496,14 +473,14 @@ mod tests {
                 digest: sha256(&batch.to_le_bytes()),
                 sigs: Vec::new(),
             },
-            reads: vec![ProvenRead {
-                key: Key::from(key),
-                value: Some(Value::from(value)),
-                proof: MerkleProof {
-                    bucket: Vec::new(),
+            body: MultiProofBody::new(
+                vec![Key::from(key)],
+                vec![Some(Value::from(value))],
+                MultiProof {
+                    buckets: Vec::new(),
                     siblings: Vec::new(),
                 },
-            }],
+            ),
         })
     }
 
@@ -549,9 +526,7 @@ mod tests {
         let mut store: SnapshotStore<Header> = SnapshotStore::new(8);
         let digest = store.spill(point(0, 1, "a", "honest"));
         assert!(store.tamper_with(&digest, |object| {
-            if let SnapshotObject::Point(bundle) = object {
-                bundle.reads[0].value = Some(Value::from("forged"));
-            }
+            *object = point(0, 1, "a", "forged");
         }));
         let object = store.get(&digest).expect("still stored");
         assert_ne!(object.content_digest(), digest, "bit flip breaks address");

@@ -5,7 +5,7 @@ use transedge_common::{BatchNum, Key, Value};
 use transedge_crypto::{MerkleProof, MultiProof, RangeProof, ScanRange};
 
 use crate::cache::{CacheStats, LruCache};
-use crate::response::{MultiProofBody, ProvenRead, ScanProof};
+use crate::response::{MultiProofBody, ScanProof};
 
 /// A provider of snapshot values and proofs — in a replica this is the
 /// executor's `VersionedStore` + `VersionedMerkleTree` pair. The trait
@@ -16,7 +16,10 @@ pub trait SnapshotSource {
     fn value_at(&self, key: &Key, batch: BatchNum) -> Option<Value>;
 
     /// Merkle (non-)inclusion proof for `key` against the root at
-    /// `batch`.
+    /// `batch`. No serving path calls this any more (a one-key section
+    /// is a one-key multiproof); it stays because the benchmark's
+    /// traced source implements it — the next `[benchmark]` PR may
+    /// drop it.
     fn prove_at(&self, key: &Key, batch: BatchNum) -> MerkleProof;
 
     /// Every committed `(key, value)` in a tree-order window at the cut
@@ -33,32 +36,9 @@ pub trait SnapshotSource {
     fn prove_multi(&self, keys: &[Key], batch: BatchNum) -> MultiProof;
 }
 
-/// Assemble proof-carrying reads for `keys` at `batch`, straight from
-/// the source (no caching). This is *the* single implementation of
-/// snapshot serving; the node's cached pipeline and the executor's
-/// direct path both funnel through it.
-pub fn read_snapshot<S: SnapshotSource + ?Sized>(
-    src: &S,
-    keys: &[Key],
-    batch: BatchNum,
-) -> Vec<ProvenRead> {
-    keys.iter()
-        .map(|key| proven_read(src, key, batch))
-        .collect()
-}
-
-fn proven_read<S: SnapshotSource + ?Sized>(src: &S, key: &Key, batch: BatchNum) -> ProvenRead {
-    ProvenRead {
-        key: key.clone(),
-        value: src.value_at(key, batch),
-        proof: src.prove_at(key, batch),
-    }
-}
-
 /// Assemble a proof-carrying range scan for `range` at `batch`,
-/// straight from the source. Like [`read_snapshot`], this is the single
-/// implementation of scan serving; the cached pipeline funnels through
-/// it.
+/// straight from the source (no caching). The single implementation of
+/// scan serving; the cached pipeline funnels through it.
 pub fn scan_snapshot<S: SnapshotSource + ?Sized>(
     src: &S,
     range: &ScanRange,
@@ -71,19 +51,31 @@ pub fn scan_snapshot<S: SnapshotSource + ?Sized>(
     }
 }
 
-/// Build a [`MultiProofBody`] for `keys` at `batch`, straight from the
-/// source: the keys are sorted and deduplicated, their values read at
-/// the cut, and **one** multiproof generated for the whole set. Like
-/// [`read_snapshot`], the single implementation the cached pipeline
-/// funnels through.
+/// Build the section body for `keys` at `batch`, straight from the
+/// source (no caching): the keys are sorted and deduplicated, their
+/// values read at the cut, and **one** multiproof generated for the
+/// whole set. The single implementation of point serving; the cached
+/// pipeline funnels through it.
 pub fn multi_snapshot<S: SnapshotSource + ?Sized>(
     src: &S,
     keys: &[Key],
     batch: BatchNum,
 ) -> MultiProofBody {
-    let mut sorted: Vec<Key> = keys.to_vec();
+    prove_sorted(src, sorted_unique(keys), batch)
+}
+
+fn sorted_unique(keys: &[Key]) -> Vec<Key> {
+    let mut sorted = keys.to_vec();
     sorted.sort();
     sorted.dedup();
+    sorted
+}
+
+fn prove_sorted<S: SnapshotSource + ?Sized>(
+    src: &S,
+    sorted: Vec<Key>,
+    batch: BatchNum,
+) -> MultiProofBody {
     let values = sorted.iter().map(|k| src.value_at(k, batch)).collect();
     let proof = src.prove_multi(&sorted, batch);
     MultiProofBody::new(sorted, values, proof)
@@ -92,25 +84,18 @@ pub fn multi_snapshot<S: SnapshotSource + ?Sized>(
 /// The serving pipeline a replica (or any node with a
 /// [`SnapshotSource`]) runs its read-only traffic through. Proof
 /// generation is the expensive part of serving a ROT (`O(depth)`
-/// hashing per key), and hot keys are read at the same batch by many
-/// clients, so the pipeline memoises `(key, batch) → ProvenRead` in an
-/// LRU cache. Entries are immutable — a batch's proof for a key never
-/// changes — so the cache needs no invalidation.
+/// hashing per key), and hot key sets are read at the same batch by
+/// many clients, so the pipeline memoises `(key set, batch) → body` in
+/// an LRU cache. Entries are immutable — a batch's proof for a key set
+/// never changes — so the cache needs no invalidation.
 #[derive(Clone, Debug)]
 pub struct ReadPipeline {
-    cache: LruCache<(Key, BatchNum), ProvenRead>,
+    points: LruCache<(Vec<Key>, BatchNum), MultiProofBody>,
     /// `(range, batch) → ScanProof` — a scan proof is far more
     /// expensive to build than a point proof (`O(width)` leaf hashes),
     /// and scans are immutable per batch just like point reads, so the
     /// same no-invalidation memoisation applies.
     scans: LruCache<(ScanRange, BatchNum), ScanProof>,
-    /// `batch → MultiProofBody`: the **coalescer**. Concurrent point
-    /// reads pinned to the same batch merge into one growing superset
-    /// body — a later request whose keys are covered is a pure
-    /// refcount-bump replay; a request adding keys re-proves the union
-    /// once and every subsequent reader shares it. One body per batch
-    /// (the union), LRU over batches.
-    multis: LruCache<BatchNum, MultiProofBody>,
 }
 
 /// Default per-node cache capacity (entries, not bytes): generous for
@@ -121,14 +106,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
 /// point entries (whole windows), so the cap is correspondingly lower.
 pub const DEFAULT_SCAN_CACHE_CAPACITY: usize = 512;
 
-/// Default multiproof-coalescer capacity (batches, one union body
-/// each).
-pub const DEFAULT_MULTI_CACHE_CAPACITY: usize = 256;
-
-/// Largest key set one coalesced multiproof body may cover. Past this,
-/// a request is served as its own body instead of growing the union —
-/// unbounded unions would make every replay carry the whole hot set.
-pub const MAX_COALESCED_KEYS: usize = 64;
+/// Section bodies memoised at most. A body is a whole proof, not a
+/// per-key fragment, and distinct key sets share nothing, so the memo
+/// is sized to keep the hot sets of a replica that clients read
+/// directly — behind an edge tier every forwarded set is new and a
+/// larger memo would only pin bodies nobody asks for again.
+const MAX_MEMOISED_BODIES: usize = 32;
 
 impl Default for ReadPipeline {
     fn default() -> Self {
@@ -139,30 +122,9 @@ impl Default for ReadPipeline {
 impl ReadPipeline {
     pub fn new(cache_capacity: usize) -> Self {
         ReadPipeline {
-            cache: LruCache::new(cache_capacity),
+            points: LruCache::new(MAX_MEMOISED_BODIES.min(cache_capacity)),
             scans: LruCache::new(DEFAULT_SCAN_CACHE_CAPACITY.min(cache_capacity.max(1))),
-            multis: LruCache::new(DEFAULT_MULTI_CACHE_CAPACITY.min(cache_capacity.max(1))),
         }
-    }
-
-    /// Serve `keys` at `batch`, consulting the cache first.
-    pub fn serve<S: SnapshotSource + ?Sized>(
-        &mut self,
-        src: &S,
-        keys: &[Key],
-        batch: BatchNum,
-    ) -> Vec<ProvenRead> {
-        keys.iter()
-            .map(|key| {
-                let ck = (key.clone(), batch);
-                if let Some(hit) = self.cache.get(&ck) {
-                    return hit.clone();
-                }
-                let read = proven_read(src, key, batch);
-                self.cache.insert(ck, read.clone());
-                read
-            })
-            .collect()
     }
 
     /// Serve a range scan at `batch`, consulting the scan cache first.
@@ -181,50 +143,29 @@ impl ReadPipeline {
         scan
     }
 
-    /// Serve `keys` at `batch` as one multiproof body, coalescing with
-    /// concurrent reads at the same batch:
-    ///
-    /// * the batch's cached union body covers the request → replay it
-    ///   (a clone of the body is a refcount bump on its shared wire
-    ///   buffer — no proof work, no re-encoding);
-    /// * otherwise, if the union of cached and requested keys stays
-    ///   within [`MAX_COALESCED_KEYS`], prove the union once, cache it,
-    ///   and serve it — the superset answers both this request and
-    ///   every retroactively-coalesced neighbour;
-    /// * past the cap, prove exactly the requested set and leave the
-    ///   cached union alone.
+    /// Serve `keys` at `batch` as one section body proving **exactly**
+    /// the keys asked (sorted, deduplicated) — never a wider set, so a
+    /// response carries no bytes and costs no leaf hashes nobody asked
+    /// for. The body is memoised per exact key set and batch; a repeat
+    /// is a shared-allocation clone, no proof work, no re-encoding.
     pub fn serve_multi<S: SnapshotSource + ?Sized>(
         &mut self,
         src: &S,
         keys: &[Key],
         batch: BatchNum,
     ) -> MultiProofBody {
-        if self.multis.peek(&batch).is_some_and(|b| b.covers(keys)) {
-            return self.multis.get(&batch).expect("just peeked").clone();
+        let ck = (sorted_unique(keys), batch);
+        if let Some(hit) = self.points.get(&ck) {
+            return hit.clone();
         }
-        // A body that doesn't cover the request is a miss, not a hit.
-        self.multis.stats.misses += 1;
-        let union: Vec<Key> = match self.multis.peek(&batch) {
-            Some(body) if body.keys.len() + keys.len() <= MAX_COALESCED_KEYS => {
-                body.keys.iter().chain(keys.iter()).cloned().collect()
-            }
-            _ => keys.to_vec(),
-        };
-        let body = multi_snapshot(src, &union, batch);
-        if body.keys.len() <= MAX_COALESCED_KEYS {
-            self.multis.insert(batch, body.clone());
-        }
+        let body = prove_sorted(src, ck.0.clone(), batch);
+        self.points.insert(ck, body.clone());
         body
     }
 
-    /// Cache effectiveness counters.
+    /// Point-body cache counters.
     pub fn stats(&self) -> CacheStats {
-        self.cache.stats
-    }
-
-    /// Multiproof-coalescer counters (a hit is a covered replay).
-    pub fn multi_stats(&self) -> CacheStats {
-        self.multis.stats
+        self.points.stats
     }
 
     /// Scan-proof cache counters.
@@ -232,20 +173,20 @@ impl ReadPipeline {
         self.scans.stats
     }
 
-    /// Entries currently cached.
+    /// Point bodies currently cached.
     pub fn cached_entries(&self) -> usize {
-        self.cache.len()
+        self.points.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use transedge_crypto::merkle::{value_digest, verify_proof, Verified};
-    use transedge_crypto::VersionedMerkleTree;
+    use transedge_common::Encode as _;
+    use transedge_crypto::merkle::{value_digest, Verified};
+    use transedge_crypto::{verify_multi_proof, VersionedMerkleTree};
     use transedge_storage::VersionedStore;
 
     /// A real store+tree source, with a probe counting proof requests.
@@ -306,61 +247,32 @@ mod tests {
     }
 
     #[test]
-    fn read_snapshot_serves_correct_versions_with_valid_proofs() {
+    fn multi_snapshot_serves_correct_versions_with_valid_proofs() {
         let src = TestSource::with_batches(&[&[(1, "a"), (2, "b")], &[(1, "a2")]]);
-        let keys = [Key::from_u32(1), Key::from_u32(2), Key::from_u32(9)];
+        // Unsorted, with a duplicate: the body is the sorted unique set.
+        let asked = [
+            Key::from_u32(9),
+            Key::from_u32(1),
+            Key::from_u32(2),
+            Key::from_u32(1),
+        ];
         for batch in [0u64, 1] {
-            let reads = read_snapshot(&src, &keys, BatchNum(batch));
-            let root = src.tree.root_at(batch);
-            let by_key: HashMap<&Key, &ProvenRead> = reads.iter().map(|r| (&r.key, r)).collect();
+            let body = multi_snapshot(&src, &asked, BatchNum(batch));
+            assert_eq!(body.keys().len(), 3);
+            assert!(body.keys().windows(2).all(|w| w[0] < w[1]));
+            let verdicts =
+                verify_multi_proof(&src.tree.root_at(batch), 8, body.keys(), body.proof()).unwrap();
             // Key 1: overwritten in batch 1.
-            let want1 = if batch == 0 { "a" } else { "a2" };
-            let r1 = by_key[&Key::from_u32(1)];
-            assert_eq!(r1.value, Some(Value::from(want1)));
-            assert_eq!(
-                verify_proof(&root, 8, &r1.key, &r1.proof).unwrap(),
-                Verified::Present(value_digest(&Value::from(want1)))
-            );
+            let want1 = Value::from(if batch == 0 { "a" } else { "a2" });
+            let i1 = body.keys().binary_search(&Key::from_u32(1)).unwrap();
+            assert_eq!(body.values()[i1], Some(want1.clone()));
+            assert_eq!(verdicts[i1], Verified::Present(value_digest(&want1)));
             // Key 9: absent, with a verifying non-inclusion proof.
-            let r9 = by_key[&Key::from_u32(9)];
-            assert_eq!(r9.value, None);
-            assert_eq!(
-                verify_proof(&root, 8, &r9.key, &r9.proof).unwrap(),
-                Verified::Absent
-            );
+            let i9 = body.keys().binary_search(&Key::from_u32(9)).unwrap();
+            assert_eq!(body.values()[i9], None);
+            assert_eq!(verdicts[i9], Verified::Absent);
+            assert_eq!(body.encoded_len(), body.encode_to_vec().len());
         }
-    }
-
-    #[test]
-    fn pipeline_caches_per_key_and_batch() {
-        let src = TestSource::with_batches(&[&[(1, "a"), (2, "b")]]);
-        let mut pipeline = ReadPipeline::new(1024);
-        let keys = [Key::from_u32(1), Key::from_u32(2)];
-        let cold = pipeline.serve(&src, &keys, BatchNum(0));
-        assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 2);
-        assert_eq!(pipeline.stats().misses, 2);
-        assert_eq!(pipeline.stats().hits, 0);
-        // Warm pass: no new proof generation.
-        let warm = pipeline.serve(&src, &keys, BatchNum(0));
-        assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 2);
-        assert_eq!(pipeline.stats().hits, 2);
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.value, w.value);
-            assert_eq!(c.proof, w.proof);
-        }
-    }
-
-    #[test]
-    fn pipeline_distinguishes_batches() {
-        let src = TestSource::with_batches(&[&[(1, "a")], &[(1, "a2")]]);
-        let mut pipeline = ReadPipeline::new(1024);
-        let keys = [Key::from_u32(1)];
-        let at0 = pipeline.serve(&src, &keys, BatchNum(0));
-        let at1 = pipeline.serve(&src, &keys, BatchNum(1));
-        assert_eq!(at0[0].value, Some(Value::from("a")));
-        assert_eq!(at1[0].value, Some(Value::from("a2")));
-        // Different (key, batch) keys: both were misses.
-        assert_eq!(pipeline.stats().misses, 2);
     }
 
     #[test]
@@ -397,57 +309,40 @@ mod tests {
     }
 
     #[test]
-    fn serve_multi_coalesces_concurrent_reads_per_batch() {
-        let src = TestSource::with_batches(&[&[(1, "a"), (2, "b"), (3, "c"), (4, "d")]]);
+    fn serve_multi_memoises_the_exact_key_set_per_batch() {
+        let src = TestSource::with_batches(&[&[(1, "a"), (2, "b"), (3, "c")], &[(1, "a2")]]);
         let mut pipeline = ReadPipeline::new(1024);
-        // First reader proves {1, 2}: one multiproof, one proof call.
-        let a = pipeline.serve_multi(&src, &[Key::from_u32(1), Key::from_u32(2)], BatchNum(0));
+        let pair = [Key::from_u32(2), Key::from_u32(1)];
+        let cold = pipeline.serve_multi(&src, &pair, BatchNum(0));
         assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 1);
-        assert_eq!(a.keys.len(), 2);
-        // Second reader adds {3}: union {1,2,3} proven once.
-        let b = pipeline.serve_multi(&src, &[Key::from_u32(3)], BatchNum(0));
-        assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 2);
-        assert_eq!(b.keys.len(), 3);
-        // Third reader asks a covered subset: zero-copy replay — the
-        // same wire allocation, no proof work.
-        let c = pipeline.serve_multi(&src, &[Key::from_u32(2), Key::from_u32(3)], BatchNum(0));
-        assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 2);
-        assert_eq!(c.wire_bytes().as_ptr(), b.wire_bytes().as_ptr());
-        assert_eq!(pipeline.multi_stats().hits, 1);
-        assert_eq!(pipeline.multi_stats().misses, 2);
-        // The body verifies and covers exactly the union.
-        let verdicts =
-            transedge_crypto::verify_multi_proof(&src.tree.root_at(0), 8, &c.keys, &c.proof)
-                .unwrap();
-        assert_eq!(verdicts.len(), 3);
-        assert_eq!(c.encoded_len(), c.wire_bytes().len());
-    }
-
-    #[test]
-    fn serve_multi_caps_the_union() {
-        let entries: Vec<(u32, &str)> = (0..200u32).map(|i| (i, "v")).collect();
-        let src = TestSource::with_batches(&[&entries]);
-        let mut pipeline = ReadPipeline::new(1024);
-        let small: Vec<Key> = (0..4).map(Key::from_u32).collect();
-        pipeline.serve_multi(&src, &small, BatchNum(0));
-        // A huge request must not displace the cached union with an
-        // unbounded body.
-        let huge: Vec<Key> = (0..(MAX_COALESCED_KEYS as u32 + 8))
-            .map(Key::from_u32)
-            .collect();
-        let body = pipeline.serve_multi(&src, &huge, BatchNum(0));
-        assert_eq!(body.keys.len(), huge.len());
-        // The cached body is still the small union.
-        let again = pipeline.serve_multi(&src, &small, BatchNum(0));
-        assert_eq!(again.keys.len(), 4);
+        assert_eq!(cold.keys(), [Key::from_u32(1), Key::from_u32(2)]);
+        // Same set in any order: a shared-allocation replay, no proof.
+        let warm = pipeline.serve_multi(&src, &[Key::from_u32(1), Key::from_u32(2)], BatchNum(0));
+        assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 1);
+        assert!(warm.same_body(&cold));
+        assert_eq!((pipeline.stats().hits, pipeline.stats().misses), (1, 1));
+        // A subset, a superset and another batch are their own bodies:
+        // a request is never widened to what a neighbour asked.
+        let one = pipeline.serve_multi(&src, &pair[..1], BatchNum(0));
+        assert_eq!(one.keys(), [Key::from_u32(2)]);
+        let three: Vec<Key> = (1..=3).map(Key::from_u32).collect();
+        assert_eq!(
+            pipeline.serve_multi(&src, &three, BatchNum(0)).keys().len(),
+            3
+        );
+        let later = pipeline.serve_multi(&src, &pair, BatchNum(1));
+        assert_eq!(later.values()[0], Some(Value::from("a2")));
+        assert_eq!(pipeline.stats().misses, 4);
+        assert_eq!(src.proofs_generated.load(Ordering::Relaxed), 4);
     }
 
     #[test]
     fn pipeline_eviction_under_pressure() {
         let src = TestSource::with_batches(&[&[(1, "a"), (2, "b"), (3, "c"), (4, "d")]]);
         let mut pipeline = ReadPipeline::new(2);
-        let all: Vec<Key> = (1..=4).map(Key::from_u32).collect();
-        pipeline.serve(&src, &all, BatchNum(0));
+        for k in 1..=4 {
+            pipeline.serve_multi(&src, &[Key::from_u32(k)], BatchNum(0));
+        }
         assert_eq!(pipeline.cached_entries(), 2);
         assert_eq!(pipeline.stats().evictions, 2);
     }

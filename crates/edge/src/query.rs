@@ -21,16 +21,16 @@
 //!
 //! Servers answer with a [`ReadResponse`]; the single verifier entry
 //! point [`crate::ReadVerifier::verify_query`] dispatches to the
-//! point/assembled/scan proof checks and enforces the policy and page
-//! pins, so an untrusted node cannot splice pages across batches or
-//! downgrade a floor without being caught.
+//! section/scan proof checks and enforces the policy and page pins, so
+//! an untrusted node cannot splice pages across batches or downgrade a
+//! floor without being caught.
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, Value};
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::ScanRange;
 use transedge_obs::TraceContext;
 
-use crate::response::{BatchCommitment, CertifiedDelta, MultiProofBundle, ProofBundle, ScanBundle};
+use crate::response::{BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle};
 
 /// Which snapshot a [`ReadQuery`] must be served at.
 ///
@@ -208,9 +208,8 @@ pub struct ReadQuery {
     pub prefix: Option<PrefixResume>,
     /// Subscription mode: ask the serving edge to attach its verified
     /// delta-feed tail as a freshness certificate
-    /// ([`ReadResponse::Point`]/[`ReadResponse::Multi`]'s `fresh`
-    /// field), proving the served values unchanged through the feed
-    /// head. Ignored for scan shapes.
+    /// ([`ReadResponse::Point`]'s `fresh` field), proving the served
+    /// values unchanged through the feed head. Ignored for scan shapes.
     pub fresh: bool,
     /// Causal-trace propagation context: the client operation this
     /// query serves and the span that caused this hop. Purely
@@ -401,7 +400,6 @@ impl ReadQuery {
 /// fn describe<H>(r: &ReadResponse<H>) -> &'static str {
 ///     match r {
 ///         ReadResponse::Point { .. } => "point sections",
-///         ReadResponse::Multi { .. } => "one multiproof for all keys",
 ///         ReadResponse::Scan { .. } => "scan window",
 ///         ReadResponse::Gather { .. } => "stitched per-partition parts",
 ///     }
@@ -409,26 +407,19 @@ impl ReadQuery {
 /// ```
 #[derive(Clone, Debug)]
 pub enum ReadResponse<H> {
-    /// Point-read sections: one for a plain response, several for an
-    /// edge's partial assembly (each verified against its own certified
-    /// root, all pinned to one batch). `fresh`, when present, is the
-    /// serving edge's delta-feed tail from the served batch to its feed
-    /// head — a freshness certificate proving the served values current
-    /// through the head (`Some(vec![])` claims the served batch *is*
-    /// the head). Verified end to end like everything else; an
-    /// invalid or key-touching feed is cryptographic evidence.
+    /// Point-read sections, each one multiproof over the keys it
+    /// carries: a replica answers with exactly one, for exactly the
+    /// keys asked; an edge answers with the cached sections covering
+    /// the request plus, for a partial assembly, the upstream fill —
+    /// all pinned to one batch and one certified commitment. `fresh`,
+    /// when present, is the serving edge's delta-feed tail from the
+    /// served batch to its feed head — a freshness certificate proving
+    /// the served values current through the head (`Some(vec![])`
+    /// claims the served batch *is* the head). Verified end to end
+    /// like everything else; an invalid or key-touching feed is
+    /// cryptographic evidence.
     Point {
-        sections: Vec<ProofBundle<H>>,
-        fresh: Option<Vec<CertifiedDelta<H>>>,
-    },
-    /// A batched point read proven by one Merkle multiproof: every
-    /// requested key (possibly a subset of the proven set — an edge
-    /// replaying a cached superset) authenticated by one deduplicated
-    /// sibling set and one certificate check. Boxed like scans: the
-    /// body dwarfs the enum's other point payloads. `fresh` as in
-    /// [`ReadResponse::Point`].
-    Multi {
-        bundle: Box<MultiProofBundle<H>>,
+        sections: Vec<MultiProofBundle<H>>,
         fresh: Option<Vec<CertifiedDelta<H>>>,
     },
     /// One proof-carrying scan window (possibly wider than requested —
@@ -460,7 +451,6 @@ impl<H: BatchCommitment> ReadResponse<H> {
     pub fn batch(&self) -> Option<BatchNum> {
         match self {
             ReadResponse::Point { sections, .. } => sections.first().map(|s| s.batch()),
-            ReadResponse::Multi { bundle, .. } => Some(bundle.batch()),
             ReadResponse::Scan { bundle } => Some(bundle.batch()),
             ReadResponse::Gather { parts } => parts.first().and_then(|p| p.body.batch()),
         }
@@ -469,9 +459,7 @@ impl<H: BatchCommitment> ReadResponse<H> {
     /// The freshness feed attached to this response, if any.
     pub fn fresh_feed(&self) -> Option<&[CertifiedDelta<H>]> {
         match self {
-            ReadResponse::Point { fresh, .. } | ReadResponse::Multi { fresh, .. } => {
-                fresh.as_deref()
-            }
+            ReadResponse::Point { fresh, .. } => fresh.as_deref(),
             _ => None,
         }
     }

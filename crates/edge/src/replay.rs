@@ -2,13 +2,13 @@
 //! upstream replicas and replay them to clients.
 //!
 //! An edge replay node is the cheapest possible read scaler: it holds
-//! no partition state, no Merkle tree, and no signing keys — only
-//! [`ProofBundle`] fragments it saw go past. Because every fragment is
-//! anchored in an `f+1` certificate and per-key proofs, replaying one
-//! can serve a later client *without any trust in the edge node*: the
-//! client's [`crate::verifier::ReadVerifier`] re-checks everything.
-//! This is WedgeChain's lazy-trust pattern applied to TransEdge's ROT
-//! protocol.
+//! no partition state, no Merkle tree, and no signing keys — only the
+//! point-read sections and scan windows it saw go past. Because every
+//! one is anchored in an `f+1` certificate and a Merkle proof,
+//! replaying it can serve a later client *without any trust in the
+//! edge node*: the client's [`crate::verifier::ReadVerifier`] re-checks
+//! everything. This is WedgeChain's lazy-trust pattern applied to
+//! TransEdge's ROT protocol.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -16,26 +16,25 @@ use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::ScanRange;
 
-use crate::cache::{CacheStats, LruCache};
+use crate::cache::LruCache;
 use crate::response::{
-    BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle, ProofBundle, ProvenRead,
-    ScanBundle, ScanProof,
+    BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
 };
 
 /// Counters for the replay path.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayStats {
-    /// Bundles absorbed from upstream.
+    /// Point-read sections absorbed from upstream.
     pub admitted: u64,
-    /// Requests answered entirely from cache.
+    /// Point requests answered entirely from cache.
     pub replayed: u64,
-    /// Requests that could not be answered (missing batch or keys).
+    /// Point requests no cached section could help with.
     pub passes: u64,
-    /// Requests partially covered from cache (the rest is fetched
+    /// Point requests partially covered from cache (the rest is fetched
     /// upstream, pinned at the anchor batch).
     pub partial: u64,
-    /// Individual fragments served from cache, across full replays and
-    /// partial assemblies.
+    /// Requested keys served from cached sections, across full replays
+    /// and partial assemblies.
     pub fragments_replayed: u64,
     /// Scan proofs absorbed from upstream.
     pub scans_admitted: u64,
@@ -46,33 +45,22 @@ pub struct ReplayStats {
     pub scans_covered_by_wider: u64,
     /// Scan requests with no usable cached window.
     pub scan_passes: u64,
-    /// Multiproof bodies absorbed from upstream.
-    pub multis_admitted: u64,
-    /// Multiproof requests answered from cache (a body covering the
-    /// requested keys replayed as-is — a refcount bump on its shared
-    /// wire buffer).
-    pub multis_replayed: u64,
-    /// Multi replays answered by a cached *superset* body (the client
-    /// verifies the proven set and picks out its keys).
-    pub multis_covered_by_superset: u64,
-    /// Multiproof requests with no usable cached body.
-    pub multi_passes: u64,
     /// Certified deltas applied to the feed window (already verified by
     /// the caller).
     pub deltas_applied: u64,
     /// Feed windows reset because a delta arrived past a gap (the
     /// contiguity the freshness certificate needs was broken).
     pub feed_resets: u64,
-    /// Cached read fragments dropped by push invalidation: a delta
-    /// proved their key changed after the batch they snapshot.
+    /// Cached `(key, batch)` entries dropped by push invalidation: a
+    /// delta proved their key changed after the batch they snapshot.
     pub fragments_invalidated: u64,
     /// Freshness feeds attached to served responses.
     pub freshness_attached: u64,
     /// Freshness requests refused: the feed could not chain from the
     /// served batch, or a queried key changed inside the window.
     pub freshness_refused: u64,
-    /// Cached entries (fragments, scan windows, multiproof bodies)
-    /// dropped because their batch aged past `max_batches` — *capacity*
+    /// Cached entries (`(key, batch)` entries, scan windows) dropped
+    /// because their batch aged past `max_batches` — *capacity*
     /// eviction, as opposed to `fragments_invalidated` (a delta proved
     /// the entry superseded). The persistence plane's spill accounting
     /// rides on this split: an evicted entry is still durable on disk,
@@ -95,14 +83,6 @@ impl transedge_obs::RegisterMetrics for ReplayStats {
             self.scans_covered_by_wider,
         );
         reg.counter(scope, "replay.scan_passes", self.scan_passes);
-        reg.counter(scope, "replay.multis_admitted", self.multis_admitted);
-        reg.counter(scope, "replay.multis_replayed", self.multis_replayed);
-        reg.counter(
-            scope,
-            "replay.multis_covered_by_superset",
-            self.multis_covered_by_superset,
-        );
-        reg.counter(scope, "replay.multi_passes", self.multi_passes);
         reg.counter(scope, "replay.deltas_applied", self.deltas_applied);
         reg.counter(scope, "replay.feed_resets", self.feed_resets);
         reg.counter(
@@ -128,10 +108,6 @@ impl ReplayStats {
         self.scans_replayed += other.scans_replayed;
         self.scans_covered_by_wider += other.scans_covered_by_wider;
         self.scan_passes += other.scan_passes;
-        self.multis_admitted += other.multis_admitted;
-        self.multis_replayed += other.multis_replayed;
-        self.multis_covered_by_superset += other.multis_covered_by_superset;
-        self.multi_passes += other.multi_passes;
         self.deltas_applied += other.deltas_applied;
         self.feed_resets += other.feed_resets;
         self.fragments_invalidated += other.fragments_invalidated;
@@ -141,34 +117,15 @@ impl ReplayStats {
     }
 }
 
-/// What the cache can do for a request, given the LCE and freshness
-/// floors. Produced by [`ReplayCache::assemble`].
-#[derive(Clone, Debug)]
-pub enum Assembly<H> {
-    /// Every requested key is cached at one admitted batch: a complete
-    /// bundle, the classic replay.
-    Full(ProofBundle<H>),
-    /// Some keys are cached at the anchor batch; `missing` must be
-    /// fetched upstream **pinned at `cached.batch()`** so the final
-    /// response remains one consistent snapshot cut. Mixing batches
-    /// within a partition would permit torn reads the client cannot
-    /// detect (the CD/LCE machinery only tracks cross-partition
-    /// dependencies), so assembly never does it.
-    Partial {
-        cached: ProofBundle<H>,
-        missing: Vec<Key>,
-    },
-    /// Nothing usable is cached: forward the whole request upstream.
-    Miss,
-}
-
 /// Cached scan windows per batch (few per batch, matched by coverage —
 /// a linear scan of a short list beats an index here).
 const MAX_SCANS_PER_BATCH: usize = 32;
 
-/// Cached multiproof bodies per batch — the coalescer upstream keeps
-/// bodies few and wide, so a short list suffices here too.
-const MAX_MULTIS_PER_BATCH: usize = 16;
+/// Cached section bodies per batch. The key-capacity LRU alone bounds
+/// *entries*, not bytes: a workload of many distinct key sets under a
+/// generous capacity would pin every body it ever admitted. Past this
+/// many at one batch, the oldest body goes.
+const MAX_BODIES_PER_BATCH: usize = 128;
 
 /// Deltas retained in the feed window. The window only has to span the
 /// gap between an edge's oldest *servable* snapshot and the feed head,
@@ -180,19 +137,20 @@ pub const MAX_FEED_DELTAS: usize = 64;
 pub struct ReplayCache<H> {
     /// Certified headers by batch, newest retained up to `max_batches`.
     commitments: BTreeMap<u64, (H, Certificate)>,
-    /// Per-`(key, batch)` verified-fragment cache.
-    reads: LruCache<(Key, u64), ProvenRead>,
+    /// The one point structure: `(key, batch)` → the tightest admitted
+    /// section body proving `key` at `batch`. Capacity counts proven
+    /// keys (a k-key body occupies up to k entries, all sharing one
+    /// allocation), and recency is per key, so a hot key keeps its body
+    /// alive while the cold keys beside it age out.
+    points: LruCache<(Key, u64), MultiProofBody>,
+    /// Indexed bodies per batch, oldest first — what
+    /// [`MAX_BODIES_PER_BATCH`] counts.
+    bodies: BTreeMap<u64, VecDeque<MultiProofBody>>,
     /// Per-`(range, batch)` scan-proof cache: batch → cached windows,
     /// oldest first. A window serves any request it *covers* (the
     /// client verifies the proven window and filters to its own range),
     /// so wide windows absorbed once keep serving narrower scans.
     scans: BTreeMap<u64, Vec<(ScanRange, ScanProof)>>,
-    /// Per-batch multiproof bodies: batch → cached bodies, oldest
-    /// first. A body serves any request whose keys it covers, so a wide
-    /// coalesced body absorbed once keeps serving narrower reads — the
-    /// multiproof analogue of covering scan windows. Bodies share their
-    /// wire encoding, so replaying one is a refcount bump.
-    multis: BTreeMap<u64, Vec<MultiProofBody>>,
     /// The certified-delta feed window: a *contiguous* run of verified
     /// deltas ending at the feed head, oldest first. Contiguity is the
     /// invariant everything rests on — a freshness certificate is a
@@ -207,49 +165,74 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     pub fn new(read_capacity: usize, max_batches: usize) -> Self {
         ReplayCache {
             commitments: BTreeMap::new(),
-            reads: LruCache::new(read_capacity),
+            points: LruCache::new(read_capacity),
+            bodies: BTreeMap::new(),
             scans: BTreeMap::new(),
-            multis: BTreeMap::new(),
             feed: VecDeque::new(),
             max_batches: max_batches.max(1),
             stats: ReplayStats::default(),
         }
     }
 
-    /// Absorb an upstream response: remember the certified header and
-    /// every per-key fragment.
-    pub fn admit(&mut self, bundle: &ProofBundle<H>) {
-        let batch = bundle.commitment.batch();
+    /// Absorb a point-read section: remember the certified header and
+    /// index the body under every key it serves at least as tightly as
+    /// what is cached (fewer proven keys = fewer bytes and leaf hashes
+    /// on replay; the newer body wins a tie). Admission shares the
+    /// body's allocation, it does not copy it.
+    pub fn admit_section(&mut self, section: &MultiProofBundle<H>) {
+        let batch = section.batch().0;
         self.commitments
-            .insert(batch.0, (bundle.commitment.clone(), bundle.cert.clone()));
-        // Fragments go in before the eviction pass so that a bundle too
-        // old to survive it (a late upstream response) has its
-        // fragments swept with its commitment rather than stranded.
-        for read in &bundle.reads {
-            self.reads.insert((read.key.clone(), batch.0), read.clone());
+            .insert(batch, (section.commitment.clone(), section.cert.clone()));
+        let body = &section.body;
+        let mut indexed = false;
+        for key in body.keys() {
+            let ck = (key.clone(), batch);
+            let tighter = self
+                .points
+                .peek(&ck)
+                .is_none_or(|old| body.keys().len() <= old.keys().len());
+            if tighter {
+                self.points.insert(ck, body.clone());
+                indexed = true;
+            }
         }
+        if indexed {
+            let bodies = self.bodies.entry(batch).or_default();
+            bodies.push_back(body.clone());
+            if bodies.len() > MAX_BODIES_PER_BATCH {
+                let oldest = bodies.pop_front().expect("over the bound");
+                for key in oldest.keys() {
+                    let ck = (key.clone(), batch);
+                    if self.points.peek(&ck).is_some_and(|b| b.same_body(&oldest)) {
+                        self.points.remove(&ck);
+                    }
+                }
+            }
+        }
+        // Indexed before the eviction pass so that a section too old to
+        // survive it (a late upstream response) is swept with its
+        // commitment rather than stranded.
         self.evict_to_cap();
         self.stats.admitted += 1;
     }
 
-    /// Drop the oldest commitments past `max_batches`, then sweep
-    /// fragments and scan windows of evicted batches — they are
+    /// Drop the oldest commitments past `max_batches`, then sweep the
+    /// entries and scan windows of evicted batches — they are
     /// unreachable (replay only scans live commitments), so keeping
     /// them would just occupy cache slots.
     fn evict_to_cap(&mut self) {
         let mut evicted_any = false;
         while self.commitments.len() > self.max_batches {
-            let (&oldest, _) = self.commitments.iter().next().expect("non-empty");
-            self.commitments.remove(&oldest);
+            self.commitments.pop_first();
             evicted_any = true;
         }
         if evicted_any {
-            let before = self.reads.len() + self.scan_window_count() + self.multi_body_count();
+            let before = self.points.len() + self.scan_window_count();
             let commitments = &self.commitments;
-            self.reads.retain(|(_, b), _| commitments.contains_key(b));
+            self.points.retain(|(_, b), _| commitments.contains_key(b));
+            self.bodies.retain(|b, _| commitments.contains_key(b));
             self.scans.retain(|b, _| commitments.contains_key(b));
-            self.multis.retain(|b, _| commitments.contains_key(b));
-            let after = self.reads.len() + self.scan_window_count() + self.multi_body_count();
+            let after = self.points.len() + self.scan_window_count();
             self.stats.evicted_entries += (before - after) as u64;
         }
     }
@@ -361,93 +344,6 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         })
     }
 
-    /// Absorb an upstream multiproof response: remember the certified
-    /// header and the body. Bodies whose key set is already covered by
-    /// a cached body at the same batch are skipped; a new wider body
-    /// displaces the subsets it covers — mirroring the covering-window
-    /// rules of [`ReplayCache::admit_scan`]. Admission clones the body,
-    /// which shares (not copies) its wire encoding.
-    pub fn admit_multi(&mut self, bundle: &MultiProofBundle<H>) {
-        let batch = bundle.commitment.batch();
-        self.commitments
-            .insert(batch.0, (bundle.commitment.clone(), bundle.cert.clone()));
-        let bodies = self.multis.entry(batch.0).or_default();
-        if !bodies.iter().any(|b| b.covers(&bundle.body.keys)) {
-            bodies.retain(|b| !bundle.body.covers(&b.keys));
-            if bodies.len() >= MAX_MULTIS_PER_BATCH {
-                bodies.remove(0);
-            }
-            bodies.push(bundle.body.clone());
-        }
-        self.evict_to_cap();
-        self.stats.multis_admitted += 1;
-    }
-
-    /// Try to answer a batched read for `keys` from cache: the newest
-    /// admitted batch passing the LCE and timestamp floors holding a
-    /// body that **covers** every requested key. The replayed bundle
-    /// carries the cached (possibly superset) body — the client
-    /// verifies the proven set and picks out its keys, so superset
-    /// reuse costs bandwidth, never correctness. Replaying shares the
-    /// body's wire buffer; no proof or encoding work happens here.
-    pub fn replay_multi(
-        &mut self,
-        keys: &[Key],
-        min_lce: Epoch,
-        min_timestamp: SimTime,
-    ) -> Option<MultiProofBundle<H>> {
-        for batch in self.passing_batches(min_lce, min_timestamp) {
-            let Some(bundle) = self.multi_at(batch, keys) else {
-                continue;
-            };
-            return Some(bundle);
-        }
-        self.stats.multi_passes += 1;
-        None
-    }
-
-    /// [`ReplayCache::replay_multi`] **pinned at exactly `batch`** (an
-    /// [`crate::SnapshotPolicy::AtBatch`] query): no other batch is an
-    /// acceptable substitute.
-    pub fn replay_multi_at(
-        &mut self,
-        keys: &[Key],
-        batch: BatchNum,
-    ) -> Option<MultiProofBundle<H>> {
-        let bundle = self.multi_at(batch.0, keys);
-        if bundle.is_none() {
-            self.stats.multi_passes += 1;
-        }
-        bundle
-    }
-
-    /// The tightest cached body at `batch` covering `keys`, as a full
-    /// bundle; bumps the replay counters on success.
-    fn multi_at(&mut self, batch: u64, keys: &[Key]) -> Option<MultiProofBundle<H>> {
-        let body = self
-            .multis
-            .get(&batch)?
-            .iter()
-            .filter(|b| b.covers(keys))
-            .min_by_key(|b| b.keys.len())?
-            .clone();
-        self.stats.multis_replayed += 1;
-        if body.keys.len() != keys.len() {
-            self.stats.multis_covered_by_superset += 1;
-        }
-        let (commitment, cert) = self.commitments[&batch].clone();
-        Some(MultiProofBundle {
-            commitment,
-            cert,
-            body,
-        })
-    }
-
-    /// Cached multiproof bodies across live batches (diagnostics).
-    pub fn multi_body_count(&self) -> usize {
-        self.multis.values().map(|b| b.len()).sum()
-    }
-
     /// Cached scan windows across live batches (diagnostics).
     pub fn scan_window_count(&self) -> usize {
         self.scans.values().map(|w| w.len()).sum()
@@ -464,8 +360,8 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// recomputes under a replica certificate):
     ///
     /// * head + 1 → extend the window and *push-invalidate*: cached
-    ///   read fragments for the changed keys at older batches are now
-    ///   provably superseded, so they are dropped instead of aging out;
+    ///   entries for the changed keys at older batches are now provably
+    ///   superseded, so they are dropped instead of aging out;
     /// * at or before the head → duplicate delivery, ignored;
     /// * past a gap → the window restarts at the delta (a freshness
     ///   certificate must be gap-free, so the old run is useless).
@@ -481,10 +377,10 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
             }
         }
         let changed = &delta.changed;
-        let before = self.reads.len();
-        self.reads
+        let before = self.points.len();
+        self.points
             .retain(|(key, b), _| *b >= batch.0 || changed.binary_search(key).is_err());
-        self.stats.fragments_invalidated += (before - self.reads.len()) as u64;
+        self.stats.fragments_invalidated += (before - self.points.len()) as u64;
         self.feed.push_back(delta);
         while self.feed.len() > MAX_FEED_DELTAS {
             self.feed.pop_front();
@@ -541,98 +437,112 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         Some(tail)
     }
 
-    /// Try to answer `keys` wholly from cache: the newest admitted
-    /// batch whose LCE is at least `min_lce` and whose batch timestamp
-    /// is at least `min_timestamp`, with a cached fragment for every
-    /// requested key. Returns `None` (a "pass" — the caller forwards
-    /// upstream, refreshing the cache) otherwise.
+    /// Serve as much of `keys` as the cache allows: the cached sections
+    /// of one **anchor** batch, plus the keys still missing there —
+    /// which the caller fetches upstream **pinned at the anchor** (the
+    /// sections' batch) so the final response remains one consistent
+    /// snapshot cut. Mixing batches within a partition would permit
+    /// torn reads the client cannot detect (the CD/LCE machinery only
+    /// tracks cross-partition dependencies), so assembly never does it.
+    ///
+    /// The anchor is the newest admitted batch whose LCE is at least
+    /// `min_lce` and whose timestamp is at least `min_timestamp`
+    /// answering *every* key, else the one leaving the fewest missing
+    /// (newest wins ties). Nothing missing is a full replay; no
+    /// sections at all is a miss — the caller forwards the whole
+    /// request, refreshing the cache.
     ///
     /// The timestamp floor is what keeps an honest edge from wedging:
     /// without it, a hot key set would be replayed from the same aging
     /// batch forever, and once that batch fell out of the client's
     /// freshness window every reply would be rejected — while the cache
     /// never refreshed, because every request kept hitting. Pass
-    /// [`SimTime::ZERO`] to disable the floor.
-    ///
-    /// This is the whole-bundle-only convenience over the same
-    /// floor/coverage scan [`ReplayCache::assemble`] runs; serving
-    /// nodes use `assemble`, which also handles partial coverage.
-    pub fn replay(
-        &mut self,
-        keys: &[Key],
-        min_lce: Epoch,
-        min_timestamp: SimTime,
-    ) -> Option<ProofBundle<H>> {
-        for batch in self.passing_batches(min_lce, min_timestamp) {
-            if self.coverage_at(batch, keys) != keys.len() {
-                continue;
-            }
-            self.stats.replayed += 1;
-            return Some(self.bundle_at(batch, keys));
-        }
-        self.stats.passes += 1;
-        None
-    }
-
-    /// Serve as much of `keys` as the cache allows under the same
-    /// floors as [`ReplayCache::replay`]:
-    ///
-    /// * a batch covering *every* key → [`Assembly::Full`] (the newest
-    ///   such batch wins, exactly like `replay`);
-    /// * otherwise the batch covering the *most* keys (newest wins
-    ///   ties) becomes the anchor → [`Assembly::Partial`] with the
-    ///   covered fragments and the keys the caller must fetch upstream
-    ///   **at that same batch**;
-    /// * no batch covering anything → [`Assembly::Miss`].
-    ///
-    /// Because the floors apply to the anchor, a hot key whose
-    /// fragments have aged past `min_timestamp` (or a round-2 floor the
-    /// cached batches cannot reach) simply drops out of the coverage
-    /// count: only the stale/missing keys are re-fetched, not the whole
-    /// bundle. Round-2 fetches (`min_lce` set) are likewise satisfied
-    /// from *newer* admitted batches whenever one covers the keys.
+    /// [`SimTime::ZERO`] to disable the floor. Because the floors apply
+    /// to the anchor, a hot key whose entries have aged past
+    /// `min_timestamp` (or a round-2 floor the cached batches cannot
+    /// reach) simply drops out of the answer: only the stale/missing
+    /// keys are re-fetched, not the whole request. Round-2 fetches
+    /// (`min_lce` set) are likewise satisfied from *newer* admitted
+    /// batches whenever one answers the keys.
     pub fn assemble(
         &mut self,
         keys: &[Key],
         min_lce: Epoch,
         min_timestamp: SimTime,
-    ) -> Assembly<H> {
-        let mut best: Option<(u64, usize)> = None;
+    ) -> (Vec<MultiProofBundle<H>>, Vec<Key>) {
+        let mut best: Option<(u64, Vec<MultiProofBody>, Vec<Key>)> = None;
         for batch in self.passing_batches(min_lce, min_timestamp) {
-            let covered = self.coverage_at(batch, keys);
-            if covered == keys.len() {
-                self.stats.replayed += 1;
-                return Assembly::Full(self.bundle_at(batch, keys));
-            }
-            // Scanning newest-first, so strict `>` keeps the newest
-            // batch among equal coverage.
-            if covered > 0 && best.is_none_or(|(_, c)| covered > c) {
-                best = Some((batch, covered));
-            }
-        }
-        match best {
-            Some((anchor, _)) => {
-                let covered: Vec<Key> = keys
-                    .iter()
-                    .filter(|k| self.reads.contains(&((*k).clone(), anchor)))
-                    .cloned()
-                    .collect();
-                let missing: Vec<Key> = keys
-                    .iter()
-                    .filter(|k| !self.reads.contains(&((*k).clone(), anchor)))
-                    .cloned()
-                    .collect();
-                self.stats.partial += 1;
-                Assembly::Partial {
-                    cached: self.bundle_at(anchor, &covered),
-                    missing,
+            let (bodies, missing) = self.cover(batch, keys);
+            // Scanning newest-first, so strict `<` keeps the newest
+            // batch among equally complete answers.
+            if !bodies.is_empty()
+                && best
+                    .as_ref()
+                    .is_none_or(|(_, _, m)| missing.len() < m.len())
+            {
+                let complete = missing.is_empty();
+                best = Some((batch, bodies, missing));
+                if complete {
+                    break;
                 }
             }
-            None => {
-                self.stats.passes += 1;
-                Assembly::Miss
+        }
+        let Some((anchor, bodies, missing)) = best else {
+            self.stats.passes += 1;
+            return (Vec::new(), keys.to_vec());
+        };
+        if missing.is_empty() {
+            self.stats.replayed += 1;
+        } else {
+            self.stats.partial += 1;
+        }
+        self.stats.fragments_replayed += (keys.len() - missing.len()) as u64;
+        // Only what is served counts as a use.
+        for key in keys.iter().filter(|k| !missing.contains(k)) {
+            self.points.get(&(key.clone(), anchor));
+        }
+        let (commitment, cert) = &self.commitments[&anchor];
+        let sections = bodies
+            .into_iter()
+            .map(|body| MultiProofBundle {
+                commitment: commitment.clone(),
+                cert: cert.clone(),
+                body,
+            })
+            .collect();
+        (sections, missing)
+    }
+
+    /// What the entries at `batch` can contribute to an answer for
+    /// `keys`, and the keys left over. A cached body joins an answer
+    /// only if it answers the whole request alone (the tightest such
+    /// body wins — a superset replay costs bytes, never an upstream
+    /// hop) or proves nothing that was not asked: a partial answer
+    /// needs its upstream fill anyway, so padding it with unrequested
+    /// keys would make it dearer than forwarding the request whole.
+    fn cover(&self, batch: u64, keys: &[Key]) -> (Vec<MultiProofBody>, Vec<Key>) {
+        let mut candidates: Vec<&MultiProofBody> = Vec::new();
+        for key in keys {
+            if let Some(body) = self.points.peek(&(key.clone(), batch)) {
+                if !candidates.iter().any(|c| c.same_body(body)) {
+                    candidates.push(body);
+                }
             }
         }
+        let whole = candidates
+            .iter()
+            .filter(|body| keys.iter().all(|k| body.proves(k)))
+            .min_by_key(|body| body.keys().len());
+        if let Some(body) = whole {
+            return (vec![(*body).clone()], Vec::new());
+        }
+        candidates.retain(|body| body.keys().iter().all(|k| keys.contains(k)));
+        let missing = keys
+            .iter()
+            .filter(|k| !candidates.iter().any(|body| body.proves(k)))
+            .cloned()
+            .collect();
+        (candidates.into_iter().cloned().collect(), missing)
     }
 
     /// Admitted batches passing the LCE and timestamp floors, newest
@@ -648,43 +558,10 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
             .collect()
     }
 
-    /// How many of `keys` have a cached fragment at `batch`.
-    fn coverage_at(&self, batch: u64, keys: &[Key]) -> usize {
-        keys.iter()
-            .filter(|k| self.reads.contains(&((*k).clone(), batch)))
-            .count()
-    }
-
-    /// Materialise a bundle for `keys` at `batch`; every fragment must
-    /// be cached (callers check coverage first).
-    fn bundle_at(&mut self, batch: u64, keys: &[Key]) -> ProofBundle<H> {
-        let (commitment, cert) = self.commitments[&batch].clone();
-        let reads: Vec<ProvenRead> = keys
-            .iter()
-            .map(|k| {
-                self.reads
-                    .get(&(k.clone(), batch))
-                    .expect("coverage checked by caller")
-                    .clone()
-            })
-            .collect();
-        self.stats.fragments_replayed += reads.len() as u64;
-        ProofBundle {
-            commitment,
-            cert,
-            reads,
-        }
-    }
-
-    /// Fragment-cache counters (hits count replayed fragments).
-    pub fn read_stats(&self) -> CacheStats {
-        self.reads.stats
-    }
-
-    /// Per-key fragments currently cached (only fragments of live
-    /// commitments are retained).
+    /// Proven `(key, batch)` entries currently cached (only entries of
+    /// live commitments are retained).
     pub fn fragment_count(&self) -> usize {
-        self.reads.len()
+        self.points.len()
     }
 }
 
@@ -805,6 +682,52 @@ mod tests {
         }
     }
 
+    fn section(keys: &[u32]) -> MultiProofBundle<Header> {
+        let keys: Vec<Key> = keys.iter().copied().map(Key::from_u32).collect();
+        let values = vec![None; keys.len()];
+        let proof = transedge_crypto::MultiProof {
+            buckets: Vec::new(),
+            siblings: Vec::new(),
+        };
+        MultiProofBundle {
+            commitment: Header,
+            cert: Certificate {
+                cluster: ClusterId(0),
+                slot: BatchNum(0),
+                digest: transedge_crypto::Digest::ZERO,
+                sigs: Vec::new(),
+            },
+            body: MultiProofBody::new(keys, values, proof),
+        }
+    }
+
+    #[test]
+    fn one_batch_never_holds_more_than_the_body_bound() {
+        let mut cache: ReplayCache<Header> = ReplayCache::new(1 << 20, 4);
+        let admissions = MAX_BODIES_PER_BATCH as u32 + 40;
+        for i in 0..admissions {
+            // Overlapping pairs {i, i+1}: each admission also takes
+            // key i over from the pair before it.
+            cache.admit_section(&section(&[i, i + 1]));
+            assert!(cache.bodies[&0].len() <= MAX_BODIES_PER_BATCH);
+        }
+        // The oldest bodies went, and their index entries with them:
+        // nothing cached points at a body the bound dropped.
+        assert!(!cache.points.contains(&(Key::from_u32(0), 0)));
+        let live = &cache.bodies[&0];
+        for key in 0..=admissions {
+            if let Some(body) = cache.points.peek(&(Key::from_u32(key), 0)) {
+                assert!(live.iter().any(|b| b.same_body(body)), "key {key}");
+            }
+        }
+        // The newest admission replays whole, as its one section.
+        let asked = [Key::from_u32(admissions - 1), Key::from_u32(admissions)];
+        let (sections, missing) = cache.assemble(&asked, Epoch::NONE, SimTime::ZERO);
+        assert!(missing.is_empty());
+        assert_eq!(sections.len(), 1);
+        assert_eq!(sections[0].body.keys(), asked);
+    }
+
     #[test]
     fn shards_spread_partitions_and_isolate_caches() {
         let mut sharded: ShardedReplayCache<Header> = ShardedReplayCache::new(8, 64, 4);
@@ -835,10 +758,10 @@ mod tests {
         for c in 0..6u16 {
             let cache = sharded.cache_for(ClusterId(c));
             cache.stats.replayed += u64::from(c);
-            cache.stats.multis_replayed += 1;
+            cache.stats.partial += 1;
         }
         let total = sharded.stats();
         assert_eq!(total.replayed, (0..6).sum::<u64>());
-        assert_eq!(total.multis_replayed, 6);
+        assert_eq!(total.partial, 6);
     }
 }

@@ -1,10 +1,11 @@
 //! Proof-carrying response types: what an untrusted node hands a
 //! client, and the commitment interface the verifier checks it against.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use transedge_common::{BatchNum, ClusterId, Encode, Epoch, Key, SimTime, Value, WireWriter};
 use transedge_consensus::Certificate;
-use transedge_crypto::{Digest, MerkleProof, MultiProof, RangeProof, ScanRange, Sha256};
+use transedge_crypto::{Digest, MultiProof, RangeProof, ScanRange, Sha256};
 
 /// Domain-separated digest over a batch's changed key set (sorted,
 /// deduplicated). This is the digest a [`BatchCommitment`] certifies as
@@ -22,16 +23,6 @@ pub fn changed_keys_digest(keys: &[Key]) -> Digest {
         h.update(key.as_bytes());
     }
     h.finalize()
-}
-
-/// One key's proof-carrying answer in a snapshot read: the value (or
-/// `None` for a proven-absent key) and its Merkle (non-)inclusion proof
-/// against the snapshot batch's root.
-#[derive(Clone, Debug)]
-pub struct ProvenRead {
-    pub key: Key,
-    pub value: Option<Value>,
-    pub proof: MerkleProof,
 }
 
 /// What the verifier needs from a batch commitment (a certified batch
@@ -94,107 +85,97 @@ impl<H: BatchCommitment> CertifiedDelta<H> {
     }
 }
 
-/// A complete proof-carrying response for one partition: the
-/// commitment, its consensus certificate, and one [`ProvenRead`] per
-/// requested key. Everything in here is either signed or checkable
-/// against something signed — an untrusted node can cache, replay, or
-/// forward bundles, but not alter them undetected.
-#[derive(Clone, Debug)]
-pub struct ProofBundle<H> {
-    pub commitment: H,
-    pub cert: Certificate,
-    pub reads: Vec<ProvenRead>,
-}
-
-impl<H: BatchCommitment> ProofBundle<H> {
-    /// Batch this bundle snapshots.
-    pub fn batch(&self) -> BatchNum {
-        self.commitment.batch()
-    }
-
-    /// The bundle's answer for `key`, if present.
-    pub fn read_for(&self, key: &Key) -> Option<&ProvenRead> {
-        self.reads.iter().find(|r| &r.key == key)
-    }
-}
-
-/// A batch of point reads proven by **one** Merkle multiproof: the
-/// proven key set (sorted, deduplicated), one value slot per key
-/// (`None` = proven absent), and the deduplicated sibling set that
-/// authenticates all of them against the snapshot root at once.
+/// The body of one point-read **section**: a proven key set (sorted,
+/// deduplicated), one value slot per key (`None` = proven absent), and
+/// the **one** Merkle multiproof that authenticates all of them
+/// against the snapshot root at once. A one-key body is the classic
+/// single inclusion proof.
 ///
-/// The body is encoded exactly once, at construction, into a shared
-/// [`Bytes`] buffer. Cloning the body — to cache it, replay it, or
-/// serve a subset request from a cached superset — is a refcount bump
-/// on that buffer, not a re-serialisation: the zero-copy hot path the
-/// edge tier's throughput mode rides.
+/// A body is immutable once built: its parts are reachable only through
+/// accessors, and the canonical wire image that content addresses and
+/// evidence fingerprints hash is encoded from those same parts on
+/// demand ([`Encode`]), so there is no second copy that could drift
+/// from them — a tamperer has to rebuild the body. Every clone (cache
+/// entry, in-flight response, durable object) shares one allocation.
 #[derive(Clone, Debug)]
 pub struct MultiProofBody {
-    /// The proven keys, ascending and unique.
-    pub keys: Vec<Key>,
-    /// `values[i]` answers `keys[i]`; `None` is a proven absence.
-    pub values: Vec<Option<Value>>,
-    /// One multiproof covering every key in `keys`.
-    pub proof: MultiProof,
-    /// The canonical wire encoding, shared by all clones.
-    wire: Bytes,
+    parts: Arc<BodyParts>,
+}
+
+#[derive(Debug)]
+struct BodyParts {
+    keys: Vec<Key>,
+    values: Vec<Option<Value>>,
+    proof: MultiProof,
+}
+
+impl Encode for MultiProofBody {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_seq(self.keys());
+        w.put_seq(self.values());
+        self.proof().encode(w);
+    }
 }
 
 impl MultiProofBody {
-    /// Build a body and encode it once. `keys` must be sorted and
-    /// deduplicated, with one value slot per key.
+    /// Build a body with one value slot per key. Honest builders pass
+    /// `keys` sorted and deduplicated; the verifier rejects anything
+    /// else.
     pub fn new(keys: Vec<Key>, values: Vec<Option<Value>>, proof: MultiProof) -> Self {
         assert_eq!(keys.len(), values.len(), "one value slot per key");
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys sorted, unique");
-        let mut w = WireWriter::with_capacity(64);
-        w.put_seq(&keys);
-        w.put_seq(&values);
-        proof.encode(&mut w);
-        let wire = Bytes::from(w.into_bytes());
         MultiProofBody {
-            keys,
-            values,
-            proof,
-            wire,
+            parts: Arc::new(BodyParts {
+                keys,
+                values,
+                proof,
+            }),
         }
     }
 
-    /// The shared wire image. Cloning the returned handle (or the whole
-    /// body) shares the allocation — replaying a cached body costs a
-    /// refcount bump.
-    pub fn wire_bytes(&self) -> &Bytes {
-        &self.wire
+    /// The proven keys, ascending and unique in an honest body.
+    pub fn keys(&self) -> &[Key] {
+        &self.parts.keys
+    }
+
+    /// `values()[i]` answers `keys()[i]`; `None` is a proven absence.
+    pub fn values(&self) -> &[Option<Value>] {
+        &self.parts.values
+    }
+
+    /// The one multiproof covering every key in [`Self::keys`].
+    pub fn proof(&self) -> &MultiProof {
+        &self.parts.proof
     }
 
     /// Exact wire size, computed structurally (equals
-    /// `wire_bytes().len()`).
+    /// `encode_to_vec().len()`).
     pub fn encoded_len(&self) -> usize {
-        let keys = 4 + self.keys.iter().map(|k| 4 + k.len()).sum::<usize>();
+        let keys = 4 + self.keys().iter().map(|k| 4 + k.len()).sum::<usize>();
         let values = 4 + self
-            .values
+            .values()
             .iter()
             .map(|v| 1 + v.as_ref().map_or(0, |v| 4 + v.len()))
             .sum::<usize>();
-        keys + values + self.proof.encoded_len()
+        keys + values + self.proof().encoded_len()
     }
 
-    /// Does this body prove every key in `asked`? (Superset replay:
-    /// a cached body can answer any subset of its proven keys.)
-    pub fn covers(&self, asked: &[Key]) -> bool {
-        asked.iter().all(|k| self.keys.binary_search(k).is_ok())
+    /// Does this body prove `key`?
+    pub fn proves(&self, key: &Key) -> bool {
+        self.keys().binary_search(key).is_ok()
     }
 
-    /// The proven value slot for `key`, if this body covers it.
-    pub fn value_for(&self, key: &Key) -> Option<&Option<Value>> {
-        self.keys.binary_search(key).ok().map(|i| &self.values[i])
+    /// Do `self` and `other` share one allocation (clones of the same
+    /// body)?
+    pub(crate) fn same_body(&self, other: &MultiProofBody) -> bool {
+        Arc::ptr_eq(&self.parts, &other.parts)
     }
 }
 
-/// A complete multiproof response for one partition: the certified
-/// commitment, its consensus certificate, and a [`MultiProofBody`]
-/// proving every requested key in one pass. The batched analogue of
-/// [`ProofBundle`] — one certificate check plus one joint root
-/// recomputation verifies the whole key set.
+/// One point-read section: the certified commitment, its consensus
+/// certificate, and a [`MultiProofBody`] proven against that
+/// commitment's root. Everything in here is either signed or checkable
+/// against something signed — an untrusted node can cache, replay, or
+/// forward sections, but not alter them undetected.
 #[derive(Clone, Debug)]
 pub struct MultiProofBundle<H> {
     pub commitment: H,
@@ -203,7 +184,7 @@ pub struct MultiProofBundle<H> {
 }
 
 impl<H: BatchCommitment> MultiProofBundle<H> {
-    /// Batch this bundle snapshots.
+    /// Batch this section snapshots.
     pub fn batch(&self) -> BatchNum {
         self.commitment.batch()
     }
@@ -241,8 +222,8 @@ impl ScanProof {
 
 /// A complete verified-scan response for one partition: the certified
 /// commitment, its consensus certificate, and the proof-carrying rows.
-/// The scan analogue of [`ProofBundle`] — cacheable and replayable by
-/// untrusted nodes, alterable by none.
+/// The scan analogue of [`MultiProofBundle`] — cacheable and replayable
+/// by untrusted nodes, alterable by none.
 #[derive(Clone, Debug)]
 pub struct ScanBundle<H> {
     pub commitment: H,

@@ -13,25 +13,28 @@
 //! 4. the snapshot's LCE reaches the requested floor (round two of
 //!    Algorithm 2 — an edge node cannot silently downgrade a
 //!    dependency fetch);
-//! 5. every requested key carries a Merkle (non-)inclusion proof that
-//!    verifies against the certified root, and present values hash to
-//!    the proven value digest.
+//! 5. every section's multiproof verifies against the certified root,
+//!    every value slot agrees with its proven verdict, and every
+//!    requested key is proven by some section.
+//!
+//! Point reads have exactly one shape — a list of multiproof sections
+//! pinned to one certified commitment — whether they come from a
+//! replica, an edge replay, a partial assembly, a gather part, a
+//! hydrated disk object, or a sibling's state transfer, and one private
+//! check (`verify_sections`) runs for all of them.
 //!
 //! Anything else is a [`ReadRejection`], which callers count as
 //! evidence of a byzantine server and answer by re-asking a different
 //! node.
 
-use std::collections::HashMap;
-
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_consensus::Certificate;
-use transedge_crypto::merkle::{value_digest, verify_proof, Verified};
+use transedge_crypto::merkle::{value_digest, Verified};
 use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, KeyStore, ScanRange};
 
 use crate::query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBundle, ProofBundle,
-    ProvenRead, ScanBundle,
+    changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle,
 };
 
 /// Verification parameters; must match the deployment's node
@@ -60,26 +63,31 @@ pub enum ReadRejection {
     /// Snapshot does not reach the requested dependency floor (a
     /// round-two response below `min_lce` — the "stale root" attack).
     StaleSnapshot { required: Epoch, lce: Epoch },
-    /// A requested key has no answer in the response.
+    /// Every section verified, but none of them proves this requested
+    /// key. The sections themselves are sound material, so this is
+    /// circumstantial (an honest response paired with the wrong query
+    /// looks the same) — not demotion evidence.
     MissingKey(Key),
-    /// A proof does not verify against the certified root.
-    BadProof(Key),
+    /// A section's body is malformed or its multiproof does not verify
+    /// against the certified root: unsorted/duplicated proven keys, a
+    /// dropped or substituted sibling, a spliced bucket, a key dropped
+    /// from under its proof — every single-element mutation of a body
+    /// other than a value slot lands here.
+    BadProof,
     /// Proof shows the key present, but the value does not hash to the
     /// proven digest (or is missing).
     ValueMismatch(Key),
     /// Proof shows the key absent, but a value was attached anyway.
     PhantomValue(Key),
-    /// Assembled response carried no sections at all.
+    /// A point response carried no sections at all.
     EmptyAssembly,
-    /// Sections of an assembled response disagree on the snapshot
-    /// batch. Accepting mixed cuts within one partition would let an
-    /// untrusted edge serve torn reads (key A from an old batch, key B
-    /// from a new one) that no other check can catch, so the verifier
-    /// requires every section to pin the same batch.
+    /// Sections of one response disagree on the snapshot: a different
+    /// batch, or the same batch under a different certified commitment.
+    /// Accepting mixed cuts within one partition would let an untrusted
+    /// edge serve torn reads (key A from an old batch, key B from a new
+    /// one) that no other check can catch, so every section must carry
+    /// the anchor section's batch and certified digest.
     TornAssembly { anchor: BatchNum, got: BatchNum },
-    /// A key was answered by more than one section of an assembled
-    /// response.
-    DuplicateKey(Key),
     /// The proven scan window does not cover the requested range — a
     /// *boundary truncation*: shrinking the proven window is how a
     /// server would hide rows at the edges of a scan while every
@@ -121,18 +129,6 @@ pub enum ReadRejection {
     /// partition's pagination from page one and must not demote the
     /// server. The only `ReadRejection` that names honest behaviour.
     PrefixDiverged,
-    /// A requested key is not in a multiproof response's proven key
-    /// set — the multiproof analogue of [`ReadRejection::MissingKey`]:
-    /// a server cannot silently drop one key of a batched read, because
-    /// the proven set is checked against the request before anything
-    /// else.
-    MultiProofKeyMissing(Key),
-    /// A multiproof body is malformed or its joint proof does not
-    /// verify against the certified root: unsorted/duplicated proven
-    /// keys, a value slot count that disagrees with the key count, a
-    /// dropped or substituted sibling, a spliced bucket — every
-    /// single-element mutation of the body lands here.
-    BadMultiProof,
     /// A certified delta's changed key set does not hash to the
     /// commitment's certified delta digest (a key added, dropped, or
     /// reordered), or a freshness feed's deltas touch a queried key —
@@ -158,41 +154,15 @@ impl ReadVerifier {
         ReadVerifier { params }
     }
 
-    /// Verify a full response for `expected_cluster`, requiring
-    /// `min_lce` (use [`Epoch::NONE`] for round-one reads with no
-    /// dependency floor). On success returns the verified
-    /// `(key, value)` pairs in `expected_keys` order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn verify<H: BatchCommitment>(
+    /// Steps 1–2 of every chain, the time-independent ones: the
+    /// commitment names the expected partition, and its recomputed
+    /// digest is covered by an `f+1` certificate.
+    fn check_certified<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
         commitment: &H,
         cert: &Certificate,
-        expected_keys: &[Key],
-        reads: &[ProvenRead],
-        min_lce: Epoch,
-        now: SimTime,
-    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        // 1–4. Commitment chained to a certificate, fresh, above floor.
-        self.check_commitment(keys, expected_cluster, commitment, cert, min_lce, now)?;
-        // 5. Every requested key answered with a verifying proof.
-        self.verify_reads(commitment, expected_keys, reads)
-    }
-
-    /// Steps 1–4 of every proof chain: the commitment names the
-    /// expected partition, its recomputed digest is covered by an `f+1`
-    /// certificate, its timestamp is inside the freshness window (both
-    /// skew directions), and its LCE reaches the dependency floor.
-    /// Shared by the point, multiproof, and scan chains.
-    fn check_commitment<H: BatchCommitment>(
-        &self,
-        keys: &KeyStore,
-        expected_cluster: ClusterId,
-        commitment: &H,
-        cert: &Certificate,
-        min_lce: Epoch,
-        now: SimTime,
     ) -> Result<(), ReadRejection> {
         // 1. Right partition.
         if commitment.cluster() != expected_cluster {
@@ -202,20 +172,32 @@ impl ReadVerifier {
             });
         }
         // 2. Certificate chains the commitment to f+1 replicas.
-        let digest = commitment.certified_digest();
         if cert.cluster != expected_cluster
             || cert.slot != commitment.batch()
-            || cert.digest != digest
+            || cert.digest != commitment.certified_digest()
             || cert.verify(keys, self.params.quorum).is_err()
         {
             return Err(ReadRejection::BadCertificate);
         }
-        // 3. Freshness, in either direction of clock skew.
-        let ts = commitment.timestamp();
-        let skew = now.saturating_since(ts).max(ts.saturating_since(now));
-        if skew > self.params.freshness_window {
-            return Err(ReadRejection::StaleTimestamp);
-        }
+        Ok(())
+    }
+
+    /// Steps 1–4 of the point and scan chains: the commitment is
+    /// certified for the expected partition, its timestamp is inside
+    /// the freshness window (both skew directions), and its LCE reaches
+    /// the dependency floor.
+    fn check_commitment<H: BatchCommitment>(
+        &self,
+        keys: &KeyStore,
+        expected_cluster: ClusterId,
+        commitment: &H,
+        cert: &Certificate,
+        min_lce: Epoch,
+        now: SimTime,
+    ) -> Result<(), ReadRejection> {
+        self.check_certified(keys, expected_cluster, commitment, cert)?;
+        // 3. Freshness.
+        self.check_fresh(commitment.timestamp(), now)?;
         // 4. Dependency floor (round two).
         if commitment.lce() < min_lce {
             return Err(ReadRejection::StaleSnapshot {
@@ -240,20 +222,7 @@ impl ReadVerifier {
         expected_cluster: ClusterId,
         delta: &CertifiedDelta<H>,
     ) -> Result<(), ReadRejection> {
-        if delta.commitment.cluster() != expected_cluster {
-            return Err(ReadRejection::WrongCluster {
-                expected: expected_cluster,
-                got: delta.commitment.cluster(),
-            });
-        }
-        let digest = delta.commitment.certified_digest();
-        if delta.cert.cluster != expected_cluster
-            || delta.cert.slot != delta.commitment.batch()
-            || delta.cert.digest != digest
-            || delta.cert.verify(keys, self.params.quorum).is_err()
-        {
-            return Err(ReadRejection::BadCertificate);
-        }
+        self.check_certified(keys, expected_cluster, &delta.commitment, &delta.cert)?;
         // The changed set must be canonical and recompute to the digest
         // consensus signed: a relaying edge cannot add, drop, or
         // reorder one key without landing here.
@@ -265,7 +234,7 @@ impl ReadVerifier {
         Ok(())
     }
 
-    /// Verify a freshness feed attached to a point/multi response: a
+    /// Verify a freshness feed attached to a point response: a
     /// contiguous chain of certified deltas from the served batch to
     /// the claimed feed head, none of which touches a queried key. A
     /// verified feed proves the served values are the values at the
@@ -310,156 +279,104 @@ impl ReadVerifier {
         Ok(feed.last().map_or(served, |d| d.batch()))
     }
 
-    /// Step 4 of the feed chain: the freshness-window check against the
-    /// verified head's timestamp (see [`ReadVerifier::verify_feed`]).
-    fn check_feed_head_freshness(
-        &self,
-        head_ts: SimTime,
-        now: SimTime,
-    ) -> Result<(), ReadRejection> {
-        let skew = now
-            .saturating_since(head_ts)
-            .max(head_ts.saturating_since(now));
+    /// The §4.4.2 freshness window, in either direction of clock skew:
+    /// applied to the served batch's timestamp, or — step 4 of the feed
+    /// chain (see [`ReadVerifier::verify_feed`]) — to the verified feed
+    /// head's.
+    fn check_fresh(&self, ts: SimTime, now: SimTime) -> Result<(), ReadRejection> {
+        let skew = now.saturating_since(ts).max(ts.saturating_since(now));
         if skew > self.params.freshness_window {
             return Err(ReadRejection::StaleTimestamp);
         }
         Ok(())
     }
 
-    /// Verify a batched multiproof response end to end: the commitment
-    /// chain (steps 1–4 of [`ReadVerifier::verify`]), then
+    /// The one point-read check. A point response is a non-empty list
+    /// of multiproof sections; on top of the commitment chain (steps
+    /// 1–4, run **once** on the anchor section) it must
     ///
-    /// 5. every requested key is in the proven key set (a cached
-    ///    superset is fine; a dropped key is
-    ///    [`ReadRejection::MultiProofKeyMissing`]);
-    /// 6. the body is well-formed (sorted unique keys, one value slot
-    ///    per key) and its **one** multiproof verifies against the
-    ///    certified root, authenticating every proven key in a single
-    ///    root recomputation;
-    /// 7. every carried value — requested or not — hashes to its proven
-    ///    digest (`Some` ↔ proven present, `None` ↔ proven absent), so
-    ///    a tampered slot anywhere in a replayed superset is caught.
+    /// * pin every section to the anchor's batch *and* certified
+    ///   digest ([`ReadRejection::TornAssembly`] otherwise) — which is
+    ///   what lets one certificate, freshness and LCE check stand for
+    ///   the whole response;
+    /// * carry in every section a sorted, duplicate-free key list whose
+    ///   **one** multiproof verifies against the certified root
+    ///   ([`ReadRejection::BadProof`]);
+    /// * attach to every proven key — requested or not — a value slot
+    ///   agreeing with its verdict (`Some` ↔ proven present and hashing
+    ///   to the proven digest, `None` ↔ proven absent), so a tampered
+    ///   slot anywhere in a replayed superset is caught;
+    /// * prove every key in `expected_keys` in at least one section
+    ///   ([`ReadRejection::MissingKey`]). Sections may overlap: two
+    ///   proofs of one key against one certified root cannot disagree.
     ///
     /// On success returns the verified `(key, value)` pairs in
-    /// `expected_keys` order.
-    pub fn verify_multi<H: BatchCommitment>(
+    /// `expected_keys` order; proven keys nobody asked for are dropped.
+    pub(crate) fn verify_sections<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
-        bundle: &MultiProofBundle<H>,
+        sections: &[MultiProofBundle<H>],
         expected_keys: &[Key],
         min_lce: Epoch,
         now: SimTime,
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
+        let Some(anchor) = sections.first() else {
+            return Err(ReadRejection::EmptyAssembly);
+        };
+        let anchor_digest = anchor.commitment.certified_digest();
+        for section in &sections[1..] {
+            if section.batch() != anchor.batch()
+                || section.commitment.certified_digest() != anchor_digest
+            {
+                return Err(ReadRejection::TornAssembly {
+                    anchor: anchor.batch(),
+                    got: section.batch(),
+                });
+            }
+        }
         self.check_commitment(
             keys,
             expected_cluster,
-            &bundle.commitment,
-            &bundle.cert,
+            &anchor.commitment,
+            &anchor.cert,
             min_lce,
             now,
         )?;
-        let body = &bundle.body;
-        // 5. Proven set covers the request. Checked before the proof:
-        // a dropped requested key must be reported as the omission it
-        // is, not as a generic malformed proof.
-        if !body.keys.windows(2).all(|w| w[0] < w[1]) {
-            return Err(ReadRejection::BadMultiProof);
-        }
-        for key in expected_keys {
-            if body.keys.binary_search(key).is_err() {
-                return Err(ReadRejection::MultiProofKeyMissing(key.clone()));
+        // Every section is proven against the root the certificate was
+        // just chained to — the anchor's — not its own copy.
+        let root = anchor.commitment.merkle_root();
+        for section in sections {
+            let body = &section.body;
+            if !body.keys().windows(2).all(|w| w[0] < w[1]) {
+                return Err(ReadRejection::BadProof);
             }
-        }
-        // 6. One joint proof for the whole proven set.
-        if body.values.len() != body.keys.len() {
-            return Err(ReadRejection::BadMultiProof);
-        }
-        let verdicts = verify_multi_proof(
-            bundle.commitment.merkle_root(),
-            self.params.tree_depth,
-            &body.keys,
-            &body.proof,
-        )
-        .map_err(|_| ReadRejection::BadMultiProof)?;
-        // 7. Every value slot agrees with its proven verdict.
-        for ((key, value), verdict) in body.keys.iter().zip(&body.values).zip(&verdicts) {
-            match (verdict, value) {
-                (Verified::Present(digest), Some(v)) if value_digest(v) == *digest => {}
-                (Verified::Present(_), _) => return Err(ReadRejection::ValueMismatch(key.clone())),
-                (Verified::Absent, None) => {}
-                (Verified::Absent, Some(_)) => {
-                    return Err(ReadRejection::PhantomValue(key.clone()))
+            let verdicts =
+                verify_multi_proof(root, self.params.tree_depth, body.keys(), body.proof())
+                    .map_err(|_| ReadRejection::BadProof)?;
+            for ((key, value), verdict) in body.keys().iter().zip(body.values()).zip(&verdicts) {
+                match (verdict, value) {
+                    (Verified::Present(digest), Some(v)) if value_digest(v) == *digest => {}
+                    (Verified::Present(_), _) => {
+                        return Err(ReadRejection::ValueMismatch(key.clone()))
+                    }
+                    (Verified::Absent, None) => {}
+                    (Verified::Absent, Some(_)) => {
+                        return Err(ReadRejection::PhantomValue(key.clone()))
+                    }
                 }
             }
         }
-        Ok(expected_keys
+        expected_keys
             .iter()
             .map(|key| {
-                let i = body.keys.binary_search(key).expect("checked in step 5");
-                (key.clone(), body.values[i].clone())
+                sections
+                    .iter()
+                    .find_map(|s| s.body.keys().binary_search(key).ok().map(|i| (s, i)))
+                    .map(|(s, i)| (key.clone(), s.body.values()[i].clone()))
+                    .ok_or_else(|| ReadRejection::MissingKey(key.clone()))
             })
-            .collect())
-    }
-
-    /// Step 5 of the chain on its own: every key in `expected_keys`
-    /// answered with a Merkle (non-)inclusion proof verifying against
-    /// `commitment`'s root, present values hashing to the proven
-    /// digests. Only sound once the commitment itself has been chained
-    /// to a certificate (steps 1–4) — callers reuse it when several
-    /// sections share one already-verified commitment.
-    fn verify_reads<H: BatchCommitment>(
-        &self,
-        commitment: &H,
-        expected_keys: &[Key],
-        reads: &[ProvenRead],
-    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        let root = commitment.merkle_root();
-        let mut out = Vec::with_capacity(expected_keys.len());
-        for key in expected_keys {
-            let Some(read) = reads.iter().find(|r| &r.key == key) else {
-                return Err(ReadRejection::MissingKey(key.clone()));
-            };
-            match verify_proof(root, self.params.tree_depth, key, &read.proof) {
-                Ok(Verified::Present(proven_digest)) => match &read.value {
-                    Some(value) if value_digest(value) == proven_digest => {
-                        out.push((key.clone(), Some(value.clone())));
-                    }
-                    _ => return Err(ReadRejection::ValueMismatch(key.clone())),
-                },
-                Ok(Verified::Absent) => {
-                    if read.value.is_some() {
-                        return Err(ReadRejection::PhantomValue(key.clone()));
-                    }
-                    out.push((key.clone(), None));
-                }
-                Err(_) => return Err(ReadRejection::BadProof(key.clone())),
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`ReadVerifier::verify`] over a [`ProofBundle`], expecting an
-    /// answer for every key in the bundle.
-    pub fn verify_bundle<H: BatchCommitment>(
-        &self,
-        keys: &KeyStore,
-        expected_cluster: ClusterId,
-        bundle: &ProofBundle<H>,
-        expected_keys: &[Key],
-        min_lce: Epoch,
-        now: SimTime,
-    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        self.verify(
-            keys,
-            expected_cluster,
-            &bundle.commitment,
-            &bundle.cert,
-            expected_keys,
-            &bundle.reads,
-            min_lce,
-            now,
-        )
+            .collect()
     }
 
     /// Verify a proof-carrying range scan end to end. On top of the
@@ -468,9 +385,9 @@ impl ReadVerifier {
     /// rows are *all* the committed rows of the requested window — an
     /// untrusted edge must not be able to silently omit one. The checks:
     ///
-    /// 1–4. identical to [`ReadVerifier::verify`] (cluster, `f+1`
-    ///      certificate over the recomputed digest, freshness window,
-    ///      dependency floor);
+    /// 1–4. identical to the point chain (cluster, `f+1` certificate
+    ///      over the recomputed digest, freshness window, dependency
+    ///      floor);
     /// 5. the *proven* window covers the *requested* range (a cached
     ///    wider window is fine — anything narrower is a boundary
     ///    truncation and rejected);
@@ -565,87 +482,11 @@ impl ReadVerifier {
         }
     }
 
-    /// Verify a partially-assembled response: a sequence of sections
-    /// (cached fragments, upstream fill), each a self-contained
-    /// [`ProofBundle`] whose per-key proofs are checked against *its
-    /// own* certified root. On top of the per-section chain
-    /// (partition → certificate → freshness → LCE floor → proofs),
-    /// the assembly as a whole must
-    ///
-    /// * pin every section to the same batch (anything else would
-    ///   permit torn reads within the partition — [`ReadRejection::TornAssembly`]);
-    /// * answer every key in `expected_keys` exactly once across
-    ///   sections (extra unrequested keys are verified but dropped).
-    ///
-    /// A single-section assembly is equivalent to
-    /// [`ReadVerifier::verify_bundle`].
-    pub fn verify_assembled<H: BatchCommitment>(
-        &self,
-        keys: &KeyStore,
-        expected_cluster: ClusterId,
-        sections: &[ProofBundle<H>],
-        expected_keys: &[Key],
-        min_lce: Epoch,
-        now: SimTime,
-    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        let Some(first) = sections.first() else {
-            return Err(ReadRejection::EmptyAssembly);
-        };
-        let anchor = first.commitment.batch();
-        let anchor_digest = first.commitment.certified_digest();
-        let mut by_key: HashMap<Key, Option<Value>> = HashMap::new();
-        for (i, section) in sections.iter().enumerate() {
-            if section.commitment.batch() != anchor {
-                return Err(ReadRejection::TornAssembly {
-                    anchor,
-                    got: section.commitment.batch(),
-                });
-            }
-            // Each section vouches for exactly the keys it carries.
-            let section_keys: Vec<Key> = section.reads.iter().map(|r| r.key.clone()).collect();
-            let values = if i > 0 && section.commitment.certified_digest() == anchor_digest {
-                // Content-identical commitment (the certified digest
-                // covers every field, root included): the anchor
-                // section already chained it to a certificate and
-                // checked freshness and the LCE floor, so only this
-                // section's per-key proofs are new work. This is the
-                // honest partial-assembly fast path — one certificate
-                // verification per response, not one per section.
-                self.verify_reads(&section.commitment, &section_keys, &section.reads)?
-            } else {
-                self.verify(
-                    keys,
-                    expected_cluster,
-                    &section.commitment,
-                    &section.cert,
-                    &section_keys,
-                    &section.reads,
-                    min_lce,
-                    now,
-                )?
-            };
-            for (key, value) in values {
-                if by_key.insert(key.clone(), value).is_some() {
-                    return Err(ReadRejection::DuplicateKey(key));
-                }
-            }
-        }
-        expected_keys
-            .iter()
-            .map(|k| {
-                by_key
-                    .remove(k)
-                    .map(|v| (k.clone(), v))
-                    .ok_or_else(|| ReadRejection::MissingKey(k.clone()))
-            })
-            .collect()
-    }
-
     /// The single verifier entry point of the unified read protocol:
     /// check a [`ReadResponse`] against the [`ReadQuery`] (one
-    /// per-partition sub-query) it answers, dispatching to the
-    /// point/assembled/scan proof chains and enforcing the query's
-    /// snapshot policy and page pin on top:
+    /// per-partition sub-query) it answers, dispatching to the section
+    /// or scan proof chain and enforcing the query's snapshot policy
+    /// and page pin on top:
     ///
     /// * shape: the payload must match the query's shape
     ///   ([`ReadRejection::ShapeMismatch`]);
@@ -714,23 +555,23 @@ impl ReadVerifier {
         }
         match (&query.shape, response) {
             (QueryShape::Point { keys: expected }, ReadResponse::Point { sections, fresh }) => {
+                let Some(first) = sections.first() else {
+                    return Err(ReadRejection::EmptyAssembly);
+                };
                 let mut check_now = now;
                 if let Some(feed) = fresh {
-                    let Some(first) = sections.first() else {
-                        return Err(ReadRejection::EmptyAssembly);
-                    };
                     self.verify_feed(keys, expected_cluster, first.batch(), expected, feed)?;
                     let head_ts = feed
                         .last()
                         .map_or(first.commitment.timestamp(), |d| d.commitment.timestamp());
-                    self.check_feed_head_freshness(head_ts, now)?;
+                    self.check_fresh(head_ts, now)?;
                     // The verified feed proves the served values current
                     // through a fresh head, so the served batch's own age
                     // is no longer a staleness signal: anchor the base
                     // chain's clock at it.
                     check_now = first.commitment.timestamp();
                 }
-                let values = self.verify_assembled(
+                let values = self.verify_sections(
                     keys,
                     expected_cluster,
                     sections,
@@ -739,34 +580,7 @@ impl ReadVerifier {
                     check_now,
                 )?;
                 if let Some(pinned) = query.pinned_batch() {
-                    // Non-empty: verify_assembled rejects empty assemblies.
-                    let got = sections[0].batch();
-                    if got != pinned {
-                        return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-                    }
-                }
-                Ok(QueryAnswer::Values(values))
-            }
-            (QueryShape::Point { keys: expected }, ReadResponse::Multi { bundle, fresh }) => {
-                let mut check_now = now;
-                if let Some(feed) = fresh {
-                    self.verify_feed(keys, expected_cluster, bundle.batch(), expected, feed)?;
-                    let head_ts = feed
-                        .last()
-                        .map_or(bundle.commitment.timestamp(), |d| d.commitment.timestamp());
-                    self.check_feed_head_freshness(head_ts, now)?;
-                    check_now = bundle.commitment.timestamp();
-                }
-                let values = self.verify_multi(
-                    keys,
-                    expected_cluster,
-                    bundle.as_ref(),
-                    expected,
-                    min_lce,
-                    check_now,
-                )?;
-                if let Some(pinned) = query.pinned_batch() {
-                    let got = bundle.batch();
+                    let got = first.batch();
                     if got != pinned {
                         return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
                     }

@@ -116,11 +116,11 @@ mod tests {
     #[test]
     fn register_metrics_publishes_per_kind_series() {
         let mut s = NetStats::default();
-        s.record_send("rot-fetch-at", 64);
+        s.record_send("read-point", 64);
         let mut reg = MetricRegistry::new();
         reg.register("net", &s);
-        assert_eq!(reg.counter_value("net", "net.rot-fetch-at.messages"), 1);
-        assert_eq!(reg.counter_value("net", "net.rot-fetch-at.bytes"), 64);
+        assert_eq!(reg.counter_value("net", "net.read-point.messages"), 1);
+        assert_eq!(reg.counter_value("net", "net.read-point.bytes"), 64);
         assert_eq!(reg.counter_value("net", "messages_sent"), 1);
     }
 }

@@ -14,7 +14,8 @@ use transedge::consensus::messages::accept_statement;
 use transedge::core::batch::Batch;
 use transedge::core::client::ClientOp;
 use transedge::core::setup::{Deployment, DeploymentConfig};
-use transedge::crypto::merkle::{value_digest, verify_proof, Verified};
+use transedge::crypto::merkle::{value_digest, Verified};
+use transedge::crypto::verify_multi_proof;
 
 fn main() {
     // Stand up a deployment and commit a value so there is real,
@@ -38,13 +39,13 @@ fn main() {
     // exactly what an untrusted node would serve a client.
     let replica = deployment.node(transedge::common::ReplicaId::new(ClusterId(0), 2));
     let at = BatchNum(replica.exec.applied_batches() - 1);
-    let values = replica.exec.serve_rot(std::slice::from_ref(&key), at);
+    let body = transedge::edge::multi_snapshot(&replica.exec, std::slice::from_ref(&key), at);
     let keys = deployment.keys.clone();
     let quorum = topo.certificate_quorum();
 
     // A real response verifies end to end.
-    let proof = &values[0].proof;
-    let value = values[0].value.clone().expect("value present");
+    let proof = body.proof();
+    let value = body.values()[0].clone().expect("value present");
     // The replica's own engine holds the decided batch + certificate.
     let sim = &deployment.sim;
     let node = sim
@@ -56,8 +57,9 @@ fn main() {
     // Roots are certified via the batch digest; fetch the header the
     // replica would send.
     let root = { replica.exec.tree.root_at(at.0) };
-    match verify_proof(&root, config.node.tree_depth, &key, proof) {
-        Ok(Verified::Present(vh)) if vh == value_digest(&value) => {
+    let depth = config.node.tree_depth;
+    match verify_multi_proof(&root, depth, body.keys(), proof).as_deref() {
+        Ok([Verified::Present(vh)]) if *vh == value_digest(&value) => {
             println!("✓ honest response: Merkle proof verifies, value hash matches");
         }
         other => panic!("honest response failed?! {other:?}"),
@@ -66,8 +68,8 @@ fn main() {
     // Forgery 1: lie about the value.
     let forged_value = Value::from("forged-value");
     let ok = matches!(
-        verify_proof(&root, config.node.tree_depth, &key, proof),
-        Ok(Verified::Present(vh)) if vh == value_digest(&forged_value)
+        verify_multi_proof(&root, depth, body.keys(), proof).as_deref(),
+        Ok([Verified::Present(vh)]) if *vh == value_digest(&forged_value)
     );
     println!(
         "✗ forged value:        {}",
@@ -84,7 +86,7 @@ fn main() {
     if let Some(s) = bad_proof.siblings.first_mut() {
         s.0[0] ^= 0xFF;
     }
-    let rejected = verify_proof(&root, config.node.tree_depth, &key, &bad_proof).is_err();
+    let rejected = verify_multi_proof(&root, depth, body.keys(), &bad_proof).is_err();
     println!(
         "✗ tampered proof:      {}",
         if rejected {

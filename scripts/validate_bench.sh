@@ -22,7 +22,7 @@ fi
 # schema_version pins the shape below; bump both together.
 jq -e '
   .figure == "fig04_rot_latency"
-  and .schema_version == 9
+  and .schema_version == 10
   and (.clusters | length == 5)
   and ([.clusters[]
         | select(.twopc_ms > 0 and .transedge_ms > 0
@@ -30,8 +30,8 @@ jq -e '
   and (.edge_cache.hit_rate >= 0 and .edge_cache.hit_rate <= 1)
   and (.partial_assembly.requests > 0)
   and (.partial_assembly.partial >= 1)
-  and (.partial_assembly.fragment_hit_rate > 0)
-  and (.partial_assembly.fragment_hit_rate <= 1)
+  and (.partial_assembly.key_hit_rate > 0)
+  and (.partial_assembly.key_hit_rate <= 1)
   and (.scan.requests > 0)
   and (.scan.from_cache >= 1)
   and (.scan.forwarded >= 1)
@@ -74,10 +74,8 @@ jq -e '
   and (.throughput.window_s > 0)
   and (.throughput.p95_ms > 0)
   and (.throughput.p99_ms >= .throughput.p95_ms)
-  and (.throughput.multiproof_ratio > 0 and .throughput.multiproof_ratio <= 1)
   and (.throughput.bytes_per_read > 0)
-  and (.throughput.multis_accepted >= 1)
-  and (.throughput.rot_multi_served >= 1)
+  and (.throughput.served_from_cache >= 1)
   and (.throughput.cache_shards >= 1)
   and (.push.staleness_window_ms > 0)
   and (.push.deltas_received >= 1)
@@ -113,4 +111,4 @@ jq -e '
   and (.scenarios.flash_crowd.rejected_reads == 0)
 ' "$BENCH_JSON" >/dev/null
 
-echo "ok: $BENCH_JSON matches bench schema v9"
+echo "ok: $BENCH_JSON matches bench schema v10"

@@ -9,8 +9,7 @@ use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, SimDuration, Si
 use transedge::core::client::ClientOp;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig};
-use transedge::edge::persist::null_digest;
-use transedge::edge::{SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD};
+use transedge::edge::{MultiProofBody, SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -144,13 +143,15 @@ fn corrupted_disk_objects_are_dropped_never_served() {
     let mut store = dep.crash_edge(e0);
     let digests = store.hydration_set();
     assert!(!digests.is_empty());
-    // Corrupt every stored object, varying the corruption by shape:
-    // forged values break the content address; a rewritten certificate
-    // digest breaks it for the immutable-bodied multiproof.
+    // Corrupt every stored object: a forged value (a section body is
+    // immutable, so the forger rebuilds it) breaks the content address.
     for (_cluster, digest) in &digests {
         let tampered = store.tamper_with(digest, |object| match object {
-            SnapshotObject::Point(b) => {
-                b.reads[0].value = Some(Value::from("forged"));
+            SnapshotObject::Section(b) => {
+                let mut values = b.body.values().to_vec();
+                values[0] = Some(Value::from("forged"));
+                b.body =
+                    MultiProofBody::new(b.body.keys().to_vec(), values, b.body.proof().clone());
             }
             SnapshotObject::Scan(b) => {
                 if let Some(row) = b.scan.rows.first_mut() {
@@ -158,9 +159,6 @@ fn corrupted_disk_objects_are_dropped_never_served() {
                 } else {
                     b.scan.range.last = b.scan.range.last.wrapping_add(1);
                 }
-            }
-            SnapshotObject::Multi(b) => {
-                b.cert.digest = null_digest();
             }
         });
         assert!(tampered);

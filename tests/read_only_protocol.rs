@@ -3,11 +3,14 @@
 //! round-2 dependency mechanism and the untrusted edge read tier
 //! (honest caching and byzantine-edge detection).
 
-use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, SimTime, Value};
+use transedge::common::{
+    BatchNum, ClusterId, ClusterTopology, EdgeId, Key, NodeId, ReplicaId, SimDuration, SimTime,
+    Value,
+};
 use transedge::core::client::ClientOp;
 use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
-use transedge::core::setup::{Deployment, DeploymentConfig};
+use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -270,10 +273,11 @@ fn byzantine_edge_is_detected_and_evaded() {
 }
 
 /// Partial assembly: a 3-key ROT whose keys are only partially cached
-/// at the edge is served as cached fragments plus a single pinned
-/// upstream fetch for the miss, and the assembled (multi-section)
-/// response verifies end to end. This is the acceptance scenario for
-/// the partial replay assembly path.
+/// at the edge is served as the cached section plus a single upstream
+/// section for the miss — an ordinary point read pinned at the cached
+/// batch — and the assembled (multi-section) response verifies end to
+/// end. This is the acceptance scenario for the partial replay
+/// assembly path.
 #[test]
 fn partial_assembly_serves_partially_cached_requests() {
     let mut config = DeploymentConfig::for_testing();
@@ -325,17 +329,106 @@ fn partial_assembly_serves_partially_cached_requests() {
         stats.keys_fetched_upstream, 1,
         "only the missing key goes upstream, not the whole request"
     );
-    assert_eq!(stats.assembly_fallbacks, 0);
     assert!(
         stats.served_from_cache >= 5,
         "warm requests (including post-assembly repeats) replay fully (got {})",
         stats.served_from_cache
     );
     assert!(
-        stats.fragment_hit_rate() > 0.5,
-        "most keys must come from cached fragments (got {:.2})",
-        stats.fragment_hit_rate()
+        stats.key_hit_rate() > 0.5,
+        "most keys must come from cached sections (got {:.2})",
+        stats.key_hit_rate()
     );
+    // The fill travelled as an ordinary point read: the client's 8
+    // requests, the edge's 1 cold forward and its 1 pinned fill. No
+    // other message kind carries reads.
+    let metrics = dep.metrics();
+    assert_eq!(metrics.counter_value("net", "net.read-point.messages"), 10);
+    let pinned_served: u64 = topo
+        .replicas_of(ClusterId(0))
+        .map(|r| dep.node(r).stats.rot_pinned_served)
+        .sum();
+    assert_eq!(
+        pinned_served, 1,
+        "one replica served the fill pinned at the anchor batch"
+    );
+}
+
+/// Pinned-fill liveness: the edge's partial-assembly fill is an
+/// ordinary `AtBatch` read, so a replica that has not applied the
+/// anchor batch yet parks it like any other unservable query and
+/// answers once it catches up — nothing falls back, nothing is lost.
+/// One replica is cut off from its cluster while a write commits batch
+/// *b*; the edge caches a section at *b* from a current replica, then
+/// sends the fill for the third key to the lagging one. The read
+/// completes, verified at *b*, only after the partition heals.
+#[test]
+fn pinned_fill_parks_at_a_lagging_replica_and_completes_after_heal() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    // The reader must outwait the partition, not retry around it.
+    config.client.retry_after = SimDuration::from_secs(5);
+    config.edge = EdgeConfig::honest(1);
+    let topo = config.topo.clone();
+    let k = keys_on(&topo, ClusterId(0), 4);
+    let write = |key: &Key, value: &str| ClientOp::ReadWrite {
+        reads: vec![],
+        writes: vec![(key.clone(), Value::from(value))],
+    };
+    let reader = ClientPlan::ops(vec![
+        write(&k[0], "v1"),
+        ClientOp::ReadOnly {
+            keys: k[..2].to_vec(),
+        },
+        ClientOp::ReadOnly {
+            keys: k[..3].to_vec(),
+        },
+    ]);
+    // A later write is what lets the healed replica notice it is
+    // behind and fetch the decided prefix.
+    let heal_at = SimTime(300_000);
+    let late_writer = ClientPlan::with_profile(
+        vec![write(&k[3], "v2")],
+        ClientProfile::new().start_delay(SimDuration::from_millis(400)),
+    );
+    let mut dep = Deployment::build_custom(config, vec![reader, late_writer]);
+    // The edge's upstream round-robin sends its first forward to
+    // replica 1 and its second — the fill — to replica 2.
+    let lagging = ReplicaId::new(ClusterId(0), 2);
+    let rest = topo
+        .replicas_of(ClusterId(0))
+        .filter(|r| *r != lagging)
+        .map(NodeId::Replica);
+    let cut = dep.impose_partition([NodeId::Replica(lagging)], rest);
+    dep.run_until(heal_at);
+
+    let e0 = EdgeId::new(ClusterId(0), 0);
+    let reader_id = dep.client_ids[0];
+    assert_eq!(dep.node(lagging).exec.applied_batches(), 1, "genesis only");
+    assert_eq!(dep.node(lagging).parked_reads(), 1, "the fill is parked");
+    assert_eq!(dep.edge_node(e0).pending_upstream(), 1);
+    assert_eq!(dep.edge_node(e0).stats.partial_assembled, 1);
+    assert_eq!(dep.client(reader_id).rot_results.len(), 1);
+
+    dep.heal_partition(cut);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let client = dep.client(reader_id);
+    assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.stats.retries, 0, "the read waited, it did not retry");
+    assert_eq!(client.stats.assembled_accepted, 1);
+    let assembled = &client.rot_results[1];
+    assert_eq!(assembled.snapshot, [(ClusterId(0), BatchNum(1))]);
+    assert_eq!(assembled.values[0].1, Some(Value::from("v1")));
+    for (key, value) in &assembled.values[1..] {
+        let want = dep.data.iter().find(|(x, _)| x == key).map(|(_, v)| v);
+        assert_eq!(value.as_ref(), want);
+    }
+    let replica = dep.node(lagging);
+    assert_eq!(replica.stats.rot_pinned_served, 1);
+    assert_eq!(replica.parked_reads(), 0);
+    assert_eq!(dep.edge_node(e0).pending_upstream(), 0);
 }
 
 /// Adaptive routing: a byzantine edge is demoted by the client's
@@ -404,30 +497,25 @@ fn byzantine_edge_is_demoted_and_traffic_fails_over() {
     assert!(dep.samples().iter().all(|s| s.committed));
 }
 
-/// Throughput mode under attack: requests wide enough for the Merkle
-/// multiproof fast path (>= `MULTI_MIN_KEYS` keys) flow through an
-/// edge that drops one proven key from every multiproof body it
-/// relays. The client's `verify_multi` rejects each omission with
-/// `MultiProofKeyMissing` — cryptographic evidence — the edge is
-/// demoted, traffic fails over, and every read still completes with
-/// correct values.
+/// Omission under attack: five-key reads flow through an edge that
+/// drops one proven key (and its value slot) from every section it
+/// relays while keeping the multiproof. The proof no longer matches
+/// the advertised key set, so the client rejects each one as a bad
+/// proof — cryptographic evidence — the edge is demoted, traffic
+/// fails over, and every read still completes with correct values.
 #[test]
-fn multiproof_omitting_edge_is_rejected_and_demoted() {
+fn key_omitting_edge_is_rejected_and_demoted() {
     let mut config = DeploymentConfig::for_testing();
     config.client.record_results = true;
     let byz = EdgeId::new(ClusterId(0), 0);
     let honest = EdgeId::new(ClusterId(0), 1);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
-        .byzantine(byz, EdgeBehavior::OmitFromMulti)
+        .byzantine(byz, EdgeBehavior::OmitKey)
         .build()
         .expect("edge config");
     let topo = config.topo.clone();
-    let k0 = keys_on(
-        &topo,
-        ClusterId(0),
-        transedge::core::node::MULTI_MIN_KEYS + 1,
-    );
+    let k0 = keys_on(&topo, ClusterId(0), 5);
     let ops = 20usize;
     let script: Vec<ClientOp> = (0..ops)
         .map(|_| ClientOp::ReadOnly { keys: k0.clone() })
@@ -436,12 +524,7 @@ fn multiproof_omitting_edge_is_rejected_and_demoted() {
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(dep.client_ids[0]);
-    // The multiproof path carried the workload, and the omissions were
-    // seen and rejected.
-    assert!(
-        client.metrics().multis_accepted() >= 1,
-        "multiproof answers must carry this workload"
-    );
+    // The omissions were seen and rejected.
     assert!(client.stats.verification_failures >= 1);
     let health = client
         .edge_selector
