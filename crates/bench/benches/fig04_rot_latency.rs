@@ -558,7 +558,7 @@ fn edge_directory_fleet(scale: Scale) -> DirectoryResult {
 }
 
 /// Saturating open-loop throughput run: six-key point reads replayed
-/// through the sharded edge caches.
+/// through the edge caches.
 struct ThroughputResult {
     ops: u64,
     window_s: f64,
@@ -568,7 +568,6 @@ struct ThroughputResult {
     p99_ms: f64,
     bytes_per_read: f64,
     served_from_cache: u64,
-    cache_shards: u64,
     cached_partitions: u64,
 }
 
@@ -576,7 +575,7 @@ struct ThroughputResult {
 /// scales with fleet width — the sim's open-loop saturation knob)
 /// issuing single-partition multi-key point reads. Every replica
 /// answer ships as one section under one deduplicated Merkle
-/// multiproof; edges admit the body into the sharded replay caches by
+/// multiproof; edges admit the body into their replay caches by
 /// reference and replay it locally.
 fn edge_throughput(scale: Scale) -> ThroughputResult {
     const KEYS_PER_OP: usize = 6;
@@ -623,14 +622,11 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
     let summary = summarize(&samples, Some(OpKind::ReadOnly));
 
     let mut served_from_cache = 0u64;
-    let mut cache_shards = 0u64;
     let mut cached_partitions = 0u64;
     for e in &dep.edge_ids {
         let node = dep.edge_node(*e);
         served_from_cache += node.stats.served_from_cache;
-        let shards = node.cache_shards();
-        cache_shards = cache_shards.max(shards.shard_count() as u64);
-        cached_partitions += shards.partition_count() as u64;
+        cached_partitions += node.cached_partitions() as u64;
     }
     assert!(
         served_from_cache > 0,
@@ -646,7 +642,6 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
         p99_ms: summary.p99_latency_ms,
         bytes_per_read: read_bytes as f64 / ops.max(1) as f64,
         served_from_cache,
-        cache_shards,
         cached_partitions,
     }
 }
@@ -1194,10 +1189,12 @@ fn main() {
     // renamed `key_hit_rate`; the throughput block lost
     // `multiproof_ratio`, `multis_accepted`, `rot_multi_served` and
     // `multis_from_cache` (every point answer is a multiproof section
-    // now) and gained `served_from_cache`.
+    // now) and gained `served_from_cache`; 11 = the throughput block
+    // lost `cache_shards` (the replay caches are one per-partition
+    // map; there is no shard count to report).
     let mut doc = JsonObject::new()
         .field("figure", "fig04_rot_latency")
-        .field("schema_version", 10u64)
+        .field("schema_version", 11u64)
         .field("mode", if scale.full { "full" } else { "quick" });
     doc.set(
         "clusters",
@@ -1321,7 +1318,6 @@ fn main() {
             .field("p99_ms", tp.p99_ms)
             .field("bytes_per_read", tp.bytes_per_read)
             .field("served_from_cache", tp.served_from_cache)
-            .field("cache_shards", tp.cache_shards)
             .field("cached_partitions", tp.cached_partitions),
     );
     // `staleness_window_ms` is the subscription tier's freshness bound:

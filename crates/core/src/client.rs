@@ -7,13 +7,15 @@
 //! point snapshot reads, verified range scans, paginated multi-window
 //! scans, cross-partition scatter-gather — runs through one
 //! `ReadSession`: it plans per-partition sub-queries from a
-//! [`ReadQuery`], fans them out through the adaptive [`EdgeSelector`],
-//! verifies every response end to end
+//! [`ReadQuery`], sends every one of them — first round, page,
+//! restart, retry, resend — through one `dispatch` (via the adaptive
+//! [`EdgeSelector`], or whole to one edge contact), verifies every
+//! part answer end to end in one `on_part_result`
 //! (`ReadVerifier::verify_query`: certificates, Merkle proofs,
 //! completeness, snapshot pins), stitches the verified sections into
 //! one result, and re-runs partitions whose snapshots fail the
 //! cross-partition dependency check (Algorithm 2) with an explicit
-//! LCE floor — the round-2 semantics, now uniform across shapes.
+//! LCE floor — the round-2 semantics, uniform across shapes.
 
 use std::collections::HashMap;
 
@@ -98,9 +100,10 @@ pub struct ClientConfig {
     pub directory: bool,
     /// Send a fresh cross-partition query to *one* edge contact
     /// (edge-tier scatter-gather) instead of fanning out per partition.
-    /// The contact splits, forwards, and stitches; every part is still
-    /// verified here against its own partition's certified root, and a
-    /// failed or tampered gather falls back to the classic fan-out.
+    /// The contact splits, forwards, and returns the part answers in
+    /// one envelope; every part is still verified here against its own
+    /// partition's certified root, and a part that is missing or fails
+    /// is re-asked of a replica like any rejected answer.
     pub single_contact: bool,
     /// Delay before the first operation (and the directory pull) —
     /// lets harnesses stagger clients so gossip has rounds to spread.
@@ -184,12 +187,13 @@ pub struct TxnOutcome {
     pub reads: Vec<(Key, Option<Value>)>,
 }
 
-/// One outstanding read sub-query: which partition it covers, where
-/// it went, and when — so responses credit (or blame) the right target
-/// in the edge selector.
+/// The sub-query a part is waiting on: its request id (shared by every
+/// part one single-contact send covers), where it went, and when — so
+/// the answer credits (or blames) the right target in the edge
+/// selector.
 #[derive(Clone, Copy, Debug)]
-struct SubPending {
-    cluster: ClusterId,
+struct Pending {
+    req: u64,
     target: NodeId,
     sent_at: SimTime,
 }
@@ -241,6 +245,8 @@ struct PartState {
     feed_cuts: Vec<RotView>,
     values: Vec<(Key, Option<Value>)>,
     rows: Vec<(Key, Value)>,
+    /// The sub-query in flight for this part, if any.
+    pending: Option<Pending>,
     done: bool,
 }
 
@@ -259,6 +265,7 @@ impl PartState {
             feed_cuts: Vec::new(),
             values: Vec::new(),
             rows: Vec::new(),
+            pending: None,
             done: false,
         }
     }
@@ -293,36 +300,39 @@ impl PartState {
 }
 
 /// The planner/assembler behind every read shape: one session per
-/// in-flight [`ReadQuery`]. It owns the per-partition sub-query plan,
-/// the outstanding fan-out, pagination state, and the verified
-/// per-partition results awaiting the final stitch.
+/// in-flight [`ReadQuery`]. It owns the per-partition sub-query plan —
+/// each part carrying its own in-flight request, pagination state and
+/// verified results awaiting the final stitch.
 struct ReadSession {
     query: ReadQuery,
     origin: QueryOrigin,
     class: QueryClass,
     round: u8,
     parts: Vec<PartState>,
-    /// req id → where the sub-query went.
-    outstanding: HashMap<u64, SubPending>,
-    /// A single-contact gather is in flight via this edge: the whole
-    /// multi-partition query went to one target, whose stitched
-    /// response is verified part by part. Cleared after the first
-    /// answer (continuation pages and round-2 restarts fan out).
-    single_contact: Option<NodeId>,
     round1_done_at: Option<SimTime>,
 }
 
 impl ReadSession {
-    fn part_mut(&mut self, cluster: ClusterId) -> Option<&mut PartState> {
-        self.parts.iter_mut().find(|p| p.cluster == cluster)
+    fn part(&self, cluster: ClusterId) -> &PartState {
+        self.parts
+            .iter()
+            .find(|p| p.cluster == cluster)
+            .expect("planned part")
+    }
+
+    fn part_mut(&mut self, cluster: ClusterId) -> &mut PartState {
+        self.parts
+            .iter_mut()
+            .find(|p| p.cluster == cluster)
+            .expect("planned part")
     }
 
     /// The wire sub-query currently owed by `cluster`: the original
     /// query restricted to that partition, at the part's floor, page
     /// position, and (for floor restarts with held rows) verified
     /// prefix.
-    fn subquery(&self, cluster: ClusterId) -> Option<ReadQuery> {
-        let part = self.parts.iter().find(|p| p.cluster == cluster)?;
+    fn subquery(&self, cluster: ClusterId) -> ReadQuery {
+        let part = self.part(cluster);
         let consistency = if part.floor.is_none() {
             self.query.consistency
         } else {
@@ -338,7 +348,7 @@ impl ReadSession {
                 window: *window,
             },
         };
-        Some(ReadQuery {
+        ReadQuery {
             consistency,
             shape,
             page: part.token,
@@ -349,7 +359,7 @@ impl ReadSession {
                 .flatten(),
             fresh: self.query.fresh,
             trace: self.query.trace,
-        })
+        }
     }
 
     /// Restart `cluster`'s part at `floor`. `try_prefix` resumes from
@@ -362,13 +372,11 @@ impl ReadSession {
                 QueryShape::Scan { range, .. } => range.width() <= MAX_RANGE_BUCKETS,
                 QueryShape::Point { .. } => false,
             };
-        if let Some(part) = self.part_mut(cluster) {
-            part.restart_at_floor(floor, eligible);
-        }
+        self.part_mut(cluster).restart_at_floor(floor, eligible);
     }
 
     fn all_done(&self) -> bool {
-        self.parts.iter().all(|p| p.done) && self.outstanding.is_empty()
+        self.parts.iter().all(|p| p.done)
     }
 
     fn views(&self) -> Vec<RotView> {
@@ -578,12 +586,9 @@ pub struct ClientStats {
     pub prefix_divergences: u64,
     /// Cross-partition queries sent to a single edge contact.
     pub gathers_sent: u64,
-    /// Single-contact responses fully verified (every part against its
-    /// own partition's root) and accepted.
+    /// Single-contact answers whose every part verified (each against
+    /// its own partition's root).
     pub gathers_accepted: u64,
-    /// Single-contact responses rejected or abandoned, falling back to
-    /// the classic per-partition fan-out.
-    pub gather_fallbacks: u64,
     /// Directory digests ingested (startup seed + gossip).
     pub directory_seeded: u64,
     /// Signed rejection-evidence records pushed into the gossip layer.
@@ -611,7 +616,6 @@ impl transedge_obs::RegisterMetrics for ClientStats {
         reg.counter(scope, "client.prefix_divergences", self.prefix_divergences);
         reg.counter(scope, "client.gathers_sent", self.gathers_sent);
         reg.counter(scope, "client.gathers_accepted", self.gathers_accepted);
-        reg.counter(scope, "client.gather_fallbacks", self.gather_fallbacks);
         reg.counter(scope, "client.directory_seeded", self.directory_seeded);
         reg.counter(
             scope,
@@ -961,8 +965,9 @@ impl ClientActor {
         })
     }
 
-    /// Plan a [`ReadQuery`] into per-partition sub-queries and fan the
-    /// first round out through the edge selector.
+    /// Plan a [`ReadQuery`] into per-partition sub-queries and send the
+    /// first round — one sub-query per partition through the edge
+    /// selector, or the query whole to one edge contact.
     fn start_query(
         &mut self,
         op_index: usize,
@@ -1030,8 +1035,6 @@ impl ClientActor {
             class,
             round: 1,
             parts,
-            outstanding: HashMap::new(),
-            single_contact: None,
             round1_done_at: None,
         };
         // An empty plan (no keys / no clusters) completes immediately.
@@ -1053,53 +1056,28 @@ impl ClientActor {
         let start = ctx.now();
         // Edge-tier scatter-gather: hand the whole multi-partition
         // query to one edge contact — it splits, forwards to siblings,
-        // and stitches; every part is still verified here against its
-        // own partition's root. Retries and rejections fall back to
-        // the classic per-partition fan-out.
+        // and returns the part answers in one envelope; every part is
+        // still verified here against its own partition's root.
         let contact = if self.config.single_contact && session.parts.len() > 1 {
             session.parts.iter().find_map(|p| {
                 self.edge_selector
-                    .pick(p.cluster, ctx.now())
+                    .pick(p.cluster, start)
                     .filter(|t| matches!(t, NodeId::Edge(_)))
-                    .map(|t| (p.cluster, t))
             })
         } else {
             None
         };
-        if let Some((cluster, target)) = contact {
-            let req = self.req_id();
-            session.single_contact = Some(target);
-            session.outstanding.insert(
-                req,
-                SubPending {
-                    cluster,
-                    target,
-                    sent_at: ctx.now(),
-                },
-            );
-            self.stats.gathers_sent += 1;
-            ctx.send(
-                target,
-                NetMsg::Read {
-                    req,
-                    query: session.query.clone(),
-                },
-            );
-        } else {
-            let clusters: Vec<ClusterId> = session.parts.iter().map(|p| p.cluster).collect();
-            for cluster in clusters {
-                let req = self.req_id();
-                let target = self.read_target(cluster, ctx.now());
-                session.outstanding.insert(
-                    req,
-                    SubPending {
-                        cluster,
-                        target,
-                        sent_at: ctx.now(),
-                    },
-                );
-                let sub = session.subquery(cluster).expect("planned part");
-                ctx.send(target, NetMsg::Read { req, query: sub });
+        let clusters: Vec<ClusterId> = session.parts.iter().map(|p| p.cluster).collect();
+        match contact {
+            Some(target) => {
+                self.stats.gathers_sent += 1;
+                self.dispatch(&mut session, &clusters, target, ctx);
+            }
+            None => {
+                for cluster in clusters {
+                    let target = self.read_target(cluster, start);
+                    self.dispatch(&mut session, &[cluster], target, ctx);
+                }
             }
         }
         self.inflight = Some(Inflight {
@@ -1110,6 +1088,35 @@ impl ClientActor {
             phase: Phase::Query(session),
         });
         ctx.set_timer(self.config.retry_after, op_index as u64 + TIMER_BASE);
+    }
+
+    /// The one way a sub-query leaves: every part in `clusters` waits on
+    /// one fresh request to `target`. One cluster sends that partition's
+    /// owed sub-query; several (the single-contact first round, every
+    /// part still fresh) send the query whole for the contact to split.
+    fn dispatch(
+        &mut self,
+        session: &mut ReadSession,
+        clusters: &[ClusterId],
+        target: NodeId,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let req = self.req_id();
+        let query = match clusters {
+            [cluster] => session.subquery(*cluster),
+            _ => session.query.clone(),
+        };
+        let pending = Pending {
+            req,
+            target,
+            sent_at: ctx.now(),
+        };
+        for part in &mut session.parts {
+            if clusters.contains(&part.cluster) {
+                part.pending = Some(pending);
+            }
+        }
+        ctx.send(target, NetMsg::Read { req, query });
     }
 
     /// Route a verified [`QueryAnswer`] into its partition's state:
@@ -1205,210 +1212,54 @@ impl ClientActor {
         !part.done
     }
 
-    /// A single-contact (gather) response arrived: verify every part
-    /// against the sub-query its partition is owed — each part chained
-    /// to *its own* certified root — and accept all-or-nothing. Any
-    /// bad part rejects the whole response, demotes the contact, and
-    /// falls back to the classic per-partition fan-out via replicas.
-    fn on_gather_result(
-        &mut self,
-        session: &mut ReadSession,
-        req: u64,
-        pending: SubPending,
-        response: ReadPayload,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let now = ctx.now();
-        session.outstanding.remove(&req);
-        session.single_contact = None;
-        let contact = pending.target;
-        let contact_cluster = pending.cluster;
-        let clusters: Vec<ClusterId> = session.parts.iter().map(|p| p.cluster).collect();
-        self.metrics.shapes.served(session.class);
-        // Verify every part first; apply only if all hold.
-        let verifier = self.read_verifier();
-        let mut verified: Vec<(ClusterId, ReadQuery, QueryAnswer)> = Vec::new();
-        let mut ok = true;
-        if let ReadPayload::Gather { parts } = &response {
-            for cluster in &clusters {
-                let Some(part) = parts.iter().find(|p| p.cluster == *cluster) else {
-                    ok = false;
-                    break;
-                };
-                let sub = session.subquery(*cluster).expect("planned part");
-                match verifier.verify_query(&self.keys, *cluster, &sub, &part.body, now) {
-                    Ok(answer) => verified.push((*cluster, sub, answer)),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        } else {
-            // A single-partition payload cannot answer a
-            // multi-partition query.
-            ok = false;
-        }
-        if !ok {
-            self.stats.verification_failures += 1;
-            self.stats.gather_fallbacks += 1;
-            self.metrics.shapes.rejected(session.class);
-            if let Some(tc) = session.query.trace {
-                let me = NodeId::Client(self.id);
-                ctx.trace()
-                    .marker(tc, SpanPhase::Verify, me, now, "rejected");
-                if matches!(contact, NodeId::Edge(_)) {
-                    ctx.trace()
-                        .marker(tc, SpanPhase::Gossip, me, now, "demoted");
-                }
-            }
-            if matches!(contact, NodeId::Edge(_)) {
-                self.edge_selector
-                    .record_rejection(contact_cluster, contact, now);
-            }
-            // Fall back: fan every unfinished part out to real
-            // replicas (byzantine-evasion, like any rejection retry).
-            for cluster in clusters {
-                let req = self.req_id();
-                let target = self.any_replica_of(cluster);
-                session.outstanding.insert(
-                    req,
-                    SubPending {
-                        cluster,
-                        target,
-                        sent_at: now,
-                    },
-                );
-                let sub = session.subquery(cluster).expect("planned part");
-                ctx.send(target, NetMsg::Read { req, query: sub });
-            }
-            return;
-        }
-        self.metrics.shapes.verified(session.class);
-        self.stats.gathers_accepted += 1;
-        if matches!(contact, NodeId::Edge(_)) {
-            self.edge_selector.record_success(
-                contact_cluster,
-                contact,
-                now.saturating_since(pending.sent_at),
-            );
-        }
-        let ReadPayload::Gather { parts } = &response else {
-            unreachable!("verified above");
-        };
-        let mut continuations: Vec<ClusterId> = Vec::new();
-        for (cluster, sub, answer) in verified {
-            let body = &parts
-                .iter()
-                .find(|p| p.cluster == cluster)
-                .expect("verified above")
-                .body;
-            let mut part = std::mem::replace(
-                session.part_mut(cluster).expect("planned part"),
-                PartState::new(cluster, Vec::new()),
-            );
-            let more = self.ingest_answer(&mut part, cluster, &sub, answer, body);
-            *session.part_mut(cluster).expect("planned part") = part;
-            if more {
-                continuations.push(cluster);
-            }
-        }
-        // Continuation pages (and later rounds) fan out per partition
-        // through the selector, exactly like the classic path.
-        for cluster in continuations {
-            let page_req = self.req_id();
-            let target = self.read_target(cluster, now);
-            session.outstanding.insert(
-                page_req,
-                SubPending {
-                    cluster,
-                    target,
-                    sent_at: now,
-                },
-            );
-            if let Some(page_query) = session.subquery(cluster) {
-                ctx.send(
-                    target,
-                    NetMsg::Read {
-                        req: page_req,
-                        query: page_query,
-                    },
-                );
-            }
-        }
-    }
-
-    /// A per-partition response arrived: verify it against the owing
-    /// sub-query (resuming from the held prefix when one is in
-    /// flight), advance pagination, or blame and retry.
+    /// One partition's answer arrived — alone, or as one part of a
+    /// single-contact envelope: verify it against the owing sub-query
+    /// (resuming from the held prefix when one is in flight), advance
+    /// pagination, or blame and retry. Returns whether it verified.
     fn on_part_result(
         &mut self,
         session: &mut ReadSession,
-        req: u64,
-        pending: SubPending,
-        response: ReadPayload,
+        cluster: ClusterId,
+        pending: Pending,
+        response: &ReadPayload,
         ctx: &mut Context<'_, NetMsg>,
-    ) {
+    ) -> bool {
         let now = ctx.now();
-        let cluster = pending.cluster;
-        let Some(sub) = session.subquery(cluster) else {
-            return;
-        };
+        let sub = session.subquery(cluster);
+        session.part_mut(cluster).pending = None;
         self.metrics.shapes.served(session.class);
-        let held: Vec<(Key, Value)> = if sub.prefix.is_some() {
-            session
-                .parts
-                .iter()
-                .find(|p| p.cluster == cluster)
-                .map(|p| p.rows.clone())
-                .unwrap_or_default()
+        let held: &[(Key, Value)] = if sub.prefix.is_some() {
+            &session.part(cluster).rows
         } else {
-            Vec::new()
+            &[]
         };
         let verified = self
             .read_verifier()
-            .verify_query_resuming(&self.keys, cluster, &sub, &response, &held, now);
+            .verify_query_resuming(&self.keys, cluster, &sub, response, held, now);
         match verified {
             Ok(answer) => {
                 self.metrics.shapes.verified(session.class);
-                if matches!(pending.target, NodeId::Edge(_)) {
+                if let NodeId::Edge(edge) = pending.target {
                     self.edge_selector.record_success(
-                        cluster,
+                        edge.cluster,
                         pending.target,
                         now.saturating_since(pending.sent_at),
                     );
                 }
-                session.outstanding.remove(&req);
                 let mut part = std::mem::replace(
-                    session.part_mut(cluster).expect("verified part exists"),
+                    session.part_mut(cluster),
                     PartState::new(cluster, Vec::new()),
                 );
-                let more = self.ingest_answer(&mut part, cluster, &sub, answer, &response);
-                *session.part_mut(cluster).expect("verified part exists") = part;
+                let more = self.ingest_answer(&mut part, cluster, &sub, answer, response);
+                *session.part_mut(cluster) = part;
                 if more {
                     // Next page: back through the selector — the pinned
                     // batch keeps the snapshot consistent even when a
                     // different node serves it.
-                    let page_req = self.req_id();
                     let target = self.read_target(cluster, now);
-                    session.outstanding.insert(
-                        page_req,
-                        SubPending {
-                            cluster,
-                            target,
-                            sent_at: now,
-                        },
-                    );
-                    if let Some(page_query) = session.subquery(cluster) {
-                        ctx.send(
-                            target,
-                            NetMsg::Read {
-                                req: page_req,
-                                query: page_query,
-                            },
-                        );
-                    }
+                    self.dispatch(session, &[cluster], target, ctx);
                 }
+                true
             }
             Err(ReadRejection::PrefixDiverged) => {
                 // Honest divergence: the committed prefix changed
@@ -1416,33 +1267,11 @@ impl ClientActor {
                 // restart this partition's pagination from page one at
                 // its floor, with no blame and no demotion.
                 self.stats.prefix_divergences += 1;
-                session.outstanding.remove(&req);
-                let floor = session
-                    .parts
-                    .iter()
-                    .find(|p| p.cluster == cluster)
-                    .map(|p| p.floor)
-                    .unwrap_or(Epoch::NONE);
+                let floor = session.part(cluster).floor;
                 session.restart_part(cluster, floor, false);
-                let retry_req = self.req_id();
                 let target = self.read_target(cluster, now);
-                session.outstanding.insert(
-                    retry_req,
-                    SubPending {
-                        cluster,
-                        target,
-                        sent_at: now,
-                    },
-                );
-                if let Some(retry) = session.subquery(cluster) {
-                    ctx.send(
-                        target,
-                        NetMsg::Read {
-                            req: retry_req,
-                            query: retry,
-                        },
-                    );
-                }
+                self.dispatch(session, &[cluster], target, ctx);
+                false
             }
             Err(rejection) => {
                 // Verification failed: blame the target (demoting a
@@ -1461,18 +1290,26 @@ impl ClientActor {
                             .marker(tc, SpanPhase::Gossip, me, now, "demoted");
                     }
                 }
-                if matches!(pending.target, NodeId::Edge(_)) {
+                // The selector files an edge under the partition it
+                // fronts — for a single-contact part that is the
+                // contact's partition, not necessarily this one.
+                if let NodeId::Edge(edge) = pending.target {
                     self.edge_selector
-                        .record_rejection(cluster, pending.target, now);
+                        .record_rejection(edge.cluster, pending.target, now);
                 }
                 // Gossip the catch: signed evidence with the offending
                 // proof attached, pushed to a healthy edge so the whole
                 // fleet demotes the liar without paying its own
                 // rejected round trip. (Only cryptographic rejections
-                // qualify — `witness` drops the rest.)
+                // qualify — `witness` drops the rest — and only against
+                // an edge answering for its own partition: a contact
+                // that couriered a sibling's forgery is shunned here,
+                // not convicted fleet-wide.)
                 if let (Some(agent), NodeId::Edge(subject)) = (&mut self.directory, pending.target)
                 {
-                    if agent.witness(subject, cluster, &sub, &response, &rejection, now) {
+                    if subject.cluster == cluster
+                        && agent.witness(subject, cluster, &sub, response, &rejection, now)
+                    {
                         self.stats.directory_evidence_sent += 1;
                         // Piggyback this client's sampled latency
                         // observations so receivers can prime their
@@ -1519,7 +1356,6 @@ impl ClientActor {
                         }
                     }
                 }
-                session.outstanding.remove(&req);
                 // Exception: a pinned page continuation whose batch
                 // aged past the freshness window can never verify
                 // again — *no* server can make the pinned batch
@@ -1529,46 +1365,25 @@ impl ClientActor {
                 // current floor — resuming from the already-verified
                 // prefix where eligible; a fresh batch re-pins the
                 // snapshot.
-                let sub = if rejection == ReadRejection::StaleTimestamp && sub.page.is_some() {
-                    let floor = session
-                        .parts
-                        .iter()
-                        .find(|p| p.cluster == cluster)
-                        .map(|p| p.floor)
-                        .unwrap_or(Epoch::NONE);
+                if rejection == ReadRejection::StaleTimestamp && sub.page.is_some() {
+                    let floor = session.part(cluster).floor;
                     session.restart_part(cluster, floor, true);
-                    session.subquery(cluster).expect("restarted part")
-                } else {
-                    sub
-                };
-                let retry_req = self.req_id();
-                let target = self.any_replica_of(cluster);
-                session.outstanding.insert(
-                    retry_req,
-                    SubPending {
-                        cluster,
-                        target,
-                        sent_at: now,
-                    },
-                );
+                }
                 if let Some(tc) = session.query.trace {
                     ctx.trace()
                         .marker(tc, SpanPhase::Queue, NodeId::Client(self.id), now, "retry");
                 }
-                ctx.send(
-                    target,
-                    NetMsg::Read {
-                        req: retry_req,
-                        query: sub,
-                    },
-                );
+                let target = self.any_replica_of(cluster);
+                self.dispatch(session, &[cluster], target, ctx);
+                false
             }
         }
     }
 
-    /// A unified read response arrived: dispatch to the gather or
-    /// per-partition handler, then stitch when every partition is done.
-    fn on_read_result(&mut self, req: u64, result: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
+    /// A read response arrived: hand every part waiting on `req` its
+    /// answer — a gather envelope is just several of them — then stitch
+    /// when every partition is done.
+    fn on_read_result(&mut self, req: u64, response: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
         let Some(mut inflight) = self.inflight.take() else {
             return;
         };
@@ -1576,23 +1391,42 @@ impl ClientActor {
             self.inflight = Some(inflight);
             return;
         };
-        let Some(pending) = session.outstanding.get(&req).copied() else {
+        let owed: Vec<(ClusterId, Pending)> = session
+            .parts
+            .iter()
+            .filter_map(|p| p.pending.filter(|s| s.req == req).map(|s| (p.cluster, s)))
+            .collect();
+        if owed.is_empty() {
             // Late duplicate from a previous round/page — ignore.
             inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
             return;
-        };
-        let response = result;
+        }
         // Responses travel untraced (their transit is the trace's
         // residual wire time), so the client's verification work is
         // recorded here, bracketing the verify charge below.
         let verify_from = ctx.now();
         self.metrics.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
         self.metrics.cert_checks_shared += charge_verification(ctx, &response);
-        if session.single_contact.is_some() {
-            self.on_gather_result(&mut session, req, pending, response, ctx);
-        } else {
-            self.on_part_result(&mut session, req, pending, response, ctx);
+        // A partition the envelope has no part for gets the empty
+        // answer, which no sub-query accepts.
+        let absent = ReadPayload::Point {
+            sections: Vec::new(),
+            fresh: None,
+        };
+        let mut all_verified = true;
+        for (cluster, pending) in &owed {
+            let answer = match &response {
+                ReadPayload::Gather { parts } => parts
+                    .iter()
+                    .find(|p| p.cluster == *cluster)
+                    .map_or(&absent, |p| &p.body),
+                whole => whole,
+            };
+            all_verified &= self.on_part_result(&mut session, *cluster, *pending, answer, ctx);
+        }
+        if all_verified && owed.len() > 1 {
+            self.stats.gathers_accepted += 1;
         }
         if let Some(tc) = session.query.trace {
             let me = NodeId::Client(self.id);
@@ -1641,18 +1475,8 @@ impl ClientActor {
                 // *newer* batch, so the held rows are re-proven at the
                 // new snapshot instead of refetched from page one.
                 session.restart_part(cluster, min_epoch, true);
-                let req = self.req_id();
                 let target = self.read_target(cluster, now);
-                session.outstanding.insert(
-                    req,
-                    SubPending {
-                        cluster,
-                        target,
-                        sent_at: now,
-                    },
-                );
-                let sub = session.subquery(cluster).expect("restarted part");
-                ctx.send(target, NetMsg::Read { req, query: sub });
+                self.dispatch(&mut session, &[cluster], target, ctx);
             }
             inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
@@ -1889,64 +1713,51 @@ impl Actor<NetMsg> for ClientActor {
             return;
         }
         // Retry timer for the op it was armed for.
-        let Some(inflight) = &mut self.inflight else {
+        let Some(mut inflight) = self.inflight.take() else {
             return;
         };
         if token != inflight.op_index as u64 + TIMER_BASE {
+            self.inflight = Some(inflight);
             return;
         }
+        let now = ctx.now();
         inflight.attempts += 1;
         if inflight.attempts > self.config.max_retries {
             // Give up: record as aborted.
             self.stats.gave_up += 1;
             if let Phase::Query(session) = &inflight.phase {
                 if let Some(tc) = session.query.trace {
-                    let now = ctx.now();
                     let me = NodeId::Client(self.id);
                     ctx.trace().marker(tc, SpanPhase::Queue, me, now, "gave-up");
                     ctx.trace().defer_complete(tc.trace, now);
                 }
             }
-            let sample = TxnSample {
+            self.samples.push(TxnSample {
                 kind: inflight.kind,
                 start: inflight.start,
-                end: ctx.now(),
+                end: now,
                 committed: false,
                 rot_round2: false,
                 rot_warm: false,
                 round1_latency: None,
-            };
-            self.samples.push(sample);
-            self.inflight = None;
+            });
             self.start_next_op(ctx);
             return;
         }
         self.stats.retries += 1;
-        let now = ctx.now();
-        if let Phase::Query(session) = &inflight.phase {
-            if let Some(tc) = session.query.trace {
-                ctx.trace()
-                    .marker(tc, SpanPhase::Queue, NodeId::Client(self.id), now, "retry");
-            }
-        }
         // Re-send whatever is outstanding.
-        let mut sends: Vec<(NodeId, NetMsg)> = Vec::new();
+        let n = self.topo.replicas_per_cluster();
         match &mut inflight.phase {
             Phase::ReadPhase { outstanding, .. } => {
                 for (req, key) in outstanding {
-                    let n = self.topo.replicas_per_cluster() as u64;
-                    self.read_rr += 1;
-                    let target = NodeId::Replica(ReplicaId::new(
-                        self.topo.partition_of(key),
-                        (self.read_rr % n) as u16,
-                    ));
-                    sends.push((
+                    let target = self.any_replica_of(self.topo.partition_of(key));
+                    ctx.send(
                         target,
                         NetMsg::OccRead {
                             req: *req,
                             key: key.clone(),
                         },
-                    ));
+                    );
                 }
             }
             Phase::CommitPhase { txn, coordinator } => {
@@ -1954,93 +1765,41 @@ impl Actor<NetMsg> for ClientActor {
                 // has clients contact f+1 nodes so a dead or byzantine
                 // leader cannot blackhole them (§3.3.1); replicas
                 // forward to their current leader.
-                let n = self.topo.replicas_per_cluster() as u32;
-                let target = ReplicaId::new(*coordinator, (inflight.attempts % n) as u16);
-                sends.push((
+                let target = ReplicaId::new(*coordinator, (inflight.attempts % n as u32) as u16);
+                ctx.send(
                     NodeId::Replica(target),
                     NetMsg::CommitRequest {
                         txn: txn.clone(),
                         reply_to: NodeId::Client(self.id),
                     },
-                ));
+                );
             }
             Phase::Query(session) => {
-                if session.single_contact.take().is_some() {
-                    // The single edge contact never answered: abandon
-                    // the gather (blaming the contact) and fan the
-                    // partitions out to real replicas — the same
-                    // fallback a rejected gather takes.
-                    self.stats.gather_fallbacks += 1;
-                    let abandoned: Vec<(u64, SubPending)> = session.outstanding.drain().collect();
-                    for (_, p) in abandoned {
-                        if matches!(p.target, NodeId::Edge(_)) {
-                            self.edge_selector.record_failure(p.cluster, p.target, now);
-                        }
-                    }
-                    let clusters: Vec<ClusterId> = session
-                        .parts
-                        .iter()
-                        .filter(|p| !p.done)
-                        .map(|p| p.cluster)
-                        .collect();
-                    let n = self.topo.replicas_per_cluster() as u32;
-                    for cluster in clusters {
-                        self.next_req += 1;
-                        let req = self.next_req;
-                        let target = NodeId::Replica(ReplicaId::new(
-                            cluster,
-                            (inflight.attempts % n) as u16,
-                        ));
-                        session.outstanding.insert(
-                            req,
-                            SubPending {
-                                cluster,
-                                target,
-                                sent_at: now,
-                            },
-                        );
-                        if let Some(sub) = session.subquery(cluster) {
-                            sends.push((target, NetMsg::Read { req, query: sub }));
-                        }
-                    }
-                    let token = inflight.op_index as u64 + TIMER_BASE;
-                    for (target, msg) in sends {
-                        ctx.send(target, msg);
-                    }
-                    ctx.set_timer(self.config.retry_after, token);
-                    return;
+                if let Some(tc) = session.query.trace {
+                    ctx.trace()
+                        .marker(tc, SpanPhase::Queue, NodeId::Client(self.id), now, "retry");
                 }
-                let resend: Vec<(u64, ClusterId)> = session
-                    .outstanding
+                let unanswered: Vec<(ClusterId, Pending)> = session
+                    .parts
                     .iter()
-                    .map(|(req, p)| (*req, p.cluster))
+                    .filter_map(|p| p.pending.map(|s| (p.cluster, s)))
                     .collect();
-                for (req, cluster) in resend {
-                    let pending = session.outstanding.get_mut(&req).expect("just listed");
+                for (cluster, pending) in unanswered {
                     // An unanswered edge request counts against the
                     // edge (crash/partition suspicion) — enough of them
                     // demote it and later picks route elsewhere.
-                    if matches!(pending.target, NodeId::Edge(_)) {
+                    if let NodeId::Edge(edge) = pending.target {
                         self.edge_selector
-                            .record_failure(cluster, pending.target, now);
+                            .record_failure(edge.cluster, pending.target, now);
                     }
                     // Retries rotate over real replicas so a dead or
                     // byzantine edge cannot blackhole the client.
-                    let n = self.topo.replicas_per_cluster() as u32;
-                    let target =
-                        NodeId::Replica(ReplicaId::new(cluster, (inflight.attempts % n) as u16));
-                    pending.target = target;
-                    pending.sent_at = now;
-                    if let Some(sub) = session.subquery(cluster) {
-                        sends.push((target, NetMsg::Read { req, query: sub }));
-                    }
+                    let replica = ReplicaId::new(cluster, (inflight.attempts % n as u32) as u16);
+                    self.dispatch(session, &[cluster], NodeId::Replica(replica), ctx);
                 }
             }
         }
-        for (target, msg) in sends {
-            ctx.send(target, msg);
-        }
-        let token = inflight.op_index as u64 + TIMER_BASE;
         ctx.set_timer(self.config.retry_after, token);
+        self.inflight = Some(inflight);
     }
 }

@@ -1,16 +1,14 @@
 //! Typed, validated deployment configuration for the edge tier and
 //! the scripted clients.
 //!
-//! [`EdgeConfig`] replaces the grown-by-accretion `EdgePlan` setter
-//! chain (`with_byzantine`, `with_directory`, `with_feed`,
-//! `with_cache_shards`, …) with one builder that groups related knobs
-//! into typed sub-configs — [`CacheConfig`] for replay-cache sizing,
-//! [`DirectoryPlan`]/[`FeedPlan`] for the gossip and feed subsystems,
-//! [`PersistPlan`] for the durable snapshot plane — and validates the
-//! combination once, at [`EdgeConfigBuilder::build`], instead of
-//! letting an impossible mix (a byzantine override for an edge that
-//! does not exist, a zero-shard cache, hydration without persistence)
-//! surface as a confusing runtime failure deep inside a harness.
+//! [`EdgeConfig`] is one builder that groups related knobs into typed
+//! sub-configs — [`CacheConfig`] for replay-cache sizing,
+//! [`DirectoryPlan`]/[`FeedPlan`] for the gossip and feed subsystems —
+//! and validates the combination once, at [`EdgeConfigBuilder::build`],
+//! instead of letting an impossible mix (a byzantine override for an
+//! edge that does not exist, a zero-capacity cache, a zero gossip
+//! period) surface as a confusing runtime failure deep inside a
+//! harness.
 //!
 //! [`ClientProfile`] does the same for the ad-hoc client booleans:
 //! instead of mutating `ClientConfig` fields one by one, a harness
@@ -21,7 +19,6 @@
 use std::fmt;
 
 use transedge_common::{EdgeId, SimDuration};
-use transedge_edge::{PersistPlan, DEFAULT_SHARD_COUNT};
 
 use crate::client::ClientConfig;
 use crate::edge_node::{DirectoryPlan, EdgeBehavior, FeedPlan};
@@ -33,10 +30,6 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Certified headers each edge node retains.
     pub max_batches: usize,
-    /// Cluster-hash shards each edge's per-partition replay caches
-    /// spread over (lock-striping knob; see
-    /// [`transedge_edge::ShardedReplayCache`]).
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
@@ -44,7 +37,6 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: transedge_edge::pipeline::DEFAULT_CACHE_CAPACITY,
             max_batches: 64,
-            shards: DEFAULT_SHARD_COUNT,
         }
     }
 }
@@ -63,19 +55,16 @@ pub struct EdgeConfig {
     /// upstream instead (must sit well inside the clients' freshness
     /// window so honest replays are never rejected as stale).
     pub replay_staleness: SimDuration,
-    /// Route clients' read-only rounds through the edge tier (clients
-    /// still fall back to replicas on verification failures/retries).
-    pub route_clients: bool,
     /// Byzantine behaviour overrides for specific edge nodes.
     pub byzantine: Vec<(EdgeId, EdgeBehavior)>,
-    /// Gossiped health/coverage directory + edge-tier scatter-gather.
+    /// Gossiped health/coverage directory.
     pub directory: DirectoryPlan,
     /// Certified commit-feed subscription (push invalidation +
     /// freshness attachments).
     pub feed: FeedPlan,
     /// Durable snapshot store: spill-on-admission, verified hydration
     /// on restart, sibling state-transfer when cold.
-    pub persistence: PersistPlan,
+    pub persistent: bool,
 }
 
 impl EdgeConfig {
@@ -85,11 +74,10 @@ impl EdgeConfig {
             per_cluster: 0,
             cache: CacheConfig::default(),
             replay_staleness: SimDuration::from_secs(10),
-            route_clients: true,
             byzantine: Vec::new(),
             directory: DirectoryPlan::disabled(),
             feed: FeedPlan::disabled(),
-            persistence: PersistPlan::disabled(),
+            persistent: false,
         }
     }
 
@@ -120,19 +108,12 @@ impl EdgeConfig {
 /// What [`EdgeConfigBuilder::build`] refuses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The replay cache must spread over at least one shard.
-    NoCacheShards,
     /// A deployed edge tier needs a non-zero fragment capacity.
     NoCacheCapacity,
     /// A deployed edge tier needs a non-zero replay-staleness floor.
     ZeroReplayStaleness,
     /// A byzantine override names an edge the plan does not deploy.
     ByzantineOutOfRange(EdgeId),
-    /// Hydration or sibling transfer requested with the persistence
-    /// plane off — nothing would ever be spilled to hydrate from.
-    PersistenceGatesClosed,
-    /// The persistence plane retains zero objects per cluster.
-    ZeroSpillThreshold,
     /// The gossip directory is enabled with a zero anti-entropy period.
     ZeroGossipInterval,
     /// The commit feed is enabled with a zero lease-renewal period.
@@ -142,7 +123,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::NoCacheShards => write!(f, "replay cache needs at least one shard"),
             ConfigError::NoCacheCapacity => {
                 write!(f, "deployed edge tier needs a non-zero cache capacity")
             }
@@ -154,13 +134,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ByzantineOutOfRange(edge) => {
                 write!(f, "byzantine override for undeployed edge {edge:?}")
-            }
-            ConfigError::PersistenceGatesClosed => write!(
-                f,
-                "hydrate_on_start/sibling_transfer require the persistence plane enabled"
-            ),
-            ConfigError::ZeroSpillThreshold => {
-                write!(f, "enabled persistence plane retains zero objects")
             }
             ConfigError::ZeroGossipInterval => {
                 write!(f, "enabled directory needs a non-zero gossip interval")
@@ -194,21 +167,9 @@ impl EdgeConfigBuilder {
         self
     }
 
-    /// Override only the replay-cache shard count.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config.cache.shards = shards;
-        self
-    }
-
     /// Replay-staleness floor.
     pub fn replay_staleness(mut self, staleness: SimDuration) -> Self {
         self.config.replay_staleness = staleness;
-        self
-    }
-
-    /// Route clients through the edge tier (on by default).
-    pub fn route_clients(mut self, route: bool) -> Self {
-        self.config.route_clients = route;
         self
     }
 
@@ -218,22 +179,10 @@ impl EdgeConfigBuilder {
         self
     }
 
-    /// Install a directory plan verbatim.
-    pub fn directory(mut self, directory: DirectoryPlan) -> Self {
-        self.config.directory = directory;
-        self
-    }
-
-    /// Run the gossip directory (anti-entropy push every `interval`)
-    /// with edge-tier scatter-gather forwarding; clients take part.
+    /// Run the gossip directory (anti-entropy push every `interval`);
+    /// clients take part.
     pub fn gossip_directory(mut self, interval: SimDuration) -> Self {
         self.config.directory = DirectoryPlan::gossip(interval);
-        self
-    }
-
-    /// Install a feed plan verbatim.
-    pub fn feed(mut self, feed: FeedPlan) -> Self {
-        self.config.feed = feed;
         self
     }
 
@@ -244,25 +193,16 @@ impl EdgeConfigBuilder {
         self
     }
 
-    /// Install a persistence plan verbatim.
-    pub fn persistence(mut self, persistence: PersistPlan) -> Self {
-        self.config.persistence = persistence;
-        self
-    }
-
     /// Turn on the full persistence plane (spill on admission, verified
     /// hydration on restart, sibling bootstrap when cold).
     pub fn persistent(mut self) -> Self {
-        self.config.persistence = PersistPlan::enabled();
+        self.config.persistent = true;
         self
     }
 
     /// Validate and return the configuration.
     pub fn build(self) -> Result<EdgeConfig, ConfigError> {
         let c = &self.config;
-        if c.cache.shards == 0 {
-            return Err(ConfigError::NoCacheShards);
-        }
         if c.per_cluster > 0 {
             if c.cache.capacity == 0 {
                 return Err(ConfigError::NoCacheCapacity);
@@ -275,13 +215,6 @@ impl EdgeConfigBuilder {
             if edge.index as usize >= c.per_cluster {
                 return Err(ConfigError::ByzantineOutOfRange(*edge));
             }
-        }
-        let p = &c.persistence;
-        if !p.enabled && (p.hydrate_on_start || p.sibling_transfer) {
-            return Err(ConfigError::PersistenceGatesClosed);
-        }
-        if p.enabled && p.spill_threshold == 0 {
-            return Err(ConfigError::ZeroSpillThreshold);
         }
         if c.directory.enabled && c.directory.gossip_interval == SimDuration::ZERO {
             return Err(ConfigError::ZeroGossipInterval);
@@ -376,10 +309,6 @@ mod tests {
     #[test]
     fn builder_validates_combinations() {
         assert!(EdgeConfig::builder().per_cluster(2).build().is_ok());
-        assert_eq!(
-            EdgeConfig::builder().cache_shards(0).build().unwrap_err(),
-            ConfigError::NoCacheShards
-        );
         let byz = EdgeId::new(ClusterId(0), 5);
         assert_eq!(
             EdgeConfig::builder()
@@ -388,27 +317,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::ByzantineOutOfRange(byz)
-        );
-        // Hydration without the master switch is refused, not ignored.
-        let mut plan = PersistPlan::disabled();
-        plan.hydrate_on_start = true;
-        assert_eq!(
-            EdgeConfig::builder()
-                .per_cluster(1)
-                .persistence(plan)
-                .build()
-                .unwrap_err(),
-            ConfigError::PersistenceGatesClosed
-        );
-        let mut plan = PersistPlan::enabled();
-        plan.spill_threshold = 0;
-        assert_eq!(
-            EdgeConfig::builder()
-                .per_cluster(1)
-                .persistence(plan)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroSpillThreshold
         );
     }
 

@@ -12,16 +12,18 @@
 //! of the home cluster (or a sibling edge) and the certified answer
 //! absorbed on the way back.
 //!
-//! Two subsystems ride on top of the replay path:
+//! Three subsystems ride on top of the replay path:
 //!
 //! * **Edge-tier scatter-gather** — a cross-partition [`ReadQuery`]
-//!   arriving at one edge is split into per-partition sub-queries,
-//!   served from the edge's own per-cluster caches where possible and
-//!   forwarded to sibling edges (picked by directory coverage hints) or
-//!   remote replicas otherwise, then returned as one stitched
-//!   `ReadResponse::Gather` — the client contacts *one* edge for a
-//!   multi-partition query, and still verifies every part against its
-//!   own partition's certified root.
+//!   arriving at one edge is split into per-partition sub-queries, each
+//!   run in-process through the ordinary serving path with a gather
+//!   slot as its reply address (`ReplyTo`): served from the edge's
+//!   own per-cluster caches where possible and forwarded to sibling
+//!   edges (picked by directory coverage hints) or remote replicas
+//!   otherwise, then returned as one `ReadResponse::Gather` envelope —
+//!   the client contacts *one* edge for a multi-partition query, and
+//!   still verifies every part against its own partition's certified
+//!   root.
 //! * **Gossiped health/coverage directory** — each edge runs a
 //!   [`DirectoryAgent`], refreshes a signed self-observation with its
 //!   cache coverage every gossip round, and pushes a *delta* (records
@@ -53,9 +55,9 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::{CoverageSummary, DirectoryAgent};
 use transedge_edge::{
-    is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PersistPlan, QueryShape,
-    ReadQuery, ReadVerifier, ReplayCache, ShardedReplayCache, SnapshotObject, SnapshotPolicy,
-    SnapshotStore, VerifyParams,
+    is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape,
+    ReadQuery, ReadVerifier, ReplayCache, SnapshotObject, SnapshotPolicy, SnapshotStore,
+    VerifyParams, DEFAULT_SPILL_THRESHOLD,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
@@ -122,36 +124,32 @@ pub fn coalition_root(num: BatchNum) -> Digest {
     Digest(d)
 }
 
-/// The edge directory/forwarding configuration of a deployment.
+/// The gossip-directory configuration of a deployment's edges.
 #[derive(Clone, Debug)]
 pub struct DirectoryPlan {
-    /// Run the gossip directory at all.
+    /// Run the gossip directory at all. Without it foreign gather
+    /// parts go to the partition's replicas instead of a
+    /// coverage-ranked sibling.
     pub enabled: bool,
     /// Anti-entropy period (each edge pushes a delta — missing records
     /// plus a state summary — to one rotating peer per round).
     pub gossip_interval: SimDuration,
-    /// Serve cross-partition queries through one edge contact
-    /// (edge-tier scatter-gather) instead of dropping them.
-    pub forwarding: bool,
 }
 
 impl DirectoryPlan {
-    /// No directory, no forwarding (the pre-directory deployment
-    /// shape; cross-partition queries fan out from the client).
+    /// No directory (the pre-directory deployment shape).
     pub fn disabled() -> Self {
         DirectoryPlan {
             enabled: false,
             gossip_interval: SimDuration::from_millis(50),
-            forwarding: false,
         }
     }
 
-    /// Gossip + edge-tier forwarding at the given push period.
+    /// Gossip at the given push period.
     pub fn gossip(interval: SimDuration) -> Self {
         DirectoryPlan {
             enabled: true,
             gossip_interval: interval,
-            forwarding: true,
         }
     }
 }
@@ -194,9 +192,6 @@ pub struct EdgeNodeParams {
     pub cache_capacity: usize,
     /// Certified headers retained per cluster cache.
     pub max_cached_batches: usize,
-    /// Cluster-hash shards the per-partition replay caches spread over
-    /// (plumbed from [`crate::config::CacheConfig::shards`]).
-    pub cache_shards: usize,
     /// Cached bundles older than this are not replayed; the request is
     /// forwarded upstream instead, refreshing the cache.
     pub replay_staleness: SimDuration,
@@ -204,13 +199,13 @@ pub struct EdgeNodeParams {
     pub tree_depth: u32,
     /// Deployment freshness window (evidence re-verification).
     pub freshness_window: SimDuration,
-    /// Gossip directory + edge-tier forwarding.
+    /// Gossip directory.
     pub directory: DirectoryPlan,
     /// Certified commit-feed subscription.
     pub feed: FeedPlan,
     /// Durable snapshot store: spill-on-admission, verified hydration
     /// on restart, sibling state-transfer when cold.
-    pub persistence: PersistPlan,
+    pub persistent: bool,
     /// Every edge in the deployment (gossip peers and forwarding
     /// bootstrap; the directory's coverage hints refine the choice).
     pub peers: Vec<EdgeId>,
@@ -363,10 +358,18 @@ impl EdgeNodeStats {
     }
 }
 
-/// A client request waiting on an upstream answer.
+/// Where a served answer goes: out to whoever asked, or — for a
+/// sub-query this node split off a cross-partition query — into its
+/// slot of the in-flight gather, in-process.
+#[derive(Clone, Copy)]
+enum ReplyTo {
+    Node { to: NodeId, req: u64 },
+    Gather { gather: u64, cluster: ClusterId },
+}
+
+/// A request waiting on an upstream answer.
 struct PendingRequest {
-    client: NodeId,
-    client_req: u64,
+    reply: ReplyTo,
     /// Cached sections reserved for a partial assembly, awaiting the
     /// upstream fill pinned at their batch. Empty for plain
     /// pass-through forwards.
@@ -381,29 +384,21 @@ struct GatherState {
     parts: Vec<(ClusterId, Option<ReadPayload>)>,
 }
 
-/// sub-request id → which gather and partition it answers.
-#[derive(Clone, Copy)]
-struct GatherSub {
-    gather: u64,
-    cluster: ClusterId,
-}
-
 /// The actor.
 pub struct EdgeReadNode {
     pub me: EdgeId,
     topo: ClusterTopology,
     keys: KeyStore,
     behavior: EdgeBehavior,
-    /// One replay cache per partition, spread over cluster-hash shards
-    /// ([`ShardedReplayCache`]): the home cluster's fills from normal
-    /// traffic, foreign clusters' from couriered gather parts — which
-    /// is what makes a warm single-contact query one LAN hop.
-    caches: ShardedReplayCache<CommittedHeader>,
+    /// One replay cache per partition: the home cluster's fills from
+    /// normal traffic, foreign clusters' from couriered gather parts —
+    /// which is what makes a warm single-contact query one LAN hop.
+    caches: PartitionCaches<CommittedHeader>,
     replay_staleness: SimDuration,
     tree_depth: u32,
     directory_plan: DirectoryPlan,
     feed_plan: FeedPlan,
-    persistence: PersistPlan,
+    persistent: bool,
     /// The durable half of the node. In the simulation this value is
     /// what "survives the crash": [`crate::setup::Deployment`] extracts
     /// it before tearing the actor down and hands it back to the
@@ -414,10 +409,8 @@ pub struct EdgeReadNode {
     verifier: ReadVerifier,
     peers: Vec<EdgeId>,
     directory: Option<DirectoryAgent<CommittedHeader>>,
-    /// upstream req id → the client request it answers.
+    /// upstream req id → the request it answers.
     pending: HashMap<u64, PendingRequest>,
-    /// sub-request id → the gather it belongs to.
-    gather_subs: HashMap<u64, GatherSub>,
     gathers: HashMap<u64, GatherState>,
     next_req: u64,
     next_gather: u64,
@@ -450,22 +443,17 @@ impl EdgeReadNode {
             topo,
             keys,
             behavior: params.behavior,
-            caches: ShardedReplayCache::new(
-                params.cache_shards,
-                params.cache_capacity,
-                params.max_cached_batches,
-            ),
+            caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
             replay_staleness: params.replay_staleness,
             tree_depth: params.tree_depth,
             directory_plan: params.directory,
             feed_plan: params.feed,
-            store: SnapshotStore::new(params.persistence.spill_threshold),
-            persistence: params.persistence,
+            store: SnapshotStore::new(DEFAULT_SPILL_THRESHOLD),
+            persistent: params.persistent,
             verifier,
             peers: params.peers,
             directory,
             pending: HashMap::new(),
-            gather_subs: HashMap::new(),
             gathers: HashMap::new(),
             next_req: 0,
             next_gather: 0,
@@ -509,9 +497,10 @@ impl EdgeReadNode {
             .unwrap_or_default()
     }
 
-    /// The sharded replay-cache layout (shard spread diagnostics).
-    pub fn cache_shards(&self) -> &ShardedReplayCache<CommittedHeader> {
-        &self.caches
+    /// Partitions this node holds a replay cache for (its own plus
+    /// every one it has couriered a gather part of).
+    pub fn cached_partitions(&self) -> usize {
+        self.caches.partition_count()
     }
 
     /// The durable snapshot store (spill/dedup/prune counters, fault
@@ -531,10 +520,7 @@ impl EdgeReadNode {
     /// survives and is handed to the restarted replacement via
     /// [`EdgeReadNode::restore_store`].
     pub fn take_store(&mut self) -> SnapshotStore<CommittedHeader> {
-        std::mem::replace(
-            &mut self.store,
-            SnapshotStore::new(self.persistence.spill_threshold),
-        )
+        std::mem::replace(&mut self.store, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD))
     }
 
     /// Attach a store that survived a crash. Must run before the actor
@@ -555,9 +541,6 @@ impl EdgeReadNode {
     /// candidate is evidenced-byzantine or locally struck.
     fn sibling_for(&self, cluster: ClusterId) -> Option<NodeId> {
         let agent = self.directory.as_ref()?;
-        if !self.directory_plan.forwarding {
-            return None;
-        }
         if let Some(edge) = agent.best_edge_for(cluster, &[self.me]) {
             return Some(NodeId::Edge(edge));
         }
@@ -685,23 +668,24 @@ impl EdgeReadNode {
         Some(feed)
     }
 
+    /// Hand a finished answer to its reply address.
+    fn deliver(&mut self, reply: ReplyTo, result: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
+        match reply {
+            ReplyTo::Node { to, req } => ctx.send(to, NetMsg::ReadResult { req, result }),
+            ReplyTo::Gather { gather, cluster } => {
+                self.on_gather_part(gather, cluster, result, ctx)
+            }
+        }
+    }
+
     fn respond_scan(
         &mut self,
-        to: NodeId,
-        req: u64,
+        reply: ReplyTo,
         bundle: RotScanBundle,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let bundle = self.corrupt_scan(bundle);
-        ctx.send(
-            to,
-            NetMsg::ReadResult {
-                req,
-                result: ReadPayload::Scan {
-                    bundle: Box::new(bundle),
-                },
-            },
-        );
+        let bundle = Box::new(self.corrupt_scan(bundle));
+        self.deliver(reply, ReadPayload::Scan { bundle }, ctx);
     }
 
     /// Send point sections (a full replay, a pass-through, or cached
@@ -710,8 +694,7 @@ impl EdgeReadNode {
     /// exactly what a lying edge controls.
     fn respond(
         &mut self,
-        to: NodeId,
-        req: u64,
+        reply: ReplyTo,
         mut sections: Vec<RotSection>,
         fresh: Option<Vec<RotDelta>>,
         ctx: &mut Context<'_, NetMsg>,
@@ -723,13 +706,7 @@ impl EdgeReadNode {
         if fresh.is_some() {
             self.stats.freshness_attached += 1;
         }
-        ctx.send(
-            to,
-            NetMsg::ReadResult {
-                req,
-                result: ReadPayload::Point { sections, fresh },
-            },
-        );
+        self.deliver(reply, ReadPayload::Point { sections, fresh }, ctx);
     }
 
     /// Register an upstream request, bounding the pending map: upstream
@@ -758,8 +735,7 @@ impl EdgeReadNode {
     /// foreign partitions reached through a gather.
     fn forward_upstream(
         &mut self,
-        from: NodeId,
-        req: u64,
+        reply: ReplyTo,
         cluster: ClusterId,
         mut query: ReadQuery,
         ctx: &mut Context<'_, NetMsg>,
@@ -773,8 +749,7 @@ impl EdgeReadNode {
             ctx.trace().marker(tc, SpanPhase::Serve, me, now, "forward");
         }
         let upstream_req = self.track_pending(PendingRequest {
-            client: from,
-            client_req: req,
+            reply,
             partial: Vec::new(),
         });
         let upstream = if cluster == self.me.cluster {
@@ -852,11 +827,12 @@ impl EdgeReadNode {
     }
 
     /// Edge-tier scatter-gather: split a cross-partition query into
-    /// per-partition sub-queries and loop each through this node's own
-    /// serving path (self-addressed sends), which answers from the
-    /// per-cluster caches or forwards to siblings/replicas. The parts
-    /// are stitched into one `ReadResponse::Gather` when all arrive;
-    /// a lost part is covered by the client's retry fallback.
+    /// per-partition sub-queries and run each through this node's
+    /// ordinary serving path with its gather slot as the reply address
+    /// — answered from the per-cluster caches on the spot, or forwarded
+    /// to siblings/replicas and slotted when the answer returns. The
+    /// envelope leaves when the last slot fills; a part lost upstream
+    /// is covered by the client's resend.
     fn on_gather_query(
         &mut self,
         from: NodeId,
@@ -873,79 +849,53 @@ impl EdgeReadNode {
             for id in &ids[..MAX_GATHERS / 2] {
                 self.gathers.remove(id);
             }
-            let gathers = &self.gathers;
-            self.gather_subs
-                .retain(|_, sub| gathers.contains_key(&sub.gather));
         }
         self.next_gather += 1;
         let gather = self.next_gather;
-        // Sub-queries hang off this gather's serve span, not the
-        // client root, so the trace tree mirrors the forwarding fan.
-        let mut query = query;
-        if query.trace.is_some() {
-            query.trace = ctx.trace_here().or(query.trace);
-        }
-        let mut parts = Vec::with_capacity(clusters.len());
-        let mut subs = Vec::with_capacity(clusters.len());
-        for cluster in clusters {
-            parts.push((cluster, None));
-            if cluster != self.me.cluster {
-                self.stats.foreign_subs += 1;
-            }
-            self.next_req += 1;
-            let sub_req = self.next_req;
-            self.gather_subs
-                .insert(sub_req, GatherSub { gather, cluster });
-            subs.push((sub_req, self.subquery_for(&query, cluster)));
-        }
         self.gathers.insert(
             gather,
             GatherState {
                 client: from,
                 client_req: req,
-                parts,
+                parts: clusters.iter().map(|c| (*c, None)).collect(),
             },
         );
-        for (sub_req, sub) in subs {
-            ctx.send(
-                NodeId::Edge(self.me),
-                NetMsg::Read {
-                    req: sub_req,
-                    query: sub,
-                },
-            );
+        for cluster in clusters {
+            if cluster != self.me.cluster {
+                self.stats.foreign_subs += 1;
+            }
+            let sub = self.subquery_for(&query, cluster);
+            self.serve(ReplyTo::Gather { gather, cluster }, sub, ctx);
         }
     }
 
-    /// A gather sub-answer arrived (from our own serving path, a
-    /// sibling edge, or a replica): absorb foreign certified material
-    /// into the per-cluster caches, slot the part, and stitch when the
-    /// gather is complete.
+    /// A gather part is finished (served here, or returned by a
+    /// sibling edge or a replica): slot it, and send the envelope when
+    /// the gather is complete. Nothing is absorbed here — a part either
+    /// came *from* this node's caches or arrived through
+    /// `on_upstream_result`, which already admitted it (the coverage
+    /// this edge gains from couriering foreign parts).
     fn on_gather_part(
         &mut self,
-        sub: GatherSub,
+        gather: u64,
+        cluster: ClusterId,
         result: ReadPayload,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        // No absorption here: every sub-answer either came *from* this
-        // node's own caches (nothing new) or arrived through
-        // `on_upstream_result`, which already admitted it — including
-        // couriered foreign parts, the coverage this edge gains from
-        // serving gathers.
-        let Some(state) = self.gathers.get_mut(&sub.gather) else {
-            return; // trimmed or duplicate
+        let Some(state) = self.gathers.get_mut(&gather) else {
+            return; // trimmed
         };
         if let Some(slot) = state
             .parts
             .iter_mut()
-            .find(|(c, p)| *c == sub.cluster && p.is_none())
+            .find(|(c, p)| *c == cluster && p.is_none())
         {
             slot.1 = Some(result);
         }
         if state.parts.iter().any(|(_, p)| p.is_none()) {
             return;
         }
-        let state = self.gathers.remove(&sub.gather).expect("checked above");
+        let state = self.gathers.remove(&gather).expect("checked above");
         let parts: Vec<GatherPart<CommittedHeader>> = state
             .parts
             .into_iter()
@@ -964,6 +914,14 @@ impl EdgeReadNode {
         );
     }
 
+    /// Serve a single-partition query to `reply`.
+    fn serve(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
+        match &query.shape {
+            QueryShape::Point { .. } => self.on_point_query(reply, query, ctx),
+            QueryShape::Scan { .. } => self.on_scan_query(reply, query, ctx),
+        }
+    }
+
     /// Absorb certified material into the cache of whichever partition
     /// it belongs to, spilling each admitted object to the durable
     /// store when the persistence plane is on (content addressing makes
@@ -974,7 +932,7 @@ impl EdgeReadNode {
                 for section in sections {
                     let cluster = section.commitment.header.cluster;
                     self.cache_for(cluster).admit_section(section);
-                    if self.persistence.enabled {
+                    if self.persistent {
                         self.store.spill(SnapshotObject::Section(section.clone()));
                     }
                 }
@@ -982,7 +940,7 @@ impl EdgeReadNode {
             ReadPayload::Scan { bundle } => {
                 let cluster = bundle.commitment.header.cluster;
                 self.cache_for(cluster).admit_scan(bundle);
-                if self.persistence.enabled {
+                if self.persistent {
                     self.store.spill(SnapshotObject::Scan((**bundle).clone()));
                 }
             }
@@ -995,7 +953,7 @@ impl EdgeReadNode {
     /// Re-admit one verified object into its partition's replay cache.
     /// Free of `self` borrows on purpose: callers hold `self.store`
     /// immutably while admitting.
-    fn admit_object(caches: &mut ShardedReplayCache<CommittedHeader>, object: &RotSnapshot) {
+    fn admit_object(caches: &mut PartitionCaches<CommittedHeader>, object: &RotSnapshot) {
         let cache = caches.cache_for(object.cluster());
         match object {
             SnapshotObject::Section(section) => cache.admit_section(section),
@@ -1130,7 +1088,7 @@ impl EdgeReadNode {
             }
             Self::admit_object(&mut self.caches, &object);
             self.stats.sibling_objects_admitted += 1;
-            if self.persistence.enabled {
+            if self.persistent {
                 self.store.spill(object);
             }
         }
@@ -1139,13 +1097,7 @@ impl EdgeReadNode {
     /// Serve a point query from cache, partially assemble (cached
     /// sections + one pinned upstream section for the misses), or
     /// forward upstream.
-    fn on_point_query(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        query: ReadQuery,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
+    fn on_point_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
         let QueryShape::Point { keys } = &query.shape else {
             return;
         };
@@ -1159,7 +1111,7 @@ impl EdgeReadNode {
             // pass through — the replica either holds the batch or
             // parks.
             self.stats.forwarded += 1;
-            self.forward_upstream(from, req, cluster, query, ctx);
+            self.forward_upstream(reply, cluster, query, ctx);
             return;
         }
         let freshness_floor = SimTime(
@@ -1172,7 +1124,7 @@ impl EdgeReadNode {
                 .assemble(&keys, query.min_lce(), freshness_floor);
         let Some(anchor) = sections.first().map(|s| s.batch()) else {
             self.stats.forwarded += 1;
-            self.forward_upstream(from, req, cluster, query, ctx);
+            self.forward_upstream(reply, cluster, query, ctx);
             return;
         };
         self.stats.keys_from_cache += (keys.len() - missing.len()) as u64;
@@ -1185,7 +1137,7 @@ impl EdgeReadNode {
                 .fresh
                 .then(|| self.cache_for(cluster).freshness_since(anchor, &keys))
                 .flatten();
-            self.respond(from, req, sections, fresh, ctx);
+            self.respond(reply, sections, fresh, ctx);
             return;
         }
         // Fetch only the misses, pinned at the anchor batch, so the
@@ -1196,8 +1148,7 @@ impl EdgeReadNode {
         self.stats.partial_assembled += 1;
         self.stats.keys_fetched_upstream += missing.len() as u64;
         let upstream_req = self.track_pending(PendingRequest {
-            client: from,
-            client_req: req,
+            reply,
             partial: sections,
         });
         let mut fill = ReadQuery::point(missing).with_policy(SnapshotPolicy::AtBatch(anchor));
@@ -1218,13 +1169,7 @@ impl EdgeReadNode {
     /// covering the page at the pinned batch (page continuations) or
     /// at any batch passing the LCE/staleness floors — or forward it
     /// upstream, absorbing the certified answer on the way back.
-    fn on_scan_query(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        query: ReadQuery,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
+    fn on_scan_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
         self.stats.scan_requests += 1;
         let cluster = self.home_cluster(&query);
         let Some(window) = query.scan_window() else {
@@ -1264,11 +1209,11 @@ impl EdgeReadNode {
                 });
             }
             self.stats.scans_from_cache += 1;
-            self.respond_scan(from, req, bundle, ctx);
+            self.respond_scan(reply, bundle, ctx);
             return;
         }
         self.stats.scans_forwarded += 1;
-        self.forward_upstream(from, req, cluster, query, ctx);
+        self.forward_upstream(reply, cluster, query, ctx);
     }
 
     fn on_upstream_result(&mut self, req: u64, result: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
@@ -1281,7 +1226,7 @@ impl EdgeReadNode {
         };
         match result {
             ReadPayload::Scan { bundle } => {
-                self.respond_scan(pending.client, pending.client_req, *bundle, ctx);
+                self.respond_scan(pending.reply, *bundle, ctx);
             }
             ReadPayload::Point { sections, .. } => {
                 // A pinned fill joins the cached sections reserved for
@@ -1290,38 +1235,30 @@ impl EdgeReadNode {
                 // the client verifies it end to end either way.
                 let mut all = pending.partial;
                 all.extend(sections);
-                self.respond(pending.client, pending.client_req, all, None, ctx);
+                self.respond(pending.reply, all, None, ctx);
             }
             // Only a byzantine sibling sends a nested gather; forward
             // it unmodified — the client's per-part shape check rejects
             // it and blames this path's contact.
-            ReadPayload::Gather { parts } => ctx.send(
-                pending.client,
-                NetMsg::ReadResult {
-                    req: pending.client_req,
-                    result: ReadPayload::Gather { parts },
-                },
-            ),
+            ReadPayload::Gather { parts } => {
+                self.deliver(pending.reply, ReadPayload::Gather { parts }, ctx)
+            }
         }
     }
 
     /// One anti-entropy round: refresh the signed self-observation with
     /// current cache coverage and push the digest to one rotating peer.
     fn gossip_round(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let coverage: Vec<CoverageSummary> = {
-            let mut summaries: Vec<CoverageSummary> = self
-                .caches
-                .iter()
-                .map(|(cluster, cache)| CoverageSummary {
-                    cluster,
-                    newest_batch: cache.latest_batch().map(Epoch::from).unwrap_or(Epoch::NONE),
-                    fragments: cache.fragment_count() as u64,
-                    scan_windows: cache.scan_window_count() as u64,
-                })
-                .collect();
-            summaries.sort_by_key(|s| s.cluster);
-            summaries
-        };
+        let coverage: Vec<CoverageSummary> = self
+            .caches
+            .iter()
+            .map(|(cluster, cache)| CoverageSummary {
+                cluster,
+                newest_batch: cache.latest_batch().map(Epoch::from).unwrap_or(Epoch::NONE),
+                fragments: cache.fragment_count() as u64,
+                scan_windows: cache.scan_window_count() as u64,
+            })
+            .collect();
         let Some(agent) = &mut self.directory else {
             return;
         };
@@ -1395,13 +1332,9 @@ impl Actor<NetMsg> for EdgeReadNode {
         // through the verifier before anything else runs, and asks a
         // sibling for verified state if the disk yielded nothing —
         // so the first client request already finds a warm cache.
-        if self.persistence.enabled {
-            if self.persistence.hydrate_on_start {
-                self.hydrate(ctx);
-            }
-            if self.persistence.sibling_transfer {
-                self.request_sibling_transfer(ctx);
-            }
+        if self.persistent {
+            self.hydrate(ctx);
+            self.request_sibling_transfer(ctx);
         }
         if self.directory_plan.enabled {
             ctx.set_timer(self.directory_plan.gossip_interval, TOKEN_GOSSIP);
@@ -1416,19 +1349,13 @@ impl Actor<NetMsg> for EdgeReadNode {
         match msg {
             NetMsg::Read { req, query } => {
                 let clusters = self.plan_clusters(&query);
-                if clusters.len() > 1 && self.directory_plan.forwarding {
+                if clusters.len() > 1 {
                     self.on_gather_query(from, req, query, clusters, ctx);
-                    return;
-                }
-                match &query.shape {
-                    QueryShape::Point { .. } => self.on_point_query(from, req, query, ctx),
-                    QueryShape::Scan { .. } => self.on_scan_query(from, req, query, ctx),
+                } else {
+                    self.serve(ReplyTo::Node { to: from, req }, query, ctx);
                 }
             }
-            NetMsg::ReadResult { req, result } => match self.gather_subs.remove(&req) {
-                Some(sub) => self.on_gather_part(sub, result, ctx),
-                None => self.on_upstream_result(req, result, ctx),
-            },
+            NetMsg::ReadResult { req, result } => self.on_upstream_result(req, result, ctx),
             NetMsg::DirectoryGossip { digest } => {
                 if let Some(agent) = &mut self.directory {
                     // `ingest` verifies signatures, re-runs the

@@ -100,13 +100,12 @@ fn edge_node_params(config: &DeploymentConfig, id: EdgeId, peers: Vec<EdgeId>) -
         behavior: config.edge.behavior_of(id),
         cache_capacity: config.edge.cache.capacity,
         max_cached_batches: config.edge.cache.max_batches,
-        cache_shards: config.edge.cache.shards,
         replay_staleness: config.edge.replay_staleness,
         tree_depth: config.node.tree_depth,
         freshness_window: config.node.freshness_window,
         directory: config.edge.directory.clone(),
         feed: config.edge.feed.clone(),
-        persistence: config.edge.persistence,
+        persistent: config.edge.persistent,
         peers,
     }
 }
@@ -288,7 +287,7 @@ impl Deployment {
             }
             client_config.tree_depth = config.node.tree_depth;
             client_config.freshness_window = config.node.freshness_window;
-            if config.edge.per_cluster > 0 && config.edge.route_clients {
+            if config.edge.per_cluster > 0 {
                 // Every client knows every edge of each partition; its
                 // adaptive selector (seeded by client id) spreads load
                 // and fails over on latency, timeouts, or byzantine

@@ -5,7 +5,7 @@
 //! script length.
 
 use proptest::prelude::*;
-use transedge_common::{ClusterId, ClusterTopology, EdgeId, Key, SimTime};
+use transedge_common::{ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimTime};
 use transedge_core::client::ClientOp;
 use transedge_core::edge_node::EdgeBehavior;
 use transedge_core::setup::{Deployment, DeploymentConfig};
@@ -106,4 +106,60 @@ proptest! {
             "no single trace covers forward + rejection + demotion + retry"
         );
     }
+}
+
+/// A single-contact read is one tree too: the contact serves the
+/// split sub-queries inside the handler that received the query, so
+/// every forward hangs directly under that one serve span — no
+/// self-addressed hop sits between the gather and its parts.
+#[test]
+fn single_contact_sub_queries_hang_under_the_gather_serve_span() {
+    const OPS: usize = 3;
+    let mut config = DeploymentConfig::for_testing();
+    config.client.single_contact = true;
+    config.edge = EdgeConfig::honest(1);
+    let topo = config.topo.clone();
+    let mut keys = keys_on(&topo, ClusterId(0), 2);
+    keys.extend(keys_on(&topo, ClusterId(1), 2));
+    let script: Vec<ClientOp> = (0..OPS)
+        .map(|_| ClientOp::ReadOnly { keys: keys.clone() })
+        .collect();
+    let mut dep = Deployment::build(config, vec![script]);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let traces = dep.completed_traces();
+    assert_eq!(traces.len(), OPS);
+    let contact = NodeId::Edge(EdgeId::new(ClusterId(0), 0));
+    for trace in &traces {
+        assert_well_formed(trace);
+        // The contact handled exactly one traced message per read: the
+        // whole query, parented under the client's root.
+        let serves: Vec<_> = trace
+            .spans_of(SpanPhase::Serve)
+            .filter(|s| s.node == contact && s.label == "read-point")
+            .collect();
+        assert_eq!(serves.len(), 1, "{:#?}", trace.spans);
+        assert_eq!(serves[0].parent, Some(trace.root));
+        assert!(
+            trace
+                .spans_of(SpanPhase::Wire)
+                .all(|s| s.node != contact || s.parent == Some(trace.root)),
+            "the only traced message to the contact is the client's"
+        );
+    }
+    // The first read is cold: both parts miss and are forwarded, each
+    // forward marker and its wire hop a direct child of the gather's
+    // serve span.
+    let cold = &traces[0];
+    let gather = cold
+        .spans_of(SpanPhase::Serve)
+        .find(|s| s.node == contact && s.label == "read-point")
+        .expect("checked above");
+    let under_gather = |phase, label| {
+        cold.spans_of(phase)
+            .filter(|s| s.label == label && s.parent == Some(gather.id))
+            .count()
+    };
+    assert_eq!(under_gather(SpanPhase::Serve, "forward"), 2);
+    assert_eq!(under_gather(SpanPhase::Wire, "read-point"), 2);
 }

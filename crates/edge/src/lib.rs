@@ -39,8 +39,7 @@
 //!   holds no partition state and no keys, only the certified sections
 //!   and windows it absorbed from upstream, indexed per `(key, batch)`
 //!   and replayed to clients who verify them end to end;
-//!   [`replay::ShardedReplayCache`] spreads an edge's per-partition
-//!   caches over cluster-hash shards.
+//!   [`replay::PartitionCaches`] keeps one such cache per partition.
 //! * [`persist`] — the same two shapes as durable, content-addressed
 //!   objects, re-verified on hydration like any network response.
 //! * [`query`] — the unified typed read protocol: one
@@ -74,17 +73,15 @@ pub mod verifier;
 
 pub use cache::{CacheStats, LruCache};
 pub use persist::{
-    is_stale_only, readmit, verify_object, HeadRecord, HydrateReject, PersistPlan, PersistStats,
-    SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD,
+    is_stale_only, readmit, verify_object, HeadRecord, HydrateReject, PersistStats, SnapshotObject,
+    SnapshotStore, DEFAULT_SPILL_THRESHOLD,
 };
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
     GatherPart, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
     SnapshotPolicy,
 };
-pub use replay::{
-    ReplayCache, ReplayStats, ShardedReplayCache, DEFAULT_SHARD_COUNT, MAX_FEED_DELTAS,
-};
+pub use replay::{PartitionCaches, ReplayCache, ReplayStats, MAX_FEED_DELTAS};
 pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
     ScanBundle, ScanProof,

@@ -39,47 +39,6 @@ use crate::verifier::{ReadRejection, ReadVerifier};
 
 use transedge_storage::ObjectArchive;
 
-/// Persistence-plane configuration for one edge node. Constructed via
-/// the deployment-level `EdgeConfig` builder; the defaults here are
-/// what [`PersistPlan::enabled`] hands out.
-#[derive(Clone, Copy, Debug)]
-pub struct PersistPlan {
-    /// Master switch: spill admitted objects and keep HEAD records.
-    pub enabled: bool,
-    /// Re-admit the store's contents through the verifier on start.
-    pub hydrate_on_start: bool,
-    /// If the disk yields nothing servable, bootstrap by verified
-    /// state-transfer from a coverage-ranked sibling (chosen via the
-    /// gossiped directory) instead of faulting every read upstream.
-    pub sibling_transfer: bool,
-    /// Durable objects retained per cluster shard; the oldest spill
-    /// past it is pruned (retention, not invalidation).
-    pub spill_threshold: usize,
-}
-
-impl PersistPlan {
-    /// No persistence: today's purely in-memory edge.
-    pub fn disabled() -> Self {
-        PersistPlan {
-            enabled: false,
-            hydrate_on_start: false,
-            sibling_transfer: false,
-            spill_threshold: 0,
-        }
-    }
-
-    /// The full plane: spill on admission, hydrate on start, sibling
-    /// bootstrap when cold.
-    pub fn enabled() -> Self {
-        PersistPlan {
-            enabled: true,
-            hydrate_on_start: true,
-            sibling_transfer: true,
-            spill_threshold: DEFAULT_SPILL_THRESHOLD,
-        }
-    }
-}
-
 /// Default per-cluster retention: comfortably above a replay cache's
 /// working set (`max_batches` commitments × a few objects each).
 pub const DEFAULT_SPILL_THRESHOLD: usize = 256;

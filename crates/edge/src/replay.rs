@@ -10,7 +10,7 @@
 //! everything. This is WedgeChain's lazy-trust pattern applied to
 //! TransEdge's ROT protocol.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime};
 use transedge_consensus::Certificate;
@@ -93,27 +93,6 @@ impl transedge_obs::RegisterMetrics for ReplayStats {
         reg.counter(scope, "replay.freshness_attached", self.freshness_attached);
         reg.counter(scope, "replay.freshness_refused", self.freshness_refused);
         reg.counter(scope, "replay.evicted_entries", self.evicted_entries);
-    }
-}
-
-impl ReplayStats {
-    /// Sum `other` into `self` (shard aggregation).
-    pub fn absorb(&mut self, other: &ReplayStats) {
-        self.admitted += other.admitted;
-        self.replayed += other.replayed;
-        self.passes += other.passes;
-        self.partial += other.partial;
-        self.fragments_replayed += other.fragments_replayed;
-        self.scans_admitted += other.scans_admitted;
-        self.scans_replayed += other.scans_replayed;
-        self.scans_covered_by_wider += other.scans_covered_by_wider;
-        self.scan_passes += other.scan_passes;
-        self.deltas_applied += other.deltas_applied;
-        self.feed_resets += other.feed_resets;
-        self.fragments_invalidated += other.fragments_invalidated;
-        self.freshness_attached += other.freshness_attached;
-        self.freshness_refused += other.freshness_refused;
-        self.evicted_entries += other.evicted_entries;
     }
 }
 
@@ -565,92 +544,49 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     }
 }
 
-/// Shards an edge's per-partition replay caches by cluster hash.
-///
-/// An edge node fronting many partitions used to keep one flat
-/// partition → cache map; every request touched the same structure. In
-/// a real deployment that map is a lock, and the read path a contended
-/// hot path — so the caches are split into [`ShardedReplayCache::shard_count`]
-/// independent shards, a partition's cache living in the shard its
-/// cluster id hashes to. Requests for different shards never touch the
-/// same state; within a shard, partitions still get fully separate
-/// [`ReplayCache`]s (batch numbers are per-partition — sharing one
-/// cache across partitions would collide their batch spaces).
+/// An edge's replay caches, one per partition it has served or
+/// couriered. Partitions get fully separate [`ReplayCache`]s: batch
+/// numbers are per-partition, so sharing one cache across partitions
+/// would collide their batch spaces.
 #[derive(Clone, Debug)]
-pub struct ShardedReplayCache<H> {
-    shards: Vec<HashMap<ClusterId, ReplayCache<H>>>,
+pub struct PartitionCaches<H> {
+    caches: BTreeMap<ClusterId, ReplayCache<H>>,
     read_capacity: usize,
     max_batches: usize,
 }
 
-/// Default shard count: a power of two comfortably above the simulated
-/// partition counts, so partitions spread evenly.
-pub const DEFAULT_SHARD_COUNT: usize = 8;
-
-impl<H: BatchCommitment + Clone> ShardedReplayCache<H> {
-    /// `shards` independent shards; each partition's cache is created
-    /// on first touch with `read_capacity` fragments over
-    /// `max_batches` batches.
-    pub fn new(shards: usize, read_capacity: usize, max_batches: usize) -> Self {
-        ShardedReplayCache {
-            shards: (0..shards.max(1)).map(|_| HashMap::new()).collect(),
+impl<H: BatchCommitment + Clone> PartitionCaches<H> {
+    /// Each partition's cache is created on first touch with
+    /// `read_capacity` fragments over `max_batches` batches.
+    pub fn new(read_capacity: usize, max_batches: usize) -> Self {
+        PartitionCaches {
+            caches: BTreeMap::new(),
             read_capacity,
             max_batches,
         }
     }
 
-    /// Which shard `cluster` lives in (Fibonacci hashing of the id —
-    /// consecutive cluster ids land in different shards).
-    pub fn shard_of(&self, cluster: ClusterId) -> usize {
-        let h = (cluster.as_usize() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % self.shards.len()
-    }
-
     /// The partition's cache, created on first touch.
     pub fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache<H> {
-        let shard = self.shard_of(cluster);
         let (capacity, batches) = (self.read_capacity, self.max_batches);
-        self.shards[shard]
+        self.caches
             .entry(cluster)
             .or_insert_with(|| ReplayCache::new(capacity, batches))
     }
 
     /// The partition's cache, if it has ever been touched.
     pub fn get(&self, cluster: ClusterId) -> Option<&ReplayCache<H>> {
-        self.shards[self.shard_of(cluster)].get(&cluster)
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.caches.get(&cluster)
     }
 
     /// Partitions with a live cache.
     pub fn partition_count(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.caches.len()
     }
 
-    /// Partition caches per shard (diagnostics: how even the spread is).
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
-
-    /// Every live partition cache, in unspecified order (coverage
-    /// summaries sort on their own).
+    /// Every live partition cache, in cluster order.
     pub fn iter(&self) -> impl Iterator<Item = (ClusterId, &ReplayCache<H>)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(c, cache)| (*c, cache)))
-    }
-
-    /// Replay counters aggregated across every shard.
-    pub fn stats(&self) -> ReplayStats {
-        let mut total = ReplayStats::default();
-        for shard in &self.shards {
-            for cache in shard.values() {
-                total.absorb(&cache.stats);
-            }
-        }
-        total
+        self.caches.iter().map(|(c, cache)| (*c, cache))
     }
 }
 
@@ -669,7 +605,7 @@ mod tests {
             BatchNum(0)
         }
         fn merkle_root(&self) -> &transedge_crypto::Digest {
-            unreachable!("sharding tests never verify")
+            unreachable!("these tests never verify")
         }
         fn lce(&self) -> Epoch {
             Epoch::NONE
@@ -678,7 +614,7 @@ mod tests {
             SimTime::ZERO
         }
         fn certified_digest(&self) -> transedge_crypto::Digest {
-            unreachable!("sharding tests never verify")
+            unreachable!("these tests never verify")
         }
     }
 
@@ -726,42 +662,5 @@ mod tests {
         assert!(missing.is_empty());
         assert_eq!(sections.len(), 1);
         assert_eq!(sections[0].body.keys(), asked);
-    }
-
-    #[test]
-    fn shards_spread_partitions_and_isolate_caches() {
-        let mut sharded: ShardedReplayCache<Header> = ShardedReplayCache::new(8, 64, 4);
-        for c in 0..16u16 {
-            sharded.cache_for(ClusterId(c));
-        }
-        assert_eq!(sharded.partition_count(), 16);
-        // Fibonacci hashing spreads 16 consecutive ids over all 8
-        // shards, none empty and none hoarding.
-        let loads = sharded.shard_loads();
-        assert_eq!(loads.iter().sum::<usize>(), 16);
-        assert!(loads.iter().all(|&l| l > 0), "no empty shard: {loads:?}");
-        assert!(loads.iter().all(|&l| l <= 4), "no hot shard: {loads:?}");
-        // Same cluster → same shard and the same cache on every touch.
-        assert_eq!(
-            sharded.shard_of(ClusterId(3)),
-            sharded.shard_of(ClusterId(3))
-        );
-        sharded.cache_for(ClusterId(3)).stats.passes += 1;
-        assert_eq!(sharded.get(ClusterId(3)).unwrap().stats.passes, 1);
-        assert_eq!(sharded.get(ClusterId(4)).unwrap().stats.passes, 0);
-        assert_eq!(sharded.stats().passes, 1);
-    }
-
-    #[test]
-    fn sharded_stats_aggregate_all_partitions() {
-        let mut sharded: ShardedReplayCache<Header> = ShardedReplayCache::new(4, 64, 4);
-        for c in 0..6u16 {
-            let cache = sharded.cache_for(ClusterId(c));
-            cache.stats.replayed += u64::from(c);
-            cache.stats.partial += 1;
-        }
-        let total = sharded.stats();
-        assert_eq!(total.replayed, (0..6).sum::<u64>());
-        assert_eq!(total.partial, 6);
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! The same deployment serves a two-partition query through a single
 //! edge contact (edge-tier scatter-gather): the contact splits the
-//! query, forwards the foreign part across the tier, and stitches one
-//! response the client verifies per partition.
+//! query, forwards the foreign part across the tier, and returns the
+//! part answers in one envelope the client verifies per partition.
 //!
 //! ```bash
 //! cargo run --release --example edge_fleet
@@ -112,8 +112,8 @@ fn main() {
     );
     println!(
         "          {} cross-partition queries served via a single edge contact \
-         ({} accepted, {} fell back to fan-out)",
-        b.stats.gathers_sent, b.stats.gathers_accepted, b.stats.gather_fallbacks,
+         ({} verified in every part)",
+        b.stats.gathers_sent, b.stats.gathers_accepted,
     );
     assert!(a.stats.verification_failures >= 1);
     assert!(informed == dep.edge_ids.len());

@@ -22,7 +22,7 @@ fi
 # schema_version pins the shape below; bump both together.
 jq -e '
   .figure == "fig04_rot_latency"
-  and .schema_version == 10
+  and .schema_version == 11
   and (.clusters | length == 5)
   and ([.clusters[]
         | select(.twopc_ms > 0 and .transedge_ms > 0
@@ -76,7 +76,6 @@ jq -e '
   and (.throughput.p99_ms >= .throughput.p95_ms)
   and (.throughput.bytes_per_read > 0)
   and (.throughput.served_from_cache >= 1)
-  and (.throughput.cache_shards >= 1)
   and (.push.staleness_window_ms > 0)
   and (.push.deltas_received >= 1)
   and (.push.deltas_per_sec > 0)
@@ -111,4 +110,4 @@ jq -e '
   and (.scenarios.flash_crowd.rejected_reads == 0)
 ' "$BENCH_JSON" >/dev/null
 
-echo "ok: $BENCH_JSON matches bench schema v10"
+echo "ok: $BENCH_JSON matches bench schema v11"

@@ -1068,16 +1068,44 @@ fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
     }
 }
 
+/// Replica reads (`node.rot_served`) summed over one cluster.
+fn replica_reads(dep: &Deployment, cluster: ClusterId) -> u64 {
+    let reg = dep.metrics();
+    (0..dep.topo.replicas_per_cluster())
+        .map(|r| reg.counter_value(&format!("replica-{}-{r}", cluster.0), "node.rot_served"))
+        .sum()
+}
+
+/// Step the simulation until client 0 has `n` recorded query results.
+fn run_until_results(dep: &mut Deployment, n: usize) {
+    while dep.client(dep.client_ids[0]).query_results.len() < n {
+        assert!(dep.sim.step(), "simulation quiesced before {n} results");
+    }
+}
+
+/// Every recorded two-partition query result of client 0 spans both
+/// partitions and matches the preloaded ground truth.
+fn assert_two_partition_results_correct(dep: &Deployment) {
+    for q in &dep.client(dep.client_ids[0]).query_results {
+        assert_eq!(q.snapshot.len(), 2, "both partitions answered");
+        for (key, value) in &q.values {
+            let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            assert_eq!(value.as_ref(), want);
+        }
+    }
+}
+
 /// Edge-tier scatter-gather, honest half: a two-partition `ReadQuery`
 /// is served through a **single edge contact** — the edge splits it,
 /// forwards the foreign sub-query across the edge tier, and returns
-/// one stitched response whose parts the client verifies against each
-/// partition's own certified root.
+/// the part answers in one envelope, each verified by the client
+/// against its partition's own certified root.
 #[test]
 fn two_partition_query_served_through_single_edge_contact() {
     use transedge::common::SimDuration;
     use transedge::core::ReadQuery;
 
+    const OPS: u64 = 8;
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
@@ -1091,65 +1119,70 @@ fn two_partition_query_served_through_single_edge_contact() {
     let k0 = keys_on(&topo, ClusterId(0), 2);
     let k1 = keys_on(&topo, ClusterId(1), 1);
     let keys = vec![k0[0].clone(), k0[1].clone(), k1[0].clone()];
-    let ops: Vec<ClientOp> = (0..8)
+    let ops: Vec<ClientOp> = (0..OPS)
         .map(|_| ClientOp::Query {
             query: ReadQuery::point(keys.clone()),
         })
         .collect();
     let mut dep = Deployment::build(config, vec![ops]);
+    // The first query is cold (the contact forwards both parts); when
+    // it completes the second is already on the wire.
+    run_until_results(&mut dep, 1);
+    let cold = dep.metrics();
     dep.run_until_done(SimTime(600_000_000));
+    let done = dep.metrics();
+
+    // Every later query is fully warm and costs exactly client→contact
+    // plus contact→client: the contact serves both parts in-process, so
+    // no message's sender is its receiver and no part travels alone.
+    let sent = |kind: &str| {
+        let name = format!("net.{kind}.messages");
+        done.counter_value("net", &name) - cold.counter_value("net", &name)
+    };
+    assert_eq!(sent("read-point"), OPS - 2);
+    assert_eq!(sent("read-result-gather"), OPS - 1);
+    assert_eq!(sent("read-result-point"), 0);
 
     let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.stats.retries, 0);
     assert_eq!(client.stats.gave_up, 0);
-    assert!(
-        client.stats.gathers_sent >= 8,
-        "every cross-partition query goes to one contact (got {})",
-        client.stats.gathers_sent
+    assert_eq!(
+        client.stats.gathers_sent, OPS,
+        "every cross-partition query goes to one contact"
     );
-    assert!(
-        client.stats.gathers_accepted >= 8,
-        "every stitched response verifies end to end (got {})",
-        client.stats.gathers_accepted
+    assert_eq!(
+        client.stats.gathers_accepted, OPS,
+        "every part of every envelope verifies end to end"
     );
-    assert_eq!(client.stats.gather_fallbacks, 0);
     // The contact edge did the tier-side work: split, forwarded the
-    // foreign part, stitched.
-    let gather_requests: u64 = dep
-        .edge_ids
-        .iter()
-        .map(|e| dep.edge_node(*e).stats.gather_requests)
-        .sum();
-    let gather_completed: u64 = dep
-        .edge_ids
-        .iter()
-        .map(|e| dep.edge_node(*e).stats.gather_completed)
-        .sum();
-    let foreign_subs: u64 = dep
-        .edge_ids
-        .iter()
-        .map(|e| dep.edge_node(*e).stats.foreign_subs)
-        .sum();
-    assert!(gather_requests >= 8, "got {gather_requests}");
-    assert!(gather_completed >= 8, "got {gather_completed}");
-    assert!(foreign_subs >= 8, "each gather carries a foreign part");
+    // foreign part, filled the envelope.
+    let edge_sum = |f: fn(&transedge::core::edge_node::EdgeNodeStats) -> u64| -> u64 {
+        dep.edge_ids
+            .iter()
+            .map(|e| f(&dep.edge_node(*e).stats))
+            .sum()
+    };
+    assert_eq!(edge_sum(|s| s.gather_requests), OPS);
+    assert_eq!(edge_sum(|s| s.gather_completed), OPS);
+    assert_eq!(
+        edge_sum(|s| s.foreign_subs),
+        OPS,
+        "each gather carries a foreign part"
+    );
     // Results are complete, correct, and span both partitions.
-    assert_eq!(client.query_results.len(), 8);
-    let expected = dep.data.clone();
-    for q in &client.query_results {
-        assert_eq!(q.snapshot.len(), 2, "both partitions answered");
-        assert_eq!(q.values.len(), keys.len());
-        for (key, value) in &q.values {
-            let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            assert_eq!(value.as_ref(), want);
-        }
-    }
+    assert_eq!(client.query_results.len(), OPS as usize);
+    assert!(client
+        .query_results
+        .iter()
+        .all(|q| q.values.len() == keys.len()));
+    assert_two_partition_results_correct(&dep);
 }
 
 /// Edge-tier scatter-gather, byzantine half: the foreign partition's
-/// part of the stitched response is tampered by the byzantine sibling
-/// that served it. The client's per-part verification catches it,
-/// rejects the whole gather, falls back to the per-partition fan-out,
+/// part of the envelope is tampered by the byzantine sibling that
+/// served it. The client's per-part verification catches it, keeps the
+/// honest part, re-reads only the tampered partition from a replica,
 /// and completes with correct values — the forwarding tier is an
 /// untrusted courier, never a trust boundary.
 #[test]
@@ -1178,32 +1211,121 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
         })
         .collect();
     let mut dep = Deployment::build(config, vec![ops]);
-    dep.run_until_done(SimTime(600_000_000));
 
+    // The first query goes to the honest contact fronting partition 0,
+    // which couriers partition 1's part from the lying sibling.
+    run_until_results(&mut dep, 1);
     let client = dep.client(dep.client_ids[0]);
-    // The tampered forwarded section was caught inside the gather…
-    assert!(
-        client.stats.verification_failures >= 1,
-        "the tampered part must be rejected (failures {})",
-        client.stats.verification_failures
+    assert_eq!(
+        client.stats.verification_failures, 1,
+        "exactly the tampered part is rejected"
     );
-    assert!(
-        client.stats.gather_fallbacks >= 1,
-        "a rejected gather must fall back to the fan-out"
-    );
-    assert!(dep.edge_node(byz).stats.tampered >= 1);
-    // …and every query still completed with correct values.
+    assert_eq!(dep.edge_node(byz).stats.tampered, 1);
+    // The verified honest part was kept: partition 0's replicas served
+    // the contact's cold forward and nothing else, while partition 1's
+    // served the sibling's forward plus the client's re-read.
+    assert_eq!(replica_reads(&dep, ClusterId(0)), 1);
+    assert_eq!(replica_reads(&dep, ClusterId(1)), 2);
+    // The contact is blamed for what it couriered — shunned locally,
+    // but not convicted fleet-wide: it proved nothing false about its
+    // own partition.
+    let contact = transedge::common::NodeId::Edge(EdgeId::new(ClusterId(0), 0));
+    let health = client
+        .edge_selector
+        .health(ClusterId(0), contact)
+        .expect("contact is a registered target");
+    assert_eq!(health.total_rejections, 1);
+    assert_eq!(health.demotions, 1);
+    assert_eq!(client.stats.directory_evidence_sent, 0);
+
+    // …and every query still completes with correct values.
+    dep.run_until_done(SimTime(600_000_000));
+    let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.gave_up, 0);
     assert_eq!(client.query_results.len(), 6);
-    let expected = dep.data.clone();
-    for q in &client.query_results {
-        assert_eq!(q.snapshot.len(), 2);
-        for (key, value) in &q.values {
-            let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            assert_eq!(value.as_ref(), want);
-        }
-    }
+    assert_two_partition_results_correct(&dep);
     for s in &client.samples {
         assert!(s.committed, "read-only queries never abort");
     }
+}
+
+/// A multi-partition query reaching an edge *without* a directory is
+/// still split per partition (foreign parts go to their replicas):
+/// every part verifies first time instead of the edge answering for
+/// its home partition only and being blamed for the missing keys.
+#[test]
+fn single_contact_works_without_a_directory() {
+    use transedge::core::ReadQuery;
+
+    let mut config = DeploymentConfig::for_testing();
+    config.client.record_results = true;
+    config.client.single_contact = true;
+    config.edge = EdgeConfig::honest(1);
+    let topo = config.topo.clone();
+    let mut keys = keys_on(&topo, ClusterId(0), 2);
+    keys.extend(keys_on(&topo, ClusterId(1), 2));
+    let ops: Vec<ClientOp> = (0..5)
+        .map(|_| ClientOp::Query {
+            query: ReadQuery::point(keys.clone()),
+        })
+        .collect();
+    let mut dep = Deployment::build(config, vec![ops]);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let client = dep.client(dep.client_ids[0]);
+    assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.stats.retries, 0);
+    assert_eq!(client.stats.gathers_sent, 5);
+    assert_eq!(client.stats.gathers_accepted, 5);
+    assert_eq!(client.query_results.len(), 5);
+    assert_two_partition_results_correct(&dep);
+}
+
+/// A crashed single contact is handled by the ordinary resend path:
+/// each timeout re-asks the unanswered partitions of real replicas and
+/// counts against the contact, which is demoted once the failures
+/// reach the threshold — after which queries stop going to it.
+#[test]
+fn crashed_contact_is_resent_around_and_demoted() {
+    use transedge::common::NodeId;
+    use transedge::core::ReadQuery;
+
+    let mut config = DeploymentConfig::for_testing();
+    config.client.record_results = true;
+    config.client.single_contact = true;
+    config.edge = EdgeConfig::honest(1);
+    let threshold = u64::from(config.client.selector.failure_threshold);
+    let topo = config.topo.clone();
+    let mut keys = keys_on(&topo, ClusterId(0), 1);
+    keys.extend(keys_on(&topo, ClusterId(1), 1));
+    let ops: Vec<ClientOp> = (0..4)
+        .map(|_| ClientOp::Query {
+            query: ReadQuery::point(keys.clone()),
+        })
+        .collect();
+    let mut dep = Deployment::build(config, vec![ops]);
+    let contact = NodeId::Edge(EdgeId::new(ClusterId(0), 0));
+    dep.sim.crash_node(contact);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let client = dep.client(dep.client_ids[0]);
+    assert_eq!(client.stats.gave_up, 0);
+    assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.query_results.len(), 4);
+    // Each timeout blamed the contact once per partition it owed; the
+    // demotion landed when those reached the threshold, and the later
+    // queries picked partition 1's edge instead.
+    let health = client
+        .edge_selector
+        .health(ClusterId(0), contact)
+        .expect("contact is a registered target");
+    assert_eq!(health.successes, 0);
+    assert!(health.failures >= threshold, "got {}", health.failures);
+    assert_eq!(health.demotions, 1);
+    assert_eq!(
+        client.stats.retries,
+        threshold.div_ceil(2),
+        "one timeout per two failures until the demotion, none after"
+    );
+    assert_two_partition_results_correct(&dep);
 }
