@@ -37,7 +37,7 @@ use crate::batch::{CommittedHeader, ReadOp, Transaction, WriteOp};
 use crate::deps::{verify_dependencies, RotView};
 use crate::edge_select::{EdgeSelector, EdgeSelectorConfig};
 use crate::messages::{NetMsg, ReadPayload};
-use crate::metrics::{ClientMetrics, OpKind, QueryClass, TxnSample};
+use crate::metrics::{OpKind, TxnSample};
 
 /// One scripted client operation.
 #[derive(Clone, Debug)]
@@ -306,7 +306,6 @@ impl PartState {
 struct ReadSession {
     query: ReadQuery,
     origin: QueryOrigin,
-    class: QueryClass,
     round: u8,
     parts: Vec<PartState>,
     round1_done_at: Option<SimTime>,
@@ -593,6 +592,20 @@ pub struct ClientStats {
     pub directory_seeded: u64,
     /// Signed rejection-evidence records pushed into the gossip layer.
     pub directory_evidence_sent: u64,
+    /// Duplicate certificate checks skipped by the one-pass
+    /// verification charge (stitched sections and gather parts sharing
+    /// a content-identical commitment are charged one quorum check).
+    pub cert_checks_shared: u64,
+    /// Total wire bytes of every read response this client received
+    /// (structural sizes).
+    pub read_result_bytes: u64,
+    /// Responses whose attached delta-feed tail verified, upgrading the
+    /// partition view to the feed head (subscription mode).
+    pub freshness_upgrades: u64,
+    /// Queries whose round-2 MinEpoch re-fetch was eliminated because a
+    /// verified feed attachment already satisfied the dependency floor
+    /// the un-upgraded snapshot would have missed.
+    pub round2_skipped_by_feed: u64,
 }
 
 impl transedge_obs::RegisterMetrics for ClientStats {
@@ -621,6 +634,14 @@ impl transedge_obs::RegisterMetrics for ClientStats {
             scope,
             "client.directory_evidence_sent",
             self.directory_evidence_sent,
+        );
+        reg.counter(scope, "query.cert_checks_shared", self.cert_checks_shared);
+        reg.counter(scope, "query.read_result_bytes", self.read_result_bytes);
+        reg.counter(scope, "query.freshness_upgrades", self.freshness_upgrades);
+        reg.counter(
+            scope,
+            "query.round2_skipped_by_feed",
+            self.round2_skipped_by_feed,
         );
     }
 }
@@ -655,11 +676,6 @@ pub struct ClientActor {
     pub query_results: Vec<QueryOutcome>,
     pub txn_outcomes: Vec<TxnOutcome>,
     pub stats: ClientStats,
-    /// The consolidated read-protocol metrics snapshot (per-shape
-    /// counters + cross-cutting totals). Read through
-    /// [`ClientActor::metrics`] — the accessor API is the stable
-    /// surface.
-    metrics: ClientMetrics,
 }
 
 impl ClientActor {
@@ -711,13 +727,7 @@ impl ClientActor {
             query_results: Vec::new(),
             txn_outcomes: Vec::new(),
             stats: ClientStats::default(),
-            metrics: ClientMetrics::default(),
         }
-    }
-
-    /// The consolidated read-protocol metrics snapshot.
-    pub fn metrics(&self) -> &ClientMetrics {
-        &self.metrics
     }
 
     /// All scripted operations finished?
@@ -1006,25 +1016,17 @@ impl ClientActor {
                     .collect()
             }
         };
-        let kind = match query.shape {
-            QueryShape::Point { .. } => OpKind::ReadOnly,
-            QueryShape::Scan { .. } => OpKind::RangeScan,
-        };
-        let class = QueryClass {
-            scan: matches!(query.shape, QueryShape::Scan { .. }),
-            paginated: query.is_paginated(),
-            scatter: parts.len() > 1,
+        let (kind, trace_name) = match query.shape {
+            QueryShape::Point { .. } => (OpKind::ReadOnly, "rot"),
+            QueryShape::Scan { .. } => (OpKind::RangeScan, "scan"),
         };
         // Mint the causal trace for this operation. The context rides
         // every request hop; the whole tree is observational only.
         let trace_id = TraceId::for_op(self.id.0, op_index as u32);
         let minted_at = ctx.now();
-        let root = ctx.trace().begin(
-            trace_id,
-            NodeId::Client(self.id),
-            minted_at,
-            if class.scan { "scan" } else { "rot" },
-        );
+        let root = ctx
+            .trace()
+            .begin(trace_id, NodeId::Client(self.id), minted_at, trace_name);
         query.trace = Some(TraceContext {
             trace: trace_id,
             span: root,
@@ -1032,7 +1034,6 @@ impl ClientActor {
         let mut session = ReadSession {
             query,
             origin,
-            class,
             round: 1,
             parts,
             round1_done_at: None,
@@ -1170,7 +1171,7 @@ impl ClientActor {
                             .collect();
                         part.view = part.feed_cuts.last().cloned();
                     }
-                    self.metrics.freshness_upgrades += 1;
+                    self.stats.freshness_upgrades += 1;
                 }
                 part.values = values;
                 part.done = true;
@@ -1227,7 +1228,6 @@ impl ClientActor {
         let now = ctx.now();
         let sub = session.subquery(cluster);
         session.part_mut(cluster).pending = None;
-        self.metrics.shapes.served(session.class);
         let held: &[(Key, Value)] = if sub.prefix.is_some() {
             &session.part(cluster).rows
         } else {
@@ -1238,7 +1238,6 @@ impl ClientActor {
             .verify_query_resuming(&self.keys, cluster, &sub, response, held, now);
         match verified {
             Ok(answer) => {
-                self.metrics.shapes.verified(session.class);
                 if let NodeId::Edge(edge) = pending.target {
                     self.edge_selector.record_success(
                         edge.cluster,
@@ -1280,7 +1279,6 @@ impl ClientActor {
                 // normally unchanged — pagination resumes exactly where
                 // the lie was caught.
                 self.stats.verification_failures += 1;
-                self.metrics.shapes.rejected(session.class);
                 if let Some(tc) = session.query.trace {
                     let me = NodeId::Client(self.id);
                     ctx.trace()
@@ -1406,8 +1404,8 @@ impl ClientActor {
         // residual wire time), so the client's verification work is
         // recorded here, bracketing the verify charge below.
         let verify_from = ctx.now();
-        self.metrics.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
-        self.metrics.cert_checks_shared += charge_verification(ctx, &response);
+        self.stats.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
+        self.stats.cert_checks_shared += charge_verification(ctx, &response);
         // A partition the envelope has no part for gets the empty
         // answer, which no sub-query accepts.
         let absent = ReadPayload::Point {
@@ -1492,7 +1490,7 @@ impl ClientActor {
                 .iter()
                 .any(|(c, _)| session.parts.iter().any(|p| p.cluster == *c))
             {
-                self.metrics.round2_skipped_by_feed += 1;
+                self.stats.round2_skipped_by_feed += 1;
             }
         }
         // Close out the causal trace: the round-2 tail (everything

@@ -346,16 +346,6 @@ impl EdgeNodeStats {
             self.keys_from_cache as f64 / self.keys_requested as f64
         }
     }
-
-    /// Fraction of foreign gather sub-queries kept inside the edge tier
-    /// (served locally or by a sibling edge rather than a replica).
-    pub fn forwarded_hit_rate(&self) -> f64 {
-        if self.foreign_subs == 0 {
-            0.0
-        } else {
-            1.0 - self.foreign_forward_replica as f64 / self.foreign_subs as f64
-        }
-    }
 }
 
 /// Where a served answer goes: out to whoever asked, or — for a
@@ -488,19 +478,13 @@ impl EdgeReadNode {
         self.caches.cache_for(cluster)
     }
 
-    /// Replay-cache counters of the home partition (admitted / replayed
-    /// / passes).
-    pub fn cache_stats(&self) -> transedge_edge::replay::ReplayStats {
-        self.caches
-            .get(self.me.cluster)
-            .map(|c| c.stats)
-            .unwrap_or_default()
-    }
-
-    /// Partitions this node holds a replay cache for (its own plus
-    /// every one it has couriered a gather part of).
-    pub fn cached_partitions(&self) -> usize {
-        self.caches.partition_count()
+    /// Replay-cache counters (admitted / replayed / passes) of every
+    /// partition this node holds a cache for: its own plus every one
+    /// it has couriered a gather part of.
+    pub fn replay_stats(
+        &self,
+    ) -> impl Iterator<Item = (ClusterId, transedge_edge::replay::ReplayStats)> + '_ {
+        self.caches.iter().map(|(c, cache)| (c, cache.stats))
     }
 
     /// The durable snapshot store (spill/dedup/prune counters, fault
@@ -1184,29 +1168,12 @@ impl EdgeReadNode {
         );
         let min_lce = query.min_lce();
         let cache = self.cache_for(cluster);
-        let replayed = match query.pinned_batch() {
-            // A pinned page may only be served at exactly its batch —
-            // the client rejects anything else as a snapshot-pin
-            // mismatch, so a newer cached window is no substitute.
-            Some(batch) => cache.replay_scan_at(&window, batch),
-            None => cache.replay_scan(&window, min_lce, freshness_floor),
-        };
+        let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
         if let Some(mut bundle) = replayed {
             if let Some(through) = query.fresh_rows_from() {
-                // Prefix-resume: strip the rows of the held prefix —
-                // the proof alone carries them over (see the verifier's
-                // `verify_query_resuming`). Rows outside the query's
-                // range (a covering wider window) must stay: the client
-                // never held them.
-                let depth = self.tree_depth;
-                let range_first = match &query.shape {
-                    QueryShape::Scan { range, .. } => range.first,
-                    QueryShape::Point { .. } => 0,
-                };
-                bundle.scan.rows.retain(|(key, _)| {
-                    let bucket = transedge_crypto::ScanRange::bucket_of(key, depth);
-                    bucket > through || bucket < range_first
-                });
+                bundle
+                    .scan
+                    .strip_held_rows(&window, through, self.tree_depth);
             }
             self.stats.scans_from_cache += 1;
             self.respond_scan(reply, bundle, ctx);

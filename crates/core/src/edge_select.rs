@@ -23,36 +23,33 @@ use std::collections::HashMap;
 
 use transedge_common::{ClusterId, NodeId, SimDuration, SimTime};
 
-/// Tuning knobs for [`EdgeSelector`]. Defaults suit the simulated
-/// deployments; tests tighten or loosen them.
+/// Weight of the newest latency sample in the EWMA (0 < alpha ≤ 1).
+const EWMA_ALPHA: f64 = 0.3;
+/// Consecutive timeouts before an edge is demoted.
+pub const FAILURE_THRESHOLD: u32 = 3;
+/// How long a demoted edge is shunned before it gets another chance
+/// (its counters reset — probation, not forgiveness: the thresholds
+/// apply afresh).
+const COOLDOWN: SimDuration = SimDuration::from_secs(5);
+/// Latency assumed for never-sampled edges. Optimistic on purpose: new
+/// targets get explored instead of starving behind one good early
+/// sample.
+const OPTIMISTIC_LATENCY: SimDuration = SimDuration::from_millis(1);
+
+/// The one tuning knob of [`EdgeSelector`].
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeSelectorConfig {
-    /// Weight of the newest latency sample in the EWMA (0 < alpha ≤ 1).
-    pub ewma_alpha: f64,
-    /// Consecutive timeouts before an edge is demoted.
-    pub failure_threshold: u32,
     /// Verified byzantine rejections before an edge is demoted. A
     /// rejection is cryptographic evidence of a forgery (not a hunch
-    /// like a timeout), so the default is one strike.
+    /// like a timeout), so the default is one strike; a test pinning
+    /// "every tampered response is rejected" turns demotion off.
     pub rejection_threshold: u32,
-    /// How long a demoted edge is shunned before it gets another
-    /// chance (its counters reset — probation, not forgiveness: the
-    /// thresholds apply afresh).
-    pub cooldown: SimDuration,
-    /// Latency assumed for never-sampled edges. Optimistic on purpose:
-    /// new targets get explored instead of starving behind one good
-    /// early sample.
-    pub optimistic_latency: SimDuration,
 }
 
 impl Default for EdgeSelectorConfig {
     fn default() -> Self {
         EdgeSelectorConfig {
-            ewma_alpha: 0.3,
-            failure_threshold: 3,
             rejection_threshold: 1,
-            cooldown: SimDuration::from_secs(5),
-            optimistic_latency: SimDuration::from_millis(1),
         }
     }
 }
@@ -81,8 +78,8 @@ impl EdgeHealth {
         self.demoted_until.is_some_and(|until| until > now)
     }
 
-    fn demote(&mut self, now: SimTime, cooldown: SimDuration) {
-        self.demoted_until = Some(now + cooldown);
+    fn demote(&mut self, now: SimTime) {
+        self.demoted_until = Some(now + COOLDOWN);
         self.demotions += 1;
         self.consecutive_failures = 0;
         self.rejections = 0;
@@ -98,10 +95,10 @@ impl EdgeHealth {
     /// Ranking score: smoothed latency (optimistic for the unsampled)
     /// inflated by recent consecutive failures, so a flaky edge loses
     /// to a steady one even before it crosses the demotion threshold.
-    fn score(&self, config: &EdgeSelectorConfig) -> f64 {
+    fn score(&self) -> f64 {
         let base = self
             .ewma_latency_us
-            .unwrap_or(config.optimistic_latency.as_micros() as f64);
+            .unwrap_or(OPTIMISTIC_LATENCY.as_micros() as f64);
         base * (1.0 + self.consecutive_failures as f64)
     }
 }
@@ -143,7 +140,6 @@ impl EdgeSelector {
     /// Best available edge for `cluster`, or `None` when every
     /// candidate is demoted (callers then fall back to replicas).
     pub fn pick(&mut self, cluster: ClusterId, now: SimTime) -> Option<NodeId> {
-        let config = self.config;
         let entries = self.targets.get_mut(&cluster)?;
         for (_, health) in entries.iter_mut() {
             health.maybe_promote(now);
@@ -162,7 +158,7 @@ impl EdgeSelector {
             if health.is_demoted(now) {
                 continue;
             }
-            let score = health.score(&config);
+            let score = health.score();
             if best.is_none_or(|(b, _)| score < b) {
                 best = Some((score, *node));
             }
@@ -172,11 +168,10 @@ impl EdgeSelector {
 
     /// A verified response came back from `edge` after `latency`.
     pub fn record_success(&mut self, cluster: ClusterId, edge: NodeId, latency: SimDuration) {
-        let alpha = self.config.ewma_alpha;
         if let Some(health) = self.health_mut(cluster, edge) {
             let sample = latency.as_micros() as f64;
             health.ewma_latency_us = Some(match health.ewma_latency_us {
-                Some(prev) => prev + alpha * (sample - prev),
+                Some(prev) => prev + EWMA_ALPHA * (sample - prev),
                 None => sample,
             });
             health.consecutive_failures = 0;
@@ -187,12 +182,11 @@ impl EdgeSelector {
     /// A request to `edge` timed out (crash / partition / overload
     /// suspicion).
     pub fn record_failure(&mut self, cluster: ClusterId, edge: NodeId, now: SimTime) {
-        let (threshold, cooldown) = (self.config.failure_threshold, self.config.cooldown);
         if let Some(health) = self.health_mut(cluster, edge) {
             health.consecutive_failures += 1;
             health.failures += 1;
-            if health.consecutive_failures >= threshold {
-                health.demote(now, cooldown);
+            if health.consecutive_failures >= FAILURE_THRESHOLD {
+                health.demote(now);
             }
         }
     }
@@ -200,12 +194,12 @@ impl EdgeSelector {
     /// A response from `edge` failed verification — cryptographic
     /// evidence of byzantine behaviour.
     pub fn record_rejection(&mut self, cluster: ClusterId, edge: NodeId, now: SimTime) {
-        let (threshold, cooldown) = (self.config.rejection_threshold, self.config.cooldown);
+        let threshold = self.config.rejection_threshold;
         if let Some(health) = self.health_mut(cluster, edge) {
             health.rejections += 1;
             health.total_rejections += 1;
             if health.rejections >= threshold {
-                health.demote(now, cooldown);
+                health.demote(now);
             }
         }
     }
@@ -229,10 +223,9 @@ impl EdgeSelector {
     /// demotion takes the ordinary cooldown (probation applies) and the
     /// target's own rejection counters are left untouched.
     pub fn demote_hint(&mut self, cluster: ClusterId, edge: NodeId, now: SimTime) {
-        let cooldown = self.config.cooldown;
         if let Some(health) = self.health_mut(cluster, edge) {
             if !health.is_demoted(now) {
-                health.demote(now, cooldown);
+                health.demote(now);
             }
         }
     }
@@ -311,7 +304,7 @@ mod tests {
         s.record_success(ClusterId(0), edge(0), SimDuration::from_millis(1));
         s.record_success(ClusterId(0), edge(1), SimDuration::from_millis(9));
         let now = SimTime(1_000);
-        for _ in 0..3 {
+        for _ in 0..FAILURE_THRESHOLD {
             s.record_failure(ClusterId(0), edge(0), now);
         }
         let h = *s.health(ClusterId(0), edge(0)).unwrap();
@@ -320,7 +313,7 @@ mod tests {
         // Traffic fails over to the slower-but-alive edge.
         assert_eq!(s.pick(ClusterId(0), now), Some(edge(1)));
         // After the cooldown the edge gets a fresh chance.
-        let later = now + EdgeSelectorConfig::default().cooldown + SimDuration(1);
+        let later = now + COOLDOWN + SimDuration(1);
         assert_eq!(s.pick(ClusterId(0), later), Some(edge(0)));
     }
 
@@ -349,7 +342,6 @@ mod tests {
         let mut lenient = EdgeSelector::new(
             EdgeSelectorConfig {
                 rejection_threshold: 2,
-                ..EdgeSelectorConfig::default()
             },
             0,
         );

@@ -59,7 +59,6 @@ pub use client::{ClientActor, ClientOp, QueryOutcome, RotResult, ScanResult, Txn
 pub use config::{CacheConfig, ClientProfile, ConfigError, EdgeConfig, EdgeConfigBuilder};
 pub use edge_node::{EdgeBehavior, EdgeReadNode};
 pub use messages::{NetMsg, ReadPayload};
-pub use metrics::{QueryClass, ReadQueryMetrics, ShapeCounters};
 pub use node::{NodeConfig, TransEdgeNode};
 pub use setup::{Deployment, DeploymentConfig};
 // The unified read-query protocol types, re-exported from the edge

@@ -42,160 +42,6 @@ impl TxnSample {
     }
 }
 
-/// The shape classes a unified read query belongs to, computed once
-/// when the query is planned. A query can belong to several at once
-/// (e.g. a paginated scatter-gather scan counts under `scan`,
-/// `paginated`, *and* `scatter`); point queries that touch one
-/// partition count under `point` alone.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryClass {
-    /// Scan shape (otherwise point).
-    pub scan: bool,
-    /// The scan range spans more than one page window.
-    pub paginated: bool,
-    /// The plan fans out to more than one partition.
-    pub scatter: bool,
-}
-
-/// served/verified/rejected counters for one query-shape class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShapeCounters {
-    /// Responses received for sub-queries of this class.
-    pub served: u64,
-    /// Responses that passed end-to-end verification.
-    pub verified: u64,
-    /// Responses rejected by the verifier (byzantine evidence).
-    pub rejected: u64,
-}
-
-/// Per-query-shape counters of the unified read protocol, emitted from
-/// the client's single verify dispatch point. Each event increments
-/// every class the query belongs to (see [`QueryClass`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReadQueryMetrics {
-    pub point: ShapeCounters,
-    pub scan: ShapeCounters,
-    pub paginated: ShapeCounters,
-    pub scatter: ShapeCounters,
-}
-
-impl ReadQueryMetrics {
-    fn apply(&mut self, class: QueryClass, bump: impl Fn(&mut ShapeCounters)) {
-        if class.scan {
-            bump(&mut self.scan);
-        } else {
-            bump(&mut self.point);
-        }
-        if class.paginated {
-            bump(&mut self.paginated);
-        }
-        if class.scatter {
-            bump(&mut self.scatter);
-        }
-    }
-
-    /// A response for a sub-query of `class` arrived.
-    pub fn served(&mut self, class: QueryClass) {
-        self.apply(class, |c| c.served += 1);
-    }
-
-    /// A response verified end to end.
-    pub fn verified(&mut self, class: QueryClass) {
-        self.apply(class, |c| c.verified += 1);
-    }
-
-    /// A response was rejected by the verifier.
-    pub fn rejected(&mut self, class: QueryClass) {
-        self.apply(class, |c| c.rejected += 1);
-    }
-}
-
-/// One consolidated, typed snapshot of a client's read-protocol
-/// metrics: the per-shape served/verified/rejected counters plus the
-/// cross-cutting totals that used to live as ad-hoc `ClientStats`
-/// fields (`cert_checks_shared`, `read_result_bytes`). Harnesses read
-/// it through `ClientActor::metrics()` and the accessors below — the
-/// fields are crate-private so the accessor API is the stable surface.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClientMetrics {
-    pub(crate) shapes: ReadQueryMetrics,
-    pub(crate) cert_checks_shared: u64,
-    pub(crate) read_result_bytes: u64,
-    pub(crate) freshness_upgrades: u64,
-    pub(crate) round2_skipped_by_feed: u64,
-}
-
-impl transedge_obs::RegisterMetrics for ClientMetrics {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        for (class, c) in [
-            ("point", self.shapes.point),
-            ("scan", self.shapes.scan),
-            ("paginated", self.shapes.paginated),
-            ("scatter", self.shapes.scatter),
-        ] {
-            reg.counter(scope, &format!("query.{class}.served"), c.served);
-            reg.counter(scope, &format!("query.{class}.verified"), c.verified);
-            reg.counter(scope, &format!("query.{class}.rejected"), c.rejected);
-        }
-        reg.counter(scope, "query.cert_checks_shared", self.cert_checks_shared);
-        reg.counter(scope, "query.read_result_bytes", self.read_result_bytes);
-        reg.counter(scope, "query.freshness_upgrades", self.freshness_upgrades);
-        reg.counter(
-            scope,
-            "query.round2_skipped_by_feed",
-            self.round2_skipped_by_feed,
-        );
-    }
-}
-
-impl ClientMetrics {
-    /// Counters for single-partition point sub-queries.
-    pub fn point(&self) -> ShapeCounters {
-        self.shapes.point
-    }
-
-    /// Counters for scan-shaped sub-queries.
-    pub fn scan(&self) -> ShapeCounters {
-        self.shapes.scan
-    }
-
-    /// Counters for multi-page scans.
-    pub fn paginated(&self) -> ShapeCounters {
-        self.shapes.paginated
-    }
-
-    /// Counters for queries fanning out to several partitions.
-    pub fn scatter(&self) -> ShapeCounters {
-        self.shapes.scatter
-    }
-
-    /// Duplicate certificate checks skipped by the one-pass
-    /// verification charge (stitched sections and gather parts sharing
-    /// a content-identical commitment are charged one quorum check).
-    pub fn cert_checks_shared(&self) -> u64 {
-        self.cert_checks_shared
-    }
-
-    /// Total wire bytes of every read response this client received
-    /// (structural sizes — the throughput bench's bytes-per-read).
-    pub fn read_result_bytes(&self) -> u64 {
-        self.read_result_bytes
-    }
-
-    /// Responses whose attached delta-feed tail verified, upgrading the
-    /// partition view to the feed head (subscription mode).
-    pub fn freshness_upgrades(&self) -> u64 {
-        self.freshness_upgrades
-    }
-
-    /// Queries whose round-2 MinEpoch re-fetch was eliminated because a
-    /// verified feed attachment already satisfied the dependency floor
-    /// the un-upgraded snapshot would have missed.
-    pub fn round2_skipped_by_feed(&self) -> u64 {
-        self.round2_skipped_by_feed
-    }
-}
-
 /// Aggregated view over a set of samples.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {
@@ -353,31 +199,6 @@ mod tests {
         assert!((sum.round2_fraction - 0.5).abs() < 1e-9);
         assert!((sum.mean_round1_ms - 10.0).abs() < 1e-9);
         assert!((sum.mean_round2_extra_ms - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn query_metrics_count_every_applicable_class() {
-        let mut m = ReadQueryMetrics::default();
-        let point = QueryClass::default();
-        m.served(point);
-        m.verified(point);
-        assert_eq!(m.point.served, 1);
-        assert_eq!(m.point.verified, 1);
-        assert_eq!(m.scan.served, 0);
-        // A paginated scatter-gather scan counts under all three scan
-        // classes, never under point.
-        let fancy = QueryClass {
-            scan: true,
-            paginated: true,
-            scatter: true,
-        };
-        m.served(fancy);
-        m.rejected(fancy);
-        assert_eq!(m.scan.served, 1);
-        assert_eq!(m.paginated.served, 1);
-        assert_eq!(m.scatter.served, 1);
-        assert_eq!(m.scan.rejected, 1);
-        assert_eq!(m.point.served, 1);
     }
 
     #[test]

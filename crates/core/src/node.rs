@@ -1091,17 +1091,7 @@ impl TransEdgeNode {
         // A cold scan proof hashes every leaf of the window.
         ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * range.width()));
         if let Some(through) = fresh_rows_from {
-            // Prefix-resume: the client holds verified rows for buckets
-            // `[range.first, through]` already — ship the completeness
-            // proof of the whole window but only the fresh tail's rows.
-            // (The proof still commits to the prefix, so the client can
-            // carry its held rows over or detect divergence.)
-            let depth = self.config.tree_depth;
-            let first = range.first;
-            scan.rows.retain(|(key, _)| {
-                let bucket = transedge_crypto::ScanRange::bucket_of(key, depth);
-                bucket > through || bucket < first
-            });
+            scan.strip_held_rows(range, through, self.config.tree_depth);
         }
         ctx.send(
             to,

@@ -474,7 +474,6 @@ impl Deployment {
             let client = self.client(*id);
             let scope = format!("client-{}", id.0);
             reg.register(&scope, &client.stats);
-            reg.register(&scope, client.metrics());
             if let Some(agent) = client.directory() {
                 reg.register(&scope, &agent.stats);
             }
@@ -486,9 +485,10 @@ impl Deployment {
             };
             let scope = format!("edge-{}-{}", edge.cluster.0, edge.index);
             reg.register(&scope, &node.stats);
-            reg.register(&scope, &node.cache_stats());
+            for (_, replay) in node.replay_stats() {
+                reg.register(&scope, &replay);
+            }
             reg.register(&scope, &node.store().stats);
-            reg.register(&scope, &node.store().archive_stats());
             if let Some(agent) = node.directory() {
                 reg.register(&scope, &agent.stats);
             }

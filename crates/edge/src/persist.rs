@@ -18,7 +18,7 @@
 //!
 //! ## Layout
 //!
-//! The store is an append-only [`ObjectArchive`] of
+//! The store is an append-only, content-addressed map of
 //! [`SnapshotObject`]s (the two proof shapes of the wire protocol —
 //! point-read sections and scan windows — exactly as they travel)
 //! plus one small mutable [`HeadRecord`] per
@@ -28,7 +28,8 @@
 //! spill leaves dangling objects (harmless garbage), never a head
 //! pointing at missing state.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimTime};
 use transedge_consensus::Certificate;
@@ -36,8 +37,6 @@ use transedge_crypto::{sha256, Digest, KeyStore, Sha256};
 
 use crate::response::{BatchCommitment, MultiProofBundle, ScanBundle};
 use crate::verifier::{ReadRejection, ReadVerifier};
-
-use transedge_storage::ObjectArchive;
 
 /// Default per-cluster retention: comfortably above a replay cache's
 /// working set (`max_batches` commitments × a few objects each).
@@ -171,7 +170,10 @@ impl transedge_obs::RegisterMetrics for PersistStats {
 /// records — is exactly what a file-backed implementation would fsync.
 #[derive(Clone, Debug)]
 pub struct SnapshotStore<H> {
-    objects: ObjectArchive<SnapshotObject<H>>,
+    /// Objects under their content address. Never rewritten in place
+    /// (outside the fault-injection hooks): an object exists in full or
+    /// not at all, so there is no torn state to recover.
+    objects: HashMap<Digest, SnapshotObject<H>>,
     heads: BTreeMap<ClusterId, HeadRecord>,
     spill_threshold: usize,
     pub stats: PersistStats,
@@ -180,16 +182,11 @@ pub struct SnapshotStore<H> {
 impl<H: BatchCommitment + Clone> SnapshotStore<H> {
     pub fn new(spill_threshold: usize) -> Self {
         SnapshotStore {
-            objects: ObjectArchive::new(),
+            objects: HashMap::new(),
             heads: BTreeMap::new(),
             spill_threshold: spill_threshold.max(1),
             stats: PersistStats::default(),
         }
-    }
-
-    /// Counters of the underlying content-addressed archive.
-    pub fn archive_stats(&self) -> transedge_storage::ObjectArchiveStats {
-        self.objects.stats
     }
 
     /// Spill one admitted object: append it (content-addressed, so a
@@ -201,7 +198,8 @@ impl<H: BatchCommitment + Clone> SnapshotStore<H> {
         let cluster = object.cluster();
         let batch = object.batch();
         let digest = object.content_digest();
-        if self.objects.put(digest, object) {
+        if let Entry::Vacant(slot) = self.objects.entry(digest) {
+            slot.insert(object);
             self.stats.spilled += 1;
             let head = self.heads.entry(cluster).or_default();
             head.live.push(digest);
@@ -279,8 +277,8 @@ impl<H: BatchCommitment + Clone> SnapshotStore<H> {
 
     /// Fault injection: mutate the object stored under `digest` in
     /// place, leaving its index entry (the content address) unchanged —
-    /// the simulator's model of on-disk corruption. See
-    /// [`ObjectArchive::get_mut`].
+    /// the simulator's model of on-disk corruption (real storage never
+    /// rewrites an object).
     pub fn tamper_with(&mut self, digest: &Digest, f: impl FnOnce(&mut SnapshotObject<H>)) -> bool {
         match self.objects.get_mut(digest) {
             Some(object) => {
@@ -292,9 +290,19 @@ impl<H: BatchCommitment + Clone> SnapshotStore<H> {
     }
 
     /// Fault injection: swap the payloads under two content addresses
-    /// (a corrupted directory block). See [`ObjectArchive::splice`].
+    /// — both objects stay individually intact but each now lives under
+    /// the other's index entry (a corrupted directory block). Returns
+    /// `false` (and does nothing) unless both exist and differ.
     pub fn splice(&mut self, a: &Digest, b: &Digest) -> bool {
-        self.objects.splice(a, b)
+        if a == b || !self.objects.contains_key(b) {
+            return false;
+        }
+        let Some(va) = self.objects.remove(a) else {
+            return false;
+        };
+        let vb = self.objects.insert(*b, va).expect("checked above");
+        self.objects.insert(*a, vb);
+        true
     }
 }
 
@@ -499,6 +507,13 @@ mod tests {
         assert!(store.splice(&da, &db));
         assert_ne!(store.get(&da).unwrap().content_digest(), da);
         assert_ne!(store.get(&db).unwrap().content_digest(), db);
+        // Both addresses must exist and differ; a refused splice
+        // changes nothing.
+        let absent = Digest([9; 32]);
+        assert!(!store.splice(&da, &da));
+        assert!(!store.splice(&da, &absent));
+        assert!(!store.splice(&absent, &da));
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

@@ -348,16 +348,6 @@ impl ReadQuery {
         }
     }
 
-    /// Will this query take more than one page per partition?
-    pub fn is_paginated(&self) -> bool {
-        match &self.shape {
-            QueryShape::Scan { range, window, .. } => {
-                range.width() > (*window).clamp(1, MAX_RANGE_BUCKETS)
-            }
-            QueryShape::Point { .. } => false,
-        }
-    }
-
     /// Clusters a scan scatters over (empty for point queries, whose
     /// partitions are derived from the keys by the planner).
     pub fn scan_clusters(&self) -> &[ClusterId] {
@@ -488,7 +478,6 @@ mod tests {
     #[test]
     fn scan_window_pages_through_the_range() {
         let q = ReadQuery::scatter_scan(vec![ClusterId(0)], ScanRange::new(0, 1023), 256);
-        assert!(q.is_paginated());
         assert_eq!(q.scan_window(), Some(ScanRange::new(0, 255)));
         let page2 = q.clone().with_page(PageToken {
             batch: BatchNum(5),
@@ -521,7 +510,6 @@ mod tests {
             q.scan_window(),
             Some(ScanRange::new(0, MAX_RANGE_BUCKETS - 1))
         );
-        assert!(q.is_paginated());
         // A zero window still makes progress.
         let tiny = ReadQuery::scatter_scan(vec![ClusterId(0)], ScanRange::new(4, 9), 0);
         assert_eq!(tiny.scan_window(), Some(ScanRange::new(4, 4)));

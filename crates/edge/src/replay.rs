@@ -260,54 +260,33 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// cached (possibly wider) window — clients verify the proven
     /// window's completeness and filter rows down to what they asked
     /// for, so covering reuse costs bandwidth, never correctness.
+    ///
+    /// With `pinned` (a page continuation or an
+    /// [`crate::SnapshotPolicy::AtBatch`] query) only a window cached
+    /// at **exactly that batch** may serve and the floors are ignored —
+    /// no newer batch is an acceptable substitute, because the client's
+    /// verifier rejects any other batch as a snapshot-pin mismatch.
     pub fn replay_scan(
         &mut self,
         range: &ScanRange,
+        pinned: Option<BatchNum>,
         min_lce: Epoch,
         min_timestamp: SimTime,
     ) -> Option<ScanBundle<H>> {
-        for batch in self.passing_batches(min_lce, min_timestamp) {
-            let Some(windows) = self.scans.get(&batch) else {
-                continue;
-            };
-            // Prefer the tightest covering window (least excess rows).
-            let Some((cached_range, scan)) = windows
+        let candidates = match pinned {
+            Some(batch) => vec![batch.0],
+            None => self.passing_batches(min_lce, min_timestamp),
+        };
+        // Prefer the tightest covering window (least excess rows).
+        let hit = candidates.into_iter().find_map(|batch| {
+            self.scans
+                .get(&batch)?
                 .iter()
                 .filter(|(cached, _)| cached.covers(range))
                 .min_by_key(|(cached, _)| cached.width())
-            else {
-                continue;
-            };
-            self.stats.scans_replayed += 1;
-            if cached_range != range {
-                self.stats.scans_covered_by_wider += 1;
-            }
-            let (commitment, cert) = self.commitments[&batch].clone();
-            return Some(ScanBundle {
-                commitment,
-                cert,
-                scan: scan.clone(),
-            });
-        }
-        self.stats.scan_passes += 1;
-        None
-    }
-
-    /// Try to answer a scan for `range` **pinned at exactly `batch`**
-    /// (a page continuation or an [`crate::SnapshotPolicy::AtBatch`]
-    /// query): only a window cached at that batch that covers the
-    /// request may serve — no newer batch is an acceptable substitute,
-    /// because the client's verifier rejects any other batch as a
-    /// snapshot-pin mismatch.
-    pub fn replay_scan_at(&mut self, range: &ScanRange, batch: BatchNum) -> Option<ScanBundle<H>> {
-        let covering = self.scans.get(&batch.0).and_then(|windows| {
-            windows
-                .iter()
-                .filter(|(cached, _)| cached.covers(range))
-                .min_by_key(|(cached, _)| cached.width())
-                .cloned()
+                .map(|(cached, scan)| (batch, *cached, scan.clone()))
         });
-        let Some((cached_range, scan)) = covering else {
+        let Some((batch, cached_range, scan)) = hit else {
             self.stats.scan_passes += 1;
             return None;
         };
@@ -315,7 +294,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         if cached_range != *range {
             self.stats.scans_covered_by_wider += 1;
         }
-        let (commitment, cert) = self.commitments[&batch.0].clone();
+        let (commitment, cert) = self.commitments[&batch].clone();
         Some(ScanBundle {
             commitment,
             cert,
@@ -577,11 +556,6 @@ impl<H: BatchCommitment + Clone> PartitionCaches<H> {
     /// The partition's cache, if it has ever been touched.
     pub fn get(&self, cluster: ClusterId) -> Option<&ReplayCache<H>> {
         self.caches.get(&cluster)
-    }
-
-    /// Partitions with a live cache.
-    pub fn partition_count(&self) -> usize {
-        self.caches.len()
     }
 
     /// Every live partition cache, in cluster order.

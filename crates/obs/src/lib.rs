@@ -19,7 +19,7 @@
 //! * **Exporters** ([`chrome`], [`breakdown`]): Chrome-trace-format
 //!   JSON (load into `chrome://tracing` / Perfetto) and per-phase
 //!   latency decompositions of nearest-rank percentile traces (the
-//!   fig04 `obs` block).
+//!   benchmark's `obs.*_us_p50` per-layer series).
 //!
 //! # Determinism contract
 //!

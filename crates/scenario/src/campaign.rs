@@ -1,12 +1,11 @@
 //! Ready-made scenario campaigns: churn, partition-heal, flash-crowd
 //! and coalition, each returning the availability / latency /
-//! rejection / convergence trajectory the benchmark suite records.
+//! rejection / convergence outcome `tests/scenarios.rs` asserts on.
 //!
 //! Every campaign builds its own deployment, scripts a client fleet,
 //! runs its timeline under an [`InvariantMonitor`], and panics on the
 //! first invariant violation — a campaign that returns at all ran
-//! clean. The same campaigns back the integration tests (quick scale)
-//! and the `scenarios` block of `BENCH_rot.json` (either scale).
+//! clean.
 
 use transedge_common::{
     ClusterId, ClusterTopology, EdgeId, NodeId, ReplicaId, SimDuration, SimTime,
@@ -30,39 +29,16 @@ const SIM_LIMIT: SimTime = SimTime(3_600_000_000);
 /// first conviction.
 pub const MAX_DEMOTION_ROUNDS: f64 = 64.0;
 
-/// How big a campaign runs: deployment width and offered load.
-#[derive(Clone, Copy, Debug)]
-pub struct CampaignScale {
-    pub clusters: u16,
-    pub clients: usize,
-    pub ops_per_client: usize,
-}
+/// How big every campaign runs — deployment width and offered load:
+/// a small fleet, seconds of wall clock.
+const CLUSTERS: u16 = 2;
+const CLIENTS: usize = 4;
+const OPS_PER_CLIENT: usize = 24;
 
-impl CampaignScale {
-    /// Test scale: small fleet, seconds of wall clock.
-    pub fn quick() -> Self {
-        CampaignScale {
-            clusters: 2,
-            clients: 4,
-            ops_per_client: 24,
-        }
-    }
-
-    /// Bench scale: wider deployment and fleet, heavier scripts.
-    pub fn full() -> Self {
-        CampaignScale {
-            clusters: 3,
-            clients: 8,
-            ops_per_client: 60,
-        }
-    }
-}
-
-/// One campaign's measured trajectory (invariants already held, or the
+/// One campaign's measured outcome (invariants already held, or the
 /// campaign panicked instead of returning).
 #[derive(Clone, Debug)]
 pub struct CampaignOutcome {
-    pub name: &'static str,
     /// Committed operations as a percentage of every scripted one.
     pub availability_pct: f64,
     /// p95 operation latency (ms) across the whole run, chaos included.
@@ -77,15 +53,11 @@ pub struct CampaignOutcome {
     pub convicted: usize,
     /// Invariant sweeps that ran.
     pub invariant_checks: u64,
-    pub total_ops: usize,
-    /// The flight recorder at campaign end, serialised as Chrome trace
-    /// format JSON (CI uploads one campaign's dump as an artifact).
-    pub chrome_trace: String,
 }
 
-fn base_config(scale: &CampaignScale, edge: EdgeConfig, seed: u64) -> DeploymentConfig {
+fn base_config(edge: EdgeConfig, seed: u64) -> DeploymentConfig {
     DeploymentConfig {
-        topo: ClusterTopology::new(scale.clusters, 1).expect("campaign topology"),
+        topo: ClusterTopology::new(CLUSTERS, 1).expect("campaign topology"),
         node: NodeConfig {
             batch_interval: SimDuration::from_millis(2),
             max_batch_size: 64,
@@ -153,15 +125,12 @@ fn run_campaign(
         .map(|id| dep.client(*id).stats.verification_failures)
         .sum();
     CampaignOutcome {
-        name,
         availability_pct: 100.0 * summary.committed as f64 / total_ops.max(1) as f64,
         p95_ms: summary.p95_latency_ms,
         rejected_reads,
         demotion_rounds: report.rounds,
         convicted: report.convicted.len(),
         invariant_checks: monitor.checks_run(),
-        total_ops,
-        chrome_trace: dep.export_trace(),
     }
 }
 
@@ -173,15 +142,15 @@ fn ms(millis: u64) -> SimTime {
 /// one edge per cluster crashes mid-workload and restarts later (warm
 /// hydration through the verifier). Reads ride out the churn on the
 /// surviving sibling or the replicas.
-pub fn churn(scale: &CampaignScale) -> CampaignOutcome {
+pub fn churn() -> CampaignOutcome {
     let edge = EdgeConfig::builder()
         .per_cluster(2)
         .persistent()
         .build()
         .expect("churn edge config");
-    let config = base_config(scale, edge, 901);
+    let config = base_config(edge, 901);
     let spec = rot_spec(&config);
-    let scripts = spec.generate_fleet(scale.clients, scale.ops_per_client, 4201);
+    let scripts = spec.generate_fleet(CLIENTS, OPS_PER_CLIENT, 4201);
     let dep = Deployment::build(config, scripts.clone());
     let scenario = Scenario::named("churn")
         .at(
@@ -216,10 +185,10 @@ pub fn churn(scale: &CampaignScale) -> CampaignOutcome {
 /// from its cluster peers mid-run, then healed. Quorum (`2f+1` of
 /// `3f+1`) holds throughout, so the mixed workload keeps committing;
 /// snapshot atomicity must hold across the cut.
-pub fn partition_heal(scale: &CampaignScale) -> CampaignOutcome {
-    let config = base_config(scale, EdgeConfig::honest(1), 902);
+pub fn partition_heal() -> CampaignOutcome {
+    let config = base_config(EdgeConfig::honest(1), 902);
     let spec = mixed_spec(&config);
-    let scripts = spec.generate_fleet(scale.clients, scale.ops_per_client, 4202);
+    let scripts = spec.generate_fleet(CLIENTS, OPS_PER_CLIENT, 4202);
     let topo = config.topo.clone();
     let dep = Deployment::build(config, scripts.clone());
     let mut scenario = Scenario::named("partition-heal");
@@ -251,11 +220,11 @@ pub fn partition_heal(scale: &CampaignScale) -> CampaignOutcome {
 /// rotated rank mapping), while one cluster's certification cadence is
 /// skewed slower. Edge caches must re-warm on the new hot set with no
 /// verification anomalies.
-pub fn flash_crowd(scale: &CampaignScale) -> CampaignOutcome {
-    let config = base_config(scale, EdgeConfig::honest(1), 903);
+pub fn flash_crowd() -> CampaignOutcome {
+    let config = base_config(EdgeConfig::honest(1), 903);
     let mut spec = rot_spec(&config);
     spec.distribution = KeyDistribution::Zipfian { theta: 0.99 };
-    let scripts = spec.generate_fleet(scale.clients, scale.ops_per_client, 4203);
+    let scripts = spec.generate_fleet(CLIENTS, OPS_PER_CLIENT, 4203);
     let hot_offset = u64::from(config.n_keys / 3);
     let dep = Deployment::build(config, scripts.clone());
     let scenario = Scenario::named("flash-crowd")
@@ -277,15 +246,15 @@ pub fn flash_crowd(scale: &CampaignScale) -> CampaignOutcome {
 /// convicts each member on first contact, evidence gossips fleet-wide
 /// (bounded rounds asserted), honest edges stay clean, and reads fall
 /// back to the replicas, so the workload still finishes.
-pub fn coalition(scale: &CampaignScale) -> CampaignOutcome {
+pub fn coalition() -> CampaignOutcome {
     let edge = EdgeConfig::builder()
         .per_cluster(2)
         .gossip_directory(SimDuration::from_millis(10))
         .build()
         .expect("coalition edge config");
-    let config = base_config(scale, edge, 904);
+    let config = base_config(edge, 904);
     let spec = rot_spec(&config);
-    let scripts = spec.generate_fleet(scale.clients, scale.ops_per_client, 4204);
+    let scripts = spec.generate_fleet(CLIENTS, OPS_PER_CLIENT, 4204);
     let members: Vec<EdgeId> = (0..2).map(|i| EdgeId::new(ClusterId(0), i)).collect();
     let dep = Deployment::build(config, scripts.clone());
     let scenario = Scenario::named("coalition")

@@ -25,15 +25,15 @@
 //!
 //! [`campaign`] packages four ready-made scenario campaigns (churn,
 //! partition-heal, flash-crowd, coalition) with availability / p95 /
-//! rejected-read / convergence trajectories — the `scenarios` block of
-//! the benchmark suite and the quick gates of the integration tests.
+//! rejected-read / convergence outcomes — what `tests/scenarios.rs`
+//! asserts on.
 
 pub mod campaign;
 pub mod event;
 pub mod monitor;
 pub mod runner;
 
-pub use campaign::{CampaignOutcome, CampaignScale};
+pub use campaign::CampaignOutcome;
 pub use event::{Scenario, ScenarioEvent};
 pub use monitor::{ConvergenceReport, InvariantMonitor, InvariantViolation};
 pub use runner::ScenarioRunner;

@@ -73,8 +73,8 @@ impl fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// How fleet-wide demotion of the scripted liars went — the
-/// per-scenario convergence trajectory the bench records.
+/// How fleet-wide demotion of the scripted liars went — what a
+/// campaign reports as its convergence outcome.
 #[derive(Clone, Debug, Default)]
 pub struct ConvergenceReport {
     /// Scripted byzantine edges, all convicted fleet-wide (sorted).

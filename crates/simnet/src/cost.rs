@@ -3,12 +3,17 @@
 //! In a discrete-event simulation, messages cost nothing to *process*
 //! unless the model says otherwise — and then every throughput curve
 //! would be flat. Actors therefore charge simulated CPU time for the
-//! work they do. The table below is calibrated against this
-//! workspace's own criterion micro-benches (`crates/bench`, targets
-//! `micro_crypto` and `micro_merkle`) on a commodity x86-64 host, in
-//! the same spirit as the paper's Xeon Gold 6240R testbed. Absolute
-//! values shift throughput curves up or down; the *relative* costs are
-//! what give the evaluation figures their shape.
+//! work they do. The table below was typed in from wall-clock runs on a
+//! commodity x86-64 host, in the same spirit as the paper's Xeon Gold
+//! 6240R testbed; what the same operations cost on the machine at hand
+//! is the whole-system benchmark's per-layer ladder (`BENCHMARK.json`:
+//! `crypto.ed25519_sign_us`, `crypto.ed25519_verify_us`,
+//! `crypto.sha256_us_per_kib`, `crypto.merkle.prove_multi_us`,
+//! `crypto.merkle.verify_multi_us`,
+//! `crypto.merkle_versioned.apply_us_per_key`,
+//! `core.conflict.admit_us`). Absolute values shift throughput curves
+//! up or down; the *relative* costs are what give the evaluation
+//! figures their shape.
 
 use transedge_common::SimDuration;
 

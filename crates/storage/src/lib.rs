@@ -10,13 +10,6 @@
 //! * [`BatchArchive`] — the append-only history of decided batches,
 //!   from which historical batch metadata (Merkle roots, CD vectors,
 //!   certificates) is served.
-//! * [`ObjectArchive`] — an append-only, content-addressed object
-//!   archive: the durable backing of the edge persistence plane.
-//!   Objects are keyed by a digest of their own content, so the store
-//!   deduplicates for free and readers can detect corruption by
-//!   recomputing the digest. What it holds is **untrusted input** —
-//!   edge restart hydration re-verifies every object through the
-//!   client-grade verifier before serving it.
 //!
 //! Multi-versioning is what makes the paper's *non-interference*
 //! property implementable: read-only transactions read committed
@@ -25,8 +18,6 @@
 
 pub mod archive;
 pub mod mvstore;
-pub mod object_store;
 
 pub use archive::BatchArchive;
 pub use mvstore::VersionedStore;
-pub use object_store::{ObjectArchive, ObjectArchiveStats};

@@ -84,7 +84,7 @@ fn metric_registry_unifies_node_and_net_counters() {
     let reg = dep.metrics();
     // Client counters, per scope and fleet-wide.
     assert_eq!(reg.counter_value("client-0", "client.gave_up"), 0);
-    assert!(reg.fleet_counter("query.point.verified") > 0);
+    assert!(reg.fleet_counter("query.read_result_bytes") > 0);
     // Replica serving counters.
     assert!(reg.fleet_counter("node.rot_served") > 0);
     // Edge serving counters (edges deployed by for_testing's config).

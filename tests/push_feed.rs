@@ -112,11 +112,11 @@ fn subscribed_client_skips_round_two_on_warm_edges() {
         );
     }
     assert!(
-        reader.metrics().freshness_upgrades() > 0,
+        reader.stats.freshness_upgrades > 0,
         "warm replays must carry verified feed attachments"
     );
     assert!(
-        reader.metrics().round2_skipped_by_feed() > 0,
+        reader.stats.round2_skipped_by_feed > 0,
         "the feed must eliminate round-2 fetches the served snapshots would have needed"
     );
     // The feed reached the edges and was attached; nothing was bogus.
@@ -179,7 +179,7 @@ fn unsubscribed_control_still_pays_round_two() {
         round2 > 0,
         "without the subscription the same interval must exercise round 2"
     );
-    assert_eq!(reader.metrics().freshness_upgrades(), 0);
+    assert_eq!(reader.stats.freshness_upgrades, 0);
 }
 
 /// A byzantine edge that tampers with the feed attachment (injecting a

@@ -681,7 +681,11 @@ fn verified_scans_replay_from_edge_cache_with_covering_reuse() {
         "only the cold scan goes upstream; everything else replays"
     );
     assert_eq!(stats.scans_from_cache, 7);
-    assert!(edge.cache_stats().scans_covered_by_wider >= 4);
+    let covered: u64 = edge
+        .replay_stats()
+        .map(|(_, replay)| replay.scans_covered_by_wider)
+        .sum();
+    assert!(covered >= 4);
     // Scans never touch the SMR log.
     for r in topo.all_replicas() {
         assert_eq!(dep.node(r).exec.applied_batches(), 1);
@@ -891,13 +895,6 @@ fn unified_paginated_scatter_query_under_min_epoch() {
         !result.rows[0].1.is_empty(),
         "cluster 0's half of the scatter must contain preloaded rows"
     );
-    // Per-shape metrics flowed from the dispatch point: the query is a
-    // paginated scatter scan, so all three classes counted it.
-    let m = reader.metrics();
-    assert!(m.scan().verified >= 4);
-    assert_eq!(m.scan().verified, m.paginated().verified);
-    assert_eq!(m.scan().verified, m.scatter().verified);
-    assert_eq!(m.point().served, 0);
     // It was actually served through the edge tier.
     let edge_scans: u64 = dep
         .edge_ids
@@ -933,7 +930,6 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
         "the omitted row must be caught (failures {})",
         reader.stats.verification_failures
     );
-    assert!(reader.metrics().scatter().rejected >= 1);
     assert!(dep.edge_node(byz).stats.tampered >= 1);
     // …the lying edge demoted on cryptographic evidence…
     let health = reader
@@ -1170,6 +1166,21 @@ fn two_partition_query_served_through_single_edge_contact() {
         OPS,
         "each gather carries a foreign part"
     );
+    // The registry counts every partition cache of every edge — the
+    // foreign ones a contact fills by couriering, not only home caches.
+    let admitted = |foreign_too: bool| -> u64 {
+        dep.edge_ids
+            .iter()
+            .flat_map(|e| {
+                dep.edge_node(*e)
+                    .replay_stats()
+                    .filter(move |(cluster, _)| foreign_too || *cluster == e.cluster)
+            })
+            .map(|(_, replay)| replay.admitted)
+            .sum()
+    };
+    assert_eq!(done.fleet_counter("replay.admitted"), admitted(true));
+    assert!(admitted(true) > admitted(false));
     // Results are complete, correct, and span both partitions.
     assert_eq!(client.query_results.len(), OPS as usize);
     assert!(client
@@ -1294,7 +1305,7 @@ fn crashed_contact_is_resent_around_and_demoted() {
     config.client.record_results = true;
     config.client.single_contact = true;
     config.edge = EdgeConfig::honest(1);
-    let threshold = u64::from(config.client.selector.failure_threshold);
+    let threshold = u64::from(transedge::core::edge_select::FAILURE_THRESHOLD);
     let topo = config.topo.clone();
     let mut keys = keys_on(&topo, ClusterId(0), 1);
     keys.extend(keys_on(&topo, ClusterId(1), 1));

@@ -1,16 +1,16 @@
-//! The four scenario campaigns end to end, quick scale: every one must
+//! The four scenario campaigns end to end: every one must
 //! run its full timeline under the invariant monitor with zero
 //! violations (a campaign panics on the first one), and the coalition
 //! campaign must end with every member convicted fleet-wide by
 //! cryptographic evidence within the bounded gossip rounds.
 
 use transedge::scenario::campaign::{
-    churn, coalition, flash_crowd, partition_heal, CampaignScale, MAX_DEMOTION_ROUNDS,
+    churn, coalition, flash_crowd, partition_heal, MAX_DEMOTION_ROUNDS,
 };
 
 #[test]
 fn churn_campaign_holds_invariants() {
-    let outcome = churn(&CampaignScale::quick());
+    let outcome = churn();
     assert!(
         outcome.availability_pct > 50.0,
         "churn availability {:.1}%",
@@ -29,7 +29,7 @@ fn churn_campaign_holds_invariants() {
 
 #[test]
 fn partition_heal_campaign_holds_invariants() {
-    let outcome = partition_heal(&CampaignScale::quick());
+    let outcome = partition_heal();
     assert!(
         outcome.availability_pct >= 80.0,
         "quorum holds through the partition, availability {:.1}%",
@@ -42,7 +42,7 @@ fn partition_heal_campaign_holds_invariants() {
 
 #[test]
 fn flash_crowd_campaign_holds_invariants() {
-    let outcome = flash_crowd(&CampaignScale::quick());
+    let outcome = flash_crowd();
     assert!(
         outcome.availability_pct >= 99.9,
         "no faults, no loss: availability {:.1}%",
@@ -57,7 +57,7 @@ fn flash_crowd_campaign_holds_invariants() {
 
 #[test]
 fn coalition_campaign_convicts_every_member() {
-    let outcome = coalition(&CampaignScale::quick());
+    let outcome = coalition();
     assert_eq!(
         outcome.convicted, 2,
         "every coalition member fleet-demoted via evidence"
