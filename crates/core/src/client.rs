@@ -24,11 +24,11 @@ use transedge_common::{
     SimTime, TxnId, Value,
 };
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
-use transedge_crypto::{Digest, KeyStore, Keypair, ScanRange};
+use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    BatchCommitment as _, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery,
-    ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy, VerifyParams,
+    PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse,
+    ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
@@ -448,92 +448,30 @@ impl ReadSession {
     }
 }
 
-/// Tally one response's verification work in a single pass: every
-/// *distinct* certificate (keyed by its certified batch digest) costs
-/// one quorum signature check; every proven key or window bucket costs
-/// one leaf hash. Sections and gather parts carrying a
-/// content-identical commitment — the partial-assembly and courier
-/// paths — share a single certificate check, mirroring the verifier's
-/// one-certificate-per-response rule. `saved`
-/// counts the duplicate checks the sharing skipped. A scan's claimed
-/// window is *attacker-controlled* and unvalidated here, so its width
-/// is computed saturating and capped at the protocol maximum — the
-/// verifier rejects anything wider before hashing.
-fn tally_verification(
-    response: &ReadPayload,
-    certs: &mut Vec<Digest>,
-    sig_checks: &mut u64,
-    leaf_hashes: &mut u64,
-    saved: &mut u64,
-) {
-    let mut note_cert = |certs: &mut Vec<Digest>, digest: Digest, sigs: usize| {
-        if certs.contains(&digest) {
-            *saved += sigs as u64;
-        } else {
-            certs.push(digest);
-            *sig_checks += sigs as u64;
-        }
-    };
-    // A freshness feed costs one certificate check per delta (each
-    // batch has its own certificate) plus one hash over its changed
-    // list — charged like any other proof material.
-    if let Some(feed) = response.fresh_feed() {
-        for delta in feed {
-            note_cert(
-                certs,
-                delta.commitment.certified_digest(),
-                delta.cert.sigs.len(),
-            );
-            *leaf_hashes += 1;
-        }
-    }
+/// Leaf hashes the proof check of one part answer folds: one per proven
+/// key or window bucket, one per feed delta's changed list. A scan's
+/// claimed window is *attacker-controlled* and unvalidated here, so its
+/// width is computed saturating and capped at the protocol maximum —
+/// the verifier rejects anything wider before hashing.
+fn leaf_hashes(response: &ReadPayload) -> u64 {
     match response {
-        ReadResponse::Point { sections, .. } => {
-            for section in sections {
-                note_cert(
-                    certs,
-                    section.commitment.certified_digest(),
-                    section.cert.sigs.len(),
-                );
-                *leaf_hashes += section.body.keys().len() as u64;
-            }
+        ReadResponse::Point { sections, fresh } => {
+            let feed = fresh.as_ref().map_or(0, Vec::len);
+            let proven: usize = sections.iter().map(|s| s.body.keys().len()).sum();
+            (feed + proven) as u64
         }
         ReadResponse::Scan { bundle } => {
-            note_cert(
-                certs,
-                bundle.commitment.certified_digest(),
-                bundle.cert.sigs.len(),
-            );
             let claimed = &bundle.scan.range;
-            *leaf_hashes += claimed
+            claimed
                 .last
                 .saturating_sub(claimed.first)
                 .saturating_add(1)
-                .min(MAX_RANGE_BUCKETS);
+                .min(MAX_RANGE_BUCKETS)
         }
-        ReadResponse::Gather { parts } => {
-            for part in parts {
-                tally_verification(&part.body, certs, sig_checks, leaf_hashes, saved);
-            }
-        }
+        // A part answer is never an envelope; the verifier rejects one
+        // unread.
+        ReadResponse::Gather { .. } => 0,
     }
-}
-
-/// Charge the simulated CPU of verifying one response (one pass over
-/// all stitched sections — see [`tally_verification`]), returning how
-/// many duplicate certificate checks the commitment sharing skipped.
-fn charge_verification(ctx: &mut Context<'_, NetMsg>, response: &ReadPayload) -> u64 {
-    let mut certs = Vec::new();
-    let (mut sig_checks, mut leaf_hashes, mut saved) = (0u64, 0u64, 0u64);
-    tally_verification(
-        response,
-        &mut certs,
-        &mut sig_checks,
-        &mut leaf_hashes,
-        &mut saved,
-    );
-    ctx.charge(|c| SimDuration(c.ed25519_verify.0 * sig_checks + c.merkle_verify.0 * leaf_hashes));
-    saved
 }
 
 #[allow(clippy::enum_variant_names)]
@@ -592,9 +530,10 @@ pub struct ClientStats {
     pub directory_seeded: u64,
     /// Signed rejection-evidence records pushed into the gossip layer.
     pub directory_evidence_sent: u64,
-    /// Duplicate certificate checks skipped by the one-pass
-    /// verification charge (stitched sections and gather parts sharing
-    /// a content-identical commitment are charged one quorum check).
+    /// Certificate checks skipped because this client had already
+    /// verified that exact certificate — in an earlier response (a
+    /// repeat batch, a feed tail seen on the previous read) or earlier
+    /// in the same one. One per skipped check, whatever its `f+1`.
     pub cert_checks_shared: u64,
     /// Total wire bytes of every read response this client received
     /// (structural sizes).
@@ -650,7 +589,10 @@ impl transedge_obs::RegisterMetrics for ClientStats {
 pub struct ClientActor {
     pub id: ClientId,
     topo: ClusterTopology,
-    keys: KeyStore,
+    /// The key directory, behind the memo of certificates this client
+    /// has already verified under it (trusted state: see
+    /// [`VerifiedCerts`]).
+    certs: VerifiedCerts,
     pub config: ClientConfig,
     ops: Vec<ClientOp>,
     next_op: usize,
@@ -709,7 +651,7 @@ impl ClientActor {
         ClientActor {
             id,
             topo,
-            keys,
+            certs: VerifiedCerts::new(keys),
             config,
             ops,
             next_op: 0,
@@ -750,6 +692,12 @@ impl ClientActor {
     /// harnesses).
     pub fn pending_ops(&self) -> usize {
         self.ops.len().saturating_sub(self.next_op)
+    }
+
+    /// The memo of certificates this client has verified (its
+    /// counters: signatures actually checked, checks skipped).
+    pub fn verified_certs(&self) -> &VerifiedCerts {
+        &self.certs
     }
 
     /// The directory participant, when enabled.
@@ -1225,7 +1173,6 @@ impl ClientActor {
         response: &ReadPayload,
         ctx: &mut Context<'_, NetMsg>,
     ) -> bool {
-        let now = ctx.now();
         let sub = session.subquery(cluster);
         session.part_mut(cluster).pending = None;
         let held: &[(Key, Value)] = if sub.prefix.is_some() {
@@ -1233,9 +1180,23 @@ impl ClientActor {
         } else {
             &[]
         };
-        let verified = self
-            .read_verifier()
-            .verify_query_resuming(&self.keys, cluster, &sub, response, held, now);
+        let checked = self.certs.sig_checks();
+        let verified = self.read_verifier().verify_query_resuming(
+            &self.certs,
+            cluster,
+            &sub,
+            response,
+            held,
+            ctx.now(),
+        );
+        // Charge what the check did — the signatures it actually
+        // verified, not the ones the response carried — before anything
+        // below sends, so a next page or a retry departs after it.
+        let sig_checks = self.certs.sig_checks() - checked;
+        let leaves = leaf_hashes(response);
+        ctx.charge(|c| SimDuration(c.ed25519_verify.0 * sig_checks + c.merkle_verify.0 * leaves));
+        self.stats.cert_checks_shared = self.certs.hits();
+        let now = ctx.now();
         match verified {
             Ok(answer) => {
                 if let NodeId::Edge(edge) = pending.target {
@@ -1402,10 +1363,9 @@ impl ClientActor {
         }
         // Responses travel untraced (their transit is the trace's
         // residual wire time), so the client's verification work is
-        // recorded here, bracketing the verify charge below.
+        // recorded here, bracketing the per-part verify charges below.
         let verify_from = ctx.now();
         self.stats.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
-        self.stats.cert_checks_shared += charge_verification(ctx, &response);
         // A partition the envelope has no part for gets the empty
         // answer, which no sub-query accepts.
         let absent = ReadPayload::Point {
@@ -1682,7 +1642,7 @@ impl Actor<NetMsg> for ClientActor {
             NetMsg::DirectoryGossip { digest } => {
                 let now = ctx.now();
                 if let Some(agent) = &mut self.directory {
-                    agent.ingest(from, &digest, &self.keys, now);
+                    agent.ingest(from, &digest, self.certs.keys(), now);
                     self.stats.directory_seeded += 1;
                     self.seed_selector(now);
                 }

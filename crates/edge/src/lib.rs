@@ -55,6 +55,10 @@
 //!   [`verifier::ReadRejection`]. Its `verify_query` entry point runs
 //!   the one section check (or the scan check) for the query's shape
 //!   and enforces snapshot pins and page tokens on top.
+//! * [`certs`] — who answers the chain's one quorum question:
+//!   [`certs::QuorumCheck`], implemented by a plain `KeyStore` (check
+//!   every time) and by [`certs::VerifiedCerts`], the trusted client's
+//!   bounded memo of certificates that already passed (check once).
 //!
 //! The crate deliberately does not know about network messages or the
 //! batch format: commitments enter through the [`BatchCommitment`]
@@ -64,6 +68,7 @@
 //! independently of the transaction-processing stack.
 
 pub mod cache;
+pub mod certs;
 pub mod persist;
 pub mod pipeline;
 pub mod query;
@@ -72,6 +77,7 @@ pub mod response;
 pub mod verifier;
 
 pub use cache::{CacheStats, LruCache};
+pub use certs::{QuorumCheck, VerifiedCerts};
 pub use persist::{
     is_stale_only, readmit, verify_object, HeadRecord, HydrateReject, PersistStats, SnapshotObject,
     SnapshotStore, DEFAULT_SPILL_THRESHOLD,

@@ -30,8 +30,9 @@
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_consensus::Certificate;
 use transedge_crypto::merkle::{value_digest, Verified};
-use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, KeyStore, ScanRange};
+use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, ScanRange};
 
+use crate::certs::QuorumCheck;
 use crate::query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle,
@@ -143,7 +144,11 @@ pub enum ReadRejection {
     FeedSpliced { expected: BatchNum, got: BatchNum },
 }
 
-/// The verifier. Stateless; cheap to copy into clients.
+/// The verifier. Stateless; cheap to copy into clients. The only state
+/// a chain can touch arrives with the caller's `keys` argument: a
+/// [`QuorumCheck`] answers step 2's quorum question, and a client may
+/// pass its [`crate::VerifiedCerts`] memo where everyone else passes a
+/// plain `KeyStore`.
 #[derive(Clone, Copy, Debug)]
 pub struct ReadVerifier {
     pub params: VerifyParams,
@@ -159,7 +164,7 @@ impl ReadVerifier {
     /// digest is covered by an `f+1` certificate.
     fn check_certified<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         commitment: &H,
         cert: &Certificate,
@@ -171,11 +176,14 @@ impl ReadVerifier {
                 got: commitment.cluster(),
             });
         }
-        // 2. Certificate chains the commitment to f+1 replicas.
+        // 2. Certificate chains the commitment to f+1 replicas. The
+        // field comparisons run on every call; only the quorum of
+        // signatures over the certificate's own statement is `keys`'
+        // to answer (and, for a memo, to remember).
         if cert.cluster != expected_cluster
             || cert.slot != commitment.batch()
             || cert.digest != commitment.certified_digest()
-            || cert.verify(keys, self.params.quorum).is_err()
+            || !keys.check_quorum(cert, self.params.quorum)
         {
             return Err(ReadRejection::BadCertificate);
         }
@@ -188,7 +196,7 @@ impl ReadVerifier {
     /// the dependency floor.
     fn check_commitment<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         commitment: &H,
         cert: &Certificate,
@@ -218,7 +226,7 @@ impl ReadVerifier {
     /// they can never mask a cryptographic rejection.
     pub fn verify_delta<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         delta: &CertifiedDelta<H>,
     ) -> Result<(), ReadRejection> {
@@ -258,7 +266,7 @@ impl ReadVerifier {
     /// Returns the head batch the caller may upgrade its view to.
     pub fn verify_feed<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         served: BatchNum,
         queried: &[Key],
@@ -314,7 +322,7 @@ impl ReadVerifier {
     /// `expected_keys` order; proven keys nobody asked for are dropped.
     pub(crate) fn verify_sections<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         sections: &[MultiProofBundle<H>],
         expected_keys: &[Key],
@@ -402,7 +410,7 @@ impl ReadVerifier {
     /// then filtered).
     pub fn verify_scan<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         bundle: &ScanBundle<H>,
         requested: &ScanRange,
@@ -445,7 +453,7 @@ impl ReadVerifier {
     /// order; only then is matching rows against it meaningful.
     fn verify_scan_chain<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         bundle: &ScanBundle<H>,
         requested: &ScanRange,
@@ -506,7 +514,7 @@ impl ReadVerifier {
     /// batch this page verified at.
     pub fn verify_query<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
         response: &ReadResponse<H>,
@@ -530,7 +538,7 @@ impl ReadVerifier {
     /// the caller already holds the prefix.
     pub fn verify_query_resuming<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
         response: &ReadResponse<H>,
@@ -643,7 +651,7 @@ impl ReadVerifier {
     #[allow(clippy::too_many_arguments)]
     fn verify_prefix_resume<H: BatchCommitment>(
         &self,
-        keys: &KeyStore,
+        keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
         bundle: &ScanBundle<H>,

@@ -22,7 +22,8 @@ use transedge_crypto::{
 };
 use transedge_edge::{
     changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta,
-    MultiProofBody, MultiProofBundle, ReadVerifier, ScanBundle, SnapshotSource, VerifyParams,
+    MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts, VerifyParams,
 };
 use transedge_storage::VersionedStore;
 
@@ -92,6 +93,10 @@ pub struct Partition {
     pub certs: Vec<Certificate>,
     /// Per batch, the sorted changed-key set its header certifies.
     pub changed: Vec<Vec<Key>>,
+    /// A client memo that has already verified every certificate
+    /// [`Partition::commit`] minted — the warm side of
+    /// [`Partition::verdict`].
+    pub warm: VerifiedCerts,
 }
 
 impl SnapshotSource for Partition {
@@ -125,6 +130,7 @@ impl Partition {
         let (keys, secrets) = KeyStore::for_topology(&topo, &[9u8; 32]);
         Partition {
             topo,
+            warm: VerifiedCerts::new(keys.clone()),
             keys,
             secrets,
             store: VersionedStore::new(),
@@ -177,7 +183,11 @@ impl Partition {
             delta: changed_keys_digest(&changed),
             timestamp,
         };
-        self.certs.push(self.certify(&header));
+        let cert = self.certify(&header);
+        assert!(self
+            .warm
+            .check_quorum(&cert, self.topo.certificate_quorum()));
+        self.certs.push(cert);
         self.headers.push(header);
         self.changed.push(changed);
     }
@@ -212,6 +222,27 @@ impl Partition {
             cert: self.certs[at.0 as usize].clone(),
             changed: self.changed[at.0 as usize].clone(),
         }
+    }
+
+    /// Verify `response` the only way a client can — twice: through
+    /// the plain key directory (every certificate checked) and through
+    /// the memo already holding every honest certificate. Memoisation
+    /// must never change a verdict, so every forgery a suite routes
+    /// through here is also an equivalence case.
+    pub fn verdict(
+        &self,
+        cluster: ClusterId,
+        query: &ReadQuery,
+        response: &ReadResponse<TestHeader>,
+        held: &[(Key, Value)],
+        now: SimTime,
+    ) -> Result<QueryAnswer, ReadRejection> {
+        let verifier = self.verifier();
+        let plain = verifier.verify_query_resuming(&self.keys, cluster, query, response, held, now);
+        let memoised =
+            verifier.verify_query_resuming(&self.warm, cluster, query, response, held, now);
+        assert_eq!(memoised, plain, "a warm memo changed the verdict");
+        plain
     }
 
     pub fn verifier(&self) -> ReadVerifier {

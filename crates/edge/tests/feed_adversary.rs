@@ -14,7 +14,8 @@ use transedge_consensus::messages::accept_statement;
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, KeyStore, Sha256};
 use transedge_edge::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, ReadRejection, ReadVerifier, VerifyParams,
+    changed_keys_digest, BatchCommitment, CertifiedDelta, QuorumCheck, ReadRejection, ReadVerifier,
+    VerifiedCerts, VerifyParams,
 };
 
 /// A minimal commitment whose certified digest folds in the delta
@@ -67,6 +68,9 @@ struct Publisher {
     topo: ClusterTopology,
     keys: KeyStore,
     secrets: std::collections::HashMap<transedge_common::ReplicaId, transedge_crypto::Keypair>,
+    /// A client memo that has already verified every certificate
+    /// [`Publisher::delta`] minted.
+    warm: VerifiedCerts,
 }
 
 impl Publisher {
@@ -75,6 +79,7 @@ impl Publisher {
         let (keys, secrets) = KeyStore::for_topology(&topo, &[7u8; 32]);
         Publisher {
             topo,
+            warm: VerifiedCerts::new(keys.clone()),
             keys,
             secrets,
         }
@@ -107,16 +112,37 @@ impl Publisher {
             .take(self.topo.certificate_quorum())
             .map(|r| (NodeId::Replica(r), self.secrets[&r].sign(&stmt)))
             .collect();
+        let cert = Certificate {
+            cluster: ClusterId(0),
+            slot: BatchNum(num),
+            digest,
+            sigs,
+        };
+        assert!(self
+            .warm
+            .check_quorum(&cert, self.topo.certificate_quorum()));
         CertifiedDelta {
             commitment: header,
-            cert: Certificate {
-                cluster: ClusterId(0),
-                slot: BatchNum(num),
-                digest,
-                sigs,
-            },
+            cert,
             changed,
         }
+    }
+
+    /// The verdict on `feed` as the tail of a read of [`queried`]
+    /// served at `served` — through the plain key directory and through
+    /// the memo that already holds every honest certificate. The two
+    /// must agree: memoisation never changes a verdict.
+    fn verify_feed(
+        &self,
+        served: u64,
+        feed: &[CertifiedDelta<FeedHeader>],
+    ) -> Result<BatchNum, ReadRejection> {
+        let (cluster, served) = (ClusterId(0), BatchNum(served));
+        let verifier = self.verifier();
+        let plain = verifier.verify_feed(&self.keys, cluster, served, &queried(), feed);
+        let memoised = verifier.verify_feed(&self.warm, cluster, served, &queried(), feed);
+        assert_eq!(memoised, plain, "a warm memo changed the verdict");
+        plain
     }
 
     /// An honest feed: batches `served+1 ..= served+n`, each changing a
@@ -154,8 +180,7 @@ proptest! {
     fn honest_feed_verifies_to_head(sets in changed_sets(), served in 0u64..50) {
         let p = Publisher::new();
         let feed = p.feed(served, &sets);
-        let head = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let head = p.verify_feed(served, &feed)
             .expect("honest feed must verify");
         prop_assert_eq!(head, BatchNum(served + sets.len() as u64));
     }
@@ -174,8 +199,7 @@ proptest! {
         let mut feed = p.feed(served, &sets);
         let drop_at = pick.index(feed.len() - 1); // never the last
         feed.remove(drop_at);
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify_feed(served, &feed)
             .expect_err("a gapped feed must not verify");
         prop_assert!(matches!(err, ReadRejection::FeedSpliced { .. }), "{:?}", err);
     }
@@ -192,8 +216,7 @@ proptest! {
         let mut feed = p.feed(served, &sets);
         let dup_at = pick.index(feed.len());
         feed.insert(dup_at, feed[dup_at].clone());
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify_feed(served, &feed)
             .expect_err("a replayed delta must not verify");
         prop_assert!(matches!(err, ReadRejection::FeedSpliced { .. }), "{:?}", err);
     }
@@ -209,8 +232,7 @@ proptest! {
         let mut feed = p.feed(served, &sets);
         let at = pick.index(feed.len() - 1);
         feed.swap(at, at + 1);
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify_feed(served, &feed)
             .expect_err("a reordered feed must not verify");
         prop_assert!(matches!(err, ReadRejection::FeedSpliced { .. }), "{:?}", err);
     }
@@ -238,8 +260,7 @@ proptest! {
         } else {
             feed[at].changed.remove(0);
         }
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify_feed(served, &feed)
             .expect_err("an edited changed set must not verify");
         prop_assert_eq!(err, ReadRejection::BadDelta);
     }
@@ -258,8 +279,7 @@ proptest! {
         let at = pick.index(sets.len());
         sets[at].push(1); // queried key
         let feed = p.feed(served, &sets);
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify_feed(served, &feed)
             .expect_err("a feed touching a queried key must not verify");
         prop_assert_eq!(err, ReadRejection::BadDelta);
     }
@@ -283,8 +303,7 @@ proptest! {
             // Certificate for the right digest, wrong slot.
             feed[at].cert.slot = BatchNum(feed[at].cert.slot.0 + 1_000);
         }
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify_feed(served, &feed)
             .expect_err("a forged certificate must not verify");
         prop_assert_eq!(err, ReadRejection::BadCertificate);
     }

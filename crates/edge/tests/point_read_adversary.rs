@@ -78,10 +78,7 @@ fn verify(
     response: &ReadResponse<TestHeader>,
     now: SimTime,
 ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-    match p
-        .verifier()
-        .verify_query(&p.keys, ClusterId(0), query, response, now)?
-    {
+    match p.verdict(ClusterId(0), query, response, &[], now)? {
         QueryAnswer::Values(values) => Ok(values),
         other => panic!("a point query yields values, got {other:?}"),
     }
@@ -286,8 +283,7 @@ proptest! {
         }
         // Wrong cluster: an honest response for a partition nobody asked.
         prop_assert_eq!(
-            p.verifier()
-                .verify_query(&p.keys, ClusterId(3), &query, &respond(sections.clone()), NOW)
+            p.verdict(ClusterId(3), &query, &respond(sections.clone()), &[], NOW)
                 .unwrap_err(),
             ReadRejection::WrongCluster { expected: ClusterId(3), got: ClusterId(0) }
         );
@@ -323,15 +319,14 @@ proptest! {
         let scan = ReadResponse::Scan { bundle: Box::new(p.scan(window, SERVED)) };
         prop_assert_eq!(verify(&p, &query, &scan, NOW).unwrap_err(), ReadRejection::ShapeMismatch);
         prop_assert_eq!(
-            p.verifier()
-                .verify_query(
-                    &p.keys,
-                    ClusterId(0),
-                    &ReadQuery::scan(ClusterId(0), window),
-                    &respond(sections.clone()),
-                    NOW,
-                )
-                .unwrap_err(),
+            p.verdict(
+                ClusterId(0),
+                &ReadQuery::scan(ClusterId(0), window),
+                &respond(sections.clone()),
+                &[],
+                NOW,
+            )
+            .unwrap_err(),
             ReadRejection::ShapeMismatch
         );
 
@@ -422,7 +417,6 @@ fn every_rejection_variant_is_reachable() {
     ];
 
     let p = world(&[(1, 1), (2, 2), (3, 3)]);
-    let verifier = p.verifier();
     let k = |n: u32| Key::from_u32(n);
     let keys = vec![k(1), k(2), k(900)];
     let section = p.section(&keys, SERVED);
@@ -435,15 +429,14 @@ fn every_rejection_variant_is_reachable() {
 
     // ---- point chain ----
     seen.push(
-        verifier
-            .verify_query(
-                &p.keys,
-                ClusterId(1),
-                &plain,
-                &respond(vec![section.clone()]),
-                NOW,
-            )
-            .unwrap_err(),
+        p.verdict(
+            ClusterId(1),
+            &plain,
+            &respond(vec![section.clone()]),
+            &[],
+            NOW,
+        )
+        .unwrap_err(),
     );
     let mut thin = section.clone();
     thin.cert.sigs.clear();
@@ -496,18 +489,16 @@ fn every_rejection_variant_is_reachable() {
     let range = ScanRange::new(0, (1 << DEPTH) - 1);
     let scan_query = ReadQuery::scan(ClusterId(0), range);
     let scan = |q: &ReadQuery, bundle, held: &[(Key, Value)]| {
-        verifier
-            .verify_query_resuming(
-                &p.keys,
-                ClusterId(0),
-                q,
-                &ReadResponse::Scan {
-                    bundle: Box::new(bundle),
-                },
-                held,
-                NOW,
-            )
-            .unwrap_err()
+        p.verdict(
+            ClusterId(0),
+            q,
+            &ReadResponse::Scan {
+                bundle: Box::new(bundle),
+            },
+            held,
+            NOW,
+        )
+        .unwrap_err()
     };
     seen.push(scan(&plain, p.scan(range, SERVED), &[]));
     seen.push(scan(

@@ -17,8 +17,8 @@ use transedge_crypto::{
     sha256, Digest, KeyStore, MerkleProof, RangeProof, ScanRange, Sha256, VersionedMerkleTree,
 };
 use transedge_edge::{
-    scan_snapshot, BatchCommitment, ReadRejection, ReadVerifier, ScanBundle, SnapshotSource,
-    VerifyParams,
+    scan_snapshot, BatchCommitment, QuorumCheck, ReadRejection, ReadVerifier, ScanBundle,
+    SnapshotSource, VerifiedCerts, VerifyParams,
 };
 use transedge_storage::VersionedStore;
 
@@ -75,6 +75,9 @@ struct Partition {
     tree: VersionedMerkleTree,
     headers: Vec<TestHeader>,
     certs: Vec<Certificate>,
+    /// A client memo that has already verified every certificate
+    /// [`Partition::commit`] minted.
+    warm: VerifiedCerts,
 }
 
 impl SnapshotSource for Partition {
@@ -108,6 +111,7 @@ impl Partition {
         let (keys, secrets) = KeyStore::for_topology(&topo, &[7u8; 32]);
         Partition {
             topo,
+            warm: VerifiedCerts::new(keys.clone()),
             keys,
             secrets,
             store: VersionedStore::new(),
@@ -145,13 +149,15 @@ impl Partition {
             .take(quorum)
             .map(|r| (NodeId::Replica(r), self.secrets[&r].sign(&stmt)))
             .collect();
-        self.headers.push(header);
-        self.certs.push(Certificate {
+        let cert = Certificate {
             cluster: ClusterId(0),
             slot: num,
             digest,
             sigs,
-        });
+        };
+        assert!(self.warm.check_quorum(&cert, quorum));
+        self.headers.push(header);
+        self.certs.push(cert);
     }
 
     fn scan_bundle(&self, range: &ScanRange, at: BatchNum) -> ScanBundle<TestHeader> {
@@ -175,14 +181,25 @@ impl Partition {
         bundle: &ScanBundle<TestHeader>,
         requested: &ScanRange,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        self.verifier().verify_scan(
-            &self.keys,
-            ClusterId(0),
-            bundle,
-            requested,
-            Epoch::NONE,
-            SimTime(2_500),
-        )
+        self.verify_as(ClusterId(0), bundle, requested, SimTime(2_500))
+    }
+
+    /// The verdict on `bundle` — through the plain key directory and
+    /// through the memo that already holds every honest certificate.
+    /// The two must agree: memoisation never changes a verdict.
+    fn verify_as(
+        &self,
+        cluster: ClusterId,
+        bundle: &ScanBundle<TestHeader>,
+        requested: &ScanRange,
+        now: SimTime,
+    ) -> Result<Vec<(Key, Value)>, ReadRejection> {
+        let verifier = self.verifier();
+        let plain = verifier.verify_scan(&self.keys, cluster, bundle, requested, Epoch::NONE, now);
+        let memoised =
+            verifier.verify_scan(&self.warm, cluster, bundle, requested, Epoch::NONE, now);
+        assert_eq!(memoised, plain, "a warm memo changed the verdict");
+        plain
     }
 }
 
@@ -332,24 +349,15 @@ fn scan_rejection_classes_are_typed() {
     assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadCertificate));
 
     // Stale timestamp outside the freshness window.
-    let late = p.verifier().verify_scan(
-        &p.keys,
+    let late = p.verify_as(
         ClusterId(0),
         &honest,
         &range,
-        Epoch::NONE,
         SimTime(SimDuration::from_secs(40).as_micros()),
     );
     assert_eq!(late, Err(ReadRejection::StaleTimestamp));
 
     // Wrong partition.
-    let wrong = p.verifier().verify_scan(
-        &p.keys,
-        ClusterId(1),
-        &honest,
-        &range,
-        Epoch::NONE,
-        SimTime(2_500),
-    );
+    let wrong = p.verify_as(ClusterId(1), &honest, &range, SimTime(2_500));
     assert!(matches!(wrong, Err(ReadRejection::WrongCluster { .. })));
 }

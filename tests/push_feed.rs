@@ -119,6 +119,23 @@ fn subscribed_client_skips_round_two_on_warm_edges() {
         reader.stats.round2_skipped_by_feed > 0,
         "the feed must eliminate round-2 fetches the served snapshots would have needed"
     );
+    // Verification cost follows what is *new*, not the tail's length:
+    // the reader's memo verified each certificate it met once — at most
+    // one per batch either partition ever committed — while the feed
+    // tails re-carried them, read after read, more often than that.
+    let batches = dep.metrics().fleet_counter("node.batches_proposed") + 2;
+    let quorum = topo.certificate_quorum() as u64;
+    let memo = reader.verified_certs();
+    assert!(
+        memo.sig_checks() <= batches * quorum,
+        "each certificate is checked once: {} signatures over {batches} batches",
+        memo.sig_checks()
+    );
+    assert!(
+        reader.stats.cert_checks_shared > batches,
+        "re-carried feed tails must hit the memo (got {} over {batches} batches)",
+        reader.stats.cert_checks_shared
+    );
     // The feed reached the edges and was attached; nothing was bogus.
     for edge in &dep.edge_ids {
         let stats = &dep.edge_node(*edge).stats;

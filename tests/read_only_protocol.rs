@@ -247,6 +247,12 @@ fn byzantine_edge_is_detected_and_evaded() {
             byz.stats.tampered > 0,
             "{behavior:?}: byzantine edge must have tampered"
         );
+        // ...by a client whose certificate memo was warm from the honest
+        // retries: a remembered certificate vouches for nothing around it.
+        assert!(
+            client.stats.cert_checks_shared > 0,
+            "{behavior:?}: the forgeries must have met a warm memo"
+        );
         // ...yet every transaction still completed with correct values
         // by evading to honest replicas.
         assert_eq!(client.stats.gave_up, 0, "{behavior:?}: no ROT may give up");
@@ -270,6 +276,55 @@ fn byzantine_edge_is_detected_and_evaded() {
             );
         }
     }
+}
+
+/// The client checks each certificate once: the same cross-partition
+/// ROT issued twice with no write in between returns the same verified
+/// result, and the second read — every certificate it carries already
+/// verified by the first — spends strictly less time verifying.
+#[test]
+fn repeat_read_checks_each_certificate_once() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.cost = transedge::simnet::CostModel::calibrated();
+    config.client.record_results = true;
+    let topo = config.topo.clone();
+    let keys: Vec<Key> = keys_on(&topo, ClusterId(0), 2)
+        .into_iter()
+        .chain(keys_on(&topo, ClusterId(1), 1))
+        .collect();
+    let script = vec![ClientOp::ReadOnly { keys: keys.clone() }; 2];
+    let mut dep = Deployment::build(config, vec![script]);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let client = dep.client(dep.client_ids[0]);
+    assert_eq!(client.stats.verification_failures, 0);
+    let [first, second] = &client.rot_results[..] else {
+        panic!("two reads, got {}", client.rot_results.len());
+    };
+    assert_eq!(first.values, second.values);
+    assert_eq!(first.snapshot, second.snapshot);
+    let partitions = first.snapshot.len() as u64;
+    assert_eq!(partitions, 2);
+    assert!(
+        client.stats.cert_checks_shared >= partitions,
+        "the repeat read must reuse one certificate per partition (got {})",
+        client.stats.cert_checks_shared
+    );
+    let verify_us: Vec<u64> = dep
+        .completed_traces()
+        .iter()
+        .map(|t| {
+            t.spans_of(transedge::obs::SpanPhase::Verify)
+                .map(|s| s.duration().0)
+                .sum()
+        })
+        .collect();
+    assert_eq!(verify_us.len(), 2);
+    assert!(
+        verify_us[1] < verify_us[0],
+        "the repeat read must verify faster: {verify_us:?}"
+    );
 }
 
 /// Partial assembly: a 3-key ROT whose keys are only partially cached
