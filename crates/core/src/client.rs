@@ -17,7 +17,8 @@
 //! cross-partition dependency check (Algorithm 2) with an explicit
 //! LCE floor — the round-2 semantics, uniform across shapes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use transedge_common::{
     BatchNum, ClientId, ClusterId, ClusterTopology, Epoch, Key, NodeId, ReplicaId, SimDuration,
@@ -27,16 +28,16 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse,
-    ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
+    FeedWindow, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
 
-use crate::batch::{CommittedHeader, ReadOp, Transaction, WriteOp};
+use crate::batch::{BatchHeader, CommittedHeader, ReadOp, Transaction, WriteOp};
 use crate::deps::{verify_dependencies, RotView};
 use crate::edge_select::{EdgeSelector, EdgeSelectorConfig};
-use crate::messages::{NetMsg, ReadPayload};
+use crate::messages::{NetMsg, ReadPayload, RotDelta};
 use crate::metrics::{OpKind, TxnSample};
 
 /// One scripted client operation.
@@ -238,7 +239,7 @@ struct PartState {
     base_view: Option<RotView>,
     /// The full menu of certified snapshot views a verified feed
     /// attachment buys: the served view followed by each delta's
-    /// header view, ascending to the head. The feed proves the served
+    /// header view — held ones, then sent ones — ascending to the head. The feed proves the served
     /// values unchanged through every prefix of the chain, so each
     /// entry is an equally certified snapshot of the same values —
     /// the dependency check may pick any of them.
@@ -356,7 +357,7 @@ impl ReadSession {
                 .is_none()
                 .then(|| part.resume_prefix.map(|through| PrefixResume { through }))
                 .flatten(),
-            fresh: self.query.fresh,
+            feed: self.query.feed_for(cluster),
             trace: self.query.trace,
         }
     }
@@ -448,8 +449,18 @@ impl ReadSession {
     }
 }
 
+/// The dependency-check view a certified header gives of its partition.
+fn view_of(header: &BatchHeader) -> RotView {
+    RotView {
+        cluster: header.cluster,
+        batch: header.num,
+        cd: header.cd.clone(),
+        lce: header.lce,
+    }
+}
+
 /// Leaf hashes the proof check of one part answer folds: one per proven
-/// key or window bucket, one per feed delta's changed list. A scan's
+/// key or window bucket, one per *sent* feed delta's changed list. A scan's
 /// claimed window is *attacker-controlled* and unvalidated here, so its
 /// width is computed saturating and capped at the protocol maximum —
 /// the verifier rejects anything wider before hashing.
@@ -545,6 +556,9 @@ pub struct ClientStats {
     /// verified feed attachment already satisfied the dependency floor
     /// the un-upgraded snapshot would have missed.
     pub round2_skipped_by_feed: u64,
+    /// Held feed deltas that stood in for ones an edge would otherwise
+    /// have shipped again (the saving the feed cursor buys).
+    pub feed_deltas_reused: u64,
 }
 
 impl transedge_obs::RegisterMetrics for ClientStats {
@@ -582,6 +596,7 @@ impl transedge_obs::RegisterMetrics for ClientStats {
             "query.round2_skipped_by_feed",
             self.round2_skipped_by_feed,
         );
+        reg.counter(scope, "query.feed_deltas_reused", self.feed_deltas_reused);
     }
 }
 
@@ -593,6 +608,10 @@ pub struct ClientActor {
     /// has already verified under it (trusted state: see
     /// [`VerifiedCerts`]).
     certs: VerifiedCerts,
+    /// Subscription mode: per partition, the contiguous run of feed
+    /// deltas this client has verified (trusted state, beside the
+    /// memo) — named to edges as a cursor so they are not sent again.
+    feeds: BTreeMap<ClusterId, FeedWindow<CommittedHeader>>,
     pub config: ClientConfig,
     ops: Vec<ClientOp>,
     next_op: usize,
@@ -652,6 +671,7 @@ impl ClientActor {
             id,
             topo,
             certs: VerifiedCerts::new(keys),
+            feeds: BTreeMap::new(),
             config,
             ops,
             next_op: 0,
@@ -698,6 +718,12 @@ impl ClientActor {
     /// counters: signatures actually checked, checks skipped).
     pub fn verified_certs(&self) -> &VerifiedCerts {
         &self.certs
+    }
+
+    /// The feed deltas this client holds for `cluster`, if it ever
+    /// verified a feed attachment there.
+    pub fn feed_window(&self, cluster: ClusterId) -> Option<&FeedWindow<CommittedHeader>> {
+        self.feeds.get(&cluster)
     }
 
     /// The directory participant, when enabled.
@@ -936,7 +962,7 @@ impl ClientActor {
         // Subscription mode: every point query asks its serving edge
         // for the verified feed tail (freshness certificate).
         if self.config.subscribe && matches!(query.shape, QueryShape::Point { .. }) {
-            query.fresh = true;
+            query = query.with_feed_freshness();
         }
         let parts: Vec<PartState> = match &query.shape {
             QueryShape::Point { keys } => {
@@ -1050,6 +1076,11 @@ impl ClientActor {
         target: NodeId,
         ctx: &mut Context<'_, NetMsg>,
     ) {
+        // A subscriber names what it already holds, per partition.
+        if session.query.feed.is_some() {
+            let held = |p: &PartState| Some((p.cluster, self.feeds.get(&p.cluster)?.cursor()?));
+            session.query.feed = Some(session.parts.iter().filter_map(held).collect());
+        }
         let req = self.req_id();
         let query = match clusters {
             [cluster] => session.subquery(*cluster),
@@ -1074,10 +1105,10 @@ impl ClientActor {
     fn ingest_answer(
         &mut self,
         part: &mut PartState,
-        cluster: ClusterId,
         sub: &ReadQuery,
         answer: QueryAnswer,
         response: &ReadPayload,
+        feed_run: &[Arc<RotDelta>],
     ) -> bool {
         match answer {
             QueryAnswer::Values(values) => {
@@ -1085,37 +1116,25 @@ impl ClientActor {
                     if sections.len() > 1 {
                         self.stats.assembled_accepted += 1;
                     }
-                    let header = &sections[0].commitment.header;
-                    part.view = Some(RotView {
-                        cluster,
-                        batch: header.num,
-                        cd: header.cd.clone(),
-                        lce: header.lce,
-                    });
+                    part.view = Some(view_of(&sections[0].commitment.header));
                 }
                 // A verified feed attachment proves the served values
                 // unchanged through the feed head, so every prefix of
-                // the chain is an equally certified snapshot view of
-                // the same values: record the whole menu (served view
-                // first, ascending to the head) and tentatively adopt
-                // the head. `settle_feed_cut` later picks the maximal
-                // *mutually consistent* cut across partitions, so the
-                // round-2 MinEpoch re-fetch disappears. (The verifier
-                // already checked the chain; an empty feed proves the
-                // served batch *is* the head.)
-                if let Some(feed) = response.fresh_feed() {
+                // the chain — `feed_run`, the held deltas it leaned on
+                // then the sent ones — is an equally certified snapshot
+                // view of the same values: record the whole menu
+                // (served view first, ascending to the head) and
+                // tentatively adopt the head. `settle_feed_cut` later
+                // picks the maximal *mutually consistent* cut across
+                // partitions, so the round-2 MinEpoch re-fetch
+                // disappears. (The verifier already checked the chain;
+                // an empty one proves the served batch *is* the head.)
+                if let Some(sent) = response.fresh_feed() {
+                    self.stats.feed_deltas_reused += (feed_run.len() - sent.len()) as u64;
                     part.base_view = part.view.clone();
                     if let Some(served) = part.view.clone() {
                         part.feed_cuts = std::iter::once(served)
-                            .chain(feed.iter().map(|d| {
-                                let header = &d.commitment.header;
-                                RotView {
-                                    cluster,
-                                    batch: header.num,
-                                    cd: header.cd.clone(),
-                                    lce: header.lce,
-                                }
-                            }))
+                            .chain(feed_run.iter().map(|d| view_of(&d.commitment.header)))
                             .collect();
                         part.view = part.feed_cuts.last().cloned();
                     }
@@ -1137,13 +1156,7 @@ impl ClientActor {
                         self.stats.scans_covered_by_wider += 1;
                     }
                     if part.view.is_none() {
-                        let header = &bundle.commitment.header;
-                        part.view = Some(RotView {
-                            cluster,
-                            batch: header.num,
-                            cd: header.cd.clone(),
-                            lce: header.lce,
-                        });
+                        part.view = Some(view_of(&bundle.commitment.header));
                     }
                 }
                 part.rows.extend(rows);
@@ -1181,12 +1194,13 @@ impl ClientActor {
             &[]
         };
         let checked = self.certs.sig_checks();
-        let verified = self.read_verifier().verify_query_resuming(
+        let verified = self.read_verifier().verify_and_extend(
             &self.certs,
             cluster,
             &sub,
             response,
             held,
+            self.feeds.entry(cluster).or_default(),
             ctx.now(),
         );
         // Charge what the check did — the signatures it actually
@@ -1198,7 +1212,7 @@ impl ClientActor {
         self.stats.cert_checks_shared = self.certs.hits();
         let now = ctx.now();
         match verified {
-            Ok(answer) => {
+            Ok((answer, feed_run)) => {
                 if let NodeId::Edge(edge) = pending.target {
                     self.edge_selector.record_success(
                         edge.cluster,
@@ -1210,7 +1224,7 @@ impl ClientActor {
                     session.part_mut(cluster),
                     PartState::new(cluster, Vec::new()),
                 );
-                let more = self.ingest_answer(&mut part, cluster, &sub, answer, response);
+                let more = self.ingest_answer(&mut part, &sub, answer, response, &feed_run);
                 *session.part_mut(cluster) = part;
                 if more {
                     // Next page: back through the selector — the pinned
@@ -1263,10 +1277,19 @@ impl ClientActor {
                 // qualify — `witness` drops the rest — and only against
                 // an edge answering for its own partition: a contact
                 // that couriered a sibling's forgery is shunned here,
-                // not convicted fleet-wide.)
+                // not convicted fleet-wide. A rejection resting on a
+                // feed delta only this client holds is no evidence
+                // either: nobody else could reproduce it, so it has to
+                // repeat without the window.)
+                let reproducible = self.directory.is_some()
+                    && self
+                        .read_verifier()
+                        .verify_query(&self.certs, cluster, &sub, response, now)
+                        .is_err_and(|e| e == rejection);
                 if let (Some(agent), NodeId::Edge(subject)) = (&mut self.directory, pending.target)
                 {
                     if subject.cluster == cluster
+                        && reproducible
                         && agent.witness(subject, cluster, &sub, response, &rejection, now)
                     {
                         self.stats.directory_evidence_sent += 1;

@@ -47,6 +47,7 @@
 //! client re-asks a real replica. Tests use them to pin that property.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, EdgeId, Epoch, Key, NodeId, ReplicaId, SimDuration,
@@ -95,11 +96,13 @@ pub enum EdgeBehavior {
     /// `ReadVerifier::verify_scan`'s row-count-versus-proof check
     /// catches it.
     OmitKey,
-    /// Inject a bogus key into an attached freshness feed's changed
-    /// list: the changed-key digest no longer matches the delta digest
-    /// the replica certificate covers, so the client rejects the
-    /// response as `BadDelta` — cryptographic evidence the directory
-    /// gossips fleet-wide, exactly like a forged proof.
+    /// Inject a bogus key into the changed list of the last delta of an
+    /// attached freshness feed — re-shipping the feed head when the
+    /// client's cursor left nothing to send. Either the changed-key
+    /// digest no longer matches the delta digest the replica
+    /// certificate covers (`BadDelta`) or the delta repeats a batch
+    /// the client said it holds (`FeedSpliced`): cryptographic
+    /// evidence the directory gossips fleet-wide, like a forged proof.
     TamperDelta,
     /// Coalition mode: lie *consistently* with every other coalition
     /// member. The forged state root is a pure function of the batch
@@ -259,8 +262,6 @@ pub struct EdgeNodeStats {
     /// replica push is a claim like any other — nothing is applied
     /// until it recomputes under its certificate).
     pub bad_deltas_dropped: u64,
-    /// Responses sent with a feed freshness attachment.
-    pub freshness_attached: u64,
     /// Durable objects re-admitted through the verifier at restart and
     /// returned to the replay caches.
     pub hydrate_admitted: u64,
@@ -318,7 +319,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
             self.feed_deltas_received,
         );
         reg.counter(scope, "edge.bad_deltas_dropped", self.bad_deltas_dropped);
-        reg.counter(scope, "edge.freshness_attached", self.freshness_attached);
         reg.counter(scope, "edge.hydrate_admitted", self.hydrate_admitted);
         reg.counter(scope, "edge.hydrate_rejected", self.hydrate_rejected);
         reg.counter(scope, "edge.hydrate_stale", self.hydrate_stale);
@@ -632,10 +632,14 @@ impl EdgeReadNode {
     }
 
     /// Apply [`EdgeBehavior::TamperDelta`] to an outgoing freshness
-    /// attachment: inject a bogus key into the last delta's changed
-    /// list. The changed-key digest no longer matches the certified
-    /// delta digest, so the client rejects the response as `BadDelta`.
-    fn corrupt_fresh(&mut self, fresh: Option<Vec<RotDelta>>) -> Option<Vec<RotDelta>> {
+    /// attachment of `cluster`: inject a bogus key into the last
+    /// delta's changed list. A warm cursor leaves nothing to send, so
+    /// the liar then re-ships its feed head to have a delta to doctor.
+    fn corrupt_fresh(
+        &mut self,
+        cluster: ClusterId,
+        fresh: Option<Vec<Arc<RotDelta>>>,
+    ) -> Option<Vec<Arc<RotDelta>>> {
         // Coalition members forge the *same* bogus delta key as each
         // other (a shared constant), for the same reason their forged
         // roots match: agreement must not look like honesty.
@@ -645,8 +649,12 @@ impl EdgeReadNode {
             _ => return fresh,
         };
         let mut feed = fresh?;
+        if feed.is_empty() {
+            let head = self.caches.get(cluster).and_then(|c| c.feed().newest());
+            feed.extend(head.cloned());
+        }
         if let Some(last) = feed.last_mut() {
-            last.changed.push(bogus);
+            Arc::make_mut(last).changed.push(bogus);
             self.stats.tampered += 1;
         }
         Some(feed)
@@ -680,15 +688,12 @@ impl EdgeReadNode {
         &mut self,
         reply: ReplyTo,
         mut sections: Vec<RotSection>,
-        fresh: Option<Vec<RotDelta>>,
+        mut fresh: Option<Vec<Arc<RotDelta>>>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         if let Some(first) = sections.first_mut() {
+            fresh = self.corrupt_fresh(first.commitment.header.cluster, fresh);
             self.corrupt(first);
-        }
-        let fresh = self.corrupt_fresh(fresh);
-        if fresh.is_some() {
-            self.stats.freshness_attached += 1;
         }
         self.deliver(reply, ReadPayload::Point { sections, fresh }, ctx);
     }
@@ -805,7 +810,7 @@ impl EdgeReadNode {
             shape,
             page: query.page,
             prefix: query.prefix,
-            fresh: query.fresh,
+            feed: query.feed_for(cluster),
             trace: query.trace,
         }
     }
@@ -1115,11 +1120,17 @@ impl EdgeReadNode {
         if missing.is_empty() {
             self.stats.served_from_cache += 1;
             // A subscriber asked for a freshness upgrade: attach the
-            // feed tail proving the replayed snapshot current (or
-            // refuse, letting the client fall back to round 2).
+            // feed tail proving the replayed snapshot current — only
+            // the part past what its cursor says it holds — or refuse,
+            // letting the client fall back to round 2.
+            let resume = query.feed_resume(cluster, anchor);
             let fresh = query
-                .fresh
-                .then(|| self.cache_for(cluster).freshness_since(anchor, &keys))
+                .feed
+                .is_some()
+                .then(|| {
+                    self.cache_for(cluster)
+                        .freshness_since(anchor, &keys, resume)
+                })
                 .flatten();
             self.respond(reply, sections, fresh, ctx);
             return;
@@ -1257,7 +1268,7 @@ impl EdgeReadNode {
         let from_batch = self
             .caches
             .get(self.me.cluster)
-            .and_then(|c| c.feed_head())
+            .and_then(|c| c.feed().head())
             .unwrap_or(BatchNum(0));
         // Pin one replica per edge (spread by edge index) so renewal
         // replays come from a log that saw our earlier subscription.

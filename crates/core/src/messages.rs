@@ -1,6 +1,8 @@
 //! Every message that crosses the simulated network in a TransEdge
 //! deployment.
 
+use std::sync::Arc;
+
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, TxnId, Value};
 use transedge_consensus::{BftMsg, Certificate};
 use transedge_crypto::Signature;
@@ -303,10 +305,11 @@ fn rot_delta_size(d: &RotDelta) -> usize {
         + d.changed.iter().map(|k| k.len() + 4).sum::<usize>()
 }
 
-fn feed_size(fresh: &Option<Vec<RotDelta>>) -> usize {
+/// What travelled: the deltas sent, not the ones the client held.
+fn feed_size(fresh: &Option<Vec<Arc<RotDelta>>>) -> usize {
     match fresh {
         None => 1,
-        Some(deltas) => 5 + deltas.iter().map(rot_delta_size).sum::<usize>(),
+        Some(sent) => 5 + sent.iter().map(|d| rot_delta_size(d)).sum::<usize>(),
     }
 }
 

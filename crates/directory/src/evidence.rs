@@ -20,6 +20,8 @@
 //! the fleet if the frame was false), while read correctness continues
 //! to rest solely on the client-side verifier.
 
+use std::sync::Arc;
+
 use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, WireWriter};
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Sha256, Signature};
 use transedge_edge::{
@@ -98,7 +100,7 @@ fn hash_scan<H: BatchCommitment>(h: &mut Sha256, bundle: &ScanBundle<H>) {
 /// pins the true delta digest, but the carried list is the relay's
 /// claim; hashing it means a tampered list (the lie the evidence
 /// convicts) cannot be swapped out from under the witness's signature.
-fn hash_feed<H: BatchCommitment>(h: &mut Sha256, feed: &[CertifiedDelta<H>]) {
+fn hash_feed<H: BatchCommitment>(h: &mut Sha256, feed: &[Arc<CertifiedDelta<H>>]) {
     h.update(b"fresh");
     h.update(&(feed.len() as u32).to_le_bytes());
     for delta in feed {
@@ -198,8 +200,13 @@ pub fn query_fingerprint(query: &ReadQuery) -> Digest {
         h.update(b"prefix");
         h.update(&prefix.through.to_le_bytes());
     }
-    if query.fresh {
+    if let Some(cursors) = &query.feed {
         h.update(b"fresh");
+        for (cluster, cursor) in cursors {
+            h.update(&cluster.0.to_le_bytes());
+            h.update(&cursor.first.0.to_le_bytes());
+            h.update(&cursor.head.0.to_le_bytes());
+        }
     }
     h.finalize()
 }
@@ -268,6 +275,16 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
         if self.body.query.prefix.is_some() {
             return None;
         }
+        // A feed cursor needs no such guard. The signed query carries
+        // it, so whatever rests on query + sent deltas reproduces here:
+        // a sent tail not starting right after the cursor
+        // (`FeedSpliced`), a sent delta with a bad certificate or
+        // changed set, a sent delta touching a queried key. What rests
+        // on a delta only the witness *held* — the edge proving a head
+        // past a held delta that touches the key — does not: with no
+        // window the held part goes unexamined, the response verifies,
+        // and the record is dropped below as a fabrication. Witnesses
+        // demote on those locally and never gossip them.
         match verifier.verify_query(
             keys,
             self.body.cluster,
@@ -293,7 +310,7 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
 
     /// Wire-size estimate for the simulator's bandwidth model.
     pub fn wire_size(&self) -> usize {
-        fn feed_size<H>(feed: &Option<Vec<CertifiedDelta<H>>>) -> usize {
+        fn feed_size<H>(feed: &Option<Vec<Arc<CertifiedDelta<H>>>>) -> usize {
             feed.as_ref().map_or(1, |deltas| {
                 1 + deltas
                     .iter()

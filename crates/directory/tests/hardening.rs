@@ -7,6 +7,7 @@
 //! out of the receiver's routing hints.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use transedge_common::{
     BatchNum, ClientId, ClusterId, ClusterTopology, EdgeId, Epoch, Key, NodeId, SimDuration,
@@ -22,8 +23,8 @@ use transedge_directory::{
     SignedObservation,
 };
 use transedge_edge::{
-    BatchCommitment, MultiProofBody, MultiProofBundle, ReadQuery, ReadResponse, ReadVerifier,
-    VerifyParams,
+    changed_keys_digest, BatchCommitment, CertifiedDelta, FeedWindow, Held, MultiProofBody,
+    MultiProofBundle, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifyParams,
 };
 use transedge_storage::VersionedStore;
 
@@ -35,6 +36,7 @@ struct TestHeader {
     num: BatchNum,
     merkle_root: Digest,
     lce: Epoch,
+    delta: Digest,
     timestamp: SimTime,
 }
 
@@ -61,8 +63,12 @@ impl BatchCommitment for TestHeader {
         h.update(&self.num.0.to_le_bytes());
         h.update(self.merkle_root.as_bytes());
         h.update(&self.lce.0.to_le_bytes());
+        h.update(self.delta.as_bytes());
         h.update(&self.timestamp.0.to_le_bytes());
         h.finalize()
+    }
+    fn delta_digest(&self) -> Digest {
+        self.delta
     }
 }
 
@@ -70,6 +76,7 @@ impl BatchCommitment for TestHeader {
 /// registered identity keys for edges and one client.
 struct World {
     keys: KeyStore,
+    replicas: Vec<(NodeId, Keypair)>,
     header: TestHeader,
     cert: Certificate,
     store: VersionedStore,
@@ -98,21 +105,15 @@ impl World {
             num,
             merkle_root: root,
             lce: Epoch::NONE,
+            delta: changed_keys_digest(&[]),
             timestamp: SimTime(1_000),
         };
-        let digest = header.certified_digest();
-        let stmt = accept_statement(ClusterId(0), num, &digest);
-        let sigs: Vec<_> = topo
+        let replicas: Vec<_> = topo
             .replicas_of(ClusterId(0))
             .take(topo.certificate_quorum())
-            .map(|r| (NodeId::Replica(r), secrets[&r].sign(&stmt)))
+            .map(|r| (NodeId::Replica(r), secrets[&r].clone()))
             .collect();
-        let cert = Certificate {
-            cluster: ClusterId(0),
-            slot: num,
-            digest,
-            sigs,
-        };
+        let cert = certify(&replicas, &header);
         let mut edge_keys = HashMap::new();
         for index in 0u16..3 {
             let id = EdgeId::new(ClusterId(0), index);
@@ -124,6 +125,7 @@ impl World {
         keys.register(NodeId::Client(ClientId(0)), client_key.public());
         World {
             keys,
+            replicas,
             header,
             cert,
             store,
@@ -163,12 +165,39 @@ impl World {
         }
     }
 
+    /// Batch `num`'s certified feed delta: it changed `changed` and left
+    /// the tree alone (the sections below are all served at batch 0).
+    fn delta(&self, num: u64, changed: Vec<Key>) -> Arc<CertifiedDelta<TestHeader>> {
+        let commitment = TestHeader {
+            num: BatchNum(num),
+            delta: changed_keys_digest(&changed),
+            ..self.header.clone()
+        };
+        Arc::new(CertifiedDelta {
+            cert: certify(&self.replicas, &commitment),
+            commitment,
+            changed,
+        })
+    }
+
     fn agent(&self, edge: EdgeId) -> DirectoryAgent<TestHeader> {
         DirectoryAgent::new(
             NodeId::Edge(edge),
             self.edge_keys[&edge].clone(),
             self.verifier(),
         )
+    }
+}
+
+/// `f+1` replica signatures over `header`'s certified digest.
+fn certify(replicas: &[(NodeId, Keypair)], header: &TestHeader) -> Certificate {
+    let digest = header.certified_digest();
+    let stmt = accept_statement(ClusterId(0), header.num, &digest);
+    Certificate {
+        cluster: ClusterId(0),
+        slot: header.num,
+        digest,
+        sigs: replicas.iter().map(|(r, k)| (*r, k.sign(&stmt))).collect(),
     }
 }
 
@@ -274,6 +303,128 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
         .iter()
         .find(|h| h.edge == edge(2))
         .is_none_or(|h| h.byzantine));
+}
+
+/// A subscriber holding feed deltas 1..=3 reads keys 0 and 1 (served at
+/// batch 0) and tells the edge so; `sent` is what came back with them.
+fn subscribed_read(
+    world: &World,
+    window: &FeedWindow<TestHeader>,
+    sent: Vec<Arc<CertifiedDelta<TestHeader>>>,
+) -> (ReadQuery, ReadResponse<TestHeader>) {
+    let keys = vec![Key::from_u32(0), Key::from_u32(1)];
+    let mut query = ReadQuery::point(keys.clone());
+    query.feed = Some(vec![(ClusterId(0), window.cursor().unwrap())]);
+    let response = ReadResponse::Point {
+        sections: vec![world.section(&keys, false)],
+        fresh: Some(sent),
+    };
+    (query, response)
+}
+
+fn window_of(
+    deltas: impl IntoIterator<Item = Arc<CertifiedDelta<TestHeader>>>,
+) -> FeedWindow<TestHeader> {
+    let mut window = FeedWindow::default();
+    window.absorb(&deltas.into_iter().collect::<Vec<_>>());
+    window
+}
+
+/// Feed evidence, the admissible direction: a rejection that rests on
+/// the query (cursor included — the witness signed it) and the deltas
+/// the edge *sent* reproduces at a receiver that holds no window.
+#[test]
+fn feed_evidence_against_the_signed_cursor_is_admitted() {
+    let world = World::new();
+    let other = |n: u64| world.delta(n, vec![Key::from_u32(100 + n as u32)]);
+    let window = window_of((1..=3).map(other));
+    // The edge re-ships batch 3, which the cursor says is held.
+    let (query, response) = subscribed_read(&world, &window, vec![other(3), other(4)]);
+    let held = Held {
+        rows: &[],
+        feed: Some(&window),
+    };
+    let rejection = world
+        .verifier()
+        .verify_query_resuming(&world.keys, ClusterId(0), &query, &response, held, NOW)
+        .expect_err("a tail repeating a held batch is spliced");
+    let spliced = ReadRejection::FeedSpliced {
+        expected: BatchNum(4),
+        got: BatchNum(3),
+    };
+    assert_eq!(rejection, spliced);
+
+    let mut witness = DirectoryAgent::<TestHeader>::new(
+        NodeId::Client(ClientId(0)),
+        world.client_key.clone(),
+        world.verifier(),
+    );
+    assert!(witness.witness(edge(1), ClusterId(0), &query, &response, &rejection, NOW));
+    let digest = witness.digest();
+    assert_eq!(
+        digest.evidence[0].verify(&world.keys, &world.verifier()),
+        Some(spliced),
+        "a third party reproduces the rejection from the signed cursor"
+    );
+    let mut receiver = world.agent(edge(0));
+    let report = receiver.ingest(NodeId::Client(ClientId(0)), &digest, &world.keys, NOW);
+    assert_eq!((report.evidence_accepted, report.rejected()), (1, 0));
+    assert!(receiver.knows_byzantine(edge(1)));
+    // Stripping the cursor from the query breaks the witness's signature.
+    let mut stripped = digest.evidence[0].clone();
+    stripped.body.query.feed = Some(Vec::new());
+    assert!(stripped.verify(&world.keys, &world.verifier()).is_none());
+}
+
+/// The inadmissible direction: the edge proves a head past a delta the
+/// witness *holds* that touches a queried key. The witness rejects (and
+/// demotes locally), but no receiver can reproduce it — to them the
+/// response verifies — so as gossip it is a fabrication that gets its
+/// sender struck. Clients therefore never relay such a rejection.
+#[test]
+fn a_rejection_resting_on_a_held_delta_is_not_evidence() {
+    let world = World::new();
+    let other = |n: u64| world.delta(n, vec![Key::from_u32(100 + n as u32)]);
+    let touching = world.delta(2, vec![Key::from_u32(1)]);
+    let window = window_of([other(1), touching, other(3)]);
+    let (query, response) = subscribed_read(&world, &window, vec![other(4)]);
+    let held = Held {
+        rows: &[],
+        feed: Some(&window),
+    };
+    let rejection = world
+        .verifier()
+        .verify_query_resuming(&world.keys, ClusterId(0), &query, &response, held, NOW)
+        .expect_err("held batch 2 changed key 1");
+    assert_eq!(rejection, ReadRejection::BadDelta);
+    assert!(is_cryptographic(&rejection));
+    // Without the window there is nothing to object to…
+    assert!(world
+        .verifier()
+        .verify_query(&world.keys, ClusterId(0), &query, &response, NOW)
+        .is_ok());
+    // …so a record of it is dropped, and whoever relays it is struck.
+    let record = SignedEvidence::sign(
+        NodeId::Edge(edge(2)),
+        EvidenceBody {
+            subject: edge(1),
+            cluster: ClusterId(0),
+            query,
+            response,
+            observed_at: NOW,
+        },
+        &world.edge_keys[&edge(2)],
+    );
+    assert!(record.verify(&world.keys, &world.verifier()).is_none());
+    let mut receiver = world.agent(edge(0));
+    let digest = GossipDigest {
+        observations: vec![],
+        evidence: vec![record],
+    };
+    let report = receiver.ingest(NodeId::Edge(edge(2)), &digest, &world.keys, NOW);
+    assert_eq!((report.evidence_accepted, report.evidence_rejected), (0, 1));
+    assert!(!receiver.knows_byzantine(edge(1)));
+    assert!(receiver.struck(NodeId::Edge(edge(2))));
 }
 
 /// Forged coverage: an edge advertising an observation attributed to a

@@ -19,7 +19,7 @@ use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, KeyStore, Sha256};
 
 use crate::cache::LruCache;
-use crate::replay::MAX_FEED_DELTAS;
+use crate::feed::MAX_FEED_DELTAS;
 
 /// The quorum check of the verifier chain's step 2.
 pub trait QuorumCheck {

@@ -59,6 +59,9 @@
 //!   [`certs::QuorumCheck`], implemented by a plain `KeyStore` (check
 //!   every time) and by [`certs::VerifiedCerts`], the trusted client's
 //!   bounded memo of certificates that already passed (check once).
+//! * [`feed`] — the certified-delta window an edge attaches freshness
+//!   certificates from and a subscribed client keeps what it verified
+//!   in, so only unseen deltas travel ([`feed::FeedCursor`]).
 //!
 //! The crate deliberately does not know about network messages or the
 //! batch format: commitments enter through the [`BatchCommitment`]
@@ -69,6 +72,7 @@
 
 pub mod cache;
 pub mod certs;
+pub mod feed;
 pub mod persist;
 pub mod pipeline;
 pub mod query;
@@ -78,6 +82,7 @@ pub mod verifier;
 
 pub use cache::{CacheStats, LruCache};
 pub use certs::{QuorumCheck, VerifiedCerts};
+pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
 pub use persist::{
     is_stale_only, readmit, verify_object, HeadRecord, HydrateReject, PersistStats, SnapshotObject,
     SnapshotStore, DEFAULT_SPILL_THRESHOLD,
@@ -87,9 +92,9 @@ pub use query::{
     GatherPart, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
     SnapshotPolicy,
 };
-pub use replay::{PartitionCaches, ReplayCache, ReplayStats, MAX_FEED_DELTAS};
+pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
     ScanBundle, ScanProof,
 };
-pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};
+pub use verifier::{Held, ReadRejection, ReadVerifier, VerifyParams};

@@ -30,6 +30,9 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::ScanRange;
 use transedge_obs::TraceContext;
 
+use std::sync::Arc;
+
+use crate::feed::FeedCursor;
 use crate::response::{BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle};
 
 /// Which snapshot a [`ReadQuery`] must be served at.
@@ -206,11 +209,15 @@ pub struct ReadQuery {
     /// with `page` (a prefix query *establishes* the new pin; pages
     /// continue from its token). Ignored for point shapes.
     pub prefix: Option<PrefixResume>,
-    /// Subscription mode: ask the serving edge to attach its verified
-    /// delta-feed tail as a freshness certificate
+    /// Subscription mode (`Some`): ask the serving edge to attach its
+    /// verified delta-feed tail as a freshness certificate
     /// ([`ReadResponse::Point`]'s `fresh` field), proving the served
-    /// values unchanged through the feed head. Ignored for scan shapes.
-    pub fresh: bool,
+    /// values unchanged through the feed head. The cursors name, per
+    /// partition the query touches, the run of deltas the client has
+    /// already verified and holds, so only newer ones need travel; a
+    /// partition without one (a first contact) gets the whole tail.
+    /// Ignored for scan shapes.
+    pub feed: Option<Vec<(ClusterId, FeedCursor)>>,
     /// Causal-trace propagation context: the client operation this
     /// query serves and the span that caused this hop. Purely
     /// observational — servers never branch on it.
@@ -226,7 +233,7 @@ impl ReadQuery {
             shape: QueryShape::Point { keys },
             page: None,
             prefix: None,
-            fresh: false,
+            feed: None,
             trace: None,
         }
     }
@@ -250,7 +257,7 @@ impl ReadQuery {
             },
             page: None,
             prefix: None,
-            fresh: false,
+            feed: None,
             trace: None,
         }
     }
@@ -277,9 +284,10 @@ impl ReadQuery {
     }
 
     /// Ask the serving edge to attach its delta-feed tail as a
-    /// freshness certificate (builder style; subscription mode).
+    /// freshness certificate (builder style; subscription mode, nothing
+    /// held yet).
     pub fn with_feed_freshness(mut self) -> Self {
-        self.fresh = true;
+        self.feed = Some(Vec::new());
         self
     }
 
@@ -348,6 +356,29 @@ impl ReadQuery {
         }
     }
 
+    /// The feed cursors restricted to `cluster` (sub-query planning).
+    pub fn feed_for(&self, cluster: ClusterId) -> Option<Vec<(ClusterId, FeedCursor)>> {
+        let cursors = self.feed.as_ref()?;
+        Some(
+            cursors
+                .iter()
+                .filter(|(c, _)| *c == cluster)
+                .copied()
+                .collect(),
+        )
+    }
+
+    /// The batch after which `cluster`'s feed deltas must travel with a
+    /// response served at `served`: [`FeedCursor::resume_after`] of the
+    /// partition's cursor, or `served` itself (the whole tail) when the
+    /// query carries none.
+    pub fn feed_resume(&self, cluster: ClusterId, served: BatchNum) -> BatchNum {
+        let mut cursors = self.feed.iter().flatten();
+        cursors
+            .find(|(c, _)| *c == cluster)
+            .map_or(served, |(_, cursor)| cursor.resume_after(served))
+    }
+
     /// Clusters a scan scatters over (empty for point queries, whose
     /// partitions are derived from the keys by the planner).
     pub fn scan_clusters(&self) -> &[ClusterId] {
@@ -367,14 +398,15 @@ impl ReadQuery {
         };
         let page = if self.page.is_some() { 17 } else { 1 };
         let prefix = if self.prefix.is_some() { 9 } else { 1 };
-        let fresh = 1;
+        // Absent is one byte; a cursor is a cluster and two batches.
+        let feed = self.feed.as_ref().map_or(1, |c| 5 + c.len() * 18);
         // Trace context rides along as two u64 ids when present.
         let trace = if self.trace.is_some() { 17 } else { 1 };
         let shape = match &self.shape {
             QueryShape::Point { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
             QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16 + 8,
         };
-        policy + page + prefix + fresh + trace + shape
+        policy + page + prefix + feed + trace + shape
     }
 }
 
@@ -402,15 +434,16 @@ pub enum ReadResponse<H> {
     /// keys asked; an edge answers with the cached sections covering
     /// the request plus, for a partial assembly, the upstream fill —
     /// all pinned to one batch and one certified commitment. `fresh`,
-    /// when present, is the serving edge's delta-feed tail from the
-    /// served batch to its feed head — a freshness certificate proving
-    /// the served values current through the head (`Some(vec![])`
-    /// claims the served batch *is* the head). Verified end to end
-    /// like everything else; an invalid or key-touching feed is
-    /// cryptographic evidence.
+    /// when present, is the serving edge's delta-feed tail up to its
+    /// feed head — a freshness certificate proving the served values
+    /// current through the head. It starts right after the batch
+    /// [`ReadQuery::feed_resume`] names: the served batch, or the head
+    /// of the run the client said it holds (`Some(vec![])` claims
+    /// nothing newer exists). Verified end to end like everything
+    /// else; an invalid or key-touching feed is cryptographic evidence.
     Point {
         sections: Vec<MultiProofBundle<H>>,
-        fresh: Option<Vec<CertifiedDelta<H>>>,
+        fresh: Option<Vec<Arc<CertifiedDelta<H>>>>,
     },
     /// One proof-carrying scan window (possibly wider than requested —
     /// a replayed covering window; the verifier filters). Boxed: scan
@@ -447,7 +480,7 @@ impl<H: BatchCommitment> ReadResponse<H> {
     }
 
     /// The freshness feed attached to this response, if any.
-    pub fn fresh_feed(&self) -> Option<&[CertifiedDelta<H>]> {
+    pub fn fresh_feed(&self) -> Option<&[Arc<CertifiedDelta<H>>]> {
         match self {
             ReadResponse::Point { fresh, .. } => fresh.as_deref(),
             _ => None,

@@ -11,12 +11,14 @@
 //! TransEdge's ROT protocol.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::ScanRange;
 
 use crate::cache::LruCache;
+use crate::feed::{FeedWindow, Pushed};
 use crate::response::{
     BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
 };
@@ -106,11 +108,6 @@ const MAX_SCANS_PER_BATCH: usize = 32;
 /// many at one batch, the oldest body goes.
 const MAX_BODIES_PER_BATCH: usize = 128;
 
-/// Deltas retained in the feed window. The window only has to span the
-/// gap between an edge's oldest *servable* snapshot and the feed head,
-/// so a small multiple of `max_batches` suffices.
-pub const MAX_FEED_DELTAS: usize = 64;
-
 /// The cache an edge replay node runs on.
 #[derive(Clone, Debug)]
 pub struct ReplayCache<H> {
@@ -130,12 +127,9 @@ pub struct ReplayCache<H> {
     /// client verifies the proven window and filters to its own range),
     /// so wide windows absorbed once keep serving narrower scans.
     scans: BTreeMap<u64, Vec<(ScanRange, ScanProof)>>,
-    /// The certified-delta feed window: a *contiguous* run of verified
-    /// deltas ending at the feed head, oldest first. Contiguity is the
-    /// invariant everything rests on — a freshness certificate is a
-    /// gap-free chain, so a delta arriving past a gap resets the
-    /// window rather than splicing it.
-    feed: VecDeque<CertifiedDelta<H>>,
+    /// The verified deltas this cache can attach as a freshness
+    /// certificate, ending at the feed head.
+    feed: FeedWindow<H>,
     max_batches: usize,
     pub stats: ReplayStats,
 }
@@ -147,7 +141,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
             points: LruCache::new(read_capacity),
             bodies: BTreeMap::new(),
             scans: BTreeMap::new(),
-            feed: VecDeque::new(),
+            feed: FeedWindow::default(),
             max_batches: max_batches.max(1),
             stats: ReplayStats::default(),
         }
@@ -315,84 +309,57 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// Apply a certified delta the caller has **already verified**
     /// (edge nodes run [`crate::ReadVerifier::verify_delta`] before
     /// anything reaches the cache — nothing pushed is trusted until it
-    /// recomputes under a replica certificate):
-    ///
-    /// * head + 1 → extend the window and *push-invalidate*: cached
-    ///   entries for the changed keys at older batches are now provably
-    ///   superseded, so they are dropped instead of aging out;
-    /// * at or before the head → duplicate delivery, ignored;
-    /// * past a gap → the window restarts at the delta (a freshness
-    ///   certificate must be gap-free, so the old run is useless).
+    /// recomputes under a replica certificate). Unless the feed window
+    /// drops it as a repeat delivery, the delta *push-invalidates*:
+    /// cached entries for the changed keys at older batches are now
+    /// provably superseded, so they are dropped instead of aging out.
     pub fn apply_delta(&mut self, delta: CertifiedDelta<H>) {
-        let batch = delta.batch();
-        if let Some(head) = self.feed_head() {
-            if batch.0 <= head.0 {
-                return;
-            }
-            if batch.0 > head.0 + 1 {
-                self.feed.clear();
-                self.stats.feed_resets += 1;
-            }
+        let delta = Arc::new(delta);
+        match self.feed.push(delta.clone()) {
+            Pushed::Duplicate => return,
+            Pushed::Restarted => self.stats.feed_resets += 1,
+            Pushed::Extended => {}
         }
-        let changed = &delta.changed;
+        let (batch, changed) = (delta.batch().0, &delta.changed);
         let before = self.points.len();
         self.points
-            .retain(|(key, b), _| *b >= batch.0 || changed.binary_search(key).is_err());
+            .retain(|(key, b), _| *b >= batch || changed.binary_search(key).is_err());
         self.stats.fragments_invalidated += (before - self.points.len()) as u64;
-        self.feed.push_back(delta);
-        while self.feed.len() > MAX_FEED_DELTAS {
-            self.feed.pop_front();
-        }
         self.stats.deltas_applied += 1;
     }
 
-    /// The newest batch the feed window reaches, if any.
-    pub fn feed_head(&self) -> Option<BatchNum> {
-        self.feed.back().map(|d| d.batch())
+    /// The feed window (its head is where a resubscription resumes).
+    pub fn feed(&self) -> &FeedWindow<H> {
+        &self.feed
     }
 
-    /// Deltas currently held in the feed window (diagnostics).
-    pub fn feed_len(&self) -> usize {
-        self.feed.len()
-    }
-
-    /// The freshness certificate for a response served at `from`: the
-    /// feed tail `(from, head]`, provided the window chains from the
-    /// served batch without a gap and **no queried key changed inside
-    /// it** — otherwise the served values are not the head values and
-    /// attaching the feed would be the exact lie
-    /// [`crate::ReadRejection::BadDelta`] exists to catch. `Some(vec![])`
-    /// means the served batch *is* the head.
+    /// The freshness certificate for a response served at `from`. The
+    /// decision is over the whole feed tail `(from, head]`: attach only
+    /// if the window chains from the served batch without a gap and
+    /// **no queried key changed inside it** — otherwise the served
+    /// values are not the head values and attaching the feed would be
+    /// the exact lie [`crate::ReadRejection::BadDelta`] exists to
+    /// catch. What *travels* is the tail after `resume` (see
+    /// [`crate::FeedCursor::resume_after`]): the whole of it for a
+    /// client holding nothing useful, only the unseen suffix for one
+    /// whose window already covers `(from, resume]`. `Some(vec![])`
+    /// means nothing newer than `resume` exists.
     pub fn freshness_since(
         &mut self,
         from: BatchNum,
         keys: &[Key],
-    ) -> Option<Vec<CertifiedDelta<H>>> {
-        let head = self.feed_head();
-        if head == Some(from) {
-            self.stats.freshness_attached += 1;
-            return Some(Vec::new());
+        resume: BatchNum,
+    ) -> Option<Vec<Arc<CertifiedDelta<H>>>> {
+        match self.feed.after(from) {
+            Some(tail) if !tail.clone().any(|d| d.touches(keys)) => {
+                self.stats.freshness_attached += 1;
+                Some(tail.filter(|d| d.batch() > resume).cloned().collect())
+            }
+            _ => {
+                self.stats.freshness_refused += 1;
+                None
+            }
         }
-        let Some(first) = self.feed.front().map(|d| d.batch()) else {
-            self.stats.freshness_refused += 1;
-            return None;
-        };
-        if from.0 + 1 < first.0 || head.is_none_or(|h| h.0 <= from.0) {
-            self.stats.freshness_refused += 1;
-            return None;
-        }
-        let tail: Vec<CertifiedDelta<H>> = self
-            .feed
-            .iter()
-            .filter(|d| d.batch().0 > from.0)
-            .cloned()
-            .collect();
-        if tail.iter().any(|d| d.touches(keys)) {
-            self.stats.freshness_refused += 1;
-            return None;
-        }
-        self.stats.freshness_attached += 1;
-        Some(tail)
     }
 
     /// Serve as much of `keys` as the cache allows: the cached sections

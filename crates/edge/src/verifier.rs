@@ -32,7 +32,10 @@ use transedge_consensus::Certificate;
 use transedge_crypto::merkle::{value_digest, Verified};
 use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, ScanRange};
 
+use std::sync::Arc;
+
 use crate::certs::QuorumCheck;
+use crate::feed::FeedWindow;
 use crate::query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle,
@@ -48,6 +51,17 @@ pub struct VerifyParams {
     pub freshness_window: SimDuration,
     /// Signatures a certificate needs (`f+1`).
     pub quorum: usize,
+}
+
+/// Verified state a caller already holds, which a response may lean on
+/// instead of carrying it again.
+pub struct Held<'a, H> {
+    /// Rows of a scan's verified prefix, in tree order (see
+    /// [`crate::PrefixResume`]).
+    pub rows: &'a [(Key, Value)],
+    /// The subscriber's feed window for the partition: the deltas the
+    /// query's [`crate::FeedCursor`] told the edge not to resend.
+    pub feed: Option<&'a FeedWindow<H>>,
 }
 
 /// Why a response was rejected. Every variant is an observable lie an
@@ -247,44 +261,53 @@ impl ReadVerifier {
     /// the claimed feed head, none of which touches a queried key. A
     /// verified feed proves the served values are the values at the
     /// head — the subscription-tier claim that lets a warm client skip
-    /// the round-2 `MinEpoch` fetch. Checks, in order (cryptographic
-    /// before time-dependent, so staleness can never mask a lie):
+    /// the round-2 `MinEpoch` fetch. The chain is `held ++ sent`:
+    /// deltas the caller verified on an earlier response and kept,
+    /// then the ones this response carries (a first contact holds
+    /// nothing and is sent everything). Checks, in order
+    /// (cryptographic before time-dependent, so staleness can never
+    /// mask a lie):
     ///
-    /// 1. contiguity: `feed[0]` is `served + 1` and each delta advances
-    ///    by exactly one batch ([`ReadRejection::FeedSpliced`] — a gap
-    ///    hides changes, a repeat is a replay);
-    /// 2. each delta verifies per [`ReadVerifier::verify_delta`]
-    ///    (certificate chain + changed-set digest);
-    /// 3. no delta's changed set touches `queried`
+    /// 1. contiguity: the chain starts at `served + 1` and each delta
+    ///    advances by exactly one batch ([`ReadRejection::FeedSpliced`]
+    ///    — a gap hides changes, a repeat is a replay);
+    /// 2. each **sent** delta verifies per
+    ///    [`ReadVerifier::verify_delta`] (certificate chain +
+    ///    changed-set digest) — a held one did when it was sent;
+    /// 3. no delta's changed set, held or sent, touches `queried`
     ///    ([`ReadRejection::BadDelta`] — the feed itself certifies the
     ///    served values are *not* current, contradicting the claim);
     /// 4. the head's timestamp (the served commitment's own, for an
-    ///    empty feed) is inside the freshness window
+    ///    empty chain) is inside the freshness window
     ///    ([`ReadRejection::StaleTimestamp`] — checked by the caller,
     ///    which holds the served commitment).
     ///
     /// Returns the head batch the caller may upgrade its view to.
-    pub fn verify_feed<H: BatchCommitment>(
+    pub fn verify_feed<'a, H: BatchCommitment + 'a>(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         served: BatchNum,
         queried: &[Key],
-        feed: &[CertifiedDelta<H>],
+        held: impl IntoIterator<Item = &'a CertifiedDelta<H>>,
+        sent: impl IntoIterator<Item = &'a CertifiedDelta<H>>,
     ) -> Result<BatchNum, ReadRejection> {
-        let mut expected = BatchNum(served.0 + 1);
-        for delta in feed {
-            let got = delta.batch();
+        let mut head = served;
+        let held = held.into_iter().map(|d| (d, false));
+        for (delta, unseen) in held.chain(sent.into_iter().map(|d| (d, true))) {
+            let (expected, got) = (BatchNum(head.0 + 1), delta.batch());
             if got != expected {
                 return Err(ReadRejection::FeedSpliced { expected, got });
             }
-            self.verify_delta(keys, expected_cluster, delta)?;
+            if unseen {
+                self.verify_delta(keys, expected_cluster, delta)?;
+            }
             if delta.touches(queried) {
                 return Err(ReadRejection::BadDelta);
             }
-            expected = BatchNum(got.0 + 1);
+            head = got;
         }
-        Ok(feed.last().map_or(served, |d| d.batch()))
+        Ok(head)
     }
 
     /// The §4.4.2 freshness window, in either direction of clock skew:
@@ -520,14 +543,56 @@ impl ReadVerifier {
         response: &ReadResponse<H>,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
-        self.verify_query_resuming(keys, expected_cluster, query, response, &[], now)
+        let held = Held {
+            rows: &[],
+            feed: None,
+        };
+        self.verify_query_resuming(keys, expected_cluster, query, response, held, now)
     }
 
-    /// [`ReadVerifier::verify_query`] for callers holding a verified
-    /// prefix: when the query carries a [`crate::PrefixResume`],
-    /// `held_prefix` must be the rows (in tree order) the caller
-    /// verified for buckets `[range.first, through]` at the *old*
-    /// snapshot. The response's completeness proof covers the whole
+    /// [`ReadVerifier::verify_query_resuming`] for a subscriber:
+    /// `window` is the held feed the response may lean on and — **only
+    /// once every check has passed** — where its sent deltas are
+    /// appended. Also returns the certified run `(served, head]` the
+    /// answer rests on, held ++ sent (empty without a feed): each delta
+    /// an equally certified view of the served values.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    pub fn verify_and_extend<H: BatchCommitment>(
+        &self,
+        keys: &impl QuorumCheck,
+        expected_cluster: ClusterId,
+        query: &ReadQuery,
+        response: &ReadResponse<H>,
+        held_prefix: &[(Key, Value)],
+        window: &mut FeedWindow<H>,
+        now: SimTime,
+    ) -> Result<(QueryAnswer, Vec<Arc<CertifiedDelta<H>>>), ReadRejection> {
+        let held = Held {
+            rows: held_prefix,
+            feed: Some(window),
+        };
+        let answer =
+            self.verify_query_resuming(keys, expected_cluster, query, response, held, now)?;
+        let mut run = Vec::new();
+        if let (Some(sent), Some(served)) = (response.fresh_feed(), response.batch()) {
+            let resume = query.feed_resume(expected_cluster, served);
+            run.extend(window.run(served, resume).chain(sent).cloned());
+            window.absorb(&run);
+        }
+        Ok((answer, run))
+    }
+
+    /// [`ReadVerifier::verify_query`] for callers holding verified
+    /// state. A point query's feed cursor fixes where the sent feed
+    /// tail must begin; `held.feed`, the window the cursor described,
+    /// supplies the deltas before that. With no window (a third party
+    /// re-verifying evidence) the sent tail is checked from the cursor
+    /// on and the held part goes unexamined — enough to reproduce any
+    /// rejection that rests on query + response alone, never a reason
+    /// to *use* the answer. When the query carries a
+    /// [`crate::PrefixResume`], `held.rows` must be the rows (in tree
+    /// order) the caller verified for buckets `[range.first, through]`
+    /// at the *old* snapshot. The response's completeness proof covers the whole
     /// prefix-plus-page window at the new snapshot, but carries rows
     /// only past the prefix; the held rows are matched against the
     /// prefix's proof entries instead. Matching carries the prefix over
@@ -542,7 +607,7 @@ impl ReadVerifier {
         expected_cluster: ClusterId,
         query: &ReadQuery,
         response: &ReadResponse<H>,
-        held_prefix: &[(Key, Value)],
+        held: Held<'_, H>,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let min_lce = query.min_lce();
@@ -556,7 +621,7 @@ impl ReadVerifier {
                 bundle.as_ref(),
                 *range,
                 through,
-                held_prefix,
+                held.rows,
                 min_lce,
                 now,
             );
@@ -567,10 +632,22 @@ impl ReadVerifier {
                     return Err(ReadRejection::EmptyAssembly);
                 };
                 let mut check_now = now;
-                if let Some(feed) = fresh {
-                    self.verify_feed(keys, expected_cluster, first.batch(), expected, feed)?;
-                    let head_ts = feed
+                if let Some(sent) = fresh {
+                    let served = first.batch();
+                    let resume = query.feed_resume(expected_cluster, served);
+                    let held_run = || held.feed.into_iter().flat_map(|w| w.run(served, resume));
+                    let from = if held.feed.is_some() { served } else { resume };
+                    self.verify_feed(
+                        keys,
+                        expected_cluster,
+                        from,
+                        expected,
+                        held_run().map(Arc::as_ref),
+                        sent.iter().map(Arc::as_ref),
+                    )?;
+                    let head_ts = sent
                         .last()
+                        .or(held_run().last())
                         .map_or(first.commitment.timestamp(), |d| d.commitment.timestamp());
                     self.check_fresh(head_ts, now)?;
                     // The verified feed proves the served values current

@@ -8,12 +8,14 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{Partition, Section, TestHeader};
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime};
 use transedge_crypto::Digest;
 use transedge_edge::{
-    BatchCommitment, QuorumCheck, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy,
-    VerifiedCerts,
+    BatchCommitment, CertifiedDelta, QuorumCheck, ReadQuery, ReadRejection, ReadResponse,
+    SnapshotPolicy, VerifiedCerts,
 };
 
 const T0: u64 = 100_000_000;
@@ -147,9 +149,9 @@ fn a_feed_is_charged_up_to_the_delta_that_fails() {
     let memo = VerifiedCerts::new(p.keys.clone());
     let quorum = p.topo.certificate_quorum() as u64;
     let query = ReadQuery::point(keys());
-    let fresh = |feed| ReadResponse::Point {
+    let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
         sections: vec![p.section(&keys(), SERVED)],
-        fresh: Some(feed),
+        fresh: Some(feed.into_iter().map(Arc::new).collect()),
     };
     let tail: Vec<_> = (2..=5).map(|n| p.delta(BatchNum(n))).collect();
 

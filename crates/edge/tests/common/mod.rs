@@ -21,7 +21,7 @@ use transedge_crypto::{
     VersionedMerkleTree,
 };
 use transedge_edge::{
-    changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta,
+    changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta, Held,
     MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery, ReadRejection,
     ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts, VerifyParams,
 };
@@ -238,9 +238,14 @@ impl Partition {
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let verifier = self.verifier();
-        let plain = verifier.verify_query_resuming(&self.keys, cluster, query, response, held, now);
+        let held = || Held {
+            rows: held,
+            feed: None,
+        };
+        let plain =
+            verifier.verify_query_resuming(&self.keys, cluster, query, response, held(), now);
         let memoised =
-            verifier.verify_query_resuming(&self.warm, cluster, query, response, held, now);
+            verifier.verify_query_resuming(&self.warm, cluster, query, response, held(), now);
         assert_eq!(memoised, plain, "a warm memo changed the verdict");
         plain
     }

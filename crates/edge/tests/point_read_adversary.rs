@@ -11,6 +11,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::{rebuild, Partition, Section, TestHeader, DEPTH};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration, SimTime, Value};
@@ -336,7 +338,7 @@ proptest! {
         let feed = vec![p.delta(BatchNum(2)), p.delta(BatchNum(3))];
         let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
             sections: sections.clone(),
-            fresh: Some(feed),
+            fresh: Some(feed.into_iter().map(Arc::new).collect()),
         };
         let late = SimTime(p.headers[3].timestamp.0 + skew - 2 * SECOND);
         prop_assert!(verify(&p, &query, &respond(sections.clone()), late).is_err());
@@ -353,7 +355,7 @@ proptest! {
         let at_base = chunks.iter().map(|c| p.section(c, BatchNum(0))).collect();
         let touching = ReadResponse::Point {
             sections: at_base,
-            fresh: Some(vec![p.delta(SERVED)]),
+            fresh: Some(vec![Arc::new(p.delta(SERVED))]),
         };
         let touched = ReadQuery::point(vec![Key::from_u32(key_tags[0].0 as u32 % 512)]);
         prop_assert_eq!(
@@ -476,9 +478,9 @@ fn every_rejection_variant_is_reachable() {
         .clone()
         .with_policy(SnapshotPolicy::AtBatch(BatchNum(3)));
     seen.push(point(&pinned, vec![section.clone()], NOW));
-    let fresh = |feed| ReadResponse::Point {
+    let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
         sections: vec![section.clone()],
-        fresh: Some(feed),
+        fresh: Some(feed.into_iter().map(Arc::new).collect()),
     };
     let mut edited = p.delta(BatchNum(2));
     edited.changed.clear();

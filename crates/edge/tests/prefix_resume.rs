@@ -22,7 +22,7 @@ use transedge_crypto::{
     Digest, KeyStore, MerkleProof, RangeProof, ScanRange, Sha256, VersionedMerkleTree,
 };
 use transedge_edge::{
-    scan_snapshot, BatchCommitment, QueryAnswer, ReadQuery, ReadRejection, ReadResponse,
+    scan_snapshot, BatchCommitment, Held, QueryAnswer, ReadQuery, ReadRejection, ReadResponse,
     ReadVerifier, ScanBundle, SnapshotSource, VerifyParams,
 };
 use transedge_storage::VersionedStore;
@@ -191,7 +191,10 @@ impl Partition {
             &ReadResponse::Scan {
                 bundle: Box::new(bundle),
             },
-            held,
+            Held {
+                rows: held,
+                feed: None,
+            },
             SimTime(5_000),
         )
     }

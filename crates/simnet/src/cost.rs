@@ -26,7 +26,8 @@ pub struct CostModel {
     pub ed25519_verify: SimDuration,
     /// Hash one KiB of data (SHA-256).
     pub sha256_per_kib: SimDuration,
-    /// Update one key's path in the Merkle tree (depth ≈ 20).
+    /// Update one key's path in the Merkle tree (depth 16, as deployed
+    /// here).
     pub merkle_update: SimDuration,
     /// Generate one Merkle (non-)inclusion proof.
     pub merkle_prove: SimDuration,

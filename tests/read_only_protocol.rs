@@ -868,7 +868,7 @@ fn unified_query_scenario(
         },
         page: None,
         prefix: None,
-        fresh: false,
+        feed: None,
         trace: None,
     };
     // Writers: cross-partition transactions commit 2PC groups, raising
