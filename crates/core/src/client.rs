@@ -1030,9 +1030,10 @@ impl ClientActor {
         }
         let start = ctx.now();
         // Edge-tier scatter-gather: hand the whole multi-partition
-        // query to one edge contact — it splits, forwards to siblings,
-        // and returns the part answers in one envelope; every part is
-        // still verified here against its own partition's root.
+        // query to one edge contact — it splits, fetches what it
+        // misses from each partition's replicas, and returns the part
+        // answers in one envelope; every part is still verified here
+        // against its own partition's root.
         let contact = if self.config.single_contact && session.parts.len() > 1 {
             session.parts.iter().find_map(|p| {
                 self.edge_selector
@@ -1276,11 +1277,11 @@ impl ClientActor {
                 // rejected round trip. (Only cryptographic rejections
                 // qualify — `witness` drops the rest — and only against
                 // an edge answering for its own partition: a contact
-                // that couriered a sibling's forgery is shunned here,
-                // not convicted fleet-wide. A rejection resting on a
-                // feed delta only this client holds is no evidence
-                // either: nobody else could reproduce it, so it has to
-                // repeat without the window.)
+                // that forged a part it merely couriered is shunned
+                // here, not convicted fleet-wide. A rejection resting
+                // on a feed delta only this client holds is no
+                // evidence either: nobody else could reproduce it, so
+                // it has to repeat without the window.)
                 let reproducible = self.directory.is_some()
                     && self
                         .read_verifier()
@@ -1316,7 +1317,6 @@ impl ClientActor {
                                     health.successes,
                                     health.failures,
                                     health.total_rejections,
-                                    vec![],
                                     now,
                                 );
                             }

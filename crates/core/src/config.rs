@@ -57,7 +57,7 @@ pub struct EdgeConfig {
     pub replay_staleness: SimDuration,
     /// Byzantine behaviour overrides for specific edge nodes.
     pub byzantine: Vec<(EdgeId, EdgeBehavior)>,
-    /// Gossiped health/coverage directory.
+    /// Gossiped health directory.
     pub directory: DirectoryPlan,
     /// Certified commit-feed subscription (push invalidation +
     /// freshness attachments).

@@ -9,8 +9,8 @@
 //! request it can cover is answered locally (zero upstream hops); one
 //! it covers in part is completed with a single upstream section
 //! pinned at the cached batch; anything else is forwarded to a replica
-//! of the home cluster (or a sibling edge) and the certified answer
-//! absorbed on the way back.
+//! of the partition that owns it and the certified answer absorbed on
+//! the way back.
 //!
 //! Three subsystems ride on top of the replay path:
 //!
@@ -18,21 +18,21 @@
 //!   arriving at one edge is split into per-partition sub-queries, each
 //!   run in-process through the ordinary serving path with a gather
 //!   slot as its reply address (`ReplyTo`): served from the edge's
-//!   own per-cluster caches where possible and forwarded to sibling
-//!   edges (picked by directory coverage hints) or remote replicas
-//!   otherwise, then returned as one `ReadResponse::Gather` envelope —
-//!   the client contacts *one* edge for a multi-partition query, and
-//!   still verifies every part against its own partition's certified
-//!   root.
-//! * **Gossiped health/coverage directory** — each edge runs a
-//!   [`DirectoryAgent`], refreshes a signed self-observation with its
-//!   cache coverage every gossip round, and pushes a *delta* (records
-//!   the peer is not known to have, plus a state summary the peer
-//!   answers with our missing records) to a rotating peer — push-pull
-//!   anti-entropy over diffs instead of full-state digests.
-//!   Client-witnessed rejection evidence rides the same channel, so
-//!   one client's verified rejection demotes a byzantine edge
-//!   fleet-wide in `O(log n)` rounds.
+//!   own per-cluster caches where possible and forwarded to the owning
+//!   partition's replicas otherwise — never to the edge fronting that
+//!   partition, which sits beside those replicas and could only add a
+//!   hop — then returned as one `ReadResponse::Gather` envelope: the
+//!   client contacts *one* edge for a multi-partition query, and still
+//!   verifies every part against its own partition's certified root.
+//! * **Gossiped health directory** — each edge runs a
+//!   [`DirectoryAgent`] and every gossip round pushes a *delta*
+//!   (records the peer is not known to have, plus a state summary the
+//!   peer answers with our missing records) to a rotating peer —
+//!   push-pull anti-entropy over diffs instead of full-state digests.
+//!   What travels is what clients witnessed: latency observations and
+//!   rejection evidence, so one client's verified rejection demotes a
+//!   byzantine edge fleet-wide in `O(log n)` rounds. An edge asserts
+//!   nothing about itself.
 //! * **Certified commit-feed subscription** — the edge subscribes to
 //!   one home-cluster replica's per-batch [`RotDelta`] feed, verifies
 //!   each pushed delta under its replica certificate, push-invalidates
@@ -50,11 +50,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, EdgeId, Epoch, Key, NodeId, ReplicaId, SimDuration,
-    SimTime,
+    BatchNum, ClusterId, ClusterTopology, EdgeId, Key, NodeId, ReplicaId, SimDuration, SimTime,
 };
 use transedge_crypto::{Digest, KeyStore, Keypair};
-use transedge_directory::{CoverageSummary, DirectoryAgent};
+use transedge_directory::DirectoryAgent;
 use transedge_edge::{
     is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape,
     ReadQuery, ReadVerifier, ReplayCache, SnapshotObject, SnapshotPolicy, SnapshotStore,
@@ -130,9 +129,9 @@ pub fn coalition_root(num: BatchNum) -> Digest {
 /// The gossip-directory configuration of a deployment's edges.
 #[derive(Clone, Debug)]
 pub struct DirectoryPlan {
-    /// Run the gossip directory at all. Without it foreign gather
-    /// parts go to the partition's replicas instead of a
-    /// coverage-ranked sibling.
+    /// Run the gossip directory at all. It carries health and
+    /// rejection evidence only; where an edge forwards a miss does not
+    /// depend on it.
     pub enabled: bool,
     /// Anti-entropy period (each edge pushes a delta — missing records
     /// plus a state summary — to one rotating peer per round).
@@ -209,8 +208,8 @@ pub struct EdgeNodeParams {
     /// Durable snapshot store: spill-on-admission, verified hydration
     /// on restart, sibling state-transfer when cold.
     pub persistent: bool,
-    /// Every edge in the deployment (gossip peers and forwarding
-    /// bootstrap; the directory's coverage hints refine the choice).
+    /// Every edge in the deployment: gossip peers, and the
+    /// same-partition candidates of a cold state transfer.
     pub peers: Vec<EdgeId>,
 }
 
@@ -249,11 +248,8 @@ pub struct EdgeNodeStats {
     pub gather_completed: u64,
     /// Gather sub-queries for partitions this edge does not front.
     pub foreign_subs: u64,
-    /// Foreign sub-query misses forwarded to a sibling edge (picked by
-    /// directory coverage hints).
-    pub foreign_forward_sibling: u64,
-    /// Foreign sub-query misses forwarded to the home cluster's
-    /// replicas (no usable sibling).
+    /// Foreign sub-query misses, each forwarded to a replica of the
+    /// partition that owns it.
     pub foreign_forward_replica: u64,
     /// Certified commit-feed deltas received from the subscribed
     /// replica.
@@ -303,11 +299,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
         reg.counter(scope, "edge.gather_requests", self.gather_requests);
         reg.counter(scope, "edge.gather_completed", self.gather_completed);
         reg.counter(scope, "edge.foreign_subs", self.foreign_subs);
-        reg.counter(
-            scope,
-            "edge.foreign_forward_sibling",
-            self.foreign_forward_sibling,
-        );
         reg.counter(
             scope,
             "edge.foreign_forward_replica",
@@ -474,6 +465,12 @@ impl EdgeReadNode {
         self.directory.as_ref()
     }
 
+    /// Mutable directory access — tests seed a restarted edge, before
+    /// its `on_start` runs, with what the fleet already knows.
+    pub fn directory_mut(&mut self) -> Option<&mut DirectoryAgent<CommittedHeader>> {
+        self.directory.as_mut()
+    }
+
     fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache<CommittedHeader> {
         self.caches.cache_for(cluster)
     }
@@ -517,26 +514,6 @@ impl EdgeReadNode {
         let n = self.topo.replicas_per_cluster() as u64;
         self.upstream_rr += 1;
         NodeId::Replica(ReplicaId::new(cluster, (self.upstream_rr % n) as u16))
-    }
-
-    /// A healthy sibling edge fronting `cluster`, by directory hints
-    /// (freshest advertised coverage first), falling back to the
-    /// bootstrap peer list. `None` without a directory or when every
-    /// candidate is evidenced-byzantine or locally struck.
-    fn sibling_for(&self, cluster: ClusterId) -> Option<NodeId> {
-        let agent = self.directory.as_ref()?;
-        if let Some(edge) = agent.best_edge_for(cluster, &[self.me]) {
-            return Some(NodeId::Edge(edge));
-        }
-        self.peers
-            .iter()
-            .find(|e| {
-                e.cluster == cluster
-                    && **e != self.me
-                    && !agent.knows_byzantine(**e)
-                    && !agent.struck(NodeId::Edge(**e))
-            })
-            .map(|e| NodeId::Edge(*e))
     }
 
     /// Apply this node's byzantine behaviour to an outgoing section.
@@ -718,10 +695,11 @@ impl EdgeReadNode {
         upstream_req
     }
 
-    /// Forward a query verbatim towards its home partition, remembering
-    /// who asked: the home cluster's replicas for our own partition, a
-    /// coverage-ranked sibling edge (falling back to replicas) for
-    /// foreign partitions reached through a gather.
+    /// Forward a query verbatim to a replica of the partition that
+    /// owns it, remembering who asked — our own partition's replicas,
+    /// or for a foreign part of a gather that partition's. Never the
+    /// edge fronting it: that edge sits beside those replicas, so its
+    /// hit is no nearer and its miss is one more hop.
     fn forward_upstream(
         &mut self,
         reply: ReplyTo,
@@ -741,20 +719,10 @@ impl EdgeReadNode {
             reply,
             partial: Vec::new(),
         });
-        let upstream = if cluster == self.me.cluster {
-            self.upstream_replica(cluster)
-        } else {
-            match self.sibling_for(cluster) {
-                Some(sibling) => {
-                    self.stats.foreign_forward_sibling += 1;
-                    sibling
-                }
-                None => {
-                    self.stats.foreign_forward_replica += 1;
-                    self.upstream_replica(cluster)
-                }
-            }
-        };
+        if cluster != self.me.cluster {
+            self.stats.foreign_forward_replica += 1;
+        }
+        let upstream = self.upstream_replica(cluster);
         ctx.send(
             upstream,
             NetMsg::Read {
@@ -819,9 +787,9 @@ impl EdgeReadNode {
     /// per-partition sub-queries and run each through this node's
     /// ordinary serving path with its gather slot as the reply address
     /// — answered from the per-cluster caches on the spot, or forwarded
-    /// to siblings/replicas and slotted when the answer returns. The
-    /// envelope leaves when the last slot fills; a part lost upstream
-    /// is covered by the client's resend.
+    /// to the partition's replicas and slotted when the answer returns.
+    /// The envelope leaves when the last slot fills; a part lost
+    /// upstream is covered by the client's resend.
     fn on_gather_query(
         &mut self,
         from: NodeId,
@@ -859,11 +827,11 @@ impl EdgeReadNode {
     }
 
     /// A gather part is finished (served here, or returned by a
-    /// sibling edge or a replica): slot it, and send the envelope when
-    /// the gather is complete. Nothing is absorbed here — a part either
-    /// came *from* this node's caches or arrived through
-    /// `on_upstream_result`, which already admitted it (the coverage
-    /// this edge gains from couriering foreign parts).
+    /// replica): slot it, and send the envelope when the gather is
+    /// complete. Nothing is absorbed here — a part either came *from*
+    /// this node's caches or arrived through `on_upstream_result`,
+    /// which already admitted it (what makes the repeat of a couriered
+    /// foreign part a local hit).
     fn on_gather_part(
         &mut self,
         gather: u64,
@@ -933,7 +901,7 @@ impl EdgeReadNode {
                     self.store.spill(SnapshotObject::Scan((**bundle).clone()));
                 }
             }
-            // A nested gather can only come from a byzantine sibling;
+            // A nested gather can only come from a byzantine upstream;
             // nothing in it is attributable to one partition's cache.
             ReadPayload::Gather { .. } => {}
         }
@@ -992,23 +960,28 @@ impl EdgeReadNode {
         }
     }
 
-    /// A warm sibling edge fronting our own partition, for a cold
-    /// bootstrap: directory coverage ranking first, bootstrap peer
-    /// list second (at start the directory is usually still empty).
+    /// Where a cold bootstrap asks for state: the first peer fronting
+    /// our own partition that the directory (when one runs and already
+    /// knows anything) has neither convicted nor struck. `None` when no
+    /// such peer is left — every object would be re-verified anyway, so
+    /// asking a known liar only wastes the one transfer.
     fn transfer_source(&self) -> Option<NodeId> {
-        if let Some(sibling) = self.sibling_for(self.me.cluster) {
-            return Some(sibling);
-        }
+        let healthy = |e: EdgeId| {
+            self.directory
+                .as_ref()
+                .is_none_or(|agent| !agent.knows_byzantine(e) && !agent.struck(NodeId::Edge(e)))
+        };
         self.peers
             .iter()
-            .find(|e| e.cluster == self.me.cluster && **e != self.me)
-            .map(|e| NodeId::Edge(*e))
+            .copied()
+            .find(|e| e.cluster == self.me.cluster && *e != self.me && healthy(*e))
+            .map(NodeId::Edge)
     }
 
     /// Cold-start bootstrap: if hydration produced no servable coverage
-    /// for the home partition, ask one coverage-ranked sibling for its
-    /// live object set instead of faulting every first read upstream —
-    /// the replicas see one transfer, not a thundering herd.
+    /// for the home partition, ask one healthy same-partition peer for
+    /// its live object set instead of faulting every first read upstream
+    /// — the replicas see one transfer, not a thundering herd.
     fn request_sibling_transfer(&mut self, ctx: &mut Context<'_, NetMsg>) {
         let warm = self
             .caches
@@ -1215,7 +1188,7 @@ impl EdgeReadNode {
                 all.extend(sections);
                 self.respond(pending.reply, all, None, ctx);
             }
-            // Only a byzantine sibling sends a nested gather; forward
+            // Only a byzantine upstream sends a nested gather; forward
             // it unmodified — the client's per-part shape check rejects
             // it and blames this path's contact.
             ReadPayload::Gather { parts } => {
@@ -1224,23 +1197,11 @@ impl EdgeReadNode {
         }
     }
 
-    /// One anti-entropy round: refresh the signed self-observation with
-    /// current cache coverage and push the digest to one rotating peer.
+    /// One anti-entropy round: push a delta to one rotating peer.
     fn gossip_round(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let coverage: Vec<CoverageSummary> = self
-            .caches
-            .iter()
-            .map(|(cluster, cache)| CoverageSummary {
-                cluster,
-                newest_batch: cache.latest_batch().map(Epoch::from).unwrap_or(Epoch::NONE),
-                fragments: cache.fragment_count() as u64,
-                scan_windows: cache.scan_window_count() as u64,
-            })
-            .collect();
         let Some(agent) = &mut self.directory else {
             return;
         };
-        agent.observe(self.me, None, 0, 0, 0, coverage, ctx.now());
         let candidates: Vec<EdgeId> = self
             .peers
             .iter()

@@ -21,10 +21,10 @@
 //! * [`edge_node`] — the untrusted edge read cache actor (and its
 //!   byzantine test variants) scaling the ROT path without consensus;
 //!   with per-cluster replay caches, edge-tier scatter-gather (one
-//!   contact serves a cross-partition query, forwarding sub-queries to
-//!   siblings), and a `transedge-directory` gossip agent exchanging
-//!   signed health/coverage digests and re-verified rejection
-//!   evidence;
+//!   contact serves a cross-partition query, forwarding the parts it
+//!   misses to their partitions' replicas), and a
+//!   `transedge-directory` gossip agent exchanging signed health
+//!   digests and re-verified rejection evidence;
 //! * [`edge_select`] — adaptive client→edge routing: EWMA latency
 //!   ranking with failure/byzantine-rejection demotion and replica
 //!   fallback, seeded warm from gossiped directory hints;

@@ -83,7 +83,7 @@ pub fn abort_vote_statement(cluster: ClusterId, txn: TxnId) -> Vec<u8> {
 /// query (`ReadVerifier::verify_query`).
 pub type ReadPayload = ReadResponse<CommittedHeader>;
 
-/// The full-state gossip payload of the edge health/coverage directory,
+/// The full-state gossip payload of the edge health directory,
 /// anchored at this crate's certified batch headers (rejection evidence
 /// embeds the offending proof-carrying response). Since the anti-entropy
 /// rounds moved to deltas, this is the bootstrap payload answering
@@ -151,7 +151,7 @@ pub enum NetMsg {
     /// counts against the sender.
     FeedDelta { delta: Box<RotDelta> },
 
-    // ---- edge health/coverage directory ------------------------------
+    // ---- edge health directory ---------------------------------------
     /// One full-state push of the gossiped edge directory: signed
     /// health observations plus verified byzantine-rejection evidence
     /// (offending proof attached). Clients push after witnessing a
@@ -172,8 +172,8 @@ pub enum NetMsg {
     DirectoryPull,
 
     // ---- edge restart state-transfer (edge ↔ edge) --------------------
-    /// A cold (or corrupted-disk) edge asking a coverage-ranked sibling
-    /// for its durable snapshot objects of `cluster`, instead of
+    /// A cold (or corrupted-disk) edge asking a healthy same-partition
+    /// peer for its durable snapshot objects of `cluster`, instead of
     /// faulting every post-restart read upstream to the replicas.
     StateTransfer { req: u64, cluster: ClusterId },
     /// The sibling's offer: its live snapshot objects for the cluster.

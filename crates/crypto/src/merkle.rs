@@ -23,6 +23,7 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use transedge_common::{
     Decode, Encode, Key, Result, TransEdgeError, Value, WireReader, WireWriter,
@@ -35,6 +36,23 @@ use crate::sha2::{sha256, Sha256};
 const TAG_LEAF: u8 = 0x00;
 const TAG_NODE: u8 = 0x01;
 const TAG_VALUE: u8 = 0x02;
+
+/// Deepest tree a prover builds (`with_depth` asserts it).
+pub(crate) const MAX_DEPTH: u32 = 48;
+
+/// `empty_subtrees()[h]` is the digest of an empty subtree of height
+/// `h` (`[0]` the empty leaf): the one table both provers index for
+/// absent nodes and the range verifier folds empty space with.
+pub(crate) fn empty_subtrees() -> &'static [Digest; MAX_DEPTH as usize + 1] {
+    static TABLE: OnceLock<[Digest; MAX_DEPTH as usize + 1]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [hash_leaf(&[]); MAX_DEPTH as usize + 1];
+        for h in 1..table.len() {
+            table[h] = hash_node(&table[h - 1], &table[h - 1]);
+        }
+        table
+    })
+}
 
 /// Hash of a stored value, as committed in leaf entries.
 pub fn value_digest(value: &Value) -> Digest {
@@ -192,7 +210,7 @@ pub struct MerkleTree {
     levels: Vec<HashMap<u64, Digest>>,
     /// defaults[l] = digest of an empty subtree whose leaves sit l
     /// levels down.
-    defaults: Vec<Digest>,
+    defaults: &'static [Digest],
     len: usize,
 }
 
@@ -207,18 +225,12 @@ impl MerkleTree {
 
     /// A tree with `2^depth` buckets. `depth` must be in `1..=48`.
     pub fn with_depth(depth: u32) -> Self {
-        assert!((1..=48).contains(&depth), "depth out of range");
-        let mut defaults = Vec::with_capacity(depth as usize + 1);
-        defaults.push(hash_leaf(&[]));
-        for l in 0..depth as usize {
-            let d = defaults[l];
-            defaults.push(hash_node(&d, &d));
-        }
+        assert!((1..=MAX_DEPTH).contains(&depth), "depth out of range");
         MerkleTree {
             depth,
             buckets: HashMap::new(),
             levels: vec![HashMap::new(); depth as usize + 1],
-            defaults,
+            defaults: empty_subtrees(),
             len: 0,
         }
     }

@@ -25,7 +25,10 @@ use std::collections::HashMap;
 use transedge_common::Key;
 
 use crate::digest::Digest;
-use crate::merkle::{hash_leaf, hash_node, BucketEntry, MerkleProof, MultiBucket, MultiProof};
+use crate::merkle::{
+    empty_subtrees, hash_leaf, hash_node, BucketEntry, MerkleProof, MultiBucket, MultiProof,
+    MAX_DEPTH,
+};
 use crate::range::{RangeProof, ScanRange};
 use crate::sha2::sha256;
 
@@ -45,7 +48,7 @@ pub struct VersionedMerkleTree {
     buckets: HashMap<u64, Versions<Vec<BucketEntry>>>,
     /// levels[l] : node index → versioned digests (level 0 = leaves).
     levels: Vec<HashMap<u64, Versions<Digest>>>,
-    defaults: Vec<Digest>,
+    defaults: &'static [Digest],
     /// version → bucket indices it touched (for rollback).
     journal: HashMap<u64, Vec<u64>>,
     latest: Option<u64>,
@@ -53,18 +56,12 @@ pub struct VersionedMerkleTree {
 
 impl VersionedMerkleTree {
     pub fn with_depth(depth: u32) -> Self {
-        assert!((1..=48).contains(&depth), "depth out of range");
-        let mut defaults = Vec::with_capacity(depth as usize + 1);
-        defaults.push(hash_leaf(&[]));
-        for l in 0..depth as usize {
-            let d = defaults[l];
-            defaults.push(hash_node(&d, &d));
-        }
+        assert!((1..=MAX_DEPTH).contains(&depth), "depth out of range");
         VersionedMerkleTree {
             depth,
             buckets: HashMap::new(),
             levels: vec![HashMap::new(); depth as usize + 1],
-            defaults,
+            defaults: empty_subtrees(),
             journal: HashMap::new(),
             latest: None,
         }

@@ -22,7 +22,7 @@ use std::ops::Bound;
 use transedge_common::{Decode, Encode, Key, Result, TransEdgeError, WireReader, WireWriter};
 
 use crate::digest::Digest;
-use crate::merkle::{hash_leaf, hash_node, BucketEntry};
+use crate::merkle::{empty_subtrees, hash_leaf, hash_node, BucketEntry};
 use crate::sha2::sha256;
 
 /// Widest range (in buckets) a prover will produce or a verifier will
@@ -234,8 +234,8 @@ pub fn verify_range_proof(
         }
     }
     // Recompute every leaf of the window; absent buckets hash as empty.
-    let empty_leaf = hash_leaf(&[]);
-    let mut level: Vec<Digest> = vec![empty_leaf; range.width() as usize];
+    let empties = empty_subtrees();
+    let mut level: Vec<Digest> = vec![empties[0]; range.width() as usize];
     for (idx, entries) in &proof.occupied {
         level[(idx - range.first) as usize] = hash_leaf(entries);
     }
@@ -243,7 +243,7 @@ pub fn verify_range_proof(
     // demands — no spare siblings may remain (they could smuggle state).
     let (mut lo, mut hi) = (range.first, range.last);
     let (mut li, mut ri) = (0usize, 0usize);
-    for _ in 0..depth {
+    for height in 0..depth as usize {
         if lo & 1 == 1 {
             let Some(s) = proof.left.get(li) else {
                 return Err(invalid("missing left boundary sibling"));
@@ -260,9 +260,17 @@ pub fn verify_range_proof(
             ri += 1;
             hi += 1;
         }
+        // A window is mostly empty space: two empty subtrees of this
+        // height fold to the next height's constant — the digest
+        // `hash_node` would return, without hashing. (Heights past the
+        // table, deeper than any tree is built, always hash.)
+        let empty = empties.get(height).zip(empties.get(height + 1));
         level = level
             .chunks(2)
-            .map(|pair| hash_node(&pair[0], &pair[1]))
+            .map(|pair| match empty {
+                Some((e, parent)) if pair[0] == *e && pair[1] == *e => *parent,
+                _ => hash_node(&pair[0], &pair[1]),
+            })
             .collect();
         lo >>= 1;
         hi >>= 1;

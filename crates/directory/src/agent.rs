@@ -1,16 +1,16 @@
 //! The per-node directory participant: signing, ingest verification,
-//! local strikes, and the routing queries built on the CRDT state.
+//! local strikes, and the health queries built on the CRDT state.
 //!
 //! Every edge node (and every directory-enabled client) embeds one
-//! [`DirectoryAgent`]. Edges refresh a signed self-observation with
-//! their cache coverage each gossip round and push a [`GossipDelta`] —
-//! records the peer's last summary says it lacks — to one rotating peer
-//! (push-pull anti-entropy: the receiver answers with the records *it*
-//! holds that beat the sender's summary, so a new record still reaches
-//! the whole fleet in `O(log n)` expected rounds while steady-state
-//! rounds carry summaries, not state); clients push signed observations
-//! and rejection evidence after verification failures and pull a full
-//! digest at startup to seed their `EdgeSelector` warm.
+//! [`DirectoryAgent`]. Each gossip round an edge pushes a
+//! [`GossipDelta`] — records the peer's last summary says it lacks —
+//! to one rotating peer (push-pull anti-entropy: the receiver answers
+//! with the records *it* holds that beat the sender's summary, so a new
+//! record still reaches the whole fleet in `O(log n)` expected rounds
+//! while steady-state rounds carry summaries, not state); clients push
+//! signed observations and rejection evidence after verification
+//! failures and pull a full digest at startup to seed their
+//! `EdgeSelector` warm.
 //!
 //! Ingest is where trust is enforced: observation signatures are
 //! checked against the deployment's key directory, evidence is re-run
@@ -26,7 +26,7 @@ use transedge_common::{ClusterId, EdgeId, NodeId, SimTime};
 use transedge_crypto::{KeyStore, Keypair};
 use transedge_edge::{BatchCommitment, ReadQuery, ReadRejection, ReadResponse, ReadVerifier};
 
-use crate::digest::{CoverageSummary, ObservationBody, SignedObservation, UNSAMPLED_LATENCY};
+use crate::digest::{ObservationBody, SignedObservation, UNSAMPLED_LATENCY};
 use crate::evidence::{is_cryptographic, EvidenceBody, SignedEvidence};
 use crate::state::{DirectoryState, EdgeHint, StateSummary};
 
@@ -195,10 +195,6 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
     }
 
     /// Record (and sign) this node's current view of `subject`.
-    /// Self-observations (an edge describing itself) may carry
-    /// coverage; anything else must pass `coverage: vec![]` or be
-    /// dropped by every honest receiver.
-    #[allow(clippy::too_many_arguments)]
     pub fn observe(
         &mut self,
         subject: EdgeId,
@@ -206,7 +202,6 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         successes: u64,
         failures: u64,
         rejections: u64,
-        coverage: Vec<CoverageSummary>,
         now: SimTime,
     ) {
         let seq = self.seqs.entry(subject).or_insert(0);
@@ -220,7 +215,6 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
             successes,
             failures,
             rejections,
-            coverage,
             observed_at: now,
         };
         let signed = SignedObservation::sign(self.me, body, &self.keypair);
@@ -425,33 +419,5 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
             }
         }
         hints
-    }
-
-    /// Best forwarding target fronting `cluster`, by directory hints:
-    /// not evidenced-byzantine, not struck, not excluded; freshest
-    /// advertised coverage wins, then lowest latency, then the lowest
-    /// id for determinism. `None` when nothing qualifies (callers fall
-    /// back to the cluster's replicas).
-    pub fn best_edge_for(&self, cluster: ClusterId, exclude: &[EdgeId]) -> Option<EdgeId> {
-        let mut best: Option<(&EdgeHint, i64, f64)> = None;
-        let hints = self.hints();
-        for hint in &hints {
-            if hint.cluster != cluster || hint.byzantine || exclude.contains(&hint.edge) {
-                continue;
-            }
-            let freshness = hint.coverage.map(|c| c.newest_batch.0).unwrap_or(i64::MIN);
-            let latency = hint.latency_us.unwrap_or(0.0);
-            let better = match &best {
-                None => true,
-                Some((b, bf, bl)) => {
-                    (freshness, -latency, std::cmp::Reverse(hint.edge))
-                        > (*bf, -*bl, std::cmp::Reverse(b.edge))
-                }
-            };
-            if better {
-                best = Some((hint, freshness, latency));
-            }
-        }
-        best.map(|(h, _, _)| h.edge)
     }
 }

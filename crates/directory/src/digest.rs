@@ -14,36 +14,12 @@
 //! a key the forger does not hold fails signature verification at every
 //! honest receiver (which then strikes the sender locally).
 
-use transedge_common::{ClusterId, EdgeId, Encode as _, Epoch, NodeId, SimTime, WireWriter};
+use transedge_common::{EdgeId, Encode as _, NodeId, SimTime, WireWriter};
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Signature};
 
 /// Sentinel for "no latency sample yet" (wire-friendly stand-in for
 /// `Option<f64>`; the aggregation layer skips it).
 pub const UNSAMPLED_LATENCY: u64 = u64::MAX;
-
-/// Self-advertised cache coverage of one partition: what an edge claims
-/// to hold. Pure hint — a forged summary misroutes a forwarded
-/// sub-query into a cache miss (one wasted hop), nothing more.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoverageSummary {
-    /// Partition the summary describes.
-    pub cluster: ClusterId,
-    /// Newest batch with cached material ([`Epoch::NONE`] when cold).
-    pub newest_batch: Epoch,
-    /// Cached per-key proof fragments.
-    pub fragments: u64,
-    /// Cached verified-scan windows.
-    pub scan_windows: u64,
-}
-
-impl CoverageSummary {
-    fn encode_into(&self, w: &mut WireWriter) {
-        self.cluster.encode(w);
-        self.newest_batch.encode(w);
-        w.put_u64(self.fragments);
-        w.put_u64(self.scan_windows);
-    }
-}
 
 /// One observer's unsigned view of one edge node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,17 +37,13 @@ pub struct ObservationBody {
     /// require [`crate::evidence::SignedEvidence`]; the counter only
     /// feeds ranking penalties.
     pub rejections: u64,
-    /// Cache-coverage summaries. Only meaningful on *self*-observations
-    /// (observer == subject); ingest drops coverage claimed about
-    /// third parties.
-    pub coverage: Vec<CoverageSummary>,
     pub observed_at: SimTime,
 }
 
 impl ObservationBody {
     /// The byte statement the observer signs.
     pub fn statement(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(64 + self.coverage.len() * 26);
+        let mut w = WireWriter::with_capacity(64);
         w.put_bytes(b"transedge/directory/observation");
         self.subject.encode(&mut w);
         w.put_u64(self.seq);
@@ -79,17 +51,13 @@ impl ObservationBody {
         w.put_u64(self.successes);
         w.put_u64(self.failures);
         w.put_u64(self.rejections);
-        w.put_u32(self.coverage.len() as u32);
-        for c in &self.coverage {
-            c.encode_into(&mut w);
-        }
         self.observed_at.encode(&mut w);
         w.into_bytes()
     }
 
     /// Wire-size estimate for the simulator's bandwidth model.
     pub fn wire_size(&self) -> usize {
-        4 + 8 * 6 + self.coverage.len() * 26
+        4 + 8 * 6
     }
 }
 
@@ -112,13 +80,10 @@ impl SignedObservation {
         }
     }
 
-    /// Signature + shape checks an ingesting node runs before admitting
-    /// the observation: the observer's registered key must cover the
-    /// statement, and coverage may only be claimed about oneself.
+    /// The check an ingesting node runs before admitting the
+    /// observation: the observer's registered key must cover the
+    /// statement.
     pub fn verify(&self, keys: &KeyStore) -> bool {
-        if !self.body.coverage.is_empty() && self.observer != NodeId::Edge(self.body.subject) {
-            return false;
-        }
         keys.verify(self.observer, &self.body.statement(), &self.sig)
             .is_ok()
     }
@@ -136,7 +101,7 @@ impl SignedObservation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transedge_common::ClusterTopology;
+    use transedge_common::{ClusterId, ClusterTopology};
 
     fn observation(seq: u64) -> ObservationBody {
         ObservationBody {
@@ -146,7 +111,6 @@ mod tests {
             successes: 10,
             failures: 1,
             rejections: 0,
-            coverage: vec![],
             observed_at: SimTime(42),
         }
     }
@@ -183,23 +147,5 @@ mod tests {
         let mut tampered = signed.clone();
         tampered.body.failures = 99;
         assert!(!tampered.verify(&keys));
-    }
-
-    #[test]
-    fn third_party_coverage_claims_are_rejected() {
-        let topo = ClusterTopology::new(1, 1).unwrap();
-        let (keys, secrets) = KeyStore::for_topology(&topo, &[7u8; 32]);
-        let replica = topo.all_replicas().next().unwrap();
-        let mut body = observation(1);
-        body.coverage.push(CoverageSummary {
-            cluster: ClusterId(0),
-            newest_batch: Epoch(3),
-            fragments: 10,
-            scan_windows: 1,
-        });
-        // The observer is a replica, not the subject edge — a validly
-        // signed coverage claim about someone else is still dropped.
-        let signed = SignedObservation::sign(NodeId::Replica(replica), body, &secrets[&replica]);
-        assert!(!signed.verify(&keys));
     }
 }

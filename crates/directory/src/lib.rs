@@ -1,33 +1,29 @@
 //! # transedge-directory
 //!
-//! A gossip-based health and coverage directory for the untrusted edge
-//! tier.
+//! A gossip-based health directory for the untrusted edge tier.
 //!
 //! TransEdge's edge read nodes are individually untrusted: the
 //! client-side verifier catches every lie, but each client learns about
 //! each byzantine or slow edge *the hard way* — by sending it traffic
-//! and paying a rejected round trip. The ROADMAP names the gap twice:
-//! edge-selector health is client-local, and multi-partition queries
-//! always fan out from the client even when one nearby edge could serve
-//! (or forward) the whole thing. This crate closes the knowledge half
-//! of that gap; `transedge-core` wires the serving half (edge-tier
-//! scatter-gather) on top of it.
+//! and paying a rejected round trip. This crate makes that knowledge
+//! fleet-wide: what one client witnessed, every client and edge can
+//! act on. It steers whom clients ask, and which same-partition peer a
+//! cold edge asks for state — not where an edge forwards a miss, which
+//! is always the owning partition's replicas.
 //!
 //! The design follows WedgeChain's lazy-trust split and the
 //! blockchain-edge literature on decentralized reputation exchange:
 //! edges (and clients) exchange **signed, monotonically-mergeable
 //! digests** over an anti-entropy epidemic protocol, and everything in
-//! the directory is a *hint* — a wrong hint costs latency (a detour, a
-//! cold cache, an unnecessary replica fallback), never correctness,
-//! because every read is still verified end to end by
-//! `transedge_edge::ReadVerifier`.
+//! the directory is a *hint* — a wrong hint costs latency (a detour,
+//! an unnecessary replica fallback), never correctness, because every
+//! read is still verified end to end by `transedge_edge::ReadVerifier`.
 //!
 //! Three layers:
 //!
 //! * [`digest`] — [`digest::ObservationBody`]: one observer's view of
-//!   one edge (EWMA latency, success/failure/rejection counters, and —
-//!   for self-observations only — per-partition cache-coverage
-//!   summaries), signed by the observer so third parties can relay it.
+//!   one edge (EWMA latency, success/failure/rejection counters),
+//!   signed by the observer so third parties can relay it.
 //! * [`evidence`] — [`evidence::SignedEvidence`]: a verified
 //!   byzantine-rejection claim *with the offending proof attached*.
 //!   Receivers re-run the verifier on the embedded (query, response)
@@ -42,19 +38,18 @@
 //!   demotes the edge fleet-wide within `O(log n)` push rounds.
 //!   [`agent::DirectoryAgent`] wraps the state with signing, ingest
 //!   verification, local strikes against bad gossip senders, and the
-//!   ranking queries (`hints`, `best_edge_for`) the routing layers
-//!   consume.
+//!   health queries (`hints`, `knows_byzantine`, `struck`) the routing
+//!   layers consume.
 //!
 //! ## Trust model: hints vs. proofs
 //!
 //! Nothing in the directory is load-bearing for safety. Demotion hints
 //! require attached evidence that *re-verifies as a cryptographic
-//! failure*; latency and coverage claims are taken at face value but
-//! only steer routing. A byzantine participant can still *frame* an
-//! honest edge by corrupting a served bundle and witnessing it (the
-//! responses edges serve are not bound to the server by a signature),
-//! which costs the fleet a detour around an honest edge — latency, not
-//! correctness. See ARCHITECTURE.md, "Edge directory & gossip".
+//! failure*; latency claims are taken at face value but only steer
+//! routing. A byzantine participant can still *frame* an honest edge by
+//! corrupting a served bundle and witnessing it (the responses edges
+//! serve are not bound to the server by a signature), which costs the
+//! fleet a detour around an honest edge — latency, not correctness. See ARCHITECTURE.md, "Edge directory & gossip".
 
 pub mod agent;
 pub mod digest;
@@ -62,6 +57,6 @@ pub mod evidence;
 pub mod state;
 
 pub use agent::{DirectoryAgent, DirectoryStats, GossipDelta, GossipDigest, IngestReport};
-pub use digest::{CoverageSummary, ObservationBody, SignedObservation, UNSAMPLED_LATENCY};
+pub use digest::{ObservationBody, SignedObservation, UNSAMPLED_LATENCY};
 pub use evidence::{is_cryptographic, EvidenceBody, SignedEvidence};
 pub use state::{DirectoryState, EdgeHint, StateSummary};

@@ -25,7 +25,7 @@ use transedge_common::{ClusterId, EdgeId, NodeId};
 use transedge_crypto::Digest;
 use transedge_edge::BatchCommitment;
 
-use crate::digest::{CoverageSummary, SignedObservation, UNSAMPLED_LATENCY};
+use crate::digest::{SignedObservation, UNSAMPLED_LATENCY};
 use crate::evidence::SignedEvidence;
 
 /// A record-free description of what a state already holds: the
@@ -65,8 +65,6 @@ pub struct EdgeHint {
     pub byzantine: bool,
     /// Total failures reported across observers (ranking penalty).
     pub failures: u64,
-    /// The edge's self-advertised coverage of its home partition.
-    pub coverage: Option<CoverageSummary>,
 }
 
 /// The mergeable directory state. See module docs for the join rules.
@@ -227,28 +225,20 @@ impl<H: BatchCommitment + Clone> DirectoryState<H> {
 
     /// Aggregate the per-observer records into one hint per edge.
     pub fn hints(&self) -> Vec<EdgeHint> {
-        let mut by_edge: HashMap<EdgeId, (Vec<f64>, u64, Option<CoverageSummary>)> = HashMap::new();
+        let mut by_edge: HashMap<EdgeId, (Vec<f64>, u64)> = HashMap::new();
         for obs in self.observations.values() {
             let entry = by_edge.entry(obs.body.subject).or_default();
             if obs.body.ewma_latency_us != UNSAMPLED_LATENCY {
                 entry.0.push(obs.body.ewma_latency_us as f64);
             }
             entry.1 += obs.body.failures;
-            if obs.observer == NodeId::Edge(obs.body.subject) {
-                entry.2 = obs
-                    .body
-                    .coverage
-                    .iter()
-                    .find(|c| c.cluster == obs.body.subject.cluster)
-                    .copied();
-            }
         }
         for subject in self.evidence.keys() {
             by_edge.entry(*subject).or_default();
         }
         let mut hints: Vec<EdgeHint> = by_edge
             .into_iter()
-            .map(|(edge, (lats, failures, coverage))| EdgeHint {
+            .map(|(edge, (lats, failures))| EdgeHint {
                 edge,
                 cluster: edge.cluster,
                 latency_us: if lats.is_empty() {
@@ -258,7 +248,6 @@ impl<H: BatchCommitment + Clone> DirectoryState<H> {
                 },
                 byzantine: self.evidence.contains_key(&edge),
                 failures,
-                coverage,
             })
             .collect();
         hints.sort_by_key(|h| h.edge);

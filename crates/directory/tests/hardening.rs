@@ -248,11 +248,11 @@ fn genuine_evidence_is_admitted_and_demotes() {
     assert_eq!(report.rejected(), 0);
     assert!(receiver.knows_byzantine(edge(1)));
     assert!(!receiver.struck(NodeId::Client(ClientId(0))));
-    // The demoted edge drops out of forwarding candidates.
-    assert_ne!(
-        receiver.best_edge_for(ClusterId(0), &[edge(0)]),
-        Some(edge(1))
-    );
+    // The demotion shows in the hints routing layers read.
+    assert!(receiver
+        .hints()
+        .iter()
+        .any(|h| h.edge == edge(1) && h.byzantine));
 }
 
 /// Fabricated evidence: an honest, fully-verifying response attached
@@ -427,15 +427,15 @@ fn a_rejection_resting_on_a_held_delta_is_not_evidence() {
     assert!(receiver.struck(NodeId::Edge(edge(2))));
 }
 
-/// Forged coverage: an edge advertising an observation attributed to a
-/// key it does not hold (impersonating another edge to inflate its
-/// coverage, or to poison a rival's health record). The signature
-/// check fails and the sender is struck.
+/// Forged observation: an edge advertising an observation attributed
+/// to a key it does not hold (impersonating another edge to flatter its
+/// own health record, or to poison a rival's). The signature check
+/// fails and the sender is struck.
 #[test]
 fn forged_observation_is_rejected_and_sender_demoted() {
     let world = World::new();
-    // Edge 2 forges a self-observation *as edge 1* claiming huge
-    // coverage — signed with edge 2's key, attributed to edge 1.
+    // Edge 2 forges a glowing self-observation *as edge 1* — signed
+    // with edge 2's key, attributed to edge 1.
     let body = ObservationBody {
         subject: edge(1),
         seq: 9,
@@ -443,12 +443,6 @@ fn forged_observation_is_rejected_and_sender_demoted() {
         successes: 1_000,
         failures: 0,
         rejections: 0,
-        coverage: vec![transedge_directory::CoverageSummary {
-            cluster: ClusterId(0),
-            newest_batch: Epoch(99),
-            fragments: 1_000_000,
-            scan_windows: 1_000,
-        }],
         observed_at: NOW,
     };
     let forged = SignedObservation {
@@ -467,12 +461,9 @@ fn forged_observation_is_rejected_and_sender_demoted() {
     assert_eq!(report.observations_accepted, 0);
     assert_eq!(report.observations_rejected, 1);
     assert!(receiver.struck(NodeId::Edge(edge(2))));
-    // The forged coverage never entered the state: edge 1 has no
-    // coverage hint and no demotion.
-    let hints = receiver.hints();
-    assert!(!hints
-        .iter()
-        .any(|h| h.edge == edge(1) && h.coverage.is_some()));
+    // The forgery never entered the state: edge 1 has no hint and no
+    // demotion.
+    assert!(!receiver.hints().iter().any(|h| h.edge == edge(1)));
     assert!(!receiver.knows_byzantine(edge(1)));
 }
 
@@ -489,9 +480,9 @@ fn delta_exchange_converges_in_two_legs_then_goes_quiet() {
     let mut b = world.agent(edge(1));
     // Divergent histories: each side holds observations the other
     // lacks, and A additionally holds verified byzantine evidence.
-    a.observe(edge(0), Some(900.0), 20, 1, 0, vec![], NOW);
-    a.observe(edge(2), Some(2_000.0), 5, 0, 1, vec![], NOW);
-    b.observe(edge(1), Some(1_100.0), 30, 2, 0, vec![], NOW);
+    a.observe(edge(0), Some(900.0), 20, 1, 0, NOW);
+    a.observe(edge(2), Some(2_000.0), 5, 0, 1, NOW);
+    b.observe(edge(1), Some(1_100.0), 30, 2, 0, NOW);
     let query_keys = vec![Key::from_u32(0)];
     let query = ReadQuery::point(query_keys.clone());
     let response: ReadResponse<TestHeader> = ReadResponse::Point {
@@ -540,7 +531,7 @@ fn delta_exchange_converges_in_two_legs_then_goes_quiet() {
 fn relayed_honest_observations_are_admitted() {
     let world = World::new();
     let mut origin = world.agent(edge(1));
-    origin.observe(edge(1), Some(1_500.0), 10, 1, 0, vec![], NOW);
+    origin.observe(edge(1), Some(1_500.0), 10, 1, 0, NOW);
     let mut relay = world.agent(edge(2));
     let r1 = relay.ingest(NodeId::Edge(edge(1)), &origin.digest(), &world.keys, NOW);
     assert_eq!(r1.observations_accepted, 1);

@@ -62,7 +62,6 @@ fn observation(observer: u8, subject: u8, seq: u64, failures: u64, sig: u8) -> R
             successes: seq,
             failures,
             rejections: 0,
-            coverage: vec![],
             observed_at: SimTime(seq),
         },
         sig: Signature([sig; 64]),

@@ -3,12 +3,16 @@
 //! client-grade verifier (zero replica fetches for covered keys), a
 //! cold control restart pays the upstream fetches, corrupted disk
 //! objects are dropped at hydration and never served, and an edge that
-//! lost its disk bootstraps by verified state transfer from a sibling.
+//! lost its disk bootstraps by verified state transfer from a sibling
+//! — never one its directory has already convicted.
 
-use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, SimDuration, SimTime, Value};
+use transedge::common::{
+    ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime, Value,
+};
 use transedge::core::client::ClientOp;
+use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
-use transedge::core::{ClientProfile, EdgeConfig};
+use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder};
 use transedge::edge::{MultiProofBody, SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -29,14 +33,15 @@ const LIMIT: SimTime = SimTime(600_000_000);
 /// reads of `rot_keys` from t = 0, and client 1 repeats the same reads
 /// starting only after [`CRASH_AT`].
 fn warm_then_probe(per_cluster: usize) -> (Deployment, Vec<Key>) {
+    warm_then_probe_on(EdgeConfig::builder().per_cluster(per_cluster))
+}
+
+/// [`warm_then_probe`] over any persistent edge tier.
+fn warm_then_probe_on(edges: EdgeConfigBuilder) -> (Deployment, Vec<Key>) {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
-    config.edge = EdgeConfig::builder()
-        .per_cluster(per_cluster)
-        .persistent()
-        .build()
-        .expect("edge config");
+    config.edge = edges.persistent().build().expect("edge config");
     let topo = config.topo.clone();
     let rot_keys = keys_on(&topo, ClusterId(0), 3);
     let script: Vec<ClientOp> = (0..6)
@@ -215,4 +220,77 @@ fn cold_edge_bootstraps_from_sibling_state_transfer() {
     );
     assert_eq!(edge.stats.sibling_objects_rejected, 0);
     assert_probe_clean(&dep);
+}
+
+/// A cold edge does not spend its one transfer on a peer its directory
+/// has convicted or struck — every object would be re-verified, so
+/// asking a known liar is a wasted bootstrap, not a safety hole. With
+/// two same-partition peers and the first convicted the request goes
+/// to the second; with both ruled out it is not sent at all.
+///
+/// A restarted actor's directory starts empty, so the test hands it
+/// what the fleet knows (a peer's full digest, verified at ingest like
+/// any gossip) before its `on_start` runs.
+#[test]
+fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
+    for second_struck in [false, true] {
+        let e0 = EdgeId::new(ClusterId(0), 0);
+        let liar = EdgeId::new(ClusterId(0), 1);
+        let e2 = EdgeId::new(ClusterId(0), 2);
+        let (mut dep, _keys) = warm_then_probe_on(
+            EdgeConfig::builder()
+                .per_cluster(3)
+                .byzantine(liar, EdgeBehavior::TamperValue)
+                .gossip_directory(SimDuration::from_millis(20)),
+        );
+        dep.run_until(CRASH_AT);
+        // The warm-up client tripped over the liar and the fleet
+        // convicted it.
+        let digest = dep
+            .edge_node(e2)
+            .directory()
+            .expect("directory enabled")
+            .digest();
+        assert!(digest.evidence.iter().any(|ev| ev.body.subject == liar));
+
+        // Only the healthy peer has anything to offer: it holds the
+        // union of the warm disks, the liar's is wiped.
+        let mut merged = dep.edge_node(e2).store().clone();
+        for edge in [e0, liar] {
+            for object in dep.edge_node(edge).store().objects_for(ClusterId(0)) {
+                merged.spill(object);
+            }
+        }
+        assert!(!merged.is_empty(), "the warm-up workload must have spilled");
+        dep.edge_node_mut(e2).restore_store(merged);
+        dep.edge_node_mut(liar).take_store();
+
+        let _lost = dep.crash_edge(e0);
+        dep.restart_edge(e0, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD));
+        let (keys, now) = (dep.keys.clone(), dep.sim.now());
+        let agent = dep
+            .edge_node_mut(e0)
+            .directory_mut()
+            .expect("directory enabled");
+        agent.ingest(NodeId::Edge(e2), &digest, &keys, now);
+        assert!(agent.knows_byzantine(liar));
+        if second_struck {
+            agent.strike(NodeId::Edge(e2));
+        }
+        dep.run_until_done(LIMIT);
+
+        let stats = dep.edge_node(e0).stats;
+        assert_eq!(stats.sibling_objects_rejected, 0);
+        if second_struck {
+            assert_eq!(stats.sibling_transfers, 0, "nobody healthy to ask");
+            assert_eq!(stats.sibling_objects_admitted, 0);
+        } else {
+            assert_eq!(stats.sibling_transfers, 1);
+            assert!(
+                stats.sibling_objects_admitted > 0,
+                "the transfer went to the peer that had the objects"
+            );
+        }
+        assert_probe_clean(&dep);
+    }
 }

@@ -1245,12 +1245,16 @@ fn two_partition_query_served_through_single_edge_contact() {
     assert_two_partition_results_correct(&dep);
 }
 
-/// Edge-tier scatter-gather, byzantine half: the foreign partition's
-/// part of the envelope is tampered by the byzantine sibling that
-/// served it. The client's per-part verification catches it, keeps the
-/// honest part, re-reads only the tampered partition from a replica,
+/// Edge-tier scatter-gather, byzantine half: the liar is the
+/// *contact*. It corrupts the first section of every answer it
+/// produces, gather slots included, so both parts of the envelope
+/// arrive tampered. The client's per-part verification rejects each on
+/// its own, re-reads each partition from a replica of that partition,
 /// and completes with correct values — the forwarding tier is an
-/// untrusted courier, never a trust boundary.
+/// untrusted courier, never a trust boundary. Attribution follows what
+/// the contact answered *for*: its forgery of the partition it fronts
+/// is signed evidence for the fleet, its forgery of the part it merely
+/// couriered only shuns it locally.
 #[test]
 fn tampered_forwarded_section_is_rejected_at_the_client() {
     use transedge::common::SimDuration;
@@ -1260,7 +1264,8 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
     config.client.single_contact = true;
-    let byz = EdgeId::new(ClusterId(1), 0);
+    // The contact: the best edge of the first partition in sort order.
+    let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
         .per_cluster(1)
         .byzantine(byz, EdgeBehavior::TamperValue)
@@ -1278,41 +1283,111 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
         .collect();
     let mut dep = Deployment::build(config, vec![ops]);
 
-    // The first query goes to the honest contact fronting partition 0,
-    // which couriers partition 1's part from the lying sibling.
+    // The first query goes whole to the lying contact, which fetches
+    // both parts from their partitions' replicas and doctors each on
+    // the way out.
     run_until_results(&mut dep, 1);
     let client = dep.client(dep.client_ids[0]);
+    assert_eq!(dep.edge_node(byz).stats.tampered, 2);
     assert_eq!(
-        client.stats.verification_failures, 1,
-        "exactly the tampered part is rejected"
+        client.stats.verification_failures, 2,
+        "each tampered part is rejected on its own"
     );
-    assert_eq!(dep.edge_node(byz).stats.tampered, 1);
-    // The verified honest part was kept: partition 0's replicas served
-    // the contact's cold forward and nothing else, while partition 1's
-    // served the sibling's forward plus the client's re-read.
-    assert_eq!(replica_reads(&dep, ClusterId(0)), 1);
+    // Each partition's replicas served the contact's cold forward plus
+    // the client's re-read of that partition, and nothing else.
+    assert_eq!(replica_reads(&dep, ClusterId(0)), 2);
     assert_eq!(replica_reads(&dep, ClusterId(1)), 2);
-    // The contact is blamed for what it couriered — shunned locally,
-    // but not convicted fleet-wide: it proved nothing false about its
-    // own partition.
-    let contact = transedge::common::NodeId::Edge(EdgeId::new(ClusterId(0), 0));
+    // Both rejections count against the contact locally (each one
+    // arms the demotion anew)…
     let health = client
         .edge_selector
-        .health(ClusterId(0), contact)
+        .health(ClusterId(0), transedge::common::NodeId::Edge(byz))
         .expect("contact is a registered target");
-    assert_eq!(health.total_rejections, 1);
-    assert_eq!(health.demotions, 1);
-    assert_eq!(client.stats.directory_evidence_sent, 0);
+    assert_eq!(health.total_rejections, 2);
+    assert_eq!(health.demotions, 2);
+    // …but only the forgery of the partition it fronts is evidence:
+    // about partition 1 it proved nothing false of its own.
+    assert_eq!(client.stats.directory_evidence_sent, 1);
 
-    // …and every query still completes with correct values.
+    // Every query still completes with correct values, and the one
+    // evidence record convicts the contact fleet-wide.
     dep.run_until_done(SimTime(600_000_000));
     let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.gave_up, 0);
+    assert_eq!(client.stats.directory_evidence_sent, 1);
     assert_eq!(client.query_results.len(), 6);
     assert_two_partition_results_correct(&dep);
     for s in &client.samples {
         assert!(s.committed, "read-only queries never abort");
     }
+    for edge in &dep.edge_ids {
+        let agent = dep.edge_node(*edge).directory().expect("directory enabled");
+        assert!(agent.knows_byzantine(byz), "{edge} must learn of {byz}");
+    }
+}
+
+/// Who a contact forwards to does not depend on the directory: a cold
+/// two-partition gather costs one read at a replica of each partition
+/// and no edge ever asks another edge — the edge fronting a foreign
+/// partition sits beside that partition's replicas, so it could only
+/// add a hop. The contact admits what it couriers, so the repeat is
+/// served with no upstream message at all.
+#[test]
+fn cold_gather_asks_each_partitions_replicas_with_or_without_a_directory() {
+    use transedge::common::SimDuration;
+    use transedge::core::ReadQuery;
+
+    let run = |directory: bool| {
+        let mut config = DeploymentConfig::for_testing();
+        config.latency = transedge::simnet::LatencyModel::paper_default();
+        config.client.record_results = true;
+        config.client.single_contact = true;
+        let mut edge = EdgeConfig::builder().per_cluster(1);
+        if directory {
+            edge = edge.gossip_directory(SimDuration::from_millis(20));
+        }
+        config.edge = edge.build().expect("edge config");
+        let topo = config.topo.clone();
+        let mut keys = keys_on(&topo, ClusterId(0), 2);
+        keys.extend(keys_on(&topo, ClusterId(1), 1));
+        let ops: Vec<ClientOp> = (0..2)
+            .map(|_| ClientOp::Query {
+                query: ReadQuery::point(keys.clone()),
+            })
+            .collect();
+        let mut dep = Deployment::build(config, vec![ops]);
+        dep.run_until_done(SimTime(600_000_000));
+
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.verification_failures + client.stats.retries, 0);
+        assert_eq!(client.stats.gathers_accepted, 2);
+        assert_two_partition_results_correct(&dep);
+        let contact = dep.edge_node(EdgeId::new(ClusterId(0), 0)).stats;
+        let other = dep.edge_node(EdgeId::new(ClusterId(1), 0)).stats;
+        let reg = dep.metrics();
+        let sent = |kind: &str| reg.counter_value("net", &format!("net.{kind}.messages"));
+        [
+            sent("read-point"),
+            sent("read-result-point"),
+            sent("read-result-gather"),
+            replica_reads(&dep, ClusterId(0)),
+            replica_reads(&dep, ClusterId(1)),
+            contact.forwarded,
+            contact.foreign_forward_replica,
+            contact.served_from_cache,
+            other.requests,
+        ]
+    };
+    let with_directory = run(true);
+    assert_eq!(
+        with_directory,
+        // Two client→contact queries and the cold gather's two
+        // forwards; their two answers; one envelope per gather; one
+        // read per partition; both parts of the repeat from cache; and
+        // partition 1's edge never hears of any of it.
+        [4, 2, 2, 1, 1, 2, 1, 2, 0]
+    );
+    assert_eq!(with_directory, run(false));
 }
 
 /// A multi-partition query reaching an edge *without* a directory is
