@@ -93,11 +93,11 @@ pub struct ClientConfig {
     pub edges: HashMap<ClusterId, Vec<NodeId>>,
     /// Tuning for the adaptive edge routing.
     pub selector: EdgeSelectorConfig,
-    /// Take part in the gossiped edge directory: pull a digest at
-    /// startup to seed the selector warm (fleet-wide demotions land
-    /// *before* the first contact), and push signed rejection evidence
-    /// after verification failures so other clients get the same head
-    /// start. Hints only — correctness never depends on them.
+    /// Take part in the gossiped edge directory: pull the fleet's
+    /// evidence at startup (fleet-wide demotions land *before* the
+    /// first contact), and push signed rejection evidence after
+    /// verification failures so other clients get the same head start.
+    /// Hints only — correctness never depends on them.
     pub directory: bool,
     /// Send a fresh cross-partition query to *one* edge contact
     /// (edge-tier scatter-gather) instead of fanning out per partition.
@@ -487,10 +487,14 @@ fn leaf_hashes(response: &ReadPayload) -> u64 {
 
 #[allow(clippy::enum_variant_names)]
 enum Phase {
+    // Ordered maps: the commit request lists reads in `collected`'s
+    // order and a retry re-sends in `outstanding`'s, and every send
+    // draws from the simulation's one RNG — hash order there would let
+    // the process's hash seed pick the timeline.
     ReadPhase {
-        collected: HashMap<Key, (Option<Value>, Epoch)>,
+        collected: BTreeMap<Key, (Option<Value>, Epoch)>,
         /// req id → key, for retries.
-        outstanding: HashMap<u64, Key>,
+        outstanding: BTreeMap<u64, Key>,
     },
     CommitPhase {
         txn: Transaction,
@@ -537,7 +541,7 @@ pub struct ClientStats {
     /// Single-contact answers whose every part verified (each against
     /// its own partition's root).
     pub gathers_accepted: u64,
-    /// Directory digests ingested (startup seed + gossip).
+    /// Directory deltas ingested (startup answer + pull-half replies).
     pub directory_seeded: u64,
     /// Signed rejection-evidence records pushed into the gossip layer.
     pub directory_evidence_sent: u64,
@@ -623,11 +627,10 @@ pub struct ClientActor {
     /// Adaptive edge routing for read-only rounds.
     pub edge_selector: EdgeSelector,
     /// Directory participation (when `config.directory`): holds the
-    /// ingested fleet state, signs this client's observations and
-    /// rejection evidence.
+    /// ingested fleet state, signs this client's rejection evidence.
     directory: Option<DirectoryAgent<CommittedHeader>>,
     /// Startup: a directory pull is outstanding; the first op starts
-    /// when the digest arrives (or the seed timer gives up waiting).
+    /// when the answer arrives (or the seed timer gives up waiting).
     waiting_seed: bool,
     /// Writes buffered while the read phase runs.
     pending_writes: Vec<(Key, Value)>,
@@ -732,10 +735,10 @@ impl ClientActor {
     }
 
     /// Begin the scripted run: when the directory is enabled, first
-    /// pull a digest from one edge so the selector starts warm —
-    /// fleet-known byzantine edges are demoted *before* this client
-    /// ever contacts them. A seed timer bounds the wait (a dead or
-    /// shunned pull target must not wedge the client).
+    /// pull one edge's records so fleet-known byzantine edges are
+    /// demoted *before* this client ever contacts them. A seed timer
+    /// bounds the wait (a dead or shunned pull target must not wedge
+    /// the client).
     fn boot(&mut self, ctx: &mut Context<'_, NetMsg>) {
         if self.directory.is_some() {
             let mut clusters: Vec<ClusterId> = self.config.edges.keys().copied().collect();
@@ -753,22 +756,14 @@ impl ClientActor {
         self.start_next_op(ctx);
     }
 
-    /// Apply directory hints to the edge selector: register unknown
-    /// edges, demote evidenced-byzantine ones, and prime unsampled
-    /// latency rankings with the fleet's EWMA means.
+    /// Demote every edge the directory holds verified evidence against.
     fn seed_selector(&mut self, now: SimTime) {
         let Some(agent) = &self.directory else {
             return;
         };
-        for hint in agent.hints() {
-            let target = NodeId::Edge(hint.edge);
-            self.edge_selector.register(hint.cluster, target);
-            if hint.byzantine {
-                self.edge_selector.demote_hint(hint.cluster, target, now);
-            } else if let Some(latency) = hint.latency_us {
-                self.edge_selector
-                    .prime_latency(hint.cluster, target, latency);
-            }
+        for edge in agent.convicted_edges() {
+            self.edge_selector
+                .demote_hint(edge.cluster, NodeId::Edge(edge), now);
         }
     }
 
@@ -839,7 +834,7 @@ impl ClientActor {
         match op {
             ClientOp::ReadWrite { reads, writes } => {
                 let kind = forced_kind.unwrap_or_else(|| self.classify(&reads, &writes));
-                let mut outstanding = HashMap::new();
+                let mut outstanding = BTreeMap::new();
                 for key in &reads {
                     let req = self.req_id();
                     let target = self.any_replica_of(self.topo.partition_of(key));
@@ -858,7 +853,7 @@ impl ClientActor {
                     start: ctx.now(),
                     attempts: 0,
                     phase: Phase::ReadPhase {
-                        collected: HashMap::new(),
+                        collected: BTreeMap::new(),
                         outstanding,
                     },
                 };
@@ -893,7 +888,7 @@ impl ClientActor {
         }
         let collected = match &self.inflight.as_ref().unwrap().phase {
             Phase::ReadPhase { collected, .. } => collected.clone(),
-            _ => HashMap::new(),
+            _ => BTreeMap::new(),
         };
         self.next_txn_seq += 1;
         let txn = Transaction {
@@ -1294,34 +1289,6 @@ impl ClientActor {
                         && agent.witness(subject, cluster, &sub, response, &rejection, now)
                     {
                         self.stats.directory_evidence_sent += 1;
-                        // Piggyback this client's sampled latency
-                        // observations so receivers can prime their
-                        // rankings with the fleet's EWMA means.
-                        let mut known: Vec<(ClusterId, NodeId)> = self
-                            .config
-                            .edges
-                            .iter()
-                            .flat_map(|(c, es)| es.iter().map(|e| (*c, *e)))
-                            .collect();
-                        known.sort_unstable();
-                        for (c, target) in &known {
-                            let (Some(edge), Some(health)) =
-                                (target.as_edge(), self.edge_selector.health(*c, *target))
-                            else {
-                                continue;
-                            };
-                            if let Some(ewma) = health.ewma_latency_us {
-                                agent.observe(
-                                    edge,
-                                    Some(ewma),
-                                    health.successes,
-                                    health.failures,
-                                    health.total_rejections,
-                                    now,
-                                );
-                            }
-                        }
-                        let digest = Box::new(agent.digest());
                         // Push to a *healthy* edge: the selector's best
                         // pick (the offender was just demoted above),
                         // scanning clusters in order for determinism.
@@ -1334,7 +1301,8 @@ impl ClientActor {
                                 .filter(|t| t.as_edge().is_some_and(|e| e != subject))
                         });
                         if let Some(peer) = peer {
-                            ctx.send(peer, NetMsg::DirectoryGossip { digest });
+                            let delta = Box::new(agent.delta_for(peer));
+                            ctx.send(peer, NetMsg::DirectoryDeltaGossip { delta });
                         }
                     }
                 }
@@ -1662,10 +1630,12 @@ impl Actor<NetMsg> for ClientActor {
             NetMsg::ReadResult { req, result } => {
                 self.on_read_result(req, result, ctx);
             }
-            NetMsg::DirectoryGossip { digest } => {
+            // The startup answer, or the pull half of an evidence push.
+            // A client is a leaf of the exchange: it never answers.
+            NetMsg::DirectoryDeltaGossip { delta } => {
                 let now = ctx.now();
                 if let Some(agent) = &mut self.directory {
-                    agent.ingest(from, &digest, self.certs.keys(), now);
+                    agent.ingest_delta(from, &delta, self.certs.keys(), now);
                     self.stats.directory_seeded += 1;
                     self.seed_selector(now);
                 }

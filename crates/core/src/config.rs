@@ -57,7 +57,7 @@ pub struct EdgeConfig {
     pub replay_staleness: SimDuration,
     /// Byzantine behaviour overrides for specific edge nodes.
     pub byzantine: Vec<(EdgeId, EdgeBehavior)>,
-    /// Gossiped health directory.
+    /// Gossiped conviction directory.
     pub directory: DirectoryPlan,
     /// Certified commit-feed subscription (push invalidation +
     /// freshness attachments).
@@ -237,9 +237,6 @@ pub struct ClientProfile {
     /// Baseline mode: read-only ops via BFT + 2PC instead of the
     /// commit-free snapshot protocol.
     pub rot_via_2pc: bool,
-    /// Take part in the gossiped edge directory (startup pull +
-    /// rejection-evidence push).
-    pub directory: bool,
     /// Send fresh cross-partition queries to one edge contact
     /// (edge-tier scatter-gather).
     pub single_contact: bool,
@@ -265,11 +262,6 @@ impl ClientProfile {
         self
     }
 
-    pub fn directory(mut self) -> Self {
-        self.directory = true;
-        self
-    }
-
     pub fn single_contact(mut self) -> Self {
         self.single_contact = true;
         self
@@ -291,7 +283,6 @@ impl ClientProfile {
         let mut config = base.clone();
         config.record_results |= self.record_results;
         config.rot_via_2pc |= self.rot_via_2pc;
-        config.directory |= self.directory;
         config.single_contact |= self.single_contact;
         config.subscribe |= self.subscribe;
         if self.start_delay > config.start_delay {

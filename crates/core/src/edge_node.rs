@@ -24,15 +24,15 @@
 //!   hop — then returned as one `ReadResponse::Gather` envelope: the
 //!   client contacts *one* edge for a multi-partition query, and still
 //!   verifies every part against its own partition's certified root.
-//! * **Gossiped health directory** — each edge runs a
+//! * **Gossiped conviction directory** — each edge runs a
 //!   [`DirectoryAgent`] and every gossip round pushes a *delta*
 //!   (records the peer is not known to have, plus a state summary the
 //!   peer answers with our missing records) to a rotating peer —
-//!   push-pull anti-entropy over diffs instead of full-state digests.
-//!   What travels is what clients witnessed: latency observations and
-//!   rejection evidence, so one client's verified rejection demotes a
-//!   byzantine edge fleet-wide in `O(log n)` rounds. An edge asserts
-//!   nothing about itself.
+//!   push-pull anti-entropy over diffs. What travels is what clients
+//!   witnessed and anyone can re-check: rejection evidence with the
+//!   offending response attached, so one client's verified rejection
+//!   demotes a byzantine edge fleet-wide in `O(log n)` rounds. An edge
+//!   asserts nothing about itself.
 //! * **Certified commit-feed subscription** — the edge subscribes to
 //!   one home-cluster replica's per-batch [`RotDelta`] feed, verifies
 //!   each pushed delta under its replica certificate, push-invalidates
@@ -129,9 +129,8 @@ pub fn coalition_root(num: BatchNum) -> Digest {
 /// The gossip-directory configuration of a deployment's edges.
 #[derive(Clone, Debug)]
 pub struct DirectoryPlan {
-    /// Run the gossip directory at all. It carries health and
-    /// rejection evidence only; where an edge forwards a miss does not
-    /// depend on it.
+    /// Run the gossip directory at all. It carries rejection evidence
+    /// only; where an edge forwards a miss does not depend on it.
     pub enabled: bool,
     /// Anti-entropy period (each edge pushes a delta — missing records
     /// plus a state summary — to one rotating peer per round).
@@ -1295,22 +1294,15 @@ impl Actor<NetMsg> for EdgeReadNode {
                 }
             }
             NetMsg::ReadResult { req, result } => self.on_upstream_result(req, result, ctx),
-            NetMsg::DirectoryGossip { digest } => {
-                if let Some(agent) = &mut self.directory {
-                    // `ingest` verifies signatures, re-runs the
-                    // verifier on evidence, and strikes `from` locally
-                    // for anything forged or fabricated.
-                    agent.ingest(from, &digest, &self.keys, ctx.now());
-                }
-            }
             NetMsg::DirectoryDeltaGossip { delta } => {
                 if let Some(agent) = &mut self.directory {
-                    // Same verification as a full digest — every record
-                    // in the delta is signature-checked and evidence
-                    // re-verified before admission. The reply (computed
-                    // post-merge against the sender's summary) carries
-                    // only what the sender is missing; an empty reply
-                    // is suppressed, which terminates the exchange.
+                    // Every record in the delta is signature-checked
+                    // and re-run through the verifier before admission,
+                    // and `from` is struck locally for anything forged
+                    // or fabricated. The reply (computed post-merge
+                    // against the sender's summary) carries only what
+                    // the sender is missing; an empty reply is
+                    // suppressed, which terminates the exchange.
                     let (_report, reply) = agent.ingest_delta(from, &delta, &self.keys, ctx.now());
                     if let Some(reply) = reply {
                         ctx.send(
@@ -1330,13 +1322,11 @@ impl Actor<NetMsg> for EdgeReadNode {
                 cluster, objects, ..
             } => self.on_state_transfer_resp(cluster, objects, ctx),
             NetMsg::DirectoryPull => {
-                if let Some(agent) = &self.directory {
-                    ctx.send(
-                        from,
-                        NetMsg::DirectoryGossip {
-                            digest: Box::new(agent.digest()),
-                        },
-                    );
+                if let Some(agent) = &mut self.directory {
+                    // Always answered, records or not: the client holds
+                    // its first op until this arrives.
+                    let delta = Box::new(agent.delta_for(from));
+                    ctx.send(from, NetMsg::DirectoryDeltaGossip { delta });
                 }
             }
             // Edge nodes take part in nothing else.

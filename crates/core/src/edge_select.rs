@@ -204,18 +204,6 @@ impl EdgeSelector {
         }
     }
 
-    /// Seed an unsampled target's EWMA from a directory hint, so a
-    /// freshly booted client ranks edges by the fleet's experience
-    /// instead of exploring cold. A no-op once the client has its own
-    /// samples — first-hand evidence always outranks hearsay.
-    pub fn prime_latency(&mut self, cluster: ClusterId, edge: NodeId, latency_us: f64) {
-        if let Some(health) = self.health_mut(cluster, edge) {
-            if health.ewma_latency_us.is_none() && health.successes == 0 {
-                health.ewma_latency_us = Some(latency_us.max(0.0));
-            }
-        }
-    }
-
     /// Demote a target on a *directory hint* (fleet-gossiped, verified
     /// rejection evidence observed by someone else) — the fleet-wide
     /// demotion path: a client shuns the edge before ever contacting

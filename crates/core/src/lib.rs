@@ -23,11 +23,12 @@
 //!   with per-cluster replay caches, edge-tier scatter-gather (one
 //!   contact serves a cross-partition query, forwarding the parts it
 //!   misses to their partitions' replicas), and a
-//!   `transedge-directory` gossip agent exchanging signed health
-//!   digests and re-verified rejection evidence;
+//!   `transedge-directory` gossip agent exchanging signed,
+//!   re-verified rejection evidence;
 //! * [`edge_select`] — adaptive client→edge routing: EWMA latency
 //!   ranking with failure/byzantine-rejection demotion and replica
-//!   fallback, seeded warm from gossiped directory hints;
+//!   fallback, with fleet-convicted edges demoted before first
+//!   contact;
 //! * [`client`] — the client library/actor: OCC read-write
 //!   transactions, and the unified proof-carrying read protocol — a
 //!   `ReadSession` plans any `ReadQuery` (point sets, paginated scans,

@@ -83,17 +83,11 @@ pub fn abort_vote_statement(cluster: ClusterId, txn: TxnId) -> Vec<u8> {
 /// query (`ReadVerifier::verify_query`).
 pub type ReadPayload = ReadResponse<CommittedHeader>;
 
-/// The full-state gossip payload of the edge health directory,
-/// anchored at this crate's certified batch headers (rejection evidence
-/// embeds the offending proof-carrying response). Since the anti-entropy
-/// rounds moved to deltas, this is the bootstrap payload answering
-/// [`NetMsg::DirectoryPull`].
-pub type DirectoryDigest = transedge_directory::GossipDigest<CommittedHeader>;
-
-/// One push-pull anti-entropy leg of the edge directory: the records
-/// the sender believes the receiver lacks, plus the sender's state
-/// summary so the receiver can answer with exactly what the sender
-/// lacks.
+/// The edge directory's one gossip payload, anchored at this crate's
+/// certified batch headers (rejection evidence embeds the offending
+/// proof-carrying response): the records the sender believes the
+/// receiver lacks, plus the sender's state summary so the receiver can
+/// answer with exactly what the sender lacks.
 pub type DirectoryDelta = transedge_directory::GossipDelta<CommittedHeader>;
 
 /// All TransEdge network traffic.
@@ -131,8 +125,8 @@ pub enum NetMsg {
     /// (`SnapshotPolicy::MinEpoch`), an edge's pinned partial-assembly
     /// fills (`SnapshotPolicy::AtBatch`), verified range scans,
     /// paginated scan continuations (`ReadQuery::page`), scatter-gather
-    /// sub-queries, and feed-freshness-upgraded subscriber reads
-    /// (`ReadQuery::fresh`). Built through the [`ReadQuery`]
+    /// sub-queries, and subscriber reads naming the feed deltas they
+    /// already hold (`ReadQuery::feed`). Built through the [`ReadQuery`]
     /// constructors; the old per-shape `NetMsg` constructors are gone.
     Read { req: u64, query: ReadQuery },
     /// The unified proof-carrying answer to a [`NetMsg::Read`] query.
@@ -151,24 +145,23 @@ pub enum NetMsg {
     /// counts against the sender.
     FeedDelta { delta: Box<RotDelta> },
 
-    // ---- edge health directory ---------------------------------------
-    /// One full-state push of the gossiped edge directory: signed
-    /// health observations plus verified byzantine-rejection evidence
-    /// (offending proof attached). Clients push after witnessing a
-    /// rejection, and edges answer [`NetMsg::DirectoryPull`] with one.
-    /// Everything inside is an untrusted *hint* — receivers verify
-    /// signatures and re-run the verifier on evidence before merging,
-    /// and wrong hints cost latency, never correctness.
-    DirectoryGossip { digest: Box<DirectoryDigest> },
-    /// One push-pull anti-entropy leg between edge directory agents:
-    /// only the records the sender believes the receiver lacks, plus
-    /// the sender's state summary. The receiver merges (with the same
-    /// verification as a full digest), then answers with the records
-    /// *it* holds that beat the summary — at most one reply, since the
-    /// reply's summary is computed post-merge.
+    // ---- edge conviction directory -----------------------------------
+    /// One leg of the gossiped edge directory, and its only payload:
+    /// the signed byzantine-rejection evidence (offending proof
+    /// attached) the sender believes the receiver lacks, plus the
+    /// sender's state summary. Edges push one per round, a client
+    /// pushes one after witnessing a rejection, and edges answer
+    /// [`NetMsg::DirectoryPull`] with one. Everything inside is an
+    /// untrusted *hint* — the receiver checks each record's signature
+    /// and re-runs the verifier on it before merging, and wrong hints
+    /// cost latency, never correctness. An edge then answers with the
+    /// records *it* holds that beat the summary — at most one reply,
+    /// since the reply's summary is computed post-merge; a client never
+    /// answers.
     DirectoryDeltaGossip { delta: Box<DirectoryDelta> },
-    /// Ask an edge node for its current directory digest (clients seed
-    /// their `EdgeSelector` warm at startup with the reply).
+    /// Ask an edge node for the directory records it holds (clients
+    /// demote convicted edges in their `EdgeSelector` at startup with
+    /// the reply, and wait for it — so it is answered even when empty).
     DirectoryPull,
 
     // ---- edge restart state-transfer (edge ↔ edge) --------------------
@@ -246,7 +239,6 @@ impl NetMsg {
             },
             NetMsg::FeedSubscribe { .. } => "feed-subscribe",
             NetMsg::FeedDelta { .. } => "feed-delta",
-            NetMsg::DirectoryGossip { .. } => "directory-gossip",
             NetMsg::DirectoryDeltaGossip { .. } => "directory-delta-gossip",
             NetMsg::DirectoryPull => "directory-pull",
             NetMsg::StateTransfer { .. } => "state-transfer",
@@ -415,7 +407,6 @@ impl SimMessage for NetMsg {
             NetMsg::ReadResult { result, .. } => 8 + read_payload_size(result),
             NetMsg::FeedSubscribe { .. } => 16,
             NetMsg::FeedDelta { delta } => 8 + rot_delta_size(delta),
-            NetMsg::DirectoryGossip { digest } => 8 + digest.wire_size(),
             NetMsg::DirectoryDeltaGossip { delta } => 8 + delta.wire_size(),
             NetMsg::DirectoryPull => 8,
             NetMsg::StateTransfer { .. } => 16,

@@ -5,7 +5,7 @@
 //! its cluster's view additionally builds batches, aggregates signature
 //! shares, and drives 2PC with other clusters' leaders (paper §3).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, TxnId,
@@ -178,8 +178,11 @@ pub struct TransEdgeNode {
     /// scan windows, memoised per exact key set (or window) and batch.
     pub read_pipeline: ReadPipeline,
     // ---- certified commit feed ----
-    /// Subscribers to this replica's certified commit feed.
-    feed_subscribers: HashSet<NodeId>,
+    /// Subscribers to this replica's certified commit feed. Ordered:
+    /// each publish sends to all of them, every send draws jitter from
+    /// the simulation's one RNG, and hash order would let the process's
+    /// hash seed pick the timeline.
+    feed_subscribers: BTreeSet<NodeId>,
     /// Retained feed suffix for catching up (re)subscribers.
     feed_log: VecDeque<RotDelta>,
     // ---- progress tracking ----
@@ -233,7 +236,7 @@ impl TransEdgeNode {
             sigs: SigAggregation::default(),
             pending_reads: Vec::new(),
             read_pipeline: ReadPipeline::default(),
-            feed_subscribers: HashSet::new(),
+            feed_subscribers: BTreeSet::new(),
             feed_log: VecDeque::new(),
             last_progress_check: 0,
             forwarded_since_check: false,
@@ -651,7 +654,9 @@ impl TransEdgeNode {
     // ------------------------------------------------------------------
 
     fn try_decide_all(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let ids: Vec<TxnId> = self.coord.keys().copied().collect();
+        // Sorted, not in `coord`'s hash order: deciding sends messages.
+        let mut ids: Vec<TxnId> = self.coord.keys().copied().collect();
+        ids.sort_unstable();
         for id in ids {
             self.try_decide(id, ctx);
         }
@@ -1347,7 +1352,6 @@ impl Actor<NetMsg> for TransEdgeNode {
             | NetMsg::TxnResult { .. }
             | NetMsg::ReadResult { .. }
             | NetMsg::FeedDelta { .. }
-            | NetMsg::DirectoryGossip { .. }
             | NetMsg::DirectoryDeltaGossip { .. }
             | NetMsg::DirectoryPull
             | NetMsg::StateTransfer { .. }

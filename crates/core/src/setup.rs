@@ -186,9 +186,9 @@ impl Deployment {
         let (mut keys, secrets) = KeyStore::for_topology(&config.topo, &seed);
         // Every edge node and client gets an identity keypair too (the
         // paper's "each edge node has a unique public/private key",
-        // §2): the gossip directory's observations and rejection
-        // evidence are signed, so forged or relayed-and-altered gossip
-        // fails verification at every honest receiver.
+        // §2): the gossip directory's rejection evidence is signed by
+        // its witness, so forged or relayed-and-altered gossip fails
+        // verification at every honest receiver.
         let mut edge_secrets: Vec<(EdgeId, Keypair)> = Vec::new();
         for cluster in config.topo.clusters() {
             for index in 0..config.edge.per_cluster {

@@ -1,24 +1,27 @@
 //! The per-node directory participant: signing, ingest verification,
-//! local strikes, and the health queries built on the CRDT state.
+//! local strikes, and the conviction queries built on the CRDT state.
 //!
 //! Every edge node (and every directory-enabled client) embeds one
-//! [`DirectoryAgent`]. Each gossip round an edge pushes a
-//! [`GossipDelta`] — records the peer's last summary says it lacks —
-//! to one rotating peer (push-pull anti-entropy: the receiver answers
-//! with the records *it* holds that beat the sender's summary, so a new
-//! record still reaches the whole fleet in `O(log n)` expected rounds
-//! while steady-state rounds carry summaries, not state); clients push
-//! signed observations and rejection evidence after verification
-//! failures and pull a full digest at startup to seed their
-//! `EdgeSelector` warm.
+//! [`DirectoryAgent`], and all of them speak one payload, the
+//! [`GossipDelta`]. Each gossip round an edge pushes one — the records
+//! the peer's last summary says it lacks — to one rotating peer
+//! (push-pull anti-entropy: the receiver answers with the records *it*
+//! holds that beat the sender's summary, so a new record still reaches
+//! the whole fleet in `O(log n)` expected rounds while steady-state
+//! rounds carry summaries, not state). A client is a leaf of the same
+//! exchange: it pushes a delta holding the evidence it just witnessed,
+//! ingests the one an edge answers its startup pull with (to demote
+//! convicted edges before first contact) and any pull-half reply, and
+//! never answers back.
 //!
-//! Ingest is where trust is enforced: observation signatures are
-//! checked against the deployment's key directory, evidence is re-run
-//! through the read verifier ([`SignedEvidence::verify`]), and a sender
-//! shipping anything invalid is **struck** locally — its hints are
-//! ignored from then on. Strikes are deliberately local (they cannot be
-//! proven to third parties), which keeps the gossip layer itself
-//! byzantine-tolerant without a reputation meta-protocol.
+//! Ingest is where trust is enforced: every record's signature is
+//! checked against the deployment's key directory and its attached
+//! response is re-run through the read verifier
+//! ([`SignedEvidence::verify`]), and a sender shipping anything invalid
+//! is **struck** locally — its hints are ignored from then on. Strikes
+//! are deliberately local (they cannot be proven to third parties),
+//! which keeps the gossip layer itself byzantine-tolerant without a
+//! reputation meta-protocol.
 
 use std::collections::HashMap;
 
@@ -26,116 +29,58 @@ use transedge_common::{ClusterId, EdgeId, NodeId, SimTime};
 use transedge_crypto::{KeyStore, Keypair};
 use transedge_edge::{BatchCommitment, ReadQuery, ReadRejection, ReadResponse, ReadVerifier};
 
-use crate::digest::{ObservationBody, SignedObservation, UNSAMPLED_LATENCY};
 use crate::evidence::{is_cryptographic, EvidenceBody, SignedEvidence};
-use crate::state::{DirectoryState, EdgeHint, StateSummary};
+use crate::state::{DirectoryState, StateSummary};
 
-/// One gossip payload: a full-state digest. The CRDT merge keeps this
-/// trivially idempotent; the wire protocol has since moved to
-/// [`GossipDelta`] push-pull anti-entropy, but the full digest remains
-/// the bootstrap payload (pulling a warm state at startup) and the
-/// reference semantics the merge-law tests exercise.
-#[derive(Clone, Debug)]
-pub struct GossipDigest<H> {
-    pub observations: Vec<SignedObservation>,
-    pub evidence: Vec<SignedEvidence<H>>,
-}
-
-impl<H: BatchCommitment + Clone> GossipDigest<H> {
-    /// Wire-size estimate for the simulator's bandwidth model.
-    pub fn wire_size(&self) -> usize {
-        8 + self
-            .observations
-            .iter()
-            .map(|o| 72 + o.body.wire_size())
-            .sum::<usize>()
-            + self.evidence.iter().map(|e| e.wire_size()).sum::<usize>()
-    }
-}
-
-/// One push-pull anti-entropy exchange leg: the records the sender
-/// believes the receiver lacks, plus the sender's own [`StateSummary`]
-/// so the receiver can answer with exactly the records the *sender*
-/// lacks. Replies are only sent when non-empty, so an exchange
-/// terminates after at most two legs: the reply's summary is computed
-/// **post-merge**, so a counter-reply would necessarily be empty.
+/// The one gossip payload — a push-pull anti-entropy exchange leg: the
+/// records the sender believes the receiver lacks, plus the sender's
+/// own [`StateSummary`] so the receiver can answer with exactly the
+/// records the *sender* lacks. Between edges replies are only sent when
+/// non-empty, so an exchange terminates after at most two legs: the
+/// reply's summary is computed **post-merge**, so a counter-reply would
+/// necessarily be empty.
 #[derive(Clone, Debug)]
 pub struct GossipDelta<H> {
     /// The sender's post-merge state summary.
     pub summary: StateSummary,
-    pub observations: Vec<SignedObservation>,
     pub evidence: Vec<SignedEvidence<H>>,
 }
 
 impl<H: BatchCommitment + Clone> GossipDelta<H> {
     /// Wire-size estimate for the simulator's bandwidth model.
     pub fn wire_size(&self) -> usize {
-        8 + self.summary.wire_size()
-            + self
-                .observations
-                .iter()
-                .map(|o| 72 + o.body.wire_size())
-                .sum::<usize>()
-            + self.evidence.iter().map(|e| e.wire_size()).sum::<usize>()
-    }
-
-    /// Carries no records (summaries alone are not worth a reply).
-    pub fn is_empty(&self) -> bool {
-        self.observations.is_empty() && self.evidence.is_empty()
+        8 + self.summary.wire_size() + self.evidence.iter().map(|e| e.wire_size()).sum::<usize>()
     }
 }
 
-/// What one [`DirectoryAgent::ingest`] call did.
+/// What one [`DirectoryAgent::ingest_delta`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestReport {
-    pub observations_accepted: u64,
-    pub observations_rejected: u64,
     pub evidence_accepted: u64,
+    /// Records that failed their check (any at all strikes the sender).
     pub evidence_rejected: u64,
-}
-
-impl IngestReport {
-    /// Anything invalid in the payload (the sender gets struck)?
-    pub fn rejected(&self) -> u64 {
-        self.observations_rejected + self.evidence_rejected
-    }
 }
 
 /// Lifetime counters for harnesses and benches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DirectoryStats {
+    /// Delta payloads ingested.
     pub gossip_ingested: u64,
-    pub observations_accepted: u64,
-    pub observations_rejected: u64,
     pub evidence_accepted: u64,
     pub evidence_rejected: u64,
     pub senders_struck: u64,
-    /// Delta (push-pull) payloads ingested.
-    pub deltas_ingested: u64,
     /// Ingested deltas that warranted a non-empty pull reply.
     pub delta_replies_sent: u64,
-    /// Records shipped in outgoing deltas (vs. what a full digest
-    /// would have carried — the bandwidth win the benches report).
+    /// Records shipped in outgoing deltas.
     pub delta_records_sent: u64,
 }
 
 impl transedge_obs::RegisterMetrics for DirectoryStats {
     fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
         reg.counter(scope, "directory.gossip_ingested", self.gossip_ingested);
-        reg.counter(
-            scope,
-            "directory.observations_accepted",
-            self.observations_accepted,
-        );
-        reg.counter(
-            scope,
-            "directory.observations_rejected",
-            self.observations_rejected,
-        );
         reg.counter(scope, "directory.evidence_accepted", self.evidence_accepted);
         reg.counter(scope, "directory.evidence_rejected", self.evidence_rejected);
         reg.counter(scope, "directory.senders_struck", self.senders_struck);
-        reg.counter(scope, "directory.deltas_ingested", self.deltas_ingested);
         reg.counter(
             scope,
             "directory.delta_replies_sent",
@@ -155,18 +100,22 @@ pub struct DirectoryAgent<H> {
     keypair: Keypair,
     verifier: ReadVerifier,
     state: DirectoryState<H>,
-    /// Own per-subject observation sequence numbers.
-    seqs: HashMap<EdgeId, u64>,
     /// Local (unprovable, ungossiped) strikes against gossip senders
     /// that shipped invalid material.
     strikes: HashMap<NodeId, u64>,
     /// When *this* agent first learned of verified evidence per edge —
     /// the propagation clock the benches read.
     learned_at: HashMap<EdgeId, SimTime>,
-    /// Last summary each peer shipped us — what we believe they hold,
-    /// used to size the next delta we push them. Purely an
-    /// optimisation: a stale entry costs redundant records (the merge
-    /// drops them), never missed ones.
+    /// Last summary each **edge** peer shipped us — what we believe it
+    /// holds, used to size the next delta we push it. Edges only: they
+    /// are the peers a delta is pushed to round after round, and a
+    /// client's summary would be one more entry per client that nothing
+    /// ever reads again. An entry that understates the peer costs
+    /// redundant records (the merge drops them). One that overstates it
+    /// — the peer restarted empty — makes our pushes skip records it
+    /// lacks; that heals only because the peer's own next push carries
+    /// its real summary, which replaces the entry and draws the missing
+    /// records as the pull half.
     peer_known: HashMap<NodeId, StateSummary>,
     pub stats: DirectoryStats,
 }
@@ -178,7 +127,6 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
             keypair,
             verifier,
             state: DirectoryState::new(),
-            seqs: HashMap::new(),
             strikes: HashMap::new(),
             learned_at: HashMap::new(),
             peer_known: HashMap::new(),
@@ -192,33 +140,6 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
 
     pub fn state(&self) -> &DirectoryState<H> {
         &self.state
-    }
-
-    /// Record (and sign) this node's current view of `subject`.
-    pub fn observe(
-        &mut self,
-        subject: EdgeId,
-        ewma_latency_us: Option<f64>,
-        successes: u64,
-        failures: u64,
-        rejections: u64,
-        now: SimTime,
-    ) {
-        let seq = self.seqs.entry(subject).or_insert(0);
-        *seq += 1;
-        let body = ObservationBody {
-            subject,
-            seq: *seq,
-            ewma_latency_us: ewma_latency_us
-                .map(|l| l.max(0.0) as u64)
-                .unwrap_or(UNSAMPLED_LATENCY),
-            successes,
-            failures,
-            rejections,
-            observed_at: now,
-        };
-        let signed = SignedObservation::sign(self.me, body, &self.keypair);
-        self.state.admit_observation(signed);
     }
 
     /// Turn a verification failure into signed, attached-proof evidence
@@ -259,31 +180,14 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         true
     }
 
-    /// Verify and merge a gossip payload from `from`. Invalid items are
-    /// dropped and the sender is struck (its hints are ignored from now
-    /// on); valid items join the CRDT state.
-    pub fn ingest(
-        &mut self,
-        from: NodeId,
-        digest: &GossipDigest<H>,
-        keys: &KeyStore,
-        now: SimTime,
-    ) -> IngestReport {
-        self.stats.gossip_ingested += 1;
-        let report = self.verify_and_admit(&digest.observations, &digest.evidence, keys, now);
-        if report.rejected() > 0 {
-            self.strike(from);
-        }
-        report
-    }
-
-    /// Verify and merge one anti-entropy **delta** leg from `from`.
-    /// Verification is identical to [`DirectoryAgent::ingest`] — a
-    /// delta is just a smaller payload, not a weaker one. The sender's
-    /// summary is remembered (to size the next delta we push them), and
-    /// the pull half of the exchange is returned: the records *we* hold
-    /// that beat the sender's summary, computed **after** the merge so
-    /// a counter-reply would be empty and the exchange terminates.
+    /// Verify and merge one delta leg from `from` — the only way a
+    /// record enters from outside. Every record is checked in full
+    /// ([`SignedEvidence::verify`]); invalid ones are dropped and the
+    /// sender is struck. An edge sender's summary is remembered (to
+    /// size the next delta we push it), and the pull half of the
+    /// exchange is returned: the records *we* hold that beat the
+    /// sender's summary, computed **after** the merge so a
+    /// counter-reply would be empty and the exchange terminates.
     /// `None` means nothing to send back.
     pub fn ingest_delta(
         &mut self,
@@ -293,43 +197,8 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         now: SimTime,
     ) -> (IngestReport, Option<GossipDelta<H>>) {
         self.stats.gossip_ingested += 1;
-        self.stats.deltas_ingested += 1;
-        let report = self.verify_and_admit(&delta.observations, &delta.evidence, keys, now);
-        if report.rejected() > 0 {
-            self.strike(from);
-        }
-        self.peer_known.insert(from, delta.summary.clone());
-        let (observations, evidence) = self.state.records_beating(&delta.summary);
-        if observations.is_empty() && evidence.is_empty() {
-            return (report, None);
-        }
-        self.stats.delta_replies_sent += 1;
-        self.stats.delta_records_sent += (observations.len() + evidence.len()) as u64;
-        let reply = GossipDelta {
-            summary: self.state.summary(),
-            observations,
-            evidence,
-        };
-        (report, Some(reply))
-    }
-
-    fn verify_and_admit(
-        &mut self,
-        observations: &[SignedObservation],
-        evidence: &[SignedEvidence<H>],
-        keys: &KeyStore,
-        now: SimTime,
-    ) -> IngestReport {
         let mut report = IngestReport::default();
-        for obs in observations {
-            if obs.verify(keys) {
-                self.state.admit_observation(obs.clone());
-                report.observations_accepted += 1;
-            } else {
-                report.observations_rejected += 1;
-            }
-        }
-        for ev in evidence {
+        for ev in &delta.evidence {
             if ev.verify(keys, &self.verifier).is_some() {
                 let subject = ev.body.subject;
                 if self.state.admit_evidence(ev.clone()) {
@@ -340,37 +209,39 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
                 report.evidence_rejected += 1;
             }
         }
-        self.stats.observations_accepted += report.observations_accepted;
-        self.stats.observations_rejected += report.observations_rejected;
         self.stats.evidence_accepted += report.evidence_accepted;
         self.stats.evidence_rejected += report.evidence_rejected;
-        report
-    }
-
-    /// The full-state gossip payload (bootstrap pulls and tests).
-    pub fn digest(&self) -> GossipDigest<H> {
-        GossipDigest {
-            observations: self.state.observations().cloned().collect(),
-            evidence: self.state.evidence().cloned().collect(),
+        if report.evidence_rejected > 0 {
+            self.strike(from);
         }
+        if matches!(from, NodeId::Edge(_)) {
+            self.peer_known.insert(from, delta.summary.clone());
+        }
+        let evidence = self.state.records_beating(&delta.summary);
+        if evidence.is_empty() {
+            return (report, None);
+        }
+        self.stats.delta_replies_sent += 1;
+        self.stats.delta_records_sent += evidence.len() as u64;
+        let reply = GossipDelta {
+            summary: self.state.summary(),
+            evidence,
+        };
+        (report, Some(reply))
     }
 
-    /// The push leg of a delta exchange toward `peer`: every record
-    /// that beats the last summary `peer` shipped us (everything, for a
-    /// peer we have never heard from), plus our own summary so the peer
+    /// A delta toward `peer` — an edge's push leg, a client's evidence
+    /// push, the answer to a client's startup pull: every record that
+    /// beats the last summary `peer` shipped us (everything, for a peer
+    /// whose summary we do not hold), plus our own summary so the peer
     /// can pull what we lack.
     pub fn delta_for(&mut self, peer: NodeId) -> GossipDelta<H> {
-        let (observations, evidence) = match self.peer_known.get(&peer) {
-            Some(known) => self.state.records_beating(known),
-            None => (
-                self.state.observations().cloned().collect(),
-                self.state.evidence().cloned().collect(),
-            ),
-        };
-        self.stats.delta_records_sent += (observations.len() + evidence.len()) as u64;
+        let nothing = StateSummary::default();
+        let known = self.peer_known.get(&peer).unwrap_or(&nothing);
+        let evidence = self.state.records_beating(known);
+        self.stats.delta_records_sent += evidence.len() as u64;
         GossipDelta {
             summary: self.state.summary(),
-            observations,
             evidence,
         }
     }
@@ -406,18 +277,5 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         let mut edges: Vec<EdgeId> = self.state.evidence().map(|e| e.body.subject).collect();
         edges.sort();
         edges
-    }
-
-    /// Aggregated hints, with locally-struck edges marked byzantine too
-    /// (we cannot prove their gossip forgeries to others, but we need
-    /// not route through them ourselves).
-    pub fn hints(&self) -> Vec<EdgeHint> {
-        let mut hints = self.state.hints();
-        for hint in &mut hints {
-            if self.struck(NodeId::Edge(hint.edge)) {
-                hint.byzantine = true;
-            }
-        }
-        hints
     }
 }

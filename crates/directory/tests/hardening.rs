@@ -1,10 +1,8 @@
 //! Byzantine gossip hardening: the directory must not be a demotion
-//! oracle for liars. An edge (or any participant) advertising a forged
-//! observation — a signature it does not hold — or a *fabricated*
-//! rejection-evidence record — honest proof-carrying material dressed
-//! up as a byzantine catch — is ignored (signature/evidence check
-//! fails at every honest receiver) and itself struck locally, dropping
-//! out of the receiver's routing hints.
+//! oracle for liars. An edge (or any participant) advertising a
+//! *fabricated* rejection-evidence record — honest proof-carrying
+//! material dressed up as a byzantine catch — is ignored (the evidence
+//! check fails at every honest receiver) and itself struck locally.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,8 +17,7 @@ use transedge_crypto::hmac::derive_seed;
 use transedge_crypto::merkle::value_digest;
 use transedge_crypto::{Digest, KeyStore, Keypair, Sha256, VersionedMerkleTree};
 use transedge_directory::{
-    is_cryptographic, DirectoryAgent, EvidenceBody, GossipDigest, ObservationBody, SignedEvidence,
-    SignedObservation,
+    is_cryptographic, DirectoryAgent, EvidenceBody, GossipDelta, SignedEvidence, StateSummary,
 };
 use transedge_edge::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, FeedWindow, Held, MultiProofBody,
@@ -115,7 +112,7 @@ impl World {
             .collect();
         let cert = certify(&replicas, &header);
         let mut edge_keys = HashMap::new();
-        for index in 0u16..3 {
+        for index in 0u16..4 {
             let id = EdgeId::new(ClusterId(0), index);
             let kp = Keypair::from_seed(derive_seed(&[5u8; 32], &format!("edge/{index}")));
             keys.register(NodeId::Edge(id), kp.public());
@@ -187,6 +184,34 @@ impl World {
             self.verifier(),
         )
     }
+
+    /// A point read of `keys` answered with the TamperValue forgery,
+    /// and the cryptographic rejection it draws.
+    fn tampered_read(
+        &self,
+        keys: Vec<Key>,
+    ) -> (ReadQuery, ReadResponse<TestHeader>, ReadRejection) {
+        let query = ReadQuery::point(keys.clone());
+        let response = ReadResponse::Point {
+            sections: vec![self.section(&keys, true)],
+            fresh: None,
+        };
+        let rejection = self
+            .verifier()
+            .verify_query(&self.keys, ClusterId(0), &query, &response, NOW)
+            .expect_err("tampered bundle must fail verification");
+        assert!(is_cryptographic(&rejection), "got {rejection:?}");
+        (query, response, rejection)
+    }
+}
+
+/// A delta carrying `evidence` from a sender that claims to hold
+/// nothing (so the receiver's reply, if any, is everything it holds).
+fn delta_of(evidence: Vec<SignedEvidence<TestHeader>>) -> GossipDelta<TestHeader> {
+    GossipDelta {
+        summary: StateSummary::default(),
+        evidence,
+    }
 }
 
 /// `f+1` replica signatures over `header`'s certified digest.
@@ -213,19 +238,10 @@ const NOW: SimTime = SimTime(2_000);
 #[test]
 fn genuine_evidence_is_admitted_and_demotes() {
     let world = World::new();
-    let query_keys = vec![Key::from_u32(0), Key::from_u32(1)];
-    let query = ReadQuery::point(query_keys.clone());
     // The byzantine edge tampered with a value (keeping the honest
     // proof) — the classic TamperValue forgery.
-    let response: ReadResponse<TestHeader> = ReadResponse::Point {
-        sections: vec![world.section(&query_keys, true)],
-        fresh: None,
-    };
-    let rejection = world
-        .verifier()
-        .verify_query(&world.keys, ClusterId(0), &query, &response, NOW)
-        .expect_err("tampered bundle must fail verification");
-    assert!(is_cryptographic(&rejection), "got {rejection:?}");
+    let (query, response, rejection) =
+        world.tampered_read(vec![Key::from_u32(0), Key::from_u32(1)]);
 
     // The witnessing client signs the evidence…
     let mut witness = DirectoryAgent::<TestHeader>::new(
@@ -238,27 +254,21 @@ fn genuine_evidence_is_admitted_and_demotes() {
 
     // …and every honest receiver re-verifies and admits it.
     let mut receiver = world.agent(edge(0));
-    let report = receiver.ingest(
-        NodeId::Client(ClientId(0)),
-        &witness.digest(),
-        &world.keys,
-        NOW,
-    );
+    let push = witness.delta_for(NodeId::Edge(edge(0)));
+    let (report, _) = receiver.ingest_delta(NodeId::Client(ClientId(0)), &push, &world.keys, NOW);
     assert_eq!(report.evidence_accepted, 1);
-    assert_eq!(report.rejected(), 0);
+    assert_eq!(report.evidence_rejected, 0);
     assert!(receiver.knows_byzantine(edge(1)));
     assert!(!receiver.struck(NodeId::Client(ClientId(0))));
-    // The demotion shows in the hints routing layers read.
-    assert!(receiver
-        .hints()
-        .iter()
-        .any(|h| h.edge == edge(1) && h.byzantine));
+    // The demotion shows in the list routing layers read.
+    assert_eq!(receiver.convicted_edges(), vec![edge(1)]);
+    assert_eq!(receiver.learned_at(edge(1)), Some(NOW));
 }
 
 /// Fabricated evidence: an honest, fully-verifying response attached
 /// as "proof" of byzantine behaviour. The receiver re-runs the
 /// verifier, sees the response verify, drops the record, and strikes
-/// the sender — who then disappears from the receiver's hints.
+/// the sender.
 #[test]
 fn fabricated_evidence_is_rejected_and_sender_demoted() {
     let world = World::new();
@@ -288,21 +298,14 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
     );
 
     let mut receiver = world.agent(edge(0));
-    let digest = GossipDigest {
-        observations: vec![],
-        evidence: vec![fabricated],
-    };
-    let report = receiver.ingest(NodeId::Edge(edge(2)), &digest, &world.keys, NOW);
+    let delta = delta_of(vec![fabricated]);
+    let (report, _) = receiver.ingest_delta(NodeId::Edge(edge(2)), &delta, &world.keys, NOW);
     assert_eq!(report.evidence_accepted, 0);
     assert_eq!(report.evidence_rejected, 1);
     // The framed edge keeps its standing; the fabricator loses its.
     assert!(!receiver.knows_byzantine(edge(1)));
+    assert!(receiver.convicted_edges().is_empty());
     assert!(receiver.struck(NodeId::Edge(edge(2))));
-    let hints = receiver.hints();
-    assert!(hints
-        .iter()
-        .find(|h| h.edge == edge(2))
-        .is_none_or(|h| h.byzantine));
 }
 
 /// A subscriber holding feed deltas 1..=3 reads keys 0 and 1 (served at
@@ -360,18 +363,18 @@ fn feed_evidence_against_the_signed_cursor_is_admitted() {
         world.verifier(),
     );
     assert!(witness.witness(edge(1), ClusterId(0), &query, &response, &rejection, NOW));
-    let digest = witness.digest();
+    let push = witness.delta_for(NodeId::Edge(edge(0)));
     assert_eq!(
-        digest.evidence[0].verify(&world.keys, &world.verifier()),
+        push.evidence[0].verify(&world.keys, &world.verifier()),
         Some(spliced),
         "a third party reproduces the rejection from the signed cursor"
     );
     let mut receiver = world.agent(edge(0));
-    let report = receiver.ingest(NodeId::Client(ClientId(0)), &digest, &world.keys, NOW);
-    assert_eq!((report.evidence_accepted, report.rejected()), (1, 0));
+    let (report, _) = receiver.ingest_delta(NodeId::Client(ClientId(0)), &push, &world.keys, NOW);
+    assert_eq!((report.evidence_accepted, report.evidence_rejected), (1, 0));
     assert!(receiver.knows_byzantine(edge(1)));
     // Stripping the cursor from the query breaks the witness's signature.
-    let mut stripped = digest.evidence[0].clone();
+    let mut stripped = push.evidence[0].clone();
     stripped.body.query.feed = Some(Vec::new());
     assert!(stripped.verify(&world.keys, &world.verifier()).is_none());
 }
@@ -417,54 +420,11 @@ fn a_rejection_resting_on_a_held_delta_is_not_evidence() {
     );
     assert!(record.verify(&world.keys, &world.verifier()).is_none());
     let mut receiver = world.agent(edge(0));
-    let digest = GossipDigest {
-        observations: vec![],
-        evidence: vec![record],
-    };
-    let report = receiver.ingest(NodeId::Edge(edge(2)), &digest, &world.keys, NOW);
+    let delta = delta_of(vec![record]);
+    let (report, _) = receiver.ingest_delta(NodeId::Edge(edge(2)), &delta, &world.keys, NOW);
     assert_eq!((report.evidence_accepted, report.evidence_rejected), (0, 1));
     assert!(!receiver.knows_byzantine(edge(1)));
     assert!(receiver.struck(NodeId::Edge(edge(2))));
-}
-
-/// Forged observation: an edge advertising an observation attributed
-/// to a key it does not hold (impersonating another edge to flatter its
-/// own health record, or to poison a rival's). The signature check
-/// fails and the sender is struck.
-#[test]
-fn forged_observation_is_rejected_and_sender_demoted() {
-    let world = World::new();
-    // Edge 2 forges a glowing self-observation *as edge 1* — signed
-    // with edge 2's key, attributed to edge 1.
-    let body = ObservationBody {
-        subject: edge(1),
-        seq: 9,
-        ewma_latency_us: 1,
-        successes: 1_000,
-        failures: 0,
-        rejections: 0,
-        observed_at: NOW,
-    };
-    let forged = SignedObservation {
-        observer: NodeId::Edge(edge(1)),
-        body: body.clone(),
-        sig: world.edge_keys[&edge(2)].sign(&body.statement()),
-    };
-    assert!(!forged.verify(&world.keys));
-
-    let mut receiver = world.agent(edge(0));
-    let digest = GossipDigest::<TestHeader> {
-        observations: vec![forged],
-        evidence: vec![],
-    };
-    let report = receiver.ingest(NodeId::Edge(edge(2)), &digest, &world.keys, NOW);
-    assert_eq!(report.observations_accepted, 0);
-    assert_eq!(report.observations_rejected, 1);
-    assert!(receiver.struck(NodeId::Edge(edge(2))));
-    // The forgery never entered the state: edge 1 has no hint and no
-    // demotion.
-    assert!(!receiver.hints().iter().any(|h| h.edge == edge(1)));
-    assert!(!receiver.knows_byzantine(edge(1)));
 }
 
 /// Push–pull delta anti-entropy: two agents with divergent states
@@ -478,73 +438,109 @@ fn delta_exchange_converges_in_two_legs_then_goes_quiet() {
     let world = World::new();
     let mut a = world.agent(edge(0));
     let mut b = world.agent(edge(1));
-    // Divergent histories: each side holds observations the other
-    // lacks, and A additionally holds verified byzantine evidence.
-    a.observe(edge(0), Some(900.0), 20, 1, 0, NOW);
-    a.observe(edge(2), Some(2_000.0), 5, 0, 1, NOW);
-    b.observe(edge(1), Some(1_100.0), 30, 2, 0, NOW);
-    let query_keys = vec![Key::from_u32(0)];
-    let query = ReadQuery::point(query_keys.clone());
-    let response: ReadResponse<TestHeader> = ReadResponse::Point {
-        sections: vec![world.section(&query_keys, true)],
-        fresh: None,
-    };
-    let rejection = world
-        .verifier()
-        .verify_query(&world.keys, ClusterId(0), &query, &response, NOW)
-        .expect_err("tampered bundle must fail verification");
+    // Divergent histories: each side holds verified byzantine evidence
+    // the other lacks, against different subjects.
+    let (query, response, rejection) = world.tampered_read(vec![Key::from_u32(0)]);
     assert!(a.witness(edge(2), ClusterId(0), &query, &response, &rejection, NOW));
+    let (query, response, rejection) = world.tampered_read(vec![Key::from_u32(3)]);
+    assert!(b.witness(edge(3), ClusterId(0), &query, &response, &rejection, NOW));
 
     // Leg 1: A pushes its delta (no summary known for B yet → full
     // state); B merges and replies with exactly what A is missing.
     let push = a.delta_for(NodeId::Edge(edge(1)));
-    assert!(!push.is_empty());
+    assert!(!push.evidence.is_empty());
     let (report, reply) = b.ingest_delta(NodeId::Edge(edge(0)), &push, &world.keys, NOW);
-    assert_eq!(report.rejected(), 0);
+    assert_eq!(report.evidence_rejected, 0);
     assert!(b.knows_byzantine(edge(2)), "evidence must ride the delta");
     let reply = reply.expect("B holds records A lacks — it must reply");
-    assert_eq!(reply.observations.len(), 1, "only the missing record");
+    assert_eq!(reply.evidence.len(), 1, "only the missing record");
+    assert_eq!(reply.evidence[0].body.subject, edge(3));
 
     // Leg 2: A merges the reply. Both fingerprints now agree.
     let (report, counter) = a.ingest_delta(NodeId::Edge(edge(1)), &reply, &world.keys, NOW);
-    assert_eq!(report.rejected(), 0);
+    assert_eq!(report.evidence_rejected, 0);
     assert!(
         counter.is_none(),
         "A owes nothing back — convergence in two legs"
     );
     assert_eq!(a.state().fingerprint(), b.state().fingerprint());
+    assert_eq!(a.convicted_edges(), vec![edge(2), edge(3)]);
 
     // Steady state: the next push carries a summary but zero records,
     // and provokes no reply.
     let quiet = a.delta_for(NodeId::Edge(edge(1)));
     assert!(
-        quiet.is_empty(),
+        quiet.evidence.is_empty(),
         "a remembered peer summary must suppress redundant records"
     );
     let (_, reply) = b.ingest_delta(NodeId::Edge(edge(0)), &quiet, &world.keys, NOW);
     assert!(reply.is_none(), "nothing beats an identical state");
 }
 
-/// Honest relaying still works: a *validly signed* third-party
-/// observation survives the hop through another node's digest.
+/// The answer to a startup pull from an agent that holds nothing: a
+/// delta with a summary and zero records. The client ingests it like
+/// any delta — nobody is struck, nothing is convicted, nothing is owed
+/// back — which is what lets the edge answer every pull and the client
+/// stop waiting.
 #[test]
-fn relayed_honest_observations_are_admitted() {
+fn an_empty_bootstrap_answer_is_ingested_without_striking_anyone() {
     let world = World::new();
-    let mut origin = world.agent(edge(1));
-    origin.observe(edge(1), Some(1_500.0), 10, 1, 0, NOW);
-    let mut relay = world.agent(edge(2));
-    let r1 = relay.ingest(NodeId::Edge(edge(1)), &origin.digest(), &world.keys, NOW);
-    assert_eq!(r1.observations_accepted, 1);
-    // Relay hands the same (still origin-signed) observation onward.
-    let mut receiver = world.agent(edge(0));
-    let r2 = receiver.ingest(NodeId::Edge(edge(2)), &relay.digest(), &world.keys, NOW);
-    assert!(r2.observations_accepted >= 1);
-    assert_eq!(r2.rejected(), 0);
-    let hints = receiver.hints();
-    let hint = hints
-        .iter()
-        .find(|h| h.edge == edge(1))
-        .expect("hint for edge 1");
-    assert_eq!(hint.latency_us, Some(1_500.0));
-    assert!(!hint.byzantine);
+    let client = NodeId::Client(ClientId(0));
+    let mut cold_edge = world.agent(edge(0));
+    let answer = cold_edge.delta_for(client);
+    assert!(answer.evidence.is_empty());
+    assert_eq!(answer.summary, StateSummary::default());
+
+    let mut booting =
+        DirectoryAgent::<TestHeader>::new(client, world.client_key.clone(), world.verifier());
+    let (report, reply) = booting.ingest_delta(NodeId::Edge(edge(0)), &answer, &world.keys, NOW);
+    assert_eq!((report.evidence_accepted, report.evidence_rejected), (0, 0));
+    assert!(reply.is_none());
+    assert!(!booting.struck(NodeId::Edge(edge(0))));
+    assert!(booting.convicted_edges().is_empty());
+    assert_eq!(booting.stats.gossip_ingested, 1);
+}
+
+/// An agent remembers summaries for edge peers only. Clients speak the
+/// delta leg too (evidence pushes), and a summary kept per client would
+/// be state that grows with the client population and is never read:
+/// after three clients push (each drawing, as its pull half, the
+/// records the earlier ones brought), an answer toward any of them
+/// still ships every record, while the push toward an edge peer whose
+/// summary *is* remembered stays quiet.
+#[test]
+fn client_summaries_are_not_remembered() {
+    let world = World::new();
+    let mut keys = world.keys.clone();
+    let mut hub = world.agent(edge(0));
+    let (query, response, rejection) = world.tampered_read(vec![Key::from_u32(0)]);
+    for id in 0u32..3 {
+        let client = NodeId::Client(ClientId(id));
+        let kp = Keypair::from_seed(derive_seed(&[5u8; 32], &format!("client/{id}")));
+        keys.register(client, kp.public());
+        let mut witness = DirectoryAgent::<TestHeader>::new(client, kp, world.verifier());
+        let subject = edge(id as u16 + 1);
+        assert!(witness.witness(subject, ClusterId(0), &query, &response, &rejection, NOW));
+        let push = witness.delta_for(NodeId::Edge(edge(0)));
+        let (report, reply) = hub.ingest_delta(client, &push, &keys, NOW);
+        assert_eq!((report.evidence_accepted, report.evidence_rejected), (1, 0));
+        // The pull half: what the earlier clients brought.
+        assert_eq!(reply.map_or(0, |r| r.evidence.len()), id as usize);
+    }
+    assert_eq!(hub.convicted_edges(), vec![edge(1), edge(2), edge(3)]);
+    for id in 0u32..3 {
+        let answer = hub.delta_for(NodeId::Client(ClientId(id)));
+        assert_eq!(answer.evidence.len(), 3, "no client summary was kept");
+    }
+
+    // An edge peer's summary is kept: once it has shown it holds the
+    // record, pushes toward it carry the summary alone.
+    let mut peer = world.agent(edge(1));
+    let push = hub.delta_for(NodeId::Edge(edge(1)));
+    assert_eq!(push.evidence.len(), 3);
+    let (_, reply) = peer.ingest_delta(NodeId::Edge(edge(0)), &push, &keys, NOW);
+    assert!(reply.is_none());
+    let back = peer.delta_for(NodeId::Edge(edge(0)));
+    hub.ingest_delta(NodeId::Edge(edge(1)), &back, &keys, NOW);
+    assert!(hub.delta_for(NodeId::Edge(edge(1))).evidence.is_empty());
 }

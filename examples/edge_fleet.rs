@@ -1,4 +1,4 @@
-//! Edge fleet with a gossiped health directory — one client's verified
+//! Edge fleet with a gossiped conviction directory — one client's verified
 //! byzantine catch demotes the liar for the whole fleet.
 //!
 //! Two clusters, two edge caches each; one edge tampers with values.
@@ -6,7 +6,7 @@
 //! round trip), signs **evidence with the offending proof attached**,
 //! and pushes it into the edge tier's anti-entropy gossip. Every edge
 //! re-verifies the evidence and merges it into its directory. Client B
-//! boots later, pulls a directory digest, and demotes the liar
+//! boots later, pulls the directory's records, and demotes the liar
 //! *before ever contacting it* — zero rejected round trips for B, and
 //! for every client after it.
 //!
@@ -77,8 +77,8 @@ fn main() {
 
     let a = dep.client(dep.client_ids[0]);
     let b = dep.client(dep.client_ids[1]);
-    println!("edge fleet with gossiped health directory");
-    println!("=========================================");
+    println!("edge fleet with gossiped conviction directory");
+    println!("=============================================");
     println!(
         "client A: {} reads, {} forgeries caught first-hand, {} evidence record(s) gossiped",
         a.rot_results.len(),
@@ -103,7 +103,7 @@ fn main() {
         .health(ClusterId(0), NodeId::Edge(byz))
         .expect("registered target");
     println!(
-        "client B: seeded from a directory pull ({} digest(s)); {byz} demoted on the hint \
+        "client B: seeded from a directory pull ({} delta(s)); {byz} demoted on the hint \
          (demotions {}, first-hand contacts {}), {} forgeries ever seen",
         b.stats.directory_seeded,
         health.demotions,

@@ -13,6 +13,7 @@ use transedge::core::client::ClientOp;
 use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder};
+use transedge::directory::GossipDelta;
 use transedge::edge::{MultiProofBody, SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -229,8 +230,8 @@ fn cold_edge_bootstraps_from_sibling_state_transfer() {
 /// to the second; with both ruled out it is not sent at all.
 ///
 /// A restarted actor's directory starts empty, so the test hands it
-/// what the fleet knows (a peer's full digest, verified at ingest like
-/// any gossip) before its `on_start` runs.
+/// what the fleet knows (every record a peer holds as one delta,
+/// verified at ingest like any gossip) before its `on_start` runs.
 #[test]
 fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
     for second_struck in [false, true] {
@@ -246,12 +247,12 @@ fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
         dep.run_until(CRASH_AT);
         // The warm-up client tripped over the liar and the fleet
         // convicted it.
-        let digest = dep
-            .edge_node(e2)
-            .directory()
-            .expect("directory enabled")
-            .digest();
-        assert!(digest.evidence.iter().any(|ev| ev.body.subject == liar));
+        let known = dep.edge_node(e2).directory().expect("directory enabled");
+        let delta = GossipDelta {
+            summary: known.state().summary(),
+            evidence: known.state().evidence().cloned().collect(),
+        };
+        assert!(delta.evidence.iter().any(|ev| ev.body.subject == liar));
 
         // Only the healthy peer has anything to offer: it holds the
         // union of the warm disks, the liar's is wiped.
@@ -272,7 +273,7 @@ fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
             .edge_node_mut(e0)
             .directory_mut()
             .expect("directory enabled");
-        agent.ingest(NodeId::Edge(e2), &digest, &keys, now);
+        agent.ingest_delta(NodeId::Edge(e2), &delta, &keys, now);
         assert!(agent.knows_byzantine(liar));
         if second_struck {
             agent.strike(NodeId::Edge(e2));

@@ -1026,9 +1026,9 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
 /// Fleet-wide demotion through gossip: client A catches a byzantine
 /// edge the hard way (one rejected round trip) and pushes signed
 /// evidence with the offending proof attached; the edge fleet gossips
-/// it; client B, starting later, pulls a directory digest at boot and
-/// demotes the liar **before ever contacting it** — zero rejected
-/// round trips, zero forgeries seen.
+/// it; client B, starting later, pulls the directory's records at
+/// boot and demotes the liar **before ever contacting it** — zero
+/// rejected round trips, zero forgeries seen.
 #[test]
 fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
     use transedge::common::SimDuration;
@@ -1086,7 +1086,7 @@ fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
     // B was seeded at boot and shunned the liar without ever paying
     // for the lesson: demoted with zero first-hand traffic.
     let b = dep.client(dep.client_ids[1]);
-    assert!(b.stats.directory_seeded >= 1, "B must ingest a digest");
+    assert!(b.stats.directory_seeded >= 1, "B must ingest an answer");
     assert_eq!(
         b.stats.verification_failures, 0,
         "B must never receive (and pay for) a forgery"
@@ -1117,6 +1117,75 @@ fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
             }
         }
     }
+}
+
+/// An honest fleet has no evidence to hand out, and a booting client
+/// holds its first op until its directory pull is answered: the edge
+/// must answer with an empty delta rather than stay silent ("reply only
+/// when non-empty" is the rule between edges, not here), or every
+/// client would sit out the whole seed timer — a stall no latency
+/// sample shows, because a sample starts with its op. And the directory
+/// speaks exactly two message kinds: the pull, and the delta that
+/// answers it, gossips between edges and carries a client's evidence.
+#[test]
+fn honest_fleet_answers_every_boot_pull_at_once() {
+    use transedge::common::{ClientId, NodeId, SimDuration};
+    use transedge::core::setup::ClientPlan;
+
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.edge = EdgeConfig::builder()
+        .per_cluster(2)
+        .gossip_directory(SimDuration::from_millis(20))
+        .build()
+        .expect("edge config");
+    let retry_after = config.client.retry_after;
+    // Every client is homed at cluster 0 and pulls from one of its
+    // edges: one local hop each way, at the far end of the jitter.
+    let one_way = config.latency.base_latency(
+        NodeId::Client(ClientId(0)),
+        NodeId::Edge(EdgeId::new(ClusterId(0), 0)),
+    );
+    let round_trip = one_way.mul_f64(2.0 * (1.0 + config.latency.jitter_frac));
+    assert!(round_trip.0 * 10 < retry_after.0);
+    let keys = keys_on(&config.topo, ClusterId(0), 2);
+    let ops: Vec<ClientOp> = (0..3)
+        .map(|_| ClientOp::ReadOnly { keys: keys.clone() })
+        .collect();
+    let delays = [0u64, 0, 70];
+    let plans = delays
+        .iter()
+        .map(|ms| {
+            let profile = ClientProfile::new().start_delay(SimDuration::from_millis(*ms));
+            ClientPlan::with_profile(ops.clone(), profile)
+        })
+        .collect();
+    let mut dep = Deployment::build_custom(config, plans);
+    dep.run_until_done(SimTime(600_000_000));
+
+    for (id, ms) in dep.client_ids.iter().zip(delays) {
+        let client = dep.client(*id);
+        assert!(client.stats.directory_seeded >= 1, "{id}: pull unanswered");
+        assert_eq!(client.stats.verification_failures + client.stats.gave_up, 0);
+        let boot = SimTime(0) + SimDuration::from_millis(ms);
+        let first_op = client.samples[0].start;
+        assert!(
+            first_op <= boot + round_trip,
+            "{id}: first op at {first_op:?}, boot at {boot:?} — waited out the seed timer?"
+        );
+        let agent = client.directory().expect("directory enabled");
+        assert!(agent.convicted_edges().is_empty());
+        assert!(dep.edge_ids.iter().all(|e| !agent.struck(NodeId::Edge(*e))));
+    }
+    let kinds: Vec<&str> = dep
+        .sim
+        .stats()
+        .per_kind
+        .keys()
+        .copied()
+        .filter(|kind| kind.contains("directory"))
+        .collect();
+    assert_eq!(kinds, ["directory-delta-gossip", "directory-pull"]);
 }
 
 /// Replica reads (`node.rot_served`) summed over one cluster.
