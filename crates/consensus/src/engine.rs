@@ -1,7 +1,7 @@
 //! The BFT consensus engine: a pure message-in / outputs-out state
 //! machine. See the crate docs for the protocol outline.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use transedge_common::{BatchNum, ClusterId, NodeId, ReplicaId, ViewNum};
 use transedge_crypto::{Digest, KeyStore, Keypair, Signature};
@@ -99,8 +99,10 @@ pub struct BftEngine<V: BftValue> {
     slots: HashMap<u64, SlotState<V>>,
     /// Delivered prefix of the log (value + certificate per slot).
     log: BatchArchive<(V, Certificate)>,
-    /// View-change votes collected per target view.
-    vc_votes: HashMap<ViewNum, HashMap<ReplicaId, (ViewChangeVote, Option<V>)>>,
+    /// View-change votes collected per target view, in replica order:
+    /// the `NewView` vote list and the reproposal pick among equally
+    /// prepared claims must not depend on the process's hash seed.
+    vc_votes: HashMap<ViewNum, BTreeMap<ReplicaId, (ViewChangeVote, Option<V>)>>,
     /// Our current view-change target, if we are voting for one.
     vc_target: Option<ViewNum>,
     /// Reproposal obligation installed by the current view's NewView:
@@ -491,10 +493,9 @@ impl<V: BftValue> BftEngine<V> {
             // 2f+1 accepts without a proposal means we missed the value;
             // ask a correct accepter for state.
             if state.accepts.len() >= quorum && state.pending_propose.is_none() {
-                // Majority digest's first signer gets the request.
-                if let Some((peer, _)) = state.accepts.iter().next() {
+                // The accepter with the smallest id gets the request.
+                if let Some(&peer) = state.accepts.keys().min() {
                     let from_slot = self.log.next_num();
-                    let peer = *peer;
                     out.push(Output::Send(peer, BftMsg::StateRequest { from: from_slot }));
                 }
             }
@@ -741,7 +742,8 @@ impl<V: BftValue> BftEngine<V> {
             return;
         }
         // Determine the reproposal obligation: the prepared claim with
-        // the highest view among the votes, with its value available.
+        // the highest view among the votes, with its value available
+        // (of equally prepared claims, the smallest replica id's).
         let mut best: Option<(ViewNum, BatchNum, Digest, V)> = None;
         for (vote, value) in votes.values() {
             if let (Some((pv, ps, pd)), Some(val)) = (&vote.prepared, value) {

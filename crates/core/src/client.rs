@@ -28,8 +28,8 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    FeedWindow, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
+    FeedWindow, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse,
+    ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
@@ -139,30 +139,10 @@ impl Default for ClientConfig {
     }
 }
 
-/// Completed read-only transaction result (when `record_results`).
-#[derive(Clone, Debug)]
-pub struct RotResult {
-    pub values: Vec<(Key, Option<Value>)>,
-    /// `(partition, batch served)` per accessed partition.
-    pub snapshot: Vec<(ClusterId, BatchNum)>,
-    pub needed_round2: bool,
-}
-
-/// Completed verified range scan (when `record_results`).
-#[derive(Clone, Debug)]
-pub struct ScanResult {
-    pub cluster: ClusterId,
-    /// The range the client requested (the proven window may have been
-    /// wider; `rows` is already filtered to this range).
-    pub range: ScanRange,
-    /// Batch the scan snapshots.
-    pub batch: BatchNum,
-    /// Verified rows, ascending in tree order.
-    pub rows: Vec<(Key, Value)>,
-}
-
-/// Completed [`ClientOp::Query`] (when `record_results`): the stitched,
-/// fully verified answer of one unified read query.
+/// Completed read (when `record_results`): the stitched, fully
+/// verified answer of one unified read query — what every read op
+/// records, [`ClientOp::ReadOnly`] and [`ClientOp::RangeScan`] sugar
+/// included.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
     /// Point answers in per-partition order (point shapes).
@@ -199,16 +179,6 @@ struct Pending {
     sent_at: SimTime,
 }
 
-/// How the stitched result of a [`ReadSession`] is recorded — legacy
-/// sugar ops keep filling the legacy result vectors so harnesses and
-/// tests keep their vocabulary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum QueryOrigin {
-    ReadOnly,
-    RangeScan,
-    Api,
-}
-
 /// Per-partition progress of one unified query.
 #[derive(Clone, Debug)]
 struct PartState {
@@ -222,13 +192,6 @@ struct PartState {
     token: Option<PageToken>,
     /// Verified pages so far (scan parts).
     pages: u32,
-    /// Last tree-order bucket whose rows are verified (scan parts) —
-    /// what a prefix-resume restart carries over.
-    verified_through: Option<u64>,
-    /// A restart is in flight as a prefix resume through this bucket:
-    /// the next sub-query re-proves the held rows at the new snapshot
-    /// instead of refetching them.
-    resume_prefix: Option<u64>,
     /// Snapshot view of the partition (set by the first verified
     /// response; input to the dependency check).
     view: Option<RotView>,
@@ -259,8 +222,6 @@ impl PartState {
             floor: Epoch::NONE,
             token: None,
             pages: 0,
-            verified_through: None,
-            resume_prefix: None,
             view: None,
             base_view: None,
             feed_cuts: Vec::new(),
@@ -271,14 +232,11 @@ impl PartState {
         }
     }
 
-    /// Restart this partition at a new LCE floor (round two: its
-    /// snapshot failed the dependency check; or a pinned page aged
-    /// past the freshness window). When `keep_prefix` is allowed and
-    /// this is a scan with verified rows, the restart resumes from the
-    /// verified prefix — the floor only pins a *newer* batch, so the
-    /// held rows are re-proven (not refetched) at the new snapshot —
-    /// instead of re-paginating from page one.
-    fn restart_at_floor(&mut self, floor: Epoch, keep_prefix: bool) {
+    /// Restart this partition from scratch at a new LCE floor (round
+    /// two: its snapshot failed the dependency check; or a pinned page
+    /// aged past the freshness window) — a scan re-paginates from page
+    /// one, the path every point read takes.
+    fn restart_at_floor(&mut self, floor: Epoch) {
         self.floor = floor;
         self.token = None;
         self.pages = 0;
@@ -286,17 +244,8 @@ impl PartState {
         self.base_view = None;
         self.feed_cuts.clear();
         self.done = false;
-        match self.verified_through {
-            Some(through) if keep_prefix && !self.rows.is_empty() => {
-                self.resume_prefix = Some(through);
-            }
-            _ => {
-                self.resume_prefix = None;
-                self.verified_through = None;
-                self.values.clear();
-                self.rows.clear();
-            }
-        }
+        self.values.clear();
+        self.rows.clear();
     }
 }
 
@@ -306,7 +255,6 @@ impl PartState {
 /// verified results awaiting the final stitch.
 struct ReadSession {
     query: ReadQuery,
-    origin: QueryOrigin,
     round: u8,
     parts: Vec<PartState>,
     round1_done_at: Option<SimTime>,
@@ -328,9 +276,8 @@ impl ReadSession {
     }
 
     /// The wire sub-query currently owed by `cluster`: the original
-    /// query restricted to that partition, at the part's floor, page
-    /// position, and (for floor restarts with held rows) verified
-    /// prefix.
+    /// query restricted to that partition, at the part's floor and
+    /// page position.
     fn subquery(&self, cluster: ClusterId) -> ReadQuery {
         let part = self.part(cluster);
         let consistency = if part.floor.is_none() {
@@ -352,27 +299,9 @@ impl ReadSession {
             consistency,
             shape,
             page: part.token,
-            prefix: part
-                .token
-                .is_none()
-                .then(|| part.resume_prefix.map(|through| PrefixResume { through }))
-                .flatten(),
             feed: self.query.feed_for(cluster),
             trace: self.query.trace,
         }
-    }
-
-    /// Restart `cluster`'s part at `floor`. `try_prefix` resumes from
-    /// the verified prefix when the part is an eligible scan (held
-    /// rows exist and the whole range fits one completeness proof —
-    /// wider ranges would blow the protocol's proof-width cap).
-    fn restart_part(&mut self, cluster: ClusterId, floor: Epoch, try_prefix: bool) {
-        let eligible = try_prefix
-            && match &self.query.shape {
-                QueryShape::Scan { range, .. } => range.width() <= MAX_RANGE_BUCKETS,
-                QueryShape::Point { .. } => false,
-            };
-        self.part_mut(cluster).restart_at_floor(floor, eligible);
     }
 
     fn all_done(&self) -> bool {
@@ -517,8 +446,12 @@ pub struct ClientStats {
     /// Responses that failed certificate / proof / freshness checks —
     /// evidence of byzantine servers.
     pub verification_failures: u64,
-    /// Would a third ROT round ever have been needed? (Theorem 4.6 says
-    /// never; tests assert this stays 0.)
+    /// Reads whose round-2 answers failed the dependency check again
+    /// and took a further round. Theorem 4.6 says never, yet it is not
+    /// 0 here: the benchmark's `mixed-rw` and `feed-churn` workloads
+    /// take third rounds, its gate tolerates the monitor's verdict on
+    /// them and no test asserts zero — ROADMAP open item 1 owns the
+    /// cause.
     pub third_round_needed: u64,
     pub retries: u64,
     pub gave_up: u64,
@@ -529,13 +462,6 @@ pub struct ClientStats {
     /// Accepted scans whose proven window was wider than the request —
     /// an edge served a covering cached window and the client filtered.
     pub scans_covered_by_wider: u64,
-    /// Scan restarts that resumed from the already-verified prefix
-    /// (floor raised mid-scan; held rows re-proven, not refetched).
-    pub prefix_resumes: u64,
-    /// Prefix resumes where the new snapshot proved the held rows
-    /// changed — honest divergence; the partition re-paginated from
-    /// page one without blaming anyone.
-    pub prefix_divergences: u64,
     /// Cross-partition queries sent to a single edge contact.
     pub gathers_sent: u64,
     /// Single-contact answers whose every part verified (each against
@@ -582,8 +508,6 @@ impl transedge_obs::RegisterMetrics for ClientStats {
             "client.scans_covered_by_wider",
             self.scans_covered_by_wider,
         );
-        reg.counter(scope, "client.prefix_resumes", self.prefix_resumes);
-        reg.counter(scope, "client.prefix_divergences", self.prefix_divergences);
         reg.counter(scope, "client.gathers_sent", self.gathers_sent);
         reg.counter(scope, "client.gathers_accepted", self.gathers_accepted);
         reg.counter(scope, "client.directory_seeded", self.directory_seeded);
@@ -635,8 +559,6 @@ pub struct ClientActor {
     /// Writes buffered while the read phase runs.
     pending_writes: Vec<(Key, Value)>,
     pub samples: Vec<TxnSample>,
-    pub rot_results: Vec<RotResult>,
-    pub scan_results: Vec<ScanResult>,
     pub query_results: Vec<QueryOutcome>,
     pub txn_outcomes: Vec<TxnOutcome>,
     pub stats: ClientStats,
@@ -687,8 +609,6 @@ impl ClientActor {
             waiting_seed: false,
             pending_writes: Vec::new(),
             samples: Vec::new(),
-            rot_results: Vec::new(),
-            scan_results: Vec::new(),
             query_results: Vec::new(),
             txn_outcomes: Vec::new(),
             stats: ClientStats::default(),
@@ -870,15 +790,13 @@ impl ClientActor {
             }
             ClientOp::ReadOnly { keys } => {
                 let query = ReadQuery::point(keys);
-                self.start_query(op_index, query, QueryOrigin::ReadOnly, ctx);
+                self.start_query(op_index, query, ctx);
             }
             ClientOp::RangeScan { cluster, range } => {
                 let query = ReadQuery::scatter_scan(vec![cluster], range, range.width());
-                self.start_query(op_index, query, QueryOrigin::RangeScan, ctx);
+                self.start_query(op_index, query, ctx);
             }
-            ClientOp::Query { query } => {
-                self.start_query(op_index, query, QueryOrigin::Api, ctx);
-            }
+            ClientOp::Query { query } => self.start_query(op_index, query, ctx),
         }
     }
 
@@ -951,7 +869,6 @@ impl ClientActor {
         &mut self,
         op_index: usize,
         mut query: ReadQuery,
-        origin: QueryOrigin,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         // Subscription mode: every point query asks its serving edge
@@ -1002,7 +919,6 @@ impl ClientActor {
         });
         let mut session = ReadSession {
             query,
-            origin,
             round: 1,
             parts,
             round1_done_at: None,
@@ -1141,12 +1057,6 @@ impl ClientActor {
             }
             QueryAnswer::Rows { rows, next } => {
                 self.stats.scans_accepted += 1;
-                if sub.prefix.is_some() && sub.page.is_none() {
-                    // The held prefix was re-proven at the new
-                    // snapshot; only the fresh tail came back.
-                    self.stats.prefix_resumes += 1;
-                    part.resume_prefix = None;
-                }
                 if let ReadResponse::Scan { bundle } = response {
                     if sub.scan_window().is_some_and(|w| bundle.scan.range != w) {
                         self.stats.scans_covered_by_wider += 1;
@@ -1157,7 +1067,6 @@ impl ClientActor {
                 }
                 part.rows.extend(rows);
                 part.pages += 1;
-                part.verified_through = sub.scan_window().map(|w| w.last);
                 match next {
                     Some(token) => {
                         part.token = Some(token);
@@ -1171,9 +1080,9 @@ impl ClientActor {
     }
 
     /// One partition's answer arrived — alone, or as one part of a
-    /// single-contact envelope: verify it against the owing sub-query
-    /// (resuming from the held prefix when one is in flight), advance
-    /// pagination, or blame and retry. Returns whether it verified.
+    /// single-contact envelope: verify it against the owing sub-query,
+    /// advance pagination, or blame and retry. Returns whether it
+    /// verified.
     fn on_part_result(
         &mut self,
         session: &mut ReadSession,
@@ -1184,18 +1093,12 @@ impl ClientActor {
     ) -> bool {
         let sub = session.subquery(cluster);
         session.part_mut(cluster).pending = None;
-        let held: &[(Key, Value)] = if sub.prefix.is_some() {
-            &session.part(cluster).rows
-        } else {
-            &[]
-        };
         let checked = self.certs.sig_checks();
         let verified = self.read_verifier().verify_and_extend(
             &self.certs,
             cluster,
             &sub,
             response,
-            held,
             self.feeds.entry(cluster).or_default(),
             ctx.now(),
         );
@@ -1230,18 +1133,6 @@ impl ClientActor {
                     self.dispatch(session, &[cluster], target, ctx);
                 }
                 true
-            }
-            Err(ReadRejection::PrefixDiverged) => {
-                // Honest divergence: the committed prefix changed
-                // between the old and new snapshots. Nobody lied —
-                // restart this partition's pagination from page one at
-                // its floor, with no blame and no demotion.
-                self.stats.prefix_divergences += 1;
-                let floor = session.part(cluster).floor;
-                session.restart_part(cluster, floor, false);
-                let target = self.read_target(cluster, now);
-                self.dispatch(session, &[cluster], target, ctx);
-                false
             }
             Err(rejection) => {
                 // Verification failed: blame the target (demoting a
@@ -1311,13 +1202,12 @@ impl ClientActor {
                 // again — *no* server can make the pinned batch
                 // fresher, so re-asking with the same token would loop
                 // until the op gives up (and keep blaming honest
-                // servers). Restart this partition's pagination at its
-                // current floor — resuming from the already-verified
-                // prefix where eligible; a fresh batch re-pins the
-                // snapshot.
+                // servers). Restart this partition's pagination from
+                // page one at its current floor; a fresh batch re-pins
+                // the snapshot.
                 if rejection == ReadRejection::StaleTimestamp && sub.page.is_some() {
-                    let floor = session.part(cluster).floor;
-                    session.restart_part(cluster, floor, true);
+                    let part = session.part_mut(cluster);
+                    part.restart_at_floor(part.floor);
                 }
                 if let Some(tc) = session.query.trace {
                     ctx.trace()
@@ -1410,8 +1300,8 @@ impl ClientActor {
         if !actionable.is_empty() {
             if session.round >= 2 {
                 // Theorem 4.6 says this cannot happen; count it loudly
-                // (a test asserts it stays zero) and satisfy it with
-                // another round anyway.
+                // (ROADMAP open item 1) and satisfy it with another
+                // round anyway.
                 self.stats.third_round_needed += 1;
             }
             if session.round1_done_at.is_none() {
@@ -1419,11 +1309,7 @@ impl ClientActor {
             }
             session.round += 1;
             for (cluster, min_epoch) in actionable {
-                // Scan parts with verified rows resume from the
-                // already-verified prefix: the floor only pins a
-                // *newer* batch, so the held rows are re-proven at the
-                // new snapshot instead of refetched from page one.
-                session.restart_part(cluster, min_epoch, true);
+                session.part_mut(cluster).restart_at_floor(min_epoch);
                 let target = self.read_target(cluster, now);
                 self.dispatch(&mut session, &[cluster], target, ctx);
             }
@@ -1493,53 +1379,25 @@ impl ClientActor {
                 .iter()
                 .filter_map(|p| p.view.as_ref().map(|v| (p.cluster, v.batch)))
                 .collect();
-            match session.origin {
-                QueryOrigin::ReadOnly => {
-                    let values: Vec<(Key, Option<Value>)> = session
+            self.query_results.push(QueryOutcome {
+                values: session
+                    .parts
+                    .iter()
+                    .flat_map(|p| p.values.clone())
+                    .collect(),
+                rows: if matches!(session.query.shape, QueryShape::Point { .. }) {
+                    Vec::new()
+                } else {
+                    session
                         .parts
                         .iter()
-                        .flat_map(|p| p.values.clone())
-                        .collect();
-                    self.rot_results.push(RotResult {
-                        values,
-                        snapshot,
-                        needed_round2,
-                    });
-                }
-                QueryOrigin::RangeScan => {
-                    if let (QueryShape::Scan { range, .. }, Some(part)) =
-                        (&session.query.shape, session.parts.first())
-                    {
-                        self.scan_results.push(ScanResult {
-                            cluster: part.cluster,
-                            range: *range,
-                            batch: part.view.as_ref().map(|v| v.batch).unwrap_or_default(),
-                            rows: part.rows.clone(),
-                        });
-                    }
-                }
-                QueryOrigin::Api => {
-                    self.query_results.push(QueryOutcome {
-                        values: session
-                            .parts
-                            .iter()
-                            .flat_map(|p| p.values.clone())
-                            .collect(),
-                        rows: if matches!(session.query.shape, QueryShape::Point { .. }) {
-                            Vec::new()
-                        } else {
-                            session
-                                .parts
-                                .iter()
-                                .map(|p| (p.cluster, p.rows.clone()))
-                                .collect()
-                        },
-                        snapshot,
-                        needed_round2,
-                        pages: session.parts.iter().map(|p| p.pages).sum(),
-                    });
-                }
-            }
+                        .map(|p| (p.cluster, p.rows.clone()))
+                        .collect()
+                },
+                snapshot,
+                needed_round2,
+                pages: session.parts.iter().map(|p| p.pages).sum(),
+            });
         }
         self.inflight = None;
         self.start_next_op(ctx);

@@ -196,7 +196,8 @@ pub struct EdgeNodeParams {
     /// Cached bundles older than this are not replayed; the request is
     /// forwarded upstream instead, refreshing the cache.
     pub replay_staleness: SimDuration,
-    /// Deployment tree depth (bucket arithmetic for prefix filtering).
+    /// Deployment tree depth (what the node's verifier checks proofs
+    /// against).
     pub tree_depth: u32,
     /// Deployment freshness window (evidence re-verification).
     pub freshness_window: SimDuration,
@@ -375,7 +376,6 @@ pub struct EdgeReadNode {
     /// which is what makes a warm single-contact query one LAN hop.
     caches: PartitionCaches<CommittedHeader>,
     replay_staleness: SimDuration,
-    tree_depth: u32,
     directory_plan: DirectoryPlan,
     feed_plan: FeedPlan,
     persistent: bool,
@@ -425,7 +425,6 @@ impl EdgeReadNode {
             behavior: params.behavior,
             caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
             replay_staleness: params.replay_staleness,
-            tree_depth: params.tree_depth,
             directory_plan: params.directory,
             feed_plan: params.feed,
             store: SnapshotStore::new(DEFAULT_SPILL_THRESHOLD),
@@ -776,7 +775,6 @@ impl EdgeReadNode {
             consistency: query.consistency,
             shape,
             page: query.page,
-            prefix: query.prefix,
             feed: query.feed_for(cluster),
             trace: query.trace,
         }
@@ -1152,12 +1150,7 @@ impl EdgeReadNode {
         let min_lce = query.min_lce();
         let cache = self.cache_for(cluster);
         let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
-        if let Some(mut bundle) = replayed {
-            if let Some(through) = query.fresh_rows_from() {
-                bundle
-                    .scan
-                    .strip_held_rows(&window, through, self.tree_depth);
-            }
+        if let Some(bundle) = replayed {
             self.stats.scans_from_cache += 1;
             self.respond_scan(reply, bundle, ctx);
             return;

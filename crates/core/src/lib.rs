@@ -56,7 +56,7 @@ pub mod records;
 pub mod setup;
 
 pub use batch::{Batch, BatchHeader, CdVector, CommittedHeader, ReadOp, Transaction, WriteOp};
-pub use client::{ClientActor, ClientOp, QueryOutcome, RotResult, ScanResult, TxnOutcome};
+pub use client::{ClientActor, ClientOp, QueryOutcome, TxnOutcome};
 pub use config::{CacheConfig, ClientProfile, ConfigError, EdgeConfig, EdgeConfigBuilder};
 pub use edge_node::{EdgeBehavior, EdgeReadNode};
 pub use messages::{NetMsg, ReadPayload};

@@ -1082,7 +1082,6 @@ impl TransEdgeNode {
         req: u64,
         range: &transedge_crypto::ScanRange,
         at_batch: BatchNum,
-        fresh_rows_from: Option<u64>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let Some((batch, cert)) = self.engine.log().get(at_batch) else {
@@ -1091,13 +1090,10 @@ impl TransEdgeNode {
         let commitment = CommittedHeader::of(batch);
         let cert = cert.clone();
         let misses_before = self.read_pipeline.scan_stats().misses;
-        let mut scan = self.read_pipeline.serve_scan(&self.exec, range, at_batch);
+        let scan = self.read_pipeline.serve_scan(&self.exec, range, at_batch);
         let misses = self.read_pipeline.scan_stats().misses - misses_before;
         // A cold scan proof hashes every leaf of the window.
         ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * range.width()));
-        if let Some(through) = fresh_rows_from {
-            scan.strip_held_rows(range, through, self.config.tree_depth);
-        }
         ctx.send(
             to,
             NetMsg::ReadResult {
@@ -1172,8 +1168,7 @@ impl TransEdgeNode {
                 match self.resolve_snapshot(&query) {
                     Some(batch) => {
                         self.stats.rot_scans_served += 1;
-                        let fresh_from = query.fresh_rows_from();
-                        self.respond_scan(from, req, &window, batch, fresh_from, ctx);
+                        self.respond_scan(from, req, &window, batch, ctx);
                     }
                     None => self.pending_reads.push((from, req, query)),
                 }

@@ -102,7 +102,7 @@ fn read_only_transaction_returns_verified_values() {
     assert!(client.samples.iter().all(|s| s.committed));
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.third_round_needed, 0);
-    let rot = &client.rot_results[0];
+    let rot = &client.query_results[0];
     let get = |k: &Key| {
         rot.values
             .iter()
@@ -127,7 +127,7 @@ fn read_only_sees_consistent_snapshot_of_preloaded_data() {
     dep.run_until_done(limit());
     let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.verification_failures, 0);
-    let rot = &client.rot_results[0];
+    let rot = &client.query_results[0];
     for key in &all {
         let expected = ground_truth
             .iter()
@@ -193,7 +193,7 @@ fn sequential_transactions_see_each_other() {
     let outcome = &client.txn_outcomes[1];
     assert_eq!(outcome.reads[0].1, Some(Value::from("v1")));
     // The final ROT observes v2.
-    let rot = &client.rot_results[0];
+    let rot = &client.query_results[0];
     assert_eq!(rot.values[0].1, Some(Value::from("v2")));
 }
 

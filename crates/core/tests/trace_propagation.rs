@@ -74,7 +74,7 @@ proptest! {
 
         let client = dep.client(dep.client_ids[0]);
         prop_assert!(client.stats.verification_failures >= 1);
-        prop_assert_eq!(client.rot_results.len(), ops);
+        prop_assert_eq!(client.query_results.len(), ops);
 
         let traces = dep.completed_traces();
         // One completed trace per finished operation, each frozen with

@@ -159,13 +159,6 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         if !is_cryptographic(rejection) {
             return false;
         }
-        // Prefix-resume rejections are not relayable: re-verification
-        // needs the witness's held rows, which receivers don't have —
-        // the record would be dropped (and us struck) at every hop.
-        // The witness still demotes the edge locally.
-        if query.prefix.is_some() {
-            return false;
-        }
         let body = EvidenceBody {
             subject,
             cluster,

@@ -196,10 +196,6 @@ pub fn query_fingerprint(query: &ReadQuery) -> Digest {
         h.update(&token.batch.0.to_le_bytes());
         h.update(&token.resume.to_le_bytes());
     }
-    if let Some(prefix) = &query.prefix {
-        h.update(b"prefix");
-        h.update(&prefix.through.to_le_bytes());
-    }
     if let Some(cursors) = &query.feed {
         h.update(b"fresh");
         for (cluster, cursor) in cursors {
@@ -267,19 +263,11 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
     pub fn verify(&self, keys: &KeyStore, verifier: &ReadVerifier) -> Option<ReadRejection> {
         keys.verify(self.witness, &self.body.statement(), &self.sig)
             .ok()?;
-        // Prefix-resume queries are inadmissible as evidence: their
-        // verification outcome depends on rows only the witness held,
-        // so a receiver can neither reproduce the rejection nor rule
-        // out framing (a row-filtered honest response "fails" any
-        // full-rows check). Witnesses never gossip them; drop defensively.
-        if self.body.query.prefix.is_some() {
-            return None;
-        }
-        // A feed cursor needs no such guard. The signed query carries
-        // it, so whatever rests on query + sent deltas reproduces here:
-        // a sent tail not starting right after the cursor
-        // (`FeedSpliced`), a sent delta with a bad certificate or
-        // changed set, a sent delta touching a queried key. What rests
+        // The signed query carries its feed cursor, so whatever rests on
+        // query + sent deltas reproduces here: a sent tail not starting
+        // right after the cursor (`FeedSpliced`), a sent delta with a
+        // bad certificate or changed set, a sent delta touching a
+        // queried key. What rests
         // on a delta only the witness *held* — the edge proving a head
         // past a held delta that touches the key — does not: with no
         // window the held part goes unexamined, the response verifies,

@@ -20,7 +20,7 @@ use transedge_directory::{
     is_cryptographic, DirectoryAgent, EvidenceBody, GossipDelta, SignedEvidence, StateSummary,
 };
 use transedge_edge::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, FeedWindow, Held, MultiProofBody,
+    changed_keys_digest, BatchCommitment, CertifiedDelta, FeedWindow, MultiProofBody,
     MultiProofBundle, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifyParams,
 };
 use transedge_storage::VersionedStore;
@@ -343,13 +343,10 @@ fn feed_evidence_against_the_signed_cursor_is_admitted() {
     let window = window_of((1..=3).map(other));
     // The edge re-ships batch 3, which the cursor says is held.
     let (query, response) = subscribed_read(&world, &window, vec![other(3), other(4)]);
-    let held = Held {
-        rows: &[],
-        feed: Some(&window),
-    };
+    let mut held = window.clone();
     let rejection = world
         .verifier()
-        .verify_query_resuming(&world.keys, ClusterId(0), &query, &response, held, NOW)
+        .verify_and_extend(&world.keys, ClusterId(0), &query, &response, &mut held, NOW)
         .expect_err("a tail repeating a held batch is spliced");
     let spliced = ReadRejection::FeedSpliced {
         expected: BatchNum(4),
@@ -391,13 +388,10 @@ fn a_rejection_resting_on_a_held_delta_is_not_evidence() {
     let touching = world.delta(2, vec![Key::from_u32(1)]);
     let window = window_of([other(1), touching, other(3)]);
     let (query, response) = subscribed_read(&world, &window, vec![other(4)]);
-    let held = Held {
-        rows: &[],
-        feed: Some(&window),
-    };
+    let mut held = window.clone();
     let rejection = world
         .verifier()
-        .verify_query_resuming(&world.keys, ClusterId(0), &query, &response, held, NOW)
+        .verify_and_extend(&world.keys, ClusterId(0), &query, &response, &mut held, NOW)
         .expect_err("held batch 2 changed key 1");
     assert_eq!(rejection, ReadRejection::BadDelta);
     assert!(is_cryptographic(&rejection));

@@ -89,12 +89,11 @@ pub use persist::{
 };
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
-    GatherPart, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
-    SnapshotPolicy,
+    GatherPart, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
 };
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
     ScanBundle, ScanProof,
 };
-pub use verifier::{Held, ReadRejection, ReadVerifier, VerifyParams};
+pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};

@@ -147,31 +147,6 @@ pub struct PageToken {
     pub resume: u64,
 }
 
-/// Resume-from-verified-prefix marker: the client already holds
-/// verified rows for buckets `[range.first, through]` of the scan —
-/// from a snapshot the query's floor has since outgrown — and asks the
-/// server to *re-prove* that prefix at the new snapshot **without
-/// resending its rows**, extending it by one fresh page.
-///
-/// The server answers with a proof covering
-/// `[range.first, min(through + window, range.last)]` whose rows are
-/// filtered to buckets past `through`; the verifier matches the
-/// prefix's proof entries against the *held* rows instead
-/// ([`crate::ReadVerifier::verify_query_resuming`]). Matching entries
-/// carry the prefix over to the new snapshot for free; any divergence
-/// (the data legitimately changed between batches) is reported as
-/// [`crate::ReadRejection::PrefixDiverged`] — not a byzantine signal —
-/// and the client restarts the partition from page one.
-///
-/// This is what lets a mid-scan dependency-floor raise (the floor only
-/// pins a *newer* batch) skip re-downloading and re-hashing every
-/// already-verified page of a long scan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrefixResume {
-    /// Last tree-order bucket of the held, already-verified prefix.
-    pub through: u64,
-}
-
 /// One typed read query: shape, snapshot policy, and (for scan
 /// continuations) the page to resume from. The single client-facing
 /// entry point of the proof-carrying read protocol.
@@ -204,11 +179,6 @@ pub struct ReadQuery {
     pub shape: QueryShape,
     /// Scan continuation: resume from this page, pinned to its batch.
     pub page: Option<PageToken>,
-    /// Scan restart at a raised floor: re-prove (without resending) the
-    /// already-verified prefix at the new snapshot. Mutually exclusive
-    /// with `page` (a prefix query *establishes* the new pin; pages
-    /// continue from its token). Ignored for point shapes.
-    pub prefix: Option<PrefixResume>,
     /// Subscription mode (`Some`): ask the serving edge to attach its
     /// verified delta-feed tail as a freshness certificate
     /// ([`ReadResponse::Point`]'s `fresh` field), proving the served
@@ -232,7 +202,6 @@ impl ReadQuery {
             consistency: SnapshotPolicy::Latest,
             shape: QueryShape::Point { keys },
             page: None,
-            prefix: None,
             feed: None,
             trace: None,
         }
@@ -256,7 +225,6 @@ impl ReadQuery {
                 window,
             },
             page: None,
-            prefix: None,
             feed: None,
             trace: None,
         }
@@ -271,15 +239,6 @@ impl ReadQuery {
     /// Continue a paginated scan from `token` (builder style).
     pub fn with_page(mut self, token: PageToken) -> Self {
         self.page = Some(token);
-        self
-    }
-
-    /// Restart a scan at a raised floor, carrying the verified prefix
-    /// through bucket `through` (builder style; clears any page token —
-    /// the prefix response re-pins the snapshot).
-    pub fn with_prefix(mut self, through: u64) -> Self {
-        self.page = None;
-        self.prefix = Some(PrefixResume { through });
         self
     }
 
@@ -316,25 +275,11 @@ impl ReadQuery {
     /// the first page) and extends at most `window` buckets, clamped to
     /// the query range and the protocol cap. `None` for point queries
     /// and for tokens whose resume bound lies outside the range.
-    ///
-    /// For a prefix-resume query the window is the *proven* window —
-    /// the whole held prefix plus one fresh page — while
-    /// [`ReadQuery::fresh_rows_from`] names the bucket bound servers
-    /// filter returned rows to.
     pub fn scan_window(&self) -> Option<ScanRange> {
         let QueryShape::Scan { range, window, .. } = &self.shape else {
             return None;
         };
         let width = (*window).clamp(1, MAX_RANGE_BUCKETS);
-        if let (Some(prefix), None) = (&self.prefix, &self.page) {
-            if prefix.through < range.first || prefix.through > range.last {
-                return None;
-            }
-            return Some(ScanRange::new(
-                range.first,
-                range.last.min(prefix.through.saturating_add(width)),
-            ));
-        }
         let start = self.page.as_ref().map_or(range.first, |t| t.resume);
         if start < range.first || start > range.last {
             return None;
@@ -343,17 +288,6 @@ impl ReadQuery {
             start,
             range.last.min(start.saturating_add(width - 1)),
         ))
-    }
-
-    /// For a prefix-resume scan: the bucket bound past which the server
-    /// must return rows (the held prefix's rows are *not* resent; its
-    /// buckets are covered by the proof alone). `None` for everything
-    /// else — all rows of the window are returned.
-    pub fn fresh_rows_from(&self) -> Option<u64> {
-        match (&self.prefix, &self.page) {
-            (Some(prefix), None) => Some(prefix.through),
-            _ => None,
-        }
     }
 
     /// The feed cursors restricted to `cluster` (sub-query planning).
@@ -397,7 +331,6 @@ impl ReadQuery {
             SnapshotPolicy::AtBatch(_) | SnapshotPolicy::MinEpoch(_) => 9,
         };
         let page = if self.page.is_some() { 17 } else { 1 };
-        let prefix = if self.prefix.is_some() { 9 } else { 1 };
         // Absent is one byte; a cursor is a cluster and two batches.
         let feed = self.feed.as_ref().map_or(1, |c| 5 + c.len() * 18);
         // Trace context rides along as two u64 ids when present.
@@ -406,7 +339,7 @@ impl ReadQuery {
             QueryShape::Point { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
             QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16 + 8,
         };
-        policy + page + prefix + feed + trace + shape
+        policy + page + feed + trace + shape
     }
 }
 

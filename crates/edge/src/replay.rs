@@ -215,11 +215,10 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// cached wider window at the same batch are skipped; a new wider
     /// window displaces the narrower ones it covers.
     pub fn admit_scan(&mut self, bundle: &ScanBundle<H>) {
-        // Only complete windows are replayable: a prefix-resume answer
-        // carries the proof of the whole window but rows for its fresh
-        // tail only — caching it would make every later replay fail the
-        // client's rows-versus-entries count check. The proof commits
-        // to its row count, so the mismatch is detectable locally.
+        // The bundle is unverified upstream input. A window whose row
+        // count disagrees with what its own proof commits to would fail
+        // every client's rows-versus-entries count check on replay, and
+        // the mismatch is detectable locally — do not cache it.
         let proven_rows: usize = bundle
             .scan
             .proof

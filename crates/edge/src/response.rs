@@ -218,20 +218,6 @@ impl ScanProof {
             .sum::<usize>()
             + self.proof.encoded_len()
     }
-
-    /// Prefix-resume: the client already holds verified rows for
-    /// buckets `[asked.first, through]` of the window it asked for, so
-    /// ship the completeness proof of the whole window but only the
-    /// other rows. The proof still commits to the prefix, which lets
-    /// the client carry its held rows over or detect divergence. Rows
-    /// before `asked` (this proof is a covering wider window) stay: the
-    /// client never held them.
-    pub fn strip_held_rows(&mut self, asked: &ScanRange, through: u64, tree_depth: u32) {
-        self.rows.retain(|(key, _)| {
-            let bucket = ScanRange::bucket_of(key, tree_depth);
-            bucket > through || bucket < asked.first
-        });
-    }
 }
 
 /// A complete verified-scan response for one partition: the certified

@@ -53,17 +53,6 @@ pub struct VerifyParams {
     pub quorum: usize,
 }
 
-/// Verified state a caller already holds, which a response may lean on
-/// instead of carrying it again.
-pub struct Held<'a, H> {
-    /// Rows of a scan's verified prefix, in tree order (see
-    /// [`crate::PrefixResume`]).
-    pub rows: &'a [(Key, Value)],
-    /// The subscriber's feed window for the partition: the deltas the
-    /// query's [`crate::FeedCursor`] told the edge not to resend.
-    pub feed: Option<&'a FeedWindow<H>>,
-}
-
 /// Why a response was rejected. Every variant is an observable lie an
 /// untrusted edge node could try.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -137,13 +126,6 @@ pub enum ReadRejection {
     /// (moved backwards to or before the first window, or past the
     /// end) — a tampered or replayed token.
     PageOutOfRange { resume: u64, range: ScanRange },
-    /// A prefix-resume response proved (against the new snapshot's
-    /// certified root) that the held prefix **changed** between the old
-    /// and new batches. **Not a byzantine signal** — committed data
-    /// legitimately moved under the scan; the caller restarts the
-    /// partition's pagination from page one and must not demote the
-    /// server. The only `ReadRejection` that names honest behaviour.
-    PrefixDiverged,
     /// A certified delta's changed key set does not hash to the
     /// commitment's certified delta digest (a key added, dropped, or
     /// reordered), or a freshness feed's deltas touch a queried key —
@@ -440,8 +422,33 @@ impl ReadVerifier {
         min_lce: Epoch,
         now: SimTime,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        let entries =
-            self.verify_scan_chain(keys, expected_cluster, bundle, requested, min_lce, now)?;
+        let commitment = &bundle.commitment;
+        // 1–4. Commitment chained to a certificate, fresh, above floor.
+        self.check_commitment(
+            keys,
+            expected_cluster,
+            commitment,
+            &bundle.cert,
+            min_lce,
+            now,
+        )?;
+        // 5. Coverage: the proven window must contain the request.
+        let proven_range = bundle.scan.range;
+        if !proven_range.covers(requested) {
+            return Err(ReadRejection::ScanRangeNotCovered {
+                requested: *requested,
+                proven: proven_range,
+            });
+        }
+        // 6. Completeness proof against the certified root: the complete
+        // committed entry list of the *proven* window, in tree order.
+        let entries = verify_range_proof(
+            commitment.merkle_root(),
+            self.params.tree_depth,
+            &proven_range,
+            &bundle.scan.proof,
+        )
+        .map_err(|_| ReadRejection::BadRangeProof)?;
         // 7. Rows ↔ entries, exactly. The entry list is the complete
         // committed content of the window (step 6), so matching it
         // one-to-one in order rules out omission, injection, and
@@ -466,51 +473,6 @@ impl ReadVerifier {
             }
         }
         Ok(verified)
-    }
-
-    /// Steps 1–6 of the scan chain (partition → certificate →
-    /// freshness → LCE floor → coverage → completeness proof), shared
-    /// by [`ReadVerifier::verify_scan`] and the prefix-resume path. On
-    /// success returns the **complete** committed entry list of the
-    /// *proven* window (which may be wider than `requested`), in tree
-    /// order; only then is matching rows against it meaningful.
-    fn verify_scan_chain<H: BatchCommitment>(
-        &self,
-        keys: &impl QuorumCheck,
-        expected_cluster: ClusterId,
-        bundle: &ScanBundle<H>,
-        requested: &ScanRange,
-        min_lce: Epoch,
-        now: SimTime,
-    ) -> Result<Vec<transedge_crypto::merkle::BucketEntry>, ReadRejection> {
-        let commitment = &bundle.commitment;
-        // 1–4. Commitment chained to a certificate, fresh, above floor.
-        self.check_commitment(
-            keys,
-            expected_cluster,
-            commitment,
-            &bundle.cert,
-            min_lce,
-            now,
-        )?;
-        // 5. Coverage: the proven window must contain the request.
-        let proven_range = bundle.scan.range;
-        if !proven_range.covers(requested) {
-            return Err(ReadRejection::ScanRangeNotCovered {
-                requested: *requested,
-                proven: proven_range,
-            });
-        }
-        // 6. Completeness proof against the certified root.
-        match verify_range_proof(
-            commitment.merkle_root(),
-            self.params.tree_depth,
-            &proven_range,
-            &bundle.scan.proof,
-        ) {
-            Ok(entries) => Ok(entries),
-            Err(_) => Err(ReadRejection::BadRangeProof),
-        }
     }
 
     /// The single verifier entry point of the unified read protocol:
@@ -543,36 +505,27 @@ impl ReadVerifier {
         response: &ReadResponse<H>,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
-        let held = Held {
-            rows: &[],
-            feed: None,
-        };
-        self.verify_query_resuming(keys, expected_cluster, query, response, held, now)
+        self.check_query(keys, expected_cluster, query, response, None, now)
     }
 
-    /// [`ReadVerifier::verify_query_resuming`] for a subscriber:
-    /// `window` is the held feed the response may lean on and — **only
-    /// once every check has passed** — where its sent deltas are
-    /// appended. Also returns the certified run `(served, head]` the
-    /// answer rests on, held ++ sent (empty without a feed): each delta
-    /// an equally certified view of the served values.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    /// [`ReadVerifier::verify_query`] for a subscriber: `window` is the
+    /// held feed the response may lean on and — **only once every check
+    /// has passed** — where its sent deltas are appended. Also returns
+    /// the certified run `(served, head]` the answer rests on, held ++
+    /// sent (empty without a feed): each delta an equally certified
+    /// view of the served values.
+    #[allow(clippy::type_complexity)]
     pub fn verify_and_extend<H: BatchCommitment>(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
         response: &ReadResponse<H>,
-        held_prefix: &[(Key, Value)],
         window: &mut FeedWindow<H>,
         now: SimTime,
     ) -> Result<(QueryAnswer, Vec<Arc<CertifiedDelta<H>>>), ReadRejection> {
-        let held = Held {
-            rows: held_prefix,
-            feed: Some(window),
-        };
         let answer =
-            self.verify_query_resuming(keys, expected_cluster, query, response, held, now)?;
+            self.check_query(keys, expected_cluster, query, response, Some(&*window), now)?;
         let mut run = Vec::new();
         if let (Some(sent), Some(served)) = (response.fresh_feed(), response.batch()) {
             let resume = query.feed_resume(expected_cluster, served);
@@ -582,50 +535,24 @@ impl ReadVerifier {
         Ok((answer, run))
     }
 
-    /// [`ReadVerifier::verify_query`] for callers holding verified
-    /// state. A point query's feed cursor fixes where the sent feed
-    /// tail must begin; `held.feed`, the window the cursor described,
-    /// supplies the deltas before that. With no window (a third party
-    /// re-verifying evidence) the sent tail is checked from the cursor
-    /// on and the held part goes unexamined — enough to reproduce any
-    /// rejection that rests on query + response alone, never a reason
-    /// to *use* the answer. When the query carries a
-    /// [`crate::PrefixResume`], `held.rows` must be the rows (in tree
-    /// order) the caller verified for buckets `[range.first, through]`
-    /// at the *old* snapshot. The response's completeness proof covers the whole
-    /// prefix-plus-page window at the new snapshot, but carries rows
-    /// only past the prefix; the held rows are matched against the
-    /// prefix's proof entries instead. Matching carries the prefix over
-    /// to the new snapshot; divergence (the data changed between
-    /// batches — honest behaviour) is
-    /// [`ReadRejection::PrefixDiverged`]; anything else is the usual
-    /// byzantine evidence. On success returns only the *fresh* rows —
-    /// the caller already holds the prefix.
-    pub fn verify_query_resuming<H: BatchCommitment>(
+    /// The one query check behind both public entries. A point query's
+    /// feed cursor fixes where the sent feed tail must begin;
+    /// `held_feed`, the window the cursor described, supplies the deltas
+    /// before that. With no window (a third party re-verifying
+    /// evidence) the sent tail is checked from the cursor on and the
+    /// held part goes unexamined — enough to reproduce any rejection
+    /// that rests on query + response alone, never a reason to *use*
+    /// the answer.
+    fn check_query<H: BatchCommitment>(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
         response: &ReadResponse<H>,
-        held: Held<'_, H>,
+        held_feed: Option<&FeedWindow<H>>,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let min_lce = query.min_lce();
-        if let (QueryShape::Scan { range, .. }, ReadResponse::Scan { bundle }, Some(through)) =
-            (&query.shape, response, query.fresh_rows_from())
-        {
-            return self.verify_prefix_resume(
-                keys,
-                expected_cluster,
-                query,
-                bundle.as_ref(),
-                *range,
-                through,
-                held.rows,
-                min_lce,
-                now,
-            );
-        }
         match (&query.shape, response) {
             (QueryShape::Point { keys: expected }, ReadResponse::Point { sections, fresh }) => {
                 let Some(first) = sections.first() else {
@@ -635,8 +562,8 @@ impl ReadVerifier {
                 if let Some(sent) = fresh {
                     let served = first.batch();
                     let resume = query.feed_resume(expected_cluster, served);
-                    let held_run = || held.feed.into_iter().flat_map(|w| w.run(served, resume));
-                    let from = if held.feed.is_some() { served } else { resume };
+                    let held_run = || held_feed.into_iter().flat_map(|w| w.run(served, resume));
+                    let from = if held_feed.is_some() { served } else { resume };
                     self.verify_feed(
                         keys,
                         expected_cluster,
@@ -719,123 +646,5 @@ impl ReadVerifier {
             }
             _ => Err(ReadRejection::ShapeMismatch),
         }
-    }
-
-    /// The prefix-resume scan check (see
-    /// [`ReadVerifier::verify_query_resuming`]): one proof over the
-    /// whole prefix-plus-page window at the new snapshot; held rows
-    /// match the prefix's entries, returned rows match the rest.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_prefix_resume<H: BatchCommitment>(
-        &self,
-        keys: &impl QuorumCheck,
-        expected_cluster: ClusterId,
-        query: &ReadQuery,
-        bundle: &ScanBundle<H>,
-        range: ScanRange,
-        through: u64,
-        held_prefix: &[(Key, Value)],
-        min_lce: Epoch,
-        now: SimTime,
-    ) -> Result<QueryAnswer, ReadRejection> {
-        // A prefix bound outside the range is a malformed (or tampered)
-        // resume marker, like a bad page token.
-        if through < range.first || through > range.last {
-            return Err(ReadRejection::PageOutOfRange {
-                resume: through,
-                range,
-            });
-        }
-        let window = query.scan_window().ok_or(ReadRejection::PageOutOfRange {
-            resume: through,
-            range,
-        })?;
-        if let Some(pinned) = query.pinned_batch() {
-            let got = bundle.batch();
-            if got != pinned {
-                return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-            }
-        }
-        let entries =
-            self.verify_scan_chain(keys, expected_cluster, bundle, &window, min_lce, now)?;
-        // Walk the complete committed entry list of the proven window in
-        // tree order, consuming from two cursors: entries inside the
-        // held prefix `[range.first, through]` must match the held rows
-        // (a mismatch or count difference proves the data changed —
-        // divergence, not byzantine); everything else (the fresh page,
-        // and any covering-window overhang outside the range) must come
-        // from the response's rows, exactly as in the full scan check.
-        let depth = self.params.tree_depth;
-        let proven = entries.len();
-        let rows = &bundle.scan.rows;
-        // Count check first, like the full-scan path: the proof
-        // commits to exactly the fresh-region row count, so omission
-        // and row-stuffing are length errors before they are content
-        // errors.
-        let expected_rows = entries
-            .iter()
-            .filter(|e| {
-                let bucket = ScanRange::bucket_of_hash(&e.key_hash, depth);
-                bucket < range.first || bucket > through
-            })
-            .count();
-        if rows.len() != expected_rows {
-            return Err(ReadRejection::IncompleteScan {
-                proven,
-                returned: rows.len(),
-            });
-        }
-        let mut held = held_prefix.iter();
-        let mut rows_idx = 0usize;
-        let mut fresh = Vec::new();
-        for entry in &entries {
-            let bucket = ScanRange::bucket_of_hash(&entry.key_hash, depth);
-            if bucket >= range.first && bucket <= through {
-                let Some((key, value)) = held.next() else {
-                    return Err(ReadRejection::PrefixDiverged);
-                };
-                if sha256(key.as_bytes()) != entry.key_hash
-                    || value_digest(value) != entry.value_hash
-                {
-                    return Err(ReadRejection::PrefixDiverged);
-                }
-            } else {
-                let Some((key, value)) = rows.get(rows_idx) else {
-                    return Err(ReadRejection::IncompleteScan {
-                        proven,
-                        returned: rows.len(),
-                    });
-                };
-                rows_idx += 1;
-                if sha256(key.as_bytes()) != entry.key_hash
-                    || value_digest(value) != entry.value_hash
-                {
-                    return Err(ReadRejection::ScanRowMismatch(key.clone()));
-                }
-                if range.contains_bucket(bucket) && bucket <= window.last {
-                    fresh.push((key.clone(), value.clone()));
-                }
-            }
-        }
-        if held.next().is_some() {
-            // The new snapshot has fewer prefix rows than we hold.
-            return Err(ReadRejection::PrefixDiverged);
-        }
-        if rows_idx != rows.len() {
-            // Injected rows beyond the proven entries.
-            return Err(ReadRejection::IncompleteScan {
-                proven,
-                returned: rows.len(),
-            });
-        }
-        let next = if window.last < range.last {
-            Some(PageToken {
-                batch: bundle.batch(),
-                resume: window.last + 1,
-            })
-        } else {
-            None
-        };
-        Ok(QueryAnswer::Rows { rows: fresh, next })
     }
 }

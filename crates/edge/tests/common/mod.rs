@@ -21,7 +21,7 @@ use transedge_crypto::{
     VersionedMerkleTree,
 };
 use transedge_edge::{
-    changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta, Held,
+    changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta,
     MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery, ReadRejection,
     ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts, VerifyParams,
 };
@@ -234,18 +234,11 @@ impl Partition {
         cluster: ClusterId,
         query: &ReadQuery,
         response: &ReadResponse<TestHeader>,
-        held: &[(Key, Value)],
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let verifier = self.verifier();
-        let held = || Held {
-            rows: held,
-            feed: None,
-        };
-        let plain =
-            verifier.verify_query_resuming(&self.keys, cluster, query, response, held(), now);
-        let memoised =
-            verifier.verify_query_resuming(&self.warm, cluster, query, response, held(), now);
+        let plain = verifier.verify_query(&self.keys, cluster, query, response, now);
+        let memoised = verifier.verify_query(&self.warm, cluster, query, response, now);
         assert_eq!(memoised, plain, "a warm memo changed the verdict");
         plain
     }

@@ -445,8 +445,8 @@ fn subscribe(
 ) -> Verdict {
     let mut copy = window.clone();
     let (v, c) = (p.verifier(), ClusterId(0));
-    let memoised = v.verify_and_extend(&p.warm, c, query, response, &[], &mut copy, now);
-    let plain = v.verify_and_extend(&p.keys, c, query, response, &[], window, now);
+    let memoised = v.verify_and_extend(&p.warm, c, query, response, &mut copy, now);
+    let plain = v.verify_and_extend(&p.keys, c, query, response, window, now);
     assert_eq!(
         plain.is_ok(),
         memoised.is_ok(),
@@ -627,8 +627,7 @@ fn a_sent_tail_must_start_right_after_the_cursor() {
                                                    // cursor alone.
     let replayed = response(&p, &read_keys(), deltas(&p, 5..=HEAD));
     assert_eq!(
-        p.verdict(ClusterId(0), &query, &replayed, &[], NOW)
-            .unwrap_err(),
+        p.verdict(ClusterId(0), &query, &replayed, NOW).unwrap_err(),
         ReadRejection::FeedSpliced {
             expected: BatchNum(6),
             got: BatchNum(5)
@@ -799,7 +798,7 @@ fn nothing_is_appended_unless_every_check_passes() {
     // party sees a response that verifies, so it is no evidence.
     let query = query_with(touched.clone(), &holds_8);
     let sent_9 = response(&p, &touched, deltas(&p, HEAD..=HEAD));
-    assert!(p.verdict(ClusterId(0), &query, &sent_9, &[], NOW).is_ok());
+    assert!(p.verdict(ClusterId(0), &query, &sent_9, NOW).is_ok());
     // The honest exchange does extend the window.
     let mut window = held.clone();
     subscribe(

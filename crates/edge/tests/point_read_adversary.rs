@@ -80,7 +80,7 @@ fn verify(
     response: &ReadResponse<TestHeader>,
     now: SimTime,
 ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-    match p.verdict(ClusterId(0), query, response, &[], now)? {
+    match p.verdict(ClusterId(0), query, response, now)? {
         QueryAnswer::Values(values) => Ok(values),
         other => panic!("a point query yields values, got {other:?}"),
     }
@@ -285,7 +285,7 @@ proptest! {
         }
         // Wrong cluster: an honest response for a partition nobody asked.
         prop_assert_eq!(
-            p.verdict(ClusterId(3), &query, &respond(sections.clone()), &[], NOW)
+            p.verdict(ClusterId(3), &query, &respond(sections.clone()), NOW)
                 .unwrap_err(),
             ReadRejection::WrongCluster { expected: ClusterId(3), got: ClusterId(0) }
         );
@@ -325,7 +325,6 @@ proptest! {
                 ClusterId(0),
                 &ReadQuery::scan(ClusterId(0), window),
                 &respond(sections.clone()),
-                &[],
                 NOW,
             )
             .unwrap_err(),
@@ -390,12 +389,11 @@ fn every_rejection_variant_is_reachable() {
             ReadRejection::ShapeMismatch => "ShapeMismatch",
             ReadRejection::SnapshotPinMismatch { .. } => "SnapshotPinMismatch",
             ReadRejection::PageOutOfRange { .. } => "PageOutOfRange",
-            ReadRejection::PrefixDiverged => "PrefixDiverged",
             ReadRejection::BadDelta => "BadDelta",
             ReadRejection::FeedSpliced { .. } => "FeedSpliced",
         }
     }
-    const ALL: [&str; 20] = [
+    const ALL: [&str; 19] = [
         "BadCertificate",
         "BadDelta",
         "BadProof",
@@ -406,7 +404,6 @@ fn every_rejection_variant_is_reachable() {
         "MissingKey",
         "PageOutOfRange",
         "PhantomValue",
-        "PrefixDiverged",
         "ScanRangeNotCovered",
         "ScanRowMismatch",
         "ShapeMismatch",
@@ -431,14 +428,8 @@ fn every_rejection_variant_is_reachable() {
 
     // ---- point chain ----
     seen.push(
-        p.verdict(
-            ClusterId(1),
-            &plain,
-            &respond(vec![section.clone()]),
-            &[],
-            NOW,
-        )
-        .unwrap_err(),
+        p.verdict(ClusterId(1), &plain, &respond(vec![section.clone()]), NOW)
+            .unwrap_err(),
     );
     let mut thin = section.clone();
     thin.cert.sigs.clear();
@@ -490,51 +481,34 @@ fn every_rejection_variant_is_reachable() {
     // ---- scan chain ----
     let range = ScanRange::new(0, (1 << DEPTH) - 1);
     let scan_query = ReadQuery::scan(ClusterId(0), range);
-    let scan = |q: &ReadQuery, bundle, held: &[(Key, Value)]| {
+    let scan = |q: &ReadQuery, bundle| {
         p.verdict(
             ClusterId(0),
             q,
             &ReadResponse::Scan {
                 bundle: Box::new(bundle),
             },
-            held,
             NOW,
         )
         .unwrap_err()
     };
-    seen.push(scan(&plain, p.scan(range, SERVED), &[]));
-    seen.push(scan(
-        &scan_query,
-        p.scan(ScanRange::new(0, 63), SERVED),
-        &[],
-    ));
+    seen.push(scan(&plain, p.scan(range, SERVED)));
+    seen.push(scan(&scan_query, p.scan(ScanRange::new(0, 63), SERVED)));
     let mut bad_proof = p.scan(range, SERVED);
     bad_proof.scan.proof.occupied[0].1[0].value_hash = Digest([0xEE; 32]);
-    seen.push(scan(&scan_query, bad_proof, &[]));
+    seen.push(scan(&scan_query, bad_proof));
     let mut omitted = p.scan(range, SERVED);
     omitted.scan.rows.pop();
-    seen.push(scan(&scan_query, omitted, &[]));
+    seen.push(scan(&scan_query, omitted));
     let mut swapped = p.scan(range, SERVED);
     swapped.scan.rows[0].1 = Value::from("forged");
-    seen.push(scan(&scan_query, swapped, &[]));
+    seen.push(scan(&scan_query, swapped));
     let paged = ReadQuery::scatter_scan(vec![ClusterId(0)], range, 64);
-    let replayed_token = paged.clone().with_page(PageToken {
+    let replayed_token = paged.with_page(PageToken {
         batch: SERVED,
         resume: 0,
     });
-    seen.push(scan(
-        &replayed_token,
-        p.scan(ScanRange::new(0, 63), SERVED),
-        &[],
-    ));
-    // A held prefix that changed between snapshots: honest divergence.
-    let resumed = paged.with_prefix(63);
-    let mut tail = p.scan(ScanRange::new(0, 127), SERVED);
-    tail.scan
-        .rows
-        .retain(|(key, _)| ScanRange::bucket_of(key, DEPTH) > 63);
-    let held = vec![(k(4_242), Value::from("never committed"))];
-    seen.push(scan(&resumed, tail, &held));
+    seen.push(scan(&replayed_token, p.scan(ScanRange::new(0, 63), SERVED)));
 
     let mut names: Vec<&str> = seen.iter().map(name).collect();
     names.sort_unstable();

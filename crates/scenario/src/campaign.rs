@@ -7,6 +7,8 @@
 //! first invariant violation — a campaign that returns at all ran
 //! clean.
 
+use std::collections::BTreeMap;
+
 use transedge_common::{
     ClusterId, ClusterTopology, EdgeId, NodeId, ReplicaId, SimDuration, SimTime,
 };
@@ -53,6 +55,10 @@ pub struct CampaignOutcome {
     pub convicted: usize,
     /// Invariant sweeps that ran.
     pub invariant_checks: u64,
+    /// Every registered counter summed over the fleet at the end of
+    /// the run (`Deployment::metrics().fleet_counters()`) — what the
+    /// campaign reached, for the reachability test.
+    pub counters: BTreeMap<String, u64>,
 }
 
 fn base_config(edge: EdgeConfig, seed: u64) -> DeploymentConfig {
@@ -131,6 +137,7 @@ fn run_campaign(
         demotion_rounds: report.rounds,
         convicted: report.convicted.len(),
         invariant_checks: monitor.checks_run(),
+        counters: dep.metrics().fleet_counters(),
     }
 }
 

@@ -88,9 +88,7 @@ pub struct ConvergenceReport {
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Cursor {
-    rot: usize,
     query: usize,
-    scan: usize,
     txn: usize,
 }
 
@@ -168,11 +166,6 @@ impl InvariantMonitor {
                 continue;
             };
             let mut cur = self.cursors.get(&id).copied().unwrap_or_default();
-            for rot in &client.rot_results[cur.rot..] {
-                self.check_values(id, &rot.values)?;
-                Self::check_snapshot(id, &rot.snapshot)?;
-            }
-            cur.rot = client.rot_results.len();
             for query in &client.query_results[cur.query..] {
                 self.check_values(id, &query.values)?;
                 Self::check_snapshot(id, &query.snapshot)?;
@@ -181,10 +174,6 @@ impl InvariantMonitor {
                 }
             }
             cur.query = client.query_results.len();
-            for scan in &client.scan_results[cur.scan..] {
-                self.check_rows(id, &scan.rows)?;
-            }
-            cur.scan = client.scan_results.len();
             for txn in &client.txn_outcomes[cur.txn..] {
                 self.check_values(id, &txn.reads)?;
             }

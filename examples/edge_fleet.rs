@@ -81,7 +81,7 @@ fn main() {
     println!("=============================================");
     println!(
         "client A: {} reads, {} forgeries caught first-hand, {} evidence record(s) gossiped",
-        a.rot_results.len(),
+        a.query_results.len(),
         a.stats.verification_failures,
         a.stats.directory_evidence_sent,
     );

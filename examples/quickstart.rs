@@ -70,7 +70,7 @@ fn main() {
     // replica signatures, Merkle proofs for every key, and dependency
     // vectors checked across partitions (Algorithm 2):
     let rot_sample = &client.samples[1];
-    let rot = &client.rot_results[0];
+    let rot = &client.query_results[0];
     println!(
         "snapshot read:     committed={} in {:.2} ms, round2={}, snapshot={:?}",
         rot_sample.committed,

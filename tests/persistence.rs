@@ -65,9 +65,9 @@ fn assert_probe_clean(dep: &Deployment) {
     let probe = dep.client(dep.client_ids[1]);
     assert_eq!(probe.stats.verification_failures, 0);
     assert_eq!(probe.stats.gave_up, 0);
-    assert_eq!(probe.rot_results.len(), 6);
+    assert_eq!(probe.query_results.len(), 6);
     let expected = dep.data.clone();
-    for rot in &probe.rot_results {
+    for rot in &probe.query_results {
         for (key, value) in &rot.values {
             let want = expected.iter().find(|(x, _)| x == key).map(|(_, v)| v);
             assert_eq!(

@@ -165,7 +165,7 @@ fn subscribed_client_skips_round_two_on_warm_edges() {
     // never bend correctness. (The hot key's value races the writers,
     // so only the never-written keys have a static ground truth.)
     let expected = dep.data.clone();
-    for rot in &reader.rot_results {
+    for rot in &reader.query_results {
         for (key, value) in rot.values.iter().filter(|(k, _)| warm_keys.contains(k)) {
             let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
             assert_eq!(value.as_ref(), want);
@@ -292,7 +292,7 @@ fn a_second_read_is_sent_only_the_deltas_since_the_first() {
     assert!(window.len() <= MAX_FEED_DELTAS);
     // Through all of it the values read are the committed ones.
     let expected = dep.data.clone();
-    for rot in &client.rot_results {
+    for rot in &client.query_results {
         for (key, value) in &rot.values {
             let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
             assert_eq!(value.as_ref(), want);
@@ -459,7 +459,7 @@ fn tampered_feed_delta_is_rejected_and_demotes_fleet_wide() {
     for id in &dep.client_ids[1..] {
         let client = dep.client(*id);
         assert_eq!(client.stats.gave_up, 0);
-        for rot in &client.rot_results {
+        for rot in &client.query_results {
             for (key, value) in &rot.values {
                 let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
                 assert_eq!(value.as_ref(), want);

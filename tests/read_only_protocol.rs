@@ -166,8 +166,8 @@ fn honest_edge_serves_verified_cached_and_uncached_reads() {
         let client = dep.client(*id);
         assert_eq!(client.stats.verification_failures, 0);
         assert_eq!(client.stats.gave_up, 0);
-        assert_eq!(client.rot_results.len(), 15);
-        for rot in &client.rot_results {
+        assert_eq!(client.query_results.len(), 15);
+        for rot in &client.query_results {
             for (key, value) in &rot.values {
                 let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
                 assert_eq!(
@@ -256,9 +256,9 @@ fn byzantine_edge_is_detected_and_evaded() {
         // ...yet every transaction still completed with correct values
         // by evading to honest replicas.
         assert_eq!(client.stats.gave_up, 0, "{behavior:?}: no ROT may give up");
-        assert_eq!(client.rot_results.len(), 10);
+        assert_eq!(client.query_results.len(), 10);
         let expected: Vec<(Key, Value)> = dep.data.clone();
-        for rot in &client.rot_results {
+        for rot in &client.query_results {
             assert_eq!(rot.values.len(), rot_keys.len());
             for (key, value) in &rot.values {
                 let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
@@ -299,8 +299,8 @@ fn repeat_read_checks_each_certificate_once() {
 
     let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.verification_failures, 0);
-    let [first, second] = &client.rot_results[..] else {
-        panic!("two reads, got {}", client.rot_results.len());
+    let [first, second] = &client.query_results[..] else {
+        panic!("two reads, got {}", client.query_results.len());
     };
     assert_eq!(first.values, second.values);
     assert_eq!(first.snapshot, second.snapshot);
@@ -362,9 +362,9 @@ fn partial_assembly_serves_partially_cached_requests() {
         client.stats.assembled_accepted >= 1,
         "the client must accept at least one multi-section assembled response"
     );
-    assert_eq!(client.rot_results.len(), 8);
+    assert_eq!(client.query_results.len(), 8);
     let expected = dep.data.clone();
-    for rot in &client.rot_results {
+    for rot in &client.query_results {
         for (key, value) in &rot.values {
             let want = expected.iter().find(|(x, _)| x == key).map(|(_, v)| v);
             assert_eq!(
@@ -464,7 +464,7 @@ fn pinned_fill_parks_at_a_lagging_replica_and_completes_after_heal() {
     assert_eq!(dep.node(lagging).parked_reads(), 1, "the fill is parked");
     assert_eq!(dep.edge_node(e0).pending_upstream(), 1);
     assert_eq!(dep.edge_node(e0).stats.partial_assembled, 1);
-    assert_eq!(dep.client(reader_id).rot_results.len(), 1);
+    assert_eq!(dep.client(reader_id).query_results.len(), 1);
 
     dep.heal_partition(cut);
     dep.run_until_done(SimTime(600_000_000));
@@ -473,7 +473,7 @@ fn pinned_fill_parks_at_a_lagging_replica_and_completes_after_heal() {
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.retries, 0, "the read waited, it did not retry");
     assert_eq!(client.stats.assembled_accepted, 1);
-    let assembled = &client.rot_results[1];
+    let assembled = &client.query_results[1];
     assert_eq!(assembled.snapshot, [(ClusterId(0), BatchNum(1))]);
     assert_eq!(assembled.values[0].1, Some(Value::from("v1")));
     for (key, value) in &assembled.values[1..] {
@@ -541,9 +541,9 @@ fn byzantine_edge_is_demoted_and_traffic_fails_over() {
     );
     // Correctness never degraded.
     assert_eq!(client.stats.gave_up, 0);
-    assert_eq!(client.rot_results.len(), ops);
+    assert_eq!(client.query_results.len(), ops);
     let expected = dep.data.clone();
-    for rot in &client.rot_results {
+    for rot in &client.query_results {
         for (key, value) in &rot.values {
             let want = expected.iter().find(|(x, _)| x == key).map(|(_, v)| v);
             assert_eq!(value.as_ref(), want);
@@ -601,9 +601,9 @@ fn key_omitting_edge_is_rejected_and_demoted() {
     );
     // Correctness never degraded.
     assert_eq!(client.stats.gave_up, 0);
-    assert_eq!(client.rot_results.len(), ops);
+    assert_eq!(client.query_results.len(), ops);
     let expected = dep.data.clone();
-    for rot in &client.rot_results {
+    for rot in &client.query_results {
         for (key, value) in &rot.values {
             let want = expected.iter().find(|(x, _)| x == key).map(|(_, v)| v);
             assert_eq!(value.as_ref(), want);
@@ -716,16 +716,18 @@ fn verified_scans_replay_from_edge_cache_with_covering_reuse() {
         "narrow scans must be served from the cached wider window (got {})",
         client.stats.scans_covered_by_wider
     );
-    assert_eq!(client.scan_results.len(), 8);
-    for result in &client.scan_results {
-        let want = expected_rows(&dep.data, &topo, ClusterId(0), &result.range);
+    assert_eq!(client.query_results.len(), 8);
+    for (i, result) in client.query_results.iter().enumerate() {
+        let range = if i < 4 { wide } else { narrow };
+        let want = expected_rows(&dep.data, &topo, ClusterId(0), &range);
         assert_eq!(
-            result.rows, want,
+            result.rows,
+            vec![(ClusterId(0), want)],
             "verified scan must return exactly the committed rows of its window"
         );
     }
     assert!(
-        !client.scan_results[0].rows.is_empty(),
+        !client.query_results[0].rows[0].1.is_empty(),
         "the wide window must contain at least one preloaded key"
     );
     let edge = dep.edge_node(EdgeId::new(ClusterId(0), 0));
@@ -809,12 +811,12 @@ fn scan_omitting_edge_is_rejected_and_demoted() {
     );
     // Every accepted result is complete and correct; nothing gave up.
     assert_eq!(client.stats.gave_up, 0);
-    assert_eq!(client.scan_results.len(), ops);
+    assert_eq!(client.query_results.len(), ops);
     let want = expected_rows(&dep.data, &topo, ClusterId(0), &range);
     assert!(!want.is_empty());
-    for result in &client.scan_results {
+    for result in &client.query_results {
         assert_eq!(
-            result.rows, want,
+            result.rows[0].1, want,
             "no omission may survive verification: accepted rows must be complete"
         );
     }
@@ -867,7 +869,6 @@ fn unified_query_scenario(
             window: 32,
         },
         page: None,
-        prefix: None,
         feed: None,
         trace: None,
     };
@@ -957,6 +958,90 @@ fn unified_paginated_scatter_query_under_min_epoch() {
         .map(|e| dep.edge_node(*e).stats.scan_requests)
         .sum();
     assert!(edge_scans >= 1, "the query must route through the edges");
+}
+
+/// Round two of a paginated scatter scan: cross-partition writers keep
+/// committing *inside* the scanned range, so a reader's two partition
+/// snapshots fail the dependency check and the lagging partition is
+/// re-read at a raised LCE floor — from page one, the path every point
+/// read takes. Each partition's stitched rows must be exactly what that
+/// partition had committed at the snapshot batch the result records.
+#[test]
+fn scan_round_two_restarts_from_page_one_at_the_raised_floor() {
+    use transedge::edge::SnapshotSource;
+
+    const SCANS: usize = 12;
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    let topo = config.topo.clone();
+    // Two 2048-bucket pages per partition.
+    let range = ScanRange::new(0, 4095);
+    let inside = |cluster: ClusterId| -> Vec<Key> {
+        (0u32..10_000)
+            .map(Key::from_u32)
+            .filter(|k| topo.partition_of(k) == cluster && range.contains_key(k, SCAN_DEPTH))
+            .take(4)
+            .collect()
+    };
+    let (k0, k1) = (inside(ClusterId(0)), inside(ClusterId(1)));
+    let mut scripts: Vec<Vec<ClientOp>> = (0..3usize)
+        .map(|w| {
+            (0..15)
+                .map(|i| ClientOp::ReadWrite {
+                    reads: vec![],
+                    writes: vec![
+                        (
+                            k0[(w + i) % 4].clone(),
+                            Value::from(format!("a{w}-{i}").as_str()),
+                        ),
+                        (
+                            k1[(w + i) % 4].clone(),
+                            Value::from(format!("b{w}-{i}").as_str()),
+                        ),
+                    ],
+                })
+                .collect()
+        })
+        .collect();
+    let query = ReadQuery::scatter_scan(vec![ClusterId(0), ClusterId(1)], range, 2048);
+    scripts.push(vec![ClientOp::Query { query }; SCANS]);
+    let mut dep = Deployment::build(config, scripts);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let reader = dep.client(dep.client_ids[3]);
+    assert_eq!(reader.stats.verification_failures, 0);
+    assert_eq!(reader.stats.gave_up, 0);
+    assert_eq!(reader.query_results.len(), SCANS);
+    let mut round2 = 0u64;
+    let mut moved = false;
+    for result in &reader.query_results {
+        round2 += u64::from(result.needed_round2);
+        // Whatever round a partition's answer came from, it was
+        // paginated in full.
+        assert_eq!(result.pages, 4, "2 pages × 2 partitions");
+        assert_eq!(result.snapshot.len(), 2);
+        for ((cluster, rows), (pinned, batch)) in result.rows.iter().zip(&result.snapshot) {
+            assert_eq!(cluster, pinned);
+            let replica = dep.node(ReplicaId::new(*cluster, 0));
+            assert_eq!(
+                rows,
+                &replica.exec.rows_at(&range, *batch),
+                "{cluster}: rows must be the committed window at batch {}",
+                batch.0
+            );
+            moved |= rows != &expected_rows(&dep.data, &topo, *cluster, &range);
+        }
+    }
+    assert!(moved, "the writers must have changed the scanned rows");
+    assert!(round2 > 0, "no scan needed round two");
+    // Round two re-paginated: a restarted partition's two round-1
+    // pages were accepted, discarded, and fetched again at the floor.
+    assert!(
+        reader.stats.scans_accepted >= 4 * SCANS as u64 + 2 * round2,
+        "{} pages accepted for {SCANS} scans, {round2} of them with a round two",
+        reader.stats.scans_accepted
+    );
 }
 
 /// The tentpole acceptance scenario, byzantine half: the same query
@@ -1109,8 +1194,8 @@ fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
     for id in &dep.client_ids {
         let client = dep.client(*id);
         assert_eq!(client.stats.gave_up, 0);
-        assert_eq!(client.rot_results.len(), 10);
-        for rot in &client.rot_results {
+        assert_eq!(client.query_results.len(), 10);
+        for rot in &client.query_results {
             for (key, value) in &rot.values {
                 let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
                 assert_eq!(value.as_ref(), want);

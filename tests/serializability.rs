@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 
 use transedge::common::{ClusterId, ClusterTopology, Key, SimTime, Value};
-use transedge::core::client::{ClientOp, RotResult};
+use transedge::core::client::{ClientOp, QueryOutcome};
 use transedge::core::setup::{Deployment, DeploymentConfig};
 
 /// Node in the serializability graph.
@@ -202,7 +202,7 @@ fn mixed_contended_history_is_serializable() {
     // ---- collect the history -------------------------------------
     // Map txn tag → outcome, reads; only committed ones enter the SG.
     // (Writer tags are unique across clients by construction.)
-    let mut rots: Vec<(u32, u32, RotResult)> = Vec::new();
+    let mut rots: Vec<(u32, u32, QueryOutcome)> = Vec::new();
     let mut committed_count = 0usize;
     let mut aborted_count = 0usize;
     for id in &dep.client_ids {
@@ -219,7 +219,7 @@ fn mixed_contended_history_is_serializable() {
                 client.id.0, client.stats.third_round_needed
             );
         }
-        for (i, rot) in client.rot_results.iter().enumerate() {
+        for (i, rot) in client.query_results.iter().enumerate() {
             rots.push((id.0, i as u32, rot.clone()));
         }
         for outcome in &client.txn_outcomes {
