@@ -395,10 +395,9 @@ fn view_of(header: &BatchHeader) -> RotView {
 /// the verifier rejects anything wider before hashing.
 fn leaf_hashes(response: &ReadPayload) -> u64 {
     match response {
-        ReadResponse::Point { sections, fresh } => {
+        ReadResponse::Point { section, fresh } => {
             let feed = fresh.as_ref().map_or(0, Vec::len);
-            let proven: usize = sections.iter().map(|s| s.body.keys().len()).sum();
-            (feed + proven) as u64
+            (feed + section.body.keys().len()) as u64
         }
         ReadResponse::Scan { bundle } => {
             let claimed = &bundle.scan.range;
@@ -455,8 +454,6 @@ pub struct ClientStats {
     pub third_round_needed: u64,
     pub retries: u64,
     pub gave_up: u64,
-    /// Assembled (multi-section) responses accepted from edge nodes.
-    pub assembled_accepted: u64,
     /// Verified scan responses (pages) accepted.
     pub scans_accepted: u64,
     /// Accepted scans whose proven window was wider than the request —
@@ -501,7 +498,6 @@ impl transedge_obs::RegisterMetrics for ClientStats {
         reg.counter(scope, "client.third_round_needed", self.third_round_needed);
         reg.counter(scope, "client.retries", self.retries);
         reg.counter(scope, "client.gave_up", self.gave_up);
-        reg.counter(scope, "client.assembled_accepted", self.assembled_accepted);
         reg.counter(scope, "client.scans_accepted", self.scans_accepted);
         reg.counter(
             scope,
@@ -1024,11 +1020,8 @@ impl ClientActor {
     ) -> bool {
         match answer {
             QueryAnswer::Values(values) => {
-                if let ReadResponse::Point { sections, .. } = response {
-                    if sections.len() > 1 {
-                        self.stats.assembled_accepted += 1;
-                    }
-                    part.view = Some(view_of(&sections[0].commitment.header));
+                if let ReadResponse::Point { section, .. } = response {
+                    part.view = Some(view_of(&section.commitment.header));
                 }
                 // A verified feed attachment proves the served values
                 // unchanged through the feed head, so every prefix of
@@ -1247,12 +1240,9 @@ impl ClientActor {
         // recorded here, bracketing the per-part verify charges below.
         let verify_from = ctx.now();
         self.stats.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
-        // A partition the envelope has no part for gets the empty
-        // answer, which no sub-query accepts.
-        let absent = ReadPayload::Point {
-            sections: Vec::new(),
-            fresh: None,
-        };
+        // A partition the envelope has no part for gets an empty
+        // envelope, which no sub-query accepts (`ShapeMismatch`).
+        let absent = ReadPayload::Gather { parts: Vec::new() };
         let mut all_verified = true;
         for (cluster, pending) in &owed {
             let answer = match &response {

@@ -6,11 +6,11 @@
 //! below). It holds no partition state, no Merkle tree, and no
 //! consensus role — only the [`transedge_edge::ReplayCache`] sections
 //! and windows of certified responses it has forwarded before. A
-//! request it can cover is answered locally (zero upstream hops); one
-//! it covers in part is completed with a single upstream section
-//! pinned at the cached batch; anything else is forwarded to a replica
-//! of the partition that owns it and the certified answer absorbed on
-//! the way back.
+//! request one cached section (or window) covers is answered locally
+//! (zero upstream hops); anything else — a partly cached one included —
+//! is forwarded whole to a replica of the partition that owns it, and
+//! the certified answer absorbed on the way back only if it is the one
+//! that replica was asked for.
 //!
 //! Three subsystems ride on top of the replay path:
 //!
@@ -46,7 +46,7 @@
 //! [`transedge_edge::ReadVerifier`] catches each one, after which the
 //! client re-asks a real replica. Tests use them to pin that property.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use transedge_common::{
@@ -56,8 +56,8 @@ use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
     is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape,
-    ReadQuery, ReadVerifier, ReplayCache, SnapshotObject, SnapshotPolicy, SnapshotStore,
-    VerifyParams, DEFAULT_SPILL_THRESHOLD,
+    ReadQuery, ReadVerifier, ReplayCache, SnapshotObject, SnapshotStore, VerifyParams,
+    DEFAULT_SPILL_THRESHOLD,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
@@ -222,16 +222,10 @@ pub struct EdgeNodeStats {
     pub served_from_cache: u64,
     /// Forwarded upstream to a replica.
     pub forwarded: u64,
-    /// Partially assembled: cached sections plus one pinned upstream
-    /// section for the misses.
-    pub partial_assembled: u64,
     /// Keys requested across all client requests.
     pub keys_requested: u64,
-    /// Keys answered from cached sections (full replays + the cached
-    /// side of partial assemblies).
+    /// Keys answered from cached sections.
     pub keys_from_cache: u64,
-    /// Keys fetched upstream by partial assemblies (the misses only).
-    pub keys_fetched_upstream: u64,
     /// Range-scan requests received.
     pub scan_requests: u64,
     /// Scans answered from the replay cache (including covering reuse
@@ -284,14 +278,8 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
         reg.counter(scope, "edge.requests", self.requests);
         reg.counter(scope, "edge.served_from_cache", self.served_from_cache);
         reg.counter(scope, "edge.forwarded", self.forwarded);
-        reg.counter(scope, "edge.partial_assembled", self.partial_assembled);
         reg.counter(scope, "edge.keys_requested", self.keys_requested);
         reg.counter(scope, "edge.keys_from_cache", self.keys_from_cache);
-        reg.counter(
-            scope,
-            "edge.keys_fetched_upstream",
-            self.keys_fetched_upstream,
-        );
         reg.counter(scope, "edge.scan_requests", self.scan_requests);
         reg.counter(scope, "edge.scans_from_cache", self.scans_from_cache);
         reg.counter(scope, "edge.scans_forwarded", self.scans_forwarded);
@@ -328,8 +316,7 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
 }
 
 impl EdgeNodeStats {
-    /// Fraction of requested keys served from cached sections — the
-    /// per-key hit rate partial assembly is designed to raise.
+    /// Fraction of requested keys served from cached sections.
     pub fn key_hit_rate(&self) -> f64 {
         if self.keys_requested == 0 {
             0.0
@@ -351,10 +338,8 @@ enum ReplyTo {
 /// A request waiting on an upstream answer.
 struct PendingRequest {
     reply: ReplyTo,
-    /// Cached sections reserved for a partial assembly, awaiting the
-    /// upstream fill pinned at their batch. Empty for plain
-    /// pass-through forwards.
-    partial: Vec<RotSection>,
+    /// The replica asked — the only node whose answer is admitted.
+    upstream: NodeId,
 }
 
 /// One in-flight edge-tier scatter-gather: the client contact and the
@@ -473,9 +458,9 @@ impl EdgeReadNode {
         self.caches.cache_for(cluster)
     }
 
-    /// Replay-cache counters (admitted / replayed / passes) of every
-    /// partition this node holds a cache for: its own plus every one
-    /// it has couriered a gather part of.
+    /// Replay-cache counters (admissions, invalidations, evictions,
+    /// freshness verdicts) of every partition this node holds a cache
+    /// for: its own plus every one it has couriered a gather part of.
     pub fn replay_stats(
         &self,
     ) -> impl Iterator<Item = (ClusterId, transedge_edge::replay::ReplayStats)> + '_ {
@@ -655,22 +640,18 @@ impl EdgeReadNode {
         self.deliver(reply, ReadPayload::Scan { bundle }, ctx);
     }
 
-    /// Send point sections (a full replay, a pass-through, or cached
-    /// sections + upstream fill). Byzantine behaviour applies to the
-    /// first section — for an assembly the cached one, which is
-    /// exactly what a lying edge controls.
+    /// Send a point section (a replay or a pass-through), with this
+    /// node's byzantine behaviour applied.
     fn respond(
         &mut self,
         reply: ReplyTo,
-        mut sections: Vec<RotSection>,
-        mut fresh: Option<Vec<Arc<RotDelta>>>,
+        mut section: Box<RotSection>,
+        fresh: Option<Vec<Arc<RotDelta>>>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        if let Some(first) = sections.first_mut() {
-            fresh = self.corrupt_fresh(first.commitment.header.cluster, fresh);
-            self.corrupt(first);
-        }
-        self.deliver(reply, ReadPayload::Point { sections, fresh }, ctx);
+        let fresh = self.corrupt_fresh(section.commitment.header.cluster, fresh);
+        self.corrupt(&mut section);
+        self.deliver(reply, ReadPayload::Point { section, fresh }, ctx);
     }
 
     /// Register an upstream request, bounding the pending map: upstream
@@ -713,14 +694,11 @@ impl EdgeReadNode {
             let now = ctx.now();
             ctx.trace().marker(tc, SpanPhase::Serve, me, now, "forward");
         }
-        let upstream_req = self.track_pending(PendingRequest {
-            reply,
-            partial: Vec::new(),
-        });
         if cluster != self.me.cluster {
             self.stats.foreign_forward_replica += 1;
         }
         let upstream = self.upstream_replica(cluster);
+        let upstream_req = self.track_pending(PendingRequest { reply, upstream });
         ctx.send(
             upstream,
             NetMsg::Read {
@@ -882,13 +860,12 @@ impl EdgeReadNode {
     /// a repeat spill a free dedup, so this path stays hot-loop cheap).
     fn absorb(&mut self, result: &ReadPayload) {
         match result {
-            ReadPayload::Point { sections, .. } => {
-                for section in sections {
-                    let cluster = section.commitment.header.cluster;
-                    self.cache_for(cluster).admit_section(section);
-                    if self.persistent {
-                        self.store.spill(SnapshotObject::Section(section.clone()));
-                    }
+            ReadPayload::Point { section, .. } => {
+                let cluster = section.commitment.header.cluster;
+                self.cache_for(cluster).admit_section(section);
+                if self.persistent {
+                    self.store
+                        .spill(SnapshotObject::Section((**section).clone()));
                 }
             }
             ReadPayload::Scan { bundle } => {
@@ -1053,81 +1030,39 @@ impl EdgeReadNode {
         }
     }
 
-    /// Serve a point query from cache, partially assemble (cached
-    /// sections + one pinned upstream section for the misses), or
-    /// forward upstream.
+    /// Serve a point query from cache — one cached section proving
+    /// every asked key — or forward it whole upstream.
     fn on_point_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
         let QueryShape::Point { keys } = &query.shape else {
             return;
         };
-        let keys = keys.clone();
         let cluster = self.home_cluster(&query);
         self.stats.requests += 1;
         self.stats.keys_requested += keys.len() as u64;
-        if query.pinned_batch().is_some() {
-            // Exact-batch point queries (clients do not pin point reads
-            // today; this edge's own fills go straight to a replica):
-            // pass through — the replica either holds the batch or
-            // parks.
-            self.stats.forwarded += 1;
-            self.forward_upstream(reply, cluster, query, ctx);
-            return;
-        }
         let freshness_floor = SimTime(
             ctx.now()
                 .as_micros()
                 .saturating_sub(self.replay_staleness.as_micros()),
         );
-        let (sections, missing) =
-            self.cache_for(cluster)
-                .assemble(&keys, query.min_lce(), freshness_floor);
-        let Some(anchor) = sections.first().map(|s| s.batch()) else {
+        let cache = self.caches.cache_for(cluster);
+        let Some(section) = cache.replay(keys, query.min_lce(), freshness_floor) else {
             self.stats.forwarded += 1;
             self.forward_upstream(reply, cluster, query, ctx);
             return;
         };
-        self.stats.keys_from_cache += (keys.len() - missing.len()) as u64;
-        if missing.is_empty() {
-            self.stats.served_from_cache += 1;
-            // A subscriber asked for a freshness upgrade: attach the
-            // feed tail proving the replayed snapshot current — only
-            // the part past what its cursor says it holds — or refuse,
-            // letting the client fall back to round 2.
-            let resume = query.feed_resume(cluster, anchor);
-            let fresh = query
-                .feed
-                .is_some()
-                .then(|| {
-                    self.cache_for(cluster)
-                        .freshness_since(anchor, &keys, resume)
-                })
-                .flatten();
-            self.respond(reply, sections, fresh, ctx);
-            return;
-        }
-        // Fetch only the misses, pinned at the anchor batch, so the
-        // merged response stays one consistent cut. Keys whose entries
-        // aged past the staleness floor are among them — only they are
-        // refreshed, not the whole request. The fill is an ordinary
-        // read: a replica that has not applied the anchor yet parks it.
-        self.stats.partial_assembled += 1;
-        self.stats.keys_fetched_upstream += missing.len() as u64;
-        let upstream_req = self.track_pending(PendingRequest {
-            reply,
-            partial: sections,
-        });
-        let mut fill = ReadQuery::point(missing).with_policy(SnapshotPolicy::AtBatch(anchor));
-        // Continue the client's trace through the fill, parented under
-        // this edge's serving span.
-        fill.trace = ctx.trace_here().or(query.trace);
-        let upstream = self.upstream_replica(cluster);
-        ctx.send(
-            upstream,
-            NetMsg::Read {
-                req: upstream_req,
-                query: fill,
-            },
-        );
+        self.stats.served_from_cache += 1;
+        self.stats.keys_from_cache += keys.len() as u64;
+        // A subscriber asked for a freshness upgrade: attach the feed
+        // tail proving the replayed snapshot current — only the part
+        // past what its cursor says it holds — or refuse, letting the
+        // client fall back to round 2.
+        let served = section.batch();
+        let resume = query.feed_resume(cluster, served);
+        let fresh = query
+            .feed
+            .as_ref()
+            .and_then(|_| cache.freshness_since(served, keys, resume));
+        self.respond(reply, Box::new(section), fresh, ctx);
     }
 
     /// Serve a scan query from the replay cache — a cached window
@@ -1159,27 +1094,34 @@ impl EdgeReadNode {
         self.forward_upstream(reply, cluster, query, ctx);
     }
 
-    fn on_upstream_result(&mut self, req: u64, result: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
-        // Absorb the certified sections/windows regardless of who
-        // asked; a byzantine edge still caches honestly and lies on the
-        // way out.
-        self.absorb(&result);
-        let Some(pending) = self.pending.remove(&req) else {
-            return; // duplicate or late upstream answer
+    /// An upstream answer: admitted only when `from` is the replica
+    /// that `req` was sent to. A cache takes certified material
+    /// unverified, so anything unsolicited, late or duplicate — which
+    /// any node could forge under any `req` — is dropped unabsorbed.
+    fn on_upstream_result(
+        &mut self,
+        from: NodeId,
+        req: u64,
+        result: ReadPayload,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let Entry::Occupied(asked) = self.pending.entry(req) else {
+            return;
         };
+        if asked.get().upstream != from {
+            return;
+        }
+        let pending = asked.remove();
+        // A byzantine edge still caches honestly and lies on the way
+        // out.
+        self.absorb(&result);
         match result {
             ReadPayload::Scan { bundle } => {
                 self.respond_scan(pending.reply, *bundle, ctx);
             }
-            ReadPayload::Point { sections, .. } => {
-                // A pinned fill joins the cached sections reserved for
-                // it (none for a plain forward): one response, one
-                // batch. Whatever upstream sent goes out as received —
-                // the client verifies it end to end either way.
-                let mut all = pending.partial;
-                all.extend(sections);
-                self.respond(pending.reply, all, None, ctx);
-            }
+            // Whatever upstream sent goes out as received — the client
+            // verifies it end to end either way.
+            ReadPayload::Point { section, .. } => self.respond(pending.reply, section, None, ctx),
             // Only a byzantine upstream sends a nested gather; forward
             // it unmodified — the client's per-part shape check rejects
             // it and blames this path's contact.
@@ -1286,7 +1228,7 @@ impl Actor<NetMsg> for EdgeReadNode {
                     self.serve(ReplyTo::Node { to: from, req }, query, ctx);
                 }
             }
-            NetMsg::ReadResult { req, result } => self.on_upstream_result(req, result, ctx),
+            NetMsg::ReadResult { req, result } => self.on_upstream_result(from, req, result, ctx),
             NetMsg::DirectoryDeltaGossip { delta } => {
                 if let Some(agent) = &mut self.directory {
                     // Every record in the delta is signature-checked

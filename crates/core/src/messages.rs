@@ -122,8 +122,7 @@ pub enum NetMsg {
     /// The unified read-query request: one typed message for every
     /// proof-carrying read shape — round-1 point reads
     /// (`SnapshotPolicy::Latest`), round-2 dependency fetches
-    /// (`SnapshotPolicy::MinEpoch`), an edge's pinned partial-assembly
-    /// fills (`SnapshotPolicy::AtBatch`), verified range scans,
+    /// (`SnapshotPolicy::MinEpoch`), verified range scans,
     /// paginated scan continuations (`ReadQuery::page`), scatter-gather
     /// sub-queries, and subscriber reads naming the feed deltas they
     /// already hold (`ReadQuery::feed`). Built through the [`ReadQuery`]
@@ -371,16 +370,11 @@ fn scan_bundle_size(bundle: &RotScanBundle) -> usize {
 /// crate), so the proof-carrying part of a point answer is exact.
 pub fn read_payload_size(result: &ReadPayload) -> usize {
     match result {
-        ReadPayload::Point { sections, fresh } => {
-            sections
-                .iter()
-                .map(|s| {
-                    header_size(&s.commitment.header)
-                        + 32
-                        + cert_size(&s.cert)
-                        + s.body.encoded_len()
-                })
-                .sum::<usize>()
+        ReadPayload::Point { section, fresh } => {
+            header_size(&section.commitment.header)
+                + 32
+                + cert_size(&section.cert)
+                + section.body.encoded_len()
                 + feed_size(fresh)
         }
         ReadPayload::Scan { bundle } => scan_bundle_size(bundle),

@@ -107,9 +107,6 @@ pub struct NodeStats {
     pub txns_rejected: u64,
     pub rot_served: u64,
     pub rot_fetches_served: u64,
-    /// Edge partial-assembly fills served pinned at the requested
-    /// batch.
-    pub rot_pinned_served: u64,
     /// Verified range scans served (with completeness proofs).
     pub rot_scans_served: u64,
     /// Certified commit-feed deltas pushed to subscribers (one count
@@ -131,7 +128,6 @@ impl transedge_obs::RegisterMetrics for NodeStats {
         reg.counter(scope, "node.txns_rejected", self.txns_rejected);
         reg.counter(scope, "node.rot_served", self.rot_served);
         reg.counter(scope, "node.rot_fetches_served", self.rot_fetches_served);
-        reg.counter(scope, "node.rot_pinned_served", self.rot_pinned_served);
         reg.counter(scope, "node.rot_scans_served", self.rot_scans_served);
         reg.counter(scope, "node.deltas_published", self.deltas_published);
         reg.counter(scope, "node.deltas_replayed", self.deltas_replayed);
@@ -1062,11 +1058,11 @@ impl TransEdgeNode {
             NetMsg::ReadResult {
                 req,
                 result: ReadPayload::Point {
-                    sections: vec![transedge_edge::MultiProofBundle {
+                    section: Box::new(transedge_edge::MultiProofBundle {
                         commitment,
                         cert,
                         body,
-                    }],
+                    }),
                     fresh: None,
                 },
             },
@@ -1146,7 +1142,6 @@ impl TransEdgeNode {
                         match query.consistency {
                             SnapshotPolicy::Latest => self.stats.rot_served += 1,
                             SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
-                            SnapshotPolicy::AtBatch(_) => self.stats.rot_pinned_served += 1,
                         }
                         self.respond_rot(from, req, &keys, batch, ctx);
                     }

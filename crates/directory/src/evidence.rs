@@ -32,7 +32,7 @@ use transedge_edge::{
 /// Is this rejection class *cryptographic* — does producing it require
 /// corrupting proof-carrying material, rather than merely pairing an
 /// honest response with an unlucky query (wrong cluster, stale clock,
-/// mismatched shape, replayed token, a key the honest sections never
+/// mismatched shape, replayed token, a key the honest section never
 /// claimed to cover)? Only cryptographic classes are admissible as
 /// demotion evidence; the rest are circumstantial and feed nothing but
 /// local routing counters.
@@ -43,7 +43,6 @@ pub fn is_cryptographic(rejection: &ReadRejection) -> bool {
             | ReadRejection::BadProof
             | ReadRejection::ValueMismatch(_)
             | ReadRejection::PhantomValue(_)
-            | ReadRejection::TornAssembly { .. }
             | ReadRejection::BadRangeProof
             | ReadRejection::IncompleteScan { .. }
             | ReadRejection::ScanRowMismatch(_)
@@ -125,11 +124,9 @@ fn hash_feed<H: BatchCommitment>(h: &mut Sha256, feed: &[Arc<CertifiedDelta<H>>]
 pub fn response_fingerprint<H: BatchCommitment>(response: &ReadResponse<H>) -> Digest {
     let mut h = Sha256::new();
     match response {
-        ReadResponse::Point { sections, fresh } => {
+        ReadResponse::Point { section, fresh } => {
             h.update(b"point");
-            for section in sections {
-                hash_section(&mut h, section);
-            }
+            hash_section(&mut h, section);
             if let Some(feed) = fresh {
                 hash_feed(&mut h, feed);
             }
@@ -163,10 +160,6 @@ pub fn query_fingerprint(query: &ReadQuery) -> Digest {
     let mut h = Sha256::new();
     match query.consistency {
         SnapshotPolicy::Latest => h.update(b"latest"),
-        SnapshotPolicy::AtBatch(b) => {
-            h.update(b"at");
-            h.update(&b.0.to_le_bytes())
-        }
         SnapshotPolicy::MinEpoch(e) => {
             h.update(b"min");
             h.update(&e.0.to_le_bytes())
@@ -311,11 +304,9 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
         }
         fn response_size<H>(r: &ReadResponse<H>) -> usize {
             match r {
-                ReadResponse::Point { sections, fresh } => {
-                    sections
-                        .iter()
-                        .map(|s| 110 + s.cert.sigs.len() * 101 + s.body.encoded_len())
-                        .sum::<usize>()
+                ReadResponse::Point { section, fresh } => {
+                    110 + section.cert.sigs.len() * 101
+                        + section.body.encoded_len()
                         + feed_size(fresh)
                 }
                 ReadResponse::Scan { bundle } => {

@@ -193,7 +193,7 @@ impl World {
     ) -> (ReadQuery, ReadResponse<TestHeader>, ReadRejection) {
         let query = ReadQuery::point(keys.clone());
         let response = ReadResponse::Point {
-            sections: vec![self.section(&keys, true)],
+            section: Box::new(self.section(&keys, true)),
             fresh: None,
         };
         let rejection = self
@@ -275,7 +275,7 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
     let query_keys = vec![Key::from_u32(2)];
     let query = ReadQuery::point(query_keys.clone());
     let honest: ReadResponse<TestHeader> = ReadResponse::Point {
-        sections: vec![world.section(&query_keys, false)],
+        section: Box::new(world.section(&query_keys, false)),
         fresh: None,
     };
     // Edge 2 frames edge 1 with honest material, signing the claim
@@ -319,7 +319,7 @@ fn subscribed_read(
     let mut query = ReadQuery::point(keys.clone());
     query.feed = Some(vec![(ClusterId(0), window.cursor().unwrap())]);
     let response = ReadResponse::Point {
-        sections: vec![world.section(&keys, false)],
+        section: Box::new(world.section(&keys, false)),
         fresh: Some(sent),
     };
     (query, response)

@@ -57,10 +57,7 @@ fn evidence(witness: u8, s: u8, observed_at: u64, sig: u8) -> Record {
             subject: subject(s),
             cluster: ClusterId((s % 3) as u16),
             query: ReadQuery::point(vec![]),
-            response: ReadResponse::Point {
-                sections: vec![],
-                fresh: None,
-            },
+            response: ReadResponse::Gather { parts: vec![] },
             observed_at: SimTime(observed_at),
         },
         sig: Signature([sig; 64]),

@@ -13,14 +13,13 @@
 //! engines compute, a small trusted checker verifies" design argue for
 //! isolating exactly that boundary — this crate is that boundary.
 //!
-//! There are two proof shapes and one chain. A **point read** is a
-//! list of *sections* ([`MultiProofBundle`]): a certified commitment,
-//! its certificate, and a [`MultiProofBody`] proving a sorted key set
-//! (one key included) with one deduplicated Merkle multiproof. A
-//! replica answers with one section for exactly the keys asked; an
-//! edge answers with the cached sections covering the request plus,
-//! when some keys are missing, one upstream section fetched pinned at
-//! the same batch. A **scan** is a [`ScanBundle`]: the same commitment
+//! There are two proof shapes and one chain. A **point read** is one
+//! *section* ([`MultiProofBundle`]): a certified commitment, its
+//! certificate, and a [`MultiProofBody`] proving a sorted key set (one
+//! key included) with one deduplicated Merkle multiproof. A replica
+//! answers with a section for exactly the keys asked; an edge replays
+//! a cached section proving at least those, or forwards the question
+//! whole. A **scan** is a [`ScanBundle`]: the same commitment
 //! and certificate over a Merkle *range* proof
 //! (`transedge_crypto::range`), so the verifier can also check
 //! **completeness** — an untrusted node cannot omit a row inside a
@@ -45,16 +44,16 @@
 //! * [`query`] — the unified typed read protocol: one
 //!   [`query::ReadQuery`] ([`query::SnapshotPolicy`] ×
 //!   [`query::QueryShape`] × [`query::PageToken`]) names every read —
-//!   point reads, LCE-floored round-2 fetches, pinned edge fills,
-//!   verified scans, paginated multi-window scans, scatter-gather
-//!   sub-queries — and one [`query::ReadResponse`] answers it.
+//!   point reads, LCE-floored round-2 fetches, verified scans,
+//!   paginated multi-window scans, scatter-gather sub-queries — and
+//!   one [`query::ReadResponse`] answers it.
 //! * [`verifier`] — the trusted-side checker. [`verifier::ReadVerifier`]
 //!   accepts a response only after proof → root → certificate →
 //!   freshness → snapshot-epoch checks all pass; everything an edge
 //!   node could forge is caught here and reported as a
 //!   [`verifier::ReadRejection`]. Its `verify_query` entry point runs
 //!   the one section check (or the scan check) for the query's shape
-//!   and enforces snapshot pins and page tokens on top.
+//!   and enforces the snapshot floor and page tokens on top.
 //! * [`certs`] — who answers the chain's one quorum question:
 //!   [`certs::QuorumCheck`], implemented by a plain `KeyStore` (check
 //!   every time) and by [`certs::VerifiedCerts`], the trusted client's

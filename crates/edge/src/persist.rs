@@ -355,10 +355,10 @@ pub fn verify_object<H: BatchCommitment>(
     let cluster = object.cluster();
     match object {
         SnapshotObject::Section(section) => verifier
-            .verify_sections(
+            .verify_section(
                 keys,
                 cluster,
-                std::slice::from_ref(section),
+                section,
                 section.body.keys(),
                 Epoch::NONE,
                 now,

@@ -2,18 +2,17 @@
 //! every proof-carrying read shape TransEdge serves.
 //!
 //! Before this module, each query shape carried its own ad-hoc wire
-//! protocol and verifier entry point (point reads, partial assemblies,
-//! range scans), and every caller re-implemented snapshot-floor and
-//! retry plumbing per shape. A [`ReadQuery`] names all of it in one
-//! typed value:
+//! protocol and verifier entry point (point reads, range scans), and
+//! every caller re-implemented snapshot-floor and retry plumbing per
+//! shape. A [`ReadQuery`] names all of it in one typed value:
 //!
 //! * a [`QueryShape`] — point reads over a key set (which may span
 //!   partitions) or a range scan over the tree order of one or more
 //!   partitions (scatter-gather);
-//! * a [`SnapshotPolicy`] — serve the latest snapshot, a pinned batch,
-//!   or the earliest snapshot whose LCE reaches a dependency floor
-//!   (round two of Algorithm 2, now uniform across shapes: scans get
-//!   the same LCE-floor semantics as point reads);
+//! * a [`SnapshotPolicy`] — serve the latest snapshot, or the earliest
+//!   snapshot whose LCE reaches a dependency floor (round two of
+//!   Algorithm 2, uniform across shapes: scans get the same LCE-floor
+//!   semantics as point reads);
 //! * an optional [`PageToken`] — multi-window scans resume from a
 //!   bucket bound *pinned to the batch the first window was served at*,
 //!   so a paginated scan is one consistent snapshot even when its pages
@@ -21,9 +20,9 @@
 //!
 //! Servers answer with a [`ReadResponse`]; the single verifier entry
 //! point [`crate::ReadVerifier::verify_query`] dispatches to the
-//! section/scan proof checks and enforces the policy and page pins, so
-//! an untrusted node cannot splice pages across batches or downgrade a
-//! floor without being caught.
+//! section/scan proof checks and enforces the policy and the page pin,
+//! so an untrusted node cannot splice pages across batches or downgrade
+//! a floor without being caught.
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, Value};
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
@@ -52,10 +51,6 @@ use crate::response::{BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBun
 pub enum SnapshotPolicy {
     /// The newest snapshot the server has applied.
     Latest,
-    /// Exactly the named batch (page continuations and edge fills; the
-    /// verifier rejects any other batch as a
-    /// [`crate::ReadRejection::SnapshotPinMismatch`]).
-    AtBatch(BatchNum),
     /// The earliest snapshot whose LCE is at least this epoch — the
     /// round-two dependency floor of Algorithm 2, applied uniformly to
     /// point reads *and* scans.
@@ -68,15 +63,7 @@ impl SnapshotPolicy {
     pub fn min_lce(&self) -> Epoch {
         match self {
             SnapshotPolicy::MinEpoch(e) => *e,
-            _ => Epoch::NONE,
-        }
-    }
-
-    /// The exact batch this policy pins, if any.
-    pub fn pinned_batch(&self) -> Option<BatchNum> {
-        match self {
-            SnapshotPolicy::AtBatch(b) => Some(*b),
-            _ => None,
+            SnapshotPolicy::Latest => Epoch::NONE,
         }
     }
 }
@@ -256,13 +243,10 @@ impl ReadQuery {
         self
     }
 
-    /// The exact batch this query is pinned to, if any: a page token's
-    /// batch wins over an [`SnapshotPolicy::AtBatch`] policy.
+    /// The exact batch this query is pinned to, if any: its page
+    /// token's. Only a scan continuation pins a batch.
     pub fn pinned_batch(&self) -> Option<BatchNum> {
-        self.page
-            .as_ref()
-            .map(|t| t.batch)
-            .or_else(|| self.consistency.pinned_batch())
+        self.page.as_ref().map(|t| t.batch)
     }
 
     /// The LCE floor imposed by the snapshot policy.
@@ -328,7 +312,7 @@ impl ReadQuery {
     pub fn wire_size(&self) -> usize {
         let policy = match self.consistency {
             SnapshotPolicy::Latest => 1,
-            SnapshotPolicy::AtBatch(_) | SnapshotPolicy::MinEpoch(_) => 9,
+            SnapshotPolicy::MinEpoch(_) => 9,
         };
         let page = if self.page.is_some() { 17 } else { 1 };
         // Absent is one byte; a cursor is a cluster and two batches.
@@ -354,7 +338,7 @@ impl ReadQuery {
 ///
 /// fn describe<H>(r: &ReadResponse<H>) -> &'static str {
 ///     match r {
-///         ReadResponse::Point { .. } => "point sections",
+///         ReadResponse::Point { .. } => "point section",
 ///         ReadResponse::Scan { .. } => "scan window",
 ///         ReadResponse::Gather { .. } => "stitched per-partition parts",
 ///     }
@@ -362,20 +346,22 @@ impl ReadQuery {
 /// ```
 #[derive(Clone, Debug)]
 pub enum ReadResponse<H> {
-    /// Point-read sections, each one multiproof over the keys it
-    /// carries: a replica answers with exactly one, for exactly the
-    /// keys asked; an edge answers with the cached sections covering
-    /// the request plus, for a partial assembly, the upstream fill —
-    /// all pinned to one batch and one certified commitment. `fresh`,
-    /// when present, is the serving edge's delta-feed tail up to its
-    /// feed head — a freshness certificate proving the served values
-    /// current through the head. It starts right after the batch
+    /// One point-read section — one certified commitment and one
+    /// multiproof over the keys it carries, so an answer mixing batches
+    /// or carrying nothing cannot be expressed. A replica proves
+    /// exactly the keys asked; an edge replays a cached section proving
+    /// at least those, or forwards the question whole. Boxed, like a
+    /// scan bundle: inline it would set the size of every message in
+    /// flight. `fresh`, when present, is the serving edge's delta-feed
+    /// tail up to its feed head — a freshness certificate proving the
+    /// served values current through the head. It starts right after
+    /// the batch
     /// [`ReadQuery::feed_resume`] names: the served batch, or the head
     /// of the run the client said it holds (`Some(vec![])` claims
     /// nothing newer exists). Verified end to end like everything
     /// else; an invalid or key-touching feed is cryptographic evidence.
     Point {
-        sections: Vec<MultiProofBundle<H>>,
+        section: Box<MultiProofBundle<H>>,
         fresh: Option<Vec<Arc<CertifiedDelta<H>>>>,
     },
     /// One proof-carrying scan window (possibly wider than requested —
@@ -401,12 +387,12 @@ pub struct GatherPart<H> {
 }
 
 impl<H: BatchCommitment> ReadResponse<H> {
-    /// The snapshot batch this response claims to serve, if it carries
-    /// any section at all. (Gathers span partitions with independent
-    /// batch spaces; their first part's claim is reported.)
+    /// The snapshot batch this response claims to serve (`None` only
+    /// for an empty gather: gathers span partitions with independent
+    /// batch spaces, and their first part's claim is reported).
     pub fn batch(&self) -> Option<BatchNum> {
         match self {
-            ReadResponse::Point { sections, .. } => sections.first().map(|s| s.batch()),
+            ReadResponse::Point { section, .. } => Some(section.batch()),
             ReadResponse::Scan { bundle } => Some(bundle.batch()),
             ReadResponse::Gather { parts } => parts.first().and_then(|p| p.body.batch()),
         }
@@ -504,19 +490,15 @@ mod tests {
 
     #[test]
     fn policy_floors_and_pins() {
-        assert_eq!(SnapshotPolicy::Latest.pinned_batch(), None);
-        assert_eq!(
-            SnapshotPolicy::AtBatch(BatchNum(7)).pinned_batch(),
-            Some(BatchNum(7))
-        );
         assert_eq!(SnapshotPolicy::MinEpoch(Epoch(3)).min_lce(), Epoch(3));
-        // A page token's pin wins over the policy's.
+        // Only a page token pins a batch, whatever the policy.
         let q = ReadQuery::scan(ClusterId(0), ScanRange::new(0, 7))
-            .with_policy(SnapshotPolicy::AtBatch(BatchNum(1)))
-            .with_page(PageToken {
-                batch: BatchNum(2),
-                resume: 4,
-            });
+            .with_policy(SnapshotPolicy::MinEpoch(Epoch(1)));
+        assert_eq!(q.pinned_batch(), None);
+        let q = q.with_page(PageToken {
+            batch: BatchNum(2),
+            resume: 4,
+        });
         assert_eq!(q.pinned_batch(), Some(BatchNum(2)));
     }
 }

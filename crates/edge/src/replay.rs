@@ -8,7 +8,8 @@
 //! replaying it can serve a later client *without any trust in the
 //! edge node*: the client's [`crate::verifier::ReadVerifier`] re-checks
 //! everything. This is WedgeChain's lazy-trust pattern applied to
-//! TransEdge's ROT protocol.
+//! TransEdge's ROT protocol. A replay is what was admitted, whole: the
+//! cache never composes an answer out of several sections.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -28,25 +29,11 @@ use crate::response::{
 pub struct ReplayStats {
     /// Point-read sections absorbed from upstream.
     pub admitted: u64,
-    /// Point requests answered entirely from cache.
-    pub replayed: u64,
-    /// Point requests no cached section could help with.
-    pub passes: u64,
-    /// Point requests partially covered from cache (the rest is fetched
-    /// upstream, pinned at the anchor batch).
-    pub partial: u64,
-    /// Requested keys served from cached sections, across full replays
-    /// and partial assemblies.
-    pub fragments_replayed: u64,
     /// Scan proofs absorbed from upstream.
     pub scans_admitted: u64,
-    /// Scan requests answered from cache.
-    pub scans_replayed: u64,
     /// Scan replays answered by a cached *wider* window covering the
     /// request (overlap-aware reuse; the client filters to its range).
     pub scans_covered_by_wider: u64,
-    /// Scan requests with no usable cached window.
-    pub scan_passes: u64,
     /// Certified deltas applied to the feed window (already verified by
     /// the caller).
     pub deltas_applied: u64,
@@ -73,18 +60,12 @@ pub struct ReplayStats {
 impl transedge_obs::RegisterMetrics for ReplayStats {
     fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
         reg.counter(scope, "replay.admitted", self.admitted);
-        reg.counter(scope, "replay.replayed", self.replayed);
-        reg.counter(scope, "replay.passes", self.passes);
-        reg.counter(scope, "replay.partial", self.partial);
-        reg.counter(scope, "replay.fragments_replayed", self.fragments_replayed);
         reg.counter(scope, "replay.scans_admitted", self.scans_admitted);
-        reg.counter(scope, "replay.scans_replayed", self.scans_replayed);
         reg.counter(
             scope,
             "replay.scans_covered_by_wider",
             self.scans_covered_by_wider,
         );
-        reg.counter(scope, "replay.scan_passes", self.scan_passes);
         reg.counter(scope, "replay.deltas_applied", self.deltas_applied);
         reg.counter(scope, "replay.feed_resets", self.feed_resets);
         reg.counter(
@@ -254,9 +235,8 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// window's completeness and filter rows down to what they asked
     /// for, so covering reuse costs bandwidth, never correctness.
     ///
-    /// With `pinned` (a page continuation or an
-    /// [`crate::SnapshotPolicy::AtBatch`] query) only a window cached
-    /// at **exactly that batch** may serve and the floors are ignored —
+    /// With `pinned` (a page continuation) only a window cached at
+    /// **exactly that batch** may serve and the floors are ignored —
     /// no newer batch is an acceptable substitute, because the client's
     /// verifier rejects any other batch as a snapshot-pin mismatch.
     pub fn replay_scan(
@@ -279,11 +259,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
                 .min_by_key(|(cached, _)| cached.width())
                 .map(|(cached, scan)| (batch, *cached, scan.clone()))
         });
-        let Some((batch, cached_range, scan)) = hit else {
-            self.stats.scan_passes += 1;
-            return None;
-        };
-        self.stats.scans_replayed += 1;
+        let (batch, cached_range, scan) = hit?;
         if cached_range != *range {
             self.stats.scans_covered_by_wider += 1;
         }
@@ -361,112 +337,53 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         }
     }
 
-    /// Serve as much of `keys` as the cache allows: the cached sections
-    /// of one **anchor** batch, plus the keys still missing there —
-    /// which the caller fetches upstream **pinned at the anchor** (the
-    /// sections' batch) so the final response remains one consistent
-    /// snapshot cut. Mixing batches within a partition would permit
-    /// torn reads the client cannot detect (the CD/LCE machinery only
-    /// tracks cross-partition dependencies), so assembly never does it.
-    ///
-    /// The anchor is the newest admitted batch whose LCE is at least
-    /// `min_lce` and whose timestamp is at least `min_timestamp`
-    /// answering *every* key, else the one leaving the fewest missing
-    /// (newest wins ties). Nothing missing is a full replay; no
-    /// sections at all is a miss — the caller forwards the whole
-    /// request, refreshing the cache.
+    /// Try to answer a point request for `keys` from cache: the newest
+    /// admitted batch whose LCE is at least `min_lce` and whose
+    /// timestamp is at least `min_timestamp` holding **one** body that
+    /// proves every asked key — the tightest such body (a superset
+    /// replay costs bytes, never an upstream hop). Else `None`: the
+    /// caller forwards the question whole, refreshing the cache. A
+    /// request only partly cached is a miss on purpose — filling it
+    /// takes the same one upstream hop as forwarding it, and every
+    /// extra section would carry its own commitment, certificate and
+    /// multiproof.
     ///
     /// The timestamp floor is what keeps an honest edge from wedging:
     /// without it, a hot key set would be replayed from the same aging
     /// batch forever, and once that batch fell out of the client's
     /// freshness window every reply would be rejected — while the cache
     /// never refreshed, because every request kept hitting. Pass
-    /// [`SimTime::ZERO`] to disable the floor. Because the floors apply
-    /// to the anchor, a hot key whose entries have aged past
-    /// `min_timestamp` (or a round-2 floor the cached batches cannot
-    /// reach) simply drops out of the answer: only the stale/missing
-    /// keys are re-fetched, not the whole request. Round-2 fetches
+    /// [`SimTime::ZERO`] to disable the floor. Round-2 fetches
     /// (`min_lce` set) are likewise satisfied from *newer* admitted
     /// batches whenever one answers the keys.
-    pub fn assemble(
+    pub fn replay(
         &mut self,
         keys: &[Key],
         min_lce: Epoch,
         min_timestamp: SimTime,
-    ) -> (Vec<MultiProofBundle<H>>, Vec<Key>) {
-        let mut best: Option<(u64, Vec<MultiProofBody>, Vec<Key>)> = None;
-        for batch in self.passing_batches(min_lce, min_timestamp) {
-            let (bodies, missing) = self.cover(batch, keys);
-            // Scanning newest-first, so strict `<` keeps the newest
-            // batch among equally complete answers.
-            if !bodies.is_empty()
-                && best
-                    .as_ref()
-                    .is_none_or(|(_, _, m)| missing.len() < m.len())
-            {
-                let complete = missing.is_empty();
-                best = Some((batch, bodies, missing));
-                if complete {
-                    break;
-                }
-            }
-        }
-        let Some((anchor, bodies, missing)) = best else {
-            self.stats.passes += 1;
-            return (Vec::new(), keys.to_vec());
-        };
-        if missing.is_empty() {
-            self.stats.replayed += 1;
-        } else {
-            self.stats.partial += 1;
-        }
-        self.stats.fragments_replayed += (keys.len() - missing.len()) as u64;
-        // Only what is served counts as a use.
-        for key in keys.iter().filter(|k| !missing.contains(k)) {
-            self.points.get(&(key.clone(), anchor));
-        }
-        let (commitment, cert) = &self.commitments[&anchor];
-        let sections = bodies
+    ) -> Option<MultiProofBundle<H>> {
+        // Candidates are what the index holds under the asked keys; a
+        // wide body all of whose keys tighter ones took over is not
+        // among them (see `admit_section`).
+        let (batch, body) = self
+            .passing_batches(min_lce, min_timestamp)
             .into_iter()
-            .map(|body| MultiProofBundle {
-                commitment: commitment.clone(),
-                cert: cert.clone(),
-                body,
-            })
-            .collect();
-        (sections, missing)
-    }
-
-    /// What the entries at `batch` can contribute to an answer for
-    /// `keys`, and the keys left over. A cached body joins an answer
-    /// only if it answers the whole request alone (the tightest such
-    /// body wins — a superset replay costs bytes, never an upstream
-    /// hop) or proves nothing that was not asked: a partial answer
-    /// needs its upstream fill anyway, so padding it with unrequested
-    /// keys would make it dearer than forwarding the request whole.
-    fn cover(&self, batch: u64, keys: &[Key]) -> (Vec<MultiProofBody>, Vec<Key>) {
-        let mut candidates: Vec<&MultiProofBody> = Vec::new();
+            .find_map(|batch| {
+                keys.iter()
+                    .filter_map(|key| self.points.peek(&(key.clone(), batch)))
+                    .filter(|body| keys.iter().all(|k| body.proves(k)))
+                    .min_by_key(|body| body.keys().len())
+                    .map(|body| (batch, body.clone()))
+            })?;
         for key in keys {
-            if let Some(body) = self.points.peek(&(key.clone(), batch)) {
-                if !candidates.iter().any(|c| c.same_body(body)) {
-                    candidates.push(body);
-                }
-            }
+            self.points.get(&(key.clone(), batch));
         }
-        let whole = candidates
-            .iter()
-            .filter(|body| keys.iter().all(|k| body.proves(k)))
-            .min_by_key(|body| body.keys().len());
-        if let Some(body) = whole {
-            return (vec![(*body).clone()], Vec::new());
-        }
-        candidates.retain(|body| body.keys().iter().all(|k| keys.contains(k)));
-        let missing = keys
-            .iter()
-            .filter(|k| !candidates.iter().any(|body| body.proves(k)))
-            .cloned()
-            .collect();
-        (candidates.into_iter().cloned().collect(), missing)
+        let (commitment, cert) = self.commitments[&batch].clone();
+        Some(MultiProofBundle {
+            commitment,
+            cert,
+            body,
+        })
     }
 
     /// Admitted batches passing the LCE and timestamp floors, newest
@@ -598,9 +515,7 @@ mod tests {
         }
         // The newest admission replays whole, as its one section.
         let asked = [Key::from_u32(admissions - 1), Key::from_u32(admissions)];
-        let (sections, missing) = cache.assemble(&asked, Epoch::NONE, SimTime::ZERO);
-        assert!(missing.is_empty());
-        assert_eq!(sections.len(), 1);
-        assert_eq!(sections[0].body.keys(), asked);
+        let section = cache.replay(&asked, Epoch::NONE, SimTime::ZERO);
+        assert_eq!(section.expect("cached").body.keys(), asked);
     }
 }

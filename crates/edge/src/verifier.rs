@@ -13,15 +13,16 @@
 //! 4. the snapshot's LCE reaches the requested floor (round two of
 //!    Algorithm 2 — an edge node cannot silently downgrade a
 //!    dependency fetch);
-//! 5. every section's multiproof verifies against the certified root,
+//! 5. the section's multiproof verifies against the certified root,
 //!    every value slot agrees with its proven verdict, and every
-//!    requested key is proven by some section.
+//!    requested key is among the proven ones.
 //!
-//! Point reads have exactly one shape — a list of multiproof sections
-//! pinned to one certified commitment — whether they come from a
-//! replica, an edge replay, a partial assembly, a gather part, a
-//! hydrated disk object, or a sibling's state transfer, and one private
-//! check (`verify_sections`) runs for all of them.
+//! Point reads have exactly one shape — one multiproof section under
+//! one certified commitment — whether they come from a replica, an edge
+//! replay, a gather part, a hydrated disk object, or a sibling's state
+//! transfer, and one private check (`verify_section`) runs for all of
+//! them. A point answer mixing batches, or carrying no section, is not
+//! a rejection: [`ReadResponse::Point`] cannot hold one.
 //!
 //! Anything else is a [`ReadRejection`], which callers count as
 //! evidence of a byzantine server and answer by re-asking a different
@@ -67,12 +68,12 @@ pub enum ReadRejection {
     /// Snapshot does not reach the requested dependency floor (a
     /// round-two response below `min_lce` — the "stale root" attack).
     StaleSnapshot { required: Epoch, lce: Epoch },
-    /// Every section verified, but none of them proves this requested
-    /// key. The sections themselves are sound material, so this is
-    /// circumstantial (an honest response paired with the wrong query
-    /// looks the same) — not demotion evidence.
+    /// The section verified, but does not prove this requested key.
+    /// The section itself is sound material, so this is circumstantial
+    /// (an honest response paired with the wrong query looks the same)
+    /// — not demotion evidence.
     MissingKey(Key),
-    /// A section's body is malformed or its multiproof does not verify
+    /// The section's body is malformed or its multiproof does not verify
     /// against the certified root: unsorted/duplicated proven keys, a
     /// dropped or substituted sibling, a spliced bucket, a key dropped
     /// from under its proof — every single-element mutation of a body
@@ -83,15 +84,6 @@ pub enum ReadRejection {
     ValueMismatch(Key),
     /// Proof shows the key absent, but a value was attached anyway.
     PhantomValue(Key),
-    /// A point response carried no sections at all.
-    EmptyAssembly,
-    /// Sections of one response disagree on the snapshot: a different
-    /// batch, or the same batch under a different certified commitment.
-    /// Accepting mixed cuts within one partition would let an untrusted
-    /// edge serve torn reads (key A from an old batch, key B from a new
-    /// one) that no other check can catch, so every section must carry
-    /// the anchor section's batch and certified digest.
-    TornAssembly { anchor: BatchNum, got: BatchNum },
     /// The proven scan window does not cover the requested range — a
     /// *boundary truncation*: shrinking the proven window is how a
     /// server would hide rows at the edges of a scan while every
@@ -114,13 +106,12 @@ pub enum ReadRejection {
     /// duplicated/foreign row).
     ScanRowMismatch(Key),
     /// The response payload does not match the query's shape (a scan
-    /// answered with point sections or vice versa).
+    /// answered with a point section or vice versa).
     ShapeMismatch,
-    /// The query pinned an exact snapshot (an [`crate::SnapshotPolicy::AtBatch`]
-    /// policy or a [`crate::PageToken`]) and the response was served at
-    /// a different batch — the page-splice attack: mixing pages of one
-    /// scan across batches would produce a row set no single snapshot
-    /// ever held.
+    /// The query pinned an exact snapshot (a [`crate::PageToken`]) and
+    /// the response was served at a different batch — the page-splice
+    /// attack: mixing pages of one scan across batches would produce a
+    /// row set no single snapshot ever held.
     SnapshotPinMismatch { pinned: BatchNum, got: BatchNum },
     /// A page token's resume bound lies outside the query's range
     /// (moved backwards to or before the first window, or past the
@@ -304,90 +295,62 @@ impl ReadVerifier {
         Ok(())
     }
 
-    /// The one point-read check. A point response is a non-empty list
-    /// of multiproof sections; on top of the commitment chain (steps
-    /// 1–4, run **once** on the anchor section) it must
+    /// The one point-read check. On top of the commitment chain (steps
+    /// 1–4) the section must
     ///
-    /// * pin every section to the anchor's batch *and* certified
-    ///   digest ([`ReadRejection::TornAssembly`] otherwise) — which is
-    ///   what lets one certificate, freshness and LCE check stand for
-    ///   the whole response;
-    /// * carry in every section a sorted, duplicate-free key list whose
-    ///   **one** multiproof verifies against the certified root
+    /// * carry a sorted, duplicate-free key list whose **one**
+    ///   multiproof verifies against the certified root
     ///   ([`ReadRejection::BadProof`]);
     /// * attach to every proven key — requested or not — a value slot
     ///   agreeing with its verdict (`Some` ↔ proven present and hashing
     ///   to the proven digest, `None` ↔ proven absent), so a tampered
     ///   slot anywhere in a replayed superset is caught;
-    /// * prove every key in `expected_keys` in at least one section
-    ///   ([`ReadRejection::MissingKey`]). Sections may overlap: two
-    ///   proofs of one key against one certified root cannot disagree.
+    /// * prove every key in `expected_keys`
+    ///   ([`ReadRejection::MissingKey`]).
     ///
     /// On success returns the verified `(key, value)` pairs in
     /// `expected_keys` order; proven keys nobody asked for are dropped.
-    pub(crate) fn verify_sections<H: BatchCommitment>(
+    pub(crate) fn verify_section<H: BatchCommitment>(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        sections: &[MultiProofBundle<H>],
+        section: &MultiProofBundle<H>,
         expected_keys: &[Key],
         min_lce: Epoch,
         now: SimTime,
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        let Some(anchor) = sections.first() else {
-            return Err(ReadRejection::EmptyAssembly);
-        };
-        let anchor_digest = anchor.commitment.certified_digest();
-        for section in &sections[1..] {
-            if section.batch() != anchor.batch()
-                || section.commitment.certified_digest() != anchor_digest
-            {
-                return Err(ReadRejection::TornAssembly {
-                    anchor: anchor.batch(),
-                    got: section.batch(),
-                });
-            }
+        let MultiProofBundle {
+            commitment,
+            cert,
+            body,
+        } = section;
+        self.check_commitment(keys, expected_cluster, commitment, cert, min_lce, now)?;
+        if !body.keys().windows(2).all(|w| w[0] < w[1]) {
+            return Err(ReadRejection::BadProof);
         }
-        self.check_commitment(
-            keys,
-            expected_cluster,
-            &anchor.commitment,
-            &anchor.cert,
-            min_lce,
-            now,
-        )?;
-        // Every section is proven against the root the certificate was
-        // just chained to — the anchor's — not its own copy.
-        let root = anchor.commitment.merkle_root();
-        for section in sections {
-            let body = &section.body;
-            if !body.keys().windows(2).all(|w| w[0] < w[1]) {
-                return Err(ReadRejection::BadProof);
-            }
-            let verdicts =
-                verify_multi_proof(root, self.params.tree_depth, body.keys(), body.proof())
-                    .map_err(|_| ReadRejection::BadProof)?;
-            for ((key, value), verdict) in body.keys().iter().zip(body.values()).zip(&verdicts) {
-                match (verdict, value) {
-                    (Verified::Present(digest), Some(v)) if value_digest(v) == *digest => {}
-                    (Verified::Present(_), _) => {
-                        return Err(ReadRejection::ValueMismatch(key.clone()))
-                    }
-                    (Verified::Absent, None) => {}
-                    (Verified::Absent, Some(_)) => {
-                        return Err(ReadRejection::PhantomValue(key.clone()))
-                    }
+        let verdicts = verify_multi_proof(
+            commitment.merkle_root(),
+            self.params.tree_depth,
+            body.keys(),
+            body.proof(),
+        )
+        .map_err(|_| ReadRejection::BadProof)?;
+        for ((key, value), verdict) in body.keys().iter().zip(body.values()).zip(&verdicts) {
+            match (verdict, value) {
+                (Verified::Present(digest), Some(v)) if value_digest(v) == *digest => {}
+                (Verified::Present(_), _) => return Err(ReadRejection::ValueMismatch(key.clone())),
+                (Verified::Absent, None) => {}
+                (Verified::Absent, Some(_)) => {
+                    return Err(ReadRejection::PhantomValue(key.clone()))
                 }
             }
         }
         expected_keys
             .iter()
             .map(|key| {
-                sections
-                    .iter()
-                    .find_map(|s| s.body.keys().binary_search(key).ok().map(|i| (s, i)))
-                    .map(|(s, i)| (key.clone(), s.body.values()[i].clone()))
-                    .ok_or_else(|| ReadRejection::MissingKey(key.clone()))
+                let slot = body.keys().binary_search(key);
+                slot.map(|i| (key.clone(), body.values()[i].clone()))
+                    .map_err(|_| ReadRejection::MissingKey(key.clone()))
             })
             .collect()
     }
@@ -489,8 +452,7 @@ impl ReadVerifier {
     ///   at exactly the token's batch
     ///   ([`ReadRejection::SnapshotPinMismatch`] — the page-splice
     ///   attack);
-    /// * policy: [`crate::SnapshotPolicy::AtBatch`] pins the batch the
-    ///   same way; [`crate::SnapshotPolicy::MinEpoch`] becomes the LCE
+    /// * policy: [`crate::SnapshotPolicy::MinEpoch`] becomes the LCE
     ///   floor of the underlying chain (scans included — the round-two
     ///   semantics point reads always had).
     ///
@@ -554,13 +516,10 @@ impl ReadVerifier {
     ) -> Result<QueryAnswer, ReadRejection> {
         let min_lce = query.min_lce();
         match (&query.shape, response) {
-            (QueryShape::Point { keys: expected }, ReadResponse::Point { sections, fresh }) => {
-                let Some(first) = sections.first() else {
-                    return Err(ReadRejection::EmptyAssembly);
-                };
+            (QueryShape::Point { keys: expected }, ReadResponse::Point { section, fresh }) => {
                 let mut check_now = now;
                 if let Some(sent) = fresh {
-                    let served = first.batch();
+                    let served = section.batch();
                     let resume = query.feed_resume(expected_cluster, served);
                     let held_run = || held_feed.into_iter().flat_map(|w| w.run(served, resume));
                     let from = if held_feed.is_some() { served } else { resume };
@@ -575,28 +534,22 @@ impl ReadVerifier {
                     let head_ts = sent
                         .last()
                         .or(held_run().last())
-                        .map_or(first.commitment.timestamp(), |d| d.commitment.timestamp());
+                        .map_or(section.commitment.timestamp(), |d| d.commitment.timestamp());
                     self.check_fresh(head_ts, now)?;
                     // The verified feed proves the served values current
                     // through a fresh head, so the served batch's own age
                     // is no longer a staleness signal: anchor the base
                     // chain's clock at it.
-                    check_now = first.commitment.timestamp();
+                    check_now = section.commitment.timestamp();
                 }
-                let values = self.verify_sections(
+                let values = self.verify_section(
                     keys,
                     expected_cluster,
-                    sections,
+                    section,
                     expected,
                     min_lce,
                     check_now,
                 )?;
-                if let Some(pinned) = query.pinned_batch() {
-                    let got = first.batch();
-                    if got != pinned {
-                        return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-                    }
-                }
                 Ok(QueryAnswer::Values(values))
             }
             (QueryShape::Scan { range, .. }, ReadResponse::Scan { bundle }) => {

@@ -426,7 +426,7 @@ fn response(
     sent: Vec<Arc<CertifiedDelta<TestHeader>>>,
 ) -> ReadResponse<TestHeader> {
     ReadResponse::Point {
-        sections: vec![p.section(keys, SERVED)],
+        section: Box::new(p.section(keys, SERVED)),
         fresh: Some(sent),
     }
 }
@@ -763,7 +763,7 @@ fn nothing_is_appended_unless_every_check_passes() {
         (
             query.clone(),
             ReadResponse::Point {
-                sections: vec![tampered_section],
+                section: Box::new(tampered_section),
                 fresh: Some(honest()),
             },
             NOW,

@@ -4,10 +4,10 @@
 //! committed content, every forgery trips its typed rejection.
 //!
 //! One suite for the one point shape. The property test is
-//! parameterised over keys per section (1..=8, present and absent) and
-//! sections per response (1..=3), so a single-key replica answer, a
-//! wide batched read and an edge's multi-section assembly all run the
-//! same attack matrix.
+//! parameterised over keys per section (1..=8, present and absent), so
+//! a single-key replica answer, a wide batched read and an edge's
+//! superset replay all run the same attack matrix. A point answer is
+//! one section by type: there is no list to empty, reorder or tear.
 
 mod common;
 
@@ -50,25 +50,23 @@ fn world(key_tags: &[(u16, u8)]) -> Partition {
     p
 }
 
-/// `per_section * n_sections` distinct keys, committed and never-written
-/// ones alternating, chunked into the sections of one response.
-fn request(key_tags: &[(u16, u8)], per_section: usize, n_sections: usize) -> Vec<Vec<Key>> {
+/// `count` distinct keys, committed and never-written ones alternating.
+fn request(key_tags: &[(u16, u8)], count: usize) -> Vec<Key> {
     let mut present: Vec<u32> = key_tags.iter().map(|(k, _)| *k as u32 % 512).collect();
     present.sort_unstable();
     present.dedup();
     let mut present = present.into_iter();
-    let keys: Vec<Key> = (0..per_section * n_sections)
+    (0..count)
         .map(|i| match (i % 2, present.next()) {
             (0, Some(k)) => Key::from_u32(k),
             _ => Key::from_u32(512 + i as u32),
         })
-        .collect();
-    keys.chunks(per_section).map(<[Key]>::to_vec).collect()
+        .collect()
 }
 
-fn respond(sections: Vec<Section>) -> ReadResponse<TestHeader> {
+fn respond(section: Section) -> ReadResponse<TestHeader> {
     ReadResponse::Point {
-        sections,
+        section: Box::new(section),
         fresh: None,
     }
 }
@@ -86,17 +84,10 @@ fn verify(
     }
 }
 
-/// The rejection `sections` earn as the answer to a plain read of `keys`.
-fn rejection(p: &Partition, keys: &[Key], sections: Vec<Section>) -> ReadRejection {
-    verify(p, &ReadQuery::point(keys.to_vec()), &respond(sections), NOW)
+/// The rejection `section` earns as the answer to a plain read of `keys`.
+fn rejection(p: &Partition, keys: &[Key], section: Section) -> ReadRejection {
+    verify(p, &ReadQuery::point(keys.to_vec()), &respond(section), NOW)
         .expect_err("a forged response must not verify")
-}
-
-/// `sections` with section `at` replaced.
-fn with(sections: &[Section], at: usize, section: Section) -> Vec<Section> {
-    let mut out = sections.to_vec();
-    out[at] = section;
-    out
 }
 
 fn parts(section: &Section) -> (Vec<Key>, Vec<Option<Value>>, transedge_crypto::MultiProof) {
@@ -111,181 +102,142 @@ fn parts(section: &Section) -> (Vec<Key>, Vec<Option<Value>>, transedge_crypto::
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Honest sections verify to exactly the committed content; every
-    /// mutation of a body, a commitment, a certificate, the section
-    /// list or the query's floors is rejected with the right typed
-    /// error.
+    /// An honest section verifies to exactly the committed content;
+    /// every mutation of its body, commitment or certificate, or of the
+    /// query's floors, is rejected with the right typed error.
     #[test]
     fn point_forgeries_never_survive(
         key_tags in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..24),
         per_section in 1usize..9,
-        n_sections in 1usize..4,
     ) {
         let p = world(&key_tags);
-        let chunks = request(&key_tags, per_section, n_sections);
-        let keys: Vec<Key> = chunks.concat();
-        let sections: Vec<Section> = chunks.iter().map(|c| p.section(c, SERVED)).collect();
+        let keys = request(&key_tags, per_section);
+        let section = p.section(&keys, SERVED);
         let query = ReadQuery::point(keys.clone());
 
         // Honest: verifies, in request order, to the committed state.
-        let values = verify(&p, &query, &respond(sections.clone()), NOW)
-            .expect("honest sections verify");
+        let values = verify(&p, &query, &respond(section.clone()), NOW)
+            .expect("an honest section verifies");
         prop_assert_eq!(values.len(), keys.len());
         for ((key, value), asked) in values.iter().zip(&keys) {
             prop_assert_eq!(key, asked);
             prop_assert_eq!(value.clone(), p.value_at(key, SERVED), "key {:?}", key);
         }
-        // Sections may arrive in any order, and overlap is legal: two
-        // proofs of one key against one certified root cannot disagree.
-        let mut shuffled = sections.clone();
-        shuffled.reverse();
-        shuffled.push(p.section(&keys[..1], SERVED));
-        prop_assert_eq!(verify(&p, &query, &respond(shuffled), NOW), Ok(values.clone()));
         // A superset section answers a narrower request; the unasked
-        // keys are verified and dropped.
+        // keys are verified and dropped. A narrower section leaves a
+        // key unanswered.
         let narrow = ReadQuery::point(keys[..1].to_vec());
         prop_assert_eq!(
-            verify(&p, &narrow, &respond(sections.clone()), NOW).unwrap(),
+            verify(&p, &narrow, &respond(section.clone()), NOW).unwrap(),
             values[..1].to_vec()
         );
+        if keys.len() >= 2 {
+            prop_assert_eq!(
+                rejection(&p, &keys, p.section(&keys[1..], SERVED)),
+                ReadRejection::MissingKey(keys[0].clone())
+            );
+        }
 
-        for (si, section) in sections.iter().enumerate() {
-            let (k, v, proof) = parts(section);
-            prop_assert_eq!(section.body.encoded_len(), section.body.encode_to_vec().len());
-            for i in 0..k.len() {
-                // Value forgery: a present slot swapped for a lie is a
-                // ValueMismatch, a conjured value on a proven absence a
-                // PhantomValue — requested or not (the narrow query).
+        let (k, v, proof) = parts(&section);
+        prop_assert_eq!(section.body.encoded_len(), section.body.encode_to_vec().len());
+        for i in 0..k.len() {
+            // Value forgery: a present slot swapped for a lie is a
+            // ValueMismatch, a conjured value on a proven absence a
+            // PhantomValue — requested or not (the narrow query).
+            let mut vals = v.clone();
+            let expect = match &vals[i] {
+                Some(_) => ReadRejection::ValueMismatch(k[i].clone()),
+                None => ReadRejection::PhantomValue(k[i].clone()),
+            };
+            vals[i] = Some(Value::from("forged"));
+            let forged = rebuild(&section, k.clone(), vals, proof.clone());
+            prop_assert_eq!(rejection(&p, &keys, forged.clone()), expect.clone());
+            prop_assert_eq!(rejection(&p, &keys[..1], forged), expect);
+            // A value withheld from a proven-present key.
+            if v[i].is_some() {
                 let mut vals = v.clone();
-                let expect = match &vals[i] {
-                    Some(_) => ReadRejection::ValueMismatch(k[i].clone()),
-                    None => ReadRejection::PhantomValue(k[i].clone()),
-                };
-                vals[i] = Some(Value::from("forged"));
-                let forged = with(&sections, si, rebuild(section, k.clone(), vals, proof.clone()));
-                prop_assert_eq!(rejection(&p, &keys, forged.clone()), expect.clone());
-                prop_assert_eq!(rejection(&p, &keys[..1], forged), expect);
-                // A value withheld from a proven-present key.
-                if v[i].is_some() {
-                    let mut vals = v.clone();
-                    vals[i] = None;
-                    let forged = with(&sections, si, rebuild(section, k.clone(), vals, proof.clone()));
-                    prop_assert_eq!(
-                        rejection(&p, &keys, forged),
-                        ReadRejection::ValueMismatch(k[i].clone())
-                    );
-                }
-                // Dropped key: the key and its slot go, the proof
-                // stays — it no longer matches the advertised set. In
-                // the rare case the rest still verifies (the dropped
-                // key shared its bucket), the omission is named.
-                let (mut dk, mut dv) = (k.clone(), v.clone());
-                let dropped = dk.remove(i);
-                dv.remove(i);
-                let forged = with(&sections, si, rebuild(section, dk, dv, proof.clone()));
+                vals[i] = None;
+                let forged = rebuild(&section, k.clone(), vals, proof.clone());
+                prop_assert_eq!(
+                    rejection(&p, &keys, forged),
+                    ReadRejection::ValueMismatch(k[i].clone())
+                );
+            }
+            // Dropped key: the key and its slot go, the proof
+            // stays — it no longer matches the advertised set. In
+            // the rare case the rest still verifies (the dropped
+            // key shared its bucket), the omission is named.
+            let (mut dk, mut dv) = (k.clone(), v.clone());
+            let dropped = dk.remove(i);
+            dv.remove(i);
+            let err = rejection(&p, &keys, rebuild(&section, dk, dv, proof.clone()));
+            prop_assert!(
+                err == ReadRejection::BadProof || err == ReadRejection::MissingKey(dropped),
+                "{:?}", err
+            );
+        }
+        // Forged or dropped sibling: the joint fold breaks.
+        for j in 0..proof.siblings.len() {
+            let mut forged_proof = proof.clone();
+            forged_proof.siblings[j] = Digest([0xEE; 32]);
+            let forged = rebuild(&section, k.clone(), v.clone(), forged_proof);
+            prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+            let mut short = proof.clone();
+            short.siblings.remove(j);
+            let forged = rebuild(&section, k.clone(), v.clone(), short);
+            prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+        }
+        // Bucket tamper: a rewritten digest inside a proven bucket.
+        for bi in 0..proof.buckets.len() {
+            for ei in 0..proof.buckets[bi].entries.len() {
+                let mut forged_proof = proof.clone();
+                forged_proof.buckets[bi].entries[ei].value_hash = Digest([0xAB; 32]);
+                let forged = rebuild(&section, k.clone(), v.clone(), forged_proof);
                 let err = rejection(&p, &keys, forged);
                 prop_assert!(
-                    err == ReadRejection::BadProof || err == ReadRejection::MissingKey(dropped),
+                    matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
                     "{:?}", err
                 );
             }
-            // Forged or dropped sibling: the joint fold breaks.
-            for j in 0..proof.siblings.len() {
-                let mut forged_proof = proof.clone();
-                forged_proof.siblings[j] = Digest([0xEE; 32]);
-                let forged = with(&sections, si, rebuild(section, k.clone(), v.clone(), forged_proof));
-                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
-                let mut short = proof.clone();
-                short.siblings.remove(j);
-                let forged = with(&sections, si, rebuild(section, k.clone(), v.clone(), short));
-                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
-            }
-            // Bucket tamper: a rewritten digest inside a proven bucket.
-            for bi in 0..proof.buckets.len() {
-                for ei in 0..proof.buckets[bi].entries.len() {
-                    let mut forged_proof = proof.clone();
-                    forged_proof.buckets[bi].entries[ei].value_hash = Digest([0xAB; 32]);
-                    let forged =
-                        with(&sections, si, rebuild(section, k.clone(), v.clone(), forged_proof));
-                    let err = rejection(&p, &keys, forged);
-                    prop_assert!(
-                        matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
-                        "{:?}", err
-                    );
-                }
-            }
-            // A key list out of order or repeated is malformed before
-            // any hashing.
-            if k.len() >= 2 {
-                let (mut uk, mut uv) = (k.clone(), v.clone());
-                uk.swap(0, 1);
-                uv.swap(0, 1);
-                let forged = with(&sections, si, rebuild(section, uk, uv, proof.clone()));
-                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
-            }
-            let (mut rk, mut rv) = (k.clone(), v.clone());
-            rk.push(k[k.len() - 1].clone());
-            rv.push(v[v.len() - 1].clone());
-            let forged = with(&sections, si, rebuild(section, rk, rv, proof.clone()));
-            prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
-            // Cross-batch splice: batch 0's internally consistent body
-            // under batch 1's certified commitment.
-            let stale = p.section(&chunks[si], BatchNum(0));
-            let spliced = with(&sections, si, p.wrap(stale.body, SERVED));
-            let err = rejection(&p, &keys, spliced);
-            prop_assert!(
-                matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
-                "{:?}", err
-            );
-            // Dropped section: its keys go unanswered.
-            let mut fewer = sections.clone();
-            fewer.remove(si);
-            let expect = if fewer.is_empty() {
-                ReadRejection::EmptyAssembly
-            } else {
-                ReadRejection::MissingKey(chunks[si][0].clone())
-            };
-            prop_assert_eq!(rejection(&p, &keys, fewer), expect);
-            // Torn assembly: a section from another batch, or from the
-            // same batch under a different certified commitment.
-            if si > 0 {
-                let torn = with(&sections, si, p.section(&chunks[si], BatchNum(0)));
-                prop_assert_eq!(
-                    rejection(&p, &keys, torn),
-                    ReadRejection::TornAssembly { anchor: SERVED, got: BatchNum(0) }
-                );
-                let mut recut = section.clone();
-                recut.commitment.lce = Epoch(7);
-                recut.cert = p.certify(&recut.commitment);
-                prop_assert_eq!(
-                    rejection(&p, &keys, with(&sections, si, recut)),
-                    ReadRejection::TornAssembly { anchor: SERVED, got: SERVED }
-                );
-            }
         }
+        // A key list out of order or repeated is malformed before
+        // any hashing.
+        if k.len() >= 2 {
+            let (mut uk, mut uv) = (k.clone(), v.clone());
+            uk.swap(0, 1);
+            uv.swap(0, 1);
+            let forged = rebuild(&section, uk, uv, proof.clone());
+            prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+        }
+        let (mut rk, mut rv) = (k.clone(), v.clone());
+        rk.push(k[k.len() - 1].clone());
+        rv.push(v[v.len() - 1].clone());
+        let forged = rebuild(&section, rk, rv, proof.clone());
+        prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+        // Cross-batch splice: batch 0's internally consistent body
+        // under batch 1's certified commitment.
+        let stale = p.section(&keys, BatchNum(0));
+        let err = rejection(&p, &keys, p.wrap(stale.body, SERVED));
+        prop_assert!(
+            matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
+            "{:?}", err
+        );
 
-        // The commitment chain runs once, on the anchor section.
-        let anchor = &sections[0];
         // Forged certificate: below quorum, for another slot, or real
         // but over a header whose root was rewritten (the stale-root
         // attack).
-        let mut thin = anchor.clone();
+        let mut thin = section.clone();
         thin.cert.sigs.truncate(p.topo.certificate_quorum() - 1);
-        prop_assert_eq!(rejection(&p, &keys, with(&sections, 0, thin)), ReadRejection::BadCertificate);
-        let mut wrong_slot = anchor.clone();
+        prop_assert_eq!(rejection(&p, &keys, thin), ReadRejection::BadCertificate);
+        let mut wrong_slot = section.clone();
         wrong_slot.cert = p.certs[0].clone();
-        prop_assert_eq!(
-            rejection(&p, &keys, with(&sections, 0, wrong_slot)),
-            ReadRejection::BadCertificate
-        );
-        if n_sections == 1 {
-            let mut rerooted = anchor.clone();
-            rerooted.commitment.merkle_root = p.headers[0].merkle_root;
-            prop_assert_eq!(rejection(&p, &keys, vec![rerooted]), ReadRejection::BadCertificate);
-        }
+        prop_assert_eq!(rejection(&p, &keys, wrong_slot), ReadRejection::BadCertificate);
+        let mut rerooted = section.clone();
+        rerooted.commitment.merkle_root = p.headers[0].merkle_root;
+        prop_assert_eq!(rejection(&p, &keys, rerooted), ReadRejection::BadCertificate);
         // Wrong cluster: an honest response for a partition nobody asked.
         prop_assert_eq!(
-            p.verdict(ClusterId(3), &query, &respond(sections.clone()), NOW)
+            p.verdict(ClusterId(3), &query, &respond(section.clone()), NOW)
                 .unwrap_err(),
             ReadRejection::WrongCluster { expected: ClusterId(3), got: ClusterId(0) }
         );
@@ -294,29 +246,19 @@ proptest! {
         let served_ts = p.headers[1].timestamp.0;
         for now in [SimTime(served_ts + skew), SimTime(served_ts - skew)] {
             prop_assert_eq!(
-                verify(&p, &query, &respond(sections.clone()), now).unwrap_err(),
+                verify(&p, &query, &respond(section.clone()), now).unwrap_err(),
                 ReadRejection::StaleTimestamp
             );
         }
         // LCE floor: a round-2 fetch the served snapshot cannot satisfy.
         let floored = query.clone().with_policy(SnapshotPolicy::MinEpoch(Epoch(1)));
         prop_assert_eq!(
-            verify(&p, &floored, &respond(sections.clone()), NOW).unwrap_err(),
+            verify(&p, &floored, &respond(section.clone()), NOW).unwrap_err(),
             ReadRejection::StaleSnapshot { required: Epoch(1), lce: Epoch(0) }
         );
         let reachable = query.clone().with_policy(SnapshotPolicy::MinEpoch(Epoch(0)));
-        prop_assert!(verify(&p, &reachable, &respond(sections.clone()), NOW).is_ok());
-        // Pin mismatch: a fill pinned at one batch answered at another.
-        let pinned = query.clone().with_policy(SnapshotPolicy::AtBatch(BatchNum(0)));
-        prop_assert_eq!(
-            verify(&p, &pinned, &respond(sections.clone()), NOW).unwrap_err(),
-            ReadRejection::SnapshotPinMismatch { pinned: BatchNum(0), got: SERVED }
-        );
-        let pinned = query.clone().with_policy(SnapshotPolicy::AtBatch(SERVED));
-        prop_assert!(verify(&p, &pinned, &respond(sections.clone()), NOW).is_ok());
-        // Empty response, and a scan where sections were asked (and the
-        // other way round).
-        prop_assert_eq!(rejection(&p, &keys, Vec::new()), ReadRejection::EmptyAssembly);
+        prop_assert!(verify(&p, &reachable, &respond(section.clone()), NOW).is_ok());
+        // A scan where a section was asked (and the other way round).
         let window = ScanRange::new(0, 63);
         let scan = ReadResponse::Scan { bundle: Box::new(p.scan(window, SERVED)) };
         prop_assert_eq!(verify(&p, &query, &scan, NOW).unwrap_err(), ReadRejection::ShapeMismatch);
@@ -324,7 +266,7 @@ proptest! {
             p.verdict(
                 ClusterId(0),
                 &ReadQuery::scan(ClusterId(0), window),
-                &respond(sections.clone()),
+                &respond(section.clone()),
                 NOW,
             )
             .unwrap_err(),
@@ -336,11 +278,11 @@ proptest! {
         // aged out, because the head is what must be fresh.
         let feed = vec![p.delta(BatchNum(2)), p.delta(BatchNum(3))];
         let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
-            sections: sections.clone(),
+            section: Box::new(section.clone()),
             fresh: Some(feed.into_iter().map(Arc::new).collect()),
         };
         let late = SimTime(p.headers[3].timestamp.0 + skew - 2 * SECOND);
-        prop_assert!(verify(&p, &query, &respond(sections.clone()), late).is_err());
+        prop_assert!(verify(&p, &query, &respond(section.clone()), late).is_err());
         prop_assert_eq!(verify(&p, &query, &fresh(feed.clone()), late), Ok(values.clone()));
         // Tampered changed list, gapped chain, and a delta touching a
         // queried key (honestly certified — it contradicts the claim).
@@ -351,9 +293,8 @@ proptest! {
             verify(&p, &query, &fresh(feed[1..].to_vec()), NOW).unwrap_err(),
             ReadRejection::FeedSpliced { expected: BatchNum(2), got: BatchNum(3) }
         );
-        let at_base = chunks.iter().map(|c| p.section(c, BatchNum(0))).collect();
         let touching = ReadResponse::Point {
-            sections: at_base,
+            section: Box::new(p.section(&keys, BatchNum(0))),
             fresh: Some(vec![Arc::new(p.delta(SERVED))]),
         };
         let touched = ReadQuery::point(vec![Key::from_u32(key_tags[0].0 as u32 % 512)]);
@@ -380,8 +321,6 @@ fn every_rejection_variant_is_reachable() {
             ReadRejection::BadProof => "BadProof",
             ReadRejection::ValueMismatch(_) => "ValueMismatch",
             ReadRejection::PhantomValue(_) => "PhantomValue",
-            ReadRejection::EmptyAssembly => "EmptyAssembly",
-            ReadRejection::TornAssembly { .. } => "TornAssembly",
             ReadRejection::ScanRangeNotCovered { .. } => "ScanRangeNotCovered",
             ReadRejection::BadRangeProof => "BadRangeProof",
             ReadRejection::IncompleteScan { .. } => "IncompleteScan",
@@ -393,12 +332,11 @@ fn every_rejection_variant_is_reachable() {
             ReadRejection::FeedSpliced { .. } => "FeedSpliced",
         }
     }
-    const ALL: [&str; 19] = [
+    const ALL: [&str; 17] = [
         "BadCertificate",
         "BadDelta",
         "BadProof",
         "BadRangeProof",
-        "EmptyAssembly",
         "FeedSpliced",
         "IncompleteScan",
         "MissingKey",
@@ -410,7 +348,6 @@ fn every_rejection_variant_is_reachable() {
         "SnapshotPinMismatch",
         "StaleSnapshot",
         "StaleTimestamp",
-        "TornAssembly",
         "ValueMismatch",
         "WrongCluster",
     ];
@@ -420,31 +357,31 @@ fn every_rejection_variant_is_reachable() {
     let keys = vec![k(1), k(2), k(900)];
     let section = p.section(&keys, SERVED);
     let (sk, sv, sproof) = parts(&section);
-    let point = |q: &ReadQuery, sections: Vec<Section>, now: SimTime| {
-        verify(&p, q, &respond(sections), now).unwrap_err()
+    let point = |q: &ReadQuery, section: Section, now: SimTime| {
+        verify(&p, q, &respond(section), now).unwrap_err()
     };
     let plain = ReadQuery::point(keys.clone());
     let mut seen: Vec<ReadRejection> = Vec::new();
 
     // ---- point chain ----
     seen.push(
-        p.verdict(ClusterId(1), &plain, &respond(vec![section.clone()]), NOW)
+        p.verdict(ClusterId(1), &plain, &respond(section.clone()), NOW)
             .unwrap_err(),
     );
     let mut thin = section.clone();
     thin.cert.sigs.clear();
-    seen.push(point(&plain, vec![thin], NOW));
-    seen.push(point(&plain, vec![section.clone()], SimTime(T0 * 2)));
+    seen.push(point(&plain, thin, NOW));
+    seen.push(point(&plain, section.clone(), SimTime(T0 * 2)));
     let floored = plain
         .clone()
         .with_policy(SnapshotPolicy::MinEpoch(Epoch(5)));
-    seen.push(point(&floored, vec![section.clone()], NOW));
-    seen.push(point(&plain, vec![p.section(&keys[..2], SERVED)], NOW));
+    seen.push(point(&floored, section.clone(), NOW));
+    seen.push(point(&plain, p.section(&keys[..2], SERVED), NOW));
     let mut forged = sproof.clone();
     forged.siblings[0] = Digest([0xEE; 32]);
     seen.push(point(
         &plain,
-        vec![rebuild(&section, sk.clone(), sv.clone(), forged)],
+        rebuild(&section, sk.clone(), sv.clone(), forged),
         NOW,
     ));
     let lie = |slot: usize| {
@@ -454,23 +391,10 @@ fn every_rejection_variant_is_reachable() {
     };
     let absent = sk.iter().position(|key| *key == k(900)).unwrap();
     let present = sk.iter().position(|key| *key == k(1)).unwrap();
-    seen.push(point(&plain, vec![lie(present)], NOW));
-    seen.push(point(&plain, vec![lie(absent)], NOW));
-    seen.push(point(&plain, Vec::new(), NOW));
-    seen.push(point(
-        &plain,
-        vec![
-            p.section(&keys[..2], SERVED),
-            p.section(&keys[2..], BatchNum(0)),
-        ],
-        NOW,
-    ));
-    let pinned = plain
-        .clone()
-        .with_policy(SnapshotPolicy::AtBatch(BatchNum(3)));
-    seen.push(point(&pinned, vec![section.clone()], NOW));
+    seen.push(point(&plain, lie(present), NOW));
+    seen.push(point(&plain, lie(absent), NOW));
     let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
-        sections: vec![section.clone()],
+        section: Box::new(section.clone()),
         fresh: Some(feed.into_iter().map(Arc::new).collect()),
     };
     let mut edited = p.delta(BatchNum(2));
@@ -504,11 +428,17 @@ fn every_rejection_variant_is_reachable() {
     swapped.scan.rows[0].1 = Value::from("forged");
     seen.push(scan(&scan_query, swapped));
     let paged = ReadQuery::scatter_scan(vec![ClusterId(0)], range, 64);
-    let replayed_token = paged.with_page(PageToken {
+    let replayed_token = paged.clone().with_page(PageToken {
         batch: SERVED,
         resume: 0,
     });
     seen.push(scan(&replayed_token, p.scan(ScanRange::new(0, 63), SERVED)));
+    // Page splice: page two pinned at one batch, answered at another.
+    let pinned = paged.with_page(PageToken {
+        batch: BatchNum(3),
+        resume: 64,
+    });
+    seen.push(scan(&pinned, p.scan(ScanRange::new(64, 127), SERVED)));
 
     let mut names: Vec<&str> = seen.iter().map(name).collect();
     names.sort_unstable();

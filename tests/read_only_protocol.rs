@@ -11,7 +11,8 @@ use transedge::core::client::ClientOp;
 use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
-use transedge::core::{ClientProfile, EdgeConfig};
+use transedge::core::{ClientProfile, EdgeConfig, NetMsg, ReadPayload};
+use transedge::edge::MultiProofBody;
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -327,14 +328,14 @@ fn repeat_read_checks_each_certificate_once() {
     );
 }
 
-/// Partial assembly: a 3-key ROT whose keys are only partially cached
-/// at the edge is served as the cached section plus a single upstream
-/// section for the miss — an ordinary point read pinned at the cached
-/// batch — and the assembled (multi-section) response verifies end to
-/// end. This is the acceptance scenario for the partial replay
-/// assembly path.
+/// Whole or forward: a 3-key ROT of whose keys the edge holds two
+/// under one cached section is a miss — the edge forwards the question
+/// whole, one upstream hop like any cold read — and the answer it
+/// absorbs replays the repeats as one section. Composing the two cached
+/// keys with a fetched third cost the same hop and more bytes: the
+/// same script moved 22 259 B of read results when the edge did.
 #[test]
-fn partial_assembly_serves_partially_cached_requests() {
+fn partly_cached_request_is_forwarded_whole() {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
@@ -343,9 +344,7 @@ fn partial_assembly_serves_partially_cached_requests() {
     let k = keys_on(&topo, ClusterId(0), 3);
     let two = vec![k[0].clone(), k[1].clone()];
     let three = k.clone();
-    // Warm the edge with {a, b}, then ask for {a, b, c}: the edge has
-    // 2 of 3 keys cached and must fetch only `c` upstream, pinned at
-    // the cached anchor batch.
+    // Warm the edge with {a, b}, then ask for {a, b, c}.
     let mut script: Vec<ClientOp> = (0..3)
         .map(|_| ClientOp::ReadOnly { keys: two.clone() })
         .collect();
@@ -358,10 +357,6 @@ fn partial_assembly_serves_partially_cached_requests() {
     let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.gave_up, 0);
-    assert!(
-        client.stats.assembled_accepted >= 1,
-        "the client must accept at least one multi-section assembled response"
-    );
     assert_eq!(client.query_results.len(), 8);
     let expected = dep.data.clone();
     for rot in &client.query_results {
@@ -374,51 +369,35 @@ fn partial_assembly_serves_partially_cached_requests() {
             );
         }
     }
-    let edge = dep.edge_node(EdgeId::new(ClusterId(0), 0));
-    let stats = edge.stats;
-    assert_eq!(
-        stats.partial_assembled, 1,
-        "exactly one request was partially covered (2 cached keys + 1 miss)"
-    );
-    assert_eq!(
-        stats.keys_fetched_upstream, 1,
-        "only the missing key goes upstream, not the whole request"
-    );
     assert!(
-        stats.served_from_cache >= 5,
-        "warm requests (including post-assembly repeats) replay fully (got {})",
-        stats.served_from_cache
+        client.stats.read_result_bytes < 22_259,
+        "one section per answer must move fewer bytes than the assembly did (got {})",
+        client.stats.read_result_bytes
     );
-    assert!(
-        stats.key_hit_rate() > 0.5,
-        "most keys must come from cached sections (got {:.2})",
-        stats.key_hit_rate()
+    let stats = dep.edge_node(EdgeId::new(ClusterId(0), 0)).stats;
+    assert_eq!(
+        stats.forwarded, 2,
+        "the cold {{a, b}} and the partly cached {{a, b, c}}, each whole"
     );
-    // The fill travelled as an ordinary point read: the client's 8
-    // requests, the edge's 1 cold forward and its 1 pinned fill. No
-    // other message kind carries reads.
+    assert_eq!(stats.served_from_cache, 6, "every repeat replays");
+    assert_eq!(stats.keys_from_cache, 2 * 2 + 4 * 3);
+    // The client's 8 requests and the edge's 2 forwards. No other
+    // message kind carries reads.
     let metrics = dep.metrics();
     assert_eq!(metrics.counter_value("net", "net.read-point.messages"), 10);
-    let pinned_served: u64 = topo
-        .replicas_of(ClusterId(0))
-        .map(|r| dep.node(r).stats.rot_pinned_served)
-        .sum();
-    assert_eq!(
-        pinned_served, 1,
-        "one replica served the fill pinned at the anchor batch"
-    );
 }
 
-/// Pinned-fill liveness: the edge's partial-assembly fill is an
-/// ordinary `AtBatch` read, so a replica that has not applied the
-/// anchor batch yet parks it like any other unservable query and
-/// answers once it catches up — nothing falls back, nothing is lost.
-/// One replica is cut off from its cluster while a write commits batch
-/// *b*; the edge caches a section at *b* from a current replica, then
-/// sends the fill for the third key to the lagging one. The read
-/// completes, verified at *b*, only after the partition heals.
+/// Pinned-page liveness: page two of a paginated scan carries a token
+/// pinning the batch page one verified at, so a replica that has not
+/// applied that batch yet parks the page like any other unservable
+/// query and answers once it catches up — nothing falls back, nothing
+/// is lost. One replica is cut off from its cluster while a write
+/// commits batch *b*; the edge forwards page one to a current replica
+/// (served at *b*), then page two to the lagging one. The scan
+/// completes, both pages verified at *b*, only after the partition
+/// heals.
 #[test]
-fn pinned_fill_parks_at_a_lagging_replica_and_completes_after_heal() {
+fn pinned_page_parks_at_a_lagging_replica_and_completes_after_heal() {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
@@ -426,30 +405,34 @@ fn pinned_fill_parks_at_a_lagging_replica_and_completes_after_heal() {
     config.client.retry_after = SimDuration::from_secs(5);
     config.edge = EdgeConfig::honest(1);
     let topo = config.topo.clone();
-    let k = keys_on(&topo, ClusterId(0), 4);
+    // Two 32-bucket pages; the written key lies inside the range, the
+    // late writer's outside it.
+    let range = window_on(&topo, ClusterId(0));
+    let inside = keys_on(&topo, ClusterId(0), 1).remove(0);
+    let outside = keys_on(&topo, ClusterId(0), 64)
+        .into_iter()
+        .find(|k| !range.contains_key(k, SCAN_DEPTH))
+        .expect("a key outside a 64-bucket window");
     let write = |key: &Key, value: &str| ClientOp::ReadWrite {
         reads: vec![],
         writes: vec![(key.clone(), Value::from(value))],
     };
     let reader = ClientPlan::ops(vec![
-        write(&k[0], "v1"),
-        ClientOp::ReadOnly {
-            keys: k[..2].to_vec(),
-        },
-        ClientOp::ReadOnly {
-            keys: k[..3].to_vec(),
+        write(&inside, "v1"),
+        ClientOp::Query {
+            query: ReadQuery::scatter_scan(vec![ClusterId(0)], range, 32),
         },
     ]);
     // A later write is what lets the healed replica notice it is
     // behind and fetch the decided prefix.
     let heal_at = SimTime(300_000);
     let late_writer = ClientPlan::with_profile(
-        vec![write(&k[3], "v2")],
+        vec![write(&outside, "v2")],
         ClientProfile::new().start_delay(SimDuration::from_millis(400)),
     );
     let mut dep = Deployment::build_custom(config, vec![reader, late_writer]);
     // The edge's upstream round-robin sends its first forward to
-    // replica 1 and its second — the fill — to replica 2.
+    // replica 1 and its second — page two — to replica 2.
     let lagging = ReplicaId::new(ClusterId(0), 2);
     let rest = topo
         .replicas_of(ClusterId(0))
@@ -461,27 +444,32 @@ fn pinned_fill_parks_at_a_lagging_replica_and_completes_after_heal() {
     let e0 = EdgeId::new(ClusterId(0), 0);
     let reader_id = dep.client_ids[0];
     assert_eq!(dep.node(lagging).exec.applied_batches(), 1, "genesis only");
-    assert_eq!(dep.node(lagging).parked_reads(), 1, "the fill is parked");
+    assert_eq!(dep.node(lagging).parked_reads(), 1, "page two is parked");
     assert_eq!(dep.edge_node(e0).pending_upstream(), 1);
-    assert_eq!(dep.edge_node(e0).stats.partial_assembled, 1);
-    assert_eq!(dep.client(reader_id).query_results.len(), 1);
+    assert_eq!(dep.edge_node(e0).stats.scans_forwarded, 2);
+    assert_eq!(dep.client(reader_id).stats.scans_accepted, 1, "page one");
+    assert!(dep.client(reader_id).query_results.is_empty());
 
     dep.heal_partition(cut);
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(reader_id);
     assert_eq!(client.stats.verification_failures, 0);
-    assert_eq!(client.stats.retries, 0, "the read waited, it did not retry");
-    assert_eq!(client.stats.assembled_accepted, 1);
-    let assembled = &client.query_results[1];
-    assert_eq!(assembled.snapshot, [(ClusterId(0), BatchNum(1))]);
-    assert_eq!(assembled.values[0].1, Some(Value::from("v1")));
-    for (key, value) in &assembled.values[1..] {
-        let want = dep.data.iter().find(|(x, _)| x == key).map(|(_, v)| v);
-        assert_eq!(value.as_ref(), want);
+    assert_eq!(client.stats.retries, 0, "the scan waited, it did not retry");
+    let [scan] = &client.query_results[..] else {
+        panic!("one scan, got {}", client.query_results.len());
+    };
+    assert_eq!(scan.pages, 2);
+    assert_eq!(scan.snapshot, [(ClusterId(0), BatchNum(1))]);
+    let mut want = expected_rows(&dep.data, &topo, ClusterId(0), &range);
+    for (key, value) in &mut want {
+        if *key == inside {
+            *value = Value::from("v1");
+        }
     }
+    assert_eq!(scan.rows, [(ClusterId(0), want)]);
     let replica = dep.node(lagging);
-    assert_eq!(replica.stats.rot_pinned_served, 1);
+    assert_eq!(replica.stats.rot_scans_served, 1);
     assert_eq!(replica.parked_reads(), 0);
     assert_eq!(dep.edge_node(e0).pending_upstream(), 0);
 }
@@ -610,6 +598,101 @@ fn key_omitting_edge_is_rejected_and_demoted() {
         }
     }
     assert!(dep.samples().iter().all(|s| s.committed));
+}
+
+/// An outsider that asks a replica an honest question, doctors a value
+/// in the honest answer, and pushes the forgery at an edge as the
+/// "result" of a request the edge never made.
+struct Outsider {
+    replica: NodeId,
+    victim: NodeId,
+    keys: Vec<Key>,
+    pushed: u64,
+}
+
+impl transedge::simnet::Actor<NetMsg> for Outsider {
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        let query = ReadQuery::point(self.keys.clone());
+        ctx.send(self.replica, NetMsg::Read { req: 1, query });
+    }
+
+    fn on_message(
+        &mut self,
+        _from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        let NetMsg::ReadResult {
+            req,
+            result: ReadPayload::Point { mut section, .. },
+        } = msg
+        else {
+            return;
+        };
+        let body = &section.body;
+        let mut values = body.values().to_vec();
+        *values.iter_mut().find(|v| v.is_some()).expect("a value") =
+            Some(Value::from("forged-by-outsider"));
+        section.body = MultiProofBody::new(body.keys().to_vec(), values, body.proof().clone());
+        let result = ReadPayload::Point {
+            section,
+            fresh: None,
+        };
+        ctx.send(self.victim, NetMsg::ReadResult { req, result });
+        self.pushed += 1;
+    }
+}
+
+/// An edge admits only the answer it is waiting for. Its cache takes
+/// certified material unverified, so a forged section pushed at it by a
+/// node it never asked — here under the very request id its first
+/// forward will use — must not be cached: otherwise the *honest* edge
+/// replays the forgery to the next client, is rejected, and is demoted
+/// (with a directory, convicted fleet-wide on signed evidence) for a
+/// lie it never told.
+#[test]
+fn an_edge_does_not_cache_a_result_it_did_not_ask_for() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    config.edge = EdgeConfig::honest(1);
+    let topo = config.topo.clone();
+    let keys = keys_on(&topo, ClusterId(0), 2);
+    // The reader starts once the forgery has landed.
+    let reader = ClientPlan::with_profile(
+        vec![ClientOp::ReadOnly { keys: keys.clone() }],
+        ClientProfile::new().start_delay(SimDuration::from_millis(100)),
+    );
+    let mut dep = Deployment::build_custom(config, vec![reader]);
+    let e0 = EdgeId::new(ClusterId(0), 0);
+    let outsider = NodeId::Client(transedge::common::ClientId(u32::MAX));
+    dep.sim.add_actor(
+        outsider,
+        Box::new(Outsider {
+            replica: NodeId::Replica(ReplicaId::new(ClusterId(0), 0)),
+            victim: NodeId::Edge(e0),
+            keys: keys.clone(),
+            pushed: 0,
+        }),
+    );
+    dep.run_until_done(SimTime(600_000_000));
+
+    let pushed = dep.sim.actor_as::<Outsider>(outsider).map(|o| o.pushed);
+    assert_eq!(pushed, Some(1), "the forgery was sent");
+    let client = dep.client(dep.client_ids[0]);
+    assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.edge_selector.demotions(), 0);
+    let [read] = &client.query_results[..] else {
+        panic!("one read, got {}", client.query_results.len());
+    };
+    for (key, value) in &read.values {
+        let want = dep.data.iter().find(|(x, _)| x == key).map(|(_, v)| v);
+        assert_eq!(value.as_ref(), want);
+    }
+    let stats = dep.edge_node(e0).stats;
+    assert_eq!(stats.tampered, 0, "the edge is honest");
+    assert_eq!(stats.served_from_cache, 0, "nothing was cached");
+    assert_eq!(stats.forwarded, 1, "the read went upstream");
 }
 
 /// Commit-freedom: serving read-only transactions generates no

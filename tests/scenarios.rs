@@ -147,14 +147,6 @@ fn mixed_feed_and_scan_counters() -> BTreeMap<String, u64> {
 /// delete it, or add it with its reason; a name leaves the list the
 /// day a run first moves it.
 const NEVER_MOVED: &[(&str, &str)] = &[
-    // Partial assembly: no read here finds some of its keys cached at
-    // one batch and the rest missing (tests/read_only_protocol.rs
-    // builds that with sliding key windows).
-    ("client.assembled_accepted", "partial assembly"),
-    ("edge.keys_fetched_upstream", "partial assembly"),
-    ("edge.partial_assembled", "partial assembly"),
-    ("node.rot_pinned_served", "partial assembly's pinned fill"),
-    ("replay.partial", "partial assembly"),
     // Liveness: with 100 (campaigns) or 20 (mixed) retries every op
     // finishes; no test anywhere drives a client to give up.
     ("client.gave_up", "every op completes"),
