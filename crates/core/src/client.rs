@@ -8,7 +8,7 @@
 //! scans, cross-partition scatter-gather — runs through one
 //! `ReadSession`: it plans per-partition sub-queries from a
 //! [`ReadQuery`], sends every one of them — first round, page,
-//! restart, retry, resend — through one `dispatch` (via the adaptive
+//! restart, retry, resend — through one `dispatch` (via the
 //! [`EdgeSelector`], or whole to one edge contact), verifies every
 //! part answer end to end in one `on_part_result`
 //! (`ReadVerifier::verify_query`: certificates, Merkle proofs,
@@ -36,7 +36,7 @@ use transedge_simnet::{Actor, Context};
 
 use crate::batch::{BatchHeader, CommittedHeader, ReadOp, Transaction, WriteOp};
 use crate::deps::{verify_dependencies, RotView};
-use crate::edge_select::{EdgeSelector, EdgeSelectorConfig};
+use crate::edge_select::EdgeSelector;
 use crate::messages::{NetMsg, ReadPayload, RotDelta};
 use crate::metrics::{OpKind, TxnSample};
 
@@ -84,15 +84,13 @@ pub struct ClientConfig {
     pub rot_via_2pc: bool,
     /// Candidate edge read nodes per partition (untrusted caches;
     /// responses still verify end to end). The client's [`EdgeSelector`]
-    /// picks among them adaptively — EWMA latency ranking, demotion on
-    /// consecutive timeouts or verified byzantine rejections — and
-    /// partitions without candidates (or with every candidate demoted)
+    /// rotates over them, skipping any it demoted — on consecutive
+    /// timeouts, one verified byzantine rejection or a directory hint —
+    /// and partitions without candidates (or with every candidate demoted)
     /// are read from the cluster itself. Verification failures and
     /// retries always fall back to real replicas, so a byzantine edge
     /// cannot wedge a client.
     pub edges: HashMap<ClusterId, Vec<NodeId>>,
-    /// Tuning for the adaptive edge routing.
-    pub selector: EdgeSelectorConfig,
     /// Take part in the gossiped edge directory: pull the fleet's
     /// evidence at startup (fleet-wide demotions land *before* the
     /// first contact), and push signed rejection evidence after
@@ -130,7 +128,6 @@ impl Default for ClientConfig {
             record_results: false,
             rot_via_2pc: false,
             edges: HashMap::new(),
-            selector: EdgeSelectorConfig::default(),
             directory: false,
             single_contact: false,
             start_delay: SimDuration(0),
@@ -169,14 +166,12 @@ pub struct TxnOutcome {
 }
 
 /// The sub-query a part is waiting on: its request id (shared by every
-/// part one single-contact send covers), where it went, and when — so
-/// the answer credits (or blames) the right target in the edge
-/// selector.
+/// part one single-contact send covers) and where it went — so the
+/// answer credits (or blames) the right target in the edge selector.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     req: u64,
     target: NodeId,
-    sent_at: SimTime,
 }
 
 /// Per-partition progress of one unified query.
@@ -456,9 +451,6 @@ pub struct ClientStats {
     pub gave_up: u64,
     /// Verified scan responses (pages) accepted.
     pub scans_accepted: u64,
-    /// Accepted scans whose proven window was wider than the request —
-    /// an edge served a covering cached window and the client filtered.
-    pub scans_covered_by_wider: u64,
     /// Cross-partition queries sent to a single edge contact.
     pub gathers_sent: u64,
     /// Single-contact answers whose every part verified (each against
@@ -499,11 +491,6 @@ impl transedge_obs::RegisterMetrics for ClientStats {
         reg.counter(scope, "client.retries", self.retries);
         reg.counter(scope, "client.gave_up", self.gave_up);
         reg.counter(scope, "client.scans_accepted", self.scans_accepted);
-        reg.counter(
-            scope,
-            "client.scans_covered_by_wider",
-            self.scans_covered_by_wider,
-        );
         reg.counter(scope, "client.gathers_sent", self.gathers_sent);
         reg.counter(scope, "client.gathers_accepted", self.gathers_accepted);
         reg.counter(scope, "client.directory_seeded", self.directory_seeded);
@@ -544,7 +531,7 @@ pub struct ClientActor {
     next_txn_seq: u64,
     /// Spread OCC reads over replicas.
     read_rr: u64,
-    /// Adaptive edge routing for read-only rounds.
+    /// Edge selection for read-only rounds.
     pub edge_selector: EdgeSelector,
     /// Directory participation (when `config.directory`): holds the
     /// ingested fleet state, signs this client's rejection evidence.
@@ -571,7 +558,7 @@ impl ClientActor {
     ) -> Self {
         // Seed the selector's tie-breaking with the client id so a
         // fleet of clients spreads over the edge tier from the start.
-        let mut edge_selector = EdgeSelector::new(config.selector, id.0 as u64);
+        let mut edge_selector = EdgeSelector::new(id.0 as u64);
         for (cluster, edges) in &config.edges {
             for edge in edges {
                 edge_selector.register(*cluster, *edge);
@@ -700,11 +687,10 @@ impl ClientActor {
         NodeId::Replica(ReplicaId::new(cluster, (self.read_rr % n) as u16))
     }
 
-    /// Where this client's read sub-queries go: the edge node the
-    /// adaptive selector currently ranks best for the partition, or the
-    /// cluster leader when no edge fronts it (or every candidate is
-    /// demoted). Retries after verification failures bypass this and
-    /// ask real replicas directly.
+    /// Where this client's read sub-queries go: the selector's pick
+    /// among the partition's edges, or the cluster leader when no edge
+    /// fronts it (or every candidate is demoted). Retries after
+    /// verification failures bypass this and ask real replicas directly.
     fn read_target(&mut self, cluster: ClusterId, now: SimTime) -> NodeId {
         self.edge_selector
             .pick(cluster, now)
@@ -994,11 +980,7 @@ impl ClientActor {
             [cluster] => session.subquery(*cluster),
             _ => session.query.clone(),
         };
-        let pending = Pending {
-            req,
-            target,
-            sent_at: ctx.now(),
-        };
+        let pending = Pending { req, target };
         for part in &mut session.parts {
             if clusters.contains(&part.cluster) {
                 part.pending = Some(pending);
@@ -1013,7 +995,6 @@ impl ClientActor {
     fn ingest_answer(
         &mut self,
         part: &mut PartState,
-        sub: &ReadQuery,
         answer: QueryAnswer,
         response: &ReadPayload,
         feed_run: &[Arc<RotDelta>],
@@ -1050,13 +1031,8 @@ impl ClientActor {
             }
             QueryAnswer::Rows { rows, next } => {
                 self.stats.scans_accepted += 1;
-                if let ReadResponse::Scan { bundle } = response {
-                    if sub.scan_window().is_some_and(|w| bundle.scan.range != w) {
-                        self.stats.scans_covered_by_wider += 1;
-                    }
-                    if part.view.is_none() {
-                        part.view = Some(view_of(&bundle.commitment.header));
-                    }
+                if let (ReadResponse::Scan { bundle }, None) = (response, &part.view) {
+                    part.view = Some(view_of(&bundle.commitment.header));
                 }
                 part.rows.extend(rows);
                 part.pages += 1;
@@ -1106,17 +1082,14 @@ impl ClientActor {
         match verified {
             Ok((answer, feed_run)) => {
                 if let NodeId::Edge(edge) = pending.target {
-                    self.edge_selector.record_success(
-                        edge.cluster,
-                        pending.target,
-                        now.saturating_since(pending.sent_at),
-                    );
+                    self.edge_selector
+                        .record_success(edge.cluster, pending.target);
                 }
                 let mut part = std::mem::replace(
                     session.part_mut(cluster),
                     PartState::new(cluster, Vec::new()),
                 );
-                let more = self.ingest_answer(&mut part, &sub, answer, response, &feed_run);
+                let more = self.ingest_answer(&mut part, answer, response, &feed_run);
                 *session.part_mut(cluster) = part;
                 if more {
                     // Next page: back through the selector — the pinned
@@ -1126,6 +1099,21 @@ impl ClientActor {
                     self.dispatch(session, &[cluster], target, ctx);
                 }
                 true
+            }
+            // A pinned page continuation whose batch aged past the
+            // freshness window. The timestamp is in the certified header
+            // and the pin forces the batch, so every server would have
+            // answered the same: nobody is blamed. *No* server can make
+            // the pinned batch fresher either, so re-asking with the
+            // same token would loop until the op gives up. Restart this
+            // partition's pagination from page one at its current
+            // floor; a fresh batch re-pins the snapshot.
+            Err(ReadRejection::StaleTimestamp) if sub.page.is_some() => {
+                let part = session.part_mut(cluster);
+                part.restart_at_floor(part.floor);
+                let target = self.read_target(cluster, now);
+                self.dispatch(session, &[cluster], target, ctx);
+                false
             }
             Err(rejection) => {
                 // Verification failed: blame the target (demoting a
@@ -1189,18 +1177,6 @@ impl ClientActor {
                             ctx.send(peer, NetMsg::DirectoryDeltaGossip { delta });
                         }
                     }
-                }
-                // Exception: a pinned page continuation whose batch
-                // aged past the freshness window can never verify
-                // again — *no* server can make the pinned batch
-                // fresher, so re-asking with the same token would loop
-                // until the op gives up (and keep blaming honest
-                // servers). Restart this partition's pagination from
-                // page one at its current floor; a fresh batch re-pins
-                // the snapshot.
-                if rejection == ReadRejection::StaleTimestamp && sub.page.is_some() {
-                    let part = session.part_mut(cluster);
-                    part.restart_at_floor(part.floor);
                 }
                 if let Some(tc) = session.query.trace {
                     ctx.trace()

@@ -8,7 +8,10 @@
 //! instead of letting an impossible mix (a byzantine override for an
 //! edge that does not exist, a zero-capacity cache, a zero gossip
 //! period) surface as a confusing runtime failure deep inside a
-//! harness.
+//! harness. What an edge can work out is not a knob: the age past
+//! which it forwards instead of replaying is a third of the
+//! deployment's freshness window
+//! ([`crate::edge_node::EdgeNodeParams::freshness_window`]).
 //!
 //! [`ClientProfile`] does the same for the ad-hoc client booleans:
 //! instead of mutating `ClientConfig` fields one by one, a harness
@@ -51,10 +54,6 @@ pub struct EdgeConfig {
     pub per_cluster: usize,
     /// Replay-cache sizing.
     pub cache: CacheConfig,
-    /// Edge nodes refuse to replay bundles older than this, forwarding
-    /// upstream instead (must sit well inside the clients' freshness
-    /// window so honest replays are never rejected as stale).
-    pub replay_staleness: SimDuration,
     /// Byzantine behaviour overrides for specific edge nodes.
     pub byzantine: Vec<(EdgeId, EdgeBehavior)>,
     /// Gossiped conviction directory.
@@ -73,7 +72,6 @@ impl EdgeConfig {
         EdgeConfig {
             per_cluster: 0,
             cache: CacheConfig::default(),
-            replay_staleness: SimDuration::from_secs(10),
             byzantine: Vec::new(),
             directory: DirectoryPlan::disabled(),
             feed: FeedPlan::disabled(),
@@ -110,8 +108,6 @@ impl EdgeConfig {
 pub enum ConfigError {
     /// A deployed edge tier needs a non-zero fragment capacity.
     NoCacheCapacity,
-    /// A deployed edge tier needs a non-zero replay-staleness floor.
-    ZeroReplayStaleness,
     /// A byzantine override names an edge the plan does not deploy.
     ByzantineOutOfRange(EdgeId),
     /// The gossip directory is enabled with a zero anti-entropy period.
@@ -125,12 +121,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::NoCacheCapacity => {
                 write!(f, "deployed edge tier needs a non-zero cache capacity")
-            }
-            ConfigError::ZeroReplayStaleness => {
-                write!(
-                    f,
-                    "deployed edge tier needs a non-zero replay-staleness floor"
-                )
             }
             ConfigError::ByzantineOutOfRange(edge) => {
                 write!(f, "byzantine override for undeployed edge {edge:?}")
@@ -167,12 +157,6 @@ impl EdgeConfigBuilder {
         self
     }
 
-    /// Replay-staleness floor.
-    pub fn replay_staleness(mut self, staleness: SimDuration) -> Self {
-        self.config.replay_staleness = staleness;
-        self
-    }
-
     /// Mark one edge node byzantine.
     pub fn byzantine(mut self, edge: EdgeId, behavior: EdgeBehavior) -> Self {
         self.config.byzantine.push((edge, behavior));
@@ -203,13 +187,8 @@ impl EdgeConfigBuilder {
     /// Validate and return the configuration.
     pub fn build(self) -> Result<EdgeConfig, ConfigError> {
         let c = &self.config;
-        if c.per_cluster > 0 {
-            if c.cache.capacity == 0 {
-                return Err(ConfigError::NoCacheCapacity);
-            }
-            if c.replay_staleness == SimDuration::ZERO {
-                return Err(ConfigError::ZeroReplayStaleness);
-            }
+        if c.per_cluster > 0 && c.cache.capacity == 0 {
+            return Err(ConfigError::NoCacheCapacity);
         }
         for (edge, _) in &c.byzantine {
             if edge.index as usize >= c.per_cluster {

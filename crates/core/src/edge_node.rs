@@ -6,7 +6,8 @@
 //! below). It holds no partition state, no Merkle tree, and no
 //! consensus role — only the [`transedge_edge::ReplayCache`] sections
 //! and windows of certified responses it has forwarded before. A
-//! request one cached section (or window) covers is answered locally
+//! request one cached section proves (or one cached window was
+//! admitted for) is answered locally
 //! (zero upstream hops); anything else — a partly cached one included —
 //! is forwarded whole to a replica of the partition that owns it, and
 //! the certified answer absorbed on the way back only if it is the one
@@ -193,13 +194,14 @@ pub struct EdgeNodeParams {
     pub cache_capacity: usize,
     /// Certified headers retained per cluster cache.
     pub max_cached_batches: usize,
-    /// Cached bundles older than this are not replayed; the request is
-    /// forwarded upstream instead, refreshing the cache.
-    pub replay_staleness: SimDuration,
     /// Deployment tree depth (what the node's verifier checks proofs
     /// against).
     pub tree_depth: u32,
-    /// Deployment freshness window (evidence re-verification).
+    /// Deployment freshness window: what evidence is re-verified
+    /// against, and — a third of it — the age past which a cached
+    /// bundle is not replayed but forwarded upstream, refreshing the
+    /// cache. The third keeps every honest replay inside the window
+    /// its client checks, whatever window the deployment runs.
     pub freshness_window: SimDuration,
     /// Gossip directory.
     pub directory: DirectoryPlan,
@@ -228,8 +230,7 @@ pub struct EdgeNodeStats {
     pub keys_from_cache: u64,
     /// Range-scan requests received.
     pub scan_requests: u64,
-    /// Scans answered from the replay cache (including covering reuse
-    /// of a cached wider window).
+    /// Scans answered from the replay cache.
     pub scans_from_cache: u64,
     /// Scans forwarded upstream to a replica.
     pub scans_forwarded: u64,
@@ -360,7 +361,6 @@ pub struct EdgeReadNode {
     /// normal traffic, foreign clusters' from couriered gather parts —
     /// which is what makes a warm single-contact query one LAN hop.
     caches: PartitionCaches<CommittedHeader>,
-    replay_staleness: SimDuration,
     directory_plan: DirectoryPlan,
     feed_plan: FeedPlan,
     persistent: bool,
@@ -377,6 +377,9 @@ pub struct EdgeReadNode {
     /// upstream req id → the request it answers.
     pending: HashMap<u64, PendingRequest>,
     gathers: HashMap<u64, GatherState>,
+    /// The cold-bootstrap transfer in flight: the sibling asked and
+    /// the request id — the only `StateTransferResp` admitted, once.
+    transfer: Option<(NodeId, u64)>,
     next_req: u64,
     next_gather: u64,
     /// Round-robin over replicas for upstream fetches.
@@ -409,7 +412,6 @@ impl EdgeReadNode {
             keys,
             behavior: params.behavior,
             caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
-            replay_staleness: params.replay_staleness,
             directory_plan: params.directory,
             feed_plan: params.feed,
             store: SnapshotStore::new(DEFAULT_SPILL_THRESHOLD),
@@ -419,6 +421,7 @@ impl EdgeReadNode {
             directory,
             pending: HashMap::new(),
             gathers: HashMap::new(),
+            transfer: None,
             next_req: 0,
             next_gather: 0,
             upstream_rr: 0,
@@ -969,6 +972,7 @@ impl EdgeReadNode {
         };
         self.next_req += 1;
         self.stats.sibling_transfers += 1;
+        self.transfer = Some((sibling, self.next_req));
         ctx.send(
             sibling,
             NetMsg::StateTransfer {
@@ -1002,16 +1006,25 @@ impl EdgeReadNode {
         );
     }
 
-    /// A sibling's transfer answer: every object is re-verified through
-    /// the client-grade chain before touching a cache — a sibling is an
-    /// untrusted edge like any other — then admitted and re-spilled to
-    /// our own durable store.
+    /// A sibling's transfer answer, taken only from the sibling asked
+    /// under the request id used, once — anything else could make this
+    /// node pay a verification per pushed object and fill its cache and
+    /// disk with valid sections of the pusher's choosing. Every object
+    /// is re-verified through the client-grade chain before touching a
+    /// cache — a sibling is an untrusted edge like any other — then
+    /// admitted and re-spilled to our own durable store.
     fn on_state_transfer_resp(
         &mut self,
+        from: NodeId,
+        req: u64,
         cluster: ClusterId,
         objects: Vec<RotSnapshot>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
+        if self.transfer != Some((from, req)) {
+            return;
+        }
+        self.transfer = None;
         for object in objects {
             if object.cluster() != cluster {
                 self.stats.sibling_objects_rejected += 1;
@@ -1030,6 +1043,13 @@ impl EdgeReadNode {
         }
     }
 
+    /// The oldest batch timestamp replayed at `now`: a third of the
+    /// freshness window back. Anything older is forwarded upstream.
+    fn replay_floor(&self, now: SimTime) -> SimTime {
+        let staleness = self.verifier.params.freshness_window.as_micros() / 3;
+        SimTime(now.as_micros().saturating_sub(staleness))
+    }
+
     /// Serve a point query from cache — one cached section proving
     /// every asked key — or forward it whole upstream.
     fn on_point_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
@@ -1039,11 +1059,7 @@ impl EdgeReadNode {
         let cluster = self.home_cluster(&query);
         self.stats.requests += 1;
         self.stats.keys_requested += keys.len() as u64;
-        let freshness_floor = SimTime(
-            ctx.now()
-                .as_micros()
-                .saturating_sub(self.replay_staleness.as_micros()),
-        );
+        let freshness_floor = self.replay_floor(ctx.now());
         let cache = self.caches.cache_for(cluster);
         let Some(section) = cache.replay(keys, query.min_lce(), freshness_floor) else {
             self.stats.forwarded += 1;
@@ -1065,9 +1081,9 @@ impl EdgeReadNode {
         self.respond(reply, Box::new(section), fresh, ctx);
     }
 
-    /// Serve a scan query from the replay cache — a cached window
-    /// covering the page at the pinned batch (page continuations) or
-    /// at any batch passing the LCE/staleness floors — or forward it
+    /// Serve a scan query from the replay cache — the page's window
+    /// cached at the pinned batch (page continuations) or at any batch
+    /// passing the LCE/staleness floors — or forward it
     /// upstream, absorbing the certified answer on the way back.
     fn on_scan_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
         self.stats.scan_requests += 1;
@@ -1077,11 +1093,7 @@ impl EdgeReadNode {
             // dropping it here saves the upstream hop.
             return;
         };
-        let freshness_floor = SimTime(
-            ctx.now()
-                .as_micros()
-                .saturating_sub(self.replay_staleness.as_micros()),
-        );
+        let freshness_floor = self.replay_floor(ctx.now());
         let min_lce = query.min_lce();
         let cache = self.cache_for(cluster);
         let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
@@ -1254,8 +1266,10 @@ impl Actor<NetMsg> for EdgeReadNode {
                 self.on_state_transfer(from, req, cluster, ctx)
             }
             NetMsg::StateTransferResp {
-                cluster, objects, ..
-            } => self.on_state_transfer_resp(cluster, objects, ctx),
+                req,
+                cluster,
+                objects,
+            } => self.on_state_transfer_resp(from, req, cluster, objects, ctx),
             NetMsg::DirectoryPull => {
                 if let Some(agent) = &mut self.directory {
                     // Always answered, records or not: the client holds

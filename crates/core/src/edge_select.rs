@@ -1,69 +1,44 @@
-//! Adaptive client→edge routing for the read-only path.
+//! Client→edge selection for the read-only path: a demotion table.
 //!
-//! The static scheme (one pinned edge per partition per client) wastes
-//! the edge tier in exactly the situations it exists for: a slow or
-//! crashed edge keeps its clients, and a byzantine edge keeps receiving
-//! traffic even after the verifier has caught it lying. The
-//! [`EdgeSelector`] replaces it with per-target health tracking:
+//! A pinned edge per partition per client would waste the edge tier in
+//! exactly the situations it exists for: a crashed edge keeps its
+//! clients, and a byzantine edge keeps receiving traffic even after
+//! the verifier has caught it lying. The [`EdgeSelector`] keeps each
+//! partition's candidates in registration order and hands out the
+//! first one it has not demoted, starting from a rotating offset:
 //!
-//! * an EWMA of observed request latency ranks candidate edges;
 //! * consecutive timeouts demote an edge for a cooldown (crash/partition
 //!   suspicion — it may come back);
-//! * verified byzantine rejections demote it much faster (a forged
-//!   proof is cryptographic evidence, not a hunch);
+//! * one verified byzantine rejection demotes it at once (a forged
+//!   proof is cryptographic evidence, not a hunch), and so does a
+//!   directory hint — someone else's verified evidence;
 //! * when every edge of a partition is demoted, the selector returns
 //!   `None` and the caller falls back to real replicas, so a fully
 //!   byzantine edge tier degrades throughput, never correctness or
 //!   liveness.
 //!
-//! The selector is client-local state (each client learns from its own
-//! traffic), deterministic, and cheap: one small `Vec` per partition.
+//! Healthy candidates are picked, not ranked: the latency model puts
+//! every edge of a partition at the same distance from every client,
+//! so there is nothing to rank them by. The selector is client-local
+//! state (each client learns from its own traffic), deterministic, and
+//! cheap: one small `Vec` per partition.
 
 use std::collections::HashMap;
 
 use transedge_common::{ClusterId, NodeId, SimDuration, SimTime};
 
-/// Weight of the newest latency sample in the EWMA (0 < alpha ≤ 1).
-const EWMA_ALPHA: f64 = 0.3;
 /// Consecutive timeouts before an edge is demoted.
 pub const FAILURE_THRESHOLD: u32 = 3;
 /// How long a demoted edge is shunned before it gets another chance
 /// (its counters reset — probation, not forgiveness: the thresholds
 /// apply afresh).
 const COOLDOWN: SimDuration = SimDuration::from_secs(5);
-/// Latency assumed for never-sampled edges. Optimistic on purpose: new
-/// targets get explored instead of starving behind one good early
-/// sample.
-const OPTIMISTIC_LATENCY: SimDuration = SimDuration::from_millis(1);
-
-/// The one tuning knob of [`EdgeSelector`].
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeSelectorConfig {
-    /// Verified byzantine rejections before an edge is demoted. A
-    /// rejection is cryptographic evidence of a forgery (not a hunch
-    /// like a timeout), so the default is one strike; a test pinning
-    /// "every tampered response is rejected" turns demotion off.
-    pub rejection_threshold: u32,
-}
-
-impl Default for EdgeSelectorConfig {
-    fn default() -> Self {
-        EdgeSelectorConfig {
-            rejection_threshold: 1,
-        }
-    }
-}
 
 /// Health record per edge target; exposed so harnesses and tests can
 /// assert routing behaviour.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EdgeHealth {
-    /// Smoothed request latency in microseconds (`None` until the
-    /// first sample).
-    pub ewma_latency_us: Option<f64>,
     pub consecutive_failures: u32,
-    /// Rejections since the last demotion/promotion.
-    pub rejections: u32,
     pub successes: u64,
     pub failures: u64,
     /// Byzantine rejections over the target's lifetime.
@@ -82,7 +57,6 @@ impl EdgeHealth {
         self.demoted_until = Some(now + COOLDOWN);
         self.demotions += 1;
         self.consecutive_failures = 0;
-        self.rejections = 0;
     }
 
     /// Clear an expired demotion (probation: counters start over).
@@ -91,34 +65,22 @@ impl EdgeHealth {
             self.demoted_until = None;
         }
     }
-
-    /// Ranking score: smoothed latency (optimistic for the unsampled)
-    /// inflated by recent consecutive failures, so a flaky edge loses
-    /// to a steady one even before it crosses the demotion threshold.
-    fn score(&self) -> f64 {
-        let base = self
-            .ewma_latency_us
-            .unwrap_or(OPTIMISTIC_LATENCY.as_micros() as f64);
-        base * (1.0 + self.consecutive_failures as f64)
-    }
 }
 
-/// Latency/failure-aware edge routing table. See module docs.
+/// The per-partition demotion table. See module docs.
 #[derive(Clone, Debug)]
 pub struct EdgeSelector {
-    config: EdgeSelectorConfig,
     /// Per partition: candidate edges in registration order.
     targets: HashMap<ClusterId, Vec<(NodeId, EdgeHealth)>>,
-    /// Rotates tie-breaks among unsampled candidates so a fleet of
-    /// clients (seeded by client id) spreads over the edge tier
-    /// instead of stampeding one node.
+    /// Where the next pick starts its walk. Seeded by client id and
+    /// advanced per pick, so a fleet of clients spreads over the edge
+    /// tier instead of stampeding one node.
     preference: u64,
 }
 
 impl EdgeSelector {
-    pub fn new(config: EdgeSelectorConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         EdgeSelector {
-            config,
             targets: HashMap::new(),
             preference: seed,
         }
@@ -137,8 +99,9 @@ impl EdgeSelector {
         self.targets.get(&cluster).is_some_and(|t| !t.is_empty())
     }
 
-    /// Best available edge for `cluster`, or `None` when every
-    /// candidate is demoted (callers then fall back to replicas).
+    /// The first edge of `cluster` not demoted, walking from the
+    /// rotating offset, or `None` when every candidate is demoted
+    /// (callers then fall back to replicas).
     pub fn pick(&mut self, cluster: ClusterId, now: SimTime) -> Option<NodeId> {
         let entries = self.targets.get_mut(&cluster)?;
         for (_, health) in entries.iter_mut() {
@@ -148,32 +111,17 @@ impl EdgeSelector {
         if n == 0 {
             return None;
         }
-        // Rotate the scan start so equal scores (fresh targets) spread
-        // across clients and across successive picks.
         let start = (self.preference % n as u64) as usize;
         self.preference = self.preference.wrapping_add(1);
-        let mut best: Option<(f64, NodeId)> = None;
-        for i in 0..n {
-            let (node, health) = &entries[(start + i) % n];
-            if health.is_demoted(now) {
-                continue;
-            }
-            let score = health.score();
-            if best.is_none_or(|(b, _)| score < b) {
-                best = Some((score, *node));
-            }
-        }
-        best.map(|(_, node)| node)
+        (0..n)
+            .map(|i| &entries[(start + i) % n])
+            .find(|(_, health)| !health.is_demoted(now))
+            .map(|(node, _)| *node)
     }
 
-    /// A verified response came back from `edge` after `latency`.
-    pub fn record_success(&mut self, cluster: ClusterId, edge: NodeId, latency: SimDuration) {
+    /// A verified response came back from `edge`.
+    pub fn record_success(&mut self, cluster: ClusterId, edge: NodeId) {
         if let Some(health) = self.health_mut(cluster, edge) {
-            let sample = latency.as_micros() as f64;
-            health.ewma_latency_us = Some(match health.ewma_latency_us {
-                Some(prev) => prev + EWMA_ALPHA * (sample - prev),
-                None => sample,
-            });
             health.consecutive_failures = 0;
             health.successes += 1;
         }
@@ -192,15 +140,12 @@ impl EdgeSelector {
     }
 
     /// A response from `edge` failed verification — cryptographic
-    /// evidence of byzantine behaviour.
+    /// evidence of byzantine behaviour, not a hunch like a timeout: one
+    /// strike demotes.
     pub fn record_rejection(&mut self, cluster: ClusterId, edge: NodeId, now: SimTime) {
-        let threshold = self.config.rejection_threshold;
         if let Some(health) = self.health_mut(cluster, edge) {
-            health.rejections += 1;
             health.total_rejections += 1;
-            if health.rejections >= threshold {
-                health.demote(now);
-            }
+            health.demote(now);
         }
     }
 
@@ -255,42 +200,15 @@ mod tests {
     }
 
     fn selector() -> EdgeSelector {
-        let mut s = EdgeSelector::new(EdgeSelectorConfig::default(), 0);
+        let mut s = EdgeSelector::new(0);
         s.register(ClusterId(0), edge(0));
         s.register(ClusterId(0), edge(1));
         s
     }
 
     #[test]
-    fn picks_lower_latency_edge() {
-        let mut s = selector();
-        s.record_success(ClusterId(0), edge(0), SimDuration::from_millis(10));
-        s.record_success(ClusterId(0), edge(1), SimDuration::from_millis(2));
-        for _ in 0..4 {
-            assert_eq!(s.pick(ClusterId(0), SimTime(0)), Some(edge(1)));
-        }
-    }
-
-    #[test]
-    fn ewma_tracks_latency_shifts() {
-        let mut s = selector();
-        s.record_success(ClusterId(0), edge(0), SimDuration::from_millis(2));
-        // Edge 0 degrades; repeated slow samples push its EWMA past
-        // edge 1's.
-        s.record_success(ClusterId(0), edge(1), SimDuration::from_millis(5));
-        for _ in 0..12 {
-            s.record_success(ClusterId(0), edge(0), SimDuration::from_millis(20));
-        }
-        assert_eq!(s.pick(ClusterId(0), SimTime(0)), Some(edge(1)));
-        let h = s.health(ClusterId(0), edge(0)).unwrap();
-        assert!(h.ewma_latency_us.unwrap() > 15_000.0);
-    }
-
-    #[test]
     fn consecutive_failures_demote_and_cooldown_promotes() {
         let mut s = selector();
-        s.record_success(ClusterId(0), edge(0), SimDuration::from_millis(1));
-        s.record_success(ClusterId(0), edge(1), SimDuration::from_millis(9));
         let now = SimTime(1_000);
         for _ in 0..FAILURE_THRESHOLD {
             s.record_failure(ClusterId(0), edge(0), now);
@@ -298,11 +216,15 @@ mod tests {
         let h = *s.health(ClusterId(0), edge(0)).unwrap();
         assert!(h.is_demoted(now));
         assert_eq!(h.demotions, 1);
-        // Traffic fails over to the slower-but-alive edge.
-        assert_eq!(s.pick(ClusterId(0), now), Some(edge(1)));
-        // After the cooldown the edge gets a fresh chance.
+        // Every pick lands on the live edge, wherever the rotation
+        // starts its walk.
+        for _ in 0..4 {
+            assert_eq!(s.pick(ClusterId(0), now), Some(edge(1)));
+        }
+        // After the cooldown the edge is back in the rotation.
         let later = now + COOLDOWN + SimDuration(1);
-        assert_eq!(s.pick(ClusterId(0), later), Some(edge(0)));
+        let picks = [s.pick(ClusterId(0), later), s.pick(ClusterId(0), later)];
+        assert!(picks.contains(&Some(edge(0))) && picks.contains(&Some(edge(1))));
     }
 
     #[test]
@@ -310,7 +232,7 @@ mod tests {
         let mut s = selector();
         s.record_failure(ClusterId(0), edge(0), SimTime(0));
         s.record_failure(ClusterId(0), edge(0), SimTime(0));
-        s.record_success(ClusterId(0), edge(0), SimDuration::from_millis(1));
+        s.record_success(ClusterId(0), edge(0));
         s.record_failure(ClusterId(0), edge(0), SimTime(0));
         assert!(!s
             .health(ClusterId(0), edge(0))
@@ -320,30 +242,12 @@ mod tests {
 
     #[test]
     fn byzantine_rejections_demote_fast() {
-        // Default: one verified forgery is enough.
+        // One verified forgery is enough.
         let mut s = selector();
         let now = SimTime(500);
         s.record_rejection(ClusterId(0), edge(0), now);
         assert!(s.health(ClusterId(0), edge(0)).unwrap().is_demoted(now));
         assert_eq!(s.pick(ClusterId(0), now), Some(edge(1)));
-        // A higher threshold tolerates that many strikes first.
-        let mut lenient = EdgeSelector::new(
-            EdgeSelectorConfig {
-                rejection_threshold: 2,
-            },
-            0,
-        );
-        lenient.register(ClusterId(0), edge(0));
-        lenient.record_rejection(ClusterId(0), edge(0), now);
-        assert!(!lenient
-            .health(ClusterId(0), edge(0))
-            .unwrap()
-            .is_demoted(now));
-        lenient.record_rejection(ClusterId(0), edge(0), now);
-        assert!(lenient
-            .health(ClusterId(0), edge(0))
-            .unwrap()
-            .is_demoted(now));
     }
 
     #[test]
@@ -359,14 +263,14 @@ mod tests {
 
     #[test]
     fn fresh_targets_spread_by_seed() {
-        let mut a = EdgeSelector::new(EdgeSelectorConfig::default(), 0);
-        let mut b = EdgeSelector::new(EdgeSelectorConfig::default(), 1);
+        let mut a = EdgeSelector::new(0);
+        let mut b = EdgeSelector::new(1);
         for s in [&mut a, &mut b] {
             s.register(ClusterId(0), edge(0));
             s.register(ClusterId(0), edge(1));
         }
-        // Different seeds start the scan at different candidates, so
-        // unsampled (equal-score) edges split across clients.
+        // Different seeds start the walk at different candidates, so
+        // healthy edges split across clients.
         let pa = a.pick(ClusterId(0), SimTime(0)).unwrap();
         let pb = b.pick(ClusterId(0), SimTime(0)).unwrap();
         assert_ne!(pa, pb);

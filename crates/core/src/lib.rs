@@ -25,9 +25,9 @@
 //!   misses to their partitions' replicas), and a
 //!   `transedge-directory` gossip agent exchanging signed,
 //!   re-verified rejection evidence;
-//! * [`edge_select`] — adaptive client→edge routing: EWMA latency
-//!   ranking with failure/byzantine-rejection demotion and replica
-//!   fallback, with fleet-convicted edges demoted before first
+//! * [`edge_select`] — client→edge selection: a rotating pick over
+//!   each partition's edges with failure/byzantine-rejection demotion
+//!   and replica fallback, fleet-convicted edges demoted before first
 //!   contact;
 //! * [`client`] — the client library/actor: OCC read-write
 //!   transactions, and the unified proof-carrying read protocol — a

@@ -100,7 +100,6 @@ fn edge_node_params(config: &DeploymentConfig, id: EdgeId, peers: Vec<EdgeId>) -
         behavior: config.edge.behavior_of(id),
         cache_capacity: config.edge.cache.capacity,
         max_cached_batches: config.edge.cache.max_batches,
-        replay_staleness: config.edge.replay_staleness,
         tree_depth: config.node.tree_depth,
         freshness_window: config.node.freshness_window,
         directory: config.edge.directory.clone(),
@@ -132,35 +131,27 @@ pub struct Deployment {
     pub data: Vec<(Key, Value)>,
 }
 
-/// One client of a deployment: its script plus optional per-client
-/// config overrides (the base `DeploymentConfig::client` applies
-/// otherwise) — what lets a harness stagger start times or flip
-/// single-contact mode for one client only.
+/// One client of a deployment: its script plus an optional behaviour
+/// profile layered over the base `DeploymentConfig::client` — what lets
+/// a harness stagger start times or flip single-contact mode for one
+/// client only.
 #[derive(Clone)]
 pub struct ClientPlan {
     pub ops: Vec<ClientOp>,
-    /// Full per-client config override (replaces the deployment base).
-    pub config: Option<ClientConfig>,
-    /// Typed behaviour profile, layered over the base (or over
-    /// `config` when both are set) — the usual way to flip one client
-    /// into subscriber/single-contact/staggered-start mode.
+    /// Typed behaviour profile — the way to flip one client into
+    /// subscriber/single-contact/staggered-start mode.
     pub profile: Option<ClientProfile>,
 }
 
 impl ClientPlan {
     pub fn ops(ops: Vec<ClientOp>) -> Self {
-        ClientPlan {
-            ops,
-            config: None,
-            profile: None,
-        }
+        ClientPlan { ops, profile: None }
     }
 
     /// A script with a typed behaviour profile.
     pub fn with_profile(ops: Vec<ClientOp>, profile: ClientProfile) -> Self {
         ClientPlan {
             ops,
-            config: None,
             profile: Some(profile),
         }
     }
@@ -177,7 +168,7 @@ impl Deployment {
         )
     }
 
-    /// [`Deployment::build`] with per-client config overrides.
+    /// [`Deployment::build`] with per-client profiles.
     pub fn build_custom(mut config: DeploymentConfig, clients: Vec<ClientPlan>) -> Deployment {
         // Client verification parameters must match node parameters.
         config.client.tree_depth = config.node.tree_depth;
@@ -281,17 +272,16 @@ impl Deployment {
         for (i, plan) in clients.into_iter().enumerate() {
             let id = ClientId(i as u32);
             client_ids.push(id);
-            let mut client_config = plan.config.unwrap_or_else(|| config.client.clone());
-            if let Some(profile) = &plan.profile {
-                client_config = profile.apply(&client_config);
-            }
+            let mut client_config = match &plan.profile {
+                Some(profile) => profile.apply(&config.client),
+                None => config.client.clone(),
+            };
             client_config.tree_depth = config.node.tree_depth;
             client_config.freshness_window = config.node.freshness_window;
             if config.edge.per_cluster > 0 {
                 // Every client knows every edge of each partition; its
-                // adaptive selector (seeded by client id) spreads load
-                // and fails over on latency, timeouts, or byzantine
-                // rejections.
+                // selector (seeded by client id) spreads load and fails
+                // over on timeouts or byzantine rejections.
                 for cluster in config.topo.clusters() {
                     let edges: Vec<NodeId> = (0..config.edge.per_cluster)
                         .map(|e| NodeId::Edge(EdgeId::new(cluster, e as u16)))

@@ -60,12 +60,6 @@ impl ScanRange {
             && self.width() <= MAX_RANGE_BUCKETS
     }
 
-    /// Does this range cover every bucket of `other`? (A cached scan of
-    /// a wider range can serve a narrower request.)
-    pub fn covers(&self, other: &ScanRange) -> bool {
-        self.first <= other.first && other.last <= self.last
-    }
-
     pub fn contains_bucket(&self, bucket: u64) -> bool {
         (self.first..=self.last).contains(&bucket)
     }
@@ -462,9 +456,6 @@ mod tests {
         assert!(ScanRange::new(200, 255).is_valid_for_depth(8));
         let r = ScanRange::new(3, 9);
         assert_eq!(r.width(), 7);
-        assert!(r.covers(&ScanRange::new(4, 9)));
-        assert!(!r.covers(&ScanRange::new(2, 5)));
-        assert!(!r.covers(&ScanRange::new(8, 10)));
     }
 
     #[test]

@@ -364,9 +364,9 @@ pub enum ReadResponse<H> {
         section: Box<MultiProofBundle<H>>,
         fresh: Option<Vec<Arc<CertifiedDelta<H>>>>,
     },
-    /// One proof-carrying scan window (possibly wider than requested —
-    /// a replayed covering window; the verifier filters). Boxed: scan
-    /// bundles dwarf the other payloads.
+    /// One proof-carrying scan window — the one the query asked for;
+    /// the verifier accepts no other. Boxed: scan bundles dwarf the
+    /// other payloads.
     Scan { bundle: Box<ScanBundle<H>> },
     /// Edge-tier scatter-gather: one section per partition of a
     /// cross-partition query, stitched by the single edge the client

@@ -9,7 +9,8 @@
 //! edge node*: the client's [`crate::verifier::ReadVerifier`] re-checks
 //! everything. This is WedgeChain's lazy-trust pattern applied to
 //! TransEdge's ROT protocol. A replay is what was admitted, whole: the
-//! cache never composes an answer out of several sections.
+//! cache never composes an answer out of several sections, and a scan
+//! window answers the window it was admitted under and no other.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -31,9 +32,6 @@ pub struct ReplayStats {
     pub admitted: u64,
     /// Scan proofs absorbed from upstream.
     pub scans_admitted: u64,
-    /// Scan replays answered by a cached *wider* window covering the
-    /// request (overlap-aware reuse; the client filters to its range).
-    pub scans_covered_by_wider: u64,
     /// Certified deltas applied to the feed window (already verified by
     /// the caller).
     pub deltas_applied: u64,
@@ -61,11 +59,6 @@ impl transedge_obs::RegisterMetrics for ReplayStats {
     fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
         reg.counter(scope, "replay.admitted", self.admitted);
         reg.counter(scope, "replay.scans_admitted", self.scans_admitted);
-        reg.counter(
-            scope,
-            "replay.scans_covered_by_wider",
-            self.scans_covered_by_wider,
-        );
         reg.counter(scope, "replay.deltas_applied", self.deltas_applied);
         reg.counter(scope, "replay.feed_resets", self.feed_resets);
         reg.counter(
@@ -79,8 +72,8 @@ impl transedge_obs::RegisterMetrics for ReplayStats {
     }
 }
 
-/// Cached scan windows per batch (few per batch, matched by coverage —
-/// a linear scan of a short list beats an index here).
+/// Cached scan windows per batch (few per batch — a linear scan of a
+/// short list beats an index here). Past this many, the oldest goes.
 const MAX_SCANS_PER_BATCH: usize = 32;
 
 /// Cached section bodies per batch. The key-capacity LRU alone bounds
@@ -104,10 +97,8 @@ pub struct ReplayCache<H> {
     /// [`MAX_BODIES_PER_BATCH`] counts.
     bodies: BTreeMap<u64, VecDeque<MultiProofBody>>,
     /// Per-`(range, batch)` scan-proof cache: batch → cached windows,
-    /// oldest first. A window serves any request it *covers* (the
-    /// client verifies the proven window and filters to its own range),
-    /// so wide windows absorbed once keep serving narrower scans.
-    scans: BTreeMap<u64, Vec<(ScanRange, ScanProof)>>,
+    /// oldest first. A window serves requests for exactly its range.
+    scans: BTreeMap<u64, Vec<ScanProof>>,
     /// The verified deltas this cache can attach as a freshness
     /// certificate, ending at the feed head.
     feed: FeedWindow<H>,
@@ -192,9 +183,8 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     }
 
     /// Absorb an upstream scan response: remember the certified header
-    /// and the proof-carrying window. Windows already covered by a
-    /// cached wider window at the same batch are skipped; a new wider
-    /// window displaces the narrower ones it covers.
+    /// and the proof-carrying window, unless that `(batch, range)` is
+    /// already cached.
     pub fn admit_scan(&mut self, bundle: &ScanBundle<H>) {
         // The bundle is unverified upstream input. A window whose row
         // count disagrees with what its own proof commits to would fail
@@ -214,33 +204,27 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         self.commitments
             .insert(batch.0, (bundle.commitment.clone(), bundle.cert.clone()));
         let windows = self.scans.entry(batch.0).or_default();
-        if !windows
-            .iter()
-            .any(|(cached, _)| cached.covers(&bundle.scan.range))
-        {
-            windows.retain(|(cached, _)| !bundle.scan.range.covers(cached));
+        if !windows.iter().any(|w| w.range == bundle.scan.range) {
             if windows.len() >= MAX_SCANS_PER_BATCH {
                 windows.remove(0);
             }
-            windows.push((bundle.scan.range, bundle.scan.clone()));
+            windows.push(bundle.scan.clone());
         }
         self.evict_to_cap();
         self.stats.scans_admitted += 1;
     }
 
     /// Try to answer a scan for `range` from cache: the newest admitted
-    /// batch passing the LCE and timestamp floors holding a cached
-    /// window that **covers** `range`. The replayed bundle carries the
-    /// cached (possibly wider) window — clients verify the proven
-    /// window's completeness and filter rows down to what they asked
-    /// for, so covering reuse costs bandwidth, never correctness.
+    /// batch passing the LCE and timestamp floors holding a window
+    /// admitted for exactly `range` — the client's verifier accepts no
+    /// other.
     ///
     /// With `pinned` (a page continuation) only a window cached at
     /// **exactly that batch** may serve and the floors are ignored —
     /// no newer batch is an acceptable substitute, because the client's
     /// verifier rejects any other batch as a snapshot-pin mismatch.
     pub fn replay_scan(
-        &mut self,
+        &self,
         range: &ScanRange,
         pinned: Option<BatchNum>,
         min_lce: Epoch,
@@ -250,19 +234,10 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
             Some(batch) => vec![batch.0],
             None => self.passing_batches(min_lce, min_timestamp),
         };
-        // Prefer the tightest covering window (least excess rows).
-        let hit = candidates.into_iter().find_map(|batch| {
-            self.scans
-                .get(&batch)?
-                .iter()
-                .filter(|(cached, _)| cached.covers(range))
-                .min_by_key(|(cached, _)| cached.width())
-                .map(|(cached, scan)| (batch, *cached, scan.clone()))
-        });
-        let (batch, cached_range, scan) = hit?;
-        if cached_range != *range {
-            self.stats.scans_covered_by_wider += 1;
-        }
+        let (batch, scan) = candidates.into_iter().find_map(|batch| {
+            let scan = self.scans.get(&batch)?.iter().find(|w| w.range == *range)?;
+            Some((batch, scan.clone()))
+        })?;
         let (commitment, cert) = self.commitments[&batch].clone();
         Some(ScanBundle {
             commitment,

@@ -194,9 +194,8 @@ impl<H: BatchCommitment> MultiProofBundle<H> {
 /// tree-order window, plus the Merkle range proof that makes the set
 /// *complete* — an untrusted server cannot omit a row in `range`
 /// without breaking the proof against the certified root. `range` is
-/// the window actually proven; it may be wider than what a client
-/// requested (an edge replaying a cached wider scan), and the verifier
-/// checks coverage and filters.
+/// the window actually proven, which the verifier requires to be the
+/// window the client requested.
 #[derive(Clone, Debug)]
 pub struct ScanProof {
     /// The proven window, in tree order (bucket indices).

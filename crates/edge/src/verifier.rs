@@ -22,7 +22,11 @@
 //! replay, a gather part, a hydrated disk object, or a sibling's state
 //! transfer, and one private check (`verify_section`) runs for all of
 //! them. A point answer mixing batches, or carrying no section, is not
-//! a rejection: [`ReadResponse::Point`] cannot hold one.
+//! a rejection: [`ReadResponse::Point`] cannot hold one. A scan answer
+//! is likewise one window — the one the query asked for, proven
+//! complete by one range proof ([`ReadVerifier::verify_scan`]); any
+//! other window, wider or narrower, is rejected before the proof is
+//! looked at, so no later step reasons about two ranges.
 //!
 //! Anything else is a [`ReadRejection`], which callers count as
 //! evidence of a byzantine server and answer by re-asking a different
@@ -84,10 +88,12 @@ pub enum ReadRejection {
     ValueMismatch(Key),
     /// Proof shows the key absent, but a value was attached anyway.
     PhantomValue(Key),
-    /// The proven scan window does not cover the requested range — a
+    /// The proven scan window is not the requested one. Narrower is a
     /// *boundary truncation*: shrinking the proven window is how a
     /// server would hide rows at the edges of a scan while every
-    /// surviving row still verified.
+    /// surviving row still verified. Wider is sound material answering
+    /// a question nobody asked (circumstantial, like
+    /// [`ReadRejection::MissingKey`]) — no honest server sends it.
     ScanRangeNotCovered {
         requested: ScanRange,
         proven: ScanRange,
@@ -364,18 +370,16 @@ impl ReadVerifier {
     /// 1–4. identical to the point chain (cluster, `f+1` certificate
     ///      over the recomputed digest, freshness window, dependency
     ///      floor);
-    /// 5. the *proven* window covers the *requested* range (a cached
-    ///    wider window is fine — anything narrower is a boundary
-    ///    truncation and rejected);
+    /// 5. the *proven* window **is** the *requested* one — checked
+    ///    before any proof work, so every later step reasons about one
+    ///    range (anything narrower is a boundary truncation);
     /// 6. the Merkle range proof verifies against the certified root,
-    ///    yielding the committed entry list of the proven window;
+    ///    yielding the committed entry list of the window;
     /// 7. the returned rows match that entry list **exactly** — same
     ///    count, each row hashing to its entry, in tree order. Any
     ///    omitted, injected, reordered, or tampered row breaks this.
     ///
-    /// On success returns the verified rows *restricted to the
-    /// requested range* (rows of a wider proven window are verified,
-    /// then filtered).
+    /// On success every proven row is a returned row.
     pub fn verify_scan<H: BatchCommitment>(
         &self,
         keys: &impl QuorumCheck,
@@ -395,20 +399,19 @@ impl ReadVerifier {
             min_lce,
             now,
         )?;
-        // 5. Coverage: the proven window must contain the request.
-        let proven_range = bundle.scan.range;
-        if !proven_range.covers(requested) {
+        // 5. The proven window is the requested one.
+        if bundle.scan.range != *requested {
             return Err(ReadRejection::ScanRangeNotCovered {
                 requested: *requested,
-                proven: proven_range,
+                proven: bundle.scan.range,
             });
         }
         // 6. Completeness proof against the certified root: the complete
-        // committed entry list of the *proven* window, in tree order.
+        // committed entry list of the window, in tree order.
         let entries = verify_range_proof(
             commitment.merkle_root(),
             self.params.tree_depth,
-            &proven_range,
+            requested,
             &bundle.scan.proof,
         )
         .map_err(|_| ReadRejection::BadRangeProof)?;
@@ -423,19 +426,12 @@ impl ReadVerifier {
                 returned: rows.len(),
             });
         }
-        let mut verified = Vec::with_capacity(rows.len());
         for ((key, value), entry) in rows.iter().zip(&entries) {
             if sha256(key.as_bytes()) != entry.key_hash || value_digest(value) != entry.value_hash {
                 return Err(ReadRejection::ScanRowMismatch(key.clone()));
             }
-            if requested.contains_bucket(ScanRange::bucket_of_hash(
-                &entry.key_hash,
-                self.params.tree_depth,
-            )) {
-                verified.push((key.clone(), value.clone()));
-            }
         }
-        Ok(verified)
+        Ok(rows.clone())
     }
 
     /// The single verifier entry point of the unified read protocol:

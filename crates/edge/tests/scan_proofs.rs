@@ -281,7 +281,7 @@ proptest! {
         if range.width() > 1 {
             let narrow = ScanRange::new(range.first + 1, range.last);
             let truncated = p.scan_bundle(&narrow, BatchNum(1));
-            // ...honestly labelled does not cover the request;
+            // ...honestly labelled is not the window requested;
             prop_assert!(matches!(
                 p.verify(&truncated, &range),
                 Err(ReadRejection::ScanRangeNotCovered { .. })
@@ -291,6 +291,21 @@ proptest! {
             let mut relabelled = truncated.clone();
             relabelled.scan.range = range;
             prop_assert!(p.verify(&relabelled, &range).is_err());
+            // ...and the converse: the honest window answered to a
+            // request for the narrower one is not the window asked for
+            // either — decided before any proof work, so gutting the
+            // proof does not change the verdict.
+            let mut gutted = honest.clone();
+            gutted.scan.proof.occupied.clear();
+            for wider in [&honest, &gutted] {
+                prop_assert_eq!(
+                    p.verify(wider, &narrow),
+                    Err(ReadRejection::ScanRangeNotCovered {
+                        requested: narrow,
+                        proven: range,
+                    })
+                );
+            }
         }
 
         // 3. Cross-batch splice: batch 0's (internally consistent)

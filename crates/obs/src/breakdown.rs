@@ -8,7 +8,7 @@ use crate::trace::{CompletedTrace, SpanPhase};
 /// Nearest-rank percentile over an ascending-sorted slice: the element
 /// at `round((len - 1) * p)`. Returns `0.0` for an empty slice. This
 /// is the one percentile definition every consumer in the workspace
-/// shares (client metrics, histograms, bench emitters).
+/// shares (client metrics, bench emitters).
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -12,10 +12,9 @@
 //!   [`TraceLog`]; completed traces land in a bounded flight-recorder
 //!   ring for post-mortem dumps.
 //! * **Unified metrics** ([`metrics`]): a [`MetricRegistry`] of
-//!   counters, gauges and fixed log-bucket histograms that the
-//!   workspace's per-subsystem `*Stats` structs register into via
-//!   [`RegisterMetrics`], giving per-node scopes and fleet-wide
-//!   rollups through one typed API.
+//!   counters that the workspace's per-subsystem `*Stats` structs
+//!   register into via [`RegisterMetrics`], giving per-node scopes and
+//!   fleet-wide rollups through one typed API.
 //! * **Exporters** ([`chrome`], [`breakdown`]): Chrome-trace-format
 //!   JSON (load into `chrome://tracing` / Perfetto) and per-phase
 //!   latency decompositions of nearest-rank percentile traces (the
@@ -36,7 +35,7 @@ pub mod trace;
 
 pub use breakdown::{breakdown_at_percentile, percentile, percentile_u64, PhaseBreakdown};
 pub use chrome::chrome_trace_json;
-pub use metrics::{Histogram, MetricRegistry, RegisterMetrics};
+pub use metrics::{MetricRegistry, RegisterMetrics};
 pub use trace::{
     CompletedTrace, Span, SpanId, SpanPhase, TraceContext, TraceId, TraceLog,
     DEFAULT_FLIGHT_CAPACITY,

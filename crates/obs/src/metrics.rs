@@ -1,6 +1,5 @@
-//! The unified metric registry: typed counters, gauges, and fixed
-//! log-bucket histograms, keyed by `(scope, name)` with fleet-wide
-//! rollups across scopes.
+//! The unified metric registry: counters keyed by `(scope, name)`,
+//! with fleet-wide rollups across scopes.
 //!
 //! Every per-subsystem `*Stats` struct in the workspace implements
 //! [`RegisterMetrics`], publishing its counters under a node-scoped
@@ -10,139 +9,18 @@
 
 use std::collections::BTreeMap;
 
-use crate::breakdown::percentile_u64;
-
-/// Number of log buckets: one per power of two of a `u64` value, plus
-/// the zero bucket.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A fixed log-bucket histogram over `u64` samples (microseconds,
-/// bytes, counts — caller's choice of unit). Bucket `i` holds values
-/// whose bit length is `i`, i.e. `v == 0` → bucket 0, otherwise
-/// `2^(i-1) <= v < 2^i`. Deterministic and allocation-free after
-/// construction.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
-    /// Upper bound (inclusive) of bucket `i`: the largest value it can
-    /// hold.
-    fn bucket_upper(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
-
-    /// Record one sample.
-    pub fn observe(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Nearest-rank quantile, resolved to the containing bucket's
-    /// upper bound (exact for min/max, bucket-granular in between).
-    pub fn quantile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen > rank {
-                return Self::bucket_upper(i).min(self.max).max(self.min());
-            }
-        }
-        self.max
-    }
-
-    /// Merge another histogram into this one (fleet rollups).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Implemented by each subsystem's stats struct: publish your counters
 /// into `reg` under `scope`.
 pub trait RegisterMetrics {
     fn register_metrics(&self, scope: &str, reg: &mut MetricRegistry);
 }
 
-/// The registry: `(scope, name)`-keyed counters, gauges, and
-/// histograms, stored in `BTreeMap`s so iteration (and every exporter
-/// built on it) is deterministic.
+/// The registry: `(scope, name)`-keyed counters, stored in a
+/// `BTreeMap` so iteration (and every exporter built on it) is
+/// deterministic.
 #[derive(Default)]
 pub struct MetricRegistry {
     counters: BTreeMap<(String, String), u64>,
-    gauges: BTreeMap<(String, String), i64>,
-    histograms: BTreeMap<(String, String), Histogram>,
 }
 
 impl MetricRegistry {
@@ -158,20 +36,6 @@ impl MetricRegistry {
             .or_insert(0) += value;
     }
 
-    /// Set the gauge `scope/name` to `value`.
-    pub fn gauge(&mut self, scope: &str, name: &str, value: i64) {
-        self.gauges
-            .insert((scope.to_string(), name.to_string()), value);
-    }
-
-    /// Record `value` into the histogram `scope/name`.
-    pub fn observe(&mut self, scope: &str, name: &str, value: u64) {
-        self.histograms
-            .entry((scope.to_string(), name.to_string()))
-            .or_default()
-            .observe(value);
-    }
-
     /// Let `source` publish itself under `scope`.
     pub fn register(&mut self, scope: &str, source: &dyn RegisterMetrics) {
         source.register_metrics(scope, self);
@@ -183,18 +47,6 @@ impl MetricRegistry {
             .get(&(scope.to_string(), name.to_string()))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// A single scope's gauge.
-    pub fn gauge_value(&self, scope: &str, name: &str) -> Option<i64> {
-        self.gauges
-            .get(&(scope.to_string(), name.to_string()))
-            .copied()
-    }
-
-    /// A single scope's histogram.
-    pub fn histogram(&self, scope: &str, name: &str) -> Option<&Histogram> {
-        self.histograms.get(&(scope.to_string(), name.to_string()))
     }
 
     /// Fleet rollup: the counter summed across every scope.
@@ -215,26 +67,9 @@ impl MetricRegistry {
         out
     }
 
-    /// Fleet rollup: one histogram merging every scope's `name`.
-    pub fn fleet_histogram(&self, name: &str) -> Histogram {
-        let mut merged = Histogram::new();
-        for ((_, n), h) in &self.histograms {
-            if n == name {
-                merged.merge(h);
-            }
-        }
-        merged
-    }
-
     /// Every registered scope, sorted and deduplicated.
     pub fn scopes(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .counters
-            .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
-            .map(|(s, _)| s.as_str())
-            .collect();
+        let mut out: Vec<&str> = self.counters.keys().map(|(s, _)| s.as_str()).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -249,7 +84,7 @@ impl MetricRegistry {
 
     /// Total number of registered series.
     pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
+        self.counters.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -257,44 +92,9 @@ impl MetricRegistry {
     }
 }
 
-/// Exact nearest-rank percentile over raw samples — re-exported here
-/// so histogram users and raw-sample users share one definition.
-pub fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
-    percentile_u64(sorted, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_by_bit_length() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 2, 3, 4, 1000, 1024] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 2034);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 1024);
-        // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 4 → bucket 3.
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), 1024);
-        // Median (rank 3 of 7) falls in bucket 2 (values 2..=3).
-        assert_eq!(h.quantile(0.5), 3);
-    }
-
-    #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = Histogram::new();
-        a.observe(10);
-        let mut b = Histogram::new();
-        b.observe(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1000);
-        assert_eq!(a.min(), 10);
-    }
 
     struct FakeStats {
         hits: u64,
@@ -319,14 +119,9 @@ mod tests {
             },
         );
         reg.register("edge:0/1", &FakeStats { hits: 5, misses: 1 });
-        reg.gauge("edge:0/0", "cached_objects", 42);
-        reg.observe("edge:0/0", "serve_us", 100);
-        reg.observe("edge:0/1", "serve_us", 900);
         assert_eq!(reg.counter_value("edge:0/0", "hits"), 10);
         assert_eq!(reg.fleet_counter("hits"), 15);
         assert_eq!(reg.fleet_counters()["misses"], 3);
-        assert_eq!(reg.gauge_value("edge:0/0", "cached_objects"), Some(42));
-        assert_eq!(reg.fleet_histogram("serve_us").count(), 2);
         assert_eq!(reg.scopes(), vec!["edge:0/0", "edge:0/1"]);
         assert!(!reg.is_empty());
     }

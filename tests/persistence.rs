@@ -4,7 +4,8 @@
 //! cold control restart pays the upstream fetches, corrupted disk
 //! objects are dropped at hydration and never served, and an edge that
 //! lost its disk bootstraps by verified state transfer from a sibling
-//! — never one its directory has already convicted.
+//! — never one its directory has already convicted, and never from
+//! anyone it did not ask.
 
 use transedge::common::{
     ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime, Value,
@@ -12,9 +13,11 @@ use transedge::common::{
 use transedge::core::client::ClientOp;
 use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
-use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder};
+use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder, NetMsg, ReadPayload};
 use transedge::directory::GossipDelta;
-use transedge::edge::{MultiProofBody, SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD};
+use transedge::edge::{
+    MultiProofBody, ReadQuery, SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD,
+};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -293,4 +296,85 @@ fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
         }
         assert_probe_clean(&dep);
     }
+}
+
+/// An outsider that asks a replica an honest question and pushes the
+/// honest answer at an edge as the objects of a state transfer the edge
+/// never requested.
+struct Outsider {
+    replica: NodeId,
+    victim: NodeId,
+    keys: Vec<Key>,
+    pushed: u64,
+}
+
+impl transedge::simnet::Actor<NetMsg> for Outsider {
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        let query = ReadQuery::point(self.keys.clone());
+        ctx.send(self.replica, NetMsg::Read { req: 1, query });
+    }
+
+    fn on_message(
+        &mut self,
+        _from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        let NetMsg::ReadResult {
+            req,
+            result: ReadPayload::Point { section, .. },
+        } = msg
+        else {
+            return;
+        };
+        let transfer = NetMsg::StateTransferResp {
+            req,
+            cluster: section.commitment.header.cluster,
+            objects: vec![SnapshotObject::Section(*section)],
+        };
+        ctx.send(self.victim, transfer);
+        self.pushed += 1;
+    }
+}
+
+/// An edge takes a state transfer only from the sibling it asked, once.
+/// Every transferred object is re-verified, so nothing forged gets in —
+/// but an unsolicited push of *valid* objects would still make the edge
+/// pay a quorum of signature checks per object and fill its cache and
+/// disk with sections of the pusher's choosing. This edge has no
+/// sibling and so never asked anyone: the push is dropped unexamined.
+#[test]
+fn an_edge_takes_no_state_transfer_it_did_not_ask_for() {
+    // No client: whatever the edge holds once the push has landed, the
+    // push put there.
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.edge = EdgeConfig::builder()
+        .per_cluster(1)
+        .persistent()
+        .build()
+        .expect("edge config");
+    let keys = keys_on(&config.topo, ClusterId(0), 3);
+    let mut dep = Deployment::build(config, Vec::new());
+    let e0 = EdgeId::new(ClusterId(0), 0);
+    let outsider = NodeId::Client(transedge::common::ClientId(u32::MAX));
+    dep.sim.add_actor(
+        outsider,
+        Box::new(Outsider {
+            replica: NodeId::Replica(transedge::common::ReplicaId::new(ClusterId(0), 0)),
+            victim: NodeId::Edge(e0),
+            keys,
+            pushed: 0,
+        }),
+    );
+    dep.run_until(SimTime(100_000));
+
+    let pushed = dep.sim.actor_as::<Outsider>(outsider).map(|o| o.pushed);
+    assert_eq!(pushed, Some(1), "the transfer was sent");
+    let edge = dep.edge_node(e0);
+    assert_eq!(edge.stats.sibling_transfers, 0, "no sibling to ask");
+    assert_eq!(edge.stats.sibling_objects_admitted, 0);
+    assert_eq!(edge.stats.sibling_objects_rejected, 0, "not even examined");
+    assert!(edge.store().is_empty(), "nothing spilled");
+    assert_eq!(edge.replay_stats().count(), 0, "nothing cached");
 }

@@ -205,6 +205,7 @@ fn honest_edge_serves_verified_cached_and_uncached_reads() {
 /// read path.
 #[test]
 fn byzantine_edge_is_detected_and_evaded() {
+    const CLIENTS: u64 = 3;
     for behavior in [
         EdgeBehavior::TamperValue,
         EdgeBehavior::ForgeProof,
@@ -213,68 +214,80 @@ fn byzantine_edge_is_detected_and_evaded() {
         let mut config = DeploymentConfig::for_testing();
         config.latency = transedge::simnet::LatencyModel::paper_default();
         config.client.record_results = true;
-        // Disable byzantine demotion so the client keeps asking the
-        // lying edge: this test pins that *every* tampered response is
-        // rejected. Adaptive demotion/failover is pinned separately by
-        // `byzantine_edge_is_demoted_and_traffic_fails_over`.
-        config.client.selector.rejection_threshold = u32::MAX;
-        // Cluster 0's edge lies; cluster 1's is honest.
-        config.edge = EdgeConfig::builder()
-            .per_cluster(1)
-            .byzantine(EdgeId::new(ClusterId(0), 0), behavior)
-            .build()
-            .expect("edge config");
+        config.edge = EdgeConfig::honest(1);
         let topo = config.topo.clone();
         let k0 = keys_on(&topo, ClusterId(0), 2);
         let k1 = keys_on(&topo, ClusterId(1), 2);
         let rot_keys = vec![k0[0].clone(), k0[1].clone(), k1[0].clone()];
-        let scripts = vec![(0..10)
-            .map(|_| ClientOp::ReadOnly {
-                keys: rot_keys.clone(),
-            })
-            .collect::<Vec<_>>()];
-        let mut dep = Deployment::build(config, scripts);
+        let script = vec![
+            ClientOp::ReadOnly {
+                keys: rot_keys.clone()
+            };
+            2
+        ];
+        let mut dep = Deployment::build(config, vec![script; CLIENTS as usize]);
+        // Every client reads once through honest edges, warming its
+        // certificate memo...
+        let turncoat = EdgeId::new(ClusterId(0), 0);
+        while dep
+            .client_ids
+            .iter()
+            .any(|id| dep.client(*id).query_results.is_empty())
+        {
+            assert!(dep.sim.step(), "{behavior:?}: first reads must complete");
+        }
+        assert_eq!(
+            dep.edge_node(turncoat).stats.requests,
+            CLIENTS,
+            "{behavior:?}: the edge turns coat before any second read reaches it"
+        );
+        // ...then cluster 0's edge turns coat (cluster 1's stays
+        // honest), so each client's second read meets a forgery: the one
+        // strike that demotes the edge.
+        dep.set_edge_behavior(turncoat, behavior);
         dep.run_until_done(SimTime(600_000_000));
 
-        let client = dep.client(dep.client_ids[0]);
-        // The forgeries were seen and rejected...
-        assert!(
-            client.stats.verification_failures >= 10,
-            "{behavior:?}: every tampered response must be rejected (got {})",
-            client.stats.verification_failures
+        assert_eq!(
+            dep.edge_node(turncoat).stats.tampered,
+            CLIENTS,
+            "{behavior:?}: byzantine edge must have tampered every second read"
         );
-        let byz = dep.edge_node(EdgeId::new(ClusterId(0), 0));
-        assert!(
-            byz.stats.tampered > 0,
-            "{behavior:?}: byzantine edge must have tampered"
-        );
-        // ...by a client whose certificate memo was warm from the honest
-        // retries: a remembered certificate vouches for nothing around it.
-        assert!(
-            client.stats.cert_checks_shared > 0,
-            "{behavior:?}: the forgeries must have met a warm memo"
-        );
-        // ...yet every transaction still completed with correct values
-        // by evading to honest replicas.
-        assert_eq!(client.stats.gave_up, 0, "{behavior:?}: no ROT may give up");
-        assert_eq!(client.query_results.len(), 10);
         let expected: Vec<(Key, Value)> = dep.data.clone();
-        for rot in &client.query_results {
-            assert_eq!(rot.values.len(), rot_keys.len());
-            for (key, value) in &rot.values {
-                let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                assert_eq!(
-                    value.as_ref(),
-                    want,
-                    "{behavior:?}: accepted value must match committed state"
+        for id in &dep.client_ids {
+            let client = dep.client(*id);
+            // The forgery was seen and rejected...
+            assert_eq!(
+                client.stats.verification_failures, 1,
+                "{behavior:?}: every tampered response must be rejected"
+            );
+            // ...by a client whose certificate memo was warm from the
+            // honest read: a remembered certificate vouches for nothing
+            // around it.
+            assert!(
+                client.stats.cert_checks_shared > 0,
+                "{behavior:?}: the forgery must have met a warm memo"
+            );
+            // ...yet every transaction still completed with correct
+            // values by evading to honest replicas.
+            assert_eq!(client.stats.gave_up, 0, "{behavior:?}: no ROT may give up");
+            assert_eq!(client.query_results.len(), 2);
+            for rot in &client.query_results {
+                assert_eq!(rot.values.len(), rot_keys.len());
+                for (key, value) in &rot.values {
+                    let want = expected.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                    assert_eq!(
+                        value.as_ref(),
+                        want,
+                        "{behavior:?}: accepted value must match committed state"
+                    );
+                }
+            }
+            for s in &client.samples {
+                assert!(
+                    s.committed,
+                    "{behavior:?}: read-only transactions never abort"
                 );
             }
-        }
-        for s in &client.samples {
-            assert!(
-                s.committed,
-                "{behavior:?}: read-only transactions never abort"
-            );
         }
     }
 }
@@ -387,19 +400,18 @@ fn partly_cached_request_is_forwarded_whole() {
     assert_eq!(metrics.counter_value("net", "net.read-point.messages"), 10);
 }
 
-/// Pinned-page liveness: page two of a paginated scan carries a token
-/// pinning the batch page one verified at, so a replica that has not
-/// applied that batch yet parks the page like any other unservable
-/// query and answers once it catches up — nothing falls back, nothing
-/// is lost. One replica is cut off from its cluster while a write
-/// commits batch *b*; the edge forwards page one to a current replica
-/// (served at *b*), then page two to the lagging one. The scan
-/// completes, both pages verified at *b*, only after the partition
-/// heals.
-#[test]
-fn pinned_page_parks_at_a_lagging_replica_and_completes_after_heal() {
+/// The pinned-page script, run to completion. One replica of cluster 0
+/// is cut off from its cluster while a write commits batch 1; the edge
+/// forwards page one of a 2 × 32-bucket scan to a current replica
+/// (served at batch 1), then page two — whose token pins batch 1 — to
+/// the lagging one, which parks it like any other unservable query.
+/// The partition heals at 300 ms and a later write (400 ms) lets the
+/// healed replica notice it is behind, catch up and answer. Returns the
+/// deployment, the scanned range and the key batch 1 wrote inside it.
+fn pinned_page_scan(freshness_window: SimDuration) -> (Deployment, ScanRange, Key) {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.node.freshness_window = freshness_window;
     config.client.record_results = true;
     // The reader must outwait the partition, not retry around it.
     config.client.retry_after = SimDuration::from_secs(5);
@@ -452,8 +464,33 @@ fn pinned_page_parks_at_a_lagging_replica_and_completes_after_heal() {
 
     dep.heal_partition(cut);
     dep.run_until_done(SimTime(600_000_000));
+    assert_eq!(dep.node(lagging).parked_reads(), 0);
+    assert_eq!(dep.edge_node(e0).pending_upstream(), 0);
+    (dep, range, inside)
+}
 
-    let client = dep.client(reader_id);
+/// The rows [`pinned_page_scan`] must return: the preloaded window with
+/// batch 1's write applied.
+fn pinned_page_rows(dep: &Deployment, range: &ScanRange, inside: &Key) -> Vec<(Key, Value)> {
+    let mut want = expected_rows(&dep.data, &dep.topo, ClusterId(0), range);
+    for (key, value) in &mut want {
+        if key == inside {
+            *value = Value::from("v1");
+        }
+    }
+    want
+}
+
+/// Pinned-page liveness: page two of a paginated scan carries a token
+/// pinning the batch page one verified at, so a replica that has not
+/// applied that batch yet parks the page like any other unservable
+/// query and answers once it catches up — nothing falls back, nothing
+/// is lost. The scan completes, both pages verified at batch 1, only
+/// after the partition heals.
+#[test]
+fn pinned_page_parks_at_a_lagging_replica_and_completes_after_heal() {
+    let (dep, range, inside) = pinned_page_scan(SimDuration::from_secs(30));
+    let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.retries, 0, "the scan waited, it did not retry");
     let [scan] = &client.query_results[..] else {
@@ -461,17 +498,36 @@ fn pinned_page_parks_at_a_lagging_replica_and_completes_after_heal() {
     };
     assert_eq!(scan.pages, 2);
     assert_eq!(scan.snapshot, [(ClusterId(0), BatchNum(1))]);
-    let mut want = expected_rows(&dep.data, &topo, ClusterId(0), &range);
-    for (key, value) in &mut want {
-        if *key == inside {
-            *value = Value::from("v1");
-        }
-    }
+    let want = pinned_page_rows(&dep, &range, &inside);
     assert_eq!(scan.rows, [(ClusterId(0), want)]);
-    let replica = dep.node(lagging);
+    let replica = dep.node(ReplicaId::new(ClusterId(0), 2));
     assert_eq!(replica.stats.rot_scans_served, 1);
-    assert_eq!(replica.parked_reads(), 0);
-    assert_eq!(dep.edge_node(e0).pending_upstream(), 0);
+}
+
+/// Nobody is blamed for a pinned page that aged out. Under a 250 ms
+/// freshness window the parked page two comes back ≈ 400 ms old: its
+/// timestamp is in the certified header and the pin forces the batch,
+/// so every server would have answered the same `StaleTimestamp`. The
+/// client restarts the partition from page one through the selector —
+/// no verification failure counted, no edge demoted — and the edge,
+/// whose replay floor is a third of that window, forwards the restart
+/// instead of replaying its equally aged page one. The scan completes
+/// at the late writer's batch.
+#[test]
+fn aged_pinned_page_restarts_the_scan_and_blames_nobody() {
+    let (dep, range, inside) = pinned_page_scan(SimDuration::from_millis(250));
+    let client = dep.client(dep.client_ids[0]);
+    assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.edge_selector.demotions(), 0);
+    assert_eq!(client.stats.gave_up, 0);
+    assert_eq!(client.stats.scans_accepted, 3, "page one twice, page two");
+    let [scan] = &client.query_results[..] else {
+        panic!("one scan, got {}", client.query_results.len());
+    };
+    assert_eq!(scan.pages, 2);
+    assert_eq!(scan.snapshot, [(ClusterId(0), BatchNum(2))]);
+    let want = pinned_page_rows(&dep, &range, &inside);
+    assert_eq!(scan.rows, [(ClusterId(0), want)]);
 }
 
 /// Adaptive routing: a byzantine edge is demoted by the client's
@@ -762,19 +818,19 @@ fn expected_rows(
 }
 
 /// Honest edge tier: a repeated scan is forwarded once, then replayed
-/// from the edge's per-(range, batch) scan cache; a *narrower* scan is
-/// served from the cached wider window (overlap-aware reuse) and the
-/// client filters the verified rows down to its request. Every result
-/// is complete and correct against the committed state.
+/// from the edge's per-(range, batch) scan cache — for the window it
+/// was admitted under and no other: a *narrower* scan inside a cached
+/// window is a miss of its own, forwarded once and replayed after.
+/// Every result is complete and correct against the committed state.
 #[test]
-fn verified_scans_replay_from_edge_cache_with_covering_reuse() {
+fn verified_scans_replay_from_edge_cache_for_their_own_window() {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
     config.edge = EdgeConfig::honest(1);
     let topo = config.topo.clone();
     let wide = window_on(&topo, ClusterId(0));
-    // A strict sub-window of `wide` (may cover fewer — or zero — keys;
+    // A strict sub-window of `wide` (may hold fewer — or zero — keys;
     // completeness is what is being tested, not row count).
     let narrow = ScanRange::new(wide.first + 8, wide.last - 8);
     let mut script: Vec<ClientOp> = (0..4)
@@ -794,11 +850,6 @@ fn verified_scans_replay_from_edge_cache_with_covering_reuse() {
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.gave_up, 0);
     assert_eq!(client.stats.scans_accepted, 8);
-    assert!(
-        client.stats.scans_covered_by_wider >= 1,
-        "narrow scans must be served from the cached wider window (got {})",
-        client.stats.scans_covered_by_wider
-    );
     assert_eq!(client.query_results.len(), 8);
     for (i, result) in client.query_results.iter().enumerate() {
         let range = if i < 4 { wide } else { narrow };
@@ -813,19 +864,13 @@ fn verified_scans_replay_from_edge_cache_with_covering_reuse() {
         !client.query_results[0].rows[0].1.is_empty(),
         "the wide window must contain at least one preloaded key"
     );
-    let edge = dep.edge_node(EdgeId::new(ClusterId(0), 0));
-    let stats = edge.stats;
+    let stats = dep.edge_node(EdgeId::new(ClusterId(0), 0)).stats;
     assert_eq!(stats.scan_requests, 8);
     assert_eq!(
-        stats.scans_forwarded, 1,
-        "only the cold scan goes upstream; everything else replays"
+        stats.scans_forwarded, 2,
+        "the first scan of each window goes upstream; everything else replays"
     );
-    assert_eq!(stats.scans_from_cache, 7);
-    let covered: u64 = edge
-        .replay_stats()
-        .map(|(_, replay)| replay.scans_covered_by_wider)
-        .sum();
-    assert!(covered >= 4);
+    assert_eq!(stats.scans_from_cache, 6);
     // Scans never touch the SMR log.
     for r in topo.all_replicas() {
         assert_eq!(dep.node(r).exec.applied_batches(), 1);

@@ -150,10 +150,6 @@ const NEVER_MOVED: &[(&str, &str)] = &[
     // Liveness: with 100 (campaigns) or 20 (mixed) retries every op
     // finishes; no test anywhere drives a client to give up.
     ("client.gave_up", "every op completes"),
-    // Covering reuse needs a narrower scan after a wider one is cached;
-    // the generated scans are aligned and of one width.
-    ("client.scans_covered_by_wider", "one scan width"),
-    ("replay.scans_covered_by_wider", "one scan width"),
     // Theorem 4.6; the benchmark's mixed-rw and feed-churn do move it
     // (ROADMAP open item 1), these five runs do not.
     ("client.third_round_needed", "ROADMAP item 1"),
