@@ -4,12 +4,23 @@
 //! protocol message it emits (paper §2, "Interface"); clients verify
 //! `f+1` replica signatures on Merkle roots and batch certificates.
 //!
-//! Layout: [`field`] implements GF(2²⁵⁵−19), [`scalar`] arithmetic mod
-//! the group order L, [`point`] the twisted Edwards group; this module
-//! implements key expansion, signing and verification on top.
+//! Layout: [`field`] implements GF(2²⁵⁵−19) in five lazily reduced
+//! 51-bit limbs, [`scalar`] arithmetic mod the group order L (Barrett
+//! reduction, width-w NAF recoding), [`point`] the twisted Edwards group
+//! in extended / projective / completed / cached coordinates; this
+//! module implements key expansion, signing and verification on top.
+//! Signing is one fixed-base `[r]B` from a per-process radix-16 table.
+//! Nothing on the sign or verify path allocates.
 //!
 //! Verification is *strict* about encodings: non-canonical `S` values
-//! (≥ L) are rejected, closing the classic malleability hole.
+//! (≥ L) are rejected, closing the classic malleability hole, and so
+//! are non-canonical point encodings (y ≥ p) of both `A` and `R`
+//! (RFC 8032 §5.1.3). The check is the cofactorless `[S]B == R + [k]A`,
+//! evaluated as `[k](−A) + [S]B == R` in one Straus pass
+//! ([`point::Point::double_base_mul`]) — the same equation, one shared
+//! doubling per bit instead of two scalar multiplications.
+//!
+//! Not constant-time: see the crate-level security disclaimer.
 
 pub mod field;
 pub mod point;
@@ -113,7 +124,7 @@ impl Keypair {
 
 impl PublicKey {
     /// Verify a signature over `msg`. Strict: rejects non-canonical S
-    /// and invalid point encodings.
+    /// and invalid or non-canonical point encodings.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         let r_enc: [u8; 32] = sig.0[..32].try_into().unwrap();
         let s_bytes: [u8; 32] = sig.0[32..].try_into().unwrap();
@@ -133,10 +144,8 @@ impl PublicKey {
             h.update(msg);
             Scalar::from_bytes_wide(&h.finalize())
         };
-        // [S]B == R + [k]A
-        let lhs = Point::base_mul(&s);
-        let rhs = r.add(&a.mul(&k));
-        lhs.eq_point(&rhs)
+        // [S]B == R + [k]A, as [k](−A) + [S]B == R.
+        Point::double_base_mul(&k, &a.neg(), &s).eq_point(&r)
     }
 
     pub fn as_bytes(&self) -> &[u8; 32] {
@@ -376,5 +385,165 @@ mod tests {
         let sig = kp.sign(b"ok");
         assert!(verify_strict(&kp.public(), b"ok", &sig).is_ok());
         assert!(verify_strict(&kp.public(), b"no", &sig).is_err());
+    }
+
+    /// Signature bytes feed certificate digests and wire sizes, so they
+    /// must never move: this digest was computed before the field,
+    /// point and scalar code was rewritten.
+    #[test]
+    fn golden_signatures_are_byte_identical() {
+        let mut h = crate::Sha256::new();
+        for i in 0..64 {
+            let kp = Keypair::from_seed([(i % 8) as u8; 32]);
+            let msg = format!("transedge golden signature {i}");
+            h.update(kp.public().as_bytes());
+            h.update(kp.sign(msg.as_bytes()).as_bytes());
+        }
+        assert_eq!(
+            h.finalize().to_hex(),
+            "3542b9d41018d21b13606ac5ab27cf2c03c5b37f2d14b4c8f768cd0159ee0cd2"
+        );
+    }
+
+    /// k = H(R ‖ A ‖ M).
+    fn challenge(r_enc: &[u8; 32], pk: &PublicKey, msg: &[u8]) -> Scalar {
+        let mut h = Sha512::new();
+        h.update(r_enc);
+        h.update(&pk.0);
+        h.update(msg);
+        Scalar::from_bytes_wide(&h.finalize())
+    }
+
+    /// `R ‖ S` for nonce `r` announced as `r_enc`, signed by `kp`'s
+    /// secret scalar for the claimed key `pk`.
+    fn sign_with(
+        kp: &Keypair,
+        pk: &PublicKey,
+        r: Scalar,
+        r_enc: [u8; 32],
+        msg: &[u8],
+    ) -> Signature {
+        let k = challenge(&r_enc, pk, msg);
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_enc);
+        sig[32..].copy_from_slice(&Scalar::muladd(k, kp.s, r).to_bytes());
+        Signature(sig)
+    }
+
+    #[test]
+    fn non_canonical_r_is_rejected() {
+        // R = the identity ([0]B, so S = k·a), encoded canonically as
+        // y = 1 and non-canonically as y = p + 1.
+        let kp = Keypair::from_seed([11; 32]);
+        let mut canonical = [0u8; 32];
+        canonical[0] = 1;
+        let mut p_plus_1 = [0xff; 32];
+        p_plus_1[0] = 0xee;
+        p_plus_1[31] = 0x7f;
+        let msg = b"identity nonce";
+        let sig = sign_with(&kp, &kp.public(), Scalar::ZERO, p_plus_1, msg);
+        assert!(!kp.public().verify(msg, &sig));
+        // Cofactorless semantics accept the canonical encoding.
+        let sig = sign_with(&kp, &kp.public(), Scalar::ZERO, canonical, msg);
+        assert!(kp.public().verify(msg, &sig));
+    }
+
+    /// The verification equation as the parent evaluated it: `[S]B` and
+    /// `R + [k]A` by separate multiplications (the reference fixed-window
+    /// `Point::mul`), compared as points.
+    fn verify_reference(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        let r_enc: [u8; 32] = sig.0[..32].try_into().unwrap();
+        let Some(s) = Scalar::from_canonical_bytes(&sig.0[32..].try_into().unwrap()) else {
+            return false;
+        };
+        let (Some(a), Some(r)) = (Point::decompress(&pk.0), Point::decompress(&r_enc)) else {
+            return false;
+        };
+        let k = challenge(&r_enc, pk, msg);
+        Point::base_mul(&s).eq_point(&r.add(&a.mul(&k)))
+    }
+
+    /// `cases` random signatures, each checked with `verify` against
+    /// [`verify_reference`] as issued and under seven mutations.
+    fn differential_verify_sweep(cases: usize, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn flip<R: Rng>(bytes: &mut [u8], rng: &mut R) {
+            let bit = rng.gen_range(0..bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // (0, −1): order 2, encoded as y = p − 1.
+        let mut minus_one = [0xff; 32];
+        minus_one[0] = 0xec;
+        minus_one[31] = 0x7f;
+        let order2 = Point::decompress(&minus_one).expect("(0, -1) is on the curve");
+        let (mut accepted, mut checked) = (0, 0);
+        for case in 0..cases {
+            let kp = Keypair::from_seed(rng.gen());
+            let pk = kp.public();
+            let len = rng.gen_range(1..80usize);
+            let msg: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let sig = kp.sign(&msg);
+            assert!(pk.verify(&msg, &sig), "case {case}: issued signature");
+            let mut variants = vec![(pk, msg.clone(), sig); 8];
+            // One bit flipped in R, in S, in A, in the message.
+            flip(&mut variants[1].2 .0[..32], &mut rng);
+            flip(&mut variants[2].2 .0[32..], &mut rng);
+            flip(&mut variants[3].0 .0, &mut rng);
+            flip(&mut variants[4].1, &mut rng);
+            // S + L (S < L < 2²⁵³, so the sum fits 256 bits) and S = L.
+            let s_plus_l = {
+                let mut carry = 0u128;
+                let mut out = [0u8; 32];
+                for (i, l) in scalar::L.iter().enumerate() {
+                    let s = u64::from_le_bytes(sig.0[32 + i * 8..40 + i * 8].try_into().unwrap());
+                    let t = s as u128 + *l as u128 + carry;
+                    out[i * 8..i * 8 + 8].copy_from_slice(&(t as u64).to_le_bytes());
+                    carry = t >> 64;
+                }
+                out
+            };
+            variants[5].2 .0[32..].copy_from_slice(&s_plus_l);
+            variants[6].2 .0[32..].copy_from_slice(&Scalar(scalar::L).to_bytes());
+            // A key with an order-2 component, properly signed for: the
+            // cofactorless equation holds exactly when k is even.
+            let torsioned = PublicKey(Point::decompress(&pk.0).unwrap().add(&order2).compress());
+            let r = Scalar::from_bytes_wide(&rng.gen());
+            let r_enc = Point::base_mul(&r).compress();
+            variants[7] = (
+                torsioned,
+                msg.clone(),
+                sign_with(&kp, &torsioned, r, r_enc, &msg),
+            );
+            for (n, (pk, msg, sig)) in variants.iter().enumerate() {
+                let got = pk.verify(msg, sig);
+                assert_eq!(
+                    got,
+                    verify_reference(pk, msg, sig),
+                    "case {case}, variant {n}"
+                );
+                accepted += got as usize;
+                checked += 1;
+            }
+        }
+        // The issued signatures, plus about half of the torsioned keys.
+        assert!(
+            accepted > cases && accepted < checked / 4,
+            "{accepted} of {checked}"
+        );
+    }
+
+    #[test]
+    fn verify_matches_the_reference_equation() {
+        differential_verify_sweep(64, 1);
+    }
+
+    /// The release-mode sweep CI runs with `--include-ignored`.
+    #[test]
+    #[ignore = "10 000 cases: run in release with --include-ignored"]
+    fn verify_matches_the_reference_equation_10k() {
+        differential_verify_sweep(10_000, 2);
     }
 }

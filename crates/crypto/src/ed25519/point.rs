@@ -1,11 +1,31 @@
-//! Points on edwards25519 in extended twisted Edwards coordinates.
+//! Points on edwards25519, the twisted Edwards curve
+//! −x² + y² = 1 + d·x²·y² over GF(2²⁵⁵−19) with d = −121665/121666.
 //!
-//! The curve is −x² + y² = 1 + d·x²·y² over GF(2²⁵⁵−19) with
-//! d = −121665/121666. A point is (X : Y : Z : T) with x = X/Z,
-//! y = Y/Z, T = XY/Z. Formulas are the standard a = −1 "extended
-//! coordinates" addition/doubling (Hisil et al., as used by RFC 8032).
+//! Four representations, each for one job (the ref10 / Hisil et al.
+//! a = −1 formulas, as RFC 8032 uses):
+//!
+//! * [`Point`] — extended (X : Y : Z : T), x = X/Z, y = Y/Z, T = XY/Z:
+//!   the public type, and the left operand of every addition;
+//! * projective (X : Y : Z) — what doubling takes: no T to maintain;
+//! * completed ((X : Z), (Y : T)) — what doubling and addition produce,
+//!   3 multiplications from projective and 4 from extended;
+//! * cached (Y+X, Y−X, Z, 2d·T) and affine Niels (y+x, y−x, 2d·x·y,
+//!   with Z = 1) — the right operand of an addition, precomputed so an
+//!   addition is 4 (cached) or 3 (affine) multiplications.
+//!
+//! Scalar multiplication comes in two production forms. [`Point::base_mul`]
+//! (signing, key generation) sums one entry per radix-16 digit from a
+//! per-process table of `d·16^w·B` in affine Niels form, no doubling.
+//! [`Point::double_base_mul`] (verification) computes `[k]P + [s]B` by
+//! Straus' method: both scalars in width-w NAF (w = 5 over 8 odd
+//! multiples of P built per call, w = 8 over a per-process table of 64
+//! odd multiples of B), one shared doubling per bit. Decoding
+//! ([`Point::decompress`]) is RFC 8032 §5.1.3: y must be canonical
+//! (< p), and x = u·v³·(u·v⁷)^((p−5)/8) is one exponentiation.
 
 #![allow(clippy::needless_range_loop)]
+
+use std::sync::OnceLock;
 
 use super::field::{curve_d, sqrt_m1, Fe};
 use super::scalar::Scalar;
@@ -17,6 +37,121 @@ pub struct Point {
     pub y: Fe,
     pub z: Fe,
     pub t: Fe,
+}
+
+/// (X : Y : Z) with x = X/Z, y = Y/Z.
+#[derive(Clone, Copy)]
+struct ProjectivePoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// ((X : Z), (Y : T)) with x = X/Z, y = Y/T.
+struct CompletedPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// An addend (Y+X, Y−X, Z, 2d·T) derived from an extended point.
+#[derive(Clone, Copy)]
+struct CachedPoint {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+/// An addend (y+x, y−x, 2d·x·y) from an affine point (Z = 1).
+#[derive(Clone, Copy)]
+struct AffineNielsPoint {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl ProjectivePoint {
+    fn double(&self) -> CompletedPoint {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let x_plus_y_sq = self.x.add(self.y).square();
+        let yy_plus_xx = yy.add(xx);
+        let yy_minus_xx = yy.sub(xx);
+        CompletedPoint {
+            x: x_plus_y_sq.sub(yy_plus_xx),
+            y: yy_plus_xx,
+            z: yy_minus_xx,
+            t: zz.add(zz).sub(yy_minus_xx),
+        }
+    }
+
+    fn to_extended(self) -> Point {
+        Point {
+            x: self.x.mul(self.z),
+            y: self.y.mul(self.z),
+            z: self.z.square(),
+            t: self.x.mul(self.y),
+        }
+    }
+}
+
+impl CompletedPoint {
+    fn to_projective(&self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x.mul(self.t),
+            y: self.y.mul(self.z),
+            z: self.z.mul(self.t),
+        }
+    }
+
+    fn to_extended(&self) -> Point {
+        Point {
+            x: self.x.mul(self.t),
+            y: self.y.mul(self.z),
+            z: self.z.mul(self.t),
+            t: self.x.mul(self.y),
+        }
+    }
+}
+
+impl CachedPoint {
+    fn neg(&self) -> CachedPoint {
+        CachedPoint {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl AffineNielsPoint {
+    fn neg(&self) -> AffineNielsPoint {
+        AffineNielsPoint {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
+/// `table[i] = (2i + 1)·p`.
+fn odd_multiples<const N: usize>(p: &Point) -> [Point; N] {
+    let p2 = p.double().to_cached();
+    let mut table = [*p; N];
+    for i in 1..N {
+        table[i] = table[i - 1].add_cached(&p2).to_extended();
+    }
+    table
+}
+
+/// `table[i] = (2i + 1)·B` for the width-8 NAF digits of `[s]B`.
+fn base_odd_multiples() -> &'static [AffineNielsPoint; 64] {
+    static TABLE: OnceLock<[AffineNielsPoint; 64]> = OnceLock::new();
+    TABLE.get_or_init(|| odd_multiples(&Point::base()).map(|p| p.to_affine_niels()))
 }
 
 impl Point {
@@ -32,7 +167,6 @@ impl Point {
 
     /// The standard base point B with y = 4/5 and x even.
     pub fn base() -> Point {
-        use std::sync::OnceLock;
         static B: OnceLock<Point> = OnceLock::new();
         *B.get_or_init(|| {
             let y = Fe::from_u64(4).mul(Fe::from_u64(5).invert());
@@ -42,40 +176,68 @@ impl Point {
         })
     }
 
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
+    fn to_cached(self) -> CachedPoint {
+        CachedPoint {
+            y_plus_x: self.y.add(self.x),
+            y_minus_x: self.y.sub(self.x),
+            z: self.z,
+            t2d: self.t.mul(curve_d().add(curve_d())),
+        }
+    }
+
+    /// One inversion: for tables built once per process.
+    fn to_affine_niels(self) -> AffineNielsPoint {
+        let (x, y) = self.to_affine();
+        AffineNielsPoint {
+            y_plus_x: y.add(x),
+            y_minus_x: y.sub(x),
+            xy2d: x.mul(y).mul(curve_d().add(curve_d())),
+        }
+    }
+
+    fn add_cached(&self, q: &CachedPoint) -> CompletedPoint {
+        let pp = self.y.add(self.x).mul(q.y_plus_x);
+        let mm = self.y.sub(self.x).mul(q.y_minus_x);
+        let tt2d = self.t.mul(q.t2d);
+        let zz = self.z.mul(q.z);
+        let zz2 = zz.add(zz);
+        CompletedPoint {
+            x: pp.sub(mm),
+            y: pp.add(mm),
+            z: zz2.add(tt2d),
+            t: zz2.sub(tt2d),
+        }
+    }
+
+    fn add_affine(&self, q: &AffineNielsPoint) -> CompletedPoint {
+        let pp = self.y.add(self.x).mul(q.y_plus_x);
+        let mm = self.y.sub(self.x).mul(q.y_minus_x);
+        let txy2d = self.t.mul(q.xy2d);
+        let z2 = self.z.add(self.z);
+        CompletedPoint {
+            x: pp.sub(mm),
+            y: pp.add(mm),
+            z: z2.add(txy2d),
+            t: z2.sub(txy2d),
+        }
+    }
+
     /// Point addition (complete formula for a = −1).
     pub fn add(&self, other: &Point) -> Point {
-        let d2 = curve_d().add(curve_d());
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(d2).mul(other.t);
-        let d = self.z.add(self.z).mul(other.z);
-        let e = b.sub(a);
-        let f = d.sub(c);
-        let g = d.add(c);
-        let h = b.add(a);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            t: e.mul(h),
-            z: f.mul(g),
-        }
+        self.add_cached(&other.to_cached()).to_extended()
     }
 
     /// Point doubling.
     pub fn double(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().add(self.z.square());
-        let h = a.add(b);
-        let e = h.sub(self.x.add(self.y).square());
-        let g = a.sub(b);
-        let f = c.add(g);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            t: e.mul(h),
-            z: f.mul(g),
-        }
+        self.to_projective().double().to_extended()
     }
 
     /// Negation: (x, y) → (−x, y).
@@ -88,8 +250,10 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication with a 4-bit fixed window.
-    /// Not constant-time (see crate docs).
+    /// Scalar multiplication with a 4-bit fixed window: the reference
+    /// [`Point::base_mul`] and [`Point::double_base_mul`] are tested
+    /// against.
+    #[cfg(test)]
     pub fn mul(&self, s: &Scalar) -> Point {
         // Table of 1·P … 15·P.
         let mut table = [*self; 15];
@@ -119,46 +283,67 @@ impl Point {
         acc
     }
 
-    /// Fixed-base scalar multiplication `s·B` using a global
-    /// precomputed table (`d·16^w·B` for every window `w` and digit
-    /// `d`). One table build per process; used by signing and by the
-    /// `[S]B` half of verification.
+    /// Fixed-base scalar multiplication `s·B`: one mixed addition per
+    /// nonzero radix-16 digit from a global table (`d·16^w·B` for every
+    /// window `w` and digit `d`, affine Niels), no doubling. One table
+    /// build per process; used by signing and key generation.
     pub fn base_mul(s: &Scalar) -> Point {
-        use std::sync::OnceLock;
-        static TABLE: OnceLock<Vec<[Point; 15]>> = OnceLock::new();
+        static TABLE: OnceLock<Vec<[AffineNielsPoint; 15]>> = OnceLock::new();
         let table = TABLE.get_or_init(|| {
-            let mut t = Vec::with_capacity(64);
+            let mut rows = Vec::with_capacity(64);
             let mut window_base = Point::base(); // 16^w · B
             for _ in 0..64 {
-                let mut row = [window_base; 15];
-                for d in 1..15 {
-                    row[d] = row[d - 1].add(&window_base);
-                }
-                t.push(row);
-                // Advance to the next window: ×16.
-                window_base = row[14].add(&window_base); // 16·(16^w·B)
+                let mut multiple = window_base;
+                rows.push(std::array::from_fn(|_| {
+                    let entry = multiple.to_affine_niels();
+                    multiple = multiple.add(&window_base);
+                    entry
+                }));
+                // Fifteen additions later `multiple` is 16·(16^w·B).
+                window_base = multiple;
             }
-            t
+            rows
         });
         let mut acc = Point::identity();
-        let mut started = false;
-        for w in 0..64 {
+        for (w, row) in table.iter().enumerate() {
             let digit = ((s.0[w / 16] >> ((w % 16) * 4)) & 0xF) as usize;
             if digit != 0 {
-                acc = if started {
-                    acc.add(&table[w][digit - 1])
-                } else {
-                    table[w][digit - 1]
-                };
-                started = true;
+                acc = acc.add_affine(&row[digit - 1]).to_extended();
             }
         }
         acc
     }
 
-    /// s1·P1 + s2·P2 — used by signature verification.
-    pub fn double_scalar_mul(p1: &Point, s1: &Scalar, p2: &Point, s2: &Scalar) -> Point {
-        p1.mul(s1).add(&p2.mul(s2))
+    /// `[k]P + [s]B` by Straus' method — what signature verification
+    /// evaluates. `k` is recoded in width-5 NAF over the 8 odd multiples
+    /// of `P`, `s` in width-8 NAF over the static 64 odd multiples of
+    /// `B`, and one doubling per bit serves both. Not constant-time.
+    pub fn double_base_mul(k: &Scalar, p: &Point, s: &Scalar) -> Point {
+        let k_naf = k.non_adjacent_form(5);
+        let s_naf = s.non_adjacent_form(8);
+        let p_table = odd_multiples::<8>(p).map(Point::to_cached);
+        let b_table = base_odd_multiples();
+        let Some(top) = (0..256).rev().find(|&i| k_naf[i] != 0 || s_naf[i] != 0) else {
+            return Point::identity();
+        };
+        let mut acc = Point::identity().to_projective();
+        for i in (0..=top).rev() {
+            let mut sum = acc.double();
+            let d = k_naf[i];
+            if d != 0 {
+                let q = p_table[d.unsigned_abs() as usize / 2];
+                let q = if d > 0 { q } else { q.neg() };
+                sum = sum.to_extended().add_cached(&q);
+            }
+            let d = s_naf[i];
+            if d != 0 {
+                let q = b_table[d.unsigned_abs() as usize / 2];
+                let q = if d > 0 { q } else { q.neg() };
+                sum = sum.to_extended().add_affine(&q);
+            }
+            acc = sum.to_projective();
+        }
+        acc.to_extended()
     }
 
     /// Affine coordinates (x, y).
@@ -178,24 +363,33 @@ impl Point {
         out
     }
 
-    /// RFC 8032 point decoding. Returns `None` if the encoding is not
-    /// a curve point.
+    /// RFC 8032 §5.1.3 point decoding. Returns `None` if y is not
+    /// canonical (≥ p), if no x satisfies the curve equation, or for
+    /// the encoding of "−0" (x = 0 with the sign bit set).
     pub fn decompress(bytes: &[u8; 32]) -> Option<Point> {
         let sign = bytes[31] >> 7;
         let mut y_bytes = *bytes;
         y_bytes[31] &= 0x7f;
         let y = Fe::from_bytes(&y_bytes);
-        // x² = (y² − 1) / (d·y² + 1)
+        if y.to_bytes() != y_bytes {
+            return None;
+        }
+        // x² = u/v with u = y² − 1, v = d·y² + 1 (never 0: −1/d is not
+        // a square). The candidate root (u/v)^((p+3)/8) needs no
+        // inversion as u·v³·(u·v⁷)^((p−5)/8).
         let yy = y.square();
         let u = yy.sub(Fe::ONE);
         let v = curve_d().mul(yy).add(Fe::ONE);
-        let x2 = u.mul(v.invert());
-        let mut x = x2.pow_p38();
-        if x.square() != x2 {
+        let v3 = v.square().mul(v);
+        let uv7 = u.mul(v3.square().mul(v));
+        let mut x = u.mul(v3).mul(uv7.pow_p58());
+        // v·x² is u (x is a root), −u (i·x is), or neither (no root).
+        let vxx = v.mul(x.square());
+        if vxx != u {
+            if vxx != u.neg() {
+                return None;
+            }
             x = x.mul(sqrt_m1());
-        }
-        if x.square() != x2 {
-            return None;
         }
         if x.is_zero() && sign == 1 {
             return None; // −0 is not a valid encoding
@@ -237,6 +431,84 @@ impl Point {
 mod tests {
     use super::super::scalar::L;
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The parent's decoding: y reduced mod p (so y ≥ p is accepted),
+    /// x² = u/v by an inversion, then (x²)^((p+3)/8) by square-and-
+    /// multiply.
+    fn decompress_parent(bytes: &[u8; 32]) -> Option<Point> {
+        // (p + 3) / 8 = 2²⁵² − 2
+        const P_PLUS_3_OVER_8: [u64; 4] = [
+            0xffff_ffff_ffff_fffe,
+            0xffff_ffff_ffff_ffff,
+            0xffff_ffff_ffff_ffff,
+            0x0fff_ffff_ffff_ffff,
+        ];
+        let sign = bytes[31] >> 7;
+        let mut y_bytes = *bytes;
+        y_bytes[31] &= 0x7f;
+        let y = Fe::from_bytes(&y_bytes);
+        let yy = y.square();
+        let u = yy.sub(Fe::ONE);
+        let v = curve_d().mul(yy).add(Fe::ONE);
+        let x2 = u.mul(v.invert());
+        let mut x = x2.pow(&P_PLUS_3_OVER_8);
+        if x.square() != x2 {
+            x = x.mul(sqrt_m1());
+        }
+        if x.square() != x2 {
+            return None;
+        }
+        if x.is_zero() && sign == 1 {
+            return None;
+        }
+        if (x.is_odd() as u8) != sign {
+            x = x.neg();
+        }
+        Some(Point {
+            x,
+            y,
+            z: Fe::ONE,
+            t: x.mul(y),
+        })
+    }
+
+    /// [n]P for a raw 256-bit n, by double-and-add (n may be ≥ L).
+    fn mul_raw(p: &Point, n: &[u64; 4]) -> Point {
+        let mut acc = Point::identity();
+        for i in (0..256).rev() {
+            acc = acc.double();
+            if (n[i / 64] >> (i % 64)) & 1 == 1 {
+                acc = acc.add(p);
+            }
+        }
+        acc
+    }
+
+    /// The eight points of order dividing 8, derived rather than
+    /// transcribed: [L]P has order dividing 8 for any curve point P;
+    /// search for one of order exactly 8 and take its multiples.
+    fn small_order_points() -> Vec<Point> {
+        let t8 = (0u8..)
+            .filter_map(|b| Point::decompress(&[b; 32]))
+            .map(|p| mul_raw(&p, &L))
+            .find(|t| !t.double().double().is_identity())
+            .expect("some curve point has a component of order 8");
+        let mut points = vec![Point::identity()];
+        for i in 1..8 {
+            points.push(points[i - 1].add(&t8));
+        }
+        points
+    }
+
+    /// `p + delta` as 32 little-endian bytes, for small `delta` ≥ 0.
+    fn p_plus(delta: u8) -> [u8; 32] {
+        let mut b = [0xff; 32];
+        b[0] = 0xed + delta; // no carry for delta ≤ 18
+        b[31] = 0x7f;
+        b
+    }
 
     #[test]
     fn base_point_is_on_curve() {
@@ -273,18 +545,9 @@ mod tests {
     #[test]
     fn group_order_annihilates_base() {
         // [L]B == identity — a strong self-check of both the point code
-        // and the L constant.
-        let l = Scalar(L);
-        // Scalar(L) is not reduced (== L ≡ 0 mod L), so multiply by raw
-        // bits instead: build the unreduced scalar bit iterator inline.
-        let mut acc = Point::identity();
-        for i in (0..256).rev() {
-            acc = acc.double();
-            if (l.0[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(&Point::base());
-            }
-        }
-        assert!(acc.is_identity());
+        // and the L constant. Scalar(L) is not reduced (== L ≡ 0 mod L),
+        // so multiply by its raw bits.
+        assert!(mul_raw(&Point::base(), &Scalar(L).0).is_identity());
     }
 
     #[test]
@@ -342,14 +605,106 @@ mod tests {
     }
 
     #[test]
+    fn decompress_rejects_y_at_or_above_p() {
+        // p ≡ 0 and p + 1 ≡ 1 would decode to the order-4 point and the
+        // identity if y were reduced; RFC 8032 §5.1.3 says reject.
+        assert!(Point::decompress(&p_plus(0)).is_none());
+        assert!(Point::decompress(&p_plus(1)).is_none());
+        let mut canonical_identity = [0u8; 32];
+        canonical_identity[0] = 1;
+        assert!(Point::decompress(&canonical_identity)
+            .expect("identity")
+            .is_identity());
+    }
+
+    #[test]
+    fn decompress_matches_the_parent_formula() {
+        let mut rng = SmallRng::seed_from_u64(5113);
+        let mut encodings: Vec<[u8; 32]> = (0..200).map(|_| rng.gen()).collect();
+        let small = small_order_points();
+        assert_eq!(small.iter().filter(|p| p.is_identity()).count(), 1);
+        encodings.extend(small.iter().map(Point::compress));
+        let (mut accepted, mut rejected) = (0, 0);
+        for enc in &encodings {
+            match (Point::decompress(enc), decompress_parent(enc)) {
+                (Some(fast), Some(parent)) => {
+                    assert!(fast.eq_point(&parent), "{enc:02x?}");
+                    assert!(fast.is_on_curve());
+                    accepted += 1;
+                }
+                (None, None) => rejected += 1,
+                (fast, parent) => panic!("{enc:02x?}: fast {fast:?}, parent {parent:?}"),
+            }
+        }
+        // Random strings are curve points about half the time.
+        assert!(
+            accepted > 80 && rejected > 80,
+            "{accepted} accepted, {rejected} rejected"
+        );
+        // The one intended difference: y ∈ [p, 2²⁵⁵), either sign. The
+        // parent decodes y − p; the fast path refuses the encoding.
+        for delta in 0..19 {
+            for sign in [0, 0x80] {
+                let mut enc = p_plus(delta);
+                enc[31] |= sign;
+                assert!(
+                    Point::decompress(&enc).is_none(),
+                    "p + {delta}, sign {sign:x}"
+                );
+                let mut reduced = [0u8; 32];
+                reduced[0] = delta;
+                reduced[31] = sign;
+                let parent = decompress_parent(&enc).map(|p| p.compress());
+                assert_eq!(parent, Point::decompress(&reduced).map(|p| p.compress()));
+            }
+        }
+        // y = p + 1 is the identity at the parent.
+        assert!(decompress_parent(&p_plus(1))
+            .expect("parent accepts")
+            .is_identity());
+    }
+
+    #[test]
     fn double_scalar_mul_matches_separate() {
         let b = Point::base();
         let p = b.mul(&Scalar::from_u64(9));
         let s1 = Scalar::from_u64(4);
         let s2 = Scalar::from_u64(7);
-        let lhs = Point::double_scalar_mul(&b, &s1, &p, &s2);
+        let lhs = Point::double_base_mul(&s2, &p, &s1);
         let rhs = b.mul(&s1).add(&p.mul(&s2));
         assert!(lhs.eq_point(&rhs));
+    }
+
+    #[test]
+    fn straus_matches_reference_mul_plus_base_mul() {
+        let mut rng = SmallRng::seed_from_u64(1985);
+        let lm1 = Scalar([L[0] - 1, L[1], L[2], L[3]]);
+        let edge = [Scalar::ZERO, Scalar::ONE, lm1];
+        // Points with torsion components too: what an adversarial
+        // public key decodes to.
+        let points: Vec<Point> = (0..)
+            .filter_map(|_| Point::decompress(&rng.gen()))
+            .take(6)
+            .chain(small_order_points().into_iter().skip(1).step_by(3))
+            .collect();
+        for (n, p) in points.iter().enumerate() {
+            let pairs = edge.iter().flat_map(|&k| edge.iter().map(move |&s| (k, s)));
+            let random = (0..4).map(|_| {
+                (
+                    Scalar::from_bytes_wide(&rng.gen()),
+                    Scalar::from_bytes_wide(&rng.gen()),
+                )
+            });
+            for (k, s) in pairs
+                .collect::<Vec<_>>()
+                .into_iter()
+                .chain(random.collect::<Vec<_>>())
+            {
+                let straus = Point::double_base_mul(&k, p, &s);
+                let reference = p.mul(&k).add(&Point::base_mul(&s));
+                assert!(straus.eq_point(&reference), "point {n}, k {k:?}, s {s:?}");
+            }
+        }
     }
 
     #[test]

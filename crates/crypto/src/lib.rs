@@ -10,8 +10,14 @@
 //!   implementations are pinned by the standard test vectors.
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032): field arithmetic mod
-//!   2²⁵⁵−19, scalar arithmetic mod the group order, twisted Edwards
-//!   point operations in extended coordinates.
+//!   2²⁵⁵−19 in five lazily reduced 51-bit limbs with addition-chain
+//!   inversion, Barrett reduction mod the group order, twisted Edwards
+//!   points in extended / projective / completed / cached coordinates,
+//!   strict decoding (canonical S and y), and verification as one
+//!   Straus wNAF pass. Pinned by the RFC vectors, a golden digest over
+//!   64 signatures, and differential tests against the code it replaced
+//!   (square-and-multiply, fixed-window multiplication, the old
+//!   decoding and scalar reduction), kept as test references.
 //! * [`merkle`] — the bucketed sparse Merkle tree TransEdge uses as its
 //!   Authenticated Data Structure (ADS), with inclusion and
 //!   non-inclusion proofs.

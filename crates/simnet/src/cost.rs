@@ -14,6 +14,14 @@
 //! `core.conflict.admit_us`). Absolute values shift throughput curves
 //! up or down; the *relative* costs are what give the evaluation
 //! figures their shape.
+//!
+//! The two ed25519 entries are no longer measurements of this
+//! repository's code. 85 µs sign / 200 µs verify were roughly what the
+//! from-scratch Ed25519 cost until PR 25; since its radix-2⁵¹ field and
+//! Straus verify the ladder reads ~14 µs / ~51 µs on the same host. They
+//! are kept because every simulated metric (`read_p50_ms` …
+//! `commit_pct`) is priced with them, and deriving the table from the
+//! ladder is its own change (ROADMAP item 9(a)).
 
 use transedge_common::SimDuration;
 
