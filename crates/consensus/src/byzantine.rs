@@ -52,8 +52,11 @@ pub fn craft_write<V: BftValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Cluster;
-    use crate::messages::BftMsg;
+    use crate::engine::MAX_PARKED_PER_REPLICA;
+    use crate::harness::{Cluster, InFlight};
+    use crate::messages::{accept_statement, BftMsg};
+    use transedge_common::ReplicaId;
+    use transedge_crypto::{Digest, Signature};
 
     fn value(tag: u8) -> Vec<u8> {
         vec![tag; 8]
@@ -254,5 +257,140 @@ mod tests {
             }
         }
         assert!(saw_vc, "invalid proposal must trigger a view-change vote");
+    }
+
+    /// A WRITE and an ACCEPT for slot 0 of view 0 naming `digest`, signed
+    /// with `signer`'s key — forgeries when sent as another replica's.
+    fn votes_signed_by(
+        cluster: &Cluster<Vec<u8>>,
+        signer: ReplicaId,
+        digest: Digest,
+    ) -> [BftMsg<Vec<u8>>; 2] {
+        let kp = &cluster.keypairs[&signer];
+        let stmt = accept_statement(cluster.cluster_id, BatchNum(0), &digest);
+        [
+            craft_write(kp, cluster.cluster_id, ViewNum(0), BatchNum(0), digest),
+            BftMsg::Accept {
+                slot: BatchNum(0),
+                digest,
+                sig: kp.sign(&stmt),
+            },
+        ]
+    }
+
+    /// Queue `msg` as sent by `from` to every other replica.
+    fn inject(cluster: &mut Cluster<Vec<u8>>, from: ReplicaId, msg: &BftMsg<Vec<u8>>) {
+        for to in cluster.replicas() {
+            if to != from {
+                cluster.network.push_back(InFlight {
+                    from,
+                    to,
+                    msg: msg.clone(),
+                });
+            }
+        }
+    }
+
+    fn signature_of(msg: &BftMsg<Vec<u8>>) -> Option<Signature> {
+        match msg {
+            BftMsg::Write { sig, .. } | BftMsg::Accept { sig, .. } => Some(*sig),
+            _ => None,
+        }
+    }
+
+    /// With one replica down the quorum needs the byzantine one, whose
+    /// only votes carry another replica's signature: nobody decides.
+    #[test]
+    fn bad_signature_votes_never_count_toward_a_quorum() {
+        let mut cluster: Cluster<Vec<u8>> = Cluster::new(1, 21);
+        let reps = cluster.replicas();
+        let (down, bad) = (reps[2], reps[3]);
+        cluster.down = vec![down];
+        let forged = votes_signed_by(&cluster, down, value(1).digest());
+        for msg in &forged {
+            inject(&mut cluster, bad, msg);
+        }
+        cluster.propose(value(1));
+        let forged_sigs: Vec<Signature> = forged.iter().filter_map(signature_of).collect();
+        // The byzantine replica's own votes never leave it.
+        cluster.run_with(10_000, &mut |m| {
+            let genuine_vote = signature_of(&m.msg).is_some_and(|s| !forged_sigs.contains(&s));
+            (m.from != bad || !genuine_vote).then(|| m.msg.clone())
+        });
+        for r in &reps {
+            assert!(cluster.delivered[r].is_empty(), "{r} decided");
+        }
+    }
+
+    /// The same forgeries arrive first, then the replica's genuine votes:
+    /// the invalid ones do not shadow them, and the slot decides.
+    #[test]
+    fn a_later_valid_vote_still_counts() {
+        let mut cluster: Cluster<Vec<u8>> = Cluster::new(1, 22);
+        let reps = cluster.replicas();
+        let (down, bad) = (reps[2], reps[3]);
+        cluster.down = vec![down];
+        for msg in votes_signed_by(&cluster, down, value(2).digest()) {
+            inject(&mut cluster, bad, &msg);
+        }
+        cluster.propose(value(2));
+        cluster.run(10_000);
+        for r in [reps[0], reps[1], bad] {
+            assert_eq!(
+                cluster.delivered[&r],
+                vec![(BatchNum(0), value(2))],
+                "at {r}"
+            );
+        }
+    }
+
+    /// A replica first votes, validly signed, for a value nobody
+    /// proposed, then for the proposal: its first valid vote is the one
+    /// that counts, so with one replica down nobody decides.
+    #[test]
+    fn an_equivocating_replicas_first_valid_vote_stands() {
+        let mut cluster: Cluster<Vec<u8>> = Cluster::new(1, 23);
+        let reps = cluster.replicas();
+        let (down, bad) = (reps[2], reps[3]);
+        cluster.down = vec![down];
+        for msg in votes_signed_by(&cluster, bad, value(66).digest()) {
+            inject(&mut cluster, bad, &msg);
+        }
+        cluster.propose(value(3));
+        cluster.run(10_000);
+        for r in &reps {
+            assert!(cluster.delivered[r].is_empty(), "{r} decided");
+        }
+    }
+
+    /// A hundred forged votes of each kind from one replica before the
+    /// proposal: the cluster decides as usual, and all but a handful of
+    /// the flood are dropped without a signature check.
+    #[test]
+    fn a_vote_flood_is_dropped_unchecked() {
+        const FLOOD: usize = 100;
+        let mut cluster: Cluster<Vec<u8>> = Cluster::new(1, 24);
+        let reps = cluster.replicas();
+        let (signer, bad, victim) = (reps[2], reps[3], reps[1]);
+        for n in 0..FLOOD {
+            // Distinct digests, so no two flood votes are alike.
+            for msg in votes_signed_by(&cluster, signer, Digest([n as u8; 32])) {
+                cluster.network.push_back(InFlight {
+                    from: bad,
+                    to: victim,
+                    msg,
+                });
+            }
+        }
+        cluster.propose(value(4));
+        cluster.run(50_000);
+        let log = cluster.assert_agreement();
+        assert_eq!(log, vec![(BatchNum(0), value(4))]);
+        let unchecked = cluster.engine(victim).votes_never_verified();
+        assert!(
+            unchecked >= 2 * (FLOOD - MAX_PARKED_PER_REPLICA) as u64,
+            "{unchecked} of {} flood votes unchecked",
+            2 * FLOOD
+        );
     }
 }

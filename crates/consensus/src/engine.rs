@@ -59,6 +59,146 @@ pub enum Output<V> {
     EnteredView { view: ViewNum, leader: ReplicaId },
 }
 
+/// Most unverified votes held per replica per slot and kind; a replica
+/// that sends more has the excess dropped unchecked, so a flood costs
+/// only its sender.
+pub(crate) const MAX_PARKED_PER_REPLICA: usize = 4;
+
+/// One slot's votes of one kind. A vote is parked unverified on arrival;
+/// its signature is checked when it could help complete a quorum or
+/// when a reader needs the votes. A replica's counted vote is its first
+/// valid vote in arrival order — exactly as if every vote were checked
+/// on arrival — so an invalid vote never shadows the same replica's
+/// later valid one, and of an equivocating pair the first stands.
+struct Votes<T> {
+    /// Each replica's counted vote and its signature.
+    counted: BTreeMap<ReplicaId, (T, Signature)>,
+    /// Unverified votes in arrival order, none from a counted replica.
+    parked: Vec<(ReplicaId, T, Signature)>,
+    /// Votes discarded without their signature ever being checked.
+    discarded: u64,
+}
+
+impl<T> Default for Votes<T> {
+    fn default() -> Self {
+        Votes {
+            counted: BTreeMap::new(),
+            parked: Vec::new(),
+            discarded: 0,
+        }
+    }
+}
+
+impl<T: Copy + PartialEq> Votes<T> {
+    /// Park a vote from the network.
+    fn park(&mut self, from: ReplicaId, vote: T, sig: Signature) {
+        let held = self.parked.iter().filter(|(r, ..)| *r == from).count();
+        if self.counted.contains_key(&from) || held >= MAX_PARKED_PER_REPLICA {
+            self.discarded += 1;
+        } else {
+            self.parked.push((from, vote, sig));
+        }
+    }
+
+    /// Count this replica's own vote (signed here: nothing to check).
+    fn count_own(&mut self, me: ReplicaId, vote: T, sig: Signature) {
+        self.counted.insert(me, (vote, sig));
+    }
+
+    /// Drop every vote, verified or not.
+    fn clear(&mut self) {
+        self.counted.clear();
+        self.discarded += self.parked.len() as u64;
+        self.parked.clear();
+    }
+
+    /// Votes never checked: discarded, or still parked.
+    fn unverified(&self) -> u64 {
+        self.discarded + self.parked.len() as u64
+    }
+
+    /// Do at least `need` counted votes satisfy `wanted`? Checks just
+    /// enough parked votes, in arrival order, and only once counted plus
+    /// parked could reach `need`.
+    fn reach(
+        &mut self,
+        need: usize,
+        wanted: impl Fn(&T) -> bool,
+        keys: &KeyStore,
+        statement: impl Fn(&T) -> Vec<u8>,
+    ) -> bool {
+        loop {
+            let have = self.counted.values().filter(|(v, _)| wanted(v)).count();
+            if have >= need {
+                return true;
+            }
+            // Replicas that may yet count a wanted vote, in order of
+            // their earliest parked vote.
+            let mut hopeful: Vec<ReplicaId> = Vec::new();
+            for (r, v, _) in &self.parked {
+                if wanted(v) && !hopeful.contains(r) {
+                    hopeful.push(*r);
+                }
+            }
+            if have + hopeful.len() < need {
+                return false;
+            }
+            hopeful.sort_by_key(|r| self.parked.iter().position(|(p, ..)| p == r));
+            hopeful.truncate(need - have);
+            self.resolve(&hopeful, keys, &statement);
+        }
+    }
+
+    /// Check parked votes until none is left, so `counted` holds what
+    /// checking every vote on arrival would have.
+    fn promote_all(&mut self, keys: &KeyStore, statement: impl Fn(&T) -> Vec<u8>) {
+        while !self.parked.is_empty() {
+            let mut replicas: Vec<ReplicaId> = Vec::new();
+            for (r, ..) in &self.parked {
+                if !replicas.contains(r) {
+                    replicas.push(*r);
+                }
+            }
+            self.resolve(&replicas, keys, &statement);
+        }
+    }
+
+    /// Check the earliest parked vote of each of `replicas` in one
+    /// batch. A valid one becomes the replica's counted vote and its
+    /// later votes are discarded; an invalid one is dropped.
+    fn resolve(
+        &mut self,
+        replicas: &[ReplicaId],
+        keys: &KeyStore,
+        statement: &impl Fn(&T) -> Vec<u8>,
+    ) {
+        let picks: Vec<(ReplicaId, T, Signature)> = replicas
+            .iter()
+            .filter_map(|r| self.parked.iter().find(|(p, ..)| p == r).copied())
+            .collect();
+        let statements: Vec<Vec<u8>> = picks.iter().map(|(_, v, _)| statement(v)).collect();
+        let items: Vec<(NodeId, &[u8], &Signature)> = picks
+            .iter()
+            .zip(&statements)
+            .map(|((r, _, sig), stmt)| (NodeId::Replica(*r), stmt.as_slice(), sig))
+            .collect();
+        for ((r, v, sig), ok) in picks.iter().zip(keys.verify_many(&items)) {
+            let first = self
+                .parked
+                .iter()
+                .position(|(p, ..)| p == r)
+                .expect("picked from the parked votes");
+            self.parked.remove(first);
+            if ok {
+                self.counted.insert(*r, (*v, *sig));
+                let before = self.parked.len();
+                self.parked.retain(|(p, ..)| p != r);
+                self.discarded += (before - self.parked.len()) as u64;
+            }
+        }
+    }
+}
+
 /// Per-slot voting state.
 struct SlotState<V> {
     /// Proposal accepted in the current view: (view, value, digest).
@@ -66,11 +206,10 @@ struct SlotState<V> {
     /// Propose received while this replica lagged; replayed once the
     /// slot becomes current.
     pending_propose: Option<(ReplicaId, BftMsg<V>)>,
-    /// WRITE votes: replica → (view, digest, sig).
-    writes: HashMap<ReplicaId, (ViewNum, Digest, Signature)>,
-    /// ACCEPT votes: replica → (digest, sig).
-    accepts: HashMap<ReplicaId, (Digest, Signature)>,
-    wrote: bool,
+    /// WRITE votes: (view, digest) per replica.
+    writes: Votes<(ViewNum, Digest)>,
+    /// ACCEPT votes: digest per replica.
+    accepts: Votes<Digest>,
     accepted: bool,
     decided: Option<V>,
 }
@@ -80,12 +219,17 @@ impl<V> Default for SlotState<V> {
         SlotState {
             proposal: None,
             pending_propose: None,
-            writes: HashMap::new(),
-            accepts: HashMap::new(),
-            wrote: false,
+            writes: Votes::default(),
+            accepts: Votes::default(),
             accepted: false,
             decided: None,
         }
+    }
+}
+
+impl<V> SlotState<V> {
+    fn unverified_votes(&self) -> u64 {
+        self.writes.unverified() + self.accepts.unverified()
     }
 }
 
@@ -95,8 +239,9 @@ pub struct BftEngine<V: BftValue> {
     keypair: Keypair,
     keys: KeyStore,
     view: ViewNum,
-    /// In-flight slot states, keyed by slot number.
-    slots: HashMap<u64, SlotState<V>>,
+    /// In-flight slot states, keyed by slot number (in order: a reader
+    /// that promotes parked votes walks them deterministically).
+    slots: BTreeMap<u64, SlotState<V>>,
     /// Delivered prefix of the log (value + certificate per slot).
     log: BatchArchive<(V, Certificate)>,
     /// View-change votes collected per target view, in replica order:
@@ -108,6 +253,8 @@ pub struct BftEngine<V: BftValue> {
     /// Reproposal obligation installed by the current view's NewView:
     /// Propose for this slot must carry this digest.
     reproposal_obligation: Option<(BatchNum, Digest)>,
+    /// Votes of retired slots that were never checked.
+    votes_never_verified: u64,
 }
 
 impl<V: BftValue> BftEngine<V> {
@@ -117,11 +264,12 @@ impl<V: BftValue> BftEngine<V> {
             keypair,
             keys,
             view: ViewNum(0),
-            slots: HashMap::new(),
+            slots: BTreeMap::new(),
             log: BatchArchive::new(),
             vc_votes: HashMap::new(),
             vc_target: None,
             reproposal_obligation: None,
+            votes_never_verified: 0,
         }
     }
 
@@ -166,13 +314,35 @@ impl<V: BftValue> BftEngine<V> {
     }
 
     /// Is there a proposal in flight that has not decided yet? Hosts
-    /// use this to drive leader-progress timeouts.
-    pub fn has_undecided_inflight(&self) -> bool {
+    /// use this to drive leader-progress timeouts. A slot holding only
+    /// parked WRITE votes counts once one of them checks out.
+    pub fn has_undecided_inflight(&mut self) -> bool {
+        let cluster = self.config.cluster;
         self.vc_target.is_some()
-            || self
+            || self.slots.iter_mut().any(|(&slot, s)| {
+                s.decided.is_none()
+                    && (s.proposal.is_some()
+                        || s.writes.reach(
+                            1,
+                            |_| true,
+                            &self.keys,
+                            |&(view, digest)| {
+                                write_statement(cluster, view, BatchNum(slot), &digest)
+                            },
+                        ))
+            })
+    }
+
+    /// Votes this engine received and dropped, or still holds, without
+    /// ever checking their signature: the checks lazy vote verification
+    /// saved.
+    pub fn votes_never_verified(&self) -> u64 {
+        self.votes_never_verified
+            + self
                 .slots
                 .values()
-                .any(|s| s.decided.is_none() && (s.proposal.is_some() || !s.writes.is_empty()))
+                .map(SlotState::unverified_votes)
+                .sum::<u64>()
     }
 
     pub fn config(&self) -> &BftConfig {
@@ -232,12 +402,11 @@ impl<V: BftValue> BftEngine<V> {
         let view = self.view;
         let slot_state = self.slots.entry(slot.0).or_default();
         slot_state.proposal = Some((view, value, digest));
-        slot_state.wrote = true;
         let wstmt = write_statement(self.config.cluster, view, slot, &digest);
         let wsig = self.keypair.sign(&wstmt);
         slot_state
             .writes
-            .insert(self.config.me, (view, digest, wsig));
+            .count_own(self.config.me, (view, digest), wsig);
         out.push(Output::Broadcast(BftMsg::Write {
             view,
             slot,
@@ -408,18 +577,11 @@ impl<V: BftValue> BftEngine<V> {
         if slot < self.next_slot() || view != self.view {
             return;
         }
-        let stmt = write_statement(self.config.cluster, view, slot, &digest);
-        if self
-            .keys
-            .verify(NodeId::Replica(from), &stmt, &sig)
-            .is_err()
-        {
-            return;
-        }
+        // First valid write per replica per view wins (byzantine
+        // replicas cannot double-vote); its signature is checked when it
+        // can help complete a quorum.
         let state = self.slots.entry(slot.0).or_default();
-        // First write per replica per view wins (byzantine replicas
-        // cannot double-vote).
-        state.writes.entry(from).or_insert((view, digest, sig));
+        state.writes.park(from, (view, digest), sig);
         self.check_write_quorum(slot, out);
     }
 
@@ -434,22 +596,15 @@ impl<V: BftValue> BftEngine<V> {
         if slot < self.next_slot() {
             return;
         }
-        let stmt = accept_statement(self.config.cluster, slot, &digest);
-        if self
-            .keys
-            .verify(NodeId::Replica(from), &stmt, &sig)
-            .is_err()
-        {
-            return;
-        }
         let state = self.slots.entry(slot.0).or_default();
-        state.accepts.entry(from).or_insert((digest, sig));
+        state.accepts.park(from, digest, sig);
         self.check_accept_quorum(slot, out);
     }
 
     fn check_write_quorum(&mut self, slot: BatchNum, out: &mut Vec<Output<V>>) {
         let view = self.view;
         let quorum = self.config.quorum();
+        let cluster = self.config.cluster;
         let Some(state) = self.slots.get_mut(&slot.0) else {
             return;
         };
@@ -463,18 +618,18 @@ impl<V: BftValue> BftEngine<V> {
             return;
         }
         let digest = *pdigest;
-        let count = state
-            .writes
-            .values()
-            .filter(|(v, d, _)| *v == view && *d == digest)
-            .count();
-        if count < quorum {
+        if !state.writes.reach(
+            quorum,
+            |&vote| vote == (view, digest),
+            &self.keys,
+            |&(v, d)| write_statement(cluster, v, slot, &d),
+        ) {
             return;
         }
         state.accepted = true;
-        let stmt = accept_statement(self.config.cluster, slot, &digest);
+        let stmt = accept_statement(cluster, slot, &digest);
         let sig = self.keypair.sign(&stmt);
-        state.accepts.insert(self.config.me, (digest, sig));
+        state.accepts.count_own(self.config.me, digest, sig);
         out.push(Output::Broadcast(BftMsg::Accept { slot, digest, sig }));
         self.check_accept_quorum(slot, out);
     }
@@ -489,12 +644,16 @@ impl<V: BftValue> BftEngine<V> {
         if state.decided.is_some() {
             return;
         }
+        let statement = |d: &Digest| accept_statement(cluster, slot, d);
         let Some((_, value, pdigest)) = &state.proposal else {
             // 2f+1 accepts without a proposal means we missed the value;
             // ask a correct accepter for state.
-            if state.accepts.len() >= quorum && state.pending_propose.is_none() {
+            if state.pending_propose.is_none()
+                && state.accepts.reach(quorum, |_| true, &self.keys, statement)
+            {
                 // The accepter with the smallest id gets the request.
-                if let Some(&peer) = state.accepts.keys().min() {
+                state.accepts.promote_all(&self.keys, statement);
+                if let Some(&peer) = state.accepts.counted.keys().next() {
                     let from_slot = self.log.next_num();
                     out.push(Output::Send(peer, BftMsg::StateRequest { from: from_slot }));
                 }
@@ -502,25 +661,21 @@ impl<V: BftValue> BftEngine<V> {
             return;
         };
         let digest = *pdigest;
-        let matching: Vec<(NodeId, Signature)> = state
+        if !state
             .accepts
-            .iter()
-            .filter(|(_, (d, _))| *d == digest)
-            .map(|(r, (_, s))| (NodeId::Replica(*r), *s))
-            .collect();
-        if matching.len() < quorum {
+            .reach(quorum, |d| *d == digest, &self.keys, statement)
+        {
             return;
         }
-        let mut sigs = matching;
-        sigs.sort_by_key(|(n, _)| *n);
-        sigs.truncate(cert_quorum);
-        let cert = Certificate {
+        state.decided = Some(value.clone());
+        let cert = certificate(
+            &mut state.accepts,
             cluster,
             slot,
             digest,
-            sigs,
-        };
-        state.decided = Some(value.clone());
+            cert_quorum,
+            &self.keys,
+        );
         self.deliver_ready(slot, cert, out);
     }
 
@@ -532,61 +687,37 @@ impl<V: BftValue> BftEngine<V> {
         cert: Certificate,
         out: &mut Vec<Output<V>>,
     ) {
-        // Stash the certificate with the slot so the flush below can use it.
-        // (Only the just-decided slot carries a fresh cert; slots decided
-        // earlier already hold theirs in `pending_certs` via recursion.)
+        // Only the just-decided slot carries a fresh certificate; a slot
+        // that decided earlier, out of order, is certified below from its
+        // stored accepts.
         let mut certs: HashMap<u64, Certificate> = HashMap::new();
         certs.insert(decided_slot.0, cert);
         loop {
             let next = self.log.next_num();
-            let Some(state) = self.slots.get(&next.0) else {
-                break;
-            };
-            if state.decided.is_none() {
+            if self.slots.get(&next.0).is_none_or(|s| s.decided.is_none()) {
                 break;
             }
-            let state = self.slots.remove(&next.0).unwrap();
-            let value = state.decided.unwrap();
-            let cert = match certs.remove(&next.0) {
-                Some(c) => c,
-                None => {
-                    // Rebuild from stored accepts (slot decided earlier,
-                    // out of order).
-                    let digest = value.digest();
-                    let mut sigs: Vec<(NodeId, Signature)> = state
-                        .accepts
-                        .iter()
-                        .filter(|(_, (d, _))| *d == digest)
-                        .map(|(r, (_, s))| (NodeId::Replica(*r), *s))
-                        .collect();
-                    sigs.sort_by_key(|(n, _)| *n);
-                    sigs.truncate(self.config.cert_quorum());
-                    Certificate {
-                        cluster: self.config.cluster,
-                        slot: next,
-                        digest,
-                        sigs,
-                    }
-                }
-            };
+            let mut state = self.slots.remove(&next.0).expect("checked above");
+            let value = state.decided.take().expect("checked above");
+            let cert = certs.remove(&next.0).unwrap_or_else(|| {
+                // Rebuild from stored accepts (slot decided earlier, out
+                // of order).
+                certificate(
+                    &mut state.accepts,
+                    self.config.cluster,
+                    next,
+                    value.digest(),
+                    self.config.cert_quorum(),
+                    &self.keys,
+                )
+            });
+            self.votes_never_verified += state.unverified_votes();
             self.log.append(next, (value.clone(), cert.clone()));
             out.push(Output::Decided {
                 slot: next,
                 value,
                 cert,
             });
-            // A buffered proposal for the new next slot can now be
-            // replayed by the host; surface it via re-handling.
-            let new_next = self.log.next_num();
-            if let Some(st) = self.slots.get_mut(&new_next.0) {
-                if let Some((from, msg)) = st.pending_propose.take() {
-                    // Replay with a permissive validator: the host's
-                    // validator is not available here, so mark it
-                    // pending again through a self-send. Hosts replay
-                    // via `take_pending_propose`.
-                    st.pending_propose = Some((from, msg));
-                }
-            }
             // After delivering, the view's reproposal obligation for
             // this slot is discharged.
             if let Some((ob_slot, _)) = self.reproposal_obligation {
@@ -627,14 +758,19 @@ impl<V: BftValue> BftEngine<V> {
         let delivered = self.log.next_num();
         // Report a prepared (write-quorum) value for the next slot, if
         // we hold one.
-        let prepared_info = self.slots.get(&delivered.0).and_then(|s| {
+        let cluster = self.config.cluster;
+        let quorum = self.config.quorum();
+        let prepared_info = self.slots.get_mut(&delivered.0).and_then(|s| {
             let (pview, value, pdigest) = s.proposal.as_ref()?;
-            let count = s
-                .writes
-                .values()
-                .filter(|(v, d, _)| v == pview && d == pdigest)
-                .count();
-            (count >= self.config.quorum()).then(|| ((*pview, delivered, *pdigest), value.clone()))
+            let prepared = (*pview, *pdigest);
+            s.writes
+                .reach(
+                    quorum,
+                    |&vote| vote == prepared,
+                    &self.keys,
+                    |&(v, d)| write_statement(cluster, v, delivered, &d),
+                )
+                .then(|| ((prepared.0, delivered, prepared.1), value.clone()))
         });
         let (prepared, prepared_value) = match prepared_info {
             Some((triple, value)) => (Some(triple), Some(value)),
@@ -846,16 +982,15 @@ impl<V: BftValue> BftEngine<V> {
         self.vc_target = None;
         self.vc_votes.retain(|v, _| *v > view);
         self.reproposal_obligation = obligation.filter(|(s, _)| *s >= self.next_slot());
-        // Undecided in-flight slots: write votes are view-scoped and now
-        // stale — drop them so fresh view-`v` writes can be recorded
-        // (votes are keyed per replica and first-write-wins). The
-        // proposal and our wrote/accepted flags also reset so we re-vote
-        // on the re-proposal; recorded accepts survive because accept
-        // statements are view-independent.
+        // Undecided in-flight slots: write votes — counted or parked —
+        // are view-scoped and now stale: drop them so fresh view-`v`
+        // writes can be recorded (votes are keyed per replica and
+        // first-write-wins). The proposal and our accepted flag also
+        // reset so we re-vote on the re-proposal; recorded accepts
+        // survive because accept statements are view-independent.
         for state in self.slots.values_mut() {
             if state.decided.is_none() {
                 state.proposal = None;
-                state.wrote = false;
                 state.accepted = false;
                 state.writes.clear();
             }
@@ -898,9 +1033,38 @@ impl<V: BftValue> BftEngine<V> {
             {
                 continue;
             }
-            self.slots.remove(&slot.0);
+            if let Some(state) = self.slots.remove(&slot.0) {
+                self.votes_never_verified += state.unverified_votes();
+            }
             self.log.append(slot, (value.clone(), cert.clone()));
             out.push(Output::Decided { slot, value, cert });
         }
+    }
+}
+
+/// The certificate of a decided slot: the `f+1` smallest-id replicas
+/// whose counted ACCEPT names `digest`, after every parked vote is
+/// checked — the signer set checking each vote on arrival gives.
+fn certificate(
+    accepts: &mut Votes<Digest>,
+    cluster: ClusterId,
+    slot: BatchNum,
+    digest: Digest,
+    cert_quorum: usize,
+    keys: &KeyStore,
+) -> Certificate {
+    accepts.promote_all(keys, |d| accept_statement(cluster, slot, d));
+    let sigs = accepts
+        .counted
+        .iter()
+        .filter(|(_, (d, _))| *d == digest)
+        .map(|(r, (_, sig))| (NodeId::Replica(*r), *sig))
+        .take(cert_quorum)
+        .collect();
+    Certificate {
+        cluster,
+        slot,
+        digest,
+        sigs,
     }
 }

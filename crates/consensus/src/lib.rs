@@ -33,6 +33,9 @@
 //! messages in, [`engine::Output`]s out. It performs real Ed25519
 //! signing/verification via `transedge-crypto`, but does no I/O and
 //! keeps no clock — hosts own timers (see `transedge-core::node`).
+//! WRITE and ACCEPT votes are checked lazily: parked on arrival and
+//! batch-verified once they can complete a quorum, with the same
+//! outcome as checking each on arrival (see the engine's `Votes`).
 
 pub mod byzantine;
 pub mod engine;

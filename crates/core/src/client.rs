@@ -578,7 +578,7 @@ impl ClientActor {
         ClientActor {
             id,
             topo,
-            certs: VerifiedCerts::new(keys),
+            certs: VerifiedCerts::new(keys.with_memo()),
             feeds: BTreeMap::new(),
             config,
             ops,

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, EdgeId, Key, NodeId, ReplicaId, SimDuration, SimTime,
 };
-use transedge_crypto::{Digest, KeyStore, Keypair};
+use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
     is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape,
@@ -409,7 +409,7 @@ impl EdgeReadNode {
         EdgeReadNode {
             me,
             topo,
-            keys,
+            keys: keys.with_memo(),
             behavior: params.behavior,
             caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
             directory_plan: params.directory,
@@ -432,6 +432,11 @@ impl EdgeReadNode {
 
     pub fn behavior(&self) -> EdgeBehavior {
         self.behavior
+    }
+
+    /// The signature checks this edge ran.
+    pub fn sig_stats(&self) -> SigStats {
+        self.keys.sig_stats()
     }
 
     /// Switch this edge's behaviour at runtime — the scenario layer's

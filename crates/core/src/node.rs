@@ -11,7 +11,7 @@ use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, TxnId,
 };
 use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output};
-use transedge_crypto::{KeyStore, Keypair, Signature};
+use transedge_crypto::{KeyStore, Keypair, SigStats, Signature};
 use transedge_simnet::{Actor, Context};
 
 use transedge_edge::{QueryShape, ReadPipeline, ReadQuery, SnapshotPolicy};
@@ -195,6 +195,9 @@ impl TransEdgeNode {
         keypair: Keypair,
         config: NodeConfig,
     ) -> Self {
+        // One memo of accepted signatures per replica, shared by its
+        // engine and executor.
+        let keys = keys.with_memo();
         let engine = BftEngine::new(
             BftConfig {
                 cluster: me.cluster,
@@ -253,6 +256,16 @@ impl TransEdgeNode {
 
     pub fn is_leader(&self) -> bool {
         self.engine.is_leader()
+    }
+
+    /// The signature checks this replica ran.
+    pub fn sig_stats(&self) -> SigStats {
+        self.keys.sig_stats()
+    }
+
+    /// Consensus votes this replica never had to verify.
+    pub fn votes_never_verified(&self) -> u64 {
+        self.engine.votes_never_verified()
     }
 
     /// One-line state summary for stall diagnostics.

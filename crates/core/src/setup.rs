@@ -9,7 +9,7 @@ use transedge_common::{
 use transedge_consensus::messages::accept_statement;
 use transedge_consensus::{BftValue, Certificate};
 use transedge_crypto::hmac::derive_seed;
-use transedge_crypto::{KeyStore, Keypair};
+use transedge_crypto::{KeyStore, Keypair, SigStats};
 use transedge_obs::{chrome_trace_json, CompletedTrace, MetricRegistry};
 use transedge_simnet::{CostModel, FaultPlan, LatencyModel, PartitionHandle, Simulation};
 
@@ -107,6 +107,14 @@ fn edge_node_params(config: &DeploymentConfig, id: EdgeId, peers: Vec<EdgeId>) -
         persistent: config.edge.persistent,
         peers,
     }
+}
+
+/// Publish one actor's signature-check counters under its scope.
+fn register_sig_stats(reg: &mut MetricRegistry, scope: &str, stats: SigStats) {
+    reg.counter(scope, "crypto.sig_checks", stats.checks);
+    reg.counter(scope, "crypto.sig_batches", stats.batches);
+    reg.counter(scope, "crypto.sig_batched", stats.batched);
+    reg.counter(scope, "crypto.sig_memo_hits", stats.memo_hits);
 }
 
 /// Deterministic initial dataset: `Key::from_u32(i)` for `i in
@@ -464,6 +472,7 @@ impl Deployment {
             let client = self.client(*id);
             let scope = format!("client-{}", id.0);
             reg.register(&scope, &client.stats);
+            register_sig_stats(&mut reg, &scope, client.verified_certs().keys().sig_stats());
             if let Some(agent) = client.directory() {
                 reg.register(&scope, &agent.stats);
             }
@@ -475,6 +484,7 @@ impl Deployment {
             };
             let scope = format!("edge-{}-{}", edge.cluster.0, edge.index);
             reg.register(&scope, &node.stats);
+            register_sig_stats(&mut reg, &scope, node.sig_stats());
             for (_, replay) in node.replay_stats() {
                 reg.register(&scope, &replay);
             }
@@ -492,6 +502,12 @@ impl Deployment {
                 };
                 let scope = format!("replica-{}-{}", cluster.0, r);
                 reg.register(&scope, &node.stats);
+                register_sig_stats(&mut reg, &scope, node.sig_stats());
+                reg.counter(
+                    &scope,
+                    "consensus.votes_never_verified",
+                    node.votes_never_verified(),
+                );
             }
         }
         reg

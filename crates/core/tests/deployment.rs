@@ -1,9 +1,10 @@
 //! Deployment-level invariants: genesis certification, determinism,
-//! and configuration plumbing.
+//! configuration plumbing, and one signature memo per actor.
 
-use transedge_common::{BatchNum, ClusterId, ReplicaId, SimTime, Value};
+use transedge_common::{BatchNum, ClientId, ClusterId, Key, ReplicaId, SimTime, Value};
 use transedge_core::client::ClientOp;
 use transedge_core::setup::{generate_data, Deployment, DeploymentConfig};
+use transedge_crypto::SigStats;
 
 #[test]
 fn genesis_batches_are_certified_per_cluster() {
@@ -109,4 +110,44 @@ fn preloaded_values_are_shared_not_copied() {
         ptrs.windows(2).all(|w| w[0] == w[1]),
         "values must share memory"
     );
+}
+
+#[test]
+fn every_actor_checks_signatures_under_its_own_memo() {
+    // A reader, a writer and an idle client, every actor built from the
+    // deployment's one key directory.
+    let config = DeploymentConfig::for_testing();
+    let key = Key::from_u32(1);
+    let cluster = config.topo.partition_of(&key);
+    let read = ClientOp::ReadOnly {
+        keys: vec![key.clone()],
+    };
+    let write = ClientOp::ReadWrite {
+        reads: vec![],
+        writes: vec![(key, Value::from("w"))],
+    };
+    let mut dep = Deployment::build(config, vec![vec![read.clone(), read], vec![write], vec![]]);
+    dep.run_until_done(SimTime(120_000_000));
+    let client = |i| dep.client(ClientId(i)).verified_certs().keys().sig_stats();
+    // The reader's certificate checks are batches of f+1; the idle
+    // client ran none, and the setup directory counts nothing.
+    let reader = client(0);
+    assert!(
+        reader.batches >= 1 && reader.batched == 2 * reader.batches,
+        "{reader:?}"
+    );
+    assert_eq!(client(2), SigStats::default());
+    assert_eq!(dep.keys.sig_stats(), SigStats::default());
+    // Every replica of the written cluster checked votes of its own: a
+    // shared memo would show one set of counters four times.
+    let replicas: Vec<SigStats> = dep
+        .topo
+        .replicas_of(cluster)
+        .map(|r| dep.node(r).sig_stats())
+        .collect();
+    assert!(
+        replicas.iter().all(|s| s.checks + s.batched > 0),
+        "{replicas:?}"
+    );
+    assert!(replicas.iter().any(|s| *s != replicas[0]), "{replicas:?}");
 }

@@ -16,10 +16,12 @@
 //! Scalar multiplication comes in two production forms. [`Point::base_mul`]
 //! (signing, key generation) sums one entry per radix-16 digit from a
 //! per-process table of `d·16^w·B` in affine Niels form, no doubling.
-//! [`Point::double_base_mul`] (verification) computes `[k]P + [s]B` by
-//! Straus' method: both scalars in width-w NAF (w = 5 over 8 odd
-//! multiples of P built per call, w = 8 over a per-process table of 64
-//! odd multiples of B), one shared doubling per bit. Decoding
+//! [`Point::straus`] (verification, single and batched) computes
+//! `Σ [kⱼ]Pⱼ + [s]B` by Straus' method: every scalar in width-w NAF
+//! (w = 5 over the 8 odd multiples of each Pⱼ — an [`OddMultiples`]
+//! table, built once per registered key or per call for a decoded `R` —
+//! and w = 8 over a per-process table of 64 odd multiples of B), one
+//! shared doubling per bit for all the terms. Decoding
 //! ([`Point::decompress`]) is RFC 8032 §5.1.3: y must be canonical
 //! (< p), and x = u·v³·(u·v⁷)^((p−5)/8) is one exponentiation.
 
@@ -148,6 +150,32 @@ fn odd_multiples<const N: usize>(p: &Point) -> [Point; N] {
     table
 }
 
+/// The odd multiples `P, 3P, …, 15P` of a point, in cached form: what a
+/// width-5 NAF term of [`Point::straus`] adds from.
+#[derive(Clone, Copy)]
+pub struct OddMultiples([CachedPoint; 8]);
+
+impl OddMultiples {
+    /// The table of the identity: a placeholder for unused slots of a
+    /// fixed-size term array.
+    pub const IDENTITY: OddMultiples = OddMultiples(
+        [CachedPoint {
+            y_plus_x: Fe::ONE,
+            y_minus_x: Fe::ONE,
+            z: Fe::ONE,
+            t2d: Fe::ZERO,
+        }; 8],
+    );
+
+    pub fn new(p: &Point) -> OddMultiples {
+        OddMultiples(odd_multiples(p).map(Point::to_cached))
+    }
+}
+
+/// Most variable-base terms one [`Point::straus`] call takes: a batch of
+/// eight signatures, an `R` and an `A` term each.
+pub const MAX_TERMS: usize = 16;
+
 /// `table[i] = (2i + 1)·B` for the width-8 NAF digits of `[s]B`.
 fn base_odd_multiples() -> &'static [AffineNielsPoint; 64] {
     static TABLE: OnceLock<[AffineNielsPoint; 64]> = OnceLock::new();
@@ -251,8 +279,7 @@ impl Point {
     }
 
     /// Scalar multiplication with a 4-bit fixed window: the reference
-    /// [`Point::base_mul`] and [`Point::double_base_mul`] are tested
-    /// against.
+    /// [`Point::base_mul`] and [`Point::straus`] are tested against.
     #[cfg(test)]
     pub fn mul(&self, s: &Scalar) -> Point {
         // Table of 1·P … 15·P.
@@ -314,26 +341,36 @@ impl Point {
         acc
     }
 
-    /// `[k]P + [s]B` by Straus' method — what signature verification
-    /// evaluates. `k` is recoded in width-5 NAF over the 8 odd multiples
-    /// of `P`, `s` in width-8 NAF over the static 64 odd multiples of
-    /// `B`, and one doubling per bit serves both. Not constant-time.
-    pub fn double_base_mul(k: &Scalar, p: &Point, s: &Scalar) -> Point {
-        let k_naf = k.non_adjacent_form(5);
+    /// `Σ [kⱼ]Pⱼ + [s]B` by Straus' method — what signature verification
+    /// evaluates, one term per point (at most [`MAX_TERMS`]). Each `kⱼ`
+    /// is recoded in width-5 NAF over the odd multiples of `Pⱼ`, `s` in
+    /// width-8 NAF over the static 64 odd multiples of `B`, and one
+    /// doubling per bit serves every term. Not constant-time.
+    pub fn straus(terms: &[(Scalar, &OddMultiples)], s: &Scalar) -> Point {
+        assert!(terms.len() <= MAX_TERMS, "{} Straus terms", terms.len());
+        let mut nafs = [[0i8; 256]; MAX_TERMS];
+        for (naf, (k, _)) in nafs.iter_mut().zip(terms) {
+            *naf = k.non_adjacent_form(5);
+        }
+        let nafs = &nafs[..terms.len()];
         let s_naf = s.non_adjacent_form(8);
-        let p_table = odd_multiples::<8>(p).map(Point::to_cached);
         let b_table = base_odd_multiples();
-        let Some(top) = (0..256).rev().find(|&i| k_naf[i] != 0 || s_naf[i] != 0) else {
+        let Some(top) = (0..256)
+            .rev()
+            .find(|&i| s_naf[i] != 0 || nafs.iter().any(|naf| naf[i] != 0))
+        else {
             return Point::identity();
         };
         let mut acc = Point::identity().to_projective();
         for i in (0..=top).rev() {
             let mut sum = acc.double();
-            let d = k_naf[i];
-            if d != 0 {
-                let q = p_table[d.unsigned_abs() as usize / 2];
-                let q = if d > 0 { q } else { q.neg() };
-                sum = sum.to_extended().add_cached(&q);
+            for (naf, (_, table)) in nafs.iter().zip(terms) {
+                let d = naf[i];
+                if d != 0 {
+                    let q = table.0[d.unsigned_abs() as usize / 2];
+                    let q = if d > 0 { q } else { q.neg() };
+                    sum = sum.to_extended().add_cached(&q);
+                }
             }
             let d = s_naf[i];
             if d != 0 {
@@ -424,6 +461,11 @@ impl Point {
 
     pub fn is_identity(&self) -> bool {
         self.eq_point(&Point::identity())
+    }
+
+    /// `[8]P`: the identity exactly when `P` is of small order.
+    pub fn mul_by_cofactor(&self) -> Point {
+        self.double().double().double()
     }
 }
 
@@ -670,9 +712,48 @@ mod tests {
         let p = b.mul(&Scalar::from_u64(9));
         let s1 = Scalar::from_u64(4);
         let s2 = Scalar::from_u64(7);
-        let lhs = Point::double_base_mul(&s2, &p, &s1);
+        let lhs = Point::straus(&[(s2, &OddMultiples::new(&p))], &s1);
         let rhs = b.mul(&s1).add(&p.mul(&s2));
         assert!(lhs.eq_point(&rhs));
+    }
+
+    #[test]
+    fn straus_sums_every_term() {
+        let mut rng = SmallRng::seed_from_u64(2011);
+        let points: Vec<Point> = (0..)
+            .filter_map(|_| Point::decompress(&rng.gen()))
+            .take(MAX_TERMS)
+            .collect();
+        let tables: Vec<OddMultiples> = points.iter().map(OddMultiples::new).collect();
+        for n in [0, 1, 2, 5, MAX_TERMS] {
+            // Full-width and 128-bit scalars, as a batch mixes them.
+            let scalars: Vec<Scalar> = (0..n)
+                .map(|j| {
+                    let k = Scalar::from_bytes_wide(&rng.gen());
+                    if j % 2 == 0 {
+                        Scalar([k.0[0], k.0[1], 0, 0])
+                    } else {
+                        k
+                    }
+                })
+                .collect();
+            let s = Scalar::from_bytes_wide(&rng.gen());
+            let terms: Vec<(Scalar, &OddMultiples)> =
+                scalars.iter().copied().zip(&tables).collect();
+            let reference = scalars
+                .iter()
+                .zip(&points)
+                .fold(Point::base_mul(&s), |acc, (k, p)| acc.add(&p.mul(k)));
+            assert!(Point::straus(&terms, &s).eq_point(&reference), "{n} terms");
+        }
+    }
+
+    #[test]
+    fn cofactor_multiplication_kills_exactly_the_small_order_points() {
+        for t in small_order_points() {
+            assert!(t.mul_by_cofactor().is_identity());
+            assert!(!Point::base().add(&t).mul_by_cofactor().is_identity());
+        }
     }
 
     #[test]
@@ -700,7 +781,7 @@ mod tests {
                 .into_iter()
                 .chain(random.collect::<Vec<_>>())
             {
-                let straus = Point::double_base_mul(&k, p, &s);
+                let straus = Point::straus(&[(k, &OddMultiples::new(p))], &s);
                 let reference = p.mul(&k).add(&Point::base_mul(&s));
                 assert!(straus.eq_point(&reference), "point {n}, k {k:?}, s {s:?}");
             }

@@ -13,18 +13,22 @@
 //!   2²⁵⁵−19 in five lazily reduced 51-bit limbs with addition-chain
 //!   inversion, Barrett reduction mod the group order, twisted Edwards
 //!   points in extended / projective / completed / cached coordinates,
-//!   strict decoding (canonical S and y), and verification as one
-//!   Straus wNAF pass. Pinned by the RFC vectors, a golden digest over
-//!   64 signatures, and differential tests against the code it replaced
+//!   strict decoding (canonical S and y), and cofactored verification as
+//!   one Straus wNAF pass — singly, or up to eight signatures in one
+//!   batch equation. Pinned by the RFC vectors, a golden digest over 64
+//!   signatures, and differential tests against the code it replaced
 //!   (square-and-multiply, fixed-window multiplication, the old
-//!   decoding and scalar reduction), kept as test references.
+//!   decoding and scalar reduction, the cofactorless equation), kept as
+//!   test references.
 //! * [`merkle`] — the bucketed sparse Merkle tree TransEdge uses as its
 //!   Authenticated Data Structure (ADS), with inclusion and
 //!   non-inclusion proofs.
 //! * [`range`] — contiguous-leaf *completeness* proofs over the tree
 //!   order, so a verified scan can detect an untrusted server omitting
 //!   rows from a window.
-//! * [`keys`] — key material and the per-deployment key registry.
+//! * [`keys`] — key material and the per-deployment key registry:
+//!   keys decoded once at registration, quorum checks batched, and a
+//!   per-actor memo of accepted signatures.
 //!
 //! ## Security disclaimer
 //!
@@ -44,7 +48,7 @@ pub mod sha2;
 
 pub use digest::Digest;
 pub use ed25519::{Keypair, PublicKey, Signature};
-pub use keys::KeyStore;
+pub use keys::{KeyStore, SigStats};
 pub use merkle::{verify_multi_proof, MerkleProof, MerkleTree, MultiBucket, MultiProof};
 pub use merkle_versioned::VersionedMerkleTree;
 pub use range::{verify_range_proof, RangeProof, ScanRange};

@@ -1,11 +1,12 @@
-//! Signing and verifying touch no heap once the per-process tables
-//! exist. Its own test binary: the counting allocator is global, and
+//! Signing and verifying — singly or in a batch of up to `MAX_BATCH` —
+//! touch no heap once the per-process tables exist. Its own test binary: the counting allocator is global, and
 //! the count is per thread so the harness's own threads cannot leak
 //! into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use transedge_crypto::ed25519::{verify_batch, Signature, VerifyingKey, MAX_BATCH};
 use transedge_crypto::Keypair;
 
 struct Counting;
@@ -50,4 +51,36 @@ fn sign_and_verify_make_no_allocation_after_warm_up() {
     let allocs = ALLOCS.with(Cell::get) - before;
     assert!(ok && rejected);
     assert_eq!(allocs, 0, "sign + two verifies allocated {allocs} times");
+}
+
+#[test]
+fn a_full_batch_makes_no_allocation() {
+    let signers: Vec<Keypair> = (0..MAX_BATCH as u8)
+        .map(|i| Keypair::from_seed([i; 32]))
+        .collect();
+    let keys: Vec<VerifyingKey> = signers
+        .iter()
+        .map(|kp| VerifyingKey::new(kp.public()))
+        .collect();
+    let msg = b"one multi-scalar multiplication";
+    let sigs: Vec<Signature> = signers.iter().map(|kp| kp.sign(msg)).collect();
+    let mut items: Vec<(&VerifyingKey, &[u8], &Signature)> = keys
+        .iter()
+        .zip(&sigs)
+        .map(|(key, sig)| (key, &msg[..], sig))
+        .collect();
+    assert!(verify_batch(&items));
+
+    let before = ALLOCS.with(Cell::get);
+    let ok = verify_batch(&items);
+    items.swap(0, 1);
+    items[0].0 = &keys[0];
+    let rejected = !verify_batch(&items);
+    let single = keys[1].verify(msg, &sigs[1]);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(ok && rejected && single);
+    assert_eq!(
+        allocs, 0,
+        "two batches of {MAX_BATCH} allocated {allocs} times"
+    );
 }

@@ -4,9 +4,16 @@
 //!
 //! `Certificate::verify` is a pure function of the certificate's bytes
 //! under a key directory fixed at setup, so a trusted party may
-//! remember that one exact certificate passed. [`KeyStore`] checks every
-//! time (edges, hydration, directory evidence, the benchmark's ladder);
-//! [`VerifiedCerts`] checks once — the client's memo. Everything around
+//! remember that one exact certificate passed. A [`KeyStore`] answers
+//! every certificate it is asked about (edges, hydration, directory
+//! evidence, the benchmark's ladder): its signatures in one batch, and
+//! — on an actor's handle ([`KeyStore::with_memo`]) — each signature
+//! the handle already accepted from memory, whatever certificate carried
+//! it. [`VerifiedCerts`] sits above that and answers a repeated
+//! certificate without reaching the key store at all — the client's
+//! memo, whose [`VerifiedCerts::sig_checks`] (what the client is
+//! charged) counts the signatures of every certificate it passes down,
+//! however the key store then settles them. Everything around
 //! the quorum check — the commitment's recomputed digest against the
 //! certificate's, freshness, the LCE floor, snapshot pins, Merkle and
 //! range proofs, changed-set digests — stays in the verifier and runs

@@ -55,9 +55,11 @@
 //!   the one section check (or the scan check) for the query's shape
 //!   and enforces the snapshot floor and page tokens on top.
 //! * [`certs`] — who answers the chain's one quorum question:
-//!   [`certs::QuorumCheck`], implemented by a plain `KeyStore` (check
-//!   every time) and by [`certs::VerifiedCerts`], the trusted client's
-//!   bounded memo of certificates that already passed (check once).
+//!   [`certs::QuorumCheck`], implemented by a `KeyStore` (every
+//!   certificate checked, its signatures in one batch, each signature
+//!   at most once per memo handle) and by [`certs::VerifiedCerts`], the
+//!   trusted client's bounded memo of certificates that already passed
+//!   (each certificate checked once).
 //! * [`feed`] — the certified-delta window an edge attaches freshness
 //!   certificates from and a subscribed client keeps what it verified
 //!   in, so only unseen deltas travel ([`feed::FeedCursor`]).

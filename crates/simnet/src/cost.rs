@@ -21,7 +21,18 @@
 //! Straus verify the ladder reads ~14 µs / ~51 µs on the same host. They
 //! are kept because every simulated metric (`read_p50_ms` …
 //! `commit_pct`) is priced with them, and deriving the table from the
-//! ladder is its own change (ROADMAP item 9(a)).
+//! ladder is its own change (ROADMAP item 6).
+//!
+//! Charges stay per *protocol* signature: a replica pays
+//! `ed25519_verify` once per consensus message and once per signature of
+//! each record it checks, an edge per signature of each certificate, a
+//! client per signature of each certificate its `VerifiedCerts` has not
+//! seen. How the code then settles those signatures — votes verified
+//! only once they can complete a quorum, a quorum's signatures in one
+//! batch equation, a signature the actor accepted before answered from
+//! its memo — is a wall-clock choice the model does not price. Whether
+//! it should (a batch entry, a memo hit at zero) is for the derived
+//! model of ROADMAP item 6 to decide.
 
 use transedge_common::SimDuration;
 
