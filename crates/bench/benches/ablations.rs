@@ -1,4 +1,5 @@
-//! **Ablations** — design choices DESIGN.md calls out, measured:
+//! **Ablations** — design choices of this reproduction, measured (its
+//! deviations from the paper are ledgered in ROADMAP.md item 9):
 //!
 //! 1. *CD-vector granularity*: per-partition dependency numbers (one
 //!    `i64` per partition) vs per-transaction dependency lists — the

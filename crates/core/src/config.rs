@@ -29,7 +29,8 @@ use crate::edge_node::{DirectoryPlan, EdgeBehavior, FeedPlan};
 /// Replay-cache sizing for one edge node.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Per-node replay-cache capacity in fragments.
+    /// Per-node replay-cache capacity in answers (point answers and
+    /// scan windows each, per partition).
     pub capacity: usize,
     /// Certified headers each edge node retains.
     pub max_batches: usize,
@@ -38,7 +39,7 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            capacity: transedge_edge::pipeline::DEFAULT_CACHE_CAPACITY,
+            capacity: transedge_edge::replay::DEFAULT_REPLAY_CAPACITY,
             max_batches: 64,
         }
     }
@@ -106,7 +107,7 @@ impl EdgeConfig {
 /// What [`EdgeConfigBuilder::build`] refuses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A deployed edge tier needs a non-zero fragment capacity.
+    /// A deployed edge tier needs a non-zero answer capacity.
     NoCacheCapacity,
     /// A byzantine override names an edge the plan does not deploy.
     ByzantineOutOfRange(EdgeId),

@@ -6,8 +6,8 @@
 //! below). It holds no partition state, no Merkle tree, and no
 //! consensus role — only the [`transedge_edge::ReplayCache`] sections
 //! and windows of certified responses it has forwarded before. A
-//! request one cached section proves (or one cached window was
-//! admitted for) is answered locally
+//! request one cached section was admitted for (or one cached window)
+//! is answered locally
 //! (zero upstream hops); anything else — a partly cached one included —
 //! is forwarded whole to a replica of the partition that owns it, and
 //! the certified answer absorbed on the way back only if it is the one
@@ -37,7 +37,7 @@
 //! * **Certified commit-feed subscription** — the edge subscribes to
 //!   one home-cluster replica's per-batch [`RotDelta`] feed, verifies
 //!   each pushed delta under its replica certificate, push-invalidates
-//!   superseded cache fragments, and attaches the verified feed tail
+//!   superseded cached answers, and attaches the verified feed tail
 //!   to warm replays as a freshness certificate — letting subscribed
 //!   clients skip the round-2 `MinEpoch` fetch entirely.
 //!
@@ -190,7 +190,7 @@ impl FeedPlan {
 #[derive(Clone, Debug)]
 pub struct EdgeNodeParams {
     pub behavior: EdgeBehavior,
-    /// Per-cluster replay-cache capacity in fragments.
+    /// Per-cluster replay-cache capacity in answers.
     pub cache_capacity: usize,
     /// Certified headers retained per cluster cache.
     pub max_cached_batches: usize,

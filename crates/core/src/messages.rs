@@ -206,10 +206,10 @@ pub enum NetMsg {
     /// Step 7: the coordinator's decision. Sent at the transaction
     /// commit point (all votes collected — §3.6's TCP), carrying the
     /// collected `f+1`-signed prepared records of *all* participants as
-    /// evidence. Shipping at vote time (rather than after the
-    /// coordinator's own commit batch is written) is required for
-    /// liveness when one prepare group mixes transactions with
-    /// different coordinators — see DESIGN.md, "Known deviations".
+    /// evidence. Deviation: it ships at vote time, not after the
+    /// coordinator's own commit batch is written, which liveness needs
+    /// when one prepare group mixes transactions with different
+    /// coordinators (ledger: ROADMAP.md item 9).
     CommitOutcome {
         txn: TxnId,
         coordinator: ClusterId,

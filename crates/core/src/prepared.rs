@@ -106,8 +106,9 @@ impl PreparedBatches {
     /// version drained every consecutive ready group into one batch;
     /// that lets the LCE jump past a requested dependency epoch and
     /// import fresh dependencies into round-two read-only responses,
-    /// which is what makes Theorem 4.6's two-round bound fail — see
-    /// DESIGN.md, "Known deviations".)
+    /// which is what makes Theorem 4.6's two-round bound fail.
+    /// Deviation: a ROT can still need a third round; the ledger is
+    /// ROADMAP.md item 9.)
     ///
     /// Returns the drained records (with their transactions) and the
     /// new LCE (the drained group's prepare-batch number).

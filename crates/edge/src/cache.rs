@@ -1,8 +1,9 @@
 //! LRU cache with hit/miss accounting.
 //!
-//! Snapshot reads are keyed by `(Key, BatchNum)` and immutable once
-//! committed, so cache entries never need invalidation — only eviction
-//! for capacity. The recency index is a `BTreeMap` keyed by a monotonic
+//! Snapshot answers are keyed by what was asked and the batch, and are
+//! immutable once committed, so eviction is for capacity; the one
+//! invalidation (a certified delta superseding a replay-cache answer)
+//! goes through [`LruCache::retain`]. The recency index is a `BTreeMap` keyed by a monotonic
 //! tick, giving `O(log n)` touch/evict without unsafe code.
 
 use std::collections::{BTreeMap, HashMap};
@@ -97,11 +98,6 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         }
     }
 
-    /// Look up without touching recency or counters.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(_, v)| v)
-    }
-
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
@@ -126,13 +122,6 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
             self.map.remove(&victim);
             self.stats.evictions += 1;
         }
-    }
-
-    /// Drop one entry, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (when, value) = self.map.remove(key)?;
-        self.recency.remove(&when);
-        Some(value)
     }
 
     /// Drop every entry for which `pred` returns false.
@@ -186,8 +175,8 @@ mod tests {
         c.insert(1, 10);
         c.insert(1, 11);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(&1), Some(&11));
         assert_eq!(c.stats.insertions, 1, "refresh is not a new insertion");
+        assert_eq!(c.get(&1), Some(&11));
     }
 
     #[test]
@@ -196,19 +185,6 @@ mod tests {
         c.insert(1, 10);
         assert_eq!(c.get(&1), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn remove_drops_one_entry_and_its_recency_slot() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        assert_eq!(c.remove(&1), Some(10));
-        assert_eq!(c.remove(&1), None);
-        // The freed slot is reusable without evicting the survivor.
-        c.insert(3, 30);
-        assert!(c.contains(&2) && c.contains(&3));
-        assert_eq!(c.stats.evictions, 0);
     }
 
     #[test]

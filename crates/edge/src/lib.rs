@@ -18,8 +18,8 @@
 //! certificate, and a [`MultiProofBody`] proving a sorted key set (one
 //! key included) with one deduplicated Merkle multiproof. A replica
 //! answers with a section for exactly the keys asked; an edge replays
-//! a cached section proving at least those, or forwards the question
-//! whole. A **scan** is a [`ScanBundle`]: the same commitment
+//! the cached section admitted for exactly those, or forwards the
+//! question whole. A **scan** is a [`ScanBundle`]: the same commitment
 //! and certificate over a Merkle *range* proof
 //! (`transedge_crypto::range`), so the verifier can also check
 //! **completeness** — an untrusted node cannot omit a row inside a
@@ -36,8 +36,8 @@
 //!   used stand-alone by edge replay nodes.
 //! * [`replay`] — the store-free serving side: an edge cache node that
 //!   holds no partition state and no keys, only the certified sections
-//!   and windows it absorbed from upstream, indexed per `(key, batch)`
-//!   and replayed to clients who verify them end to end;
+//!   and windows it absorbed from upstream, one exact-match LRU per
+//!   answer kind, replayed to clients who verify them end to end;
 //!   [`replay::PartitionCaches`] keeps one such cache per partition.
 //! * [`persist`] — the same two shapes as durable, content-addressed
 //!   objects, re-verified on hydration like any network response.

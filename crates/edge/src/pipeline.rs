@@ -64,7 +64,7 @@ pub fn multi_snapshot<S: SnapshotSource + ?Sized>(
     prove_sorted(src, sorted_unique(keys), batch)
 }
 
-fn sorted_unique(keys: &[Key]) -> Vec<Key> {
+pub(crate) fn sorted_unique(keys: &[Key]) -> Vec<Key> {
     let mut sorted = keys.to_vec();
     sorted.sort();
     sorted.dedup();
@@ -98,10 +98,6 @@ pub struct ReadPipeline {
     scans: LruCache<(ScanRange, BatchNum), ScanProof>,
 }
 
-/// Default per-node cache capacity (entries, not bytes): generous for
-/// the simulated workloads while keeping worst-case memory modest.
-pub const DEFAULT_CACHE_CAPACITY: usize = 64 * 1024;
-
 /// Default scan-proof cache capacity. Scan entries are much larger than
 /// point entries (whole windows), so the cap is correspondingly lower.
 pub const DEFAULT_SCAN_CACHE_CAPACITY: usize = 512;
@@ -113,13 +109,16 @@ pub const DEFAULT_SCAN_CACHE_CAPACITY: usize = 512;
 /// larger memo would only pin bodies nobody asks for again.
 const MAX_MEMOISED_BODIES: usize = 32;
 
+/// The memo at its own bounds, with no capacity below them.
 impl Default for ReadPipeline {
     fn default() -> Self {
-        ReadPipeline::new(DEFAULT_CACHE_CAPACITY)
+        ReadPipeline::new(usize::MAX)
     }
 }
 
 impl ReadPipeline {
+    /// A memo holding at most `cache_capacity` entries of each kind,
+    /// and never more than its own bounds.
     pub fn new(cache_capacity: usize) -> Self {
         ReadPipeline {
             points: LruCache::new(MAX_MEMOISED_BODIES.min(cache_capacity)),

@@ -166,6 +166,7 @@ impl MultiProofBody {
 
     /// Do `self` and `other` share one allocation (clones of the same
     /// body)?
+    #[cfg(test)]
     pub(crate) fn same_body(&self, other: &MultiProofBody) -> bool {
         Arc::ptr_eq(&self.parts, &other.parts)
     }

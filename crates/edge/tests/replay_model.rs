@@ -2,10 +2,11 @@
 //! replays verifiably, whole; what no one cached section covers it
 //! declines; and the floors it is given hold for whatever it returns.
 //!
-//! The worked examples pin the replay rules (whole or nothing, superset
-//! replay, staleness and round-2 floors, batch aging); the property
-//! test drives serve → cache → replay → verify end to end against a
-//! plain `BTreeMap` model of the write history.
+//! The worked examples pin the replay rules (whole or nothing, exact
+//! key sets only, staleness and round-2 floors, push invalidation,
+//! batch aging, the answer capacity); the property test drives serve →
+//! cache → replay → verify end to end against a plain `BTreeMap` model
+//! of the write history.
 
 mod common;
 
@@ -14,6 +15,7 @@ use std::collections::BTreeMap;
 use common::{Partition, Section, TestHeader};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
+use transedge_crypto::ScanRange;
 use transedge_edge::{
     BatchCommitment, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotPolicy,
 };
@@ -69,11 +71,11 @@ fn replay_round_trips_verified_sections() {
     // A dependency floor the cached batch cannot satisfy passes
     // upstream instead of serving stale state.
     assert!(replay.replay(&keys, Epoch(5), SimTime::ZERO).is_none());
-    // A subset of the cached keys replays from the superset body.
-    let section = replay
+    // A subset of the cached keys is a miss: only the key set an
+    // answer was admitted for replays it.
+    assert!(replay
         .replay(&keys[..1], Epoch::NONE, SimTime::ZERO)
-        .expect("covered");
-    assert_eq!(section.body.keys(), keys);
+        .is_none());
     // Unknown keys pass upstream.
     assert!(replay
         .replay(&[k(99)], Epoch::NONE, SimTime::ZERO)
@@ -107,8 +109,7 @@ fn partly_cached_request_is_a_miss() {
             None
         ]
     );
-    // …and the tighter body admitted before it still answers what it
-    // covers.
+    // …and the pair admitted before it still answers the pair.
     let pair = replay.replay(&keys[..2], Epoch::NONE, SimTime::ZERO);
     assert_eq!(pair.expect("covered").body.keys(), &keys[..2]);
 
@@ -180,21 +181,103 @@ fn replay_respects_freshness_floor_and_gc() {
     // Only the newest commitment is retained (max_batches = 1).
     let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 1);
     replay.admit_section(&p.section(&keys, BatchNum(0)));
-    assert_eq!(replay.fragment_count(), keys.len());
-    // Batch 1 (timestamp 2_000) evicts batch 0 and its entries.
+    assert_eq!(replay.fragment_count(), 1, "one answer, however many keys");
+    // Batch 1 (timestamp 2_000) evicts batch 0 and its answer.
     replay.admit_section(&p.section(&keys, BatchNum(1)));
     assert_eq!(replay.latest_batch(), Some(BatchNum(1)));
     assert_eq!(
         replay.fragment_count(),
-        keys.len(),
-        "entries of the evicted batch 0 must be dropped"
+        1,
+        "the answer of the evicted batch 0 must be dropped"
     );
-    assert_eq!(replay.stats.evicted_entries, keys.len() as u64);
+    assert_eq!(replay.stats.evicted_entries, 1);
     // Fresh enough: replays.
     assert!(replay.replay(&keys, Epoch::NONE, SimTime(1_500)).is_some());
     // Cached section older than the floor: pass upstream instead of
     // serving something the client would reject as stale.
     assert!(replay.replay(&keys, Epoch::NONE, SimTime(2_001)).is_none());
+}
+
+/// Overlapping key sets of one size at one batch do not displace each
+/// other: every one of them replays.
+#[test]
+fn overlapping_answers_at_one_batch_each_replay() {
+    let p = two_batch_partition();
+    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let pairs = [[k(1), k(2)], [k(2), k(7)], [k(1), k(7)]];
+    for pair in &pairs {
+        replay.admit_section(&p.section(pair, BatchNum(1)));
+    }
+    for pair in &pairs {
+        let section = replay.replay(pair, Epoch::NONE, SimTime::ZERO);
+        assert_eq!(section.expect("cached").body.keys(), pair);
+    }
+}
+
+/// An answer replays for its own key set even when narrower answers
+/// already cover every one of its keys.
+#[test]
+fn a_wider_answer_replays_beside_narrower_ones() {
+    let p = two_batch_partition();
+    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let keys = [k(1), k(2), k(7)];
+    replay.admit_section(&p.section(&keys[..2], BatchNum(1)));
+    replay.admit_section(&p.section(&keys[2..], BatchNum(1)));
+    replay.admit_section(&p.section(&keys, BatchNum(1)));
+    let section = replay.replay(&keys, Epoch::NONE, SimTime::ZERO);
+    assert_eq!(section.expect("cached").body.keys(), keys);
+}
+
+/// A delta that changes one key of an older answer drops the answer,
+/// not just what one key points at; an answer it does not touch stays.
+#[test]
+fn a_delta_drops_every_older_answer_it_touches() {
+    let p = two_batch_partition();
+    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    // Batch 1 changed key 1 only.
+    replay.admit_section(&p.section(&[k(1), k(2)], BatchNum(0)));
+    replay.admit_section(&p.section(&[k(7)], BatchNum(0)));
+    replay.apply_delta(p.delta(BatchNum(1)));
+    assert_eq!(replay.stats.fragments_invalidated, 1);
+    assert!(replay
+        .replay(&[k(1), k(2)], Epoch::NONE, SimTime::ZERO)
+        .is_none());
+    let untouched = replay.replay(&[k(7)], Epoch::NONE, SimTime::ZERO);
+    assert_eq!(untouched.expect("cached").batch(), BatchNum(0));
+}
+
+/// The configured capacity, counted in answers, is what bounds a cache:
+/// an answer re-read after every admission survives hundreds of newer
+/// ones at its batch, and neither kind ever holds more than `capacity`.
+#[test]
+fn capacity_counts_answers_and_recency_keeps_the_hot_one() {
+    const CAPACITY: usize = 200;
+    let mut p = Partition::new();
+    for batch in 0..3u64 {
+        p.commit(
+            &[(batch as u32, "v")],
+            Epoch(batch as i64 - 1),
+            SimTime(1_000 * (batch + 1)),
+        );
+    }
+    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(CAPACITY, 8);
+    let (hot_keys, hot_range) = ([k(0)], ScanRange::new(0, 1));
+    for batch in (0..3).map(BatchNum) {
+        for i in 0..300u32 {
+            replay.admit_section(&p.section(&[k(i)], batch));
+            let j = u64::from(i);
+            let range = ScanRange::new(j / 2, j / 2 + 1 + j % 2);
+            replay.admit_scan(&p.scan(range, batch));
+            let section = replay.replay(&hot_keys, Epoch::NONE, SimTime::ZERO);
+            assert_eq!(section.expect("hot answer").batch(), batch, "admission {i}");
+            let scan = replay.replay_scan(&hot_range, None, Epoch::NONE, SimTime::ZERO);
+            assert_eq!(scan.expect("hot window").batch(), batch, "admission {i}");
+            assert!(replay.fragment_count() <= CAPACITY);
+            assert!(replay.scan_window_count() <= CAPACITY);
+        }
+    }
+    assert_eq!(replay.fragment_count(), CAPACITY);
+    assert_eq!(replay.scan_window_count(), CAPACITY);
 }
 
 /// Key space of the model test: small enough that sections overlap

@@ -17,15 +17,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// [`percentile`] over integer samples (same nearest-rank semantics).
-pub fn percentile_u64(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// One trace's end-to-end latency split into its phase components, in
 /// microseconds of [`transedge_common::SimTime`].
 ///
@@ -126,7 +117,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), 3.0); // round(1.5) = 2
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile_u64(&[10, 20, 30], 0.95), 30);
     }
 
     fn build_trace(op: u32, e2e: u64, with_round2: bool) -> CompletedTrace {

@@ -33,7 +33,7 @@ pub mod chrome;
 pub mod metrics;
 pub mod trace;
 
-pub use breakdown::{breakdown_at_percentile, percentile, percentile_u64, PhaseBreakdown};
+pub use breakdown::{breakdown_at_percentile, percentile, PhaseBreakdown};
 pub use chrome::chrome_trace_json;
 pub use metrics::{MetricRegistry, RegisterMetrics};
 pub use trace::{

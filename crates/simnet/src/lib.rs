@@ -1,7 +1,9 @@
 //! # transedge-simnet
 //!
 //! A deterministic discrete-event simulator that stands in for the
-//! paper's ChameleonCloud testbed (see DESIGN.md, substitutions table).
+//! paper's ChameleonCloud testbed. Deviation: every latency and
+//! throughput is simulated, not measured on machines (ledger:
+//! ROADMAP.md item 9).
 //!
 //! Protocol code is written as event-driven [`Actor`]s. The simulator
 //! owns a virtual clock and a priority queue of events; it models

@@ -208,11 +208,12 @@ fn mixed_contended_history_is_serializable() {
     for id in &dep.client_ids {
         let client = dep.client(*id);
         assert_eq!(client.stats.verification_failures, 0);
-        // Theorem 4.6 claims two rounds always suffice. We found a gap
-        // (see DESIGN.md): fresh dependencies can ride into the
-        // round-two response on group-mates with disjoint participant
-        // sets, so the client loops until satisfied instead. Report —
-        // serializability (checked below) holds regardless.
+        // Deviation: Theorem 4.6 says two rounds always suffice, but a
+        // ROT here can need a third (ledger: ROADMAP.md item 9). Fresh
+        // dependencies can ride into the round-two response on
+        // group-mates with disjoint participant sets, so the client
+        // loops until satisfied instead. Report — serializability
+        // (checked below) holds regardless.
         if client.stats.third_round_needed > 0 {
             println!(
                 "note: client {} needed {} extra ROT round(s)",
