@@ -100,14 +100,6 @@ impl NodeId {
         }
     }
 
-    /// The client id, if this is a client address.
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            NodeId::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// The edge node id, if this is an edge address.
     pub fn as_edge(self) -> Option<EdgeId> {
         match self {

@@ -59,18 +59,20 @@ pub enum Output<V> {
     EnteredView { view: ViewNum, leader: ReplicaId },
 }
 
-/// Most unverified votes held per replica per slot and kind; a replica
+/// Most unverified votes held per replica per collector; a replica
 /// that sends more has the excess dropped unchecked, so a flood costs
 /// only its sender.
 pub(crate) const MAX_PARKED_PER_REPLICA: usize = 4;
 
-/// One slot's votes of one kind. A vote is parked unverified on arrival;
-/// its signature is checked when it could help complete a quorum or
-/// when a reader needs the votes. A replica's counted vote is its first
-/// valid vote in arrival order — exactly as if every vote were checked
-/// on arrival — so an invalid vote never shadows the same replica's
-/// later valid one, and of an equivocating pair the first stands.
-struct Votes<T> {
+/// Signed votes toward one quorum: a slot's WRITEs or ACCEPTs here, a
+/// prepared record's signature shares at a TransEdge leader. A vote is
+/// parked unverified on arrival; its signature is checked when it could
+/// help complete a quorum or when a reader needs the votes. A replica's
+/// counted vote is its first valid vote in arrival order — exactly as
+/// if every vote were checked on arrival — so an invalid vote never
+/// shadows the same replica's later valid one, and of an equivocating
+/// pair the first stands.
+pub struct Votes<T> {
     /// Each replica's counted vote and its signature.
     counted: BTreeMap<ReplicaId, (T, Signature)>,
     /// Unverified votes in arrival order, none from a counted replica.
@@ -91,7 +93,7 @@ impl<T> Default for Votes<T> {
 
 impl<T: Copy + PartialEq> Votes<T> {
     /// Park a vote from the network.
-    fn park(&mut self, from: ReplicaId, vote: T, sig: Signature) {
+    pub fn park(&mut self, from: ReplicaId, vote: T, sig: Signature) {
         let held = self.parked.iter().filter(|(r, ..)| *r == from).count();
         if self.counted.contains_key(&from) || held >= MAX_PARKED_PER_REPLICA {
             self.discarded += 1;
@@ -101,8 +103,13 @@ impl<T: Copy + PartialEq> Votes<T> {
     }
 
     /// Count this replica's own vote (signed here: nothing to check).
-    fn count_own(&mut self, me: ReplicaId, vote: T, sig: Signature) {
+    pub fn count_own(&mut self, me: ReplicaId, vote: T, sig: Signature) {
         self.counted.insert(me, (vote, sig));
+    }
+
+    /// Each counted replica's vote and signature, in replica order.
+    pub fn counted(&self) -> impl Iterator<Item = (ReplicaId, &T, &Signature)> {
+        self.counted.iter().map(|(r, (v, sig))| (*r, v, sig))
     }
 
     /// Drop every vote, verified or not.
@@ -113,14 +120,14 @@ impl<T: Copy + PartialEq> Votes<T> {
     }
 
     /// Votes never checked: discarded, or still parked.
-    fn unverified(&self) -> u64 {
+    pub fn unverified(&self) -> u64 {
         self.discarded + self.parked.len() as u64
     }
 
     /// Do at least `need` counted votes satisfy `wanted`? Checks just
     /// enough parked votes, in arrival order, and only once counted plus
     /// parked could reach `need`.
-    fn reach(
+    pub fn reach(
         &mut self,
         need: usize,
         wanted: impl Fn(&T) -> bool,
@@ -463,21 +470,6 @@ impl<V: BftValue> BftEngine<V> {
             }
             BftMsg::StateResponse { batches } => self.on_state_response(batches, &mut out),
         }
-        out
-    }
-
-    /// Host API: feed a view-change that carries a prepared value.
-    /// (`BftMsg::ViewChange` is value-less on the wire only when no
-    /// value was prepared; hosts route both through `handle` — this
-    /// variant exists for harnesses that split them.)
-    pub fn handle_view_change_with_value(
-        &mut self,
-        from: ReplicaId,
-        vote: ViewChangeVote,
-        value: Option<V>,
-    ) -> Vec<Output<V>> {
-        let mut out = Vec::new();
-        self.on_view_change(from, vote, value, &mut out);
         out
     }
 
@@ -1066,5 +1058,49 @@ fn certificate(
         slot,
         digest,
         sigs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use transedge_common::ClusterTopology;
+    use transedge_crypto::SigStats;
+
+    /// The shape a TransEdge leader gathers a prepared record in: one
+    /// statement, no vote content, and its own share signed locally.
+    #[test]
+    fn a_share_collector_checks_only_what_completes_the_record() {
+        let topo = ClusterTopology::new(1, 1).unwrap();
+        let (keys, secrets) = KeyStore::for_topology(&topo, &[7u8; 32]);
+        let keys = keys.with_memo();
+        let replica = |i| ReplicaId::new(ClusterId(0), i);
+        let stmt = b"prepared record".to_vec();
+        let share = |i| secrets[&replica(i)].sign(&stmt);
+        let statement = |_: &()| stmt.clone();
+        let f_plus_1 = topo.certificate_quorum();
+        let checks = || keys.sig_stats().checks;
+
+        let mut shares = Votes::default();
+        shares.count_own(replica(0), (), share(0));
+        assert!(!shares.reach(f_plus_1, |_| true, &keys, statement));
+        assert_eq!(keys.sig_stats(), SigStats::default(), "own share unchecked");
+
+        let forged = secrets[&replica(1)].sign(b"another statement");
+        shares.park(replica(1), (), forged);
+        assert!(!shares.reach(f_plus_1, |_| true, &keys, statement));
+        assert_eq!(checks(), 1, "the invalid share is checked and skipped");
+
+        shares.park(replica(2), (), share(2));
+        assert!(shares.reach(f_plus_1, |_| true, &keys, statement));
+        assert_eq!(checks(), 2);
+        let signers: Vec<ReplicaId> = shares.counted().map(|(r, ..)| r).collect();
+        assert_eq!(signers, [replica(0), replica(2)]);
+
+        shares.park(replica(1), (), share(1));
+        shares.park(replica(3), (), share(3));
+        assert!(shares.reach(f_plus_1, |_| true, &keys, statement));
+        assert_eq!(checks(), 2, "shares after the record are never checked");
+        assert_eq!(shares.unverified(), 2);
     }
 }

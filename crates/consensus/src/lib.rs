@@ -35,12 +35,13 @@
 //! keeps no clock — hosts own timers (see `transedge-core::node`).
 //! WRITE and ACCEPT votes are checked lazily: parked on arrival and
 //! batch-verified once they can complete a quorum, with the same
-//! outcome as checking each on arrival (see the engine's `Votes`).
+//! outcome as checking each on arrival ([`Votes`], which a TransEdge
+//! leader also gathers its 2PC signature shares through).
 
 pub mod byzantine;
 pub mod engine;
 pub mod harness;
 pub mod messages;
 
-pub use engine::{BftConfig, BftEngine, Output};
+pub use engine::{BftConfig, BftEngine, Output, Votes};
 pub use messages::{BftMsg, BftValue, Certificate};

@@ -64,12 +64,10 @@ pub enum ClientOp {
     Query { query: ReadQuery },
 }
 
-/// Client-side configuration (verification parameters must match the
-/// deployment's `NodeConfig`).
+/// Client-side configuration. Verification parameters are not in it:
+/// a client checks proofs at its deployment's node parameters.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
-    pub tree_depth: u32,
-    pub freshness_window: SimDuration,
     /// Re-send unanswered requests after this long.
     pub retry_after: SimDuration,
     /// Give up on an operation after this many retries.
@@ -121,8 +119,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            tree_depth: 16,
-            freshness_window: SimDuration::from_secs(30),
             retry_after: SimDuration::from_millis(500),
             max_retries: 20,
             record_results: false,
@@ -524,6 +520,8 @@ pub struct ClientActor {
     /// memo) — named to edges as a cursor so they are not sent again.
     feeds: BTreeMap<ClusterId, FeedWindow<CommittedHeader>>,
     pub config: ClientConfig,
+    /// The deployment's verification parameters.
+    verify: VerifyParams,
     ops: Vec<ClientOp>,
     next_op: usize,
     inflight: Option<Inflight>,
@@ -554,6 +552,7 @@ impl ClientActor {
         keys: KeyStore,
         keypair: Keypair,
         config: ClientConfig,
+        verify: VerifyParams,
         ops: Vec<ClientOp>,
     ) -> Self {
         // Seed the selector's tie-breaking with the client id so a
@@ -564,23 +563,16 @@ impl ClientActor {
                 edge_selector.register(*cluster, *edge);
             }
         }
-        let directory = config.directory.then(|| {
-            DirectoryAgent::new(
-                NodeId::Client(id),
-                keypair,
-                ReadVerifier::new(VerifyParams {
-                    tree_depth: config.tree_depth,
-                    freshness_window: config.freshness_window,
-                    quorum: topo.certificate_quorum(),
-                }),
-            )
-        });
+        let directory = config
+            .directory
+            .then(|| DirectoryAgent::new(NodeId::Client(id), keypair, ReadVerifier::new(verify)));
         ClientActor {
             id,
             topo,
             certs: VerifiedCerts::new(keys.with_memo()),
             feeds: BTreeMap::new(),
             config,
+            verify,
             ops,
             next_op: 0,
             inflight: None,
@@ -837,11 +829,7 @@ impl ClientActor {
 
     /// The trusted-side checker, configured to match the deployment.
     fn read_verifier(&self) -> ReadVerifier {
-        ReadVerifier::new(VerifyParams {
-            tree_depth: self.config.tree_depth,
-            freshness_window: self.config.freshness_window,
-            quorum: self.topo.certificate_quorum(),
-        })
+        ReadVerifier::new(self.verify)
     }
 
     /// Plan a [`ReadQuery`] into per-partition sub-queries and send the

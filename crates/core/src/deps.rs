@@ -21,8 +21,8 @@ pub fn derive_cd_vector(
         if record.outcome != Outcome::Committed {
             continue; // aborted transactions contribute no dependencies
         }
-        for reported in record.reported_cds() {
-            v.pairwise_max(reported);
+        for reported in &record.prepared {
+            v.pairwise_max(&reported.cd);
         }
     }
     v.set(own_cluster, batch_num.as_epoch());
@@ -114,7 +114,7 @@ pub fn verify_dependencies(views: &[RotView]) -> Vec<(ClusterId, Epoch)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::{CommitEvidence, SignedPrepared};
+    use crate::records::SignedPrepared;
     use transedge_common::{ClientId, TxnId};
 
     fn cd(n: usize, entries: &[(u16, i64)]) -> CdVector {
@@ -130,18 +130,16 @@ mod tests {
             txn_id: TxnId::new(ClientId(0), 1),
             prepared_in: BatchNum(0),
             outcome: Outcome::Committed,
-            evidence: CommitEvidence::CoordinatorDecision {
-                prepared: reported
-                    .into_iter()
-                    .map(|cdv| SignedPrepared {
-                        cluster: ClusterId(1),
-                        txn: TxnId::new(ClientId(0), 1),
-                        prepared_in: BatchNum(0),
-                        cd: cdv,
-                        sigs: vec![],
-                    })
-                    .collect(),
-            },
+            prepared: reported
+                .into_iter()
+                .map(|cdv| SignedPrepared {
+                    cluster: ClusterId(1),
+                    txn: TxnId::new(ClientId(0), 1),
+                    prepared_in: BatchNum(0),
+                    cd: cdv,
+                    sigs: vec![],
+                })
+                .collect(),
         }
     }
 

@@ -316,17 +316,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
     }
 }
 
-impl EdgeNodeStats {
-    /// Fraction of requested keys served from cached sections.
-    pub fn key_hit_rate(&self) -> f64 {
-        if self.keys_requested == 0 {
-            0.0
-        } else {
-            self.keys_from_cache as f64 / self.keys_requested as f64
-        }
-    }
-}
-
 /// Where a served answer goes: out to whoever asked, or — for a
 /// sub-query this node split off a cross-partition query — into its
 /// slot of the in-flight gather, in-process.
@@ -479,12 +468,6 @@ impl EdgeReadNode {
     /// injection in tests).
     pub fn store(&self) -> &SnapshotStore<CommittedHeader> {
         &self.store
-    }
-
-    /// Mutable store access — fault injection (`tamper_with`,
-    /// `splice`) models on-disk corruption between crash and restart.
-    pub fn store_mut(&mut self) -> &mut SnapshotStore<CommittedHeader> {
-        &mut self.store
     }
 
     /// Detach the durable store, leaving an empty one behind. The

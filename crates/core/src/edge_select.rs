@@ -94,11 +94,6 @@ impl EdgeSelector {
         }
     }
 
-    /// Any edges registered for `cluster` at all?
-    pub fn has_targets(&self, cluster: ClusterId) -> bool {
-        self.targets.get(&cluster).is_some_and(|t| !t.is_empty())
-    }
-
     /// The first edge of `cluster` not demoted, walking from the
     /// rotating offset, or `None` when every candidate is demoted
     /// (callers then fall back to replicas).

@@ -19,7 +19,7 @@ use crate::batch::{check_batch_shape, Batch, BatchHeader, CdVector, PreparedTxn,
 use crate::conflict::{admit, Footprint};
 use crate::deps::{derive_cd_vector, LceIndex};
 use crate::prepared::PreparedBatches;
-use crate::records::{CommitEvidence, CommitRecord, Outcome};
+use crate::records::{CommitRecord, Outcome};
 
 /// Everything the node learns from applying one decided batch.
 #[derive(Debug, Default)]
@@ -485,57 +485,29 @@ impl Executor {
                 ))
             })?;
         let cert_quorum = self.topo.certificate_quorum();
-        match &record.evidence {
-            CommitEvidence::CoordinatorDecision { prepared } => {
-                for sp in prepared {
-                    if sp.txn != record.txn_id {
-                        return Err(RejectReason::BadEvidence("wrong txn in evidence".into()));
-                    }
-                    if sp.verify(&self.keys, cert_quorum).is_err() {
-                        return Err(RejectReason::BadEvidence(format!(
-                            "invalid prepared record from {}",
-                            sp.cluster
-                        )));
-                    }
-                }
-                if record.outcome == Outcome::Committed {
-                    // Every remote participant must have voted yes.
-                    let mut needed: Vec<ClusterId> = txn
-                        .partitions(&self.topo)
-                        .into_iter()
-                        .filter(|c| *c != self.cluster)
-                        .collect();
-                    needed.retain(|c| !prepared.iter().any(|sp| sp.cluster == *c));
-                    if !needed.is_empty() {
-                        return Err(RejectReason::BadEvidence(format!(
-                            "missing prepared records from {needed:?}"
-                        )));
-                    }
-                }
+        for sp in &record.prepared {
+            if sp.txn != record.txn_id {
+                return Err(RejectReason::BadEvidence("wrong txn in evidence".into()));
             }
-            CommitEvidence::RemoteDecision { commit } => {
-                if commit.txn != record.txn_id || commit.outcome != record.outcome {
-                    return Err(RejectReason::BadEvidence("commit record mismatch".into()));
-                }
-                if commit.verify(&self.keys, cert_quorum).is_err() {
-                    return Err(RejectReason::BadEvidence(format!(
-                        "invalid commit record from {}",
-                        commit.coordinator
-                    )));
-                }
-                // It must name us as a participant at the right batch.
-                let ours = commit
-                    .participants
-                    .iter()
-                    .find(|(c, _, _)| *c == self.cluster);
-                match ours {
-                    Some((_, b, _)) if *b == record.prepared_in => {}
-                    _ => {
-                        return Err(RejectReason::BadEvidence(
-                            "commit record names wrong prepare batch for us".into(),
-                        ))
-                    }
-                }
+            if sp.verify(&self.keys, cert_quorum).is_err() {
+                return Err(RejectReason::BadEvidence(format!(
+                    "invalid prepared record from {}",
+                    sp.cluster
+                )));
+            }
+        }
+        if record.outcome == Outcome::Committed {
+            // Every other participant must have voted yes.
+            let mut needed: Vec<ClusterId> = txn
+                .partitions(&self.topo)
+                .into_iter()
+                .filter(|c| *c != self.cluster)
+                .collect();
+            needed.retain(|c| !record.prepared.iter().any(|sp| sp.cluster == *c));
+            if !needed.is_empty() {
+                return Err(RejectReason::BadEvidence(format!(
+                    "missing prepared records from {needed:?}"
+                )));
             }
         }
         Ok(())

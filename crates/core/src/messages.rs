@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, TxnId, Value};
+use transedge_common::{BatchNum, ClusterId, Epoch, Key, TxnId, Value};
 use transedge_consensus::{BftMsg, Certificate};
 use transedge_crypto::Signature;
 use transedge_edge::{
@@ -13,7 +13,7 @@ use transedge_edge::{
 use transedge_simnet::SimMessage;
 
 use crate::batch::{Batch, BatchHeader, CommittedHeader, Transaction};
-use crate::records::{SignedCommit, SignedPrepared};
+use crate::records::SignedPrepared;
 
 /// A complete proof-carrying range-scan response: certified header,
 /// consensus certificate, and the completeness-proven window.
@@ -181,13 +181,12 @@ pub enum NetMsg {
     // ---- intra-cluster ----------------------------------------------
     /// Consensus traffic.
     Bft(Box<BftMsg<Batch>>),
-    /// A replica's signature shares over the 2PC steps contained in a
-    /// freshly delivered batch, sent to the current leader for
-    /// aggregation into [`SignedPrepared`] / [`SignedCommit`] records.
+    /// A replica's signature shares over the 2PC prepares contained in
+    /// a freshly delivered batch, sent to the current leader, which
+    /// gathers them into [`SignedPrepared`] records.
     SegmentSigs {
         batch: BatchNum,
         prepared_sigs: Vec<(TxnId, Signature)>,
-        commit_sigs: Vec<(TxnId, Signature)>,
     },
     /// A (new) leader asking peers to re-send their shares from
     /// `from_batch` onward (view change recovery).
@@ -271,15 +270,6 @@ fn signed_prepared_size(p: &SignedPrepared) -> usize {
     26 + p.cd.len() * 8 + p.sigs.len() * 101
 }
 
-fn signed_commit_size(c: &SignedCommit) -> usize {
-    27 + c
-        .participants
-        .iter()
-        .map(|(_, _, cd)| 14 + cd.len() * 8)
-        .sum::<usize>()
-        + c.sigs.len() * 101
-}
-
 fn header_size(h: &BatchHeader) -> usize {
     // cluster + num + cd len + cd + lce + merkle root + delta digest +
     // timestamp.
@@ -321,16 +311,7 @@ fn batch_size(b: &Batch) -> usize {
             .sum::<usize>()
         + b.committed
             .iter()
-            .map(|c| {
-                19 + match &c.evidence {
-                    crate::records::CommitEvidence::CoordinatorDecision { prepared } => {
-                        prepared.iter().map(signed_prepared_size).sum::<usize>()
-                    }
-                    crate::records::CommitEvidence::RemoteDecision { commit } => {
-                        signed_commit_size(commit)
-                    }
-                }
-            })
+            .map(|c| 19 + c.prepared.iter().map(signed_prepared_size).sum::<usize>())
             .sum::<usize>()
 }
 
@@ -408,11 +389,7 @@ impl SimMessage for NetMsg {
                 16 + objects.iter().map(object_size).sum::<usize>()
             }
             NetMsg::Bft(m) => bft_size(m),
-            NetMsg::SegmentSigs {
-                prepared_sigs,
-                commit_sigs,
-                ..
-            } => 16 + (prepared_sigs.len() + commit_sigs.len()) * 76,
+            NetMsg::SegmentSigs { prepared_sigs, .. } => 16 + prepared_sigs.len() * 76,
             NetMsg::SigResend { .. } => 12,
             NetMsg::CoordinatorPrepare { txn, prepare, .. } => {
                 6 + txn_size(txn) + signed_prepared_size(prepare)
@@ -442,17 +419,11 @@ impl SimMessage for NetMsg {
     }
 }
 
-/// Deadline/timeout bookkeeping shared by client and node actors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Deadline {
-    pub at: SimTime,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::{CdVector, ReadOp, WriteOp};
-    use transedge_common::{ClientId, Encode};
+    use transedge_common::{ClientId, Encode, SimTime};
     use transedge_crypto::Digest;
 
     fn sample_txn() -> Transaction {

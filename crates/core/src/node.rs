@@ -5,12 +5,12 @@
 //! its cluster's view additionally builds batches, aggregates signature
 //! shares, and drives 2PC with other clusters' leaders (paper §3).
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, TxnId,
 };
-use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output};
+use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output, Votes};
 use transedge_crypto::{KeyStore, Keypair, SigStats, Signature};
 use transedge_simnet::{Actor, Context};
 
@@ -20,7 +20,7 @@ use crate::batch::{Batch, CommittedHeader, PreparedTxn, Transaction};
 use crate::conflict::{admit, Footprint};
 use crate::executor::{changed_keys, Executor};
 use crate::messages::{abort_vote_statement, NetMsg, PrepareVote, ReadPayload, RotDelta};
-use crate::records::{prepared_statement, CommitEvidence, CommitRecord, Outcome, SignedPrepared};
+use crate::records::{prepared_statement, CommitRecord, Outcome, SignedPrepared};
 
 /// Timer tokens.
 const TOKEN_BATCH: u64 = 1;
@@ -82,21 +82,26 @@ struct CoordState {
     prepare_sent: bool,
 }
 
-/// Signature-share aggregation for one statement.
+/// One prepared record a leader gathers: signature shares, parked and
+/// checked like consensus votes, and the record once `f+1` formed it.
 #[derive(Default)]
-struct ShareSet {
-    shares: HashMap<ReplicaId, Signature>,
-    sent: bool,
+struct Gathering {
+    shares: Votes<()>,
+    record: Option<SignedPrepared>,
 }
 
-/// Aggregation state per batch (leader side) plus our own share archive
-/// (for re-sending to a new leader).
+/// Shares over prepared statements, held only while their prepare group
+/// waits. Batch-ordered: a resend walks them, and every send draws
+/// jitter from the simulation's one RNG.
 #[derive(Default)]
 struct SigAggregation {
-    /// (batch, txn) → prepared-statement shares.
-    prepared: HashMap<(u64, TxnId), ShareSet>,
     /// Our own shares per batch, replayable on `SigResend`.
-    own: HashMap<u64, Vec<(TxnId, Signature)>>,
+    own: BTreeMap<BatchNum, Vec<(TxnId, Signature)>>,
+    /// Leader side: the record each `(batch, txn)` gathers.
+    gathering: BTreeMap<(BatchNum, TxnId), Gathering>,
+    /// Shares of dropped collectors, and shares never parked, that were
+    /// never checked.
+    never_verified: u64,
 }
 
 /// Node-level counters (batch-building statistics for the harnesses).
@@ -268,38 +273,23 @@ impl TransEdgeNode {
         self.engine.votes_never_verified()
     }
 
-    /// One-line state summary for stall diagnostics.
-    pub fn debug_state(&self) -> String {
-        let waiting: Vec<String> = self
-            .exec
-            .prepared_batches
-            .waiting_entries()
-            .map(|(b, t)| format!("{}@{}", t.id, b))
-            .collect();
-        let coord: Vec<String> = self
-            .coord
-            .iter()
-            .map(|(id, cs)| {
-                format!(
-                    "{id}(own={:?},votes={}/{},decided={})",
-                    cs.own_prepared_in.map(|b| b.0),
-                    cs.votes.len(),
-                    cs.participants.len().saturating_sub(1),
-                    cs.decided
-                )
-            })
-            .collect();
-        format!(
-            "{} leader={} applied={} pend(l/p/r)={}/{}/{} waiting=[{}] coord=[{}]",
-            self.me,
-            self.engine.is_leader(),
-            self.exec.applied_batches(),
-            self.pending_local.len(),
-            self.pending_prepared.len(),
-            self.pending_resolutions.len(),
-            waiting.join(","),
-            coord.join(",")
-        )
+    /// Prepared-record shares this replica never had to verify: its own,
+    /// and those that arrived once their record had formed or their
+    /// transaction stopped waiting.
+    pub fn shares_never_verified(&self) -> u64 {
+        self.sigs.never_verified
+            + self
+                .sigs
+                .gathering
+                .values()
+                .map(|g| g.shares.unverified())
+                .sum::<u64>()
+    }
+
+    /// The batches this replica still holds prepared-record shares for.
+    pub fn share_batches(&self) -> BTreeSet<BatchNum> {
+        let gathering = self.sigs.gathering.keys().map(|(batch, _)| batch);
+        self.sigs.own.keys().chain(gathering).copied().collect()
     }
 
     pub fn cluster_leader(&self) -> ReplicaId {
@@ -428,7 +418,7 @@ impl TransEdgeNode {
         }
         if !prepared_sigs.is_empty() {
             ctx.charge(|c| SimDuration(c.ed25519_sign.0 * prepared_sigs.len() as u64));
-            self.sigs.own.insert(slot.0, prepared_sigs.clone());
+            self.sigs.own.insert(slot, prepared_sigs.clone());
             let leader = self.engine.leader();
             if leader == self.me {
                 self.absorb_shares(self.me, slot, prepared_sigs, ctx);
@@ -438,10 +428,14 @@ impl TransEdgeNode {
                     NetMsg::SegmentSigs {
                         batch: slot,
                         prepared_sigs,
-                        commit_sigs: vec![],
                     },
                 );
             }
+        }
+        // A drained group's records are settled: drop its shares, and
+        // those of every earlier group (groups drain in batch order).
+        if let Some((_, record)) = outcome.drained.first() {
+            self.drop_shares_through(record.prepared_in);
         }
         // --- leader duties ---
         if self.engine.is_leader() {
@@ -470,20 +464,18 @@ impl TransEdgeNode {
             // Coordinator: the drain of our own decision means the
             // transaction is now globally committed — tell the client.
             for (_, record) in &outcome.drained {
-                if let CommitEvidence::CoordinatorDecision { .. } = &record.evidence {
-                    if let Some(client) = self.txn_client.remove(&record.txn_id) {
-                        self.concluded.insert(record.txn_id);
-                        ctx.send(
-                            client,
-                            NetMsg::TxnResult {
-                                txn: record.txn_id,
-                                committed: record.outcome == Outcome::Committed,
-                                batch: Some(slot),
-                            },
-                        );
-                    }
-                    self.coord.remove(&record.txn_id);
+                if let Some(client) = self.txn_client.remove(&record.txn_id) {
+                    self.concluded.insert(record.txn_id);
+                    ctx.send(
+                        client,
+                        NetMsg::TxnResult {
+                            txn: record.txn_id,
+                            committed: record.outcome == Outcome::Committed,
+                            batch: Some(slot),
+                        },
+                    );
                 }
+                self.coord.remove(&record.txn_id);
             }
             // Try coordinator decisions unblocked by own_prepared_in.
             self.try_decide_all(ctx);
@@ -561,6 +553,11 @@ impl TransEdgeNode {
     // Signature share aggregation (leader)
     // ------------------------------------------------------------------
 
+    /// Gather shares of `batch`'s prepared records. A share is parked
+    /// like a consensus vote, our own counts unchecked, and parked ones
+    /// are checked only when they can complete a record: the record's
+    /// signers are the first `f+1` valid shares to arrive, in replica
+    /// order, as if each were checked on arrival.
     fn absorb_shares(
         &mut self,
         from: ReplicaId,
@@ -568,50 +565,72 @@ impl TransEdgeNode {
         prepared_sigs: Vec<(TxnId, Signature)>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let quorum = self.topo.certificate_quorum();
         ctx.charge(|c| SimDuration(c.ed25519_verify.0 * prepared_sigs.len() as u64));
-        let mut ready_prepared: Vec<SignedPrepared> = Vec::new();
+        // A share signs our CD vector of its batch: none until applied.
+        let Some(cd) = self.exec.cd_of(batch).cloned() else {
+            return;
+        };
+        let quorum = self.topo.certificate_quorum();
+        let cluster = self.me.cluster;
+        let mut formed: Vec<SignedPrepared> = Vec::new();
         for (txn, sig) in prepared_sigs {
-            // Verify the share against the statement we would sign.
-            let Some(cd) = self.exec.cd_of(batch).cloned() else {
+            if self.exec.prepared_batches.get_waiting(batch, txn).is_none() {
+                self.sigs.never_verified += 1;
                 continue;
-            };
-            let stmt = prepared_statement(self.me.cluster, txn, batch, &cd);
-            if self
-                .keys
-                .verify(NodeId::Replica(from), &stmt, &sig)
-                .is_err()
+            }
+            let gathering = self.sigs.gathering.entry((batch, txn)).or_default();
+            if from == self.me {
+                gathering.shares.count_own(from, (), sig);
+                self.sigs.never_verified += 1;
+            } else {
+                gathering.shares.park(from, (), sig);
+            }
+            if gathering.record.is_some()
+                || !gathering.shares.reach(
+                    quorum,
+                    |_| true,
+                    &self.keys,
+                    |_| prepared_statement(cluster, txn, batch, &cd),
+                )
             {
                 continue;
             }
-            let set = self.sigs.prepared.entry((batch.0, txn)).or_default();
-            set.shares.insert(from, sig);
-            if set.shares.len() >= quorum && !set.sent {
-                set.sent = true;
-                let mut sigs: Vec<(NodeId, Signature)> = set
-                    .shares
-                    .iter()
-                    .map(|(r, s)| (NodeId::Replica(*r), *s))
-                    .collect();
-                sigs.sort_by_key(|(n, _)| *n);
-                sigs.truncate(quorum);
-                ready_prepared.push(SignedPrepared {
-                    cluster: self.me.cluster,
-                    txn,
-                    prepared_in: batch,
-                    cd,
-                    sigs,
-                });
-            }
+            let sigs = gathering
+                .shares
+                .counted()
+                .map(|(r, _, sig)| (NodeId::Replica(r), *sig))
+                .take(quorum)
+                .collect();
+            let record = SignedPrepared {
+                cluster,
+                txn,
+                prepared_in: batch,
+                cd: cd.clone(),
+                sigs,
+            };
+            gathering.record = Some(record.clone());
+            formed.push(record);
         }
-        for record in ready_prepared {
+        for record in formed {
             self.dispatch_prepared_record(record, ctx);
         }
     }
 
-    /// The coordinator may have decided before its own prepared record
-    /// finished aggregating; re-check.
-    /// A freshly aggregated prepared record: route it according to who
+    /// Drop the shares of every batch up to `batch`, counting the parked
+    /// ones nobody checked.
+    fn drop_shares_through(&mut self, batch: BatchNum) {
+        let sigs = &mut self.sigs;
+        sigs.own.retain(|b, _| *b > batch);
+        sigs.gathering.retain(|(b, _), gathering| {
+            if *b > batch {
+                return true;
+            }
+            sigs.never_verified += gathering.shares.unverified();
+            false
+        });
+    }
+
+    /// A freshly gathered prepared record: route it according to who
     /// coordinates the transaction.
     fn dispatch_prepared_record(&mut self, record: SignedPrepared, ctx: &mut Context<'_, NetMsg>) {
         if let Some(cs) = self.coord.get_mut(&record.txn) {
@@ -708,31 +727,16 @@ impl TransEdgeNode {
                 PrepareVote::No { .. } => None,
             })
             .collect();
-        // The coordinator's own prepared record (aggregated when our
+        // The coordinator's own prepared record (gathered when our
         // prepare batch decided) completes the evidence set shipped to
         // participants.
         if let Some(own) = self
             .sigs
-            .prepared
-            .get(&(own_prepared_in.0, txn))
-            .filter(|set| set.sent)
+            .gathering
+            .get(&(own_prepared_in, txn))
+            .and_then(|g| g.record.clone())
         {
-            let mut sigs: Vec<(NodeId, Signature)> = own
-                .shares
-                .iter()
-                .map(|(r, s)| (NodeId::Replica(*r), *s))
-                .collect();
-            sigs.sort_by_key(|(n, _)| *n);
-            sigs.truncate(self.topo.certificate_quorum());
-            if let Some(cd) = self.exec.cd_of(own_prepared_in).cloned() {
-                prepared.push(SignedPrepared {
-                    cluster: self.me.cluster,
-                    txn,
-                    prepared_in: own_prepared_in,
-                    cd,
-                    sigs,
-                });
-            }
+            prepared.push(own);
         }
         // Ship the outcome to every remote participant NOW — at the
         // transaction commit point — so their prepare groups can drain
@@ -753,13 +757,10 @@ impl TransEdgeNode {
             txn_id: txn,
             prepared_in: own_prepared_in,
             outcome,
-            evidence: CommitEvidence::CoordinatorDecision {
-                prepared: prepared
-                    .iter()
-                    .filter(|sp| sp.cluster != self.me.cluster)
-                    .cloned()
-                    .collect(),
-            },
+            prepared: prepared
+                .into_iter()
+                .filter(|sp| sp.cluster != self.me.cluster)
+                .collect(),
         };
         self.pending_resolutions.push(record);
         self.maybe_seal(ctx, false);
@@ -1030,12 +1031,10 @@ impl TransEdgeNode {
             txn_id: txn,
             prepared_in,
             outcome,
-            evidence: CommitEvidence::CoordinatorDecision {
-                prepared: prepared
-                    .into_iter()
-                    .filter(|sp| sp.cluster != self.me.cluster)
-                    .collect(),
-            },
+            prepared: prepared
+                .into_iter()
+                .filter(|sp| sp.cluster != self.me.cluster)
+                .collect(),
         };
         self.pending_resolutions.push(record);
         self.maybe_seal(ctx, false);
@@ -1218,15 +1217,9 @@ impl TransEdgeNode {
                     ctx.send(peer, NetMsg::SigResend { from_batch });
                 }
                 // Replay our own shares too.
-                let own: Vec<(u64, Vec<(TxnId, Signature)>)> = self
-                    .sigs
-                    .own
-                    .iter()
-                    .filter(|(b, _)| **b >= from_batch.0)
-                    .map(|(b, s)| (*b, s.clone()))
-                    .collect();
-                for (b, ps) in own {
-                    self.absorb_shares(self.me, BatchNum(b), ps, ctx);
+                let own = self.own_shares_from(from_batch);
+                for (batch, shares) in own {
+                    self.absorb_shares(self.me, batch, shares, ctx);
                 }
             }
             self.maybe_seal(ctx, true);
@@ -1239,23 +1232,24 @@ impl TransEdgeNode {
         from_batch: BatchNum,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let shares: Vec<(u64, Vec<(TxnId, Signature)>)> = self
-            .sigs
-            .own
-            .iter()
-            .filter(|(b, _)| **b >= from_batch.0)
-            .map(|(b, s)| (*b, s.clone()))
-            .collect();
-        for (b, prepared_sigs) in shares {
+        for (batch, prepared_sigs) in self.own_shares_from(from_batch) {
             ctx.send(
                 NodeId::Replica(from),
                 NetMsg::SegmentSigs {
-                    batch: BatchNum(b),
+                    batch,
                     prepared_sigs,
-                    commit_sigs: vec![],
                 },
             );
         }
+    }
+
+    /// Our own shares of `from_batch` onward, in batch order.
+    fn own_shares_from(&self, from_batch: BatchNum) -> Vec<(BatchNum, Vec<(TxnId, Signature)>)> {
+        self.sigs
+            .own
+            .range(from_batch..)
+            .map(|(batch, shares)| (*batch, shares.clone()))
+            .collect()
     }
 
     /// Replay any proposal the engine buffered while we lagged.

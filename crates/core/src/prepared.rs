@@ -210,8 +210,8 @@ pub fn blocked_by_ordering(pb: &PreparedBatches) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::{CommitEvidence, Outcome, SignedCommit};
-    use transedge_common::{ClientId, ClusterId};
+    use crate::records::Outcome;
+    use transedge_common::ClientId;
 
     fn txn(id: u64) -> Transaction {
         Transaction {
@@ -226,15 +226,7 @@ mod tests {
             txn_id: TxnId::new(ClientId(0), id),
             prepared_in: BatchNum(prepared_in),
             outcome,
-            evidence: CommitEvidence::RemoteDecision {
-                commit: SignedCommit {
-                    coordinator: ClusterId(1),
-                    txn: TxnId::new(ClientId(0), id),
-                    outcome,
-                    participants: vec![],
-                    sigs: vec![],
-                },
-            },
+            prepared: vec![],
         }
     }
 

@@ -1,15 +1,19 @@
 //! `f+1`-signed 2PC evidence.
 //!
 //! In a hierarchical BFT system, a cluster cannot trust a bare message
-//! from another cluster's leader — the leader may be byzantine. Every
-//! 2PC step is therefore backed by `f+1` replica signatures from the
-//! cluster that took the step (paper §3.3.2–§3.3.4: "the message
-//! includes the prepared record signed by f+1 nodes in the partition",
-//! "the leader sends the commit record—along with f+1 signatures—…").
+//! from another cluster's leader — the leader may be byzantine. A 2PC
+//! prepare is therefore backed by `f+1` replica signatures from the
+//! cluster that took it (paper §3.3.2–§3.3.3: "the message includes the
+//! prepared record signed by f+1 nodes in the partition").
 //!
-//! Replicas produce their signature shares after *delivering* the batch
-//! that contains the step (so the step really is in the SMR log), and
-//! the leader aggregates shares into the records below.
+//! Replicas sign a share after *delivering* the batch that prepared the
+//! transaction (so the prepare really is in the SMR log); the leader
+//! gathers shares like consensus votes (`transedge_consensus::Votes`)
+//! into a [`SignedPrepared`]. There is no second certificate for the
+//! outcome: §3.3.4's `f+1`-signed commit record is never built. A
+//! [`CommitRecord`]'s evidence is the other participants' prepared
+//! records, which the coordinator forwards with its decision (ledger:
+//! ROADMAP.md item 9).
 
 use transedge_common::{
     BatchNum, ClusterId, Decode, Encode, NodeId, Result, TransEdgeError, TxnId, WireReader,
@@ -127,150 +131,6 @@ impl Decode for SignedPrepared {
     }
 }
 
-/// Statement signed by coordinator-cluster replicas attesting the 2PC
-/// outcome of `txn` with the participants' reported dependency info.
-pub fn commit_statement(
-    coordinator: ClusterId,
-    txn: TxnId,
-    outcome: Outcome,
-    participants: &[(ClusterId, BatchNum, CdVector)],
-) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(128);
-    w.put_bytes(b"transedge/commit");
-    coordinator.encode(&mut w);
-    txn.encode(&mut w);
-    outcome.encode(&mut w);
-    w.put_u32(participants.len() as u32);
-    for (c, b, cd) in participants {
-        c.encode(&mut w);
-        b.encode(&mut w);
-        cd.encode(&mut w);
-    }
-    w.into_bytes()
-}
-
-/// A *commit record* certificate from the coordinator cluster: the 2PC
-/// decision plus, per participant, the batch it prepared in and that
-/// batch's CD vector. This is everything Algorithm 1 needs at the
-/// participants (paper §3.3.4 step 7).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SignedCommit {
-    pub coordinator: ClusterId,
-    pub txn: TxnId,
-    pub outcome: Outcome,
-    /// `(participant, prepared_in, cd-of-that-batch)` for every
-    /// participant including the coordinator itself.
-    pub participants: Vec<(ClusterId, BatchNum, CdVector)>,
-    pub sigs: Vec<(NodeId, Signature)>,
-}
-
-impl SignedCommit {
-    pub fn verify(&self, keys: &KeyStore, quorum: usize) -> Result<()> {
-        for (node, _) in &self.sigs {
-            match node {
-                NodeId::Replica(r) if r.cluster == self.coordinator => {}
-                other => {
-                    return Err(TransEdgeError::Verification(format!(
-                        "commit-record signer {other} not in {}",
-                        self.coordinator
-                    )))
-                }
-            }
-        }
-        let stmt = commit_statement(self.coordinator, self.txn, self.outcome, &self.participants);
-        keys.require_quorum(&stmt, &self.sigs, quorum)
-    }
-}
-
-impl Encode for SignedCommit {
-    fn encode(&self, w: &mut WireWriter) {
-        self.coordinator.encode(w);
-        self.txn.encode(w);
-        self.outcome.encode(w);
-        w.put_u32(self.participants.len() as u32);
-        for (c, b, cd) in &self.participants {
-            c.encode(w);
-            b.encode(w);
-            cd.encode(w);
-        }
-        w.put_u32(self.sigs.len() as u32);
-        for (n, s) in &self.sigs {
-            n.encode(w);
-            s.encode(w);
-        }
-    }
-}
-
-impl Decode for SignedCommit {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
-        let coordinator = ClusterId::decode(r)?;
-        let txn = TxnId::decode(r)?;
-        let outcome = Outcome::decode(r)?;
-        let np = r.get_u32()? as usize;
-        let mut participants = Vec::with_capacity(np.min(64));
-        for _ in 0..np {
-            participants.push((
-                ClusterId::decode(r)?,
-                BatchNum::decode(r)?,
-                CdVector::decode(r)?,
-            ));
-        }
-        let ns = r.get_u32()? as usize;
-        let mut sigs = Vec::with_capacity(ns.min(64));
-        for _ in 0..ns {
-            sigs.push((NodeId::decode(r)?, Signature::decode(r)?));
-        }
-        Ok(SignedCommit {
-            coordinator,
-            txn,
-            outcome,
-            participants,
-            sigs,
-        })
-    }
-}
-
-/// Why a committed-segment entry is trustworthy.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CommitEvidence {
-    /// This cluster coordinated: the collected prepared records of all
-    /// *remote* participants justify the outcome.
-    CoordinatorDecision { prepared: Vec<SignedPrepared> },
-    /// A remote cluster coordinated: its signed commit record.
-    RemoteDecision { commit: SignedCommit },
-}
-
-impl Encode for CommitEvidence {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            CommitEvidence::CoordinatorDecision { prepared } => {
-                w.put_u8(0);
-                w.put_seq(prepared);
-            }
-            CommitEvidence::RemoteDecision { commit } => {
-                w.put_u8(1);
-                commit.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for CommitEvidence {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
-        match r.get_u8()? {
-            0 => Ok(CommitEvidence::CoordinatorDecision {
-                prepared: r.get_seq()?,
-            }),
-            1 => Ok(CommitEvidence::RemoteDecision {
-                commit: SignedCommit::decode(r)?,
-            }),
-            t => Err(TransEdgeError::Decode(format!(
-                "bad CommitEvidence tag {t}"
-            ))),
-        }
-    }
-}
-
 /// One entry of the committed segment: the 2PC outcome of a transaction
 /// whose prepare record sits in an earlier batch of this partition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -279,22 +139,9 @@ pub struct CommitRecord {
     /// Batch of *this* partition in which the transaction prepared.
     pub prepared_in: BatchNum,
     pub outcome: Outcome,
-    pub evidence: CommitEvidence,
-}
-
-impl CommitRecord {
-    /// The dependency vectors Algorithm 1 folds in for this record:
-    /// every participant's (cluster, prepare-batch CD vector).
-    pub fn reported_cds(&self) -> Vec<&CdVector> {
-        match &self.evidence {
-            CommitEvidence::CoordinatorDecision { prepared } => {
-                prepared.iter().map(|p| &p.cd).collect()
-            }
-            CommitEvidence::RemoteDecision { commit } => {
-                commit.participants.iter().map(|(_, _, cd)| cd).collect()
-            }
-        }
-    }
+    /// The evidence: the `f+1`-signed prepared record of every other
+    /// participant. Their CD vectors are what Algorithm 1 folds in.
+    pub prepared: Vec<SignedPrepared>,
 }
 
 impl Encode for CommitRecord {
@@ -302,7 +149,7 @@ impl Encode for CommitRecord {
         self.txn_id.encode(w);
         self.prepared_in.encode(w);
         self.outcome.encode(w);
-        self.evidence.encode(w);
+        w.put_seq(&self.prepared);
     }
 }
 
@@ -312,7 +159,7 @@ impl Decode for CommitRecord {
             txn_id: TxnId::decode(r)?,
             prepared_in: BatchNum::decode(r)?,
             outcome: Outcome::decode(r)?,
-            evidence: CommitEvidence::decode(r)?,
+            prepared: r.get_seq()?,
         })
     }
 }
@@ -383,56 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_commit_covers_outcome() {
-        let (keys, secrets) = setup();
-        let txn = TxnId::new(ClientId(1), 7);
-        let participants = vec![
-            (ClusterId(0), BatchNum(2), cd(2, &[(0, 2)])),
-            (ClusterId(1), BatchNum(5), cd(2, &[(1, 5)])),
-        ];
-        let stmt = commit_statement(ClusterId(0), txn, Outcome::Committed, &participants);
-        let sigs: Vec<_> = (0..2)
-            .map(|i| {
-                let r = ReplicaId::new(ClusterId(0), i);
-                (NodeId::Replica(r), secrets[&r].sign(&stmt))
-            })
-            .collect();
-        let sc = SignedCommit {
-            coordinator: ClusterId(0),
-            txn,
-            outcome: Outcome::Committed,
-            participants,
-            sigs,
-        };
-        assert!(sc.verify(&keys, 2).is_ok());
-        // Flipping the outcome invalidates the certificate.
-        let mut bad = sc.clone();
-        bad.outcome = Outcome::Aborted;
-        assert!(bad.verify(&keys, 2).is_err());
-    }
-
-    #[test]
-    fn commit_record_reports_all_participant_cds() {
-        let commit = SignedCommit {
-            coordinator: ClusterId(0),
-            txn: TxnId::new(ClientId(0), 1),
-            outcome: Outcome::Committed,
-            participants: vec![
-                (ClusterId(0), BatchNum(1), cd(2, &[(0, 1)])),
-                (ClusterId(1), BatchNum(4), cd(2, &[(1, 4)])),
-            ],
-            sigs: vec![],
-        };
-        let record = CommitRecord {
-            txn_id: commit.txn,
-            prepared_in: BatchNum(4),
-            outcome: Outcome::Committed,
-            evidence: CommitEvidence::RemoteDecision { commit },
-        };
-        assert_eq!(record.reported_cds().len(), 2);
-    }
-
-    #[test]
     fn wire_roundtrips() {
         use transedge_common::wire::roundtrip;
         let sp = SignedPrepared {
@@ -443,19 +240,11 @@ mod tests {
             sigs: vec![],
         };
         roundtrip(&sp);
-        let sc = SignedCommit {
-            coordinator: ClusterId(0),
-            txn: TxnId::new(ClientId(3), 9),
-            outcome: Outcome::Aborted,
-            participants: vec![(ClusterId(0), BatchNum(0), cd(3, &[]))],
-            sigs: vec![],
-        };
-        roundtrip(&sc);
         let cr = CommitRecord {
             txn_id: TxnId::new(ClientId(3), 9),
             prepared_in: BatchNum(1),
             outcome: Outcome::Committed,
-            evidence: CommitEvidence::CoordinatorDecision { prepared: vec![sp] },
+            prepared: vec![sp],
         };
         roundtrip(&cr);
     }

@@ -20,7 +20,7 @@ use crate::edge_node::{EdgeBehavior, EdgeNodeParams, EdgeReadNode};
 use crate::messages::NetMsg;
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
-use transedge_edge::SnapshotStore;
+use transedge_edge::{SnapshotStore, VerifyParams};
 
 /// Everything needed to build a deployment.
 #[derive(Clone)]
@@ -177,10 +177,7 @@ impl Deployment {
     }
 
     /// [`Deployment::build`] with per-client profiles.
-    pub fn build_custom(mut config: DeploymentConfig, clients: Vec<ClientPlan>) -> Deployment {
-        // Client verification parameters must match node parameters.
-        config.client.tree_depth = config.node.tree_depth;
-        config.client.freshness_window = config.node.freshness_window;
+    pub fn build_custom(config: DeploymentConfig, clients: Vec<ClientPlan>) -> Deployment {
         let seed = root_seed(config.seed);
         let (mut keys, secrets) = KeyStore::for_topology(&config.topo, &seed);
         // Every edge node and client gets an identity keypair too (the
@@ -275,7 +272,12 @@ impl Deployment {
             );
             sim.add_actor(NodeId::Edge(id), Box::new(node));
         }
-        // Clients.
+        // Clients check proofs at the nodes' parameters.
+        let verify = VerifyParams {
+            tree_depth: config.node.tree_depth,
+            freshness_window: config.node.freshness_window,
+            quorum: config.topo.certificate_quorum(),
+        };
         let mut client_ids = Vec::new();
         for (i, plan) in clients.into_iter().enumerate() {
             let id = ClientId(i as u32);
@@ -284,8 +286,6 @@ impl Deployment {
                 Some(profile) => profile.apply(&config.client),
                 None => config.client.clone(),
             };
-            client_config.tree_depth = config.node.tree_depth;
-            client_config.freshness_window = config.node.freshness_window;
             if config.edge.per_cluster > 0 {
                 // Every client knows every edge of each partition; its
                 // selector (seeded by client id) spreads load and fails
@@ -308,6 +308,7 @@ impl Deployment {
                 keys.clone(),
                 client_secrets[i].clone(),
                 client_config,
+                verify,
                 plan.ops,
             );
             sim.add_actor(NodeId::Client(id), Box::new(client));
@@ -507,6 +508,11 @@ impl Deployment {
                     &scope,
                     "consensus.votes_never_verified",
                     node.votes_never_verified(),
+                );
+                reg.counter(
+                    &scope,
+                    "node.shares_never_verified",
+                    node.shares_never_verified(),
                 );
             }
         }

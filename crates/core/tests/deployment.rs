@@ -78,18 +78,6 @@ fn generated_data_is_deterministic_and_sized() {
 }
 
 #[test]
-fn client_config_inherits_node_parameters() {
-    // Verification parameters must match between clients and nodes or
-    // every proof check would fail; Deployment::build enforces it.
-    let mut config = DeploymentConfig::for_testing();
-    config.node.tree_depth = 12;
-    config.client.tree_depth = 99; // wrong on purpose
-    let dep = Deployment::build(config, vec![vec![]]);
-    let client = dep.client(dep.client_ids[0]);
-    assert_eq!(client.config.tree_depth, 12);
-}
-
-#[test]
 fn preloaded_values_are_shared_not_copied() {
     // bytes::Bytes sharing: all replicas of a key's partition point at
     // the same value allocation (memory scales with data, not data ×

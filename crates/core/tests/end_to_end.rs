@@ -1,10 +1,15 @@
 //! End-to-end protocol tests on a small simulated deployment:
 //! 2 clusters × 4 replicas (f = 1), instant network, free CPU.
 
-use transedge_common::{ClusterId, ClusterTopology, Key, SimTime, Value};
+use transedge_common::{
+    BatchNum, ClientId, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, SimTime,
+    TxnId, Value,
+};
 use transedge_core::client::ClientOp;
+use transedge_core::messages::NetMsg;
 use transedge_core::metrics::OpKind;
 use transedge_core::setup::{Deployment, DeploymentConfig};
+use transedge_crypto::Signature;
 
 /// Find `count` keys belonging to `cluster` from the preloaded range.
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize, skip: usize) -> Vec<Key> {
@@ -239,4 +244,67 @@ fn many_clients_mixed_workload_all_conclude() {
         assert_eq!(c.stats.verification_failures, 0);
         assert_eq!(c.stats.third_round_needed, 0);
     }
+}
+
+/// Prepared-record shares live only while their prepare group waits:
+/// during a cross-partition run (plus one share for a transaction
+/// nothing prepared) no replica holds shares for more batches than it
+/// has undrained groups, and once every group drained none holds any.
+/// The shares past each record's `f+1` are counted as never checked.
+#[test]
+fn share_state_is_dropped_with_its_prepare_group() {
+    let config = DeploymentConfig::for_testing();
+    let topo = config.topo.clone();
+    let k0 = keys_on(&topo, ClusterId(0), 8, 0);
+    let k1 = keys_on(&topo, ClusterId(1), 8, 0);
+    let scripts = (0..3)
+        .map(|c| {
+            (0..6)
+                .map(|i| {
+                    let k = (3 * c + i) % 8;
+                    ClientOp::ReadWrite {
+                        reads: vec![],
+                        writes: vec![
+                            (k0[k].clone(), Value::from("s")),
+                            (k1[k].clone(), Value::from("s")),
+                        ],
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut dep = Deployment::build(config, scripts);
+    // A share for a transaction no batch prepared starts no gathering.
+    let leader = ReplicaId::new(ClusterId(0), 0);
+    dep.sim.inject(
+        NodeId::Replica(ReplicaId::new(ClusterId(0), 1)),
+        NodeId::Replica(leader),
+        NetMsg::SegmentSigs {
+            batch: BatchNum(0),
+            prepared_sigs: vec![(TxnId::new(ClientId(99), 0), Signature([7; 64]))],
+        },
+    );
+    let replicas: Vec<ReplicaId> = topo.all_replicas().collect();
+    while !dep.clients_done() {
+        assert!(dep.sim.step(), "quiesced with clients pending");
+        for r in &replicas {
+            let node = dep.node(*r);
+            assert!(
+                node.share_batches().len() <= node.exec.prepared_batches.group_count(),
+                "{r} holds shares beyond its undrained prepare groups"
+            );
+        }
+    }
+    assert!(dep.samples().iter().any(|s| s.committed));
+    let settled = SimTime(dep.sim.now().0 + SimDuration::from_secs(1).as_micros());
+    dep.run_until(settled);
+    for r in &replicas {
+        let node = dep.node(*r);
+        assert!(
+            node.exec.prepared_batches.is_empty(),
+            "{r} has a waiting group"
+        );
+        assert_eq!(node.share_batches().len(), 0, "{r} holds shares");
+    }
+    assert!(dep.metrics().fleet_counter("node.shares_never_verified") > 0);
 }

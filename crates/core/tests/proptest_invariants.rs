@@ -5,7 +5,7 @@ use transedge_common::{BatchNum, ClientId, ClusterId, Epoch, Key, TxnId, Value};
 use transedge_core::batch::{CdVector, ReadOp, Transaction, WriteOp};
 use transedge_core::deps::{derive_cd_vector, verify_dependencies, LceIndex, RotView};
 use transedge_core::prepared::PreparedBatches;
-use transedge_core::records::{CommitEvidence, CommitRecord, Outcome, SignedPrepared};
+use transedge_core::records::{CommitRecord, Outcome, SignedPrepared};
 
 fn cd_strategy(n: usize) -> impl Strategy<Value = CdVector> {
     proptest::collection::vec(-1i64..50, n).prop_map(move |es| {
@@ -68,15 +68,13 @@ proptest! {
                 txn_id: TxnId::new(ClientId(0), i as u64),
                 prepared_in: BatchNum(0),
                 outcome: if outcome_committed { Outcome::Committed } else { Outcome::Aborted },
-                evidence: CommitEvidence::CoordinatorDecision {
-                    prepared: vec![SignedPrepared {
-                        cluster: ClusterId(0),
-                        txn: TxnId::new(ClientId(0), i as u64),
-                        prepared_in: BatchNum(0),
-                        cd: cdv.clone(),
-                        sigs: vec![],
-                    }],
-                },
+                prepared: vec![SignedPrepared {
+                    cluster: ClusterId(0),
+                    txn: TxnId::new(ClientId(0), i as u64),
+                    prepared_in: BatchNum(0),
+                    cd: cdv.clone(),
+                    sigs: vec![],
+                }],
             })
             .collect();
         let derived = derive_cd_vector(&prev, own, BatchNum(batch), &records);
@@ -133,7 +131,7 @@ proptest! {
                 txn_id: TxnId::new(ClientId(0), idx as u64),
                 prepared_in: BatchNum(batches[idx]),
                 outcome: Outcome::Committed,
-                evidence: CommitEvidence::CoordinatorDecision { prepared: vec![] },
+                prepared: vec![],
             });
             // Drain as a leader would, once per batch tick.
             loop {

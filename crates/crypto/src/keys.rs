@@ -60,8 +60,7 @@ impl SigStats {
 
 /// Accepted signatures one memo remembers before it forgets the oldest.
 /// What comes back comes back soon: a coordinator's prepared record at
-/// prepare and again at commit, a leader's verified shares inside its
-/// own cluster's prepared record. At 256 every such re-check of the
+/// prepare and again at commit. At 256 every such re-check of the
 /// benchmark's consensus workloads still hits; at 128 some miss.
 const MEMO_CAPACITY: usize = 256;
 

@@ -237,12 +237,6 @@ impl ReadQuery {
         self
     }
 
-    /// Attach a causal-trace propagation context (builder style).
-    pub fn with_trace(mut self, trace: TraceContext) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
     /// The exact batch this query is pinned to, if any: its page
     /// token's. Only a scan continuation pins a batch.
     pub fn pinned_batch(&self) -> Option<BatchNum> {

@@ -353,11 +353,6 @@ impl TraceLog {
     pub fn completed_len(&self) -> usize {
         self.completed.len()
     }
-
-    /// Traces still open (operations in flight).
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
 }
 
 #[cfg(test)]

@@ -416,12 +416,6 @@ impl<M: SimMessage + 'static> Simulation<M> {
         }
     }
 
-    /// Run for a duration from the current time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let limit = self.now + d;
-        self.run_until(limit);
-    }
-
     /// Run until no events remain (panics via `limit` if the system
     /// never quiesces).
     pub fn run_until_idle(&mut self, limit: SimTime) {

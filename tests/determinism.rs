@@ -9,7 +9,9 @@
 //! takes the consensus fault paths the first never reaches: a crashed
 //! leader (view change, `NewView` vote list, reproposal pick) under
 //! message loss (a replica that missed a proposal asks an accepter for
-//! state).
+//! state). The third crashes a leader under cross-partition writes: the
+//! new leader asks its peers to re-send their 2PC signature shares, and
+//! each answers with one message per batch it holds shares for.
 
 use transedge::common::{ClusterId, ClusterTopology, Key, ReplicaId, SimDuration, SimTime, Value};
 use transedge::core::client::ClientOp;
@@ -131,6 +133,45 @@ fn leader_crash_once() -> Fingerprint {
     run
 }
 
+/// Three writers whose every write spans clusters 0 and 1, and cluster
+/// 0's leader crashing at 150 ms with prepare groups still waiting: the
+/// new leader's `SigResend` makes every survivor send its shares back.
+fn two_pc_leader_crash_once() -> Fingerprint {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.latency.jitter_frac = 0.9;
+    config.node.leader_timeout = SimDuration::from_millis(100);
+    config.client.retry_after = SimDuration::from_millis(250);
+    config.client.max_retries = 100;
+    let zero = keys_on(&config.topo, ClusterId(0), 16);
+    let one = keys_on(&config.topo, ClusterId(1), 16);
+    let plans = (0..3)
+        .map(|writer| {
+            let ops = (0..CRASH_WRITES)
+                .map(|i| {
+                    let k = (5 * writer + i) % 16;
+                    ClientOp::ReadWrite {
+                        reads: vec![],
+                        writes: vec![
+                            (zero[k].clone(), Value::from("w")),
+                            (one[k].clone(), Value::from("w")),
+                        ],
+                    }
+                })
+                .collect();
+            ClientPlan::ops(ops)
+        })
+        .collect();
+    let mut dep = Deployment::build_custom(config, plans);
+    let leader = ReplicaId::new(ClusterId(0), 0);
+    let run = drive(&mut dep, Some((SimTime(150_000), leader)));
+    assert!(
+        dep.sim.stats().kind("sig-resend").messages > 0,
+        "no new leader asked for shares"
+    );
+    run
+}
+
 /// Eight builds in one process: every `HashSet` instance gets its own
 /// hash seed, so eight agreeing runs had eight chances to disagree. (On
 /// threads only to halve the wait; each build is single-threaded.)
@@ -159,5 +200,11 @@ fn one_config_and_seed_give_one_timeline_across_hash_seeds() {
 #[test]
 fn a_leader_crash_under_message_loss_gives_one_timeline_across_hash_seeds() {
     let run = eight_builds(leader_crash_once);
+    assert_eq!(run.2.len(), 3 * CRASH_WRITES);
+}
+
+#[test]
+fn a_leader_crash_mid_2pc_gives_one_timeline_across_hash_seeds() {
+    let run = eight_builds(two_pc_leader_crash_once);
     assert_eq!(run.2.len(), 3 * CRASH_WRITES);
 }
