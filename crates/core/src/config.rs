@@ -62,9 +62,6 @@ pub struct EdgeConfig {
     /// Certified commit-feed subscription (push invalidation +
     /// freshness attachments).
     pub feed: FeedPlan,
-    /// Durable snapshot store: spill-on-admission, verified hydration
-    /// on restart, sibling state-transfer when cold.
-    pub persistent: bool,
 }
 
 impl EdgeConfig {
@@ -76,7 +73,6 @@ impl EdgeConfig {
             byzantine: Vec::new(),
             directory: DirectoryPlan::disabled(),
             feed: FeedPlan::disabled(),
-            persistent: false,
         }
     }
 
@@ -175,13 +171,6 @@ impl EdgeConfigBuilder {
     /// feed, renewing the lease at `interval`.
     pub fn commit_feed(mut self, interval: SimDuration) -> Self {
         self.config.feed = FeedPlan::subscribed(interval);
-        self
-    }
-
-    /// Turn on the full persistence plane (spill on admission, verified
-    /// hydration on restart, sibling bootstrap when cold).
-    pub fn persistent(mut self) -> Self {
-        self.config.persistent = true;
         self
     }
 

@@ -56,9 +56,8 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    is_stale_only, readmit, verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape,
-    ReadQuery, ReadVerifier, ReplayCache, SnapshotObject, SnapshotStore, VerifyParams,
-    DEFAULT_SPILL_THRESHOLD,
+    verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape, ReadQuery,
+    ReadRejection, ReadVerifier, ReplayCache, SnapshotObject, VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
@@ -207,9 +206,6 @@ pub struct EdgeNodeParams {
     pub directory: DirectoryPlan,
     /// Certified commit-feed subscription.
     pub feed: FeedPlan,
-    /// Durable snapshot store: spill-on-admission, verified hydration
-    /// on restart, sibling state-transfer when cold.
-    pub persistent: bool,
     /// Every edge in the deployment: gossip peers, and the
     /// same-partition candidates of a cold state transfer.
     pub peers: Vec<EdgeId>,
@@ -253,21 +249,22 @@ pub struct EdgeNodeStats {
     /// replica push is a claim like any other — nothing is applied
     /// until it recomputes under its certificate).
     pub bad_deltas_dropped: u64,
-    /// Durable objects re-admitted through the verifier at restart and
-    /// returned to the replay caches.
+    /// Disk-image objects re-admitted through the verifier at restart
+    /// and returned to the replay caches.
     pub hydrate_admitted: u64,
-    /// Durable objects dropped at hydration: digest mismatch or a
-    /// failed proof chain — the disk lied, and the verifier gate held.
+    /// Disk-image objects whose proof chain failed at restart — the
+    /// disk lied, and the verifier gate held.
     pub hydrate_rejected: u64,
-    /// Durable objects dropped at hydration only because they aged past
-    /// the freshness window during the outage (honest history, not
+    /// Disk-image objects dropped at restart only because they aged
+    /// past the freshness window during the outage (honest history, not
     /// tampering — counted apart so tests can tell the two apart).
     pub hydrate_stale: u64,
-    /// Verified state-transfer requests sent to a warm sibling after a
-    /// cold or corrupt restart.
+    /// State-transfer requests sent to a sibling because a start — a
+    /// first boot, a cold or a corrupt restart — left the home
+    /// partition cold.
     pub sibling_transfers: u64,
     /// Sibling-transfer objects that passed the verifier and were
-    /// admitted (and re-spilled locally).
+    /// admitted.
     pub sibling_objects_admitted: u64,
     /// Sibling-transfer objects the verifier refused — a sibling is an
     /// untrusted edge like any other.
@@ -352,12 +349,10 @@ pub struct EdgeReadNode {
     caches: PartitionCaches<CommittedHeader>,
     directory_plan: DirectoryPlan,
     feed_plan: FeedPlan,
-    persistent: bool,
-    /// The durable half of the node. In the simulation this value is
-    /// what "survives the crash": [`crate::setup::Deployment`] extracts
-    /// it before tearing the actor down and hands it back to the
-    /// replacement, playing the role of the disk.
-    store: SnapshotStore<CommittedHeader>,
+    /// The disk image `on_start` re-admits: what the caches of the
+    /// crashed edge this node replaces held (empty for a first boot or
+    /// a cold restart). [`crate::setup::Deployment`] plays the disk.
+    image: Vec<RotSnapshot>,
     /// The same trusted checker clients run — feed deltas pass
     /// `verify_delta` before touching any cache.
     verifier: ReadVerifier,
@@ -403,8 +398,7 @@ impl EdgeReadNode {
             caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
             directory_plan: params.directory,
             feed_plan: params.feed,
-            store: SnapshotStore::new(DEFAULT_SPILL_THRESHOLD),
-            persistent: params.persistent,
+            image: Vec::new(),
             verifier,
             peers: params.peers,
             directory,
@@ -464,24 +458,19 @@ impl EdgeReadNode {
         self.caches.iter().map(|(c, cache)| (c, cache.stats))
     }
 
-    /// The durable snapshot store (spill/dedup/prune counters, fault
-    /// injection in tests).
-    pub fn store(&self) -> &SnapshotStore<CommittedHeader> {
-        &self.store
+    /// This node's disk image: every answer its replay caches hold, in
+    /// cluster order, each cache's least recently used first. The
+    /// deployment takes it on crash and hands it to the replacement via
+    /// [`EdgeReadNode::restore_image`].
+    pub fn image(&self) -> Vec<RotSnapshot> {
+        self.caches.iter().flat_map(|(_, c)| c.objects()).collect()
     }
 
-    /// Detach the durable store, leaving an empty one behind. The
-    /// deployment calls this on crash: the actor dies, the "disk"
-    /// survives and is handed to the restarted replacement via
-    /// [`EdgeReadNode::restore_store`].
-    pub fn take_store(&mut self) -> SnapshotStore<CommittedHeader> {
-        std::mem::replace(&mut self.store, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD))
-    }
-
-    /// Attach a store that survived a crash. Must run before the actor
-    /// starts — `on_start` is where hydration re-admits its contents.
-    pub fn restore_store(&mut self, store: SnapshotStore<CommittedHeader>) {
-        self.store = store;
+    /// Attach the image of the crashed edge this node replaces. Must
+    /// run before the actor starts — `on_start` is where it is
+    /// re-admitted.
+    pub fn restore_image(&mut self, image: Vec<RotSnapshot>) {
+        self.image = image;
     }
 
     fn upstream_replica(&mut self, cluster: ClusterId) -> NodeId {
@@ -846,25 +835,16 @@ impl EdgeReadNode {
     }
 
     /// Absorb certified material into the cache of whichever partition
-    /// it belongs to, spilling each admitted object to the durable
-    /// store when the persistence plane is on (content addressing makes
-    /// a repeat spill a free dedup, so this path stays hot-loop cheap).
+    /// it belongs to.
     fn absorb(&mut self, result: &ReadPayload) {
         match result {
             ReadPayload::Point { section, .. } => {
                 let cluster = section.commitment.header.cluster;
                 self.cache_for(cluster).admit_section(section);
-                if self.persistent {
-                    self.store
-                        .spill(SnapshotObject::Section((**section).clone()));
-                }
             }
             ReadPayload::Scan { bundle } => {
                 let cluster = bundle.commitment.header.cluster;
                 self.cache_for(cluster).admit_scan(bundle);
-                if self.persistent {
-                    self.store.spill(SnapshotObject::Scan((**bundle).clone()));
-                }
             }
             // A nested gather can only come from a byzantine upstream;
             // nothing in it is attributable to one partition's cache.
@@ -872,55 +852,41 @@ impl EdgeReadNode {
         }
     }
 
-    /// Re-admit one verified object into its partition's replay cache.
-    /// Free of `self` borrows on purpose: callers hold `self.store`
-    /// immutably while admitting.
-    fn admit_object(caches: &mut PartitionCaches<CommittedHeader>, object: &RotSnapshot) {
-        let cache = caches.cache_for(object.cluster());
-        match object {
-            SnapshotObject::Section(section) => cache.admit_section(section),
-            SnapshotObject::Scan(bundle) => cache.admit_scan(bundle),
-        }
-    }
-
-    /// The simulated cost of re-verifying one snapshot object:
-    /// certificate signatures plus one hash pass over the body — the
-    /// same work the client-side verifier models for a network
-    /// response. Hydration pays it per object, which is what makes
-    /// `restart_to_warm_ms` a real number rather than zero.
-    fn verify_charge(&self, object: &RotSnapshot, ctx: &mut Context<'_, NetMsg>) {
+    /// The one way an object from disk or a sibling gets into a cache:
+    /// charge the re-verification — certificate signatures plus one hash
+    /// pass over the body, the same work the client-side verifier models
+    /// for a network response — run the object's own proof chain, and
+    /// admit it into its partition's replay cache only if that passes.
+    fn admit_verified(
+        &mut self,
+        object: &RotSnapshot,
+        ctx: &mut Context<'_, NetMsg>,
+    ) -> Result<(), ReadRejection> {
         let sigs = object.cert().sigs.len();
         let body = transedge_edge::persist::object_size(object);
         ctx.charge(|c| {
             SimDuration(c.ed25519_verify.0 * sigs as u64 + c.sha256_cost(body.max(1)).0)
         });
+        verify_object(&self.verifier, &self.keys, object, ctx.now())?;
+        let cache = self.caches.cache_for(object.cluster());
+        match object {
+            SnapshotObject::Section(section) => cache.admit_section(section),
+            SnapshotObject::Scan(bundle) => cache.admit_scan(bundle),
+        }
+        Ok(())
     }
 
-    /// Warm restart: walk the durable HEAD records and re-admit every
-    /// reachable object through the client-grade verifier. Disk is
-    /// untrusted input — a digest mismatch or failed proof chain purges
-    /// the object (never served, never re-offered); mere staleness
-    /// (the outage outlived the freshness window) purges it too but is
+    /// Restart: re-admit every object of the disk image through the
+    /// client-grade verifier. Disk is untrusted input — an object whose
+    /// proof chain fails is dropped (never served); mere staleness (the
+    /// outage outlived the freshness window) drops it too but is
     /// counted as honest aging.
     fn hydrate(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        for (cluster, digest) in self.store.hydration_set() {
-            let Some(object) = self.store.get(&digest) else {
-                continue;
-            };
-            self.verify_charge(object, ctx);
-            match readmit(&self.verifier, &self.keys, &digest, object, ctx.now()) {
-                Ok(()) => {
-                    Self::admit_object(&mut self.caches, object);
-                    self.stats.hydrate_admitted += 1;
-                }
-                Err(reject) => {
-                    if is_stale_only(&reject) {
-                        self.stats.hydrate_stale += 1;
-                    } else {
-                        self.stats.hydrate_rejected += 1;
-                    }
-                    self.store.purge(cluster, &digest);
-                }
+        for object in std::mem::take(&mut self.image) {
+            match self.admit_verified(&object, ctx) {
+                Ok(()) => self.stats.hydrate_admitted += 1,
+                Err(ReadRejection::StaleTimestamp) => self.stats.hydrate_stale += 1,
+                Err(_) => self.stats.hydrate_rejected += 1,
             }
         }
     }
@@ -945,8 +911,8 @@ impl EdgeReadNode {
 
     /// Cold-start bootstrap: if hydration produced no servable coverage
     /// for the home partition, ask one healthy same-partition peer for
-    /// its live object set instead of faulting every first read upstream
-    /// — the replicas see one transfer, not a thundering herd.
+    /// what its caches hold instead of faulting every first read
+    /// upstream — the replicas see one transfer, not a thundering herd.
     fn request_sibling_transfer(&mut self, ctx: &mut Context<'_, NetMsg>) {
         let warm = self
             .caches
@@ -970,9 +936,9 @@ impl EdgeReadNode {
         );
     }
 
-    /// A cold peer asked for our live objects: answer from the durable
-    /// store (certified material only — the receiver re-verifies every
-    /// object anyway, so a byzantine responder gains nothing).
+    /// A cold peer asked for our answers of `cluster`: answer from the
+    /// replay cache (certified material only — the receiver re-verifies
+    /// every object anyway, so a byzantine responder gains nothing).
     fn on_state_transfer(
         &mut self,
         from: NodeId,
@@ -980,7 +946,11 @@ impl EdgeReadNode {
         cluster: ClusterId,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let objects = self.store.objects_for(cluster);
+        let objects = self
+            .caches
+            .get(cluster)
+            .map(ReplayCache::objects)
+            .unwrap_or_default();
         if objects.is_empty() {
             return; // nothing to offer; the peer's reads fall back upstream
         }
@@ -996,11 +966,10 @@ impl EdgeReadNode {
 
     /// A sibling's transfer answer, taken only from the sibling asked
     /// under the request id used, once — anything else could make this
-    /// node pay a verification per pushed object and fill its cache and
-    /// disk with valid sections of the pusher's choosing. Every object
-    /// is re-verified through the client-grade chain before touching a
-    /// cache — a sibling is an untrusted edge like any other — then
-    /// admitted and re-spilled to our own durable store.
+    /// node pay a verification per pushed object and fill its cache
+    /// with valid sections of the pusher's choosing. Every object is
+    /// re-verified through the client-grade chain before touching a
+    /// cache — a sibling is an untrusted edge like any other.
     fn on_state_transfer_resp(
         &mut self,
         from: NodeId,
@@ -1018,15 +987,9 @@ impl EdgeReadNode {
                 self.stats.sibling_objects_rejected += 1;
                 continue;
             }
-            self.verify_charge(&object, ctx);
-            if verify_object(&self.verifier, &self.keys, &object, ctx.now()).is_err() {
-                self.stats.sibling_objects_rejected += 1;
-                continue;
-            }
-            Self::admit_object(&mut self.caches, &object);
-            self.stats.sibling_objects_admitted += 1;
-            if self.persistent {
-                self.store.spill(object);
+            match self.admit_verified(&object, ctx) {
+                Ok(()) => self.stats.sibling_objects_admitted += 1,
+                Err(_) => self.stats.sibling_objects_rejected += 1,
             }
         }
     }
@@ -1201,14 +1164,13 @@ impl EdgeReadNode {
 
 impl Actor<NetMsg> for EdgeReadNode {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        // Persistence first: a restarted edge re-admits its own disk
+        // Persistence first: a restarted edge re-admits its disk image
         // through the verifier before anything else runs, and asks a
-        // sibling for verified state if the disk yielded nothing —
-        // so the first client request already finds a warm cache.
-        if self.persistent {
-            self.hydrate(ctx);
-            self.request_sibling_transfer(ctx);
-        }
+        // sibling for verified state if the image yielded nothing (a
+        // first boot is a cold start) — so the first client request
+        // already finds a warm cache.
+        self.hydrate(ctx);
+        self.request_sibling_transfer(ctx);
         if self.directory_plan.enabled {
             ctx.set_timer(self.directory_plan.gossip_interval, TOKEN_GOSSIP);
         }

@@ -29,10 +29,11 @@ pub type RotSection = MultiProofBundle<CommittedHeader>;
 /// `f+1` certificate) covers. What replicas push to feed subscribers.
 pub type RotDelta = CertifiedDelta<CommittedHeader>;
 
-/// One durable snapshot object on the wire: a proof-carrying response
-/// body, offered by a warm edge to a cold sibling during restart
-/// state-transfer. The receiver treats it exactly like a response from
-/// an untrusted node — verified end to end before admission.
+/// One snapshot object: a proof-carrying answer as an edge's caches
+/// hold it — an entry of a crashed edge's disk image, or what a warm
+/// edge offers a cold sibling during state transfer. The receiver
+/// treats it exactly like a response from an untrusted node — verified
+/// end to end before admission.
 pub type RotSnapshot = SnapshotObject<CommittedHeader>;
 
 /// A participant's 2PC vote returned to the coordinator (§3.3.3).
@@ -165,13 +166,13 @@ pub enum NetMsg {
 
     // ---- edge restart state-transfer (edge ↔ edge) --------------------
     /// A cold (or corrupted-disk) edge asking a healthy same-partition
-    /// peer for its durable snapshot objects of `cluster`, instead of
+    /// peer for the answers of `cluster` its caches hold, instead of
     /// faulting every post-restart read upstream to the replicas.
     StateTransfer { req: u64, cluster: ClusterId },
-    /// The sibling's offer: its live snapshot objects for the cluster.
-    /// Untrusted like any edge payload — the requester re-verifies
-    /// every object through the client-grade verifier before admitting
-    /// it to cache or disk.
+    /// The sibling's offer: its cached answers for the cluster as
+    /// snapshot objects. Untrusted like any edge payload — the
+    /// requester re-verifies every object through the client-grade
+    /// verifier before admitting it to a cache.
     StateTransferResp {
         req: u64,
         cluster: ClusterId,

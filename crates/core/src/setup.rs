@@ -13,14 +13,13 @@ use transedge_crypto::{KeyStore, Keypair, SigStats};
 use transedge_obs::{chrome_trace_json, CompletedTrace, MetricRegistry};
 use transedge_simnet::{CostModel, FaultPlan, LatencyModel, PartitionHandle, Simulation};
 
-use crate::batch::CommittedHeader;
 use crate::client::{ClientActor, ClientConfig, ClientOp};
 use crate::config::{ClientProfile, EdgeConfig};
 use crate::edge_node::{EdgeBehavior, EdgeNodeParams, EdgeReadNode};
-use crate::messages::NetMsg;
+use crate::messages::{NetMsg, RotSnapshot};
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
-use transedge_edge::{SnapshotStore, VerifyParams};
+use transedge_edge::VerifyParams;
 
 /// Everything needed to build a deployment.
 #[derive(Clone)]
@@ -104,7 +103,6 @@ fn edge_node_params(config: &DeploymentConfig, id: EdgeId, peers: Vec<EdgeId>) -
         freshness_window: config.node.freshness_window,
         directory: config.edge.directory.clone(),
         feed: config.edge.feed.clone(),
-        persistent: config.edge.persistent,
         peers,
     }
 }
@@ -391,8 +389,8 @@ impl Deployment {
             .expect("edge actor")
     }
 
-    /// Mutable access to an edge read node actor (fault injection:
-    /// tests corrupt the durable store between crash and restart).
+    /// Mutable access to an edge read node actor (tests seed a
+    /// restarted edge's directory before its `on_start` runs).
     pub fn edge_node_mut(&mut self, edge: EdgeId) -> &mut EdgeReadNode {
         self.sim
             .actor_as_mut::<EdgeReadNode>(NodeId::Edge(edge))
@@ -408,22 +406,25 @@ impl Deployment {
 
     /// Simulated crash of one edge node: the actor — replay caches,
     /// pending maps, directory state, every in-flight message to it —
-    /// is destroyed. Only the durable [`SnapshotStore`] survives,
-    /// returned to the caller, which plays the role of the disk until
+    /// is destroyed. Only its disk image survives: the answers its
+    /// replay caches held ([`EdgeReadNode::image`]), returned to the
+    /// caller, which plays the role of the disk until
     /// [`Deployment::restart_edge`] hands it to the replacement.
-    pub fn crash_edge(&mut self, edge: EdgeId) -> SnapshotStore<CommittedHeader> {
-        let store = self.edge_node_mut(edge).take_store();
+    pub fn crash_edge(&mut self, edge: EdgeId) -> Vec<RotSnapshot> {
+        let image = self.edge_node(edge).image();
         self.sim.remove_actor(NodeId::Edge(edge));
-        store
+        image
     }
 
-    /// Restart a crashed edge with the disk state that survived. The
-    /// replacement re-derives its deterministic identity keypair (its
-    /// peers and the key store already know it), and its `on_start`
-    /// re-admits the store through the verifier — trusting nothing
-    /// written before the crash — then falls back to a verified
-    /// sibling state-transfer if the disk yielded nothing servable.
-    pub fn restart_edge(&mut self, edge: EdgeId, store: SnapshotStore<CommittedHeader>) {
+    /// Restart a crashed edge over a disk image: the one
+    /// [`Deployment::crash_edge`] returned for a warm restart, an empty
+    /// one for a cold restart. The replacement re-derives its
+    /// deterministic identity keypair (its peers and the key store
+    /// already know it), and its `on_start` re-admits the image through
+    /// the verifier — trusting nothing written before the crash — then
+    /// falls back to a verified sibling state-transfer if the image
+    /// yielded nothing servable.
+    pub fn restart_edge(&mut self, edge: EdgeId, image: Vec<RotSnapshot>) {
         let seed = root_seed(self.config.seed);
         let mut node = EdgeReadNode::new(
             edge,
@@ -432,7 +433,7 @@ impl Deployment {
             edge_keypair(&seed, edge),
             edge_node_params(&self.config, edge, self.edge_ids.clone()),
         );
-        node.restore_store(store);
+        node.restore_image(image);
         self.sim.add_actor(NodeId::Edge(edge), Box::new(node));
     }
 
@@ -489,7 +490,6 @@ impl Deployment {
             for (_, replay) in node.replay_stats() {
                 reg.register(&scope, &replay);
             }
-            reg.register(&scope, &node.store().stats);
             if let Some(agent) = node.directory() {
                 reg.register(&scope, &agent.stats);
             }

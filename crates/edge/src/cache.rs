@@ -124,6 +124,11 @@ impl<K: Clone + Eq + Hash, V> LruCache<K, V> {
         }
     }
 
+    /// Every entry, least recently used first. Touches nothing.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.recency.values().map(|k| (k, &self.map[k].1))
+    }
+
     /// Drop every entry for which `pred` returns false.
     pub fn retain(&mut self, mut pred: impl FnMut(&K, &V) -> bool) {
         let recency = &mut self.recency;
@@ -167,6 +172,8 @@ mod tests {
         assert!(c.contains(&2));
         assert!(c.contains(&3));
         assert_eq!(c.stats.evictions, 1);
+        let oldest_first: Vec<u32> = c.iter().map(|(k, _)| *k).collect();
+        assert_eq!(oldest_first, [2, 0, 3]);
     }
 
     #[test]

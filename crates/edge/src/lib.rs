@@ -39,8 +39,11 @@
 //!   and windows it absorbed from upstream, one exact-match LRU per
 //!   answer kind, replayed to clients who verify them end to end;
 //!   [`replay::PartitionCaches`] keeps one such cache per partition.
-//! * [`persist`] — the same two shapes as durable, content-addressed
-//!   objects, re-verified on hydration like any network response.
+//! * [`persist`] — the same two shapes as snapshot objects: an edge's
+//!   disk image is its replay caches' answers
+//!   ([`replay::ReplayCache::objects`]), and a restart or a sibling
+//!   transfer re-admits each one through [`persist::verify_object`],
+//!   like any network response.
 //! * [`query`] — the unified typed read protocol: one
 //!   [`query::ReadQuery`] ([`query::SnapshotPolicy`] ×
 //!   [`query::QueryShape`] × [`query::PageToken`]) names every read —
@@ -84,10 +87,7 @@ pub mod verifier;
 pub use cache::{CacheStats, LruCache};
 pub use certs::{QuorumCheck, VerifiedCerts};
 pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
-pub use persist::{
-    is_stale_only, readmit, verify_object, HeadRecord, HydrateReject, PersistStats, SnapshotObject,
-    SnapshotStore, DEFAULT_SPILL_THRESHOLD,
-};
+pub use persist::{verify_object, SnapshotObject};
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
     GatherPart, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,

@@ -22,6 +22,7 @@ use transedge_crypto::ScanRange;
 
 use crate::cache::LruCache;
 use crate::feed::{FeedWindow, Pushed};
+use crate::persist::SnapshotObject;
 use crate::pipeline::sorted_unique;
 use crate::response::{
     BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
@@ -56,9 +57,8 @@ pub struct ReplayStats {
     /// Cached answers (point answers, scan windows) dropped because
     /// their batch aged past `max_batches` — eviction, as opposed to
     /// `fragments_invalidated` (a delta proved the answer superseded).
-    /// The persistence plane's spill accounting rides on this split: an
-    /// evicted answer is still durable on disk, an invalidated one is
-    /// provably dead everywhere.
+    /// Either way the answer is gone from the edge's disk image too,
+    /// which is the cache itself ([`ReplayCache::objects`]).
     pub evicted_entries: u64,
 }
 
@@ -86,7 +86,7 @@ pub struct ReplayCache<H> {
     commitments: BTreeMap<BatchNum, (H, Certificate)>,
     /// `(sorted unique keys, batch)` → the section body admitted for
     /// exactly that key set. Bodies are shared by reference with
-    /// in-flight responses and the durable store.
+    /// in-flight responses and the disk image.
     points: LruCache<(Vec<Key>, BatchNum), MultiProofBody>,
     /// `(window, batch)` → the scan proof admitted for that window.
     scans: LruCache<(ScanRange, BatchNum), ScanProof>,
@@ -323,6 +323,32 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// retained).
     pub fn fragment_count(&self) -> usize {
         self.points.len()
+    }
+
+    /// Every cached answer rebuilt as the object it was admitted from —
+    /// its body or window under its batch's retained commitment and
+    /// certificate — least recently used first within each kind, point
+    /// answers before scan windows. This is the edge's disk image: what
+    /// a restart re-admits and what a cold sibling is offered.
+    pub fn objects(&self) -> Vec<SnapshotObject<H>> {
+        let certified = |batch: &BatchNum| self.commitments[batch].clone();
+        let points = self.points.iter().map(|((_, batch), body)| {
+            let (commitment, cert) = certified(batch);
+            SnapshotObject::Section(MultiProofBundle {
+                commitment,
+                cert,
+                body: body.clone(),
+            })
+        });
+        let scans = self.scans.iter().map(|((_, batch), scan)| {
+            let (commitment, cert) = certified(batch);
+            SnapshotObject::Scan(ScanBundle {
+                commitment,
+                cert,
+                scan: scan.clone(),
+            })
+        });
+        points.chain(scans).collect()
     }
 }
 

@@ -4,9 +4,9 @@
 //!
 //! The worked examples pin the replay rules (whole or nothing, exact
 //! key sets only, staleness and round-2 floors, push invalidation,
-//! batch aging, the answer capacity); the property test drives serve →
-//! cache → replay → verify end to end against a plain `BTreeMap` model
-//! of the write history.
+//! batch aging, the answer capacity, the disk image a restart
+//! re-admits); the property test drives serve → cache → replay → verify
+//! end to end against a plain `BTreeMap` model of the write history.
 
 mod common;
 
@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
 use transedge_crypto::ScanRange;
 use transedge_edge::{
-    BatchCommitment, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotPolicy,
+    verify_object, BatchCommitment, QueryAnswer, ReadQuery, ReadResponse, ReplayCache,
+    SnapshotObject, SnapshotPolicy,
 };
 
 fn two_batch_partition() -> Partition {
@@ -244,6 +245,49 @@ fn a_delta_drops_every_older_answer_it_touches() {
         .is_none());
     let untouched = replay.replay(&[k(7)], Epoch::NONE, SimTime::ZERO);
     assert_eq!(untouched.expect("cached").batch(), BatchNum(0));
+}
+
+/// An edge's disk image is its cache: `objects` rebuilds every cached
+/// answer under its batch's certificate, least recently used first
+/// within each kind, each one passing the check a restart runs — and an
+/// answer a delta superseded leaves the image with the cache entry.
+#[test]
+fn the_disk_image_is_the_cached_answers() {
+    let p = two_batch_partition();
+    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let (pair, single) = (
+        p.section(&[k(1), k(2)], BatchNum(0)),
+        p.section(&[k(7)], BatchNum(0)),
+    );
+    replay.admit_section(&pair);
+    replay.admit_section(&single);
+    replay.admit_scan(&p.scan(ScanRange::new(0, 255), BatchNum(1)));
+    // A replay is a touch: the pair becomes the most recently used.
+    let keys = pair.body.keys().to_vec();
+    assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_some());
+    let shapes = |replay: &ReplayCache<TestHeader>| -> Vec<(BatchNum, Vec<Key>)> {
+        let image = replay.objects();
+        for object in &image {
+            let verdict = verify_object(&p.verifier(), &p.keys, object, SimTime(2_500));
+            assert_eq!(verdict, Ok(()));
+        }
+        image
+            .iter()
+            .map(|object| match object {
+                SnapshotObject::Section(s) => (s.batch(), s.body.keys().to_vec()),
+                SnapshotObject::Scan(s) => (s.batch(), Vec::new()),
+            })
+            .collect()
+    };
+    let single = (BatchNum(0), single.body.keys().to_vec());
+    let window = (BatchNum(1), Vec::new());
+    assert_eq!(
+        shapes(&replay),
+        [single.clone(), (BatchNum(0), keys), window.clone()]
+    );
+    // Batch 1 changed key 1: the pair is superseded, on disk too.
+    replay.apply_delta(p.delta(BatchNum(1)));
+    assert_eq!(shapes(&replay), [single, window]);
 }
 
 /// The configured capacity, counted in answers, is what bounds a cache:

@@ -145,14 +145,13 @@ fn ms(millis: u64) -> SimTime {
     SimTime(millis * 1_000)
 }
 
-/// Edge churn: two edges per cluster with the persistence plane on;
-/// one edge per cluster crashes mid-workload and restarts later (warm
+/// Edge churn: two edges per cluster; one edge per cluster crashes
+/// mid-workload and restarts later over its disk image (warm
 /// hydration through the verifier). Reads ride out the churn on the
 /// surviving sibling or the replicas.
 pub fn churn() -> CampaignOutcome {
     let edge = EdgeConfig::builder()
         .per_cluster(2)
-        .persistent()
         .build()
         .expect("churn edge config");
     let config = base_config(edge, 901);

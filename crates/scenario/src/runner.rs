@@ -4,9 +4,8 @@
 use std::collections::HashMap;
 
 use transedge_common::{EdgeId, NodeId, SimTime};
-use transedge_core::batch::CommittedHeader;
+use transedge_core::messages::RotSnapshot;
 use transedge_core::{ClientActor, Deployment, EdgeBehavior};
-use transedge_edge::SnapshotStore;
 use transedge_simnet::PartitionHandle;
 use transedge_workload::WorkloadSpec;
 
@@ -16,14 +15,14 @@ use crate::monitor::{InvariantMonitor, InvariantViolation};
 /// Applies a scenario's events at their scheduled instants, sweeping
 /// the [`InvariantMonitor`] after each one and once more when every
 /// client finished. State that must outlive single events lives here:
-/// crashed edges' surviving stores (for the matching restart) and
+/// crashed edges' disk images (for the matching warm restart) and
 /// name → handle bindings of imposed partitions.
 pub struct ScenarioRunner {
     scenario: Scenario,
     /// The campaign workload — required by
     /// [`ScenarioEvent::HotKeyShift`] to regenerate client tails.
     workload: Option<WorkloadSpec>,
-    stores: HashMap<EdgeId, SnapshotStore<CommittedHeader>>,
+    images: HashMap<EdgeId, Vec<RotSnapshot>>,
     partitions: HashMap<String, PartitionHandle>,
 }
 
@@ -32,7 +31,7 @@ impl ScenarioRunner {
         ScenarioRunner {
             scenario,
             workload: None,
-            stores: HashMap::new(),
+            images: HashMap::new(),
             partitions: HashMap::new(),
         }
     }
@@ -90,15 +89,15 @@ impl ScenarioRunner {
     ) {
         match event {
             ScenarioEvent::EdgeCrash { edge } => {
-                let store = dep.crash_edge(*edge);
-                self.stores.insert(*edge, store);
+                let image = dep.crash_edge(*edge);
+                self.images.insert(*edge, image);
             }
             ScenarioEvent::EdgeRestart { edge } => {
-                let store = self
-                    .stores
+                let image = self
+                    .images
                     .remove(edge)
                     .unwrap_or_else(|| panic!("EdgeRestart of {edge:?} without a prior EdgeCrash"));
-                dep.restart_edge(*edge, store);
+                dep.restart_edge(*edge, image);
             }
             ScenarioEvent::PartitionStart { name, a, b } => {
                 let handle = dep.impose_partition(a.iter().copied(), b.iter().copied());

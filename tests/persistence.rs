@@ -1,11 +1,12 @@
-//! System-level checks of the edge persistence plane: a crashed edge
-//! restarts *warm* by re-admitting its own disk state through the
-//! client-grade verifier (zero replica fetches for covered keys), a
-//! cold control restart pays the upstream fetches, corrupted disk
-//! objects are dropped at hydration and never served, and an edge that
-//! lost its disk bootstraps by verified state transfer from a sibling
-//! — never one its directory has already convicted, and never from
-//! anyone it did not ask.
+//! System-level checks of the edge persistence plane. An edge's disk
+//! image is what its replay caches held: a crashed edge restarts *warm*
+//! by re-admitting that image through the client-grade verifier (zero
+//! replica fetches for covered keys), a cold control restart pays the
+//! upstream fetches, corrupted objects are dropped at re-admission and
+//! never served, an answer the commit feed proved superseded is not on
+//! disk to come back, and an edge that lost its disk bootstraps by
+//! verified state transfer from a sibling — never one its directory has
+//! already convicted, and never from anyone it did not ask.
 
 use transedge::common::{
     ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime, Value,
@@ -15,9 +16,7 @@ use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder, NetMsg, ReadPayload};
 use transedge::directory::GossipDelta;
-use transedge::edge::{
-    MultiProofBody, ReadQuery, SnapshotObject, SnapshotStore, DEFAULT_SPILL_THRESHOLD,
-};
+use transedge::edge::{MultiProofBody, ReadQuery, SnapshotObject};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -40,12 +39,12 @@ fn warm_then_probe(per_cluster: usize) -> (Deployment, Vec<Key>) {
     warm_then_probe_on(EdgeConfig::builder().per_cluster(per_cluster))
 }
 
-/// [`warm_then_probe`] over any persistent edge tier.
+/// [`warm_then_probe`] over any edge tier.
 fn warm_then_probe_on(edges: EdgeConfigBuilder) -> (Deployment, Vec<Key>) {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
-    config.edge = edges.persistent().build().expect("edge config");
+    config.edge = edges.build().expect("edge config");
     let topo = config.topo.clone();
     let rot_keys = keys_on(&topo, ClusterId(0), 3);
     let script: Vec<ClientOp> = (0..6)
@@ -82,20 +81,20 @@ fn assert_probe_clean(dep: &Deployment) {
     }
 }
 
-/// A hydrated restart re-admits the pre-crash disk state and serves
-/// the probe client entirely warm: zero replica fetches.
+/// A warm restart re-admits the pre-crash disk image and serves the
+/// probe client entirely warm: zero replica fetches.
 #[test]
 fn warm_restart_serves_verified_reads_with_zero_replica_fetches() {
     let (mut dep, _keys) = warm_then_probe(1);
     let e0 = EdgeId::new(ClusterId(0), 0);
     dep.run_until(CRASH_AT);
 
-    let store = dep.crash_edge(e0);
+    let image = dep.crash_edge(e0);
     assert!(
-        !store.is_empty(),
-        "the warm-up workload must have spilled snapshot objects"
+        !image.is_empty(),
+        "the warm-up workload must have cached answers"
     );
-    dep.restart_edge(e0, store);
+    dep.restart_edge(e0, image);
     dep.run_until_done(LIMIT);
 
     // The restarted actor's counters start at zero, so every stat
@@ -103,7 +102,7 @@ fn warm_restart_serves_verified_reads_with_zero_replica_fetches() {
     let edge = dep.edge_node(e0);
     assert!(
         edge.stats.hydrate_admitted > 0,
-        "hydration must re-admit the spilled objects"
+        "hydration must re-admit the cached answers"
     );
     assert_eq!(edge.stats.hydrate_rejected, 0, "honest disk, no rejections");
     assert!(edge.stats.requests > 0, "the probe client reached the edge");
@@ -124,7 +123,7 @@ fn cold_restart_control_fetches_from_replicas() {
     dep.run_until(CRASH_AT);
 
     let _lost = dep.crash_edge(e0);
-    dep.restart_edge(e0, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD));
+    dep.restart_edge(e0, Vec::new());
     dep.run_until_done(LIMIT);
 
     let edge = dep.edge_node(e0);
@@ -140,21 +139,22 @@ fn cold_restart_control_fetches_from_replicas() {
 }
 
 /// Disk is untrusted input: every object tampered with between crash
-/// and restart is dropped at re-admission (counted, never served), and
-/// the probe client still reads only committed values.
+/// and restart is rejected by the verifier at re-admission (counted,
+/// never served), and the probe client still reads only committed
+/// values.
 #[test]
 fn corrupted_disk_objects_are_dropped_never_served() {
     let (mut dep, _keys) = warm_then_probe(1);
     let e0 = EdgeId::new(ClusterId(0), 0);
     dep.run_until(CRASH_AT);
 
-    let mut store = dep.crash_edge(e0);
-    let digests = store.hydration_set();
-    assert!(!digests.is_empty());
-    // Corrupt every stored object: a forged value (a section body is
-    // immutable, so the forger rebuilds it) breaks the content address.
-    for (_cluster, digest) in &digests {
-        let tampered = store.tamper_with(digest, |object| match object {
+    let mut image = dep.crash_edge(e0);
+    assert!(!image.is_empty());
+    // Corrupt every object on disk: a forged value (a section body is
+    // immutable, so the forger rebuilds it) no longer hashes to what
+    // the proof commits to.
+    for object in image.iter_mut() {
+        match object {
             SnapshotObject::Section(b) => {
                 let mut values = b.body.values().to_vec();
                 values[0] = Some(Value::from("forged"));
@@ -168,16 +168,15 @@ fn corrupted_disk_objects_are_dropped_never_served() {
                     b.scan.range.last = b.scan.range.last.wrapping_add(1);
                 }
             }
-        });
-        assert!(tampered);
+        }
     }
-    dep.restart_edge(e0, store);
+    let tampered = image.len() as u64;
+    dep.restart_edge(e0, image);
     dep.run_until_done(LIMIT);
 
     let edge = dep.edge_node(e0);
     assert_eq!(
-        edge.stats.hydrate_rejected,
-        digests.len() as u64,
+        edge.stats.hydrate_rejected, tampered,
         "every corrupted object is rejected at re-admission"
     );
     assert_eq!(edge.stats.hydrate_admitted, 0);
@@ -188,8 +187,67 @@ fn corrupted_disk_objects_are_dropped_never_served() {
     assert_probe_clean(&dep);
 }
 
+/// A feed-fed edge under a write-heavy interval: writers keep
+/// overwriting keys of both partitions while a reader snapshots two
+/// never-written keys on partition 0 and one hot key on partition 1
+/// (the setup of the subscription tests in `tests/push_feed.rs`).
+/// Every answer partition 1's edge caches is of the hot key, so every
+/// one is push-invalidated by a later write to it. What that edge has
+/// on disk when it crashes is what its cache holds: nothing. A copy of
+/// every answer it ever admitted would bring the superseded ones back.
+#[test]
+fn a_warm_restart_brings_back_no_answer_the_feed_superseded() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.edge = EdgeConfig::builder()
+        .per_cluster(1)
+        .commit_feed(SimDuration::from_millis(50))
+        .build()
+        .expect("edge config");
+    let topo = config.topo.clone();
+    let (k0, k1) = (
+        keys_on(&topo, ClusterId(0), 8),
+        keys_on(&topo, ClusterId(1), 8),
+    );
+    let mut plans: Vec<ClientPlan> = (0..3usize)
+        .map(|c| {
+            let writes = (0..15).map(|i| ClientOp::ReadWrite {
+                reads: vec![],
+                writes: vec![
+                    (k0[2 + (c + i) % 6].clone(), Value::from("w0")),
+                    (k1[2 + (c + i) % 6].clone(), Value::from("w1")),
+                ],
+            });
+            ClientPlan::ops(writes.collect())
+        })
+        .collect();
+    let read = ClientOp::ReadOnly {
+        keys: vec![k0[0].clone(), k0[1].clone(), k1[2].clone()],
+    };
+    plans.push(ClientPlan::ops(vec![read; 24]));
+    let mut dep = Deployment::build_custom(config, plans);
+    dep.run_until_done(LIMIT);
+
+    let e1 = EdgeId::new(ClusterId(1), 0);
+    let replay: Vec<_> = dep.edge_node(e1).replay_stats().collect();
+    let admitted: u64 = replay.iter().map(|(_, r)| r.admitted).sum();
+    let invalidated: u64 = replay.iter().map(|(_, r)| r.fragments_invalidated).sum();
+    assert!(admitted > 0, "the edge cached answers");
+    assert_eq!(invalidated, admitted, "the feed superseded every one");
+
+    let image = dep.crash_edge(e1);
+    assert!(
+        image.is_empty(),
+        "{} superseded answers on disk",
+        image.len()
+    );
+    dep.restart_edge(e1, image);
+    dep.run_until(SimTime(dep.sim.now().0 + 1_000));
+    assert_eq!(dep.edge_node(e1).stats.hydrate_admitted, 0);
+}
+
 /// An edge that lost its disk entirely bootstraps from a sibling's
-/// snapshot objects — each one re-verified on receipt, exactly like
+/// cached answers — each one re-verified on receipt, exactly like
 /// hydration from its own disk.
 #[test]
 fn cold_edge_bootstraps_from_sibling_state_transfer() {
@@ -198,18 +256,18 @@ fn cold_edge_bootstraps_from_sibling_state_transfer() {
     let e1 = EdgeId::new(ClusterId(0), 1);
     dep.run_until(CRASH_AT);
 
-    // The warm-up traffic landed on whichever edge the selector chose;
-    // merge both disks so the surviving sibling holds the union.
-    let mut merged = dep.edge_node(e1).store().clone();
-    for object in dep.edge_node(e0).store().objects_for(ClusterId(0)) {
-        merged.spill(object);
-    }
-    assert!(!merged.is_empty(), "the warm-up workload must have spilled");
-    dep.edge_node_mut(e1).restore_store(merged);
-
-    // Crash the edge and lose its disk.
-    let _lost = dep.crash_edge(e0);
-    dep.restart_edge(e0, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD));
+    // The warm-up traffic landed on whichever edge the selector chose:
+    // the sibling comes back warm over the union of both disks, and the
+    // edge comes back with its disk lost.
+    let lost = dep.crash_edge(e0);
+    let mut union = dep.crash_edge(e1);
+    union.extend(lost);
+    assert!(
+        !union.is_empty(),
+        "the warm-up workload must have cached answers"
+    );
+    dep.restart_edge(e1, union);
+    dep.restart_edge(e0, Vec::new());
     dep.run_until_done(LIMIT);
 
     let edge = dep.edge_node(e0);
@@ -256,20 +314,20 @@ fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
         };
         assert!(delta.evidence.iter().any(|ev| ev.body.subject == liar));
 
-        // Only the healthy peer has anything to offer: it holds the
-        // union of the warm disks, the liar's is wiped.
-        let mut merged = dep.edge_node(e2).store().clone();
+        // Only the healthy peer has anything to offer: it comes back
+        // warm over the union of the three disks, while the liar stays
+        // down — a request sent to it brings back nothing — and the
+        // edge comes back with its disk lost.
+        let mut union = dep.crash_edge(e2);
         for edge in [e0, liar] {
-            for object in dep.edge_node(edge).store().objects_for(ClusterId(0)) {
-                merged.spill(object);
-            }
+            union.extend(dep.crash_edge(edge));
         }
-        assert!(!merged.is_empty(), "the warm-up workload must have spilled");
-        dep.edge_node_mut(e2).restore_store(merged);
-        dep.edge_node_mut(liar).take_store();
-
-        let _lost = dep.crash_edge(e0);
-        dep.restart_edge(e0, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD));
+        assert!(
+            !union.is_empty(),
+            "the warm-up workload must have cached answers"
+        );
+        dep.restart_edge(e2, union);
+        dep.restart_edge(e0, Vec::new());
         let (keys, now) = (dep.keys.clone(), dep.sim.now());
         let agent = dep
             .edge_node_mut(e0)
@@ -340,8 +398,8 @@ impl transedge::simnet::Actor<NetMsg> for Outsider {
 /// An edge takes a state transfer only from the sibling it asked, once.
 /// Every transferred object is re-verified, so nothing forged gets in —
 /// but an unsolicited push of *valid* objects would still make the edge
-/// pay a quorum of signature checks per object and fill its cache and
-/// disk with sections of the pusher's choosing. This edge has no
+/// pay a quorum of signature checks per object and fill its cache (and
+/// so its disk image) with sections of the pusher's choosing. This edge has no
 /// sibling and so never asked anyone: the push is dropped unexamined.
 #[test]
 fn an_edge_takes_no_state_transfer_it_did_not_ask_for() {
@@ -351,7 +409,6 @@ fn an_edge_takes_no_state_transfer_it_did_not_ask_for() {
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.edge = EdgeConfig::builder()
         .per_cluster(1)
-        .persistent()
         .build()
         .expect("edge config");
     let keys = keys_on(&config.topo, ClusterId(0), 3);
@@ -375,6 +432,5 @@ fn an_edge_takes_no_state_transfer_it_did_not_ask_for() {
     assert_eq!(edge.stats.sibling_transfers, 0, "no sibling to ask");
     assert_eq!(edge.stats.sibling_objects_admitted, 0);
     assert_eq!(edge.stats.sibling_objects_rejected, 0, "not even examined");
-    assert!(edge.store().is_empty(), "nothing spilled");
     assert_eq!(edge.replay_stats().count(), 0, "nothing cached");
 }

@@ -13,7 +13,7 @@ use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig};
-use transedge::edge::{SnapshotStore, DEFAULT_SPILL_THRESHOLD, MAX_FEED_DELTAS};
+use transedge::edge::MAX_FEED_DELTAS;
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -280,7 +280,7 @@ fn a_second_read_is_sent_only_the_deltas_since_the_first() {
     let before = state(&dep).2.unwrap();
     let _lost = dep.crash_edge(edge);
     dep.run_until(SimTime(dep.sim.now().0 + 50_000));
-    dep.restart_edge(edge, SnapshotStore::new(DEFAULT_SPILL_THRESHOLD));
+    dep.restart_edge(edge, Vec::new());
     dep.run_until_done(SimTime(600_000_000));
     let client = dep.client(reader);
     assert_eq!(client.stats.verification_failures, 0);
