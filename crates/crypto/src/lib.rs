@@ -7,7 +7,12 @@
 //! * [`sha2`] — SHA-256 and SHA-512 (FIPS 180-4). Round constants are
 //!   *derived* (fractional parts of cube/square roots of primes, found
 //!   by exact integer binary search) rather than transcribed, and the
-//!   implementations are pinned by the standard test vectors.
+//!   implementations are pinned by the standard test vectors. SHA-256
+//!   has two compression kernels: portable integer rounds, which run
+//!   everywhere and are the tests' reference, and one on the x86-64 SHA
+//!   extensions, which the process picks once when the CPU reports
+//!   them. Both give the same digest for every input; the hardware one
+//!   is this crate's only `unsafe` code (the crate denies it elsewhere).
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`ed25519`] — Ed25519 signatures (RFC 8032): field arithmetic mod
 //!   2²⁵⁵−19 in five lazily reduced 51-bit limbs with addition-chain
@@ -36,6 +41,8 @@
 //! simulator*. It is functionally correct (pinned by test vectors and
 //! algebraic property tests) but makes no constant-time claims and has
 //! had no side-channel review. Do not use it to protect real data.
+
+#![deny(unsafe_code)]
 
 pub mod digest;
 pub mod ed25519;

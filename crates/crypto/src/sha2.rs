@@ -8,6 +8,18 @@
 //! exactly with integer binary search over multi-limb products, which
 //! removes any chance of a transcription typo. The standard test
 //! vectors below then pin the whole construction.
+//!
+//! SHA-256 has two compression kernels. `Sha256::compress_portable` is
+//! the FIPS round function in plain integer code; it runs on every CPU
+//! and is the reference the tests compare the other kernel against. On
+//! x86-64 CPUs with the SHA extensions (`sha`, plus `ssse3`/`sse4.1`
+//! for the byte shuffles) a hardware kernel built on
+//! `_mm_sha256rnds2_epu32` and the two message-schedule instructions
+//! runs instead. The process picks the kernel once, at the first
+//! hasher, from `is_x86_feature_detected!`; there is no switch. Both
+//! produce the same digest for every input, so nothing outside this
+//! module can tell which one ran except by the clock. SHA-512 has only
+//! the portable rounds.
 
 use std::sync::OnceLock;
 
@@ -154,6 +166,24 @@ fn sha512_consts() -> &'static Sha512Consts {
 // SHA-256
 // ---------------------------------------------------------------------------
 
+/// A SHA-256 compression kernel: folds a run of whole 64-byte blocks
+/// (`blocks.len()` a multiple of 64) into the state.
+type BlockKernel = fn(&mut [u32; 8], &[u8]);
+
+/// The hardware kernel this process uses, if its CPU has one. Chosen
+/// once, from the CPU's feature flags.
+fn hardware_kernel() -> Option<BlockKernel> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static KERNEL: OnceLock<Option<BlockKernel>> = OnceLock::new();
+        *KERNEL.get_or_init(sha_ni::kernel)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        None
+    }
+}
+
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -161,6 +191,8 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+    /// `None` runs `compress_portable`.
+    kernel: Option<BlockKernel>,
 }
 
 impl Default for Sha256 {
@@ -176,6 +208,7 @@ impl Sha256 {
             buf: [0; 64],
             buf_len: 0,
             total_len: 0,
+            kernel: hardware_kernel(),
         }
     }
 
@@ -188,48 +221,32 @@ impl Sha256 {
             data = &data[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
-                self.compress(&block);
+                self.compress_blocks(&block);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
-            data = rest;
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            self.compress_blocks(blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
         self
     }
 
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // Bypass total_len accounting while flushing padding.
-        let mut data = &pad[..pad_len + 8];
-        if self.buf_len > 0 {
-            let take = 64 - self.buf_len;
-            self.buf[self.buf_len..].copy_from_slice(&data[..take]);
-            let block = self.buf;
-            self.compress(&block);
-            data = &data[take..];
-        }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
-            data = rest;
-        }
-        debug_assert!(data.is_empty());
+        // The buffered tail, 0x80, zeros and the 8-byte big-endian bit
+        // length: one block, or two when the tail leaves no room for
+        // the length.
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let len = if self.buf_len < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress_blocks(&tail[..len]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -237,7 +254,21 @@ impl Sha256 {
         Digest(out)
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Folds a run of whole blocks into the state with this hasher's
+    /// kernel.
+    fn compress_blocks(&mut self, blocks: &[u8]) {
+        debug_assert!(blocks.len().is_multiple_of(64));
+        match self.kernel {
+            Some(kernel) => kernel(&mut self.state, blocks),
+            None => {
+                for block in blocks.chunks_exact(64) {
+                    self.compress_portable(block.try_into().unwrap());
+                }
+            }
+        }
+    }
+
+    fn compress_portable(&mut self, block: &[u8; 64]) {
         let k = &sha256_consts().k;
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -288,6 +319,88 @@ pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
+}
+
+/// The SHA-256 kernel on the x86-64 SHA extensions. The crate's only
+/// `unsafe` code: running these instructions on a CPU without the
+/// extensions is undefined behaviour, so `kernel` is the one way out of
+/// this module to them — it hands out the kernel only after
+/// `is_x86_feature_detected!` has found every feature `rounds` is
+/// compiled for.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni {
+    use std::arch::x86_64::*;
+
+    use super::{sha256_consts, BlockKernel};
+
+    /// The kernel, if this CPU has the SHA extensions and the SSSE3 and
+    /// SSE4.1 shuffles it needs beside them.
+    pub(super) fn kernel() -> Option<BlockKernel> {
+        let detected = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        detected.then_some(compress_blocks as BlockKernel)
+    }
+
+    fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // SAFETY: this function is private, and `kernel` returns it only
+        // after runtime detection (`is_x86_feature_detected!`) found
+        // every feature `rounds` enables on this CPU.
+        unsafe { rounds(state, blocks) }
+    }
+
+    /// Folds every whole 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    /// The CPU must support `sha`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn rounds(state: &mut [u32; 8], blocks: &[u8]) {
+        let k = &sha256_consts().k;
+        // Swaps the bytes of each 32-bit lane: the message words are
+        // big-endian.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // `sha256rnds2` keeps the working variables as (a, b, e, f) and
+        // (c, d, g, h), highest lane first. Every pointer read and write
+        // below is 16 bytes inside `state`, `k` or a 64-byte block.
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let badc = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(badc, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, badc, 0xf0);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let words = block.as_ptr().cast::<__m128i>();
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(words), byte_swap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), byte_swap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), byte_swap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), byte_swap);
+            for quad in 0..16 {
+                // Rounds 4·quad .. 4·quad + 3, two per instruction, on
+                // w0 = W[4·quad .. 4·quad + 4].
+                let wk = _mm_add_epi32(w0, _mm_loadu_si128(k.as_ptr().add(4 * quad).cast()));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                // W[t..t + 4] for t = 4·quad + 16: the σ0 terms, then the
+                // W[t − 7] terms, then the σ1 terms. The last four quads
+                // schedule words no round uses.
+                let sigma0 = _mm_sha256msg1_epu32(w0, w1);
+                let w_7 = _mm_alignr_epi8(w3, w2, 4);
+                let next = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w_7), w3);
+                (w0, w1, w2, w3) = (w1, w2, w3, next);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,70 +564,167 @@ mod tests {
         assert_eq!(c.k[79], 0x6c44198c4a475817);
     }
 
+    /// Both SHA-256 paths: the hasher as `new` builds it (the hardware
+    /// kernel where the CPU has one) and one held to `compress_portable`.
+    fn sha256_hashers() -> [(&'static str, Sha256); 2] {
+        [
+            ("dispatching", Sha256::new()),
+            (
+                "portable",
+                Sha256 {
+                    kernel: None,
+                    ..Sha256::new()
+                },
+            ),
+        ]
+    }
+
+    fn sha256_on(hasher: &Sha256, data: &[u8]) -> Digest {
+        let mut h = hasher.clone();
+        h.update(data);
+        h.finalize()
+    }
+
+    /// `input` hashes to `want` on both paths.
+    fn assert_sha256(input: &[u8], want: &str) {
+        for (path, hasher) in sha256_hashers() {
+            assert_eq!(sha256_on(&hasher, input).to_hex(), want, "{path}");
+        }
+    }
+
     #[test]
     fn sha256_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_sha256(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn sha256_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_sha256(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn sha256_two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_sha256(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn sha256_million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (path, mut h) in sha256_hashers() {
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                h.finalize().to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{path}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn sha256_streaming_equals_oneshot() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        // Feed in awkward chunk sizes crossing block boundaries.
-        for chunk_size in [1usize, 3, 63, 64, 65, 127] {
-            let mut h = Sha256::new();
-            for c in data.chunks(chunk_size) {
-                h.update(c);
+        for (path, hasher) in sha256_hashers() {
+            // Feed in awkward chunk sizes crossing block boundaries.
+            for chunk_size in [1usize, 3, 63, 64, 65, 127] {
+                let mut h = hasher.clone();
+                for c in data.chunks(chunk_size) {
+                    h.update(c);
+                }
+                assert_eq!(
+                    h.finalize(),
+                    sha256(&data),
+                    "{path}, chunk size {chunk_size}"
+                );
             }
-            assert_eq!(h.finalize(), sha256(&data), "chunk size {chunk_size}");
+        }
+    }
+
+    /// The fixed pattern the padding tests hash prefixes of.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Every length 0..=200 crosses the 56-byte length threshold and the
+    /// block boundary three times. Whole and split input must agree, and
+    /// the 201 digests, concatenated, hash to the value coreutils
+    /// `sha256sum` gives for the same prefixes.
+    #[test]
+    fn sha256_padding_boundaries() {
+        for (path, hasher) in sha256_hashers() {
+            let mut all = hasher.clone();
+            for len in 0..=200 {
+                let data = pattern(len);
+                let whole = sha256_on(&hasher, &data);
+                let mut split = hasher.clone();
+                split.update(&data[..len / 2]).update(&data[len / 2..]);
+                assert_eq!(split.finalize(), whole, "{path}, len {len}");
+                all.update(whole.as_bytes());
+            }
+            assert_eq!(
+                all.finalize().to_hex(),
+                "64ef7c229fce2408b5336b6a542fea0e078c3a87d2da85cb3fc52e2008b65021",
+                "{path}"
+            );
+        }
+    }
+
+    /// `cases` random states, each with a run of 1–4 random blocks,
+    /// through the dispatching kernel and block by block through
+    /// `compress_portable`. Where the CPU has no hardware kernel both
+    /// sides are portable and the run says so.
+    fn kernel_sweep(cases: usize, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        if hardware_kernel().is_none() {
+            eprintln!("no SHA extensions on this CPU: only the portable SHA-256 path was checked");
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for case in 0..cases {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.gen());
+            let run = rng.gen_range(1..=4usize);
+            let blocks: Vec<u8> = (0..64 * run).map(|_| rng.gen()).collect();
+            let mut dispatching = Sha256 {
+                state,
+                ..Sha256::new()
+            };
+            dispatching.compress_blocks(&blocks);
+            let mut portable = Sha256 {
+                state,
+                kernel: None,
+                ..Sha256::new()
+            };
+            for block in blocks.chunks_exact(64) {
+                portable.compress_portable(block.try_into().unwrap());
+            }
+            assert_eq!(
+                dispatching.state, portable.state,
+                "case {case}, {run} blocks"
+            );
         }
     }
 
     #[test]
-    fn sha256_padding_boundaries() {
-        // Lengths around the 56-byte padding threshold and block size.
-        for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
-            let data = vec![0x5Au8; len];
-            let mut h = Sha256::new();
-            h.update(&data);
-            // Compare against splitting at every position.
-            let mid = len / 2;
-            let mut h2 = Sha256::new();
-            h2.update(&data[..mid]);
-            h2.update(&data[mid..]);
-            assert_eq!(h.finalize(), h2.finalize(), "len {len}");
-        }
+    fn sha256_kernel_matches_portable() {
+        kernel_sweep(4_096, 1);
+    }
+
+    /// The release-mode sweep CI runs with `--include-ignored`.
+    #[test]
+    #[ignore = "1 000 000 cases: run in release with --include-ignored"]
+    fn sha256_kernel_matches_portable_1m() {
+        kernel_sweep(1_000_000, 2);
     }
 
     #[test]
@@ -549,15 +759,25 @@ mod tests {
         }
     }
 
+    /// As for SHA-256, over 0..=300 (the 112-byte threshold and the
+    /// 128-byte block boundary, three times), pinned by coreutils
+    /// `sha512sum`.
     #[test]
     fn sha512_padding_boundaries() {
-        for len in [0usize, 111, 112, 113, 127, 128, 129, 239, 240, 256] {
-            let data = vec![0xA5u8; len];
-            let mid = len / 2;
-            let mut h2 = Sha512::new();
-            h2.update(&data[..mid]);
-            h2.update(&data[mid..]);
-            assert_eq!(sha512(&data), h2.finalize(), "len {len}");
+        let mut all = Sha512::new();
+        for len in 0..=300 {
+            let data = pattern(len);
+            let whole = sha512(&data);
+            let mut split = Sha512::new();
+            split.update(&data[..len / 2]).update(&data[len / 2..]);
+            assert_eq!(split.finalize(), whole, "len {len}");
+            all.update(&whole);
         }
+        assert_eq!(
+            hex_encode(&all.finalize()),
+            "da20b3b598f77f25e2e2d1941e345bfe16543f32378fbc8447fbb64f038964ce\
+             a0808c9d450e5e83ac095f5656c102b2ff15a8e0501c7553a7afe1e0256b5e09"
+                .replace(char::is_whitespace, "")
+        );
     }
 }
