@@ -14,13 +14,26 @@
 //!    for batch `i` must remain reconstructible after batch `i+k` is
 //!    applied.
 //!
-//! Implementation: every node and bucket keeps a small version list
-//! `(version, payload)` ordered by version; lookups binary-search the
-//! list. A journal records which buckets each version touched so
-//! [`VersionedMerkleTree::rollback`] can undo the latest version in
-//! O(touched paths).
+//! Layout: every node and bucket slot holds its newest
+//! `(version, payload)` inline and its older versions in a list behind
+//! it, ascending by version. Almost every read asks for the newest
+//! version, and most slots are written in one version only, so a lookup
+//! is one map probe and the older list of such a slot is an empty `Vec`
+//! that owns no heap; an older version costs a binary search.
+//!
+//! The maps are keyed by node and bucket index and hashed with one
+//! folded multiply instead of SipHash. Bucket indices are prefixes of
+//! key hashes, so whoever chooses keys can grind them to choose indices;
+//! each tree draws a random seed (from [`RandomState`]) that the hash
+//! mixes in, so which indices collide in a map cannot be predicted from
+//! outside the process.
+//!
+//! [`VersionedMerkleTree::rollback`] undoes one speculation: the tree
+//! keeps a single undo record — the latest version and the buckets it
+//! touched — and rolling back consumes it, in O(touched paths).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use transedge_common::Key;
 
@@ -32,12 +45,120 @@ use crate::merkle::{
 use crate::range::{RangeProof, ScanRange};
 use crate::sha2::sha256;
 
-/// Version list: `(version, payload)` pairs, ascending by version.
-type Versions<T> = Vec<(u64, T)>;
+/// One slot's versions: the newest inline, older ones behind it.
+#[derive(Clone)]
+struct Versioned<T> {
+    version: u64,
+    newest: T,
+    /// Older `(version, payload)` pairs, ascending by version.
+    older: Vec<(u64, T)>,
+}
 
-fn lookup_at<T>(versions: &Versions<T>, version: u64) -> Option<&T> {
-    let idx = versions.partition_point(|(v, _)| *v <= version);
-    versions[..idx].last().map(|(_, t)| t)
+impl<T> Versioned<T> {
+    fn new(version: u64, payload: T) -> Self {
+        Versioned {
+            version,
+            newest: payload,
+            older: Vec::new(),
+        }
+    }
+
+    /// The payload as of `version`: the newest one at or before it.
+    fn at(&self, version: u64) -> Option<&T> {
+        if self.version <= version {
+            return Some(&self.newest);
+        }
+        let idx = self.older.partition_point(|(v, _)| *v <= version);
+        self.older[..idx].last().map(|(_, t)| t)
+    }
+
+    /// Record `payload` as `version`, which is not older than the
+    /// newest: it replaces the newest of the same version, or pushes it
+    /// down into the older list.
+    fn set(&mut self, version: u64, payload: T) {
+        if self.version == version {
+            self.newest = payload;
+            return;
+        }
+        debug_assert!(self.version < version);
+        let prev = std::mem::replace(&mut self.newest, payload);
+        self.older.push((self.version, prev));
+        self.version = version;
+    }
+
+    /// Drop the payload of `version` if it is the newest. Returns
+    /// `false` when no version is left, so the slot must go.
+    fn pop(&mut self, version: u64) -> bool {
+        if self.version != version {
+            return true;
+        }
+        match self.older.pop() {
+            Some((v, payload)) => {
+                self.version = v;
+                self.newest = payload;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// Index → versions, hashed by [`IndexHash`].
+type IndexMap<T> = HashMap<u64, Versioned<T>, IndexHash>;
+
+/// Builds [`IndexHasher`]s that share one per-tree random seed.
+#[derive(Clone, Copy)]
+struct IndexHash {
+    seed: u64,
+}
+
+impl BuildHasher for IndexHash {
+    type Hasher = IndexHasher;
+
+    fn build_hasher(&self) -> IndexHasher {
+        IndexHasher(self.seed)
+    }
+}
+
+/// Folded-multiply hash of a `u64`: the two halves of the 128-bit
+/// product of `(state ^ word)` and an odd constant, XORed together.
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write_u64(&mut self, word: u64) {
+        const MUL: u64 = 0x5851_f42d_4c95_7f2d;
+        let product = u128::from(self.0 ^ word) * u128::from(MUL);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte.into());
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Record `payload` as `version` at `index`.
+fn put<T>(map: &mut IndexMap<T>, index: u64, version: u64, payload: T) {
+    match map.entry(index) {
+        Entry::Occupied(slot) => slot.into_mut().set(version, payload),
+        Entry::Vacant(slot) => {
+            slot.insert(Versioned::new(version, payload));
+        }
+    }
+}
+
+/// Undo [`put`] of `version` at `index`.
+fn unput<T>(map: &mut IndexMap<T>, index: u64, version: u64) {
+    if let Entry::Occupied(mut slot) = map.entry(index) {
+        if !slot.get_mut().pop(version) {
+            slot.remove();
+        }
+    }
 }
 
 /// The versioned tree. Versions are the batch numbers of the SMR log.
@@ -45,24 +166,28 @@ fn lookup_at<T>(versions: &Versions<T>, version: u64) -> Option<&T> {
 pub struct VersionedMerkleTree {
     depth: u32,
     /// bucket index → versioned entry lists.
-    buckets: HashMap<u64, Versions<Vec<BucketEntry>>>,
+    buckets: IndexMap<Vec<BucketEntry>>,
     /// levels[l] : node index → versioned digests (level 0 = leaves).
-    levels: Vec<HashMap<u64, Versions<Digest>>>,
+    levels: Vec<IndexMap<Digest>>,
     defaults: &'static [Digest],
-    /// version → bucket indices it touched (for rollback).
-    journal: HashMap<u64, Vec<u64>>,
+    /// The latest version and the buckets it touched, until it is
+    /// rolled back: the only version [`Self::rollback`] may undo.
+    undo: Option<(u64, Vec<u64>)>,
     latest: Option<u64>,
 }
 
 impl VersionedMerkleTree {
     pub fn with_depth(depth: u32) -> Self {
         assert!((1..=MAX_DEPTH).contains(&depth), "depth out of range");
+        let hash = IndexHash {
+            seed: RandomState::new().build_hasher().finish(),
+        };
         VersionedMerkleTree {
             depth,
-            buckets: HashMap::new(),
-            levels: vec![HashMap::new(); depth as usize + 1],
+            buckets: HashMap::with_hasher(hash),
+            levels: vec![HashMap::with_hasher(hash); depth as usize + 1],
             defaults: empty_subtrees(),
-            journal: HashMap::new(),
+            undo: None,
             latest: None,
         }
     }
@@ -81,10 +206,14 @@ impl VersionedMerkleTree {
         prefix >> (64 - self.depth)
     }
 
+    fn bucket_at(&self, index: u64, version: u64) -> Option<&Vec<BucketEntry>> {
+        self.buckets.get(&index).and_then(|b| b.at(version))
+    }
+
     fn node_at(&self, level: usize, index: u64, version: u64) -> Digest {
         self.levels[level]
             .get(&index)
-            .and_then(|v| lookup_at(v, version))
+            .and_then(|n| n.at(version))
             .copied()
             .unwrap_or(self.defaults[level])
     }
@@ -105,15 +234,22 @@ impl VersionedMerkleTree {
         for (key, value_hash) in updates {
             let key_hash = sha256(key.as_bytes());
             let idx = self.bucket_index(&key_hash);
-            let versions = self.buckets.entry(idx).or_default();
-            // Start the new bucket version from the latest contents.
-            let needs_new = versions.last().is_none_or(|(v, _)| *v != version);
-            if needs_new {
-                let snapshot = versions.last().map(|(_, b)| b.clone()).unwrap_or_default();
-                versions.push((version, snapshot));
-                dirty.push(idx);
-            }
-            let bucket = &mut versions.last_mut().unwrap().1;
+            let bucket = match self.buckets.entry(idx) {
+                // Start the new bucket version from the latest contents.
+                Entry::Occupied(slot) => {
+                    let slot = slot.into_mut();
+                    if slot.version != version {
+                        let snapshot = slot.newest.clone();
+                        slot.set(version, snapshot);
+                        dirty.push(idx);
+                    }
+                    &mut slot.newest
+                }
+                Entry::Vacant(slot) => {
+                    dirty.push(idx);
+                    &mut slot.insert(Versioned::new(version, Vec::new())).newest
+                }
+            };
             match bucket.binary_search_by(|e| e.key_hash.cmp(&key_hash)) {
                 Ok(pos) => bucket[pos].value_hash = value_hash,
                 Err(pos) => bucket.insert(
@@ -125,31 +261,27 @@ impl VersionedMerkleTree {
                 ),
             }
         }
-        // Recompute dirty paths level by level.
-        let mut frontier: Vec<u64> = Vec::with_capacity(dirty.len());
-        for &idx in &dirty {
-            let leaf = hash_leaf(lookup_at(&self.buckets[&idx], version).unwrap());
-            push_version(self.levels[0].entry(idx).or_default(), version, leaf);
-            frontier.push(idx >> 1);
-        }
+        // Recompute dirty paths level by level. The frontier stays
+        // sorted and distinct, so halving it in place keeps it sorted
+        // and only adjacent duplicates need dropping.
+        let mut frontier = dirty.clone();
         frontier.sort_unstable();
-        frontier.dedup();
+        for &idx in &frontier {
+            let leaf = hash_leaf(&self.buckets[&idx].newest);
+            put(&mut self.levels[0], idx, version, leaf);
+        }
         for level in 0..self.depth as usize {
-            let mut next = Vec::with_capacity(frontier.len());
+            halve(&mut frontier);
             for &parent in &frontier {
                 let left = self.node_at(level, parent << 1, version);
                 let right = self.node_at(level, (parent << 1) | 1, version);
-                let digest = hash_node(&left, &right);
-                push_version(
-                    self.levels[level + 1].entry(parent).or_default(),
+                put(
+                    &mut self.levels[level + 1],
+                    parent,
                     version,
-                    digest,
+                    hash_node(&left, &right),
                 );
-                next.push(parent >> 1);
             }
-            next.sort_unstable();
-            next.dedup();
-            frontier = next;
         }
         // Even an empty batch records a root version so `root_at` works.
         if dirty.is_empty() {
@@ -157,61 +289,46 @@ impl VersionedMerkleTree {
                 .latest
                 .map(|l| self.root_at(l))
                 .unwrap_or(self.defaults[self.depth as usize]);
-            push_version(
-                self.levels[self.depth as usize].entry(0).or_default(),
-                version,
-                prev_root,
-            );
+            put(&mut self.levels[self.depth as usize], 0, version, prev_root);
         }
-        self.journal.insert(version, dirty);
+        self.undo = Some((version, dirty));
         self.latest = Some(version);
         self.root_at(version)
     }
 
     /// Undo the *latest* version (speculative batch rejected / view
     /// change discarded the proposal).
+    ///
+    /// One speculation, one rollback: only the latest applied version
+    /// can be rolled back, and only once — the version before it is
+    /// final. Panics on any other version or on a second rollback in a
+    /// row.
     pub fn rollback(&mut self, version: u64) {
-        assert_eq!(
-            self.latest,
-            Some(version),
-            "can only roll back the latest version"
-        );
-        let dirty = self.journal.remove(&version).unwrap_or_default();
-        let mut frontier: Vec<u64> = Vec::with_capacity(dirty.len());
-        for idx in dirty {
-            if let Some(versions) = self.buckets.get_mut(&idx) {
-                pop_version(versions, version);
-                if versions.is_empty() {
-                    self.buckets.remove(&idx);
-                }
-            }
-            if let Some(v) = self.levels[0].get_mut(&idx) {
-                pop_version_d(v, version);
-            }
-            frontier.push(idx >> 1);
-        }
+        let mut frontier = match self.undo.take() {
+            Some((undone, dirty)) if undone == version => dirty,
+            _ => panic!(
+                "rollback of version {version}: only the latest applied version can be \
+                 rolled back, and only once (latest {:?})",
+                self.latest
+            ),
+        };
         frontier.sort_unstable();
-        frontier.dedup();
+        for &idx in &frontier {
+            unput(&mut self.buckets, idx, version);
+            unput(&mut self.levels[0], idx, version);
+        }
         for level in 1..=self.depth as usize {
-            let mut next = Vec::with_capacity(frontier.len());
+            halve(&mut frontier);
             for &parent in &frontier {
-                if let Some(v) = self.levels[level].get_mut(&parent) {
-                    pop_version_d(v, version);
-                }
-                next.push(parent >> 1);
+                unput(&mut self.levels[level], parent, version);
             }
-            next.sort_unstable();
-            next.dedup();
-            frontier = next;
         }
         // Root version recorded by an empty batch.
-        if let Some(v) = self.levels[self.depth as usize].get_mut(&0) {
-            pop_version_d(v, version);
-        }
-        // Recompute `latest` from the root node's version list.
+        unput(&mut self.levels[self.depth as usize], 0, version);
+        // Every version writes the root, so its newest is the latest.
         self.latest = self.levels[self.depth as usize]
             .get(&0)
-            .and_then(|v| v.last().map(|(ver, _)| *ver));
+            .map(|root| root.version);
     }
 
     /// Root as of `version` (the default root before any version).
@@ -223,12 +340,7 @@ impl VersionedMerkleTree {
     pub fn prove_at(&self, key: &Key, version: u64) -> MerkleProof {
         let key_hash = sha256(key.as_bytes());
         let idx = self.bucket_index(&key_hash);
-        let bucket = self
-            .buckets
-            .get(&idx)
-            .and_then(|v| lookup_at(v, version))
-            .cloned()
-            .unwrap_or_default();
+        let bucket = self.bucket_at(idx, version).cloned().unwrap_or_default();
         let mut siblings = Vec::with_capacity(self.depth as usize);
         let mut index = idx;
         for level in 0..self.depth as usize {
@@ -246,40 +358,36 @@ impl VersionedMerkleTree {
     /// so overlapping upper paths are carried once instead of once per
     /// key.
     pub fn prove_multi(&self, keys: &[Key], version: u64) -> MultiProof {
-        let mut indices: Vec<u64> = keys
+        let mut frontier: Vec<u64> = keys
             .iter()
             .map(|k| self.bucket_index(&sha256(k.as_bytes())))
             .collect();
-        indices.sort_unstable();
-        indices.dedup();
-        let buckets = indices
+        frontier.sort_unstable();
+        frontier.dedup();
+        let buckets = frontier
             .iter()
             .map(|&idx| MultiBucket {
                 index: idx,
-                entries: self
-                    .buckets
-                    .get(&idx)
-                    .and_then(|v| lookup_at(v, version))
-                    .cloned()
-                    .unwrap_or_default(),
+                entries: self.bucket_at(idx, version).cloned().unwrap_or_default(),
             })
             .collect();
         let mut siblings = Vec::new();
-        let mut frontier = indices;
         for level in 0..self.depth as usize {
-            let mut next = Vec::with_capacity(frontier.len());
-            let mut i = 0;
-            while i < frontier.len() {
-                let idx = frontier[i];
-                if idx & 1 == 0 && frontier.get(i + 1) == Some(&(idx + 1)) {
-                    i += 2;
+            // Parents overwrite the frontier in place: the write
+            // position never passes the read position.
+            let (mut read, mut write) = (0, 0);
+            while read < frontier.len() {
+                let idx = frontier[read];
+                if idx & 1 == 0 && frontier.get(read + 1) == Some(&(idx + 1)) {
+                    read += 2;
                 } else {
                     siblings.push(self.node_at(level, idx ^ 1, version));
-                    i += 1;
+                    read += 1;
                 }
-                next.push(idx >> 1);
+                frontier[write] = idx >> 1;
+                write += 1;
             }
-            frontier = next;
+            frontier.truncate(write);
         }
         MultiProof { buckets, siblings }
     }
@@ -299,7 +407,7 @@ impl VersionedMerkleTree {
         );
         let mut occupied = Vec::new();
         for idx in range.first..=range.last {
-            if let Some(bucket) = self.buckets.get(&idx).and_then(|v| lookup_at(v, version)) {
+            if let Some(bucket) = self.bucket_at(idx, version) {
                 if !bucket.is_empty() {
                     occupied.push((idx, bucket.clone()));
                 }
@@ -331,7 +439,7 @@ impl VersionedMerkleTree {
     pub fn get_at(&self, key: &Key, version: u64) -> Option<Digest> {
         let key_hash = sha256(key.as_bytes());
         let idx = self.bucket_index(&key_hash);
-        let bucket = self.buckets.get(&idx).and_then(|v| lookup_at(v, version))?;
+        let bucket = self.bucket_at(idx, version)?;
         let pos = bucket
             .binary_search_by(|e| e.key_hash.cmp(&key_hash))
             .ok()?;
@@ -339,25 +447,12 @@ impl VersionedMerkleTree {
     }
 }
 
-fn push_version<T>(versions: &mut Versions<T>, version: u64, value: T) {
-    if let Some((last_v, last)) = versions.last_mut() {
-        if *last_v == version {
-            *last = value;
-            return;
-        }
-        debug_assert!(*last_v < version);
+/// Replace a sorted, distinct frontier by its distinct parents.
+fn halve(frontier: &mut Vec<u64>) {
+    for idx in frontier.iter_mut() {
+        *idx >>= 1;
     }
-    versions.push((version, value));
-}
-
-fn pop_version<T>(versions: &mut Versions<T>, version: u64) {
-    if versions.last().is_some_and(|(v, _)| *v == version) {
-        versions.pop();
-    }
-}
-
-fn pop_version_d(versions: &mut Versions<Digest>, version: u64) {
-    pop_version(versions, version)
+    frontier.dedup();
 }
 
 #[cfg(test)]
@@ -481,6 +576,16 @@ mod tests {
         let mut vt = VersionedMerkleTree::with_depth(8);
         vt.apply_batch(5, [(&k(1), vh("a"))]);
         vt.apply_batch(5, [(&k(2), vh("b"))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the latest applied version can be rolled back, and only once")]
+    fn a_second_rollback_in_a_row_panics() {
+        let mut vt = VersionedMerkleTree::with_depth(8);
+        vt.apply_batch(0, [(&k(1), vh("a"))]);
+        vt.apply_batch(1, [(&k(1), vh("b"))]);
+        vt.rollback(1);
+        vt.rollback(0);
     }
 
     #[test]

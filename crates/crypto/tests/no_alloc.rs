@@ -1,13 +1,18 @@
-//! Signing and verifying — singly or in a batch of up to `MAX_BATCH` —
-//! touch no heap once the per-process tables exist. Its own test binary: the counting allocator is global, and
-//! the count is per thread so the harness's own threads cannot leak
-//! into it.
+//! Heap traffic of the crypto hot paths, counted. Signing and verifying
+//! — singly or in a batch of up to `MAX_BATCH` — touch no heap once the
+//! per-process tables exist, and the versioned Merkle tree allocates
+//! per key, not per tree node: a batch about once per new bucket, a
+//! multiproof once per bucket it carries plus its output vectors. Its
+//! own test binary: the counting allocator is global, and the count is
+//! per thread so the harness's own threads cannot leak into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use transedge_common::{Key, Value};
 use transedge_crypto::ed25519::{verify_batch, Signature, VerifyingKey, MAX_BATCH};
-use transedge_crypto::Keypair;
+use transedge_crypto::merkle::value_digest;
+use transedge_crypto::{Keypair, VersionedMerkleTree};
 
 struct Counting;
 
@@ -82,5 +87,44 @@ fn a_full_batch_makes_no_allocation() {
     assert_eq!(
         allocs, 0,
         "two batches of {MAX_BATCH} allocated {allocs} times"
+    );
+}
+
+/// Depth 16 is the depth replicas build.
+#[test]
+fn a_tree_batch_allocates_per_key_not_per_node() {
+    let keys: Vec<Key> = (0..2_000).map(Key::from_u32).collect();
+    let digest = value_digest(&Value::filled(8, 1));
+    let mut tree = VersionedMerkleTree::with_depth(16);
+
+    let before = ALLOCS.with(Cell::get);
+    tree.apply_batch(0, keys.iter().map(|key| (key, digest)));
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert!(
+        allocs < 2 * keys.len() as u64,
+        "a {}-key batch allocated {allocs} times",
+        keys.len()
+    );
+}
+
+#[test]
+fn a_warm_multiproof_allocates_per_bucket_not_per_level() {
+    let keys: Vec<Key> = (0..2_000).map(Key::from_u32).collect();
+    let digest = value_digest(&Value::filled(8, 1));
+    let mut tree = VersionedMerkleTree::with_depth(16);
+    tree.apply_batch(0, keys.iter().map(|key| (key, digest)));
+    let asked: Vec<Key> = [3u32, 17, 256, 999, 1_500, 1_999]
+        .into_iter()
+        .map(Key::from_u32)
+        .collect();
+    let warm = tree.prove_multi(&asked, 0);
+
+    let before = ALLOCS.with(Cell::get);
+    let proof = tree.prove_multi(&asked, 0);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(proof, warm);
+    assert!(
+        allocs <= 16,
+        "a 6-key multiproof at depth 16 allocated {allocs} times"
     );
 }

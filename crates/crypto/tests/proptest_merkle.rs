@@ -1,11 +1,15 @@
-//! Property-based tests: the Merkle trees against a HashMap model.
+//! Property-based tests: the Merkle trees against a HashMap model, and
+//! the versioned tree against a plain one rebuilt for every version.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use transedge_common::{Key, Value};
-use transedge_crypto::merkle::{value_digest, verify_proof, Verified};
-use transedge_crypto::{verify_multi_proof, Digest, MerkleTree, VersionedMerkleTree};
+use transedge_crypto::merkle::{value_digest, verify_proof, BucketEntry, Verified};
+use transedge_crypto::{
+    sha256, verify_multi_proof, verify_range_proof, Digest, MerkleTree, ScanRange,
+    VersionedMerkleTree,
+};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -173,5 +177,154 @@ proptest! {
         if vt.root_at(0) != root {
             prop_assert!(verify_multi_proof(&root, 5, &keys, &stale).is_err());
         }
+    }
+}
+
+/// Depth and key universe of the reference sweep: 32 buckets for 48
+/// keys, so buckets collide, batches repeat keys and windows hold gaps.
+const DEPTH: u32 = 5;
+const KEYS: u16 = 48;
+
+/// One step of a versioned-tree script: skip `gap` version numbers,
+/// then apply `updates`. With a `speculation`, that content is applied
+/// first at the same version and rolled back.
+#[derive(Clone, Debug)]
+struct Step {
+    gap: u64,
+    updates: Vec<(u16, u8)>,
+    speculation: Option<Vec<(u16, u8)>>,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let updates = || proptest::collection::vec((0..KEYS, any::<u8>()), 0..10);
+    (0u64..3, updates(), any::<bool>(), updates()).prop_map(|(gap, updates, spec, other)| Step {
+        gap,
+        updates,
+        speculation: spec.then_some(other),
+    })
+}
+
+fn key(k: u16) -> Key {
+    Key::from_u32(k as u32)
+}
+
+fn digested(updates: &[(u16, u8)]) -> Vec<(Key, Digest)> {
+    updates.iter().map(|(k, v)| (key(*k), vh(*v))).collect()
+}
+
+/// Run `steps` against a `VersionedMerkleTree` and a model map, then
+/// check every applied version and one version inside each gap against
+/// a plain `MerkleTree` rebuilt from that version's cumulative contents.
+fn versioned_tree_matches_rebuilt_reference(
+    steps: &[Step],
+    asked: &[u16],
+    window: (u64, u64),
+) -> Result<(), TestCaseError> {
+    let mut vt = VersionedMerkleTree::with_depth(DEPTH);
+    let mut model: HashMap<u16, u8> = HashMap::new();
+    let mut history: Vec<(u64, HashMap<u16, u8>)> = Vec::new();
+    let mut checked = Vec::new();
+    let mut next = 0;
+    for step in steps {
+        let version = next + step.gap;
+        if step.gap > 0 {
+            checked.push(version - 1);
+        }
+        if let Some(spec) = &step.speculation {
+            let before = vt.latest_version();
+            let spec = digested(spec);
+            vt.apply_batch(version, spec.iter().map(|(k, d)| (k, *d)));
+            vt.rollback(version);
+            prop_assert_eq!(vt.latest_version(), before);
+        }
+        let updates = digested(&step.updates);
+        vt.apply_batch(version, updates.iter().map(|(k, d)| (k, *d)));
+        model.extend(step.updates.iter().copied());
+        history.push((version, model.clone()));
+        checked.push(version);
+        next = version + 1;
+    }
+    prop_assert_eq!(vt.latest_version(), history.last().map(|(v, _)| *v));
+
+    let all: Vec<u16> = (0..KEYS + 4).collect();
+    let range = ScanRange::new(window.0.min(window.1), window.0.max(window.1));
+    for version in checked {
+        let state = history
+            .iter()
+            .rev()
+            .find(|(v, _)| *v <= version)
+            .map(|(_, s)| s.clone())
+            .unwrap_or_default();
+        let mut reference = MerkleTree::with_depth(DEPTH);
+        for (k, v) in &state {
+            reference.insert(&key(*k), vh(*v));
+        }
+        let root = vt.root_at(version);
+        prop_assert_eq!(root, reference.root(), "root at version {}", version);
+        let expect = |k: &u16| state.get(k).map(|v| vh(*v));
+        for k in &all {
+            prop_assert_eq!(
+                vt.get_at(&key(*k), version),
+                expect(k),
+                "key {} at {}",
+                k,
+                version
+            );
+        }
+        for ks in [&all[..], asked] {
+            let keys: Vec<Key> = ks.iter().map(|k| key(*k)).collect();
+            let got = verify_multi_proof(&root, DEPTH, &keys, &vt.prove_multi(&keys, version))
+                .map_err(|e| TestCaseError(format!("multiproof at {version}: {e:?}")))?;
+            let want: Vec<Verified> = ks
+                .iter()
+                .map(|k| expect(k).map_or(Verified::Absent, Verified::Present))
+                .collect();
+            prop_assert_eq!(got, want, "multiproof values at {}", version);
+        }
+        let got = verify_range_proof(&root, DEPTH, &range, &vt.prove_range(&range, version))
+            .map_err(|e| TestCaseError(format!("range proof at {version}: {e:?}")))?;
+        let mut want: Vec<BucketEntry> = state
+            .iter()
+            .map(|(k, v)| BucketEntry {
+                key_hash: sha256(key(*k).as_bytes()),
+                value_hash: vh(*v),
+            })
+            .filter(|e| range.contains_bucket(ScanRange::bucket_of_hash(&e.key_hash, DEPTH)))
+            .collect();
+        want.sort_by_key(|e| e.key_hash);
+        prop_assert_eq!(got, want, "range values at {}", version);
+    }
+    Ok(())
+}
+
+fn script_strategy() -> impl Strategy<Value = (Vec<Step>, Vec<u16>, (u64, u64))> {
+    (
+        proptest::collection::vec(step_strategy(), 1..8),
+        proptest::collection::vec(0..KEYS + 4, 1..8),
+        (0u64..1 << DEPTH, 0u64..1 << DEPTH),
+    )
+}
+
+proptest! {
+    /// Random batches — repeated keys, empty batches, version gaps, and
+    /// speculations rolled back and replaced by other content — leave
+    /// every version's roots, values and proofs equal to a reference
+    /// rebuilt for that version.
+    #[test]
+    fn versioned_tree_matches_a_reference_at_every_version(script in script_strategy()) {
+        let (steps, asked, window) = script;
+        versioned_tree_matches_rebuilt_reference(&steps, &asked, window)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The release-mode sweep CI runs with `--include-ignored`.
+    #[test]
+    #[ignore = "10 000 cases: run in release with --include-ignored"]
+    fn versioned_tree_matches_a_reference_at_every_version_10k(script in script_strategy()) {
+        let (steps, asked, window) = script;
+        versioned_tree_matches_rebuilt_reference(&steps, &asked, window)?;
     }
 }
