@@ -5,7 +5,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use transedge_common::{BatchNum, ClusterId, NodeId, ReplicaId, ViewNum};
 use transedge_crypto::{Digest, KeyStore, Keypair, Signature};
-use transedge_storage::BatchArchive;
 
 use crate::messages::{
     accept_statement, propose_statement, view_change_statement, write_statement, BftMsg, BftValue,
@@ -249,8 +248,9 @@ pub struct BftEngine<V: BftValue> {
     /// In-flight slot states, keyed by slot number (in order: a reader
     /// that promotes parked votes walks them deterministically).
     slots: BTreeMap<u64, SlotState<V>>,
-    /// Delivered prefix of the log (value + certificate per slot).
-    log: BatchArchive<(V, Certificate)>,
+    /// Delivered prefix of the log (value + certificate per slot,
+    /// index = slot number). Every push happens at [`Self::next_slot`].
+    log: Vec<(V, Certificate)>,
     /// View-change votes collected per target view, in replica order:
     /// the `NewView` vote list and the reproposal pick among equally
     /// prepared claims must not depend on the process's hash seed.
@@ -272,7 +272,7 @@ impl<V: BftValue> BftEngine<V> {
             keys,
             view: ViewNum(0),
             slots: BTreeMap::new(),
-            log: BatchArchive::new(),
+            log: Vec::new(),
             vc_votes: HashMap::new(),
             vc_target: None,
             reproposal_obligation: None,
@@ -301,7 +301,7 @@ impl<V: BftValue> BftEngine<V> {
 
     /// The slot the leader would propose next.
     pub fn next_slot(&self) -> BatchNum {
-        self.log.next_num()
+        BatchNum(self.log.len() as u64)
     }
 
     /// Is a proposal currently possible (we lead and nothing is in
@@ -315,8 +315,9 @@ impl<V: BftValue> BftEngine<V> {
             && self.vc_target.is_none()
     }
 
-    /// Delivered log access (host convenience).
-    pub fn log(&self) -> &BatchArchive<(V, Certificate)> {
+    /// The delivered log, index = slot number: the host's one record
+    /// of every decided value and its certificate.
+    pub fn log(&self) -> &[(V, Certificate)] {
         &self.log
     }
 
@@ -364,7 +365,7 @@ impl<V: BftValue> BftEngine<V> {
         assert!(self.log.is_empty(), "genesis must precede all slots");
         assert_eq!(cert.slot, BatchNum(0));
         assert_eq!(cert.digest, value.digest());
-        self.log.append(BatchNum(0), (value, cert));
+        self.log.push((value, cert));
     }
 
     // ---- proposing ---------------------------------------------------
@@ -646,7 +647,7 @@ impl<V: BftValue> BftEngine<V> {
                 // The accepter with the smallest id gets the request.
                 state.accepts.promote_all(&self.keys, statement);
                 if let Some(&peer) = state.accepts.counted.keys().next() {
-                    let from_slot = self.log.next_num();
+                    let from_slot = self.next_slot();
                     out.push(Output::Send(peer, BftMsg::StateRequest { from: from_slot }));
                 }
             }
@@ -685,7 +686,7 @@ impl<V: BftValue> BftEngine<V> {
         let mut certs: HashMap<u64, Certificate> = HashMap::new();
         certs.insert(decided_slot.0, cert);
         loop {
-            let next = self.log.next_num();
+            let next = self.next_slot();
             if self.slots.get(&next.0).is_none_or(|s| s.decided.is_none()) {
                 break;
             }
@@ -704,7 +705,7 @@ impl<V: BftValue> BftEngine<V> {
                 )
             });
             self.votes_never_verified += state.unverified_votes();
-            self.log.append(next, (value.clone(), cert.clone()));
+            self.log.push((value.clone(), cert.clone()));
             out.push(Output::Decided {
                 slot: next,
                 value,
@@ -747,7 +748,7 @@ impl<V: BftValue> BftEngine<V> {
             return out;
         }
         self.vc_target = Some(target);
-        let delivered = self.log.next_num();
+        let delivered = self.next_slot();
         // Report a prepared (write-quorum) value for the next slot, if
         // we hold one.
         let cluster = self.config.cluster;
@@ -999,8 +1000,9 @@ impl<V: BftValue> BftEngine<V> {
         let batches: Vec<(BatchNum, V, Certificate)> = self
             .log
             .iter()
+            .enumerate()
             .skip(from_slot.0 as usize)
-            .map(|(n, (v, c))| (n, v.clone(), c.clone()))
+            .map(|(n, (v, c))| (BatchNum(n as u64), v.clone(), c.clone()))
             .collect();
         if !batches.is_empty() {
             out.push(Output::Send(from, BftMsg::StateResponse { batches }));
@@ -1013,7 +1015,7 @@ impl<V: BftValue> BftEngine<V> {
         out: &mut Vec<Output<V>>,
     ) {
         for (slot, value, cert) in batches {
-            if slot != self.log.next_num() {
+            if slot != self.next_slot() {
                 continue; // out of order or already known
             }
             // The certificate is the trust anchor: f+1 accept
@@ -1028,7 +1030,7 @@ impl<V: BftValue> BftEngine<V> {
             if let Some(state) = self.slots.remove(&slot.0) {
                 self.votes_never_verified += state.unverified_votes();
             }
-            self.log.append(slot, (value.clone(), cert.clone()));
+            self.log.push((value.clone(), cert.clone()));
             out.push(Output::Decided { slot, value, cert });
         }
     }

@@ -275,7 +275,7 @@ mod tests {
         cluster.run(10_000);
         let r0 = cluster.replicas()[0];
         let engine = cluster.engine(r0);
-        let (_, cert) = engine.log().get(BatchNum(0)).unwrap();
+        let (_, cert) = &engine.log()[0];
         assert!(cert.verify(&cluster.keys, 2).is_ok());
     }
 

@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 
 use transedge_common::{ClusterId, ClusterTopology, Epoch, Key};
-use transedge_storage::VersionedStore;
+use transedge_edge::VersionedStore;
 
 use crate::batch::Transaction;
 

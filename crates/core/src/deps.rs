@@ -1,5 +1,5 @@
-//! CD-vector derivation (Algorithm 1), the LCE index, and the client's
-//! dependency verification (Algorithm 2).
+//! CD-vector derivation (Algorithm 1), the round-two LCE lookup, and
+//! the client's dependency verification (Algorithm 2).
 
 use transedge_common::{BatchNum, ClusterId, Epoch};
 
@@ -29,52 +29,23 @@ pub fn derive_cd_vector(
     v
 }
 
-/// Maps LCE values to the earliest batch that reached them — the
-/// lookup round two of the read-only protocol needs ("serve me the
-/// state that includes prepare-epoch `d` of your log").
+/// The earliest batch of `log` (index = batch number) whose LCE is
+/// `>= min_epoch`, if one exists yet — the lookup round two of the
+/// read-only protocol needs ("serve me the state that includes
+/// prepare-epoch `d` of your log"). LCE never decreases along the log,
+/// so this is a binary search.
 ///
-/// LCE is non-decreasing over batches, so the index is a sorted list of
-/// `(lce, first_batch_with_that_lce)`.
-#[derive(Clone, Debug, Default)]
-pub struct LceIndex {
-    /// `(lce, batch)` pairs, strictly increasing in both components.
-    steps: Vec<(Epoch, BatchNum)>,
-}
-
-impl LceIndex {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record batch `num` having LCE `lce`. Must be fed every batch in
-    /// order.
-    pub fn push(&mut self, num: BatchNum, lce: Epoch) {
-        if let Some((last_lce, last_batch)) = self.steps.last() {
-            debug_assert!(*last_batch < num, "batches must be pushed in order");
-            debug_assert!(*last_lce <= lce, "LCE must be non-decreasing");
-            if *last_lce == lce {
-                return; // only first batch per LCE value is interesting
-            }
-        } else if lce.is_none() {
-            return; // leading -1 entries carry no information
-        }
-        self.steps.push((lce, num));
-    }
-
-    /// Earliest batch whose LCE is `>= min_epoch`, if one exists yet.
-    ///
-    /// Contract: `min_epoch >= 0`. Round-two requests always carry a
-    /// real prepare epoch (a dependency strictly above some LCE ≥ −1);
-    /// "any batch" requests never reach this index.
-    pub fn first_batch_with_lce(&self, min_epoch: Epoch) -> Option<BatchNum> {
-        debug_assert!(!min_epoch.is_none(), "min_epoch must be a real epoch");
-        let idx = self.steps.partition_point(|(lce, _)| *lce < min_epoch);
-        self.steps.get(idx).map(|(_, b)| *b)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
+/// Contract: `min_epoch >= 0`. Round-two requests always carry a real
+/// prepare epoch (a dependency strictly above some LCE ≥ −1); "any
+/// batch" requests never reach this lookup.
+pub fn first_batch_with_lce<B>(
+    log: &[B],
+    lce: impl Fn(&B) -> Epoch,
+    min_epoch: Epoch,
+) -> Option<BatchNum> {
+    debug_assert!(!min_epoch.is_none(), "min_epoch must be a real epoch");
+    let idx = log.partition_point(|b| lce(b) < min_epoch);
+    (idx < log.len()).then_some(BatchNum(idx as u64))
 }
 
 /// One partition's answer in a read-only round, as far as dependency
@@ -200,17 +171,18 @@ mod tests {
     }
 
     #[test]
-    fn lce_index_first_batch_lookup() {
-        let mut idx = LceIndex::new();
-        idx.push(BatchNum(0), Epoch::NONE);
-        idx.push(BatchNum(1), Epoch::NONE);
-        idx.push(BatchNum(2), Epoch(0)); // group prepared in batch 0 commits at batch 2
-        idx.push(BatchNum(3), Epoch(0));
-        idx.push(BatchNum(8), Epoch(5)); // group of batch 5 commits at batch 8
-        assert_eq!(idx.first_batch_with_lce(Epoch(0)), Some(BatchNum(2)));
-        assert_eq!(idx.first_batch_with_lce(Epoch(1)), Some(BatchNum(8)));
-        assert_eq!(idx.first_batch_with_lce(Epoch(5)), Some(BatchNum(8)));
-        assert_eq!(idx.first_batch_with_lce(Epoch(6)), None);
+    fn first_batch_with_lce_lookup() {
+        // Batches 0–1 have LCE −1; the group prepared in batch 0 commits
+        // at batch 2; the group of batch 5 commits at batch 8.
+        let lces: Vec<Epoch> = [-1, -1, 0, 0, 0, 0, 0, 0, 5]
+            .into_iter()
+            .map(Epoch)
+            .collect();
+        let first = |e| first_batch_with_lce(&lces, |l| *l, Epoch(e));
+        assert_eq!(first(0), Some(BatchNum(2)));
+        assert_eq!(first(1), Some(BatchNum(8)));
+        assert_eq!(first(5), Some(BatchNum(8)));
+        assert_eq!(first(6), None);
     }
 
     #[test]

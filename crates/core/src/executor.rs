@@ -13,11 +13,11 @@ use transedge_common::{
 };
 use transedge_crypto::merkle::value_digest;
 use transedge_crypto::{Digest, KeyStore, VersionedMerkleTree};
-use transedge_storage::VersionedStore;
+use transedge_edge::VersionedStore;
 
 use crate::batch::{check_batch_shape, Batch, BatchHeader, CdVector, PreparedTxn, Transaction};
 use crate::conflict::{admit, Footprint};
-use crate::deps::{derive_cd_vector, LceIndex};
+use crate::deps::derive_cd_vector;
 use crate::prepared::PreparedBatches;
 use crate::records::{CommitRecord, Outcome};
 
@@ -92,12 +92,11 @@ pub struct Executor {
     pub tree: VersionedMerkleTree,
     /// 2PC bookkeeping (deterministic across replicas).
     pub prepared_batches: PreparedBatches,
-    /// LCE → earliest batch lookup for ROT round two.
-    pub lce_index: LceIndex,
-    /// Per-batch CD vectors (index = batch number).
-    cd_history: Vec<CdVector>,
-    /// Per-batch LCE (index = batch number).
-    lce_history: Vec<Epoch>,
+    /// CD vector and LCE of the last applied batch: what Algorithm 1
+    /// derives the next batch's from. Every earlier batch's are in its
+    /// header, in the consensus engine's decided log.
+    last_cd: CdVector,
+    last_lce: Epoch,
     /// Batch speculatively applied to the tree but not yet decided.
     spec: Option<(BatchNum, Digest)>,
     /// §4.4.2: how far a leader's timestamp may deviate.
@@ -120,9 +119,8 @@ impl Executor {
             store: VersionedStore::new(),
             tree: VersionedMerkleTree::with_depth(tree_depth),
             prepared_batches: PreparedBatches::new(),
-            lce_index: LceIndex::new(),
-            cd_history: Vec::new(),
-            lce_history: Vec::new(),
+            last_cd: CdVector::new(topo.n_clusters()),
+            last_lce: Epoch::NONE,
             spec: None,
             freshness_window,
             topo,
@@ -133,27 +131,6 @@ impl Executor {
     /// Number of batches applied so far (== next batch number).
     pub fn applied_batches(&self) -> u64 {
         self.applied
-    }
-
-    fn prev_cd(&self) -> CdVector {
-        self.cd_history
-            .last()
-            .cloned()
-            .unwrap_or_else(|| CdVector::new(self.topo.n_clusters()))
-    }
-
-    fn prev_lce(&self) -> Epoch {
-        self.lce_history.last().copied().unwrap_or(Epoch::NONE)
-    }
-
-    /// CD vector of a given batch (ROT round-two serving, prepared-vote
-    /// piggybacking).
-    pub fn cd_of(&self, batch: BatchNum) -> Option<&CdVector> {
-        self.cd_history.get(batch.0 as usize)
-    }
-
-    pub fn lce_of(&self, batch: BatchNum) -> Option<Epoch> {
-        self.lce_history.get(batch.0 as usize).copied()
     }
 
     /// Footprint of all pending (prepared, outcome unknown) txns —
@@ -206,9 +183,7 @@ impl Executor {
             delta_digest: transedge_edge::changed_keys_digest(&changed),
             timestamp,
         };
-        self.cd_history.push(cd);
-        self.lce_history.push(Epoch::NONE);
-        self.lce_index.push(BatchNum(0), Epoch::NONE);
+        self.last_cd = cd;
         self.applied = 1;
         Batch {
             header,
@@ -249,8 +224,8 @@ impl Executor {
         // batch's committed segment; the caller keeps the rest pending
         // (Definition 4.1 may hold them behind an unresolved group).
         let committed: Vec<CommitRecord> = drained.iter().map(|(_, r)| r.clone()).collect();
-        let lce = lce_step.unwrap_or(self.prev_lce());
-        let cd = derive_cd_vector(&self.prev_cd(), self.cluster, num, &committed);
+        let lce = lce_step.unwrap_or(self.last_lce);
+        let cd = derive_cd_vector(&self.last_cd, self.cluster, num, &committed);
         // Merkle: local writes + writes of committed (not aborted)
         // drained transactions, restricted to this partition.
         let changed = changed_keys(&self.topo, self.cluster, &local, &drained);
@@ -449,12 +424,12 @@ impl Executor {
                 drained.len()
             )));
         }
-        let expected_lce = lce_step.unwrap_or(self.prev_lce());
+        let expected_lce = lce_step.unwrap_or(self.last_lce);
         if batch.header.lce != expected_lce {
             return Err(RejectReason::BadLce);
         }
         // CD vector (Algorithm 1).
-        let expected_cd = derive_cd_vector(&self.prev_cd(), self.cluster, slot, &batch.committed);
+        let expected_cd = derive_cd_vector(&self.last_cd, self.cluster, slot, &batch.committed);
         if batch.header.cd != expected_cd {
             return Err(RejectReason::BadCd);
         }
@@ -560,11 +535,10 @@ impl Executor {
         self.prepared_batches
             .add_group(num, batch.prepared.iter().map(|p| p.txn.clone()));
         // Read-only bookkeeping.
-        let lce = lce_step.unwrap_or(self.prev_lce());
+        let lce = lce_step.unwrap_or(self.last_lce);
         debug_assert_eq!(lce, batch.header.lce);
-        self.cd_history.push(batch.header.cd.clone());
-        self.lce_history.push(lce);
-        self.lce_index.push(num, lce);
+        self.last_cd = batch.header.cd.clone();
+        self.last_lce = lce;
         self.applied += 1;
         ApplyOutcome {
             drained,
@@ -590,7 +564,7 @@ impl Executor {
 /// source: this is the seam the edge read subsystem serves through.
 impl transedge_edge::SnapshotSource for Executor {
     fn value_at(&self, key: &Key, batch: BatchNum) -> Option<transedge_common::Value> {
-        self.store.read_at(key, batch).map(|v| v.value.clone())
+        self.store.get_at(key, batch).map(|v| v.value.clone())
     }
 
     fn prove_at(&self, key: &Key, batch: BatchNum) -> transedge_crypto::MerkleProof {
@@ -704,8 +678,6 @@ mod tests {
         );
         // Rejection rolled the speculation back: a correct batch still
         // validates afterwards.
-        let good = leader.seal_batch(vec![], vec![], &[], SimTime(0)); // rebuilt below
-        let _ = good;
         let mut leader2 = single_cluster_exec();
         let batch2 = leader2.seal_batch(vec![local_txn(1, &[(1, "a")])], vec![], &[], SimTime(0));
         assert!(follower
@@ -810,11 +782,15 @@ mod tests {
     #[test]
     fn empty_batches_advance_the_log() {
         let mut exec = single_cluster_exec();
-        for i in 0..3 {
-            let b = exec.seal_batch(vec![], vec![], &[], SimTime(i));
-            exec.apply_batch(&b);
-        }
+        let batches: Vec<Batch> = (0..3)
+            .map(|i| {
+                let b = exec.seal_batch(vec![], vec![], &[], SimTime(i));
+                exec.apply_batch(&b);
+                b
+            })
+            .collect();
         assert_eq!(exec.applied_batches(), 3);
-        assert_eq!(exec.lce_of(BatchNum(2)), Some(Epoch::NONE));
+        assert_eq!(batches[2].header.num, BatchNum(2));
+        assert_eq!(batches[2].header.lce, Epoch::NONE);
     }
 }

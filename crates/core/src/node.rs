@@ -18,6 +18,7 @@ use transedge_edge::{QueryShape, ReadPipeline, ReadQuery, SnapshotPolicy};
 
 use crate::batch::{Batch, CommittedHeader, PreparedTxn, Transaction};
 use crate::conflict::{admit, Footprint};
+use crate::deps;
 use crate::executor::{changed_keys, Executor};
 use crate::messages::{abort_vote_statement, NetMsg, PrepareVote, ReadPayload, RotDelta};
 use crate::records::{prepared_statement, CommitRecord, Outcome, SignedPrepared};
@@ -296,6 +297,16 @@ impl TransEdgeNode {
         self.engine.leader()
     }
 
+    /// The decided batches this replica has applied, with their
+    /// certificates (index = batch number): the one record of every
+    /// batch header's CD vector and LCE. Bounded by the executor, not
+    /// the engine: a state-transfer catch-up decides several slots
+    /// before the executor applies them, and a batch is served only
+    /// once its writes are in the store and the tree.
+    fn applied_log(&self) -> &[(Batch, Certificate)] {
+        &self.engine.log()[..self.exec.applied_batches() as usize]
+    }
+
     fn leader_of(&self, cluster: ClusterId) -> ReplicaId {
         // Best-effort: other clusters' leaders are assumed to be their
         // view-0 replica; if that replica is not leading it forwards.
@@ -412,8 +423,7 @@ impl TransEdgeNode {
         // --- sign and ship segment shares (every replica) ---
         let mut prepared_sigs: Vec<(TxnId, Signature)> = Vec::new();
         for p in &outcome.prepared {
-            let cd = self.exec.cd_of(slot).expect("cd of applied batch").clone();
-            let stmt = prepared_statement(self.me.cluster, p.txn.id, slot, &cd);
+            let stmt = prepared_statement(self.me.cluster, p.txn.id, slot, &batch.header.cd);
             prepared_sigs.push((p.txn.id, self.keypair.sign(&stmt)));
         }
         if !prepared_sigs.is_empty() {
@@ -501,7 +511,7 @@ impl TransEdgeNode {
         drained: &[(Transaction, crate::records::CommitRecord)],
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let Some((_, cert)) = self.engine.log().get(slot) else {
+        let Some((_, cert)) = self.applied_log().get(slot.0 as usize) else {
             return;
         };
         let delta = RotDelta {
@@ -567,9 +577,10 @@ impl TransEdgeNode {
     ) {
         ctx.charge(|c| SimDuration(c.ed25519_verify.0 * prepared_sigs.len() as u64));
         // A share signs our CD vector of its batch: none until applied.
-        let Some(cd) = self.exec.cd_of(batch).cloned() else {
+        let Some((applied, _)) = self.applied_log().get(batch.0 as usize) else {
             return;
         };
+        let cd = applied.header.cd.clone();
         let quorum = self.topo.certificate_quorum();
         let cluster = self.me.cluster;
         let mut formed: Vec<SignedPrepared> = Vec::new();
@@ -657,9 +668,8 @@ impl TransEdgeNode {
         } else {
             // We participate: send our vote to the coordinator (step 5).
             let coordinator = self
-                .engine
-                .log()
-                .get(record.prepared_in)
+                .applied_log()
+                .get(record.prepared_in.0 as usize)
                 .and_then(|(b, _)| {
                     b.prepared
                         .iter()
@@ -1055,7 +1065,7 @@ impl TransEdgeNode {
         at_batch: BatchNum,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let Some((batch, cert)) = self.engine.log().get(at_batch) else {
+        let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
         let commitment = CommittedHeader::of(batch);
@@ -1092,7 +1102,7 @@ impl TransEdgeNode {
         at_batch: BatchNum,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let Some((batch, cert)) = self.engine.log().get(at_batch) else {
+        let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
         let commitment = CommittedHeader::of(batch);
@@ -1126,7 +1136,7 @@ impl TransEdgeNode {
         }
         match query.consistency {
             SnapshotPolicy::MinEpoch(e) if !e.is_none() => {
-                self.exec.lce_index.first_batch_with_lce(e)
+                deps::first_batch_with_lce(self.applied_log(), |(b, _)| b.header.lce, e)
             }
             _ => (applied > 0).then(|| BatchNum(applied - 1)),
         }

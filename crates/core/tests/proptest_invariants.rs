@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClientId, ClusterId, Epoch, Key, TxnId, Value};
 use transedge_core::batch::{CdVector, ReadOp, Transaction, WriteOp};
-use transedge_core::deps::{derive_cd_vector, verify_dependencies, LceIndex, RotView};
+use transedge_core::deps::{derive_cd_vector, first_batch_with_lce, verify_dependencies, RotView};
 use transedge_core::prepared::PreparedBatches;
 use transedge_core::records::{CommitRecord, Outcome, SignedPrepared};
 
@@ -148,10 +148,10 @@ proptest! {
         prop_assert_eq!(lces, sorted);
     }
 
-    /// LceIndex: first_batch_with_lce returns the earliest batch whose
-    /// recorded LCE satisfies the request, for any monotone history.
+    /// first_batch_with_lce returns the earliest batch whose recorded
+    /// LCE satisfies the request, for any monotone history.
     #[test]
-    fn lce_index_lookup_is_earliest(steps in proptest::collection::vec(0i64..20, 1..20)) {
+    fn first_batch_with_lce_is_earliest(steps in proptest::collection::vec(0i64..20, 1..20)) {
         // Build a monotone LCE history from cumulative maxima.
         let mut lce = -1i64;
         let mut history: Vec<i64> = Vec::new();
@@ -159,12 +159,8 @@ proptest! {
             lce = lce.max(s - 10); // sometimes stays, sometimes grows
             history.push(lce);
         }
-        let mut idx = LceIndex::new();
-        for (i, l) in history.iter().enumerate() {
-            idx.push(BatchNum(i as u64), Epoch(*l));
-        }
         for want in 0i64..12 {
-            let got = idx.first_batch_with_lce(Epoch(want));
+            let got = first_batch_with_lce(&history, |l| Epoch(*l), Epoch(want));
             let expect = history
                 .iter()
                 .position(|l| *l >= want)

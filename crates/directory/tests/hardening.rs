@@ -22,8 +22,8 @@ use transedge_directory::{
 use transedge_edge::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, FeedWindow, MultiProofBody,
     MultiProofBundle, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifyParams,
+    VersionedStore,
 };
-use transedge_storage::VersionedStore;
 
 const DEPTH: u32 = 8;
 
@@ -147,7 +147,7 @@ impl World {
             .iter()
             .map(|k| {
                 self.store
-                    .read_at(k, self.header.num)
+                    .get_at(k, self.header.num)
                     .map(|v| v.value.clone())
             })
             .collect();

@@ -32,6 +32,10 @@
 //!   from it, memoised per exact key set (or window) and batch in an
 //!   LRU cache (snapshot reads are immutable, so cached entries never
 //!   go stale).
+//! * [`store`] — the replica's multi-version value store
+//!   ([`store::VersionedStore`]), the value half of the source the
+//!   pipeline serves from; the versioned Merkle tree beside it proves
+//!   its cuts.
 //! * [`cache`] — the LRU cache with hit/miss/eviction counters, also
 //!   used stand-alone by edge replay nodes.
 //! * [`replay`] — the store-free serving side: an edge cache node that
@@ -82,6 +86,7 @@ pub mod pipeline;
 pub mod query;
 pub mod replay;
 pub mod response;
+pub mod store;
 pub mod verifier;
 
 pub use cache::{CacheStats, LruCache};
@@ -97,4 +102,5 @@ pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
     ScanBundle, ScanProof,
 };
+pub use store::VersionedStore;
 pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};

@@ -183,10 +183,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    use crate::store::VersionedStore;
     use transedge_common::Encode as _;
     use transedge_crypto::merkle::{value_digest, Verified};
     use transedge_crypto::{verify_multi_proof, VersionedMerkleTree};
-    use transedge_storage::VersionedStore;
 
     /// A real store+tree source, with a probe counting proof requests.
     struct TestSource {
@@ -219,7 +219,7 @@ mod tests {
 
     impl SnapshotSource for TestSource {
         fn value_at(&self, key: &Key, batch: BatchNum) -> Option<Value> {
-            self.store.read_at(key, batch).map(|v| v.value.clone())
+            self.store.get_at(key, batch).map(|v| v.value.clone())
         }
 
         fn prove_at(&self, key: &Key, batch: BatchNum) -> MerkleProof {

@@ -1,4 +1,16 @@
-//! Multi-version key-value store.
+//! The replica's multi-version key-value store: the value half of a
+//! [`crate::SnapshotSource`], beside the versioned Merkle tree that
+//! proves it.
+//!
+//! Every write is tagged with the batch in which it committed, so a
+//! replica serves both "latest" reads (ordinary transactions) and
+//! "as-of-batch-`i`" snapshot reads (round two of the distributed
+//! read-only protocol, paper §4.3.4).
+//!
+//! Multi-versioning is what makes the paper's *non-interference*
+//! property implementable: read-only transactions read committed
+//! versions and never take locks, so they cannot block or abort
+//! read-write transactions (§4, "non-interference").
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::RangeBounds;
@@ -24,9 +36,8 @@ pub struct VersionedStore {
     /// the leaf order of the partition's Merkle tree, so iterating a
     /// contiguous hash interval enumerates exactly the rows a Merkle
     /// range proof commits to. Keys are indexed on first write and
-    /// never removed (versions may be truncated, keys never deleted).
+    /// never removed.
     index: BTreeMap<Digest, Key>,
-    writes: u64,
 }
 
 impl VersionedStore {
@@ -42,7 +53,7 @@ impl VersionedStore {
             self.index.insert(sha256(key.as_bytes()), key.clone());
         }
         let versions = self.data.entry(key).or_default();
-        if let Some(last) = versions.last() {
+        if let Some(last) = versions.last_mut() {
             assert!(
                 batch >= last.batch,
                 "out-of-order write: batch {batch} after {}",
@@ -51,24 +62,11 @@ impl VersionedStore {
             if last.batch == batch {
                 // Same batch writing the same key twice: last write wins
                 // (a transaction's write-set may be applied as a unit).
-                versions.last_mut().unwrap().value = value;
-                self.writes += 1;
+                last.value = value;
                 return;
             }
         }
         versions.push(Version { batch, value });
-        self.writes += 1;
-    }
-
-    /// Apply a whole write-set committed in `batch`.
-    pub fn apply<'a>(
-        &mut self,
-        writes: impl IntoIterator<Item = (&'a Key, &'a Value)>,
-        batch: BatchNum,
-    ) {
-        for (k, v) in writes {
-            self.write(k.clone(), v.clone(), batch);
-        }
     }
 
     /// Latest committed version of `key`.
@@ -76,8 +74,9 @@ impl VersionedStore {
         self.data.get(key)?.last()
     }
 
-    /// Latest version committed in a batch `<= batch` — the snapshot
-    /// read used by round two of the read-only protocol.
+    /// Latest version committed in a batch `<= batch`: the value of
+    /// `key` as of the consistent cut at the end of `batch`, which
+    /// round two of the read-only protocol reads.
     pub fn get_at(&self, key: &Key, batch: BatchNum) -> Option<&Version> {
         let versions = self.data.get(key)?;
         // Versions are sorted by batch; binary search for the last <= batch.
@@ -85,35 +84,15 @@ impl VersionedStore {
         versions[..idx].last()
     }
 
-    /// Snapshot read: the value of `key` as of the consistent cut at
-    /// the end of `batch` (alias of [`VersionedStore::get_at`] under
-    /// the read-pipeline's name for it).
-    #[inline]
-    pub fn read_at(&self, key: &Key, batch: BatchNum) -> Option<&Version> {
-        self.get_at(key, batch)
-    }
-
-    /// Iterate the whole consistent cut at the end of `batch`: every
-    /// key that existed at that point, with the version visible there.
-    /// Keys first written after `batch` are absent. Iteration order is
-    /// unspecified (it follows the underlying hash map).
-    pub fn snapshot_at(&self, batch: BatchNum) -> impl Iterator<Item = (&Key, &Version)> {
-        self.data.iter().filter_map(move |(k, versions)| {
-            let idx = versions.partition_point(|v| v.batch <= batch);
-            versions[..idx].last().map(|v| (k, v))
-        })
-    }
-
     /// Ordered range read over the *tree order* (ascending SHA-256 of
     /// key — the leaf order of the partition's Merkle tree): every key
     /// whose hash falls in `hashes` and that is visible at the
     /// consistent cut of `batch`, with the version visible there.
     ///
-    /// Unlike [`VersionedStore::snapshot_at`], which walks `O(keys)`
-    /// per cut, this is `O(log keys + rows in range)` — the ordered
-    /// index narrows straight to the window, so a verified range scan
-    /// only pays for what it returns. Callers derive `hashes` from a
-    /// `ScanRange` via `ScanRange::digest_bounds`.
+    /// `O(log keys + rows in range)`: the ordered index narrows straight
+    /// to the window, so a verified range scan only pays for what it
+    /// returns. Callers derive `hashes` from a `ScanRange` via
+    /// `ScanRange::digest_bounds`.
     pub fn range_at<R: RangeBounds<Digest>>(
         &self,
         hashes: R,
@@ -128,37 +107,6 @@ impl VersionedStore {
     /// Definition 3.1: has the read version been overwritten?).
     pub fn last_writer(&self, key: &Key) -> Option<BatchNum> {
         Some(self.get_latest(key)?.batch)
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Total writes applied (diagnostics).
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Drop versions strictly older than `keep_from`, keeping at least
-    /// the newest version of every key. Bounds memory in long runs.
-    pub fn truncate_before(&mut self, keep_from: BatchNum) {
-        for versions in self.data.values_mut() {
-            if versions.len() <= 1 {
-                continue;
-            }
-            let cut = versions
-                .partition_point(|v| v.batch < keep_from)
-                .min(versions.len() - 1);
-            if cut > 0 {
-                versions.drain(..cut);
-            }
-        }
-    }
-
-    /// Iterate all keys (test helpers, state transfer).
-    pub fn keys(&self) -> impl Iterator<Item = &Key> {
-        self.data.keys()
     }
 
     /// Full version history of a key, oldest first (auditing: the
@@ -230,50 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn read_at_matches_get_at() {
-        let mut s = VersionedStore::new();
-        s.write(k(1), v("a"), BatchNum(1));
-        s.write(k(1), v("b"), BatchNum(4));
-        assert_eq!(s.read_at(&k(1), BatchNum(3)), s.get_at(&k(1), BatchNum(3)));
-        assert_eq!(s.read_at(&k(1), BatchNum(3)).unwrap().value, v("a"));
-        assert_eq!(s.read_at(&k(2), BatchNum(9)), None);
-    }
-
-    #[test]
-    fn snapshot_at_is_a_consistent_cut() {
-        let mut s = VersionedStore::new();
-        s.write(k(1), v("a1"), BatchNum(1));
-        s.write(k(2), v("b1"), BatchNum(1));
-        s.write(k(1), v("a2"), BatchNum(3));
-        s.write(k(3), v("c3"), BatchNum(3));
-        // Cut at batch 1: keys 1 and 2 at their batch-1 versions.
-        let mut cut: Vec<(u32, String)> = s
-            .snapshot_at(BatchNum(1))
-            .map(|(key, ver)| {
-                let i = u32::from_be_bytes(key.as_bytes().try_into().unwrap());
-                (i, String::from_utf8(ver.value.as_bytes().to_vec()).unwrap())
-            })
-            .collect();
-        cut.sort();
-        assert_eq!(cut, vec![(1, "a1".into()), (2, "b1".into())]);
-        // Cut at batch 3 sees the overwrite and the new key.
-        let mut cut3: Vec<(u32, String)> = s
-            .snapshot_at(BatchNum(3))
-            .map(|(key, ver)| {
-                let i = u32::from_be_bytes(key.as_bytes().try_into().unwrap());
-                (i, String::from_utf8(ver.value.as_bytes().to_vec()).unwrap())
-            })
-            .collect();
-        cut3.sort();
-        assert_eq!(
-            cut3,
-            vec![(1, "a2".into()), (2, "b1".into()), (3, "c3".into())]
-        );
-        // Cut before any write is empty.
-        assert_eq!(s.snapshot_at(BatchNum(0)).count(), 0);
-    }
-
-    #[test]
     fn range_at_follows_tree_order_and_the_cut() {
         let mut s = VersionedStore::new();
         for i in 0..32u32 {
@@ -314,30 +218,5 @@ mod tests {
 
     fn key_u32(key: &Key) -> u32 {
         u32::from_be_bytes(key.as_bytes().try_into().unwrap())
-    }
-
-    #[test]
-    fn apply_write_set() {
-        let mut s = VersionedStore::new();
-        let writes = [(k(1), v("a")), (k(2), v("b"))];
-        s.apply(writes.iter().map(|(k, v)| (k, v)), BatchNum(1));
-        assert_eq!(s.key_count(), 2);
-        assert_eq!(s.write_count(), 2);
-    }
-
-    #[test]
-    fn truncate_keeps_newest_version() {
-        let mut s = VersionedStore::new();
-        for b in 1..=10 {
-            s.write(k(1), v(&b.to_string()), BatchNum(b));
-        }
-        s.write(k(2), v("only"), BatchNum(1));
-        s.truncate_before(BatchNum(8));
-        // Key 1 keeps versions 8, 9, 10.
-        assert_eq!(s.get_at(&k(1), BatchNum(7)), None);
-        assert_eq!(s.get_at(&k(1), BatchNum(8)).unwrap().value, v("8"));
-        assert_eq!(s.get_latest(&k(1)).unwrap().value, v("10"));
-        // Key 2's only version survives even though it's old.
-        assert_eq!(s.get_latest(&k(2)).unwrap().value, v("only"));
     }
 }

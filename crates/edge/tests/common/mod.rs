@@ -24,8 +24,8 @@ use transedge_edge::{
     changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta,
     MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery, ReadRejection,
     ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts, VerifyParams,
+    VersionedStore,
 };
-use transedge_storage::VersionedStore;
 
 pub const DEPTH: u32 = 8;
 
@@ -101,7 +101,7 @@ pub struct Partition {
 
 impl SnapshotSource for Partition {
     fn value_at(&self, key: &Key, batch: BatchNum) -> Option<Value> {
-        self.store.read_at(key, batch).map(|v| v.value.clone())
+        self.store.get_at(key, batch).map(|v| v.value.clone())
     }
 
     fn prove_at(&self, key: &Key, batch: BatchNum) -> MerkleProof {

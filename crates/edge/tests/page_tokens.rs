@@ -22,9 +22,8 @@ use transedge_crypto::{
 };
 use transedge_edge::{
     scan_snapshot, BatchCommitment, PageToken, QueryAnswer, ReadQuery, ReadRejection, ReadResponse,
-    ReadVerifier, ScanBundle, SnapshotSource, VerifyParams,
+    ReadVerifier, ScanBundle, SnapshotSource, VerifyParams, VersionedStore,
 };
-use transedge_storage::VersionedStore;
 
 /// Shallow tree: 64 buckets → dense windows and short page chains.
 const DEPTH: u32 = 6;
@@ -83,7 +82,7 @@ struct Partition {
 
 impl SnapshotSource for Partition {
     fn value_at(&self, key: &Key, batch: BatchNum) -> Option<Value> {
-        self.store.read_at(key, batch).map(|v| v.value.clone())
+        self.store.get_at(key, batch).map(|v| v.value.clone())
     }
 
     fn prove_at(&self, key: &Key, batch: BatchNum) -> MerkleProof {

@@ -18,9 +18,8 @@ use transedge_crypto::{
 };
 use transedge_edge::{
     scan_snapshot, BatchCommitment, QuorumCheck, ReadRejection, ReadVerifier, ScanBundle,
-    SnapshotSource, VerifiedCerts, VerifyParams,
+    SnapshotSource, VerifiedCerts, VerifyParams, VersionedStore,
 };
-use transedge_storage::VersionedStore;
 
 /// Shallow tree: 64 buckets → dense windows and bucket collisions.
 const DEPTH: u32 = 6;
@@ -82,7 +81,7 @@ struct Partition {
 
 impl SnapshotSource for Partition {
     fn value_at(&self, key: &Key, batch: BatchNum) -> Option<Value> {
-        self.store.read_at(key, batch).map(|v| v.value.clone())
+        self.store.get_at(key, batch).map(|v| v.value.clone())
     }
 
     fn prove_at(&self, key: &Key, batch: BatchNum) -> MerkleProof {

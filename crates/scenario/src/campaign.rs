@@ -55,6 +55,9 @@ pub struct CampaignOutcome {
     pub convicted: usize,
     /// Invariant sweeps that ran.
     pub invariant_checks: u64,
+    /// Read queries still parked at a replica when the run ended,
+    /// summed over the fleet — a read no batch ever made servable.
+    pub parked_reads: usize,
     /// Every registered counter summed over the fleet at the end of
     /// the run (`Deployment::metrics().fleet_counters()`) — what the
     /// campaign reached, for the reachability test.
@@ -137,6 +140,11 @@ fn run_campaign(
         demotion_rounds: report.rounds,
         convicted: report.convicted.len(),
         invariant_checks: monitor.checks_run(),
+        parked_reads: dep
+            .topo
+            .all_replicas()
+            .map(|r| dep.node(r).parked_reads())
+            .sum(),
         counters: dep.metrics().fleet_counters(),
     }
 }

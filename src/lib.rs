@@ -14,5 +14,4 @@ pub use transedge_edge as edge;
 pub use transedge_obs as obs;
 pub use transedge_scenario as scenario;
 pub use transedge_simnet as simnet;
-pub use transedge_storage as storage;
 pub use transedge_workload as workload;

@@ -12,7 +12,7 @@ use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, NetMsg, ReadPayload};
-use transedge::edge::MultiProofBody;
+use transedge::edge::{MultiProofBody, ReadVerifier, VerifyParams};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -528,6 +528,107 @@ fn aged_pinned_page_restarts_the_scan_and_blames_nobody() {
     assert_eq!(scan.snapshot, [(ClusterId(0), BatchNum(2))]);
     let want = pinned_page_rows(&dep, &range, &inside);
     assert_eq!(scan.rows, [(ClusterId(0), want)]);
+}
+
+/// Sends one query straight to a replica at start and keeps the answer
+/// with the time it arrived.
+struct Asker {
+    replica: NodeId,
+    query: ReadQuery,
+    answer: Option<(SimTime, ReadPayload)>,
+}
+
+impl transedge::simnet::Actor<NetMsg> for Asker {
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        let query = self.query.clone();
+        ctx.send(self.replica, NetMsg::Read { req: 1, query });
+    }
+
+    fn on_message(
+        &mut self,
+        _from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        if let NetMsg::ReadResult { result, .. } = msg {
+            self.answer = Some((ctx.now(), result));
+        }
+    }
+}
+
+/// A parked round-two read is answered at a batch the replica has
+/// applied. Replica 2 of cluster 0 is cut off before a cross-partition
+/// write raises cluster 0's LCE, and a `MinEpoch(0)` point read sent
+/// straight to it parks. After the heal a late write makes it catch up
+/// through one state response carrying several slots: its consensus log
+/// then holds batches its store and tree do not, and the read must wait
+/// for the first batch whose LCE reaches the floor to be applied before
+/// it is served from it.
+#[test]
+fn parked_round_two_read_is_answered_at_an_applied_batch() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    let topo = config.topo.clone();
+    let k0 = keys_on(&topo, ClusterId(0), 2);
+    let k1 = keys_on(&topo, ClusterId(1), 1).remove(0);
+    let writer = ClientPlan::ops(vec![ClientOp::ReadWrite {
+        reads: vec![],
+        writes: vec![(k0[0].clone(), Value::from("x0")), (k1, Value::from("x1"))],
+    }]);
+    // A later write is what lets the healed replica notice it is
+    // behind and fetch the decided prefix.
+    let late_writer = ClientPlan::with_profile(
+        vec![ClientOp::ReadWrite {
+            reads: vec![],
+            writes: vec![(k0[1].clone(), Value::from("late"))],
+        }],
+        ClientProfile::new().start_delay(SimDuration::from_millis(400)),
+    );
+    let mut dep = Deployment::build_custom(config, vec![writer, late_writer]);
+    let lagging = ReplicaId::new(ClusterId(0), 2);
+    let rest = topo
+        .replicas_of(ClusterId(0))
+        .filter(|r| *r != lagging)
+        .map(NodeId::Replica);
+    let cut = dep.impose_partition([NodeId::Replica(lagging)], rest);
+    let query = ReadQuery::point(vec![k0[0].clone()])
+        .with_policy(SnapshotPolicy::MinEpoch(transedge::common::Epoch(0)));
+    let asker = NodeId::Client(transedge::common::ClientId(u32::MAX));
+    dep.sim.add_actor(
+        asker,
+        Box::new(Asker {
+            replica: NodeId::Replica(lagging),
+            query: query.clone(),
+            answer: None,
+        }),
+    );
+    dep.run_until(SimTime(300_000));
+    assert_eq!(dep.node(lagging).exec.applied_batches(), 1, "genesis only");
+    assert_eq!(dep.node(lagging).parked_reads(), 1, "the read is parked");
+    let leader = dep.node(ReplicaId::new(ClusterId(0), 0));
+    assert!(leader.exec.applied_batches() >= 3, "prepare and commit");
+
+    dep.heal_partition(cut);
+    dep.run_until_done(SimTime(600_000_000));
+    assert_eq!(dep.node(lagging).parked_reads(), 0);
+    let answer = dep
+        .sim
+        .actor_as::<Asker>(asker)
+        .and_then(|a| a.answer.clone());
+    let (at, payload) = answer.expect("the parked read was answered");
+    let ReadPayload::Point { section, .. } = &payload else {
+        panic!("a point answer");
+    };
+    assert_eq!(section.commitment.header.num, BatchNum(2));
+    assert_eq!(section.commitment.header.lce, transedge::common::Epoch(1));
+    let verifier = ReadVerifier::new(VerifyParams {
+        tree_depth: dep.config.node.tree_depth,
+        freshness_window: dep.config.node.freshness_window,
+        quorum: topo.certificate_quorum(),
+    });
+    let verified = verifier.verify_query(&dep.keys, ClusterId(0), &query, &payload, at);
+    assert!(verified.is_ok(), "{verified:?}");
+    assert_eq!(section.body.values(), [Some(Value::from("x0"))]);
 }
 
 /// Adaptive routing: a byzantine edge is demoted by the client's

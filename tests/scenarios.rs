@@ -52,6 +52,7 @@ fn churn_campaign_holds_invariants() {
     assert_eq!(outcome.convicted, 0);
     // One sweep per event plus the final one.
     assert!(outcome.invariant_checks >= 6);
+    assert_eq!(outcome.parked_reads, 0, "every parked read drained");
 }
 
 #[test]
@@ -65,6 +66,7 @@ fn partition_heal_campaign_holds_invariants() {
     assert!(outcome.p95_ms > 0.0);
     assert_eq!(outcome.rejected_reads, 0);
     assert_eq!(outcome.convicted, 0);
+    assert_eq!(outcome.parked_reads, 0, "every parked read drained");
 }
 
 #[test]
@@ -80,6 +82,7 @@ fn flash_crowd_campaign_holds_invariants() {
         outcome.rejected_reads, 0,
         "re-targeted reads must all verify"
     );
+    assert_eq!(outcome.parked_reads, 0, "every parked read drained");
 }
 
 #[test]
@@ -103,6 +106,7 @@ fn coalition_campaign_convicts_every_member() {
         "reads fall back to replicas, availability {:.1}%",
         outcome.availability_pct
     );
+    assert_eq!(outcome.parked_reads, 0, "every parked read drained");
 }
 
 /// What no campaign deploys: the paper mix with a fifth of the ops
