@@ -24,8 +24,12 @@
 //!
 //! evaluated as one Straus pass for `[k](−A) + [S]B`
 //! ([`point::Point::straus`]), one addition of `−R` and three doublings.
-//! A [`VerifyingKey`] decodes `A` and builds the odd multiples of `−A`
-//! once; [`PublicKey::verify`] does both per call.
+//! A [`VerifyingKey`] decodes `A` once and builds its split tables —
+//! 32 odd multiples each of `−A` and `−[2¹²⁸]A` — so `[k](−A)` is two
+//! 128-bit terms and the pass runs about 129 doublings instead of 253.
+//! [`PublicKey::verify`] decodes `A` per call and, the table serving one
+//! check only, builds just the 8 odd multiples of `−A` for a full-width
+//! pass. Both share the parse and the equation.
 //!
 //! [`verify_batch`] checks up to [`MAX_BATCH`] signatures in one
 //! multi-scalar multiplication (Bernstein et al., *High-speed
@@ -35,15 +39,18 @@
 //! [8]([Σ zᵢSᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢkᵢ]Aᵢ) = O,
 //! ```
 //!
-//! with 128-bit `zᵢ` read from SHA-512 over a digest of every
-//! `(Aᵢ, Rᵢ, Sᵢ, kᵢ)` in the batch — a function of the batch alone, so a
-//! verdict never depends on a random source, and a forger choosing the
-//! batch cannot choose its `zᵢ`. When every signature passes the single
-//! equation the batch equation holds, so a failing batch always holds a
-//! bad signature; a passing batch with a bad one needs its `zᵢ` to
-//! cancel, probability about 2⁻¹²⁸. Cofactored single and batch checks
-//! share one accept set (Chalkias, Garillot, Nikolaenko, *Taming the
-//! many EdDSAs*, 2020); the cofactorless single check accepted less.
+//! evaluated as one Straus pass of three terms per signature, all below
+//! 2¹²⁸: `[zᵢ](−Rᵢ)` and the two halves of `[zᵢkᵢ](−Aᵢ)` over the key's
+//! split tables. The `zᵢ` are 128-bit values read from SHA-512 over a
+//! digest of every `(Aᵢ, Rᵢ, Sᵢ, kᵢ)` in the batch — a function of the
+//! batch alone, so a verdict never depends on a random source, and a
+//! forger choosing the batch cannot choose its `zᵢ`. When every
+//! signature passes the single equation the batch equation holds, so a
+//! failing batch always holds a bad signature; a passing batch with a
+//! bad one needs its `zᵢ` to cancel, probability about 2⁻¹²⁸.
+//! Cofactored single and batch checks share one accept set (Chalkias,
+//! Garillot, Nikolaenko, *Taming the many EdDSAs*, 2020); the
+//! cofactorless single check accepted less.
 //!
 //! What the cofactor changes: a signature whose `[S]B − R − [k]A` is a
 //! nonzero point of small order (order 2, 4 or 8) verifies now and did
@@ -63,15 +70,20 @@ pub mod scalar;
 use std::fmt;
 
 use rand::RngCore;
-use transedge_common::{Decode, Encode, Result, TransEdgeError, WireReader, WireWriter};
+use transedge_common::{Decode, Encode, Result, WireReader, WireWriter};
 
 use crate::digest::{hex_decode, hex_encode};
 use crate::sha2::Sha512;
-use point::{OddMultiples, Point, MAX_TERMS};
+use point::{OddMultiples, Point, SplitTables, Term, MAX_TERMS};
 use scalar::Scalar;
 
-/// Most signatures one [`verify_batch`] call checks.
-pub const MAX_BATCH: usize = MAX_TERMS / 2;
+/// Most signatures one [`verify_batch`] call checks: three Straus terms
+/// each.
+pub const MAX_BATCH: usize = MAX_TERMS / 3;
+
+// `keys::check` chunks by `MAX_BATCH`, so moving it moves every batch
+// count a run reports.
+const _: () = assert!(3 * MAX_BATCH == MAX_TERMS && MAX_BATCH == 8);
 
 /// A 32-byte Ed25519 public key (compressed point).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -161,32 +173,55 @@ fn challenge(r_enc: &[u8; 32], a: &PublicKey, msg: &[u8]) -> Scalar {
     Scalar::from_bytes_wide(&h.finalize())
 }
 
-/// A public key decoded once, with the odd multiples of `−A` every
+/// A public key decoded once, with the split tables of `−A` every
 /// verification under it reads — what a key directory fixed at setup
-/// keeps per key.
+/// keeps per key (about 10 KB).
 #[derive(Clone)]
 pub struct VerifyingKey {
     public: PublicKey,
     /// `None` when the encoding is not a canonical curve point: such a
     /// key verifies nothing.
-    neg_a: Option<OddMultiples>,
+    neg_a: Option<SplitTables>,
 }
 
 /// One signature parsed for the verification equation: `R` decoded, `S`
 /// canonical, `k` computed.
-struct Parsed<'a> {
-    neg_a: &'a OddMultiples,
+struct Parsed {
     r_enc: [u8; 32],
     r: Point,
     s: Scalar,
     k: Scalar,
 }
 
+/// `None` when an encoding of the signature is invalid or non-canonical.
+fn parse(public: &PublicKey, msg: &[u8], sig: &Signature) -> Option<Parsed> {
+    let r_enc: [u8; 32] = sig.0[..32].try_into().unwrap();
+    let s = Scalar::from_canonical_bytes(&sig.0[32..].try_into().unwrap())?;
+    let r = Point::decompress(&r_enc)?;
+    Some(Parsed {
+        r_enc,
+        r,
+        s,
+        k: challenge(&r_enc, public, msg),
+    })
+}
+
+impl Parsed {
+    /// The single equation `[8]([k](−A) + [S]B − R) = O`, given `[k](−A)`
+    /// as Straus terms.
+    fn holds(&self, neg_ka: &[Term<'_>]) -> bool {
+        Point::straus(neg_ka, &self.s)
+            .add(&self.r.neg())
+            .mul_by_cofactor()
+            .is_identity()
+    }
+}
+
 impl VerifyingKey {
     pub fn new(public: PublicKey) -> VerifyingKey {
         VerifyingKey {
             public,
-            neg_a: Point::decompress(&public.0).map(|a| OddMultiples::new(&a.neg())),
+            neg_a: Point::decompress(&public.0).map(|a| SplitTables::new(&a.neg())),
         }
     }
 
@@ -194,32 +229,18 @@ impl VerifyingKey {
         self.public
     }
 
-    /// `None` when any encoding is invalid or non-canonical.
-    fn parse(&self, msg: &[u8], sig: &Signature) -> Option<Parsed<'_>> {
+    /// `None` when any encoding, the key's included, is invalid or
+    /// non-canonical.
+    fn parse(&self, msg: &[u8], sig: &Signature) -> Option<(&SplitTables, Parsed)> {
         let neg_a = self.neg_a.as_ref()?;
-        let r_enc: [u8; 32] = sig.0[..32].try_into().unwrap();
-        let s = Scalar::from_canonical_bytes(&sig.0[32..].try_into().unwrap())?;
-        let r = Point::decompress(&r_enc)?;
-        Some(Parsed {
-            neg_a,
-            r_enc,
-            r,
-            s,
-            k: challenge(&r_enc, &self.public, msg),
-        })
+        Some((neg_a, parse(&self.public, msg, sig)?))
     }
 
     /// Verify a signature over `msg`: strict decoding, cofactored
     /// equation (see the module docs).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let Some(p) = self.parse(msg, sig) else {
-            return false;
-        };
-        // [8]([k](−A) + [S]B − R) = O.
-        Point::straus(&[(p.k, p.neg_a)], &p.s)
-            .add(&p.r.neg())
-            .mul_by_cofactor()
-            .is_identity()
+        self.parse(msg, sig)
+            .is_some_and(|(neg_a, p)| p.holds(&neg_a.terms(p.k)))
     }
 }
 
@@ -230,12 +251,12 @@ impl VerifyingKey {
 /// takes a single check each.
 pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
     assert!(items.len() <= MAX_BATCH, "batch of {}", items.len());
-    let mut parsed: [Option<Parsed<'_>>; MAX_BATCH] = Default::default();
-    let mut neg_r = [OddMultiples::IDENTITY; MAX_BATCH];
+    let mut parsed: [Option<(&SplitTables, Parsed)>; MAX_BATCH] = Default::default();
+    let mut neg_r = [OddMultiples::<8>::IDENTITY; MAX_BATCH];
     let mut transcript = Sha512::new();
     transcript.update(b"transedge/ed25519-batch");
     for ((slot, r_table), (key, msg, sig)) in parsed.iter_mut().zip(&mut neg_r).zip(items) {
-        let Some(p) = key.parse(msg, sig) else {
+        let Some((neg_a, p)) = key.parse(msg, sig) else {
             return false;
         };
         transcript.update(&key.public.0);
@@ -243,14 +264,14 @@ pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
         transcript.update(&p.s.to_bytes());
         transcript.update(&p.k.to_bytes());
         *r_table = OddMultiples::new(&p.r.neg());
-        *slot = Some(p);
+        *slot = Some((neg_a, p));
     }
     let seed = transcript.finalize();
     // Four 128-bit zᵢ per SHA-512 block of (seed ‖ block index).
     let mut block = [0u8; 64];
-    let mut terms = [(Scalar::ZERO, &OddMultiples::IDENTITY); MAX_TERMS];
+    let mut terms = [Term::ZERO; MAX_TERMS];
     let mut b_scalar = Scalar::ZERO;
-    for (i, (p, r_table)) in parsed.iter().flatten().zip(&neg_r).enumerate() {
+    for (i, ((neg_a, p), r_table)) in parsed.iter().flatten().zip(&neg_r).enumerate() {
         if i % 4 == 0 {
             let mut h = Sha512::new();
             h.update(&seed);
@@ -260,19 +281,25 @@ pub fn verify_batch(items: &[(&VerifyingKey, &[u8], &Signature)]) -> bool {
         let z = u128::from_le_bytes(block[16 * (i % 4)..16 * (i % 4) + 16].try_into().unwrap());
         let z = Scalar([z as u64, (z >> 64) as u64, 0, 0]);
         b_scalar = b_scalar.add(z.mul(p.s));
-        terms[2 * i] = (z, r_table);
-        terms[2 * i + 1] = (z.mul(p.k), p.neg_a);
+        let [a_lo, a_hi] = neg_a.terms(z.mul(p.k));
+        terms[3 * i..3 * i + 3].copy_from_slice(&[r_table.term(z), a_lo, a_hi]);
     }
-    Point::straus(&terms[..2 * items.len()], &b_scalar)
+    Point::straus(&terms[..3 * items.len()], &b_scalar)
         .mul_by_cofactor()
         .is_identity()
 }
 
 impl PublicKey {
-    /// Verify a signature over `msg`, decoding the key on the way (a
-    /// [`VerifyingKey`] decodes it once).
+    /// Verify a signature over `msg`, decoding the key on the way: the
+    /// 8 odd multiples of `−A` and one full-width Straus pass, since
+    /// split tables would serve only this check (a [`VerifyingKey`]
+    /// decodes once and builds them).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        VerifyingKey::new(*self).verify(msg, sig)
+        let Some(a) = Point::decompress(&self.0) else {
+            return false;
+        };
+        let neg_a = OddMultiples::<8>::new(&a.neg());
+        parse(self, msg, sig).is_some_and(|p| p.holds(&[neg_a.term(p.k)]))
     }
 
     pub fn as_bytes(&self) -> &[u8; 32] {
@@ -333,16 +360,6 @@ impl Encode for Signature {
 impl Decode for Signature {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(Signature(r.get_fixed::<64>()?))
-    }
-}
-
-/// Free-function verify mirroring [`PublicKey::verify`], returning a
-/// typed error for protocol code that wants to bubble context.
-pub fn verify_strict(pk: &PublicKey, msg: &[u8], sig: &Signature) -> Result<()> {
-    if pk.verify(msg, sig) {
-        Ok(())
-    } else {
-        Err(TransEdgeError::Verification("bad ed25519 signature".into()))
     }
 }
 
@@ -506,14 +523,6 @@ mod tests {
         assert_eq!(back.0.to_vec(), sig.0.to_vec());
     }
 
-    #[test]
-    fn verify_strict_returns_typed_error() {
-        let kp = Keypair::from_seed([5u8; 32]);
-        let sig = kp.sign(b"ok");
-        assert!(verify_strict(&kp.public(), b"ok", &sig).is_ok());
-        assert!(verify_strict(&kp.public(), b"no", &sig).is_err());
-    }
-
     /// Signature bytes feed certificate digests and wire sizes, so they
     /// must never move: this digest was computed before the field,
     /// point and scalar code was rewritten.
@@ -652,8 +661,10 @@ mod tests {
             for shape in 0..tamper::SHAPES {
                 let (pk, sig) = tamper::signature(shape, &kp, &msg, &mut rng);
                 let got = pk.verify(&msg, &sig);
+                let key = VerifyingKey::new(pk);
                 let at = format!("case {case}, shape {shape}");
                 assert_eq!(got, verify_reference(&pk, &msg, &sig), "{at}");
+                assert_eq!(got, key.verify(&msg, &sig), "{at}");
                 assert_eq!(got, tamper::VALID.contains(&shape), "{at}");
                 let before = verify_cofactorless(&pk, &msg, &sig);
                 match shape {
@@ -668,7 +679,7 @@ mod tests {
                 }
                 accepted += got as usize;
                 checked += 1;
-                pool.push_back((VerifyingKey::new(pk), msg.clone(), sig, got));
+                pool.push_back((key, msg.clone(), sig, got));
                 if pool.len() > 4 * tamper::SHAPES {
                     pool.pop_front();
                 }

@@ -17,11 +17,17 @@
 //! (signing, key generation) sums one entry per radix-16 digit from a
 //! per-process table of `d·16^w·B` in affine Niels form, no doubling.
 //! [`Point::straus`] (verification, single and batched) computes
-//! `Σ [kⱼ]Pⱼ + [s]B` by Straus' method: every scalar in width-w NAF
-//! (w = 5 over the 8 odd multiples of each Pⱼ — an [`OddMultiples`]
-//! table, built once per registered key or per call for a decoded `R` —
-//! and w = 8 over a per-process table of 64 odd multiples of B), one
-//! shared doubling per bit for all the terms. Decoding
+//! `Σ [kⱼ]Pⱼ + [s]B` by Straus' method: one shared doubling per bit for
+//! all the terms, each scalar in the width-w NAF its table serves. A
+//! point used once (a decoded `R`, or `A` of a one-shot check) gets the
+//! 8 odd multiples of width 5 ([`OddMultiples`]). A registered key gets
+//! [`SplitTables`], built once per deployment: 32 odd multiples (width
+//! 7) of `A` and of `[2¹²⁸]A`, so a full-width `[k]A` is two 128-bit
+//! terms. `[s]B` is split the same way over per-process tables of 64
+//! odd multiples (width 8) of `B` and `[2¹²⁸]B`. A pass whose scalars
+//! are all below 2¹²⁸ therefore runs about 129 doublings instead of
+//! 253 — the precomputation side of the multi-scalar method in Bernstein
+//! et al., *High-speed high-security signatures* (CHES 2011). Decoding
 //! ([`Point::decompress`]) is RFC 8032 §5.1.3: y must be canonical
 //! (< p), and x = u·v³·(u·v⁷)^((p−5)/8) is one exponentiation.
 
@@ -150,36 +156,95 @@ fn odd_multiples<const N: usize>(p: &Point) -> [Point; N] {
     table
 }
 
-/// The odd multiples `P, 3P, …, 15P` of a point, in cached form: what a
-/// width-5 NAF term of [`Point::straus`] adds from.
+/// The odd multiples `P, 3P, …, (2N−1)P` of a point, in cached form: what
+/// a [`Point::straus`] term adds from. `N` sets the term's NAF width:
+/// 8 entries are width 5, 32 are width 7.
 #[derive(Clone, Copy)]
-pub struct OddMultiples([CachedPoint; 8]);
+pub struct OddMultiples<const N: usize>([CachedPoint; N]);
 
-impl OddMultiples {
+impl<const N: usize> OddMultiples<N> {
     /// The table of the identity: a placeholder for unused slots of a
-    /// fixed-size term array.
-    pub const IDENTITY: OddMultiples = OddMultiples(
+    /// fixed-size array.
+    pub const IDENTITY: Self = OddMultiples(
         [CachedPoint {
             y_plus_x: Fe::ONE,
             y_minus_x: Fe::ONE,
             z: Fe::ONE,
             t2d: Fe::ZERO,
-        }; 8],
+        }; N],
     );
 
-    pub fn new(p: &Point) -> OddMultiples {
+    pub fn new(p: &Point) -> Self {
         OddMultiples(odd_multiples(p).map(Point::to_cached))
+    }
+
+    /// `[k]P` as a Straus term.
+    pub fn term(&self, k: Scalar) -> Term<'_> {
+        Term { k, table: &self.0 }
+    }
+}
+
+/// The tables of a point used for many scalars — a registered key: 32
+/// odd multiples of `P` and 32 of `[2¹²⁸]P`, so that `[k]P` is two
+/// 128-bit terms, `[lo]P + [hi]([2¹²⁸]P)`, and a Straus pass over them
+/// runs half the doublings of one over `P` alone.
+#[derive(Clone)]
+pub struct SplitTables {
+    lo: OddMultiples<32>,
+    hi: OddMultiples<32>,
+}
+
+impl SplitTables {
+    pub fn new(p: &Point) -> SplitTables {
+        SplitTables {
+            lo: OddMultiples::new(p),
+            hi: OddMultiples::new(&p.mul_by_2_128()),
+        }
+    }
+
+    /// `[k]P` as Straus terms, one per half of `k` ([`Scalar::split`]).
+    pub fn terms(&self, k: Scalar) -> [Term<'_>; 2] {
+        let (lo, hi) = k.split();
+        [self.lo.term(lo), self.hi.term(hi)]
+    }
+}
+
+/// One `[k]P` of a [`Point::straus`] sum: the scalar and the odd
+/// multiples of `P` it is recoded over.
+#[derive(Clone, Copy)]
+pub struct Term<'a> {
+    k: Scalar,
+    table: &'a [CachedPoint],
+}
+
+impl Term<'_> {
+    /// `[0]` of the identity: a placeholder for unused slots of a
+    /// fixed-size term array.
+    pub const ZERO: Term<'static> = Term {
+        k: Scalar::ZERO,
+        table: &OddMultiples::<8>::IDENTITY.0,
+    };
+
+    /// The NAF width whose digits index this term's table: `2^(w−2)`
+    /// odd multiples serve digits up to `2^(w−1) − 1`.
+    fn width(&self) -> usize {
+        debug_assert!(self.table.len().is_power_of_two());
+        self.table.len().trailing_zeros() as usize + 2
     }
 }
 
 /// Most variable-base terms one [`Point::straus`] call takes: a batch of
-/// eight signatures, an `R` and an `A` term each.
-pub const MAX_TERMS: usize = 16;
+/// eight signatures, an `R` term and two `A` terms each.
+pub const MAX_TERMS: usize = 24;
 
-/// `table[i] = (2i + 1)·B` for the width-8 NAF digits of `[s]B`.
-fn base_odd_multiples() -> &'static [AffineNielsPoint; 64] {
-    static TABLE: OnceLock<[AffineNielsPoint; 64]> = OnceLock::new();
-    TABLE.get_or_init(|| odd_multiples(&Point::base()).map(|p| p.to_affine_niels()))
+/// `(2i + 1)·B` and `(2i + 1)·[2¹²⁸]B` for the width-8 NAF digits of the
+/// two halves of `s` in `[s]B`.
+fn base_odd_multiples() -> &'static [[AffineNielsPoint; 64]; 2] {
+    static TABLES: OnceLock<[[AffineNielsPoint; 64]; 2]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let b = Point::base();
+        [b, b.mul_by_2_128()].map(|p| odd_multiples(&p).map(Point::to_affine_niels))
+    })
 }
 
 impl Point {
@@ -342,45 +407,59 @@ impl Point {
     }
 
     /// `Σ [kⱼ]Pⱼ + [s]B` by Straus' method — what signature verification
-    /// evaluates, one term per point (at most [`MAX_TERMS`]). Each `kⱼ`
-    /// is recoded in width-5 NAF over the odd multiples of `Pⱼ`, `s` in
-    /// width-8 NAF over the static 64 odd multiples of `B`, and one
-    /// doubling per bit serves every term. Not constant-time.
-    pub fn straus(terms: &[(Scalar, &OddMultiples)], s: &Scalar) -> Point {
+    /// evaluates, one term per table (at most [`MAX_TERMS`]). Each `kⱼ`
+    /// is recoded in the NAF width its table serves, the two halves of
+    /// `s` ([`Scalar::split`]) in width 8 over the static 64 odd
+    /// multiples of `B` and of `[2¹²⁸]B`, and one doubling per bit of the
+    /// widest scalar serves every term: about 129 when every `kⱼ` is below
+    /// 2¹²⁸, 253 otherwise. Not constant-time.
+    pub fn straus(terms: &[Term<'_>], s: &Scalar) -> Point {
         assert!(terms.len() <= MAX_TERMS, "{} Straus terms", terms.len());
         let mut nafs = [[0i8; 256]; MAX_TERMS];
-        for (naf, (k, _)) in nafs.iter_mut().zip(terms) {
-            *naf = k.non_adjacent_form(5);
+        for (naf, term) in nafs.iter_mut().zip(terms) {
+            *naf = term.k.non_adjacent_form(term.width());
         }
         let nafs = &nafs[..terms.len()];
-        let s_naf = s.non_adjacent_form(8);
-        let b_table = base_odd_multiples();
+        let (s_lo, s_hi) = s.split();
+        let s_nafs = [s_lo.non_adjacent_form(8), s_hi.non_adjacent_form(8)];
+        let b_tables = base_odd_multiples();
         let Some(top) = (0..256)
             .rev()
-            .find(|&i| s_naf[i] != 0 || nafs.iter().any(|naf| naf[i] != 0))
+            .find(|&i| s_nafs.iter().chain(nafs).any(|naf| naf[i] != 0))
         else {
             return Point::identity();
         };
         let mut acc = Point::identity().to_projective();
         for i in (0..=top).rev() {
             let mut sum = acc.double();
-            for (naf, (_, table)) in nafs.iter().zip(terms) {
+            for (naf, term) in nafs.iter().zip(terms) {
                 let d = naf[i];
                 if d != 0 {
-                    let q = table.0[d.unsigned_abs() as usize / 2];
+                    let q = term.table[d.unsigned_abs() as usize / 2];
                     let q = if d > 0 { q } else { q.neg() };
                     sum = sum.to_extended().add_cached(&q);
                 }
             }
-            let d = s_naf[i];
-            if d != 0 {
-                let q = b_table[d.unsigned_abs() as usize / 2];
-                let q = if d > 0 { q } else { q.neg() };
-                sum = sum.to_extended().add_affine(&q);
+            for (naf, table) in s_nafs.iter().zip(b_tables) {
+                let d = naf[i];
+                if d != 0 {
+                    let q = table[d.unsigned_abs() as usize / 2];
+                    let q = if d > 0 { q } else { q.neg() };
+                    sum = sum.to_extended().add_affine(&q);
+                }
             }
             acc = sum.to_projective();
         }
         acc.to_extended()
+    }
+
+    /// `[2¹²⁸]P`: 128 doublings, for tables built once.
+    fn mul_by_2_128(&self) -> Point {
+        let mut p = self.to_projective();
+        for _ in 0..128 {
+            p = p.double().to_projective();
+        }
+        p.to_extended()
     }
 
     /// Affine coordinates (x, y).
@@ -712,7 +791,7 @@ mod tests {
         let p = b.mul(&Scalar::from_u64(9));
         let s1 = Scalar::from_u64(4);
         let s2 = Scalar::from_u64(7);
-        let lhs = Point::straus(&[(s2, &OddMultiples::new(&p))], &s1);
+        let lhs = Point::straus(&[OddMultiples::<8>::new(&p).term(s2)], &s1);
         let rhs = b.mul(&s1).add(&p.mul(&s2));
         assert!(lhs.eq_point(&rhs));
     }
@@ -724,27 +803,105 @@ mod tests {
             .filter_map(|_| Point::decompress(&rng.gen()))
             .take(MAX_TERMS)
             .collect();
-        let tables: Vec<OddMultiples> = points.iter().map(OddMultiples::new).collect();
+        let narrow: Vec<OddMultiples<8>> = points.iter().map(OddMultiples::new).collect();
+        let wide: Vec<OddMultiples<32>> = points.iter().map(OddMultiples::new).collect();
         for n in [0, 1, 2, 5, MAX_TERMS] {
-            // Full-width and 128-bit scalars, as a batch mixes them.
+            // Full-width and 128-bit scalars over 8- and 32-entry tables,
+            // as a batch mixes them.
             let scalars: Vec<Scalar> = (0..n)
                 .map(|j| {
                     let k = Scalar::from_bytes_wide(&rng.gen());
                     if j % 2 == 0 {
-                        Scalar([k.0[0], k.0[1], 0, 0])
+                        k.split().0
                     } else {
                         k
                     }
                 })
                 .collect();
             let s = Scalar::from_bytes_wide(&rng.gen());
-            let terms: Vec<(Scalar, &OddMultiples)> =
-                scalars.iter().copied().zip(&tables).collect();
+            let terms: Vec<Term<'_>> = scalars
+                .iter()
+                .enumerate()
+                .map(|(j, &k)| {
+                    if j / 2 % 2 == 0 {
+                        narrow[j].term(k)
+                    } else {
+                        wide[j].term(k)
+                    }
+                })
+                .collect();
             let reference = scalars
                 .iter()
                 .zip(&points)
                 .fold(Point::base_mul(&s), |acc, (k, p)| acc.add(&p.mul(k)));
             assert!(Point::straus(&terms, &s).eq_point(&reference), "{n} terms");
+        }
+    }
+
+    #[test]
+    fn split_tables_match_reference_mul_at_the_boundaries() {
+        let mut rng = SmallRng::seed_from_u64(128);
+        let lm1 = Scalar([L[0] - 1, L[1], L[2], L[3]]);
+        let edge = [
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar([u64::MAX, u64::MAX, 0, 0]),
+            Scalar([0, 0, 1, 0]),
+            Scalar([1, 0, 1, 0]),
+            lm1,
+        ];
+        let points: Vec<Point> = (0..)
+            .filter_map(|_| Point::decompress(&rng.gen()))
+            .take(3)
+            .chain(small_order_points().into_iter().skip(3).step_by(4))
+            .collect();
+        for (n, p) in points.iter().enumerate() {
+            let tables = SplitTables::new(p);
+            let random: Vec<Scalar> = (0..16)
+                .map(|_| Scalar::from_bytes_wide(&rng.gen()))
+                .collect();
+            for &k in edge.iter().chain(&random) {
+                let straus = Point::straus(&tables.terms(k), &Scalar::ZERO);
+                assert!(straus.eq_point(&p.mul(&k)), "point {n}, k {k:?}");
+            }
+            for &k in &random {
+                let s = Scalar::from_bytes_wide(&rng.gen());
+                let straus = Point::straus(&tables.terms(k), &s);
+                let reference = p.mul(&k).add(&Point::base_mul(&s));
+                assert!(straus.eq_point(&reference), "point {n}, k {k:?}, s {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_high_base_table_starts_at_2_128_b() {
+        let expected = Point::base_mul(&Scalar([0, 0, 1, 0])).to_affine_niels();
+        let [low, high] = base_odd_multiples();
+        let entry = high[0];
+        assert_eq!(
+            (entry.y_plus_x, entry.y_minus_x, entry.xy2d),
+            (expected.y_plus_x, expected.y_minus_x, expected.xy2d)
+        );
+        let b = Point::base().to_affine_niels();
+        assert_eq!(
+            (low[0].y_plus_x, low[0].y_minus_x, low[0].xy2d),
+            (b.y_plus_x, b.y_minus_x, b.xy2d)
+        );
+    }
+
+    #[test]
+    fn one_pass_mixes_table_widths() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let p = Point::base().mul(&Scalar::from_bytes_wide(&rng.gen()));
+        let q = Point::base().mul(&Scalar::from_bytes_wide(&rng.gen()));
+        let (p_table, q_tables) = (OddMultiples::<8>::new(&p), SplitTables::new(&q));
+        for _ in 0..8 {
+            let [j, k, s] = [(); 3].map(|_| Scalar::from_bytes_wide(&rng.gen()));
+            let j = j.split().0;
+            let [q_lo, q_hi] = q_tables.terms(k);
+            let straus = Point::straus(&[q_lo, p_table.term(j), q_hi], &s);
+            let reference = p.mul(&j).add(&q.mul(&k)).add(&Point::base_mul(&s));
+            assert!(straus.eq_point(&reference), "j {j:?}, k {k:?}, s {s:?}");
         }
     }
 
@@ -781,9 +938,11 @@ mod tests {
                 .into_iter()
                 .chain(random.collect::<Vec<_>>())
             {
-                let straus = Point::straus(&[(k, &OddMultiples::new(p))], &s);
                 let reference = p.mul(&k).add(&Point::base_mul(&s));
-                assert!(straus.eq_point(&reference), "point {n}, k {k:?}, s {s:?}");
+                let once = Point::straus(&[OddMultiples::<8>::new(p).term(k)], &s);
+                assert!(once.eq_point(&reference), "point {n}, k {k:?}, s {s:?}");
+                let split = Point::straus(&SplitTables::new(p).terms(k), &s);
+                assert!(split.eq_point(&reference), "point {n}, k {k:?}, s {s:?}");
             }
         }
     }

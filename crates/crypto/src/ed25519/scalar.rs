@@ -10,7 +10,8 @@
 //! follow. Everything lives in fixed-size stack arrays; nothing
 //! allocates.
 //!
-//! Verification also recodes scalars into width-w non-adjacent form
+//! Verification also splits scalars at 2¹²⁸ ([`Scalar::split`]) and
+//! recodes them into width-w non-adjacent form
 //! ([`Scalar::non_adjacent_form`]) for the Straus loop in
 //! [`super::point`].
 
@@ -180,6 +181,13 @@ impl Scalar {
     /// Iterate bits LSB→MSB.
     pub fn bit(self, i: usize) -> bool {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// `(lo, hi)` with `self = lo + 2¹²⁸·hi`, both below 2¹²⁸: the two
+    /// halves a Straus pass over a point's split tables recodes.
+    pub fn split(self) -> (Scalar, Scalar) {
+        let [a, b, c, d] = self.0;
+        (Scalar([a, b, 0, 0]), Scalar([c, d, 0, 0]))
     }
 
     /// Width-`w` non-adjacent form, 2 ≤ w ≤ 8: digits `n[i]` that are
@@ -406,6 +414,29 @@ mod tests {
     }
 
     #[test]
+    fn split_halves_recombine_below_2_128() {
+        let mut rng = SmallRng::seed_from_u64(128);
+        let lm1 = Scalar([L[0] - 1, L[1], L[2], L[3]]);
+        let two_128 = Scalar([0, 0, 1, 0]);
+        let cases = [
+            Scalar::ZERO,
+            Scalar([u64::MAX, u64::MAX, 0, 0]),
+            two_128,
+            Scalar([1, 0, 1, 0]),
+            lm1,
+        ];
+        for s in cases
+            .into_iter()
+            .chain((0..40).map(|_| Scalar::from_bytes_wide(&rng.gen())))
+        {
+            let (lo, hi) = s.split();
+            assert_eq!(lo.0[2..], [0, 0]);
+            assert_eq!(hi.0[2..], [0, 0]);
+            assert_eq!(lo.add(two_128.mul(hi)), s);
+        }
+    }
+
+    #[test]
     fn naf_digits_are_sparse_odd_and_sum_to_the_scalar() {
         let mut rng = SmallRng::seed_from_u64(5);
         let lm1 = Scalar([L[0] - 1, L[1], L[2], L[3]]);
@@ -414,7 +445,7 @@ mod tests {
             .into_iter()
             .chain((0..40).map(|_| Scalar::from_bytes_wide(&rng.gen())))
         {
-            for w in [5, 8] {
+            for w in [5, 7, 8] {
                 let naf = s.non_adjacent_form(w);
                 let mut last = None;
                 // Σ n[i]·2^i evaluated mod L, MSB first.

@@ -7,9 +7,11 @@
 //! every other node's verification key. Secret keys live only inside
 //! the owning node's actor.
 //!
-//! Registration decodes each key once into a [`VerifyingKey`] (the odd
-//! multiples of `−A` every check under it reads). The directory is
-//! shared by every clone of the store: one table per deployment.
+//! Registration decodes each key once into a [`VerifyingKey`]: the
+//! split tables of `−A` (32 odd multiples each of `−A` and `−[2¹²⁸]A`,
+//! about 10 KB) that halve the doublings of every check under it. The
+//! directory is shared by every clone of the store: one table per key
+//! per deployment.
 //!
 //! A store fresh from setup checks every signature every time. An actor
 //! takes its own handle with [`KeyStore::with_memo`]: the same keys, a
