@@ -24,11 +24,11 @@
 //!   — the paper's Table 1 column. Votes carry a `blocked_by_read_only`
 //!   flag so the harness can attribute those aborts exactly.
 //!
-//! Deviation (ledger: ROADMAP.md item 9): Augustus's single-round
-//! optimisation for one-shot single-partition mini-transactions is not
-//! modelled — every transaction runs the two-phase generic path, which
-//! is the path the evaluation's long-running read-only transactions
-//! take.
+//! Deviation (ledger: ROADMAP.md, *Deviation ledger*): Augustus's
+//! single-round optimisation for one-shot single-partition
+//! mini-transactions is not modelled — every transaction runs the
+//! two-phase generic path, which is the path the evaluation's
+//! long-running read-only transactions take.
 
 pub mod client;
 pub mod messages;

@@ -1,5 +1,6 @@
 //! **Ablations** — design choices of this reproduction, measured (its
-//! deviations from the paper are ledgered in ROADMAP.md item 9):
+//! deviations from the paper are ledgered in ROADMAP.md, *Deviation
+//! ledger*):
 //!
 //! 1. *CD-vector granularity*: per-partition dependency numbers (one
 //!    `i64` per partition) vs per-transaction dependency lists — the

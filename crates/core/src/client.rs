@@ -7,10 +7,11 @@
 //! point snapshot reads, verified range scans, paginated multi-window
 //! scans, cross-partition scatter-gather — runs through one
 //! `ReadSession`: it plans per-partition sub-queries from a
-//! [`ReadQuery`], sends every one of them — first round, page,
-//! restart, retry, resend — through one `dispatch` (via the
-//! [`EdgeSelector`], or whole to one edge contact), verifies every
-//! part answer end to end in one `on_part_result`
+//! [`ReadQuery`] ([`ReadQuery::split`], the split a contact edge runs
+//! too), sends every one of them — first round, page, restart, retry,
+//! resend — through one `dispatch` (via the [`EdgeSelector`], or whole
+//! to one edge contact), credits each answer to the part its certified
+//! header names, verifies it end to end in one `on_part_result`
 //! (`ReadVerifier::verify_query`: certificates, Merkle proofs,
 //! completeness, snapshot pins), stitches the verified sections into
 //! one result, and re-runs partitions whose snapshots fail the
@@ -95,12 +96,13 @@ pub struct ClientConfig {
     /// verification failures so other clients get the same head start.
     /// Hints only — correctness never depends on them.
     pub directory: bool,
-    /// Send a fresh cross-partition query to *one* edge contact
-    /// (edge-tier scatter-gather) instead of fanning out per partition.
-    /// The contact splits, forwards, and returns the part answers in
-    /// one envelope; every part is still verified here against its own
-    /// partition's certified root, and a part that is missing or fails
-    /// is re-asked of a replica like any rejected answer.
+    /// Send a fresh cross-partition query to *one* edge contact instead
+    /// of fanning out per partition; this picks the target and nothing
+    /// else. The contact serves the query one part per partition, each
+    /// answer an ordinary response under the one request id, verified
+    /// here against its own partition's certified root. A part that
+    /// fails is re-asked of a replica like any rejected answer, and one
+    /// that never comes is resent when the retry timer fires.
     pub single_contact: bool,
     /// Delay before the first operation (and the directory pull) —
     /// lets harnesses stagger clients so gossip has rounds to spread.
@@ -174,8 +176,9 @@ struct Pending {
 #[derive(Clone, Debug)]
 struct PartState {
     cluster: ClusterId,
-    /// Point keys of this partition (empty for scan parts).
-    keys: Vec<Key>,
+    /// The query's shape restricted to this partition: its point keys,
+    /// or the scan of this partition alone.
+    shape: QueryShape,
     /// Round-2 LCE floor ([`Epoch::NONE`] until the dependency check
     /// demands one).
     floor: Epoch,
@@ -206,10 +209,10 @@ struct PartState {
 }
 
 impl PartState {
-    fn new(cluster: ClusterId, keys: Vec<Key>) -> Self {
+    fn new(cluster: ClusterId, shape: QueryShape) -> Self {
         PartState {
             cluster,
-            keys,
+            shape,
             floor: Epoch::NONE,
             token: None,
             pages: 0,
@@ -276,19 +279,9 @@ impl ReadSession {
         } else {
             SnapshotPolicy::MinEpoch(part.floor)
         };
-        let shape = match &self.query.shape {
-            QueryShape::Point { .. } => QueryShape::Point {
-                keys: part.keys.clone(),
-            },
-            QueryShape::Scan { range, window, .. } => QueryShape::Scan {
-                clusters: vec![cluster],
-                range: *range,
-                window: *window,
-            },
-        };
         ReadQuery {
             consistency,
-            shape,
+            shape: part.shape.clone(),
             page: part.token,
             feed: self.query.feed_for(cluster),
             trace: self.query.trace,
@@ -398,9 +391,6 @@ fn leaf_hashes(response: &ReadPayload) -> u64 {
                 .saturating_add(1)
                 .min(MAX_RANGE_BUCKETS)
         }
-        // A part answer is never an envelope; the verifier rejects one
-        // unread.
-        ReadResponse::Gather { .. } => 0,
     }
 }
 
@@ -440,8 +430,8 @@ pub struct ClientStats {
     /// and took a further round. Theorem 4.6 says never, yet it is not
     /// 0 here: the benchmark's `mixed-rw` and `feed-churn` workloads
     /// take third rounds, its gate tolerates the monitor's verdict on
-    /// them and no test asserts zero — ROADMAP open item 1 owns the
-    /// cause.
+    /// them and no test asserts zero — ROADMAP `[third-round]` owns
+    /// the cause.
     pub third_round_needed: u64,
     pub retries: u64,
     pub gave_up: u64,
@@ -449,9 +439,6 @@ pub struct ClientStats {
     pub scans_accepted: u64,
     /// Cross-partition queries sent to a single edge contact.
     pub gathers_sent: u64,
-    /// Single-contact answers whose every part verified (each against
-    /// its own partition's root).
-    pub gathers_accepted: u64,
     /// Directory deltas ingested (startup answer + pull-half replies).
     pub directory_seeded: u64,
     /// Signed rejection-evidence records pushed into the gossip layer.
@@ -488,7 +475,6 @@ impl transedge_obs::RegisterMetrics for ClientStats {
         reg.counter(scope, "client.gave_up", self.gave_up);
         reg.counter(scope, "client.scans_accepted", self.scans_accepted);
         reg.counter(scope, "client.gathers_sent", self.gathers_sent);
-        reg.counter(scope, "client.gathers_accepted", self.gathers_accepted);
         reg.counter(scope, "client.directory_seeded", self.directory_seeded);
         reg.counter(
             scope,
@@ -846,32 +832,11 @@ impl ClientActor {
         if self.config.subscribe && matches!(query.shape, QueryShape::Point { .. }) {
             query = query.with_feed_freshness();
         }
-        let parts: Vec<PartState> = match &query.shape {
-            QueryShape::Point { keys } => {
-                let mut by_cluster: HashMap<ClusterId, Vec<Key>> = HashMap::new();
-                for key in keys {
-                    by_cluster
-                        .entry(self.topo.partition_of(key))
-                        .or_default()
-                        .push(key.clone());
-                }
-                let mut parts: Vec<(ClusterId, Vec<Key>)> = by_cluster.into_iter().collect();
-                parts.sort_by_key(|(c, _)| *c);
-                parts
-                    .into_iter()
-                    .map(|(c, keys)| PartState::new(c, keys))
-                    .collect()
-            }
-            QueryShape::Scan { clusters, .. } => {
-                let mut clusters = clusters.clone();
-                clusters.sort_unstable();
-                clusters.dedup();
-                clusters
-                    .into_iter()
-                    .map(|c| PartState::new(c, Vec::new()))
-                    .collect()
-            }
-        };
+        let parts: Vec<PartState> = query
+            .split(&self.topo)
+            .into_iter()
+            .map(|(cluster, part)| PartState::new(cluster, part.shape))
+            .collect();
         let (kind, trace_name) = match query.shape {
             QueryShape::Point { .. } => (OpKind::ReadOnly, "rot"),
             QueryShape::Scan { .. } => (OpKind::RangeScan, "scan"),
@@ -910,11 +875,11 @@ impl ClientActor {
             return;
         }
         let start = ctx.now();
-        // Edge-tier scatter-gather: hand the whole multi-partition
-        // query to one edge contact — it splits, fetches what it
-        // misses from each partition's replicas, and returns the part
-        // answers in one envelope; every part is still verified here
-        // against its own partition's root.
+        // Single contact: hand the whole multi-partition query to one
+        // edge — it splits it as we did, fetches what it misses from
+        // each partition's replicas, and sends each partition's answer
+        // as soon as it has it; each is verified here against its own
+        // partition's root.
         let contact = if self.config.single_contact && session.parts.len() > 1 {
             session.parts.iter().find_map(|p| {
                 self.edge_selector
@@ -950,7 +915,8 @@ impl ClientActor {
     /// The one way a sub-query leaves: every part in `clusters` waits on
     /// one fresh request to `target`. One cluster sends that partition's
     /// owed sub-query; several (the single-contact first round, every
-    /// part still fresh) send the query whole for the contact to split.
+    /// part still fresh) send the query whole for the contact to split,
+    /// and each part's answer comes back on its own under the one id.
     fn dispatch(
         &mut self,
         session: &mut ReadSession,
@@ -1036,10 +1002,8 @@ impl ClientActor {
         !part.done
     }
 
-    /// One partition's answer arrived — alone, or as one part of a
-    /// single-contact envelope: verify it against the owing sub-query,
-    /// advance pagination, or blame and retry. Returns whether it
-    /// verified.
+    /// One partition's answer arrived: verify it against the owing
+    /// sub-query, advance pagination, or blame and retry.
     fn on_part_result(
         &mut self,
         session: &mut ReadSession,
@@ -1047,7 +1011,7 @@ impl ClientActor {
         pending: Pending,
         response: &ReadPayload,
         ctx: &mut Context<'_, NetMsg>,
-    ) -> bool {
+    ) {
         let sub = session.subquery(cluster);
         session.part_mut(cluster).pending = None;
         let checked = self.certs.sig_checks();
@@ -1073,20 +1037,14 @@ impl ClientActor {
                     self.edge_selector
                         .record_success(edge.cluster, pending.target);
                 }
-                let mut part = std::mem::replace(
-                    session.part_mut(cluster),
-                    PartState::new(cluster, Vec::new()),
-                );
-                let more = self.ingest_answer(&mut part, answer, response, &feed_run);
-                *session.part_mut(cluster) = part;
-                if more {
+                let part = session.part_mut(cluster);
+                if self.ingest_answer(part, answer, response, &feed_run) {
                     // Next page: back through the selector — the pinned
                     // batch keeps the snapshot consistent even when a
                     // different node serves it.
                     let target = self.read_target(cluster, now);
                     self.dispatch(session, &[cluster], target, ctx);
                 }
-                true
             }
             // A pinned page continuation whose batch aged past the
             // freshness window. The timestamp is in the certified header
@@ -1101,7 +1059,6 @@ impl ClientActor {
                 part.restart_at_floor(part.floor);
                 let target = self.read_target(cluster, now);
                 self.dispatch(session, &[cluster], target, ctx);
-                false
             }
             Err(rejection) => {
                 // Verification failed: blame the target (demoting a
@@ -1172,14 +1129,16 @@ impl ClientActor {
                 }
                 let target = self.any_replica_of(cluster);
                 self.dispatch(session, &[cluster], target, ctx);
-                false
             }
         }
     }
 
-    /// A read response arrived: hand every part waiting on `req` its
-    /// answer — a gather envelope is just several of them — then stitch
-    /// when every partition is done.
+    /// A read response arrived: credit it to the part that waits on
+    /// `req` and whose partition the answer's certified header names,
+    /// then stitch when every partition is done. Any other answer — for
+    /// a partition the request does not owe, or a repeat for a part
+    /// already verified, a late one from a previous round or page
+    /// included — is dropped unread: never verified, nobody blamed.
     fn on_read_result(&mut self, req: u64, response: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
         let Some(mut inflight) = self.inflight.take() else {
             return;
@@ -1188,39 +1147,24 @@ impl ClientActor {
             self.inflight = Some(inflight);
             return;
         };
-        let owed: Vec<(ClusterId, Pending)> = session
+        let cluster = response.cluster();
+        let owed = session
             .parts
             .iter()
-            .filter_map(|p| p.pending.filter(|s| s.req == req).map(|s| (p.cluster, s)))
-            .collect();
-        if owed.is_empty() {
-            // Late duplicate from a previous round/page — ignore.
+            .find(|p| p.cluster == cluster)
+            .and_then(|p| p.pending)
+            .filter(|s| s.req == req);
+        let Some(pending) = owed else {
             inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
             return;
-        }
+        };
         // Responses travel untraced (their transit is the trace's
         // residual wire time), so the client's verification work is
-        // recorded here, bracketing the per-part verify charges below.
+        // recorded here, bracketing the verify charge below.
         let verify_from = ctx.now();
         self.stats.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
-        // A partition the envelope has no part for gets an empty
-        // envelope, which no sub-query accepts (`ShapeMismatch`).
-        let absent = ReadPayload::Gather { parts: Vec::new() };
-        let mut all_verified = true;
-        for (cluster, pending) in &owed {
-            let answer = match &response {
-                ReadPayload::Gather { parts } => parts
-                    .iter()
-                    .find(|p| p.cluster == *cluster)
-                    .map_or(&absent, |p| &p.body),
-                whole => whole,
-            };
-            all_verified &= self.on_part_result(&mut session, *cluster, *pending, answer, ctx);
-        }
-        if all_verified && owed.len() > 1 {
-            self.stats.gathers_accepted += 1;
-        }
+        self.on_part_result(&mut session, cluster, pending, &response, ctx);
         if let Some(tc) = session.query.trace {
             let me = NodeId::Client(self.id);
             let until = ctx.now();
@@ -1254,7 +1198,7 @@ impl ClientActor {
         if !actionable.is_empty() {
             if session.round >= 2 {
                 // Theorem 4.6 says this cannot happen; count it loudly
-                // (ROADMAP open item 1) and satisfy it with another
+                // (ROADMAP `[third-round]`) and satisfy it with another
                 // round anyway.
                 self.stats.third_round_needed += 1;
             }

@@ -206,8 +206,9 @@ pub struct ClientProfile {
     /// Baseline mode: read-only ops via BFT + 2PC instead of the
     /// commit-free snapshot protocol.
     pub rot_via_2pc: bool,
-    /// Send fresh cross-partition queries to one edge contact
-    /// (edge-tier scatter-gather).
+    /// Send fresh cross-partition queries whole to one edge contact,
+    /// which answers each partition separately under the one request
+    /// id (picks the target only; see `ClientConfig::single_contact`).
     pub single_contact: bool,
     /// Subscription mode: ask edges for feed-tail freshness
     /// attachments to skip round 2 on warm reads.

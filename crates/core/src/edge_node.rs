@@ -2,8 +2,8 @@
 //! read-only path without joining consensus.
 //!
 //! An [`EdgeReadNode`] fronts one partition but caches certified
-//! responses of *any* partition it has couriered (see scatter-gather
-//! below). It holds no partition state, no Merkle tree, and no
+//! responses of *any* partition it has couriered (see single-contact
+//! reads below). It holds no partition state, no Merkle tree, and no
 //! consensus role — only the [`transedge_edge::ReplayCache`] sections
 //! and windows of certified responses it has forwarded before. A
 //! request one cached section was admitted for (or one cached window)
@@ -15,16 +15,18 @@
 //!
 //! Three subsystems ride on top of the replay path:
 //!
-//! * **Edge-tier scatter-gather** — a cross-partition [`ReadQuery`]
-//!   arriving at one edge is split into per-partition sub-queries, each
-//!   run in-process through the ordinary serving path with a gather
-//!   slot as its reply address (`ReplyTo`): served from the edge's
-//!   own per-cluster caches where possible and forwarded to the owning
-//!   partition's replicas otherwise — never to the edge fronting that
-//!   partition, which sits beside those replicas and could only add a
-//!   hop — then returned as one `ReadResponse::Gather` envelope: the
-//!   client contacts *one* edge for a multi-partition query, and still
-//!   verifies every part against its own partition's certified root.
+//! * **Single-contact reads** — every query is served one part per
+//!   partition it touches ([`ReadQuery::split`], the split the client
+//!   plans with), so a cross-partition query arriving at one edge runs
+//!   each part through the ordinary serving path: served from the
+//!   edge's own per-cluster caches where possible and forwarded to the
+//!   owning partition's replicas otherwise — never to the edge fronting
+//!   that partition, which sits beside those replicas and could only
+//!   add a hop. Each part's answer goes back as an ordinary
+//!   `ReadResult` under the client's request id as soon as it is
+//!   ready: the client contacts *one* edge for a multi-partition query
+//!   and verifies each answer against its own partition's certified
+//!   root.
 //! * **Gossiped conviction directory** — each edge runs a
 //!   [`DirectoryAgent`] and every gossip round pushes a *delta*
 //!   (records the peer is not known to have, plus a state summary the
@@ -56,8 +58,8 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    verify_object, GatherPart, MultiProofBody, PartitionCaches, QueryShape, ReadQuery,
-    ReadRejection, ReadVerifier, ReplayCache, SnapshotObject, VerifyParams,
+    verify_object, MultiProofBody, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
+    ReadVerifier, ReplayCache, SnapshotObject, VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
@@ -232,12 +234,10 @@ pub struct EdgeNodeStats {
     pub scans_forwarded: u64,
     /// Responses deliberately corrupted (byzantine modes).
     pub tampered: u64,
-    /// Cross-partition queries taken as the single contact
-    /// (edge-tier scatter-gather).
+    /// Cross-partition queries taken as the single contact.
     pub gather_requests: u64,
-    /// Gathers fully stitched and returned to the client.
-    pub gather_completed: u64,
-    /// Gather sub-queries for partitions this edge does not front.
+    /// Query parts for partitions this edge does not front (a single
+    /// contact's foreign parts).
     pub foreign_subs: u64,
     /// Foreign sub-query misses, each forwarded to a replica of the
     /// partition that owns it.
@@ -283,7 +283,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
         reg.counter(scope, "edge.scans_forwarded", self.scans_forwarded);
         reg.counter(scope, "edge.tampered", self.tampered);
         reg.counter(scope, "edge.gather_requests", self.gather_requests);
-        reg.counter(scope, "edge.gather_completed", self.gather_completed);
         reg.counter(scope, "edge.foreign_subs", self.foreign_subs);
         reg.counter(
             scope,
@@ -313,28 +312,13 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
     }
 }
 
-/// Where a served answer goes: out to whoever asked, or — for a
-/// sub-query this node split off a cross-partition query — into its
-/// slot of the in-flight gather, in-process.
-#[derive(Clone, Copy)]
-enum ReplyTo {
-    Node { to: NodeId, req: u64 },
-    Gather { gather: u64, cluster: ClusterId },
-}
-
-/// A request waiting on an upstream answer.
+/// A query part waiting on an upstream answer.
 struct PendingRequest {
-    reply: ReplyTo,
-    /// The replica asked — the only node whose answer is admitted.
-    upstream: NodeId,
-}
-
-/// One in-flight edge-tier scatter-gather: the client contact and the
-/// per-partition slots awaiting answers.
-struct GatherState {
+    /// Who asked, and under which request id the answer goes back.
     client: NodeId,
     client_req: u64,
-    parts: Vec<(ClusterId, Option<ReadPayload>)>,
+    /// The replica asked — the only node whose answer is admitted.
+    upstream: NodeId,
 }
 
 /// The actor.
@@ -344,7 +328,7 @@ pub struct EdgeReadNode {
     keys: KeyStore,
     behavior: EdgeBehavior,
     /// One replay cache per partition: the home cluster's fills from
-    /// normal traffic, foreign clusters' from couriered gather parts —
+    /// normal traffic, foreign clusters' from couriered query parts —
     /// which is what makes a warm single-contact query one LAN hop.
     caches: PartitionCaches<CommittedHeader>,
     directory_plan: DirectoryPlan,
@@ -360,12 +344,10 @@ pub struct EdgeReadNode {
     directory: Option<DirectoryAgent<CommittedHeader>>,
     /// upstream req id → the request it answers.
     pending: HashMap<u64, PendingRequest>,
-    gathers: HashMap<u64, GatherState>,
     /// The cold-bootstrap transfer in flight: the sibling asked and
     /// the request id — the only `StateTransferResp` admitted, once.
     transfer: Option<(NodeId, u64)>,
     next_req: u64,
-    next_gather: u64,
     /// Round-robin over replicas for upstream fetches.
     upstream_rr: u64,
     /// Round-robin over peers for gossip pushes.
@@ -403,10 +385,8 @@ impl EdgeReadNode {
             peers: params.peers,
             directory,
             pending: HashMap::new(),
-            gathers: HashMap::new(),
             transfer: None,
             next_req: 0,
-            next_gather: 0,
             upstream_rr: 0,
             gossip_rr: me.index as u64,
             stats: EdgeNodeStats::default(),
@@ -451,7 +431,7 @@ impl EdgeReadNode {
 
     /// Replay-cache counters (admissions, invalidations, evictions,
     /// freshness verdicts) of every partition this node holds a cache
-    /// for: its own plus every one it has couriered a gather part of.
+    /// for: its own plus every one it has couriered a query part of.
     pub fn replay_stats(
         &self,
     ) -> impl Iterator<Item = (ClusterId, transedge_edge::replay::ReplayStats)> + '_ {
@@ -600,38 +580,32 @@ impl EdgeReadNode {
         Some(feed)
     }
 
-    /// Hand a finished answer to its reply address.
-    fn deliver(&mut self, reply: ReplyTo, result: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
-        match reply {
-            ReplyTo::Node { to, req } => ctx.send(to, NetMsg::ReadResult { req, result }),
-            ReplyTo::Gather { gather, cluster } => {
-                self.on_gather_part(gather, cluster, result, ctx)
-            }
-        }
-    }
-
     fn respond_scan(
         &mut self,
-        reply: ReplyTo,
+        to: NodeId,
+        req: u64,
         bundle: RotScanBundle,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let bundle = Box::new(self.corrupt_scan(bundle));
-        self.deliver(reply, ReadPayload::Scan { bundle }, ctx);
+        let result = ReadPayload::Scan { bundle };
+        ctx.send(to, NetMsg::ReadResult { req, result });
     }
 
     /// Send a point section (a replay or a pass-through), with this
     /// node's byzantine behaviour applied.
     fn respond(
         &mut self,
-        reply: ReplyTo,
+        to: NodeId,
+        req: u64,
         mut section: Box<RotSection>,
         fresh: Option<Vec<Arc<RotDelta>>>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let fresh = self.corrupt_fresh(section.commitment.header.cluster, fresh);
         self.corrupt(&mut section);
-        self.deliver(reply, ReadPayload::Point { section, fresh }, ctx);
+        let result = ReadPayload::Point { section, fresh };
+        ctx.send(to, NetMsg::ReadResult { req, result });
     }
 
     /// Register an upstream request, bounding the pending map: upstream
@@ -654,14 +628,16 @@ impl EdgeReadNode {
         upstream_req
     }
 
-    /// Forward a query verbatim to a replica of the partition that
-    /// owns it, remembering who asked — our own partition's replicas,
-    /// or for a foreign part of a gather that partition's. Never the
-    /// edge fronting it: that edge sits beside those replicas, so its
-    /// hit is no nearer and its miss is one more hop.
+    /// Forward a query part verbatim to a replica of the partition
+    /// that owns it, remembering who asked — our own partition's
+    /// replicas, or for a single contact's foreign part that
+    /// partition's. Never the edge fronting it: that edge sits beside
+    /// those replicas, so its hit is no nearer and its miss is one more
+    /// hop.
     fn forward_upstream(
         &mut self,
-        reply: ReplyTo,
+        client: NodeId,
+        client_req: u64,
         cluster: ClusterId,
         mut query: ReadQuery,
         ctx: &mut Context<'_, NetMsg>,
@@ -678,7 +654,11 @@ impl EdgeReadNode {
             self.stats.foreign_forward_replica += 1;
         }
         let upstream = self.upstream_replica(cluster);
-        let upstream_req = self.track_pending(PendingRequest { reply, upstream });
+        let upstream_req = self.track_pending(PendingRequest {
+            client,
+            client_req,
+            upstream,
+        });
         ctx.send(
             upstream,
             NetMsg::Read {
@@ -688,149 +668,26 @@ impl EdgeReadNode {
         );
     }
 
-    /// The home partition of a single-partition query.
-    fn home_cluster(&self, query: &ReadQuery) -> ClusterId {
-        match &query.shape {
-            QueryShape::Point { keys } => keys
-                .first()
-                .map(|k| self.topo.partition_of(k))
-                .unwrap_or(self.me.cluster),
-            QueryShape::Scan { clusters, .. } => {
-                clusters.first().copied().unwrap_or(self.me.cluster)
-            }
+    /// Serve a query one part per partition it touches
+    /// ([`ReadQuery::split`]), each answer going to `to` under `req` as
+    /// soon as it is ready: on the spot from this node's per-partition
+    /// caches, or when the partition's replica answers the forward. A
+    /// query spanning several partitions makes this node the client's
+    /// single contact; a part lost upstream is covered by the client's
+    /// resend.
+    fn serve(&mut self, to: NodeId, req: u64, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
+        let parts = query.split(&self.topo);
+        if parts.len() > 1 {
+            self.stats.gather_requests += 1;
         }
-    }
-
-    /// Every partition a query touches, sorted and deduplicated.
-    fn plan_clusters(&self, query: &ReadQuery) -> Vec<ClusterId> {
-        let mut clusters: Vec<ClusterId> = match &query.shape {
-            QueryShape::Point { keys } => keys.iter().map(|k| self.topo.partition_of(k)).collect(),
-            QueryShape::Scan { clusters, .. } => clusters.clone(),
-        };
-        clusters.sort_unstable();
-        clusters.dedup();
-        clusters
-    }
-
-    /// The query restricted to one partition (mirrors the client
-    /// session's sub-query planning).
-    fn subquery_for(&self, query: &ReadQuery, cluster: ClusterId) -> ReadQuery {
-        let shape = match &query.shape {
-            QueryShape::Point { keys } => QueryShape::Point {
-                keys: keys
-                    .iter()
-                    .filter(|k| self.topo.partition_of(k) == cluster)
-                    .cloned()
-                    .collect(),
-            },
-            QueryShape::Scan { range, window, .. } => QueryShape::Scan {
-                clusters: vec![cluster],
-                range: *range,
-                window: *window,
-            },
-        };
-        ReadQuery {
-            consistency: query.consistency,
-            shape,
-            page: query.page,
-            feed: query.feed_for(cluster),
-            trace: query.trace,
-        }
-    }
-
-    /// Edge-tier scatter-gather: split a cross-partition query into
-    /// per-partition sub-queries and run each through this node's
-    /// ordinary serving path with its gather slot as the reply address
-    /// — answered from the per-cluster caches on the spot, or forwarded
-    /// to the partition's replicas and slotted when the answer returns.
-    /// The envelope leaves when the last slot fills; a part lost
-    /// upstream is covered by the client's resend.
-    fn on_gather_query(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        query: ReadQuery,
-        clusters: Vec<ClusterId>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        self.stats.gather_requests += 1;
-        const MAX_GATHERS: usize = 1024;
-        if self.gathers.len() >= MAX_GATHERS {
-            let mut ids: Vec<u64> = self.gathers.keys().copied().collect();
-            ids.sort_unstable();
-            for id in &ids[..MAX_GATHERS / 2] {
-                self.gathers.remove(id);
-            }
-        }
-        self.next_gather += 1;
-        let gather = self.next_gather;
-        self.gathers.insert(
-            gather,
-            GatherState {
-                client: from,
-                client_req: req,
-                parts: clusters.iter().map(|c| (*c, None)).collect(),
-            },
-        );
-        for cluster in clusters {
+        for (cluster, part) in parts {
             if cluster != self.me.cluster {
                 self.stats.foreign_subs += 1;
             }
-            let sub = self.subquery_for(&query, cluster);
-            self.serve(ReplyTo::Gather { gather, cluster }, sub, ctx);
-        }
-    }
-
-    /// A gather part is finished (served here, or returned by a
-    /// replica): slot it, and send the envelope when the gather is
-    /// complete. Nothing is absorbed here — a part either came *from*
-    /// this node's caches or arrived through `on_upstream_result`,
-    /// which already admitted it (what makes the repeat of a couriered
-    /// foreign part a local hit).
-    fn on_gather_part(
-        &mut self,
-        gather: u64,
-        cluster: ClusterId,
-        result: ReadPayload,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let Some(state) = self.gathers.get_mut(&gather) else {
-            return; // trimmed
-        };
-        if let Some(slot) = state
-            .parts
-            .iter_mut()
-            .find(|(c, p)| *c == cluster && p.is_none())
-        {
-            slot.1 = Some(result);
-        }
-        if state.parts.iter().any(|(_, p)| p.is_none()) {
-            return;
-        }
-        let state = self.gathers.remove(&gather).expect("checked above");
-        let parts: Vec<GatherPart<CommittedHeader>> = state
-            .parts
-            .into_iter()
-            .map(|(cluster, payload)| GatherPart {
-                cluster,
-                body: payload.expect("all parts present"),
-            })
-            .collect();
-        self.stats.gather_completed += 1;
-        ctx.send(
-            state.client,
-            NetMsg::ReadResult {
-                req: state.client_req,
-                result: ReadPayload::Gather { parts },
-            },
-        );
-    }
-
-    /// Serve a single-partition query to `reply`.
-    fn serve(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
-        match &query.shape {
-            QueryShape::Point { .. } => self.on_point_query(reply, query, ctx),
-            QueryShape::Scan { .. } => self.on_scan_query(reply, query, ctx),
+            match part.shape {
+                QueryShape::Point { .. } => self.on_point_query(to, req, cluster, part, ctx),
+                QueryShape::Scan { .. } => self.on_scan_query(to, req, cluster, part, ctx),
+            }
         }
     }
 
@@ -846,9 +703,6 @@ impl EdgeReadNode {
                 let cluster = bundle.commitment.header.cluster;
                 self.cache_for(cluster).admit_scan(bundle);
             }
-            // A nested gather can only come from a byzantine upstream;
-            // nothing in it is attributable to one partition's cache.
-            ReadPayload::Gather { .. } => {}
         }
     }
 
@@ -1001,20 +855,26 @@ impl EdgeReadNode {
         SimTime(now.as_micros().saturating_sub(staleness))
     }
 
-    /// Serve a point query from cache — one cached section proving
-    /// every asked key — or forward it whole upstream.
-    fn on_point_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
+    /// Serve `cluster`'s point part from cache — one cached section
+    /// proving every asked key — or forward it whole upstream.
+    fn on_point_query(
+        &mut self,
+        to: NodeId,
+        req: u64,
+        cluster: ClusterId,
+        query: ReadQuery,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
         let QueryShape::Point { keys } = &query.shape else {
             return;
         };
-        let cluster = self.home_cluster(&query);
         self.stats.requests += 1;
         self.stats.keys_requested += keys.len() as u64;
         let freshness_floor = self.replay_floor(ctx.now());
         let cache = self.caches.cache_for(cluster);
         let Some(section) = cache.replay(keys, query.min_lce(), freshness_floor) else {
             self.stats.forwarded += 1;
-            self.forward_upstream(reply, cluster, query, ctx);
+            self.forward_upstream(to, req, cluster, query, ctx);
             return;
         };
         self.stats.served_from_cache += 1;
@@ -1029,16 +889,22 @@ impl EdgeReadNode {
             .feed
             .as_ref()
             .and_then(|_| cache.freshness_since(served, keys, resume));
-        self.respond(reply, Box::new(section), fresh, ctx);
+        self.respond(to, req, Box::new(section), fresh, ctx);
     }
 
-    /// Serve a scan query from the replay cache — the page's window
-    /// cached at the pinned batch (page continuations) or at any batch
-    /// passing the LCE/staleness floors — or forward it
+    /// Serve `cluster`'s scan part from the replay cache — the page's
+    /// window cached at the pinned batch (page continuations) or at any
+    /// batch passing the LCE/staleness floors — or forward it
     /// upstream, absorbing the certified answer on the way back.
-    fn on_scan_query(&mut self, reply: ReplyTo, query: ReadQuery, ctx: &mut Context<'_, NetMsg>) {
+    fn on_scan_query(
+        &mut self,
+        to: NodeId,
+        req: u64,
+        cluster: ClusterId,
+        query: ReadQuery,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
         self.stats.scan_requests += 1;
-        let cluster = self.home_cluster(&query);
         let Some(window) = query.scan_window() else {
             // Malformed page token: the replica would reject it too;
             // dropping it here saves the upstream hop.
@@ -1050,11 +916,11 @@ impl EdgeReadNode {
         let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
         if let Some(bundle) = replayed {
             self.stats.scans_from_cache += 1;
-            self.respond_scan(reply, bundle, ctx);
+            self.respond_scan(to, req, bundle, ctx);
             return;
         }
         self.stats.scans_forwarded += 1;
-        self.forward_upstream(reply, cluster, query, ctx);
+        self.forward_upstream(to, req, cluster, query, ctx);
     }
 
     /// An upstream answer: admitted only when `from` is the replica
@@ -1074,22 +940,18 @@ impl EdgeReadNode {
         if asked.get().upstream != from {
             return;
         }
-        let pending = asked.remove();
+        let PendingRequest {
+            client, client_req, ..
+        } = asked.remove();
         // A byzantine edge still caches honestly and lies on the way
         // out.
         self.absorb(&result);
         match result {
-            ReadPayload::Scan { bundle } => {
-                self.respond_scan(pending.reply, *bundle, ctx);
-            }
+            ReadPayload::Scan { bundle } => self.respond_scan(client, client_req, *bundle, ctx),
             // Whatever upstream sent goes out as received — the client
             // verifies it end to end either way.
-            ReadPayload::Point { section, .. } => self.respond(pending.reply, section, None, ctx),
-            // Only a byzantine upstream sends a nested gather; forward
-            // it unmodified — the client's per-part shape check rejects
-            // it and blames this path's contact.
-            ReadPayload::Gather { parts } => {
-                self.deliver(pending.reply, ReadPayload::Gather { parts }, ctx)
+            ReadPayload::Point { section, .. } => {
+                self.respond(client, client_req, section, None, ctx)
             }
         }
     }
@@ -1182,14 +1044,7 @@ impl Actor<NetMsg> for EdgeReadNode {
 
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
         match msg {
-            NetMsg::Read { req, query } => {
-                let clusters = self.plan_clusters(&query);
-                if clusters.len() > 1 {
-                    self.on_gather_query(from, req, query, clusters, ctx);
-                } else {
-                    self.serve(ReplyTo::Node { to: from, req }, query, ctx);
-                }
-            }
+            NetMsg::Read { req, query } => self.serve(from, req, query, ctx),
             NetMsg::ReadResult { req, result } => self.on_upstream_result(from, req, result, ctx),
             NetMsg::DirectoryDeltaGossip { delta } => {
                 if let Some(agent) = &mut self.directory {

@@ -20,9 +20,10 @@
 //!   read-only serving through the `transedge-edge` pipeline;
 //! * [`edge_node`] — the untrusted edge read cache actor (and its
 //!   byzantine test variants) scaling the ROT path without consensus;
-//!   with per-cluster replay caches, edge-tier scatter-gather (one
-//!   contact serves a cross-partition query, forwarding the parts it
-//!   misses to their partitions' replicas), and a
+//!   with per-cluster replay caches, single-contact reads (one edge
+//!   serves a cross-partition query part by part, forwarding the parts
+//!   it misses to their partitions' replicas and sending each
+//!   partition's answer as an ordinary response), and a
 //!   `transedge-directory` gossip agent exchanging signed,
 //!   re-verified rejection evidence;
 //! * [`edge_select`] — client→edge selection: a rotating pick over
@@ -32,8 +33,10 @@
 //! * [`client`] — the client library/actor: OCC read-write
 //!   transactions, and the unified proof-carrying read protocol — a
 //!   `ReadSession` plans any `ReadQuery` (point sets, paginated scans,
-//!   scatter-gather) into per-partition sub-queries, fans them out
-//!   through the edge selector, verifies every response via
+//!   scatter-gather) into per-partition sub-queries
+//!   (`ReadQuery::split`), fans them out through the edge selector or
+//!   sends them whole to one edge contact, credits each response to
+//!   the part its certified header names, verifies it via
 //!   `transedge-edge`'s `ReadVerifier::verify_query`, and stitches the
 //!   result with the cross-partition dependency check (Algorithm 2);
 //! * [`setup`] — one-call construction of a full simulated deployment;

@@ -124,12 +124,15 @@ pub enum NetMsg {
     /// proof-carrying read shape — round-1 point reads
     /// (`SnapshotPolicy::Latest`), round-2 dependency fetches
     /// (`SnapshotPolicy::MinEpoch`), verified range scans,
-    /// paginated scan continuations (`ReadQuery::page`), scatter-gather
-    /// sub-queries, and subscriber reads naming the feed deltas they
-    /// already hold (`ReadQuery::feed`). Built through the [`ReadQuery`]
+    /// paginated scan continuations (`ReadQuery::page`), whole
+    /// multi-partition queries sent to one edge contact, and subscriber
+    /// reads naming the feed deltas they already hold
+    /// (`ReadQuery::feed`). Built through the [`ReadQuery`]
     /// constructors; the old per-shape `NetMsg` constructors are gone.
     Read { req: u64, query: ReadQuery },
-    /// The unified proof-carrying answer to a [`NetMsg::Read`] query.
+    /// The proof-carrying answer to one partition's part of a
+    /// [`NetMsg::Read`] query. A query spanning several partitions is
+    /// answered with one of these per partition, all under its `req`.
     ReadResult { req: u64, result: ReadPayload },
 
     // ---- certified commit feed (replica → edge push) ------------------
@@ -209,7 +212,7 @@ pub enum NetMsg {
     /// evidence. Deviation: it ships at vote time, not after the
     /// coordinator's own commit batch is written, which liveness needs
     /// when one prepare group mixes transactions with different
-    /// coordinators (ledger: ROADMAP.md item 9).
+    /// coordinators (ledger: ROADMAP.md, *Deviation ledger*).
     CommitOutcome {
         txn: TxnId,
         coordinator: ClusterId,
@@ -234,7 +237,6 @@ impl NetMsg {
             NetMsg::ReadResult { result, .. } => match result {
                 ReadResponse::Point { .. } => "read-result-point",
                 ReadResponse::Scan { .. } => "read-result-scan",
-                ReadResponse::Gather { .. } => "read-result-gather",
             },
             NetMsg::FeedSubscribe { .. } => "feed-subscribe",
             NetMsg::FeedDelta { .. } => "feed-delta",
@@ -360,10 +362,6 @@ pub fn read_payload_size(result: &ReadPayload) -> usize {
                 + feed_size(fresh)
         }
         ReadPayload::Scan { bundle } => scan_bundle_size(bundle),
-        ReadPayload::Gather { parts } => parts
-            .iter()
-            .map(|p| 2 + read_payload_size(&p.body))
-            .sum::<usize>(),
     }
 }
 

@@ -108,7 +108,7 @@ impl PreparedBatches {
     /// import fresh dependencies into round-two read-only responses,
     /// which is what makes Theorem 4.6's two-round bound fail.
     /// Deviation: a ROT can still need a third round; the ledger is
-    /// ROADMAP.md item 9.)
+    /// ROADMAP.md, *Deviation ledger*.)
     ///
     /// Returns the drained records (with their transactions) and the
     /// new LCE (the drained group's prepare-batch number).

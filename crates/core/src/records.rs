@@ -13,7 +13,7 @@
 //! outcome: §3.3.4's `f+1`-signed commit record is never built. A
 //! [`CommitRecord`]'s evidence is the other participants' prepared
 //! records, which the coordinator forwards with its decision (ledger:
-//! ROADMAP.md item 9).
+//! ROADMAP.md, *Deviation ledger*).
 
 use transedge_common::{
     BatchNum, ClusterId, Decode, Encode, NodeId, Result, TransEdgeError, TxnId, WireReader,

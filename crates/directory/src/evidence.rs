@@ -135,15 +135,6 @@ pub fn response_fingerprint<H: BatchCommitment>(response: &ReadResponse<H>) -> D
             h.update(b"scan");
             hash_scan(&mut h, bundle);
         }
-        ReadResponse::Gather { parts } => {
-            h.update(b"gather");
-            for part in parts {
-                let mut w = WireWriter::with_capacity(4);
-                part.cluster.encode(&mut w);
-                h.update(&w.into_bytes());
-                h.update(&response_fingerprint(&part.body).0);
-            }
-        }
     }
     h.finalize()
 }
@@ -312,10 +303,6 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
                 ReadResponse::Scan { bundle } => {
                     110 + bundle.cert.sigs.len() * 101 + bundle.scan.encoded_len()
                 }
-                ReadResponse::Gather { parts } => parts
-                    .iter()
-                    .map(|p| 2 + response_size(&p.body))
-                    .sum::<usize>(),
             }
         }
         80 + self.body.query.wire_size() + response_size(&self.body.response)

@@ -8,9 +8,10 @@
 
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, EdgeId, Epoch, NodeId, ReplicaId, SimTime};
-use transedge_crypto::{Digest, Signature};
+use transedge_consensus::Certificate;
+use transedge_crypto::{Digest, MultiProof, Signature};
 use transedge_directory::{DirectoryState, EvidenceBody, SignedEvidence};
-use transedge_edge::{BatchCommitment, ReadQuery, ReadResponse};
+use transedge_edge::{BatchCommitment, MultiProofBody, MultiProofBundle, ReadQuery, ReadResponse};
 
 /// Minimal commitment for evidence payloads (merge is syntactic; the
 /// embedded response is opaque to the CRDT).
@@ -39,6 +40,29 @@ impl BatchCommitment for TestHeader {
     }
 }
 
+/// An opaque stand-in response: an empty point section under an
+/// unsigned certificate.
+fn empty_response() -> ReadResponse<TestHeader> {
+    let cert = Certificate {
+        cluster: ClusterId(0),
+        slot: BatchNum(0),
+        digest: Digest([0u8; 32]),
+        sigs: Vec::new(),
+    };
+    let proof = MultiProof {
+        buckets: Vec::new(),
+        siblings: Vec::new(),
+    };
+    ReadResponse::Point {
+        section: Box::new(MultiProofBundle {
+            commitment: TestHeader,
+            cert,
+            body: MultiProofBody::new(Vec::new(), Vec::new(), proof),
+        }),
+        fresh: None,
+    }
+}
+
 type State = DirectoryState<TestHeader>;
 
 /// One gossip record. Signatures are arbitrary bytes: validation
@@ -57,7 +81,7 @@ fn evidence(witness: u8, s: u8, observed_at: u64, sig: u8) -> Record {
             subject: subject(s),
             cluster: ClusterId((s % 3) as u16),
             query: ReadQuery::point(vec![]),
-            response: ReadResponse::Gather { parts: vec![] },
+            response: empty_response(),
             observed_at: SimTime(observed_at),
         },
         sig: Signature([sig; 64]),

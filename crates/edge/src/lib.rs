@@ -52,8 +52,11 @@
 //!   [`query::ReadQuery`] ([`query::SnapshotPolicy`] ×
 //!   [`query::QueryShape`] × [`query::PageToken`]) names every read —
 //!   point reads, LCE-floored round-2 fetches, verified scans,
-//!   paginated multi-window scans, scatter-gather sub-queries — and
-//!   one [`query::ReadResponse`] answers it.
+//!   paginated multi-window scans, multi-partition queries.
+//!   [`query::ReadQuery::split`] is the one split of a query into
+//!   per-partition parts, shared by the client's planner and a contact
+//!   edge, and each part is answered by one [`query::ReadResponse`]
+//!   naming its partition — no response spans two.
 //! * [`verifier`] — the trusted-side checker. [`verifier::ReadVerifier`]
 //!   accepts a response only after proof → root → certificate →
 //!   freshness → snapshot-epoch checks all pass; everything an edge
@@ -94,9 +97,7 @@ pub use certs::{QuorumCheck, VerifiedCerts};
 pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
 pub use persist::{verify_object, SnapshotObject};
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
-pub use query::{
-    GatherPart, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
-};
+pub use query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy};
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,

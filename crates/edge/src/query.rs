@@ -24,11 +24,12 @@
 //! so an untrusted node cannot splice pages across batches or downgrade
 //! a floor without being caught.
 
-use transedge_common::{BatchNum, ClusterId, Epoch, Key, Value};
+use transedge_common::{BatchNum, ClusterId, ClusterTopology, Epoch, Key, Value};
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::ScanRange;
 use transedge_obs::TraceContext;
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::feed::FeedCursor;
@@ -268,6 +269,61 @@ impl ReadQuery {
         ))
     }
 
+    /// The query split into one part per partition it touches,
+    /// ascending by partition: each part is this query restricted to
+    /// its partition — the point keys the partition owns (in query
+    /// order), or the scan of that partition alone — with this query's
+    /// policy, page, trace and that partition's feed cursors. The one
+    /// split there is: a client plans its parts with it, and an edge
+    /// taking a whole query as a single contact serves the same parts.
+    pub fn split(&self, topo: &ClusterTopology) -> Vec<(ClusterId, ReadQuery)> {
+        let part = |cluster: ClusterId, shape: QueryShape| {
+            let query = ReadQuery {
+                consistency: self.consistency,
+                shape,
+                page: self.page,
+                feed: self.feed_for(cluster),
+                trace: self.trace,
+            };
+            (cluster, query)
+        };
+        match &self.shape {
+            QueryShape::Point { keys } => {
+                let mut by_cluster: BTreeMap<ClusterId, Vec<Key>> = BTreeMap::new();
+                for key in keys {
+                    by_cluster
+                        .entry(topo.partition_of(key))
+                        .or_default()
+                        .push(key.clone());
+                }
+                by_cluster
+                    .into_iter()
+                    .map(|(cluster, keys)| part(cluster, QueryShape::Point { keys }))
+                    .collect()
+            }
+            QueryShape::Scan {
+                clusters,
+                range,
+                window,
+            } => {
+                let mut clusters = clusters.clone();
+                clusters.sort_unstable();
+                clusters.dedup();
+                clusters
+                    .into_iter()
+                    .map(|cluster| {
+                        let shape = QueryShape::Scan {
+                            clusters: vec![cluster],
+                            range: *range,
+                            window: *window,
+                        };
+                        part(cluster, shape)
+                    })
+                    .collect()
+            }
+        }
+    }
+
     /// The feed cursors restricted to `cluster` (sub-query planning).
     pub fn feed_for(&self, cluster: ClusterId) -> Option<Vec<(ClusterId, FeedCursor)>> {
         let cursors = self.feed.as_ref()?;
@@ -321,9 +377,11 @@ impl ReadQuery {
     }
 }
 
-/// The payload an untrusted node answers a [`ReadQuery`] with. Every
-/// variant is proof-carrying — clients verify it end to end via
-/// [`crate::ReadVerifier::verify_query`].
+/// The payload an untrusted node answers one partition's part of a
+/// [`ReadQuery`] with. Every variant is proof-carrying — clients verify
+/// it end to end via [`crate::ReadVerifier::verify_query`] — and names
+/// exactly one partition: a query spanning several is answered with
+/// one response per partition, never one response spanning them.
 ///
 /// # Examples
 ///
@@ -334,7 +392,6 @@ impl ReadQuery {
 ///     match r {
 ///         ReadResponse::Point { .. } => "point section",
 ///         ReadResponse::Scan { .. } => "scan window",
-///         ReadResponse::Gather { .. } => "stitched per-partition parts",
 ///     }
 /// }
 /// ```
@@ -362,33 +419,24 @@ pub enum ReadResponse<H> {
     /// the verifier accepts no other. Boxed: scan bundles dwarf the
     /// other payloads.
     Scan { bundle: Box<ScanBundle<H>> },
-    /// Edge-tier scatter-gather: one section per partition of a
-    /// cross-partition query, stitched by the single edge the client
-    /// contacted. Each part is verified independently against *its own*
-    /// partition's certified root — the stitching edge is an untrusted
-    /// courier, nothing more. Parts must not nest further gathers (a
-    /// nested gather fails the per-part shape check).
-    Gather { parts: Vec<GatherPart<H>> },
-}
-
-/// One partition's slice of a [`ReadResponse::Gather`].
-#[derive(Clone, Debug)]
-pub struct GatherPart<H> {
-    /// Partition this part answers for.
-    pub cluster: ClusterId,
-    /// The partition's own proof-carrying payload.
-    pub body: ReadResponse<H>,
 }
 
 impl<H: BatchCommitment> ReadResponse<H> {
-    /// The snapshot batch this response claims to serve (`None` only
-    /// for an empty gather: gathers span partitions with independent
-    /// batch spaces, and their first part's claim is reported).
-    pub fn batch(&self) -> Option<BatchNum> {
+    /// The partition this response's certified header names — unverified
+    /// until [`crate::ReadVerifier::verify_query`] passes, so good for
+    /// routing the answer to the part that owes it, never for trusting it.
+    pub fn cluster(&self) -> ClusterId {
         match self {
-            ReadResponse::Point { section, .. } => Some(section.batch()),
-            ReadResponse::Scan { bundle } => Some(bundle.batch()),
-            ReadResponse::Gather { parts } => parts.first().and_then(|p| p.body.batch()),
+            ReadResponse::Point { section, .. } => section.commitment.cluster(),
+            ReadResponse::Scan { bundle } => bundle.commitment.cluster(),
+        }
+    }
+
+    /// The snapshot batch this response claims to serve.
+    pub fn batch(&self) -> BatchNum {
+        match self {
+            ReadResponse::Point { section, .. } => section.batch(),
+            ReadResponse::Scan { bundle } => bundle.batch(),
         }
     }
 
@@ -396,7 +444,7 @@ impl<H: BatchCommitment> ReadResponse<H> {
     pub fn fresh_feed(&self) -> Option<&[Arc<CertifiedDelta<H>>]> {
         match self {
             ReadResponse::Point { fresh, .. } => fresh.as_deref(),
-            _ => None,
+            ReadResponse::Scan { .. } => None,
         }
     }
 }

@@ -19,9 +19,8 @@
 //!
 //! Point reads have exactly one shape — one multiproof section under
 //! one certified commitment — whether they come from a replica, an edge
-//! replay, a gather part, a hydrated disk object, or a sibling's state
-//! transfer, and one private check (`verify_section`) runs for all of
-//! them. A point answer mixing batches, or carrying no section, is not
+//! replay, a hydrated disk object, or a sibling's state transfer, and
+//! one private check (`verify_section`) runs for all of them. A point answer mixing batches, or carrying no section, is not
 //! a rejection: [`ReadResponse::Point`] cannot hold one. A scan answer
 //! is likewise one window — the one the query asked for, proven
 //! complete by one range proof ([`ReadVerifier::verify_scan`]); any
@@ -485,7 +484,8 @@ impl ReadVerifier {
         let answer =
             self.check_query(keys, expected_cluster, query, response, Some(&*window), now)?;
         let mut run = Vec::new();
-        if let (Some(sent), Some(served)) = (response.fresh_feed(), response.batch()) {
+        if let Some(sent) = response.fresh_feed() {
+            let served = response.batch();
             let resume = query.feed_resume(expected_cluster, served);
             run.extend(window.run(served, resume).chain(sent).cloned());
             window.absorb(&run);

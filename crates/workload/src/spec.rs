@@ -79,7 +79,7 @@ pub struct WorkloadSpec {
     pub tree_depth: u32,
     /// Emit read-only transactions as unified [`ReadQuery`] point
     /// queries (`ClientOp::Query`) instead of the `ReadOnly` sugar —
-    /// what single-contact (edge-tier scatter-gather) experiments
+    /// what single-contact experiments
     /// drive. Identical semantics; the typed form is what the
     /// directory/forwarding benches measure.
     pub unified_points: bool,

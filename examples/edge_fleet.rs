@@ -11,9 +11,10 @@
 //! for every client after it.
 //!
 //! The same deployment serves a two-partition query through a single
-//! edge contact (edge-tier scatter-gather): the contact splits the
-//! query, forwards the foreign part across the tier, and returns the
-//! part answers in one envelope the client verifies per partition.
+//! edge contact: the contact splits the query, forwards the part it
+//! misses to that partition's replicas, and sends each partition's
+//! answer back on its own under the client's one request id; the
+//! client verifies each against its own partition's certified root.
 //!
 //! ```bash
 //! cargo run --release --example edge_fleet
@@ -60,7 +61,8 @@ fn main() {
     // gossiped fleet-wide — and runs cross-partition queries through a
     // single edge contact.
     let cross: Vec<Key> = k0.iter().chain(k1.iter()).cloned().collect();
-    let b_ops: Vec<ClientOp> = (0..10)
+    let b_total = 10;
+    let b_ops: Vec<ClientOp> = (0..b_total)
         .map(|_| ClientOp::Query {
             query: ReadQuery::point(cross.clone()),
         })
@@ -111,10 +113,18 @@ fn main() {
         b.stats.verification_failures,
     );
     println!(
-        "          {} cross-partition queries served via a single edge contact \
-         ({} verified in every part)",
-        b.stats.gathers_sent, b.stats.gathers_accepted,
+        "          {} cross-partition queries sent whole to a single edge contact, \
+         {} of {} completed with every partition verified on its own root",
+        b.stats.gathers_sent,
+        b.query_results.len(),
+        b_total,
     );
+    assert_eq!(b.stats.gathers_sent, b_total as u64);
+    assert_eq!(b.query_results.len(), b_total);
+    assert!(b
+        .query_results
+        .iter()
+        .all(|q| q.snapshot.len() == 2 && q.values.len() == cross.len()));
     assert!(a.stats.verification_failures >= 1);
     assert!(informed == dep.edge_ids.len());
     assert!(health.demotions >= 1);

@@ -1333,7 +1333,7 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
 }
 
 // ---------------------------------------------------------------------
-// The gossiped edge directory + edge-tier scatter-gather (the
+// The gossiped edge directory + single-contact queries (the
 // `transedge-directory` subsystem's acceptance scenarios).
 // ---------------------------------------------------------------------
 
@@ -1529,11 +1529,12 @@ fn assert_two_partition_results_correct(dep: &Deployment) {
     }
 }
 
-/// Edge-tier scatter-gather, honest half: a two-partition `ReadQuery`
-/// is served through a **single edge contact** — the edge splits it,
-/// forwards the foreign sub-query across the edge tier, and returns
-/// the part answers in one envelope, each verified by the client
-/// against its partition's own certified root.
+/// Single edge contact, honest half: a two-partition `ReadQuery` is
+/// sent whole to **one edge** — the edge splits it, forwards the
+/// foreign part to that partition's replicas, and answers each
+/// partition with an ordinary `read-result-point` under the client's
+/// one request id, each verified by the client against its
+/// partition's own certified root.
 #[test]
 fn two_partition_query_served_through_single_edge_contact() {
     use transedge::common::SimDuration;
@@ -1566,16 +1567,16 @@ fn two_partition_query_served_through_single_edge_contact() {
     dep.run_until_done(SimTime(600_000_000));
     let done = dep.metrics();
 
-    // Every later query is fully warm and costs exactly client→contact
-    // plus contact→client: the contact serves both parts in-process, so
-    // no message's sender is its receiver and no part travels alone.
+    // Every later query is fully warm and costs exactly one
+    // client→contact request plus one contact→client answer per
+    // partition: the contact serves both parts from its caches, so
+    // nothing goes upstream.
     let sent = |kind: &str| {
         let name = format!("net.{kind}.messages");
         done.counter_value("net", &name) - cold.counter_value("net", &name)
     };
     assert_eq!(sent("read-point"), OPS - 2);
-    assert_eq!(sent("read-result-gather"), OPS - 1);
-    assert_eq!(sent("read-result-point"), 0);
+    assert_eq!(sent("read-result-point"), 2 * (OPS - 1));
 
     let client = dep.client(dep.client_ids[0]);
     assert_eq!(client.stats.verification_failures, 0);
@@ -1585,12 +1586,8 @@ fn two_partition_query_served_through_single_edge_contact() {
         client.stats.gathers_sent, OPS,
         "every cross-partition query goes to one contact"
     );
-    assert_eq!(
-        client.stats.gathers_accepted, OPS,
-        "every part of every envelope verifies end to end"
-    );
-    // The contact edge did the tier-side work: split, forwarded the
-    // foreign part, filled the envelope.
+    // The contact edge did the tier-side work: split the query and
+    // forwarded the foreign part.
     let edge_sum = |f: fn(&transedge::core::edge_node::EdgeNodeStats) -> u64| -> u64 {
         dep.edge_ids
             .iter()
@@ -1598,11 +1595,10 @@ fn two_partition_query_served_through_single_edge_contact() {
             .sum()
     };
     assert_eq!(edge_sum(|s| s.gather_requests), OPS);
-    assert_eq!(edge_sum(|s| s.gather_completed), OPS);
     assert_eq!(
         edge_sum(|s| s.foreign_subs),
         OPS,
-        "each gather carries a foreign part"
+        "each query carries a foreign part"
     );
     // The registry counts every partition cache of every edge — the
     // foreign ones a contact fills by couriering, not only home caches.
@@ -1628,13 +1624,13 @@ fn two_partition_query_served_through_single_edge_contact() {
     assert_two_partition_results_correct(&dep);
 }
 
-/// Edge-tier scatter-gather, byzantine half: the liar is the
-/// *contact*. It corrupts the first section of every answer it
-/// produces, gather slots included, so both parts of the envelope
-/// arrive tampered. The client's per-part verification rejects each on
-/// its own, re-reads each partition from a replica of that partition,
-/// and completes with correct values — the forwarding tier is an
-/// untrusted courier, never a trust boundary. Attribution follows what
+/// Single edge contact, byzantine half: the liar is the *contact*. It
+/// corrupts the first section of every answer it produces, so both
+/// partitions' answers arrive tampered. The client's per-part
+/// verification rejects each on its own, re-reads each partition from
+/// a replica of that partition, and completes with correct values —
+/// the forwarding tier is an untrusted courier, never a trust
+/// boundary. Attribution follows what
 /// the contact answered *for*: its forgery of the partition it fronts
 /// is signed evidence for the fleet, its forgery of the part it merely
 /// couriered only shuns it locally.
@@ -1710,7 +1706,7 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
 }
 
 /// Who a contact forwards to does not depend on the directory: a cold
-/// two-partition gather costs one read at a replica of each partition
+/// two-partition query costs one read at a replica of each partition
 /// and no edge ever asks another edge — the edge fronting a foreign
 /// partition sits beside that partition's replicas, so it could only
 /// add a hop. The contact admits what it couriers, so the repeat is
@@ -1743,7 +1739,7 @@ fn cold_gather_asks_each_partitions_replicas_with_or_without_a_directory() {
 
         let client = dep.client(dep.client_ids[0]);
         assert_eq!(client.stats.verification_failures + client.stats.retries, 0);
-        assert_eq!(client.stats.gathers_accepted, 2);
+        assert_eq!(client.query_results.len(), 2);
         assert_two_partition_results_correct(&dep);
         let contact = dep.edge_node(EdgeId::new(ClusterId(0), 0)).stats;
         let other = dep.edge_node(EdgeId::new(ClusterId(1), 0)).stats;
@@ -1752,7 +1748,6 @@ fn cold_gather_asks_each_partitions_replicas_with_or_without_a_directory() {
         [
             sent("read-point"),
             sent("read-result-point"),
-            sent("read-result-gather"),
             replica_reads(&dep, ClusterId(0)),
             replica_reads(&dep, ClusterId(1)),
             contact.forwarded,
@@ -1764,19 +1759,22 @@ fn cold_gather_asks_each_partitions_replicas_with_or_without_a_directory() {
     let with_directory = run(true);
     assert_eq!(
         with_directory,
-        // Two client→contact queries and the cold gather's two
-        // forwards; their two answers; one envelope per gather; one
-        // read per partition; both parts of the repeat from cache; and
-        // partition 1's edge never hears of any of it.
-        [4, 2, 2, 1, 1, 2, 1, 2, 0]
+        // Two client→contact queries and the cold query's two
+        // forwards; the replicas' two answers plus one answer per
+        // partition per query to the client; one read per partition;
+        // both parts of the repeat from cache; and partition 1's edge
+        // never hears of any of it.
+        [4, 6, 1, 1, 2, 1, 2, 0]
     );
     assert_eq!(with_directory, run(false));
 }
 
 /// A multi-partition query reaching an edge *without* a directory is
 /// still split per partition (foreign parts go to their replicas):
-/// every part verifies first time instead of the edge answering for
-/// its home partition only and being blamed for the missing keys.
+/// the client gets one ordinary answer per partition, and every one
+/// verifies first time against its own partition's root instead of
+/// the edge answering for its home partition only and being blamed
+/// for the missing keys.
 #[test]
 fn single_contact_works_without_a_directory() {
     use transedge::core::ReadQuery;
@@ -1800,9 +1798,165 @@ fn single_contact_works_without_a_directory() {
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.retries, 0);
     assert_eq!(client.stats.gathers_sent, 5);
-    assert_eq!(client.stats.gathers_accepted, 5);
     assert_eq!(client.query_results.len(), 5);
     assert_two_partition_results_correct(&dep);
+    // Each query is one request to the contact and one answer per
+    // partition back; every answer the contact forwarded for came back
+    // from a replica first.
+    let contact = dep.edge_node(EdgeId::new(ClusterId(0), 0)).stats;
+    let reg = dep.metrics();
+    let sent = |kind: &str| reg.counter_value("net", &format!("net.{kind}.messages"));
+    assert_eq!(sent("read-point"), 5 + contact.forwarded);
+    assert_eq!(sent("read-result-point"), 2 * 5 + contact.forwarded);
+}
+
+/// Stands in for a contact edge: the real edge serves every message,
+/// and on the first query it receives the tap also sends `extras` to
+/// the asker under that query's request id, right behind the edge's
+/// own answers.
+struct Tap {
+    inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
+    extras: Vec<ReadPayload>,
+    pushed: u64,
+}
+
+impl transedge::simnet::Actor<NetMsg> for Tap {
+    // The wrapped edge already started; a second start would re-run it.
+    fn on_start(&mut self, _ctx: &mut transedge::simnet::Context<'_, NetMsg>) {}
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        let asked = match &msg {
+            NetMsg::Read { req, .. } => Some(*req),
+            _ => None,
+        };
+        self.inner.on_message(from, msg, ctx);
+        if let Some(req) = asked {
+            for result in std::mem::take(&mut self.extras) {
+                ctx.send(from, NetMsg::ReadResult { req, result });
+                self.pushed += 1;
+            }
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_timer(token, ctx);
+    }
+}
+
+/// The routing rule: an answer is credited to the part that waits on
+/// its request id *and* whose partition its certified header names.
+/// Under a live two-part single-contact request the client receives
+/// two extra answers — a valid section of a third partition the request
+/// does not owe, and a second copy of the part it has just verified —
+/// and drops both unread: nothing is verified, nobody is blamed, and
+/// the run matches the same run without them.
+#[test]
+fn answers_no_part_is_waiting_for_are_dropped_unread() {
+    use transedge::core::ReadQuery;
+    use transedge::edge::SnapshotObject;
+
+    let run = |with_extras: bool| {
+        let mut config = DeploymentConfig::for_testing();
+        config.topo = ClusterTopology::new(3, 1).expect("topology");
+        config.client.record_results = true;
+        config.client.single_contact = true;
+        config.edge = EdgeConfig::honest(1);
+        let topo = config.topo.clone();
+        let k0 = keys_on(&topo, ClusterId(0), 1);
+        let k1 = keys_on(&topo, ClusterId(1), 1);
+        let k2 = keys_on(&topo, ClusterId(2), 1);
+        let point = |keys: Vec<Key>| ClientOp::Query {
+            query: ReadQuery::point(keys),
+        };
+        // Warm the contact with partition 0's part and partition 2's
+        // edge with a section of its own; then the two-part query,
+        // whose partition-0 part is a cache hit at the contact while
+        // its partition-1 part is still upstream.
+        let ops = vec![point(k0.clone()), point(k2), point([k0, k1].concat())];
+        let mut dep = Deployment::build(config, vec![ops]);
+        run_until_results(&mut dep, 2);
+
+        let contact = EdgeId::new(ClusterId(0), 0);
+        let section_of = |edge: EdgeId, cluster: ClusterId| {
+            let image = dep.edge_node(edge).image();
+            let section = image.into_iter().find_map(|object| match object {
+                SnapshotObject::Section(section)
+                    if section.commitment.header.cluster == cluster =>
+                {
+                    Some(section)
+                }
+                _ => None,
+            });
+            ReadPayload::Point {
+                section: Box::new(section.expect("a cached section")),
+                fresh: None,
+            }
+        };
+        let extras = if with_extras {
+            vec![
+                section_of(contact, ClusterId(0)),
+                section_of(EdgeId::new(ClusterId(2), 0), ClusterId(2)),
+            ]
+        } else {
+            Vec::new()
+        };
+        let inner = dep
+            .sim
+            .remove_actor(NodeId::Edge(contact))
+            .expect("contact actor");
+        let tap = Tap {
+            inner,
+            extras,
+            pushed: 0,
+        };
+        dep.sim.add_actor(NodeId::Edge(contact), Box::new(tap));
+        dep.run_until_done(SimTime(600_000_000));
+
+        let pushed = dep
+            .sim
+            .actor_as::<Tap>(NodeId::Edge(contact))
+            .expect("tap")
+            .pushed;
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.verification_failures, 0);
+        assert_eq!(client.stats.retries, 0);
+        assert_eq!(client.stats.gave_up, 0);
+        let health = client
+            .edge_selector
+            .health(ClusterId(0), NodeId::Edge(contact))
+            .expect("contact is a registered target");
+        assert_eq!(health.total_rejections, 0);
+        assert_eq!(health.demotions, 0);
+        let results = &client.query_results;
+        assert_eq!(results.len(), 3);
+        assert_eq!(results[2].snapshot.len(), 2, "both owed partitions");
+        for q in results {
+            for (key, value) in &q.values {
+                let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                assert_eq!(value.as_ref(), want);
+            }
+        }
+        let values: Vec<_> = results.iter().map(|q| q.values.clone()).collect();
+        (
+            pushed,
+            client.verified_certs().sig_checks(),
+            client.stats.cert_checks_shared,
+            client.stats.read_result_bytes,
+            values,
+        )
+    };
+    let (pushed, sig_checks, shared, bytes, values) = run(true);
+    assert_eq!(pushed, 2, "both extras reached the client");
+    assert_eq!(
+        (0, sig_checks, shared, bytes, values),
+        run(false),
+        "the extras cost no signature check, no memo hit and no byte"
+    );
 }
 
 /// A crashed single contact is handled by the ordinary resend path:

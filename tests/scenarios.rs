@@ -155,8 +155,8 @@ const NEVER_MOVED: &[(&str, &str)] = &[
     // finishes; no test anywhere drives a client to give up.
     ("client.gave_up", "every op completes"),
     // Theorem 4.6; the benchmark's mixed-rw and feed-churn do move it
-    // (ROADMAP open item 1), these five runs do not.
-    ("client.third_round_needed", "ROADMAP item 1"),
+    // (ROADMAP `[third-round]`), these five runs do not.
+    ("client.third_round_needed", "[third-round]"),
     // No actor fabricates evidence: only crates/directory/tests feed an
     // agent a record that fails re-verification.
     (
