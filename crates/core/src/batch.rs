@@ -1,10 +1,14 @@
-//! Transactions, CD vectors, and the four-segment batch of Figure 2.
+//! Transactions and the four-segment batch of Figure 2. The batch's
+//! read-only segment — [`BatchHeader`], its [`CdVector`] and the
+//! [`CommittedHeader`] a read carries — lives in `transedge-edge`, with
+//! the checks that read it; it is re-exported here.
 
 use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, Decode, Encode, Epoch, Key, Result, SimTime,
-    TransEdgeError, TxnId, Value, WireReader, WireWriter,
+    ClusterId, ClusterTopology, Decode, Encode, Epoch, Key, Result, TransEdgeError, TxnId, Value,
+    WireReader, WireWriter,
 };
-use transedge_crypto::{Digest, Sha256};
+use transedge_crypto::Digest;
+pub use transedge_edge::{BatchHeader, CdVector, CommittedHeader};
 
 use crate::records::{CommitRecord, SignedPrepared};
 
@@ -81,127 +85,6 @@ impl Transaction {
     }
 }
 
-/// The Conflict-Dependency vector (paper §3.4, §4.3.3b): entry `[Y]` is
-/// the highest *prepare-batch* number at partition `Y` that this
-/// partition's state depends on; `-1` ([`Epoch::NONE`]) means no
-/// dependency.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CdVector(Vec<Epoch>);
-
-impl CdVector {
-    /// All `-1`s, for `n` partitions.
-    pub fn new(n: usize) -> Self {
-        CdVector(vec![Epoch::NONE; n])
-    }
-
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    pub fn get(&self, cluster: ClusterId) -> Epoch {
-        self.0
-            .get(cluster.as_usize())
-            .copied()
-            .unwrap_or(Epoch::NONE)
-    }
-
-    pub fn set(&mut self, cluster: ClusterId, epoch: Epoch) {
-        self.0[cluster.as_usize()] = epoch;
-    }
-
-    /// Algorithm 1's core operation: entry-wise maximum.
-    pub fn pairwise_max(&mut self, other: &CdVector) {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        for (mine, theirs) in self.0.iter_mut().zip(other.0.iter()) {
-            *mine = (*mine).max(*theirs);
-        }
-    }
-
-    pub fn entries(&self) -> impl Iterator<Item = (ClusterId, Epoch)> + '_ {
-        self.0
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (ClusterId(i as u16), *e))
-    }
-}
-
-impl Encode for CdVector {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.0.len() as u32);
-        for e in &self.0 {
-            e.encode(w);
-        }
-    }
-}
-
-impl Decode for CdVector {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
-        let n = r.get_u32()? as usize;
-        let mut v = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            v.push(Epoch::decode(r)?);
-        }
-        Ok(CdVector(v))
-    }
-}
-
-/// The read-only segment plus batch identity — everything a client
-/// needs (together with the `f+1` certificate) to trust a snapshot
-/// served by one untrusted node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchHeader {
-    pub cluster: ClusterId,
-    pub num: BatchNum,
-    /// Conflict-Dependency vector of this batch.
-    pub cd: CdVector,
-    /// Last Committed Epoch: prepare-batch number of the most recent
-    /// prepare group whose transactions committed as of this batch.
-    pub lce: Epoch,
-    /// Root of the partition's Merkle tree after applying this batch.
-    pub merkle_root: Digest,
-    /// [`transedge_edge::changed_keys_digest`] of the batch's changed
-    /// key set (local writes plus drained-commit writes on this
-    /// partition, sorted and deduplicated). Living in the header, it is
-    /// folded into the certified batch digest — so the `f+1`
-    /// certificate covers *what changed*, and a certified delta's key
-    /// list becomes unforgeable. Leaders compute it at seal time;
-    /// followers recompute and reject a mismatch.
-    pub delta_digest: Digest,
-    /// Leader-stamped wall-clock (§4.4.2 freshness); replicas reject
-    /// stamps outside the configured window.
-    pub timestamp: SimTime,
-}
-
-impl Encode for BatchHeader {
-    fn encode(&self, w: &mut WireWriter) {
-        self.cluster.encode(w);
-        self.num.encode(w);
-        self.cd.encode(w);
-        self.lce.encode(w);
-        self.merkle_root.encode(w);
-        self.delta_digest.encode(w);
-        self.timestamp.encode(w);
-    }
-}
-
-impl Decode for BatchHeader {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
-        Ok(BatchHeader {
-            cluster: ClusterId::decode(r)?,
-            num: BatchNum::decode(r)?,
-            cd: CdVector::decode(r)?,
-            lce: Epoch::decode(r)?,
-            merkle_root: Digest::decode(r)?,
-            delta_digest: Digest::decode(r)?,
-            timestamp: SimTime::decode(r)?,
-        })
-    }
-}
-
 /// A distributed transaction sitting in the *prepared* segment: 2PC
 /// prepared here but not yet committed. Carries the coordinator's
 /// signed prepare (for remotely-coordinated transactions) so replicas
@@ -231,18 +114,19 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Digest layout: `H(domain ‖ header ‖ body_digest)`.
-    ///
-    /// The header is hashed *separately* from the body so that a client
-    /// holding only `(header, body_digest)` — the read-only response —
-    /// can recompute the batch digest and check it against the `f+1`
-    /// accept-signature certificate without downloading the segments.
+    /// The certified header a read-only response carries: the header
+    /// and the digest of the three segments it omits.
+    pub fn committed_header(&self) -> CommittedHeader {
+        CommittedHeader {
+            header: self.header.clone(),
+            body_digest: self.body_digest(),
+        }
+    }
+
+    /// The digest consensus certifies:
+    /// [`CommittedHeader::certified_digest`] of this batch's header.
     pub fn digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"transedge/batch");
-        h.update(&self.header.encode_to_vec());
-        h.update(self.body_digest().as_bytes());
-        h.finalize()
+        self.committed_header().certified_digest()
     }
 
     /// Digest of the three transaction segments.
@@ -252,16 +136,6 @@ impl Batch {
         w.put_seq(&self.prepared);
         w.put_seq(&self.committed);
         transedge_crypto::sha256(w.as_slice())
-    }
-
-    /// Recompute what a client recomputes: digest from header + body
-    /// digest only.
-    pub fn digest_from_parts(header: &BatchHeader, body_digest: &Digest) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"transedge/batch");
-        h.update(&header.encode_to_vec());
-        h.update(body_digest.as_bytes());
-        h.finalize()
     }
 
     /// Total number of transactions across segments.
@@ -278,56 +152,6 @@ impl Batch {
 impl transedge_consensus::BftValue for Batch {
     fn digest(&self) -> Digest {
         Batch::digest(self)
-    }
-}
-
-/// A batch header together with the digest of the segments it omits —
-/// exactly what a read-only response carries, and the anchor the edge
-/// read subsystem verifies proofs against. Implements the edge crate's
-/// [`transedge_edge::BatchCommitment`], chaining the header to the
-/// `f+1` consensus certificate via [`Batch::digest_from_parts`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommittedHeader {
-    pub header: BatchHeader,
-    pub body_digest: Digest,
-}
-
-impl CommittedHeader {
-    pub fn of(batch: &Batch) -> Self {
-        CommittedHeader {
-            header: batch.header.clone(),
-            body_digest: batch.body_digest(),
-        }
-    }
-}
-
-impl transedge_edge::BatchCommitment for CommittedHeader {
-    fn cluster(&self) -> ClusterId {
-        self.header.cluster
-    }
-
-    fn batch(&self) -> BatchNum {
-        self.header.num
-    }
-
-    fn merkle_root(&self) -> &Digest {
-        &self.header.merkle_root
-    }
-
-    fn lce(&self) -> Epoch {
-        self.header.lce
-    }
-
-    fn timestamp(&self) -> SimTime {
-        self.header.timestamp
-    }
-
-    fn certified_digest(&self) -> Digest {
-        Batch::digest_from_parts(&self.header, &self.body_digest)
-    }
-
-    fn delta_digest(&self) -> Digest {
-        self.header.delta_digest
     }
 }
 
@@ -459,7 +283,7 @@ pub fn check_batch_shape(batch: &Batch, n_clusters: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transedge_common::ClientId;
+    use transedge_common::{BatchNum, ClientId, SimTime};
 
     fn txn(id: u64, read_keys: &[u32], write_keys: &[u32]) -> Transaction {
         Transaction {
@@ -547,62 +371,50 @@ mod tests {
         assert!(!dist.is_local(&topo));
     }
 
+    /// What a replica serves a read with — the header beside the body
+    /// digest — recomputes the digest consensus certified for the
+    /// batch, on a batch with all three segments non-empty; and the body
+    /// digest covers each of them and a transaction's contents, not only
+    /// its presence.
     #[test]
-    fn cd_vector_pairwise_max() {
-        let mut a = CdVector::new(3);
-        a.set(ClusterId(0), Epoch(5));
-        a.set(ClusterId(2), Epoch(1));
-        let mut b = CdVector::new(3);
-        b.set(ClusterId(0), Epoch(3));
-        b.set(ClusterId(1), Epoch(7));
-        a.pairwise_max(&b);
-        assert_eq!(a.get(ClusterId(0)), Epoch(5));
-        assert_eq!(a.get(ClusterId(1)), Epoch(7));
-        assert_eq!(a.get(ClusterId(2)), Epoch(1));
-    }
-
-    #[test]
-    fn cd_vector_none_is_minimum() {
-        let mut a = CdVector::new(2);
-        let mut b = CdVector::new(2);
-        b.set(ClusterId(0), Epoch(0));
-        a.pairwise_max(&b);
-        assert_eq!(a.get(ClusterId(0)), Epoch(0)); // 0 beats -1
-        assert_eq!(a.get(ClusterId(1)), Epoch::NONE);
-    }
-
-    #[test]
-    fn batch_digest_changes_with_content() {
-        let b1 = Batch {
-            header: header(0, 0, 2),
-            local: vec![txn(1, &[1], &[2])],
-            prepared: vec![],
-            committed: vec![],
+    fn certified_digest_matches_full_digest() {
+        use crate::records::{CommitRecord, Outcome, SignedPrepared};
+        use transedge_consensus::BftValue;
+        let signed = SignedPrepared {
+            cluster: ClusterId(0),
+            txn: TxnId::new(ClientId(0), 3),
+            prepared_in: BatchNum(2),
+            cd: CdVector::new(3),
+            sigs: Vec::new(),
         };
-        let mut b2 = b1.clone();
-        b2.local[0].writes[0].value = Value::from("other");
-        assert_ne!(b1.digest(), b2.digest());
-        let mut b3 = b1.clone();
-        b3.header.lce = Epoch(0);
-        assert_ne!(b1.digest(), b3.digest());
-    }
-
-    #[test]
-    fn digest_from_parts_matches_full_digest() {
         let b = Batch {
             header: header(1, 4, 3),
             local: vec![txn(1, &[1], &[2]), txn(2, &[3], &[])],
-            prepared: vec![],
-            committed: vec![],
+            prepared: vec![PreparedTxn {
+                txn: txn(3, &[4], &[5]),
+                coordinator: ClusterId(0),
+                coordinator_prepare: Some(signed.clone()),
+            }],
+            committed: vec![CommitRecord {
+                txn_id: TxnId::new(ClientId(0), 4),
+                prepared_in: BatchNum(3),
+                outcome: Outcome::Committed,
+                prepared: vec![signed],
+            }],
         };
-        // Fix the own-CD invariant for cluster 1.
-        let mut b = b;
-        b.header.cd = CdVector::new(3);
-        b.header.cd.set(ClusterId(1), Epoch(4));
-        assert_eq!(
-            Batch::digest_from_parts(&b.header, &b.body_digest()),
-            b.digest()
-        );
+        let served = b.committed_header();
+        assert_eq!(served.certified_digest(), BftValue::digest(&b));
+        let edits: [fn(&mut Batch); 4] = [
+            |b| b.local.clear(),
+            |b| b.prepared.clear(),
+            |b| b.committed.clear(),
+            |b| b.local[0].writes[0].value = Value::from("other"),
+        ];
+        for edit in edits {
+            let mut edited = b.clone();
+            edit(&mut edited);
+            assert_ne!(served.certified_digest(), BftValue::digest(&edited));
+        }
     }
 
     #[test]

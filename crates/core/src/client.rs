@@ -29,16 +29,16 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    FeedWindow, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse,
-    ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
+    CertifiedDelta, FeedWindow, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
 
-use crate::batch::{BatchHeader, CommittedHeader, ReadOp, Transaction, WriteOp};
+use crate::batch::{BatchHeader, ReadOp, Transaction, WriteOp};
 use crate::deps::{verify_dependencies, RotView};
 use crate::edge_select::EdgeSelector;
-use crate::messages::{NetMsg, ReadPayload, RotDelta};
+use crate::messages::NetMsg;
 use crate::metrics::{OpKind, TxnSample};
 
 /// One scripted client operation.
@@ -377,7 +377,7 @@ fn view_of(header: &BatchHeader) -> RotView {
 /// claimed window is *attacker-controlled* and unvalidated here, so its
 /// width is computed saturating and capped at the protocol maximum —
 /// the verifier rejects anything wider before hashing.
-fn leaf_hashes(response: &ReadPayload) -> u64 {
+fn leaf_hashes(response: &ReadResponse) -> u64 {
     match response {
         ReadResponse::Point { section, fresh } => {
             let feed = fresh.as_ref().map_or(0, Vec::len);
@@ -504,7 +504,7 @@ pub struct ClientActor {
     /// Subscription mode: per partition, the contiguous run of feed
     /// deltas this client has verified (trusted state, beside the
     /// memo) — named to edges as a cursor so they are not sent again.
-    feeds: BTreeMap<ClusterId, FeedWindow<CommittedHeader>>,
+    feeds: BTreeMap<ClusterId, FeedWindow>,
     pub config: ClientConfig,
     /// The deployment's verification parameters.
     verify: VerifyParams,
@@ -519,7 +519,7 @@ pub struct ClientActor {
     pub edge_selector: EdgeSelector,
     /// Directory participation (when `config.directory`): holds the
     /// ingested fleet state, signs this client's rejection evidence.
-    directory: Option<DirectoryAgent<CommittedHeader>>,
+    directory: Option<DirectoryAgent>,
     /// Startup: a directory pull is outstanding; the first op starts
     /// when the answer arrives (or the seed timer gives up waiting).
     waiting_seed: bool,
@@ -606,12 +606,12 @@ impl ClientActor {
 
     /// The feed deltas this client holds for `cluster`, if it ever
     /// verified a feed attachment there.
-    pub fn feed_window(&self, cluster: ClusterId) -> Option<&FeedWindow<CommittedHeader>> {
+    pub fn feed_window(&self, cluster: ClusterId) -> Option<&FeedWindow> {
         self.feeds.get(&cluster)
     }
 
     /// The directory participant, when enabled.
-    pub fn directory(&self) -> Option<&DirectoryAgent<CommittedHeader>> {
+    pub fn directory(&self) -> Option<&DirectoryAgent> {
         self.directory.as_ref()
     }
 
@@ -950,8 +950,8 @@ impl ClientActor {
         &mut self,
         part: &mut PartState,
         answer: QueryAnswer,
-        response: &ReadPayload,
-        feed_run: &[Arc<RotDelta>],
+        response: &ReadResponse,
+        feed_run: &[Arc<CertifiedDelta>],
     ) -> bool {
         match answer {
             QueryAnswer::Values(values) => {
@@ -1009,7 +1009,7 @@ impl ClientActor {
         session: &mut ReadSession,
         cluster: ClusterId,
         pending: Pending,
-        response: &ReadPayload,
+        response: &ReadResponse,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let sub = session.subquery(cluster);
@@ -1139,7 +1139,7 @@ impl ClientActor {
     /// a partition the request does not owe, or a repeat for a part
     /// already verified, a late one from a previous round or page
     /// included — is dropped unread: never verified, nobody blamed.
-    fn on_read_result(&mut self, req: u64, response: ReadPayload, ctx: &mut Context<'_, NetMsg>) {
+    fn on_read_result(&mut self, req: u64, response: ReadResponse, ctx: &mut Context<'_, NetMsg>) {
         let Some(mut inflight) = self.inflight.take() else {
             return;
         };

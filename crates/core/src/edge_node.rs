@@ -37,7 +37,7 @@
 //!   demotes a byzantine edge fleet-wide in `O(log n)` rounds. An edge
 //!   asserts nothing about itself.
 //! * **Certified commit-feed subscription** — the edge subscribes to
-//!   one home-cluster replica's per-batch [`RotDelta`] feed, verifies
+//!   one home-cluster replica's per-batch [`CertifiedDelta`] feed, verifies
 //!   each pushed delta under its replica certificate, push-invalidates
 //!   superseded cached answers, and attaches the verified feed tail
 //!   to warm replays as a freshness certificate — letting subscribed
@@ -58,14 +58,14 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    verify_object, MultiProofBody, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
-    ReadVerifier, ReplayCache, SnapshotObject, VerifyParams,
+    verify_object, CertifiedDelta, MultiProofBody, MultiProofBundle, PartitionCaches, QueryShape,
+    ReadQuery, ReadRejection, ReadResponse, ReadVerifier, ReplayCache, ScanBundle, SnapshotObject,
+    VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
 
-use crate::batch::CommittedHeader;
-use crate::messages::{NetMsg, ReadPayload, RotDelta, RotScanBundle, RotSection, RotSnapshot};
+use crate::messages::NetMsg;
 
 /// Gossip timer token.
 const TOKEN_GOSSIP: u64 = 1;
@@ -330,18 +330,18 @@ pub struct EdgeReadNode {
     /// One replay cache per partition: the home cluster's fills from
     /// normal traffic, foreign clusters' from couriered query parts —
     /// which is what makes a warm single-contact query one LAN hop.
-    caches: PartitionCaches<CommittedHeader>,
+    caches: PartitionCaches,
     directory_plan: DirectoryPlan,
     feed_plan: FeedPlan,
     /// The disk image `on_start` re-admits: what the caches of the
     /// crashed edge this node replaces held (empty for a first boot or
     /// a cold restart). [`crate::setup::Deployment`] plays the disk.
-    image: Vec<RotSnapshot>,
+    image: Vec<SnapshotObject>,
     /// The same trusted checker clients run — feed deltas pass
     /// `verify_delta` before touching any cache.
     verifier: ReadVerifier,
     peers: Vec<EdgeId>,
-    directory: Option<DirectoryAgent<CommittedHeader>>,
+    directory: Option<DirectoryAgent>,
     /// upstream req id → the request it answers.
     pending: HashMap<u64, PendingRequest>,
     /// The cold-bootstrap transfer in flight: the sibling asked and
@@ -415,17 +415,17 @@ impl EdgeReadNode {
     }
 
     /// The gossip directory participant, when the plan enables one.
-    pub fn directory(&self) -> Option<&DirectoryAgent<CommittedHeader>> {
+    pub fn directory(&self) -> Option<&DirectoryAgent> {
         self.directory.as_ref()
     }
 
     /// Mutable directory access — tests seed a restarted edge, before
     /// its `on_start` runs, with what the fleet already knows.
-    pub fn directory_mut(&mut self) -> Option<&mut DirectoryAgent<CommittedHeader>> {
+    pub fn directory_mut(&mut self) -> Option<&mut DirectoryAgent> {
         self.directory.as_mut()
     }
 
-    fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache<CommittedHeader> {
+    fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache {
         self.caches.cache_for(cluster)
     }
 
@@ -442,14 +442,14 @@ impl EdgeReadNode {
     /// cluster order, each cache's least recently used first. The
     /// deployment takes it on crash and hands it to the replacement via
     /// [`EdgeReadNode::restore_image`].
-    pub fn image(&self) -> Vec<RotSnapshot> {
+    pub fn image(&self) -> Vec<SnapshotObject> {
         self.caches.iter().flat_map(|(_, c)| c.objects()).collect()
     }
 
     /// Attach the image of the crashed edge this node replaces. Must
     /// run before the actor starts — `on_start` is where it is
     /// re-admitted.
-    pub fn restore_image(&mut self, image: Vec<RotSnapshot>) {
+    pub fn restore_image(&mut self, image: Vec<SnapshotObject>) {
         self.image = image;
     }
 
@@ -462,7 +462,7 @@ impl EdgeReadNode {
     /// Apply this node's byzantine behaviour to an outgoing section.
     /// Tampering with the body rebuilds it (a body is immutable),
     /// exactly as a lying edge would re-encode.
-    fn corrupt(&mut self, section: &mut RotSection) {
+    fn corrupt(&mut self, section: &mut MultiProofBundle) {
         // The honest path must not pay for the copies below.
         if matches!(
             self.behavior,
@@ -506,7 +506,7 @@ impl EdgeReadNode {
     }
 
     /// Apply this node's byzantine behaviour to an outgoing scan.
-    fn corrupt_scan(&mut self, mut bundle: RotScanBundle) -> RotScanBundle {
+    fn corrupt_scan(&mut self, mut bundle: ScanBundle) -> ScanBundle {
         match self.behavior {
             EdgeBehavior::Honest => {}
             EdgeBehavior::Coalition => {
@@ -558,8 +558,8 @@ impl EdgeReadNode {
     fn corrupt_fresh(
         &mut self,
         cluster: ClusterId,
-        fresh: Option<Vec<Arc<RotDelta>>>,
-    ) -> Option<Vec<Arc<RotDelta>>> {
+        fresh: Option<Vec<Arc<CertifiedDelta>>>,
+    ) -> Option<Vec<Arc<CertifiedDelta>>> {
         // Coalition members forge the *same* bogus delta key as each
         // other (a shared constant), for the same reason their forged
         // roots match: agreement must not look like honesty.
@@ -584,11 +584,11 @@ impl EdgeReadNode {
         &mut self,
         to: NodeId,
         req: u64,
-        bundle: RotScanBundle,
+        bundle: ScanBundle,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let bundle = Box::new(self.corrupt_scan(bundle));
-        let result = ReadPayload::Scan { bundle };
+        let result = ReadResponse::Scan { bundle };
         ctx.send(to, NetMsg::ReadResult { req, result });
     }
 
@@ -598,13 +598,13 @@ impl EdgeReadNode {
         &mut self,
         to: NodeId,
         req: u64,
-        mut section: Box<RotSection>,
-        fresh: Option<Vec<Arc<RotDelta>>>,
+        mut section: Box<MultiProofBundle>,
+        fresh: Option<Vec<Arc<CertifiedDelta>>>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let fresh = self.corrupt_fresh(section.commitment.header.cluster, fresh);
         self.corrupt(&mut section);
-        let result = ReadPayload::Point { section, fresh };
+        let result = ReadResponse::Point { section, fresh };
         ctx.send(to, NetMsg::ReadResult { req, result });
     }
 
@@ -693,13 +693,13 @@ impl EdgeReadNode {
 
     /// Absorb certified material into the cache of whichever partition
     /// it belongs to.
-    fn absorb(&mut self, result: &ReadPayload) {
+    fn absorb(&mut self, result: &ReadResponse) {
         match result {
-            ReadPayload::Point { section, .. } => {
+            ReadResponse::Point { section, .. } => {
                 let cluster = section.commitment.header.cluster;
                 self.cache_for(cluster).admit_section(section);
             }
-            ReadPayload::Scan { bundle } => {
+            ReadResponse::Scan { bundle } => {
                 let cluster = bundle.commitment.header.cluster;
                 self.cache_for(cluster).admit_scan(bundle);
             }
@@ -713,7 +713,7 @@ impl EdgeReadNode {
     /// admit it into its partition's replay cache only if that passes.
     fn admit_verified(
         &mut self,
-        object: &RotSnapshot,
+        object: &SnapshotObject,
         ctx: &mut Context<'_, NetMsg>,
     ) -> Result<(), ReadRejection> {
         let sigs = object.cert().sigs.len();
@@ -829,7 +829,7 @@ impl EdgeReadNode {
         from: NodeId,
         req: u64,
         cluster: ClusterId,
-        objects: Vec<RotSnapshot>,
+        objects: Vec<SnapshotObject>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         if self.transfer != Some((from, req)) {
@@ -931,7 +931,7 @@ impl EdgeReadNode {
         &mut self,
         from: NodeId,
         req: u64,
-        result: ReadPayload,
+        result: ReadResponse,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let Entry::Occupied(asked) = self.pending.entry(req) else {
@@ -947,10 +947,10 @@ impl EdgeReadNode {
         // out.
         self.absorb(&result);
         match result {
-            ReadPayload::Scan { bundle } => self.respond_scan(client, client_req, *bundle, ctx),
+            ReadResponse::Scan { bundle } => self.respond_scan(client, client_req, *bundle, ctx),
             // Whatever upstream sent goes out as received — the client
             // verifies it end to end either way.
-            ReadPayload::Point { section, .. } => {
+            ReadResponse::Point { section, .. } => {
                 self.respond(client, client_req, section, None, ctx)
             }
         }
@@ -1004,7 +1004,7 @@ impl EdgeReadNode {
     /// *claim*: nothing touches the replay cache until the changed-key
     /// digest recomputes under the replica certificate (`verify_delta`)
     /// — the verifier boundary does not move for subscribers.
-    fn on_feed_delta(&mut self, delta: RotDelta, ctx: &mut Context<'_, NetMsg>) {
+    fn on_feed_delta(&mut self, delta: CertifiedDelta, ctx: &mut Context<'_, NetMsg>) {
         self.stats.feed_deltas_received += 1;
         ctx.charge(|c| {
             SimDuration(

@@ -5,7 +5,8 @@
 //!
 //! * [`batch`] — the SMR-log batch with its four segments (local /
 //!   prepared / committed / read-only) exactly as in Figure 2, plus
-//!   transactions and CD vectors;
+//!   transactions; the read-only segment (`BatchHeader`, its CD vector,
+//!   `CommittedHeader`) is `transedge-edge`'s, re-exported here;
 //! * [`conflict`] — the OCC conflict-detection rules of Definition 3.1;
 //! * [`prepared`] — the *prepared batches* structure, prepare groups,
 //!   and the ordering constraint of Definition 4.1;
@@ -68,4 +69,6 @@ pub use setup::{Deployment, DeploymentConfig};
 // The unified read-query protocol types, re-exported from the edge
 // subsystem so client code can name a query without a direct
 // `transedge-edge` dependency.
-pub use transedge_edge::{PageToken, QueryAnswer, QueryShape, ReadQuery, SnapshotPolicy};
+pub use transedge_edge::{
+    PageToken, QueryAnswer, QueryShape, ReadQuery, SnapshotObject, SnapshotPolicy,
+};

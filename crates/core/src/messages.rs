@@ -6,35 +6,15 @@ use std::sync::Arc;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, TxnId, Value};
 use transedge_consensus::{BftMsg, Certificate};
 use transedge_crypto::Signature;
+use transedge_directory::GossipDelta;
 use transedge_edge::{
-    persist::object_size, CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadResponse,
-    ScanBundle, SnapshotObject,
+    persist::object_size, CertifiedDelta, QueryShape, ReadQuery, ReadResponse, ScanBundle,
+    SnapshotObject,
 };
 use transedge_simnet::SimMessage;
 
-use crate::batch::{Batch, BatchHeader, CommittedHeader, Transaction};
+use crate::batch::{Batch, BatchHeader, Transaction};
 use crate::records::SignedPrepared;
-
-/// A complete proof-carrying range-scan response: certified header,
-/// consensus certificate, and the completeness-proven window.
-pub type RotScanBundle = ScanBundle<CommittedHeader>;
-
-/// One point-read section: certified header, consensus certificate,
-/// and one Merkle multiproof over the section's keys — the only shape
-/// a point answer travels, is cached, and is stored in.
-pub type RotSection = MultiProofBundle<CommittedHeader>;
-
-/// One certified commit-feed entry: a batch's certified header plus the
-/// sorted changed-key set whose digest the header (and therefore the
-/// `f+1` certificate) covers. What replicas push to feed subscribers.
-pub type RotDelta = CertifiedDelta<CommittedHeader>;
-
-/// One snapshot object: a proof-carrying answer as an edge's caches
-/// hold it — an entry of a crashed edge's disk image, or what a warm
-/// edge offers a cold sibling during state transfer. The receiver
-/// treats it exactly like a response from an untrusted node — verified
-/// end to end before admission.
-pub type RotSnapshot = SnapshotObject<CommittedHeader>;
 
 /// A participant's 2PC vote returned to the coordinator (§3.3.3).
 #[derive(Clone, Debug)]
@@ -77,19 +57,10 @@ pub fn abort_vote_statement(cluster: ClusterId, txn: TxnId) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// The proof-carrying payload answering a [`NetMsg::Read`] query —
-/// the edge subsystem's [`ReadResponse`] anchored at this crate's
-/// certified batch headers. Any untrusted node — replica or edge
-/// cache — may send one; clients verify it end to end against the
-/// query (`ReadVerifier::verify_query`).
-pub type ReadPayload = ReadResponse<CommittedHeader>;
-
-/// The edge directory's one gossip payload, anchored at this crate's
-/// certified batch headers (rejection evidence embeds the offending
-/// proof-carrying response): the records the sender believes the
-/// receiver lacks, plus the sender's state summary so the receiver can
-/// answer with exactly what the sender lacks.
-pub type DirectoryDelta = transedge_directory::GossipDelta<CommittedHeader>;
+/// A second name for the edge subsystem's [`ReadResponse`], kept for
+/// callers outside the workspace; code in the workspace names
+/// [`ReadResponse`].
+pub type ReadPayload = ReadResponse;
 
 /// All TransEdge network traffic.
 #[derive(Clone, Debug)]
@@ -133,7 +104,7 @@ pub enum NetMsg {
     /// The proof-carrying answer to one partition's part of a
     /// [`NetMsg::Read`] query. A query spanning several partitions is
     /// answered with one of these per partition, all under its `req`.
-    ReadResult { req: u64, result: ReadPayload },
+    ReadResult { req: u64, result: ReadResponse },
 
     // ---- certified commit feed (replica → edge push) ------------------
     /// Subscribe the sender to a replica's certified commit feed from
@@ -146,7 +117,7 @@ pub enum NetMsg {
     /// key digest under the embedded `f+1` certificate
     /// (`ReadVerifier::verify_delta`) — a tampered delta is dropped and
     /// counts against the sender.
-    FeedDelta { delta: Box<RotDelta> },
+    FeedDelta { delta: Box<CertifiedDelta> },
 
     // ---- edge conviction directory -----------------------------------
     /// One leg of the gossiped edge directory, and its only payload:
@@ -161,7 +132,7 @@ pub enum NetMsg {
     /// records *it* holds that beat the summary — at most one reply,
     /// since the reply's summary is computed post-merge; a client never
     /// answers.
-    DirectoryDeltaGossip { delta: Box<DirectoryDelta> },
+    DirectoryDeltaGossip { delta: Box<GossipDelta> },
     /// Ask an edge node for the directory records it holds (clients
     /// demote convicted edges in their `EdgeSelector` at startup with
     /// the reply, and wait for it — so it is answered even when empty).
@@ -179,7 +150,7 @@ pub enum NetMsg {
     StateTransferResp {
         req: u64,
         cluster: ClusterId,
-        objects: Vec<RotSnapshot>,
+        objects: Vec<SnapshotObject>,
     },
 
     // ---- intra-cluster ----------------------------------------------
@@ -281,7 +252,7 @@ fn header_size(h: &BatchHeader) -> usize {
 
 /// Wire size of one certified commit-feed entry: certified header +
 /// body digest + certificate + the sorted changed-key list.
-fn rot_delta_size(d: &RotDelta) -> usize {
+fn rot_delta_size(d: &CertifiedDelta) -> usize {
     header_size(&d.commitment.header)
         + 32
         + cert_size(&d.cert)
@@ -290,7 +261,7 @@ fn rot_delta_size(d: &RotDelta) -> usize {
 }
 
 /// What travelled: the deltas sent, not the ones the client held.
-fn feed_size(fresh: &Option<Vec<Arc<RotDelta>>>) -> usize {
+fn feed_size(fresh: &Option<Vec<Arc<CertifiedDelta>>>) -> usize {
     match fresh {
         None => 1,
         Some(sent) => 5 + sent.iter().map(|d| rot_delta_size(d)).sum::<usize>(),
@@ -341,7 +312,7 @@ fn bft_size(m: &BftMsg<Batch>) -> usize {
     }
 }
 
-fn scan_bundle_size(bundle: &RotScanBundle) -> usize {
+fn scan_bundle_size(bundle: &ScanBundle) -> usize {
     header_size(&bundle.commitment.header)
         + 32
         + cert_size(&bundle.cert)
@@ -352,16 +323,16 @@ fn scan_bundle_size(bundle: &RotScanBundle) -> usize {
 /// bandwidth model's estimate). A section body's structural size
 /// equals its shared wire image byte-for-byte (asserted in the edge
 /// crate), so the proof-carrying part of a point answer is exact.
-pub fn read_payload_size(result: &ReadPayload) -> usize {
+pub fn read_payload_size(result: &ReadResponse) -> usize {
     match result {
-        ReadPayload::Point { section, fresh } => {
+        ReadResponse::Point { section, fresh } => {
             header_size(&section.commitment.header)
                 + 32
                 + cert_size(&section.cert)
                 + section.body.encoded_len()
                 + feed_size(fresh)
         }
-        ReadPayload::Scan { bundle } => scan_bundle_size(bundle),
+        ReadResponse::Scan { bundle } => scan_bundle_size(bundle),
     }
 }
 

@@ -14,13 +14,15 @@ use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output, Vot
 use transedge_crypto::{KeyStore, Keypair, SigStats, Signature};
 use transedge_simnet::{Actor, Context};
 
-use transedge_edge::{QueryShape, ReadPipeline, ReadQuery, SnapshotPolicy};
+use transedge_edge::{
+    CertifiedDelta, QueryShape, ReadPipeline, ReadQuery, ReadResponse, SnapshotPolicy,
+};
 
-use crate::batch::{Batch, CommittedHeader, PreparedTxn, Transaction};
+use crate::batch::{Batch, PreparedTxn, Transaction};
 use crate::conflict::{admit, Footprint};
 use crate::deps;
 use crate::executor::{changed_keys, Executor};
-use crate::messages::{abort_vote_statement, NetMsg, PrepareVote, ReadPayload, RotDelta};
+use crate::messages::{abort_vote_statement, NetMsg, PrepareVote};
 use crate::records::{prepared_statement, CommitRecord, Outcome, SignedPrepared};
 
 /// Timer tokens.
@@ -186,7 +188,7 @@ pub struct TransEdgeNode {
     /// hash seed pick the timeline.
     feed_subscribers: BTreeSet<NodeId>,
     /// Retained feed suffix for catching up (re)subscribers.
-    feed_log: VecDeque<RotDelta>,
+    feed_log: VecDeque<CertifiedDelta>,
     // ---- progress tracking ----
     last_progress_check: u64,
     forwarded_since_check: bool,
@@ -498,7 +500,7 @@ impl TransEdgeNode {
         self.serve_parked_reads(ctx);
     }
 
-    /// Build the batch's [`RotDelta`] — its certified header plus the
+    /// Build the batch's [`CertifiedDelta`] — its certified header plus the
     /// sorted changed-key set the header's `delta_digest` commits to —
     /// log it, and push it to every feed subscriber. The delta carries
     /// the *same* `f+1` certificate as any proof-carrying read, so
@@ -514,8 +516,8 @@ impl TransEdgeNode {
         let Some((_, cert)) = self.applied_log().get(slot.0 as usize) else {
             return;
         };
-        let delta = RotDelta {
-            commitment: CommittedHeader::of(batch),
+        let delta = CertifiedDelta {
+            commitment: batch.committed_header(),
             cert: cert.clone(),
             changed: changed_keys(&self.topo, self.me.cluster, &batch.local, drained),
         };
@@ -1068,7 +1070,7 @@ impl TransEdgeNode {
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
-        let commitment = CommittedHeader::of(batch);
+        let commitment = batch.committed_header();
         let cert = cert.clone();
         let misses_before = self.read_pipeline.stats().misses;
         let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
@@ -1079,7 +1081,7 @@ impl TransEdgeNode {
             to,
             NetMsg::ReadResult {
                 req,
-                result: ReadPayload::Point {
+                result: ReadResponse::Point {
                     section: Box::new(transedge_edge::MultiProofBundle {
                         commitment,
                         cert,
@@ -1105,7 +1107,7 @@ impl TransEdgeNode {
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
-        let commitment = CommittedHeader::of(batch);
+        let commitment = batch.committed_header();
         let cert = cert.clone();
         let misses_before = self.read_pipeline.scan_stats().misses;
         let scan = self.read_pipeline.serve_scan(&self.exec, range, at_batch);
@@ -1116,7 +1118,7 @@ impl TransEdgeNode {
             to,
             NetMsg::ReadResult {
                 req,
-                result: ReadPayload::Scan {
+                result: ReadResponse::Scan {
                     bundle: Box::new(transedge_edge::ScanBundle {
                         commitment,
                         cert,

@@ -16,10 +16,10 @@ use transedge_simnet::{CostModel, FaultPlan, LatencyModel, PartitionHandle, Simu
 use crate::client::{ClientActor, ClientConfig, ClientOp};
 use crate::config::{ClientProfile, EdgeConfig};
 use crate::edge_node::{EdgeBehavior, EdgeNodeParams, EdgeReadNode};
-use crate::messages::{NetMsg, RotSnapshot};
+use crate::messages::NetMsg;
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
-use transedge_edge::VerifyParams;
+use transedge_edge::{SnapshotObject, VerifyParams};
 
 /// Everything needed to build a deployment.
 #[derive(Clone)]
@@ -410,7 +410,7 @@ impl Deployment {
     /// replay caches held ([`EdgeReadNode::image`]), returned to the
     /// caller, which plays the role of the disk until
     /// [`Deployment::restart_edge`] hands it to the replacement.
-    pub fn crash_edge(&mut self, edge: EdgeId) -> Vec<RotSnapshot> {
+    pub fn crash_edge(&mut self, edge: EdgeId) -> Vec<SnapshotObject> {
         let image = self.edge_node(edge).image();
         self.sim.remove_actor(NodeId::Edge(edge));
         image
@@ -424,7 +424,7 @@ impl Deployment {
     /// the verifier — trusting nothing written before the crash — then
     /// falls back to a verified sibling state-transfer if the image
     /// yielded nothing servable.
-    pub fn restart_edge(&mut self, edge: EdgeId, image: Vec<RotSnapshot>) {
+    pub fn restart_edge(&mut self, edge: EdgeId, image: Vec<SnapshotObject>) {
         let seed = root_seed(self.config.seed);
         let mut node = EdgeReadNode::new(
             edge,

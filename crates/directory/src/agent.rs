@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use transedge_common::{ClusterId, EdgeId, NodeId, SimTime};
 use transedge_crypto::{KeyStore, Keypair};
-use transedge_edge::{BatchCommitment, ReadQuery, ReadRejection, ReadResponse, ReadVerifier};
+use transedge_edge::{ReadQuery, ReadRejection, ReadResponse, ReadVerifier};
 
 use crate::evidence::{is_cryptographic, EvidenceBody, SignedEvidence};
 use crate::state::{DirectoryState, StateSummary};
@@ -40,13 +40,13 @@ use crate::state::{DirectoryState, StateSummary};
 /// reply's summary is computed **post-merge**, so a counter-reply would
 /// necessarily be empty.
 #[derive(Clone, Debug)]
-pub struct GossipDelta<H> {
+pub struct GossipDelta {
     /// The sender's post-merge state summary.
     pub summary: StateSummary,
-    pub evidence: Vec<SignedEvidence<H>>,
+    pub evidence: Vec<SignedEvidence>,
 }
 
-impl<H: BatchCommitment + Clone> GossipDelta<H> {
+impl GossipDelta {
     /// Wire-size estimate for the simulator's bandwidth model.
     pub fn wire_size(&self) -> usize {
         8 + self.summary.wire_size() + self.evidence.iter().map(|e| e.wire_size()).sum::<usize>()
@@ -95,11 +95,11 @@ impl transedge_obs::RegisterMetrics for DirectoryStats {
 }
 
 /// The per-node directory participant. See module docs.
-pub struct DirectoryAgent<H> {
+pub struct DirectoryAgent {
     me: NodeId,
     keypair: Keypair,
     verifier: ReadVerifier,
-    state: DirectoryState<H>,
+    state: DirectoryState,
     /// Local (unprovable, ungossiped) strikes against gossip senders
     /// that shipped invalid material.
     strikes: HashMap<NodeId, u64>,
@@ -120,13 +120,13 @@ pub struct DirectoryAgent<H> {
     pub stats: DirectoryStats,
 }
 
-impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
+impl DirectoryAgent {
     pub fn new(me: NodeId, keypair: Keypair, verifier: ReadVerifier) -> Self {
         DirectoryAgent {
             me,
             keypair,
             verifier,
-            state: DirectoryState::new(),
+            state: DirectoryState::default(),
             strikes: HashMap::new(),
             learned_at: HashMap::new(),
             peer_known: HashMap::new(),
@@ -138,7 +138,7 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         self.me
     }
 
-    pub fn state(&self) -> &DirectoryState<H> {
+    pub fn state(&self) -> &DirectoryState {
         &self.state
     }
 
@@ -152,7 +152,7 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
         subject: EdgeId,
         cluster: ClusterId,
         query: &ReadQuery,
-        response: &ReadResponse<H>,
+        response: &ReadResponse,
         rejection: &ReadRejection,
         now: SimTime,
     ) -> bool {
@@ -185,10 +185,10 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
     pub fn ingest_delta(
         &mut self,
         from: NodeId,
-        delta: &GossipDelta<H>,
+        delta: &GossipDelta,
         keys: &KeyStore,
         now: SimTime,
-    ) -> (IngestReport, Option<GossipDelta<H>>) {
+    ) -> (IngestReport, Option<GossipDelta>) {
         self.stats.gossip_ingested += 1;
         let mut report = IngestReport::default();
         for ev in &delta.evidence {
@@ -228,7 +228,7 @@ impl<H: BatchCommitment + Clone> DirectoryAgent<H> {
     /// beats the last summary `peer` shipped us (everything, for a peer
     /// whose summary we do not hold), plus our own summary so the peer
     /// can pull what we lack.
-    pub fn delta_for(&mut self, peer: NodeId) -> GossipDelta<H> {
+    pub fn delta_for(&mut self, peer: NodeId) -> GossipDelta {
         let nothing = StateSummary::default();
         let known = self.peer_known.get(&peer).unwrap_or(&nothing);
         let evidence = self.state.records_beating(known);

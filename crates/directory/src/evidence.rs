@@ -25,8 +25,8 @@ use std::sync::Arc;
 use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, WireWriter};
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Sha256, Signature};
 use transedge_edge::{
-    BatchCommitment, CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ScanBundle, SnapshotPolicy,
+    CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadRejection, ReadResponse,
+    ReadVerifier, ScanBundle, SnapshotPolicy,
 };
 
 /// Is this rejection class *cryptographic* — does producing it require
@@ -55,7 +55,7 @@ pub fn is_cryptographic(rejection: &ReadRejection) -> bool {
 /// every signature, and the body's wire image — which covers keys,
 /// value slots and the multiproof byte-for-byte, so this pins
 /// everything a verifier could object to.
-fn hash_section<H: BatchCommitment>(h: &mut Sha256, section: &MultiProofBundle<H>) {
+fn hash_section(h: &mut Sha256, section: &MultiProofBundle) {
     h.update(&section.commitment.certified_digest().0);
     h.update(&section.cert.digest.0);
     for (node, sig) in &section.cert.sigs {
@@ -67,7 +67,7 @@ fn hash_section<H: BatchCommitment>(h: &mut Sha256, section: &MultiProofBundle<H
     h.update(&section.body.encode_to_vec());
 }
 
-fn hash_scan<H: BatchCommitment>(h: &mut Sha256, bundle: &ScanBundle<H>) {
+fn hash_scan(h: &mut Sha256, bundle: &ScanBundle) {
     h.update(&bundle.commitment.certified_digest().0);
     h.update(&bundle.cert.digest.0);
     h.update(&bundle.scan.range.first.to_le_bytes());
@@ -99,7 +99,7 @@ fn hash_scan<H: BatchCommitment>(h: &mut Sha256, bundle: &ScanBundle<H>) {
 /// pins the true delta digest, but the carried list is the relay's
 /// claim; hashing it means a tampered list (the lie the evidence
 /// convicts) cannot be swapped out from under the witness's signature.
-fn hash_feed<H: BatchCommitment>(h: &mut Sha256, feed: &[Arc<CertifiedDelta<H>>]) {
+fn hash_feed(h: &mut Sha256, feed: &[Arc<CertifiedDelta>]) {
     h.update(b"fresh");
     h.update(&(feed.len() as u32).to_le_bytes());
     for delta in feed {
@@ -121,7 +121,7 @@ fn hash_feed<H: BatchCommitment>(h: &mut Sha256, feed: &[Arc<CertifiedDelta<H>>]
 /// the witness's signature over the fingerprint pins the evidence to
 /// *this* response: a relay cannot swap in a different payload under
 /// the signature.
-pub fn response_fingerprint<H: BatchCommitment>(response: &ReadResponse<H>) -> Digest {
+pub fn response_fingerprint(response: &ReadResponse) -> Digest {
     let mut h = Sha256::new();
     match response {
         ReadResponse::Point { section, fresh } => {
@@ -193,7 +193,7 @@ pub fn query_fingerprint(query: &ReadQuery) -> Digest {
 
 /// The unsigned evidence claim.
 #[derive(Clone, Debug)]
-pub struct EvidenceBody<H> {
+pub struct EvidenceBody {
     /// The edge the witness says served the failing response.
     pub subject: EdgeId,
     /// Partition the sub-query targeted (re-verification input).
@@ -202,13 +202,13 @@ pub struct EvidenceBody<H> {
     pub query: ReadQuery,
     /// The response that failed verification, attached in full so any
     /// receiver can re-run the verifier.
-    pub response: ReadResponse<H>,
+    pub response: ReadResponse,
     /// When the witness observed it — also the `now` receivers re-verify
     /// at, so freshness-dependent outcomes reproduce deterministically.
     pub observed_at: SimTime,
 }
 
-impl<H: BatchCommitment> EvidenceBody<H> {
+impl EvidenceBody {
     /// The byte statement the witness signs: identity of the claim plus
     /// fingerprints of the embedded query and response, so no component
     /// can be swapped under the signature.
@@ -226,15 +226,15 @@ impl<H: BatchCommitment> EvidenceBody<H> {
 
 /// An [`EvidenceBody`] bound to its witness by signature.
 #[derive(Clone, Debug)]
-pub struct SignedEvidence<H> {
+pub struct SignedEvidence {
     pub witness: NodeId,
-    pub body: EvidenceBody<H>,
+    pub body: EvidenceBody,
     pub sig: Signature,
 }
 
-impl<H: BatchCommitment + Clone> SignedEvidence<H> {
+impl SignedEvidence {
     /// Sign `body` as `witness`.
-    pub fn sign(witness: NodeId, body: EvidenceBody<H>, keypair: &Keypair) -> Self {
+    pub fn sign(witness: NodeId, body: EvidenceBody, keypair: &Keypair) -> Self {
         let sig = keypair.sign(&body.statement());
         SignedEvidence { witness, body, sig }
     }
@@ -282,7 +282,7 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
 
     /// Wire-size estimate for the simulator's bandwidth model.
     pub fn wire_size(&self) -> usize {
-        fn feed_size<H>(feed: &Option<Vec<Arc<CertifiedDelta<H>>>>) -> usize {
+        fn feed_size(feed: &Option<Vec<Arc<CertifiedDelta>>>) -> usize {
             feed.as_ref().map_or(1, |deltas| {
                 1 + deltas
                     .iter()
@@ -293,7 +293,7 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
                     .sum::<usize>()
             })
         }
-        fn response_size<H>(r: &ReadResponse<H>) -> usize {
+        fn response_size(r: &ReadResponse) -> usize {
             match r {
                 ReadResponse::Point { section, fresh } => {
                     110 + section.cert.sigs.len() * 101

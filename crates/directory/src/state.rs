@@ -17,7 +17,6 @@ use std::collections::HashMap;
 
 use transedge_common::EdgeId;
 use transedge_crypto::Digest;
-use transedge_edge::BatchCommitment;
 
 use crate::evidence::SignedEvidence;
 
@@ -43,20 +42,14 @@ impl StateSummary {
 
 /// The mergeable directory state. See module docs for the join rule.
 #[derive(Clone, Debug, Default)]
-pub struct DirectoryState<H> {
+pub struct DirectoryState {
     /// subject → the deterministic winning evidence record.
-    evidence: HashMap<EdgeId, SignedEvidence<H>>,
+    evidence: HashMap<EdgeId, SignedEvidence>,
 }
 
-impl<H: BatchCommitment + Clone> DirectoryState<H> {
-    pub fn new() -> Self {
-        DirectoryState {
-            evidence: HashMap::new(),
-        }
-    }
-
+impl DirectoryState {
     /// Join one evidence record in; returns whether the state changed.
-    pub fn admit_evidence(&mut self, ev: SignedEvidence<H>) -> bool {
+    pub fn admit_evidence(&mut self, ev: SignedEvidence) -> bool {
         let key = ev.body.subject;
         match self.evidence.get(&key) {
             Some(current) => {
@@ -78,7 +71,7 @@ impl<H: BatchCommitment + Clone> DirectoryState<H> {
     /// The CRDT join: fold every record of `other` in. Returns how many
     /// records changed (0 ⇒ `other` carried nothing new — the signal
     /// anti-entropy uses to stop).
-    pub fn merge(&mut self, other: &DirectoryState<H>) -> usize {
+    pub fn merge(&mut self, other: &DirectoryState) -> usize {
         let mut changed = 0;
         for ev in other.evidence.values() {
             if self.admit_evidence(ev.clone()) {
@@ -99,8 +92,8 @@ impl<H: BatchCommitment + Clone> DirectoryState<H> {
     /// against a peer holding `summary` — exactly what an anti-entropy
     /// delta must carry, and nothing else. Sorted for deterministic
     /// payloads.
-    pub fn records_beating(&self, summary: &StateSummary) -> Vec<SignedEvidence<H>> {
-        let mut ev: Vec<SignedEvidence<H>> = self
+    pub fn records_beating(&self, summary: &StateSummary) -> Vec<SignedEvidence> {
+        let mut ev: Vec<SignedEvidence> = self
             .evidence
             .iter()
             .filter(|(k, e)| match summary.evidence.get(k) {
@@ -115,12 +108,12 @@ impl<H: BatchCommitment + Clone> DirectoryState<H> {
         ev
     }
 
-    pub fn evidence(&self) -> impl Iterator<Item = &SignedEvidence<H>> {
+    pub fn evidence(&self) -> impl Iterator<Item = &SignedEvidence> {
         self.evidence.values()
     }
 
     /// The winning evidence record against `edge`, if any.
-    pub fn evidence_for(&self, edge: EdgeId) -> Option<&SignedEvidence<H>> {
+    pub fn evidence_for(&self, edge: EdgeId) -> Option<&SignedEvidence> {
         self.evidence.get(&edge)
     }
 

@@ -15,57 +15,36 @@ use transedge_consensus::messages::accept_statement;
 use transedge_consensus::Certificate;
 use transedge_crypto::hmac::derive_seed;
 use transedge_crypto::merkle::value_digest;
-use transedge_crypto::{Digest, KeyStore, Keypair, Sha256, VersionedMerkleTree};
+use transedge_crypto::{Digest, KeyStore, Keypair, VersionedMerkleTree};
 use transedge_directory::{
     is_cryptographic, DirectoryAgent, EvidenceBody, GossipDelta, SignedEvidence, StateSummary,
 };
 use transedge_edge::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, FeedWindow, MultiProofBody,
-    MultiProofBundle, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifyParams,
-    VersionedStore,
+    changed_keys_digest, BatchHeader, CdVector, CertifiedDelta, CommittedHeader, FeedWindow,
+    MultiProofBody, MultiProofBundle, ReadQuery, ReadRejection, ReadResponse, ReadVerifier,
+    VerifyParams, VersionedStore,
 };
 
 const DEPTH: u32 = 8;
 
-#[derive(Clone, Debug)]
-struct TestHeader {
-    cluster: ClusterId,
-    num: BatchNum,
-    merkle_root: Digest,
-    lce: Epoch,
-    delta: Digest,
-    timestamp: SimTime,
-}
-
-impl BatchCommitment for TestHeader {
-    fn cluster(&self) -> ClusterId {
-        self.cluster
-    }
-    fn batch(&self) -> BatchNum {
-        self.num
-    }
-    fn merkle_root(&self) -> &Digest {
-        &self.merkle_root
-    }
-    fn lce(&self) -> Epoch {
-        self.lce
-    }
-    fn timestamp(&self) -> SimTime {
-        self.timestamp
-    }
-    fn certified_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"test/hardening-header");
-        h.update(&self.cluster.0.to_le_bytes());
-        h.update(&self.num.0.to_le_bytes());
-        h.update(self.merkle_root.as_bytes());
-        h.update(&self.lce.0.to_le_bytes());
-        h.update(self.delta.as_bytes());
-        h.update(&self.timestamp.0.to_le_bytes());
-        h.finalize()
-    }
-    fn delta_digest(&self) -> Digest {
-        self.delta
+/// Batch `num`'s certified header in the one-cluster world: the CD
+/// vector sized to it with the own entry at `num`, `changed` folded in
+/// as the changed-key digest, stamped inside every freshness window
+/// the suite reads at.
+fn header(num: u64, merkle_root: Digest, changed: &[Key]) -> CommittedHeader {
+    let mut cd = CdVector::new(1);
+    cd.set(ClusterId(0), Epoch(num as i64));
+    CommittedHeader {
+        header: BatchHeader {
+            cluster: ClusterId(0),
+            num: BatchNum(num),
+            cd,
+            lce: Epoch::NONE,
+            merkle_root,
+            delta_digest: changed_keys_digest(changed),
+            timestamp: SimTime(1_000),
+        },
+        body_digest: Digest::ZERO,
     }
 }
 
@@ -74,7 +53,8 @@ impl BatchCommitment for TestHeader {
 struct World {
     keys: KeyStore,
     replicas: Vec<(NodeId, Keypair)>,
-    header: TestHeader,
+    /// Batch 0, which every section is served at.
+    base: CommittedHeader,
     cert: Certificate,
     store: VersionedStore,
     tree: VersionedMerkleTree,
@@ -97,20 +77,13 @@ impl World {
             updates.push((key, value_digest(&value)));
         }
         let root = tree.apply_batch(num.0, updates.iter().map(|(k, d)| (k, *d)));
-        let header = TestHeader {
-            cluster: ClusterId(0),
-            num,
-            merkle_root: root,
-            lce: Epoch::NONE,
-            delta: changed_keys_digest(&[]),
-            timestamp: SimTime(1_000),
-        };
+        let base = header(num.0, root, &[]);
         let replicas: Vec<_> = topo
             .replicas_of(ClusterId(0))
             .take(topo.certificate_quorum())
             .map(|r| (NodeId::Replica(r), secrets[&r].clone()))
             .collect();
-        let cert = certify(&replicas, &header);
+        let cert = certify(&replicas, &base);
         let mut edge_keys = HashMap::new();
         for index in 0u16..4 {
             let id = EdgeId::new(ClusterId(0), index);
@@ -123,7 +96,7 @@ impl World {
         World {
             keys,
             replicas,
-            header,
+            base,
             cert,
             store,
             tree,
@@ -142,21 +115,21 @@ impl World {
 
     /// The honest section for `keys` (sorted), or — `forge` set — the
     /// classic TamperValue forgery: first value swapped, proof kept.
-    fn section(&self, keys: &[Key], forge: bool) -> MultiProofBundle<TestHeader> {
+    fn section(&self, keys: &[Key], forge: bool) -> MultiProofBundle {
         let mut values: Vec<Option<Value>> = keys
             .iter()
             .map(|k| {
                 self.store
-                    .get_at(k, self.header.num)
+                    .get_at(k, self.base.header.num)
                     .map(|v| v.value.clone())
             })
             .collect();
         if forge {
             values[0] = Some(Value::from("forged-by-edge"));
         }
-        let proof = self.tree.prove_multi(keys, self.header.num.0);
+        let proof = self.tree.prove_multi(keys, self.base.header.num.0);
         MultiProofBundle {
-            commitment: self.header.clone(),
+            commitment: self.base.clone(),
             cert: self.cert.clone(),
             body: MultiProofBody::new(keys.to_vec(), values, proof),
         }
@@ -164,12 +137,8 @@ impl World {
 
     /// Batch `num`'s certified feed delta: it changed `changed` and left
     /// the tree alone (the sections below are all served at batch 0).
-    fn delta(&self, num: u64, changed: Vec<Key>) -> Arc<CertifiedDelta<TestHeader>> {
-        let commitment = TestHeader {
-            num: BatchNum(num),
-            delta: changed_keys_digest(&changed),
-            ..self.header.clone()
-        };
+    fn delta(&self, num: u64, changed: Vec<Key>) -> Arc<CertifiedDelta> {
+        let commitment = header(num, self.base.header.merkle_root, &changed);
         Arc::new(CertifiedDelta {
             cert: certify(&self.replicas, &commitment),
             commitment,
@@ -177,7 +146,7 @@ impl World {
         })
     }
 
-    fn agent(&self, edge: EdgeId) -> DirectoryAgent<TestHeader> {
+    fn agent(&self, edge: EdgeId) -> DirectoryAgent {
         DirectoryAgent::new(
             NodeId::Edge(edge),
             self.edge_keys[&edge].clone(),
@@ -187,10 +156,7 @@ impl World {
 
     /// A point read of `keys` answered with the TamperValue forgery,
     /// and the cryptographic rejection it draws.
-    fn tampered_read(
-        &self,
-        keys: Vec<Key>,
-    ) -> (ReadQuery, ReadResponse<TestHeader>, ReadRejection) {
+    fn tampered_read(&self, keys: Vec<Key>) -> (ReadQuery, ReadResponse, ReadRejection) {
         let query = ReadQuery::point(keys.clone());
         let response = ReadResponse::Point {
             section: Box::new(self.section(&keys, true)),
@@ -207,7 +173,7 @@ impl World {
 
 /// A delta carrying `evidence` from a sender that claims to hold
 /// nothing (so the receiver's reply, if any, is everything it holds).
-fn delta_of(evidence: Vec<SignedEvidence<TestHeader>>) -> GossipDelta<TestHeader> {
+fn delta_of(evidence: Vec<SignedEvidence>) -> GossipDelta {
     GossipDelta {
         summary: StateSummary::default(),
         evidence,
@@ -215,12 +181,12 @@ fn delta_of(evidence: Vec<SignedEvidence<TestHeader>>) -> GossipDelta<TestHeader
 }
 
 /// `f+1` replica signatures over `header`'s certified digest.
-fn certify(replicas: &[(NodeId, Keypair)], header: &TestHeader) -> Certificate {
+fn certify(replicas: &[(NodeId, Keypair)], header: &CommittedHeader) -> Certificate {
     let digest = header.certified_digest();
-    let stmt = accept_statement(ClusterId(0), header.num, &digest);
+    let stmt = accept_statement(ClusterId(0), header.header.num, &digest);
     Certificate {
         cluster: ClusterId(0),
-        slot: header.num,
+        slot: header.header.num,
         digest,
         sigs: replicas.iter().map(|(r, k)| (*r, k.sign(&stmt))).collect(),
     }
@@ -244,7 +210,7 @@ fn genuine_evidence_is_admitted_and_demotes() {
         world.tampered_read(vec![Key::from_u32(0), Key::from_u32(1)]);
 
     // The witnessing client signs the evidence…
-    let mut witness = DirectoryAgent::<TestHeader>::new(
+    let mut witness = DirectoryAgent::new(
         NodeId::Client(ClientId(0)),
         world.client_key.clone(),
         world.verifier(),
@@ -274,7 +240,7 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
     let world = World::new();
     let query_keys = vec![Key::from_u32(2)];
     let query = ReadQuery::point(query_keys.clone());
-    let honest: ReadResponse<TestHeader> = ReadResponse::Point {
+    let honest: ReadResponse = ReadResponse::Point {
         section: Box::new(world.section(&query_keys, false)),
         fresh: None,
     };
@@ -312,9 +278,9 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
 /// batch 0) and tells the edge so; `sent` is what came back with them.
 fn subscribed_read(
     world: &World,
-    window: &FeedWindow<TestHeader>,
-    sent: Vec<Arc<CertifiedDelta<TestHeader>>>,
-) -> (ReadQuery, ReadResponse<TestHeader>) {
+    window: &FeedWindow,
+    sent: Vec<Arc<CertifiedDelta>>,
+) -> (ReadQuery, ReadResponse) {
     let keys = vec![Key::from_u32(0), Key::from_u32(1)];
     let mut query = ReadQuery::point(keys.clone());
     query.feed = Some(vec![(ClusterId(0), window.cursor().unwrap())]);
@@ -325,9 +291,7 @@ fn subscribed_read(
     (query, response)
 }
 
-fn window_of(
-    deltas: impl IntoIterator<Item = Arc<CertifiedDelta<TestHeader>>>,
-) -> FeedWindow<TestHeader> {
+fn window_of(deltas: impl IntoIterator<Item = Arc<CertifiedDelta>>) -> FeedWindow {
     let mut window = FeedWindow::default();
     window.absorb(&deltas.into_iter().collect::<Vec<_>>());
     window
@@ -354,7 +318,7 @@ fn feed_evidence_against_the_signed_cursor_is_admitted() {
     };
     assert_eq!(rejection, spliced);
 
-    let mut witness = DirectoryAgent::<TestHeader>::new(
+    let mut witness = DirectoryAgent::new(
         NodeId::Client(ClientId(0)),
         world.client_key.clone(),
         world.verifier(),
@@ -485,8 +449,7 @@ fn an_empty_bootstrap_answer_is_ingested_without_striking_anyone() {
     assert!(answer.evidence.is_empty());
     assert_eq!(answer.summary, StateSummary::default());
 
-    let mut booting =
-        DirectoryAgent::<TestHeader>::new(client, world.client_key.clone(), world.verifier());
+    let mut booting = DirectoryAgent::new(client, world.client_key.clone(), world.verifier());
     let (report, reply) = booting.ingest_delta(NodeId::Edge(edge(0)), &answer, &world.keys, NOW);
     assert_eq!((report.evidence_accepted, report.evidence_rejected), (0, 0));
     assert!(reply.is_none());
@@ -512,7 +475,7 @@ fn client_summaries_are_not_remembered() {
         let client = NodeId::Client(ClientId(id));
         let kp = Keypair::from_seed(derive_seed(&[5u8; 32], &format!("client/{id}")));
         keys.register(client, kp.public());
-        let mut witness = DirectoryAgent::<TestHeader>::new(client, kp, world.verifier());
+        let mut witness = DirectoryAgent::new(client, kp, world.verifier());
         let subject = edge(id as u16 + 1);
         assert!(witness.witness(subject, ClusterId(0), &query, &response, &rejection, NOW));
         let push = witness.delta_for(NodeId::Edge(edge(0)));

@@ -11,38 +11,29 @@ use transedge_common::{BatchNum, ClusterId, EdgeId, Epoch, NodeId, ReplicaId, Si
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MultiProof, Signature};
 use transedge_directory::{DirectoryState, EvidenceBody, SignedEvidence};
-use transedge_edge::{BatchCommitment, MultiProofBody, MultiProofBundle, ReadQuery, ReadResponse};
+use transedge_edge::{
+    changed_keys_digest, BatchHeader, CdVector, CommittedHeader, MultiProofBody, MultiProofBundle,
+    ReadQuery, ReadResponse,
+};
 
-/// Minimal commitment for evidence payloads (merge is syntactic; the
-/// embedded response is opaque to the CRDT).
-#[derive(Clone, Debug)]
-struct TestHeader;
-
-impl BatchCommitment for TestHeader {
-    fn cluster(&self) -> ClusterId {
-        ClusterId(0)
-    }
-    fn batch(&self) -> BatchNum {
-        BatchNum(0)
-    }
-    fn merkle_root(&self) -> &Digest {
-        const ZERO: &Digest = &Digest([0u8; 32]);
-        ZERO
-    }
-    fn lce(&self) -> Epoch {
-        Epoch::NONE
-    }
-    fn timestamp(&self) -> SimTime {
-        SimTime(0)
-    }
-    fn certified_digest(&self) -> Digest {
-        Digest([0u8; 32])
-    }
-}
-
-/// An opaque stand-in response: an empty point section under an
-/// unsigned certificate.
-fn empty_response() -> ReadResponse<TestHeader> {
+/// An opaque stand-in response: an empty point section under batch 0's
+/// header (merge is syntactic; the embedded response is opaque to the
+/// CRDT) and an unsigned certificate.
+fn empty_response() -> ReadResponse {
+    let mut cd = CdVector::new(3);
+    cd.set(ClusterId(0), Epoch(0));
+    let header = CommittedHeader {
+        header: BatchHeader {
+            cluster: ClusterId(0),
+            num: BatchNum(0),
+            cd,
+            lce: Epoch::NONE,
+            merkle_root: Digest::ZERO,
+            delta_digest: changed_keys_digest(&[]),
+            timestamp: SimTime(0),
+        },
+        body_digest: Digest::ZERO,
+    };
     let cert = Certificate {
         cluster: ClusterId(0),
         slot: BatchNum(0),
@@ -55,7 +46,7 @@ fn empty_response() -> ReadResponse<TestHeader> {
     };
     ReadResponse::Point {
         section: Box::new(MultiProofBundle {
-            commitment: TestHeader,
+            commitment: header,
             cert,
             body: MultiProofBody::new(Vec::new(), Vec::new(), proof),
         }),
@@ -63,12 +54,12 @@ fn empty_response() -> ReadResponse<TestHeader> {
     }
 }
 
-type State = DirectoryState<TestHeader>;
+type State = DirectoryState;
 
 /// One gossip record. Signatures are arbitrary bytes: validation
 /// happens at ingest, *before* the CRDT — the join itself must obey
 /// the laws for any record set.
-type Record = SignedEvidence<TestHeader>;
+type Record = SignedEvidence;
 
 fn subject(s: u8) -> EdgeId {
     EdgeId::new(ClusterId((s % 3) as u16), (s / 3) as u16)
@@ -89,7 +80,7 @@ fn evidence(witness: u8, s: u8, observed_at: u64, sig: u8) -> Record {
 }
 
 fn state_of(records: &[Record]) -> State {
-    let mut s = State::new();
+    let mut s = State::default();
     for r in records {
         s.admit_evidence(r.clone());
     }

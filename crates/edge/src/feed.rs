@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use transedge_common::BatchNum;
 
-use crate::response::{BatchCommitment, CertifiedDelta};
+use crate::response::CertifiedDelta;
 
 /// Deltas a [`FeedWindow`] retains, whoever holds it. An edge's window
 /// has to span the gap between its oldest *servable* snapshot and the
@@ -60,24 +60,16 @@ pub enum Pushed {
 /// See the module docs. Entries are shared, not copied: an edge's
 /// window, the responses it attaches them to and the windows of the
 /// clients that verified them all point at one allocation per delta.
-#[derive(Clone, Debug)]
-pub struct FeedWindow<H> {
+#[derive(Clone, Debug, Default)]
+pub struct FeedWindow {
     /// Oldest first, batch numbers consecutive.
-    deltas: VecDeque<Arc<CertifiedDelta<H>>>,
+    deltas: VecDeque<Arc<CertifiedDelta>>,
 }
 
-impl<H> Default for FeedWindow<H> {
-    fn default() -> Self {
-        FeedWindow {
-            deltas: VecDeque::new(),
-        }
-    }
-}
-
-impl<H: BatchCommitment> FeedWindow<H> {
+impl FeedWindow {
     /// Take in a delta the caller has **already verified**, keeping
     /// the run contiguous and at most [`MAX_FEED_DELTAS`] long.
-    pub fn push(&mut self, delta: Arc<CertifiedDelta<H>>) -> Pushed {
+    pub fn push(&mut self, delta: Arc<CertifiedDelta>) -> Pushed {
         let mut pushed = Pushed::Extended;
         if let Some(head) = self.head() {
             if delta.batch() <= head {
@@ -100,7 +92,7 @@ impl<H: BatchCommitment> FeedWindow<H> {
     /// served at an older batch, sent its whole tail — becomes the
     /// base the held deltas are pushed onto, so the next such read
     /// finds a cursor that reaches.
-    pub fn absorb(&mut self, run: &[Arc<CertifiedDelta<H>>]) {
+    pub fn absorb(&mut self, run: &[Arc<CertifiedDelta>]) {
         let (first, held) = (run.first(), self.deltas.front());
         let reaches_back = first.zip(held).is_some_and(|(r, w)| r.batch() < w.batch());
         let held = if reaches_back {
@@ -114,7 +106,7 @@ impl<H: BatchCommitment> FeedWindow<H> {
     }
 
     /// The newest delta held, if any.
-    pub fn newest(&self) -> Option<&Arc<CertifiedDelta<H>>> {
+    pub fn newest(&self) -> Option<&Arc<CertifiedDelta>> {
         self.deltas.back()
     }
 
@@ -146,7 +138,7 @@ impl<H: BatchCommitment> FeedWindow<H> {
     pub fn after(
         &self,
         from: BatchNum,
-    ) -> Option<impl Iterator<Item = &Arc<CertifiedDelta<H>>> + Clone> {
+    ) -> Option<impl Iterator<Item = &Arc<CertifiedDelta>> + Clone> {
         let FeedCursor { first, head } = self.cursor()?;
         if from.0 + 1 < first.0 || head < from {
             return None;
@@ -161,7 +153,7 @@ impl<H: BatchCommitment> FeedWindow<H> {
         &self,
         served: BatchNum,
         resume: BatchNum,
-    ) -> impl Iterator<Item = &Arc<CertifiedDelta<H>>> + Clone {
+    ) -> impl Iterator<Item = &Arc<CertifiedDelta>> + Clone {
         self.after(served)
             .into_iter()
             .flatten()

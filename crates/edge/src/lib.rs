@@ -74,12 +74,18 @@
 //!   certificates from and a subscribed client keeps what it verified
 //!   in, so only unseen deltas travel ([`feed::FeedCursor`]).
 //!
-//! The crate deliberately does not know about network messages or the
-//! batch format: commitments enter through the [`BatchCommitment`]
-//! trait, which `transedge-core` implements for its certified batch
-//! headers. That keeps the trust boundary auditable in one place and
-//! lets the read path scale (more edge nodes, bigger caches)
-//! independently of the transaction-processing stack.
+//! The one thing a client trusts that an edge sends is a batch's
+//! read-only segment under `f+1` replica signatures (paper §3.2, §4.4):
+//! the [`BatchHeader`] — Merkle root, CD vector, LCE, changed-key
+//! digest, timestamp — beside the digest of the segments it omits, as
+//! a [`CommittedHeader`]. Both live here, with the checks that read
+//! them, and [`CommittedHeader::certified_digest`] is the one place the
+//! digest the certificate signs is computed; `transedge-core` seals its
+//! batches around the same header. The crate does not know about
+//! network messages or the transaction segments, which keeps the trust
+//! boundary auditable in one place and lets the read path scale (more
+//! edge nodes, bigger caches) independently of the
+//! transaction-processing stack.
 
 pub mod cache;
 pub mod certs;
@@ -100,8 +106,8 @@ pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy};
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
-    ScanBundle, ScanProof,
+    changed_keys_digest, BatchHeader, CdVector, CertifiedDelta, CommittedHeader, MultiProofBody,
+    MultiProofBundle, ScanBundle, ScanProof,
 };
 pub use store::VersionedStore;
 pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};

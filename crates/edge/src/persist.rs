@@ -25,7 +25,7 @@ use transedge_common::{ClusterId, Epoch, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::KeyStore;
 
-use crate::response::{BatchCommitment, MultiProofBundle, ScanBundle};
+use crate::response::{MultiProofBundle, ScanBundle};
 use crate::verifier::{ReadRejection, ReadVerifier};
 
 /// One snapshot object: a proof-carrying answer exactly as it travels
@@ -33,20 +33,20 @@ use crate::verifier::{ReadRejection, ReadVerifier};
 /// edge writes is load-bearing; the proofs are) and free to re-verify
 /// (re-admission *is* the network verification path).
 #[derive(Clone, Debug)]
-pub enum SnapshotObject<H> {
+pub enum SnapshotObject {
     /// A point-read section: one multiproof body under one certified
     /// commitment.
-    Section(MultiProofBundle<H>),
+    Section(MultiProofBundle),
     /// A proof-carrying scan window.
-    Scan(ScanBundle<H>),
+    Scan(ScanBundle),
 }
 
-impl<H: BatchCommitment> SnapshotObject<H> {
+impl SnapshotObject {
     /// Partition the object snapshots.
     pub fn cluster(&self) -> ClusterId {
         match self {
-            SnapshotObject::Section(b) => b.commitment.cluster(),
-            SnapshotObject::Scan(b) => b.commitment.cluster(),
+            SnapshotObject::Section(b) => b.commitment.header.cluster,
+            SnapshotObject::Scan(b) => b.commitment.header.cluster,
         }
     }
 
@@ -69,10 +69,10 @@ impl<H: BatchCommitment> SnapshotObject<H> {
 /// other rejections: an object that merely aged past the freshness
 /// window during an outage is honest history, not evidence of
 /// tampering. Callers count it separately.
-pub fn verify_object<H: BatchCommitment>(
+pub fn verify_object(
     verifier: &ReadVerifier,
     keys: &KeyStore,
-    object: &SnapshotObject<H>,
+    object: &SnapshotObject,
     now: SimTime,
 ) -> Result<(), ReadRejection> {
     let cluster = object.cluster();
@@ -95,7 +95,7 @@ pub fn verify_object<H: BatchCommitment>(
 
 /// An object's approximate wire size (the simulator's bandwidth model
 /// for state transfers, and the hash pass a re-verification charges).
-pub fn object_size<H: BatchCommitment>(object: &SnapshotObject<H>) -> usize {
+pub fn object_size(object: &SnapshotObject) -> usize {
     const HEADER_AND_CERT: usize = 132;
     match object {
         SnapshotObject::Section(b) => HEADER_AND_CERT + b.body.encoded_len(),

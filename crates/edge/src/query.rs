@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::feed::FeedCursor;
-use crate::response::{BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle};
+use crate::response::{CertifiedDelta, MultiProofBundle, ScanBundle};
 
 /// Which snapshot a [`ReadQuery`] must be served at.
 ///
@@ -388,7 +388,7 @@ impl ReadQuery {
 /// ```
 /// use transedge_edge::ReadResponse;
 ///
-/// fn describe<H>(r: &ReadResponse<H>) -> &'static str {
+/// fn describe(r: &ReadResponse) -> &'static str {
 ///     match r {
 ///         ReadResponse::Point { .. } => "point section",
 ///         ReadResponse::Scan { .. } => "scan window",
@@ -396,7 +396,7 @@ impl ReadQuery {
 /// }
 /// ```
 #[derive(Clone, Debug)]
-pub enum ReadResponse<H> {
+pub enum ReadResponse {
     /// One point-read section — one certified commitment and one
     /// multiproof over the keys it carries, so an answer mixing batches
     /// or carrying nothing cannot be expressed. A replica proves
@@ -412,23 +412,23 @@ pub enum ReadResponse<H> {
     /// nothing newer exists). Verified end to end like everything
     /// else; an invalid or key-touching feed is cryptographic evidence.
     Point {
-        section: Box<MultiProofBundle<H>>,
-        fresh: Option<Vec<Arc<CertifiedDelta<H>>>>,
+        section: Box<MultiProofBundle>,
+        fresh: Option<Vec<Arc<CertifiedDelta>>>,
     },
     /// One proof-carrying scan window — the one the query asked for;
     /// the verifier accepts no other. Boxed: scan bundles dwarf the
     /// other payloads.
-    Scan { bundle: Box<ScanBundle<H>> },
+    Scan { bundle: Box<ScanBundle> },
 }
 
-impl<H: BatchCommitment> ReadResponse<H> {
+impl ReadResponse {
     /// The partition this response's certified header names — unverified
     /// until [`crate::ReadVerifier::verify_query`] passes, so good for
     /// routing the answer to the part that owes it, never for trusting it.
     pub fn cluster(&self) -> ClusterId {
         match self {
-            ReadResponse::Point { section, .. } => section.commitment.cluster(),
-            ReadResponse::Scan { bundle } => bundle.commitment.cluster(),
+            ReadResponse::Point { section, .. } => section.commitment.header.cluster,
+            ReadResponse::Scan { bundle } => bundle.commitment.header.cluster,
         }
     }
 
@@ -441,7 +441,7 @@ impl<H: BatchCommitment> ReadResponse<H> {
     }
 
     /// The freshness feed attached to this response, if any.
-    pub fn fresh_feed(&self) -> Option<&[Arc<CertifiedDelta<H>>]> {
+    pub fn fresh_feed(&self) -> Option<&[Arc<CertifiedDelta>]> {
         match self {
             ReadResponse::Point { fresh, .. } => fresh.as_deref(),
             ReadResponse::Scan { .. } => None,

@@ -25,7 +25,7 @@ use crate::feed::{FeedWindow, Pushed};
 use crate::persist::SnapshotObject;
 use crate::pipeline::sorted_unique;
 use crate::response::{
-    BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
+    CertifiedDelta, CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
 };
 
 /// Answers an edge caches per kind and partition unless configured
@@ -81,9 +81,9 @@ impl transedge_obs::RegisterMetrics for ReplayStats {
 
 /// The cache an edge replay node runs on.
 #[derive(Clone, Debug)]
-pub struct ReplayCache<H> {
+pub struct ReplayCache {
     /// Certified headers by batch, newest retained up to `max_batches`.
-    commitments: BTreeMap<BatchNum, (H, Certificate)>,
+    commitments: BTreeMap<BatchNum, (CommittedHeader, Certificate)>,
     /// `(sorted unique keys, batch)` → the section body admitted for
     /// exactly that key set. Bodies are shared by reference with
     /// in-flight responses and the disk image.
@@ -92,12 +92,12 @@ pub struct ReplayCache<H> {
     scans: LruCache<(ScanRange, BatchNum), ScanProof>,
     /// The verified deltas this cache can attach as a freshness
     /// certificate, ending at the feed head.
-    feed: FeedWindow<H>,
+    feed: FeedWindow,
     max_batches: usize,
     pub stats: ReplayStats,
 }
 
-impl<H: BatchCommitment + Clone> ReplayCache<H> {
+impl ReplayCache {
     /// `capacity` answers of each kind over `max_batches` batches.
     pub fn new(capacity: usize, max_batches: usize) -> Self {
         ReplayCache {
@@ -113,7 +113,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// Absorb a point-read section: remember the certified header and
     /// cache the body under its own key set. Admission shares the
     /// body's allocation, it does not copy it.
-    pub fn admit_section(&mut self, section: &MultiProofBundle<H>) {
+    pub fn admit_section(&mut self, section: &MultiProofBundle) {
         let batch = section.batch();
         self.commitments
             .insert(batch, (section.commitment.clone(), section.cert.clone()));
@@ -148,7 +148,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
 
     /// Absorb an upstream scan response: remember the certified header
     /// and cache the proof-carrying window under its own range.
-    pub fn admit_scan(&mut self, bundle: &ScanBundle<H>) {
+    pub fn admit_scan(&mut self, bundle: &ScanBundle) {
         // The bundle is unverified upstream input. A window whose row
         // count disagrees with what its own proof commits to would fail
         // every client's rows-versus-entries count check on replay, and
@@ -186,7 +186,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         pinned: Option<BatchNum>,
         min_lce: Epoch,
         min_timestamp: SimTime,
-    ) -> Option<ScanBundle<H>> {
+    ) -> Option<ScanBundle> {
         let candidates = match pinned {
             Some(batch) => vec![batch],
             None => self.passing_batches(min_lce, min_timestamp),
@@ -219,7 +219,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// drops it as a repeat delivery, the delta *push-invalidates*: a
     /// cached point answer at an older batch proving any changed key is
     /// now provably superseded, so it is dropped instead of aging out.
-    pub fn apply_delta(&mut self, delta: CertifiedDelta<H>) {
+    pub fn apply_delta(&mut self, delta: CertifiedDelta) {
         let delta = Arc::new(delta);
         match self.feed.push(delta.clone()) {
             Pushed::Duplicate => return,
@@ -234,7 +234,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     }
 
     /// The feed window (its head is where a resubscription resumes).
-    pub fn feed(&self) -> &FeedWindow<H> {
+    pub fn feed(&self) -> &FeedWindow {
         &self.feed
     }
 
@@ -254,7 +254,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         from: BatchNum,
         keys: &[Key],
         resume: BatchNum,
-    ) -> Option<Vec<Arc<CertifiedDelta<H>>>> {
+    ) -> Option<Vec<Arc<CertifiedDelta>>> {
         match self.feed.after(from) {
             Some(tail) if !tail.clone().any(|d| d.touches(keys)) => {
                 self.stats.freshness_attached += 1;
@@ -289,7 +289,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         keys: &[Key],
         min_lce: Epoch,
         min_timestamp: SimTime,
-    ) -> Option<MultiProofBundle<H>> {
+    ) -> Option<MultiProofBundle> {
         let mut asked = (sorted_unique(keys), BatchNum(0));
         let body = self
             .passing_batches(min_lce, min_timestamp)
@@ -314,7 +314,9 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         self.commitments
             .iter()
             .rev()
-            .take_while(|(_, (c, _))| c.lce() >= min_lce && c.timestamp() >= min_timestamp)
+            .take_while(|(_, (c, _))| {
+                c.header.lce >= min_lce && c.header.timestamp >= min_timestamp
+            })
             .map(|(b, _)| *b)
             .collect()
     }
@@ -330,7 +332,7 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// certificate — least recently used first within each kind, point
     /// answers before scan windows. This is the edge's disk image: what
     /// a restart re-admits and what a cold sibling is offered.
-    pub fn objects(&self) -> Vec<SnapshotObject<H>> {
+    pub fn objects(&self) -> Vec<SnapshotObject> {
         let certified = |batch: &BatchNum| self.commitments[batch].clone();
         let points = self.points.iter().map(|((_, batch), body)| {
             let (commitment, cert) = certified(batch);
@@ -357,13 +359,13 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
 /// numbers are per-partition, so sharing one cache across partitions
 /// would collide their batch spaces.
 #[derive(Clone, Debug)]
-pub struct PartitionCaches<H> {
-    caches: BTreeMap<ClusterId, ReplayCache<H>>,
+pub struct PartitionCaches {
+    caches: BTreeMap<ClusterId, ReplayCache>,
     capacity: usize,
     max_batches: usize,
 }
 
-impl<H: BatchCommitment + Clone> PartitionCaches<H> {
+impl PartitionCaches {
     /// Each partition's cache is created on first touch with
     /// `capacity` answers of each kind over `max_batches` batches.
     pub fn new(capacity: usize, max_batches: usize) -> Self {
@@ -375,7 +377,7 @@ impl<H: BatchCommitment + Clone> PartitionCaches<H> {
     }
 
     /// The partition's cache, created on first touch.
-    pub fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache<H> {
+    pub fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache {
         let (capacity, batches) = (self.capacity, self.max_batches);
         self.caches
             .entry(cluster)
@@ -383,12 +385,12 @@ impl<H: BatchCommitment + Clone> PartitionCaches<H> {
     }
 
     /// The partition's cache, if it has ever been touched.
-    pub fn get(&self, cluster: ClusterId) -> Option<&ReplayCache<H>> {
+    pub fn get(&self, cluster: ClusterId) -> Option<&ReplayCache> {
         self.caches.get(&cluster)
     }
 
     /// Every live partition cache, in cluster order.
-    pub fn iter(&self) -> impl Iterator<Item = (ClusterId, &ReplayCache<H>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (ClusterId, &ReplayCache)> {
         self.caches.iter().map(|(c, cache)| (*c, cache))
     }
 }

@@ -1,19 +1,21 @@
 //! Proof-carrying response types: what an untrusted node hands a
-//! client, and the commitment interface the verifier checks it against.
+//! client, and the certified batch header the verifier checks it
+//! against.
 
 use std::sync::Arc;
 
-use transedge_common::{BatchNum, ClusterId, Encode, Epoch, Key, SimTime, Value, WireWriter};
+use transedge_common::{
+    BatchNum, ClusterId, Decode, Encode, Epoch, Key, Result, SimTime, Value, WireReader, WireWriter,
+};
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MultiProof, RangeProof, ScanRange, Sha256};
 
 /// Domain-separated digest over a batch's changed key set (sorted,
-/// deduplicated). This is the digest a [`BatchCommitment`] certifies as
-/// its [`BatchCommitment::delta_digest`]: because it is folded into the
-/// certified batch digest by the replicas *at consensus time*, a
-/// certified delta's changed-key list is ground truth — an edge
-/// relaying one cannot add, drop, or reorder a key without breaking the
-/// recomputation against the `f+1` certificate.
+/// deduplicated). A [`BatchHeader`] certifies it as its `delta_digest`:
+/// because it is folded into the certified batch digest by the replicas
+/// *at consensus time*, a certified delta's changed-key list is ground
+/// truth — an edge relaying one cannot add, drop, or reorder a key
+/// without breaking the recomputation against the `f+1` certificate.
 pub fn changed_keys_digest(keys: &[Key]) -> Digest {
     let mut h = Sha256::new();
     h.update(b"transedge/delta");
@@ -25,30 +27,149 @@ pub fn changed_keys_digest(keys: &[Key]) -> Digest {
     h.finalize()
 }
 
-/// What the verifier needs from a batch commitment (a certified batch
-/// header, in `transedge-core` terms). The trait keeps this crate
-/// independent of the batch wire format: any type that can name the
-/// snapshot (cluster, batch, root, LCE, timestamp) and recompute the
-/// digest the consensus certificate signs can anchor a verified read.
-pub trait BatchCommitment {
-    /// Partition the snapshot belongs to.
-    fn cluster(&self) -> ClusterId;
-    /// Batch the snapshot was cut at.
-    fn batch(&self) -> BatchNum;
-    /// Merkle root of the partition's tree after that batch.
-    fn merkle_root(&self) -> &Digest;
-    /// Last Committed Epoch of that batch (round-two freshness floor).
-    fn lce(&self) -> Epoch;
-    /// Leader-stamped wall clock of the batch (§4.4.2 freshness).
-    fn timestamp(&self) -> SimTime;
-    /// The digest the cluster's `f+1` accept signatures certify.
-    fn certified_digest(&self) -> Digest;
-    /// [`changed_keys_digest`] of the batch's changed key set, as
-    /// certified by consensus. Defaults to the empty change set so
-    /// commitments predating the delta feed (and trivial test
-    /// commitments) verify against no-change deltas.
-    fn delta_digest(&self) -> Digest {
-        changed_keys_digest(&[])
+/// The Conflict-Dependency vector (paper §3.4, §4.3.3b): entry `[Y]` is
+/// the highest *prepare-batch* number at partition `Y` that this
+/// partition's state depends on; `-1` ([`Epoch::NONE`]) means no
+/// dependency.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CdVector(Vec<Epoch>);
+
+impl CdVector {
+    /// All `-1`s, for `n` partitions.
+    pub fn new(n: usize) -> Self {
+        CdVector(vec![Epoch::NONE; n])
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    pub fn get(&self, cluster: ClusterId) -> Epoch {
+        self.0
+            .get(cluster.as_usize())
+            .copied()
+            .unwrap_or(Epoch::NONE)
+    }
+
+    pub fn set(&mut self, cluster: ClusterId, epoch: Epoch) {
+        self.0[cluster.as_usize()] = epoch;
+    }
+
+    /// Algorithm 1's core operation: entry-wise maximum.
+    pub fn pairwise_max(&mut self, other: &CdVector) {
+        debug_assert_eq!(self.0.len(), other.0.len());
+        for (mine, theirs) in self.0.iter_mut().zip(other.0.iter()) {
+            *mine = (*mine).max(*theirs);
+        }
+    }
+
+    pub fn entries(&self) -> impl Iterator<Item = (ClusterId, Epoch)> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (ClusterId(i as u16), *e))
+    }
+}
+
+impl Encode for CdVector {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.0.len() as u32);
+        for e in &self.0 {
+            e.encode(w);
+        }
+    }
+}
+
+impl Decode for CdVector {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
+        let n = r.get_u32()? as usize;
+        let mut v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(Epoch::decode(r)?);
+        }
+        Ok(CdVector(v))
+    }
+}
+
+/// The read-only segment plus batch identity — everything a client
+/// needs (together with the `f+1` certificate) to trust a snapshot
+/// served by one untrusted node (paper §3.2, §4.4).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BatchHeader {
+    pub cluster: ClusterId,
+    pub num: BatchNum,
+    /// Conflict-Dependency vector of this batch.
+    pub cd: CdVector,
+    /// Last Committed Epoch: prepare-batch number of the most recent
+    /// prepare group whose transactions committed as of this batch.
+    pub lce: Epoch,
+    /// Root of the partition's Merkle tree after applying this batch.
+    pub merkle_root: Digest,
+    /// [`changed_keys_digest`] of the batch's changed key set (local
+    /// writes plus drained-commit writes on this partition, sorted and
+    /// deduplicated). Living in the header, it is folded into the
+    /// certified batch digest — so the `f+1` certificate covers *what
+    /// changed*, and a certified delta's key list becomes unforgeable.
+    /// Leaders compute it at seal time; followers recompute and reject
+    /// a mismatch.
+    pub delta_digest: Digest,
+    /// Leader-stamped wall-clock (§4.4.2 freshness); replicas reject
+    /// stamps outside the configured window.
+    pub timestamp: SimTime,
+}
+
+impl Encode for BatchHeader {
+    fn encode(&self, w: &mut WireWriter) {
+        self.cluster.encode(w);
+        self.num.encode(w);
+        self.cd.encode(w);
+        self.lce.encode(w);
+        self.merkle_root.encode(w);
+        self.delta_digest.encode(w);
+        self.timestamp.encode(w);
+    }
+}
+
+impl Decode for BatchHeader {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(BatchHeader {
+            cluster: ClusterId::decode(r)?,
+            num: BatchNum::decode(r)?,
+            cd: CdVector::decode(r)?,
+            lce: Epoch::decode(r)?,
+            merkle_root: Digest::decode(r)?,
+            delta_digest: Digest::decode(r)?,
+            timestamp: SimTime::decode(r)?,
+        })
+    }
+}
+
+/// A batch header together with the digest of the segments it omits —
+/// exactly what a read-only response carries, and the anchor every
+/// proof on the read path is checked against.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CommittedHeader {
+    pub header: BatchHeader,
+    pub body_digest: Digest,
+}
+
+impl CommittedHeader {
+    /// The digest the cluster's `f+1` accept signatures certify:
+    /// `H("transedge/batch" ‖ header ‖ body_digest)`. The header is
+    /// hashed apart from the body so that a client holding only this
+    /// pair — the read-only response — recomputes the batch digest
+    /// without downloading the segments. The one place the layout is
+    /// written: a replica's batch digest is this too.
+    pub fn certified_digest(&self) -> Digest {
+        let mut h = Sha256::new();
+        h.update(b"transedge/batch");
+        h.update(&self.header.encode_to_vec());
+        h.update(self.body_digest.as_bytes());
+        h.finalize()
     }
 }
 
@@ -63,20 +184,20 @@ pub trait BatchCommitment {
 /// trusts a delta exactly as much as it trusts a proof-carrying read:
 /// not at all until it verifies.
 #[derive(Clone, Debug)]
-pub struct CertifiedDelta<H> {
+pub struct CertifiedDelta {
     /// The certified batch header the delta belongs to.
-    pub commitment: H,
+    pub commitment: CommittedHeader,
     /// `f+1` consensus certificate over the commitment's digest.
     pub cert: Certificate,
     /// The batch's changed keys, ascending and unique. Must hash to
-    /// `commitment.delta_digest()`.
+    /// `commitment.header.delta_digest`.
     pub changed: Vec<Key>,
 }
 
-impl<H: BatchCommitment> CertifiedDelta<H> {
+impl CertifiedDelta {
     /// Batch this delta describes.
     pub fn batch(&self) -> BatchNum {
-        self.commitment.batch()
+        self.commitment.header.num
     }
 
     /// Does the delta's changed set touch any of `keys`?
@@ -178,16 +299,16 @@ impl MultiProofBody {
 /// against something signed — an untrusted node can cache, replay, or
 /// forward sections, but not alter them undetected.
 #[derive(Clone, Debug)]
-pub struct MultiProofBundle<H> {
-    pub commitment: H,
+pub struct MultiProofBundle {
+    pub commitment: CommittedHeader,
     pub cert: Certificate,
     pub body: MultiProofBody,
 }
 
-impl<H: BatchCommitment> MultiProofBundle<H> {
+impl MultiProofBundle {
     /// Batch this section snapshots.
     pub fn batch(&self) -> BatchNum {
-        self.commitment.batch()
+        self.commitment.header.num
     }
 }
 
@@ -225,15 +346,81 @@ impl ScanProof {
 /// The scan analogue of [`MultiProofBundle`] — cacheable and replayable
 /// by untrusted nodes, alterable by none.
 #[derive(Clone, Debug)]
-pub struct ScanBundle<H> {
-    pub commitment: H,
+pub struct ScanBundle {
+    pub commitment: CommittedHeader,
     pub cert: Certificate,
     pub scan: ScanProof,
 }
 
-impl<H: BatchCommitment> ScanBundle<H> {
+impl ScanBundle {
     /// Batch this scan snapshots.
     pub fn batch(&self) -> BatchNum {
-        self.commitment.batch()
+        self.commitment.header.num
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every field of the certified header is folded into the digest
+    /// the certificate signs: rewriting any one of them changes it.
+    #[test]
+    fn batch_digest_changes_with_content() {
+        let mut cd = CdVector::new(3);
+        cd.set(ClusterId(1), Epoch(4));
+        let honest = CommittedHeader {
+            header: BatchHeader {
+                cluster: ClusterId(1),
+                num: BatchNum(4),
+                cd,
+                lce: Epoch(2),
+                merkle_root: Digest([7; 32]),
+                delta_digest: changed_keys_digest(&[Key::from_u32(1)]),
+                timestamp: SimTime(1_000),
+            },
+            body_digest: Digest([9; 32]),
+        };
+        type Edit = fn(&mut CommittedHeader);
+        let edits: [(&str, Edit); 8] = [
+            ("cluster", |c| c.header.cluster = ClusterId(2)),
+            ("num", |c| c.header.num = BatchNum(5)),
+            ("cd entry", |c| c.header.cd.set(ClusterId(0), Epoch(0))),
+            ("lce", |c| c.header.lce = Epoch(3)),
+            ("merkle_root", |c| c.header.merkle_root = Digest([8; 32])),
+            ("delta_digest", |c| c.header.delta_digest = Digest([1; 32])),
+            ("timestamp", |c| c.header.timestamp = SimTime(1_001)),
+            ("body_digest", |c| c.body_digest = Digest([10; 32])),
+        ];
+        let digest = honest.certified_digest();
+        for (field, edit) in edits {
+            let mut edited = honest.clone();
+            edit(&mut edited);
+            assert_ne!(edited.certified_digest(), digest, "{field}");
+        }
+    }
+
+    #[test]
+    fn cd_vector_pairwise_max() {
+        let mut a = CdVector::new(3);
+        a.set(ClusterId(0), Epoch(5));
+        a.set(ClusterId(2), Epoch(1));
+        let mut b = CdVector::new(3);
+        b.set(ClusterId(0), Epoch(3));
+        b.set(ClusterId(1), Epoch(7));
+        a.pairwise_max(&b);
+        assert_eq!(a.get(ClusterId(0)), Epoch(5));
+        assert_eq!(a.get(ClusterId(1)), Epoch(7));
+        assert_eq!(a.get(ClusterId(2)), Epoch(1));
+    }
+
+    #[test]
+    fn cd_vector_none_is_minimum() {
+        let mut a = CdVector::new(2);
+        let mut b = CdVector::new(2);
+        b.set(ClusterId(0), Epoch(0));
+        a.pairwise_max(&b);
+        assert_eq!(a.get(ClusterId(0)), Epoch(0)); // 0 beats -1
+        assert_eq!(a.get(ClusterId(1)), Epoch::NONE);
     }
 }

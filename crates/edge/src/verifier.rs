@@ -42,7 +42,7 @@ use crate::certs::QuorumCheck;
 use crate::feed::FeedWindow;
 use crate::query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBundle, ScanBundle,
+    changed_keys_digest, CertifiedDelta, CommittedHeader, MultiProofBundle, ScanBundle,
 };
 
 /// Verification parameters; must match the deployment's node
@@ -154,18 +154,18 @@ impl ReadVerifier {
     /// Steps 1–2 of every chain, the time-independent ones: the
     /// commitment names the expected partition, and its recomputed
     /// digest is covered by an `f+1` certificate.
-    fn check_certified<H: BatchCommitment>(
+    fn check_certified(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        commitment: &H,
+        commitment: &CommittedHeader,
         cert: &Certificate,
     ) -> Result<(), ReadRejection> {
         // 1. Right partition.
-        if commitment.cluster() != expected_cluster {
+        if commitment.header.cluster != expected_cluster {
             return Err(ReadRejection::WrongCluster {
                 expected: expected_cluster,
-                got: commitment.cluster(),
+                got: commitment.header.cluster,
             });
         }
         // 2. Certificate chains the commitment to f+1 replicas. The
@@ -173,7 +173,7 @@ impl ReadVerifier {
         // signatures over the certificate's own statement is `keys`'
         // to answer (and, for a memo, to remember).
         if cert.cluster != expected_cluster
-            || cert.slot != commitment.batch()
+            || cert.slot != commitment.header.num
             || cert.digest != commitment.certified_digest()
             || !keys.check_quorum(cert, self.params.quorum)
         {
@@ -186,23 +186,23 @@ impl ReadVerifier {
     /// certified for the expected partition, its timestamp is inside
     /// the freshness window (both skew directions), and its LCE reaches
     /// the dependency floor.
-    fn check_commitment<H: BatchCommitment>(
+    fn check_commitment(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        commitment: &H,
+        commitment: &CommittedHeader,
         cert: &Certificate,
         min_lce: Epoch,
         now: SimTime,
     ) -> Result<(), ReadRejection> {
         self.check_certified(keys, expected_cluster, commitment, cert)?;
         // 3. Freshness.
-        self.check_fresh(commitment.timestamp(), now)?;
+        self.check_fresh(commitment.header.timestamp, now)?;
         // 4. Dependency floor (round two).
-        if commitment.lce() < min_lce {
+        if commitment.header.lce < min_lce {
             return Err(ReadRejection::StaleSnapshot {
                 required: min_lce,
-                lce: commitment.lce(),
+                lce: commitment.header.lce,
             });
         }
         Ok(())
@@ -211,23 +211,23 @@ impl ReadVerifier {
     /// Verify one [`CertifiedDelta`]: the commitment names the expected
     /// partition, the `f+1` certificate covers its recomputed digest,
     /// and the carried changed-key set is canonical (sorted, unique)
-    /// and hashes to the commitment's certified
-    /// [`BatchCommitment::delta_digest`]. Deliberately *no* freshness
-    /// check — a delta is a historical fact, and time-dependent checks
-    /// belong to the feed head (see [`ReadVerifier::verify_feed`]) so
-    /// they can never mask a cryptographic rejection.
-    pub fn verify_delta<H: BatchCommitment>(
+    /// and hashes to the header's certified `delta_digest`.
+    /// Deliberately *no* freshness check — a delta is a historical
+    /// fact, and time-dependent checks belong to the feed head (see
+    /// [`ReadVerifier::verify_feed`]) so they can never mask a
+    /// cryptographic rejection.
+    pub fn verify_delta(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        delta: &CertifiedDelta<H>,
+        delta: &CertifiedDelta,
     ) -> Result<(), ReadRejection> {
         self.check_certified(keys, expected_cluster, &delta.commitment, &delta.cert)?;
         // The changed set must be canonical and recompute to the digest
         // consensus signed: a relaying edge cannot add, drop, or
         // reorder one key without landing here.
         if !delta.changed.windows(2).all(|w| w[0] < w[1])
-            || changed_keys_digest(&delta.changed) != delta.commitment.delta_digest()
+            || changed_keys_digest(&delta.changed) != delta.commitment.header.delta_digest
         {
             return Err(ReadRejection::BadDelta);
         }
@@ -261,14 +261,14 @@ impl ReadVerifier {
     ///    which holds the served commitment).
     ///
     /// Returns the head batch the caller may upgrade its view to.
-    pub fn verify_feed<'a, H: BatchCommitment + 'a>(
+    pub fn verify_feed<'a>(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         served: BatchNum,
         queried: &[Key],
-        held: impl IntoIterator<Item = &'a CertifiedDelta<H>>,
-        sent: impl IntoIterator<Item = &'a CertifiedDelta<H>>,
+        held: impl IntoIterator<Item = &'a CertifiedDelta>,
+        sent: impl IntoIterator<Item = &'a CertifiedDelta>,
     ) -> Result<BatchNum, ReadRejection> {
         let mut head = served;
         let held = held.into_iter().map(|d| (d, false));
@@ -315,11 +315,11 @@ impl ReadVerifier {
     ///
     /// On success returns the verified `(key, value)` pairs in
     /// `expected_keys` order; proven keys nobody asked for are dropped.
-    pub(crate) fn verify_section<H: BatchCommitment>(
+    pub(crate) fn verify_section(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        section: &MultiProofBundle<H>,
+        section: &MultiProofBundle,
         expected_keys: &[Key],
         min_lce: Epoch,
         now: SimTime,
@@ -334,7 +334,7 @@ impl ReadVerifier {
             return Err(ReadRejection::BadProof);
         }
         let verdicts = verify_multi_proof(
-            commitment.merkle_root(),
+            &commitment.header.merkle_root,
             self.params.tree_depth,
             body.keys(),
             body.proof(),
@@ -379,11 +379,11 @@ impl ReadVerifier {
     ///    omitted, injected, reordered, or tampered row breaks this.
     ///
     /// On success every proven row is a returned row.
-    pub fn verify_scan<H: BatchCommitment>(
+    pub fn verify_scan(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        bundle: &ScanBundle<H>,
+        bundle: &ScanBundle,
         requested: &ScanRange,
         min_lce: Epoch,
         now: SimTime,
@@ -408,7 +408,7 @@ impl ReadVerifier {
         // 6. Completeness proof against the certified root: the complete
         // committed entry list of the window, in tree order.
         let entries = verify_range_proof(
-            commitment.merkle_root(),
+            &commitment.header.merkle_root,
             self.params.tree_depth,
             requested,
             &bundle.scan.proof,
@@ -454,12 +454,12 @@ impl ReadVerifier {
     /// On success returns the verified [`QueryAnswer`]; for scans it
     /// includes the [`PageToken`] for the next page, pinned to the
     /// batch this page verified at.
-    pub fn verify_query<H: BatchCommitment>(
+    pub fn verify_query(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
-        response: &ReadResponse<H>,
+        response: &ReadResponse,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         self.check_query(keys, expected_cluster, query, response, None, now)
@@ -471,16 +471,15 @@ impl ReadVerifier {
     /// the certified run `(served, head]` the answer rests on, held ++
     /// sent (empty without a feed): each delta an equally certified
     /// view of the served values.
-    #[allow(clippy::type_complexity)]
-    pub fn verify_and_extend<H: BatchCommitment>(
+    pub fn verify_and_extend(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
-        response: &ReadResponse<H>,
-        window: &mut FeedWindow<H>,
+        response: &ReadResponse,
+        window: &mut FeedWindow,
         now: SimTime,
-    ) -> Result<(QueryAnswer, Vec<Arc<CertifiedDelta<H>>>), ReadRejection> {
+    ) -> Result<(QueryAnswer, Vec<Arc<CertifiedDelta>>), ReadRejection> {
         let answer =
             self.check_query(keys, expected_cluster, query, response, Some(&*window), now)?;
         let mut run = Vec::new();
@@ -501,13 +500,13 @@ impl ReadVerifier {
     /// held part goes unexamined — enough to reproduce any rejection
     /// that rests on query + response alone, never a reason to *use*
     /// the answer.
-    fn check_query<H: BatchCommitment>(
+    fn check_query(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
         query: &ReadQuery,
-        response: &ReadResponse<H>,
-        held_feed: Option<&FeedWindow<H>>,
+        response: &ReadResponse,
+        held_feed: Option<&FeedWindow>,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let min_lce = query.min_lce();
@@ -527,16 +526,14 @@ impl ReadVerifier {
                         held_run().map(Arc::as_ref),
                         sent.iter().map(Arc::as_ref),
                     )?;
-                    let head_ts = sent
-                        .last()
-                        .or(held_run().last())
-                        .map_or(section.commitment.timestamp(), |d| d.commitment.timestamp());
-                    self.check_fresh(head_ts, now)?;
+                    let head = sent.last().or(held_run().last());
+                    let head = head.map_or(&section.commitment, |d| &d.commitment);
+                    self.check_fresh(head.header.timestamp, now)?;
                     // The verified feed proves the served values current
                     // through a fresh head, so the served batch's own age
                     // is no longer a staleness signal: anchor the base
                     // chain's clock at it.
-                    check_now = section.commitment.timestamp();
+                    check_now = section.commitment.header.timestamp;
                 }
                 let values = self.verify_section(
                     keys,

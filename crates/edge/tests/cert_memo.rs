@@ -10,12 +10,12 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{Partition, Section, TestHeader};
+use common::{Partition, Section};
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime};
 use transedge_crypto::Digest;
 use transedge_edge::{
-    BatchCommitment, CertifiedDelta, QuorumCheck, ReadQuery, ReadRejection, ReadResponse,
-    SnapshotPolicy, VerifiedCerts,
+    CertifiedDelta, QuorumCheck, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy,
+    VerifiedCerts,
 };
 
 const T0: u64 = 100_000_000;
@@ -43,7 +43,7 @@ fn keys() -> Vec<Key> {
     vec![Key::from_u32(1), Key::from_u32(2)]
 }
 
-fn respond(section: Section) -> ReadResponse<TestHeader> {
+fn respond(section: Section) -> ReadResponse {
     ReadResponse::Point {
         section: Box::new(section),
         fresh: None,
@@ -55,7 +55,7 @@ fn read(
     p: &Partition,
     memo: &VerifiedCerts,
     query: &ReadQuery,
-    response: &ReadResponse<TestHeader>,
+    response: &ReadResponse,
     now: SimTime,
 ) -> Result<(), ReadRejection> {
     p.verifier()
@@ -117,7 +117,7 @@ fn a_memoised_slot_does_not_vouch_for_another_digest() {
     // chain stops before the quorum check — no signature is touched,
     // none is charged.
     let mut rerooted = honest.clone();
-    rerooted.commitment.merkle_root = p.headers[0].merkle_root;
+    rerooted.commitment.header.merkle_root = p.headers[0].header.merkle_root;
     assert_eq!(
         read(&p, &memo, &query, &respond(rerooted.clone()), NOW),
         Err(ReadRejection::BadCertificate)
@@ -149,7 +149,7 @@ fn a_feed_is_charged_up_to_the_delta_that_fails() {
     let memo = VerifiedCerts::new(p.keys.clone());
     let quorum = p.topo.certificate_quorum() as u64;
     let query = ReadQuery::point(keys());
-    let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
+    let fresh = |feed: Vec<CertifiedDelta>| ReadResponse::Point {
         section: Box::new(p.section(&keys(), SERVED)),
         fresh: Some(feed.into_iter().map(Arc::new).collect()),
     };
@@ -191,10 +191,9 @@ fn the_memo_is_bounded_and_evicts_the_least_recent() {
     let quorum = p.topo.certificate_quorum();
     // Capacity + 1 distinct honest certificates, oldest first.
     let cert_of = |slot: u64| {
-        p.certify(&TestHeader {
-            num: BatchNum(slot),
-            ..p.headers[0].clone()
-        })
+        let mut header = p.headers[0].clone();
+        header.header.num = BatchNum(slot);
+        p.certify(&header)
     };
     let first = cert_of(0);
     assert!(memo.check_quorum(&first, quorum));
@@ -230,7 +229,7 @@ fn time_dependent_checks_are_never_cached() {
 
     // Aged past the freshness window, in both directions of skew.
     let skew = SimDuration::from_secs(31).as_micros();
-    let served_ts = p.headers[SERVED.0 as usize].timestamp.0;
+    let served_ts = p.headers[SERVED.0 as usize].header.timestamp.0;
     for now in [SimTime(served_ts + skew), SimTime(served_ts - skew)] {
         assert_eq!(
             read(&p, &memo, &query, &response, now),

@@ -17,69 +17,64 @@ use transedge_consensus::messages::accept_statement;
 use transedge_consensus::Certificate;
 use transedge_crypto::merkle::value_digest;
 use transedge_crypto::{
-    Digest, KeyStore, Keypair, MerkleProof, MultiProof, RangeProof, ScanRange, Sha256,
-    VersionedMerkleTree,
+    Digest, KeyStore, Keypair, MerkleProof, MultiProof, RangeProof, ScanRange, VersionedMerkleTree,
 };
 use transedge_edge::{
-    changed_keys_digest, multi_snapshot, scan_snapshot, BatchCommitment, CertifiedDelta,
-    MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts, VerifyParams,
-    VersionedStore,
+    changed_keys_digest, multi_snapshot, scan_snapshot, BatchHeader, CdVector, CertifiedDelta,
+    CommittedHeader, MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery,
+    ReadRejection, ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts,
+    VerifyParams, VersionedStore,
 };
 
 pub const DEPTH: u32 = 8;
 
-pub type Section = MultiProofBundle<TestHeader>;
+pub type Section = MultiProofBundle;
 
-/// A minimal certified batch header (the commitment shape
-/// `transedge-core` provides in production): the certified digest
-/// covers every field, the changed-key digest included.
-#[derive(Clone, Debug)]
-pub struct TestHeader {
-    pub cluster: ClusterId,
-    pub num: BatchNum,
-    pub merkle_root: Digest,
-    pub lce: Epoch,
-    pub delta: Digest,
-    pub timestamp: SimTime,
+/// The certified header of batch `num` in a one-partition world: its
+/// CD vector sized to the topology, with the own entry at `num`, and
+/// `changed` folded in as the changed-key digest. No transaction
+/// segments travel with a read, so the body digest is a constant.
+pub fn header(
+    num: BatchNum,
+    merkle_root: Digest,
+    lce: Epoch,
+    changed: &[Key],
+    timestamp: SimTime,
+) -> CommittedHeader {
+    let mut cd = CdVector::new(1);
+    cd.set(ClusterId(0), num.as_epoch());
+    CommittedHeader {
+        header: BatchHeader {
+            cluster: ClusterId(0),
+            num,
+            cd,
+            lce,
+            merkle_root,
+            delta_digest: changed_keys_digest(changed),
+            timestamp,
+        },
+        body_digest: Digest::ZERO,
+    }
 }
 
-impl BatchCommitment for TestHeader {
-    fn cluster(&self) -> ClusterId {
-        self.cluster
-    }
-
-    fn batch(&self) -> BatchNum {
-        self.num
-    }
-
-    fn merkle_root(&self) -> &Digest {
-        &self.merkle_root
-    }
-
-    fn lce(&self) -> Epoch {
-        self.lce
-    }
-
-    fn timestamp(&self) -> SimTime {
-        self.timestamp
-    }
-
-    fn certified_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"test/header");
-        h.update(&self.cluster.0.to_le_bytes());
-        h.update(&self.num.0.to_le_bytes());
-        h.update(self.merkle_root.as_bytes());
-        h.update(&self.lce.0.to_le_bytes());
-        h.update(self.delta.as_bytes());
-        h.update(&self.timestamp.0.to_le_bytes());
-        h.finalize()
-    }
-
-    fn delta_digest(&self) -> Digest {
-        self.delta
-    }
+/// `header` with one certified field an edge would profit from
+/// rewriting, each under the honest certificate: the own CD entry
+/// lowered (Algorithm 2 reads the CD vector to decide round two; this
+/// world has one partition, so the own entry is the only one), the LCE
+/// raised (a faked round-two floor), and the changed-key digest swapped
+/// (a feed cut that skips a change).
+pub fn rewritten(header: &CommittedHeader) -> Vec<(&'static str, CommittedHeader)> {
+    let (mut lowered, mut raised, mut swapped) = (header.clone(), header.clone(), header.clone());
+    let own = header.header.cluster;
+    let entry = header.header.cd.get(own);
+    lowered.header.cd.set(own, Epoch(entry.0 - 1));
+    raised.header.lce = Epoch(header.header.lce.0 + 1);
+    swapped.header.delta_digest = changed_keys_digest(&[Key::from_u32(u32::MAX)]);
+    vec![
+        ("own cd entry lowered", lowered),
+        ("lce raised", raised),
+        ("delta digest rewritten", swapped),
+    ]
 }
 
 /// One partition's worth of server state.
@@ -89,7 +84,7 @@ pub struct Partition {
     pub secrets: HashMap<ReplicaId, Keypair>,
     pub store: VersionedStore,
     pub tree: VersionedMerkleTree,
-    pub headers: Vec<TestHeader>,
+    pub headers: Vec<CommittedHeader>,
     pub certs: Vec<Certificate>,
     /// Per batch, the sorted changed-key set its header certifies.
     pub changed: Vec<Vec<Key>>,
@@ -110,7 +105,7 @@ impl SnapshotSource for Partition {
 
     fn rows_at(&self, range: &ScanRange, batch: BatchNum) -> Vec<(Key, Value)> {
         self.store
-            .range_at(range.digest_bounds(DEPTH), batch)
+            .range_at(range.digest_bounds(self.tree.depth()), batch)
             .map(|(k, v)| (k.clone(), v.value.clone()))
             .collect()
     }
@@ -126,6 +121,11 @@ impl SnapshotSource for Partition {
 
 impl Partition {
     pub fn new() -> Self {
+        Partition::with_depth(DEPTH)
+    }
+
+    /// An empty partition whose tree has `2^depth` buckets.
+    pub fn with_depth(depth: u32) -> Self {
         let topo = ClusterTopology::new(1, 1).unwrap();
         let (keys, secrets) = KeyStore::for_topology(&topo, &[9u8; 32]);
         Partition {
@@ -134,7 +134,7 @@ impl Partition {
             keys,
             secrets,
             store: VersionedStore::new(),
-            tree: VersionedMerkleTree::with_depth(DEPTH),
+            tree: VersionedMerkleTree::with_depth(depth),
             headers: Vec::new(),
             certs: Vec::new(),
             changed: Vec::new(),
@@ -142,9 +142,10 @@ impl Partition {
     }
 
     /// `f+1` replica signatures over `header`'s certified digest.
-    pub fn certify(&self, header: &TestHeader) -> Certificate {
+    pub fn certify(&self, header: &CommittedHeader) -> Certificate {
         let digest = header.certified_digest();
-        let stmt = accept_statement(ClusterId(0), header.num, &digest);
+        let num = header.header.num;
+        let stmt = accept_statement(ClusterId(0), num, &digest);
         let sigs = self
             .topo
             .replicas_of(ClusterId(0))
@@ -153,7 +154,7 @@ impl Partition {
             .collect();
         Certificate {
             cluster: ClusterId(0),
-            slot: header.num,
+            slot: num,
             digest,
             sigs,
         }
@@ -175,14 +176,7 @@ impl Partition {
         let mut changed: Vec<Key> = updates.into_iter().map(|(k, _)| k).collect();
         changed.sort();
         changed.dedup();
-        let header = TestHeader {
-            cluster: ClusterId(0),
-            num,
-            merkle_root,
-            lce,
-            delta: changed_keys_digest(&changed),
-            timestamp,
-        };
+        let header = header(num, merkle_root, lce, &changed, timestamp);
         let cert = self.certify(&header);
         assert!(self
             .warm
@@ -207,7 +201,7 @@ impl Partition {
         }
     }
 
-    pub fn scan(&self, range: ScanRange, at: BatchNum) -> ScanBundle<TestHeader> {
+    pub fn scan(&self, range: ScanRange, at: BatchNum) -> ScanBundle {
         ScanBundle {
             commitment: self.headers[at.0 as usize].clone(),
             cert: self.certs[at.0 as usize].clone(),
@@ -216,7 +210,7 @@ impl Partition {
     }
 
     /// Batch `at`'s entry in the certified commit feed.
-    pub fn delta(&self, at: BatchNum) -> CertifiedDelta<TestHeader> {
+    pub fn delta(&self, at: BatchNum) -> CertifiedDelta {
         CertifiedDelta {
             commitment: self.headers[at.0 as usize].clone(),
             cert: self.certs[at.0 as usize].clone(),
@@ -233,7 +227,7 @@ impl Partition {
         &self,
         cluster: ClusterId,
         query: &ReadQuery,
-        response: &ReadResponse<TestHeader>,
+        response: &ReadResponse,
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let verifier = self.verifier();
@@ -245,7 +239,7 @@ impl Partition {
 
     pub fn verifier(&self) -> ReadVerifier {
         ReadVerifier::new(VerifyParams {
-            tree_depth: DEPTH,
+            tree_depth: self.tree.depth(),
             freshness_window: SimDuration::from_secs(30),
             quorum: self.topo.certificate_quorum(),
         })

@@ -17,121 +17,29 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{Partition, TestHeader};
+use common::Partition;
 
 use proptest::prelude::*;
-use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, Epoch, Key, NodeId, SimDuration, SimTime,
-};
-use transedge_consensus::messages::accept_statement;
-use transedge_consensus::Certificate;
-use transedge_crypto::{Digest, KeyStore, Sha256};
+use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime};
+use transedge_crypto::Digest;
 use transedge_edge::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, FeedCursor, FeedWindow, Pushed,
-    QueryAnswer, QuorumCheck, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifiedCerts,
-    VerifyParams, MAX_FEED_DELTAS,
+    CertifiedDelta, FeedCursor, FeedWindow, Pushed, QueryAnswer, QuorumCheck, ReadQuery,
+    ReadRejection, ReadResponse, MAX_FEED_DELTAS,
 };
 
-/// A minimal commitment whose certified digest folds in the delta
-/// digest, mirroring `transedge-core`'s `BatchHeader` — the property
-/// the whole stream leans on: consensus signs the changed-key set.
-#[derive(Clone, Debug)]
-struct FeedHeader {
-    cluster: ClusterId,
-    num: BatchNum,
-    root: Digest,
-    lce: Epoch,
-    delta: Digest,
-    timestamp: SimTime,
-}
-
-impl BatchCommitment for FeedHeader {
-    fn cluster(&self) -> ClusterId {
-        self.cluster
-    }
-    fn batch(&self) -> BatchNum {
-        self.num
-    }
-    fn merkle_root(&self) -> &Digest {
-        &self.root
-    }
-    fn lce(&self) -> Epoch {
-        self.lce
-    }
-    fn timestamp(&self) -> SimTime {
-        self.timestamp
-    }
-    fn certified_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"test/feed-header");
-        h.update(&self.cluster.0.to_le_bytes());
-        h.update(&self.num.0.to_le_bytes());
-        h.update(self.root.as_bytes());
-        h.update(&self.lce.0.to_le_bytes());
-        h.update(self.delta.as_bytes());
-        h.update(&self.timestamp.0.to_le_bytes());
-        h.finalize()
-    }
-    fn delta_digest(&self) -> Digest {
-        self.delta
-    }
-}
-
-/// A cluster that can mint honestly certified deltas.
-struct Publisher {
-    topo: ClusterTopology,
-    keys: KeyStore,
-    secrets: std::collections::HashMap<transedge_common::ReplicaId, transedge_crypto::Keypair>,
-    /// A client memo that has already verified every certificate
-    /// [`Publisher::delta`] minted.
-    warm: VerifiedCerts,
-}
-
-impl Publisher {
-    fn new() -> Self {
-        let topo = ClusterTopology::new(1, 1).unwrap();
-        let (keys, secrets) = KeyStore::for_topology(&topo, &[7u8; 32]);
-        Publisher {
-            topo,
-            warm: VerifiedCerts::new(keys.clone()),
-            keys,
-            secrets,
-        }
-    }
-
-    fn verifier(&self) -> ReadVerifier {
-        ReadVerifier::new(VerifyParams {
-            tree_depth: 8,
-            freshness_window: SimDuration::from_secs(30),
-            quorum: self.topo.certificate_quorum(),
-        })
-    }
-
-    /// Certify one batch's delta: sorted unique `changed` keys, digest
-    /// folded into the certified header, `f+1` replica signatures.
-    fn delta(&self, num: u64, changed: Vec<Key>) -> CertifiedDelta<FeedHeader> {
-        let header = FeedHeader {
-            cluster: ClusterId(0),
-            num: BatchNum(num),
-            root: Digest([0u8; 32]),
-            lce: Epoch(num as i64),
-            delta: changed_keys_digest(&changed),
-            timestamp: SimTime(1_000 * num),
-        };
-        let digest = header.certified_digest();
-        let stmt = accept_statement(ClusterId(0), BatchNum(num), &digest);
-        let sigs: Vec<_> = self
-            .topo
-            .replicas_of(ClusterId(0))
-            .take(self.topo.certificate_quorum())
-            .map(|r| (NodeId::Replica(r), self.secrets[&r].sign(&stmt)))
-            .collect();
-        let cert = Certificate {
-            cluster: ClusterId(0),
-            slot: BatchNum(num),
-            digest,
-            sigs,
-        };
+impl Partition {
+    /// Certify one batch's delta without committing it: sorted unique
+    /// `changed` keys, digest folded into the certified header, `f+1`
+    /// replica signatures the warm memo has already checked.
+    fn mint(&self, num: u64, changed: Vec<Key>) -> CertifiedDelta {
+        let header = common::header(
+            BatchNum(num),
+            Digest::ZERO,
+            Epoch(num as i64),
+            &changed,
+            SimTime(1_000 * num),
+        );
+        let cert = self.certify(&header);
         assert!(self
             .warm
             .check_quorum(&cert, self.topo.certificate_quorum()));
@@ -146,22 +54,18 @@ impl Publisher {
     /// served at `served` — through the plain key directory and through
     /// the memo that already holds every honest certificate. The two
     /// must agree: memoisation never changes a verdict.
-    fn verify_feed(
-        &self,
-        served: u64,
-        feed: &[CertifiedDelta<FeedHeader>],
-    ) -> Result<BatchNum, ReadRejection> {
+    fn verify_feed(&self, served: u64, feed: &[CertifiedDelta]) -> Result<BatchNum, ReadRejection> {
         self.verify_split(served, &[], feed)
     }
 
-    /// [`Publisher::verify_feed`] for a subscriber that already holds
+    /// [`Partition::verify_feed`] for a subscriber that already holds
     /// (verified, on an earlier read) the `held` prefix of the chain
     /// and was sent only the rest.
     fn verify_split(
         &self,
         served: u64,
-        held: &[CertifiedDelta<FeedHeader>],
-        sent: &[CertifiedDelta<FeedHeader>],
+        held: &[CertifiedDelta],
+        sent: &[CertifiedDelta],
     ) -> Result<BatchNum, ReadRejection> {
         let (cluster, served) = (ClusterId(0), BatchNum(served));
         let verifier = self.verifier();
@@ -174,7 +78,7 @@ impl Publisher {
     /// An honest feed: batches `served+1 ..= served+n`, each changing a
     /// distinct set of keys drawn from `key_sets` (none of which may
     /// contain a queried key — the caller controls that).
-    fn feed(&self, served: u64, key_sets: &[Vec<u32>]) -> Vec<CertifiedDelta<FeedHeader>> {
+    fn feed(&self, served: u64, key_sets: &[Vec<u32>]) -> Vec<CertifiedDelta> {
         key_sets
             .iter()
             .enumerate()
@@ -182,7 +86,7 @@ impl Publisher {
                 let mut ks: Vec<Key> = set.iter().map(|k| Key::from_u32(*k)).collect();
                 ks.sort();
                 ks.dedup();
-                self.delta(served + 1 + i as u64, ks)
+                self.mint(served + 1 + i as u64, ks)
             })
             .collect()
     }
@@ -204,7 +108,7 @@ proptest! {
     /// The honest chain always verifies, and returns the head batch.
     #[test]
     fn honest_feed_verifies_to_head(sets in changed_sets(), served in 0u64..50) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let feed = p.feed(served, &sets);
         let head = p.verify_feed(served, &feed)
             .expect("honest feed must verify");
@@ -221,7 +125,7 @@ proptest! {
         served in 0u64..50,
         pick in any::<prop::sample::Index>(),
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut feed = p.feed(served, &sets);
         let drop_at = pick.index(feed.len() - 1); // never the last
         feed.remove(drop_at);
@@ -238,7 +142,7 @@ proptest! {
         served in 0u64..50,
         pick in any::<prop::sample::Index>(),
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut feed = p.feed(served, &sets);
         let dup_at = pick.index(feed.len());
         feed.insert(dup_at, feed[dup_at].clone());
@@ -254,7 +158,7 @@ proptest! {
         served in 0u64..50,
         pick in any::<prop::sample::Index>(),
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut feed = p.feed(served, &sets);
         let at = pick.index(feed.len() - 1);
         feed.swap(at, at + 1);
@@ -273,7 +177,7 @@ proptest! {
         pick in any::<prop::sample::Index>(),
         add in any::<bool>(),
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut feed = p.feed(served, &sets);
         let at = pick.index(feed.len());
         if add {
@@ -300,7 +204,7 @@ proptest! {
         served in 0u64..50,
         pick in any::<prop::sample::Index>(),
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut sets = sets;
         let at = pick.index(sets.len());
         sets[at].push(1); // queried key
@@ -319,7 +223,7 @@ proptest! {
         pick in any::<prop::sample::Index>(),
         truncate in any::<bool>(),
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut feed = p.feed(served, &sets);
         let at = pick.index(feed.len());
         if truncate {
@@ -346,7 +250,7 @@ proptest! {
         pick in any::<prop::sample::Index>(),
         doctor in 0u8..3,
     ) {
-        let p = Publisher::new();
+        let p = Partition::new();
         let mut sets = sets;
         if doctor == 1 {
             let at = pick.index(sets.len());
@@ -390,15 +294,12 @@ fn read_keys() -> Vec<Key> {
     vec![Key::from_u32(1), Key::from_u32(2)]
 }
 
-fn deltas(
-    p: &Partition,
-    batches: std::ops::RangeInclusive<u64>,
-) -> Vec<Arc<CertifiedDelta<TestHeader>>> {
+fn deltas(p: &Partition, batches: std::ops::RangeInclusive<u64>) -> Vec<Arc<CertifiedDelta>> {
     batches.map(|n| Arc::new(p.delta(BatchNum(n)))).collect()
 }
 
 /// A subscriber's window holding exactly `batches` (verified earlier).
-fn window_of(p: &Partition, batches: std::ops::RangeInclusive<u64>) -> FeedWindow<TestHeader> {
+fn window_of(p: &Partition, batches: std::ops::RangeInclusive<u64>) -> FeedWindow {
     let mut window = FeedWindow::default();
     for delta in deltas(p, batches) {
         assert_eq!(window.push(delta), Pushed::Extended);
@@ -407,7 +308,7 @@ fn window_of(p: &Partition, batches: std::ops::RangeInclusive<u64>) -> FeedWindo
 }
 
 /// The query a subscriber holding `window` sends for `keys`.
-fn query_with(keys: Vec<Key>, window: &FeedWindow<TestHeader>) -> ReadQuery {
+fn query_with(keys: Vec<Key>, window: &FeedWindow) -> ReadQuery {
     let mut query = ReadQuery::point(keys).with_feed_freshness();
     query.feed = Some(
         window
@@ -420,27 +321,23 @@ fn query_with(keys: Vec<Key>, window: &FeedWindow<TestHeader>) -> ReadQuery {
 }
 
 /// What an edge answers: `keys` served at [`SERVED`] plus `sent`.
-fn response(
-    p: &Partition,
-    keys: &[Key],
-    sent: Vec<Arc<CertifiedDelta<TestHeader>>>,
-) -> ReadResponse<TestHeader> {
+fn response(p: &Partition, keys: &[Key], sent: Vec<Arc<CertifiedDelta>>) -> ReadResponse {
     ReadResponse::Point {
         section: Box::new(p.section(keys, SERVED)),
         fresh: Some(sent),
     }
 }
 
-type Verdict = Result<(QueryAnswer, Vec<Arc<CertifiedDelta<TestHeader>>>), ReadRejection>;
+type Verdict = Result<(QueryAnswer, Vec<Arc<CertifiedDelta>>), ReadRejection>;
 
 /// Verify as the subscriber does — against its window, extending it on
 /// success — through the plain key directory and through the warm memo
 /// (on a copy of the window), which must agree.
 fn subscribe(
     p: &Partition,
-    window: &mut FeedWindow<TestHeader>,
+    window: &mut FeedWindow,
     query: &ReadQuery,
-    response: &ReadResponse<TestHeader>,
+    response: &ReadResponse,
     now: SimTime,
 ) -> Verdict {
     let mut copy = window.clone();
@@ -469,8 +366,8 @@ fn spliced(verdict: Verdict, expected: u64, got: u64) {
 
 #[test]
 fn the_window_keeps_a_contiguous_bounded_run() {
-    let p = Publisher::new();
-    let delta = |n: u64| Arc::new(p.delta(n, Vec::new()));
+    let p = Partition::new();
+    let delta = |n: u64| Arc::new(p.mint(n, Vec::new()));
     let mut window = FeedWindow::default();
     assert_eq!(window.cursor(), None);
     assert_eq!(window.push(delta(5)), Pushed::Extended);
@@ -702,7 +599,7 @@ fn nothing_is_appended_unless_every_check_passes() {
     let keys = read_keys();
     let query = query_with(keys.clone(), &held);
     let honest = || deltas(&p, 6..=7);
-    let doctored = |edit: &dyn Fn(&mut CertifiedDelta<TestHeader>)| {
+    let doctored = |edit: &dyn Fn(&mut CertifiedDelta)| {
         let mut sent = honest();
         edit(Arc::make_mut(&mut sent[1]));
         sent
@@ -717,20 +614,14 @@ fn nothing_is_appended_unless_every_check_passes() {
         values,
         body.proof().clone(),
     );
-    let late = SimTime(p.headers[7].timestamp.0 + 31 * SECOND);
+    let late = SimTime(p.headers[7].header.timestamp.0 + 31 * SECOND);
     // Key 3 changed in batch 8: a reader of key 3 may not be told the
     // batch-1 values are current through 9 …
     let touched = vec![Key::from_u32(2), Key::from_u32(3)];
     // … nor lean on a window that holds batch 8.
     let holds_8 = window_of(&p, 2..=8);
 
-    type Case = (
-        ReadQuery,
-        ReadResponse<TestHeader>,
-        SimTime,
-        FeedWindow<TestHeader>,
-        ReadRejection,
-    );
+    type Case = (ReadQuery, ReadResponse, SimTime, FeedWindow, ReadRejection);
     let case = |sent, now, rejection| {
         (
             query.clone(),
@@ -740,7 +631,7 @@ fn nothing_is_appended_unless_every_check_passes() {
             rejection,
         )
     };
-    let cases: Vec<Case> = vec![
+    let mut cases: Vec<Case> = vec![
         case(
             doctored(&|d| d.changed.push(Key::from_u32(9_999))),
             NOW,
@@ -785,6 +676,13 @@ fn nothing_is_appended_unless_every_check_passes() {
             ReadRejection::BadDelta,
         ),
     ];
+    // A sent delta whose header's CD vector, LCE or changed-key digest
+    // was rewritten under the honest certificate: a subscriber would
+    // take its CD and LCE as the partition's feed cut.
+    for (_, forged) in common::rewritten(&honest()[1].commitment) {
+        let sent = doctored(&|d| d.commitment = forged.clone());
+        cases.push(case(sent, NOW, ReadRejection::BadCertificate));
+    }
     for (query, response, now, before, rejection) in cases {
         let mut window = before.clone();
         let verdict = subscribe(&p, &mut window, &query, &response, now);

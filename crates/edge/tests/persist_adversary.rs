@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{rebuild, Partition, TestHeader};
+use common::{rebuild, Partition};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
 use transedge_crypto::{Digest, ScanRange};
@@ -60,7 +60,7 @@ proptest! {
         // The whole tree: the window holds every written key.
         let scan = p.scan(ScanRange::new(0, 255), BatchNum(1));
         let verifier = p.verifier();
-        let verify = |object: &SnapshotObject<TestHeader>, now| {
+        let verify = |object: &SnapshotObject, now| {
             verify_object(&verifier, &p.keys, object, now)
         };
         let body = &section.body;

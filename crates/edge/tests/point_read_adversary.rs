@@ -13,7 +13,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{rebuild, Partition, Section, TestHeader, DEPTH};
+use common::{rebuild, Partition, Section, DEPTH};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_crypto::{Digest, ScanRange};
@@ -64,7 +64,7 @@ fn request(key_tags: &[(u16, u8)], count: usize) -> Vec<Key> {
         .collect()
 }
 
-fn respond(section: Section) -> ReadResponse<TestHeader> {
+fn respond(section: Section) -> ReadResponse {
     ReadResponse::Point {
         section: Box::new(section),
         fresh: None,
@@ -75,7 +75,7 @@ fn respond(section: Section) -> ReadResponse<TestHeader> {
 fn verify(
     p: &Partition,
     query: &ReadQuery,
-    response: &ReadResponse<TestHeader>,
+    response: &ReadResponse,
     now: SimTime,
 ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
     match p.verdict(ClusterId(0), query, response, now)? {
@@ -225,7 +225,8 @@ proptest! {
 
         // Forged certificate: below quorum, for another slot, or real
         // but over a header whose root was rewritten (the stale-root
-        // attack).
+        // attack) — or whose CD entry, LCE or changed-key digest was,
+        // the fields Algorithm 2 and the feed read.
         let mut thin = section.clone();
         thin.cert.sigs.truncate(p.topo.certificate_quorum() - 1);
         prop_assert_eq!(rejection(&p, &keys, thin), ReadRejection::BadCertificate);
@@ -233,8 +234,17 @@ proptest! {
         wrong_slot.cert = p.certs[0].clone();
         prop_assert_eq!(rejection(&p, &keys, wrong_slot), ReadRejection::BadCertificate);
         let mut rerooted = section.clone();
-        rerooted.commitment.merkle_root = p.headers[0].merkle_root;
+        rerooted.commitment.header.merkle_root = p.headers[0].header.merkle_root;
         prop_assert_eq!(rejection(&p, &keys, rerooted), ReadRejection::BadCertificate);
+        for (name, forged) in common::rewritten(&section.commitment) {
+            let mut rewritten = section.clone();
+            rewritten.commitment = forged;
+            prop_assert_eq!(
+                rejection(&p, &keys, rewritten),
+                ReadRejection::BadCertificate,
+                "{}", name
+            );
+        }
         // Wrong cluster: an honest response for a partition nobody asked.
         prop_assert_eq!(
             p.verdict(ClusterId(3), &query, &respond(section.clone()), NOW)
@@ -243,7 +253,7 @@ proptest! {
         );
         // Stale timestamp, in both directions of clock skew.
         let skew = SimDuration::from_secs(31).as_micros();
-        let served_ts = p.headers[1].timestamp.0;
+        let served_ts = p.headers[1].header.timestamp.0;
         for now in [SimTime(served_ts + skew), SimTime(served_ts - skew)] {
             prop_assert_eq!(
                 verify(&p, &query, &respond(section.clone()), now).unwrap_err(),
@@ -277,11 +287,11 @@ proptest! {
         // queried key) verifies — even once the served batch itself has
         // aged out, because the head is what must be fresh.
         let feed = vec![p.delta(BatchNum(2)), p.delta(BatchNum(3))];
-        let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
+        let fresh = |feed: Vec<CertifiedDelta>| ReadResponse::Point {
             section: Box::new(section.clone()),
             fresh: Some(feed.into_iter().map(Arc::new).collect()),
         };
-        let late = SimTime(p.headers[3].timestamp.0 + skew - 2 * SECOND);
+        let late = SimTime(p.headers[3].header.timestamp.0 + skew - 2 * SECOND);
         prop_assert!(verify(&p, &query, &respond(section.clone()), late).is_err());
         prop_assert_eq!(verify(&p, &query, &fresh(feed.clone()), late), Ok(values.clone()));
         // Tampered changed list, gapped chain, and a delta touching a
@@ -393,7 +403,7 @@ fn every_rejection_variant_is_reachable() {
     let present = sk.iter().position(|key| *key == k(1)).unwrap();
     seen.push(point(&plain, lie(present), NOW));
     seen.push(point(&plain, lie(absent), NOW));
-    let fresh = |feed: Vec<CertifiedDelta<TestHeader>>| ReadResponse::Point {
+    let fresh = |feed: Vec<CertifiedDelta>| ReadResponse::Point {
         section: Box::new(section.clone()),
         fresh: Some(feed.into_iter().map(Arc::new).collect()),
     };

@@ -12,13 +12,13 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{Partition, Section, TestHeader};
+use common::{Partition, Section};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
 use transedge_crypto::ScanRange;
 use transedge_edge::{
-    verify_object, BatchCommitment, QueryAnswer, ReadQuery, ReadResponse, ReplayCache,
-    SnapshotObject, SnapshotPolicy,
+    verify_object, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotObject,
+    SnapshotPolicy,
 };
 
 fn two_batch_partition() -> Partition {
@@ -38,7 +38,7 @@ fn verified_values(
     section: Section,
     now: SimTime,
 ) -> Vec<Option<Value>> {
-    let response: ReadResponse<TestHeader> = ReadResponse::Point {
+    let response: ReadResponse = ReadResponse::Point {
         section: Box::new(section),
         fresh: None,
     };
@@ -57,7 +57,7 @@ fn verified_values(
 fn replay_round_trips_verified_sections() {
     let p = two_batch_partition();
     let keys = vec![k(1), k(2), k(7)];
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     // Nothing cached yet: the edge node must pass upstream.
     assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_none());
     // Absorb an upstream response, then replay it to a second client.
@@ -90,7 +90,7 @@ fn replay_round_trips_verified_sections() {
 #[test]
 fn partly_cached_request_is_a_miss() {
     let p = two_batch_partition();
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     // The edge has only keys 1 and 2 cached (at batch 1).
     replay.admit_section(&p.section(&[k(1), k(2)], BatchNum(1)));
     // A 3-key request: 2 cached, 1 miss.
@@ -115,7 +115,7 @@ fn partly_cached_request_is_a_miss() {
     assert_eq!(pair.expect("covered").body.keys(), &keys[..2]);
 
     // Every key cached, but no one body proving all three: a miss.
-    let mut split: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut split: ReplayCache = ReplayCache::new(1024, 8);
     split.admit_section(&p.section(&keys[..2], BatchNum(1)));
     split.admit_section(&p.section(&keys[2..], BatchNum(1)));
     assert!(split.replay(&keys, Epoch::NONE, SimTime::ZERO).is_none());
@@ -127,7 +127,7 @@ fn partly_cached_request_is_a_miss() {
 #[test]
 fn staleness_floor_passes_what_no_fresh_batch_covers() {
     let p = two_batch_partition();
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let both = [k(1), k(2)];
     // Batch 0 (timestamp 1_000) cached both keys; batch 1 (timestamp
     // 2_000) cached only key 1.
@@ -158,7 +158,7 @@ fn round2_floor_served_from_newer_admitted_batches() {
     // Full coverage at the newer batch: a round-2 floor the old batch
     // cannot reach (batch 0 has LCE = NONE, batch 1 has LCE = 0) is
     // served entirely from batch 1.
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     replay.admit_section(&p.section(&keys, BatchNum(0)));
     replay.admit_section(&p.section(&keys, BatchNum(1)));
     let section = replay.replay(&keys, Epoch(0), SimTime::ZERO);
@@ -167,7 +167,7 @@ fn round2_floor_served_from_newer_admitted_batches() {
     assert!(replay.replay(&keys, Epoch(5), SimTime::ZERO).is_none());
     // Partial coverage at the only floor-satisfying batch: a miss, not
     // a downgrade to the batch below the floor.
-    let mut sparse: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut sparse: ReplayCache = ReplayCache::new(1024, 8);
     sparse.admit_section(&p.section(&keys, BatchNum(0)));
     sparse.admit_section(&p.section(&keys[..1], BatchNum(1)));
     assert!(sparse.replay(&keys, Epoch(0), SimTime::ZERO).is_none());
@@ -180,7 +180,7 @@ fn replay_respects_freshness_floor_and_gc() {
     let p = two_batch_partition();
     let keys = vec![k(1), k(2), k(7)];
     // Only the newest commitment is retained (max_batches = 1).
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 1);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 1);
     replay.admit_section(&p.section(&keys, BatchNum(0)));
     assert_eq!(replay.fragment_count(), 1, "one answer, however many keys");
     // Batch 1 (timestamp 2_000) evicts batch 0 and its answer.
@@ -204,7 +204,7 @@ fn replay_respects_freshness_floor_and_gc() {
 #[test]
 fn overlapping_answers_at_one_batch_each_replay() {
     let p = two_batch_partition();
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let pairs = [[k(1), k(2)], [k(2), k(7)], [k(1), k(7)]];
     for pair in &pairs {
         replay.admit_section(&p.section(pair, BatchNum(1)));
@@ -220,7 +220,7 @@ fn overlapping_answers_at_one_batch_each_replay() {
 #[test]
 fn a_wider_answer_replays_beside_narrower_ones() {
     let p = two_batch_partition();
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let keys = [k(1), k(2), k(7)];
     replay.admit_section(&p.section(&keys[..2], BatchNum(1)));
     replay.admit_section(&p.section(&keys[2..], BatchNum(1)));
@@ -234,7 +234,7 @@ fn a_wider_answer_replays_beside_narrower_ones() {
 #[test]
 fn a_delta_drops_every_older_answer_it_touches() {
     let p = two_batch_partition();
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     // Batch 1 changed key 1 only.
     replay.admit_section(&p.section(&[k(1), k(2)], BatchNum(0)));
     replay.admit_section(&p.section(&[k(7)], BatchNum(0)));
@@ -254,7 +254,7 @@ fn a_delta_drops_every_older_answer_it_touches() {
 #[test]
 fn the_disk_image_is_the_cached_answers() {
     let p = two_batch_partition();
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
+    let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let (pair, single) = (
         p.section(&[k(1), k(2)], BatchNum(0)),
         p.section(&[k(7)], BatchNum(0)),
@@ -265,7 +265,7 @@ fn the_disk_image_is_the_cached_answers() {
     // A replay is a touch: the pair becomes the most recently used.
     let keys = pair.body.keys().to_vec();
     assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_some());
-    let shapes = |replay: &ReplayCache<TestHeader>| -> Vec<(BatchNum, Vec<Key>)> {
+    let shapes = |replay: &ReplayCache| -> Vec<(BatchNum, Vec<Key>)> {
         let image = replay.objects();
         for object in &image {
             let verdict = verify_object(&p.verifier(), &p.keys, object, SimTime(2_500));
@@ -304,7 +304,7 @@ fn capacity_counts_answers_and_recency_keeps_the_hot_one() {
             SimTime(1_000 * (batch + 1)),
         );
     }
-    let mut replay: ReplayCache<TestHeader> = ReplayCache::new(CAPACITY, 8);
+    let mut replay: ReplayCache = ReplayCache::new(CAPACITY, 8);
     let (hot_keys, hot_range) = ([k(0)], ScanRange::new(0, 1));
     for batch in (0..3).map(BatchNum) {
         for i in 0..300u32 {
@@ -369,7 +369,7 @@ proptest! {
             model.push(cut);
         }
 
-        let mut cache: ReplayCache<TestHeader> = ReplayCache::new(capacity, max_batches);
+        let mut cache: ReplayCache = ReplayCache::new(capacity, max_batches);
         for (at, keys) in &admissions {
             let at = BatchNum(at.index(history.len()) as u64);
             let keys: Vec<Key> = keys.iter().copied().map(k).collect();
@@ -394,16 +394,16 @@ proptest! {
         };
         // One cut, at or above both floors, covering the request alone.
         let served = section.batch();
-        let header = &p.headers[served.0 as usize];
-        prop_assert!(header.lce() >= min_lce, "{:?} < {:?}", header.lce(), min_lce);
-        prop_assert!(header.timestamp() >= min_timestamp);
+        let header = &p.headers[served.0 as usize].header;
+        prop_assert!(header.lce >= min_lce, "{:?} < {:?}", header.lce, min_lce);
+        prop_assert!(header.timestamp >= min_timestamp);
         prop_assert!(keys.iter().all(|key| section.body.proves(key)));
 
         let query = ReadQuery::point(keys.clone()).with_policy(SnapshotPolicy::MinEpoch(min_lce));
-        let response: ReadResponse<TestHeader> = ReadResponse::Point { section: Box::new(section), fresh: None };
+        let response: ReadResponse = ReadResponse::Point { section: Box::new(section), fresh: None };
         let answer = p
             .verifier()
-            .verify_query(&p.keys, ClusterId(0), &query, &response, header.timestamp())
+            .verify_query(&p.keys, ClusterId(0), &query, &response, header.timestamp)
             .expect("a replayed answer verifies");
         let want: Vec<(Key, Option<Value>)> = keys
             .iter()

@@ -4,180 +4,22 @@
 //! range proof survives verification — and the honest scan always
 //! verifies to exactly the committed rows of the window.
 
-use std::collections::HashMap;
+mod common;
+
+use common::Partition;
 
 use proptest::prelude::*;
-use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, Epoch, Key, NodeId, SimDuration, SimTime, Value,
-};
-use transedge_consensus::messages::accept_statement;
-use transedge_consensus::Certificate;
-use transedge_crypto::merkle::value_digest;
-use transedge_crypto::{
-    sha256, Digest, KeyStore, MerkleProof, RangeProof, ScanRange, Sha256, VersionedMerkleTree,
-};
-use transedge_edge::{
-    scan_snapshot, BatchCommitment, QuorumCheck, ReadRejection, ReadVerifier, ScanBundle,
-    SnapshotSource, VerifiedCerts, VerifyParams, VersionedStore,
-};
+use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
+use transedge_crypto::{sha256, Digest, ScanRange};
+use transedge_edge::{ReadRejection, ScanBundle};
 
 /// Shallow tree: 64 buckets → dense windows and bucket collisions.
 const DEPTH: u32 = 6;
 
-#[derive(Clone, Debug)]
-struct TestHeader {
-    cluster: ClusterId,
-    num: BatchNum,
-    merkle_root: Digest,
-    lce: Epoch,
-    timestamp: SimTime,
-}
-
-impl BatchCommitment for TestHeader {
-    fn cluster(&self) -> ClusterId {
-        self.cluster
-    }
-
-    fn batch(&self) -> BatchNum {
-        self.num
-    }
-
-    fn merkle_root(&self) -> &Digest {
-        &self.merkle_root
-    }
-
-    fn lce(&self) -> Epoch {
-        self.lce
-    }
-
-    fn timestamp(&self) -> SimTime {
-        self.timestamp
-    }
-
-    fn certified_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"test/scan-header");
-        h.update(&self.cluster.0.to_le_bytes());
-        h.update(&self.num.0.to_le_bytes());
-        h.update(self.merkle_root.as_bytes());
-        h.update(&self.lce.0.to_le_bytes());
-        h.update(&self.timestamp.0.to_le_bytes());
-        h.finalize()
-    }
-}
-
-struct Partition {
-    topo: ClusterTopology,
-    keys: KeyStore,
-    secrets: HashMap<transedge_common::ReplicaId, transedge_crypto::Keypair>,
-    store: VersionedStore,
-    tree: VersionedMerkleTree,
-    headers: Vec<TestHeader>,
-    certs: Vec<Certificate>,
-    /// A client memo that has already verified every certificate
-    /// [`Partition::commit`] minted.
-    warm: VerifiedCerts,
-}
-
-impl SnapshotSource for Partition {
-    fn value_at(&self, key: &Key, batch: BatchNum) -> Option<Value> {
-        self.store.get_at(key, batch).map(|v| v.value.clone())
-    }
-
-    fn prove_at(&self, key: &Key, batch: BatchNum) -> MerkleProof {
-        self.tree.prove_at(key, batch.0)
-    }
-
-    fn rows_at(&self, range: &ScanRange, batch: BatchNum) -> Vec<(Key, Value)> {
-        self.store
-            .range_at(range.digest_bounds(DEPTH), batch)
-            .map(|(k, v)| (k.clone(), v.value.clone()))
-            .collect()
-    }
-
-    fn prove_range(&self, range: &ScanRange, batch: BatchNum) -> RangeProof {
-        self.tree.prove_range(range, batch.0)
-    }
-
-    fn prove_multi(&self, keys: &[Key], batch: BatchNum) -> transedge_crypto::MultiProof {
-        self.tree.prove_multi(keys, batch.0)
-    }
-}
-
 impl Partition {
-    fn new() -> Self {
-        let topo = ClusterTopology::new(1, 1).unwrap();
-        let (keys, secrets) = KeyStore::for_topology(&topo, &[7u8; 32]);
-        Partition {
-            topo,
-            warm: VerifiedCerts::new(keys.clone()),
-            keys,
-            secrets,
-            store: VersionedStore::new(),
-            tree: VersionedMerkleTree::with_depth(DEPTH),
-            headers: Vec::new(),
-            certs: Vec::new(),
-        }
-    }
-
-    fn commit(&mut self, writes: &[(u32, String)], timestamp: SimTime) {
-        let num = BatchNum(self.headers.len() as u64);
-        let mut updates = Vec::new();
-        for (k, v) in writes {
-            let key = Key::from_u32(*k);
-            let value = Value::from(v.as_str());
-            self.store.write(key.clone(), value.clone(), num);
-            updates.push((key, value_digest(&value)));
-        }
-        let root = self
-            .tree
-            .apply_batch(num.0, updates.iter().map(|(k, d)| (k, *d)));
-        let header = TestHeader {
-            cluster: ClusterId(0),
-            num,
-            merkle_root: root,
-            lce: Epoch::NONE,
-            timestamp,
-        };
-        let digest = header.certified_digest();
-        let stmt = accept_statement(ClusterId(0), num, &digest);
-        let quorum = self.topo.certificate_quorum();
-        let sigs: Vec<_> = self
-            .topo
-            .replicas_of(ClusterId(0))
-            .take(quorum)
-            .map(|r| (NodeId::Replica(r), self.secrets[&r].sign(&stmt)))
-            .collect();
-        let cert = Certificate {
-            cluster: ClusterId(0),
-            slot: num,
-            digest,
-            sigs,
-        };
-        assert!(self.warm.check_quorum(&cert, quorum));
-        self.headers.push(header);
-        self.certs.push(cert);
-    }
-
-    fn scan_bundle(&self, range: &ScanRange, at: BatchNum) -> ScanBundle<TestHeader> {
-        ScanBundle {
-            commitment: self.headers[at.0 as usize].clone(),
-            cert: self.certs[at.0 as usize].clone(),
-            scan: scan_snapshot(self, range, at),
-        }
-    }
-
-    fn verifier(&self) -> ReadVerifier {
-        ReadVerifier::new(VerifyParams {
-            tree_depth: DEPTH,
-            freshness_window: SimDuration::from_secs(30),
-            quorum: self.topo.certificate_quorum(),
-        })
-    }
-
     fn verify(
         &self,
-        bundle: &ScanBundle<TestHeader>,
+        bundle: &ScanBundle,
         requested: &ScanRange,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
         self.verify_as(ClusterId(0), bundle, requested, SimTime(2_500))
@@ -189,7 +31,7 @@ impl Partition {
     fn verify_as(
         &self,
         cluster: ClusterId,
-        bundle: &ScanBundle<TestHeader>,
+        bundle: &ScanBundle,
         requested: &ScanRange,
         now: SimTime,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
@@ -205,14 +47,14 @@ impl Partition {
 /// Two batches over random keys; batch 1 always overwrites something so
 /// the roots differ (the splice attack needs a second, different root).
 fn world(key_tags: &[(u16, u8)]) -> Partition {
-    let mut p = Partition::new();
+    let mut p = Partition::with_depth(DEPTH);
     let batch0: Vec<(u32, String)> = key_tags
         .iter()
         .map(|(k, v)| (*k as u32 % 512, format!("a{v}")))
         .collect();
-    p.commit(&batch0, SimTime(1_000));
+    p.commit(&batch0, Epoch::NONE, SimTime(1_000));
     let batch1: Vec<(u32, String)> = vec![(key_tags[0].0 as u32 % 512, "overwrite".to_string())];
-    p.commit(&batch1, SimTime(2_000));
+    p.commit(&batch1, Epoch::NONE, SimTime(2_000));
     p
 }
 
@@ -232,7 +74,7 @@ proptest! {
         let p = world(&key_tags);
         let last = (first + width - 1).min((1 << DEPTH) - 1);
         let range = ScanRange::new(first, last);
-        let honest = p.scan_bundle(&range, BatchNum(1));
+        let honest = p.scan(range, BatchNum(1));
 
         // Honest: verifies, and the rows are exactly the committed
         // content of the window, in tree order.
@@ -279,7 +121,7 @@ proptest! {
         // 2. Boundary truncation: a proof for a narrower window...
         if range.width() > 1 {
             let narrow = ScanRange::new(range.first + 1, range.last);
-            let truncated = p.scan_bundle(&narrow, BatchNum(1));
+            let truncated = p.scan(narrow, BatchNum(1));
             // ...honestly labelled is not the window requested;
             prop_assert!(matches!(
                 p.verify(&truncated, &range),
@@ -310,7 +152,7 @@ proptest! {
         // 3. Cross-batch splice: batch 0's (internally consistent)
         // window and proof under batch 1's certified commitment. The
         // roots differ, so the splice folds to the wrong root.
-        let stale = p.scan_bundle(&range, BatchNum(0));
+        let stale = p.scan(range, BatchNum(0));
         let mut spliced = honest.clone();
         spliced.scan = stale.scan;
         prop_assert!(matches!(
@@ -325,7 +167,7 @@ proptest! {
 fn scan_rejection_classes_are_typed() {
     let p = world(&[(1, 1), (2, 2), (3, 3), (4, 4), (130, 5)]);
     let range = ScanRange::new(0, (1 << DEPTH) - 1);
-    let honest = p.scan_bundle(&range, BatchNum(1));
+    let honest = p.scan(range, BatchNum(1));
     assert!(!honest.scan.rows.is_empty());
 
     // Tampered row value: the row no longer hashes to its entry.
@@ -359,8 +201,18 @@ fn scan_rejection_classes_are_typed() {
 
     // Forged root with the real certificate.
     let mut b = honest.clone();
-    b.commitment.merkle_root = Digest([0xDE; 32]);
+    b.commitment.header.merkle_root = Digest([0xDE; 32]);
     assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadCertificate));
+    // So is every other certified field Algorithm 2 or the feed reads.
+    for (name, forged) in common::rewritten(&honest.commitment) {
+        let mut b = honest.clone();
+        b.commitment = forged;
+        assert_eq!(
+            p.verify(&b, &range),
+            Err(ReadRejection::BadCertificate),
+            "{name}"
+        );
+    }
 
     // Stale timestamp outside the freshness window.
     let late = p.verify_as(

@@ -4,8 +4,7 @@
 use std::collections::HashMap;
 
 use transedge_common::{EdgeId, NodeId, SimTime};
-use transedge_core::messages::RotSnapshot;
-use transedge_core::{ClientActor, Deployment, EdgeBehavior};
+use transedge_core::{ClientActor, Deployment, EdgeBehavior, SnapshotObject};
 use transedge_simnet::PartitionHandle;
 use transedge_workload::WorkloadSpec;
 
@@ -22,7 +21,7 @@ pub struct ScenarioRunner {
     /// The campaign workload — required by
     /// [`ScenarioEvent::HotKeyShift`] to regenerate client tails.
     workload: Option<WorkloadSpec>,
-    images: HashMap<EdgeId, Vec<RotSnapshot>>,
+    images: HashMap<EdgeId, Vec<SnapshotObject>>,
     partitions: HashMap<String, PartitionHandle>,
 }
 

@@ -11,11 +11,11 @@
 
 use transedge::common::{BatchNum, ClusterId, Key, SimDuration, SimTime, Value};
 use transedge::consensus::messages::accept_statement;
-use transedge::core::batch::Batch;
 use transedge::core::client::ClientOp;
 use transedge::core::setup::{Deployment, DeploymentConfig};
 use transedge::crypto::merkle::{value_digest, Verified};
 use transedge::crypto::verify_multi_proof;
+use transedge::edge::{BatchHeader, CdVector, CommittedHeader};
 
 fn main() {
     // Stand up a deployment and commit a value so there is real,
@@ -100,16 +100,19 @@ fn main() {
     // Forgery 3: a malicious node invents its own state root and
     // "certifies" it without a quorum (fewer than f+1 signatures).
     let fake_root = transedge::crypto::sha256(b"state the node wishes existed");
-    let fake_header = transedge::core::batch::BatchHeader {
-        cluster: ClusterId(0),
-        num: at,
-        cd: transedge::core::batch::CdVector::new(topo.n_clusters()),
-        lce: transedge::common::Epoch::NONE,
-        merkle_root: fake_root,
-        delta_digest: transedge::crypto::sha256(b"forged delta digest"),
-        timestamp: SimTime::ZERO,
-    };
-    let fake_digest = Batch::digest_from_parts(&fake_header, &fake_digest_body());
+    let fake_digest = CommittedHeader {
+        header: BatchHeader {
+            cluster: ClusterId(0),
+            num: at,
+            cd: CdVector::new(topo.n_clusters()),
+            lce: transedge::common::Epoch::NONE,
+            merkle_root: fake_root,
+            delta_digest: transedge::crypto::sha256(b"forged delta digest"),
+            timestamp: SimTime::ZERO,
+        },
+        body_digest: fake_digest_body(),
+    }
+    .certified_digest();
     let stmt = accept_statement(ClusterId(0), at, &fake_digest);
     let _ = stmt;
     let cert = transedge::consensus::Certificate {

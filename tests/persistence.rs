@@ -14,9 +14,9 @@ use transedge::common::{
 use transedge::core::client::ClientOp;
 use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
-use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder, NetMsg, ReadPayload};
+use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder, NetMsg};
 use transedge::directory::GossipDelta;
-use transedge::edge::{MultiProofBody, ReadQuery, SnapshotObject};
+use transedge::edge::{MultiProofBody, ReadQuery, ReadResponse, SnapshotObject};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -380,7 +380,7 @@ impl transedge::simnet::Actor<NetMsg> for Outsider {
     ) {
         let NetMsg::ReadResult {
             req,
-            result: ReadPayload::Point { section, .. },
+            result: ReadResponse::Point { section, .. },
         } = msg
         else {
             return;

@@ -11,8 +11,8 @@ use transedge::core::client::ClientOp;
 use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
-use transedge::core::{ClientProfile, EdgeConfig, NetMsg, ReadPayload};
-use transedge::edge::{MultiProofBody, ReadVerifier, VerifyParams};
+use transedge::core::{ClientProfile, EdgeConfig, NetMsg};
+use transedge::edge::{MultiProofBody, ReadResponse, ReadVerifier, VerifyParams};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -535,7 +535,7 @@ fn aged_pinned_page_restarts_the_scan_and_blames_nobody() {
 struct Asker {
     replica: NodeId,
     query: ReadQuery,
-    answer: Option<(SimTime, ReadPayload)>,
+    answer: Option<(SimTime, ReadResponse)>,
 }
 
 impl transedge::simnet::Actor<NetMsg> for Asker {
@@ -616,7 +616,7 @@ fn parked_round_two_read_is_answered_at_an_applied_batch() {
         .actor_as::<Asker>(asker)
         .and_then(|a| a.answer.clone());
     let (at, payload) = answer.expect("the parked read was answered");
-    let ReadPayload::Point { section, .. } = &payload else {
+    let ReadResponse::Point { section, .. } = &payload else {
         panic!("a point answer");
     };
     assert_eq!(section.commitment.header.num, BatchNum(2));
@@ -781,7 +781,7 @@ impl transedge::simnet::Actor<NetMsg> for Outsider {
     ) {
         let NetMsg::ReadResult {
             req,
-            result: ReadPayload::Point { mut section, .. },
+            result: ReadResponse::Point { mut section, .. },
         } = msg
         else {
             return;
@@ -791,7 +791,7 @@ impl transedge::simnet::Actor<NetMsg> for Outsider {
         *values.iter_mut().find(|v| v.is_some()).expect("a value") =
             Some(Value::from("forged-by-outsider"));
         section.body = MultiProofBody::new(body.keys().to_vec(), values, body.proof().clone());
-        let result = ReadPayload::Point {
+        let result = ReadResponse::Point {
             section,
             fresh: None,
         };
@@ -1816,7 +1816,7 @@ fn single_contact_works_without_a_directory() {
 /// own answers.
 struct Tap {
     inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
-    extras: Vec<ReadPayload>,
+    extras: Vec<ReadResponse>,
     pushed: u64,
 }
 
@@ -1892,7 +1892,7 @@ fn answers_no_part_is_waiting_for_are_dropped_unread() {
                 }
                 _ => None,
             });
-            ReadPayload::Point {
+            ReadResponse::Point {
                 section: Box::new(section.expect("a cached section")),
                 fresh: None,
             }
