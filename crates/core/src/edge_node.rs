@@ -489,9 +489,11 @@ impl EdgeReadNode {
                 Some(value) => *value = Some(transedge_common::Value::from("forged-by-edge")),
                 None => return,
             },
-            EdgeBehavior::ForgeProof => match proof.siblings.first_mut() {
-                Some(sibling) => sibling.0[0] ^= 0xFF,
-                None => proof.buckets.clear(),
+            // Every proof over fewer buckets than the whole leaf level
+            // has a fold slot; flipping its bit moves every sibling.
+            EdgeBehavior::ForgeProof => match proof.empty_slots.first_mut() {
+                Some(bits) => *bits ^= 1,
+                None => return,
             },
             EdgeBehavior::OmitKey => {
                 if keys.is_empty() {

@@ -123,20 +123,17 @@ impl Decode for MerkleProof {
 
 /// One distinct bucket carried by a [`MultiProof`].
 ///
-/// The index is carried for the prover's frontier layout but is never
-/// trusted alone: the verifier recomputes the needed bucket set from
-/// the keys themselves and requires an exact match.
+/// It carries no index: the verifier recomputes the bucket set from the
+/// keys themselves, and the `i`-th carried bucket is the `i`-th of that
+/// set in ascending order.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MultiBucket {
-    /// Bucket index in the leaf space.
-    pub index: u64,
     /// Entire contents of the bucket (sorted by key hash).
     pub entries: Vec<BucketEntry>,
 }
 
 impl Encode for MultiBucket {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.index);
         w.put_seq(&self.entries);
     }
 }
@@ -144,7 +141,6 @@ impl Encode for MultiBucket {
 impl Decode for MultiBucket {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(MultiBucket {
-            index: r.get_u64()?,
             entries: r.get_seq()?,
         })
     }
@@ -157,28 +153,40 @@ impl Decode for MultiBucket {
 /// digest once — the paths fold jointly, pairing frontier nodes that
 /// are siblings of each other instead of shipping both.
 ///
-/// Sibling order is deterministic: bottom-up by level, left-to-right
-/// within a level, one digest per frontier node whose sibling is not
-/// itself on the frontier. Prover and verifier replay the same walk,
-/// so any dropped, spliced, or reordered sibling lands in the wrong
-/// fold position and breaks the recomputed root.
+/// The proof is sparse. Fold order is deterministic: bottom-up by
+/// level, left-to-right within a level, one *slot* per frontier node
+/// whose sibling is not itself on the frontier. Where a slot's sibling
+/// is the empty subtree of its height, the verifier derives that digest
+/// instead of reading it: `empty_slots` sets the slot's bit and
+/// `siblings` skips it. Prover and verifier replay the same walk from
+/// the keys alone, so any dropped, spliced, or reordered sibling or bit
+/// lands in the wrong fold position and breaks the recomputed root.
+///
+/// There is exactly one accepted encoding per root and key set: the
+/// verifier rejects a shipped sibling equal to its height's empty
+/// digest, a bitmap of any length but one bit per slot rounded up to
+/// whole bytes, and a set bit past the last slot.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MultiProof {
     /// Distinct buckets covering the proven keys, ascending by index.
     pub buckets: Vec<MultiBucket>,
-    /// Shared sibling digests in fold order.
+    /// One bit per fold slot, least significant bit first: set where
+    /// the slot's sibling is an empty subtree, derived and not shipped.
+    pub empty_slots: Vec<u8>,
+    /// The non-empty slot siblings, in fold order.
     pub siblings: Vec<Digest>,
 }
 
 impl MultiProof {
-    /// Size in bytes when wire-encoded — used by the simulator's
-    /// message-size-aware latency model.
+    /// Exact wire size (equals `encode_to_vec().len()`) — used by the
+    /// simulator's message-size-aware latency model.
     pub fn encoded_len(&self) -> usize {
-        8 + self
+        12 + self
             .buckets
             .iter()
-            .map(|b| 12 + b.entries.len() * 64)
+            .map(|b| 4 + b.entries.len() * 64)
             .sum::<usize>()
+            + self.empty_slots.len()
             + self.siblings.len() * 32
     }
 }
@@ -186,6 +194,7 @@ impl MultiProof {
 impl Encode for MultiProof {
     fn encode(&self, w: &mut WireWriter) {
         w.put_seq(&self.buckets);
+        w.put_bytes(&self.empty_slots);
         w.put_seq(&self.siblings);
     }
 }
@@ -194,6 +203,7 @@ impl Decode for MultiProof {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(MultiProof {
             buckets: r.get_seq()?,
+            empty_slots: r.get_bytes()?,
             siblings: r.get_seq()?,
         })
     }
@@ -261,8 +271,7 @@ impl MerkleTree {
     }
 
     fn bucket_index(&self, key_hash: &Digest) -> u64 {
-        let prefix = u64::from_be_bytes(key_hash.0[..8].try_into().unwrap());
-        prefix >> (64 - self.depth)
+        bucket_of(key_hash, self.depth)
     }
 
     /// Insert or update a key. Returns the previous value hash if the
@@ -443,12 +452,10 @@ pub fn verify_proof(root: &Digest, depth: u32, key: &Key, proof: &MerkleProof) -
     }
     let key_hash = sha256(key.as_bytes());
     // Recompute the bucket index from the key; never trust the prover.
-    let prefix = u64::from_be_bytes(key_hash.0[..8].try_into().unwrap());
-    let idx = prefix >> (64 - depth);
+    let idx = bucket_of(&key_hash, depth);
     // Every entry in the bucket must actually belong to this bucket.
     for e in &proof.bucket {
-        let p = u64::from_be_bytes(e.key_hash.0[..8].try_into().unwrap());
-        if p >> (64 - depth) != idx {
+        if bucket_of(&e.key_hash, depth) != idx {
             return Err(TransEdgeError::Verification(
                 "bucket entry outside its bucket".into(),
             ));
@@ -482,10 +489,12 @@ pub fn verify_proof(root: &Digest, depth: u32, key: &Key, proof: &MerkleProof) -
 /// `root`: one joint fold recomputes the root once for the whole key
 /// set. Returns one [`Verified`] per key, in the order given.
 ///
-/// The needed bucket set is recomputed from the keys — the prover's
-/// carried indices are checked against it, never trusted. The proof
-/// may cover *more* keys than asked (a cached superset replay): the
-/// caller passes the full proven key set here and filters afterwards.
+/// The bucket set and every fold slot are recomputed from the keys;
+/// the proof supplies only bucket contents, the non-empty siblings and
+/// which slots are empty, and only in its one canonical encoding (see
+/// [`MultiProof`]). The proof may cover *more* keys than asked (a cached
+/// superset replay): the caller passes the full proven key set here and
+/// filters afterwards.
 pub fn verify_multi_proof(
     root: &Digest,
     depth: u32,
@@ -493,102 +502,88 @@ pub fn verify_multi_proof(
     proof: &MultiProof,
 ) -> Result<Vec<Verified>> {
     if keys.is_empty() {
-        return Err(TransEdgeError::Verification(
-            "multiproof over an empty key set".into(),
-        ));
+        return invalid("multiproof over an empty key set");
+    }
+    if !(1..=MAX_DEPTH).contains(&depth) {
+        return invalid("multiproof depth out of range");
     }
     // Recompute every key's bucket index from the key itself.
     let key_hashes: Vec<Digest> = keys.iter().map(|k| sha256(k.as_bytes())).collect();
-    let key_buckets: Vec<u64> = key_hashes
-        .iter()
-        .map(|h| {
-            let prefix = u64::from_be_bytes(h.0[..8].try_into().unwrap());
-            prefix >> (64 - depth)
-        })
-        .collect();
-    let mut needed = key_buckets.clone();
+    let mut needed: Vec<u64> = key_hashes.iter().map(|h| bucket_of(h, depth)).collect();
     needed.sort_unstable();
     needed.dedup();
-    // The carried bucket set must equal the recomputed one exactly —
-    // no bucket missing (omission) and none smuggled in (splice).
-    if proof.buckets.len() != needed.len()
-        || proof
-            .buckets
-            .iter()
-            .zip(&needed)
-            .any(|(b, want)| b.index != *want)
-    {
-        return Err(TransEdgeError::Verification(
-            "multiproof bucket set does not match the key set".into(),
-        ));
+    // One carried bucket per recomputed index — none missing (omission)
+    // and none smuggled in (splice).
+    if proof.buckets.len() != needed.len() {
+        return invalid("multiproof bucket set does not match the key set");
     }
-    for b in &proof.buckets {
+    for (b, &index) in proof.buckets.iter().zip(&needed) {
         // Strictly sorted — otherwise a malicious prover could hide an
         // entry from the binary search.
-        for pair in b.entries.windows(2) {
-            if pair[0].key_hash >= pair[1].key_hash {
-                return Err(TransEdgeError::Verification(
-                    "multiproof bucket not strictly sorted".into(),
-                ));
-            }
+        if b.entries.windows(2).any(|w| w[0].key_hash >= w[1].key_hash) {
+            return invalid("multiproof bucket not strictly sorted");
         }
         // Every entry must actually belong to its bucket.
-        for e in &b.entries {
-            let p = u64::from_be_bytes(e.key_hash.0[..8].try_into().unwrap());
-            if p >> (64 - depth) != b.index {
-                return Err(TransEdgeError::Verification(
-                    "multiproof entry outside its bucket".into(),
-                ));
-            }
+        if b.entries
+            .iter()
+            .any(|e| bucket_of(&e.key_hash, depth) != index)
+        {
+            return invalid("multiproof entry outside its bucket");
         }
     }
-    // Joint fold: pair frontier nodes that are each other's sibling;
-    // consume a shipped sibling for every unpaired node.
-    let mut frontier: Vec<(u64, Digest)> = proof
-        .buckets
+    // Joint fold, in place: pair frontier nodes that are each other's
+    // sibling; every unpaired node is a slot, whose sibling is derived
+    // (its bit set) or shipped. Parents overwrite the frontier: the
+    // write position never passes the read position.
+    let empties = empty_subtrees();
+    let mut frontier: Vec<(u64, Digest)> = needed
         .iter()
-        .map(|b| (b.index, hash_leaf(&b.entries)))
+        .zip(&proof.buckets)
+        .map(|(&index, b)| (index, hash_leaf(&b.entries)))
         .collect();
     let mut sibs = proof.siblings.iter();
-    for _ in 0..depth {
-        let mut next: Vec<(u64, Digest)> = Vec::with_capacity(frontier.len());
-        let mut i = 0;
-        while i < frontier.len() {
-            let (idx, digest) = frontier[i];
-            if idx & 1 == 0 && frontier.get(i + 1).is_some_and(|(j, _)| *j == idx + 1) {
-                next.push((idx >> 1, hash_node(&digest, &frontier[i + 1].1)));
-                i += 2;
+    let mut slot = 0usize;
+    for empty in &empties[..depth as usize] {
+        let (mut read, mut write) = (0, 0);
+        while read < frontier.len() {
+            let (idx, digest) = frontier[read];
+            let paired = idx & 1 == 0 && frontier.get(read + 1).is_some_and(|(j, _)| *j == idx + 1);
+            let parent = if paired {
+                read += 2;
+                hash_node(&digest, &frontier[read - 1].1)
             } else {
-                let Some(sib) = sibs.next() else {
-                    return Err(TransEdgeError::Verification(
-                        "multiproof has too few siblings".into(),
-                    ));
-                };
-                let parent = if idx & 1 == 0 {
+                let sib = slot_sibling(&proof.empty_slots, slot, &mut sibs, empty)?;
+                slot += 1;
+                read += 1;
+                if idx & 1 == 0 {
                     hash_node(&digest, sib)
                 } else {
                     hash_node(sib, &digest)
-                };
-                next.push((idx >> 1, parent));
-                i += 1;
-            }
+                }
+            };
+            frontier[write] = (idx >> 1, parent);
+            write += 1;
         }
-        frontier = next;
+        frontier.truncate(write);
     }
     if sibs.next().is_some() {
-        return Err(TransEdgeError::Verification(
-            "multiproof has unconsumed siblings".into(),
-        ));
+        return invalid("multiproof has unconsumed siblings");
+    }
+    if proof.empty_slots.len() != slot.div_ceil(8) {
+        return invalid("multiproof slot bitmap has the wrong length");
+    }
+    if !slot.is_multiple_of(8) && proof.empty_slots[slot / 8] >> (slot % 8) != 0 {
+        return invalid("multiproof slot bitmap sets a bit past the last slot");
     }
     if frontier.len() != 1 || frontier[0].1 != *root {
-        return Err(TransEdgeError::Verification(
-            "multiproof root mismatch".into(),
-        ));
+        return invalid("multiproof root mismatch");
     }
     // Resolve every key against its (now authenticated) bucket.
     let mut out = Vec::with_capacity(keys.len());
-    for (kh, bidx) in key_hashes.iter().zip(&key_buckets) {
-        let pos = needed.binary_search(bidx).expect("bucket set checked");
+    for kh in &key_hashes {
+        let pos = needed
+            .binary_search(&bucket_of(kh, depth))
+            .expect("bucket set checked");
         let bucket = &proof.buckets[pos].entries;
         let found = bucket
             .binary_search_by(|e| e.key_hash.cmp(kh))
@@ -600,6 +595,38 @@ pub fn verify_multi_proof(
         });
     }
     Ok(out)
+}
+
+/// The sibling of fold slot `slot` at a height whose empty subtree is
+/// `empty`: derived when the slot's bit is set, else the next shipped
+/// digest — which must not be the one the verifier could derive.
+fn slot_sibling<'a>(
+    empty_slots: &[u8],
+    slot: usize,
+    shipped: &mut std::slice::Iter<'a, Digest>,
+    empty: &'a Digest,
+) -> Result<&'a Digest> {
+    let Some(bits) = empty_slots.get(slot / 8) else {
+        return invalid("multiproof slot bitmap too short");
+    };
+    if bits >> (slot % 8) & 1 == 1 {
+        return Ok(empty);
+    }
+    match shipped.next() {
+        None => invalid("multiproof has too few siblings"),
+        Some(sib) if sib == empty => invalid("multiproof ships an empty-subtree sibling"),
+        Some(sib) => Ok(sib),
+    }
+}
+
+fn invalid<T>(msg: &str) -> Result<T> {
+    Err(TransEdgeError::Verification(msg.into()))
+}
+
+/// The bucket a key hash lands in at `depth`: its top `depth` bits.
+pub(crate) fn bucket_of(key_hash: &Digest, depth: u32) -> u64 {
+    let prefix = u64::from_be_bytes(key_hash.0[..8].try_into().unwrap());
+    prefix >> (64 - depth)
 }
 
 pub(crate) fn hash_leaf(entries: &[BucketEntry]) -> Digest {
@@ -845,12 +872,7 @@ mod tests {
         vt.apply_batch(0, keys.iter().map(|k| (k, vh("v"))));
         let p = vt.prove_multi(&keys[..5], 0);
         roundtrip(&p);
-        let actual = p.encode_to_vec().len();
-        let estimate = p.encoded_len();
-        assert!(
-            (actual as i64 - estimate as i64).abs() <= 16,
-            "estimate {estimate} vs actual {actual}"
-        );
+        assert_eq!(p.encoded_len(), p.encode_to_vec().len());
     }
 
     #[test]

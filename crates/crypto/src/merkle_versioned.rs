@@ -39,8 +39,8 @@ use transedge_common::Key;
 
 use crate::digest::Digest;
 use crate::merkle::{
-    empty_subtrees, hash_leaf, hash_node, BucketEntry, MerkleProof, MultiBucket, MultiProof,
-    MAX_DEPTH,
+    bucket_of, empty_subtrees, hash_leaf, hash_node, BucketEntry, MerkleProof, MultiBucket,
+    MultiProof, MAX_DEPTH,
 };
 use crate::range::{RangeProof, ScanRange};
 use crate::sha2::sha256;
@@ -202,8 +202,7 @@ impl VersionedMerkleTree {
     }
 
     fn bucket_index(&self, key_hash: &Digest) -> u64 {
-        let prefix = u64::from_be_bytes(key_hash.0[..8].try_into().unwrap());
-        prefix >> (64 - self.depth)
+        bucket_of(key_hash, self.depth)
     }
 
     fn bucket_at(&self, index: u64, version: u64) -> Option<&Vec<BucketEntry>> {
@@ -356,7 +355,8 @@ impl VersionedMerkleTree {
     /// [`crate::merkle::verify_multi_proof`]: frontier nodes that are
     /// each other's sibling pair up instead of shipping both digests,
     /// so overlapping upper paths are carried once instead of once per
-    /// key.
+    /// key, and a slot whose sibling is an empty subtree sets its bit
+    /// instead of shipping the digest.
     pub fn prove_multi(&self, keys: &[Key], version: u64) -> MultiProof {
         let mut frontier: Vec<u64> = keys
             .iter()
@@ -367,11 +367,12 @@ impl VersionedMerkleTree {
         let buckets = frontier
             .iter()
             .map(|&idx| MultiBucket {
-                index: idx,
                 entries: self.bucket_at(idx, version).cloned().unwrap_or_default(),
             })
             .collect();
+        let mut empty_slots = Vec::new();
         let mut siblings = Vec::new();
+        let mut slot = 0usize;
         for level in 0..self.depth as usize {
             // Parents overwrite the frontier in place: the write
             // position never passes the read position.
@@ -381,7 +382,16 @@ impl VersionedMerkleTree {
                 if idx & 1 == 0 && frontier.get(read + 1) == Some(&(idx + 1)) {
                     read += 2;
                 } else {
-                    siblings.push(self.node_at(level, idx ^ 1, version));
+                    if slot.is_multiple_of(8) {
+                        empty_slots.push(0);
+                    }
+                    let sibling = self.node_at(level, idx ^ 1, version);
+                    if sibling == self.defaults[level] {
+                        empty_slots[slot / 8] |= 1 << (slot % 8);
+                    } else {
+                        siblings.push(sibling);
+                    }
+                    slot += 1;
                     read += 1;
                 }
                 frontier[write] = idx >> 1;
@@ -389,7 +399,11 @@ impl VersionedMerkleTree {
             }
             frontier.truncate(write);
         }
-        MultiProof { buckets, siblings }
+        MultiProof {
+            buckets,
+            empty_slots,
+            siblings,
+        }
     }
 
     /// Completeness proof for a contiguous bucket window against the

@@ -22,7 +22,7 @@ use std::ops::Bound;
 use transedge_common::{Decode, Encode, Key, Result, TransEdgeError, WireReader, WireWriter};
 
 use crate::digest::Digest;
-use crate::merkle::{empty_subtrees, hash_leaf, hash_node, BucketEntry};
+use crate::merkle::{bucket_of, empty_subtrees, hash_leaf, hash_node, BucketEntry};
 use crate::sha2::sha256;
 
 /// Widest range (in buckets) a prover will produce or a verifier will
@@ -66,8 +66,7 @@ impl ScanRange {
 
     /// Tree-order bucket a key hash lands in at `depth`.
     pub fn bucket_of_hash(key_hash: &Digest, depth: u32) -> u64 {
-        let prefix = u64::from_be_bytes(key_hash.0[..8].try_into().unwrap());
-        prefix >> (64 - depth)
+        bucket_of(key_hash, depth)
     }
 
     /// Tree-order bucket of a key at `depth`.
@@ -228,11 +227,16 @@ pub fn verify_range_proof(
         }
     }
     // Recompute every leaf of the window; absent buckets hash as empty.
+    // One buffer holds each level at `buf[start..end]`, with a slot of
+    // headroom at either end for a boundary sibling. Parents are written
+    // back from slot 1, which never passes the pair being read.
     let empties = empty_subtrees();
-    let mut level: Vec<Digest> = vec![empties[0]; range.width() as usize];
+    let width = range.width() as usize;
+    let mut buf: Vec<Digest> = vec![empties[0]; width + 2];
     for (idx, entries) in &proof.occupied {
-        level[(idx - range.first) as usize] = hash_leaf(entries);
+        buf[1 + (idx - range.first) as usize] = hash_leaf(entries);
     }
+    let (mut start, mut end) = (1, 1 + width);
     // Fold to the root, consuming boundary siblings exactly as parity
     // demands — no spare siblings may remain (they could smuggle state).
     let (mut lo, mut hi) = (range.first, range.last);
@@ -242,7 +246,8 @@ pub fn verify_range_proof(
             let Some(s) = proof.left.get(li) else {
                 return Err(invalid("missing left boundary sibling"));
             };
-            level.insert(0, *s);
+            start -= 1;
+            buf[start] = *s;
             li += 1;
             lo -= 1;
         }
@@ -250,7 +255,8 @@ pub fn verify_range_proof(
             let Some(s) = proof.right.get(ri) else {
                 return Err(invalid("missing right boundary sibling"));
             };
-            level.push(*s);
+            buf[end] = *s;
+            end += 1;
             ri += 1;
             hi += 1;
         }
@@ -259,27 +265,29 @@ pub fn verify_range_proof(
         // `hash_node` would return, without hashing. (Heights past the
         // table, deeper than any tree is built, always hash.)
         let empty = empties.get(height).zip(empties.get(height + 1));
-        level = level
-            .chunks(2)
-            .map(|pair| match empty {
-                Some((e, parent)) if pair[0] == *e && pair[1] == *e => *parent,
-                _ => hash_node(&pair[0], &pair[1]),
-            })
-            .collect();
+        let pairs = (end - start) / 2;
+        for i in 0..pairs {
+            let (l, r) = (buf[start + 2 * i], buf[start + 2 * i + 1]);
+            buf[1 + i] = match empty {
+                Some((e, parent)) if l == *e && r == *e => *parent,
+                _ => hash_node(&l, &r),
+            };
+        }
+        (start, end) = (1, 1 + pairs);
         lo >>= 1;
         hi >>= 1;
     }
     if li != proof.left.len() || ri != proof.right.len() {
         return Err(invalid("unused boundary siblings"));
     }
-    if level.len() != 1 || level[0] != *root {
+    if end - start != 1 || buf[start] != *root {
         return Err(invalid("merkle range root mismatch"));
     }
-    Ok(proof
-        .occupied
-        .iter()
-        .flat_map(|(_, entries)| entries.iter().copied())
-        .collect())
+    let mut rows = Vec::with_capacity(proof.occupied.iter().map(|(_, e)| e.len()).sum());
+    for (_, entries) in &proof.occupied {
+        rows.extend_from_slice(entries);
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]

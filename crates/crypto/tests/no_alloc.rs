@@ -2,9 +2,11 @@
 //! — singly or in a batch of up to `MAX_BATCH` — touch no heap once the
 //! per-process tables exist, and the versioned Merkle tree allocates
 //! per key, not per tree node: a batch about once per new bucket, a
-//! multiproof once per bucket it carries plus its output vectors. Its
-//! own test binary: the counting allocator is global, and the count is
-//! per thread so the harness's own threads cannot leak into it.
+//! multiproof once per bucket it carries plus its output vectors. Both
+//! Merkle verifiers fold in one buffer, so a multiproof or range-proof
+//! verify allocates a fixed number of times whatever the tree's depth.
+//! Its own test binary: the counting allocator is global, and the count
+//! is per thread so the harness's own threads cannot leak into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +14,9 @@ use std::cell::Cell;
 use transedge_common::{Key, Value};
 use transedge_crypto::ed25519::{verify_batch, Signature, VerifyingKey, MAX_BATCH};
 use transedge_crypto::merkle::value_digest;
-use transedge_crypto::{Keypair, VersionedMerkleTree};
+use transedge_crypto::{
+    verify_multi_proof, verify_range_proof, Keypair, ScanRange, VersionedMerkleTree,
+};
 
 struct Counting;
 
@@ -126,5 +130,68 @@ fn a_warm_multiproof_allocates_per_bucket_not_per_level() {
     assert!(
         allocs <= 16,
         "a 6-key multiproof at depth 16 allocated {allocs} times"
+    );
+}
+
+/// Allocations of one warm `verify` of what `prove` builds, at depth
+/// 16 and at depth 32 over the same 2 000 keys.
+fn verify_allocs<P>(
+    prove: impl Fn(&VersionedMerkleTree) -> P,
+    verify: impl Fn(&VersionedMerkleTree, &P) -> bool,
+) -> [u64; 2] {
+    let keys: Vec<Key> = (0..2_000).map(Key::from_u32).collect();
+    let digest = value_digest(&Value::filled(8, 1));
+    [16, 32].map(|depth| {
+        let mut tree = VersionedMerkleTree::with_depth(depth);
+        tree.apply_batch(0, keys.iter().map(|key| (key, digest)));
+        let proof = prove(&tree);
+        assert!(verify(&tree, &proof), "warm-up verify at depth {depth}");
+
+        let before = ALLOCS.with(Cell::get);
+        let ok = verify(&tree, &proof);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert!(ok, "verify at depth {depth}");
+        allocs
+    })
+}
+
+#[test]
+fn a_multiproof_verify_allocates_the_same_at_any_depth() {
+    let asked: Vec<Key> = [3u32, 17, 256, 999, 1_500, 1_999]
+        .into_iter()
+        .map(Key::from_u32)
+        .collect();
+    let allocs = verify_allocs(
+        |tree| tree.prove_multi(&asked, 0),
+        |tree, proof| verify_multi_proof(&tree.root_at(0), tree.depth(), &asked, proof).is_ok(),
+    );
+    assert_eq!(allocs[0], allocs[1], "depth 16 vs depth 32");
+    assert!(
+        allocs[0] <= 4,
+        "a 6-key multiproof verify allocated {} times",
+        allocs[0]
+    );
+}
+
+#[test]
+fn a_range_proof_verify_allocates_the_same_at_any_depth() {
+    // A 256-bucket window around key 0's bucket: rows at both depths,
+    // and boundary siblings on both sides.
+    let allocs = verify_allocs(
+        |tree| {
+            let first = ScanRange::bucket_of(&Key::from_u32(0), tree.depth()) - 100;
+            let window = ScanRange::new(first, first + 255);
+            (window, tree.prove_range(&window, 0))
+        },
+        |tree, (window, proof)| {
+            verify_range_proof(&tree.root_at(0), tree.depth(), window, proof)
+                .is_ok_and(|rows| !rows.is_empty())
+        },
+    );
+    assert_eq!(allocs[0], allocs[1], "depth 16 vs depth 32");
+    assert!(
+        allocs[0] <= 2,
+        "a 256-bucket range proof verify allocated {} times",
+        allocs[0]
     );
 }

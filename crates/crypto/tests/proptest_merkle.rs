@@ -4,10 +4,10 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use transedge_common::{Key, Value};
+use transedge_common::{Decode, Encode, Key, Value};
 use transedge_crypto::merkle::{value_digest, verify_proof, BucketEntry, Verified};
 use transedge_crypto::{
-    sha256, verify_multi_proof, verify_range_proof, Digest, MerkleTree, ScanRange,
+    sha256, verify_multi_proof, verify_range_proof, Digest, MerkleTree, MultiProof, ScanRange,
     VersionedMerkleTree,
 };
 
@@ -126,13 +126,15 @@ proptest! {
         }
     }
 
-    /// Multiproofs agree with per-key proofs on any key set, and no
-    /// single-element mutation survives: dropping or substituting any
-    /// sibling, dropping any bucket entry, or splicing the proof onto
-    /// another version's root all break verification.
+    /// Multiproofs agree with per-key proofs on any key set at any
+    /// density, from one key to a nearly full tree; they round-trip the
+    /// wire byte for byte at their stated length; and no single-element
+    /// mutation survives: dropping or substituting any sibling, dropping
+    /// any bucket entry, splicing the proof onto another version's root,
+    /// or any other encoding of the same slots.
     #[test]
     fn multi_proof_sound_and_unmalleable(
-        entries in proptest::collection::hash_map(any::<u16>(), any::<u8>(), 4..40),
+        entries in proptest::collection::hash_map(any::<u16>(), any::<u8>(), 1..120),
         asked in proptest::collection::vec(any::<u16>(), 1..10),
         corrupt_at in any::<u64>(),
     ) {
@@ -153,6 +155,13 @@ proptest! {
             let single = verify_proof(&root, 5, key, &vt.prove_at(key, 1)).unwrap();
             prop_assert_eq!(*verdict, single);
         }
+        // One encoding on the wire: it decodes to the same proof,
+        // re-encodes to the same bytes and is as long as stated.
+        let bytes = proof.encode_to_vec();
+        let decoded = MultiProof::decode_all(&bytes).unwrap();
+        prop_assert_eq!(&decoded, &proof);
+        prop_assert_eq!(decoded.encode_to_vec(), bytes.clone());
+        prop_assert_eq!(proof.encoded_len(), bytes.len());
         // Drop / substitute one sibling (position chosen by the fuzzed
         // index).
         if !proof.siblings.is_empty() {
@@ -177,7 +186,73 @@ proptest! {
         if vt.root_at(0) != root {
             prop_assert!(verify_multi_proof(&root, 5, &keys, &stale).is_err());
         }
+        // Every other encoding of the slots. Fewer buckets than the
+        // tree's 32 leave at least one slot.
+        let heights = slot_heights(&keys, 5);
+        prop_assert_eq!(proof.empty_slots.len(), heights.len().div_ceil(8));
+        let empties = MerkleTree::with_depth(5).prove(&Key::from_u32(0)).siblings;
+        for (slot, &height) in heights.iter().enumerate() {
+            let (byte, bit) = (slot / 8, 1u8 << (slot % 8));
+            let shipped = (0..slot)
+                .filter(|s| proof.empty_slots[s / 8] & (1 << (s % 8)) == 0)
+                .count();
+            let mut flipped = proof.clone();
+            flipped.empty_slots[byte] ^= bit;
+            if proof.empty_slots[byte] & bit == 0 {
+                // A set bit over a non-empty sibling, its digest dropped.
+                flipped.siblings.remove(shipped);
+                prop_assert!(verify_multi_proof(&root, 5, &keys, &flipped).is_err());
+            } else {
+                // A cleared bit with the empty digest shipped: the root
+                // still matches, so only canonicity rejects it.
+                flipped.siblings.insert(shipped, empties[height]);
+                let err = verify_multi_proof(&root, 5, &keys, &flipped).unwrap_err();
+                prop_assert!(err.to_string().contains("empty-subtree sibling"), "{}", err);
+            }
+        }
+        // A bitmap one byte short or one byte long.
+        let mut short = proof.clone();
+        short.empty_slots.pop();
+        prop_assert!(verify_multi_proof(&root, 5, &keys, &short).is_err());
+        let mut long = proof.clone();
+        long.empty_slots.push(0);
+        prop_assert!(verify_multi_proof(&root, 5, &keys, &long).is_err());
+        // A stray bit past the last slot.
+        let mut stray = proof.clone();
+        match heights.len() % 8 {
+            0 => stray.empty_slots.push(1),
+            _ => *stray.empty_slots.last_mut().unwrap() |= 0x80,
+        }
+        prop_assert!(verify_multi_proof(&root, 5, &keys, &stray).is_err());
     }
+}
+
+/// The height of every fold slot of a multiproof over `keys`, in fold
+/// order: the verifier's walk, replayed from the keys alone.
+fn slot_heights(keys: &[Key], depth: u32) -> Vec<usize> {
+    let mut frontier: Vec<u64> = keys
+        .iter()
+        .map(|k| ScanRange::bucket_of(k, depth))
+        .collect();
+    frontier.sort_unstable();
+    frontier.dedup();
+    let mut heights = Vec::new();
+    for height in 0..depth as usize {
+        let mut parents = Vec::new();
+        let mut i = 0;
+        while i < frontier.len() {
+            let idx = frontier[i];
+            if idx & 1 == 0 && frontier.get(i + 1) == Some(&(idx + 1)) {
+                i += 2;
+            } else {
+                heights.push(height);
+                i += 1;
+            }
+            parents.push(idx >> 1);
+        }
+        frontier = parents;
+    }
+    heights
 }
 
 /// Depth and key universe of the reference sweep: 32 buckets for 48

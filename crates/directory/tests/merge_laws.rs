@@ -42,6 +42,7 @@ fn empty_response() -> ReadResponse {
     };
     let proof = MultiProof {
         buckets: Vec::new(),
+        empty_slots: Vec::new(),
         siblings: Vec::new(),
     };
     ReadResponse::Point {

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use common::{Partition, Section};
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime};
-use transedge_crypto::Digest;
 use transedge_edge::{
     CertifiedDelta, QuorumCheck, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy,
     VerifiedCerts,
@@ -251,10 +250,10 @@ fn time_dependent_checks_are_never_cached() {
     // from the checks behind it.
     assert_eq!((memo.sig_checks(), memo.hits()), (quorum, 3));
 
-    // Nor are proofs: a memoised certificate over a forged sibling.
+    // Nor are proofs: a memoised certificate over a forged slot bit.
     let honest = p.section(&keys(), SERVED);
     let mut proof = honest.body.proof().clone();
-    proof.siblings[0] = Digest([0xEE; 32]);
+    proof.empty_slots[0] ^= 1;
     let forged = common::rebuild(
         &honest,
         honest.body.keys().to_vec(),

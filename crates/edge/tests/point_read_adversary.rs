@@ -16,7 +16,7 @@ use std::sync::Arc;
 use common::{rebuild, Partition, Section, DEPTH};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration, SimTime, Value};
-use transedge_crypto::{Digest, ScanRange};
+use transedge_crypto::{Digest, MerkleTree, ScanRange};
 use transedge_edge::{
     CertifiedDelta, PageToken, QueryAnswer, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy,
     SnapshotSource,
@@ -185,6 +185,47 @@ proptest! {
             let mut short = proof.clone();
             short.siblings.remove(j);
             let forged = rebuild(&section, k.clone(), v.clone(), short);
+            prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+        }
+        // Any other encoding of the same slots. Each slot is either a
+        // set bit or a shipped sibling.
+        let is_set = |slot: usize| proof.empty_slots[slot / 8] & (1 << (slot % 8)) != 0;
+        let set_bits: usize = proof.empty_slots.iter().map(|b| b.count_ones() as usize).sum();
+        let slots = set_bits + proof.siblings.len();
+        let empties = MerkleTree::with_depth(DEPTH).prove(&Key::from_u32(0)).siblings;
+        for slot in 0..slots {
+            let shipped = (0..slot).filter(|s| !is_set(*s)).count();
+            let mut flipped = proof.clone();
+            flipped.empty_slots[slot / 8] ^= 1 << (slot % 8);
+            if is_set(slot) {
+                // A cleared bit with an empty digest shipped instead; at
+                // the slot's own height it still folds to the root.
+                for empty in &empties {
+                    let mut explicit = flipped.clone();
+                    explicit.siblings.insert(shipped, *empty);
+                    let forged = rebuild(&section, k.clone(), v.clone(), explicit);
+                    prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+                }
+            } else {
+                // A set bit over a shipped sibling, its digest dropped.
+                flipped.siblings.remove(shipped);
+                let forged = rebuild(&section, k.clone(), v.clone(), flipped);
+                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+            }
+        }
+        // A bitmap a byte short or a byte long, and a stray bit past
+        // the last slot.
+        let mut stray = proof.clone();
+        match slots % 8 {
+            0 => stray.empty_slots.push(1),
+            _ => *stray.empty_slots.last_mut().unwrap() |= 0x80,
+        }
+        let mut short = proof.clone();
+        short.empty_slots.pop();
+        let mut long = proof.clone();
+        long.empty_slots.push(0);
+        for bitmap in [stray, short, long] {
+            let forged = rebuild(&section, k.clone(), v.clone(), bitmap);
             prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
         }
         // Bucket tamper: a rewritten digest inside a proven bucket.
@@ -388,7 +429,7 @@ fn every_rejection_variant_is_reachable() {
     seen.push(point(&floored, section.clone(), NOW));
     seen.push(point(&plain, p.section(&keys[..2], SERVED), NOW));
     let mut forged = sproof.clone();
-    forged.siblings[0] = Digest([0xEE; 32]);
+    forged.empty_slots[0] ^= 1;
     seen.push(point(
         &plain,
         rebuild(&section, sk.clone(), sv.clone(), forged),

@@ -82,10 +82,10 @@ fn main() {
     assert!(!ok);
 
     // Forgery 2: tamper with the proof path.
+    // Every proof has a first fold slot: flip whether its sibling is
+    // shipped or derived as an empty subtree.
     let mut bad_proof = proof.clone();
-    if let Some(s) = bad_proof.siblings.first_mut() {
-        s.0[0] ^= 0xFF;
-    }
+    bad_proof.empty_slots[0] ^= 1;
     let rejected = verify_multi_proof(&root, depth, body.keys(), &bad_proof).is_err();
     println!(
         "✗ tampered proof:      {}",
