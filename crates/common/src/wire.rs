@@ -115,6 +115,12 @@ impl WireWriter {
         self.buf.is_empty()
     }
 
+    /// Empty the buffer, keeping its capacity: a writer reused across
+    /// encodes allocates only until it has grown to the largest.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }

@@ -25,12 +25,13 @@ use transedge_common::{
     BatchNum, ClientId, ClusterId, ClusterTopology, Epoch, Key, NodeId, ReplicaId, SimDuration,
     SimTime, TxnId, Value,
 };
+use transedge_consensus::Certificate;
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    CertifiedDelta, FeedWindow, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
+    CertifiedDelta, CommittedHeader, FeedWindow, PageToken, QueryAnswer, QueryShape, ReadQuery,
+    ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
@@ -284,6 +285,12 @@ impl ReadSession {
             shape: part.shape.clone(),
             page: part.token,
             feed: self.query.feed_for(cluster),
+            held: self
+                .query
+                .held_for(cluster)
+                .map(|d| (cluster, d))
+                .into_iter()
+                .collect(),
             trace: self.query.trace,
         }
     }
@@ -378,20 +385,18 @@ fn view_of(header: &BatchHeader) -> RotView {
 /// width is computed saturating and capped at the protocol maximum —
 /// the verifier rejects anything wider before hashing.
 fn leaf_hashes(response: &ReadResponse) -> u64 {
-    match response {
-        ReadResponse::Point { section, fresh } => {
-            let feed = fresh.as_ref().map_or(0, Vec::len);
-            (feed + section.body.keys().len()) as u64
-        }
-        ReadResponse::Scan { bundle } => {
-            let claimed = &bundle.scan.range;
-            claimed
-                .last
-                .saturating_sub(claimed.first)
-                .saturating_add(1)
-                .min(MAX_RANGE_BUCKETS)
-        }
-    }
+    let feed = response.fresh_feed().map_or(0, <[_]>::len);
+    let claimed = match response {
+        ReadResponse::Point { section, .. } => return (feed + section.body.keys().len()) as u64,
+        ReadResponse::HeldPoint { body, .. } => return (feed + body.keys().len()) as u64,
+        ReadResponse::Scan { bundle } => &bundle.scan.range,
+        ReadResponse::HeldScan { scan, .. } => &scan.range,
+    };
+    claimed
+        .last
+        .saturating_sub(claimed.first)
+        .saturating_add(1)
+        .min(MAX_RANGE_BUCKETS)
 }
 
 #[allow(clippy::enum_variant_names)]
@@ -505,6 +510,12 @@ pub struct ClientActor {
     /// deltas this client has verified (trusted state, beside the
     /// memo) — named to edges as a cursor so they are not sent again.
     feeds: BTreeMap<ClusterId, FeedWindow>,
+    /// Per partition, the newest certified anchor (header and
+    /// certificate) of a full answer that passed verification (trusted
+    /// state, beside the memo): named to servers as held, so they send
+    /// only the body, and rebuilt around every held answer before it is
+    /// verified. One entry per partition, no capacity knob.
+    anchors: BTreeMap<ClusterId, (CommittedHeader, Certificate)>,
     pub config: ClientConfig,
     /// The deployment's verification parameters.
     verify: VerifyParams,
@@ -557,6 +568,7 @@ impl ClientActor {
             topo,
             certs: VerifiedCerts::new(keys.with_memo()),
             feeds: BTreeMap::new(),
+            anchors: BTreeMap::new(),
             config,
             verify,
             ops,
@@ -924,11 +936,14 @@ impl ClientActor {
         target: NodeId,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        // A subscriber names what it already holds, per partition.
+        // A subscriber names the feed deltas it already holds, and every
+        // client the anchors, per partition.
         if session.query.feed.is_some() {
             let held = |p: &PartState| Some((p.cluster, self.feeds.get(&p.cluster)?.cursor()?));
             session.query.feed = Some(session.parts.iter().filter_map(held).collect());
         }
+        let held = |p: &PartState| Some((p.cluster, self.anchors.get(&p.cluster)?.1.digest));
+        session.query.held = session.parts.iter().filter_map(held).collect();
         let req = self.req_id();
         let query = match clusters {
             [cluster] => session.subquery(*cluster),
@@ -1033,6 +1048,7 @@ impl ClientActor {
         let now = ctx.now();
         match verified {
             Ok((answer, feed_run)) => {
+                self.hold_anchor(cluster, response);
                 if let NodeId::Edge(edge) = pending.target {
                     self.edge_selector
                         .record_success(edge.cluster, pending.target);
@@ -1133,12 +1149,31 @@ impl ClientActor {
         }
     }
 
+    /// Keep the anchor of a verified full answer for `cluster` when it
+    /// is newer than the one held (a rebuilt answer's is the held one).
+    fn hold_anchor(&mut self, cluster: ClusterId, response: &ReadResponse) {
+        let Some((commitment, cert)) = response.anchor() else {
+            return;
+        };
+        let newer = self
+            .anchors
+            .get(&cluster)
+            .is_none_or(|(held, _)| held.header.num < commitment.header.num);
+        if newer {
+            self.anchors
+                .insert(cluster, (commitment.clone(), cert.clone()));
+        }
+    }
+
     /// A read response arrived: credit it to the part that waits on
-    /// `req` and whose partition the answer's certified header names,
-    /// then stitch when every partition is done. Any other answer — for
-    /// a partition the request does not owe, or a repeat for a part
-    /// already verified, a late one from a previous round or page
-    /// included — is dropped unread: never verified, nobody blamed.
+    /// `req` and whose partition the answer's certified header (or held
+    /// reference) names, rebuild a held answer around this client's
+    /// newest anchor for that partition, then stitch when every
+    /// partition is done. Any other answer — for a partition the
+    /// request does not owe, a repeat for a part already verified, a
+    /// late one from a previous round or page, or a held answer naming
+    /// an anchor other than the newest held here — is dropped unread:
+    /// never verified, nobody blamed, and the part's retry re-asks.
     fn on_read_result(&mut self, req: u64, response: ReadResponse, ctx: &mut Context<'_, NetMsg>) {
         let Some(mut inflight) = self.inflight.take() else {
             return;
@@ -1154,7 +1189,16 @@ impl ClientActor {
             .find(|p| p.cluster == cluster)
             .and_then(|p| p.pending)
             .filter(|s| s.req == req);
-        let Some(pending) = owed else {
+        let size = crate::messages::read_payload_size(&response) as u64;
+        let readable = owed.and_then(|pending| match response.anchor() {
+            Some(_) => Some((pending, response)),
+            None => self
+                .anchors
+                .get(&cluster)
+                .filter(|(held, _)| held.header.num == response.batch())
+                .map(|anchor| (pending, response.rebuild((&anchor.0, &anchor.1)))),
+        });
+        let Some((pending, response)) = readable else {
             inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
             return;
@@ -1163,7 +1207,7 @@ impl ClientActor {
         // residual wire time), so the client's verification work is
         // recorded here, bracketing the verify charge below.
         let verify_from = ctx.now();
-        self.stats.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
+        self.stats.read_result_bytes += size;
         self.on_part_result(&mut session, cluster, pending, &response, ctx);
         if let Some(tc) = session.query.trace {
             let me = NodeId::Client(self.id);

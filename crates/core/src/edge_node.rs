@@ -26,7 +26,10 @@
 //!   `ReadResult` under the client's request id as soon as it is
 //!   ready: the client contacts *one* edge for a multi-partition query
 //!   and verifies each answer against its own partition's certified
-//!   root.
+//!   root. An answer at the anchor the client named for its partition
+//!   goes back held (`ReadResponse::held_by`); a forwarded part travels
+//!   upstream without its anchor, so what comes back — and is cached —
+//!   is always full.
 //! * **Gossiped conviction directory** — each edge runs a
 //!   [`DirectoryAgent`] and every gossip round pushes a *delta*
 //!   (records the peer is not known to have, plus a state summary the
@@ -319,6 +322,10 @@ struct PendingRequest {
     client_req: u64,
     /// The replica asked — the only node whose answer is admitted.
     upstream: NodeId,
+    /// The anchor the client named for this part. The forward went
+    /// without it, so the answer arrives full (and cacheable); the
+    /// relay elides against it.
+    held: Option<Digest>,
 }
 
 /// The actor.
@@ -582,16 +589,43 @@ impl EdgeReadNode {
         Some(feed)
     }
 
+    /// Send `result` to a client that named `held` for its partition:
+    /// held when it is full at exactly that anchor. A node that
+    /// rewrote the anchor ([`EdgeBehavior::StaleRoot`],
+    /// [`EdgeBehavior::Coalition`]) ships its forged anchor full — held,
+    /// the lie would never reach the client.
+    fn send_result(
+        &self,
+        to: NodeId,
+        req: u64,
+        result: ReadResponse,
+        held: Option<Digest>,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let rewrote_anchor = matches!(
+            self.behavior,
+            EdgeBehavior::StaleRoot | EdgeBehavior::Coalition
+        );
+        let result = if rewrote_anchor {
+            result
+        } else {
+            result.held_by(held)
+        };
+        ctx.send(to, NetMsg::ReadResult { req, result });
+    }
+
+    /// Send a scan window (a replay or a pass-through), with this
+    /// node's byzantine behaviour applied.
     fn respond_scan(
         &mut self,
         to: NodeId,
         req: u64,
         bundle: ScanBundle,
+        held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let bundle = Box::new(self.corrupt_scan(bundle));
-        let result = ReadResponse::Scan { bundle };
-        ctx.send(to, NetMsg::ReadResult { req, result });
+        self.send_result(to, req, ReadResponse::Scan { bundle }, held, ctx);
     }
 
     /// Send a point section (a replay or a pass-through), with this
@@ -602,12 +636,13 @@ impl EdgeReadNode {
         req: u64,
         mut section: Box<MultiProofBundle>,
         fresh: Option<Vec<Arc<CertifiedDelta>>>,
+        held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let fresh = self.corrupt_fresh(section.commitment.header.cluster, fresh);
         self.corrupt(&mut section);
         let result = ReadResponse::Point { section, fresh };
-        ctx.send(to, NetMsg::ReadResult { req, result });
+        self.send_result(to, req, result, held, ctx);
     }
 
     /// Register an upstream request, bounding the pending map: upstream
@@ -630,12 +665,13 @@ impl EdgeReadNode {
         upstream_req
     }
 
-    /// Forward a query part verbatim to a replica of the partition
-    /// that owns it, remembering who asked — our own partition's
-    /// replicas, or for a single contact's foreign part that
-    /// partition's. Never the edge fronting it: that edge sits beside
-    /// those replicas, so its hit is no nearer and its miss is one more
-    /// hop.
+    /// Forward a query part to a replica of the partition that owns
+    /// it, remembering who asked — our own partition's replicas, or for
+    /// a single contact's foreign part that partition's. Never the edge
+    /// fronting it: that edge sits beside those replicas, so its hit is
+    /// no nearer and its miss is one more hop. The part goes verbatim
+    /// but for its held anchor, which stays here: the replica answers
+    /// full, so the answer can be absorbed, and the relay elides.
     fn forward_upstream(
         &mut self,
         client: NodeId,
@@ -656,10 +692,13 @@ impl EdgeReadNode {
             self.stats.foreign_forward_replica += 1;
         }
         let upstream = self.upstream_replica(cluster);
+        let held = query.held_for(cluster);
+        query.held.clear();
         let upstream_req = self.track_pending(PendingRequest {
             client,
             client_req,
             upstream,
+            held,
         });
         ctx.send(
             upstream,
@@ -694,7 +733,8 @@ impl EdgeReadNode {
     }
 
     /// Absorb certified material into the cache of whichever partition
-    /// it belongs to.
+    /// it belongs to. Only a full answer carries its anchor; a held one
+    /// is never cached.
     fn absorb(&mut self, result: &ReadResponse) {
         match result {
             ReadResponse::Point { section, .. } => {
@@ -705,6 +745,7 @@ impl EdgeReadNode {
                 let cluster = bundle.commitment.header.cluster;
                 self.cache_for(cluster).admit_scan(bundle);
             }
+            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => {}
         }
     }
 
@@ -891,7 +932,8 @@ impl EdgeReadNode {
             .feed
             .as_ref()
             .and_then(|_| cache.freshness_since(served, keys, resume));
-        self.respond(to, req, Box::new(section), fresh, ctx);
+        let held = query.held_for(cluster);
+        self.respond(to, req, Box::new(section), fresh, held, ctx);
     }
 
     /// Serve `cluster`'s scan part from the replay cache — the page's
@@ -918,7 +960,8 @@ impl EdgeReadNode {
         let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
         if let Some(bundle) = replayed {
             self.stats.scans_from_cache += 1;
-            self.respond_scan(to, req, bundle, ctx);
+            let held = query.held_for(cluster);
+            self.respond_scan(to, req, bundle, held, ctx);
             return;
         }
         self.stats.scans_forwarded += 1;
@@ -943,18 +986,27 @@ impl EdgeReadNode {
             return;
         }
         let PendingRequest {
-            client, client_req, ..
+            client,
+            client_req,
+            held,
+            ..
         } = asked.remove();
         // A byzantine edge still caches honestly and lies on the way
         // out.
         self.absorb(&result);
         match result {
-            ReadResponse::Scan { bundle } => self.respond_scan(client, client_req, *bundle, ctx),
+            ReadResponse::Scan { bundle } => {
+                self.respond_scan(client, client_req, *bundle, held, ctx)
+            }
             // Whatever upstream sent goes out as received — the client
             // verifies it end to end either way.
             ReadResponse::Point { section, .. } => {
-                self.respond(client, client_req, section, None, ctx)
+                self.respond(client, client_req, section, None, held, ctx)
             }
+            // The forward named no anchor, so no replica answers held;
+            // this node could neither cache nor rebuild one, and the
+            // client's retry covers the part.
+            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => {}
         }
     }
 

@@ -4,16 +4,16 @@
 use std::sync::Arc;
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, TxnId, Value};
-use transedge_consensus::{BftMsg, Certificate};
+use transedge_consensus::BftMsg;
 use transedge_crypto::Signature;
 use transedge_directory::GossipDelta;
 use transedge_edge::{
-    persist::object_size, CertifiedDelta, QueryShape, ReadQuery, ReadResponse, ScanBundle,
-    SnapshotObject,
+    anchor_size, cert_size, persist::object_size, CertifiedDelta, QueryShape, ReadQuery,
+    ReadResponse, SnapshotObject, HELD_ANCHOR_SIZE,
 };
 use transedge_simnet::SimMessage;
 
-use crate::batch::{Batch, BatchHeader, Transaction};
+use crate::batch::{Batch, Transaction};
 use crate::records::SignedPrepared;
 
 /// A participant's 2PC vote returned to the coordinator (§3.3.3).
@@ -98,12 +98,15 @@ pub enum NetMsg {
     /// paginated scan continuations (`ReadQuery::page`), whole
     /// multi-partition queries sent to one edge contact, and subscriber
     /// reads naming the feed deltas they already hold
-    /// (`ReadQuery::feed`). Built through the [`ReadQuery`]
-    /// constructors; the old per-shape `NetMsg` constructors are gone.
+    /// (`ReadQuery::feed`). Every read names the certified anchors its
+    /// client holds (`ReadQuery::held`), so an answer at one of them
+    /// comes back held. Built through the [`ReadQuery`] constructors;
+    /// the old per-shape `NetMsg` constructors are gone.
     Read { req: u64, query: ReadQuery },
     /// The proof-carrying answer to one partition's part of a
-    /// [`NetMsg::Read`] query. A query spanning several partitions is
-    /// answered with one of these per partition, all under its `req`.
+    /// [`NetMsg::Read`] query, full or held. A query spanning several
+    /// partitions is answered with one of these per partition, all
+    /// under its `req`.
     ReadResult { req: u64, result: ReadResponse },
 
     // ---- certified commit feed (replica → edge push) ------------------
@@ -206,8 +209,8 @@ impl NetMsg {
                 QueryShape::Scan { .. } => "read-scan",
             },
             NetMsg::ReadResult { result, .. } => match result {
-                ReadResponse::Point { .. } => "read-result-point",
-                ReadResponse::Scan { .. } => "read-result-scan",
+                ReadResponse::Point { .. } | ReadResponse::HeldPoint { .. } => "read-result-point",
+                ReadResponse::Scan { .. } | ReadResponse::HeldScan { .. } => "read-result-scan",
             },
             NetMsg::FeedSubscribe { .. } => "feed-subscribe",
             NetMsg::FeedDelta { .. } => "feed-delta",
@@ -244,20 +247,10 @@ fn signed_prepared_size(p: &SignedPrepared) -> usize {
     26 + p.cd.len() * 8 + p.sigs.len() * 101
 }
 
-fn header_size(h: &BatchHeader) -> usize {
-    // cluster + num + cd len + cd + lce + merkle root + delta digest +
-    // timestamp.
-    2 + 8 + 4 + h.cd.len() * 8 + 8 + 32 + 32 + 8
-}
-
-/// Wire size of one certified commit-feed entry: certified header +
-/// body digest + certificate + the sorted changed-key list.
+/// Wire size of one certified commit-feed entry: its certified anchor
+/// plus the sorted changed-key list.
 fn rot_delta_size(d: &CertifiedDelta) -> usize {
-    header_size(&d.commitment.header)
-        + 32
-        + cert_size(&d.cert)
-        + 4
-        + d.changed.iter().map(|k| k.len() + 4).sum::<usize>()
+    anchor_size(&d.commitment, &d.cert) + 4 + d.changed.iter().map(|k| k.len() + 4).sum::<usize>()
 }
 
 /// What travelled: the deltas sent, not the ones the client held.
@@ -269,7 +262,7 @@ fn feed_size(fresh: &Option<Vec<Arc<CertifiedDelta>>>) -> usize {
 }
 
 fn batch_size(b: &Batch) -> usize {
-    header_size(&b.header)
+    b.header.encoded_len()
         + 12
         + b.local.iter().map(txn_size).sum::<usize>()
         + b.prepared
@@ -287,10 +280,6 @@ fn batch_size(b: &Batch) -> usize {
             .iter()
             .map(|c| 19 + c.prepared.iter().map(signed_prepared_size).sum::<usize>())
             .sum::<usize>()
-}
-
-fn cert_size(c: &Certificate) -> usize {
-    46 + c.sigs.len() * 101
 }
 
 fn bft_size(m: &BftMsg<Batch>) -> usize {
@@ -312,27 +301,27 @@ fn bft_size(m: &BftMsg<Batch>) -> usize {
     }
 }
 
-fn scan_bundle_size(bundle: &ScanBundle) -> usize {
-    header_size(&bundle.commitment.header)
-        + 32
-        + cert_size(&bundle.cert)
-        + bundle.scan.encoded_len()
-}
-
 /// Structural wire size of a proof-carrying read payload (the
-/// bandwidth model's estimate). A section body's structural size
-/// equals its shared wire image byte-for-byte (asserted in the edge
-/// crate), so the proof-carrying part of a point answer is exact.
+/// bandwidth model's estimate), sized from what each form carries: a
+/// full answer its certified anchor ([`anchor_size`]), a held one only
+/// the reference to it ([`HELD_ANCHOR_SIZE`]), then the body and any
+/// feed tail. A section body's structural size equals its shared wire
+/// image byte-for-byte (asserted in the edge crate), so the
+/// proof-carrying part of a point answer is exact.
 pub fn read_payload_size(result: &ReadResponse) -> usize {
     match result {
         ReadResponse::Point { section, fresh } => {
-            header_size(&section.commitment.header)
-                + 32
-                + cert_size(&section.cert)
+            anchor_size(&section.commitment, &section.cert)
                 + section.body.encoded_len()
                 + feed_size(fresh)
         }
-        ReadResponse::Scan { bundle } => scan_bundle_size(bundle),
+        ReadResponse::Scan { bundle } => {
+            anchor_size(&bundle.commitment, &bundle.cert) + bundle.scan.encoded_len()
+        }
+        ReadResponse::HeldPoint { body, fresh, .. } => {
+            HELD_ANCHOR_SIZE + body.encoded_len() + feed_size(fresh)
+        }
+        ReadResponse::HeldScan { scan, .. } => HELD_ANCHOR_SIZE + scan.encoded_len(),
     }
 }
 
@@ -392,7 +381,7 @@ impl SimMessage for NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{CdVector, ReadOp, WriteOp};
+    use crate::batch::{BatchHeader, CdVector, ReadOp, WriteOp};
     use transedge_common::{ClientId, Encode, SimTime};
     use transedge_crypto::Digest;
 

@@ -11,7 +11,7 @@ use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, TxnId,
 };
 use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output, Votes};
-use transedge_crypto::{KeyStore, Keypair, SigStats, Signature};
+use transedge_crypto::{Digest, KeyStore, Keypair, SigStats, Signature};
 use transedge_simnet::{Actor, Context};
 
 use transedge_edge::{
@@ -1058,75 +1058,86 @@ impl TransEdgeNode {
 
     /// Serve a point read pinned at `at_batch`: one section proving
     /// exactly `keys` under one multiproof, memoised per key set and
-    /// batch by the read pipeline.
+    /// batch by the read pipeline — held when the query named the
+    /// batch's anchor.
     fn respond_rot(
         &mut self,
         to: NodeId,
         req: u64,
         keys: &[Key],
         at_batch: BatchNum,
+        held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
-        let commitment = batch.committed_header();
-        let cert = cert.clone();
+        // An asker holding exactly this anchor gets the body alone: the
+        // header is not re-encoded and hashed, nor anything cloned.
+        let anchor = (held != Some(cert.digest)).then(|| (batch.committed_header(), cert.clone()));
         let misses_before = self.read_pipeline.stats().misses;
         let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
         let misses = self.read_pipeline.stats().misses - misses_before;
         // A cold multiproof hashes one path per proven key.
         ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * body.keys().len() as u64));
-        ctx.send(
-            to,
-            NetMsg::ReadResult {
-                req,
-                result: ReadResponse::Point {
-                    section: Box::new(transedge_edge::MultiProofBundle {
-                        commitment,
-                        cert,
-                        body,
-                    }),
-                    fresh: None,
-                },
+        let result = match anchor {
+            Some((commitment, cert)) => ReadResponse::Point {
+                section: Box::new(transedge_edge::MultiProofBundle {
+                    commitment,
+                    cert,
+                    body,
+                }),
+                fresh: None,
             },
-        );
+            None => ReadResponse::HeldPoint {
+                cluster: self.me.cluster,
+                batch: at_batch,
+                body,
+                fresh: None,
+            },
+        };
+        ctx.send(to, NetMsg::ReadResult { req, result });
     }
 
     /// Serve a verified range scan pinned at `at_batch`: rows from the
     /// store's tree-order index plus the Merkle completeness proof,
-    /// both memoised per `(range, batch)` by the read pipeline.
+    /// both memoised per `(range, batch)` by the read pipeline — held
+    /// when the query named the batch's anchor.
     fn respond_scan(
         &mut self,
         to: NodeId,
         req: u64,
         range: &transedge_crypto::ScanRange,
         at_batch: BatchNum,
+        held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
-        let commitment = batch.committed_header();
-        let cert = cert.clone();
+        // An asker holding exactly this anchor gets the body alone: the
+        // header is not re-encoded and hashed, nor anything cloned.
+        let anchor = (held != Some(cert.digest)).then(|| (batch.committed_header(), cert.clone()));
         let misses_before = self.read_pipeline.scan_stats().misses;
         let scan = self.read_pipeline.serve_scan(&self.exec, range, at_batch);
         let misses = self.read_pipeline.scan_stats().misses - misses_before;
         // A cold scan proof hashes every leaf of the window.
         ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * range.width()));
-        ctx.send(
-            to,
-            NetMsg::ReadResult {
-                req,
-                result: ReadResponse::Scan {
-                    bundle: Box::new(transedge_edge::ScanBundle {
-                        commitment,
-                        cert,
-                        scan,
-                    }),
-                },
+        let result = match anchor {
+            Some((commitment, cert)) => ReadResponse::Scan {
+                bundle: Box::new(transedge_edge::ScanBundle {
+                    commitment,
+                    cert,
+                    scan,
+                }),
             },
-        );
+            None => ReadResponse::HeldScan {
+                cluster: self.me.cluster,
+                batch: at_batch,
+                scan: Box::new(scan),
+            },
+        };
+        ctx.send(to, NetMsg::ReadResult { req, result });
     }
 
     /// The batch a query's snapshot policy (and page pin) resolves to
@@ -1167,7 +1178,8 @@ impl TransEdgeNode {
                             SnapshotPolicy::Latest => self.stats.rot_served += 1,
                             SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
                         }
-                        self.respond_rot(from, req, &keys, batch, ctx);
+                        let held = query.held_for(self.me.cluster);
+                        self.respond_rot(from, req, &keys, batch, held, ctx);
                     }
                     None => self.pending_reads.push((from, req, query)),
                 }
@@ -1187,7 +1199,8 @@ impl TransEdgeNode {
                 match self.resolve_snapshot(&query) {
                     Some(batch) => {
                         self.stats.rot_scans_served += 1;
-                        self.respond_scan(from, req, &window, batch, ctx);
+                        let held = query.held_for(self.me.cluster);
+                        self.respond_scan(from, req, &window, batch, held, ctx);
                     }
                     None => self.pending_reads.push((from, req, query)),
                 }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, WireWriter};
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Sha256, Signature};
 use transedge_edge::{
-    CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadRejection, ReadResponse,
-    ReadVerifier, ScanBundle, SnapshotPolicy,
+    anchor_size, CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, ScanProof, SnapshotPolicy, HELD_ANCHOR_SIZE,
 };
 
 /// Is this rejection class *cryptographic* — does producing it require
@@ -67,29 +67,21 @@ fn hash_section(h: &mut Sha256, section: &MultiProofBundle) {
     h.update(&section.body.encode_to_vec());
 }
 
-fn hash_scan(h: &mut Sha256, bundle: &ScanBundle) {
-    h.update(&bundle.commitment.certified_digest().0);
-    h.update(&bundle.cert.digest.0);
-    h.update(&bundle.scan.range.first.to_le_bytes());
-    h.update(&bundle.scan.range.last.to_le_bytes());
-    for (key, value) in &bundle.scan.rows {
+fn hash_scan(h: &mut Sha256, scan: &ScanProof) {
+    h.update(&scan.range.first.to_le_bytes());
+    h.update(&scan.range.last.to_le_bytes());
+    for (key, value) in &scan.rows {
         h.update(key.as_bytes());
         h.update(value.as_bytes());
     }
-    for (idx, entries) in &bundle.scan.proof.occupied {
+    for (idx, entries) in &scan.proof.occupied {
         h.update(&idx.to_le_bytes());
         for entry in entries {
             h.update(&entry.key_hash.0);
             h.update(&entry.value_hash.0);
         }
     }
-    for sibling in bundle
-        .scan
-        .proof
-        .left
-        .iter()
-        .chain(bundle.scan.proof.right.iter())
-    {
+    for sibling in scan.proof.left.iter().chain(scan.proof.right.iter()) {
         h.update(&sibling.0);
     }
 }
@@ -120,7 +112,9 @@ fn hash_feed(h: &mut Sha256, feed: &[Arc<CertifiedDelta>]) {
 /// certificates, rows, window bounds, freshness feeds — changes it, so
 /// the witness's signature over the fingerprint pins the evidence to
 /// *this* response: a relay cannot swap in a different payload under
-/// the signature.
+/// the signature. A held answer is fingerprinted by its reference — an
+/// honest witness files the full answer it rebuilt, and a held one
+/// never verifies as cryptographic evidence.
 pub fn response_fingerprint(response: &ReadResponse) -> Digest {
     let mut h = Sha256::new();
     match response {
@@ -133,7 +127,33 @@ pub fn response_fingerprint(response: &ReadResponse) -> Digest {
         }
         ReadResponse::Scan { bundle } => {
             h.update(b"scan");
-            hash_scan(&mut h, bundle);
+            h.update(&bundle.commitment.certified_digest().0);
+            h.update(&bundle.cert.digest.0);
+            hash_scan(&mut h, &bundle.scan);
+        }
+        ReadResponse::HeldPoint {
+            cluster,
+            batch,
+            body,
+            fresh,
+        } => {
+            h.update(b"held-point");
+            h.update(&cluster.0.to_le_bytes());
+            h.update(&batch.0.to_le_bytes());
+            h.update(&body.encode_to_vec());
+            if let Some(feed) = fresh {
+                hash_feed(&mut h, feed);
+            }
+        }
+        ReadResponse::HeldScan {
+            cluster,
+            batch,
+            scan,
+        } => {
+            h.update(b"held-scan");
+            h.update(&cluster.0.to_le_bytes());
+            h.update(&batch.0.to_le_bytes());
+            hash_scan(&mut h, scan);
         }
     }
     h.finalize()
@@ -287,7 +307,7 @@ impl SignedEvidence {
                 1 + deltas
                     .iter()
                     .map(|d| {
-                        110 + d.cert.sigs.len() * 101
+                        anchor_size(&d.commitment, &d.cert)
                             + d.changed.iter().map(|k| 4 + k.len()).sum::<usize>()
                     })
                     .sum::<usize>()
@@ -296,13 +316,17 @@ impl SignedEvidence {
         fn response_size(r: &ReadResponse) -> usize {
             match r {
                 ReadResponse::Point { section, fresh } => {
-                    110 + section.cert.sigs.len() * 101
+                    anchor_size(&section.commitment, &section.cert)
                         + section.body.encoded_len()
                         + feed_size(fresh)
                 }
                 ReadResponse::Scan { bundle } => {
-                    110 + bundle.cert.sigs.len() * 101 + bundle.scan.encoded_len()
+                    anchor_size(&bundle.commitment, &bundle.cert) + bundle.scan.encoded_len()
                 }
+                ReadResponse::HeldPoint { body, fresh, .. } => {
+                    HELD_ANCHOR_SIZE + body.encoded_len() + feed_size(fresh)
+                }
+                ReadResponse::HeldScan { scan, .. } => HELD_ANCHOR_SIZE + scan.encoded_len(),
             }
         }
         80 + self.body.query.wire_size() + response_size(&self.body.response)

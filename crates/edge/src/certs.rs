@@ -21,7 +21,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use transedge_common::Encode as _;
+use transedge_common::{Encode as _, WireWriter};
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, KeyStore, Sha256};
 
@@ -53,6 +53,9 @@ pub struct VerifiedCerts {
     keys: KeyStore,
     seen: RefCell<LruCache<Digest, ()>>,
     sig_checks: Cell<u64>,
+    /// Where a certificate is encoded to be hashed into its memo key,
+    /// reused so a lookup allocates nothing once it has grown.
+    scratch: RefCell<WireWriter>,
 }
 
 impl VerifiedCerts {
@@ -66,6 +69,7 @@ impl VerifiedCerts {
             keys,
             seen: RefCell::new(LruCache::new(Self::CAPACITY)),
             sig_checks: Cell::new(0),
+            scratch: RefCell::new(WireWriter::new()),
         }
     }
 
@@ -84,14 +88,24 @@ impl VerifiedCerts {
     pub fn hits(&self) -> u64 {
         self.seen.borrow().stats.hits
     }
+
+    /// The memo key of `cert` at `quorum`:
+    /// `sha256(encode(cert) ‖ quorum as u64 LE)`, encoded in the reused
+    /// scratch buffer.
+    pub fn memo_key(&self, cert: &Certificate, quorum: usize) -> Digest {
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.clear();
+        cert.encode(&mut scratch);
+        let mut h = Sha256::new();
+        h.update(scratch.as_slice());
+        h.update(&(quorum as u64).to_le_bytes());
+        h.finalize()
+    }
 }
 
 impl QuorumCheck for VerifiedCerts {
     fn check_quorum(&self, cert: &Certificate, quorum: usize) -> bool {
-        let mut h = Sha256::new();
-        h.update(&cert.encode_to_vec());
-        h.update(&(quorum as u64).to_le_bytes());
-        let id = h.finalize();
+        let id = self.memo_key(cert, quorum);
         let mut seen = self.seen.borrow_mut();
         if seen.get(&id).is_some() {
             return true;

@@ -56,7 +56,10 @@
 //!   [`query::ReadQuery::split`] is the one split of a query into
 //!   per-partition parts, shared by the client's planner and a contact
 //!   edge, and each part is answered by one [`query::ReadResponse`]
-//!   naming its partition — no response spans two.
+//!   naming its partition — no response spans two. An answer at an
+//!   anchor the query names as held ([`query::ReadQuery::held`]) goes
+//!   without its header and certificate, and its receiver rebuilds it
+//!   around its own copy before verifying.
 //! * [`verifier`] — the trusted-side checker. [`verifier::ReadVerifier`]
 //!   accepts a response only after proof → root → certificate →
 //!   freshness → snapshot-epoch checks all pass; everything an edge
@@ -106,8 +109,8 @@ pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy};
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
-    changed_keys_digest, BatchHeader, CdVector, CertifiedDelta, CommittedHeader, MultiProofBody,
-    MultiProofBundle, ScanBundle, ScanProof,
+    anchor_size, cert_size, changed_keys_digest, BatchHeader, CdVector, CertifiedDelta,
+    CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof, HELD_ANCHOR_SIZE,
 };
 pub use store::VersionedStore;
 pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};

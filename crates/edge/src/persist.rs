@@ -25,7 +25,7 @@ use transedge_common::{ClusterId, Epoch, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::KeyStore;
 
-use crate::response::{MultiProofBundle, ScanBundle};
+use crate::response::{anchor_size, MultiProofBundle, ScanBundle};
 use crate::verifier::{ReadRejection, ReadVerifier};
 
 /// One snapshot object: a proof-carrying answer exactly as it travels
@@ -94,11 +94,11 @@ pub fn verify_object(
 }
 
 /// An object's approximate wire size (the simulator's bandwidth model
-/// for state transfers, and the hash pass a re-verification charges).
+/// for state transfers, and the hash pass a re-verification charges):
+/// its certified anchor plus its body.
 pub fn object_size(object: &SnapshotObject) -> usize {
-    const HEADER_AND_CERT: usize = 132;
     match object {
-        SnapshotObject::Section(b) => HEADER_AND_CERT + b.body.encoded_len(),
-        SnapshotObject::Scan(b) => HEADER_AND_CERT + b.scan.encoded_len(),
+        SnapshotObject::Section(b) => anchor_size(&b.commitment, &b.cert) + b.body.encoded_len(),
+        SnapshotObject::Scan(b) => anchor_size(&b.commitment, &b.cert) + b.scan.encoded_len(),
     }
 }

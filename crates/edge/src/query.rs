@@ -25,15 +25,18 @@
 //! a floor without being caught.
 
 use transedge_common::{BatchNum, ClusterId, ClusterTopology, Epoch, Key, Value};
+use transedge_consensus::Certificate;
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
-use transedge_crypto::ScanRange;
+use transedge_crypto::{Digest, ScanRange};
 use transedge_obs::TraceContext;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::feed::FeedCursor;
-use crate::response::{CertifiedDelta, MultiProofBundle, ScanBundle};
+use crate::response::{
+    CertifiedDelta, CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
+};
 
 /// Which snapshot a [`ReadQuery`] must be served at.
 ///
@@ -176,6 +179,17 @@ pub struct ReadQuery {
     /// partition without one (a first contact) gets the whole tail.
     /// Ignored for scan shapes.
     pub feed: Option<Vec<(ClusterId, FeedCursor)>>,
+    /// Held anchors: per partition, the certified digest
+    /// ([`Certificate::digest`]) of the newest certified header the
+    /// client has verified there. A server answering a part at exactly
+    /// that anchor sends a held answer ([`ReadResponse::HeldPoint`],
+    /// [`ReadResponse::HeldScan`]) — the body without the header and
+    /// certificate the client already holds. Keyed on the digest, not
+    /// the batch number, so an honest server never elides against a
+    /// different header, even were two certified for one batch. Empty
+    /// on a first contact; a relaying edge clears it upstream, so what
+    /// it absorbs is always a full answer.
+    pub held: Vec<(ClusterId, Digest)>,
     /// Causal-trace propagation context: the client operation this
     /// query serves and the span that caused this hop. Purely
     /// observational — servers never branch on it.
@@ -191,6 +205,7 @@ impl ReadQuery {
             shape: QueryShape::Point { keys },
             page: None,
             feed: None,
+            held: Vec::new(),
             trace: None,
         }
     }
@@ -214,6 +229,7 @@ impl ReadQuery {
             },
             page: None,
             feed: None,
+            held: Vec::new(),
             trace: None,
         }
     }
@@ -273,7 +289,8 @@ impl ReadQuery {
     /// ascending by partition: each part is this query restricted to
     /// its partition — the point keys the partition owns (in query
     /// order), or the scan of that partition alone — with this query's
-    /// policy, page, trace and that partition's feed cursors. The one
+    /// policy, page, trace and that partition's feed cursors and held
+    /// anchor. The one
     /// split there is: a client plans its parts with it, and an edge
     /// taking a whole query as a single contact serves the same parts.
     pub fn split(&self, topo: &ClusterTopology) -> Vec<(ClusterId, ReadQuery)> {
@@ -283,6 +300,11 @@ impl ReadQuery {
                 shape,
                 page: self.page,
                 feed: self.feed_for(cluster),
+                held: self
+                    .held_for(cluster)
+                    .map(|d| (cluster, d))
+                    .into_iter()
+                    .collect(),
                 trace: self.trace,
             };
             (cluster, query)
@@ -336,6 +358,14 @@ impl ReadQuery {
         )
     }
 
+    /// The certified digest of the anchor the client holds for
+    /// `cluster`, if it named one.
+    pub fn held_for(&self, cluster: ClusterId) -> Option<Digest> {
+        self.held
+            .iter()
+            .find_map(|(c, digest)| (*c == cluster).then_some(*digest))
+    }
+
     /// The batch after which `cluster`'s feed deltas must travel with a
     /// response served at `served`: [`FeedCursor::resume_after`] of the
     /// partition's cursor, or `served` itself (the whole tail) when the
@@ -358,7 +388,8 @@ impl ReadQuery {
 
     /// Wire-size estimate for the simulator's bandwidth model, computed
     /// structurally from the shape (keys, scan bounds, window), the
-    /// policy, and the page token — never a flat constant.
+    /// policy, the page token, the feed cursors and the held anchors —
+    /// never a flat constant.
     pub fn wire_size(&self) -> usize {
         let policy = match self.consistency {
             SnapshotPolicy::Latest => 1,
@@ -367,21 +398,32 @@ impl ReadQuery {
         let page = if self.page.is_some() { 17 } else { 1 };
         // Absent is one byte; a cursor is a cluster and two batches.
         let feed = self.feed.as_ref().map_or(1, |c| 5 + c.len() * 18);
+        // A `u16` count (one anchor per partition at most), then a
+        // cluster and a digest each.
+        let held = 2 + self.held.len() * (2 + 32);
         // Trace context rides along as two u64 ids when present.
         let trace = if self.trace.is_some() { 17 } else { 1 };
         let shape = match &self.shape {
             QueryShape::Point { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
             QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16 + 8,
         };
-        policy + page + feed + trace + shape
+        policy + page + feed + held + trace + shape
     }
 }
 
 /// The payload an untrusted node answers one partition's part of a
-/// [`ReadQuery`] with. Every variant is proof-carrying — clients verify
-/// it end to end via [`crate::ReadVerifier::verify_query`] — and names
-/// exactly one partition: a query spanning several is answered with
-/// one response per partition, never one response spanning them.
+/// [`ReadQuery`] with. Every variant is proof-carrying and names exactly
+/// one partition: a query spanning several is answered with one
+/// response per partition, never one response spanning them.
+///
+/// A point or scan answer is either **full** — the certified anchor
+/// (header, body digest, `f+1` certificate) and the body proven against
+/// it, verified end to end by [`crate::ReadVerifier::verify_query`] — or
+/// **held**: the partition and batch of an anchor the asking client
+/// named in [`ReadQuery::held`], plus the same body. A held answer
+/// carries no header and no certificate; its receiver rebuilds the full
+/// answer from its own verified copy ([`ReadResponse::rebuild`]) and
+/// verifies that. Only full answers enter a cache or a disk image.
 ///
 /// # Examples
 ///
@@ -392,12 +434,14 @@ impl ReadQuery {
 ///     match r {
 ///         ReadResponse::Point { .. } => "point section",
 ///         ReadResponse::Scan { .. } => "scan window",
+///         ReadResponse::HeldPoint { .. } => "point body at a held anchor",
+///         ReadResponse::HeldScan { .. } => "scan window at a held anchor",
 ///     }
 /// }
 /// ```
 #[derive(Clone, Debug)]
 pub enum ReadResponse {
-    /// One point-read section — one certified commitment and one
+    /// One full point-read section — one certified commitment and one
     /// multiproof over the keys it carries, so an answer mixing batches
     /// or carrying nothing cannot be expressed. A replica proves
     /// exactly the keys asked; an edge replays a cached section proving
@@ -411,24 +455,47 @@ pub enum ReadResponse {
     /// of the run the client said it holds (`Some(vec![])` claims
     /// nothing newer exists). Verified end to end like everything
     /// else; an invalid or key-touching feed is cryptographic evidence.
+    /// Sent as [`ReadResponse::HeldPoint`] instead when the query named
+    /// this section's anchor as held.
     Point {
         section: Box<MultiProofBundle>,
         fresh: Option<Vec<Arc<CertifiedDelta>>>,
     },
-    /// One proof-carrying scan window — the one the query asked for;
-    /// the verifier accepts no other. Boxed: scan bundles dwarf the
+    /// One full proof-carrying scan window — the one the query asked
+    /// for; the verifier accepts no other. Boxed: scan bundles dwarf the
     /// other payloads.
     Scan { bundle: Box<ScanBundle> },
+    /// A point section served at the anchor the query named as held:
+    /// [`ReadResponse::Point`] without the commitment and certificate.
+    /// `cluster` and `batch` say which anchor; the receiver rebuilds
+    /// the section around its own copy of it.
+    HeldPoint {
+        cluster: ClusterId,
+        batch: BatchNum,
+        body: MultiProofBody,
+        fresh: Option<Vec<Arc<CertifiedDelta>>>,
+    },
+    /// A scan window served at the anchor the query named as held:
+    /// [`ReadResponse::Scan`] without the commitment and certificate.
+    HeldScan {
+        cluster: ClusterId,
+        batch: BatchNum,
+        scan: Box<ScanProof>,
+    },
 }
 
 impl ReadResponse {
-    /// The partition this response's certified header names — unverified
-    /// until [`crate::ReadVerifier::verify_query`] passes, so good for
-    /// routing the answer to the part that owes it, never for trusting it.
+    /// The partition this response's certified header (or held
+    /// reference) names — unverified until
+    /// [`crate::ReadVerifier::verify_query`] passes, so good for routing
+    /// the answer to the part that owes it, never for trusting it.
     pub fn cluster(&self) -> ClusterId {
         match self {
             ReadResponse::Point { section, .. } => section.commitment.header.cluster,
             ReadResponse::Scan { bundle } => bundle.commitment.header.cluster,
+            ReadResponse::HeldPoint { cluster, .. } | ReadResponse::HeldScan { cluster, .. } => {
+                *cluster
+            }
         }
     }
 
@@ -437,14 +504,84 @@ impl ReadResponse {
         match self {
             ReadResponse::Point { section, .. } => section.batch(),
             ReadResponse::Scan { bundle } => bundle.batch(),
+            ReadResponse::HeldPoint { batch, .. } | ReadResponse::HeldScan { batch, .. } => *batch,
         }
     }
 
     /// The freshness feed attached to this response, if any.
     pub fn fresh_feed(&self) -> Option<&[Arc<CertifiedDelta>]> {
         match self {
-            ReadResponse::Point { fresh, .. } => fresh.as_deref(),
-            ReadResponse::Scan { .. } => None,
+            ReadResponse::Point { fresh, .. } | ReadResponse::HeldPoint { fresh, .. } => {
+                fresh.as_deref()
+            }
+            ReadResponse::Scan { .. } | ReadResponse::HeldScan { .. } => None,
+        }
+    }
+
+    /// The certified anchor of a full answer; `None` for a held one.
+    pub fn anchor(&self) -> Option<(&CommittedHeader, &Certificate)> {
+        match self {
+            ReadResponse::Point { section, .. } => Some((&section.commitment, &section.cert)),
+            ReadResponse::Scan { bundle } => Some((&bundle.commitment, &bundle.cert)),
+            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => None,
+        }
+    }
+
+    /// This answer as its receiver may be sent it: held when `held` —
+    /// the digest the query named for the answer's partition — is the
+    /// certified digest of this full answer's anchor, unchanged
+    /// otherwise.
+    pub fn held_by(self, held: Option<Digest>) -> ReadResponse {
+        if held.is_none() || self.anchor().map(|(_, cert)| cert.digest) != held {
+            return self;
+        }
+        match self {
+            ReadResponse::Point { section, fresh } => {
+                let MultiProofBundle {
+                    commitment, body, ..
+                } = *section;
+                ReadResponse::HeldPoint {
+                    cluster: commitment.header.cluster,
+                    batch: commitment.header.num,
+                    body,
+                    fresh,
+                }
+            }
+            ReadResponse::Scan { bundle } => {
+                let ScanBundle {
+                    commitment, scan, ..
+                } = *bundle;
+                ReadResponse::HeldScan {
+                    cluster: commitment.header.cluster,
+                    batch: commitment.header.num,
+                    scan: Box::new(scan),
+                }
+            }
+            held => held,
+        }
+    }
+
+    /// A held answer rebuilt into the full answer around `anchor`, the
+    /// receiver's own verified copy of the anchor it names (the caller
+    /// checks it is that one); a full answer comes back unchanged.
+    pub fn rebuild(self, (commitment, cert): (&CommittedHeader, &Certificate)) -> ReadResponse {
+        match self {
+            ReadResponse::HeldPoint { body, fresh, .. } => ReadResponse::Point {
+                section: Box::new(MultiProofBundle {
+                    commitment: commitment.clone(),
+                    cert: cert.clone(),
+                    body,
+                }),
+                fresh,
+            },
+            ReadResponse::HeldScan { scan, .. } => ReadResponse::Scan {
+                bundle: Box::new(ScanBundle {
+                    commitment: commitment.clone(),
+                    cert: cert.clone(),
+                    scan: *scan,
+                }),
+            },
+            full => full,
         }
     }
 }
@@ -528,6 +665,34 @@ mod tests {
             resume: 32,
         });
         assert!(paged.wire_size() > scan.wire_size());
+    }
+
+    /// Each part of a split names only its own partition's anchor, and
+    /// every named anchor is a cluster and a digest on the wire.
+    #[test]
+    fn split_restricts_held_anchors_and_wire_size_counts_them() {
+        let topo = ClusterTopology::new(3, 1).unwrap();
+        let keys: Vec<Key> = (0..64).map(Key::from_u32).collect();
+        let mut query = ReadQuery::point(keys);
+        let bare = query.wire_size();
+        query.held = vec![
+            (ClusterId(0), Digest([1; 32])),
+            (ClusterId(2), Digest([3; 32])),
+        ];
+        assert_eq!(query.wire_size(), bare + 2 * (2 + 32));
+        let parts = query.split(&topo);
+        assert_eq!(parts.len(), 3);
+        for (cluster, part) in parts {
+            assert_eq!(part.held_for(cluster), query.held_for(cluster));
+            let named: Vec<ClusterId> = part.held.iter().map(|(c, _)| *c).collect();
+            let expect: Vec<ClusterId> = query
+                .held_for(cluster)
+                .map(|_| cluster)
+                .into_iter()
+                .collect();
+            assert_eq!(named, expect);
+        }
+        assert_eq!(query.held_for(ClusterId(1)), None);
     }
 
     #[test]

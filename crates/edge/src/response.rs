@@ -134,6 +134,15 @@ impl Encode for BatchHeader {
     }
 }
 
+impl BatchHeader {
+    /// Exact wire size, computed structurally (equals
+    /// `encode_to_vec().len()`): cluster, batch, the length-prefixed CD
+    /// vector, LCE, Merkle root, delta digest and timestamp.
+    pub fn encoded_len(&self) -> usize {
+        2 + 8 + 4 + self.cd.len() * 8 + 8 + 32 + 32 + 8
+    }
+}
+
 impl Decode for BatchHeader {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(BatchHeader {
@@ -165,13 +174,37 @@ impl CommittedHeader {
     /// without downloading the segments. The one place the layout is
     /// written: a replica's batch digest is this too.
     pub fn certified_digest(&self) -> Digest {
+        let mut header = WireWriter::with_capacity(self.header.encoded_len());
+        self.header.encode(&mut header);
         let mut h = Sha256::new();
         h.update(b"transedge/batch");
-        h.update(&self.header.encode_to_vec());
+        h.update(header.as_slice());
         h.update(self.body_digest.as_bytes());
         h.finalize()
     }
 }
+
+/// The bandwidth model's size of an `f+1` certificate: cluster, slot,
+/// digest and signature count, then a flat 101 B per signature (signer,
+/// signature and framing; the encoding item `[bytes]` replaces the
+/// estimate with the encoded length).
+pub fn cert_size(cert: &Certificate) -> usize {
+    46 + cert.sigs.len() * 101
+}
+
+/// Wire size of a certified anchor: the header, the digest of the
+/// segments it omits, and the certificate over both. Every full answer,
+/// certified delta, snapshot object and evidence record carries one,
+/// and all of them are sized by this function (414 B at five partitions
+/// under a two-signature certificate).
+pub fn anchor_size(commitment: &CommittedHeader, cert: &Certificate) -> usize {
+    commitment.header.encoded_len() + 32 + cert_size(cert)
+}
+
+/// Wire size of a held reference — the partition and batch of an anchor
+/// the asking client named as held — which a held answer carries in
+/// place of the anchor ([`crate::ReadResponse::HeldPoint`]).
+pub const HELD_ANCHOR_SIZE: usize = 2 + 8;
 
 /// One batch's entry in the certified commit feed: the certified
 /// commitment (which folds the [`changed_keys_digest`] of the batch's
@@ -398,6 +431,50 @@ mod tests {
             edit(&mut edited);
             assert_ne!(edited.certified_digest(), digest, "{field}");
         }
+    }
+
+    /// One size for the certified anchor every full answer, feed delta,
+    /// snapshot object and evidence record carries: the header's
+    /// structural size is its encoding's length, and at five partitions
+    /// under a two-signature certificate the anchor is 414 B where a
+    /// held reference is 10.
+    #[test]
+    fn anchor_and_held_reference_sizes() {
+        use transedge_common::{NodeId, ReplicaId};
+        use transedge_crypto::Signature;
+
+        let mut cd = CdVector::new(5);
+        cd.set(ClusterId(3), Epoch(7));
+        let commitment = CommittedHeader {
+            header: BatchHeader {
+                cluster: ClusterId(1),
+                num: BatchNum(9),
+                cd,
+                lce: Epoch(2),
+                merkle_root: Digest([7; 32]),
+                delta_digest: Digest([8; 32]),
+                timestamp: SimTime(1_000),
+            },
+            body_digest: Digest([9; 32]),
+        };
+        let header = &commitment.header;
+        assert_eq!(header.encoded_len(), header.encode_to_vec().len());
+        assert_eq!(header.encoded_len(), 134);
+        let cert = Certificate {
+            cluster: ClusterId(1),
+            slot: BatchNum(9),
+            digest: commitment.certified_digest(),
+            sigs: (0..2)
+                .map(|i| {
+                    (
+                        NodeId::Replica(ReplicaId::new(ClusterId(1), i)),
+                        Signature([0; 64]),
+                    )
+                })
+                .collect(),
+        };
+        assert_eq!(anchor_size(&commitment, &cert), 414);
+        assert_eq!(HELD_ANCHOR_SIZE, 10);
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! other window, wider or narrower, is rejected before the proof is
 //! looked at, so no later step reasons about two ranges.
 //!
+//! A held answer ([`ReadResponse::HeldPoint`],
+//! [`ReadResponse::HeldScan`]) carries no anchor and is not checked
+//! here as it arrives: its receiver first rebuilds it around its own
+//! copy of the anchor it names ([`ReadResponse::rebuild`]) and passes
+//! the full answer through the same chain. Every step then runs again
+//! against that copy — freshness, the LCE floor, page pins and proofs
+//! included — except that step 2's quorum check ran when the anchor was
+//! first accepted, so it is answered from the client's memo. Handed a
+//! held answer directly, the verifier rejects it as
+//! [`ReadRejection::ShapeMismatch`].
+//!
 //! Anything else is a [`ReadRejection`], which callers count as
 //! evidence of a byzantine server and answer by re-asking a different
 //! node.

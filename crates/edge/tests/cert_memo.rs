@@ -266,3 +266,28 @@ fn time_dependent_checks_are_never_cached() {
     );
     assert_eq!((memo.sig_checks(), memo.hits()), (quorum, 4));
 }
+
+/// The memo key is `sha256(encode(cert) ‖ quorum as u64 LE)` — the
+/// digest the memo has always keyed on, now hashed from a reused
+/// buffer — for every certificate, whatever the previous key's length,
+/// and a different quorum is a different key.
+#[test]
+fn the_memo_key_hashes_the_certificate_encoding_and_the_quorum() {
+    use transedge_common::Encode as _;
+
+    let p = world();
+    let memo = VerifiedCerts::new(p.keys.clone());
+    let mut thin = p.certs[0].clone();
+    thin.sigs.truncate(1);
+    for cert in p.certs.iter().chain([&thin]).chain(p.certs.iter().rev()) {
+        for quorum in [1, 2] {
+            let mut bytes = cert.encode_to_vec();
+            bytes.extend_from_slice(&(quorum as u64).to_le_bytes());
+            assert_eq!(
+                memo.memo_key(cert, quorum),
+                transedge_crypto::sha256(&bytes)
+            );
+        }
+        assert_ne!(memo.memo_key(cert, 1), memo.memo_key(cert, 2));
+    }
+}

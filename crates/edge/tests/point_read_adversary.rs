@@ -495,3 +495,102 @@ fn every_rejection_variant_is_reachable() {
     names.sort_unstable();
     assert_eq!(names, ALL, "one producer per variant: {seen:?}");
 }
+
+/// A held answer is the full one less its anchor, and nothing a
+/// verifier can take on its own: eliding keys on the certified digest
+/// the query named (another digest, or none, leaves the answer full),
+/// the held value carries no header and no certificate, the verifier
+/// refuses it as mis-shaped, and rebuilt around the receiver's copy of
+/// the anchor it verifies to exactly what the full answer did.
+#[test]
+fn a_held_answer_rebuilds_to_the_full_one_and_never_verifies_alone() {
+    let p = world(&[(1, 1), (2, 2), (3, 3)]);
+    let keys = vec![Key::from_u32(1), Key::from_u32(900)];
+    let query = ReadQuery::point(keys.clone());
+    let section = p.section(&keys, SERVED);
+    let full = respond(section.clone());
+    let digest = section.cert.digest;
+    let other = p.certs[0].digest;
+    assert_ne!(digest, other);
+    for named in [None, Some(other)] {
+        let kept = full.clone().held_by(named);
+        assert!(kept.anchor().is_some(), "named {named:?}: stays full");
+    }
+    let held = full.clone().held_by(Some(digest));
+    let ReadResponse::HeldPoint {
+        cluster,
+        batch,
+        body,
+        fresh,
+    } = &held
+    else {
+        panic!("named at its own digest, the answer is held: {held:?}");
+    };
+    assert_eq!((*cluster, *batch), (ClusterId(0), SERVED));
+    assert_eq!(body.encode_to_vec(), section.body.encode_to_vec());
+    assert!(fresh.is_none());
+    assert!(held.anchor().is_none());
+    assert_eq!(
+        verify(&p, &query, &held, NOW).unwrap_err(),
+        ReadRejection::ShapeMismatch
+    );
+    let anchor = (&p.headers[1], &p.certs[1]);
+    assert_eq!(
+        verify(&p, &query, &held.rebuild(anchor), NOW),
+        verify(&p, &query, &full, NOW)
+    );
+
+    // The scan form, likewise.
+    let range = ScanRange::new(0, 63);
+    let scan_query = ReadQuery::scan(ClusterId(0), range);
+    let full = ReadResponse::Scan {
+        bundle: Box::new(p.scan(range, SERVED)),
+    };
+    let held = full.clone().held_by(Some(digest));
+    assert!(matches!(held, ReadResponse::HeldScan { .. }));
+    let scan_verdict = |r: &ReadResponse| p.verdict(ClusterId(0), &scan_query, r, NOW);
+    assert_eq!(
+        scan_verdict(&held).unwrap_err(),
+        ReadRejection::ShapeMismatch
+    );
+    assert_eq!(scan_verdict(&held.rebuild(anchor)), scan_verdict(&full));
+}
+
+/// A held answer names an anchor but cannot vouch for its body: a body
+/// proven against another batch's root, rebuilt around the anchor the
+/// receiver holds, fails the proof check — cryptographic, like any
+/// forged proof.
+#[test]
+fn a_held_body_from_another_batch_fails_its_proof() {
+    let p = world(&[(1, 1), (2, 2), (3, 3)]);
+    let keys = vec![Key::from_u32(1), Key::from_u32(2)];
+    let query = ReadQuery::point(keys.clone());
+    let anchor = (&p.headers[1], &p.certs[1]);
+    let digest = Some(p.certs[0].digest);
+    let stale = respond(p.section(&keys, BatchNum(0))).held_by(digest);
+    let forged = match stale {
+        ReadResponse::HeldPoint { body, .. } => ReadResponse::HeldPoint {
+            cluster: ClusterId(0),
+            batch: SERVED,
+            body,
+            fresh: None,
+        },
+        other => panic!("held: {other:?}"),
+    };
+    assert_eq!(
+        verify(&p, &query, &forged.rebuild(anchor), NOW).unwrap_err(),
+        ReadRejection::BadProof
+    );
+
+    let range = ScanRange::new(0, 63);
+    let stale = ReadResponse::Scan {
+        bundle: Box::new(p.scan(range, BatchNum(0))),
+    }
+    .held_by(digest);
+    let scan_query = ReadQuery::scan(ClusterId(0), range);
+    assert_eq!(
+        p.verdict(ClusterId(0), &scan_query, &stale.rebuild(anchor), NOW)
+            .unwrap_err(),
+        ReadRejection::BadRangeProof
+    );
+}

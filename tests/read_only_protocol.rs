@@ -199,10 +199,13 @@ fn honest_edge_serves_verified_cached_and_uncached_reads() {
 }
 
 /// Byzantine edge tier: edges that tamper with values, forge proofs,
-/// or swap in stale roots are detected by the client-side verifier,
-/// evaded by falling back to real replicas, and never corrupt a
-/// result. This is the acceptance scenario for the proof-carrying
-/// read path.
+/// or swap in stale or coalition-agreed roots are detected by the
+/// client-side verifier, evaded by falling back to real replicas, and
+/// never corrupt a result. This is the acceptance scenario for the
+/// proof-carrying read path. The forgeries meet each client's *second*
+/// read, which names the anchor the first verified: a body forgery
+/// rides a held answer, and an edge that rewrote the anchor must ship
+/// it full — either way the client catches it.
 #[test]
 fn byzantine_edge_is_detected_and_evaded() {
     const CLIENTS: u64 = 3;
@@ -210,6 +213,7 @@ fn byzantine_edge_is_detected_and_evaded() {
         EdgeBehavior::TamperValue,
         EdgeBehavior::ForgeProof,
         EdgeBehavior::StaleRoot,
+        EdgeBehavior::Coalition,
     ] {
         let mut config = DeploymentConfig::for_testing();
         config.latency = transedge::simnet::LatencyModel::paper_default();
@@ -1099,6 +1103,7 @@ fn unified_query_scenario(
         },
         page: None,
         feed: None,
+        held: Vec::new(),
         trace: None,
     };
     // Writers: cross-partition transactions commit 2PC groups, raising
@@ -2006,4 +2011,377 @@ fn crashed_contact_is_resent_around_and_demoted() {
         "one timeout per two failures until the demotion, none after"
     );
     assert_two_partition_results_correct(&dep);
+}
+
+// ---- held anchors ----------------------------------------------------
+
+/// What one held part saves on the wire at `topo`'s header and
+/// certificate size: the certified anchor less the reference that
+/// stands in for it.
+fn held_saving(topo: &ClusterTopology) -> u64 {
+    use transedge::consensus::Certificate;
+    use transedge::crypto::{Digest, Signature};
+    use transedge::edge::{anchor_size, BatchHeader, CdVector, CommittedHeader, HELD_ANCHOR_SIZE};
+
+    let commitment = CommittedHeader {
+        header: BatchHeader {
+            cluster: ClusterId(0),
+            num: BatchNum(0),
+            cd: CdVector::new(topo.n_clusters()),
+            lce: transedge::common::Epoch::NONE,
+            merkle_root: Digest::ZERO,
+            delta_digest: Digest::ZERO,
+            timestamp: SimTime::ZERO,
+        },
+        body_digest: Digest::ZERO,
+    };
+    let cert = Certificate {
+        cluster: ClusterId(0),
+        slot: BatchNum(0),
+        digest: Digest::ZERO,
+        sigs: topo
+            .replicas_of(ClusterId(0))
+            .take(topo.certificate_quorum())
+            .map(|r| (NodeId::Replica(r), Signature([0; 64])))
+            .collect(),
+    };
+    (anchor_size(&commitment, &cert) - HELD_ANCHOR_SIZE) as u64
+}
+
+/// A repeat reader is not re-sent what it verified. The same
+/// five-partition read issued twice on a static deployment returns the
+/// same values; every part of the second is answered held, so its
+/// bytes are exactly one anchor less one reference per part below the
+/// first's; and, rebuilt around certificates the client already
+/// checked, it adds no signature check.
+#[test]
+fn a_repeat_read_is_held_on_every_part() {
+    let run = |reads: usize| {
+        let mut config = DeploymentConfig::for_testing();
+        config.topo = ClusterTopology::new(5, 1).expect("topology");
+        config.client.record_results = true;
+        let topo = config.topo.clone();
+        let keys: Vec<Key> = (0..5)
+            .flat_map(|c| keys_on(&topo, ClusterId(c), 1))
+            .collect();
+        let mut dep = Deployment::build(config, vec![vec![ClientOp::ReadOnly { keys }; reads]]);
+        dep.run_until_done(SimTime(600_000_000));
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.verification_failures, 0);
+        assert_eq!(client.stats.retries, 0);
+        assert_eq!(client.query_results.len(), reads);
+        for q in &client.query_results {
+            assert_eq!(q.snapshot.len(), 5, "every partition answered");
+            for (key, value) in &q.values {
+                let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                assert_eq!(value.as_ref(), want);
+            }
+        }
+        let values: Vec<_> = client
+            .query_results
+            .iter()
+            .map(|q| q.values.clone())
+            .collect();
+        (
+            client.stats.read_result_bytes,
+            client.verified_certs().sig_checks(),
+            values,
+            topo,
+        )
+    };
+    let (once, checks_once, first, topo) = run(1);
+    let (twice, checks_twice, both, _) = run(2);
+    assert_eq!(both, [first[0].clone(), first[0].clone()]);
+    let second = twice - once;
+    assert_eq!(
+        once - second,
+        5 * held_saving(&topo),
+        "each of the five parts saved one anchor less one reference"
+    );
+    assert_eq!(
+        checks_twice, checks_once,
+        "the repeat read checked no signature"
+    );
+}
+
+/// An anchor a newer batch has superseded earns a full answer: a
+/// server elides only at exactly the digest the query named. A read of
+/// one key, a write to another, and a read of that other — which names
+/// the first read's anchor, is served at the newer batch (by the
+/// replica, or forwarded by an edge that has not cached the key) and
+/// verifies the new value first time, with no retry.
+#[test]
+fn a_superseded_anchor_is_answered_in_full() {
+    for edges in [0, 1] {
+        let mut config = DeploymentConfig::for_testing();
+        config.client.record_results = true;
+        config.edge = EdgeConfig::honest(edges);
+        let topo = config.topo.clone();
+        let k0 = keys_on(&topo, ClusterId(0), 2);
+        let read = |key: &Key| ClientOp::ReadOnly {
+            keys: vec![key.clone()],
+        };
+        let write = ClientOp::ReadWrite {
+            reads: vec![],
+            writes: vec![(k0[1].clone(), Value::from("rewritten"))],
+        };
+        let ops = vec![read(&k0[0]), write, read(&k0[1])];
+        let mut dep = Deployment::build(config, vec![ops]);
+        dep.run_until_done(SimTime(600_000_000));
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.verification_failures, 0, "{edges} edges");
+        assert_eq!(client.stats.retries, 0, "{edges} edges");
+        let [before, after] = &client.query_results[..] else {
+            panic!("two reads, got {}", client.query_results.len());
+        };
+        assert!(after.snapshot[0].1 > before.snapshot[0].1, "{edges} edges");
+        let rewritten = (k0[1].clone(), Some(Value::from("rewritten")));
+        assert_eq!(after.values, [rewritten], "{edges} edges");
+    }
+}
+
+/// Only full answers enter an edge cache, whoever asked. A client
+/// holding partition 0's anchor reads a key set the edge has not
+/// cached: the edge forwards the part without the anchor, absorbs the
+/// replica's full answer, and relays it held. A second client asking
+/// the same keys later is then served from that cache.
+#[test]
+fn an_edge_caches_the_answer_to_a_part_that_named_an_anchor() {
+    let mut config = DeploymentConfig::for_testing();
+    config.client.record_results = true;
+    config.edge = EdgeConfig::honest(1);
+    let topo = config.topo.clone();
+    let k0 = keys_on(&topo, ClusterId(0), 2);
+    let warm = ClientOp::ReadOnly {
+        keys: vec![k0[0].clone()],
+    };
+    let asked = ClientOp::ReadOnly {
+        keys: vec![k0[1].clone()],
+    };
+    let late = ClientProfile::new().start_delay(SimDuration::from_millis(200));
+    let mut dep = Deployment::build_custom(
+        config,
+        vec![
+            ClientPlan::ops(vec![warm, asked.clone()]),
+            ClientPlan::with_profile(vec![asked], late),
+        ],
+    );
+    dep.run_until_done(SimTime(600_000_000));
+
+    let edge = dep.edge_node(EdgeId::new(ClusterId(0), 0)).stats;
+    assert_eq!(edge.forwarded, 2, "the first client's two reads miss");
+    assert_eq!(edge.served_from_cache, 1, "the late client's read hits");
+    let [first, late] = [0, 1].map(|i| dep.client(dep.client_ids[i]));
+    for client in [first, late] {
+        assert_eq!(client.stats.verification_failures, 0);
+        assert_eq!(client.stats.retries, 0);
+    }
+    assert_eq!(late.query_results[0].values, first.query_results[1].values);
+    assert_eq!(
+        first.query_results[1].values,
+        [(
+            k0[1].clone(),
+            dep.data
+                .iter()
+                .find(|(k, _)| *k == k0[1])
+                .map(|(_, v)| v.clone())
+        )]
+    );
+}
+
+/// A held answer the client cannot rebuild is dropped unread, like any
+/// answer no part waits for: a delay, never a deception. Under a live
+/// three-part single-contact query the client receives two held answers
+/// for parts it still owes — one for the partition it holds no anchor
+/// for, one naming a batch other than its newest anchor of the other
+/// — and neither is verified, nobody is blamed, and the run matches the
+/// same run without them.
+#[test]
+fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
+    use transedge::edge::SnapshotObject;
+
+    let run = |with_extras: bool| {
+        let mut config = DeploymentConfig::for_testing();
+        config.topo = ClusterTopology::new(3, 1).expect("topology");
+        config.client.record_results = true;
+        config.client.single_contact = true;
+        config.edge = EdgeConfig::honest(1);
+        let topo = config.topo.clone();
+        let [k0, k1, k2] = [0, 1, 2].map(|c| keys_on(&topo, ClusterId(c), 2));
+        let point = |keys: Vec<Key>| ClientOp::Query {
+            query: ReadQuery::point(keys),
+        };
+        // Anchors for partitions 0 and 1, each read through its own
+        // edge; none for 2. Then a three-part query to partition 0's
+        // edge, which has cached none of its key sets and forwards all
+        // three parts.
+        let ops = vec![
+            point(vec![k0[0].clone()]),
+            point(vec![k1[0].clone()]),
+            point(vec![k0[1].clone(), k1[1].clone(), k2[0].clone()]),
+        ];
+        let mut dep = Deployment::build(config, vec![ops]);
+        run_until_results(&mut dep, 2);
+
+        let contact = EdgeId::new(ClusterId(0), 0);
+        let body = dep
+            .edge_node(contact)
+            .image()
+            .into_iter()
+            .find_map(|object| match object {
+                SnapshotObject::Section(section) => Some(section.body),
+                SnapshotObject::Scan(_) => None,
+            })
+            .expect("a cached section");
+        let held = |cluster: u16, batch: u64| ReadResponse::HeldPoint {
+            cluster: ClusterId(cluster),
+            batch: BatchNum(batch),
+            body: body.clone(),
+            fresh: None,
+        };
+        let extras = if with_extras {
+            vec![held(2, 0), held(1, 1)]
+        } else {
+            Vec::new()
+        };
+        let inner = dep
+            .sim
+            .remove_actor(NodeId::Edge(contact))
+            .expect("contact actor");
+        let tap = Tap {
+            inner,
+            extras,
+            pushed: 0,
+        };
+        dep.sim.add_actor(NodeId::Edge(contact), Box::new(tap));
+        dep.run_until_done(SimTime(600_000_000));
+
+        let pushed = dep
+            .sim
+            .actor_as::<Tap>(NodeId::Edge(contact))
+            .expect("tap")
+            .pushed;
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.verification_failures, 0);
+        assert_eq!(client.stats.retries, 0);
+        assert_eq!(client.stats.gave_up, 0);
+        let health = client
+            .edge_selector
+            .health(ClusterId(0), NodeId::Edge(contact))
+            .expect("contact is a registered target");
+        assert_eq!(health.total_rejections, 0);
+        assert_eq!(health.demotions, 0);
+        let results = &client.query_results;
+        assert_eq!(results.len(), 3);
+        assert_eq!(results[2].snapshot.len(), 3, "every owed partition");
+        for q in results {
+            for (key, value) in &q.values {
+                let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                assert_eq!(value.as_ref(), want);
+            }
+        }
+        let values: Vec<_> = results.iter().map(|q| q.values.clone()).collect();
+        (
+            pushed,
+            client.verified_certs().sig_checks(),
+            client.stats.cert_checks_shared,
+            client.stats.read_result_bytes,
+            values,
+        )
+    };
+    let (pushed, sig_checks, shared, bytes, values) = run(true);
+    assert_eq!(pushed, 2, "both held extras reached the client");
+    assert_eq!(
+        (0, sig_checks, shared, bytes, values),
+        run(false),
+        "the held extras cost no signature check, no memo hit and no byte"
+    );
+}
+
+/// A held answer vouches for nothing but its body. An edge sends a
+/// client a held answer naming the client's newest anchor of partition
+/// 0 while carrying a body proven at genesis, whose root a write has
+/// since replaced: rebuilt around the client's own anchor it fails its
+/// proof, the edge is blamed, and the evidence the client files — the
+/// rebuilt full answer — re-verifies for anyone as a cryptographic
+/// rejection. The read still completes with the committed value.
+#[test]
+fn a_held_body_proven_at_another_batch_is_a_bad_proof_and_evidence() {
+    let mut config = DeploymentConfig::for_testing();
+    config.client.record_results = true;
+    config.edge = EdgeConfig::builder()
+        .per_cluster(1)
+        .gossip_directory(SimDuration::from_millis(20))
+        .build()
+        .expect("edge config");
+    let topo = config.topo.clone();
+    let k0 = keys_on(&topo, ClusterId(0), 2);
+    let ops = vec![
+        ClientOp::ReadWrite {
+            reads: vec![],
+            writes: vec![(k0[0].clone(), Value::from("rewritten"))],
+        },
+        ClientOp::ReadOnly {
+            keys: vec![k0[0].clone()],
+        },
+        ClientOp::ReadOnly {
+            keys: vec![k0[1].clone()],
+        },
+    ];
+    let mut dep = Deployment::build(config, vec![ops]);
+    run_until_results(&mut dep, 1);
+    let (_, anchor) = dep.client(dep.client_ids[0]).query_results[0].snapshot[0];
+    assert!(
+        anchor > BatchNum(0),
+        "the write sealed a batch past genesis"
+    );
+
+    let edge = EdgeId::new(ClusterId(0), 0);
+    let replica = dep.node(ReplicaId::new(ClusterId(0), 0));
+    let body = transedge::edge::multi_snapshot(&replica.exec, &k0[1..], BatchNum(0));
+    let forged = ReadResponse::HeldPoint {
+        cluster: ClusterId(0),
+        batch: anchor,
+        body,
+        fresh: None,
+    };
+    let inner = dep
+        .sim
+        .remove_actor(NodeId::Edge(edge))
+        .expect("edge actor");
+    let tap = Tap {
+        inner,
+        extras: vec![forged],
+        pushed: 0,
+    };
+    dep.sim.add_actor(NodeId::Edge(edge), Box::new(tap));
+    dep.run_until_done(SimTime(600_000_000));
+
+    let client = dep.client(dep.client_ids[0]);
+    assert_eq!(client.stats.verification_failures, 1);
+    assert_eq!(client.stats.gave_up, 0);
+    let want = dep
+        .data
+        .iter()
+        .find(|(k, _)| *k == k0[1])
+        .map(|(_, v)| v.clone());
+    assert_eq!(client.query_results[1].values, [(k0[1].clone(), want)]);
+    assert_eq!(client.stats.directory_evidence_sent, 1);
+    let evidence = client
+        .directory()
+        .expect("directory enabled")
+        .state()
+        .evidence_for(edge)
+        .expect("evidence against the edge");
+    assert!(
+        evidence.body.response.anchor().is_some(),
+        "the evidence carries the rebuilt full answer"
+    );
+    let verifier = ReadVerifier::new(VerifyParams {
+        tree_depth: dep.config.node.tree_depth,
+        freshness_window: dep.config.node.freshness_window,
+        quorum: topo.certificate_quorum(),
+    });
+    let rejection = evidence.verify(&dep.keys, &verifier);
+    assert_eq!(rejection, Some(transedge::edge::ReadRejection::BadProof));
 }
