@@ -6,10 +6,12 @@
 //! a compromised keypair; the tests drive them through
 //! [`crate::harness::Cluster`]'s message filter.
 
-use transedge_common::{BatchNum, ClusterId, ViewNum};
-use transedge_crypto::Keypair;
+use transedge_common::{BatchNum, ClusterId, NodeId, ReplicaId, ViewNum};
+use transedge_crypto::{Digest, Keypair};
 
-use crate::messages::{propose_statement, write_statement, BftMsg, BftValue};
+use crate::messages::{
+    accept_statement, propose_statement, write_statement, BftMsg, BftValue, Certificate,
+};
 
 /// Craft a validly-signed PROPOSE from a (compromised) leader keypair.
 /// Used to simulate equivocation: send different values to different
@@ -49,14 +51,34 @@ pub fn craft_write<V: BftValue>(
     }
 }
 
+/// Craft a certificate over an arbitrary digest from compromised
+/// replica keypairs: with `f+1` signers it verifies like any decided
+/// slot's, and beside the certificate the cluster really issued for
+/// `slot` it is a fork.
+pub fn craft_certificate(
+    signers: &[(ReplicaId, &Keypair)],
+    cluster: ClusterId,
+    slot: BatchNum,
+    digest: Digest,
+) -> Certificate {
+    let stmt = accept_statement(cluster, slot, &digest);
+    Certificate {
+        cluster,
+        slot,
+        digest,
+        sigs: signers
+            .iter()
+            .map(|(replica, keypair)| (NodeId::Replica(*replica), keypair.sign(&stmt)))
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::MAX_PARKED_PER_REPLICA;
     use crate::harness::{Cluster, InFlight};
-    use crate::messages::{accept_statement, BftMsg};
-    use transedge_common::ReplicaId;
-    use transedge_crypto::{Digest, Signature};
+    use transedge_crypto::Signature;
 
     fn value(tag: u8) -> Vec<u8> {
         vec![tag; 8]
@@ -364,6 +386,21 @@ mod tests {
     }
 
     /// A hundred forged votes of each kind from one replica before the
+    /// `f+1` compromised keys certify any digest at any slot, and too few
+    /// certify none.
+    #[test]
+    fn crafted_certificates_need_a_quorum_of_compromised_keys() {
+        let cluster: Cluster<Vec<u8>> = Cluster::new(1, 25);
+        let reps = cluster.replicas();
+        let signers: Vec<(ReplicaId, &Keypair)> =
+            reps.iter().map(|r| (*r, &cluster.keypairs[r])).collect();
+        let cid = cluster.cluster_id;
+        let forged = craft_certificate(&signers[..2], cid, BatchNum(3), Digest([7; 32]));
+        assert!(forged.verify(&cluster.keys, 2).is_ok());
+        let short = craft_certificate(&signers[..1], cid, BatchNum(3), Digest([7; 32]));
+        assert!(short.verify(&cluster.keys, 2).is_err());
+    }
+
     /// proposal: the cluster decides as usual, and all but a handful of
     /// the flood are dropped without a signature check.
     #[test]

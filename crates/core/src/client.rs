@@ -30,8 +30,9 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    CertifiedDelta, CommittedHeader, FeedWindow, PageToken, QueryAnswer, QueryShape, ReadQuery,
-    ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy, VerifiedCerts, VerifyParams,
+    same_batch_conflict, CertifiedDelta, CommittedHeader, FeedWindow, PageToken, QueryAnswer,
+    QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
+    VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
@@ -291,6 +292,7 @@ impl ReadSession {
                 .map(|d| (cluster, d))
                 .into_iter()
                 .collect(),
+            reply_to: None,
             trace: self.query.trace,
         }
     }
@@ -539,6 +541,9 @@ pub struct ClientActor {
     pub samples: Vec<TxnSample>,
     pub query_results: Vec<QueryOutcome>,
     pub txn_outcomes: Vec<TxnOutcome>,
+    /// Every [`ReadRejection::Fork`] a read failed closed on, each
+    /// carrying both conflicting anchors.
+    pub forks: Vec<ReadRejection>,
     pub stats: ClientStats,
 }
 
@@ -584,6 +589,7 @@ impl ClientActor {
             samples: Vec::new(),
             query_results: Vec::new(),
             txn_outcomes: Vec::new(),
+            forks: Vec::new(),
             stats: ClientStats::default(),
         }
     }
@@ -1018,7 +1024,9 @@ impl ClientActor {
     }
 
     /// One partition's answer arrived: verify it against the owing
-    /// sub-query, advance pagination, or blame and retry.
+    /// sub-query, advance pagination, or blame and retry. An answer
+    /// whose anchor forks the partition's history comes back as the
+    /// [`ReadRejection::Fork`] the whole read fails on.
     fn on_part_result(
         &mut self,
         session: &mut ReadSession,
@@ -1026,7 +1034,7 @@ impl ClientActor {
         pending: Pending,
         response: &ReadResponse,
         ctx: &mut Context<'_, NetMsg>,
-    ) {
+    ) -> Result<(), ReadRejection> {
         let sub = session.subquery(cluster);
         session.part_mut(cluster).pending = None;
         let checked = self.certs.sig_checks();
@@ -1046,6 +1054,10 @@ impl ClientActor {
         ctx.charge(|c| SimDuration(c.ed25519_verify.0 * sig_checks + c.merkle_verify.0 * leaves));
         self.stats.cert_checks_shared = self.certs.hits();
         let now = ctx.now();
+        let verified = verified.and_then(|ok| match self.fork_with_held(cluster, response) {
+            Some(fork) => Err(fork),
+            None => Ok(ok),
+        });
         match verified {
             Ok((answer, feed_run)) => {
                 self.hold_anchor(cluster, response);
@@ -1062,6 +1074,10 @@ impl ClientActor {
                     self.dispatch(session, &[cluster], target, ctx);
                 }
             }
+            // Two certified histories of one batch: the server may be
+            // honest and no other could answer better, so the read fails
+            // closed — no retry, nobody demoted, no directory evidence.
+            Err(fork @ ReadRejection::Fork { .. }) => return Err(fork),
             // A pinned page continuation whose batch aged past the
             // freshness window. The timestamp is in the certified header
             // and the pin forces the batch, so every server would have
@@ -1147,10 +1163,22 @@ impl ClientActor {
                 self.dispatch(session, &[cluster], target, ctx);
             }
         }
+        Ok(())
+    }
+
+    /// The fork a verified answer for `cluster` exposes: its anchor and
+    /// the one held there name one batch under different certified
+    /// digests ([`same_batch_conflict`]). A held answer was rebuilt
+    /// around the held anchor, so it never forks.
+    fn fork_with_held(&self, cluster: ClusterId, response: &ReadResponse) -> Option<ReadRejection> {
+        let (commitment, cert) = self.anchors.get(&cluster)?;
+        same_batch_conflict((commitment, cert), response.anchor()?)
     }
 
     /// Keep the anchor of a verified full answer for `cluster` when it
-    /// is newer than the one held (a rebuilt answer's is the held one).
+    /// is newer than the one held (a rebuilt answer's is the held one;
+    /// one at the held batch number is the same anchor, or a fork
+    /// `fork_with_held` already failed the read on).
     fn hold_anchor(&mut self, cluster: ClusterId, response: &ReadResponse) {
         let Some((commitment, cert)) = response.anchor() else {
             return;
@@ -1208,12 +1236,18 @@ impl ClientActor {
         // recorded here, bracketing the verify charge below.
         let verify_from = ctx.now();
         self.stats.read_result_bytes += size;
-        self.on_part_result(&mut session, cluster, pending, &response, ctx);
+        let verdict = self.on_part_result(&mut session, cluster, pending, &response, ctx);
         if let Some(tc) = session.query.trace {
             let me = NodeId::Client(self.id);
             let until = ctx.now();
             ctx.trace()
                 .span(tc, SpanPhase::Verify, me, verify_from, until, "verify");
+        }
+        if let Err(fork) = verdict {
+            self.forks.push(fork);
+            inflight.phase = Phase::Query(session);
+            self.fail_op(inflight, SpanPhase::Verify, "fork", ctx);
+            return;
         }
         let done = session.all_done();
         inflight.phase = Phase::Query(session);
@@ -1342,6 +1376,36 @@ impl ClientActor {
             });
         }
         self.inflight = None;
+        self.start_next_op(ctx);
+    }
+
+    /// End `inflight`, already taken, as failed: an uncommitted sample,
+    /// a read's trace closed behind a `label` marker in `phase`, and the
+    /// next operation started.
+    fn fail_op(
+        &mut self,
+        inflight: Inflight,
+        phase: SpanPhase,
+        label: &'static str,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let now = ctx.now();
+        if let Phase::Query(session) = &inflight.phase {
+            if let Some(tc) = session.query.trace {
+                let me = NodeId::Client(self.id);
+                ctx.trace().marker(tc, phase, me, now, label);
+                ctx.trace().defer_complete(tc.trace, now);
+            }
+        }
+        self.samples.push(TxnSample {
+            kind: inflight.kind,
+            start: inflight.start,
+            end: now,
+            committed: false,
+            rot_round2: false,
+            rot_warm: false,
+            round1_latency: None,
+        });
         self.start_next_op(ctx);
     }
 
@@ -1476,23 +1540,7 @@ impl Actor<NetMsg> for ClientActor {
         if inflight.attempts > self.config.max_retries {
             // Give up: record as aborted.
             self.stats.gave_up += 1;
-            if let Phase::Query(session) = &inflight.phase {
-                if let Some(tc) = session.query.trace {
-                    let me = NodeId::Client(self.id);
-                    ctx.trace().marker(tc, SpanPhase::Queue, me, now, "gave-up");
-                    ctx.trace().defer_complete(tc.trace, now);
-                }
-            }
-            self.samples.push(TxnSample {
-                kind: inflight.kind,
-                start: inflight.start,
-                end: now,
-                committed: false,
-                rot_round2: false,
-                rot_warm: false,
-                round1_latency: None,
-            });
-            self.start_next_op(ctx);
+            self.fail_op(inflight, SpanPhase::Queue, "gave-up", ctx);
             return;
         }
         self.stats.retries += 1;

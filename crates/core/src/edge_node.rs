@@ -9,9 +9,11 @@
 //! request one cached section was admitted for (or one cached window)
 //! is answered locally
 //! (zero upstream hops); anything else — a partly cached one included —
-//! is forwarded whole to a replica of the partition that owns it, and
-//! the certified answer absorbed on the way back only if it is the one
-//! that replica was asked for.
+//! is forwarded whole to a replica of the partition that owns it, with
+//! the client's address ([`ReadQuery::reply_to`]). The replica answers
+//! the client directly and sends this node a full copy, which it
+//! absorbs only if it is the one that replica was asked for: a miss
+//! costs the client no relay hop.
 //!
 //! Three subsystems ride on top of the replay path:
 //!
@@ -22,14 +24,16 @@
 //!   edge's own per-cluster caches where possible and forwarded to the
 //!   owning partition's replicas otherwise — never to the edge fronting
 //!   that partition, which sits beside those replicas and could only
-//!   add a hop. Each part's answer goes back as an ordinary
+//!   add a hop. Each part's answer reaches the client as an ordinary
 //!   `ReadResult` under the client's request id as soon as it is
-//!   ready: the client contacts *one* edge for a multi-partition query
-//!   and verifies each answer against its own partition's certified
-//!   root. An answer at the anchor the client named for its partition
-//!   goes back held (`ReadResponse::held_by`); a forwarded part travels
-//!   upstream without its anchor, so what comes back — and is cached —
-//!   is always full.
+//!   ready — from this node for a replay, from the replica for a
+//!   forwarded part: the client contacts *one* edge for a
+//!   multi-partition query and verifies each answer against its own
+//!   partition's certified root. An answer at the anchor the client
+//!   named for its partition reaches it held (`ReadResponse::held_by`);
+//!   a forwarded part travels upstream with that anchor and the
+//!   client's address, and the replica elides only the client's copy,
+//!   so what this node receives — and caches — is always full.
 //! * **Gossiped conviction directory** — each edge runs a
 //!   [`DirectoryAgent`] and every gossip round pushes a *delta*
 //!   (records the peer is not known to have, plus a state summary the
@@ -315,16 +319,23 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
     }
 }
 
-/// A query part waiting on an upstream answer.
+/// A query part waiting on an upstream answer — for the cache, and for
+/// the client only when this node relays.
 struct PendingRequest {
-    /// Who asked, and under which request id the answer goes back.
-    client: NodeId,
-    client_req: u64,
     /// The replica asked — the only node whose answer is admitted.
     upstream: NodeId,
-    /// The anchor the client named for this part. The forward went
-    /// without it, so the answer arrives full (and cacheable); the
-    /// relay elides against it.
+    /// Where the answer goes on: `None` when the replica answers the
+    /// client directly, as it does for every honest forward.
+    relay: Option<Relay>,
+}
+
+/// The client a relaying edge owes an answer: who asked, under which
+/// request id, and the anchor it named for the part. The forward went
+/// without that anchor, so the answer arrives full (and cacheable), and
+/// the relay elides against it.
+struct Relay {
+    client: NodeId,
+    client_req: u64,
     held: Option<Digest>,
 }
 
@@ -666,12 +677,14 @@ impl EdgeReadNode {
     }
 
     /// Forward a query part to a replica of the partition that owns
-    /// it, remembering who asked — our own partition's replicas, or for
-    /// a single contact's foreign part that partition's. Never the edge
-    /// fronting it: that edge sits beside those replicas, so its hit is
-    /// no nearer and its miss is one more hop. The part goes verbatim
-    /// but for its held anchor, which stays here: the replica answers
-    /// full, so the answer can be absorbed, and the relay elides.
+    /// it — our own partition's replicas, or for a single contact's
+    /// foreign part that partition's. Never the edge fronting it: that
+    /// edge sits beside those replicas, so its hit is no nearer and its
+    /// miss is one more hop. The part goes verbatim, held anchor and
+    /// all, with the client's address in `reply_to`: the replica
+    /// answers the client directly and sends this node the full answer
+    /// to cache. A lying edge instead forwards without the anchor or an
+    /// address and relays the full answer through its lies.
     fn forward_upstream(
         &mut self,
         client: NodeId,
@@ -692,14 +705,21 @@ impl EdgeReadNode {
             self.stats.foreign_forward_replica += 1;
         }
         let upstream = self.upstream_replica(cluster);
-        let held = query.held_for(cluster);
-        query.held.clear();
-        let upstream_req = self.track_pending(PendingRequest {
-            client,
-            client_req,
-            upstream,
-            held,
-        });
+        let direct = self.behavior == EdgeBehavior::Honest && matches!(client, NodeId::Client(_));
+        let relay = if direct {
+            query.reply_to = Some((client, client_req));
+            None
+        } else {
+            query.reply_to = None;
+            let held = query.held_for(cluster);
+            query.held.clear();
+            Some(Relay {
+                client,
+                client_req,
+                held,
+            })
+        };
+        let upstream_req = self.track_pending(PendingRequest { upstream, relay });
         ctx.send(
             upstream,
             NetMsg::Read {
@@ -972,6 +992,8 @@ impl EdgeReadNode {
     /// that `req` was sent to. A cache takes certified material
     /// unverified, so anything unsolicited, late or duplicate — which
     /// any node could forge under any `req` — is dropped unabsorbed.
+    /// The client already has its copy from the replica, unless this
+    /// node relays.
     fn on_upstream_result(
         &mut self,
         from: NodeId,
@@ -985,15 +1007,18 @@ impl EdgeReadNode {
         if asked.get().upstream != from {
             return;
         }
-        let PendingRequest {
-            client,
-            client_req,
-            held,
-            ..
-        } = asked.remove();
+        let PendingRequest { relay, .. } = asked.remove();
         // A byzantine edge still caches honestly and lies on the way
         // out.
         self.absorb(&result);
+        let Some(Relay {
+            client,
+            client_req,
+            held,
+        }) = relay
+        else {
+            return;
+        };
         match result {
             ReadResponse::Scan { bundle } => {
                 self.respond_scan(client, client_req, *bundle, held, ctx)

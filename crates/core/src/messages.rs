@@ -100,7 +100,10 @@ pub enum NetMsg {
     /// reads naming the feed deltas they already hold
     /// (`ReadQuery::feed`). Every read names the certified anchors its
     /// client holds (`ReadQuery::held`), so an answer at one of them
-    /// comes back held. Built through the [`ReadQuery`] constructors;
+    /// comes back held. A part an honest edge forwards carries its
+    /// client's address (`ReadQuery::reply_to`): the replica answers
+    /// that client directly under the client's `req`, and the edge
+    /// under this `req`. Built through the [`ReadQuery`] constructors;
     /// the old per-shape `NetMsg` constructors are gone.
     Read { req: u64, query: ReadQuery },
     /// The proof-carrying answer to one partition's part of a

@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimDuration, TxnId,
+    BatchNum, ClusterId, ClusterTopology, NodeId, ReplicaId, SimDuration, TxnId,
 };
 use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output, Votes};
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats, Signature};
@@ -193,6 +193,43 @@ pub struct TransEdgeNode {
     last_progress_check: u64,
     forwarded_since_check: bool,
     pub stats: NodeStats,
+}
+
+/// The client a read query asks to be answered directly, with the
+/// request id it asked under: its `reply_to`, when that names a client.
+/// Anything else is ignored and only the asker is answered.
+fn direct_reply(query: &ReadQuery) -> Option<(NodeId, u64)> {
+    query
+        .reply_to
+        .filter(|(node, _)| matches!(node, NodeId::Client(_)))
+}
+
+/// Send one part's answer to the asker under `req` and, when a client
+/// waits on a direct copy, the same answer to that client under its own
+/// request id — held when `held`, the anchor the client named, is the
+/// answer's (`ReadResponse::held_by`). Both leave at the same instant;
+/// the asker's goes first, so that where the two arrive together an
+/// edge has cached the answer by the time its client holds it.
+fn send_answer(
+    to: NodeId,
+    req: u64,
+    direct: Option<(NodeId, u64)>,
+    held: Option<Digest>,
+    result: ReadResponse,
+    ctx: &mut Context<'_, NetMsg>,
+) {
+    let copy = direct.map(|(client, client_req)| (client, client_req, result.clone()));
+    ctx.send(to, NetMsg::ReadResult { req, result });
+    if let Some((client, client_req, result)) = copy {
+        let result = result.held_by(held);
+        ctx.send(
+            client,
+            NetMsg::ReadResult {
+                req: client_req,
+                result,
+            },
+        );
+    }
 }
 
 impl TransEdgeNode {
@@ -1057,24 +1094,30 @@ impl TransEdgeNode {
     // ------------------------------------------------------------------
 
     /// Serve a point read pinned at `at_batch`: one section proving
-    /// exactly `keys` under one multiproof, memoised per key set and
-    /// batch by the read pipeline — held when the query named the
-    /// batch's anchor.
+    /// exactly the query's keys under one multiproof, memoised per key
+    /// set and batch by the read pipeline — held when the query named
+    /// the batch's anchor and no client waits on a direct copy.
     fn respond_rot(
         &mut self,
         to: NodeId,
         req: u64,
-        keys: &[Key],
+        query: &ReadQuery,
         at_batch: BatchNum,
-        held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
+        let QueryShape::Point { keys } = &query.shape else {
+            return;
+        };
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
+        let held = query.held_for(self.me.cluster);
+        let direct = direct_reply(query);
         // An asker holding exactly this anchor gets the body alone: the
-        // header is not re-encoded and hashed, nor anything cloned.
-        let anchor = (held != Some(cert.digest)).then(|| (batch.committed_header(), cert.clone()));
+        // header is not re-encoded and hashed, nor anything cloned. An
+        // edge forwarding for a client is sent the full answer to cache.
+        let anchor = (direct.is_some() || held != Some(cert.digest))
+            .then(|| (batch.committed_header(), cert.clone()));
         let misses_before = self.read_pipeline.stats().misses;
         let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
         let misses = self.read_pipeline.stats().misses - misses_before;
@@ -1096,33 +1139,37 @@ impl TransEdgeNode {
                 fresh: None,
             },
         };
-        ctx.send(to, NetMsg::ReadResult { req, result });
+        send_answer(to, req, direct, held, result, ctx);
     }
 
-    /// Serve a verified range scan pinned at `at_batch`: rows from the
-    /// store's tree-order index plus the Merkle completeness proof,
-    /// both memoised per `(range, batch)` by the read pipeline — held
-    /// when the query named the batch's anchor.
+    /// Serve a verified range scan of `window` pinned at `at_batch`:
+    /// rows from the store's tree-order index plus the Merkle
+    /// completeness proof, both memoised per `(range, batch)` by the
+    /// read pipeline — held when the query named the batch's anchor and
+    /// no client waits on a direct copy.
     fn respond_scan(
         &mut self,
         to: NodeId,
         req: u64,
-        range: &transedge_crypto::ScanRange,
+        query: &ReadQuery,
+        window: &transedge_crypto::ScanRange,
         at_batch: BatchNum,
-        held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
-        // An asker holding exactly this anchor gets the body alone: the
-        // header is not re-encoded and hashed, nor anything cloned.
-        let anchor = (held != Some(cert.digest)).then(|| (batch.committed_header(), cert.clone()));
+        let held = query.held_for(self.me.cluster);
+        let direct = direct_reply(query);
+        // As for a point read: the body alone for an asker holding the
+        // anchor, the full answer for an edge that caches it.
+        let anchor = (direct.is_some() || held != Some(cert.digest))
+            .then(|| (batch.committed_header(), cert.clone()));
         let misses_before = self.read_pipeline.scan_stats().misses;
-        let scan = self.read_pipeline.serve_scan(&self.exec, range, at_batch);
+        let scan = self.read_pipeline.serve_scan(&self.exec, window, at_batch);
         let misses = self.read_pipeline.scan_stats().misses - misses_before;
         // A cold scan proof hashes every leaf of the window.
-        ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * range.width()));
+        ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * window.width()));
         let result = match anchor {
             Some((commitment, cert)) => ReadResponse::Scan {
                 bundle: Box::new(transedge_edge::ScanBundle {
@@ -1137,7 +1184,7 @@ impl TransEdgeNode {
                 scan: Box::new(scan),
             },
         };
-        ctx.send(to, NetMsg::ReadResult { req, result });
+        send_answer(to, req, direct, held, result, ctx);
     }
 
     /// The batch a query's snapshot policy (and page pin) resolves to
@@ -1160,8 +1207,9 @@ impl TransEdgeNode {
     /// dependency fetches, verified scans (with the same LCE-floor
     /// semantics), paginated scan continuations, and scatter-gather
     /// sub-queries. Queries whose snapshot is not servable yet park in
-    /// [`TransEdgeNode::pending_reads`] and are retried after every
-    /// applied batch.
+    /// [`TransEdgeNode::pending_reads`], reply address and all, and are
+    /// retried after every applied batch. Each is served once: to the
+    /// asker, and to the client it names in `reply_to`, if any.
     fn on_read_query(
         &mut self,
         from: NodeId,
@@ -1170,20 +1218,16 @@ impl TransEdgeNode {
         ctx: &mut Context<'_, NetMsg>,
     ) {
         match &query.shape {
-            QueryShape::Point { keys } => {
-                let keys = keys.clone();
-                match self.resolve_snapshot(&query) {
-                    Some(batch) => {
-                        match query.consistency {
-                            SnapshotPolicy::Latest => self.stats.rot_served += 1,
-                            SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
-                        }
-                        let held = query.held_for(self.me.cluster);
-                        self.respond_rot(from, req, &keys, batch, held, ctx);
+            QueryShape::Point { .. } => match self.resolve_snapshot(&query) {
+                Some(batch) => {
+                    match query.consistency {
+                        SnapshotPolicy::Latest => self.stats.rot_served += 1,
+                        SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
                     }
-                    None => self.pending_reads.push((from, req, query)),
+                    self.respond_rot(from, req, &query, batch, ctx);
                 }
-            }
+                None => self.pending_reads.push((from, req, query)),
+            },
             QueryShape::Scan { .. } => {
                 let Some(window) = query.scan_window() else {
                     // A malformed page token: an honest client cannot
@@ -1199,8 +1243,7 @@ impl TransEdgeNode {
                 match self.resolve_snapshot(&query) {
                     Some(batch) => {
                         self.stats.rot_scans_served += 1;
-                        let held = query.held_for(self.me.cluster);
-                        self.respond_scan(from, req, &window, batch, held, ctx);
+                        self.respond_scan(from, req, &query, &window, batch, ctx);
                     }
                     None => self.pending_reads.push((from, req, query)),
                 }

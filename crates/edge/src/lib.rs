@@ -113,4 +113,4 @@ pub use response::{
     CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof, HELD_ANCHOR_SIZE,
 };
 pub use store::VersionedStore;
-pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};
+pub use verifier::{same_batch_conflict, ReadRejection, ReadVerifier, VerifyParams};

@@ -24,7 +24,7 @@
 //! so an untrusted node cannot splice pages across batches or downgrade
 //! a floor without being caught.
 
-use transedge_common::{BatchNum, ClusterId, ClusterTopology, Epoch, Key, Value};
+use transedge_common::{BatchNum, ClusterId, ClusterTopology, Epoch, Key, NodeId, Value};
 use transedge_consensus::Certificate;
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{Digest, ScanRange};
@@ -187,9 +187,19 @@ pub struct ReadQuery {
     /// certificate the client already holds. Keyed on the digest, not
     /// the batch number, so an honest server never elides against a
     /// different header, even were two certified for one batch. Empty
-    /// on a first contact; a relaying edge clears it upstream, so what
-    /// it absorbs is always a full answer.
+    /// on a first contact. An honest edge forwards it upstream with
+    /// [`ReadQuery::reply_to`], and the replica elides only the copy it
+    /// sends the client; an edge that relays clears it upstream. Either
+    /// way what an edge absorbs is a full answer.
     pub held: Vec<(ClusterId, Digest)>,
+    /// Where the answer goes besides the asker: a client and the
+    /// request id it asked under. An honest edge forwarding a part it
+    /// cannot replay names its client here, and the replica sends its
+    /// answer straight to that client (held when the client named the
+    /// anchor) as well as full to the edge, which only caches it. A
+    /// replica ignores a `reply_to` naming anything but a client.
+    /// `None` from clients and relaying edges.
+    pub reply_to: Option<(NodeId, u64)>,
     /// Causal-trace propagation context: the client operation this
     /// query serves and the span that caused this hop. Purely
     /// observational — servers never branch on it.
@@ -206,6 +216,7 @@ impl ReadQuery {
             page: None,
             feed: None,
             held: Vec::new(),
+            reply_to: None,
             trace: None,
         }
     }
@@ -230,6 +241,7 @@ impl ReadQuery {
             page: None,
             feed: None,
             held: Vec::new(),
+            reply_to: None,
             trace: None,
         }
     }
@@ -289,8 +301,8 @@ impl ReadQuery {
     /// ascending by partition: each part is this query restricted to
     /// its partition — the point keys the partition owns (in query
     /// order), or the scan of that partition alone — with this query's
-    /// policy, page, trace and that partition's feed cursors and held
-    /// anchor. The one
+    /// policy, page, reply address, trace and that partition's feed
+    /// cursors and held anchor. The one
     /// split there is: a client plans its parts with it, and an edge
     /// taking a whole query as a single contact serves the same parts.
     pub fn split(&self, topo: &ClusterTopology) -> Vec<(ClusterId, ReadQuery)> {
@@ -305,6 +317,7 @@ impl ReadQuery {
                     .map(|d| (cluster, d))
                     .into_iter()
                     .collect(),
+                reply_to: self.reply_to,
                 trace: self.trace,
             };
             (cluster, query)
@@ -388,8 +401,8 @@ impl ReadQuery {
 
     /// Wire-size estimate for the simulator's bandwidth model, computed
     /// structurally from the shape (keys, scan bounds, window), the
-    /// policy, the page token, the feed cursors and the held anchors —
-    /// never a flat constant.
+    /// policy, the page token, the feed cursors, the held anchors and
+    /// the reply address — never a flat constant.
     pub fn wire_size(&self) -> usize {
         let policy = match self.consistency {
             SnapshotPolicy::Latest => 1,
@@ -401,13 +414,20 @@ impl ReadQuery {
         // A `u16` count (one anchor per partition at most), then a
         // cluster and a digest each.
         let held = 2 + self.held.len() * (2 + 32);
+        // Absent is one byte; present adds a node id (a tag and two
+        // `u16`s or a `u32`) and a request id.
+        let reply_to = if self.reply_to.is_some() {
+            1 + 5 + 8
+        } else {
+            1
+        };
         // Trace context rides along as two u64 ids when present.
         let trace = if self.trace.is_some() { 17 } else { 1 };
         let shape = match &self.shape {
             QueryShape::Point { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
             QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16 + 8,
         };
-        policy + page + feed + held + trace + shape
+        policy + page + feed + held + reply_to + trace + shape
     }
 }
 
@@ -665,6 +685,11 @@ mod tests {
             resume: 32,
         });
         assert!(paged.wire_size() > scan.wire_size());
+        // A reply address costs its node id and request id on top of
+        // the one-byte absent tag.
+        let mut direct = small.clone();
+        direct.reply_to = Some((NodeId::Client(transedge_common::ClientId(3)), 7));
+        assert_eq!(direct.wire_size(), small.wire_size() + 5 + 8);
     }
 
     /// Each part of a split names only its own partition's anchor, and

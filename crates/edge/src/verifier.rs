@@ -145,6 +145,37 @@ pub enum ReadRejection {
     /// queried key may have changed), a backward or repeated batch is a
     /// replayed delta.
     FeedSpliced { expected: BatchNum, got: BatchNum },
+    /// The answer verified, but its anchor forks the partition's
+    /// history: it conflicts ([`same_batch_conflict`]) with the anchor
+    /// the reader already holds for that batch number. `held` is the
+    /// anchor accepted first, `got` the answer's. Each re-verifies under
+    /// the key directory on its own, so the pair is evidence against
+    /// the cluster that certified both, not against whoever served the
+    /// answer. A reader fails closed on it.
+    Fork {
+        held: Box<(CommittedHeader, Certificate)>,
+        got: Box<(CommittedHeader, Certificate)>,
+    },
+}
+
+/// The [`ReadRejection::Fork`] two certified anchors make when they
+/// fork their partition's history: they name one partition and one
+/// batch number, yet their certificates cover different certified
+/// digests. `None` for any other pair. A pure comparison of fields: for
+/// anchors that each passed the certificate check, a conflicting pair
+/// is self-verifying evidence that `f+1` replicas certified two batches
+/// under one number, which no client or edge can forge.
+pub fn same_batch_conflict(
+    held: (&CommittedHeader, &Certificate),
+    got: (&CommittedHeader, &Certificate),
+) -> Option<ReadRejection> {
+    let conflict = held.0.header.cluster == got.0.header.cluster
+        && held.0.header.num == got.0.header.num
+        && held.1.digest != got.1.digest;
+    conflict.then(|| ReadRejection::Fork {
+        held: Box::new((held.0.clone(), held.1.clone())),
+        got: Box::new((got.0.clone(), got.1.clone())),
+    })
 }
 
 /// The verifier. Stateless; cheap to copy into clients. The only state

@@ -16,10 +16,11 @@ use std::sync::Arc;
 use common::{rebuild, Partition, Section, DEPTH};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration, SimTime, Value};
+use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MerkleTree, ScanRange};
 use transedge_edge::{
-    CertifiedDelta, PageToken, QueryAnswer, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy,
-    SnapshotSource,
+    same_batch_conflict, CertifiedDelta, CommittedHeader, PageToken, QueryAnswer, ReadQuery,
+    ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource,
 };
 
 /// Batch `n` is stamped `T0 + n` seconds — far enough from zero that a
@@ -356,8 +357,46 @@ proptest! {
     }
 }
 
-/// Every `ReadRejection` variant is something the verifier can actually
-/// say: each is produced here from a concrete response, and the
+/// A second certified history of `section`'s batch: its header one
+/// microsecond later, under a certificate of its own.
+fn second_history(p: &Partition, section: &Section) -> (CommittedHeader, Certificate) {
+    let mut forked = section.commitment.clone();
+    forked.header.timestamp = SimTime(forked.header.timestamp.0 + 1);
+    let cert = p.certify(&forked);
+    (forked, cert)
+}
+
+/// A fork is one partition and one batch number under two certified
+/// digests, and nothing else: the same anchor twice, two batches, or
+/// two partitions never conflict, and a conflict carries both anchors
+/// in the order given.
+#[test]
+fn same_batch_conflict_is_one_batch_under_two_digests() {
+    let p = world(&[(1, 1), (2, 2)]);
+    let section = p.section(&[Key::from_u32(1)], SERVED);
+    let held = (&section.commitment, &section.cert);
+    assert_eq!(same_batch_conflict(held, held), None);
+    let later = p.section(&[Key::from_u32(1)], BatchNum(2));
+    assert_eq!(
+        same_batch_conflict(held, (&later.commitment, &later.cert)),
+        None
+    );
+    let (forked, forked_cert) = second_history(&p, &section);
+    let mut elsewhere = forked.clone();
+    elsewhere.header.cluster = ClusterId(1);
+    assert_eq!(same_batch_conflict(held, (&elsewhere, &forked_cert)), None);
+    let Some(ReadRejection::Fork { held: first, got }) =
+        same_batch_conflict(held, (&forked, &forked_cert))
+    else {
+        panic!("a fork");
+    };
+    assert_eq!(*first, (section.commitment.clone(), section.cert.clone()));
+    assert_eq!(*got, (forked, forked_cert));
+}
+
+/// Every `ReadRejection` variant is something the trusted checker can
+/// actually say: each is produced here from a concrete response (a fork
+/// from two concrete anchors, by `same_batch_conflict`), and the
 /// exhaustive `match` makes a new variant fail to compile until it is
 /// given a producer — an unreachable variant cannot survive.
 #[test]
@@ -381,14 +420,16 @@ fn every_rejection_variant_is_reachable() {
             ReadRejection::PageOutOfRange { .. } => "PageOutOfRange",
             ReadRejection::BadDelta => "BadDelta",
             ReadRejection::FeedSpliced { .. } => "FeedSpliced",
+            ReadRejection::Fork { .. } => "Fork",
         }
     }
-    const ALL: [&str; 17] = [
+    const ALL: [&str; 18] = [
         "BadCertificate",
         "BadDelta",
         "BadProof",
         "BadRangeProof",
         "FeedSpliced",
+        "Fork",
         "IncompleteScan",
         "MissingKey",
         "PageOutOfRange",
@@ -490,6 +531,11 @@ fn every_rejection_variant_is_reachable() {
         resume: 64,
     });
     seen.push(scan(&pinned, p.scan(ScanRange::new(64, 127), SERVED)));
+    // Fork: a second header certified under the served batch number,
+    // next to the anchor a reader already holds.
+    let (forked, forked_cert) = second_history(&p, &section);
+    let held = (&section.commitment, &section.cert);
+    seen.extend(same_batch_conflict(held, (&forked, &forked_cert)));
 
     let mut names: Vec<&str> = seen.iter().map(name).collect();
     names.sort_unstable();

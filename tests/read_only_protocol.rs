@@ -534,105 +534,124 @@ fn aged_pinned_page_restarts_the_scan_and_blames_nobody() {
     assert_eq!(scan.rows, [(ClusterId(0), want)]);
 }
 
-/// Sends one query straight to a replica at start and keeps the answer
-/// with the time it arrived.
-struct Asker {
-    replica: NodeId,
-    query: ReadQuery,
-    answer: Option<(SimTime, ReadResponse)>,
+/// Sends `ask` (if any) at start under request id 1 and keeps every
+/// read answer it receives: when, from whom, under which request id.
+struct Listener {
+    ask: Option<(NodeId, ReadQuery)>,
+    got: Vec<(SimTime, NodeId, u64, ReadResponse)>,
 }
 
-impl transedge::simnet::Actor<NetMsg> for Asker {
+impl transedge::simnet::Actor<NetMsg> for Listener {
     fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
-        let query = self.query.clone();
-        ctx.send(self.replica, NetMsg::Read { req: 1, query });
+        if let Some((to, query)) = self.ask.clone() {
+            ctx.send(to, NetMsg::Read { req: 1, query });
+        }
     }
 
     fn on_message(
         &mut self,
-        _from: NodeId,
+        from: NodeId,
         msg: NetMsg,
         ctx: &mut transedge::simnet::Context<'_, NetMsg>,
     ) {
-        if let NetMsg::ReadResult { result, .. } = msg {
-            self.answer = Some((ctx.now(), result));
+        if let NetMsg::ReadResult { req, result } = msg {
+            self.got.push((ctx.now(), from, req, result));
         }
     }
 }
 
 /// A parked round-two read is answered at a batch the replica has
-/// applied. Replica 2 of cluster 0 is cut off before a cross-partition
-/// write raises cluster 0's LCE, and a `MinEpoch(0)` point read sent
-/// straight to it parks. After the heal a late write makes it catch up
-/// through one state response carrying several slots: its consensus log
-/// then holds batches its store and tree do not, and the read must wait
-/// for the first batch whose LCE reaches the floor to be applied before
-/// it is served from it.
+/// applied. Replica 1 of cluster 0 is cut off before a cross-partition
+/// write raises cluster 0's LCE, and a `MinEpoch(0)` point read parks
+/// there — sent straight to it, or sent to a cold edge, whose first
+/// forward goes to that replica with the reader's address. After the
+/// heal a late write makes it catch up through one state response
+/// carrying several slots: its consensus log then holds batches its
+/// store and tree do not, and the read must wait for the first batch
+/// whose LCE reaches the floor to be applied before it is served from
+/// it. Through the edge, the parked forward keeps its reply address:
+/// the reader is answered by the replica directly, and the edge takes
+/// its full copy.
 #[test]
 fn parked_round_two_read_is_answered_at_an_applied_batch() {
-    let mut config = DeploymentConfig::for_testing();
-    config.latency = transedge::simnet::LatencyModel::paper_default();
-    let topo = config.topo.clone();
-    let k0 = keys_on(&topo, ClusterId(0), 2);
-    let k1 = keys_on(&topo, ClusterId(1), 1).remove(0);
-    let writer = ClientPlan::ops(vec![ClientOp::ReadWrite {
-        reads: vec![],
-        writes: vec![(k0[0].clone(), Value::from("x0")), (k1, Value::from("x1"))],
-    }]);
-    // A later write is what lets the healed replica notice it is
-    // behind and fetch the decided prefix.
-    let late_writer = ClientPlan::with_profile(
-        vec![ClientOp::ReadWrite {
+    for via_edge in [false, true] {
+        let mut config = DeploymentConfig::for_testing();
+        config.latency = transedge::simnet::LatencyModel::paper_default();
+        config.edge = EdgeConfig::honest(usize::from(via_edge));
+        let topo = config.topo.clone();
+        let k0 = keys_on(&topo, ClusterId(0), 2);
+        let k1 = keys_on(&topo, ClusterId(1), 1).remove(0);
+        let writer = ClientPlan::ops(vec![ClientOp::ReadWrite {
             reads: vec![],
-            writes: vec![(k0[1].clone(), Value::from("late"))],
-        }],
-        ClientProfile::new().start_delay(SimDuration::from_millis(400)),
-    );
-    let mut dep = Deployment::build_custom(config, vec![writer, late_writer]);
-    let lagging = ReplicaId::new(ClusterId(0), 2);
-    let rest = topo
-        .replicas_of(ClusterId(0))
-        .filter(|r| *r != lagging)
-        .map(NodeId::Replica);
-    let cut = dep.impose_partition([NodeId::Replica(lagging)], rest);
-    let query = ReadQuery::point(vec![k0[0].clone()])
-        .with_policy(SnapshotPolicy::MinEpoch(transedge::common::Epoch(0)));
-    let asker = NodeId::Client(transedge::common::ClientId(u32::MAX));
-    dep.sim.add_actor(
-        asker,
-        Box::new(Asker {
-            replica: NodeId::Replica(lagging),
-            query: query.clone(),
-            answer: None,
-        }),
-    );
-    dep.run_until(SimTime(300_000));
-    assert_eq!(dep.node(lagging).exec.applied_batches(), 1, "genesis only");
-    assert_eq!(dep.node(lagging).parked_reads(), 1, "the read is parked");
-    let leader = dep.node(ReplicaId::new(ClusterId(0), 0));
-    assert!(leader.exec.applied_batches() >= 3, "prepare and commit");
+            writes: vec![(k0[0].clone(), Value::from("x0")), (k1, Value::from("x1"))],
+        }]);
+        // A later write is what lets the healed replica notice it is
+        // behind and fetch the decided prefix.
+        let late_writer = ClientPlan::with_profile(
+            vec![ClientOp::ReadWrite {
+                reads: vec![],
+                writes: vec![(k0[1].clone(), Value::from("late"))],
+            }],
+            ClientProfile::new().start_delay(SimDuration::from_millis(400)),
+        );
+        let mut dep = Deployment::build_custom(config, vec![writer, late_writer]);
+        let lagging = ReplicaId::new(ClusterId(0), 1);
+        let rest = topo
+            .replicas_of(ClusterId(0))
+            .filter(|r| *r != lagging)
+            .map(NodeId::Replica);
+        let cut = dep.impose_partition([NodeId::Replica(lagging)], rest);
+        let query = ReadQuery::point(vec![k0[0].clone()])
+            .with_policy(SnapshotPolicy::MinEpoch(transedge::common::Epoch(0)));
+        let edge = EdgeId::new(ClusterId(0), 0);
+        let to = if via_edge {
+            NodeId::Edge(edge)
+        } else {
+            NodeId::Replica(lagging)
+        };
+        let reader = NodeId::Client(transedge::common::ClientId(u32::MAX));
+        let ask = Some((to, query.clone()));
+        dep.sim.add_actor(
+            reader,
+            Box::new(Listener {
+                ask,
+                got: Vec::new(),
+            }),
+        );
+        dep.run_until(SimTime(300_000));
+        assert_eq!(dep.node(lagging).exec.applied_batches(), 1, "genesis only");
+        assert_eq!(dep.node(lagging).parked_reads(), 1, "the read is parked");
+        let leader = dep.node(ReplicaId::new(ClusterId(0), 0));
+        assert!(leader.exec.applied_batches() >= 3, "prepare and commit");
 
-    dep.heal_partition(cut);
-    dep.run_until_done(SimTime(600_000_000));
-    assert_eq!(dep.node(lagging).parked_reads(), 0);
-    let answer = dep
-        .sim
-        .actor_as::<Asker>(asker)
-        .and_then(|a| a.answer.clone());
-    let (at, payload) = answer.expect("the parked read was answered");
-    let ReadResponse::Point { section, .. } = &payload else {
-        panic!("a point answer");
-    };
-    assert_eq!(section.commitment.header.num, BatchNum(2));
-    assert_eq!(section.commitment.header.lce, transedge::common::Epoch(1));
-    let verifier = ReadVerifier::new(VerifyParams {
-        tree_depth: dep.config.node.tree_depth,
-        freshness_window: dep.config.node.freshness_window,
-        quorum: topo.certificate_quorum(),
-    });
-    let verified = verifier.verify_query(&dep.keys, ClusterId(0), &query, &payload, at);
-    assert!(verified.is_ok(), "{verified:?}");
-    assert_eq!(section.body.values(), [Some(Value::from("x0"))]);
+        dep.heal_partition(cut);
+        dep.run_until_done(SimTime(600_000_000));
+        assert_eq!(dep.node(lagging).parked_reads(), 0);
+        let listener = dep.sim.actor_as::<Listener>(reader).expect("reader");
+        let [(at, from, req, payload)] = &listener.got[..] else {
+            panic!("one answer, got {}", listener.got.len());
+        };
+        assert_eq!((*from, *req), (NodeId::Replica(lagging), 1));
+        let ReadResponse::Point { section, .. } = payload else {
+            panic!("a point answer");
+        };
+        assert_eq!(section.commitment.header.num, BatchNum(2));
+        assert_eq!(section.commitment.header.lce, transedge::common::Epoch(1));
+        let verifier = ReadVerifier::new(VerifyParams {
+            tree_depth: dep.config.node.tree_depth,
+            freshness_window: dep.config.node.freshness_window,
+            quorum: topo.certificate_quorum(),
+        });
+        let verified = verifier.verify_query(&dep.keys, ClusterId(0), &query, payload, *at);
+        assert!(verified.is_ok(), "{verified:?}");
+        assert_eq!(section.body.values(), [Some(Value::from("x0"))]);
+        if via_edge {
+            let node = dep.edge_node(edge);
+            assert_eq!(node.stats.forwarded, 1);
+            assert_eq!(node.pending_upstream(), 0, "the edge took its copy");
+            assert_eq!(node.image().len(), 1);
+        }
+    }
 }
 
 /// Adaptive routing: a byzantine edge is demoted by the client's
@@ -1104,6 +1123,7 @@ fn unified_query_scenario(
         page: None,
         feed: None,
         held: Vec::new(),
+        reply_to: None,
         trace: None,
     };
     // Writers: cross-partition transactions commit 2PC groups, raising
@@ -2384,4 +2404,483 @@ fn a_held_body_proven_at_another_batch_is_a_bad_proof_and_evidence() {
     });
     let rejection = evidence.verify(&dep.keys, &verifier);
     assert_eq!(rejection, Some(transedge::edge::ReadRejection::BadProof));
+}
+
+// ---- direct answers from the replica -----------------------------------
+
+/// Wraps a client and records, for every read answer it receives, who
+/// sent it and whether it came held.
+struct Inbox {
+    inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
+    started: bool,
+    got: Vec<(NodeId, bool)>,
+}
+
+impl Inbox {
+    /// Put an `Inbox` around the client `id` before the run starts.
+    fn wrap(dep: &mut Deployment, id: transedge::common::ClientId) {
+        let inner = dep
+            .sim
+            .remove_actor(NodeId::Client(id))
+            .expect("client actor");
+        let inbox = Inbox {
+            inner,
+            started: false,
+            got: Vec::new(),
+        };
+        dep.sim.add_actor(NodeId::Client(id), Box::new(inbox));
+    }
+
+    fn of(dep: &Deployment, id: transedge::common::ClientId) -> &Inbox {
+        dep.sim
+            .actor_as::<Inbox>(NodeId::Client(id))
+            .expect("inbox")
+    }
+
+    fn client(&self) -> &transedge::core::client::ClientActor {
+        let inner: &dyn std::any::Any = self.inner.as_ref();
+        inner.downcast_ref().expect("a client inside")
+    }
+}
+
+impl transedge::simnet::Actor<NetMsg> for Inbox {
+    // Re-adding the actor queued a second start; the client starts once.
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        if !std::mem::replace(&mut self.started, true) {
+            self.inner.on_start(ctx);
+        }
+    }
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        if let NetMsg::ReadResult { result, .. } = &msg {
+            self.got.push((from, result.anchor().is_none()));
+        }
+        self.inner.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_timer(token, ctx);
+    }
+}
+
+/// A cold read through an edge is answered by the replica. Each of the
+/// two parts misses at its partition's edge, whose replica sends the
+/// client the answer under the client's request id and the edge a full
+/// copy under the edge's: the client hears from two replicas and from
+/// no edge, nothing is retried, and the wire carries exactly those four
+/// answers. Each edge caches its full copy, so a second client's
+/// identical read is a hit at both edges and asks no replica.
+#[test]
+fn a_cold_read_through_an_edge_is_answered_by_the_replica() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    config.edge = EdgeConfig::honest(1);
+    let topo = config.topo.clone();
+    let keys = [0, 1].map(|c| keys_on(&topo, ClusterId(c), 1).remove(0));
+    let read = ClientOp::ReadOnly {
+        keys: keys.to_vec(),
+    };
+    let late = ClientProfile::new().start_delay(SimDuration::from_millis(200));
+    let mut dep = Deployment::build_custom(
+        config,
+        vec![
+            ClientPlan::ops(vec![read.clone()]),
+            ClientPlan::with_profile(vec![read], late),
+        ],
+    );
+    let cold = dep.client_ids[0];
+    Inbox::wrap(&mut dep, cold);
+    dep.run_until(SimTime(100_000));
+
+    let inbox = Inbox::of(&dep, cold);
+    let client = inbox.client();
+    assert_eq!(client.stats.verification_failures + client.stats.retries, 0);
+    assert_eq!(client.query_results.len(), 1);
+    let values = client.query_results[0].values.clone();
+    let mut senders: Vec<(NodeId, bool)> = inbox.got.clone();
+    senders.sort_by_key(|(from, _)| from.to_string());
+    let [(a, held_a), (b, held_b)] = senders[..] else {
+        panic!("one answer per part, got {senders:?}");
+    };
+    for (from, cluster) in [(a, ClusterId(0)), (b, ClusterId(1))] {
+        let replica = from.as_replica().expect("a replica answered");
+        assert_eq!(replica.cluster, cluster);
+    }
+    assert!(!held_a && !held_b, "a first contact holds no anchor");
+    assert_eq!(
+        dep.sim.stats().kind("read-result-point").messages,
+        4,
+        "each replica answered the client and the edge; no edge relayed"
+    );
+    for edge in &dep.edge_ids {
+        let node = dep.edge_node(*edge);
+        assert_eq!(node.stats.forwarded, 1);
+        assert_eq!(node.pending_upstream(), 0, "the edge took its copy");
+        let image = node.image();
+        assert_eq!(image.len(), 1, "{edge} cached one answer");
+        assert_eq!(image[0].cluster(), edge.cluster);
+    }
+
+    // The wrapped client is not a `ClientActor` to the deployment, so
+    // run to a time well past the late read rather than until done.
+    dep.run_until(SimTime(400_000));
+    let late = dep.client(dep.client_ids[1]);
+    assert_eq!(late.stats.verification_failures + late.stats.retries, 0);
+    assert_eq!(late.query_results.len(), 1);
+    assert_eq!(late.query_results[0].values, values);
+    for edge in &dep.edge_ids {
+        let stats = dep.edge_node(*edge).stats;
+        assert_eq!((stats.forwarded, stats.served_from_cache), (1, 1));
+    }
+    let served: u64 = topo
+        .all_replicas()
+        .map(|r| dep.node(r).stats.rot_served)
+        .sum();
+    assert_eq!(served, 2, "one replica read per partition, the cold one");
+    for q in &late.query_results {
+        for (key, value) in &q.values {
+            let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            assert_eq!(value.as_ref(), want);
+        }
+    }
+}
+
+/// The direct copy is elided like any answer to the client. A client
+/// holding both partitions' anchors reads keys no edge has cached: each
+/// part comes straight from a replica, held, and the read costs the
+/// client exactly the bytes of the same read answered held by replicas
+/// with no edge tier at all.
+#[test]
+fn a_forwarded_part_reaches_a_client_holding_its_anchor_held() {
+    let run = |edges: usize| {
+        let mut config = DeploymentConfig::for_testing();
+        config.latency = transedge::simnet::LatencyModel::paper_default();
+        config.client.record_results = true;
+        config.edge = EdgeConfig::honest(edges);
+        let topo = config.topo.clone();
+        let [k0, k1] = [0, 1].map(|c| keys_on(&topo, ClusterId(c), 2));
+        let ops = vec![
+            ClientOp::ReadOnly {
+                keys: vec![k0[0].clone(), k1[0].clone()],
+            },
+            ClientOp::ReadOnly {
+                keys: vec![k0[1].clone(), k1[1].clone()],
+            },
+        ];
+        let mut dep = Deployment::build(config, vec![ops]);
+        let id = dep.client_ids[0];
+        Inbox::wrap(&mut dep, id);
+        while Inbox::of(&dep, id).client().query_results.is_empty() {
+            assert!(dep.sim.step(), "the first read completes");
+        }
+        let first = Inbox::of(&dep, id).client().stats.read_result_bytes;
+        let answered = Inbox::of(&dep, id).got.len();
+        // Not `run_until_done`: the deployment cannot see the client
+        // inside the inbox.
+        dep.run_until(SimTime(100_000));
+
+        let inbox = Inbox::of(&dep, id);
+        let client = inbox.client();
+        assert_eq!(client.stats.verification_failures + client.stats.retries, 0);
+        assert_eq!(client.query_results.len(), 2);
+        let second = &inbox.got[answered..];
+        assert_eq!(second.len(), 2, "{edges} edges: one answer per part");
+        for (from, held) in second {
+            assert!(from.as_replica().is_some(), "{edges} edges: from {from}");
+            assert!(held, "{edges} edges: the anchor was named");
+        }
+        client.stats.read_result_bytes - first
+    };
+    assert_eq!(run(1), run(0));
+}
+
+/// A replica answers directly only a client. A read naming a replica or
+/// an edge as `reply_to` is answered to its asker alone — the one
+/// answer on the wire — while one naming a client is also answered to
+/// that client, under the request id it names.
+#[test]
+fn a_reply_to_naming_no_client_is_ignored() {
+    use transedge::common::ClientId;
+
+    let asker = NodeId::Client(ClientId(u32::MAX));
+    let listener = NodeId::Client(ClientId(u32::MAX - 1));
+    let replica = NodeId::Replica(ReplicaId::new(ClusterId(0), 0));
+    let run = |reply_to: NodeId| {
+        let mut config = DeploymentConfig::for_testing();
+        config.edge = EdgeConfig::honest(1);
+        let key = keys_on(&config.topo, ClusterId(0), 1);
+        let mut dep = Deployment::build(config, Vec::new());
+        let mut query = ReadQuery::point(key);
+        query.reply_to = Some((reply_to, 9));
+        let ask = Some((replica, query));
+        dep.sim.add_actor(
+            asker,
+            Box::new(Listener {
+                ask,
+                got: Vec::new(),
+            }),
+        );
+        let idle = Listener {
+            ask: None,
+            got: Vec::new(),
+        };
+        dep.sim.add_actor(listener, Box::new(idle));
+        dep.run_until(SimTime(50_000));
+        let got = |node| -> Vec<(NodeId, u64)> {
+            let l = dep.sim.actor_as::<Listener>(node).expect("listener");
+            l.got
+                .iter()
+                .map(|(_, from, req, _)| (*from, *req))
+                .collect()
+        };
+        let answers = dep.sim.stats().kind("read-result-point").messages;
+        (answers, got(asker), got(listener))
+    };
+    let edge = NodeId::Edge(EdgeId::new(ClusterId(0), 0));
+    let other = NodeId::Replica(ReplicaId::new(ClusterId(0), 1));
+    for ignored in [other, edge] {
+        assert_eq!(
+            run(ignored),
+            (1, vec![(replica, 1)], Vec::new()),
+            "reply_to {ignored}"
+        );
+    }
+    assert_eq!(
+        run(listener),
+        (2, vec![(replica, 1)], vec![(replica, 9)]),
+        "a client named as reply_to is answered directly"
+    );
+}
+
+/// Stands in for an honest edge that also relays: the real edge serves
+/// every message, and each upstream answer it receives is sent on, as
+/// received, to the client that asked last, under that client's
+/// request id — a second copy behind the replica's direct one.
+struct Relay {
+    inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
+    asker: Option<(NodeId, u64)>,
+    relayed: u64,
+}
+
+impl transedge::simnet::Actor<NetMsg> for Relay {
+    // The wrapped edge already started; a second start would re-run it.
+    fn on_start(&mut self, _ctx: &mut transedge::simnet::Context<'_, NetMsg>) {}
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        let copy = match &msg {
+            NetMsg::Read { req, .. } => {
+                self.asker = Some((from, *req));
+                None
+            }
+            NetMsg::ReadResult { result, .. } if from.as_replica().is_some() => self
+                .asker
+                .map(|(client, req)| (client, req, result.clone())),
+            _ => None,
+        };
+        self.inner.on_message(from, msg, ctx);
+        if let Some((client, req, result)) = copy {
+            ctx.send(client, NetMsg::ReadResult { req, result });
+            self.relayed += 1;
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_timer(token, ctx);
+    }
+}
+
+/// A relayed copy behind the direct answer is dropped unread. Every
+/// miss of a three-read script reaches the client twice — straight
+/// from the replica, then relayed by the edge — and the second copy is
+/// never verified, blames nobody and costs no byte: the run matches
+/// the same run without the relay.
+#[test]
+fn a_relayed_copy_behind_the_direct_answer_is_dropped_unread() {
+    let run = |relay: bool| {
+        let mut config = DeploymentConfig::for_testing();
+        config.latency = transedge::simnet::LatencyModel::paper_default();
+        config.client.record_results = true;
+        config.edge = EdgeConfig::honest(1);
+        let topo = config.topo.clone();
+        let k0 = keys_on(&topo, ClusterId(0), 2);
+        let read = |keys: &[Key]| ClientOp::ReadOnly {
+            keys: keys.to_vec(),
+        };
+        let ops = vec![read(&k0[..1]), read(&k0[1..]), read(&k0[..1])];
+        let mut dep = Deployment::build(config, vec![ops]);
+        let edge = EdgeId::new(ClusterId(0), 0);
+        if relay {
+            // Let the edge start, then put the relay around it.
+            dep.run_until(SimTime(1));
+            let inner = dep.sim.remove_actor(NodeId::Edge(edge)).expect("edge");
+            let relay = Relay {
+                inner,
+                asker: None,
+                relayed: 0,
+            };
+            dep.sim.add_actor(NodeId::Edge(edge), Box::new(relay));
+        }
+        dep.run_until_done(SimTime(600_000_000));
+
+        let relayed = dep
+            .sim
+            .actor_as::<Relay>(NodeId::Edge(edge))
+            .map_or(0, |r| r.relayed);
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.verification_failures, 0);
+        assert_eq!(client.stats.retries + client.stats.gave_up, 0);
+        let health = client
+            .edge_selector
+            .health(ClusterId(0), NodeId::Edge(edge))
+            .expect("the edge is a registered target");
+        assert_eq!(health.total_rejections + health.demotions, 0);
+        assert_eq!(client.query_results.len(), 3);
+        let values: Vec<_> = client
+            .query_results
+            .iter()
+            .map(|q| q.values.clone())
+            .collect();
+        (
+            relayed,
+            client.verified_certs().sig_checks(),
+            client.stats.cert_checks_shared,
+            client.stats.read_result_bytes,
+            values,
+        )
+    };
+    let (relayed, sig_checks, shared, bytes, values) = run(true);
+    assert_eq!(relayed, 2, "both misses were relayed too");
+    assert_eq!(
+        (0, sig_checks, shared, bytes, values),
+        run(false),
+        "the relayed copies cost no signature check, no memo hit and no byte"
+    );
+}
+
+// ---- forks -------------------------------------------------------------
+
+/// A fork is a verdict, not a silent divergence. A client reads
+/// partition 0 once and holds its genesis anchor. Then `f+1`
+/// compromised replica keys certify a second genesis header — the same
+/// root, one microsecond later — and a full answer at it meets the
+/// client's next read ahead of the honest one. The answer verifies on
+/// its own, but its anchor conflicts with the held one, so the read
+/// fails closed with a `Fork` carrying both: no retry, nobody demoted,
+/// no evidence gossiped. Each anchor re-verifies under the key
+/// directory, and the reader goes on to its next read.
+#[test]
+fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
+    use transedge::consensus::byzantine::craft_certificate;
+    use transedge::crypto::KeyStore;
+    use transedge::edge::{same_batch_conflict, MultiProofBundle, ReadRejection, SnapshotObject};
+
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    config.edge = EdgeConfig::builder()
+        .per_cluster(1)
+        .gossip_directory(SimDuration::from_millis(20))
+        .build()
+        .expect("edge config");
+    let topo = config.topo.clone();
+    let k0 = keys_on(&topo, ClusterId(0), 3);
+    let read = |key: &Key| ClientOp::ReadOnly {
+        keys: vec![key.clone()],
+    };
+    let ops = vec![read(&k0[0]), read(&k0[1]), read(&k0[2])];
+    let mut dep = Deployment::build(config, vec![ops]);
+    run_until_results(&mut dep, 1);
+
+    // The genesis anchor the client verified, as the edge cached it.
+    let edge = EdgeId::new(ClusterId(0), 0);
+    let genuine = dep
+        .edge_node(edge)
+        .image()
+        .into_iter()
+        .find_map(|object| match object {
+            SnapshotObject::Section(section) => Some(section),
+            SnapshotObject::Scan(_) => None,
+        })
+        .expect("a cached section");
+    assert_eq!(genuine.batch(), BatchNum(0));
+    // The deployment derives every replica key from its seed; an
+    // adversary holding f+1 of them certifies whatever it likes.
+    let mut seed = [0u8; 32];
+    seed[..8].copy_from_slice(&dep.config.seed.to_le_bytes());
+    let (_, secrets) = KeyStore::for_topology(&topo, &seed);
+    let signers: Vec<_> = topo
+        .replicas_of(ClusterId(0))
+        .take(topo.certificate_quorum())
+        .map(|r| (r, &secrets[&r]))
+        .collect();
+    let mut commitment = genuine.commitment.clone();
+    commitment.header.timestamp = SimTime(commitment.header.timestamp.0 + 1);
+    let digest = commitment.certified_digest();
+    let cert = craft_certificate(&signers, ClusterId(0), BatchNum(0), digest);
+    let replica = dep.node(ReplicaId::new(ClusterId(0), 0));
+    let body = transedge::edge::multi_snapshot(&replica.exec, &k0[1..2], BatchNum(0));
+    let forged = ReadResponse::Point {
+        section: Box::new(MultiProofBundle {
+            commitment,
+            cert,
+            body,
+        }),
+        fresh: None,
+    };
+    // The edge forwards the second read (a miss) upstream; the forgery
+    // leaves it at once and arrives ahead of the replica's answer.
+    let inner = dep
+        .sim
+        .remove_actor(NodeId::Edge(edge))
+        .expect("edge actor");
+    let tap = Tap {
+        inner,
+        extras: vec![forged],
+        pushed: 0,
+    };
+    dep.sim.add_actor(NodeId::Edge(edge), Box::new(tap));
+    dep.run_until_done(SimTime(600_000_000));
+
+    let pushed = dep
+        .sim
+        .actor_as::<Tap>(NodeId::Edge(edge))
+        .map(|t| t.pushed);
+    assert_eq!(pushed, Some(1));
+    let client = dep.client(dep.client_ids[0]);
+    let [ReadRejection::Fork { held, got }] = &client.forks[..] else {
+        panic!("one fork, got {:?}", client.forks);
+    };
+    assert_eq!(held.1.digest, genuine.cert.digest, "the first history");
+    assert_eq!(got.1.digest, digest, "the second history");
+    assert!(same_batch_conflict((&held.0, &held.1), (&got.0, &got.1)).is_some());
+    let quorum = topo.certificate_quorum();
+    for (commitment, cert) in [held.as_ref(), got.as_ref()] {
+        assert_eq!(cert.digest, commitment.certified_digest());
+        assert!(cert.verify(&dep.keys, quorum).is_ok());
+    }
+    // Failed closed: the second read ended there, unanswered and
+    // unretried, with nobody blamed; the third read ran as usual.
+    assert_eq!(client.stats.retries + client.stats.gave_up, 0);
+    assert_eq!(client.stats.verification_failures, 0);
+    assert_eq!(client.edge_selector.demotions(), 0);
+    assert_eq!(client.stats.directory_evidence_sent, 0);
+    let committed: Vec<bool> = client.samples.iter().map(|s| s.committed).collect();
+    assert_eq!(committed, [true, false, true]);
+    let keys_read: Vec<Key> = client
+        .query_results
+        .iter()
+        .flat_map(|q| q.values.iter().map(|(k, _)| k.clone()))
+        .collect();
+    assert_eq!(keys_read, [k0[0].clone(), k0[2].clone()]);
 }
