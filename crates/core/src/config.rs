@@ -5,13 +5,14 @@
 //! sub-configs — [`CacheConfig`] for replay-cache sizing,
 //! [`DirectoryPlan`]/[`FeedPlan`] for the gossip and feed subsystems —
 //! and validates the combination once, at [`EdgeConfigBuilder::build`],
-//! instead of letting an impossible mix (a byzantine override for an
-//! edge that does not exist, a zero-capacity cache, a zero gossip
-//! period) surface as a confusing runtime failure deep inside a
+//! instead of letting an impossible mix (a zero-capacity cache, a zero
+//! gossip period) surface as a confusing runtime failure deep inside a
 //! harness. What an edge can work out is not a knob: the age past
 //! which it forwards instead of replaying is a third of the
 //! deployment's freshness window
-//! ([`crate::edge_node::EdgeNodeParams::freshness_window`]).
+//! ([`crate::edge_node::EdgeNodeParams::freshness_window`]). Nor is
+//! which edge lies: every deployed edge is honest, and a test that
+//! needs a liar wraps one (`transedge_scenario::liar`).
 //!
 //! [`ClientProfile`] does the same for the ad-hoc client booleans:
 //! instead of mutating `ClientConfig` fields one by one, a harness
@@ -21,10 +22,10 @@
 
 use std::fmt;
 
-use transedge_common::{EdgeId, SimDuration};
+use transedge_common::SimDuration;
 
 use crate::client::ClientConfig;
-use crate::edge_node::{DirectoryPlan, EdgeBehavior, FeedPlan};
+use crate::edge_node::{DirectoryPlan, FeedPlan};
 
 /// Replay-cache sizing for one edge node.
 #[derive(Clone, Copy, Debug)]
@@ -55,8 +56,6 @@ pub struct EdgeConfig {
     pub per_cluster: usize,
     /// Replay-cache sizing.
     pub cache: CacheConfig,
-    /// Byzantine behaviour overrides for specific edge nodes.
-    pub byzantine: Vec<(EdgeId, EdgeBehavior)>,
     /// Gossiped conviction directory.
     pub directory: DirectoryPlan,
     /// Certified commit-feed subscription (push invalidation +
@@ -70,7 +69,6 @@ impl EdgeConfig {
         EdgeConfig {
             per_cluster: 0,
             cache: CacheConfig::default(),
-            byzantine: Vec::new(),
             directory: DirectoryPlan::disabled(),
             feed: FeedPlan::disabled(),
         }
@@ -90,14 +88,6 @@ impl EdgeConfig {
             config: EdgeConfig::none(),
         }
     }
-
-    pub(crate) fn behavior_of(&self, edge: EdgeId) -> EdgeBehavior {
-        self.byzantine
-            .iter()
-            .find(|(e, _)| *e == edge)
-            .map(|(_, b)| *b)
-            .unwrap_or(EdgeBehavior::Honest)
-    }
 }
 
 /// What [`EdgeConfigBuilder::build`] refuses.
@@ -105,8 +95,6 @@ impl EdgeConfig {
 pub enum ConfigError {
     /// A deployed edge tier needs a non-zero answer capacity.
     NoCacheCapacity,
-    /// A byzantine override names an edge the plan does not deploy.
-    ByzantineOutOfRange(EdgeId),
     /// The gossip directory is enabled with a zero anti-entropy period.
     ZeroGossipInterval,
     /// The commit feed is enabled with a zero lease-renewal period.
@@ -118,9 +106,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::NoCacheCapacity => {
                 write!(f, "deployed edge tier needs a non-zero cache capacity")
-            }
-            ConfigError::ByzantineOutOfRange(edge) => {
-                write!(f, "byzantine override for undeployed edge {edge:?}")
             }
             ConfigError::ZeroGossipInterval => {
                 write!(f, "enabled directory needs a non-zero gossip interval")
@@ -154,12 +139,6 @@ impl EdgeConfigBuilder {
         self
     }
 
-    /// Mark one edge node byzantine.
-    pub fn byzantine(mut self, edge: EdgeId, behavior: EdgeBehavior) -> Self {
-        self.config.byzantine.push((edge, behavior));
-        self
-    }
-
     /// Run the gossip directory (anti-entropy push every `interval`);
     /// clients take part.
     pub fn gossip_directory(mut self, interval: SimDuration) -> Self {
@@ -179,11 +158,6 @@ impl EdgeConfigBuilder {
         let c = &self.config;
         if c.per_cluster > 0 && c.cache.capacity == 0 {
             return Err(ConfigError::NoCacheCapacity);
-        }
-        for (edge, _) in &c.byzantine {
-            if edge.index as usize >= c.per_cluster {
-                return Err(ConfigError::ByzantineOutOfRange(*edge));
-            }
         }
         if c.directory.enabled && c.directory.gossip_interval == SimDuration::ZERO {
             return Err(ConfigError::ZeroGossipInterval);
@@ -265,19 +239,28 @@ impl ClientProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transedge_common::ClusterId;
 
     #[test]
     fn builder_validates_combinations() {
         assert!(EdgeConfig::builder().per_cluster(2).build().is_ok());
-        let byz = EdgeId::new(ClusterId(0), 5);
+        let empty = CacheConfig {
+            capacity: 0,
+            max_batches: 64,
+        };
         assert_eq!(
             EdgeConfig::builder()
                 .per_cluster(2)
-                .byzantine(byz, EdgeBehavior::TamperValue)
+                .cache(empty)
                 .build()
                 .unwrap_err(),
-            ConfigError::ByzantineOutOfRange(byz)
+            ConfigError::NoCacheCapacity
+        );
+        assert_eq!(
+            EdgeConfig::builder()
+                .gossip_directory(SimDuration::ZERO)
+                .build()
+                .unwrap_err(),
+            ConfigError::ZeroGossipInterval
         );
     }
 

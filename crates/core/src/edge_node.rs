@@ -51,23 +51,24 @@
 //!   clients skip the round-2 `MinEpoch` fetch entirely.
 //!
 //! Because every response is proof-carrying, clients need not trust
-//! this node at all: the byzantine variants below ([`EdgeBehavior`])
-//! tamper with values, proofs, or roots, and the client-side
-//! [`transedge_edge::ReadVerifier`] catches each one, after which the
-//! client re-asks a real replica. Tests use them to pin that property.
+//! this node at all: whatever a lying edge does to values, proofs,
+//! roots or feeds, the client-side [`transedge_edge::ReadVerifier`]
+//! catches it, after which the client re-asks a real replica. This
+//! node is the honest edge only. The lies that pin that property live
+//! outside it, in `transedge_scenario::liar`, a wrapper that rewrites
+//! what an honest actor sends.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, EdgeId, Key, NodeId, ReplicaId, SimDuration, SimTime,
+    BatchNum, ClusterId, ClusterTopology, EdgeId, NodeId, ReplicaId, SimDuration, SimTime,
 };
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    verify_object, CertifiedDelta, MultiProofBody, MultiProofBundle, PartitionCaches, QueryShape,
-    ReadQuery, ReadRejection, ReadResponse, ReadVerifier, ReplayCache, ScanBundle, SnapshotObject,
-    VerifyParams,
+    verify_object, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, ReplayCache, SnapshotObject, VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
@@ -78,62 +79,6 @@ use crate::messages::NetMsg;
 const TOKEN_GOSSIP: u64 = 1;
 /// Commit-feed lease-renewal timer token.
 const TOKEN_FEED: u64 = 2;
-
-/// How the edge node treats the responses it serves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EdgeBehavior {
-    /// Replay certified responses unmodified.
-    #[default]
-    Honest,
-    /// Lie about the first returned value (keeps the honest proof —
-    /// clients reject with a value/digest mismatch).
-    TamperValue,
-    /// Corrupt the first returned Merkle proof (clients reject the
-    /// proof against the certified root).
-    ForgeProof,
-    /// Swap in a stale/forged state root while keeping the real
-    /// certificate (clients reject the certificate over the recomputed
-    /// digest).
-    StaleRoot,
-    /// Silently drop one answer. From a point-read section: one proven
-    /// key and its value slot, keeping the proof — which no longer
-    /// matches the advertised key set, so the client rejects it as a
-    /// bad proof (or, should the rest still verify, a missing key).
-    /// From a scan: one row — the attack completeness proofs exist for:
-    /// every surviving row still verifies individually, so only
-    /// `ReadVerifier::verify_scan`'s row-count-versus-proof check
-    /// catches it.
-    OmitKey,
-    /// Inject a bogus key into the changed list of the last delta of an
-    /// attached freshness feed — re-shipping the feed head when the
-    /// client's cursor left nothing to send. Either the changed-key
-    /// digest no longer matches the delta digest the replica
-    /// certificate covers (`BadDelta`) or the delta repeats a batch
-    /// the client said it holds (`FeedSpliced`): cryptographic
-    /// evidence the directory gossips fleet-wide, like a forged proof.
-    TamperDelta,
-    /// Coalition mode: lie *consistently* with every other coalition
-    /// member. The forged state root is a pure function of the batch
-    /// number ([`coalition_root`]), so K colluding edges serve
-    /// bit-identical forgeries — a client comparing their answers by
-    /// vote would see perfect agreement and learn nothing. Only the
-    /// proof chain convicts: the consensus certificate covers the
-    /// *committed* digest, the recomputed digest over the forged root
-    /// differs, and the rejection is signable evidence against each
-    /// member individually.
-    Coalition,
-}
-
-/// The coalition's agreed forged state root for one batch: a pure
-/// function of the batch number, no covert channel needed. Every
-/// [`EdgeBehavior::Coalition`] member substitutes this root, so K
-/// colluding edges answer bit-for-bit identically — and each is still
-/// convicted by the certificate-versus-recomputed-digest check.
-pub fn coalition_root(num: BatchNum) -> Digest {
-    let mut d = [0xC0u8; 32];
-    d[..8].copy_from_slice(&num.0.to_le_bytes());
-    Digest(d)
-}
 
 /// The gossip-directory configuration of a deployment's edges.
 #[derive(Clone, Debug)]
@@ -197,7 +142,6 @@ impl FeedPlan {
 /// Everything an [`EdgeReadNode`] needs beyond its identity.
 #[derive(Clone, Debug)]
 pub struct EdgeNodeParams {
-    pub behavior: EdgeBehavior,
     /// Per-cluster replay-cache capacity in answers.
     pub cache_capacity: usize,
     /// Certified headers retained per cluster cache.
@@ -239,8 +183,6 @@ pub struct EdgeNodeStats {
     pub scans_from_cache: u64,
     /// Scans forwarded upstream to a replica.
     pub scans_forwarded: u64,
-    /// Responses deliberately corrupted (byzantine modes).
-    pub tampered: u64,
     /// Cross-partition queries taken as the single contact.
     pub gather_requests: u64,
     /// Query parts for partitions this edge does not front (a single
@@ -288,7 +230,6 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
         reg.counter(scope, "edge.scan_requests", self.scan_requests);
         reg.counter(scope, "edge.scans_from_cache", self.scans_from_cache);
         reg.counter(scope, "edge.scans_forwarded", self.scans_forwarded);
-        reg.counter(scope, "edge.tampered", self.tampered);
         reg.counter(scope, "edge.gather_requests", self.gather_requests);
         reg.counter(scope, "edge.foreign_subs", self.foreign_subs);
         reg.counter(
@@ -319,32 +260,11 @@ impl transedge_obs::RegisterMetrics for EdgeNodeStats {
     }
 }
 
-/// A query part waiting on an upstream answer — for the cache, and for
-/// the client only when this node relays.
-struct PendingRequest {
-    /// The replica asked — the only node whose answer is admitted.
-    upstream: NodeId,
-    /// Where the answer goes on: `None` when the replica answers the
-    /// client directly, as it does for every honest forward.
-    relay: Option<Relay>,
-}
-
-/// The client a relaying edge owes an answer: who asked, under which
-/// request id, and the anchor it named for the part. The forward went
-/// without that anchor, so the answer arrives full (and cacheable), and
-/// the relay elides against it.
-struct Relay {
-    client: NodeId,
-    client_req: u64,
-    held: Option<Digest>,
-}
-
 /// The actor.
 pub struct EdgeReadNode {
     pub me: EdgeId,
     topo: ClusterTopology,
     keys: KeyStore,
-    behavior: EdgeBehavior,
     /// One replay cache per partition: the home cluster's fills from
     /// normal traffic, foreign clusters' from couriered query parts —
     /// which is what makes a warm single-contact query one LAN hop.
@@ -360,8 +280,9 @@ pub struct EdgeReadNode {
     verifier: ReadVerifier,
     peers: Vec<EdgeId>,
     directory: Option<DirectoryAgent>,
-    /// upstream req id → the request it answers.
-    pending: HashMap<u64, PendingRequest>,
+    /// upstream req id → the replica asked, the only node whose answer
+    /// is admitted.
+    pending: HashMap<u64, NodeId>,
     /// The cold-bootstrap transfer in flight: the sibling asked and
     /// the request id — the only `StateTransferResp` admitted, once.
     transfer: Option<(NodeId, u64)>,
@@ -394,7 +315,6 @@ impl EdgeReadNode {
             me,
             topo,
             keys: keys.with_memo(),
-            behavior: params.behavior,
             caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
             directory_plan: params.directory,
             feed_plan: params.feed,
@@ -411,20 +331,9 @@ impl EdgeReadNode {
         }
     }
 
-    pub fn behavior(&self) -> EdgeBehavior {
-        self.behavior
-    }
-
     /// The signature checks this edge ran.
     pub fn sig_stats(&self) -> SigStats {
         self.keys.sig_stats()
-    }
-
-    /// Switch this edge's behaviour at runtime — the scenario layer's
-    /// `CoalitionActivate` hook (a previously honest edge turning
-    /// coat mid-run, coordinated with its co-conspirators).
-    pub fn set_behavior(&mut self, behavior: EdgeBehavior) {
-        self.behavior = behavior;
     }
 
     /// Client requests still waiting on an upstream answer.
@@ -456,6 +365,11 @@ impl EdgeReadNode {
         self.caches.iter().map(|(c, cache)| (c, cache.stats))
     }
 
+    /// The newest verified delta of `cluster`'s feed this node holds.
+    pub fn feed_head(&self, cluster: ClusterId) -> Option<&Arc<CertifiedDelta>> {
+        self.caches.get(cluster)?.feed().newest()
+    }
+
     /// This node's disk image: every answer its replay caches hold, in
     /// cluster order, each cache's least recently used first. The
     /// deployment takes it on crash and hands it to the replacement via
@@ -477,134 +391,8 @@ impl EdgeReadNode {
         NodeId::Replica(ReplicaId::new(cluster, (self.upstream_rr % n) as u16))
     }
 
-    /// Apply this node's byzantine behaviour to an outgoing section.
-    /// Tampering with the body rebuilds it (a body is immutable),
-    /// exactly as a lying edge would re-encode.
-    fn corrupt(&mut self, section: &mut MultiProofBundle) {
-        // The honest path must not pay for the copies below.
-        if matches!(
-            self.behavior,
-            EdgeBehavior::Honest | EdgeBehavior::TamperDelta
-        ) {
-            return;
-        }
-        let body = &section.body;
-        let (mut keys, mut values, mut proof) = (
-            body.keys().to_vec(),
-            body.values().to_vec(),
-            body.proof().clone(),
-        );
-        match self.behavior {
-            EdgeBehavior::Honest | EdgeBehavior::TamperDelta => {}
-            EdgeBehavior::Coalition => {
-                let header = &mut section.commitment.header;
-                header.merkle_root = coalition_root(header.num);
-            }
-            EdgeBehavior::StaleRoot => {
-                section.commitment.header.merkle_root = Digest([0xDE; 32]);
-            }
-            EdgeBehavior::TamperValue => match values.iter_mut().find(|v| v.is_some()) {
-                Some(value) => *value = Some(transedge_common::Value::from("forged-by-edge")),
-                None => return,
-            },
-            // Every proof over fewer buckets than the whole leaf level
-            // has a fold slot; flipping its bit moves every sibling.
-            EdgeBehavior::ForgeProof => match proof.empty_slots.first_mut() {
-                Some(bits) => *bits ^= 1,
-                None => return,
-            },
-            EdgeBehavior::OmitKey => {
-                if keys.is_empty() {
-                    return;
-                }
-                keys.remove(0);
-                values.remove(0);
-            }
-        }
-        section.body = MultiProofBody::new(keys, values, proof);
-        self.stats.tampered += 1;
-    }
-
-    /// Apply this node's byzantine behaviour to an outgoing scan.
-    fn corrupt_scan(&mut self, mut bundle: ScanBundle) -> ScanBundle {
-        match self.behavior {
-            EdgeBehavior::Honest => {}
-            EdgeBehavior::Coalition => {
-                bundle.commitment.header.merkle_root = coalition_root(bundle.commitment.header.num);
-                self.stats.tampered += 1;
-            }
-            EdgeBehavior::TamperValue => {
-                if let Some((_, value)) = bundle.scan.rows.first_mut() {
-                    *value = transedge_common::Value::from("forged-by-edge");
-                    self.stats.tampered += 1;
-                }
-            }
-            EdgeBehavior::ForgeProof => {
-                let proof = &mut bundle.scan.proof;
-                if let Some((_, entries)) = proof.occupied.first_mut() {
-                    entries[0].value_hash.0[0] ^= 0xFF;
-                } else if let Some(sibling) = proof.left.first_mut() {
-                    sibling.0[0] ^= 0xFF;
-                } else if let Some(sibling) = proof.right.first_mut() {
-                    sibling.0[0] ^= 0xFF;
-                }
-                self.stats.tampered += 1;
-            }
-            EdgeBehavior::StaleRoot => {
-                bundle.commitment.header.merkle_root = Digest([0xDE; 32]);
-                self.stats.tampered += 1;
-            }
-            EdgeBehavior::OmitKey => {
-                // The completeness attack: drop a row but keep the
-                // honest proof. Every surviving row still verifies —
-                // only the verifier's rows-versus-proof count check
-                // catches the hole.
-                if !bundle.scan.rows.is_empty() {
-                    let mid = bundle.scan.rows.len() / 2;
-                    bundle.scan.rows.remove(mid);
-                    self.stats.tampered += 1;
-                }
-            }
-            // Targets freshness feeds; scans pass clean.
-            EdgeBehavior::TamperDelta => {}
-        }
-        bundle
-    }
-
-    /// Apply [`EdgeBehavior::TamperDelta`] to an outgoing freshness
-    /// attachment of `cluster`: inject a bogus key into the last
-    /// delta's changed list. A warm cursor leaves nothing to send, so
-    /// the liar then re-ships its feed head to have a delta to doctor.
-    fn corrupt_fresh(
-        &mut self,
-        cluster: ClusterId,
-        fresh: Option<Vec<Arc<CertifiedDelta>>>,
-    ) -> Option<Vec<Arc<CertifiedDelta>>> {
-        // Coalition members forge the *same* bogus delta key as each
-        // other (a shared constant), for the same reason their forged
-        // roots match: agreement must not look like honesty.
-        let bogus = match self.behavior {
-            EdgeBehavior::TamperDelta => Key::from_u32(u32::MAX),
-            EdgeBehavior::Coalition => Key::from_u32(u32::MAX - 1),
-            _ => return fresh,
-        };
-        let mut feed = fresh?;
-        if feed.is_empty() {
-            let head = self.caches.get(cluster).and_then(|c| c.feed().newest());
-            feed.extend(head.cloned());
-        }
-        if let Some(last) = feed.last_mut() {
-            Arc::make_mut(last).changed.push(bogus);
-            self.stats.tampered += 1;
-        }
-        Some(feed)
-    }
-
     /// Send `result` to a client that named `held` for its partition:
-    /// held when it is full at exactly that anchor. A node that
-    /// rewrote the anchor ([`EdgeBehavior::StaleRoot`],
-    /// [`EdgeBehavior::Coalition`]) ships its forged anchor full — held,
-    /// the lie would never reach the client.
+    /// held when it is full at exactly that anchor.
     fn send_result(
         &self,
         to: NodeId,
@@ -613,47 +401,8 @@ impl EdgeReadNode {
         held: Option<Digest>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let rewrote_anchor = matches!(
-            self.behavior,
-            EdgeBehavior::StaleRoot | EdgeBehavior::Coalition
-        );
-        let result = if rewrote_anchor {
-            result
-        } else {
-            result.held_by(held)
-        };
+        let result = result.held_by(held);
         ctx.send(to, NetMsg::ReadResult { req, result });
-    }
-
-    /// Send a scan window (a replay or a pass-through), with this
-    /// node's byzantine behaviour applied.
-    fn respond_scan(
-        &mut self,
-        to: NodeId,
-        req: u64,
-        bundle: ScanBundle,
-        held: Option<Digest>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let bundle = Box::new(self.corrupt_scan(bundle));
-        self.send_result(to, req, ReadResponse::Scan { bundle }, held, ctx);
-    }
-
-    /// Send a point section (a replay or a pass-through), with this
-    /// node's byzantine behaviour applied.
-    fn respond(
-        &mut self,
-        to: NodeId,
-        req: u64,
-        mut section: Box<MultiProofBundle>,
-        fresh: Option<Vec<Arc<CertifiedDelta>>>,
-        held: Option<Digest>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let fresh = self.corrupt_fresh(section.commitment.header.cluster, fresh);
-        self.corrupt(&mut section);
-        let result = ReadResponse::Point { section, fresh };
-        self.send_result(to, req, result, held, ctx);
     }
 
     /// Register an upstream request, bounding the pending map: upstream
@@ -661,7 +410,7 @@ impl EdgeReadNode {
     /// clients retry via replicas, so nothing else drains abandoned
     /// entries. Request ids ascend, so the smallest ids are the oldest
     /// — drop those first.
-    fn track_pending(&mut self, entry: PendingRequest) -> u64 {
+    fn track_pending(&mut self, upstream: NodeId) -> u64 {
         self.next_req += 1;
         let upstream_req = self.next_req;
         const MAX_PENDING: usize = 4096;
@@ -672,7 +421,7 @@ impl EdgeReadNode {
                 self.pending.remove(id);
             }
         }
-        self.pending.insert(upstream_req, entry);
+        self.pending.insert(upstream_req, upstream);
         upstream_req
     }
 
@@ -681,10 +430,9 @@ impl EdgeReadNode {
     /// foreign part that partition's. Never the edge fronting it: that
     /// edge sits beside those replicas, so its hit is no nearer and its
     /// miss is one more hop. The part goes verbatim, held anchor and
-    /// all, with the client's address in `reply_to`: the replica
-    /// answers the client directly and sends this node the full answer
-    /// to cache. A lying edge instead forwards without the anchor or an
-    /// address and relays the full answer through its lies.
+    /// all, with the client's address in `reply_to` (only clients ask
+    /// edges): the replica answers the client directly and sends this
+    /// node the full answer to cache.
     fn forward_upstream(
         &mut self,
         client: NodeId,
@@ -705,21 +453,8 @@ impl EdgeReadNode {
             self.stats.foreign_forward_replica += 1;
         }
         let upstream = self.upstream_replica(cluster);
-        let direct = self.behavior == EdgeBehavior::Honest && matches!(client, NodeId::Client(_));
-        let relay = if direct {
-            query.reply_to = Some((client, client_req));
-            None
-        } else {
-            query.reply_to = None;
-            let held = query.held_for(cluster);
-            query.held.clear();
-            Some(Relay {
-                client,
-                client_req,
-                held,
-            })
-        };
-        let upstream_req = self.track_pending(PendingRequest { upstream, relay });
+        query.reply_to = Some((client, client_req));
+        let upstream_req = self.track_pending(upstream);
         ctx.send(
             upstream,
             NetMsg::Read {
@@ -953,7 +688,9 @@ impl EdgeReadNode {
             .as_ref()
             .and_then(|_| cache.freshness_since(served, keys, resume));
         let held = query.held_for(cluster);
-        self.respond(to, req, Box::new(section), fresh, held, ctx);
+        let section = Box::new(section);
+        let result = ReadResponse::Point { section, fresh };
+        self.send_result(to, req, result, held, ctx);
     }
 
     /// Serve `cluster`'s scan part from the replay cache — the page's
@@ -981,7 +718,10 @@ impl EdgeReadNode {
         if let Some(bundle) = replayed {
             self.stats.scans_from_cache += 1;
             let held = query.held_for(cluster);
-            self.respond_scan(to, req, bundle, held, ctx);
+            let result = ReadResponse::Scan {
+                bundle: Box::new(bundle),
+            };
+            self.send_result(to, req, result, held, ctx);
             return;
         }
         self.stats.scans_forwarded += 1;
@@ -992,47 +732,16 @@ impl EdgeReadNode {
     /// that `req` was sent to. A cache takes certified material
     /// unverified, so anything unsolicited, late or duplicate — which
     /// any node could forge under any `req` — is dropped unabsorbed.
-    /// The client already has its copy from the replica, unless this
-    /// node relays.
-    fn on_upstream_result(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        result: ReadResponse,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
+    /// The client already has its copy from the replica.
+    fn on_upstream_result(&mut self, from: NodeId, req: u64, result: ReadResponse) {
         let Entry::Occupied(asked) = self.pending.entry(req) else {
             return;
         };
-        if asked.get().upstream != from {
+        if *asked.get() != from {
             return;
         }
-        let PendingRequest { relay, .. } = asked.remove();
-        // A byzantine edge still caches honestly and lies on the way
-        // out.
+        asked.remove();
         self.absorb(&result);
-        let Some(Relay {
-            client,
-            client_req,
-            held,
-        }) = relay
-        else {
-            return;
-        };
-        match result {
-            ReadResponse::Scan { bundle } => {
-                self.respond_scan(client, client_req, *bundle, held, ctx)
-            }
-            // Whatever upstream sent goes out as received — the client
-            // verifies it end to end either way.
-            ReadResponse::Point { section, .. } => {
-                self.respond(client, client_req, section, None, held, ctx)
-            }
-            // The forward named no anchor, so no replica answers held;
-            // this node could neither cache nor rebuild one, and the
-            // client's retry covers the part.
-            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => {}
-        }
     }
 
     /// One anti-entropy round: push a delta to one rotating peer.
@@ -1124,7 +833,7 @@ impl Actor<NetMsg> for EdgeReadNode {
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
         match msg {
             NetMsg::Read { req, query } => self.serve(from, req, query, ctx),
-            NetMsg::ReadResult { req, result } => self.on_upstream_result(from, req, result, ctx),
+            NetMsg::ReadResult { req, result } => self.on_upstream_result(from, req, result),
             NetMsg::DirectoryDeltaGossip { delta } => {
                 if let Some(agent) = &mut self.directory {
                     // Every record in the delta is signature-checked

@@ -19,8 +19,9 @@
 //!   apply, sign) shared by leaders and followers;
 //! * [`node`] — the replica actor: consensus + executor + 2PC driver +
 //!   read-only serving through the `transedge-edge` pipeline;
-//! * [`edge_node`] — the untrusted edge read cache actor (and its
-//!   byzantine test variants) scaling the ROT path without consensus;
+//! * [`edge_node`] — the untrusted edge read cache actor, honest only
+//!   (lies live in `transedge-scenario`'s `liar`), scaling the ROT path
+//!   without consensus;
 //!   with per-cluster replay caches, single-contact reads (one edge
 //!   serves a cross-partition query part by part, forwarding the parts
 //!   it misses to their partitions' replicas and sending each
@@ -62,7 +63,7 @@ pub mod setup;
 pub use batch::{Batch, BatchHeader, CdVector, CommittedHeader, ReadOp, Transaction, WriteOp};
 pub use client::{ClientActor, ClientOp, QueryOutcome, TxnOutcome};
 pub use config::{CacheConfig, ClientProfile, ConfigError, EdgeConfig, EdgeConfigBuilder};
-pub use edge_node::{EdgeBehavior, EdgeReadNode};
+pub use edge_node::EdgeReadNode;
 pub use messages::{NetMsg, ReadPayload};
 pub use node::{NodeConfig, TransEdgeNode};
 pub use setup::{Deployment, DeploymentConfig};

@@ -15,7 +15,7 @@ use transedge_simnet::{CostModel, FaultPlan, LatencyModel, PartitionHandle, Simu
 
 use crate::client::{ClientActor, ClientConfig, ClientOp};
 use crate::config::{ClientProfile, EdgeConfig};
-use crate::edge_node::{EdgeBehavior, EdgeNodeParams, EdgeReadNode};
+use crate::edge_node::{EdgeNodeParams, EdgeReadNode};
 use crate::messages::NetMsg;
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
@@ -94,9 +94,8 @@ fn edge_keypair(seed: &[u8; 32], id: EdgeId) -> Keypair {
 
 /// The actor parameters of one edge node, as the deployment config
 /// describes them (shared by first build and crash-restart rebuild).
-fn edge_node_params(config: &DeploymentConfig, id: EdgeId, peers: Vec<EdgeId>) -> EdgeNodeParams {
+fn edge_node_params(config: &DeploymentConfig, peers: Vec<EdgeId>) -> EdgeNodeParams {
     EdgeNodeParams {
-        behavior: config.edge.behavior_of(id),
         cache_capacity: config.edge.cache.capacity,
         max_cached_batches: config.edge.cache.max_batches,
         tree_depth: config.node.tree_depth,
@@ -266,7 +265,7 @@ impl Deployment {
                 config.topo.clone(),
                 keys.clone(),
                 keypair,
-                edge_node_params(&config, id, edge_ids.clone()),
+                edge_node_params(&config, edge_ids.clone()),
             );
             sim.add_actor(NodeId::Edge(id), Box::new(node));
         }
@@ -431,7 +430,7 @@ impl Deployment {
             self.topo.clone(),
             self.keys.clone(),
             edge_keypair(&seed, edge),
-            edge_node_params(&self.config, edge, self.edge_ids.clone()),
+            edge_node_params(&self.config, self.edge_ids.clone()),
         );
         node.restore_image(image);
         self.sim.add_actor(NodeId::Edge(edge), Box::new(node));
@@ -522,8 +521,8 @@ impl Deployment {
     // ---- runtime scenario hooks -------------------------------------
     // The declarative scenario layer (`transedge-scenario`) steers a
     // running deployment through these: faults that start and heal on
-    // cue, edges that turn coat, certification cadences that skew, and
-    // client scripts re-targeted mid-workload.
+    // cue, certification cadences that skew, and client scripts
+    // re-targeted mid-workload.
 
     /// Cut all links between `a` and `b` from the current sim time
     /// until [`Deployment::heal_partition`].
@@ -549,12 +548,6 @@ impl Deployment {
     /// registered but deaf — the [`FaultPlan`] crash mode).
     pub fn crash_replica(&mut self, replica: ReplicaId) {
         self.sim.crash_node(NodeId::Replica(replica));
-    }
-
-    /// Flip one edge's behaviour at runtime (scenario coalitions:
-    /// previously honest edges activating coordinated byzantine modes).
-    pub fn set_edge_behavior(&mut self, edge: EdgeId, behavior: EdgeBehavior) {
-        self.edge_node_mut(edge).set_behavior(behavior);
     }
 
     /// Skew one cluster's batch certification cadence: every replica of

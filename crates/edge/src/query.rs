@@ -187,10 +187,9 @@ pub struct ReadQuery {
     /// certificate the client already holds. Keyed on the digest, not
     /// the batch number, so an honest server never elides against a
     /// different header, even were two certified for one batch. Empty
-    /// on a first contact. An honest edge forwards it upstream with
+    /// on a first contact. An edge forwards it upstream with
     /// [`ReadQuery::reply_to`], and the replica elides only the copy it
-    /// sends the client; an edge that relays clears it upstream. Either
-    /// way what an edge absorbs is a full answer.
+    /// sends the client, so what an edge absorbs is a full answer.
     pub held: Vec<(ClusterId, Digest)>,
     /// Where the answer goes besides the asker: a client and the
     /// request id it asked under. An honest edge forwarding a part it
@@ -198,7 +197,7 @@ pub struct ReadQuery {
     /// answer straight to that client (held when the client named the
     /// anchor) as well as full to the edge, which only caches it. A
     /// replica ignores a `reply_to` naming anything but a client.
-    /// `None` from clients and relaying edges.
+    /// `None` from clients.
     pub reply_to: Option<(NodeId, u64)>,
     /// Causal-trace propagation context: the client operation this
     /// query serves and the span that caused this hop. Purely

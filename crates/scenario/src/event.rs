@@ -36,9 +36,10 @@ pub enum ScenarioEvent {
         cluster: ClusterId,
         interval: SimDuration,
     },
-    /// A coalition turns coat: each member edge switches to
-    /// [`transedge_core::EdgeBehavior::Coalition`], forging the *same*
-    /// root for the same batch so the members corroborate each other.
+    /// A coalition turns coat: each member edge is wrapped in a
+    /// [`crate::liar::Liar`] telling [`crate::liar::Lie::Coalition`],
+    /// forging the *same* root for the same batch so the members
+    /// corroborate each other.
     /// Vote-counting across them would see agreement; per-response
     /// certificate verification convicts each one individually.
     CoalitionActivate { members: Vec<EdgeId> },

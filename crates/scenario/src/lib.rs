@@ -23,6 +23,10 @@
 //! 4. **No framing** — honest edges are never demoted by fabricated
 //!    evidence (every conviction held anywhere names a scripted liar).
 //!
+//! Every lie lives in [`liar`]: a wrapper actor that makes any honest
+//! edge or replica rewrite the read answers it sends. Coalitions,
+//! and every byzantine test, install one.
+//!
 //! [`campaign`] packages four ready-made scenario campaigns (churn,
 //! partition-heal, flash-crowd, coalition) with availability / p95 /
 //! rejected-read / convergence outcomes — what `tests/scenarios.rs`
@@ -30,10 +34,12 @@
 
 pub mod campaign;
 pub mod event;
+pub mod liar;
 pub mod monitor;
 pub mod runner;
 
 pub use campaign::CampaignOutcome;
 pub use event::{Scenario, ScenarioEvent};
+pub use liar::Lie;
 pub use monitor::{ConvergenceReport, InvariantMonitor, InvariantViolation};
 pub use runner::ScenarioRunner;

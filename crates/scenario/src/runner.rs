@@ -4,11 +4,12 @@
 use std::collections::HashMap;
 
 use transedge_common::{EdgeId, NodeId, SimTime};
-use transedge_core::{ClientActor, Deployment, EdgeBehavior, SnapshotObject};
+use transedge_core::{ClientActor, Deployment, SnapshotObject};
 use transedge_simnet::PartitionHandle;
 use transedge_workload::WorkloadSpec;
 
 use crate::event::{Scenario, ScenarioEvent};
+use crate::liar::{self, Lie};
 use crate::monitor::{InvariantMonitor, InvariantViolation};
 
 /// Applies a scenario's events at their scheduled instants, sweeping
@@ -116,7 +117,7 @@ impl ScenarioRunner {
             ScenarioEvent::CoalitionActivate { members } => {
                 monitor.expect_byzantine(members.iter().copied());
                 for &member in members {
-                    dep.set_edge_behavior(member, EdgeBehavior::Coalition);
+                    liar::install(dep, NodeId::Edge(member), Lie::Coalition);
                 }
             }
             ScenarioEvent::ReplicaCrash { replica } => dep.crash_replica(*replica),

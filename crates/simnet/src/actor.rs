@@ -46,6 +46,17 @@ pub trait Actor<M: SimMessage>: std::any::Any {
     /// A timer set with [`Context::set_timer`] fired. `token` is the
     /// caller-chosen discriminator.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, M>) {}
+
+    /// The actor this one wraps, for an actor put around another with
+    /// [`crate::Simulation::wrap_actor`]: `actor_as` looks through it.
+    fn inner(&self) -> Option<&(dyn Actor<M> + 'static)> {
+        None
+    }
+
+    /// Mutable [`Actor::inner`].
+    fn inner_mut(&mut self) -> Option<&mut (dyn Actor<M> + 'static)> {
+        None
+    }
 }
 
 pub(crate) enum Effect<M> {
@@ -122,6 +133,16 @@ impl<'a, M> Context<'a, M> {
             msg,
             at_offset: self.consumed,
         });
+    }
+
+    /// The messages sent so far in this handler, with their
+    /// destinations, to rewrite in place: how a wrapper changes what the
+    /// actor it wraps sends.
+    pub fn sends_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut M)> + '_ {
+        self.effects.iter_mut().filter_map(|effect| match effect {
+            Effect::Send { to, msg, .. } => Some((*to, msg)),
+            _ => None,
+        })
     }
 
     /// Send the same message constructor to many destinations.

@@ -20,8 +20,10 @@
 //!   just latency — come out of the simulation;
 //! * **faults** — message drops, node crashes, and partitions
 //!   ([`fault::FaultPlan`]). Byzantine behaviour needs no simulator
-//!   support: a byzantine node is just a different `Actor`
-//!   implementation.
+//!   mode: a byzantine node is just a different `Actor`, usually a
+//!   wrapper put around an honest one with
+//!   [`Simulation::wrap_actor`] that rewrites what it sends
+//!   ([`Context::sends_mut`]).
 //!
 //! Determinism: all randomness flows from one seed, and simultaneous
 //! events are ordered by insertion sequence, so a run is a pure

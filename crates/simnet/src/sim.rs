@@ -123,6 +123,24 @@ impl<M: SimMessage + 'static> Simulation<M> {
         self.actors.remove(&id)
     }
 
+    /// Put a wrapper around the actor registered under `id`: `wrap`
+    /// takes the actor and returns what replaces it. Nothing queued for
+    /// `id` is dropped and no second start is queued, so a wrapper
+    /// installed before the run receives the actor's one start and one
+    /// installed mid-run restarts nothing. Panics if no actor is
+    /// registered under `id`.
+    pub fn wrap_actor(
+        &mut self,
+        id: NodeId,
+        wrap: impl FnOnce(Box<dyn Actor<M>>) -> Box<dyn Actor<M>>,
+    ) {
+        let actor = self
+            .actors
+            .remove(&id)
+            .unwrap_or_else(|| panic!("no actor {id} to wrap"));
+        self.actors.insert(id, wrap(actor));
+    }
+
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
@@ -232,18 +250,33 @@ impl<M: SimMessage + 'static> Simulation<M> {
         });
     }
 
-    /// Typed inspection of an actor (tests, harnesses).
+    /// Typed inspection of an actor (tests, harnesses): the actor
+    /// registered under `id` or, through [`Actor::inner`], one it wraps.
     pub fn actor_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        let actor = self.actors.get(&id)?;
-        let any: &dyn Any = actor.as_ref();
-        any.downcast_ref::<T>()
+        let mut actor = self.actors.get(&id)?.as_ref();
+        loop {
+            let any: &dyn Any = actor;
+            if let Some(found) = any.downcast_ref::<T>() {
+                return Some(found);
+            }
+            actor = actor.inner()?;
+        }
     }
 
-    /// Typed mutable access to an actor.
+    /// Typed mutable access to an actor, looking through wrappers like
+    /// [`Simulation::actor_as`].
     pub fn actor_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let actor = self.actors.get_mut(&id)?;
-        let any: &mut dyn Any = actor.as_mut();
-        any.downcast_mut::<T>()
+        fn find<'a, M: SimMessage + 'static, T: 'static>(
+            actor: &'a mut (dyn Actor<M> + 'static),
+        ) -> Option<&'a mut T> {
+            let any: &dyn Any = actor;
+            if any.is::<T>() {
+                let any: &mut dyn Any = actor;
+                return any.downcast_mut::<T>();
+            }
+            find(actor.inner_mut()?)
+        }
+        find(self.actors.get_mut(&id)?.as_mut())
     }
 
     /// Drive one actor entry point, buffering and then applying effects.

@@ -22,10 +22,10 @@
 
 use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime};
 use transedge::core::client::ClientOp;
-use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::ReadQuery;
 use transedge::core::{ClientProfile, EdgeConfig};
+use transedge::scenario::liar::{self, Lie};
 use transedge::simnet::LatencyModel;
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -44,7 +44,6 @@ fn main() {
     let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
-        .byzantine(byz, EdgeBehavior::TamperValue)
         .gossip_directory(SimDuration::from_millis(20))
         .build()
         .expect("edge config");
@@ -75,6 +74,7 @@ fn main() {
             ClientPlan::with_profile(b_ops, late),
         ],
     );
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
     dep.run_until_done(SimTime(600_000_000));
 
     let a = dep.client(dep.client_ids[0]);

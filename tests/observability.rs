@@ -3,11 +3,13 @@
 //! flight recorder dumped when an invariant violation aborts a
 //! scenario campaign.
 
-use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, SimTime, Value};
+use proptest::prelude::*;
+use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimTime, Value};
 use transedge::core::client::ClientOp;
 use transedge::core::setup::{Deployment, DeploymentConfig};
 use transedge::core::EdgeConfig;
-use transedge::obs::{breakdown_at_percentile, SpanPhase, TraceId};
+use transedge::obs::{breakdown_at_percentile, CompletedTrace, SpanPhase, TraceId};
+use transedge::scenario::liar::{self, Lie};
 use transedge::scenario::{
     InvariantMonitor, InvariantViolation, Scenario, ScenarioEvent, ScenarioRunner,
 };
@@ -161,4 +163,89 @@ fn violation_dump_contains_offending_read_trace() {
     let dump = dep.export_trace();
     assert!(dump.contains("\"cat\":\"serve\""));
     assert!(dump.contains("\"cat\":\"verify\""));
+}
+
+/// Structural well-formedness of one frozen trace: roots and parents
+/// resolve (no orphans), every span carries the trace's id, and no
+/// span starts before the operation was minted.
+fn assert_well_formed(trace: &CompletedTrace) {
+    assert!(
+        trace.is_connected(),
+        "orphaned spans in {:?}: {:#?}",
+        trace.trace,
+        trace.spans
+    );
+    let minted = trace.root_span().start;
+    for span in &trace.spans {
+        assert_eq!(span.trace, trace.trace, "span leaked across traces");
+        assert!(
+            span.start >= minted,
+            "span {:?} starts before its operation",
+            span.id
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A scatter read fanned out over two partitions, one fronted by a
+    /// value-tampering edge: some completed trace must witness the
+    /// whole episode — the edge's upstream forward, the client's
+    /// rejection, the liar's demotion, and the replica retry — and
+    /// every recorded trace must be a single connected tree.
+    #[test]
+    fn byzantine_scatter_reads_leave_one_connected_trace(
+        n_keys0 in 1usize..3,
+        n_keys1 in 1usize..3,
+        ops in 3usize..6,
+    ) {
+        let mut config = DeploymentConfig::for_testing();
+        config.client.record_results = true;
+        let byz = EdgeId::new(ClusterId(0), 0);
+        config.edge = EdgeConfig::honest(1);
+        let topo = config.topo.clone();
+        let mut keys = keys_on(&topo, ClusterId(0), n_keys0);
+        keys.extend(keys_on(&topo, ClusterId(1), n_keys1));
+        let script: Vec<ClientOp> = (0..ops)
+            .map(|_| ClientOp::ReadOnly { keys: keys.clone() })
+            .collect();
+        let mut dep = Deployment::build(config, vec![script]);
+        liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
+        dep.run_until_done(SimTime(600_000_000));
+
+        let client = dep.client(dep.client_ids[0]);
+        prop_assert!(client.stats.verification_failures >= 1);
+        prop_assert_eq!(client.query_results.len(), ops);
+
+        let traces = dep.completed_traces();
+        // One completed trace per finished operation, each frozen with
+        // the op-indexed deterministic id.
+        prop_assert_eq!(traces.len(), ops);
+        for (i, trace) in traces.iter().enumerate() {
+            prop_assert_eq!(trace.trace, TraceId::for_op(0, i as u32));
+            assert_well_formed(trace);
+            // Every op crossed the wire and was served and verified.
+            prop_assert!(trace.spans_of(SpanPhase::Wire).next().is_some());
+            prop_assert!(trace.spans_of(SpanPhase::Serve).next().is_some());
+            prop_assert!(trace.spans_of(SpanPhase::Verify).next().is_some());
+        }
+        // The byzantine episode is fully witnessed by at least one
+        // trace: cold-cache forward at the edge, rejected response at
+        // the client, demotion gossip, and the replica retry.
+        for label in ["forward", "rejected", "demoted", "retry"] {
+            prop_assert!(
+                traces.iter().any(|t| t.has_label(label)),
+                "no trace carries a {label:?} span"
+            );
+        }
+        // The whole episode lands in one tree at least once.
+        prop_assert!(
+            traces.iter().any(|t| t.has_label("forward")
+                && t.has_label("rejected")
+                && t.has_label("demoted")
+                && t.has_label("retry")),
+            "no single trace covers forward + rejection + demotion + retry"
+        );
+    }
 }

@@ -12,11 +12,11 @@ use transedge::common::{
     ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime, Value,
 };
 use transedge::core::client::ClientOp;
-use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder, NetMsg};
 use transedge::directory::GossipDelta;
 use transedge::edge::{MultiProofBody, ReadQuery, ReadResponse, SnapshotObject};
+use transedge::scenario::liar::{self, Lie};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -296,14 +296,14 @@ fn cold_edge_bootstraps_from_sibling_state_transfer() {
 fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
     for second_struck in [false, true] {
         let e0 = EdgeId::new(ClusterId(0), 0);
-        let liar = EdgeId::new(ClusterId(0), 1);
+        let byz = EdgeId::new(ClusterId(0), 1);
         let e2 = EdgeId::new(ClusterId(0), 2);
         let (mut dep, _keys) = warm_then_probe_on(
             EdgeConfig::builder()
                 .per_cluster(3)
-                .byzantine(liar, EdgeBehavior::TamperValue)
                 .gossip_directory(SimDuration::from_millis(20)),
         );
+        liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
         dep.run_until(CRASH_AT);
         // The warm-up client tripped over the liar and the fleet
         // convicted it.
@@ -312,14 +312,14 @@ fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
             summary: known.state().summary(),
             evidence: known.state().evidence().cloned().collect(),
         };
-        assert!(delta.evidence.iter().any(|ev| ev.body.subject == liar));
+        assert!(delta.evidence.iter().any(|ev| ev.body.subject == byz));
 
         // Only the healthy peer has anything to offer: it comes back
         // warm over the union of the three disks, while the liar stays
         // down — a request sent to it brings back nothing — and the
         // edge comes back with its disk lost.
         let mut union = dep.crash_edge(e2);
-        for edge in [e0, liar] {
+        for edge in [e0, byz] {
             union.extend(dep.crash_edge(edge));
         }
         assert!(
@@ -334,7 +334,7 @@ fn cold_edge_asks_only_a_healthy_peer_for_state_transfer() {
             .directory_mut()
             .expect("directory enabled");
         agent.ingest_delta(NodeId::Edge(e2), &delta, &keys, now);
-        assert!(agent.knows_byzantine(liar));
+        assert!(agent.knows_byzantine(byz));
         if second_struck {
             agent.strike(NodeId::Edge(e2));
         }

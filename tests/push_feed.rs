@@ -9,11 +9,11 @@
 
 use transedge::common::{ClusterId, ClusterTopology, Key, NodeId, SimDuration, SimTime, Value};
 use transedge::core::client::ClientOp;
-use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig};
 use transedge::edge::MAX_FEED_DELTAS;
+use transedge::scenario::liar::{self, Lie};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -409,13 +409,12 @@ fn tampered_feed_delta_is_rejected_and_demotes_fleet_wide() {
         "the victim holds everything the edge could send"
     );
     assert_eq!(dep.client(a).stats.verification_failures, 0);
-    dep.set_edge_behavior(byz, EdgeBehavior::TamperDelta);
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperDelta);
     dep.run_until_done(SimTime(600_000_000));
 
     // The byzantine edge corrupted at least one attachment…
-    let byz_node = dep.edge_node(byz);
     assert!(
-        byz_node.stats.tampered > 0,
+        liar::tampered(&dep, NodeId::Edge(byz)) > 0,
         "the byzantine edge must have tampered a feed attachment"
     );
     // …client A caught it cryptographically and pushed evidence…

@@ -8,11 +8,11 @@ use transedge::common::{
     Value,
 };
 use transedge::core::client::ClientOp;
-use transedge::core::edge_node::EdgeBehavior;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, NetMsg};
 use transedge::edge::{MultiProofBody, ReadResponse, ReadVerifier, VerifyParams};
+use transedge::scenario::liar::{self, Lie};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
     (0u32..10_000)
@@ -209,11 +209,11 @@ fn honest_edge_serves_verified_cached_and_uncached_reads() {
 #[test]
 fn byzantine_edge_is_detected_and_evaded() {
     const CLIENTS: u64 = 3;
-    for behavior in [
-        EdgeBehavior::TamperValue,
-        EdgeBehavior::ForgeProof,
-        EdgeBehavior::StaleRoot,
-        EdgeBehavior::Coalition,
+    for lie in [
+        Lie::TamperValue,
+        Lie::ForgeProof,
+        Lie::StaleRoot,
+        Lie::Coalition,
     ] {
         let mut config = DeploymentConfig::for_testing();
         config.latency = transedge::simnet::LatencyModel::paper_default();
@@ -238,23 +238,23 @@ fn byzantine_edge_is_detected_and_evaded() {
             .iter()
             .any(|id| dep.client(*id).query_results.is_empty())
         {
-            assert!(dep.sim.step(), "{behavior:?}: first reads must complete");
+            assert!(dep.sim.step(), "{lie:?}: first reads must complete");
         }
         assert_eq!(
             dep.edge_node(turncoat).stats.requests,
             CLIENTS,
-            "{behavior:?}: the edge turns coat before any second read reaches it"
+            "{lie:?}: the edge turns coat before any second read reaches it"
         );
         // ...then cluster 0's edge turns coat (cluster 1's stays
         // honest), so each client's second read meets a forgery: the one
         // strike that demotes the edge.
-        dep.set_edge_behavior(turncoat, behavior);
+        liar::install(&mut dep, NodeId::Edge(turncoat), lie);
         dep.run_until_done(SimTime(600_000_000));
 
         assert_eq!(
-            dep.edge_node(turncoat).stats.tampered,
+            liar::tampered(&dep, NodeId::Edge(turncoat)),
             CLIENTS,
-            "{behavior:?}: byzantine edge must have tampered every second read"
+            "{lie:?}: byzantine edge must have tampered every second read"
         );
         let expected: Vec<(Key, Value)> = dep.data.clone();
         for id in &dep.client_ids {
@@ -262,18 +262,18 @@ fn byzantine_edge_is_detected_and_evaded() {
             // The forgery was seen and rejected...
             assert_eq!(
                 client.stats.verification_failures, 1,
-                "{behavior:?}: every tampered response must be rejected"
+                "{lie:?}: every tampered response must be rejected"
             );
             // ...by a client whose certificate memo was warm from the
             // honest read: a remembered certificate vouches for nothing
             // around it.
             assert!(
                 client.stats.cert_checks_shared > 0,
-                "{behavior:?}: the forgery must have met a warm memo"
+                "{lie:?}: the forgery must have met a warm memo"
             );
             // ...yet every transaction still completed with correct
             // values by evading to honest replicas.
-            assert_eq!(client.stats.gave_up, 0, "{behavior:?}: no ROT may give up");
+            assert_eq!(client.stats.gave_up, 0, "{lie:?}: no ROT may give up");
             assert_eq!(client.query_results.len(), 2);
             for rot in &client.query_results {
                 assert_eq!(rot.values.len(), rot_keys.len());
@@ -282,16 +282,48 @@ fn byzantine_edge_is_detected_and_evaded() {
                     assert_eq!(
                         value.as_ref(),
                         want,
-                        "{behavior:?}: accepted value must match committed state"
+                        "{lie:?}: accepted value must match committed state"
                     );
                 }
             }
             for s in &client.samples {
-                assert!(
-                    s.committed,
-                    "{behavior:?}: read-only transactions never abort"
-                );
+                assert!(s.committed, "{lie:?}: read-only transactions never abort");
             }
+        }
+    }
+}
+
+/// A lying replica is caught like a lying edge. With no edge tier a
+/// client reads from its partition's leader, and cluster 0's leader
+/// tampers with a value in every answer it sends a client. Each lie is
+/// rejected and the read completes from another replica with the
+/// committed values. Every answer after the first names the anchor the
+/// client verified, so the lie also rides held answers.
+#[test]
+fn a_lying_replica_is_caught_and_evaded() {
+    let mut config = DeploymentConfig::for_testing();
+    config.client.record_results = true;
+    let keys = keys_on(&config.topo, ClusterId(0), 2);
+    let script = vec![ClientOp::ReadOnly { keys: keys.clone() }; 4];
+    let mut dep = Deployment::build(config, vec![script]);
+    let leader = NodeId::Replica(dep.leader_of(ClusterId(0)));
+    liar::install(&mut dep, leader, Lie::TamperValue);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let client = dep.client(dep.client_ids[0]);
+    let tampered = liar::tampered(&dep, leader);
+    assert!(
+        tampered >= 4,
+        "every read met the lie (tampered {tampered})"
+    );
+    assert_eq!(client.stats.verification_failures, tampered);
+    assert_eq!(client.stats.gave_up, 0);
+    assert_eq!(client.query_results.len(), 4);
+    for rot in &client.query_results {
+        assert_eq!(rot.values.len(), keys.len());
+        for (key, value) in &rot.values {
+            let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            assert_eq!(value.as_ref(), want);
         }
     }
 }
@@ -667,7 +699,6 @@ fn byzantine_edge_is_demoted_and_traffic_fails_over() {
     let honest = EdgeId::new(ClusterId(0), 1);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
-        .byzantine(byz, EdgeBehavior::TamperValue)
         .build()
         .expect("edge config");
     let topo = config.topo.clone();
@@ -677,6 +708,7 @@ fn byzantine_edge_is_demoted_and_traffic_fails_over() {
         .map(|_| ClientOp::ReadOnly { keys: k0.clone() })
         .collect();
     let mut dep = Deployment::build(config, vec![script]);
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(dep.client_ids[0]);
@@ -734,7 +766,6 @@ fn key_omitting_edge_is_rejected_and_demoted() {
     let honest = EdgeId::new(ClusterId(0), 1);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
-        .byzantine(byz, EdgeBehavior::OmitKey)
         .build()
         .expect("edge config");
     let topo = config.topo.clone();
@@ -744,6 +775,7 @@ fn key_omitting_edge_is_rejected_and_demoted() {
         .map(|_| ClientOp::ReadOnly { keys: k0.clone() })
         .collect();
     let mut dep = Deployment::build(config, vec![script]);
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::OmitKey);
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(dep.client_ids[0]);
@@ -870,7 +902,6 @@ fn an_edge_does_not_cache_a_result_it_did_not_ask_for() {
         assert_eq!(value.as_ref(), want);
     }
     let stats = dep.edge_node(e0).stats;
-    assert_eq!(stats.tampered, 0, "the edge is honest");
     assert_eq!(stats.served_from_cache, 0, "nothing was cached");
     assert_eq!(stats.forwarded, 1, "the read went upstream");
 }
@@ -1016,7 +1047,6 @@ fn scan_omitting_edge_is_rejected_and_demoted() {
     let honest = EdgeId::new(ClusterId(0), 1);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
-        .byzantine(byz, EdgeBehavior::OmitKey)
         .build()
         .expect("edge config");
     let topo = config.topo.clone();
@@ -1029,6 +1059,7 @@ fn scan_omitting_edge_is_rejected_and_demoted() {
         })
         .collect();
     let mut dep = Deployment::build(config, vec![script]);
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::OmitKey);
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(dep.client_ids[0]);
@@ -1038,9 +1069,8 @@ fn scan_omitting_edge_is_rejected_and_demoted() {
         "an omitted row must be caught by the completeness check (got {})",
         client.stats.verification_failures
     );
-    let byz_node = dep.edge_node(byz);
     assert!(
-        byz_node.stats.tampered > 0,
+        liar::tampered(&dep, NodeId::Edge(byz)) > 0,
         "the byzantine edge must have dropped rows"
     );
     // ...the lying edge is demoted on cryptographic evidence...
@@ -1309,12 +1339,12 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
     let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
         .per_cluster(1)
-        .byzantine(byz, EdgeBehavior::OmitKey)
         .build()
         .expect("edge config");
     let (scripts, query, _) = unified_query_scenario(&mut config);
     let topo = config.topo.clone();
     let mut dep = Deployment::build(config, scripts);
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::OmitKey);
     dep.run_until_done(SimTime(600_000_000));
 
     let reader = dep.client(dep.client_ids[1]);
@@ -1324,7 +1354,7 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
         "the omitted row must be caught (failures {})",
         reader.stats.verification_failures
     );
-    assert!(dep.edge_node(byz).stats.tampered >= 1);
+    assert!(liar::tampered(&dep, NodeId::Edge(byz)) >= 1);
     // …the lying edge demoted on cryptographic evidence…
     let health = reader
         .edge_selector
@@ -1382,7 +1412,6 @@ fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
     let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
-        .byzantine(byz, EdgeBehavior::TamperValue)
         .gossip_directory(SimDuration::from_millis(20))
         .build()
         .expect("edge config");
@@ -1401,6 +1430,7 @@ fn gossiped_rejection_demotes_edge_for_other_clients_before_contact() {
             ClientPlan::with_profile(ops, late),
         ],
     );
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
     dep.run_until_done(SimTime(600_000_000));
 
     // A caught the forgery first-hand and gossiped the evidence.
@@ -1672,7 +1702,6 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
     let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
         .per_cluster(1)
-        .byzantine(byz, EdgeBehavior::TamperValue)
         .gossip_directory(SimDuration::from_millis(20))
         .build()
         .expect("edge config");
@@ -1686,13 +1715,14 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
         })
         .collect();
     let mut dep = Deployment::build(config, vec![ops]);
+    liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
 
     // The first query goes whole to the lying contact, which fetches
     // both parts from their partitions' replicas and doctors each on
     // the way out.
     run_until_results(&mut dep, 1);
     let client = dep.client(dep.client_ids[0]);
-    assert_eq!(dep.edge_node(byz).stats.tampered, 2);
+    assert_eq!(liar::tampered(&dep, NodeId::Edge(byz)), 2);
     assert_eq!(
         client.stats.verification_failures, 2,
         "each tampered part is rejected on its own"
@@ -1846,8 +1876,9 @@ struct Tap {
 }
 
 impl transedge::simnet::Actor<NetMsg> for Tap {
-    // The wrapped edge already started; a second start would re-run it.
-    fn on_start(&mut self, _ctx: &mut transedge::simnet::Context<'_, NetMsg>) {}
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_start(ctx);
+    }
 
     fn on_message(
         &mut self,
@@ -1930,16 +1961,13 @@ fn answers_no_part_is_waiting_for_are_dropped_unread() {
         } else {
             Vec::new()
         };
-        let inner = dep
-            .sim
-            .remove_actor(NodeId::Edge(contact))
-            .expect("contact actor");
-        let tap = Tap {
-            inner,
-            extras,
-            pushed: 0,
-        };
-        dep.sim.add_actor(NodeId::Edge(contact), Box::new(tap));
+        dep.sim.wrap_actor(NodeId::Edge(contact), |inner| {
+            Box::new(Tap {
+                inner,
+                extras,
+                pushed: 0,
+            })
+        });
         dep.run_until_done(SimTime(600_000_000));
 
         let pushed = dep
@@ -2264,16 +2292,13 @@ fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
         } else {
             Vec::new()
         };
-        let inner = dep
-            .sim
-            .remove_actor(NodeId::Edge(contact))
-            .expect("contact actor");
-        let tap = Tap {
-            inner,
-            extras,
-            pushed: 0,
-        };
-        dep.sim.add_actor(NodeId::Edge(contact), Box::new(tap));
+        dep.sim.wrap_actor(NodeId::Edge(contact), |inner| {
+            Box::new(Tap {
+                inner,
+                extras,
+                pushed: 0,
+            })
+        });
         dep.run_until_done(SimTime(600_000_000));
 
         let pushed = dep
@@ -2365,16 +2390,14 @@ fn a_held_body_proven_at_another_batch_is_a_bad_proof_and_evidence() {
         body,
         fresh: None,
     };
-    let inner = dep
-        .sim
-        .remove_actor(NodeId::Edge(edge))
-        .expect("edge actor");
-    let tap = Tap {
-        inner,
-        extras: vec![forged],
-        pushed: 0,
-    };
-    dep.sim.add_actor(NodeId::Edge(edge), Box::new(tap));
+    let extras = vec![forged];
+    dep.sim.wrap_actor(NodeId::Edge(edge), |inner| {
+        Box::new(Tap {
+            inner,
+            extras,
+            pushed: 0,
+        })
+    });
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(dep.client_ids[0]);
@@ -2412,23 +2435,18 @@ fn a_held_body_proven_at_another_batch_is_a_bad_proof_and_evidence() {
 /// sent it and whether it came held.
 struct Inbox {
     inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
-    started: bool,
     got: Vec<(NodeId, bool)>,
 }
 
 impl Inbox {
     /// Put an `Inbox` around the client `id` before the run starts.
     fn wrap(dep: &mut Deployment, id: transedge::common::ClientId) {
-        let inner = dep
-            .sim
-            .remove_actor(NodeId::Client(id))
-            .expect("client actor");
-        let inbox = Inbox {
-            inner,
-            started: false,
-            got: Vec::new(),
-        };
-        dep.sim.add_actor(NodeId::Client(id), Box::new(inbox));
+        dep.sim.wrap_actor(NodeId::Client(id), |inner| {
+            Box::new(Inbox {
+                inner,
+                got: Vec::new(),
+            })
+        });
     }
 
     fn of(dep: &Deployment, id: transedge::common::ClientId) -> &Inbox {
@@ -2444,11 +2462,8 @@ impl Inbox {
 }
 
 impl transedge::simnet::Actor<NetMsg> for Inbox {
-    // Re-adding the actor queued a second start; the client starts once.
     fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
-        if !std::mem::replace(&mut self.started, true) {
-            self.inner.on_start(ctx);
-        }
+        self.inner.on_start(ctx);
     }
 
     fn on_message(
@@ -2669,8 +2684,9 @@ struct Relay {
 }
 
 impl transedge::simnet::Actor<NetMsg> for Relay {
-    // The wrapped edge already started; a second start would re-run it.
-    fn on_start(&mut self, _ctx: &mut transedge::simnet::Context<'_, NetMsg>) {}
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_start(ctx);
+    }
 
     fn on_message(
         &mut self,
@@ -2721,15 +2737,13 @@ fn a_relayed_copy_behind_the_direct_answer_is_dropped_unread() {
         let mut dep = Deployment::build(config, vec![ops]);
         let edge = EdgeId::new(ClusterId(0), 0);
         if relay {
-            // Let the edge start, then put the relay around it.
-            dep.run_until(SimTime(1));
-            let inner = dep.sim.remove_actor(NodeId::Edge(edge)).expect("edge");
-            let relay = Relay {
-                inner,
-                asker: None,
-                relayed: 0,
-            };
-            dep.sim.add_actor(NodeId::Edge(edge), Box::new(relay));
+            dep.sim.wrap_actor(NodeId::Edge(edge), |inner| {
+                Box::new(Relay {
+                    inner,
+                    asker: None,
+                    relayed: 0,
+                })
+            });
         }
         dep.run_until_done(SimTime(600_000_000));
 
@@ -2840,16 +2854,14 @@ fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
     };
     // The edge forwards the second read (a miss) upstream; the forgery
     // leaves it at once and arrives ahead of the replica's answer.
-    let inner = dep
-        .sim
-        .remove_actor(NodeId::Edge(edge))
-        .expect("edge actor");
-    let tap = Tap {
-        inner,
-        extras: vec![forged],
-        pushed: 0,
-    };
-    dep.sim.add_actor(NodeId::Edge(edge), Box::new(tap));
+    let extras = vec![forged];
+    dep.sim.wrap_actor(NodeId::Edge(edge), |inner| {
+        Box::new(Tap {
+            inner,
+            extras,
+            pushed: 0,
+        })
+    });
     dep.run_until_done(SimTime(600_000_000));
 
     let pushed = dep
