@@ -30,8 +30,8 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    same_batch_conflict, CertifiedDelta, CommittedHeader, FeedWindow, PageToken, QueryAnswer,
-    QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
+    same_batch_conflict, CertifiedDelta, Chase, CommittedHeader, FeedWindow, PageToken,
+    QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
     VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
@@ -207,6 +207,17 @@ struct PartState {
     rows: Vec<(Key, Value)>,
     /// The sub-query in flight for this part, if any.
     pending: Option<Pending>,
+    /// The request id a replica answers under when it chases this part
+    /// on another part's behalf ([`Chase`]): fresh each round unless
+    /// the part waits on it, so a chase from an earlier round never
+    /// matches.
+    chase: u64,
+    /// The chased answer with the highest LCE that arrived before this
+    /// part waited on it.
+    early: Option<ReadResponse>,
+    /// The other parts (and the floors named for them) that the request
+    /// this part's answer comes from asked its replica to chase.
+    asked: Vec<(ClusterId, Epoch)>,
     done: bool,
 }
 
@@ -224,8 +235,17 @@ impl PartState {
             values: Vec::new(),
             rows: Vec::new(),
             pending: None,
+            chase: 0,
+            early: None,
+            asked: Vec::new(),
             done: false,
         }
+    }
+
+    /// Does this part wait on a replica's chase rather than a request
+    /// of its own?
+    fn waits_on_chase(&self) -> bool {
+        self.pending.is_some_and(|p| p.req == self.chase)
     }
 
     /// Restart this partition from scratch at a new LCE floor (round
@@ -293,8 +313,43 @@ impl ReadSession {
                 .into_iter()
                 .collect(),
             reply_to: None,
+            chase: Vec::new(),
             trace: self.query.trace,
         }
+    }
+
+    /// What a replica serving `cluster`'s point part is to chase: every
+    /// other point part not already waiting on a chase, with the LCE
+    /// held for it (its view's, or its floor while it has none).
+    fn chase_entries(&self, cluster: ClusterId) -> Vec<Chase> {
+        self.parts
+            .iter()
+            .filter(|p| p.cluster != cluster && !p.waits_on_chase())
+            .filter_map(|p| {
+                let QueryShape::Point { keys } = &p.shape else {
+                    return None;
+                };
+                Some(Chase {
+                    cluster: p.cluster,
+                    keys: keys.clone(),
+                    floor: p.view.as_ref().map_or(p.floor, |v| v.lce.max(p.floor)),
+                    req: p.chase,
+                })
+            })
+            .collect()
+    }
+
+    /// Has an honest replica already sent `cluster`'s part on at
+    /// `demand`? It has if a part whose view demands exactly that was
+    /// answered by a replica asked to chase `cluster` from a lower
+    /// floor: that replica's header is the view, so it saw the demand.
+    fn chased(&self, cluster: ClusterId, demand: Epoch) -> bool {
+        self.parts.iter().any(|p| {
+            p.view.as_ref().is_some_and(|v| v.cd.get(cluster) == demand)
+                && p.asked
+                    .iter()
+                    .any(|&(c, floor)| c == cluster && floor < demand)
+        })
     }
 
     fn all_done(&self) -> bool {
@@ -435,11 +490,20 @@ pub struct ClientStats {
     pub verification_failures: u64,
     /// Reads whose round-2 answers failed the dependency check again
     /// and took a further round. Theorem 4.6 says never, yet it is not
-    /// 0 here: the benchmark's `mixed-rw` and `feed-churn` workloads
-    /// take third rounds, its gate tolerates the monitor's verdict on
-    /// them and no test asserts zero — ROADMAP `[third-round]` owns
-    /// the cause.
+    /// 0 here: a round-two batch can import a dependency past an LCE the
+    /// client already holds (`deps::tests::round_two_imports_a_dependency_past_a_held_lce`).
+    /// The benchmark's `mixed-rw` and `feed-churn` workloads take third
+    /// rounds, its gate tolerates the monitor's verdict on them and no
+    /// test asserts zero — ROADMAP `[third-round]`.
     pub third_round_needed: u64,
+    /// Further rounds whose part waited on a replica's chase instead of
+    /// sending a request ([`Chase`]).
+    pub chase_waits: u64,
+    /// Chased answers that arrived before their part waited on them.
+    pub chase_early: u64,
+    /// Chased answers dropped unread below their part's floor (a
+    /// smaller demand another part's replica chased).
+    pub chase_dropped: u64,
     pub retries: u64,
     pub gave_up: u64,
     /// Verified scan responses (pages) accepted.
@@ -478,6 +542,9 @@ impl transedge_obs::RegisterMetrics for ClientStats {
             self.verification_failures,
         );
         reg.counter(scope, "client.third_round_needed", self.third_round_needed);
+        reg.counter(scope, "client.chase_waits", self.chase_waits);
+        reg.counter(scope, "client.chase_early", self.chase_early);
+        reg.counter(scope, "client.chase_dropped", self.chase_dropped);
         reg.counter(scope, "client.retries", self.retries);
         reg.counter(scope, "client.gave_up", self.gave_up);
         reg.counter(scope, "client.scans_accepted", self.scans_accepted);
@@ -935,6 +1002,8 @@ impl ClientActor {
     /// owed sub-query; several (the single-contact first round, every
     /// part still fresh) send the query whole for the contact to split,
     /// and each part's answer comes back on its own under the one id.
+    /// A point part of round two or later sent straight to a replica
+    /// names the read's other point parts for that replica to chase.
     fn dispatch(
         &mut self,
         session: &mut ReadSession,
@@ -952,13 +1021,23 @@ impl ClientActor {
         session.query.held = session.parts.iter().filter_map(held).collect();
         let req = self.req_id();
         let query = match clusters {
-            [cluster] => session.subquery(*cluster),
+            [cluster] => {
+                let mut query = session.subquery(*cluster);
+                if session.round >= 2
+                    && matches!(target, NodeId::Replica(_))
+                    && matches!(query.shape, QueryShape::Point { .. })
+                {
+                    query.chase = session.chase_entries(*cluster);
+                }
+                query
+            }
             _ => session.query.clone(),
         };
         let pending = Pending { req, target };
         for part in &mut session.parts {
             if clusters.contains(&part.cluster) {
                 part.pending = Some(pending);
+                part.asked = query.chase.iter().map(|c| (c.cluster, c.floor)).collect();
             }
         }
         ctx.send(target, NetMsg::Read { req, query });
@@ -1197,11 +1276,15 @@ impl ClientActor {
     /// `req` and whose partition the answer's certified header (or held
     /// reference) names, rebuild a held answer around this client's
     /// newest anchor for that partition, then stitch when every
-    /// partition is done. Any other answer — for a partition the
-    /// request does not owe, a repeat for a part already verified, a
-    /// late one from a previous round or page, or a held answer naming
-    /// an anchor other than the newest held here — is dropped unread:
-    /// never verified, nobody blamed, and the part's retry re-asks.
+    /// partition is done. A chased answer that comes before its part
+    /// waits on it is kept for the dependency check, the one with the
+    /// highest LCE; one below the floor of the part waiting on it (a
+    /// smaller demand another part's replica chased) is dropped. Any
+    /// other answer — for a partition the request does not owe, a
+    /// repeat for a part already verified, a late one from a previous
+    /// round or page, or a held answer naming an anchor other than the
+    /// newest held here — is dropped unread too: never verified, nobody
+    /// blamed, and the part's retry re-asks.
     fn on_read_result(&mut self, req: u64, response: ReadResponse, ctx: &mut Context<'_, NetMsg>) {
         let Some(mut inflight) = self.inflight.take() else {
             return;
@@ -1211,6 +1294,29 @@ impl ClientActor {
             return;
         };
         let cluster = response.cluster();
+        let lce = response.anchor().map(|(c, _)| c.header.lce);
+        if let Some(part) = session
+            .parts
+            .iter_mut()
+            .find(|p| p.cluster == cluster && p.chase == req)
+        {
+            if !part.waits_on_chase() {
+                self.stats.chase_early += 1;
+                let kept = part.early.as_ref().and_then(|e| e.anchor());
+                if lce.is_some_and(|lce| kept.is_none_or(|(c, _)| c.header.lce < lce)) {
+                    part.early = Some(response);
+                }
+                inflight.phase = Phase::Query(session);
+                self.inflight = Some(inflight);
+                return;
+            }
+            if lce.is_some_and(|lce| lce < part.floor) {
+                self.stats.chase_dropped += 1;
+                inflight.phase = Phase::Query(session);
+                self.inflight = Some(inflight);
+                return;
+            }
+        }
         let owed = session
             .parts
             .iter()
@@ -1275,22 +1381,64 @@ impl ClientActor {
             .collect();
         if !actionable.is_empty() {
             if session.round >= 2 {
-                // Theorem 4.6 says this cannot happen; count it loudly
-                // (ROADMAP `[third-round]`) and satisfy it with another
-                // round anyway.
+                // Theorem 4.6 says two rounds suffice, but a round-two
+                // batch can import a dependency past an LCE this client
+                // holds (ROADMAP `[third-round]`): count it and satisfy
+                // it with another round.
                 self.stats.third_round_needed += 1;
             }
             if session.round1_done_at.is_none() {
                 session.round1_done_at = Some(now);
             }
             session.round += 1;
-            for (cluster, min_epoch) in actionable {
-                session.part_mut(cluster).restart_at_floor(min_epoch);
+            // A dependency that an answering replica was asked to chase
+            // is already on its way: its part waits on the chase id
+            // instead of asking. Every part restarts before any is
+            // sent, so the chase entries name the new floors.
+            let mut sends = Vec::new();
+            for &(cluster, min_epoch) in &actionable {
+                let chased = session.chased(cluster, min_epoch);
+                let part = session.part_mut(cluster);
+                part.restart_at_floor(min_epoch);
+                if chased {
+                    part.pending = Some(Pending {
+                        req: part.chase,
+                        target: self.leader_of(cluster),
+                    });
+                    part.asked.clear();
+                    self.stats.chase_waits += 1;
+                } else {
+                    sends.push(cluster);
+                }
+            }
+            for part in &mut session.parts {
+                if !part.waits_on_chase() {
+                    part.chase = self.req_id();
+                    part.early = None;
+                }
+            }
+            for cluster in sends {
                 let target = self.read_target(cluster, now);
                 self.dispatch(&mut session, &[cluster], target, ctx);
             }
+            // Chased answers that came early and reach the new floor.
+            let early: Vec<(u64, ReadResponse)> = session
+                .parts
+                .iter_mut()
+                .filter(|p| p.waits_on_chase())
+                .filter_map(|p| {
+                    let floor = p.floor;
+                    let reaches = |e: &mut ReadResponse| {
+                        e.anchor().is_some_and(|(c, _)| c.header.lce >= floor)
+                    };
+                    Some((p.chase, p.early.take_if(reaches)?))
+                })
+                .collect();
             inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
+            for (req, response) in early {
+                self.on_read_result(req, response, ctx);
+            }
             return;
         }
         // Done: sample, record, advance. When feed attachments upgraded

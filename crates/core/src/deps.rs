@@ -247,6 +247,63 @@ mod tests {
         assert_eq!(unsat, vec![(ClusterId(2), Epoch(7))]);
     }
 
+    /// Why Theorem 4.6 fails here: a round-two answer imports a
+    /// dependency past an LCE the client already holds. The ROADMAP
+    /// candidate that breaks is "a CD vector names a prepare epoch that
+    /// the peer's LCE does not cover yet". Prepare group d drains at Y
+    /// as a unit, and its members' prepares at Z sit in later Z groups,
+    /// so the first Y batch whose LCE reaches d carries reported CD
+    /// entries naming Z epochs above Z's LCE. Built from a `mixed-rw`
+    /// seed-1 read (client 7 at 40.6 ms); ROADMAP.md, *Deviation
+    /// ledger*, "Third rounds", points here.
+    #[test]
+    fn round_two_imports_a_dependency_past_a_held_lce() {
+        let full = |v: [i64; 5]| {
+            let entries: Vec<(u16, i64)> = (0..5).zip(v).collect();
+            cd(5, &entries)
+        };
+        let view = |c: u16, batch: u64, lce: i64, v: [i64; 5]| RotView {
+            cluster: ClusterId(c),
+            batch: BatchNum(batch),
+            cd: full(v),
+            lce: Epoch(lce),
+        };
+        let round_one = vec![
+            view(0, 5, 3, [5, 2, 4, -1, 2]),
+            view(1, 3, 1, [1, 3, -1, -1, 2]),
+            view(2, 5, 2, [1, -1, 5, -1, 2]),
+            view(3, 3, -1, [-1, -1, -1, 3, -1]),
+            view(4, 4, 2, [1, 1, 2, -1, 4]),
+        ];
+        assert_eq!(
+            verify_dependencies(&round_one),
+            vec![(ClusterId(1), Epoch(2)), (ClusterId(2), Epoch(4))]
+        );
+        // c1's round-two batch b4 (LCE 2) drains a group whose committed
+        // records report c0's epoch 3, c2's epoch 5 and c4's epoch 4.
+        let reported = vec![cd(5, &[(0, 3)]), cd(5, &[(2, 5)]), cd(5, &[(4, 4)])];
+        let c1_b4 = derive_cd_vector(
+            &round_one[1].cd,
+            ClusterId(1),
+            BatchNum(4),
+            &[committed_record(reported)],
+        );
+        assert_eq!(c1_b4, full([3, 4, 5, -1, 4]));
+        let mut round_two = round_one.clone();
+        round_two[1] = RotView {
+            cd: c1_b4,
+            ..view(1, 4, 2, [0; 5])
+        };
+        round_two[2] = view(2, 6, 4, [3, 2, 6, -1, 2]);
+        // Both round-two answers met their floors, yet c1's names c2's
+        // epoch 5 past c2's new LCE 4, and c4's epoch 4 past the LCE 2
+        // the client held for c4 since round one.
+        assert_eq!(
+            verify_dependencies(&round_two),
+            vec![(ClusterId(2), Epoch(5)), (ClusterId(4), Epoch(4))]
+        );
+    }
+
     #[test]
     fn no_dependencies_between_disjoint_partitions() {
         let a = RotView {

@@ -103,8 +103,10 @@ pub enum NetMsg {
     /// comes back held. A part an honest edge forwards carries its
     /// client's address (`ReadQuery::reply_to`): the replica answers
     /// that client directly under the client's `req`, and the edge
-    /// under this `req`. Built through the [`ReadQuery`] constructors;
-    /// the old per-shape `NetMsg` constructors are gone.
+    /// under this `req`. A part a replica chases (`ReadQuery::chase`)
+    /// carries it too, and only the client is answered. Built through
+    /// the [`ReadQuery`] constructors; the old per-shape `NetMsg`
+    /// constructors are gone.
     Read { req: u64, query: ReadQuery },
     /// The proof-carrying answer to one partition's part of a
     /// [`NetMsg::Read`] query, full or held. A query spanning several

@@ -8,14 +8,15 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use transedge_common::{
-    BatchNum, ClusterId, ClusterTopology, NodeId, ReplicaId, SimDuration, TxnId,
+    BatchNum, ClusterId, ClusterTopology, Epoch, NodeId, ReplicaId, SimDuration, TxnId,
 };
 use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output, Votes};
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats, Signature};
+use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
 
 use transedge_edge::{
-    CertifiedDelta, QueryShape, ReadPipeline, ReadQuery, ReadResponse, SnapshotPolicy,
+    CertifiedDelta, Chase, QueryShape, ReadPipeline, ReadQuery, ReadResponse, SnapshotPolicy,
 };
 
 use crate::batch::{Batch, PreparedTxn, Transaction};
@@ -127,6 +128,10 @@ pub struct NodeStats {
     /// malformed forward; never served, never parked.
     pub rot_scans_rejected: u64,
     pub view_changes: u64,
+    /// Parts of a client's read forwarded to another partition's leader
+    /// because an answer served here made the client's view there stale
+    /// ([`transedge_edge::Chase`]).
+    pub chases_sent: u64,
 }
 
 impl transedge_obs::RegisterMetrics for NodeStats {
@@ -141,6 +146,7 @@ impl transedge_obs::RegisterMetrics for NodeStats {
         reg.counter(scope, "node.deltas_replayed", self.deltas_replayed);
         reg.counter(scope, "node.rot_scans_rejected", self.rot_scans_rejected);
         reg.counter(scope, "node.view_changes", self.view_changes);
+        reg.counter(scope, "node.chases_sent", self.chases_sent);
     }
 }
 
@@ -209,7 +215,9 @@ fn direct_reply(query: &ReadQuery) -> Option<(NodeId, u64)> {
 /// request id — held when `held`, the anchor the client named, is the
 /// answer's (`ReadResponse::held_by`). Both leave at the same instant;
 /// the asker's goes first, so that where the two arrive together an
-/// edge has cached the answer by the time its client holds it.
+/// edge has cached the answer by the time its client holds it. A
+/// replica asker (a chase) caches nothing: when a client waits on a
+/// direct copy, only the client is answered.
 fn send_answer(
     to: NodeId,
     req: u64,
@@ -218,18 +226,22 @@ fn send_answer(
     result: ReadResponse,
     ctx: &mut Context<'_, NetMsg>,
 ) {
-    let copy = direct.map(|(client, client_req)| (client, client_req, result.clone()));
-    ctx.send(to, NetMsg::ReadResult { req, result });
-    if let Some((client, client_req, result)) = copy {
-        let result = result.held_by(held);
-        ctx.send(
-            client,
-            NetMsg::ReadResult {
-                req: client_req,
-                result,
-            },
-        );
+    let Some((client, client_req)) = direct else {
+        ctx.send(to, NetMsg::ReadResult { req, result });
+        return;
+    };
+    if !matches!(to, NodeId::Replica(_)) {
+        let result = result.clone();
+        ctx.send(to, NetMsg::ReadResult { req, result });
     }
+    let result = result.held_by(held);
+    ctx.send(
+        client,
+        NetMsg::ReadResult {
+            req: client_req,
+            result,
+        },
+    );
 }
 
 impl TransEdgeNode {
@@ -1225,6 +1237,9 @@ impl TransEdgeNode {
                         SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
                     }
                     self.respond_rot(from, req, &query, batch, ctx);
+                    if matches!(from, NodeId::Client(_)) {
+                        self.chase(from, &query, batch, ctx);
+                    }
                 }
                 None => self.pending_reads.push((from, req, query)),
             },
@@ -1248,6 +1263,54 @@ impl TransEdgeNode {
                     None => self.pending_reads.push((from, req, query)),
                 }
             }
+        }
+    }
+
+    /// Send on the client's other point parts that the answer just
+    /// served at `at_batch` made stale: where that batch's CD vector
+    /// names an epoch of a part's partition above the LCE the client
+    /// holds there, the partition's leader is asked for the part at
+    /// that epoch and answers the client under the part's chase id. One
+    /// hop: a forward names no parts of its own.
+    fn chase(
+        &mut self,
+        client: NodeId,
+        query: &ReadQuery,
+        at_batch: BatchNum,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let Some((batch, _)) = self.applied_log().get(at_batch.0 as usize) else {
+            return;
+        };
+        let me = self.me.cluster;
+        let stale: Vec<(&Chase, Epoch)> = query
+            .chase
+            .iter()
+            .map(|part| (part, batch.header.cd.get(part.cluster)))
+            .filter(|(part, demand)| part.cluster != me && *demand > part.floor)
+            .collect();
+        let trace = ctx.trace_here().or(query.trace);
+        for (part, demand) in stale {
+            if let Some(tc) = trace {
+                let now = ctx.now();
+                ctx.trace()
+                    .marker(tc, SpanPhase::Serve, NodeId::Replica(self.me), now, "chase");
+            }
+            self.stats.chases_sent += 1;
+            let mut forward =
+                ReadQuery::point(part.keys.clone()).with_policy(SnapshotPolicy::MinEpoch(demand));
+            forward.reply_to = Some((client, part.req));
+            forward.trace = trace;
+            // The forward's own id reaches only an asker-answering
+            // replica (one asked without `reply_to`); the count keeps it
+            // unique per chasing replica.
+            ctx.send(
+                NodeId::Replica(self.leader_of(part.cluster)),
+                NetMsg::Read {
+                    req: self.stats.chases_sent,
+                    query: forward,
+                },
+            );
         }
     }
 

@@ -104,11 +104,16 @@ impl PreparedBatches {
     /// call — one per batch, exactly as in the paper's Figure 2 — so
     /// the LCE advances one prepare-epoch at a time. (An earlier
     /// version drained every consecutive ready group into one batch;
-    /// that lets the LCE jump past a requested dependency epoch and
-    /// import fresh dependencies into round-two read-only responses,
-    /// which is what makes Theorem 4.6's two-round bound fail.
-    /// Deviation: a ROT can still need a third round; the ledger is
-    /// ROADMAP.md, *Deviation ledger*.)
+    /// that let the LCE jump past a requested dependency epoch.) Even
+    /// one group at a time, Theorem 4.6's two-round bound fails: the
+    /// group drains as a unit, and the reported CD vectors of its
+    /// commit records name prepares at other partitions that sit in
+    /// later groups there, so the first batch whose LCE meets a
+    /// round-two floor can name an epoch past an LCE the client
+    /// already holds (`deps::tests::round_two_imports_a_dependency_past_a_held_lce`).
+    /// A ROT can need a third round; the replica serving the round-two
+    /// answer chases that dependency straight on (`edge::Chase`). The
+    /// ledger is ROADMAP.md, *Deviation ledger*.
     ///
     /// Returns the drained records (with their transactions) and the
     /// new LCE (the drained group's prepare-batch number).

@@ -106,7 +106,9 @@ pub use certs::{QuorumCheck, VerifiedCerts};
 pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
 pub use persist::{verify_object, SnapshotObject};
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
-pub use query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy};
+pub use query::{
+    Chase, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
+};
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
     anchor_size, cert_size, changed_keys_digest, BatchHeader, CdVector, CertifiedDelta,

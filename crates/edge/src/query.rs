@@ -138,6 +138,31 @@ pub struct PageToken {
     pub resume: u64,
 }
 
+/// One other point part of a client's read, named on a round-two (or
+/// later) sub-query sent straight to a replica: its keys, the LCE the
+/// client holds for it, and the request id the client waits on should
+/// the serving replica forward it. When the served header's CD vector
+/// names an epoch of `cluster` above `floor`, the answer just made the
+/// client's view of `cluster` stale, and the replica sends `keys` on to
+/// `cluster`'s leader at that epoch, replying to the client under `req`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Chase {
+    pub cluster: ClusterId,
+    pub keys: Vec<Key>,
+    /// The LCE the client holds for `cluster`: its view's or its floor,
+    /// whichever is higher.
+    pub floor: Epoch,
+    /// The client's request id for a forwarded answer.
+    pub req: u64,
+}
+
+impl Chase {
+    /// Wire size: a cluster, a floor, a request id, then the keys.
+    fn wire_size(&self) -> usize {
+        2 + 8 + 8 + 4 + self.keys.iter().map(|k| k.len() + 4).sum::<usize>()
+    }
+}
+
 /// One typed read query: shape, snapshot policy, and (for scan
 /// continuations) the page to resume from. The single client-facing
 /// entry point of the proof-carrying read protocol.
@@ -196,9 +221,16 @@ pub struct ReadQuery {
     /// cannot replay names its client here, and the replica sends its
     /// answer straight to that client (held when the client named the
     /// anchor) as well as full to the edge, which only caches it. A
-    /// replica ignores a `reply_to` naming anything but a client.
-    /// `None` from clients.
+    /// replica chasing a part ([`Chase`]) names the client too, and is
+    /// not answered itself: it caches nothing. A replica ignores a
+    /// `reply_to` naming anything but a client. `None` from clients.
     pub reply_to: Option<(NodeId, u64)>,
+    /// The read's other point parts a replica serving this part is to
+    /// chase ([`Chase`]). Only a client's round-two (or later) point
+    /// part sent straight to a replica carries any; round-one queries,
+    /// scans, parts sent through an edge and the forwards themselves
+    /// carry none.
+    pub chase: Vec<Chase>,
     /// Causal-trace propagation context: the client operation this
     /// query serves and the span that caused this hop. Purely
     /// observational — servers never branch on it.
@@ -216,6 +248,7 @@ impl ReadQuery {
             feed: None,
             held: Vec::new(),
             reply_to: None,
+            chase: Vec::new(),
             trace: None,
         }
     }
@@ -241,6 +274,7 @@ impl ReadQuery {
             feed: None,
             held: Vec::new(),
             reply_to: None,
+            chase: Vec::new(),
             trace: None,
         }
     }
@@ -301,7 +335,7 @@ impl ReadQuery {
     /// its partition — the point keys the partition owns (in query
     /// order), or the scan of that partition alone — with this query's
     /// policy, page, reply address, trace and that partition's feed
-    /// cursors and held anchor. The one
+    /// cursors and held anchor, and no chase entries. The one
     /// split there is: a client plans its parts with it, and an edge
     /// taking a whole query as a single contact serves the same parts.
     pub fn split(&self, topo: &ClusterTopology) -> Vec<(ClusterId, ReadQuery)> {
@@ -317,6 +351,7 @@ impl ReadQuery {
                     .into_iter()
                     .collect(),
                 reply_to: self.reply_to,
+                chase: Vec::new(),
                 trace: self.trace,
             };
             (cluster, query)
@@ -400,12 +435,18 @@ impl ReadQuery {
 
     /// Wire-size estimate for the simulator's bandwidth model, computed
     /// structurally from the shape (keys, scan bounds, window), the
-    /// policy, the page token, the feed cursors, the held anchors and
-    /// the reply address — never a flat constant.
+    /// policy, the page token, the feed cursors, the held anchors, the
+    /// reply address and the chase entries — never a flat constant.
     pub fn wire_size(&self) -> usize {
         let policy = match self.consistency {
             SnapshotPolicy::Latest => 1,
             SnapshotPolicy::MinEpoch(_) => 9,
+        };
+        // No entries cost nothing: the policy tag flags a list, which
+        // is then a `u16` count and the entries.
+        let chase = match self.chase.len() {
+            0 => 0,
+            _ => 2 + self.chase.iter().map(Chase::wire_size).sum::<usize>(),
         };
         let page = if self.page.is_some() { 17 } else { 1 };
         // Absent is one byte; a cursor is a cluster and two batches.
@@ -426,7 +467,7 @@ impl ReadQuery {
             QueryShape::Point { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
             QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16 + 8,
         };
-        policy + page + feed + held + reply_to + trace + shape
+        policy + page + feed + held + reply_to + chase + trace + shape
     }
 }
 
@@ -689,6 +730,17 @@ mod tests {
         let mut direct = small.clone();
         direct.reply_to = Some((NodeId::Client(transedge_common::ClientId(3)), 7));
         assert_eq!(direct.wire_size(), small.wire_size() + 5 + 8);
+        // An empty chase list is free; an entry costs its cluster,
+        // floor, request id and keys behind a count.
+        let mut chased = small.clone();
+        chased.chase.push(Chase {
+            cluster: ClusterId(1),
+            keys: vec![Key::from_u32(2)],
+            floor: Epoch(3),
+            req: 9,
+        });
+        let key = Key::from_u32(2).len() + 4;
+        assert_eq!(chased.wire_size(), small.wire_size() + 2 + 22 + key);
     }
 
     /// Each part of a split names only its own partition's anchor, and

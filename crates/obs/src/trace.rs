@@ -104,8 +104,8 @@ pub struct Span {
     pub start: SimTime,
     pub end: SimTime,
     /// Static annotation: the message kind for wire/serve spans, or a
-    /// marker tag (`"forward"`, `"rejected"`, `"demoted"`, `"retry"`,
-    /// `"gave-up"`).
+    /// marker tag (`"forward"`, `"chase"`, `"rejected"`, `"demoted"`,
+    /// `"retry"`, `"gave-up"`).
     pub label: &'static str,
 }
 

@@ -165,6 +165,72 @@ fn violation_dump_contains_offending_read_trace() {
     assert!(dump.contains("\"cat\":\"verify\""));
 }
 
+/// A chased read is one trace. Writers keep two partitions' CD vectors
+/// moving under readers of keys on both, so some round-two answer makes
+/// the other part stale and its replica forwards that part: the forward
+/// carries the read's trace context, the chasing replica leaves a
+/// `chase` marker under its serve span, and the chased replica's wire,
+/// queue and serve spans hang below it — one connected tree.
+#[test]
+fn a_chased_read_is_one_connected_trace() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    let topo = config.topo.clone();
+    let [k0, k1] = [0, 1].map(|c| keys_on(&topo, ClusterId(c), 8));
+    let mut scripts: Vec<Vec<ClientOp>> = (0..6usize)
+        .map(|w| {
+            (0..20)
+                .map(|i| ClientOp::ReadWrite {
+                    reads: vec![],
+                    writes: vec![
+                        (k0[(w + i) % 4].clone(), Value::from("w")),
+                        (k1[(w + i + 1) % 4].clone(), Value::from("w")),
+                    ],
+                })
+                .collect()
+        })
+        .collect();
+    for r in 0..3 {
+        let reads = (0..20)
+            .map(|i| ClientOp::ReadOnly {
+                keys: vec![k0[4 + (r + i) % 4].clone(), k1[4 + (r + i) % 4].clone()],
+            })
+            .collect();
+        scripts.push(reads);
+    }
+    let mut dep = Deployment::build(config, scripts);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let traces = dep.completed_traces();
+    let chased: Vec<_> = traces.iter().filter(|t| t.has_label("chase")).collect();
+    assert!(!chased.is_empty(), "no read was chased");
+    for trace in chased {
+        assert_well_formed(trace);
+        let chase = trace
+            .spans
+            .iter()
+            .find(|s| s.label == "chase")
+            .expect("marker");
+        assert_eq!(chase.phase, SpanPhase::Serve);
+        assert_eq!(chase.duration(), transedge::common::SimDuration(0));
+        let NodeId::Replica(chaser) = chase.node else {
+            panic!("chased from {:?}", chase.node);
+        };
+        // The forward left under the same serve span and reached a
+        // replica of the other partition.
+        assert!(
+            trace
+                .spans_of(SpanPhase::Wire)
+                .any(|w| w.parent == chase.parent
+                    && w.node
+                        .as_replica()
+                        .is_some_and(|r| r.cluster != chaser.cluster)),
+            "the forward is not in {:?}",
+            trace.trace
+        );
+    }
+}
+
 /// Structural well-formedness of one frozen trace: roots and parents
 /// resolve (no orphans), every span carries the trace's id, and no
 /// span starts before the operation was minted.

@@ -1154,6 +1154,7 @@ fn unified_query_scenario(
         feed: None,
         held: Vec::new(),
         reply_to: None,
+        chase: Vec::new(),
         trace: None,
     };
     // Writers: cross-partition transactions commit 2PC groups, raising
@@ -2673,6 +2674,104 @@ fn a_reply_to_naming_no_client_is_ignored() {
     );
 }
 
+/// Wraps a real replica and, at start, sends `ask` from it under
+/// request id 1; keeps who answered it under which request id.
+struct AskingReplica {
+    inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
+    ask: Option<(NodeId, ReadQuery)>,
+    got: Vec<(NodeId, u64)>,
+}
+
+impl transedge::simnet::Actor<NetMsg> for AskingReplica {
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_start(ctx);
+        if let Some((to, query)) = self.ask.take() {
+            ctx.send(to, NetMsg::Read { req: 1, query });
+        }
+    }
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        if let NetMsg::ReadResult { req, .. } = &msg {
+            self.got.push((from, *req));
+        }
+        self.inner.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_timer(token, ctx);
+    }
+}
+
+/// Who answered, each under which request id.
+type Answers = Vec<(NodeId, u64)>;
+
+/// A replica of cluster 1 asks cluster 0's leader for one key, naming
+/// `reply_to` (under request id 9), while a listener client waits. The
+/// number of answers on the wire, then who answered the asking replica
+/// and the listener, each under which request id.
+fn asked_by_a_replica(reply_to: Option<NodeId>) -> (u64, Answers, Answers) {
+    use transedge::common::ClientId;
+
+    let asker = NodeId::Replica(ReplicaId::new(ClusterId(1), 0));
+    let listener = NodeId::Client(ClientId(u32::MAX));
+    let replica = NodeId::Replica(ReplicaId::new(ClusterId(0), 0));
+    let config = DeploymentConfig::for_testing();
+    let key = keys_on(&config.topo, ClusterId(0), 1);
+    let mut dep = Deployment::build(config, Vec::new());
+    let mut query = ReadQuery::point(key);
+    query.reply_to = reply_to.map(|node| (node, 9));
+    dep.sim.wrap_actor(asker, |inner| {
+        Box::new(AskingReplica {
+            inner,
+            ask: Some((replica, query)),
+            got: Vec::new(),
+        })
+    });
+    let idle = Listener {
+        ask: None,
+        got: Vec::new(),
+    };
+    dep.sim.add_actor(listener, Box::new(idle));
+    dep.run_until(SimTime(50_000));
+    let asked = dep.sim.actor_as::<AskingReplica>(asker).expect("asker");
+    let heard = dep.sim.actor_as::<Listener>(listener).expect("listener");
+    let heard = heard.got.iter().map(|(_, from, req, _)| (*from, *req));
+    (
+        dep.sim.stats().kind("read-result-point").messages,
+        asked.got.clone(),
+        heard.collect(),
+    )
+}
+
+/// A replica asked by a replica, with a client named as `reply_to` (a
+/// chase), answers that client alone, under the request id it names:
+/// the asking replica caches nothing, so it is sent nothing.
+#[test]
+fn a_replica_asked_by_a_replica_answers_only_the_client_it_names() {
+    let replica = NodeId::Replica(ReplicaId::new(ClusterId(0), 0));
+    let listener = NodeId::Client(transedge::common::ClientId(u32::MAX));
+    assert_eq!(
+        asked_by_a_replica(Some(listener)),
+        (1, Vec::new(), vec![(replica, 9)])
+    );
+}
+
+/// A replica asked by a replica with no `reply_to` answers the asker,
+/// as it answers any asker — the path a liar's relayed chase takes.
+#[test]
+fn a_replica_asked_by_a_replica_without_reply_to_answers_the_asker() {
+    let replica = NodeId::Replica(ReplicaId::new(ClusterId(0), 0));
+    assert_eq!(
+        asked_by_a_replica(None),
+        (1, vec![(replica, 1)], Vec::new())
+    );
+}
+
 /// Stands in for an honest edge that also relays: the real edge serves
 /// every message, and each upstream answer it receives is sent on, as
 /// received, to the client that asked last, under that client's
@@ -2895,4 +2994,209 @@ fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
         .flat_map(|q| q.values.iter().map(|(k, _)| k.clone()))
         .collect();
     assert_eq!(keys_read, [k0[0].clone(), k0[2].clone()]);
+}
+
+/// Writers commit cross-partition transactions over hot keys of every
+/// partition while readers snapshot cold keys of every partition —
+/// never written, so every value read is the preloaded one. The writes
+/// keep each partition's CD vector moving, so round-two answers import
+/// dependencies past the LCEs the readers hold and their replicas chase.
+fn chasing_deployment(clusters: u16, readers: usize) -> Deployment {
+    let mut config = DeploymentConfig::for_testing();
+    config.topo = ClusterTopology::new(clusters, 1).unwrap();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    let topo = config.topo.clone();
+    let per: Vec<Vec<Key>> = topo.clusters().map(|c| keys_on(&topo, c, 8)).collect();
+    let mut scripts: Vec<Vec<ClientOp>> = Vec::new();
+    for w in 0..6usize {
+        let ops = (0..20)
+            .map(|i| ClientOp::ReadWrite {
+                reads: vec![],
+                writes: (0..2)
+                    .map(|j| {
+                        let c = (w + i + j) % per.len();
+                        (per[c][(w + i) % 4].clone(), Value::from("w"))
+                    })
+                    .collect(),
+            })
+            .collect();
+        scripts.push(ops);
+    }
+    for r in 0..readers {
+        let ops = (0..20)
+            .map(|i| ClientOp::ReadOnly {
+                keys: per.iter().map(|k| k[4 + (r + i) % 4].clone()).collect(),
+            })
+            .collect();
+        scripts.push(ops);
+    }
+    Deployment::build(config, scripts)
+}
+
+/// The chase counters of every client of `dep`, summed: waits, early
+/// arrivals, drops, third rounds, retries, verification failures and
+/// give-ups.
+fn chase_totals(dep: &Deployment) -> [u64; 7] {
+    let mut totals = [0; 7];
+    for id in &dep.client_ids {
+        let s = &dep.client(*id).stats;
+        let counts = [
+            s.chase_waits,
+            s.chase_early,
+            s.chase_dropped,
+            s.third_round_needed,
+            s.retries,
+            s.verification_failures,
+            s.gave_up,
+        ];
+        for (total, count) in totals.iter_mut().zip(counts) {
+            *total += count;
+        }
+    }
+    totals
+}
+
+/// Every read of `dep` completed with the preloaded values.
+fn assert_reads_preloaded(dep: &Deployment) {
+    for id in &dep.client_ids {
+        let client = dep.client(*id);
+        for q in &client.query_results {
+            for (key, value) in &q.values {
+                let want = dep.data.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                assert_eq!(value.as_ref(), want, "client {id:?} read {key:?}");
+            }
+        }
+    }
+    let reads: usize = dep
+        .client_ids
+        .iter()
+        .map(|id| dep.client(*id).query_results.len())
+        .sum();
+    assert_eq!(reads, 3 * 20, "every read completed");
+}
+
+/// A round-two answer chases the dependency it creates. In the chasing
+/// deployment some reads still take a third round, each still counted,
+/// but a part whose dependency an answering replica was asked to chase
+/// waits on the forward instead of asking: every wait had a forward
+/// behind it, nothing is retried or rejected, and every value is the
+/// preloaded one. At four partitions one chased answer arrives before
+/// its part waits on it, and is used at the dependency check — dropped
+/// there, the part would wait for the retry timer.
+#[test]
+fn round_two_answers_chase_the_dependencies_they_create() {
+    for clusters in [2, 4] {
+        let mut dep = chasing_deployment(clusters, 3);
+        dep.run_until_done(SimTime(600_000_000));
+
+        let [waits, early, _, third, retries, failures, gave_up] = chase_totals(&dep);
+        let sent: u64 = dep
+            .topo
+            .all_replicas()
+            .map(|r| dep.node(r).stats.chases_sent)
+            .sum();
+        assert!(
+            waits > 0,
+            "{clusters} partitions: no part waited on a chase"
+        );
+        assert!(sent >= waits, "{sent} forwards behind {waits} waits");
+        assert!(third > 0, "{clusters} partitions: no third round");
+        assert_eq!(early > 0, clusters == 4, "{early} early chased answers");
+        assert_eq!(
+            (retries, failures, gave_up),
+            (0, 0, 0),
+            "{clusters} partitions"
+        );
+        assert_reads_preloaded(&dep);
+    }
+}
+
+/// Wraps a replica and loses every read it sends another replica: each
+/// leaves as a directory pull, which a replica drops unread.
+struct LoseChases {
+    inner: Box<dyn transedge::simnet::Actor<NetMsg>>,
+    lost: u64,
+}
+
+impl LoseChases {
+    fn lose(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        for (to, msg) in ctx.sends_mut() {
+            if matches!((to, &*msg), (NodeId::Replica(_), NetMsg::Read { .. })) {
+                *msg = NetMsg::DirectoryPull;
+                self.lost += 1;
+            }
+        }
+    }
+}
+
+impl transedge::simnet::Actor<NetMsg> for LoseChases {
+    fn on_start(&mut self, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_start(ctx);
+        self.lose(ctx);
+    }
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: NetMsg,
+        ctx: &mut transedge::simnet::Context<'_, NetMsg>,
+    ) {
+        self.inner.on_message(from, msg, ctx);
+        self.lose(ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut transedge::simnet::Context<'_, NetMsg>) {
+        self.inner.on_timer(token, ctx);
+        self.lose(ctx);
+    }
+
+    fn inner(&self) -> Option<&(dyn transedge::simnet::Actor<NetMsg> + 'static)> {
+        Some(self.inner.as_ref())
+    }
+}
+
+/// A chase that never comes costs a retry, not the read. The leader
+/// that chases loses every forward, so each part waiting on one is
+/// resent when the op's retry timer fires, to rotating replicas: every
+/// read completes with the preloaded values, and nothing is rejected.
+#[test]
+fn a_chase_that_never_comes_is_covered_by_the_retry() {
+    let mut dep = chasing_deployment(2, 3);
+    let leader = NodeId::Replica(dep.leader_of(ClusterId(0)));
+    dep.sim
+        .wrap_actor(leader, |inner| Box::new(LoseChases { inner, lost: 0 }));
+    dep.run_until_done(SimTime(600_000_000));
+
+    let lost = dep
+        .sim
+        .actor_as::<LoseChases>(leader)
+        .expect("wrapped")
+        .lost;
+    let [waits, _, _, _, retries, failures, gave_up] = chase_totals(&dep);
+    assert!(lost > 0, "the leader chased");
+    assert!(waits > 0, "some part waited on a lost chase");
+    assert!(retries >= 1, "the retry timer covered the lost chases");
+    assert_eq!((failures, gave_up), (0, 0));
+    assert_reads_preloaded(&dep);
+}
+
+/// A lying chased replica is caught like any liar. The chased
+/// partition's leader tampers with every answer it sends a client, the
+/// chased ones included: each part that waited on a chase rejects the
+/// forwarded answer and re-asks another replica at once — no retry
+/// timer fires — and every read completes with the preloaded values.
+#[test]
+fn a_lying_chased_replica_is_rejected_and_re_asked() {
+    let mut dep = chasing_deployment(2, 3);
+    let chased = NodeId::Replica(dep.leader_of(ClusterId(1)));
+    liar::install(&mut dep, chased, Lie::TamperValue);
+    dep.run_until_done(SimTime(600_000_000));
+
+    let [waits, _, _, _, retries, failures, gave_up] = chase_totals(&dep);
+    assert!(waits > 0, "some part waited on the liar's chased answer");
+    assert!(failures >= waits, "{failures} rejections for {waits} waits");
+    assert!(liar::tampered(&dep, chased) >= failures);
+    assert_eq!((retries, gave_up), (0, 0));
+    assert_reads_preloaded(&dep);
 }

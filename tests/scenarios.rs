@@ -157,6 +157,13 @@ const NEVER_MOVED: &[(&str, &str)] = &[
     // Theorem 4.6; the benchmark's mixed-rw and feed-churn do move it
     // (ROADMAP `[third-round]`), these five runs do not.
     ("client.third_round_needed", "[third-round]"),
+    // No run here reaches a third round, so no round-two answer has a
+    // dependency to chase (the benchmark's mixed-rw does;
+    // tests/read_only_protocol.rs asserts chases there).
+    ("client.chase_waits", "[third-round]"),
+    ("client.chase_early", "[third-round]"),
+    ("client.chase_dropped", "[third-round]"),
+    ("node.chases_sent", "[third-round]"),
     // No actor fabricates evidence: only crates/directory/tests feed an
     // agent a record that fails re-verification.
     (
