@@ -576,8 +576,8 @@ impl transedge_edge::SnapshotSource for Executor {
         range: &transedge_crypto::ScanRange,
         batch: BatchNum,
     ) -> Vec<(Key, transedge_common::Value)> {
-        // The store's tree-order index narrows straight to the window —
-        // O(log keys + rows), not an O(keys) cut walk.
+        // The store's rows are in tree order, so it narrows straight to
+        // the window — O(log keys + rows), not an O(keys) cut walk.
         self.store
             .range_at(range.digest_bounds(self.tree.depth()), batch)
             .map(|(k, v)| (k.clone(), v.value.clone()))

@@ -1155,7 +1155,7 @@ impl TransEdgeNode {
     }
 
     /// Serve a verified range scan of `window` pinned at `at_batch`:
-    /// rows from the store's tree-order index plus the Merkle
+    /// rows from the store, kept in tree order, plus the Merkle
     /// completeness proof, both memoised per `(range, batch)` by the
     /// read pipeline — held when the query named the batch's anchor and
     /// no client waits on a direct copy.

@@ -15,13 +15,22 @@
 //!    applied.
 //!
 //! Layout: every node and bucket slot holds its newest
-//! `(version, payload)` inline and its older versions in a list behind
-//! it, ascending by version. Almost every read asks for the newest
-//! version, and most slots are written in one version only, so a lookup
-//! is one map probe and the older list of such a slot is an empty `Vec`
-//! that owns no heap; an older version costs a binary search.
+//! `(version, payload)` inline and its older versions in a boxed list
+//! behind it, ascending by version. Almost every read asks for the
+//! newest version, and most slots are written in one version only, so a
+//! lookup is one map probe and the older list of such a slot is `None`,
+//! one null pointer; an older version costs a binary search. A slot's
+//! list is created on its first overwrite at room for one version and
+//! then grows as a `Vec` does, and a rollback that empties it frees it.
+//! A new bucket, too, starts with room for exactly one entry: most
+//! buckets of a replica's tree hold one key.
 //!
-//! The maps are keyed by node and bucket index and hashed with one
+//! All nodes of all levels share one map, keyed by `level << MAX_DEPTH
+//! | index`, so the map's power-of-two capacity is rounded up once for
+//! the whole tree rather than once per level; buckets have a map of
+//! their own.
+//!
+//! The maps are keyed by node key and bucket index and hashed with one
 //! folded multiply instead of SipHash. Bucket indices are prefixes of
 //! key hashes, so whoever chooses keys can grind them to choose indices;
 //! each tree draws a random seed (from [`RandomState`]) that the hash
@@ -50,8 +59,12 @@ use crate::sha2::sha256;
 struct Versioned<T> {
     version: u64,
     newest: T,
-    /// Older `(version, payload)` pairs, ascending by version.
-    older: Vec<(u64, T)>,
+    /// Older `(version, payload)` pairs, ascending by version; `None`
+    /// rather than an empty list, so a slot written in one version only
+    /// spends one pointer here instead of a `Vec`'s three words. The
+    /// box's extra allocation is paid only by slots that have history.
+    #[allow(clippy::box_collection)]
+    older: Option<Box<Vec<(u64, T)>>>,
 }
 
 impl<T> Versioned<T> {
@@ -59,7 +72,7 @@ impl<T> Versioned<T> {
         Versioned {
             version,
             newest: payload,
-            older: Vec::new(),
+            older: None,
         }
     }
 
@@ -68,13 +81,15 @@ impl<T> Versioned<T> {
         if self.version <= version {
             return Some(&self.newest);
         }
-        let idx = self.older.partition_point(|(v, _)| *v <= version);
-        self.older[..idx].last().map(|(_, t)| t)
+        let older = self.older.as_deref()?;
+        let idx = older.partition_point(|(v, _)| *v <= version);
+        older[..idx].last().map(|(_, t)| t)
     }
 
     /// Record `payload` as `version`, which is not older than the
     /// newest: it replaces the newest of the same version, or pushes it
-    /// down into the older list.
+    /// down into the older list, which the first push creates with room
+    /// for one.
     fn set(&mut self, version: u64, payload: T) {
         if self.version == version {
             self.newest = payload;
@@ -82,28 +97,34 @@ impl<T> Versioned<T> {
         }
         debug_assert!(self.version < version);
         let prev = std::mem::replace(&mut self.newest, payload);
-        self.older.push((self.version, prev));
+        self.older
+            .get_or_insert_with(|| Box::new(Vec::with_capacity(1)))
+            .push((self.version, prev));
         self.version = version;
     }
 
     /// Drop the payload of `version` if it is the newest. Returns
-    /// `false` when no version is left, so the slot must go.
+    /// `false` when no version is left, so the slot must go. The older
+    /// list is freed when it empties, so it is never an empty box.
     fn pop(&mut self, version: u64) -> bool {
         if self.version != version {
             return true;
         }
-        match self.older.pop() {
-            Some((v, payload)) => {
-                self.version = v;
-                self.newest = payload;
-                true
-            }
-            None => false,
+        let Some(older) = self.older.as_mut() else {
+            return false;
+        };
+        let (v, payload) = older.pop().expect("an older list is never empty");
+        if older.is_empty() {
+            self.older = None;
         }
+        self.version = v;
+        self.newest = payload;
+        true
     }
 }
 
-/// Index → versions, hashed by [`IndexHash`].
+/// Index (a bucket index or a [`node_key`]) → versions, hashed by
+/// [`IndexHash`].
 type IndexMap<T> = HashMap<u64, Versioned<T>, IndexHash>;
 
 /// Builds [`IndexHasher`]s that share one per-tree random seed.
@@ -161,14 +182,21 @@ fn unput<T>(map: &mut IndexMap<T>, index: u64, version: u64) {
     }
 }
 
+/// The one map key of the node at `index` on `level`: the index takes
+/// the low [`MAX_DEPTH`] bits and the level the bits above them.
+fn node_key(level: usize, index: u64) -> u64 {
+    ((level as u64) << MAX_DEPTH) | index
+}
+
 /// The versioned tree. Versions are the batch numbers of the SMR log.
 #[derive(Clone)]
 pub struct VersionedMerkleTree {
     depth: u32,
     /// bucket index → versioned entry lists.
     buckets: IndexMap<Vec<BucketEntry>>,
-    /// levels[l] : node index → versioned digests (level 0 = leaves).
-    levels: Vec<IndexMap<Digest>>,
+    /// [`node_key`]`(level, index)` → versioned digests, every level in
+    /// one map (level 0 = leaves).
+    nodes: IndexMap<Digest>,
     defaults: &'static [Digest],
     /// The latest version and the buckets it touched, until it is
     /// rolled back: the only version [`Self::rollback`] may undo.
@@ -179,13 +207,19 @@ pub struct VersionedMerkleTree {
 impl VersionedMerkleTree {
     pub fn with_depth(depth: u32) -> Self {
         assert!((1..=MAX_DEPTH).contains(&depth), "depth out of range");
+        // A node key holds an index of up to MAX_DEPTH bits below the
+        // level, so every level up to `depth` must fit in the bits left.
+        assert!(
+            u64::from(depth).leading_zeros() >= MAX_DEPTH,
+            "depth {depth} overflows a node key"
+        );
         let hash = IndexHash {
             seed: RandomState::new().build_hasher().finish(),
         };
         VersionedMerkleTree {
             depth,
             buckets: HashMap::with_hasher(hash),
-            levels: vec![HashMap::with_hasher(hash); depth as usize + 1],
+            nodes: HashMap::with_hasher(hash),
             defaults: empty_subtrees(),
             undo: None,
             latest: None,
@@ -210,8 +244,8 @@ impl VersionedMerkleTree {
     }
 
     fn node_at(&self, level: usize, index: u64, version: u64) -> Digest {
-        self.levels[level]
-            .get(&index)
+        self.nodes
+            .get(&node_key(level, index))
             .and_then(|n| n.at(version))
             .copied()
             .unwrap_or(self.defaults[level])
@@ -246,7 +280,8 @@ impl VersionedMerkleTree {
                 }
                 Entry::Vacant(slot) => {
                     dirty.push(idx);
-                    &mut slot.insert(Versioned::new(version, Vec::new())).newest
+                    let bucket = Vec::with_capacity(1);
+                    &mut slot.insert(Versioned::new(version, bucket)).newest
                 }
             };
             match bucket.binary_search_by(|e| e.key_hash.cmp(&key_hash)) {
@@ -267,7 +302,7 @@ impl VersionedMerkleTree {
         frontier.sort_unstable();
         for &idx in &frontier {
             let leaf = hash_leaf(&self.buckets[&idx].newest);
-            put(&mut self.levels[0], idx, version, leaf);
+            put(&mut self.nodes, node_key(0, idx), version, leaf);
         }
         for level in 0..self.depth as usize {
             halve(&mut frontier);
@@ -275,8 +310,8 @@ impl VersionedMerkleTree {
                 let left = self.node_at(level, parent << 1, version);
                 let right = self.node_at(level, (parent << 1) | 1, version);
                 put(
-                    &mut self.levels[level + 1],
-                    parent,
+                    &mut self.nodes,
+                    node_key(level + 1, parent),
                     version,
                     hash_node(&left, &right),
                 );
@@ -288,7 +323,8 @@ impl VersionedMerkleTree {
                 .latest
                 .map(|l| self.root_at(l))
                 .unwrap_or(self.defaults[self.depth as usize]);
-            put(&mut self.levels[self.depth as usize], 0, version, prev_root);
+            let root = node_key(self.depth as usize, 0);
+            put(&mut self.nodes, root, version, prev_root);
         }
         self.undo = Some((version, dirty));
         self.latest = Some(version);
@@ -314,20 +350,19 @@ impl VersionedMerkleTree {
         frontier.sort_unstable();
         for &idx in &frontier {
             unput(&mut self.buckets, idx, version);
-            unput(&mut self.levels[0], idx, version);
+            unput(&mut self.nodes, node_key(0, idx), version);
         }
         for level in 1..=self.depth as usize {
             halve(&mut frontier);
             for &parent in &frontier {
-                unput(&mut self.levels[level], parent, version);
+                unput(&mut self.nodes, node_key(level, parent), version);
             }
         }
         // Root version recorded by an empty batch.
-        unput(&mut self.levels[self.depth as usize], 0, version);
+        let root = node_key(self.depth as usize, 0);
+        unput(&mut self.nodes, root, version);
         // Every version writes the root, so its newest is the latest.
-        self.latest = self.levels[self.depth as usize]
-            .get(&0)
-            .map(|root| root.version);
+        self.latest = self.nodes.get(&root).map(|root| root.version);
     }
 
     /// Root as of `version` (the default root before any version).

@@ -11,8 +11,14 @@
 //! property implementable: read-only transactions read committed
 //! versions and never take locks, so they cannot block or abort
 //! read-write transactions (§4, "non-interference").
+//!
+//! Rows are keyed by SHA-256 of the key, the leaf order of the
+//! partition's Merkle tree, so one ordered map serves both point reads
+//! (which hash the key first: one SHA-256 block) and range scans (which
+//! walk a hash interval). Like the tree's bucket entries, this relies on
+//! distinct keys having distinct hashes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 
 use transedge_common::{BatchNum, Key, Value};
@@ -31,13 +37,12 @@ pub struct Version {
 /// (conflicting writes can never share a batch — Definition 3.1).
 #[derive(Clone, Debug, Default)]
 pub struct VersionedStore {
-    data: HashMap<Key, Vec<Version>>,
-    /// Tree-order index: SHA-256(key) → key, ordered by hash. This is
-    /// the leaf order of the partition's Merkle tree, so iterating a
-    /// contiguous hash interval enumerates exactly the rows a Merkle
-    /// range proof commits to. Keys are indexed on first write and
-    /// never removed.
-    index: BTreeMap<Digest, Key>,
+    /// SHA-256(key) → (key, versions), ordered by hash. This is the leaf
+    /// order of the partition's Merkle tree, so iterating a contiguous
+    /// hash interval enumerates exactly the rows a Merkle range proof
+    /// commits to. A key's row is created on its first write, with room
+    /// for that one version, and never removed.
+    rows: BTreeMap<Digest, (Key, Vec<Version>)>,
 }
 
 impl VersionedStore {
@@ -49,10 +54,10 @@ impl VersionedStore {
     /// version for an *earlier* batch is written after a later one —
     /// batches commit in log order, so that would be a protocol bug.
     pub fn write(&mut self, key: Key, value: Value, batch: BatchNum) {
-        if !self.data.contains_key(&key) {
-            self.index.insert(sha256(key.as_bytes()), key.clone());
-        }
-        let versions = self.data.entry(key).or_default();
+        let (_, versions) = self
+            .rows
+            .entry(sha256(key.as_bytes()))
+            .or_insert_with(|| (key, Vec::with_capacity(1)));
         if let Some(last) = versions.last_mut() {
             assert!(
                 batch >= last.batch,
@@ -71,17 +76,14 @@ impl VersionedStore {
 
     /// Latest committed version of `key`.
     pub fn get_latest(&self, key: &Key) -> Option<&Version> {
-        self.data.get(key)?.last()
+        self.versions(key)?.last()
     }
 
     /// Latest version committed in a batch `<= batch`: the value of
     /// `key` as of the consistent cut at the end of `batch`, which
     /// round two of the read-only protocol reads.
     pub fn get_at(&self, key: &Key, batch: BatchNum) -> Option<&Version> {
-        let versions = self.data.get(key)?;
-        // Versions are sorted by batch; binary search for the last <= batch.
-        let idx = versions.partition_point(|v| v.batch <= batch);
-        versions[..idx].last()
+        visible_at(self.versions(key)?, batch)
     }
 
     /// Ordered range read over the *tree order* (ascending SHA-256 of
@@ -89,18 +91,18 @@ impl VersionedStore {
     /// whose hash falls in `hashes` and that is visible at the
     /// consistent cut of `batch`, with the version visible there.
     ///
-    /// `O(log keys + rows in range)`: the ordered index narrows straight
-    /// to the window, so a verified range scan only pays for what it
-    /// returns. Callers derive `hashes` from a `ScanRange` via
-    /// `ScanRange::digest_bounds`.
+    /// `O(log keys + rows in range)`: the rows are already in tree
+    /// order, so the map narrows straight to the window and a verified
+    /// range scan only pays for what it returns. Callers derive `hashes`
+    /// from a `ScanRange` via `ScanRange::digest_bounds`.
     pub fn range_at<R: RangeBounds<Digest>>(
         &self,
         hashes: R,
         batch: BatchNum,
     ) -> impl Iterator<Item = (&Key, &Version)> {
-        self.index
+        self.rows
             .range(hashes)
-            .filter_map(move |(_, key)| self.get_at(key, batch).map(|v| (key, v)))
+            .filter_map(move |(_, (key, versions))| visible_at(versions, batch).map(|v| (key, v)))
     }
 
     /// Batch of the last committed write to `key` (conflict rule 1 of
@@ -113,8 +115,17 @@ impl VersionedStore {
     /// serializability checker reconstructs per-key write order from
     /// this).
     pub fn versions(&self, key: &Key) -> Option<&[Version]> {
-        self.data.get(key).map(|v| v.as_slice())
+        self.rows
+            .get(&sha256(key.as_bytes()))
+            .map(|(_, versions)| versions.as_slice())
     }
+}
+
+/// The newest of `versions` committed in a batch `<= batch`. Versions
+/// are sorted by batch, so a binary search finds it.
+fn visible_at(versions: &[Version], batch: BatchNum) -> Option<&Version> {
+    let idx = versions.partition_point(|v| v.batch <= batch);
+    versions[..idx].last()
 }
 
 #[cfg(test)]
@@ -174,7 +185,7 @@ mod tests {
         s.write(k(1), v("a"), BatchNum(5));
         s.write(k(1), v("b"), BatchNum(5));
         assert_eq!(s.get_latest(&k(1)).unwrap().value, v("b"));
-        assert_eq!(s.data[&k(1)].len(), 1);
+        assert_eq!(s.versions(&k(1)).unwrap().len(), 1);
     }
 
     #[test]
