@@ -133,6 +133,12 @@ impl Executor {
         self.applied
     }
 
+    /// CD vector of the last applied batch, from which the next
+    /// batch's is derived.
+    pub fn last_cd(&self) -> &CdVector {
+        &self.last_cd
+    }
+
     /// Footprint of all pending (prepared, outcome unknown) txns —
     /// conflict rule 3.
     pub fn prepared_footprint(&self) -> Footprint {
@@ -147,11 +153,14 @@ impl Executor {
     // Bootstrap
     // ------------------------------------------------------------------
 
-    /// Load initial data as batch 0 without a consensus round. All
-    /// replicas of a cluster call this with the same data and timestamp
-    /// and arrive at a byte-identical genesis batch; the deployment
-    /// builder assembles its certificate from the replica keys it
-    /// already holds.
+    /// Load initial data as batch 0 without a consensus round: write
+    /// this partition's keys to the store, build the tree's version 0
+    /// and return the genesis batch. The deployment builder calls this
+    /// on one replica of each cluster, which every other replica of the
+    /// cluster then copies with [`Executor::adopt_genesis`], and
+    /// assembles the batch's certificate from the replica keys it
+    /// already holds. The result is a pure function of the data, the
+    /// timestamp and the cluster, so independent preloads agree.
     pub fn preload<'a>(
         &mut self,
         data: impl IntoIterator<Item = (&'a Key, &'a transedge_common::Value)>,
@@ -191,6 +200,23 @@ impl Executor {
             prepared: Vec::new(),
             committed: Vec::new(),
         }
+    }
+
+    /// Start from the genesis `source` preloaded, copying that agreed
+    /// state instead of recomputing it: this executor takes its own
+    /// copy of the store, the tree, the last CD vector and LCE and the
+    /// applied count. Its identity, signature memo, 2PC bookkeeping,
+    /// speculation and freshness window stay its own. The copied tree
+    /// keeps `source`'s hash seed.
+    pub fn adopt_genesis(&mut self, source: &Executor) {
+        assert_eq!(source.applied, 1, "source must hold exactly genesis");
+        assert_eq!(self.applied, 0, "genesis must precede all batches");
+        assert_eq!(self.cluster, source.cluster, "genesis of another cluster");
+        self.store = source.store.clone();
+        self.tree = source.tree.clone();
+        self.last_cd = source.last_cd.clone();
+        self.last_lce = source.last_lce;
+        self.applied = source.applied;
     }
 
     // ------------------------------------------------------------------

@@ -205,7 +205,9 @@ impl Deployment {
             config.faults.clone(),
             config.seed,
         );
-        // Build each cluster: preload data, assemble the genesis
+        // Build each cluster: its first replica preloads the data, the
+        // others copy that genesis state (all replicas of a cluster
+        // start from the same database), then assemble the genesis
         // certificate, install, add to the simulation.
         for cluster in config.topo.clusters() {
             let mut nodes: Vec<TransEdgeNode> = config
@@ -221,21 +223,14 @@ impl Deployment {
                     )
                 })
                 .collect();
-            let genesis: Vec<crate::batch::Batch> = nodes
-                .iter_mut()
-                .map(|n| {
-                    n.exec
-                        .preload(data.iter().map(|(k, v)| (k, v)), SimTime::ZERO)
-                })
-                .collect();
-            let digest = BftValue::digest(&genesis[0]);
-            for g in &genesis[1..] {
-                assert_eq!(
-                    BftValue::digest(g),
-                    digest,
-                    "replicas must agree on genesis"
-                );
+            let (first, rest) = nodes.split_first_mut().expect("a cluster has replicas");
+            let genesis = first
+                .exec
+                .preload(data.iter().map(|(k, v)| (k, v)), SimTime::ZERO);
+            for node in rest {
+                node.exec.adopt_genesis(&first.exec);
             }
+            let digest = BftValue::digest(&genesis);
             let stmt = accept_statement(cluster, BatchNum(0), &digest);
             let sigs: Vec<(NodeId, _)> = config
                 .topo
@@ -249,8 +244,8 @@ impl Deployment {
                 digest,
                 sigs,
             };
-            for (node, g) in nodes.iter_mut().zip(genesis) {
-                node.install_genesis(g, cert.clone());
+            for node in &mut nodes {
+                node.install_genesis(genesis.clone(), cert.clone());
             }
             for node in nodes {
                 let id = NodeId::Replica(node.me);

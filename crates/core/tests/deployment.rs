@@ -1,9 +1,17 @@
-//! Deployment-level invariants: genesis certification, determinism,
-//! configuration plumbing, and one signature memo per actor.
+//! Deployment-level invariants: genesis certification and copying,
+//! determinism, configuration plumbing, and one signature memo per
+//! actor.
 
-use transedge_common::{BatchNum, ClientId, ClusterId, Key, ReplicaId, SimTime, Value};
+use transedge_common::{
+    BatchNum, ClientId, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimTime, Value,
+};
+use transedge_consensus::BftValue;
+use transedge_core::batch::Batch;
 use transedge_core::client::ClientOp;
+use transedge_core::executor::Executor;
+use transedge_core::node::TransEdgeNode;
 use transedge_core::setup::{generate_data, Deployment, DeploymentConfig};
+use transedge_crypto::merkle::value_digest;
 use transedge_crypto::SigStats;
 
 #[test]
@@ -138,4 +146,90 @@ fn every_actor_checks_signatures_under_its_own_memo() {
         "{replicas:?}"
     );
     assert!(replicas.iter().any(|s| *s != replicas[0]), "{replicas:?}");
+}
+
+/// Replica `r`'s executor preloaded on its own: the state every
+/// replica of its cluster must start from.
+fn preloaded_alone(dep: &Deployment, r: ReplicaId) -> (Executor, Batch) {
+    let mut exec = Executor::new(
+        dep.topo.clone(),
+        r,
+        dep.keys.with_memo(),
+        dep.config.node.tree_depth,
+        dep.config.node.freshness_window,
+    );
+    let genesis = exec.preload(dep.data.iter().map(|(k, v)| (k, v)), SimTime::ZERO);
+    (exec, genesis)
+}
+
+#[test]
+fn every_replica_holds_its_own_equal_copy_of_genesis() {
+    let mut wide = DeploymentConfig::for_testing();
+    wide.topo = ClusterTopology::new(2, 2).unwrap();
+    for config in [DeploymentConfig::for_testing(), wide] {
+        let mut dep = Deployment::build(config, vec![]);
+        for cluster in dep.topo.clusters() {
+            let replicas: Vec<ReplicaId> = dep.topo.replicas_of(cluster).collect();
+            let (alone, _) = preloaded_alone(&dep, replicas[0]);
+            let keys: Vec<Key> = dep
+                .data
+                .iter()
+                .map(|(k, _)| k.clone())
+                .filter(|k| dep.topo.partition_of(k) == cluster)
+                .collect();
+            assert!(!keys.is_empty());
+            for &r in &replicas {
+                let exec = &dep.node(r).exec;
+                assert_eq!(exec.applied_batches(), 1, "{r}");
+                assert_eq!(exec.tree.root_at(0), alone.tree.root_at(0), "{r}");
+                assert_eq!(exec.last_cd(), alone.last_cd(), "{r}");
+                for k in &keys {
+                    assert_eq!(exec.store.versions(k), alone.store.versions(k), "{r}");
+                }
+            }
+            // A write on one replica reaches no other: each holds its
+            // own store and tree, not a view of a shared one. What the
+            // others see at the written batch is still genesis.
+            let (key, value) = (keys[0].clone(), Value::from("only here"));
+            let seen = |dep: &Deployment, r: ReplicaId| {
+                let exec = &dep.node(r).exec;
+                (
+                    exec.tree.latest_version(),
+                    exec.tree.root_at(1),
+                    exec.tree.prove_at(&key, 1),
+                    exec.store.versions(&key).map(<[_]>::to_vec),
+                )
+            };
+            let before: Vec<_> = replicas.iter().map(|&r| seen(&dep, r)).collect();
+            let written = replicas[replicas.len() - 1];
+            let exec = &mut dep
+                .sim
+                .actor_as_mut::<TransEdgeNode>(NodeId::Replica(written))
+                .expect("a replica")
+                .exec;
+            exec.store.write(key.clone(), value.clone(), BatchNum(1));
+            exec.tree.apply_batch(1, vec![(&key, value_digest(&value))]);
+            for (&r, before) in replicas.iter().zip(&before) {
+                if r == written {
+                    assert_ne!(seen(&dep, r), *before);
+                } else {
+                    assert_eq!(seen(&dep, r), *before, "{r} saw {written}'s write");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn independent_preloads_agree_on_genesis() {
+    let dep = Deployment::build(DeploymentConfig::for_testing(), vec![]);
+    let data = generate_data(dep.config.n_keys, dep.config.value_size);
+    assert_eq!(data, dep.data);
+    let cluster = ClusterId(0);
+    let mut replicas = dep.topo.replicas_of(cluster);
+    let (a, genesis_a) = preloaded_alone(&dep, replicas.next().unwrap());
+    let (b, genesis_b) = preloaded_alone(&dep, replicas.next().unwrap());
+    assert_eq!(BftValue::digest(&genesis_a), BftValue::digest(&genesis_b));
+    assert_eq!(a.tree.root_at(0), b.tree.root_at(0));
+    assert_eq!(genesis_a.header.merkle_root, a.tree.root_at(0));
 }

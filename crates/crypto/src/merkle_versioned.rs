@@ -33,9 +33,12 @@
 //! The maps are keyed by node key and bucket index and hashed with one
 //! folded multiply instead of SipHash. Bucket indices are prefixes of
 //! key hashes, so whoever chooses keys can grind them to choose indices;
-//! each tree draws a random seed (from [`RandomState`]) that the hash
-//! mixes in, so which indices collide in a map cannot be predicted from
-//! outside the process.
+//! each new tree draws a random seed (from [`RandomState`]) that the
+//! hash mixes in, so which indices collide in a map cannot be predicted
+//! from outside the process. A clone keeps its source's seed: the seed
+//! only has to be unknown outside the process, so trees that share one
+//! (a cluster's simulated replicas, which copy one genesis tree) are
+//! no easier to grind than trees that do not.
 //!
 //! [`VersionedMerkleTree::rollback`] undoes one speculation: the tree
 //! keeps a single undo record — the latest version and the buckets it
