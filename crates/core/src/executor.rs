@@ -208,6 +208,13 @@ impl Executor {
     /// applied count. Its identity, signature memo, 2PC bookkeeping,
     /// speculation and freshness window stay its own. The copied tree
     /// keeps `source`'s hash seed.
+    ///
+    /// The copies are values but cost O(1) in the number of keys: they
+    /// share their tables with `source` until either side writes, and
+    /// the writer then copies the table it writes. The tree is written
+    /// by applying a batch that changes a key (speculatively too) or by
+    /// rolling one back, the store by a committed write; a batch that
+    /// changes no key copies nothing.
     pub fn adopt_genesis(&mut self, source: &Executor) {
         assert_eq!(source.applied, 1, "source must hold exactly genesis");
         assert_eq!(self.applied, 0, "genesis must precede all batches");
@@ -641,6 +648,39 @@ mod tests {
         )
     }
 
+    /// Replica 0 of cluster 0 in a two-cluster deployment.
+    fn two_cluster_exec() -> Executor {
+        let topo = ClusterTopology::new(2, 1).unwrap();
+        let (keys, _) = KeyStore::for_topology(&topo, &[1u8; 32]);
+        Executor::new(
+            topo,
+            ReplicaId::new(ClusterId(0), 0),
+            keys,
+            8,
+            SimDuration::from_secs(30),
+        )
+    }
+
+    /// A transaction writing one key on each of two clusters.
+    fn distributed_txn(topo: &ClusterTopology, id: u64) -> Transaction {
+        let key_on = |cluster| {
+            (0u32..)
+                .map(Key::from_u32)
+                .find(|k| topo.partition_of(k) == cluster)
+                .expect("every cluster owns some key")
+        };
+        Transaction {
+            id: TxnId::new(ClientId(0), id),
+            reads: vec![],
+            writes: [ClusterId(0), ClusterId(1)]
+                .map(|c| WriteOp {
+                    key: key_on(c),
+                    value: Value::from("d"),
+                })
+                .into(),
+        }
+    }
+
     fn local_txn(id: u64, writes: &[(u32, &str)]) -> Transaction {
         Transaction {
             id: TxnId::new(ClientId(0), id),
@@ -764,6 +804,56 @@ mod tests {
         assert!(matches!(
             follower.validate_batch(BatchNum(1), &b1, SimTime(0)),
             Err(RejectReason::Conflict(_))
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_a_remote_prepare_without_its_coordinators_record() {
+        let mut leader = two_cluster_exec();
+        let mut follower = two_cluster_exec();
+        // Cluster 1 coordinates, so cluster 0 may prepare the
+        // transaction only on cluster 1's signed prepare.
+        let prepared = PreparedTxn {
+            txn: distributed_txn(&leader.topo, 1),
+            coordinator: ClusterId(1),
+            coordinator_prepare: None,
+        };
+        let batch = leader.seal_batch(vec![], vec![prepared], &[], SimTime(0));
+        assert!(matches!(
+            follower.validate_batch(BatchNum(0), &batch, SimTime(0)),
+            Err(RejectReason::BadEvidence(_))
+        ));
+    }
+
+    #[test]
+    fn validation_rejects_a_commit_without_every_participants_prepare() {
+        let mut leader = two_cluster_exec();
+        let mut follower = two_cluster_exec();
+        // Batch 0 prepares a transaction cluster 0 coordinates.
+        let txn = distributed_txn(&leader.topo, 1);
+        let prepared = PreparedTxn {
+            txn: txn.clone(),
+            coordinator: ClusterId(0),
+            coordinator_prepare: None,
+        };
+        let b0 = leader.seal_batch(vec![], vec![prepared], &[], SimTime(0));
+        assert!(follower
+            .validate_batch(BatchNum(0), &b0, SimTime(0))
+            .is_ok());
+        leader.apply_batch(&b0);
+        follower.apply_batch(&b0);
+        // Batch 1 commits it without cluster 1's prepared record.
+        let record = CommitRecord {
+            txn_id: txn.id,
+            prepared_in: BatchNum(0),
+            outcome: Outcome::Committed,
+            prepared: vec![],
+        };
+        let b1 = leader.seal_batch(vec![], vec![], &[record], SimTime(0));
+        assert_eq!(b1.committed.len(), 1, "the record drains into batch 1");
+        assert!(matches!(
+            follower.validate_batch(BatchNum(1), &b1, SimTime(0)),
+            Err(RejectReason::BadEvidence(_))
         ));
     }
 

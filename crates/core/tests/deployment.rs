@@ -187,9 +187,10 @@ fn every_replica_holds_its_own_equal_copy_of_genesis() {
                     assert_eq!(exec.store.versions(k), alone.store.versions(k), "{r}");
                 }
             }
-            // A write on one replica reaches no other: each holds its
-            // own store and tree, not a view of a shared one. What the
-            // others see at the written batch is still genesis.
+            // A write on one replica reaches no other: each store and
+            // tree is a value of its own, whatever tables it shares
+            // until it writes. What the others see at the written batch
+            // is still genesis.
             let (key, value) = (keys[0].clone(), Value::from("only here"));
             let seen = |dep: &Deployment, r: ReplicaId| {
                 let exec = &dep.node(r).exec;

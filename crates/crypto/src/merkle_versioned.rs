@@ -25,10 +25,20 @@
 //! A new bucket, too, starts with room for exactly one entry: most
 //! buckets of a replica's tree hold one key.
 //!
-//! All nodes of all levels share one map, keyed by `level << MAX_DEPTH
+//! All nodes below the root share one map, keyed by `level << MAX_DEPTH
 //! | index`, so the map's power-of-two capacity is rounded up once for
 //! the whole tree rather than once per level; buckets have a map of
-//! their own.
+//! their own. Each version's root sits in a list of its own, one
+//! `(version, root)` entry per applied version, so a version that
+//! changes no key writes to neither map.
+//!
+//! Both maps sit behind an [`Arc`], so a clone shares them and costs
+//! O(1) in the maps' size: a cluster's simulated replicas, which start
+//! from one genesis tree, hold it once. A tree copies a shared map on
+//! its first write to it ([`Arc::make_mut`]): applying a version that
+//! changes at least one key, or rolling such a version back. Each clone
+//! keeps its own root list and undo record, so clones stay
+//! independent values.
 //!
 //! The maps are keyed by node key and bucket index and hashed with one
 //! folded multiply instead of SipHash. Bucket indices are prefixes of
@@ -37,8 +47,8 @@
 //! hash mixes in, so which indices collide in a map cannot be predicted
 //! from outside the process. A clone keeps its source's seed: the seed
 //! only has to be unknown outside the process, so trees that share one
-//! (a cluster's simulated replicas, which copy one genesis tree) are
-//! no easier to grind than trees that do not.
+//! (a cluster's simulated replicas, which start from one genesis tree)
+//! are no easier to grind than trees that do not.
 //!
 //! [`VersionedMerkleTree::rollback`] undoes one speculation: the tree
 //! keeps a single undo record — the latest version and the buckets it
@@ -46,6 +56,7 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher, RandomState};
+use std::sync::Arc;
 
 use transedge_common::Key;
 
@@ -191,20 +202,54 @@ fn node_key(level: usize, index: u64) -> u64 {
     ((level as u64) << MAX_DEPTH) | index
 }
 
+/// The digest of the node at `index` on `level` as of `version`: the
+/// empty subtree's if `nodes` holds none by then.
+fn node_in(
+    nodes: &IndexMap<Digest>,
+    defaults: &[Digest],
+    level: usize,
+    index: u64,
+    version: u64,
+) -> Digest {
+    nodes
+        .get(&node_key(level, index))
+        .and_then(|n| n.at(version))
+        .copied()
+        .unwrap_or(defaults[level])
+}
+
+/// The digest of the node at `index` on `level` (above the leaves) as
+/// of `version`, hashed from its two children.
+fn parent_in(
+    nodes: &IndexMap<Digest>,
+    defaults: &[Digest],
+    level: usize,
+    index: u64,
+    version: u64,
+) -> Digest {
+    let left = node_in(nodes, defaults, level - 1, index << 1, version);
+    let right = node_in(nodes, defaults, level - 1, (index << 1) | 1, version);
+    hash_node(&left, &right)
+}
+
 /// The versioned tree. Versions are the batch numbers of the SMR log.
 #[derive(Clone)]
 pub struct VersionedMerkleTree {
     depth: u32,
-    /// bucket index → versioned entry lists.
-    buckets: IndexMap<Vec<BucketEntry>>,
-    /// [`node_key`]`(level, index)` → versioned digests, every level in
-    /// one map (level 0 = leaves).
-    nodes: IndexMap<Digest>,
+    /// bucket index → versioned entry lists, shared with clones until
+    /// one of them writes.
+    buckets: Arc<IndexMap<Vec<BucketEntry>>>,
+    /// [`node_key`]`(level, index)` → versioned digests, every level
+    /// below the root in one map (level 0 = leaves), shared like
+    /// `buckets`.
+    nodes: Arc<IndexMap<Digest>>,
+    /// `(version, root)` of every applied version, ascending by
+    /// version: the last entry is the latest version.
+    roots: Vec<(u64, Digest)>,
     defaults: &'static [Digest],
     /// The latest version and the buckets it touched, until it is
     /// rolled back: the only version [`Self::rollback`] may undo.
     undo: Option<(u64, Vec<u64>)>,
-    latest: Option<u64>,
 }
 
 impl VersionedMerkleTree {
@@ -221,11 +266,11 @@ impl VersionedMerkleTree {
         };
         VersionedMerkleTree {
             depth,
-            buckets: HashMap::with_hasher(hash),
-            nodes: HashMap::with_hasher(hash),
+            buckets: Arc::new(HashMap::with_hasher(hash)),
+            nodes: Arc::new(HashMap::with_hasher(hash)),
+            roots: Vec::new(),
             defaults: empty_subtrees(),
             undo: None,
-            latest: None,
         }
     }
 
@@ -235,7 +280,7 @@ impl VersionedMerkleTree {
 
     /// Latest applied version, if any.
     pub fn latest_version(&self) -> Option<u64> {
-        self.latest
+        self.roots.last().map(|&(version, _)| version)
     }
 
     fn bucket_index(&self, key_hash: &Digest) -> u64 {
@@ -247,11 +292,7 @@ impl VersionedMerkleTree {
     }
 
     fn node_at(&self, level: usize, index: u64, version: u64) -> Digest {
-        self.nodes
-            .get(&node_key(level, index))
-            .and_then(|n| n.at(version))
-            .copied()
-            .unwrap_or(self.defaults[level])
+        node_in(&self.nodes, self.defaults, level, index, version)
     }
 
     /// Apply a batch of `(key, value_hash)` updates as `version`,
@@ -261,16 +302,39 @@ impl VersionedMerkleTree {
         version: u64,
         updates: impl IntoIterator<Item = (&'a Key, Digest)>,
     ) -> Digest {
+        let latest = self.latest_version();
         assert!(
-            self.latest.is_none_or(|l| version > l),
-            "version {version} not after latest {:?}",
-            self.latest
+            latest.is_none_or(|l| version > l),
+            "version {version} not after latest {latest:?}"
         );
+        let mut updates = updates.into_iter().peekable();
+        // A version that changes no key keeps the latest root and writes
+        // to neither map, so a tree that shares them keeps sharing.
+        let (root, dirty) = if updates.peek().is_none() {
+            (self.root_at(version), Vec::new())
+        } else {
+            self.write_version(version, updates)
+        };
+        self.roots.push((version, root));
+        self.undo = Some((version, dirty));
+        root
+    }
+
+    /// Write `updates` (at least one) into the maps as `version`,
+    /// returning the new root and the buckets the version touched.
+    fn write_version<'a>(
+        &mut self,
+        version: u64,
+        updates: impl Iterator<Item = (&'a Key, Digest)>,
+    ) -> (Digest, Vec<u64>) {
+        let buckets = Arc::make_mut(&mut self.buckets);
+        let nodes = Arc::make_mut(&mut self.nodes);
+        let (depth, defaults) = (self.depth as usize, self.defaults);
         let mut dirty: Vec<u64> = Vec::new();
         for (key, value_hash) in updates {
             let key_hash = sha256(key.as_bytes());
-            let idx = self.bucket_index(&key_hash);
-            let bucket = match self.buckets.entry(idx) {
+            let idx = bucket_of(&key_hash, self.depth);
+            let bucket = match buckets.entry(idx) {
                 // Start the new bucket version from the latest contents.
                 Entry::Occupied(slot) => {
                     let slot = slot.into_mut();
@@ -298,40 +362,24 @@ impl VersionedMerkleTree {
                 ),
             }
         }
-        // Recompute dirty paths level by level. The frontier stays
-        // sorted and distinct, so halving it in place keeps it sorted
-        // and only adjacent duplicates need dropping.
+        // Recompute dirty paths level by level, up to the root's
+        // children. The frontier stays sorted and distinct, so halving
+        // it in place keeps it sorted and only adjacent duplicates need
+        // dropping.
         let mut frontier = dirty.clone();
         frontier.sort_unstable();
         for &idx in &frontier {
-            let leaf = hash_leaf(&self.buckets[&idx].newest);
-            put(&mut self.nodes, node_key(0, idx), version, leaf);
+            let leaf = hash_leaf(&buckets[&idx].newest);
+            put(nodes, node_key(0, idx), version, leaf);
         }
-        for level in 0..self.depth as usize {
+        for level in 1..depth {
             halve(&mut frontier);
             for &parent in &frontier {
-                let left = self.node_at(level, parent << 1, version);
-                let right = self.node_at(level, (parent << 1) | 1, version);
-                put(
-                    &mut self.nodes,
-                    node_key(level + 1, parent),
-                    version,
-                    hash_node(&left, &right),
-                );
+                let digest = parent_in(nodes, defaults, level, parent, version);
+                put(nodes, node_key(level, parent), version, digest);
             }
         }
-        // Even an empty batch records a root version so `root_at` works.
-        if dirty.is_empty() {
-            let prev_root = self
-                .latest
-                .map(|l| self.root_at(l))
-                .unwrap_or(self.defaults[self.depth as usize]);
-            let root = node_key(self.depth as usize, 0);
-            put(&mut self.nodes, root, version, prev_root);
-        }
-        self.undo = Some((version, dirty));
-        self.latest = Some(version);
-        self.root_at(version)
+        (parent_in(nodes, defaults, depth, 0, version), dirty)
     }
 
     /// Undo the *latest* version (speculative batch rejected / view
@@ -347,30 +395,35 @@ impl VersionedMerkleTree {
             _ => panic!(
                 "rollback of version {version}: only the latest applied version can be \
                  rolled back, and only once (latest {:?})",
-                self.latest
+                self.latest_version()
             ),
         };
-        frontier.sort_unstable();
-        for &idx in &frontier {
-            unput(&mut self.buckets, idx, version);
-            unput(&mut self.nodes, node_key(0, idx), version);
+        // The undo record's version is the latest, whose root is last.
+        self.roots.pop();
+        if frontier.is_empty() {
+            return;
         }
-        for level in 1..=self.depth as usize {
+        frontier.sort_unstable();
+        let buckets = Arc::make_mut(&mut self.buckets);
+        let nodes = Arc::make_mut(&mut self.nodes);
+        for &idx in &frontier {
+            unput(buckets, idx, version);
+            unput(nodes, node_key(0, idx), version);
+        }
+        for level in 1..self.depth as usize {
             halve(&mut frontier);
             for &parent in &frontier {
-                unput(&mut self.nodes, node_key(level, parent), version);
+                unput(nodes, node_key(level, parent), version);
             }
         }
-        // Root version recorded by an empty batch.
-        let root = node_key(self.depth as usize, 0);
-        unput(&mut self.nodes, root, version);
-        // Every version writes the root, so its newest is the latest.
-        self.latest = self.nodes.get(&root).map(|root| root.version);
     }
 
     /// Root as of `version` (the default root before any version).
     pub fn root_at(&self, version: u64) -> Digest {
-        self.node_at(self.depth as usize, 0, version)
+        let idx = self.roots.partition_point(|&(v, _)| v <= version);
+        self.roots[..idx]
+            .last()
+            .map_or(self.defaults[self.depth as usize], |&(_, root)| root)
     }
 
     /// (Non-)inclusion proof for `key` against the root at `version`.
@@ -613,6 +666,28 @@ mod tests {
         assert_eq!(vt.latest_version(), Some(1));
         vt.rollback(1);
         assert_eq!(vt.latest_version(), Some(0));
+    }
+
+    #[test]
+    fn a_clone_rolls_back_without_touching_its_source() {
+        let mut a = VersionedMerkleTree::with_depth(8);
+        a.apply_batch(0, [(&k(1), vh("a")), (&k(2), vh("b"))]);
+        a.apply_batch(1, [(&k(1), vh("c")), (&k(7), vh("x"))]);
+        let (root, proof) = (a.root_at(1), a.prove_at(&k(7), 1));
+        let mut b = a.clone();
+        b.rollback(1);
+        assert_eq!(b.latest_version(), Some(0));
+        assert_eq!(b.get_at(&k(7), 1), None);
+        assert_eq!(a.latest_version(), Some(1));
+        assert_eq!(a.root_at(1), root);
+        assert_eq!(a.prove_at(&k(7), 1), proof);
+        assert_eq!(
+            verify_proof(&root, 8, &k(7), &a.prove_at(&k(7), 1)).unwrap(),
+            Verified::Present(vh("x"))
+        );
+        // The source still holds its own undo record.
+        a.rollback(1);
+        assert_eq!(a.root_at(1), b.root_at(1));
     }
 
     #[test]

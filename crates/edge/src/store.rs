@@ -17,9 +17,15 @@
 //! (which hash the key first: one SHA-256 block) and range scans (which
 //! walk a hash interval). Like the tree's bucket entries, this relies on
 //! distinct keys having distinct hashes.
+//!
+//! The rows sit behind an [`Arc`], so a clone shares them and costs
+//! O(1) in the number of keys: a cluster's simulated replicas, which
+//! start from one genesis store, hold it once. A store copies shared
+//! rows on its first [`VersionedStore::write`] ([`Arc::make_mut`]).
 
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
+use std::sync::Arc;
 
 use transedge_common::{BatchNum, Key, Value};
 use transedge_crypto::{sha256, Digest};
@@ -41,8 +47,9 @@ pub struct VersionedStore {
     /// order of the partition's Merkle tree, so iterating a contiguous
     /// hash interval enumerates exactly the rows a Merkle range proof
     /// commits to. A key's row is created on its first write, with room
-    /// for that one version, and never removed.
-    rows: BTreeMap<Digest, (Key, Vec<Version>)>,
+    /// for that one version, and never removed. Shared with clones until
+    /// one of them writes.
+    rows: Arc<BTreeMap<Digest, (Key, Vec<Version>)>>,
 }
 
 impl VersionedStore {
@@ -54,8 +61,7 @@ impl VersionedStore {
     /// version for an *earlier* batch is written after a later one —
     /// batches commit in log order, so that would be a protocol bug.
     pub fn write(&mut self, key: Key, value: Value, batch: BatchNum) {
-        let (_, versions) = self
-            .rows
+        let (_, versions) = Arc::make_mut(&mut self.rows)
             .entry(sha256(key.as_bytes()))
             .or_insert_with(|| (key, Vec::with_capacity(1)));
         if let Some(last) = versions.last_mut() {

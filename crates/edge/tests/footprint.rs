@@ -2,7 +2,10 @@
 //! replicas build, with the 2 000 keys of a benchmark partition, the
 //! versioned Merkle tree and the value store each hold a bounded number
 //! of bytes per key, a second version of a key costs a bounded number
-//! of bytes more, and a rolled-back version leaves nothing behind. Its
+//! of bytes more, and a rolled-back version leaves nothing behind. A
+//! clone (what a cluster's other replicas take of the genesis its first
+//! replica preloaded) shares the tree's and the store's tables until it
+//! writes, so it and an empty version applied to it copy no table. Its
 //! own test binary: the counting allocator is global, and the count is
 //! per thread so the harness's own threads cannot leak into it.
 
@@ -82,6 +85,15 @@ impl Data {
         self.keys.iter().zip(self.digests[0].iter().copied())
     }
 
+    /// A store holding every key at batch 0.
+    fn first_store(&self) -> VersionedStore {
+        let mut store = VersionedStore::new();
+        for (key, value) in self.keys.iter().zip(&self.values[0]) {
+            store.write(key.clone(), value.clone(), BatchNum(0));
+        }
+        store
+    }
+
     /// Every tenth key at version 1.
     fn second(&self) -> impl Iterator<Item = (&Key, Digest)> {
         self.keys
@@ -124,10 +136,7 @@ fn a_second_version_costs_at_most_900_bytes_per_key_write() {
     let data = Data::new();
     let mut tree = VersionedMerkleTree::with_depth(DEPTH);
     tree.apply_batch(0, data.first());
-    let mut store = VersionedStore::new();
-    for (key, value) in data.keys.iter().zip(&data.values[0]) {
-        store.write(key.clone(), value.clone(), BatchNum(0));
-    }
+    let mut store = data.first_store();
 
     let before = live();
     tree.apply_batch(1, data.second());
@@ -163,4 +172,47 @@ fn a_rolled_back_version_leaves_nothing_behind() {
     );
     assert_eq!(tree.latest_version(), Some(0));
     assert_eq!(tree.root_at(1), root);
+}
+
+#[test]
+fn a_clone_of_a_preloaded_tree_and_store_holds_at_most_16_bytes_per_key() {
+    let data = Data::new();
+    let mut tree = VersionedMerkleTree::with_depth(DEPTH);
+    tree.apply_batch(0, data.first());
+    let store = data.first_store();
+
+    let before = live();
+    let (tree_copy, store_copy) = (tree.clone(), store.clone());
+    let per_key = per(live() - before, KEYS);
+    // What a clone owns is its root list and its undo record (the
+    // genesis version's touched buckets, 8 B each).
+    assert!(
+        per_key <= 16,
+        "a clone of the tree and store holds {per_key} B per key"
+    );
+    assert_eq!(tree_copy.root_at(0), tree.root_at(0));
+    assert_eq!(
+        store_copy.get_latest(&data.keys[7]),
+        store.get_latest(&data.keys[7])
+    );
+}
+
+#[test]
+fn an_empty_version_applied_to_a_clone_copies_no_table() {
+    let data = Data::new();
+    let mut tree = VersionedMerkleTree::with_depth(DEPTH);
+    let root = tree.apply_batch(0, data.first());
+
+    let before = live();
+    let mut copy = tree.clone();
+    copy.apply_batch(1, std::iter::empty());
+    let grown = live() - before;
+    // The copy's root list grows by one entry; a table of 2 000 keys'
+    // buckets or nodes is hundreds of kilobytes.
+    assert!(
+        grown <= 1024,
+        "a clone and an empty version on it hold {grown} B"
+    );
+    assert_eq!(copy.root_at(1), root);
+    assert_eq!(tree.latest_version(), Some(0));
 }
