@@ -38,7 +38,7 @@ use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
 
 use crate::batch::{BatchHeader, ReadOp, Transaction, WriteOp};
-use crate::deps::{verify_dependencies, RotView};
+use crate::deps::{self, Plan, RotView, Step};
 use crate::edge_select::EdgeSelector;
 use crate::messages::NetMsg;
 use crate::metrics::{OpKind, TxnSample};
@@ -188,21 +188,16 @@ struct PartState {
     token: Option<PageToken>,
     /// Verified pages so far (scan parts).
     pages: u32,
-    /// Snapshot view of the partition (set by the first verified
-    /// response; input to the dependency check).
-    view: Option<RotView>,
-    /// The served snapshot's view *before* a verified feed attachment
-    /// upgraded `view` to the feed head — what the dependency check
-    /// would have seen without the subscription; `None` when no
-    /// upgrade happened.
-    base_view: Option<RotView>,
-    /// The full menu of certified snapshot views a verified feed
-    /// attachment buys: the served view followed by each delta's
-    /// header view — held ones, then sent ones — ascending to the head. The feed proves the served
-    /// values unchanged through every prefix of the chain, so each
-    /// entry is an equally certified snapshot of the same values —
-    /// the dependency check may pick any of them.
-    feed_cuts: Vec<RotView>,
+    /// The certified snapshot views of the partition's answer
+    /// ([`deps::Part::menu`]): the served view (a scan's first page's),
+    /// then with a verified feed attachment one per delta — held ones,
+    /// then sent ones — up to the head. Empty until the part answers.
+    views: Vec<RotView>,
+    /// The entry of `views` the part holds: the head until
+    /// [`deps::plan`] settles a lower consistent cut.
+    cut: usize,
+    /// The answer carried a verified feed attachment.
+    fed: bool,
     values: Vec<(Key, Option<Value>)>,
     rows: Vec<(Key, Value)>,
     /// The sub-query in flight for this part, if any.
@@ -229,9 +224,9 @@ impl PartState {
             floor: Epoch::NONE,
             token: None,
             pages: 0,
-            view: None,
-            base_view: None,
-            feed_cuts: Vec::new(),
+            views: Vec::new(),
+            cut: 0,
+            fed: false,
             values: Vec::new(),
             rows: Vec::new(),
             pending: None,
@@ -239,6 +234,19 @@ impl PartState {
             early: None,
             asked: Vec::new(),
             done: false,
+        }
+    }
+
+    /// The snapshot view the part holds, once it has answered.
+    fn view(&self) -> Option<&RotView> {
+        self.views.get(self.cut)
+    }
+
+    /// What the round decision reads of this part.
+    fn input(&self) -> deps::Part<'_> {
+        deps::Part {
+            menu: &self.views,
+            asked: &self.asked,
         }
     }
 
@@ -256,9 +264,9 @@ impl PartState {
         self.floor = floor;
         self.token = None;
         self.pages = 0;
-        self.view = None;
-        self.base_view = None;
-        self.feed_cuts.clear();
+        self.views.clear();
+        self.cut = 0;
+        self.fed = false;
         self.done = false;
         self.values.clear();
         self.rows.clear();
@@ -332,97 +340,11 @@ impl ReadSession {
                 Some(Chase {
                     cluster: p.cluster,
                     keys: keys.clone(),
-                    floor: p.view.as_ref().map_or(p.floor, |v| v.lce.max(p.floor)),
+                    floor: p.view().map_or(p.floor, |v| v.lce.max(p.floor)),
                     req: p.chase,
                 })
             })
             .collect()
-    }
-
-    /// Has an honest replica already sent `cluster`'s part on at
-    /// `demand`? It has if a part whose view demands exactly that was
-    /// answered by a replica asked to chase `cluster` from a lower
-    /// floor: that replica's header is the view, so it saw the demand.
-    fn chased(&self, cluster: ClusterId, demand: Epoch) -> bool {
-        self.parts.iter().any(|p| {
-            p.view.as_ref().is_some_and(|v| v.cd.get(cluster) == demand)
-                && p.asked
-                    .iter()
-                    .any(|&(c, floor)| c == cluster && floor < demand)
-        })
-    }
-
-    fn all_done(&self) -> bool {
-        self.parts.iter().all(|p| p.done)
-    }
-
-    fn views(&self) -> Vec<RotView> {
-        self.parts.iter().filter_map(|p| p.view.clone()).collect()
-    }
-
-    /// The views the dependency check would run on without any feed
-    /// upgrades (each part's served-snapshot view) — what measures how
-    /// many round-2 re-fetches the subscription actually eliminated.
-    fn base_views(&self) -> Vec<RotView> {
-        self.parts
-            .iter()
-            .filter_map(|p| p.base_view.clone().or_else(|| p.view.clone()))
-            .collect()
-    }
-
-    /// Pick, per partition, the highest view along its verified feed
-    /// chain such that the chosen views are mutually
-    /// dependency-consistent. Two feed heads attached by different
-    /// edges are never perfectly synchronised: adopting both blindly
-    /// can *manufacture* a dependency violation (one head's CD names
-    /// an epoch the other head's LCE hasn't certified yet) that the
-    /// stale served snapshots did not have. Every prefix of a
-    /// verified chain is an equally certified snapshot of the same
-    /// values, so the client is free to choose the cut — and since a
-    /// violation `vi.cd[j] > vj.lce` can only ever be repaired by
-    /// lowering `vi` (a head cannot be raised), greedily lowering
-    /// violators converges on the unique maximal consistent cut.
-    /// Parts without a feed menu keep their single view; violations
-    /// they force that no lowering can fix are left for round 2.
-    fn settle_feed_cut(&mut self) {
-        if self.parts.iter().all(|p| p.feed_cuts.len() <= 1) {
-            return;
-        }
-        let mut idx: Vec<usize> = self
-            .parts
-            .iter()
-            .map(|p| p.feed_cuts.len().saturating_sub(1))
-            .collect();
-        loop {
-            let views: Vec<Option<&RotView>> = self
-                .parts
-                .iter()
-                .zip(&idx)
-                .map(|(p, &i)| p.feed_cuts.get(i).or(p.view.as_ref()))
-                .collect();
-            let mut lowered = None;
-            'search: for (i, vi) in views.iter().enumerate() {
-                let Some(vi) = vi else { continue };
-                if idx[i] == 0 || self.parts[i].feed_cuts.is_empty() {
-                    continue;
-                }
-                for vj in views.iter().flatten() {
-                    if vi.cluster != vj.cluster && vi.cd.get(vj.cluster) > vj.lce {
-                        lowered = Some(i);
-                        break 'search;
-                    }
-                }
-            }
-            match lowered {
-                Some(i) => idx[i] -= 1,
-                None => break,
-            }
-        }
-        for (part, i) in self.parts.iter_mut().zip(idx) {
-            if !part.feed_cuts.is_empty() {
-                part.view = part.feed_cuts.get(i).cloned();
-            }
-        }
     }
 }
 
@@ -488,13 +410,14 @@ pub struct ClientStats {
     /// Responses that failed certificate / proof / freshness checks —
     /// evidence of byzantine servers.
     pub verification_failures: u64,
-    /// Reads whose round-2 answers failed the dependency check again
-    /// and took a further round. Theorem 4.6 says never, yet it is not
-    /// 0 here: a round-two batch can import a dependency past an LCE the
-    /// client already holds (`deps::tests::round_two_imports_a_dependency_past_a_held_lce`).
-    /// The benchmark's `mixed-rw` and `feed-churn` workloads take third
-    /// rounds, its gate tolerates the monitor's verdict on them and no
-    /// test asserts zero — ROADMAP `[third-round]`.
+    /// Extra rounds: one for each round a read took past its second,
+    /// so a read of five rounds counts three. Theorem 4.6 says never,
+    /// yet it is not 0 here: a round-two batch can import a dependency
+    /// past an LCE the client already holds
+    /// (`deps::tests::round_two_imports_a_dependency_past_a_held_lce`).
+    /// The benchmark's `mixed-rw` workload takes extra rounds (58 / 49 /
+    /// 40 at seeds 1 / 7 / 13), its gate tolerates the monitor's verdict
+    /// on them and no test asserts zero — ROADMAP `[third-round]`.
     pub third_round_needed: u64,
     /// Further rounds whose part waited on a replica's chase instead of
     /// sending a request ([`Chase`]).
@@ -1055,38 +978,36 @@ impl ClientActor {
     ) -> bool {
         match answer {
             QueryAnswer::Values(values) => {
-                if let ReadResponse::Point { section, .. } = response {
-                    part.view = Some(view_of(&section.commitment.header));
-                }
                 // A verified feed attachment proves the served values
                 // unchanged through the feed head, so every prefix of
                 // the chain — `feed_run`, the held deltas it leaned on
                 // then the sent ones — is an equally certified snapshot
-                // view of the same values: record the whole menu
-                // (served view first, ascending to the head) and
-                // tentatively adopt the head. `settle_feed_cut` later
-                // picks the maximal *mutually consistent* cut across
-                // partitions, so the round-2 MinEpoch re-fetch
-                // disappears. (The verifier already checked the chain;
-                // an empty one proves the served batch *is* the head.)
+                // view of the same values: the menu holds them all,
+                // served view first, and the part tentatively holds the
+                // head. `deps::plan` later settles the maximal
+                // *mutually consistent* cut across partitions, so the
+                // round-2 MinEpoch re-fetch disappears. (The verifier
+                // already checked the chain; an empty one proves the
+                // served batch *is* the head.)
+                if let ReadResponse::Point { section, .. } = response {
+                    part.views.reserve_exact(1 + feed_run.len());
+                    part.views.push(view_of(&section.commitment.header));
+                }
                 if let Some(sent) = response.fresh_feed() {
                     self.stats.feed_deltas_reused += (feed_run.len() - sent.len()) as u64;
-                    part.base_view = part.view.clone();
-                    if let Some(served) = part.view.clone() {
-                        part.feed_cuts = std::iter::once(served)
-                            .chain(feed_run.iter().map(|d| view_of(&d.commitment.header)))
-                            .collect();
-                        part.view = part.feed_cuts.last().cloned();
-                    }
                     self.stats.freshness_upgrades += 1;
+                    part.fed = true;
                 }
+                part.views
+                    .extend(feed_run.iter().map(|d| view_of(&d.commitment.header)));
+                part.cut = part.views.len().saturating_sub(1);
                 part.values = values;
                 part.done = true;
             }
             QueryAnswer::Rows { rows, next } => {
                 self.stats.scans_accepted += 1;
-                if let (ReadResponse::Scan { bundle }, None) = (response, &part.view) {
-                    part.view = Some(view_of(&bundle.commitment.header));
+                if let (ReadResponse::Scan { bundle }, []) = (response, &part.views[..]) {
+                    part.views.push(view_of(&bundle.commitment.header));
                 }
                 part.rows.extend(rows);
                 part.pages += 1;
@@ -1289,7 +1210,7 @@ impl ClientActor {
         let Some(mut inflight) = self.inflight.take() else {
             return;
         };
-        let Phase::Query(mut session) = inflight.phase else {
+        let Phase::Query(session) = &mut inflight.phase else {
             self.inflight = Some(inflight);
             return;
         };
@@ -1306,13 +1227,11 @@ impl ClientActor {
                 if lce.is_some_and(|lce| kept.is_none_or(|(c, _)| c.header.lce < lce)) {
                     part.early = Some(response);
                 }
-                inflight.phase = Phase::Query(session);
                 self.inflight = Some(inflight);
                 return;
             }
             if lce.is_some_and(|lce| lce < part.floor) {
                 self.stats.chase_dropped += 1;
-                inflight.phase = Phase::Query(session);
                 self.inflight = Some(inflight);
                 return;
             }
@@ -1333,7 +1252,6 @@ impl ClientActor {
                 .map(|anchor| (pending, response.rebuild((&anchor.0, &anchor.1)))),
         });
         let Some((pending, response)) = readable else {
-            inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
             return;
         };
@@ -1342,7 +1260,7 @@ impl ClientActor {
         // recorded here, bracketing the verify charge below.
         let verify_from = ctx.now();
         self.stats.read_result_bytes += size;
-        let verdict = self.on_part_result(&mut session, cluster, pending, &response, ctx);
+        let verdict = self.on_part_result(session, cluster, pending, &response, ctx);
         if let Some(tc) = session.query.trace {
             let me = NodeId::Client(self.id);
             let until = ctx.now();
@@ -1351,35 +1269,43 @@ impl ClientActor {
         }
         if let Err(fork) = verdict {
             self.forks.push(fork);
-            inflight.phase = Phase::Query(session);
             self.fail_op(inflight, SpanPhase::Verify, "fork", ctx);
-            return;
-        }
-        let done = session.all_done();
-        inflight.phase = Phase::Query(session);
-        if !done {
+        } else if session.parts.iter().all(|p| p.done) {
+            self.finish_query(inflight, ctx);
+        } else {
             self.inflight = Some(inflight);
-            return;
         }
-        self.finish_query(inflight, ctx);
     }
 
-    /// Every partition answered and verified: run the cross-partition
-    /// dependency check (Algorithm 2 — the torn-read check of the
-    /// stitch), re-running partitions below their required floor, or
-    /// complete the operation.
+    /// Every partition answered and verified: run the round decision
+    /// ([`deps::plan`]: the cut, Algorithm 2 — the torn-read check of
+    /// the stitch — and the chase prediction), then either complete the
+    /// operation or carry out the next round's steps.
     fn finish_query(&mut self, mut inflight: Inflight, ctx: &mut Context<'_, NetMsg>) {
-        let Phase::Query(mut session) = inflight.phase else {
+        let Phase::Query(session) = &mut inflight.phase else {
             return;
         };
         let now = ctx.now();
-        session.settle_feed_cut();
-        let unsatisfied = verify_dependencies(&session.views());
-        let actionable: Vec<(ClusterId, Epoch)> = unsatisfied
-            .into_iter()
-            .filter(|(c, _)| session.parts.iter().any(|p| p.cluster == *c))
-            .collect();
-        if !actionable.is_empty() {
+        let (cut, steps, skipped_by_feed) = match deps::plan(&session.parts, PartState::input) {
+            Plan::Done {
+                cut,
+                skipped_by_feed,
+            } => (cut, None, skipped_by_feed),
+            Plan::Round { cut, steps } => (cut, Some(steps), false),
+        };
+        for (part, view) in session.parts.iter_mut().zip(cut) {
+            part.cut = view;
+        }
+        // The served views alone would have needed round 2: the feed
+        // attachments eliminated a re-fetch (not merely could have).
+        self.stats.round2_skipped_by_feed += u64::from(skipped_by_feed);
+        // Another round: restart every part asked or waiting at its
+        // floor before any is sent, so the chase entries name the new
+        // floors; mint fresh chase ids for every part not waiting, so
+        // a chase from an earlier round never matches; send the asks
+        // in cluster order; then replay the chased answers that came
+        // early and reach their part's new floor.
+        if let Some(steps) = steps {
             if session.round >= 2 {
                 // Theorem 4.6 says two rounds suffice, but a round-two
                 // batch can import a dependency past an LCE this client
@@ -1391,68 +1317,44 @@ impl ClientActor {
                 session.round1_done_at = Some(now);
             }
             session.round += 1;
-            // A dependency that an answering replica was asked to chase
-            // is already on its way: its part waits on the chase id
-            // instead of asking. Every part restarts before any is
-            // sent, so the chase entries name the new floors.
-            let mut sends = Vec::new();
-            for &(cluster, min_epoch) in &actionable {
-                let chased = session.chased(cluster, min_epoch);
-                let part = session.part_mut(cluster);
-                part.restart_at_floor(min_epoch);
-                if chased {
-                    part.pending = Some(Pending {
-                        req: part.chase,
-                        target: self.leader_of(cluster),
-                    });
-                    part.asked.clear();
-                    self.stats.chase_waits += 1;
-                } else {
-                    sends.push(cluster);
+            let (mut sends, mut early) = (Vec::new(), Vec::new());
+            for (part, step) in session.parts.iter_mut().zip(steps) {
+                match step {
+                    Step::Keep => {}
+                    Step::Ask { floor } => {
+                        part.restart_at_floor(floor);
+                        sends.push(part.cluster);
+                    }
+                    // A waiting part keeps its chase id, and a chased
+                    // answer that came early and reaches the new floor
+                    // is replayed.
+                    Step::Wait { floor } => {
+                        part.restart_at_floor(floor);
+                        part.pending = Some(Pending {
+                            req: part.chase,
+                            target: self.leader_of(part.cluster),
+                        });
+                        part.asked.clear();
+                        self.stats.chase_waits += 1;
+                        let reaches = |e: &mut ReadResponse| {
+                            e.anchor().is_some_and(|(c, _)| c.header.lce >= floor)
+                        };
+                        early.extend(part.early.take_if(reaches).map(|e| (part.chase, e)));
+                        continue;
+                    }
                 }
-            }
-            for part in &mut session.parts {
-                if !part.waits_on_chase() {
-                    part.chase = self.req_id();
-                    part.early = None;
-                }
+                part.chase = self.req_id();
+                part.early = None;
             }
             for cluster in sends {
                 let target = self.read_target(cluster, now);
-                self.dispatch(&mut session, &[cluster], target, ctx);
+                self.dispatch(session, &[cluster], target, ctx);
             }
-            // Chased answers that came early and reach the new floor.
-            let early: Vec<(u64, ReadResponse)> = session
-                .parts
-                .iter_mut()
-                .filter(|p| p.waits_on_chase())
-                .filter_map(|p| {
-                    let floor = p.floor;
-                    let reaches = |e: &mut ReadResponse| {
-                        e.anchor().is_some_and(|(c, _)| c.header.lce >= floor)
-                    };
-                    Some((p.chase, p.early.take_if(reaches)?))
-                })
-                .collect();
-            inflight.phase = Phase::Query(session);
             self.inflight = Some(inflight);
             for (req, response) in early {
                 self.on_read_result(req, response, ctx);
             }
             return;
-        }
-        // Done: sample, record, advance. When feed attachments upgraded
-        // any view, re-run the dependency check on the *un-upgraded*
-        // views to count the round-2 re-fetches the subscription
-        // actually eliminated (not merely could have).
-        if session.parts.iter().any(|p| p.base_view.is_some()) {
-            let would_have = verify_dependencies(&session.base_views());
-            if would_have
-                .iter()
-                .any(|(c, _)| session.parts.iter().any(|p| p.cluster == *c))
-            {
-                self.stats.round2_skipped_by_feed += 1;
-            }
         }
         // Close out the causal trace: the round-2 tail (everything
         // after round 1 settled) gets its own phase span, then the
@@ -1473,12 +1375,12 @@ impl ClientActor {
         }
         let needed_round2 = session.round > 1;
         // Warm iff every partition's final answer was a cached replay
-        // carrying a verified feed attachment (its certified view menu
-        // is recorded in `feed_cuts`). A cold forward or a round-2
-        // re-fetch clears the part's menu, so mixed reads don't count.
+        // carrying a verified feed attachment. A cold forward or a
+        // round-2 re-fetch clears the part's mark, so mixed reads don't
+        // count.
         let all_warm = matches!(session.query.shape, QueryShape::Point { .. })
             && !session.parts.is_empty()
-            && session.parts.iter().all(|p| !p.feed_cuts.is_empty());
+            && session.parts.iter().all(|p| p.fed);
         self.samples.push(TxnSample {
             kind: inflight.kind,
             start: inflight.start,
@@ -1501,7 +1403,7 @@ impl ClientActor {
             let snapshot: Vec<(ClusterId, BatchNum)> = session
                 .parts
                 .iter()
-                .filter_map(|p| p.view.as_ref().map(|v| (p.cluster, v.batch)))
+                .filter_map(|p| p.view().map(|v| (p.cluster, v.batch)))
                 .collect();
             self.query_results.push(QueryOutcome {
                 values: session

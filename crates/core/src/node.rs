@@ -1267,11 +1267,10 @@ impl TransEdgeNode {
     }
 
     /// Send on the client's other point parts that the answer just
-    /// served at `at_batch` made stale: where that batch's CD vector
-    /// names an epoch of a part's partition above the LCE the client
-    /// holds there, the partition's leader is asked for the part at
-    /// that epoch and answers the client under the part's chase id. One
-    /// hop: a forward names no parts of its own.
+    /// served at `at_batch` made stale ([`deps::chase_demand`], the rule
+    /// the client predicts with): the partition's leader is asked for
+    /// the part at the demanded epoch and answers the client under the
+    /// part's chase id. One hop: a forward names no parts of its own.
     fn chase(
         &mut self,
         client: NodeId,
@@ -1282,12 +1281,11 @@ impl TransEdgeNode {
         let Some((batch, _)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
-        let me = self.me.cluster;
+        let (me, cd) = (self.me.cluster, &batch.header.cd);
         let stale: Vec<(&Chase, Epoch)> = query
             .chase
             .iter()
-            .map(|part| (part, batch.header.cd.get(part.cluster)))
-            .filter(|(part, demand)| part.cluster != me && *demand > part.floor)
+            .filter_map(|p| Some((p, deps::chase_demand(me, cd, p.cluster, p.floor)?)))
             .collect();
         let trace = ctx.trace_here().or(query.trace);
         for (part, demand) in stale {

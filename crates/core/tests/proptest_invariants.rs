@@ -3,7 +3,10 @@
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClientId, ClusterId, Epoch, Key, TxnId, Value};
 use transedge_core::batch::{CdVector, ReadOp, Transaction, WriteOp};
-use transedge_core::deps::{derive_cd_vector, first_batch_with_lce, verify_dependencies, RotView};
+use transedge_core::deps::{
+    chase_demand, derive_cd_vector, first_batch_with_lce, plan, verify_dependencies, Part, Plan,
+    RotView, Step,
+};
 use transedge_core::prepared::PreparedBatches;
 use transedge_core::records::{CommitRecord, Outcome, SignedPrepared};
 
@@ -206,6 +209,133 @@ proptest! {
             for v in &views {
                 if v.cluster != target.cluster {
                     prop_assert!(v.cd.get(target.cluster) <= target.lce);
+                }
+            }
+        }
+    }
+
+    /// The round decision over generated parts: up to four partitions,
+    /// each a feed menu of one to three views ascending in CD and LCE,
+    /// with chase entries naming the others at generated floors. `Done`
+    /// holds a consistent cut, above every other consistent cut, and
+    /// credits the feed exactly when the served views fail the check.
+    /// A round's cut is lowered as far as violations force; it gives
+    /// each unsatisfied `(Z, e)` one `Ask` at a floor ≥ e or one `Wait`
+    /// an asked replica's chase accounts for, leaves every other part
+    /// kept, and asks no part below the view it holds.
+    #[test]
+    fn plan_settles_or_asks_every_unsatisfied_dependency(
+        n in 2usize..5,
+        lens in proptest::collection::vec(1usize..4, 4),
+        base in proptest::collection::vec(proptest::collection::vec(-1i64..6, 4), 4),
+        lces in proptest::collection::vec(-1i64..6, 4),
+        rises in proptest::collection::vec(proptest::collection::vec(0i64..3, 5), 8),
+        floors in proptest::collection::vec(proptest::collection::vec(-2i64..8, 4), 4),
+    ) {
+        let menus: Vec<Vec<RotView>> = (0..n)
+            .map(|i| {
+                let mut cd = base[i][..n].to_vec();
+                let mut lce = lces[i];
+                (0..lens[i])
+                    .map(|k| {
+                        if k > 0 {
+                            let rise = &rises[2 * i + k - 1];
+                            for (c, r) in cd.iter_mut().zip(rise) {
+                                *c += r;
+                            }
+                            lce += rise[4];
+                        }
+                        cd[i] = cd[i].max(lce);
+                        let mut v = CdVector::new(n);
+                        for (c, e) in cd.iter().enumerate() {
+                            v.set(ClusterId(c as u16), Epoch(*e));
+                        }
+                        RotView {
+                            cluster: ClusterId(i as u16),
+                            batch: BatchNum(cd[i].max(0) as u64),
+                            cd: v,
+                            lce: Epoch(lce),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        // A floor of -2 names no entry.
+        let asked: Vec<Vec<(ClusterId, Epoch)>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&c| c != i && floors[i][c] >= -1)
+                    .map(|c| (ClusterId(c as u16), Epoch(floors[i][c])))
+                    .collect()
+            })
+            .collect();
+        let parts: Vec<Part> = (0..n)
+            .map(|i| Part {
+                menu: &menus[i],
+                asked: &asked[i],
+            })
+            .collect();
+        let held = |cut: &[usize]| -> Vec<RotView> {
+            cut.iter().zip(&menus).map(|(&k, m)| m[k].clone()).collect()
+        };
+        match plan(&parts, |p| *p) {
+            Plan::Done { cut, skipped_by_feed } => {
+                prop_assert!(verify_dependencies(&held(&cut)).is_empty());
+                let served: Vec<&RotView> = menus.iter().map(|m| &m[0]).collect();
+                prop_assert_eq!(skipped_by_feed, !verify_dependencies(served).is_empty());
+                // Every consistent cut lies at or below the settled one.
+                let mut other = vec![0usize; n];
+                loop {
+                    if verify_dependencies(&held(&other)).is_empty() {
+                        prop_assert!(other.iter().zip(&cut).all(|(o, c)| o <= c));
+                    }
+                    let Some(i) = (0..n).find(|&i| other[i] + 1 < menus[i].len()) else {
+                        break;
+                    };
+                    other[i] += 1;
+                    other[..i].fill(0);
+                }
+            }
+            Plan::Round { cut, steps } => {
+                let views = held(&cut);
+                let unsat = verify_dependencies(&views);
+                prop_assert!(!unsat.is_empty());
+                prop_assert_eq!(steps.len(), n);
+                // Lowered as far as a violation forces: a view above its
+                // served one names no epoch past another held LCE.
+                for (vi, _) in views.iter().zip(&cut).filter(|(_, &k)| k > 0) {
+                    prop_assert!(views
+                        .iter()
+                        .all(|vj| vi.cluster == vj.cluster || vi.cd.get(vj.cluster) <= vj.lce));
+                }
+                for (i, step) in steps.iter().enumerate() {
+                    let z = ClusterId(i as u16);
+                    let demand = unsat.iter().find(|(c, _)| *c == z).map(|(_, e)| *e);
+                    // Which parts' replicas were asked to chase z below
+                    // the demand and so forwarded it.
+                    let witness = |j: usize| {
+                        demand.is_some_and(|e| {
+                            asked[j].iter().any(|&(c, f)| {
+                                c == z && chase_demand(views[j].cluster, &views[j].cd, c, f) == Some(e)
+                            })
+                        })
+                    };
+                    match (*step, demand) {
+                        (Step::Keep, None) => {}
+                        (Step::Ask { floor }, Some(e)) => {
+                            prop_assert!(floor >= e);
+                            prop_assert!(floor > views[i].lce, "asked below the view held");
+                            prop_assert!(!(0..n).any(|j| steps[j] == Step::Keep && witness(j)));
+                        }
+                        (Step::Wait { floor }, Some(e)) => {
+                            prop_assert_eq!(floor, e);
+                            prop_assert!(floor > views[i].lce, "waits below the view held");
+                            prop_assert!((0..n).any(witness));
+                        }
+                        (step, demand) => {
+                            prop_assert!(false, "part {} took {:?} for demand {:?}", i, step, demand)
+                        }
+                    }
                 }
             }
         }
