@@ -30,7 +30,7 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    same_batch_conflict, CertifiedDelta, Chase, CommittedHeader, FeedWindow, PageToken,
+    same_batch_conflict, Body, CertifiedDelta, Chase, CommittedHeader, FeedWindow, PageToken,
     QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
     VerifiedCerts, VerifyParams,
 };
@@ -364,12 +364,11 @@ fn view_of(header: &BatchHeader) -> RotView {
 /// width is computed saturating and capped at the protocol maximum —
 /// the verifier rejects anything wider before hashing.
 fn leaf_hashes(response: &ReadResponse) -> u64 {
-    let feed = response.fresh_feed().map_or(0, <[_]>::len);
-    let claimed = match response {
-        ReadResponse::Point { section, .. } => return (feed + section.body.keys().len()) as u64,
-        ReadResponse::HeldPoint { body, .. } => return (feed + body.keys().len()) as u64,
-        ReadResponse::Scan { bundle } => &bundle.scan.range,
-        ReadResponse::HeldScan { scan, .. } => &scan.range,
+    let claimed = match &response.body {
+        Body::Point { body, fresh } => {
+            return (fresh.as_ref().map_or(0, Vec::len) + body.keys().len()) as u64
+        }
+        Body::Scan(scan) => &scan.range,
     };
     claimed
         .last
@@ -989,9 +988,9 @@ impl ClientActor {
                 // round-2 MinEpoch re-fetch disappears. (The verifier
                 // already checked the chain; an empty one proves the
                 // served batch *is* the head.)
-                if let ReadResponse::Point { section, .. } = response {
+                if let Some((commitment, _)) = response.anchor() {
                     part.views.reserve_exact(1 + feed_run.len());
-                    part.views.push(view_of(&section.commitment.header));
+                    part.views.push(view_of(&commitment.header));
                 }
                 if let Some(sent) = response.fresh_feed() {
                     self.stats.feed_deltas_reused += (feed_run.len() - sent.len()) as u64;
@@ -1006,8 +1005,8 @@ impl ClientActor {
             }
             QueryAnswer::Rows { rows, next } => {
                 self.stats.scans_accepted += 1;
-                if let (ReadResponse::Scan { bundle }, []) = (response, &part.views[..]) {
-                    part.views.push(view_of(&bundle.commitment.header));
+                if let (Some((commitment, _)), []) = (response.anchor(), &part.views[..]) {
+                    part.views.push(view_of(&commitment.header));
                 }
                 part.rows.extend(rows);
                 part.pages += 1;
@@ -1242,7 +1241,7 @@ impl ClientActor {
             .find(|p| p.cluster == cluster)
             .and_then(|p| p.pending)
             .filter(|s| s.req == req);
-        let size = crate::messages::read_payload_size(&response) as u64;
+        let size = response.wire_size() as u64;
         let readable = owed.and_then(|pending| match response.anchor() {
             Some(_) => Some((pending, response)),
             None => self

@@ -67,8 +67,8 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    verify_object, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ReplayCache, SnapshotObject, VerifyParams,
+    verify_object, Body, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, ReplayCache, VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
@@ -151,7 +151,7 @@ pub struct EdgeNodeParams {
     pub tree_depth: u32,
     /// Deployment freshness window: what evidence is re-verified
     /// against, and — a third of it — the age past which a cached
-    /// bundle is not replayed but forwarded upstream, refreshing the
+    /// answer is not replayed but forwarded upstream, refreshing the
     /// cache. The third keeps every honest replay inside the window
     /// its client checks, whatever window the deployment runs.
     pub freshness_window: SimDuration,
@@ -274,7 +274,7 @@ pub struct EdgeReadNode {
     /// The disk image `on_start` re-admits: what the caches of the
     /// crashed edge this node replaces held (empty for a first boot or
     /// a cold restart). [`crate::setup::Deployment`] plays the disk.
-    image: Vec<SnapshotObject>,
+    image: Vec<ReadResponse>,
     /// The same trusted checker clients run — feed deltas pass
     /// `verify_delta` before touching any cache.
     verifier: ReadVerifier,
@@ -374,14 +374,14 @@ impl EdgeReadNode {
     /// cluster order, each cache's least recently used first. The
     /// deployment takes it on crash and hands it to the replacement via
     /// [`EdgeReadNode::restore_image`].
-    pub fn image(&self) -> Vec<SnapshotObject> {
+    pub fn image(&self) -> Vec<ReadResponse> {
         self.caches.iter().flat_map(|(_, c)| c.objects()).collect()
     }
 
     /// Attach the image of the crashed edge this node replaces. Must
     /// run before the actor starts — `on_start` is where it is
     /// re-admitted.
-    pub fn restore_image(&mut self, image: Vec<SnapshotObject>) {
+    pub fn restore_image(&mut self, image: Vec<ReadResponse>) {
         self.image = image;
     }
 
@@ -491,16 +491,8 @@ impl EdgeReadNode {
     /// it belongs to. Only a full answer carries its anchor; a held one
     /// is never cached.
     fn absorb(&mut self, result: &ReadResponse) {
-        match result {
-            ReadResponse::Point { section, .. } => {
-                let cluster = section.commitment.header.cluster;
-                self.cache_for(cluster).admit_section(section);
-            }
-            ReadResponse::Scan { bundle } => {
-                let cluster = bundle.commitment.header.cluster;
-                self.cache_for(cluster).admit_scan(bundle);
-            }
-            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => {}
+        if result.anchor().is_some() {
+            self.cache_for(result.cluster()).admit(result);
         }
     }
 
@@ -511,20 +503,16 @@ impl EdgeReadNode {
     /// admit it into its partition's replay cache only if that passes.
     fn admit_verified(
         &mut self,
-        object: &SnapshotObject,
+        object: &ReadResponse,
         ctx: &mut Context<'_, NetMsg>,
     ) -> Result<(), ReadRejection> {
-        let sigs = object.cert().sigs.len();
-        let body = transedge_edge::persist::object_size(object);
+        let sigs = object.anchor().map_or(0, |(_, cert)| cert.sigs.len());
+        let body = object.wire_size();
         ctx.charge(|c| {
             SimDuration(c.ed25519_verify.0 * sigs as u64 + c.sha256_cost(body.max(1)).0)
         });
         verify_object(&self.verifier, &self.keys, object, ctx.now())?;
-        let cache = self.caches.cache_for(object.cluster());
-        match object {
-            SnapshotObject::Section(section) => cache.admit_section(section),
-            SnapshotObject::Scan(bundle) => cache.admit_scan(bundle),
-        }
+        self.caches.cache_for(object.cluster()).admit(object);
         Ok(())
     }
 
@@ -627,7 +615,7 @@ impl EdgeReadNode {
         from: NodeId,
         req: u64,
         cluster: ClusterId,
-        objects: Vec<SnapshotObject>,
+        objects: Vec<ReadResponse>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         if self.transfer != Some((from, req)) {
@@ -670,7 +658,7 @@ impl EdgeReadNode {
         self.stats.keys_requested += keys.len() as u64;
         let freshness_floor = self.replay_floor(ctx.now());
         let cache = self.caches.cache_for(cluster);
-        let Some(section) = cache.replay(keys, query.min_lce(), freshness_floor) else {
+        let Some(mut result) = cache.replay(keys, query.min_lce(), freshness_floor) else {
             self.stats.forwarded += 1;
             self.forward_upstream(to, req, cluster, query, ctx);
             return;
@@ -681,15 +669,12 @@ impl EdgeReadNode {
         // tail proving the replayed snapshot current — only the part
         // past what its cursor says it holds — or refuse, letting the
         // client fall back to round 2.
-        let served = section.batch();
+        let served = result.batch();
         let resume = query.feed_resume(cluster, served);
-        let fresh = query
-            .feed
-            .as_ref()
-            .and_then(|_| cache.freshness_since(served, keys, resume));
+        if let (Some(_), Body::Point { fresh, .. }) = (&query.feed, &mut result.body) {
+            *fresh = cache.freshness_since(served, keys, resume);
+        }
         let held = query.held_for(cluster);
-        let section = Box::new(section);
-        let result = ReadResponse::Point { section, fresh };
         self.send_result(to, req, result, held, ctx);
     }
 
@@ -715,12 +700,9 @@ impl EdgeReadNode {
         let min_lce = query.min_lce();
         let cache = self.cache_for(cluster);
         let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
-        if let Some(bundle) = replayed {
+        if let Some(result) = replayed {
             self.stats.scans_from_cache += 1;
             let held = query.held_for(cluster);
-            let result = ReadResponse::Scan {
-                bundle: Box::new(bundle),
-            };
             self.send_result(to, req, result, held, ctx);
             return;
         }

@@ -71,5 +71,5 @@ pub use setup::{Deployment, DeploymentConfig};
 // subsystem so client code can name a query without a direct
 // `transedge-edge` dependency.
 pub use transedge_edge::{
-    PageToken, QueryAnswer, QueryShape, ReadQuery, SnapshotObject, SnapshotPolicy,
+    PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
 };

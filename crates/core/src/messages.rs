@@ -1,16 +1,11 @@
 //! Every message that crosses the simulated network in a TransEdge
 //! deployment.
 
-use std::sync::Arc;
-
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, TxnId, Value};
 use transedge_consensus::BftMsg;
 use transedge_crypto::Signature;
 use transedge_directory::GossipDelta;
-use transedge_edge::{
-    anchor_size, cert_size, persist::object_size, CertifiedDelta, QueryShape, ReadQuery,
-    ReadResponse, SnapshotObject, HELD_ANCHOR_SIZE,
-};
+use transedge_edge::{cert_size, Body, CertifiedDelta, QueryShape, ReadQuery, ReadResponse};
 use transedge_simnet::SimMessage;
 
 use crate::batch::{Batch, Transaction};
@@ -151,14 +146,14 @@ pub enum NetMsg {
     /// peer for the answers of `cluster` its caches hold, instead of
     /// faulting every post-restart read upstream to the replicas.
     StateTransfer { req: u64, cluster: ClusterId },
-    /// The sibling's offer: its cached answers for the cluster as
-    /// snapshot objects. Untrusted like any edge payload — the
-    /// requester re-verifies every object through the client-grade
-    /// verifier before admitting it to a cache.
+    /// The sibling's offer: its cached answers for the cluster, full.
+    /// Untrusted like any edge payload — the requester re-verifies
+    /// every answer through the client-grade verifier before admitting
+    /// it to a cache.
     StateTransferResp {
         req: u64,
         cluster: ClusterId,
-        objects: Vec<SnapshotObject>,
+        objects: Vec<ReadResponse>,
     },
 
     // ---- intra-cluster ----------------------------------------------
@@ -213,9 +208,9 @@ impl NetMsg {
                 QueryShape::Point { .. } => "read-point",
                 QueryShape::Scan { .. } => "read-scan",
             },
-            NetMsg::ReadResult { result, .. } => match result {
-                ReadResponse::Point { .. } | ReadResponse::HeldPoint { .. } => "read-result-point",
-                ReadResponse::Scan { .. } | ReadResponse::HeldScan { .. } => "read-result-scan",
+            NetMsg::ReadResult { result, .. } => match result.body {
+                Body::Point { .. } => "read-result-point",
+                Body::Scan(_) => "read-result-scan",
             },
             NetMsg::FeedSubscribe { .. } => "feed-subscribe",
             NetMsg::FeedDelta { .. } => "feed-delta",
@@ -250,20 +245,6 @@ fn txn_size(t: &Transaction) -> usize {
 
 fn signed_prepared_size(p: &SignedPrepared) -> usize {
     26 + p.cd.len() * 8 + p.sigs.len() * 101
-}
-
-/// Wire size of one certified commit-feed entry: its certified anchor
-/// plus the sorted changed-key list.
-fn rot_delta_size(d: &CertifiedDelta) -> usize {
-    anchor_size(&d.commitment, &d.cert) + 4 + d.changed.iter().map(|k| k.len() + 4).sum::<usize>()
-}
-
-/// What travelled: the deltas sent, not the ones the client held.
-fn feed_size(fresh: &Option<Vec<Arc<CertifiedDelta>>>) -> usize {
-    match fresh {
-        None => 1,
-        Some(sent) => 5 + sent.iter().map(|d| rot_delta_size(d)).sum::<usize>(),
-    }
 }
 
 fn batch_size(b: &Batch) -> usize {
@@ -306,30 +287,6 @@ fn bft_size(m: &BftMsg<Batch>) -> usize {
     }
 }
 
-/// Structural wire size of a proof-carrying read payload (the
-/// bandwidth model's estimate), sized from what each form carries: a
-/// full answer its certified anchor ([`anchor_size`]), a held one only
-/// the reference to it ([`HELD_ANCHOR_SIZE`]), then the body and any
-/// feed tail. A section body's structural size equals its shared wire
-/// image byte-for-byte (asserted in the edge crate), so the
-/// proof-carrying part of a point answer is exact.
-pub fn read_payload_size(result: &ReadResponse) -> usize {
-    match result {
-        ReadResponse::Point { section, fresh } => {
-            anchor_size(&section.commitment, &section.cert)
-                + section.body.encoded_len()
-                + feed_size(fresh)
-        }
-        ReadResponse::Scan { bundle } => {
-            anchor_size(&bundle.commitment, &bundle.cert) + bundle.scan.encoded_len()
-        }
-        ReadResponse::HeldPoint { body, fresh, .. } => {
-            HELD_ANCHOR_SIZE + body.encoded_len() + feed_size(fresh)
-        }
-        ReadResponse::HeldScan { scan, .. } => HELD_ANCHOR_SIZE + scan.encoded_len(),
-    }
-}
-
 impl SimMessage for NetMsg {
     fn size_bytes(&self) -> usize {
         match self {
@@ -343,14 +300,14 @@ impl SimMessage for NetMsg {
             // bounds, page window), policy, and page token — the old
             // per-shape variants used flat constants for scans.
             NetMsg::Read { query, .. } => 8 + query.wire_size(),
-            NetMsg::ReadResult { result, .. } => 8 + read_payload_size(result),
+            NetMsg::ReadResult { result, .. } => 8 + result.wire_size(),
             NetMsg::FeedSubscribe { .. } => 16,
-            NetMsg::FeedDelta { delta } => 8 + rot_delta_size(delta),
+            NetMsg::FeedDelta { delta } => 8 + delta.wire_size(),
             NetMsg::DirectoryDeltaGossip { delta } => 8 + delta.wire_size(),
             NetMsg::DirectoryPull => 8,
             NetMsg::StateTransfer { .. } => 16,
             NetMsg::StateTransferResp { objects, .. } => {
-                16 + objects.iter().map(object_size).sum::<usize>()
+                16 + objects.iter().map(ReadResponse::wire_size).sum::<usize>()
             }
             NetMsg::Bft(m) => bft_size(m),
             NetMsg::SegmentSigs { prepared_sigs, .. } => 16 + prepared_sigs.len() * 76,
@@ -514,6 +471,16 @@ mod tests {
             .kind(),
             "txn-result"
         );
+    }
+
+    /// Every message in flight occupies the size of the largest
+    /// variant, so a read answer's shape sets the size of all of them.
+    /// Pinned at what both measured on a 64-bit target before answers
+    /// became one `{ anchor, body }` struct: neither may grow.
+    #[test]
+    fn message_and_answer_sizes_do_not_grow() {
+        assert!(std::mem::size_of::<NetMsg>() <= 208);
+        assert!(std::mem::size_of::<ReadResponse>() <= 48);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
 
 use transedge_edge::{
-    CertifiedDelta, Chase, QueryShape, ReadPipeline, ReadQuery, ReadResponse, SnapshotPolicy,
+    Anchor, Body, CertifiedDelta, Chase, QueryShape, ReadPipeline, ReadQuery, ReadResponse,
+    SnapshotPolicy,
 };
 
 use crate::batch::{Batch, PreparedTxn, Transaction};
@@ -1105,11 +1106,13 @@ impl TransEdgeNode {
     // Read-only serving
     // ------------------------------------------------------------------
 
-    /// Serve a point read pinned at `at_batch`: one section proving
-    /// exactly the query's keys under one multiproof, memoised per key
-    /// set and batch by the read pipeline — held when the query named
-    /// the batch's anchor and no client waits on a direct copy.
-    fn respond_rot(
+    /// Serve a read pinned at `at_batch`, memoised per key set (or
+    /// window) and batch by the read pipeline: for a point part one
+    /// section proving exactly the query's keys under one multiproof,
+    /// for a scan part the window's rows from the store, kept in tree
+    /// order, plus the Merkle completeness proof. Held when the query
+    /// named the batch's anchor and no client waits on a direct copy.
+    fn respond(
         &mut self,
         to: NodeId,
         req: u64,
@@ -1117,9 +1120,6 @@ impl TransEdgeNode {
         at_batch: BatchNum,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let QueryShape::Point { keys } = &query.shape else {
-            return;
-        };
         let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
             return;
         };
@@ -1128,74 +1128,36 @@ impl TransEdgeNode {
         // An asker holding exactly this anchor gets the body alone: the
         // header is not re-encoded and hashed, nor anything cloned. An
         // edge forwarding for a client is sent the full answer to cache.
-        let anchor = (direct.is_some() || held != Some(cert.digest))
-            .then(|| (batch.committed_header(), cert.clone()));
-        let misses_before = self.read_pipeline.stats().misses;
-        let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
-        let misses = self.read_pipeline.stats().misses - misses_before;
-        // A cold multiproof hashes one path per proven key.
-        ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * body.keys().len() as u64));
-        let result = match anchor {
-            Some((commitment, cert)) => ReadResponse::Point {
-                section: Box::new(transedge_edge::MultiProofBundle {
-                    commitment,
-                    cert,
-                    body,
-                }),
-                fresh: None,
-            },
-            None => ReadResponse::HeldPoint {
+        let anchor = if direct.is_some() || held != Some(cert.digest) {
+            Anchor::Full(Box::new((batch.committed_header(), cert.clone())))
+        } else {
+            Anchor::Held {
                 cluster: self.me.cluster,
                 batch: at_batch,
-                body,
-                fresh: None,
-            },
+            }
         };
-        send_answer(to, req, direct, held, result, ctx);
-    }
-
-    /// Serve a verified range scan of `window` pinned at `at_batch`:
-    /// rows from the store, kept in tree order, plus the Merkle
-    /// completeness proof, both memoised per `(range, batch)` by the
-    /// read pipeline — held when the query named the batch's anchor and
-    /// no client waits on a direct copy.
-    fn respond_scan(
-        &mut self,
-        to: NodeId,
-        req: u64,
-        query: &ReadQuery,
-        window: &transedge_crypto::ScanRange,
-        at_batch: BatchNum,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let Some((batch, cert)) = self.applied_log().get(at_batch.0 as usize) else {
-            return;
+        let body = match &query.shape {
+            QueryShape::Point { keys } => {
+                let misses_before = self.read_pipeline.stats().misses;
+                let body = self.read_pipeline.serve_multi(&self.exec, keys, at_batch);
+                let misses = self.read_pipeline.stats().misses - misses_before;
+                // A cold multiproof hashes one path per proven key.
+                ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * body.keys().len() as u64));
+                Body::from(body)
+            }
+            QueryShape::Scan { .. } => {
+                let Some(window) = query.scan_window() else {
+                    return;
+                };
+                let misses_before = self.read_pipeline.scan_stats().misses;
+                let scan = self.read_pipeline.serve_scan(&self.exec, &window, at_batch);
+                let misses = self.read_pipeline.scan_stats().misses - misses_before;
+                // A cold scan proof hashes every leaf of the window.
+                ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * window.width()));
+                Body::from(scan)
+            }
         };
-        let held = query.held_for(self.me.cluster);
-        let direct = direct_reply(query);
-        // As for a point read: the body alone for an asker holding the
-        // anchor, the full answer for an edge that caches it.
-        let anchor = (direct.is_some() || held != Some(cert.digest))
-            .then(|| (batch.committed_header(), cert.clone()));
-        let misses_before = self.read_pipeline.scan_stats().misses;
-        let scan = self.read_pipeline.serve_scan(&self.exec, window, at_batch);
-        let misses = self.read_pipeline.scan_stats().misses - misses_before;
-        // A cold scan proof hashes every leaf of the window.
-        ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * window.width()));
-        let result = match anchor {
-            Some((commitment, cert)) => ReadResponse::Scan {
-                bundle: Box::new(transedge_edge::ScanBundle {
-                    commitment,
-                    cert,
-                    scan,
-                }),
-            },
-            None => ReadResponse::HeldScan {
-                cluster: self.me.cluster,
-                batch: at_batch,
-                scan: Box::new(scan),
-            },
-        };
+        let result = ReadResponse { anchor, body };
         send_answer(to, req, direct, held, result, ctx);
     }
 
@@ -1236,7 +1198,7 @@ impl TransEdgeNode {
                         SnapshotPolicy::Latest => self.stats.rot_served += 1,
                         SnapshotPolicy::MinEpoch(_) => self.stats.rot_fetches_served += 1,
                     }
-                    self.respond_rot(from, req, &query, batch, ctx);
+                    self.respond(from, req, &query, batch, ctx);
                     if matches!(from, NodeId::Client(_)) {
                         self.chase(from, &query, batch, ctx);
                     }
@@ -1258,7 +1220,7 @@ impl TransEdgeNode {
                 match self.resolve_snapshot(&query) {
                     Some(batch) => {
                         self.stats.rot_scans_served += 1;
-                        self.respond_scan(from, req, &query, &window, batch, ctx);
+                        self.respond(from, req, &query, batch, ctx);
                     }
                     None => self.pending_reads.push((from, req, query)),
                 }
@@ -1473,7 +1435,7 @@ impl Actor<NetMsg> for TransEdgeNode {
             // edge/client affair; replicas are not in the fleet, and a
             // replica *publishes* feed deltas, it never consumes them.
             // State transfer is edge-to-edge: replicas hold the real
-            // store and never trade snapshot objects.
+            // store and never trade cached answers.
             NetMsg::OccReadResp { .. }
             | NetMsg::TxnResult { .. }
             | NetMsg::ReadResult { .. }

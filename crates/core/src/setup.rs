@@ -19,7 +19,7 @@ use crate::edge_node::{EdgeNodeParams, EdgeReadNode};
 use crate::messages::NetMsg;
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
-use transedge_edge::{SnapshotObject, VerifyParams};
+use transedge_edge::{ReadResponse, VerifyParams};
 
 /// Everything needed to build a deployment.
 #[derive(Clone)]
@@ -404,7 +404,7 @@ impl Deployment {
     /// replay caches held ([`EdgeReadNode::image`]), returned to the
     /// caller, which plays the role of the disk until
     /// [`Deployment::restart_edge`] hands it to the replacement.
-    pub fn crash_edge(&mut self, edge: EdgeId) -> Vec<SnapshotObject> {
+    pub fn crash_edge(&mut self, edge: EdgeId) -> Vec<ReadResponse> {
         let image = self.edge_node(edge).image();
         self.sim.remove_actor(NodeId::Edge(edge));
         image
@@ -418,7 +418,7 @@ impl Deployment {
     /// the verifier — trusting nothing written before the crash — then
     /// falls back to a verified sibling state-transfer if the image
     /// yielded nothing servable.
-    pub fn restart_edge(&mut self, edge: EdgeId, image: Vec<SnapshotObject>) {
+    pub fn restart_edge(&mut self, edge: EdgeId, image: Vec<ReadResponse>) {
         let seed = root_seed(self.config.seed);
         let mut node = EdgeReadNode::new(
             edge,

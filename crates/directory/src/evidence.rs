@@ -25,8 +25,8 @@ use std::sync::Arc;
 use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, WireWriter};
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Sha256, Signature};
 use transedge_edge::{
-    anchor_size, CertifiedDelta, MultiProofBundle, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ScanProof, SnapshotPolicy, HELD_ANCHOR_SIZE,
+    Anchor, Body, CertifiedDelta, CommittedHeader, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, ScanProof, SnapshotPolicy,
 };
 
 /// Is this rejection class *cryptographic* — does producing it require
@@ -49,22 +49,6 @@ pub fn is_cryptographic(rejection: &ReadRejection) -> bool {
             | ReadRejection::BadDelta
             | ReadRejection::FeedSpliced { .. }
     )
-}
-
-/// Hash one point section: the certified digest, the certificate with
-/// every signature, and the body's wire image — which covers keys,
-/// value slots and the multiproof byte-for-byte, so this pins
-/// everything a verifier could object to.
-fn hash_section(h: &mut Sha256, section: &MultiProofBundle) {
-    h.update(&section.commitment.certified_digest().0);
-    h.update(&section.cert.digest.0);
-    for (node, sig) in &section.cert.sigs {
-        let mut w = WireWriter::with_capacity(8);
-        node.encode(&mut w);
-        h.update(&w.into_bytes());
-        h.update(&sig.0);
-    }
-    h.update(&section.body.encode_to_vec());
 }
 
 fn hash_scan(h: &mut Sha256, scan: &ScanProof) {
@@ -95,15 +79,26 @@ fn hash_feed(h: &mut Sha256, feed: &[Arc<CertifiedDelta>]) {
     h.update(b"fresh");
     h.update(&(feed.len() as u32).to_le_bytes());
     for delta in feed {
-        h.update(&delta.commitment.certified_digest().0);
-        h.update(&delta.cert.digest.0);
-        for (node, sig) in &delta.cert.sigs {
-            let mut w = WireWriter::with_capacity(8);
-            node.encode(&mut w);
-            h.update(&w.into_bytes());
-            h.update(&sig.0);
-        }
+        hash_anchor(h, &delta.commitment, &delta.cert.digest, &delta.cert.sigs);
         hash_keys(h, &delta.changed);
+    }
+}
+
+/// Hash a certified anchor: the certified digest, then the certificate
+/// — its digest and every signature.
+fn hash_anchor(
+    h: &mut Sha256,
+    commitment: &CommittedHeader,
+    cert_digest: &Digest,
+    sigs: &[(NodeId, Signature)],
+) {
+    h.update(&commitment.certified_digest().0);
+    h.update(&cert_digest.0);
+    for (node, sig) in sigs {
+        let mut w = WireWriter::with_capacity(8);
+        node.encode(&mut w);
+        h.update(&w.into_bytes());
+        h.update(&sig.0);
     }
 }
 
@@ -112,47 +107,31 @@ fn hash_feed(h: &mut Sha256, feed: &[Arc<CertifiedDelta>]) {
 /// certificates, rows, window bounds, freshness feeds — changes it, so
 /// the witness's signature over the fingerprint pins the evidence to
 /// *this* response: a relay cannot swap in a different payload under
-/// the signature. A held answer is fingerprinted by its reference — an
-/// honest witness files the full answer it rebuilt, and a held one
-/// never verifies as cryptographic evidence.
+/// the signature. A point body is hashed as its wire image, which
+/// covers keys, value slots and the multiproof byte for byte. A held
+/// answer is fingerprinted by its reference — an honest witness files
+/// the full answer it rebuilt, and a held one never verifies as
+/// cryptographic evidence.
 pub fn response_fingerprint(response: &ReadResponse) -> Digest {
     let mut h = Sha256::new();
-    match response {
-        ReadResponse::Point { section, fresh } => {
-            h.update(b"point");
-            hash_section(&mut h, section);
-            if let Some(feed) = fresh {
-                hash_feed(&mut h, feed);
-            }
-        }
-        ReadResponse::Scan { bundle } => {
-            h.update(b"scan");
-            h.update(&bundle.commitment.certified_digest().0);
-            h.update(&bundle.cert.digest.0);
-            hash_scan(&mut h, &bundle.scan);
-        }
-        ReadResponse::HeldPoint {
-            cluster,
-            batch,
-            body,
-            fresh,
-        } => {
-            h.update(b"held-point");
+    match &response.anchor {
+        Anchor::Full(anchor) => hash_anchor(&mut h, &anchor.0, &anchor.1.digest, &anchor.1.sigs),
+        Anchor::Held { cluster, batch } => {
+            h.update(b"held");
             h.update(&cluster.0.to_le_bytes());
             h.update(&batch.0.to_le_bytes());
+        }
+    }
+    match &response.body {
+        Body::Point { body, fresh } => {
+            h.update(b"point");
             h.update(&body.encode_to_vec());
             if let Some(feed) = fresh {
                 hash_feed(&mut h, feed);
             }
         }
-        ReadResponse::HeldScan {
-            cluster,
-            batch,
-            scan,
-        } => {
-            h.update(b"held-scan");
-            h.update(&cluster.0.to_le_bytes());
-            h.update(&batch.0.to_le_bytes());
+        Body::Scan(scan) => {
+            h.update(b"scan");
             hash_scan(&mut h, scan);
         }
     }
@@ -300,35 +279,10 @@ impl SignedEvidence {
         (self.body.observed_at.0, sha256(&bytes))
     }
 
-    /// Wire-size estimate for the simulator's bandwidth model.
+    /// Wire-size estimate for the simulator's bandwidth model: the
+    /// witness, subject, observation time and signature, the query, and
+    /// the response at the size the network charges it.
     pub fn wire_size(&self) -> usize {
-        fn feed_size(feed: &Option<Vec<Arc<CertifiedDelta>>>) -> usize {
-            feed.as_ref().map_or(1, |deltas| {
-                1 + deltas
-                    .iter()
-                    .map(|d| {
-                        anchor_size(&d.commitment, &d.cert)
-                            + d.changed.iter().map(|k| 4 + k.len()).sum::<usize>()
-                    })
-                    .sum::<usize>()
-            })
-        }
-        fn response_size(r: &ReadResponse) -> usize {
-            match r {
-                ReadResponse::Point { section, fresh } => {
-                    anchor_size(&section.commitment, &section.cert)
-                        + section.body.encoded_len()
-                        + feed_size(fresh)
-                }
-                ReadResponse::Scan { bundle } => {
-                    anchor_size(&bundle.commitment, &bundle.cert) + bundle.scan.encoded_len()
-                }
-                ReadResponse::HeldPoint { body, fresh, .. } => {
-                    HELD_ANCHOR_SIZE + body.encoded_len() + feed_size(fresh)
-                }
-                ReadResponse::HeldScan { scan, .. } => HELD_ANCHOR_SIZE + scan.encoded_len(),
-            }
-        }
-        80 + self.body.query.wire_size() + response_size(&self.body.response)
+        80 + self.body.query.wire_size() + self.body.response.wire_size()
     }
 }

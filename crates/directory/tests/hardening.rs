@@ -20,9 +20,9 @@ use transedge_directory::{
     is_cryptographic, DirectoryAgent, EvidenceBody, GossipDelta, SignedEvidence, StateSummary,
 };
 use transedge_edge::{
-    changed_keys_digest, BatchHeader, CdVector, CertifiedDelta, CommittedHeader, FeedWindow,
-    MultiProofBody, MultiProofBundle, ReadQuery, ReadRejection, ReadResponse, ReadVerifier,
-    VerifyParams, VersionedStore,
+    changed_keys_digest, BatchHeader, Body, CdVector, CertifiedDelta, CommittedHeader, FeedWindow,
+    MultiProofBody, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifyParams,
+    VersionedStore,
 };
 
 const DEPTH: u32 = 8;
@@ -115,7 +115,7 @@ impl World {
 
     /// The honest section for `keys` (sorted), or — `forge` set — the
     /// classic TamperValue forgery: first value swapped, proof kept.
-    fn section(&self, keys: &[Key], forge: bool) -> MultiProofBundle {
+    fn section(&self, keys: &[Key], forge: bool) -> ReadResponse {
         let mut values: Vec<Option<Value>> = keys
             .iter()
             .map(|k| {
@@ -128,11 +128,8 @@ impl World {
             values[0] = Some(Value::from("forged-by-edge"));
         }
         let proof = self.tree.prove_multi(keys, self.base.header.num.0);
-        MultiProofBundle {
-            commitment: self.base.clone(),
-            cert: self.cert.clone(),
-            body: MultiProofBody::new(keys.to_vec(), values, proof),
-        }
+        let body = MultiProofBody::new(keys.to_vec(), values, proof);
+        ReadResponse::full(self.base.clone(), self.cert.clone(), body)
     }
 
     /// Batch `num`'s certified feed delta: it changed `changed` and left
@@ -158,10 +155,7 @@ impl World {
     /// and the cryptographic rejection it draws.
     fn tampered_read(&self, keys: Vec<Key>) -> (ReadQuery, ReadResponse, ReadRejection) {
         let query = ReadQuery::point(keys.clone());
-        let response = ReadResponse::Point {
-            section: Box::new(self.section(&keys, true)),
-            fresh: None,
-        };
+        let response = self.section(&keys, true);
         let rejection = self
             .verifier()
             .verify_query(&self.keys, ClusterId(0), &query, &response, NOW)
@@ -240,10 +234,7 @@ fn fabricated_evidence_is_rejected_and_sender_demoted() {
     let world = World::new();
     let query_keys = vec![Key::from_u32(2)];
     let query = ReadQuery::point(query_keys.clone());
-    let honest: ReadResponse = ReadResponse::Point {
-        section: Box::new(world.section(&query_keys, false)),
-        fresh: None,
-    };
+    let honest = world.section(&query_keys, false);
     // Edge 2 frames edge 1 with honest material, signing the claim
     // with its own (registered) key — the signature is fine; the
     // *evidence check* is what fails.
@@ -284,10 +275,10 @@ fn subscribed_read(
     let keys = vec![Key::from_u32(0), Key::from_u32(1)];
     let mut query = ReadQuery::point(keys.clone());
     query.feed = Some(vec![(ClusterId(0), window.cursor().unwrap())]);
-    let response = ReadResponse::Point {
-        section: Box::new(world.section(&keys, false)),
-        fresh: Some(sent),
-    };
+    let mut response = world.section(&keys, false);
+    if let Body::Point { fresh, .. } = &mut response.body {
+        *fresh = Some(sent);
+    }
     (query, response)
 }
 

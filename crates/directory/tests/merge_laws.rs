@@ -12,8 +12,8 @@ use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MultiProof, Signature};
 use transedge_directory::{DirectoryState, EvidenceBody, SignedEvidence};
 use transedge_edge::{
-    changed_keys_digest, BatchHeader, CdVector, CommittedHeader, MultiProofBody, MultiProofBundle,
-    ReadQuery, ReadResponse,
+    changed_keys_digest, BatchHeader, CdVector, CommittedHeader, MultiProofBody, ReadQuery,
+    ReadResponse,
 };
 
 /// An opaque stand-in response: an empty point section under batch 0's
@@ -45,14 +45,11 @@ fn empty_response() -> ReadResponse {
         empty_slots: Vec::new(),
         siblings: Vec::new(),
     };
-    ReadResponse::Point {
-        section: Box::new(MultiProofBundle {
-            commitment: header,
-            cert,
-            body: MultiProofBody::new(Vec::new(), Vec::new(), proof),
-        }),
-        fresh: None,
-    }
+    ReadResponse::full(
+        header,
+        cert,
+        MultiProofBody::new(Vec::new(), Vec::new(), proof),
+    )
 }
 
 type State = DirectoryState;

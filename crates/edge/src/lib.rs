@@ -13,18 +13,18 @@
 //! engines compute, a small trusted checker verifies" design argue for
 //! isolating exactly that boundary — this crate is that boundary.
 //!
-//! There are two proof shapes and one chain. A **point read** is one
-//! *section* ([`MultiProofBundle`]): a certified commitment, its
-//! certificate, and a [`MultiProofBody`] proving a sorted key set (one
+//! Every answer has one shape, a [`ReadResponse`]: an [`Anchor`] — a
+//! certified commitment and its certificate, or a reference to one the
+//! asking client holds — and a [`Body`] proven against its root. A
+//! **point** body is a [`MultiProofBody`] proving a sorted key set (one
 //! key included) with one deduplicated Merkle multiproof. A replica
-//! answers with a section for exactly the keys asked; an edge replays
-//! the cached section admitted for exactly those, or forwards the
-//! question whole. A **scan** is a [`ScanBundle`]: the same commitment
-//! and certificate over a Merkle *range* proof
+//! answers with a body for exactly the keys asked; an edge replays the
+//! cached body admitted for exactly those, or forwards the question
+//! whole. A **scan** body is a [`ScanProof`]: a Merkle *range* proof
 //! (`transedge_crypto::range`), so the verifier can also check
 //! **completeness** — an untrusted node cannot omit a row inside a
-//! scanned window undetected. Both shapes are what the wire carries,
-//! what the caches hold and what the disk stores.
+//! scanned window undetected. One answer shape is what the wire
+//! carries, what the caches hold and what the disk stores.
 //!
 //! * [`pipeline`] — the serving side. [`pipeline::SnapshotSource`]
 //!   abstracts a replica's multi-version store + versioned Merkle tree;
@@ -43,8 +43,8 @@
 //!   and windows it absorbed from upstream, one exact-match LRU per
 //!   answer kind, replayed to clients who verify them end to end;
 //!   [`replay::PartitionCaches`] keeps one such cache per partition.
-//! * [`persist`] — the same two shapes as snapshot objects: an edge's
-//!   disk image is its replay caches' answers
+//! * [`persist`] — the same answers on disk: an edge's disk image is
+//!   its replay caches' answers
 //!   ([`replay::ReplayCache::objects`]), and a restart or a sibling
 //!   transfer re-admits each one through [`persist::verify_object`],
 //!   like any network response.
@@ -104,15 +104,16 @@ pub mod verifier;
 pub use cache::{CacheStats, LruCache};
 pub use certs::{QuorumCheck, VerifiedCerts};
 pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
-pub use persist::{verify_object, SnapshotObject};
+pub use persist::verify_object;
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
-    Chase, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
+    Anchor, Body, Chase, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
+    SnapshotPolicy,
 };
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{
     anchor_size, cert_size, changed_keys_digest, BatchHeader, CdVector, CertifiedDelta,
-    CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof, HELD_ANCHOR_SIZE,
+    CommittedHeader, MultiProofBody, ScanProof, HELD_ANCHOR_SIZE,
 };
 pub use store::VersionedStore;
 pub use verifier::{same_batch_conflict, ReadRejection, ReadVerifier, VerifyParams};

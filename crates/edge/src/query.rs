@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use crate::feed::FeedCursor;
 use crate::response::{
-    CertifiedDelta, CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
+    anchor_size, CertifiedDelta, CommittedHeader, MultiProofBody, ScanProof, HELD_ANCHOR_SIZE,
 };
 
 /// Which snapshot a [`ReadQuery`] must be served at.
@@ -197,7 +197,7 @@ pub struct ReadQuery {
     pub page: Option<PageToken>,
     /// Subscription mode (`Some`): ask the serving edge to attach its
     /// verified delta-feed tail as a freshness certificate
-    /// ([`ReadResponse::Point`]'s `fresh` field), proving the served
+    /// ([`Body::Point`]'s `fresh` field), proving the served
     /// values unchanged through the feed head. The cursors name, per
     /// partition the query touches, the run of deltas the client has
     /// already verified and holds, so only newer ones need travel; a
@@ -207,9 +207,8 @@ pub struct ReadQuery {
     /// Held anchors: per partition, the certified digest
     /// ([`Certificate::digest`]) of the newest certified header the
     /// client has verified there. A server answering a part at exactly
-    /// that anchor sends a held answer ([`ReadResponse::HeldPoint`],
-    /// [`ReadResponse::HeldScan`]) — the body without the header and
-    /// certificate the client already holds. Keyed on the digest, not
+    /// that anchor sends a held answer ([`Anchor::Held`]) — the body
+    /// without the header and certificate the client already holds. Keyed on the digest, not
     /// the batch number, so an honest server never elides against a
     /// different header, even were two certified for one batch. Empty
     /// on a first contact. An edge forwards it upstream with
@@ -472,118 +471,131 @@ impl ReadQuery {
 }
 
 /// The payload an untrusted node answers one partition's part of a
-/// [`ReadQuery`] with. Every variant is proof-carrying and names exactly
-/// one partition: a query spanning several is answered with one
-/// response per partition, never one response spanning them.
+/// [`ReadQuery`] with: an [`Anchor`] and a [`Body`] proven against its
+/// root. Every answer is proof-carrying and names exactly one partition:
+/// a query spanning several is answered with one response per
+/// partition, never one response spanning them.
 ///
-/// A point or scan answer is either **full** — the certified anchor
-/// (header, body digest, `f+1` certificate) and the body proven against
-/// it, verified end to end by [`crate::ReadVerifier::verify_query`] — or
-/// **held**: the partition and batch of an anchor the asking client
-/// named in [`ReadQuery::held`], plus the same body. A held answer
-/// carries no header and no certificate; its receiver rebuilds the full
-/// answer from its own verified copy ([`ReadResponse::rebuild`]) and
-/// verifies that. Only full answers enter a cache or a disk image.
+/// An answer is either **full** — the certified anchor (header, body
+/// digest, `f+1` certificate), verified end to end with its body by
+/// [`crate::ReadVerifier::verify_query`] — or **held**: the partition
+/// and batch of an anchor the asking client named in
+/// [`ReadQuery::held`], plus the same body. A held answer carries no
+/// header and no certificate; its receiver rebuilds the full answer
+/// from its own verified copy ([`ReadResponse::rebuild`]) and verifies
+/// that. Only full answers enter a cache or a disk image.
 ///
 /// # Examples
 ///
 /// ```
-/// use transedge_edge::ReadResponse;
+/// use transedge_edge::{Anchor, Body, ReadResponse};
 ///
 /// fn describe(r: &ReadResponse) -> &'static str {
-///     match r {
-///         ReadResponse::Point { .. } => "point section",
-///         ReadResponse::Scan { .. } => "scan window",
-///         ReadResponse::HeldPoint { .. } => "point body at a held anchor",
-///         ReadResponse::HeldScan { .. } => "scan window at a held anchor",
+///     match (&r.anchor, &r.body) {
+///         (Anchor::Full(_), Body::Point { .. }) => "point section",
+///         (Anchor::Full(_), Body::Scan(_)) => "scan window",
+///         (Anchor::Held { .. }, Body::Point { .. }) => "point body at a held anchor",
+///         (Anchor::Held { .. }, Body::Scan(_)) => "scan window at a held anchor",
 ///     }
 /// }
 /// ```
 #[derive(Clone, Debug)]
-pub enum ReadResponse {
-    /// One full point-read section — one certified commitment and one
-    /// multiproof over the keys it carries, so an answer mixing batches
-    /// or carrying nothing cannot be expressed. A replica proves
-    /// exactly the keys asked; an edge replays a cached section proving
-    /// at least those, or forwards the question whole. Boxed, like a
-    /// scan bundle: inline it would set the size of every message in
-    /// flight. `fresh`, when present, is the serving edge's delta-feed
-    /// tail up to its feed head — a freshness certificate proving the
-    /// served values current through the head. It starts right after
-    /// the batch
-    /// [`ReadQuery::feed_resume`] names: the served batch, or the head
-    /// of the run the client said it holds (`Some(vec![])` claims
-    /// nothing newer exists). Verified end to end like everything
-    /// else; an invalid or key-touching feed is cryptographic evidence.
-    /// Sent as [`ReadResponse::HeldPoint`] instead when the query named
-    /// this section's anchor as held.
+pub struct ReadResponse {
+    pub anchor: Anchor,
+    pub body: Body,
+}
+
+/// The snapshot an answer is served at.
+#[derive(Clone, Debug)]
+pub enum Anchor {
+    /// The certified header, the digest of the segments it omits and
+    /// the `f+1` certificate over both. Boxed: inline it would set the
+    /// size of every message in flight.
+    Full(Box<(CommittedHeader, Certificate)>),
+    /// The partition and batch of an anchor the query named as held.
+    /// The receiver rebuilds the answer around its own copy of it.
+    Held { cluster: ClusterId, batch: BatchNum },
+}
+
+/// What an answer proves against its anchor's Merkle root.
+#[derive(Clone, Debug)]
+pub enum Body {
+    /// One point-read section body: one multiproof over the keys it
+    /// carries, so an answer mixing batches or carrying nothing cannot
+    /// be expressed. A replica proves exactly the keys asked; an edge
+    /// replays a cached body admitted for exactly those, or forwards
+    /// the question whole. `fresh`, when present, is the serving edge's
+    /// delta-feed tail up to its feed head — a freshness certificate
+    /// proving the served values current through the head. It starts
+    /// right after the batch [`ReadQuery::feed_resume`] names: the
+    /// served batch, or the head of the run the client said it holds
+    /// (`Some(vec![])` claims nothing newer exists). Verified end to
+    /// end like everything else; an invalid or key-touching feed is
+    /// cryptographic evidence.
     Point {
-        section: Box<MultiProofBundle>,
-        fresh: Option<Vec<Arc<CertifiedDelta>>>,
-    },
-    /// One full proof-carrying scan window — the one the query asked
-    /// for; the verifier accepts no other. Boxed: scan bundles dwarf the
-    /// other payloads.
-    Scan { bundle: Box<ScanBundle> },
-    /// A point section served at the anchor the query named as held:
-    /// [`ReadResponse::Point`] without the commitment and certificate.
-    /// `cluster` and `batch` say which anchor; the receiver rebuilds
-    /// the section around its own copy of it.
-    HeldPoint {
-        cluster: ClusterId,
-        batch: BatchNum,
         body: MultiProofBody,
         fresh: Option<Vec<Arc<CertifiedDelta>>>,
     },
-    /// A scan window served at the anchor the query named as held:
-    /// [`ReadResponse::Scan`] without the commitment and certificate.
-    HeldScan {
-        cluster: ClusterId,
-        batch: BatchNum,
-        scan: Box<ScanProof>,
-    },
+    /// One proof-carrying scan window — the one the query asked for;
+    /// the verifier accepts no other. Boxed: windows dwarf the other
+    /// payloads.
+    Scan(Box<ScanProof>),
+}
+
+impl From<MultiProofBody> for Body {
+    /// A point body with no feed attached.
+    fn from(body: MultiProofBody) -> Self {
+        Body::Point { body, fresh: None }
+    }
+}
+
+impl From<ScanProof> for Body {
+    fn from(scan: ScanProof) -> Self {
+        Body::Scan(Box::new(scan))
+    }
 }
 
 impl ReadResponse {
+    /// A full answer: `body` under the certified `commitment`.
+    pub fn full(commitment: CommittedHeader, cert: Certificate, body: impl Into<Body>) -> Self {
+        ReadResponse {
+            anchor: Anchor::Full(Box::new((commitment, cert))),
+            body: body.into(),
+        }
+    }
+
     /// The partition this response's certified header (or held
     /// reference) names — unverified until
     /// [`crate::ReadVerifier::verify_query`] passes, so good for routing
     /// the answer to the part that owes it, never for trusting it.
     pub fn cluster(&self) -> ClusterId {
-        match self {
-            ReadResponse::Point { section, .. } => section.commitment.header.cluster,
-            ReadResponse::Scan { bundle } => bundle.commitment.header.cluster,
-            ReadResponse::HeldPoint { cluster, .. } | ReadResponse::HeldScan { cluster, .. } => {
-                *cluster
-            }
+        match &self.anchor {
+            Anchor::Full(full) => full.0.header.cluster,
+            Anchor::Held { cluster, .. } => *cluster,
         }
     }
 
     /// The snapshot batch this response claims to serve.
     pub fn batch(&self) -> BatchNum {
-        match self {
-            ReadResponse::Point { section, .. } => section.batch(),
-            ReadResponse::Scan { bundle } => bundle.batch(),
-            ReadResponse::HeldPoint { batch, .. } | ReadResponse::HeldScan { batch, .. } => *batch,
+        match &self.anchor {
+            Anchor::Full(full) => full.0.header.num,
+            Anchor::Held { batch, .. } => *batch,
         }
     }
 
     /// The freshness feed attached to this response, if any.
     pub fn fresh_feed(&self) -> Option<&[Arc<CertifiedDelta>]> {
-        match self {
-            ReadResponse::Point { fresh, .. } | ReadResponse::HeldPoint { fresh, .. } => {
-                fresh.as_deref()
-            }
-            ReadResponse::Scan { .. } | ReadResponse::HeldScan { .. } => None,
+        match &self.body {
+            Body::Point { fresh, .. } => fresh.as_deref(),
+            Body::Scan(_) => None,
         }
     }
 
     /// The certified anchor of a full answer; `None` for a held one.
     pub fn anchor(&self) -> Option<(&CommittedHeader, &Certificate)> {
-        match self {
-            ReadResponse::Point { section, .. } => Some((&section.commitment, &section.cert)),
-            ReadResponse::Scan { bundle } => Some((&bundle.commitment, &bundle.cert)),
-            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => None,
+        match &self.anchor {
+            Anchor::Full(full) => Some((&full.0, &full.1)),
+            Anchor::Held { .. } => None,
         }
     }
 
@@ -591,58 +603,49 @@ impl ReadResponse {
     /// the digest the query named for the answer's partition — is the
     /// certified digest of this full answer's anchor, unchanged
     /// otherwise.
-    pub fn held_by(self, held: Option<Digest>) -> ReadResponse {
-        if held.is_none() || self.anchor().map(|(_, cert)| cert.digest) != held {
-            return self;
-        }
-        match self {
-            ReadResponse::Point { section, fresh } => {
-                let MultiProofBundle {
-                    commitment, body, ..
-                } = *section;
-                ReadResponse::HeldPoint {
-                    cluster: commitment.header.cluster,
-                    batch: commitment.header.num,
-                    body,
-                    fresh,
-                }
+    pub fn held_by(mut self, held: Option<Digest>) -> ReadResponse {
+        if let Anchor::Full(full) = &self.anchor {
+            if held == Some(full.1.digest) {
+                let header = &full.0.header;
+                let (cluster, batch) = (header.cluster, header.num);
+                self.anchor = Anchor::Held { cluster, batch };
             }
-            ReadResponse::Scan { bundle } => {
-                let ScanBundle {
-                    commitment, scan, ..
-                } = *bundle;
-                ReadResponse::HeldScan {
-                    cluster: commitment.header.cluster,
-                    batch: commitment.header.num,
-                    scan: Box::new(scan),
-                }
-            }
-            held => held,
         }
+        self
     }
 
     /// A held answer rebuilt into the full answer around `anchor`, the
     /// receiver's own verified copy of the anchor it names (the caller
     /// checks it is that one); a full answer comes back unchanged.
-    pub fn rebuild(self, (commitment, cert): (&CommittedHeader, &Certificate)) -> ReadResponse {
-        match self {
-            ReadResponse::HeldPoint { body, fresh, .. } => ReadResponse::Point {
-                section: Box::new(MultiProofBundle {
-                    commitment: commitment.clone(),
-                    cert: cert.clone(),
-                    body,
-                }),
-                fresh,
-            },
-            ReadResponse::HeldScan { scan, .. } => ReadResponse::Scan {
-                bundle: Box::new(ScanBundle {
-                    commitment: commitment.clone(),
-                    cert: cert.clone(),
-                    scan: *scan,
-                }),
-            },
-            full => full,
+    pub fn rebuild(mut self, (commitment, cert): (&CommittedHeader, &Certificate)) -> ReadResponse {
+        if let Anchor::Held { .. } = self.anchor {
+            self.anchor = Anchor::Full(Box::new((commitment.clone(), cert.clone())));
         }
+        self
+    }
+
+    /// Structural wire size (the bandwidth model's, and the one size
+    /// every answer is charged: on the network, in a state transfer and
+    /// in an evidence record): the certified anchor ([`anchor_size`]) or
+    /// the held reference to it ([`HELD_ANCHOR_SIZE`]), then the body —
+    /// a section body's structural size equals its wire image
+    /// byte for byte — and, on a point body, the feed tail sent (a
+    /// one-byte tag when there is none).
+    pub fn wire_size(&self) -> usize {
+        let anchor = match &self.anchor {
+            Anchor::Full(full) => anchor_size(&full.0, &full.1),
+            Anchor::Held { .. } => HELD_ANCHOR_SIZE,
+        };
+        let body = match &self.body {
+            Body::Point { body, fresh } => {
+                let feed = fresh.as_ref().map_or(1, |sent| {
+                    5 + sent.iter().map(|d| d.wire_size()).sum::<usize>()
+                });
+                body.encoded_len() + feed
+            }
+            Body::Scan(scan) => scan.encoded_len(),
+        };
+        anchor + body
     }
 }
 

@@ -22,11 +22,9 @@ use transedge_crypto::ScanRange;
 
 use crate::cache::LruCache;
 use crate::feed::{FeedWindow, Pushed};
-use crate::persist::SnapshotObject;
 use crate::pipeline::sorted_unique;
-use crate::response::{
-    CertifiedDelta, CommittedHeader, MultiProofBody, MultiProofBundle, ScanBundle, ScanProof,
-};
+use crate::query::{Body, ReadResponse};
+use crate::response::{CertifiedDelta, CommittedHeader, MultiProofBody, ScanProof};
 
 /// Answers an edge caches per kind and partition unless configured
 /// otherwise. On the benchmark's `multi-edge-hot` a larger cache adds
@@ -110,21 +108,46 @@ impl ReplayCache {
         }
     }
 
-    /// Absorb a point-read section: remember the certified header and
-    /// cache the body under its own key set. Admission shares the
-    /// body's allocation, it does not copy it.
-    pub fn admit_section(&mut self, section: &MultiProofBundle) {
-        let batch = section.batch();
+    /// Absorb a full answer: remember its certified header and cache
+    /// its body under its own key set or window. Admission shares a
+    /// point body's allocation, it does not copy it. A held answer
+    /// carries no anchor and is not cached.
+    pub fn admit(&mut self, answer: &ReadResponse) {
+        let Some((commitment, cert)) = answer.anchor() else {
+            return;
+        };
+        let batch = commitment.header.num;
+        match &answer.body {
+            Body::Point { body, .. } => {
+                self.points
+                    .insert((body.keys().to_vec(), batch), body.clone());
+                self.stats.admitted += 1;
+            }
+            Body::Scan(scan) => {
+                // The window is unverified upstream input. One whose row
+                // count disagrees with what its own proof commits to
+                // would fail every client's rows-versus-entries count
+                // check on replay, and the mismatch is detectable
+                // locally — do not cache it.
+                let proven_rows: usize = scan
+                    .proof
+                    .occupied
+                    .iter()
+                    .map(|(_, entries)| entries.len())
+                    .sum();
+                if scan.rows.len() != proven_rows {
+                    return;
+                }
+                self.scans.insert((scan.range, batch), (**scan).clone());
+                self.stats.scans_admitted += 1;
+            }
+        }
         self.commitments
-            .insert(batch, (section.commitment.clone(), section.cert.clone()));
-        let body = &section.body;
-        self.points
-            .insert((body.keys().to_vec(), batch), body.clone());
-        // Cached before the eviction pass so that a section too old to
+            .insert(batch, (commitment.clone(), cert.clone()));
+        // Cached before the eviction pass so that an answer too old to
         // survive it (a late upstream response) is swept with its
         // commitment rather than stranded.
         self.evict_to_cap();
-        self.stats.admitted += 1;
     }
 
     /// Drop the oldest commitments past `max_batches`, then sweep the
@@ -146,32 +169,6 @@ impl ReplayCache {
         self.stats.evicted_entries += (before - after) as u64;
     }
 
-    /// Absorb an upstream scan response: remember the certified header
-    /// and cache the proof-carrying window under its own range.
-    pub fn admit_scan(&mut self, bundle: &ScanBundle) {
-        // The bundle is unverified upstream input. A window whose row
-        // count disagrees with what its own proof commits to would fail
-        // every client's rows-versus-entries count check on replay, and
-        // the mismatch is detectable locally — do not cache it.
-        let proven_rows: usize = bundle
-            .scan
-            .proof
-            .occupied
-            .iter()
-            .map(|(_, entries)| entries.len())
-            .sum();
-        if bundle.scan.rows.len() != proven_rows {
-            return;
-        }
-        let batch = bundle.batch();
-        self.commitments
-            .insert(batch, (bundle.commitment.clone(), bundle.cert.clone()));
-        self.scans
-            .insert((bundle.scan.range, batch), bundle.scan.clone());
-        self.evict_to_cap();
-        self.stats.scans_admitted += 1;
-    }
-
     /// Try to answer a scan for `range` from cache: the window admitted
     /// for exactly `range` at the newest admitted batch passing the LCE
     /// and timestamp floors — the client's verifier accepts no other.
@@ -186,7 +183,7 @@ impl ReplayCache {
         pinned: Option<BatchNum>,
         min_lce: Epoch,
         min_timestamp: SimTime,
-    ) -> Option<ScanBundle> {
+    ) -> Option<ReadResponse> {
         let candidates = match pinned {
             Some(batch) => vec![batch],
             None => self.passing_batches(min_lce, min_timestamp),
@@ -194,12 +191,13 @@ impl ReplayCache {
         let (batch, scan) = candidates
             .into_iter()
             .find_map(|batch| Some((batch, self.scans.get(&(*range, batch))?.clone())))?;
+        Some(self.answer(batch, scan))
+    }
+
+    /// `body` under batch `batch`'s retained commitment and certificate.
+    fn answer(&self, batch: BatchNum, body: impl Into<Body>) -> ReadResponse {
         let (commitment, cert) = self.commitments[&batch].clone();
-        Some(ScanBundle {
-            commitment,
-            cert,
-            scan,
-        })
+        ReadResponse::full(commitment, cert, body)
     }
 
     /// Cached scan windows across live batches (diagnostics).
@@ -289,7 +287,7 @@ impl ReplayCache {
         keys: &[Key],
         min_lce: Epoch,
         min_timestamp: SimTime,
-    ) -> Option<MultiProofBundle> {
+    ) -> Option<ReadResponse> {
         let mut asked = (sorted_unique(keys), BatchNum(0));
         let body = self
             .passing_batches(min_lce, min_timestamp)
@@ -298,12 +296,7 @@ impl ReplayCache {
                 asked.1 = batch;
                 self.points.get(&asked).cloned()
             })?;
-        let (commitment, cert) = self.commitments[&asked.1].clone();
-        Some(MultiProofBundle {
-            commitment,
-            cert,
-            body,
-        })
+        Some(self.answer(asked.1, body))
     }
 
     /// Admitted batches passing the LCE and timestamp floors, newest
@@ -327,29 +320,15 @@ impl ReplayCache {
         self.points.len()
     }
 
-    /// Every cached answer rebuilt as the object it was admitted from —
+    /// Every cached answer rebuilt as the full answer it was admitted as —
     /// its body or window under its batch's retained commitment and
     /// certificate — least recently used first within each kind, point
     /// answers before scan windows. This is the edge's disk image: what
     /// a restart re-admits and what a cold sibling is offered.
-    pub fn objects(&self) -> Vec<SnapshotObject> {
-        let certified = |batch: &BatchNum| self.commitments[batch].clone();
-        let points = self.points.iter().map(|((_, batch), body)| {
-            let (commitment, cert) = certified(batch);
-            SnapshotObject::Section(MultiProofBundle {
-                commitment,
-                cert,
-                body: body.clone(),
-            })
-        });
-        let scans = self.scans.iter().map(|((_, batch), scan)| {
-            let (commitment, cert) = certified(batch);
-            SnapshotObject::Scan(ScanBundle {
-                commitment,
-                cert,
-                scan: scan.clone(),
-            })
-        });
+    pub fn objects(&self) -> Vec<ReadResponse> {
+        let points =
+            (self.points.iter()).map(|((_, batch), body)| self.answer(*batch, body.clone()));
+        let scans = (self.scans.iter()).map(|((_, batch), scan)| self.answer(*batch, scan.clone()));
         points.chain(scans).collect()
     }
 }

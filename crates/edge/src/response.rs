@@ -193,9 +193,9 @@ pub fn cert_size(cert: &Certificate) -> usize {
 }
 
 /// Wire size of a certified anchor: the header, the digest of the
-/// segments it omits, and the certificate over both. Every full answer,
-/// certified delta, snapshot object and evidence record carries one,
-/// and all of them are sized by this function (414 B at five partitions
+/// segments it omits, and the certificate over both. Every full answer
+/// (on the wire, on disk or in an evidence record) and every certified
+/// delta carries one, and all of them are sized by this function (414 B at five partitions
 /// under a two-signature certificate).
 pub fn anchor_size(commitment: &CommittedHeader, cert: &Certificate) -> usize {
     commitment.header.encoded_len() + 32 + cert_size(cert)
@@ -203,7 +203,7 @@ pub fn anchor_size(commitment: &CommittedHeader, cert: &Certificate) -> usize {
 
 /// Wire size of a held reference — the partition and batch of an anchor
 /// the asking client named as held — which a held answer carries in
-/// place of the anchor ([`crate::ReadResponse::HeldPoint`]).
+/// place of the anchor ([`crate::Anchor::Held`]).
 pub const HELD_ANCHOR_SIZE: usize = 2 + 8;
 
 /// One batch's entry in the certified commit feed: the certified
@@ -236,6 +236,14 @@ impl CertifiedDelta {
     /// Does the delta's changed set touch any of `keys`?
     pub fn touches(&self, keys: &[Key]) -> bool {
         keys.iter().any(|k| self.changed.binary_search(k).is_ok())
+    }
+
+    /// Wire size: the certified anchor, then the length-prefixed
+    /// changed-key list.
+    pub fn wire_size(&self) -> usize {
+        anchor_size(&self.commitment, &self.cert)
+            + 4
+            + self.changed.iter().map(|k| k.len() + 4).sum::<usize>()
     }
 }
 
@@ -326,25 +334,6 @@ impl MultiProofBody {
     }
 }
 
-/// One point-read section: the certified commitment, its consensus
-/// certificate, and a [`MultiProofBody`] proven against that
-/// commitment's root. Everything in here is either signed or checkable
-/// against something signed — an untrusted node can cache, replay, or
-/// forward sections, but not alter them undetected.
-#[derive(Clone, Debug)]
-pub struct MultiProofBundle {
-    pub commitment: CommittedHeader,
-    pub cert: Certificate,
-    pub body: MultiProofBody,
-}
-
-impl MultiProofBundle {
-    /// Batch this section snapshots.
-    pub fn batch(&self) -> BatchNum {
-        self.commitment.header.num
-    }
-}
-
 /// A proof-carrying range scan: every committed row of a contiguous
 /// tree-order window, plus the Merkle range proof that makes the set
 /// *complete* — an untrusted server cannot omit a row in `range`
@@ -371,24 +360,6 @@ impl ScanProof {
             .map(|(k, v)| k.len() + v.len() + 8)
             .sum::<usize>()
             + self.proof.encoded_len()
-    }
-}
-
-/// A complete verified-scan response for one partition: the certified
-/// commitment, its consensus certificate, and the proof-carrying rows.
-/// The scan analogue of [`MultiProofBundle`] — cacheable and replayable
-/// by untrusted nodes, alterable by none.
-#[derive(Clone, Debug)]
-pub struct ScanBundle {
-    pub commitment: CommittedHeader,
-    pub cert: Certificate,
-    pub scan: ScanProof,
-}
-
-impl ScanBundle {
-    /// Batch this scan snapshots.
-    pub fn batch(&self) -> BatchNum {
-        self.commitment.header.num
     }
 }
 
@@ -433,8 +404,8 @@ mod tests {
         }
     }
 
-    /// One size for the certified anchor every full answer, feed delta,
-    /// snapshot object and evidence record carries: the header's
+    /// One size for the certified anchor every full answer and feed
+    /// delta carries: the header's
     /// structural size is its encoding's length, and at five partitions
     /// under a two-signature certificate the anchor is 414 B where a
     /// held reference is 10.

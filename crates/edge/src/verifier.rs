@@ -17,18 +17,20 @@
 //!    every value slot agrees with its proven verdict, and every
 //!    requested key is among the proven ones.
 //!
-//! Point reads have exactly one shape — one multiproof section under
-//! one certified commitment — whether they come from a replica, an edge
-//! replay, a hydrated disk object, or a sibling's state transfer, and
-//! one private check (`verify_section`) runs for all of them. A point answer mixing batches, or carrying no section, is not
-//! a rejection: [`ReadResponse::Point`] cannot hold one. A scan answer
-//! is likewise one window — the one the query asked for, proven
-//! complete by one range proof ([`ReadVerifier::verify_scan`]); any
-//! other window, wider or narrower, is rejected before the proof is
-//! looked at, so no later step reasons about two ranges.
+//! Every answer has one shape — an [`Anchor`] and a [`Body`] proven
+//! against its root ([`ReadResponse`]) — whether it comes from a
+//! replica, an edge replay, a hydrated disk image, or a sibling's state
+//! transfer, and one chain runs for all of them: steps 1–4 on the
+//! anchor (`check_commitment`), then step 5 on the body against the
+//! anchor's root — a point body's multiproof (`prove_section`) or a scan
+//! window's range proof (`prove_scan`). A point answer mixing batches,
+//! or a scan answer carrying a feed, is not a rejection: [`Body`]
+//! cannot hold one. A scan answer is one window — the one the query
+//! asked for, proven complete by one range proof; any other window,
+//! wider or narrower, is rejected before the proof is looked at, so no
+//! later step reasons about two ranges.
 //!
-//! A held answer ([`ReadResponse::HeldPoint`],
-//! [`ReadResponse::HeldScan`]) carries no anchor and is not checked
+//! A held answer ([`Anchor::Held`]) carries no anchor and is not checked
 //! here as it arrives: its receiver first rebuilds it around its own
 //! copy of the anchor it names ([`ReadResponse::rebuild`]) and passes
 //! the full answer through the same chain. Every step then runs again
@@ -45,15 +47,17 @@
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_consensus::Certificate;
 use transedge_crypto::merkle::{value_digest, Verified};
-use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, ScanRange};
+use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, Digest, ScanRange};
 
 use std::sync::Arc;
 
 use crate::certs::QuorumCheck;
 use crate::feed::FeedWindow;
-use crate::query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
+#[cfg(doc)]
+use crate::query::Anchor;
+use crate::query::{Body, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
-    changed_keys_digest, CertifiedDelta, CommittedHeader, MultiProofBundle, ScanBundle,
+    changed_keys_digest, CertifiedDelta, CommittedHeader, MultiProofBody, ScanProof,
 };
 
 /// Verification parameters; must match the deployment's node
@@ -224,16 +228,15 @@ impl ReadVerifier {
         Ok(())
     }
 
-    /// Steps 1–4 of the point and scan chains: the commitment is
-    /// certified for the expected partition, its timestamp is inside
+    /// Steps 1–4 of every answer's chain, on its anchor: the commitment
+    /// is certified for the expected partition, its timestamp is inside
     /// the freshness window (both skew directions), and its LCE reaches
     /// the dependency floor.
-    fn check_commitment(
+    pub(crate) fn check_commitment(
         &self,
         keys: &impl QuorumCheck,
         expected_cluster: ClusterId,
-        commitment: &CommittedHeader,
-        cert: &Certificate,
+        (commitment, cert): (&CommittedHeader, &Certificate),
         min_lce: Epoch,
         now: SimTime,
     ) -> Result<(), ReadRejection> {
@@ -342,11 +345,11 @@ impl ReadVerifier {
         Ok(())
     }
 
-    /// The one point-read check. On top of the commitment chain (steps
-    /// 1–4) the section must
+    /// Step 5 of a point answer, against its anchor's certified `root`
+    /// (steps 1–4 passed). The body must
     ///
     /// * carry a sorted, duplicate-free key list whose **one**
-    ///   multiproof verifies against the certified root
+    ///   multiproof verifies against `root`
     ///   ([`ReadRejection::BadProof`]);
     /// * attach to every proven key — requested or not — a value slot
     ///   agreeing with its verdict (`Some` ↔ proven present and hashing
@@ -357,31 +360,17 @@ impl ReadVerifier {
     ///
     /// On success returns the verified `(key, value)` pairs in
     /// `expected_keys` order; proven keys nobody asked for are dropped.
-    pub(crate) fn verify_section(
+    pub(crate) fn prove_section(
         &self,
-        keys: &impl QuorumCheck,
-        expected_cluster: ClusterId,
-        section: &MultiProofBundle,
+        root: &Digest,
+        body: &MultiProofBody,
         expected_keys: &[Key],
-        min_lce: Epoch,
-        now: SimTime,
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        let MultiProofBundle {
-            commitment,
-            cert,
-            body,
-        } = section;
-        self.check_commitment(keys, expected_cluster, commitment, cert, min_lce, now)?;
         if !body.keys().windows(2).all(|w| w[0] < w[1]) {
             return Err(ReadRejection::BadProof);
         }
-        let verdicts = verify_multi_proof(
-            &commitment.header.merkle_root,
-            self.params.tree_depth,
-            body.keys(),
-            body.proof(),
-        )
-        .map_err(|_| ReadRejection::BadProof)?;
+        let verdicts = verify_multi_proof(root, self.params.tree_depth, body.keys(), body.proof())
+            .map_err(|_| ReadRejection::BadProof)?;
         for ((key, value), verdict) in body.keys().iter().zip(body.values()).zip(&verdicts) {
             match (verdict, value) {
                 (Verified::Present(digest), Some(v)) if value_digest(v) == *digest => {}
@@ -402,65 +391,43 @@ impl ReadVerifier {
             .collect()
     }
 
-    /// Verify a proof-carrying range scan end to end. On top of the
-    /// point-read chain (partition → certificate → freshness → LCE
-    /// floor), a scan must prove **completeness**: that the returned
-    /// rows are *all* the committed rows of the requested window — an
-    /// untrusted edge must not be able to silently omit one. The checks:
+    /// Steps 5–7 of a scan answer, against its anchor's certified `root`
+    /// (steps 1–4 passed). A scan must prove **completeness**: that the
+    /// returned rows are *all* the committed rows of the requested
+    /// window — an untrusted edge must not be able to silently omit one.
     ///
-    /// 1–4. identical to the point chain (cluster, `f+1` certificate
-    ///      over the recomputed digest, freshness window, dependency
-    ///      floor);
     /// 5. the *proven* window **is** the *requested* one — checked
     ///    before any proof work, so every later step reasons about one
     ///    range (anything narrower is a boundary truncation);
-    /// 6. the Merkle range proof verifies against the certified root,
-    ///    yielding the committed entry list of the window;
+    /// 6. the Merkle range proof verifies against `root`, yielding the
+    ///    committed entry list of the window;
     /// 7. the returned rows match that entry list **exactly** — same
     ///    count, each row hashing to its entry, in tree order. Any
     ///    omitted, injected, reordered, or tampered row breaks this.
     ///
     /// On success every proven row is a returned row.
-    pub fn verify_scan(
+    pub(crate) fn prove_scan(
         &self,
-        keys: &impl QuorumCheck,
-        expected_cluster: ClusterId,
-        bundle: &ScanBundle,
+        root: &Digest,
+        scan: &ScanProof,
         requested: &ScanRange,
-        min_lce: Epoch,
-        now: SimTime,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        let commitment = &bundle.commitment;
-        // 1–4. Commitment chained to a certificate, fresh, above floor.
-        self.check_commitment(
-            keys,
-            expected_cluster,
-            commitment,
-            &bundle.cert,
-            min_lce,
-            now,
-        )?;
         // 5. The proven window is the requested one.
-        if bundle.scan.range != *requested {
+        if scan.range != *requested {
             return Err(ReadRejection::ScanRangeNotCovered {
                 requested: *requested,
-                proven: bundle.scan.range,
+                proven: scan.range,
             });
         }
         // 6. Completeness proof against the certified root: the complete
         // committed entry list of the window, in tree order.
-        let entries = verify_range_proof(
-            &commitment.header.merkle_root,
-            self.params.tree_depth,
-            requested,
-            &bundle.scan.proof,
-        )
-        .map_err(|_| ReadRejection::BadRangeProof)?;
+        let entries = verify_range_proof(root, self.params.tree_depth, requested, &scan.proof)
+            .map_err(|_| ReadRejection::BadRangeProof)?;
         // 7. Rows ↔ entries, exactly. The entry list is the complete
         // committed content of the window (step 6), so matching it
         // one-to-one in order rules out omission, injection, and
         // duplication in a single pass.
-        let rows = &bundle.scan.rows;
+        let rows = &scan.rows;
         if rows.len() != entries.len() {
             return Err(ReadRejection::IncompleteScan {
                 proven: entries.len(),
@@ -552,11 +519,12 @@ impl ReadVerifier {
         now: SimTime,
     ) -> Result<QueryAnswer, ReadRejection> {
         let min_lce = query.min_lce();
-        match (&query.shape, response) {
-            (QueryShape::Point { keys: expected }, ReadResponse::Point { section, fresh }) => {
+        match (&query.shape, response.anchor(), &response.body) {
+            (QueryShape::Point { keys: expected }, Some(anchor), Body::Point { body, fresh }) => {
+                let (commitment, _) = anchor;
                 let mut check_now = now;
                 if let Some(sent) = fresh {
-                    let served = section.batch();
+                    let served = commitment.header.num;
                     let resume = query.feed_resume(expected_cluster, served);
                     let held_run = || held_feed.into_iter().flat_map(|w| w.run(served, resume));
                     let from = if held_feed.is_some() { served } else { resume };
@@ -569,25 +537,21 @@ impl ReadVerifier {
                         sent.iter().map(Arc::as_ref),
                     )?;
                     let head = sent.last().or(held_run().last());
-                    let head = head.map_or(&section.commitment, |d| &d.commitment);
+                    let head = head.map_or(commitment, |d| &d.commitment);
                     self.check_fresh(head.header.timestamp, now)?;
                     // The verified feed proves the served values current
                     // through a fresh head, so the served batch's own age
                     // is no longer a staleness signal: anchor the base
                     // chain's clock at it.
-                    check_now = section.commitment.header.timestamp;
+                    check_now = commitment.header.timestamp;
                 }
-                let values = self.verify_section(
-                    keys,
-                    expected_cluster,
-                    section,
-                    expected,
-                    min_lce,
-                    check_now,
-                )?;
+                self.check_commitment(keys, expected_cluster, anchor, min_lce, check_now)?;
+                let root = &commitment.header.merkle_root;
+                let values = self.prove_section(root, body, expected)?;
                 Ok(QueryAnswer::Values(values))
             }
-            (QueryShape::Scan { range, .. }, ReadResponse::Scan { bundle }) => {
+            (QueryShape::Scan { range, .. }, Some(anchor), Body::Scan(scan)) => {
+                let served = &anchor.0.header;
                 if let Some(PageToken { resume, .. }) = query.page {
                     // The first page starts at `range.first` with no
                     // token, so a legitimate token always resumes
@@ -609,22 +573,16 @@ impl ReadVerifier {
                     });
                 };
                 if let Some(pinned) = query.pinned_batch() {
-                    let got = bundle.batch();
+                    let got = served.num;
                     if got != pinned {
                         return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
                     }
                 }
-                let rows = self.verify_scan(
-                    keys,
-                    expected_cluster,
-                    bundle.as_ref(),
-                    &window,
-                    min_lce,
-                    now,
-                )?;
+                self.check_commitment(keys, expected_cluster, anchor, min_lce, now)?;
+                let rows = self.prove_scan(&served.merkle_root, scan, &window)?;
                 let next = if window.last < range.last {
                     Some(PageToken {
-                        batch: bundle.batch(),
+                        batch: served.num,
                         resume: window.last + 1,
                     })
                 } else {

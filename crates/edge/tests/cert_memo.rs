@@ -8,9 +8,7 @@
 
 mod common;
 
-use std::sync::Arc;
-
-use common::{Partition, Section};
+use common::{anchor_mut, body, with_feed, Partition};
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime};
 use transedge_edge::{
     CertifiedDelta, QuorumCheck, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy,
@@ -42,13 +40,6 @@ fn keys() -> Vec<Key> {
     vec![Key::from_u32(1), Key::from_u32(2)]
 }
 
-fn respond(section: Section) -> ReadResponse {
-    ReadResponse::Point {
-        section: Box::new(section),
-        fresh: None,
-    }
-}
-
 /// One read through `memo`, reduced to its rejection.
 fn read(
     p: &Partition,
@@ -72,10 +63,10 @@ fn a_failed_check_is_never_remembered() {
     // One signature transplanted from another slot's certificate: a
     // well-formed signer list that falls one valid signature short.
     let mut forged = honest.clone();
-    forged.cert.sigs[0] = p.certs[0].sigs[0];
+    anchor_mut(&mut forged).1.sigs[0] = p.certs[0].sigs[0];
     for round in 1..=2 {
         assert_eq!(
-            read(&p, &memo, &query, &respond(forged.clone()), NOW),
+            read(&p, &memo, &query, &forged.clone(), NOW),
             Err(ReadRejection::BadCertificate)
         );
         // Rejected again *and* fully re-checked: nothing was remembered.
@@ -83,15 +74,12 @@ fn a_failed_check_is_never_remembered() {
         assert_eq!(memo.hits(), 0);
     }
     // Only a success is remembered, and only for its exact bytes.
-    assert_eq!(
-        read(&p, &memo, &query, &respond(honest.clone()), NOW),
-        Ok(())
-    );
+    assert_eq!(read(&p, &memo, &query, &honest.clone(), NOW), Ok(()));
     assert_eq!(memo.sig_checks(), 3 * quorum);
-    assert_eq!(read(&p, &memo, &query, &respond(honest), NOW), Ok(()));
+    assert_eq!(read(&p, &memo, &query, &honest, NOW), Ok(()));
     assert_eq!((memo.sig_checks(), memo.hits()), (3 * quorum, 1));
     assert_eq!(
-        read(&p, &memo, &query, &respond(forged), NOW),
+        read(&p, &memo, &query, &forged, NOW),
         Err(ReadRejection::BadCertificate)
     );
     assert_eq!(memo.sig_checks(), 4 * quorum);
@@ -104,10 +92,7 @@ fn a_memoised_slot_does_not_vouch_for_another_digest() {
     let quorum = p.topo.certificate_quorum() as u64;
     let query = ReadQuery::point(keys());
     let honest = p.section(&keys(), SERVED);
-    assert_eq!(
-        read(&p, &memo, &query, &respond(honest.clone()), NOW),
-        Ok(())
-    );
+    assert_eq!(read(&p, &memo, &query, &honest.clone(), NOW), Ok(()));
     assert_eq!(memo.sig_checks(), quorum);
 
     // The stale-root attack against a warm memo: the memoised
@@ -116,9 +101,9 @@ fn a_memoised_slot_does_not_vouch_for_another_digest() {
     // chain stops before the quorum check — no signature is touched,
     // none is charged.
     let mut rerooted = honest.clone();
-    rerooted.commitment.header.merkle_root = p.headers[0].header.merkle_root;
+    anchor_mut(&mut rerooted).0.header.merkle_root = p.headers[0].header.merkle_root;
     assert_eq!(
-        read(&p, &memo, &query, &respond(rerooted.clone()), NOW),
+        read(&p, &memo, &query, &rerooted.clone(), NOW),
         Err(ReadRejection::BadCertificate)
     );
     assert_eq!((memo.sig_checks(), memo.hits()), (quorum, 0));
@@ -126,9 +111,10 @@ fn a_memoised_slot_does_not_vouch_for_another_digest() {
     // The same forgery with the certificate's statement rewritten to
     // match: same `(cluster, slot)`, same signatures, another digest.
     // Different bytes — a miss — and the signatures do not cover it.
-    rerooted.cert.digest = rerooted.commitment.certified_digest();
+    let rerooted_anchor = anchor_mut(&mut rerooted);
+    rerooted_anchor.1.digest = rerooted_anchor.0.certified_digest();
     assert_eq!(
-        read(&p, &memo, &query, &respond(rerooted), NOW),
+        read(&p, &memo, &query, &rerooted, NOW),
         Err(ReadRejection::BadCertificate)
     );
     assert_eq!((memo.sig_checks(), memo.hits()), (2 * quorum, 0));
@@ -136,7 +122,7 @@ fn a_memoised_slot_does_not_vouch_for_another_digest() {
     // Neither does a response for the wrong partition reach it.
     assert!(matches!(
         p.verifier()
-            .verify_query(&memo, ClusterId(3), &query, &respond(honest), NOW),
+            .verify_query(&memo, ClusterId(3), &query, &honest, NOW),
         Err(ReadRejection::WrongCluster { .. })
     ));
     assert_eq!((memo.sig_checks(), memo.hits()), (2 * quorum, 0));
@@ -148,10 +134,7 @@ fn a_feed_is_charged_up_to_the_delta_that_fails() {
     let memo = VerifiedCerts::new(p.keys.clone());
     let quorum = p.topo.certificate_quorum() as u64;
     let query = ReadQuery::point(keys());
-    let fresh = |feed: Vec<CertifiedDelta>| ReadResponse::Point {
-        section: Box::new(p.section(&keys(), SERVED)),
-        fresh: Some(feed.into_iter().map(Arc::new).collect()),
-    };
+    let fresh = |feed: Vec<CertifiedDelta>| with_feed(p.section(&keys(), SERVED), feed);
     let tail: Vec<_> = (2..=5).map(|n| p.delta(BatchNum(n))).collect();
 
     // The third delta's certificate is below quorum: deltas one to
@@ -223,7 +206,7 @@ fn time_dependent_checks_are_never_cached() {
     let memo = VerifiedCerts::new(p.keys.clone());
     let quorum = p.topo.certificate_quorum() as u64;
     let query = ReadQuery::point(keys());
-    let response = respond(p.section(&keys(), SERVED));
+    let response = p.section(&keys(), SERVED);
     assert_eq!(read(&p, &memo, &query, &response, NOW), Ok(()));
 
     // Aged past the freshness window, in both directions of skew.
@@ -252,16 +235,16 @@ fn time_dependent_checks_are_never_cached() {
 
     // Nor are proofs: a memoised certificate over a forged slot bit.
     let honest = p.section(&keys(), SERVED);
-    let mut proof = honest.body.proof().clone();
+    let mut proof = body(&honest).proof().clone();
     proof.empty_slots[0] ^= 1;
     let forged = common::rebuild(
         &honest,
-        honest.body.keys().to_vec(),
-        honest.body.values().to_vec(),
+        body(&honest).keys().to_vec(),
+        body(&honest).values().to_vec(),
         proof,
     );
     assert_eq!(
-        read(&p, &memo, &query, &respond(forged), NOW),
+        read(&p, &memo, &query, &forged, NOW),
         Err(ReadRejection::BadProof)
     );
     assert_eq!((memo.sig_checks(), memo.hits()), (quorum, 4));

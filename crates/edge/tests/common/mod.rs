@@ -1,13 +1,15 @@
 //! Shared harness of the point-read suites: one partition's real server
 //! state (store, versioned Merkle tree, certified headers with their
 //! `f+1` certificates, per-batch changed-key sets) and the helpers that
-//! turn it into the sections, scan windows and feed deltas an untrusted
-//! node would serve.
+//! turn it into the point answers, scan windows and feed deltas an
+//! untrusted node would serve, and that reach into an answer to tamper
+//! with it.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, Epoch, Key, NodeId, ReplicaId, SimDuration, SimTime,
@@ -20,15 +22,13 @@ use transedge_crypto::{
     Digest, KeyStore, Keypair, MerkleProof, MultiProof, RangeProof, ScanRange, VersionedMerkleTree,
 };
 use transedge_edge::{
-    changed_keys_digest, multi_snapshot, scan_snapshot, BatchHeader, CdVector, CertifiedDelta,
-    CommittedHeader, MultiProofBody, MultiProofBundle, QueryAnswer, QuorumCheck, ReadQuery,
-    ReadRejection, ReadResponse, ReadVerifier, ScanBundle, SnapshotSource, VerifiedCerts,
+    changed_keys_digest, multi_snapshot, scan_snapshot, Anchor, BatchHeader, Body, CdVector,
+    CertifiedDelta, CommittedHeader, MultiProofBody, QueryAnswer, QuorumCheck, ReadQuery,
+    ReadRejection, ReadResponse, ReadVerifier, ScanProof, SnapshotSource, VerifiedCerts,
     VerifyParams, VersionedStore,
 };
 
 pub const DEPTH: u32 = 8;
-
-pub type Section = MultiProofBundle;
 
 /// The certified header of batch `num` in a one-partition world: its
 /// CD vector sized to the topology, with the own entry at `num`, and
@@ -186,27 +186,21 @@ impl Partition {
         self.changed.push(changed);
     }
 
-    /// What a replica serves for `keys` at `at`: one section proving
-    /// exactly those keys.
-    pub fn section(&self, keys: &[Key], at: BatchNum) -> Section {
+    /// What a replica serves for `keys` at `at`: one full point answer
+    /// proving exactly those keys.
+    pub fn section(&self, keys: &[Key], at: BatchNum) -> ReadResponse {
         self.wrap(multi_snapshot(self, keys, at), at)
     }
 
     /// `body` under batch `at`'s certified commitment.
-    pub fn wrap(&self, body: MultiProofBody, at: BatchNum) -> Section {
-        MultiProofBundle {
-            commitment: self.headers[at.0 as usize].clone(),
-            cert: self.certs[at.0 as usize].clone(),
-            body,
-        }
+    pub fn wrap(&self, body: impl Into<Body>, at: BatchNum) -> ReadResponse {
+        let (commitment, cert) = (&self.headers[at.0 as usize], &self.certs[at.0 as usize]);
+        ReadResponse::full(commitment.clone(), cert.clone(), body)
     }
 
-    pub fn scan(&self, range: ScanRange, at: BatchNum) -> ScanBundle {
-        ScanBundle {
-            commitment: self.headers[at.0 as usize].clone(),
-            cert: self.certs[at.0 as usize].clone(),
-            scan: scan_snapshot(self, &range, at),
-        }
+    /// What a replica serves for a scan of `range` at `at`.
+    pub fn scan(&self, range: ScanRange, at: BatchNum) -> ReadResponse {
+        self.wrap(scan_snapshot(self, &range, at), at)
     }
 
     /// Batch `at`'s entry in the certified commit feed.
@@ -250,14 +244,63 @@ impl Partition {
 /// immutable, so an attacker re-encodes — exactly what the simulator's
 /// byzantine edge does).
 pub fn rebuild(
-    section: &Section,
+    section: &ReadResponse,
     keys: Vec<Key>,
     values: Vec<Option<Value>>,
     proof: MultiProof,
-) -> Section {
-    MultiProofBundle {
-        commitment: section.commitment.clone(),
-        cert: section.cert.clone(),
-        body: MultiProofBody::new(keys, values, proof),
+) -> ReadResponse {
+    ReadResponse {
+        anchor: section.anchor.clone(),
+        body: MultiProofBody::new(keys, values, proof).into(),
     }
+}
+
+/// The point body of an answer.
+pub fn body(answer: &ReadResponse) -> &MultiProofBody {
+    match &answer.body {
+        Body::Point { body, .. } => body,
+        Body::Scan(_) => panic!("a point answer"),
+    }
+}
+
+/// The window of a scan answer.
+pub fn scan_of(answer: &ReadResponse) -> &ScanProof {
+    match &answer.body {
+        Body::Scan(scan) => scan,
+        Body::Point { .. } => panic!("a scan answer"),
+    }
+}
+
+/// The window of a scan answer, to tamper with.
+pub fn scan_mut(answer: &mut ReadResponse) -> &mut ScanProof {
+    match &mut answer.body {
+        Body::Scan(scan) => scan,
+        Body::Point { .. } => panic!("a scan answer"),
+    }
+}
+
+/// The certified header and certificate of a full answer.
+pub fn anchor_of(answer: &ReadResponse) -> (&CommittedHeader, &Certificate) {
+    answer.anchor().expect("a full answer")
+}
+
+/// The certified header and certificate of a full answer, to tamper
+/// with.
+pub fn anchor_mut(answer: &mut ReadResponse) -> &mut (CommittedHeader, Certificate) {
+    match &mut answer.anchor {
+        Anchor::Full(full) => full,
+        Anchor::Held { .. } => panic!("a full answer"),
+    }
+}
+
+/// The point answer `answer` with `feed` attached as its feed tail.
+pub fn with_feed<D: Into<Arc<CertifiedDelta>>>(
+    mut answer: ReadResponse,
+    feed: impl IntoIterator<Item = D>,
+) -> ReadResponse {
+    let Body::Point { fresh, .. } = &mut answer.body else {
+        panic!("a point answer");
+    };
+    *fresh = Some(feed.into_iter().map(Into::into).collect());
+    answer
 }

@@ -322,10 +322,7 @@ fn query_with(keys: Vec<Key>, window: &FeedWindow) -> ReadQuery {
 
 /// What an edge answers: `keys` served at [`SERVED`] plus `sent`.
 fn response(p: &Partition, keys: &[Key], sent: Vec<Arc<CertifiedDelta>>) -> ReadResponse {
-    ReadResponse::Point {
-        section: Box::new(p.section(keys, SERVED)),
-        fresh: Some(sent),
-    }
+    common::with_feed(p.section(keys, SERVED), sent)
 }
 
 type Verdict = Result<(QueryAnswer, Vec<Arc<CertifiedDelta>>), ReadRejection>;
@@ -604,12 +601,12 @@ fn nothing_is_appended_unless_every_check_passes() {
         edit(Arc::make_mut(&mut sent[1]));
         sent
     };
-    let mut tampered_section = p.section(&keys, SERVED);
-    let body = &tampered_section.body;
+    let honest_section = p.section(&keys, SERVED);
+    let body = common::body(&honest_section);
     let mut values = body.values().to_vec();
     values[0] = Some("forged".into());
-    tampered_section = common::rebuild(
-        &tampered_section,
+    let tampered_section = common::rebuild(
+        &honest_section,
         body.keys().to_vec(),
         values,
         body.proof().clone(),
@@ -653,10 +650,7 @@ fn nothing_is_appended_unless_every_check_passes() {
         case(honest(), late, ReadRejection::StaleTimestamp),
         (
             query.clone(),
-            ReadResponse::Point {
-                section: Box::new(tampered_section),
-                fresh: Some(honest()),
-            },
+            common::with_feed(tampered_section, honest()),
             NOW,
             held.clone(),
             ReadRejection::ValueMismatch(keys[0].clone()),

@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use common::Partition;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime};
-use transedge_edge::{ReadQuery, ReadResponse};
+use transedge_edge::ReadQuery;
 
 struct Counting;
 
@@ -50,10 +50,7 @@ fn warm_point_verify(depth: u32) -> u64 {
     p.commit(&[(1, "one"), (2, "two"), (3, "three")], Epoch::NONE, NOW);
     let keys = vec![Key::from_u32(2)];
     let query = ReadQuery::point(keys.clone());
-    let response = ReadResponse::Point {
-        section: Box::new(p.section(&keys, BatchNum(0))),
-        fresh: None,
-    };
+    let response = p.section(&keys, BatchNum(0));
     let verifier = p.verifier();
     let verify = || verifier.verify_query(&p.warm, ClusterId(0), &query, &response, NOW);
     // The memo verified the certificate at commit; one pass grows

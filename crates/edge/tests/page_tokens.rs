@@ -27,9 +27,7 @@ impl Partition {
     fn serve(&self, query: &ReadQuery, fallback: BatchNum) -> ReadResponse {
         let window = query.scan_window().expect("scan query");
         let at = query.pinned_batch().unwrap_or(fallback);
-        ReadResponse::Scan {
-            bundle: Box::new(self.scan(window, at)),
-        }
+        self.scan(window, at)
     }
 
     fn verify(

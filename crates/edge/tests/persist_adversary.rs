@@ -4,16 +4,18 @@
 //! gate, the proof chain a network response passes. Honest objects
 //! re-admit; a forged section value, a forged scan row, a flipped proof
 //! sibling and a forged certificate signature are each rejected by that
-//! chain and never classed as stale; an object that merely aged past
-//! the freshness window is classed as stale, not as tampering.
+//! chain and never classed as stale; an answer that merely aged past
+//! the freshness window is classed as stale, not as tampering; and a
+//! held answer, which names an anchor instead of carrying one, is
+//! rejected and never cached.
 
 mod common;
 
-use common::{rebuild, Partition};
+use common::{anchor_mut, anchor_of, body, rebuild, scan_mut, Partition};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
 use transedge_crypto::{Digest, ScanRange};
-use transedge_edge::{verify_object, ReadRejection, SnapshotObject};
+use transedge_edge::{verify_object, ReadRejection, ReadResponse, ReplayCache};
 
 /// "Now" at re-admission: shortly after the batch timestamps.
 const NOW: SimTime = SimTime(2_500);
@@ -60,16 +62,16 @@ proptest! {
         // The whole tree: the window holds every written key.
         let scan = p.scan(ScanRange::new(0, 255), BatchNum(1));
         let verifier = p.verifier();
-        let verify = |object: &SnapshotObject, now| {
+        let verify = |object: &ReadResponse, now| {
             verify_object(&verifier, &p.keys, object, now)
         };
-        let body = &section.body;
+        let body = body(&section);
         let (keys, values, proof) =
             (body.keys().to_vec(), body.values().to_vec(), body.proof().clone());
 
         // Honest disk: both objects re-admit.
-        prop_assert!(verify(&SnapshotObject::Section(section.clone()), NOW).is_ok());
-        prop_assert!(verify(&SnapshotObject::Scan(scan.clone()), NOW).is_ok());
+        prop_assert!(verify(&section, NOW).is_ok());
+        prop_assert!(verify(&scan, NOW).is_ok());
 
         // 1. Value forgery in a section: the forger rebuilds the body
         // around one forged value slot, which no longer hashes to the
@@ -79,7 +81,7 @@ proptest! {
             forged[0] = Some(Value::from(format!("forged-{forged_tag}").as_str()));
             let forged = rebuild(&section, keys.clone(), forged, proof.clone());
             prop_assert_eq!(
-                verify(&SnapshotObject::Section(forged), NOW).unwrap_err(),
+                verify(&forged, NOW).unwrap_err(),
                 ReadRejection::ValueMismatch(keys[0].clone())
             );
         }
@@ -94,7 +96,7 @@ proptest! {
             }
             let forged = rebuild(&section, keys.clone(), values.clone(), flipped);
             prop_assert_eq!(
-                verify(&SnapshotObject::Section(forged), NOW).unwrap_err(),
+                verify(&forged, NOW).unwrap_err(),
                 ReadRejection::BadProof
             );
         }
@@ -103,11 +105,11 @@ proptest! {
         // to the committed entry at its position.
         {
             let mut forged = scan.clone();
-            let row = &mut forged.scan.rows[0];
+            let row = &mut scan_mut(&mut forged).rows[0];
             row.1 = Value::from("forged");
             let key = row.0.clone();
             prop_assert_eq!(
-                verify(&SnapshotObject::Scan(forged), NOW).unwrap_err(),
+                verify(&forged, NOW).unwrap_err(),
                 ReadRejection::ScanRowMismatch(key)
             );
         }
@@ -117,9 +119,9 @@ proptest! {
         {
             let replica = p.topo.replicas_of(ClusterId(0)).next().unwrap();
             let mut forged = section.clone();
-            forged.cert.sigs[0].1 = p.secrets[&replica].sign(b"not the accept statement");
+            anchor_mut(&mut forged).1.sigs[0].1 = p.secrets[&replica].sign(b"not the accept statement");
             prop_assert_eq!(
-                verify(&SnapshotObject::Section(forged), NOW).unwrap_err(),
+                verify(&forged, NOW).unwrap_err(),
                 ReadRejection::BadCertificate
             );
         }
@@ -128,12 +130,23 @@ proptest! {
         // are rejected as stale — and classified as such, not as
         // tampering (callers drop them quietly instead of alarming).
         prop_assert_eq!(
-            verify(&SnapshotObject::Section(section.clone()), MUCH_LATER).unwrap_err(),
+            verify(&section, MUCH_LATER).unwrap_err(),
             ReadRejection::StaleTimestamp
         );
         prop_assert_eq!(
-            verify(&SnapshotObject::Scan(scan), MUCH_LATER).unwrap_err(),
+            verify(&scan, MUCH_LATER).unwrap_err(),
             ReadRejection::StaleTimestamp
         );
+
+        // 6. A held answer on disk (either shape): it names an anchor
+        // instead of carrying one, so the chain refuses it as
+        // mis-shaped, and a cache handed one anyway takes nothing.
+        for honest in [&section, &scan] {
+            let held = honest.clone().held_by(Some(anchor_of(honest).1.digest));
+            prop_assert_eq!(verify(&held, NOW).unwrap_err(), ReadRejection::ShapeMismatch);
+            let mut cache = ReplayCache::new(4, 4);
+            cache.admit(&held);
+            prop_assert!(cache.objects().is_empty());
+        }
     }
 }

@@ -11,16 +11,14 @@
 
 mod common;
 
-use std::sync::Arc;
-
-use common::{rebuild, Partition, Section, DEPTH};
+use common::{anchor_mut, anchor_of, body, rebuild, scan_mut, with_feed, Partition, DEPTH};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MerkleTree, ScanRange};
 use transedge_edge::{
-    same_batch_conflict, CertifiedDelta, CommittedHeader, PageToken, QueryAnswer, ReadQuery,
-    ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource,
+    same_batch_conflict, Anchor, Body, CertifiedDelta, CommittedHeader, PageToken, QueryAnswer,
+    ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource, HELD_ANCHOR_SIZE,
 };
 
 /// Batch `n` is stamped `T0 + n` seconds — far enough from zero that a
@@ -65,13 +63,6 @@ fn request(key_tags: &[(u16, u8)], count: usize) -> Vec<Key> {
         .collect()
 }
 
-fn respond(section: Section) -> ReadResponse {
-    ReadResponse::Point {
-        section: Box::new(section),
-        fresh: None,
-    }
-}
-
 /// Verify `response` against `query` the only way a client can.
 fn verify(
     p: &Partition,
@@ -86,13 +77,13 @@ fn verify(
 }
 
 /// The rejection `section` earns as the answer to a plain read of `keys`.
-fn rejection(p: &Partition, keys: &[Key], section: Section) -> ReadRejection {
-    verify(p, &ReadQuery::point(keys.to_vec()), &respond(section), NOW)
+fn rejection(p: &Partition, keys: &[Key], section: ReadResponse) -> ReadRejection {
+    verify(p, &ReadQuery::point(keys.to_vec()), &section, NOW)
         .expect_err("a forged response must not verify")
 }
 
-fn parts(section: &Section) -> (Vec<Key>, Vec<Option<Value>>, transedge_crypto::MultiProof) {
-    let body = &section.body;
+fn parts(section: &ReadResponse) -> (Vec<Key>, Vec<Option<Value>>, transedge_crypto::MultiProof) {
+    let body = body(section);
     (
         body.keys().to_vec(),
         body.values().to_vec(),
@@ -117,7 +108,7 @@ proptest! {
         let query = ReadQuery::point(keys.clone());
 
         // Honest: verifies, in request order, to the committed state.
-        let values = verify(&p, &query, &respond(section.clone()), NOW)
+        let values = verify(&p, &query, &section, NOW)
             .expect("an honest section verifies");
         prop_assert_eq!(values.len(), keys.len());
         for ((key, value), asked) in values.iter().zip(&keys) {
@@ -129,7 +120,7 @@ proptest! {
         // key unanswered.
         let narrow = ReadQuery::point(keys[..1].to_vec());
         prop_assert_eq!(
-            verify(&p, &narrow, &respond(section.clone()), NOW).unwrap(),
+            verify(&p, &narrow, &section, NOW).unwrap(),
             values[..1].to_vec()
         );
         if keys.len() >= 2 {
@@ -140,7 +131,7 @@ proptest! {
         }
 
         let (k, v, proof) = parts(&section);
-        prop_assert_eq!(section.body.encoded_len(), section.body.encode_to_vec().len());
+        prop_assert_eq!(body(&section).encoded_len(), body(&section).encode_to_vec().len());
         for i in 0..k.len() {
             // Value forgery: a present slot swapped for a lie is a
             // ValueMismatch, a conjured value on a proven absence a
@@ -259,7 +250,7 @@ proptest! {
         // Cross-batch splice: batch 0's internally consistent body
         // under batch 1's certified commitment.
         let stale = p.section(&keys, BatchNum(0));
-        let err = rejection(&p, &keys, p.wrap(stale.body, SERVED));
+        let err = rejection(&p, &keys, p.wrap(body(&stale).clone(), SERVED));
         prop_assert!(
             matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
             "{:?}", err
@@ -270,17 +261,17 @@ proptest! {
         // attack) — or whose CD entry, LCE or changed-key digest was,
         // the fields Algorithm 2 and the feed read.
         let mut thin = section.clone();
-        thin.cert.sigs.truncate(p.topo.certificate_quorum() - 1);
+        anchor_mut(&mut thin).1.sigs.truncate(p.topo.certificate_quorum() - 1);
         prop_assert_eq!(rejection(&p, &keys, thin), ReadRejection::BadCertificate);
         let mut wrong_slot = section.clone();
-        wrong_slot.cert = p.certs[0].clone();
+        anchor_mut(&mut wrong_slot).1 = p.certs[0].clone();
         prop_assert_eq!(rejection(&p, &keys, wrong_slot), ReadRejection::BadCertificate);
         let mut rerooted = section.clone();
-        rerooted.commitment.header.merkle_root = p.headers[0].header.merkle_root;
+        anchor_mut(&mut rerooted).0.header.merkle_root = p.headers[0].header.merkle_root;
         prop_assert_eq!(rejection(&p, &keys, rerooted), ReadRejection::BadCertificate);
-        for (name, forged) in common::rewritten(&section.commitment) {
+        for (name, forged) in common::rewritten(anchor_of(&section).0) {
             let mut rewritten = section.clone();
-            rewritten.commitment = forged;
+            anchor_mut(&mut rewritten).0 = forged;
             prop_assert_eq!(
                 rejection(&p, &keys, rewritten),
                 ReadRejection::BadCertificate,
@@ -289,7 +280,7 @@ proptest! {
         }
         // Wrong cluster: an honest response for a partition nobody asked.
         prop_assert_eq!(
-            p.verdict(ClusterId(3), &query, &respond(section.clone()), NOW)
+            p.verdict(ClusterId(3), &query, &section, NOW)
                 .unwrap_err(),
             ReadRejection::WrongCluster { expected: ClusterId(3), got: ClusterId(0) }
         );
@@ -298,27 +289,27 @@ proptest! {
         let served_ts = p.headers[1].header.timestamp.0;
         for now in [SimTime(served_ts + skew), SimTime(served_ts - skew)] {
             prop_assert_eq!(
-                verify(&p, &query, &respond(section.clone()), now).unwrap_err(),
+                verify(&p, &query, &section, now).unwrap_err(),
                 ReadRejection::StaleTimestamp
             );
         }
         // LCE floor: a round-2 fetch the served snapshot cannot satisfy.
         let floored = query.clone().with_policy(SnapshotPolicy::MinEpoch(Epoch(1)));
         prop_assert_eq!(
-            verify(&p, &floored, &respond(section.clone()), NOW).unwrap_err(),
+            verify(&p, &floored, &section, NOW).unwrap_err(),
             ReadRejection::StaleSnapshot { required: Epoch(1), lce: Epoch(0) }
         );
         let reachable = query.clone().with_policy(SnapshotPolicy::MinEpoch(Epoch(0)));
-        prop_assert!(verify(&p, &reachable, &respond(section.clone()), NOW).is_ok());
+        prop_assert!(verify(&p, &reachable, &section, NOW).is_ok());
         // A scan where a section was asked (and the other way round).
         let window = ScanRange::new(0, 63);
-        let scan = ReadResponse::Scan { bundle: Box::new(p.scan(window, SERVED)) };
+        let scan = p.scan(window, SERVED);
         prop_assert_eq!(verify(&p, &query, &scan, NOW).unwrap_err(), ReadRejection::ShapeMismatch);
         prop_assert_eq!(
             p.verdict(
                 ClusterId(0),
                 &ReadQuery::scan(ClusterId(0), window),
-                &respond(section.clone()),
+                &section,
                 NOW,
             )
             .unwrap_err(),
@@ -329,12 +320,9 @@ proptest! {
         // queried key) verifies — even once the served batch itself has
         // aged out, because the head is what must be fresh.
         let feed = vec![p.delta(BatchNum(2)), p.delta(BatchNum(3))];
-        let fresh = |feed: Vec<CertifiedDelta>| ReadResponse::Point {
-            section: Box::new(section.clone()),
-            fresh: Some(feed.into_iter().map(Arc::new).collect()),
-        };
+        let fresh = |feed: Vec<CertifiedDelta>| with_feed(section.clone(), feed);
         let late = SimTime(p.headers[3].header.timestamp.0 + skew - 2 * SECOND);
-        prop_assert!(verify(&p, &query, &respond(section.clone()), late).is_err());
+        prop_assert!(verify(&p, &query, &section, late).is_err());
         prop_assert_eq!(verify(&p, &query, &fresh(feed.clone()), late), Ok(values.clone()));
         // Tampered changed list, gapped chain, and a delta touching a
         // queried key (honestly certified — it contradicts the claim).
@@ -345,10 +333,7 @@ proptest! {
             verify(&p, &query, &fresh(feed[1..].to_vec()), NOW).unwrap_err(),
             ReadRejection::FeedSpliced { expected: BatchNum(2), got: BatchNum(3) }
         );
-        let touching = ReadResponse::Point {
-            section: Box::new(p.section(&keys, BatchNum(0))),
-            fresh: Some(vec![Arc::new(p.delta(SERVED))]),
-        };
+        let touching = with_feed(p.section(&keys, BatchNum(0)), vec![p.delta(SERVED)]);
         let touched = ReadQuery::point(vec![Key::from_u32(key_tags[0].0 as u32 % 512)]);
         prop_assert_eq!(
             verify(&p, &touched, &touching, NOW).unwrap_err(),
@@ -359,8 +344,8 @@ proptest! {
 
 /// A second certified history of `section`'s batch: its header one
 /// microsecond later, under a certificate of its own.
-fn second_history(p: &Partition, section: &Section) -> (CommittedHeader, Certificate) {
-    let mut forked = section.commitment.clone();
+fn second_history(p: &Partition, section: &ReadResponse) -> (CommittedHeader, Certificate) {
+    let mut forked = anchor_of(section).0.clone();
     forked.header.timestamp = SimTime(forked.header.timestamp.0 + 1);
     let cert = p.certify(&forked);
     (forked, cert)
@@ -374,13 +359,10 @@ fn second_history(p: &Partition, section: &Section) -> (CommittedHeader, Certifi
 fn same_batch_conflict_is_one_batch_under_two_digests() {
     let p = world(&[(1, 1), (2, 2)]);
     let section = p.section(&[Key::from_u32(1)], SERVED);
-    let held = (&section.commitment, &section.cert);
+    let held = anchor_of(&section);
     assert_eq!(same_batch_conflict(held, held), None);
     let later = p.section(&[Key::from_u32(1)], BatchNum(2));
-    assert_eq!(
-        same_batch_conflict(held, (&later.commitment, &later.cert)),
-        None
-    );
+    assert_eq!(same_batch_conflict(held, anchor_of(&later)), None);
     let (forked, forked_cert) = second_history(&p, &section);
     let mut elsewhere = forked.clone();
     elsewhere.header.cluster = ClusterId(1);
@@ -390,7 +372,7 @@ fn same_batch_conflict_is_one_batch_under_two_digests() {
     else {
         panic!("a fork");
     };
-    assert_eq!(*first, (section.commitment.clone(), section.cert.clone()));
+    assert_eq!(*first, (held.0.clone(), held.1.clone()));
     assert_eq!(*got, (forked, forked_cert));
 }
 
@@ -449,19 +431,16 @@ fn every_rejection_variant_is_reachable() {
     let keys = vec![k(1), k(2), k(900)];
     let section = p.section(&keys, SERVED);
     let (sk, sv, sproof) = parts(&section);
-    let point = |q: &ReadQuery, section: Section, now: SimTime| {
-        verify(&p, q, &respond(section), now).unwrap_err()
+    let point = |q: &ReadQuery, section: ReadResponse, now: SimTime| {
+        verify(&p, q, &section, now).unwrap_err()
     };
     let plain = ReadQuery::point(keys.clone());
     let mut seen: Vec<ReadRejection> = Vec::new();
 
     // ---- point chain ----
-    seen.push(
-        p.verdict(ClusterId(1), &plain, &respond(section.clone()), NOW)
-            .unwrap_err(),
-    );
+    seen.push(p.verdict(ClusterId(1), &plain, &section, NOW).unwrap_err());
     let mut thin = section.clone();
-    thin.cert.sigs.clear();
+    anchor_mut(&mut thin).1.sigs.clear();
     seen.push(point(&plain, thin, NOW));
     seen.push(point(&plain, section.clone(), SimTime(T0 * 2)));
     let floored = plain
@@ -485,10 +464,7 @@ fn every_rejection_variant_is_reachable() {
     let present = sk.iter().position(|key| *key == k(1)).unwrap();
     seen.push(point(&plain, lie(present), NOW));
     seen.push(point(&plain, lie(absent), NOW));
-    let fresh = |feed: Vec<CertifiedDelta>| ReadResponse::Point {
-        section: Box::new(section.clone()),
-        fresh: Some(feed.into_iter().map(Arc::new).collect()),
-    };
+    let fresh = |feed: Vec<CertifiedDelta>| with_feed(section.clone(), feed);
     let mut edited = p.delta(BatchNum(2));
     edited.changed.clear();
     seen.push(verify(&p, &plain, &fresh(vec![edited]), NOW).unwrap_err());
@@ -497,27 +473,17 @@ fn every_rejection_variant_is_reachable() {
     // ---- scan chain ----
     let range = ScanRange::new(0, (1 << DEPTH) - 1);
     let scan_query = ReadQuery::scan(ClusterId(0), range);
-    let scan = |q: &ReadQuery, bundle| {
-        p.verdict(
-            ClusterId(0),
-            q,
-            &ReadResponse::Scan {
-                bundle: Box::new(bundle),
-            },
-            NOW,
-        )
-        .unwrap_err()
-    };
+    let scan = |q: &ReadQuery, answer| p.verdict(ClusterId(0), q, &answer, NOW).unwrap_err();
     seen.push(scan(&plain, p.scan(range, SERVED)));
     seen.push(scan(&scan_query, p.scan(ScanRange::new(0, 63), SERVED)));
     let mut bad_proof = p.scan(range, SERVED);
-    bad_proof.scan.proof.occupied[0].1[0].value_hash = Digest([0xEE; 32]);
+    scan_mut(&mut bad_proof).proof.occupied[0].1[0].value_hash = Digest([0xEE; 32]);
     seen.push(scan(&scan_query, bad_proof));
     let mut omitted = p.scan(range, SERVED);
-    omitted.scan.rows.pop();
+    scan_mut(&mut omitted).rows.pop();
     seen.push(scan(&scan_query, omitted));
     let mut swapped = p.scan(range, SERVED);
-    swapped.scan.rows[0].1 = Value::from("forged");
+    scan_mut(&mut swapped).rows[0].1 = Value::from("forged");
     seen.push(scan(&scan_query, swapped));
     let paged = ReadQuery::scatter_scan(vec![ClusterId(0)], range, 64);
     let replayed_token = paged.clone().with_page(PageToken {
@@ -534,7 +500,7 @@ fn every_rejection_variant_is_reachable() {
     // Fork: a second header certified under the served batch number,
     // next to the anchor a reader already holds.
     let (forked, forked_cert) = second_history(&p, &section);
-    let held = (&section.commitment, &section.cert);
+    let held = anchor_of(&section);
     seen.extend(same_batch_conflict(held, (&forked, &forked_cert)));
 
     let mut names: Vec<&str> = seen.iter().map(name).collect();
@@ -547,15 +513,17 @@ fn every_rejection_variant_is_reachable() {
 /// the query named (another digest, or none, leaves the answer full),
 /// the held value carries no header and no certificate, the verifier
 /// refuses it as mis-shaped, and rebuilt around the receiver's copy of
-/// the anchor it verifies to exactly what the full answer did.
+/// the anchor it verifies to exactly what the full answer did. On the
+/// wire a held answer is the full one with its anchor swapped for the
+/// reference, and rebuilding restores the full size — for a point
+/// answer, one with a feed tail, and a scan.
 #[test]
 fn a_held_answer_rebuilds_to_the_full_one_and_never_verifies_alone() {
     let p = world(&[(1, 1), (2, 2), (3, 3)]);
     let keys = vec![Key::from_u32(1), Key::from_u32(900)];
     let query = ReadQuery::point(keys.clone());
-    let section = p.section(&keys, SERVED);
-    let full = respond(section.clone());
-    let digest = section.cert.digest;
+    let full = p.section(&keys, SERVED);
+    let digest = anchor_of(&full).1.digest;
     let other = p.certs[0].digest;
     assert_ne!(digest, other);
     for named in [None, Some(other)] {
@@ -563,17 +531,18 @@ fn a_held_answer_rebuilds_to_the_full_one_and_never_verifies_alone() {
         assert!(kept.anchor().is_some(), "named {named:?}: stays full");
     }
     let held = full.clone().held_by(Some(digest));
-    let ReadResponse::HeldPoint {
-        cluster,
-        batch,
-        body,
-        fresh,
-    } = &held
+    let (
+        Anchor::Held { cluster, batch },
+        Body::Point {
+            body: held_body,
+            fresh,
+        },
+    ) = (&held.anchor, &held.body)
     else {
         panic!("named at its own digest, the answer is held: {held:?}");
     };
     assert_eq!((*cluster, *batch), (ClusterId(0), SERVED));
-    assert_eq!(body.encode_to_vec(), section.body.encode_to_vec());
+    assert_eq!(held_body.encode_to_vec(), body(&full).encode_to_vec());
     assert!(fresh.is_none());
     assert!(held.anchor().is_none());
     assert_eq!(
@@ -582,24 +551,41 @@ fn a_held_answer_rebuilds_to_the_full_one_and_never_verifies_alone() {
     );
     let anchor = (&p.headers[1], &p.certs[1]);
     assert_eq!(
-        verify(&p, &query, &held.rebuild(anchor), NOW),
+        verify(&p, &query, &held.clone().rebuild(anchor), NOW),
         verify(&p, &query, &full, NOW)
     );
 
     // The scan form, likewise.
     let range = ScanRange::new(0, 63);
     let scan_query = ReadQuery::scan(ClusterId(0), range);
-    let full = ReadResponse::Scan {
-        bundle: Box::new(p.scan(range, SERVED)),
-    };
-    let held = full.clone().held_by(Some(digest));
-    assert!(matches!(held, ReadResponse::HeldScan { .. }));
+    let full_scan = p.scan(range, SERVED);
+    let held_scan = full_scan.clone().held_by(Some(digest));
+    assert!(matches!(held_scan.anchor, Anchor::Held { .. }));
     let scan_verdict = |r: &ReadResponse| p.verdict(ClusterId(0), &scan_query, r, NOW);
     assert_eq!(
-        scan_verdict(&held).unwrap_err(),
+        scan_verdict(&held_scan).unwrap_err(),
         ReadRejection::ShapeMismatch
     );
-    assert_eq!(scan_verdict(&held.rebuild(anchor)), scan_verdict(&full));
+    assert_eq!(
+        scan_verdict(&held_scan.clone().rebuild(anchor)),
+        scan_verdict(&full_scan)
+    );
+
+    // One size each: the held answer is the full one, anchor for
+    // reference.
+    let anchor_size = transedge_edge::anchor_size(anchor.0, anchor.1);
+    let fed = with_feed(
+        full.clone(),
+        vec![p.delta(BatchNum(2)), p.delta(BatchNum(3))],
+    );
+    for full in [full, fed, full_scan] {
+        let held = full.clone().held_by(Some(digest));
+        assert_eq!(
+            held.wire_size(),
+            full.wire_size() - anchor_size + HELD_ANCHOR_SIZE
+        );
+        assert_eq!(held.rebuild(anchor).wire_size(), full.wire_size());
+    }
 }
 
 /// A held answer names an anchor but cannot vouch for its body: a body
@@ -613,26 +599,18 @@ fn a_held_body_from_another_batch_fails_its_proof() {
     let query = ReadQuery::point(keys.clone());
     let anchor = (&p.headers[1], &p.certs[1]);
     let digest = Some(p.certs[0].digest);
-    let stale = respond(p.section(&keys, BatchNum(0))).held_by(digest);
-    let forged = match stale {
-        ReadResponse::HeldPoint { body, .. } => ReadResponse::HeldPoint {
-            cluster: ClusterId(0),
-            batch: SERVED,
-            body,
-            fresh: None,
-        },
-        other => panic!("held: {other:?}"),
+    let mut forged = p.section(&keys, BatchNum(0)).held_by(digest);
+    let Anchor::Held { batch, .. } = &mut forged.anchor else {
+        panic!("held: {forged:?}");
     };
+    *batch = SERVED;
     assert_eq!(
         verify(&p, &query, &forged.rebuild(anchor), NOW).unwrap_err(),
         ReadRejection::BadProof
     );
 
     let range = ScanRange::new(0, 63);
-    let stale = ReadResponse::Scan {
-        bundle: Box::new(p.scan(range, BatchNum(0))),
-    }
-    .held_by(digest);
+    let stale = p.scan(range, BatchNum(0)).held_by(digest);
     let scan_query = ReadQuery::scan(ClusterId(0), range);
     assert_eq!(
         p.verdict(ClusterId(0), &scan_query, &stale.rebuild(anchor), NOW)

@@ -12,13 +12,12 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{Partition, Section};
+use common::{body, Partition};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
 use transedge_crypto::ScanRange;
 use transedge_edge::{
-    verify_object, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotObject,
-    SnapshotPolicy,
+    verify_object, Body, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotPolicy,
 };
 
 fn two_batch_partition() -> Partition {
@@ -35,13 +34,9 @@ fn k(n: u32) -> Key {
 fn verified_values(
     p: &Partition,
     keys: &[Key],
-    section: Section,
+    response: ReadResponse,
     now: SimTime,
 ) -> Vec<Option<Value>> {
-    let response: ReadResponse = ReadResponse::Point {
-        section: Box::new(section),
-        fresh: None,
-    };
     let query = ReadQuery::point(keys.to_vec());
     match p
         .verifier()
@@ -61,11 +56,11 @@ fn replay_round_trips_verified_sections() {
     // Nothing cached yet: the edge node must pass upstream.
     assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_none());
     // Absorb an upstream response, then replay it to a second client.
-    replay.admit_section(&p.section(&keys, BatchNum(1)));
+    replay.admit(&p.section(&keys, BatchNum(1)));
     let section = replay
         .replay(&keys, Epoch::NONE, SimTime::ZERO)
         .expect("cached");
-    assert_eq!(section.body.keys(), keys);
+    assert_eq!(body(&section).keys(), keys);
     let values = verified_values(&p, &keys, section, SimTime(2_500));
     assert_eq!(values[0], Some(Value::from("alpha-v2")));
     assert_eq!(values[2], None, "a proven absence replays too");
@@ -92,12 +87,12 @@ fn partly_cached_request_is_a_miss() {
     let p = two_batch_partition();
     let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     // The edge has only keys 1 and 2 cached (at batch 1).
-    replay.admit_section(&p.section(&[k(1), k(2)], BatchNum(1)));
+    replay.admit(&p.section(&[k(1), k(2)], BatchNum(1)));
     // A 3-key request: 2 cached, 1 miss.
     let keys = vec![k(1), k(2), k(7)];
     assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_none());
     // What the forward brings back replays whole…
-    replay.admit_section(&p.section(&keys, BatchNum(1)));
+    replay.admit(&p.section(&keys, BatchNum(1)));
     let section = replay
         .replay(&keys, Epoch::NONE, SimTime::ZERO)
         .expect("cached");
@@ -112,12 +107,12 @@ fn partly_cached_request_is_a_miss() {
     );
     // …and the pair admitted before it still answers the pair.
     let pair = replay.replay(&keys[..2], Epoch::NONE, SimTime::ZERO);
-    assert_eq!(pair.expect("covered").body.keys(), &keys[..2]);
+    assert_eq!(body(&pair.expect("covered")).keys(), &keys[..2]);
 
     // Every key cached, but no one body proving all three: a miss.
     let mut split: ReplayCache = ReplayCache::new(1024, 8);
-    split.admit_section(&p.section(&keys[..2], BatchNum(1)));
-    split.admit_section(&p.section(&keys[2..], BatchNum(1)));
+    split.admit(&p.section(&keys[..2], BatchNum(1)));
+    split.admit(&p.section(&keys[2..], BatchNum(1)));
     assert!(split.replay(&keys, Epoch::NONE, SimTime::ZERO).is_none());
 }
 
@@ -131,8 +126,8 @@ fn staleness_floor_passes_what_no_fresh_batch_covers() {
     let both = [k(1), k(2)];
     // Batch 0 (timestamp 1_000) cached both keys; batch 1 (timestamp
     // 2_000) cached only key 1.
-    replay.admit_section(&p.section(&both, BatchNum(0)));
-    replay.admit_section(&p.section(&both[..1], BatchNum(1)));
+    replay.admit(&p.section(&both, BatchNum(0)));
+    replay.admit(&p.section(&both[..1], BatchNum(1)));
     // Behind a floor both batches pass, batch 0 — the newest covering
     // the whole request — replays.
     let section = replay.replay(&both, Epoch::NONE, SimTime(500));
@@ -159,8 +154,8 @@ fn round2_floor_served_from_newer_admitted_batches() {
     // cannot reach (batch 0 has LCE = NONE, batch 1 has LCE = 0) is
     // served entirely from batch 1.
     let mut replay: ReplayCache = ReplayCache::new(1024, 8);
-    replay.admit_section(&p.section(&keys, BatchNum(0)));
-    replay.admit_section(&p.section(&keys, BatchNum(1)));
+    replay.admit(&p.section(&keys, BatchNum(0)));
+    replay.admit(&p.section(&keys, BatchNum(1)));
     let section = replay.replay(&keys, Epoch(0), SimTime::ZERO);
     assert_eq!(section.expect("covered").batch(), BatchNum(1));
     // A floor no admitted batch reaches still passes upstream.
@@ -168,8 +163,8 @@ fn round2_floor_served_from_newer_admitted_batches() {
     // Partial coverage at the only floor-satisfying batch: a miss, not
     // a downgrade to the batch below the floor.
     let mut sparse: ReplayCache = ReplayCache::new(1024, 8);
-    sparse.admit_section(&p.section(&keys, BatchNum(0)));
-    sparse.admit_section(&p.section(&keys[..1], BatchNum(1)));
+    sparse.admit(&p.section(&keys, BatchNum(0)));
+    sparse.admit(&p.section(&keys[..1], BatchNum(1)));
     assert!(sparse.replay(&keys, Epoch(0), SimTime::ZERO).is_none());
     let section = sparse.replay(&keys, Epoch::NONE, SimTime::ZERO);
     assert_eq!(section.expect("covered").batch(), BatchNum(0));
@@ -181,10 +176,10 @@ fn replay_respects_freshness_floor_and_gc() {
     let keys = vec![k(1), k(2), k(7)];
     // Only the newest commitment is retained (max_batches = 1).
     let mut replay: ReplayCache = ReplayCache::new(1024, 1);
-    replay.admit_section(&p.section(&keys, BatchNum(0)));
+    replay.admit(&p.section(&keys, BatchNum(0)));
     assert_eq!(replay.fragment_count(), 1, "one answer, however many keys");
     // Batch 1 (timestamp 2_000) evicts batch 0 and its answer.
-    replay.admit_section(&p.section(&keys, BatchNum(1)));
+    replay.admit(&p.section(&keys, BatchNum(1)));
     assert_eq!(replay.latest_batch(), Some(BatchNum(1)));
     assert_eq!(
         replay.fragment_count(),
@@ -207,11 +202,11 @@ fn overlapping_answers_at_one_batch_each_replay() {
     let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let pairs = [[k(1), k(2)], [k(2), k(7)], [k(1), k(7)]];
     for pair in &pairs {
-        replay.admit_section(&p.section(pair, BatchNum(1)));
+        replay.admit(&p.section(pair, BatchNum(1)));
     }
     for pair in &pairs {
         let section = replay.replay(pair, Epoch::NONE, SimTime::ZERO);
-        assert_eq!(section.expect("cached").body.keys(), pair);
+        assert_eq!(body(&section.expect("cached")).keys(), pair);
     }
 }
 
@@ -222,11 +217,11 @@ fn a_wider_answer_replays_beside_narrower_ones() {
     let p = two_batch_partition();
     let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let keys = [k(1), k(2), k(7)];
-    replay.admit_section(&p.section(&keys[..2], BatchNum(1)));
-    replay.admit_section(&p.section(&keys[2..], BatchNum(1)));
-    replay.admit_section(&p.section(&keys, BatchNum(1)));
+    replay.admit(&p.section(&keys[..2], BatchNum(1)));
+    replay.admit(&p.section(&keys[2..], BatchNum(1)));
+    replay.admit(&p.section(&keys, BatchNum(1)));
     let section = replay.replay(&keys, Epoch::NONE, SimTime::ZERO);
-    assert_eq!(section.expect("cached").body.keys(), keys);
+    assert_eq!(body(&section.expect("cached")).keys(), keys);
 }
 
 /// A delta that changes one key of an older answer drops the answer,
@@ -236,8 +231,8 @@ fn a_delta_drops_every_older_answer_it_touches() {
     let p = two_batch_partition();
     let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     // Batch 1 changed key 1 only.
-    replay.admit_section(&p.section(&[k(1), k(2)], BatchNum(0)));
-    replay.admit_section(&p.section(&[k(7)], BatchNum(0)));
+    replay.admit(&p.section(&[k(1), k(2)], BatchNum(0)));
+    replay.admit(&p.section(&[k(7)], BatchNum(0)));
     replay.apply_delta(p.delta(BatchNum(1)));
     assert_eq!(replay.stats.fragments_invalidated, 1);
     assert!(replay
@@ -259,11 +254,11 @@ fn the_disk_image_is_the_cached_answers() {
         p.section(&[k(1), k(2)], BatchNum(0)),
         p.section(&[k(7)], BatchNum(0)),
     );
-    replay.admit_section(&pair);
-    replay.admit_section(&single);
-    replay.admit_scan(&p.scan(ScanRange::new(0, 255), BatchNum(1)));
+    replay.admit(&pair);
+    replay.admit(&single);
+    replay.admit(&p.scan(ScanRange::new(0, 255), BatchNum(1)));
     // A replay is a touch: the pair becomes the most recently used.
-    let keys = pair.body.keys().to_vec();
+    let keys = body(&pair).keys().to_vec();
     assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_some());
     let shapes = |replay: &ReplayCache| -> Vec<(BatchNum, Vec<Key>)> {
         let image = replay.objects();
@@ -273,13 +268,13 @@ fn the_disk_image_is_the_cached_answers() {
         }
         image
             .iter()
-            .map(|object| match object {
-                SnapshotObject::Section(s) => (s.batch(), s.body.keys().to_vec()),
-                SnapshotObject::Scan(s) => (s.batch(), Vec::new()),
+            .map(|object| match &object.body {
+                Body::Point { body, .. } => (object.batch(), body.keys().to_vec()),
+                Body::Scan(_) => (object.batch(), Vec::new()),
             })
             .collect()
     };
-    let single = (BatchNum(0), single.body.keys().to_vec());
+    let single = (BatchNum(0), body(&single).keys().to_vec());
     let window = (BatchNum(1), Vec::new());
     assert_eq!(
         shapes(&replay),
@@ -308,10 +303,10 @@ fn capacity_counts_answers_and_recency_keeps_the_hot_one() {
     let (hot_keys, hot_range) = ([k(0)], ScanRange::new(0, 1));
     for batch in (0..3).map(BatchNum) {
         for i in 0..300u32 {
-            replay.admit_section(&p.section(&[k(i)], batch));
+            replay.admit(&p.section(&[k(i)], batch));
             let j = u64::from(i);
             let range = ScanRange::new(j / 2, j / 2 + 1 + j % 2);
-            replay.admit_scan(&p.scan(range, batch));
+            replay.admit(&p.scan(range, batch));
             let section = replay.replay(&hot_keys, Epoch::NONE, SimTime::ZERO);
             assert_eq!(section.expect("hot answer").batch(), batch, "admission {i}");
             let scan = replay.replay_scan(&hot_range, None, Epoch::NONE, SimTime::ZERO);
@@ -373,7 +368,7 @@ proptest! {
         for (at, keys) in &admissions {
             let at = BatchNum(at.index(history.len()) as u64);
             let keys: Vec<Key> = keys.iter().copied().map(k).collect();
-            cache.admit_section(&p.section(&keys, at));
+            cache.admit(&p.section(&keys, at));
             prop_assert!(cache.fragment_count() <= capacity);
         }
 
@@ -397,13 +392,12 @@ proptest! {
         let header = &p.headers[served.0 as usize].header;
         prop_assert!(header.lce >= min_lce, "{:?} < {:?}", header.lce, min_lce);
         prop_assert!(header.timestamp >= min_timestamp);
-        prop_assert!(keys.iter().all(|key| section.body.proves(key)));
+        prop_assert!(keys.iter().all(|key| body(&section).proves(key)));
 
         let query = ReadQuery::point(keys.clone()).with_policy(SnapshotPolicy::MinEpoch(min_lce));
-        let response: ReadResponse = ReadResponse::Point { section: Box::new(section), fresh: None };
         let answer = p
             .verifier()
-            .verify_query(&p.keys, ClusterId(0), &query, &response, header.timestamp)
+            .verify_query(&p.keys, ClusterId(0), &query, &section, header.timestamp)
             .expect("a replayed answer verifies");
         let want: Vec<(Key, Option<Value>)> = keys
             .iter()

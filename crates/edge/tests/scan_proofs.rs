@@ -1,4 +1,4 @@
-//! Property tests for `ReadVerifier::verify_scan`: across random
+//! Property tests for the scan chain of `ReadVerifier::verify_query`: across random
 //! partition contents and random windows, *no* single-row omission,
 //! boundary truncation, or cross-batch splice of an otherwise-valid
 //! range proof survives verification — and the honest scan always
@@ -6,12 +6,12 @@
 
 mod common;
 
-use common::Partition;
+use common::{anchor_mut, anchor_of, scan_mut, scan_of, Partition};
 
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_crypto::{sha256, Digest, ScanRange};
-use transedge_edge::{ReadRejection, ScanBundle};
+use transedge_edge::{QueryAnswer, ReadQuery, ReadRejection, ReadResponse};
 
 /// Shallow tree: 64 buckets → dense windows and bucket collisions.
 const DEPTH: u32 = 6;
@@ -19,28 +19,28 @@ const DEPTH: u32 = 6;
 impl Partition {
     fn verify(
         &self,
-        bundle: &ScanBundle,
+        answer: &ReadResponse,
         requested: &ScanRange,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        self.verify_as(ClusterId(0), bundle, requested, SimTime(2_500))
+        self.verify_as(ClusterId(0), answer, requested, SimTime(2_500))
     }
 
-    /// The verdict on `bundle` — through the plain key directory and
-    /// through the memo that already holds every honest certificate.
-    /// The two must agree: memoisation never changes a verdict.
+    /// The verdict on `answer` as the answer to a one-window scan of
+    /// `requested` — through the plain key directory and through the
+    /// memo that already holds every honest certificate (both via
+    /// `Partition::verdict`, which asserts they agree).
     fn verify_as(
         &self,
         cluster: ClusterId,
-        bundle: &ScanBundle,
+        answer: &ReadResponse,
         requested: &ScanRange,
         now: SimTime,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        let verifier = self.verifier();
-        let plain = verifier.verify_scan(&self.keys, cluster, bundle, requested, Epoch::NONE, now);
-        let memoised =
-            verifier.verify_scan(&self.warm, cluster, bundle, requested, Epoch::NONE, now);
-        assert_eq!(memoised, plain, "a warm memo changed the verdict");
-        plain
+        let query = ReadQuery::scan(cluster, *requested);
+        match self.verdict(cluster, &query, answer, now)? {
+            QueryAnswer::Rows { rows, next: None } => Ok(rows),
+            other => panic!("a one-window scan yields its rows, got {other:?}"),
+        }
     }
 }
 
@@ -90,9 +90,9 @@ proptest! {
         // 1a. Omit any single returned row → IncompleteScan. Every
         // surviving row still matches the proof individually; only the
         // completeness count catches the hole.
-        for i in 0..honest.scan.rows.len() {
+        for i in 0..scan_of(&honest).rows.len() {
             let mut b = honest.clone();
-            b.scan.rows.remove(i);
+            scan_mut(&mut b).rows.remove(i);
             prop_assert!(matches!(
                 p.verify(&b, &range),
                 Err(ReadRejection::IncompleteScan { .. })
@@ -101,14 +101,14 @@ proptest! {
 
         // 1b. Omit a single *proof* leaf entry as well (hiding the row
         // and its commitment together) → the root no longer folds.
-        for bi in 0..honest.scan.proof.occupied.len() {
-            for ei in 0..honest.scan.proof.occupied[bi].1.len() {
+        for bi in 0..scan_of(&honest).proof.occupied.len() {
+            for ei in 0..scan_of(&honest).proof.occupied[bi].1.len() {
                 let mut b = honest.clone();
-                let removed = b.scan.proof.occupied[bi].1.remove(ei);
-                if b.scan.proof.occupied[bi].1.is_empty() {
-                    b.scan.proof.occupied.remove(bi);
+                let removed = scan_mut(&mut b).proof.occupied[bi].1.remove(ei);
+                if scan_mut(&mut b).proof.occupied[bi].1.is_empty() {
+                    scan_mut(&mut b).proof.occupied.remove(bi);
                 }
-                b.scan
+                scan_mut(&mut b)
                     .rows
                     .retain(|(k, _)| sha256(k.as_bytes()) != removed.key_hash);
                 prop_assert!(matches!(
@@ -130,14 +130,14 @@ proptest! {
             // ...and relabelled as the full window, its siblings no
             // longer fold to the certified root.
             let mut relabelled = truncated.clone();
-            relabelled.scan.range = range;
+            scan_mut(&mut relabelled).range = range;
             prop_assert!(p.verify(&relabelled, &range).is_err());
             // ...and the converse: the honest window answered to a
             // request for the narrower one is not the window asked for
             // either — decided before any proof work, so gutting the
             // proof does not change the verdict.
             let mut gutted = honest.clone();
-            gutted.scan.proof.occupied.clear();
+            scan_mut(&mut gutted).proof.occupied.clear();
             for wider in [&honest, &gutted] {
                 prop_assert_eq!(
                     p.verify(wider, &narrow),
@@ -154,7 +154,7 @@ proptest! {
         // roots differ, so the splice folds to the wrong root.
         let stale = p.scan(range, BatchNum(0));
         let mut spliced = honest.clone();
-        spliced.scan = stale.scan;
+        *scan_mut(&mut spliced) = scan_of(&stale).clone();
         prop_assert!(matches!(
             p.verify(&spliced, &range),
             Err(ReadRejection::BadRangeProof)
@@ -168,12 +168,12 @@ fn scan_rejection_classes_are_typed() {
     let p = world(&[(1, 1), (2, 2), (3, 3), (4, 4), (130, 5)]);
     let range = ScanRange::new(0, (1 << DEPTH) - 1);
     let honest = p.scan(range, BatchNum(1));
-    assert!(!honest.scan.rows.is_empty());
+    assert!(!scan_of(&honest).rows.is_empty());
 
     // Tampered row value: the row no longer hashes to its entry.
     let mut b = honest.clone();
-    b.scan.rows[0].1 = Value::from("forged");
-    let key = b.scan.rows[0].0.clone();
+    scan_mut(&mut b).rows[0].1 = Value::from("forged");
+    let key = scan_mut(&mut b).rows[0].0.clone();
     assert_eq!(
         p.verify(&b, &range),
         Err(ReadRejection::ScanRowMismatch(key))
@@ -181,7 +181,7 @@ fn scan_rejection_classes_are_typed() {
 
     // Injected phantom row: count exceeds the proven window.
     let mut b = honest.clone();
-    b.scan
+    scan_mut(&mut b)
         .rows
         .push((Key::from_u32(9_999), Value::from("phantom")));
     assert!(matches!(
@@ -190,9 +190,9 @@ fn scan_rejection_classes_are_typed() {
     ));
 
     // Reordered rows: tree order is part of the match.
-    if honest.scan.rows.len() > 1 {
+    if scan_of(&honest).rows.len() > 1 {
         let mut b = honest.clone();
-        b.scan.rows.reverse();
+        scan_mut(&mut b).rows.reverse();
         assert!(matches!(
             p.verify(&b, &range),
             Err(ReadRejection::ScanRowMismatch(_))
@@ -201,12 +201,12 @@ fn scan_rejection_classes_are_typed() {
 
     // Forged root with the real certificate.
     let mut b = honest.clone();
-    b.commitment.header.merkle_root = Digest([0xDE; 32]);
+    anchor_mut(&mut b).0.header.merkle_root = Digest([0xDE; 32]);
     assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadCertificate));
     // So is every other certified field Algorithm 2 or the feed reads.
-    for (name, forged) in common::rewritten(&honest.commitment) {
+    for (name, forged) in common::rewritten(anchor_of(&honest).0) {
         let mut b = honest.clone();
-        b.commitment = forged;
+        anchor_mut(&mut b).0 = forged;
         assert_eq!(
             p.verify(&b, &range),
             Err(ReadRejection::BadCertificate),

@@ -34,7 +34,7 @@ use transedge_common::{BatchNum, ClusterId, Key, NodeId, Value};
 use transedge_core::{Deployment, EdgeReadNode, NetMsg};
 use transedge_crypto::Digest;
 use transedge_edge::{
-    BatchHeader, CertifiedDelta, MultiProofBody, MultiProofBundle, ReadResponse, ScanBundle,
+    Anchor, BatchHeader, Body, CertifiedDelta, MultiProofBody, ReadResponse, ScanProof,
 };
 use transedge_simnet::{Actor, Context};
 
@@ -57,7 +57,7 @@ pub enum Lie {
     /// longer matches the advertised key set, so the client rejects it
     /// as a bad proof. From a scan: the middle row — the attack
     /// completeness proofs exist for: every surviving row still
-    /// verifies individually, so only `ReadVerifier::verify_scan`'s
+    /// verifies individually, so only the scan chain's
     /// row-count-versus-proof check catches it.
     OmitKey,
     /// Inject a bogus key into the changed list of the last delta of an
@@ -98,17 +98,21 @@ impl Lie {
     /// Tell this lie in `result`, a full answer. `head` is the feed head
     /// of the answer's partition that the serving edge holds, which a
     /// feed lie re-ships when the attached tail is empty. Returns how
-    /// many parts of the answer — its attached feed, its section or
-    /// window — the lie changed; an answer it cannot touch comes back
-    /// as it was and counts 0.
+    /// many parts of the answer — its attached feed, and its anchor or
+    /// body — the lie changed; an answer it cannot touch comes back as
+    /// it was and counts 0.
     pub fn tell(self, result: &mut ReadResponse, head: Option<&Arc<CertifiedDelta>>) -> u64 {
-        match result {
-            ReadResponse::Point { section, fresh } => {
-                u64::from(self.doctor_feed(fresh, head)) + u64::from(self.doctor_section(section))
+        // A liar strips the held anchors, so its actor answers full.
+        let Anchor::Full(anchor) = &mut result.anchor else {
+            return 0;
+        };
+        let header = &mut anchor.0.header;
+        match &mut result.body {
+            Body::Point { body, fresh } => {
+                u64::from(self.doctor_feed(fresh, head))
+                    + u64::from(self.forge_root(header) || self.doctor_body(body))
             }
-            ReadResponse::Scan { bundle } => u64::from(self.doctor_scan(bundle)),
-            // A liar strips the held anchors, so its actor answers full.
-            ReadResponse::HeldPoint { .. } | ReadResponse::HeldScan { .. } => 0,
+            Body::Scan(scan) => u64::from(self.forge_root(header) || self.doctor_scan(scan)),
         }
     }
 
@@ -123,13 +127,9 @@ impl Lie {
         std::mem::replace(&mut header.merkle_root, forged) != forged
     }
 
-    /// Doctor a point section. The body is immutable, so a changed body
-    /// is rebuilt, exactly as a lying node would re-encode it.
-    fn doctor_section(self, section: &mut MultiProofBundle) -> bool {
-        if self.forge_root(&mut section.commitment.header) {
-            return true;
-        }
-        let body = &section.body;
+    /// Doctor a point body. The body is immutable, so a changed body is
+    /// rebuilt, exactly as a lying node would re-encode it.
+    fn doctor_body(self, body: &mut MultiProofBody) -> bool {
         let (mut keys, mut values, mut proof) = (
             body.keys().to_vec(),
             body.values().to_vec(),
@@ -150,17 +150,14 @@ impl Lie {
             _ => None,
         };
         if changed.is_some() {
-            section.body = MultiProofBody::new(keys, values, proof);
+            *body = MultiProofBody::new(keys, values, proof);
         }
         changed.is_some()
     }
 
     /// Doctor a scan window.
-    fn doctor_scan(self, bundle: &mut ScanBundle) -> bool {
-        if self.forge_root(&mut bundle.commitment.header) {
-            return true;
-        }
-        let (rows, proof) = (&mut bundle.scan.rows, &mut bundle.scan.proof);
+    fn doctor_scan(self, scan: &mut ScanProof) -> bool {
+        let (rows, proof) = (&mut scan.rows, &mut scan.proof);
         match self {
             Lie::TamperValue => rows.first_mut().map(|(_, v)| *v = Value::from(FORGED)),
             Lie::ForgeProof => proof

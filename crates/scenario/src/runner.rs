@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use transedge_common::{EdgeId, NodeId, SimTime};
-use transedge_core::{ClientActor, Deployment, SnapshotObject};
+use transedge_core::{ClientActor, Deployment, ReadResponse};
 use transedge_simnet::PartitionHandle;
 use transedge_workload::WorkloadSpec;
 
@@ -22,7 +22,7 @@ pub struct ScenarioRunner {
     /// The campaign workload — required by
     /// [`ScenarioEvent::HotKeyShift`] to regenerate client tails.
     workload: Option<WorkloadSpec>,
-    images: HashMap<EdgeId, Vec<SnapshotObject>>,
+    images: HashMap<EdgeId, Vec<ReadResponse>>,
     partitions: HashMap<String, PartitionHandle>,
 }
 

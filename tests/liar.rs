@@ -13,8 +13,8 @@ use transedge::core::setup::{Deployment, DeploymentConfig};
 use transedge::core::EdgeConfig;
 use transedge::crypto::{RangeProof, ScanRange};
 use transedge::edge::{
-    CertifiedDelta, QueryAnswer, ReadQuery, ReadRejection, ReadResponse, ReadVerifier,
-    SnapshotObject, VerifyParams,
+    Body, CertifiedDelta, QueryAnswer, ReadQuery, ReadRejection, ReadResponse, ReadVerifier,
+    VerifyParams,
 };
 use transedge::scenario::liar::{coalition_root, Lie};
 
@@ -98,8 +98,8 @@ fn warmed() -> Warmed {
     let section_of = |keys: &[Key]| {
         image
             .iter()
-            .find_map(|object| match object {
-                SnapshotObject::Section(s) if s.body.keys() == keys => Some(s.clone()),
+            .find_map(|object| match &object.body {
+                Body::Point { body, .. } if body.keys() == keys => Some(object.clone()),
                 _ => None,
             })
             .expect("a cached section")
@@ -113,18 +113,19 @@ fn warmed() -> Warmed {
     let absent_section = section_of(&absent_sorted);
     let bundle = image
         .iter()
-        .find_map(|object| match object {
-            SnapshotObject::Scan(b) => Some(b.clone()),
-            SnapshotObject::Section(_) => None,
-        })
+        .find(|object| matches!(object.body, Body::Scan(_)))
+        .cloned()
         .expect("a cached scan window");
     let point_query = ReadQuery::point(sorted);
-    let point = |fresh: Option<Vec<Arc<CertifiedDelta>>>| Answer {
-        query: point_query.clone(),
-        response: ReadResponse::Point {
-            section: Box::new(section.clone()),
-            fresh,
-        },
+    let point = |feed: Option<Vec<Arc<CertifiedDelta>>>| {
+        let mut response = section.clone();
+        if let Body::Point { fresh, .. } = &mut response.body {
+            *fresh = feed;
+        }
+        Answer {
+            query: point_query.clone(),
+            response,
+        }
     };
     let verifier = ReadVerifier::new(VerifyParams {
         tree_depth: dep.config.node.tree_depth,
@@ -136,16 +137,11 @@ fn warmed() -> Warmed {
         point: point(None),
         absent: Answer {
             query: ReadQuery::point(absent_sorted),
-            response: ReadResponse::Point {
-                section: Box::new(absent_section),
-                fresh: None,
-            },
+            response: absent_section,
         },
         scan: Answer {
             query: ReadQuery::scatter_scan(vec![C0], range, range.width()),
-            response: ReadResponse::Scan {
-                bundle: Box::new(bundle),
-            },
+            response: bundle,
         },
         head,
         verifier,
@@ -180,16 +176,16 @@ impl Warmed {
     }
 
     fn first_key(&self) -> Key {
-        match &self.point.response {
-            ReadResponse::Point { section, .. } => section.body.keys()[0].clone(),
-            _ => unreachable!(),
+        match &self.point.response.body {
+            Body::Point { body, .. } => body.keys()[0].clone(),
+            Body::Scan(_) => unreachable!(),
         }
     }
 
     fn first_row(&self) -> Key {
-        match &self.scan.response {
-            ReadResponse::Scan { bundle } => bundle.scan.rows[0].0.clone(),
-            _ => unreachable!(),
+        match &self.scan.response.body {
+            Body::Scan(scan) => scan.rows[0].0.clone(),
+            Body::Point { .. } => unreachable!(),
         }
     }
 }
@@ -220,9 +216,9 @@ fn forge_proof_is_a_bad_proof_or_range_proof() {
     assert_eq!(w.tell(lie, &w.scan), (1, Err(ReadRejection::BadRangeProof)));
     // A scan proof with no entry and no sibling has nothing to flip.
     let mut empty = w.scan.clone();
-    if let ReadResponse::Scan { bundle } = &mut empty.response {
-        bundle.scan.rows.clear();
-        bundle.scan.proof = RangeProof {
+    if let Body::Scan(scan) = &mut empty.response.body {
+        scan.rows.clear();
+        scan.proof = RangeProof {
             occupied: Vec::new(),
             left: Vec::new(),
             right: Vec::new(),
@@ -245,9 +241,9 @@ fn omit_key_is_a_bad_proof_or_an_incomplete_scan() {
     let w = warmed();
     let lie = Lie::OmitKey;
     assert_eq!(w.tell(lie, &w.point), (1, Err(ReadRejection::BadProof)));
-    let rows = match &w.scan.response {
-        ReadResponse::Scan { bundle } => bundle.scan.rows.len(),
-        _ => unreachable!(),
+    let rows = match &w.scan.response.body {
+        Body::Scan(scan) => scan.rows.len(),
+        Body::Point { .. } => unreachable!(),
     };
     let incomplete = ReadRejection::IncompleteScan {
         proven: rows,
@@ -264,7 +260,7 @@ fn tamper_delta_is_a_bad_delta() {
     // An empty tail is the cursor's "nothing newer": the liar re-ships
     // its feed head to have a delta to doctor.
     let mut empty = w.point.clone();
-    if let ReadResponse::Point { fresh, .. } = &mut empty.response {
+    if let Body::Point { fresh, .. } = &mut empty.response.body {
         *fresh = Some(Vec::new());
     }
     assert_eq!(w.tell(lie, &empty), (1, Err(ReadRejection::BadDelta)));
@@ -285,9 +281,6 @@ fn coalition_is_a_bad_certificate_or_a_bad_delta() {
     // Every member forges the same root for a batch.
     let mut told = w.point.response.clone();
     lie.tell(&mut told, None);
-    let ReadResponse::Point { section, .. } = told else {
-        unreachable!()
-    };
-    let header = &section.commitment.header;
+    let header = &told.anchor().expect("a full answer").0.header;
     assert_eq!(header.merkle_root, coalition_root(header.num));
 }

@@ -15,7 +15,7 @@ use transedge::core::client::ClientOp;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, EdgeConfigBuilder, NetMsg};
 use transedge::directory::GossipDelta;
-use transedge::edge::{MultiProofBody, ReadQuery, ReadResponse, SnapshotObject};
+use transedge::edge::{Body, MultiProofBody, ReadQuery};
 use transedge::scenario::liar::{self, Lie};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -154,18 +154,17 @@ fn corrupted_disk_objects_are_dropped_never_served() {
     // immutable, so the forger rebuilds it) no longer hashes to what
     // the proof commits to.
     for object in image.iter_mut() {
-        match object {
-            SnapshotObject::Section(b) => {
-                let mut values = b.body.values().to_vec();
+        match &mut object.body {
+            Body::Point { body, .. } => {
+                let mut values = body.values().to_vec();
                 values[0] = Some(Value::from("forged"));
-                b.body =
-                    MultiProofBody::new(b.body.keys().to_vec(), values, b.body.proof().clone());
+                *body = MultiProofBody::new(body.keys().to_vec(), values, body.proof().clone());
             }
-            SnapshotObject::Scan(b) => {
-                if let Some(row) = b.scan.rows.first_mut() {
+            Body::Scan(scan) => {
+                if let Some(row) = scan.rows.first_mut() {
                     row.1 = Value::from("forged");
                 } else {
-                    b.scan.range.last = b.scan.range.last.wrapping_add(1);
+                    scan.range.last = scan.range.last.wrapping_add(1);
                 }
             }
         }
@@ -378,17 +377,16 @@ impl transedge::simnet::Actor<NetMsg> for Outsider {
         msg: NetMsg,
         ctx: &mut transedge::simnet::Context<'_, NetMsg>,
     ) {
-        let NetMsg::ReadResult {
-            req,
-            result: ReadResponse::Point { section, .. },
-        } = msg
-        else {
+        let NetMsg::ReadResult { req, result } = msg else {
             return;
         };
+        if result.anchor().is_none() || !matches!(result.body, Body::Point { .. }) {
+            return;
+        }
         let transfer = NetMsg::StateTransferResp {
             req,
-            cluster: section.commitment.header.cluster,
-            objects: vec![SnapshotObject::Section(*section)],
+            cluster: result.cluster(),
+            objects: vec![result],
         };
         ctx.send(self.victim, transfer);
         self.pushed += 1;

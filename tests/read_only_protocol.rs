@@ -11,7 +11,7 @@ use transedge::core::client::ClientOp;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
 use transedge::core::{ClientProfile, EdgeConfig, NetMsg};
-use transedge::edge::{MultiProofBody, ReadResponse, ReadVerifier, VerifyParams};
+use transedge::edge::{Anchor, Body, MultiProofBody, ReadResponse, ReadVerifier, VerifyParams};
 use transedge::scenario::liar::{self, Lie};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -664,11 +664,12 @@ fn parked_round_two_read_is_answered_at_an_applied_batch() {
             panic!("one answer, got {}", listener.got.len());
         };
         assert_eq!((*from, *req), (NodeId::Replica(lagging), 1));
-        let ReadResponse::Point { section, .. } = payload else {
-            panic!("a point answer");
+        let (Some((commitment, _)), Body::Point { body, .. }) = (payload.anchor(), &payload.body)
+        else {
+            panic!("a full point answer");
         };
-        assert_eq!(section.commitment.header.num, BatchNum(2));
-        assert_eq!(section.commitment.header.lce, transedge::common::Epoch(1));
+        assert_eq!(commitment.header.num, BatchNum(2));
+        assert_eq!(commitment.header.lce, transedge::common::Epoch(1));
         let verifier = ReadVerifier::new(VerifyParams {
             tree_depth: dep.config.node.tree_depth,
             freshness_window: dep.config.node.freshness_window,
@@ -676,7 +677,7 @@ fn parked_round_two_read_is_answered_at_an_applied_batch() {
         });
         let verified = verifier.verify_query(&dep.keys, ClusterId(0), &query, payload, *at);
         assert!(verified.is_ok(), "{verified:?}");
-        assert_eq!(section.body.values(), [Some(Value::from("x0"))]);
+        assert_eq!(body.values(), [Some(Value::from("x0"))]);
         if via_edge {
             let node = dep.edge_node(edge);
             assert_eq!(node.stats.forwarded, 1);
@@ -836,19 +837,22 @@ impl transedge::simnet::Actor<NetMsg> for Outsider {
     ) {
         let NetMsg::ReadResult {
             req,
-            result: ReadResponse::Point { mut section, .. },
+            result:
+                ReadResponse {
+                    anchor,
+                    body: Body::Point { body, .. },
+                },
         } = msg
         else {
             return;
         };
-        let body = &section.body;
         let mut values = body.values().to_vec();
         *values.iter_mut().find(|v| v.is_some()).expect("a value") =
             Some(Value::from("forged-by-outsider"));
-        section.body = MultiProofBody::new(body.keys().to_vec(), values, body.proof().clone());
-        let result = ReadResponse::Point {
-            section,
-            fresh: None,
+        let body = MultiProofBody::new(body.keys().to_vec(), values, body.proof().clone());
+        let result = ReadResponse {
+            anchor,
+            body: body.into(),
         };
         ctx.send(self.victim, NetMsg::ReadResult { req, result });
         self.pushed += 1;
@@ -1915,7 +1919,6 @@ impl transedge::simnet::Actor<NetMsg> for Tap {
 #[test]
 fn answers_no_part_is_waiting_for_are_dropped_unread() {
     use transedge::core::ReadQuery;
-    use transedge::edge::SnapshotObject;
 
     let run = |with_extras: bool| {
         let mut config = DeploymentConfig::for_testing();
@@ -1941,18 +1944,10 @@ fn answers_no_part_is_waiting_for_are_dropped_unread() {
         let contact = EdgeId::new(ClusterId(0), 0);
         let section_of = |edge: EdgeId, cluster: ClusterId| {
             let image = dep.edge_node(edge).image();
-            let section = image.into_iter().find_map(|object| match object {
-                SnapshotObject::Section(section)
-                    if section.commitment.header.cluster == cluster =>
-                {
-                    Some(section)
-                }
-                _ => None,
+            let section = image.into_iter().find(|object| {
+                matches!(object.body, Body::Point { .. }) && object.cluster() == cluster
             });
-            ReadResponse::Point {
-                section: Box::new(section.expect("a cached section")),
-                fresh: None,
-            }
+            section.expect("a cached section")
         };
         let extras = if with_extras {
             vec![
@@ -2247,8 +2242,6 @@ fn an_edge_caches_the_answer_to_a_part_that_named_an_anchor() {
 /// same run without them.
 #[test]
 fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
-    use transedge::edge::SnapshotObject;
-
     let run = |with_extras: bool| {
         let mut config = DeploymentConfig::for_testing();
         config.topo = ClusterTopology::new(3, 1).expect("topology");
@@ -2277,16 +2270,17 @@ fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
             .edge_node(contact)
             .image()
             .into_iter()
-            .find_map(|object| match object {
-                SnapshotObject::Section(section) => Some(section.body),
-                SnapshotObject::Scan(_) => None,
+            .find_map(|object| match object.body {
+                Body::Point { body, .. } => Some(body),
+                Body::Scan(_) => None,
             })
             .expect("a cached section");
-        let held = |cluster: u16, batch: u64| ReadResponse::HeldPoint {
-            cluster: ClusterId(cluster),
-            batch: BatchNum(batch),
-            body: body.clone(),
-            fresh: None,
+        let held = |cluster: u16, batch: u64| ReadResponse {
+            anchor: Anchor::Held {
+                cluster: ClusterId(cluster),
+                batch: BatchNum(batch),
+            },
+            body: body.clone().into(),
         };
         let extras = if with_extras {
             vec![held(2, 0), held(1, 1)]
@@ -2385,11 +2379,12 @@ fn a_held_body_proven_at_another_batch_is_a_bad_proof_and_evidence() {
     let edge = EdgeId::new(ClusterId(0), 0);
     let replica = dep.node(ReplicaId::new(ClusterId(0), 0));
     let body = transedge::edge::multi_snapshot(&replica.exec, &k0[1..], BatchNum(0));
-    let forged = ReadResponse::HeldPoint {
-        cluster: ClusterId(0),
-        batch: anchor,
-        body,
-        fresh: None,
+    let forged = ReadResponse {
+        anchor: Anchor::Held {
+            cluster: ClusterId(0),
+            batch: anchor,
+        },
+        body: body.into(),
     };
     let extras = vec![forged];
     dep.sim.wrap_actor(NodeId::Edge(edge), |inner| {
@@ -2896,7 +2891,7 @@ fn a_relayed_copy_behind_the_direct_answer_is_dropped_unread() {
 fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
     use transedge::consensus::byzantine::craft_certificate;
     use transedge::crypto::KeyStore;
-    use transedge::edge::{same_batch_conflict, MultiProofBundle, ReadRejection, SnapshotObject};
+    use transedge::edge::{same_batch_conflict, ReadRejection};
 
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
@@ -2921,12 +2916,10 @@ fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
         .edge_node(edge)
         .image()
         .into_iter()
-        .find_map(|object| match object {
-            SnapshotObject::Section(section) => Some(section),
-            SnapshotObject::Scan(_) => None,
-        })
+        .find(|object| matches!(object.body, Body::Point { .. }))
         .expect("a cached section");
     assert_eq!(genuine.batch(), BatchNum(0));
+    let genuine = genuine.anchor().expect("a full answer");
     // The deployment derives every replica key from its seed; an
     // adversary holding f+1 of them certifies whatever it likes.
     let mut seed = [0u8; 32];
@@ -2937,20 +2930,13 @@ fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
         .take(topo.certificate_quorum())
         .map(|r| (r, &secrets[&r]))
         .collect();
-    let mut commitment = genuine.commitment.clone();
+    let mut commitment = genuine.0.clone();
     commitment.header.timestamp = SimTime(commitment.header.timestamp.0 + 1);
     let digest = commitment.certified_digest();
     let cert = craft_certificate(&signers, ClusterId(0), BatchNum(0), digest);
     let replica = dep.node(ReplicaId::new(ClusterId(0), 0));
     let body = transedge::edge::multi_snapshot(&replica.exec, &k0[1..2], BatchNum(0));
-    let forged = ReadResponse::Point {
-        section: Box::new(MultiProofBundle {
-            commitment,
-            cert,
-            body,
-        }),
-        fresh: None,
-    };
+    let forged = ReadResponse::full(commitment, cert, body);
     // The edge forwards the second read (a miss) upstream; the forgery
     // leaves it at once and arrives ahead of the replica's answer.
     let extras = vec![forged];
@@ -2972,7 +2958,7 @@ fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
     let [ReadRejection::Fork { held, got }] = &client.forks[..] else {
         panic!("one fork, got {:?}", client.forks);
     };
-    assert_eq!(held.1.digest, genuine.cert.digest, "the first history");
+    assert_eq!(held.1.digest, genuine.1.digest, "the first history");
     assert_eq!(got.1.digest, digest, "the second history");
     assert!(same_batch_conflict((&held.0, &held.1), (&got.0, &got.1)).is_some());
     let quorum = topo.certificate_quorum();
