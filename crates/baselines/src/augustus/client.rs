@@ -25,20 +25,6 @@ pub struct AugustusClientStats {
     pub retries: u64,
 }
 
-impl transedge_obs::RegisterMetrics for AugustusClientStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(scope, "augustus.committed", self.committed);
-        reg.counter(scope, "augustus.aborted", self.aborted);
-        reg.counter(scope, "augustus.rw_aborted_by_rot", self.rw_aborted_by_rot);
-        reg.counter(
-            scope,
-            "augustus.verification_failures",
-            self.verification_failures,
-        );
-        reg.counter(scope, "augustus.retries", self.retries);
-    }
-}
-
 struct VoteState {
     /// Per partition: replicas that voted commit.
     commit_votes: HashMap<ClusterId, HashSet<ReplicaId>>,

@@ -34,7 +34,7 @@ use transedge_edge::{
     QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
     VerifiedCerts, VerifyParams,
 };
-use transedge_obs::{SpanPhase, TraceContext, TraceId};
+use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
 
 use crate::batch::{BatchHeader, ReadOp, Transaction, WriteOp};
@@ -403,89 +403,62 @@ struct Inflight {
     phase: Phase,
 }
 
-/// Aggregate client statistics beyond per-op samples.
-#[derive(Clone, Debug, Default)]
-pub struct ClientStats {
-    /// Responses that failed certificate / proof / freshness checks —
-    /// evidence of byzantine servers.
-    pub verification_failures: u64,
-    /// Extra rounds: one for each round a read took past its second,
-    /// so a read of five rounds counts three. Theorem 4.6 says never,
-    /// yet it is not 0 here: a round-two batch can import a dependency
-    /// past an LCE the client already holds
-    /// (`deps::tests::round_two_imports_a_dependency_past_a_held_lce`).
-    /// The benchmark's `mixed-rw` workload takes extra rounds (58 / 49 /
-    /// 40 at seeds 1 / 7 / 13), its gate tolerates the monitor's verdict
-    /// on them and no test asserts zero — ROADMAP `[third-round]`.
-    pub third_round_needed: u64,
-    /// Further rounds whose part waited on a replica's chase instead of
-    /// sending a request ([`Chase`]).
-    pub chase_waits: u64,
-    /// Chased answers that arrived before their part waited on them.
-    pub chase_early: u64,
-    /// Chased answers dropped unread below their part's floor (a
-    /// smaller demand another part's replica chased).
-    pub chase_dropped: u64,
-    pub retries: u64,
-    pub gave_up: u64,
-    /// Verified scan responses (pages) accepted.
-    pub scans_accepted: u64,
-    /// Cross-partition queries sent to a single edge contact.
-    pub gathers_sent: u64,
-    /// Directory deltas ingested (startup answer + pull-half replies).
-    pub directory_seeded: u64,
-    /// Signed rejection-evidence records pushed into the gossip layer.
-    pub directory_evidence_sent: u64,
-    /// Certificate checks skipped because this client had already
-    /// verified that exact certificate — in an earlier response (a
-    /// repeat batch, a feed tail seen on the previous read) or earlier
-    /// in the same one. One per skipped check, whatever its `f+1`.
-    pub cert_checks_shared: u64,
-    /// Total wire bytes of every read response this client received
-    /// (structural sizes).
-    pub read_result_bytes: u64,
-    /// Responses whose attached delta-feed tail verified, upgrading the
-    /// partition view to the feed head (subscription mode).
-    pub freshness_upgrades: u64,
-    /// Queries whose round-2 MinEpoch re-fetch was eliminated because a
-    /// verified feed attachment already satisfied the dependency floor
-    /// the un-upgraded snapshot would have missed.
-    pub round2_skipped_by_feed: u64,
-    /// Held feed deltas that stood in for ones an edge would otherwise
-    /// have shipped again (the saving the feed cursor buys).
-    pub feed_deltas_reused: u64,
-}
-
-impl transedge_obs::RegisterMetrics for ClientStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(
-            scope,
-            "client.verification_failures",
-            self.verification_failures,
-        );
-        reg.counter(scope, "client.third_round_needed", self.third_round_needed);
-        reg.counter(scope, "client.chase_waits", self.chase_waits);
-        reg.counter(scope, "client.chase_early", self.chase_early);
-        reg.counter(scope, "client.chase_dropped", self.chase_dropped);
-        reg.counter(scope, "client.retries", self.retries);
-        reg.counter(scope, "client.gave_up", self.gave_up);
-        reg.counter(scope, "client.scans_accepted", self.scans_accepted);
-        reg.counter(scope, "client.gathers_sent", self.gathers_sent);
-        reg.counter(scope, "client.directory_seeded", self.directory_seeded);
-        reg.counter(
-            scope,
-            "client.directory_evidence_sent",
-            self.directory_evidence_sent,
-        );
-        reg.counter(scope, "query.cert_checks_shared", self.cert_checks_shared);
-        reg.counter(scope, "query.read_result_bytes", self.read_result_bytes);
-        reg.counter(scope, "query.freshness_upgrades", self.freshness_upgrades);
-        reg.counter(
-            scope,
-            "query.round2_skipped_by_feed",
-            self.round2_skipped_by_feed,
-        );
-        reg.counter(scope, "query.feed_deltas_reused", self.feed_deltas_reused);
+transedge_obs::counters! {
+    /// Aggregate client statistics beyond per-op samples.
+    #[derive(Clone, Debug, Default)]
+    pub struct ClientStats {
+        "client." {
+            /// Responses that failed certificate / proof / freshness checks —
+            /// evidence of byzantine servers.
+            verification_failures,
+            /// Extra rounds: one for each round a read took past its second,
+            /// so a read of five rounds counts three. Theorem 4.6 says never,
+            /// yet it is not 0 here: a round-two batch can import a dependency
+            /// past an LCE the client already holds
+            /// (`deps::tests::round_two_imports_a_dependency_past_a_held_lce`).
+            /// The benchmark's `mixed-rw` workload takes extra rounds (58 / 49 /
+            /// 40 at seeds 1 / 7 / 13), its gate tolerates the monitor's verdict
+            /// on them and no test asserts zero — ROADMAP `[third-round]`.
+            third_round_needed,
+            /// Further rounds whose part waited on a replica's chase instead of
+            /// sending a request ([`Chase`]).
+            chase_waits,
+            /// Chased answers that arrived before their part waited on them.
+            chase_early,
+            /// Chased answers dropped unread below their part's floor (a
+            /// smaller demand another part's replica chased).
+            chase_dropped,
+            retries,
+            gave_up,
+            /// Verified scan responses (pages) accepted.
+            scans_accepted,
+            /// Cross-partition queries sent to a single edge contact.
+            gathers_sent,
+            /// Directory deltas ingested (startup answer + pull-half replies).
+            directory_seeded,
+            /// Signed rejection-evidence records pushed into the gossip layer.
+            directory_evidence_sent,
+        }
+        "query." {
+            /// Certificate checks skipped because this client had already
+            /// verified that exact certificate — in an earlier response (a
+            /// repeat batch, a feed tail seen on the previous read) or earlier
+            /// in the same one. One per skipped check, whatever its `f+1`.
+            cert_checks_shared,
+            /// Total wire bytes of every read response this client received
+            /// (structural sizes).
+            read_result_bytes,
+            /// Responses whose attached delta-feed tail verified, upgrading the
+            /// partition view to the feed head (subscription mode).
+            freshness_upgrades,
+            /// Queries whose round-2 MinEpoch re-fetch was eliminated because a
+            /// verified feed attachment already satisfied the dependency floor
+            /// the un-upgraded snapshot would have missed.
+            round2_skipped_by_feed,
+            /// Held feed deltas that stood in for ones an edge would otherwise
+            /// have shipped again (the saving the feed cursor buys).
+            feed_deltas_reused,
+        }
     }
 }
 
@@ -1488,6 +1461,18 @@ impl ClientActor {
         }
         self.inflight = None;
         self.start_next_op(ctx);
+    }
+}
+
+/// What the client owns: its stats, its key handle's signature checks
+/// and its directory agent's counters.
+impl RegisterMetrics for ClientActor {
+    fn register_metrics(&self, scope: &str, reg: &mut MetricRegistry) {
+        reg.register(scope, &self.stats);
+        reg.register(scope, &self.certs.keys().sig_stats());
+        if let Some(agent) = &self.directory {
+            reg.register(scope, &agent.stats);
+        }
     }
 }
 

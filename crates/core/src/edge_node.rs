@@ -64,13 +64,13 @@ use std::sync::Arc;
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, EdgeId, NodeId, ReplicaId, SimDuration, SimTime,
 };
-use transedge_crypto::{Digest, KeyStore, Keypair, SigStats};
+use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
     verify_object, Body, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
     ReadResponse, ReadVerifier, ReplayCache, VerifyParams,
 };
-use transedge_obs::SpanPhase;
+use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase};
 use transedge_simnet::{Actor, Context};
 
 use crate::messages::NetMsg;
@@ -164,99 +164,63 @@ pub struct EdgeNodeParams {
     pub peers: Vec<EdgeId>,
 }
 
-/// Serving counters for the harnesses.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EdgeNodeStats {
-    /// Client requests received (round 1 + round 2).
-    pub requests: u64,
-    /// Answered straight from the replay cache.
-    pub served_from_cache: u64,
-    /// Forwarded upstream to a replica.
-    pub forwarded: u64,
-    /// Keys requested across all client requests.
-    pub keys_requested: u64,
-    /// Keys answered from cached sections.
-    pub keys_from_cache: u64,
-    /// Range-scan requests received.
-    pub scan_requests: u64,
-    /// Scans answered from the replay cache.
-    pub scans_from_cache: u64,
-    /// Scans forwarded upstream to a replica.
-    pub scans_forwarded: u64,
-    /// Cross-partition queries taken as the single contact.
-    pub gather_requests: u64,
-    /// Query parts for partitions this edge does not front (a single
-    /// contact's foreign parts).
-    pub foreign_subs: u64,
-    /// Foreign sub-query misses, each forwarded to a replica of the
-    /// partition that owns it.
-    pub foreign_forward_replica: u64,
-    /// Certified commit-feed deltas received from the subscribed
-    /// replica.
-    pub feed_deltas_received: u64,
-    /// Feed deltas that failed `verify_delta` and were dropped (a
-    /// replica push is a claim like any other — nothing is applied
-    /// until it recomputes under its certificate).
-    pub bad_deltas_dropped: u64,
-    /// Disk-image objects re-admitted through the verifier at restart
-    /// and returned to the replay caches.
-    pub hydrate_admitted: u64,
-    /// Disk-image objects whose proof chain failed at restart — the
-    /// disk lied, and the verifier gate held.
-    pub hydrate_rejected: u64,
-    /// Disk-image objects dropped at restart only because they aged
-    /// past the freshness window during the outage (honest history, not
-    /// tampering — counted apart so tests can tell the two apart).
-    pub hydrate_stale: u64,
-    /// State-transfer requests sent to a sibling because a start — a
-    /// first boot, a cold or a corrupt restart — left the home
-    /// partition cold.
-    pub sibling_transfers: u64,
-    /// Sibling-transfer objects that passed the verifier and were
-    /// admitted.
-    pub sibling_objects_admitted: u64,
-    /// Sibling-transfer objects the verifier refused — a sibling is an
-    /// untrusted edge like any other.
-    pub sibling_objects_rejected: u64,
-}
-
-impl transedge_obs::RegisterMetrics for EdgeNodeStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(scope, "edge.requests", self.requests);
-        reg.counter(scope, "edge.served_from_cache", self.served_from_cache);
-        reg.counter(scope, "edge.forwarded", self.forwarded);
-        reg.counter(scope, "edge.keys_requested", self.keys_requested);
-        reg.counter(scope, "edge.keys_from_cache", self.keys_from_cache);
-        reg.counter(scope, "edge.scan_requests", self.scan_requests);
-        reg.counter(scope, "edge.scans_from_cache", self.scans_from_cache);
-        reg.counter(scope, "edge.scans_forwarded", self.scans_forwarded);
-        reg.counter(scope, "edge.gather_requests", self.gather_requests);
-        reg.counter(scope, "edge.foreign_subs", self.foreign_subs);
-        reg.counter(
-            scope,
-            "edge.foreign_forward_replica",
-            self.foreign_forward_replica,
-        );
-        reg.counter(
-            scope,
-            "edge.feed_deltas_received",
-            self.feed_deltas_received,
-        );
-        reg.counter(scope, "edge.bad_deltas_dropped", self.bad_deltas_dropped);
-        reg.counter(scope, "edge.hydrate_admitted", self.hydrate_admitted);
-        reg.counter(scope, "edge.hydrate_rejected", self.hydrate_rejected);
-        reg.counter(scope, "edge.hydrate_stale", self.hydrate_stale);
-        reg.counter(scope, "edge.sibling_transfers", self.sibling_transfers);
-        reg.counter(
-            scope,
-            "edge.sibling_objects_admitted",
-            self.sibling_objects_admitted,
-        );
-        reg.counter(
-            scope,
-            "edge.sibling_objects_rejected",
-            self.sibling_objects_rejected,
-        );
+transedge_obs::counters! {
+    /// Serving counters for the harnesses.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct EdgeNodeStats {
+        "edge." {
+            /// Client requests received (round 1 + round 2).
+            requests,
+            /// Answered straight from the replay cache.
+            served_from_cache,
+            /// Forwarded upstream to a replica.
+            forwarded,
+            /// Keys requested across all client requests.
+            keys_requested,
+            /// Keys answered from cached sections.
+            keys_from_cache,
+            /// Range-scan requests received.
+            scan_requests,
+            /// Scans answered from the replay cache.
+            scans_from_cache,
+            /// Scans forwarded upstream to a replica.
+            scans_forwarded,
+            /// Cross-partition queries taken as the single contact.
+            gather_requests,
+            /// Query parts for partitions this edge does not front (a single
+            /// contact's foreign parts).
+            foreign_subs,
+            /// Foreign sub-query misses, each forwarded to a replica of the
+            /// partition that owns it.
+            foreign_forward_replica,
+            /// Certified commit-feed deltas received from the subscribed
+            /// replica.
+            feed_deltas_received,
+            /// Feed deltas that failed `verify_delta` and were dropped (a
+            /// replica push is a claim like any other — nothing is applied
+            /// until it recomputes under its certificate).
+            bad_deltas_dropped,
+            /// Disk-image objects re-admitted through the verifier at restart
+            /// and returned to the replay caches.
+            hydrate_admitted,
+            /// Disk-image objects whose proof chain failed at restart — the
+            /// disk lied, and the verifier gate held.
+            hydrate_rejected,
+            /// Disk-image objects dropped at restart only because they aged
+            /// past the freshness window during the outage (honest history, not
+            /// tampering — counted apart so tests can tell the two apart).
+            hydrate_stale,
+            /// State-transfer requests sent to a sibling because a start — a
+            /// first boot, a cold or a corrupt restart — left the home
+            /// partition cold.
+            sibling_transfers,
+            /// Sibling-transfer objects that passed the verifier and were
+            /// admitted.
+            sibling_objects_admitted,
+            /// Sibling-transfer objects the verifier refused — a sibling is an
+            /// untrusted edge like any other.
+            sibling_objects_rejected,
+        }
     }
 }
 
@@ -329,11 +293,6 @@ impl EdgeReadNode {
             gossip_rr: me.index as u64,
             stats: EdgeNodeStats::default(),
         }
-    }
-
-    /// The signature checks this edge ran.
-    pub fn sig_stats(&self) -> SigStats {
-        self.keys.sig_stats()
     }
 
     /// Client requests still waiting on an upstream answer.
@@ -791,6 +750,21 @@ impl EdgeReadNode {
             return;
         }
         self.cache_for(self.me.cluster).apply_delta(delta);
+    }
+}
+
+/// What the edge owns: its stats, its key handle's signature checks,
+/// every replay cache's counters and its directory agent's.
+impl RegisterMetrics for EdgeReadNode {
+    fn register_metrics(&self, scope: &str, reg: &mut MetricRegistry) {
+        reg.register(scope, &self.stats);
+        reg.register(scope, &self.keys.sig_stats());
+        for (_, cache) in self.caches.iter() {
+            reg.register(scope, &cache.stats);
+        }
+        if let Some(agent) = &self.directory {
+            reg.register(scope, &agent.stats);
+        }
     }
 }
 

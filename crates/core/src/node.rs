@@ -12,7 +12,7 @@ use transedge_common::{
 };
 use transedge_consensus::{BftConfig, BftEngine, BftMsg, Certificate, Output, Votes};
 use transedge_crypto::{Digest, KeyStore, Keypair, SigStats, Signature};
-use transedge_obs::SpanPhase;
+use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase};
 use transedge_simnet::{Actor, Context};
 
 use transedge_edge::{
@@ -109,45 +109,34 @@ struct SigAggregation {
     never_verified: u64,
 }
 
-/// Node-level counters (batch-building statistics for the harnesses).
-#[derive(Clone, Debug, Default)]
-pub struct NodeStats {
-    pub batches_proposed: u64,
-    pub txns_admitted: u64,
-    pub txns_rejected: u64,
-    pub rot_served: u64,
-    pub rot_fetches_served: u64,
-    /// Verified range scans served (with completeness proofs).
-    pub rot_scans_served: u64,
-    /// Certified commit-feed deltas pushed to subscribers (one count
-    /// per published batch, regardless of fan-out).
-    pub deltas_published: u64,
-    /// Feed-log suffix entries replayed to catching-up subscribers.
-    pub deltas_replayed: u64,
-    /// Scan requests dropped for an invalid range (out of the leaf
-    /// space or wider than the protocol cap) — client-side bug or a
-    /// malformed forward; never served, never parked.
-    pub rot_scans_rejected: u64,
-    pub view_changes: u64,
-    /// Parts of a client's read forwarded to another partition's leader
-    /// because an answer served here made the client's view there stale
-    /// ([`transedge_edge::Chase`]).
-    pub chases_sent: u64,
-}
-
-impl transedge_obs::RegisterMetrics for NodeStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(scope, "node.batches_proposed", self.batches_proposed);
-        reg.counter(scope, "node.txns_admitted", self.txns_admitted);
-        reg.counter(scope, "node.txns_rejected", self.txns_rejected);
-        reg.counter(scope, "node.rot_served", self.rot_served);
-        reg.counter(scope, "node.rot_fetches_served", self.rot_fetches_served);
-        reg.counter(scope, "node.rot_scans_served", self.rot_scans_served);
-        reg.counter(scope, "node.deltas_published", self.deltas_published);
-        reg.counter(scope, "node.deltas_replayed", self.deltas_replayed);
-        reg.counter(scope, "node.rot_scans_rejected", self.rot_scans_rejected);
-        reg.counter(scope, "node.view_changes", self.view_changes);
-        reg.counter(scope, "node.chases_sent", self.chases_sent);
+transedge_obs::counters! {
+    /// Node-level counters (batch-building statistics for the harnesses).
+    #[derive(Clone, Debug, Default)]
+    pub struct NodeStats {
+        "node." {
+            batches_proposed,
+            txns_admitted,
+            txns_rejected,
+            rot_served,
+            rot_fetches_served,
+            /// Verified range scans served (with completeness proofs).
+            rot_scans_served,
+            /// Certified commit-feed deltas pushed to subscribers (one
+            /// count per published batch, regardless of fan-out).
+            deltas_published,
+            /// Feed-log suffix entries replayed to catching-up
+            /// subscribers.
+            deltas_replayed,
+            /// Scan requests dropped for an invalid range (out of the
+            /// leaf space or wider than the protocol cap) — client-side
+            /// bug or a malformed forward; never served, never parked.
+            rot_scans_rejected,
+            view_changes,
+            /// Parts of a client's read forwarded to another partition's
+            /// leader because an answer served here made the client's
+            /// view there stale ([`transedge_edge::Chase`]).
+            chases_sent,
+        }
     }
 }
 
@@ -321,15 +310,10 @@ impl TransEdgeNode {
         self.keys.sig_stats()
     }
 
-    /// Consensus votes this replica never had to verify.
-    pub fn votes_never_verified(&self) -> u64 {
-        self.engine.votes_never_verified()
-    }
-
     /// Prepared-record shares this replica never had to verify: its own,
     /// and those that arrived once their record had formed or their
     /// transaction stopped waiting.
-    pub fn shares_never_verified(&self) -> u64 {
+    fn shares_never_verified(&self) -> u64 {
         self.sigs.never_verified
             + self
                 .sigs
@@ -832,6 +816,24 @@ impl TransEdgeNode {
     // Client request handling
     // ------------------------------------------------------------------
 
+    /// Admission control (Definition 3.1) on this partition's keys:
+    /// `txn` conflicts with nothing committed, pending, prepared or in
+    /// the proposed-but-not-applied batch.
+    fn admits(&self, txn: &Transaction) -> bool {
+        let prepared_fp = self.exec.prepared_footprint();
+        let me = self.me.cluster;
+        admit(
+            txn,
+            &self.exec.store,
+            &self.pending_fp,
+            &prepared_fp,
+            &self.topo,
+            me,
+        )
+        .is_ok()
+            && !self.inflight_fp.conflicts_with(txn, &self.topo, Some(me))
+    }
+
     fn on_commit_request(
         &mut self,
         reply_to: NodeId,
@@ -854,20 +856,7 @@ impl TransEdgeNode {
         let from = reply_to;
         // Admission control (Definition 3.1) on this partition's keys.
         ctx.charge(|c| SimDuration(c.conflict_check_per_op.0 * txn.op_count() as u64));
-        let prepared_fp = self.exec.prepared_footprint();
-        let admitted = admit(
-            &txn,
-            &self.exec.store,
-            &self.pending_fp,
-            &prepared_fp,
-            &self.topo,
-            self.me.cluster,
-        )
-        .is_ok()
-            && !self
-                .inflight_fp
-                .conflicts_with(&txn, &self.topo, Some(self.me.cluster));
-        if !admitted {
+        if !self.admits(&txn) {
             self.stats.txns_rejected += 1;
             self.concluded.insert(txn.id);
             ctx.send(
@@ -948,20 +937,7 @@ impl TransEdgeNode {
         // Admission control on our keys (§3.3.3: the participant runs
         // the intra-cluster processing protocol).
         ctx.charge(|c| SimDuration(c.conflict_check_per_op.0 * txn.op_count() as u64));
-        let prepared_fp = self.exec.prepared_footprint();
-        let admitted = admit(
-            &txn,
-            &self.exec.store,
-            &self.pending_fp,
-            &prepared_fp,
-            &self.topo,
-            self.me.cluster,
-        )
-        .is_ok()
-            && !self
-                .inflight_fp
-                .conflicts_with(&txn, &self.topo, Some(self.me.cluster));
-        if !admitted {
+        if !self.admits(&txn) {
             self.voted.insert(txn.id);
             let sig = self
                 .keypair
@@ -1366,6 +1342,21 @@ impl TransEdgeNode {
         // merkle recompute).
         self.route_outputs(outputs, ctx);
         self.replay_pending_proposals(ctx);
+    }
+}
+
+/// What the replica owns: its stats, its key handle's signature checks,
+/// the votes and shares it never had to verify, and its proof memo's
+/// counters (`pipeline.*`).
+impl RegisterMetrics for TransEdgeNode {
+    fn register_metrics(&self, scope: &str, reg: &mut MetricRegistry) {
+        reg.register(scope, &self.stats);
+        reg.register(scope, &self.keys.sig_stats());
+        let votes = self.engine.votes_never_verified();
+        reg.counter(scope, "consensus.votes_never_verified", votes);
+        let shares = self.shares_never_verified();
+        reg.counter(scope, "node.shares_never_verified", shares);
+        reg.register(scope, &self.read_pipeline);
     }
 }
 

@@ -9,7 +9,7 @@ use transedge_common::{
 use transedge_consensus::messages::accept_statement;
 use transedge_consensus::{BftValue, Certificate};
 use transedge_crypto::hmac::derive_seed;
-use transedge_crypto::{KeyStore, Keypair, SigStats};
+use transedge_crypto::{KeyStore, Keypair};
 use transedge_obs::{chrome_trace_json, CompletedTrace, MetricRegistry};
 use transedge_simnet::{CostModel, FaultPlan, LatencyModel, PartitionHandle, Simulation};
 
@@ -104,14 +104,6 @@ fn edge_node_params(config: &DeploymentConfig, peers: Vec<EdgeId>) -> EdgeNodePa
         feed: config.edge.feed.clone(),
         peers,
     }
-}
-
-/// Publish one actor's signature-check counters under its scope.
-fn register_sig_stats(reg: &mut MetricRegistry, scope: &str, stats: SigStats) {
-    reg.counter(scope, "crypto.sig_checks", stats.checks);
-    reg.counter(scope, "crypto.sig_batches", stats.batches);
-    reg.counter(scope, "crypto.sig_batched", stats.batched);
-    reg.counter(scope, "crypto.sig_memo_hits", stats.memo_hits);
 }
 
 /// Deterministic initial dataset: `Key::from_u32(i)` for `i in
@@ -465,49 +457,20 @@ impl Deployment {
         let mut reg = MetricRegistry::new();
         reg.register("net", self.sim.stats());
         for id in &self.client_ids {
-            let client = self.client(*id);
-            let scope = format!("client-{}", id.0);
-            reg.register(&scope, &client.stats);
-            register_sig_stats(&mut reg, &scope, client.verified_certs().keys().sig_stats());
-            if let Some(agent) = client.directory() {
-                reg.register(&scope, &agent.stats);
-            }
+            reg.register(&format!("client-{}", id.0), self.client(*id));
         }
+        // Crashed actors are simply absent from the registry.
         for edge in &self.edge_ids {
-            // Crashed actors are simply absent from the registry.
-            let Some(node) = self.sim.actor_as::<EdgeReadNode>(NodeId::Edge(*edge)) else {
-                continue;
-            };
-            let scope = format!("edge-{}-{}", edge.cluster.0, edge.index);
-            reg.register(&scope, &node.stats);
-            register_sig_stats(&mut reg, &scope, node.sig_stats());
-            for (_, replay) in node.replay_stats() {
-                reg.register(&scope, &replay);
-            }
-            if let Some(agent) = node.directory() {
-                reg.register(&scope, &agent.stats);
+            if let Some(node) = self.sim.actor_as::<EdgeReadNode>(NodeId::Edge(*edge)) {
+                reg.register(&format!("edge-{}-{}", edge.cluster.0, edge.index), node);
             }
         }
         for cluster in self.topo.clusters() {
             for r in 0..self.topo.replicas_per_cluster() {
-                let replica = ReplicaId::new(cluster, r as u16);
-                let id = NodeId::Replica(replica);
-                let Some(node) = self.sim.actor_as::<TransEdgeNode>(id) else {
-                    continue;
-                };
-                let scope = format!("replica-{}-{}", cluster.0, r);
-                reg.register(&scope, &node.stats);
-                register_sig_stats(&mut reg, &scope, node.sig_stats());
-                reg.counter(
-                    &scope,
-                    "consensus.votes_never_verified",
-                    node.votes_never_verified(),
-                );
-                reg.counter(
-                    &scope,
-                    "node.shares_never_verified",
-                    node.shares_never_verified(),
-                );
+                let id = NodeId::Replica(ReplicaId::new(cluster, r as u16));
+                if let Some(node) = self.sim.actor_as::<TransEdgeNode>(id) {
+                    reg.register(&format!("replica-{}-{}", cluster.0, r), node);
+                }
             }
         }
         reg

@@ -38,17 +38,21 @@ pub struct KeyStore {
     memo: Option<Arc<Mutex<SigMemo>>>,
 }
 
-/// The signature checks one memo handle ran, by kind.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SigStats {
-    /// Signatures verified one at a time.
-    pub checks: u64,
-    /// Batch equations evaluated (two signatures or more each).
-    pub batches: u64,
-    /// Signatures inside those batches.
-    pub batched: u64,
-    /// Signatures answered from the memo instead of checked.
-    pub memo_hits: u64,
+transedge_obs::counters! {
+    /// The signature checks one memo handle ran, by kind.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SigStats {
+        "crypto.sig_" {
+            /// Signatures verified one at a time.
+            checks,
+            /// Batch equations evaluated (two signatures or more each).
+            batches,
+            /// Signatures inside those batches.
+            batched,
+            /// Signatures answered from the memo instead of checked.
+            memo_hits,
+        }
+    }
 }
 
 impl SigStats {

@@ -61,36 +61,21 @@ pub struct IngestReport {
     pub evidence_rejected: u64,
 }
 
-/// Lifetime counters for harnesses and benches.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DirectoryStats {
-    /// Delta payloads ingested.
-    pub gossip_ingested: u64,
-    pub evidence_accepted: u64,
-    pub evidence_rejected: u64,
-    pub senders_struck: u64,
-    /// Ingested deltas that warranted a non-empty pull reply.
-    pub delta_replies_sent: u64,
-    /// Records shipped in outgoing deltas.
-    pub delta_records_sent: u64,
-}
-
-impl transedge_obs::RegisterMetrics for DirectoryStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(scope, "directory.gossip_ingested", self.gossip_ingested);
-        reg.counter(scope, "directory.evidence_accepted", self.evidence_accepted);
-        reg.counter(scope, "directory.evidence_rejected", self.evidence_rejected);
-        reg.counter(scope, "directory.senders_struck", self.senders_struck);
-        reg.counter(
-            scope,
-            "directory.delta_replies_sent",
-            self.delta_replies_sent,
-        );
-        reg.counter(
-            scope,
-            "directory.delta_records_sent",
-            self.delta_records_sent,
-        );
+transedge_obs::counters! {
+    /// Lifetime counters for harnesses and benches.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct DirectoryStats {
+        "directory." {
+            /// Delta payloads ingested.
+            gossip_ingested,
+            evidence_accepted,
+            evidence_rejected,
+            senders_struck,
+            /// Ingested deltas that warranted a non-empty pull reply.
+            delta_replies_sent,
+            /// Records shipped in outgoing deltas.
+            delta_records_sent,
+        }
     }
 }
 

@@ -9,21 +9,18 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-/// Counters the harnesses read to judge cache effectiveness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub insertions: u64,
-    pub evictions: u64,
-}
-
-impl transedge_obs::RegisterMetrics for CacheStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(scope, "cache.hits", self.hits);
-        reg.counter(scope, "cache.misses", self.misses);
-        reg.counter(scope, "cache.insertions", self.insertions);
-        reg.counter(scope, "cache.evictions", self.evictions);
+transedge_obs::counters! {
+    /// Counters the harnesses read to judge cache effectiveness. The
+    /// names are bare: whoever owns a cache publishes them behind its
+    /// own prefix ([`transedge_obs::MetricRegistry::register_prefixed`]).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        "" {
+            hits,
+            misses,
+            insertions,
+            evictions,
+        }
     }
 }
 

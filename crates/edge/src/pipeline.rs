@@ -178,6 +178,15 @@ impl ReadPipeline {
     }
 }
 
+/// The proof memo's counters, points and scans apart: `pipeline.points.*`
+/// and `pipeline.scans.*`.
+impl transedge_obs::RegisterMetrics for ReadPipeline {
+    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
+        reg.register_prefixed(scope, "pipeline.points.", &self.points.stats);
+        reg.register_prefixed(scope, "pipeline.scans.", &self.scans.stats);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,49 +31,39 @@ use crate::response::{CertifiedDelta, CommittedHeader, MultiProofBody, ScanProof
 /// no hit and only pins bodies no request repeats.
 pub const DEFAULT_REPLAY_CAPACITY: usize = 64;
 
-/// Counters for the replay path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplayStats {
-    /// Point-read sections absorbed from upstream.
-    pub admitted: u64,
-    /// Scan proofs absorbed from upstream.
-    pub scans_admitted: u64,
-    /// Certified deltas applied to the feed window (already verified by
-    /// the caller).
-    pub deltas_applied: u64,
-    /// Feed windows reset because a delta arrived past a gap (the
-    /// contiguity the freshness certificate needs was broken).
-    pub feed_resets: u64,
-    /// Cached point answers dropped by push invalidation: a delta proved
-    /// one of their keys changed after the batch they snapshot.
-    pub fragments_invalidated: u64,
-    /// Freshness feeds attached to served responses.
-    pub freshness_attached: u64,
-    /// Freshness requests refused: the feed could not chain from the
-    /// served batch, or a queried key changed inside the window.
-    pub freshness_refused: u64,
-    /// Cached answers (point answers, scan windows) dropped because
-    /// their batch aged past `max_batches` — eviction, as opposed to
-    /// `fragments_invalidated` (a delta proved the answer superseded).
-    /// Either way the answer is gone from the edge's disk image too,
-    /// which is the cache itself ([`ReplayCache::objects`]).
-    pub evicted_entries: u64,
-}
-
-impl transedge_obs::RegisterMetrics for ReplayStats {
-    fn register_metrics(&self, scope: &str, reg: &mut transedge_obs::MetricRegistry) {
-        reg.counter(scope, "replay.admitted", self.admitted);
-        reg.counter(scope, "replay.scans_admitted", self.scans_admitted);
-        reg.counter(scope, "replay.deltas_applied", self.deltas_applied);
-        reg.counter(scope, "replay.feed_resets", self.feed_resets);
-        reg.counter(
-            scope,
-            "replay.fragments_invalidated",
-            self.fragments_invalidated,
-        );
-        reg.counter(scope, "replay.freshness_attached", self.freshness_attached);
-        reg.counter(scope, "replay.freshness_refused", self.freshness_refused);
-        reg.counter(scope, "replay.evicted_entries", self.evicted_entries);
+transedge_obs::counters! {
+    /// Counters for the replay path.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct ReplayStats {
+        "replay." {
+            /// Point-read sections absorbed from upstream.
+            admitted,
+            /// Scan proofs absorbed from upstream.
+            scans_admitted,
+            /// Certified deltas applied to the feed window (already
+            /// verified by the caller).
+            deltas_applied,
+            /// Feed windows reset because a delta arrived past a gap (the
+            /// contiguity the freshness certificate needs was broken).
+            feed_resets,
+            /// Cached point answers dropped by push invalidation: a delta
+            /// proved one of their keys changed after the batch they
+            /// snapshot.
+            fragments_invalidated,
+            /// Freshness feeds attached to served responses.
+            freshness_attached,
+            /// Freshness requests refused: the feed could not chain from
+            /// the served batch, or a queried key changed inside the
+            /// window.
+            freshness_refused,
+            /// Cached answers (point answers, scan windows) dropped
+            /// because their batch aged past `max_batches` — eviction, as
+            /// opposed to `fragments_invalidated` (a delta proved the
+            /// answer superseded). Either way the answer is gone from the
+            /// edge's disk image too, which is the cache itself
+            /// ([`ReplayCache::objects`]).
+            evicted_entries,
+        }
     }
 }
 

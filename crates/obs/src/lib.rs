@@ -12,9 +12,10 @@
 //!   [`TraceLog`]; completed traces land in a bounded flight-recorder
 //!   ring for post-mortem dumps.
 //! * **Unified metrics** ([`metrics`]): a [`MetricRegistry`] of
-//!   counters that the workspace's per-subsystem `*Stats` structs
-//!   register into via [`RegisterMetrics`], giving per-node scopes and
-//!   fleet-wide rollups through one typed API.
+//!   counters that the workspace's per-subsystem `*Stats` structs,
+//!   each declared once with [`counters!`], register into via
+//!   [`RegisterMetrics`], giving per-node scopes and fleet-wide rollups
+//!   through one typed API.
 //! * **Exporters** ([`chrome`], [`breakdown`]): Chrome-trace-format
 //!   JSON (load into `chrome://tracing` / Perfetto) and per-phase
 //!   latency decompositions of nearest-rank percentile traces (the

@@ -4,7 +4,9 @@
 //! scenario campaign.
 
 use proptest::prelude::*;
-use transedge::common::{ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimTime, Value};
+use transedge::common::{
+    ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime, Value,
+};
 use transedge::core::client::ClientOp;
 use transedge::core::setup::{Deployment, DeploymentConfig};
 use transedge::core::EdgeConfig;
@@ -49,7 +51,7 @@ fn traces_are_deterministic_across_runs() {
         for (i, t) in traces.iter().enumerate() {
             assert_eq!(t.trace, TraceId::for_op(0, i as u32));
             assert!(t.is_connected(), "orphaned span in {:?}", t.trace);
-            assert!(t.end_to_end() > transedge::common::SimDuration(0));
+            assert!(t.end_to_end() > SimDuration(0));
         }
         dep.export_trace()
     };
@@ -97,6 +99,64 @@ fn metric_registry_unifies_node_and_net_counters() {
     assert!(reg.counter_value("net", "net.read-result-point.bytes") > 0);
     // Scopes are enumerable (clients + edges + replicas + net).
     assert!(reg.scopes().len() >= 4);
+}
+
+/// Every counter name a deployment with edges, a commit feed and the
+/// gossip directory publishes, sorted: each actor's stats, its
+/// signature checks, replay caches, directory agent and proof memo, and
+/// the network's totals. The network's per-kind series (`net.<kind>.*`)
+/// name whatever traffic the run sent and are left out.
+const REGISTERED_NAMES: &str = "\
+       bytes_sent \
+       client.chase_dropped client.chase_early client.chase_waits \
+       client.directory_evidence_sent client.directory_seeded client.gathers_sent \
+       client.gave_up client.retries client.scans_accepted client.third_round_needed \
+       client.verification_failures \
+       consensus.votes_never_verified \
+       crypto.sig_batched crypto.sig_batches crypto.sig_checks crypto.sig_memo_hits \
+       directory.delta_records_sent directory.delta_replies_sent directory.evidence_accepted \
+       directory.evidence_rejected directory.gossip_ingested directory.senders_struck \
+       edge.bad_deltas_dropped edge.feed_deltas_received edge.foreign_forward_replica \
+       edge.foreign_subs edge.forwarded edge.gather_requests edge.hydrate_admitted \
+       edge.hydrate_rejected edge.hydrate_stale edge.keys_from_cache edge.keys_requested \
+       edge.requests edge.scan_requests edge.scans_forwarded edge.scans_from_cache \
+       edge.served_from_cache edge.sibling_objects_admitted edge.sibling_objects_rejected \
+       edge.sibling_transfers \
+       messages_delivered messages_dropped messages_sent \
+       node.batches_proposed node.chases_sent node.deltas_published node.deltas_replayed \
+       node.rot_fetches_served node.rot_scans_rejected node.rot_scans_served node.rot_served \
+       node.shares_never_verified node.txns_admitted node.txns_rejected node.view_changes \
+       pipeline.points.evictions pipeline.points.hits pipeline.points.insertions \
+       pipeline.points.misses pipeline.scans.evictions pipeline.scans.hits \
+       pipeline.scans.insertions pipeline.scans.misses \
+       query.cert_checks_shared query.feed_deltas_reused query.freshness_upgrades \
+       query.read_result_bytes query.round2_skipped_by_feed \
+       replay.admitted replay.deltas_applied replay.evicted_entries replay.feed_resets \
+       replay.fragments_invalidated replay.freshness_attached replay.freshness_refused \
+       replay.scans_admitted";
+
+#[test]
+fn the_registry_publishes_a_pinned_name_set() {
+    let mut config = DeploymentConfig::for_testing();
+    config.edge = EdgeConfig::builder()
+        .per_cluster(1)
+        .gossip_directory(SimDuration::from_millis(20))
+        .commit_feed(SimDuration::from_millis(100))
+        .build()
+        .unwrap();
+    let keys = keys_on(&config.topo, ClusterId(0), 2);
+    let mut dep = Deployment::build(config, vec![vec![ClientOp::ReadOnly { keys }]]);
+    dep.run_until_done(SimTime(600_000_000));
+    let reg = dep.metrics();
+    let mut names: Vec<&str> = reg
+        .counters()
+        .map(|(_, name, _)| name)
+        .filter(|name| !name.starts_with("net."))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let pinned: Vec<&str> = REGISTERED_NAMES.split_whitespace().collect();
+    assert_eq!(names, pinned);
 }
 
 /// A campaign-aborting invariant violation dumps the flight recorder,
@@ -212,7 +272,7 @@ fn a_chased_read_is_one_connected_trace() {
             .find(|s| s.label == "chase")
             .expect("marker");
         assert_eq!(chase.phase, SpanPhase::Serve);
-        assert_eq!(chase.duration(), transedge::common::SimDuration(0));
+        assert_eq!(chase.duration(), SimDuration(0));
         let NodeId::Replica(chaser) = chase.node else {
             panic!("chased from {:?}", chase.node);
         };

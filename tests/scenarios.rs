@@ -199,6 +199,18 @@ const NEVER_MOVED: &[(&str, &str)] = &[
     // No campaign crashes a leader (tests/fault_tolerance.rs and
     // tests/determinism.rs do).
     ("node.view_changes", "no leader crashes"),
+    // A replica's proof memo: no replica here proves more point key
+    // sets than its 32 memoised bodies, and the mixed run's scans ask
+    // no window twice at one batch (the benchmark's scan-edge does).
+    (
+        "pipeline.points.evictions",
+        "fewer sets than the memo holds",
+    ),
+    ("pipeline.scans.hits", "no window repeats at one batch"),
+    (
+        "pipeline.scans.evictions",
+        "fewer windows than the memo holds",
+    ),
 ];
 
 #[test]
