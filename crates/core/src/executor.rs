@@ -15,7 +15,9 @@ use transedge_crypto::merkle::value_digest;
 use transedge_crypto::{Digest, KeyStore, VersionedMerkleTree};
 use transedge_edge::VersionedStore;
 
-use crate::batch::{check_batch_shape, Batch, BatchHeader, CdVector, PreparedTxn, Transaction};
+use crate::batch::{
+    check_batch_shape, Batch, BatchHeader, CdVector, PreparedTxn, Transaction, WriteOp,
+};
 use crate::conflict::{admit, Footprint};
 use crate::deps::derive_cd_vector;
 use crate::prepared::PreparedBatches;
@@ -51,29 +53,41 @@ pub enum RejectReason {
     BadRoot,
 }
 
-/// The batch's changed key set: local writes plus drained-*Committed*
-/// writes restricted to `cluster`, sorted and deduplicated — exactly
-/// the updates [`Executor::seal_batch`]'s root speculation applies, in
-/// the canonical form [`transedge_edge::changed_keys_digest`] hashes.
-/// Leaders, followers, and the publish path all derive the changed set
-/// through this one function so they can never disagree.
+/// The writes a batch makes on `cluster`: its local transactions',
+/// then those of its drained *Committed* transactions. The one walk
+/// behind the batch's changed key set, its root speculation and its
+/// store writes.
+fn partition_writes<'a>(
+    topo: &'a ClusterTopology,
+    cluster: ClusterId,
+    local: &'a [Transaction],
+    drained: &'a [(Transaction, CommitRecord)],
+) -> impl Iterator<Item = &'a WriteOp> {
+    let committed = drained
+        .iter()
+        .filter(|(_, r)| r.outcome == Outcome::Committed)
+        .map(|(t, _)| t);
+    local
+        .iter()
+        .chain(committed)
+        .flat_map(move |t| t.writes_on(topo, cluster))
+}
+
+/// The batch's changed key set: the keys of its writes on `cluster`
+/// (local transactions', then drained *Committed* ones'), sorted and
+/// deduplicated — exactly the updates the batch's root
+/// speculation applies, in the canonical form
+/// [`transedge_edge::changed_keys_digest`] hashes. Leaders, followers,
+/// and the publish path all derive the changed set through this one
+/// function so they can never disagree.
 pub fn changed_keys(
     topo: &ClusterTopology,
     cluster: ClusterId,
     local: &[Transaction],
     drained: &[(Transaction, CommitRecord)],
 ) -> Vec<Key> {
-    let mut keys: Vec<Key> = local
-        .iter()
-        .flat_map(|t| t.writes_on(topo, cluster))
+    let mut keys: Vec<Key> = partition_writes(topo, cluster, local, drained)
         .map(|w| w.key.clone())
-        .chain(
-            drained
-                .iter()
-                .filter(|(_, r)| r.outcome == Outcome::Committed)
-                .flat_map(|(t, _)| t.writes_on(topo, cluster))
-                .map(|w| w.key.clone()),
-        )
         .collect();
     keys.sort_unstable();
     keys.dedup();
@@ -232,7 +246,10 @@ impl Executor {
 
     /// Assemble and speculatively apply the next batch from admitted
     /// transactions. The caller (leader) has already run admission
-    /// control ([`crate::conflict::admit`]) on every transaction.
+    /// control ([`crate::conflict::admit`]) on every transaction. Only
+    /// the resolutions whose group drains enter the committed segment;
+    /// the caller keeps the rest pending (Definition 4.1 may hold them
+    /// behind an unresolved group).
     pub fn seal_batch(
         &mut self,
         local: Vec<Transaction>,
@@ -244,42 +261,53 @@ impl Executor {
         // before a new one for the same batch number is applied.
         self.rollback_speculation();
         let num = BatchNum(self.applied);
-        // Simulate the drain to learn which records land in this batch
-        // and the resulting LCE.
-        let (drained, lce_step) = {
-            let mut pb = self.prepared_batches.clone();
-            for r in resolutions {
-                pb.resolve(r.clone());
-            }
-            pb.drain_ready()
+        let (header, drained) = self.derive_header(num, &local, resolutions, now);
+        let batch = Batch {
+            header,
+            local,
+            prepared,
+            committed: drained.into_iter().map(|(_, r)| r).collect(),
         };
-        // Only the records whose groups actually drain enter this
-        // batch's committed segment; the caller keeps the rest pending
-        // (Definition 4.1 may hold them behind an unresolved group).
+        self.spec = Some((num, Batch::digest(&batch)));
+        batch
+    }
+
+    /// Derive the header of batch `num` from the state before it: the
+    /// one derivation leader and followers share. On a copy of the
+    /// prepare groups, resolve `resolutions` and drain at most one group
+    /// (Definition 4.1); the drained records are the batch's committed
+    /// segment and set its LCE. Then the CD vector (Algorithm 1), the
+    /// changed key set's digest and the Merkle root, which stays
+    /// speculatively applied to the tree. The leader seals its batch
+    /// from the result ([`Executor::seal_batch`]); a follower checks a
+    /// proposal against it ([`Executor::validate_batch`]).
+    fn derive_header(
+        &mut self,
+        num: BatchNum,
+        local: &[Transaction],
+        resolutions: &[CommitRecord],
+        timestamp: SimTime,
+    ) -> (BatchHeader, Vec<(Transaction, CommitRecord)>) {
+        let mut pb = self.prepared_batches.clone();
+        for r in resolutions {
+            pb.resolve(r.clone());
+        }
+        let (drained, lce_step) = pb.drain_ready();
         let committed: Vec<CommitRecord> = drained.iter().map(|(_, r)| r.clone()).collect();
         let lce = lce_step.unwrap_or(self.last_lce);
         let cd = derive_cd_vector(&self.last_cd, self.cluster, num, &committed);
-        // Merkle: local writes + writes of committed (not aborted)
-        // drained transactions, restricted to this partition.
-        let changed = changed_keys(&self.topo, self.cluster, &local, &drained);
-        let root = self.speculate_root(num, &local, &drained);
+        let changed = changed_keys(&self.topo, self.cluster, local, &drained);
+        let merkle_root = self.speculate_root(num, local, &drained);
         let header = BatchHeader {
             cluster: self.cluster,
             num,
             cd,
             lce,
-            merkle_root: root,
+            merkle_root,
             delta_digest: transedge_edge::changed_keys_digest(&changed),
-            timestamp: now,
+            timestamp,
         };
-        let batch = Batch {
-            header,
-            local,
-            prepared,
-            committed,
-        };
-        self.spec = Some((num, Batch::digest(&batch)));
-        batch
+        (header, drained)
     }
 
     fn speculate_root(
@@ -288,19 +316,8 @@ impl Executor {
         local: &[Transaction],
         drained: &[(Transaction, CommitRecord)],
     ) -> Digest {
-        let mut updates: Vec<(&Key, Digest)> = Vec::new();
-        for t in local {
-            for w in t.writes_on(&self.topo, self.cluster) {
-                updates.push((&w.key, value_digest(&w.value)));
-            }
-        }
-        for (t, r) in drained {
-            if r.outcome == Outcome::Committed {
-                for w in t.writes_on(&self.topo, self.cluster) {
-                    updates.push((&w.key, value_digest(&w.value)));
-                }
-            }
-        }
+        let updates = partition_writes(&self.topo, self.cluster, local, drained)
+            .map(|w| (&w.key, value_digest(&w.value)));
         self.tree.apply_batch(num.0, updates)
     }
 
@@ -382,18 +399,10 @@ impl Executor {
             match (&p.coordinator_prepare, p.coordinator == self.cluster) {
                 (None, true) => {}
                 (Some(sp), false) => {
-                    if sp.cluster != p.coordinator || sp.txn != p.txn.id {
+                    let quorum = self.topo.certificate_quorum();
+                    if let Err(e) = sp.vouches(&self.keys, quorum, p.coordinator, p.txn.id) {
                         return Err(RejectReason::BadEvidence(format!(
-                            "coordinator prepare mismatch for {}",
-                            p.txn.id
-                        )));
-                    }
-                    if sp
-                        .verify(&self.keys, self.topo.certificate_quorum())
-                        .is_err()
-                    {
-                        return Err(RejectReason::BadEvidence(format!(
-                            "bad coordinator prepare for {}",
+                            "bad coordinator prepare for {}: {e}",
                             p.txn.id
                         )));
                     }
@@ -436,52 +445,42 @@ impl Executor {
         for record in &batch.committed {
             self.check_evidence(record)?;
         }
-        // Drain simulation must reproduce the committed segment and LCE
-        // exactly (this enforces the Definition 4.1 ordering).
-        let (drained, lce_step) = {
-            let mut pb = self.prepared_batches.clone();
-            for r in &batch.committed {
-                if !pb.resolve(r.clone()) && pb.get_waiting(r.prepared_in, r.txn_id).is_none() {
-                    return Err(RejectReason::BadDrain(format!(
-                        "{} is not pending in group {}",
-                        r.txn_id, r.prepared_in
-                    )));
-                }
-            }
-            pb.drain_ready()
-        };
-        if drained.len() != batch.committed.len() {
-            return Err(RejectReason::BadDrain(format!(
+        // The header must be the one this replica derives from the
+        // proposal's local transactions and committed segment: the drain
+        // reproduces the segment (Definition 4.1's ordering), then the
+        // LCE, the CD vector (Algorithm 1), the delta digest — certified
+        // alongside the root, so a certificate vouches for *what
+        // changed* too — and the root.
+        let (header, drained) =
+            self.derive_header(slot, &batch.local, &batch.committed, batch.header.timestamp);
+        let mismatch = if drained.len() != batch.committed.len() {
+            Some(RejectReason::BadDrain(format!(
                 "committed segment has {} records but drain yields {}",
                 batch.committed.len(),
                 drained.len()
-            )));
-        }
-        let expected_lce = lce_step.unwrap_or(self.last_lce);
-        if batch.header.lce != expected_lce {
-            return Err(RejectReason::BadLce);
-        }
-        // CD vector (Algorithm 1).
-        let expected_cd = derive_cd_vector(&self.last_cd, self.cluster, slot, &batch.committed);
-        if batch.header.cd != expected_cd {
-            return Err(RejectReason::BadCd);
-        }
-        // Delta digest over the changed key set: certified alongside
-        // the root, so a certificate is a vouch for *what changed* too.
-        let changed = changed_keys(&self.topo, self.cluster, &batch.local, &drained);
-        if batch.header.delta_digest != transedge_edge::changed_keys_digest(&changed) {
-            return Err(RejectReason::BadDelta);
-        }
-        // Merkle root, speculatively applied.
-        let root = self.speculate_root(slot, &batch.local, &drained);
-        if root != batch.header.merkle_root {
+            )))
+        } else if header.lce != batch.header.lce {
+            Some(RejectReason::BadLce)
+        } else if header.cd != batch.header.cd {
+            Some(RejectReason::BadCd)
+        } else if header.delta_digest != batch.header.delta_digest {
+            Some(RejectReason::BadDelta)
+        } else if header.merkle_root != batch.header.merkle_root {
+            Some(RejectReason::BadRoot)
+        } else {
+            None
+        };
+        if let Some(reason) = mismatch {
             self.tree.rollback(slot.0);
-            return Err(RejectReason::BadRoot);
+            return Err(reason);
         }
         self.spec = Some((slot, Batch::digest(batch)));
         Ok(())
     }
 
+    /// A commit record may enter the committed segment only for a
+    /// transaction waiting here, on evidence that supports its outcome
+    /// ([`CommitRecord::check_evidence`]).
     fn check_evidence(&self, record: &CommitRecord) -> Result<(), RejectReason> {
         let txn = self
             .prepared_batches
@@ -492,33 +491,9 @@ impl Executor {
                     record.txn_id, record.prepared_in
                 ))
             })?;
-        let cert_quorum = self.topo.certificate_quorum();
-        for sp in &record.prepared {
-            if sp.txn != record.txn_id {
-                return Err(RejectReason::BadEvidence("wrong txn in evidence".into()));
-            }
-            if sp.verify(&self.keys, cert_quorum).is_err() {
-                return Err(RejectReason::BadEvidence(format!(
-                    "invalid prepared record from {}",
-                    sp.cluster
-                )));
-            }
-        }
-        if record.outcome == Outcome::Committed {
-            // Every other participant must have voted yes.
-            let mut needed: Vec<ClusterId> = txn
-                .partitions(&self.topo)
-                .into_iter()
-                .filter(|c| *c != self.cluster)
-                .collect();
-            needed.retain(|c| !record.prepared.iter().any(|sp| sp.cluster == *c));
-            if !needed.is_empty() {
-                return Err(RejectReason::BadEvidence(format!(
-                    "missing prepared records from {needed:?}"
-                )));
-            }
-        }
-        Ok(())
+        record
+            .check_evidence(&self.keys, &self.topo, self.cluster, txn)
+            .map_err(|e| RejectReason::BadEvidence(e.to_string()))
     }
 
     // ------------------------------------------------------------------
@@ -538,31 +513,19 @@ impl Executor {
         debug_assert_eq!(drained.len(), batch.committed.len());
         // Tree: keep the speculative application, or apply now if this
         // replica never validated (e.g. fast-forward via state
-        // transfer).
+        // transfer) or a different speculation is in the tree.
         match self.spec.take() {
             Some((snum, digest)) if snum == num && digest == Batch::digest(batch) => {}
-            Some((snum, _)) => {
-                // A different speculation is in the tree — discard it
-                // and apply the decided batch.
-                self.tree.rollback(snum.0);
-                self.speculate_root(num, &batch.local, &drained);
-            }
-            None => {
+            stale => {
+                if let Some((snum, _)) = stale {
+                    self.tree.rollback(snum.0);
+                }
                 self.speculate_root(num, &batch.local, &drained);
             }
         }
         // Committed store writes (this partition's keys only).
-        for t in &batch.local {
-            for w in t.writes_on(&self.topo, self.cluster) {
-                self.store.write(w.key.clone(), w.value.clone(), num);
-            }
-        }
-        for (t, r) in &drained {
-            if r.outcome == Outcome::Committed {
-                for w in t.writes_on(&self.topo, self.cluster) {
-                    self.store.write(w.key.clone(), w.value.clone(), num);
-                }
-            }
+        for w in partition_writes(&self.topo, self.cluster, &batch.local, &drained) {
+            self.store.write(w.key.clone(), w.value.clone(), num);
         }
         // Register the new prepare group.
         self.prepared_batches
@@ -661,12 +624,14 @@ mod tests {
         )
     }
 
-    /// A transaction writing one key on each of two clusters.
+    /// A transaction writing one key on each of two clusters; distinct
+    /// ids write distinct keys.
     fn distributed_txn(topo: &ClusterTopology, id: u64) -> Transaction {
         let key_on = |cluster| {
             (0u32..)
                 .map(Key::from_u32)
-                .find(|k| topo.partition_of(k) == cluster)
+                .filter(|k| topo.partition_of(k) == cluster)
+                .nth(id as usize)
                 .expect("every cluster owns some key")
         };
         Transaction {
@@ -855,6 +820,127 @@ mod tests {
             follower.validate_batch(BatchNum(1), &b1, SimTime(0)),
             Err(RejectReason::BadEvidence(_))
         ));
+    }
+
+    /// `follower` rejects `tampered` for `reason`, and still validates
+    /// `honest` afterwards: the rejection left no speculation behind.
+    fn rejects_then_accepts(
+        follower: &mut Executor,
+        tampered: &Batch,
+        honest: &Batch,
+        reason: impl Fn(&RejectReason) -> bool,
+    ) {
+        let slot = honest.header.num;
+        let got = follower.validate_batch(slot, tampered, SimTime(0));
+        assert!(matches!(&got, Err(r) if reason(r)), "got {got:?}");
+        assert_eq!(follower.validate_batch(slot, honest, SimTime(0)), Ok(()));
+    }
+
+    /// A single-cluster leader's honest batch 0 writing key 1, and a
+    /// fresh follower to check it.
+    fn sealed_local_batch() -> (Batch, Executor) {
+        let mut leader = single_cluster_exec();
+        let batch = leader.seal_batch(vec![local_txn(1, &[(1, "a")])], vec![], &[], SimTime(0));
+        (batch, single_cluster_exec())
+    }
+
+    /// A leader and a follower of cluster 0 that applied one batch per
+    /// entry of `groups`, each 2PC-preparing those transactions (which
+    /// cluster 0 coordinates): one prepare group per batch.
+    fn prepared_in_groups(groups: &[&[u64]]) -> (Executor, Executor) {
+        let mut leader = two_cluster_exec();
+        let mut follower = two_cluster_exec();
+        for (num, ids) in groups.iter().enumerate() {
+            let prepared = ids
+                .iter()
+                .map(|id| PreparedTxn {
+                    txn: distributed_txn(&leader.topo, *id),
+                    coordinator: ClusterId(0),
+                    coordinator_prepare: None,
+                })
+                .collect();
+            let batch = leader.seal_batch(vec![], prepared, &[], SimTime(0));
+            assert_eq!(
+                follower.validate_batch(BatchNum(num as u64), &batch, SimTime(0)),
+                Ok(())
+            );
+            leader.apply_batch(&batch);
+            follower.apply_batch(&batch);
+        }
+        (leader, follower)
+    }
+
+    /// The abort of transaction `id`, prepared in batch `prepared_in`:
+    /// an outcome that needs no prepared record as evidence.
+    fn abort(id: u64, prepared_in: u64) -> CommitRecord {
+        CommitRecord {
+            txn_id: TxnId::new(ClientId(0), id),
+            prepared_in: BatchNum(prepared_in),
+            outcome: Outcome::Aborted,
+            prepared: vec![],
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_wrong_lce() {
+        let (honest, mut follower) = sealed_local_batch();
+        let mut batch = honest.clone();
+        batch.header.lce = Epoch(0);
+        rejects_then_accepts(&mut follower, &batch, &honest, |r| {
+            *r == RejectReason::BadLce
+        });
+    }
+
+    #[test]
+    fn validation_rejects_a_wrong_cd_entry() {
+        // The own entry is the batch number, a shape check; another
+        // partition's entry is what Algorithm 1 derives.
+        let honest = two_cluster_exec().seal_batch(vec![], vec![], &[], SimTime(0));
+        let mut follower = two_cluster_exec();
+        let mut batch = honest.clone();
+        batch.header.cd.set(ClusterId(1), Epoch(7));
+        rejects_then_accepts(&mut follower, &batch, &honest, |r| {
+            *r == RejectReason::BadCd
+        });
+    }
+
+    #[test]
+    fn validation_rejects_a_wrong_delta_digest() {
+        let (honest, mut follower) = sealed_local_batch();
+        let mut batch = honest.clone();
+        batch.header.delta_digest = Digest([0xDD; 32]);
+        rejects_then_accepts(&mut follower, &batch, &honest, |r| {
+            *r == RejectReason::BadDelta
+        });
+    }
+
+    #[test]
+    fn validation_rejects_a_committed_segment_missing_a_record() {
+        // One prepare group of two; both outcomes are known, so the
+        // group drains whole and a segment naming one record is a lie.
+        let (mut leader, mut follower) = prepared_in_groups(&[&[1, 2]]);
+        let honest = leader.seal_batch(vec![], vec![], &[abort(1, 0), abort(2, 0)], SimTime(0));
+        assert_eq!(honest.committed.len(), 2);
+        let mut batch = honest.clone();
+        batch.committed.pop();
+        rejects_then_accepts(&mut follower, &batch, &honest, |r| {
+            matches!(r, RejectReason::BadDrain(_))
+        });
+    }
+
+    #[test]
+    fn validation_rejects_a_record_whose_group_cannot_drain_yet() {
+        // Two prepare groups, both resolved: only the older drains in
+        // this batch (Definition 4.1), so a segment carrying the newer
+        // group's record instead is a lie.
+        let (mut leader, mut follower) = prepared_in_groups(&[&[1], &[2]]);
+        let honest = leader.seal_batch(vec![], vec![], &[abort(1, 0), abort(2, 1)], SimTime(0));
+        assert_eq!(honest.committed, vec![abort(1, 0)]);
+        let mut batch = honest.clone();
+        batch.committed = vec![abort(2, 1)];
+        rejects_then_accepts(&mut follower, &batch, &honest, |r| {
+            matches!(r, RejectReason::BadDrain(_))
+        });
     }
 
     #[test]

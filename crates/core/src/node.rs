@@ -493,35 +493,15 @@ impl TransEdgeNode {
                     }
                 }
             }
-            // Notify clients of local commits.
-            for t in &outcome.local_committed {
-                if let Some(client) = self.txn_client.remove(&t.id) {
-                    self.concluded.insert(t.id);
-                    ctx.send(
-                        client,
-                        NetMsg::TxnResult {
-                            txn: t.id,
-                            committed: true,
-                            batch: Some(slot),
-                        },
-                    );
-                }
-            }
-            // Coordinator: the drain of our own decision means the
-            // transaction is now globally committed — tell the client.
-            for (_, record) in &outcome.drained {
-                if let Some(client) = self.txn_client.remove(&record.txn_id) {
-                    self.concluded.insert(record.txn_id);
-                    ctx.send(
-                        client,
-                        NetMsg::TxnResult {
-                            txn: record.txn_id,
-                            committed: record.outcome == Outcome::Committed,
-                            batch: Some(slot),
-                        },
-                    );
-                }
-                self.coord.remove(&record.txn_id);
+            // Local commits, then drained 2PC outcomes: for a
+            // coordinator, the drain of its own decision means the
+            // transaction is now globally decided.
+            let ended = outcome.local_committed.iter().map(|t| (t.id, true));
+            let drained = outcome.drained.iter();
+            let ended =
+                ended.chain(drained.map(|(_, r)| (r.txn_id, r.outcome == Outcome::Committed)));
+            for (txn, committed) in ended {
+                self.conclude(txn, committed, slot, ctx);
             }
             // Try coordinator decisions unblocked by own_prepared_in.
             self.try_decide_all(ctx);
@@ -532,6 +512,29 @@ impl TransEdgeNode {
         self.publish_delta(slot, &batch, &outcome.drained, ctx);
         // --- parked reads that this batch may satisfy ---
         self.serve_parked_reads(ctx);
+    }
+
+    /// A transaction that ended in batch `slot`: tell the client this
+    /// leader admitted it for, once, and drop its coordinator state.
+    fn conclude(
+        &mut self,
+        txn: TxnId,
+        committed: bool,
+        slot: BatchNum,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        if let Some(client) = self.txn_client.remove(&txn) {
+            self.concluded.insert(txn);
+            ctx.send(
+                client,
+                NetMsg::TxnResult {
+                    txn,
+                    committed,
+                    batch: Some(slot),
+                },
+            );
+        }
+        self.coord.remove(&txn);
     }
 
     /// Build the batch's [`CertifiedDelta`] — its certified header plus the
@@ -840,16 +843,6 @@ impl TransEdgeNode {
         txn: Transaction,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        if !self.engine.is_leader() {
-            // Forward to the current leader (clients may have stale
-            // leader info).
-            self.forwarded_since_check = true;
-            ctx.send(
-                NodeId::Replica(self.engine.leader()),
-                NetMsg::CommitRequest { txn, reply_to },
-            );
-            return;
-        }
         if self.concluded.contains(&txn.id) || self.txn_client.contains_key(&txn.id) {
             return; // duplicate / retry
         }
@@ -905,27 +898,15 @@ impl TransEdgeNode {
         prepare: SignedPrepared,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        if !self.engine.is_leader() {
-            ctx.send(
-                NodeId::Replica(self.engine.leader()),
-                NetMsg::CoordinatorPrepare {
-                    txn,
-                    coordinator,
-                    prepare,
-                },
-            );
-            return;
-        }
         if self.voted.contains(&txn.id) || self.concluded.contains(&txn.id) {
             return; // retry dedup
         }
         // Authenticate the coordinator's prepare (f+1 signatures).
         ctx.charge(|c| SimDuration(c.ed25519_verify.0 * prepare.sigs.len() as u64));
-        if prepare.txn != txn.id
-            || prepare.cluster != coordinator
-            || prepare
-                .verify(&self.keys, self.topo.certificate_quorum())
-                .is_err()
+        let quorum = self.topo.certificate_quorum();
+        if prepare
+            .vouches(&self.keys, quorum, coordinator, txn.id)
+            .is_err()
         {
             return;
         }
@@ -966,13 +947,6 @@ impl TransEdgeNode {
     }
 
     fn on_prepared_vote(&mut self, vote: PrepareVote, ctx: &mut Context<'_, NetMsg>) {
-        if !self.engine.is_leader() {
-            ctx.send(
-                NodeId::Replica(self.engine.leader()),
-                NetMsg::Prepared { vote },
-            );
-            return;
-        }
         let txn = vote.txn();
         let cluster = vote.cluster();
         // Authenticate.
@@ -1009,71 +983,37 @@ impl TransEdgeNode {
     fn on_commit_outcome(
         &mut self,
         txn: TxnId,
-        coordinator: ClusterId,
         outcome: Outcome,
         prepared: Vec<SignedPrepared>,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        if !self.engine.is_leader() {
-            ctx.send(
-                NodeId::Replica(self.engine.leader()),
-                NetMsg::CommitOutcome {
-                    txn,
-                    coordinator,
-                    outcome,
-                    prepared,
-                },
-            );
-            return;
-        }
         // The transaction must be waiting in one of our prepare groups.
-        let Some((prepared_in, local_txn)) = self
-            .exec
-            .prepared_batches
-            .find_waiting(txn)
-            .map(|(b, t)| (b, t.clone()))
-        else {
+        let Some((prepared_in, local_txn)) = self.exec.prepared_batches.find_waiting(txn) else {
             return; // duplicate delivery or unknown
         };
         if self.pending_resolutions.iter().any(|r| r.txn_id == txn) {
             return;
         }
-        // Verify the evidence: every prepared record authentic, and for
-        // a commit, every participant other than us is covered (our own
-        // prepare is in our log).
         ctx.charge(|c| {
             SimDuration(
                 c.ed25519_verify.0 * prepared.iter().map(|p| p.sigs.len() as u64).sum::<u64>(),
             )
         });
-        for sp in &prepared {
-            if sp.txn != txn
-                || sp
-                    .verify(&self.keys, self.topo.certificate_quorum())
-                    .is_err()
-            {
-                return;
-            }
-        }
-        if outcome == Outcome::Committed {
-            let covered = local_txn
-                .partitions(&self.topo)
-                .into_iter()
-                .filter(|c| *c != self.me.cluster)
-                .all(|c| prepared.iter().any(|sp| sp.cluster == c));
-            if !covered {
-                return; // insufficient evidence for a commit
-            }
-        }
-        let record = CommitRecord {
+        let mut record = CommitRecord {
             txn_id: txn,
             prepared_in,
             outcome,
-            prepared: prepared
-                .into_iter()
-                .filter(|sp| sp.cluster != self.me.cluster)
-                .collect(),
+            prepared,
         };
+        let me = self.me.cluster;
+        if record
+            .check_evidence(&self.keys, &self.topo, me, local_txn)
+            .is_err()
+        {
+            return;
+        }
+        // Our own prepare is in our log: its record is no evidence here.
+        record.prepared.retain(|sp| sp.cluster != me);
         self.pending_resolutions.push(record);
         self.maybe_seal(ctx, false);
     }
@@ -1368,6 +1308,22 @@ impl Actor<NetMsg> for TransEdgeNode {
 
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
         match msg {
+            // Admission and 2PC are the leader's: a replica that does not
+            // lead forwards them to the one that does (clients and other
+            // clusters may hold stale leader info). A forwarded client
+            // request is work the leader owes: the progress timer expects
+            // a delivery for it.
+            NetMsg::CommitRequest { .. }
+            | NetMsg::CoordinatorPrepare { .. }
+            | NetMsg::Prepared { .. }
+            | NetMsg::CommitOutcome { .. }
+                if !self.engine.is_leader() =>
+            {
+                if matches!(msg, NetMsg::CommitRequest { .. }) {
+                    self.forwarded_since_check = true;
+                }
+                ctx.send(NodeId::Replica(self.engine.leader()), msg);
+            }
             NetMsg::OccRead { req, key } => {
                 let (value, version) = self.exec.read_latest(&key);
                 ctx.send(
@@ -1417,10 +1373,10 @@ impl Actor<NetMsg> for TransEdgeNode {
             NetMsg::Prepared { vote } => self.on_prepared_vote(vote, ctx),
             NetMsg::CommitOutcome {
                 txn,
-                coordinator,
                 outcome,
                 prepared,
-            } => self.on_commit_outcome(txn, coordinator, outcome, prepared, ctx),
+                ..
+            } => self.on_commit_outcome(txn, outcome, prepared, ctx),
             // Responses are client-bound; a replica receiving one is a
             // routing bug in the sender — drop. Directory gossip is an
             // edge/client affair; replicas are not in the fleet, and a

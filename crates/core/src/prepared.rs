@@ -146,14 +146,6 @@ impl PreparedBatches {
         })
     }
 
-    /// All transactions in unresolved groups (resolved-but-undrained
-    /// ones still hold their slot — their writes are not yet applied).
-    pub fn undrained_txns(&self) -> impl Iterator<Item = &Transaction> {
-        self.groups
-            .values()
-            .flat_map(|g| g.txns.values().map(|(t, _)| t))
-    }
-
     /// Look up a pending transaction (participants re-sending prepared
     /// votes after a view change need this).
     pub fn get_waiting(&self, prepared_in: BatchNum, txn: TxnId) -> Option<&Transaction> {
@@ -189,27 +181,6 @@ impl PreparedBatches {
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
-}
-
-/// Convenience for statistics: count of transactions blocked behind the
-/// ordering constraint (resolved but not yet drained because an earlier
-/// group is still waiting).
-pub fn blocked_by_ordering(pb: &PreparedBatches) -> usize {
-    let mut blocked = 0;
-    let mut earlier_waiting = false;
-    for group in pb.groups.values() {
-        if earlier_waiting {
-            blocked += group
-                .txns
-                .values()
-                .filter(|(_, s)| matches!(s, PendingState::Resolved(_)))
-                .count();
-        }
-        if !group.is_ready() {
-            earlier_waiting = true;
-        }
-    }
-    blocked
 }
 
 #[cfg(test)]
@@ -281,19 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_vs_undrained() {
-        let mut pb = PreparedBatches::new();
-        pb.add_group(BatchNum(0), [txn(1)]);
-        pb.add_group(BatchNum(1), [txn(2)]);
-        assert_eq!(pb.pending_txns().count(), 2);
-        pb.resolve(record(2, 1, Outcome::Committed));
-        // txn 2 resolved: no longer "pending" for conflict rule 3, but
-        // still undrained (its writes are not applied yet).
-        assert_eq!(pb.pending_txns().count(), 1);
-        assert_eq!(pb.undrained_txns().count(), 2);
-    }
-
-    #[test]
     fn empty_groups_are_skipped() {
         let mut pb = PreparedBatches::new();
         pb.add_group(BatchNum(0), []);
@@ -314,25 +272,17 @@ mod tests {
     }
 
     #[test]
-    fn blocked_by_ordering_counts_resolved_behind_waiting() {
-        let mut pb = PreparedBatches::new();
-        pb.add_group(BatchNum(0), [txn(1)]);
-        pb.add_group(BatchNum(1), [txn(2), txn(3)]);
-        pb.resolve(record(2, 1, Outcome::Committed));
-        pb.resolve(record(3, 1, Outcome::Committed));
-        // Group 1 fully resolved but blocked behind waiting group 0.
-        assert_eq!(blocked_by_ordering(&pb), 2);
-        pb.resolve(record(1, 0, Outcome::Committed));
-        assert_eq!(blocked_by_ordering(&pb), 0);
-    }
-
-    #[test]
     fn get_waiting_finds_only_unresolved() {
         let mut pb = PreparedBatches::new();
         pb.add_group(BatchNum(0), [txn(1)]);
         let id = TxnId::new(ClientId(0), 1);
         assert!(pb.get_waiting(BatchNum(0), id).is_some());
+        assert_eq!(pb.pending_txns().count(), 1);
         pb.resolve(record(1, 0, Outcome::Committed));
+        // Resolved: no longer waiting, nor pending for conflict rule 3,
+        // though its group has not drained.
         assert!(pb.get_waiting(BatchNum(0), id).is_none());
+        assert_eq!(pb.pending_txns().count(), 0);
+        assert_eq!(pb.group_count(), 1);
     }
 }

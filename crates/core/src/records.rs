@@ -16,12 +16,12 @@
 //! ROADMAP.md, *Deviation ledger*).
 
 use transedge_common::{
-    BatchNum, ClusterId, Decode, Encode, NodeId, Result, TransEdgeError, TxnId, WireReader,
-    WireWriter,
+    BatchNum, ClusterId, ClusterTopology, Decode, Encode, NodeId, Result, TransEdgeError, TxnId,
+    WireReader, WireWriter,
 };
 use transedge_crypto::{KeyStore, Signature};
 
-use crate::batch::CdVector;
+use crate::batch::{CdVector, Transaction};
 
 /// Did the transaction commit or abort?
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,6 +94,27 @@ impl SignedPrepared {
         let stmt = prepared_statement(self.cluster, self.txn, self.prepared_in, &self.cd);
         keys.require_quorum(&stmt, &self.sigs, quorum)
     }
+
+    /// The one check of a single prepared record: it vouches that
+    /// `cluster` prepared `txn` when it names both and `quorum` of that
+    /// cluster's replicas signed it. A participant preparing on a
+    /// coordinator's record and the evidence rule of a 2PC outcome
+    /// ([`CommitRecord::check_evidence`]) both ask this.
+    pub(crate) fn vouches(
+        &self,
+        keys: &KeyStore,
+        quorum: usize,
+        cluster: ClusterId,
+        txn: TxnId,
+    ) -> Result<()> {
+        if self.cluster != cluster || self.txn != txn {
+            return Err(TransEdgeError::Verification(format!(
+                "prepared record of {} at {} is not of {txn} at {cluster}",
+                self.txn, self.cluster
+            )));
+        }
+        self.verify(keys, quorum)
+    }
 }
 
 impl Encode for SignedPrepared {
@@ -142,6 +163,41 @@ pub struct CommitRecord {
     /// The evidence: the `f+1`-signed prepared record of every other
     /// participant. Their CD vectors are what Algorithm 1 folds in.
     pub prepared: Vec<SignedPrepared>,
+}
+
+impl CommitRecord {
+    /// The 2PC evidence rule: this record's evidence supports its
+    /// outcome of `txn` at participant `me` when every prepared record
+    /// in it vouches for `txn` at the cluster it names, and a commit
+    /// holds one of every participant but `me`, whose own prepare is in
+    /// its log. An abort needs none. The leader checks an outcome
+    /// against it on arrival, a follower every record a proposal
+    /// commits.
+    pub(crate) fn check_evidence(
+        &self,
+        keys: &KeyStore,
+        topo: &ClusterTopology,
+        me: ClusterId,
+        txn: &Transaction,
+    ) -> Result<()> {
+        let quorum = topo.certificate_quorum();
+        for sp in &self.prepared {
+            sp.vouches(keys, quorum, sp.cluster, self.txn_id)?;
+        }
+        if self.outcome == Outcome::Committed {
+            let missing: Vec<ClusterId> = txn
+                .partitions(topo)
+                .into_iter()
+                .filter(|c| *c != me && !self.prepared.iter().any(|sp| sp.cluster == *c))
+                .collect();
+            if !missing.is_empty() {
+                return Err(TransEdgeError::Verification(format!(
+                    "missing prepared records from {missing:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Encode for CommitRecord {
@@ -227,6 +283,143 @@ mod tests {
             sigs: vec![(NodeId::Replica(foreign), secrets[&foreign].sign(&stmt))],
         };
         assert!(sp.verify(&keys, 1).is_err());
+    }
+
+    /// The evidence rule's world: three clusters with `f = 1` (a
+    /// record needs two signatures), and a transaction writing a key on
+    /// each of them.
+    struct Evidence {
+        topo: ClusterTopology,
+        keys: KeyStore,
+        secrets: std::collections::HashMap<ReplicaId, transedge_crypto::Keypair>,
+        txn: Transaction,
+    }
+
+    impl Evidence {
+        fn new() -> Self {
+            use crate::batch::WriteOp;
+            use transedge_common::{Key, Value};
+            let topo = ClusterTopology::new(3, 1).unwrap();
+            let (keys, secrets) = KeyStore::for_topology(&topo, &[9u8; 32]);
+            let writes = (0..3)
+                .map(|c| WriteOp {
+                    key: (0u32..)
+                        .map(Key::from_u32)
+                        .find(|k| topo.partition_of(k) == ClusterId(c))
+                        .unwrap(),
+                    value: Value::from("v"),
+                })
+                .collect();
+            let txn = Transaction {
+                id: TxnId::new(ClientId(0), 1),
+                reads: vec![],
+                writes,
+            };
+            Evidence {
+                topo,
+                keys,
+                secrets,
+                txn,
+            }
+        }
+
+        /// `cluster`'s prepared record of `txn`, signed by `signers`.
+        fn record(&self, cluster: u16, txn: TxnId, signers: &[ReplicaId]) -> SignedPrepared {
+            let cdv = cd(3, &[(cluster, 2)]);
+            let stmt = prepared_statement(ClusterId(cluster), txn, BatchNum(2), &cdv);
+            SignedPrepared {
+                cluster: ClusterId(cluster),
+                txn,
+                prepared_in: BatchNum(2),
+                cd: cdv,
+                sigs: signers
+                    .iter()
+                    .map(|r| (NodeId::Replica(*r), self.secrets[r].sign(&stmt)))
+                    .collect(),
+            }
+        }
+
+        /// `cluster`'s record of the transaction, signed by its first
+        /// `f+1` replicas.
+        fn honest(&self, cluster: u16) -> SignedPrepared {
+            let signers = [0, 1].map(|i| ReplicaId::new(ClusterId(cluster), i));
+            self.record(cluster, self.txn.id, &signers)
+        }
+
+        /// Does `prepared` support `outcome` at cluster 0?
+        fn supports(&self, outcome: Outcome, prepared: Vec<SignedPrepared>) -> bool {
+            let record = CommitRecord {
+                txn_id: self.txn.id,
+                prepared_in: BatchNum(0),
+                outcome,
+                prepared,
+            };
+            record
+                .check_evidence(&self.keys, &self.topo, ClusterId(0), &self.txn)
+                .is_ok()
+        }
+    }
+
+    #[test]
+    fn honest_evidence_supports_its_outcome() {
+        let ev = Evidence::new();
+        // A commit needs every other participant's record; the
+        // checker's own may ride along.
+        assert!(ev.supports(Outcome::Committed, vec![ev.honest(1), ev.honest(2)]));
+        let all = vec![ev.honest(0), ev.honest(1), ev.honest(2)];
+        assert!(ev.supports(Outcome::Committed, all));
+        // An abort needs none, but what it carries must still verify.
+        assert!(ev.supports(Outcome::Aborted, vec![]));
+        assert!(ev.supports(Outcome::Aborted, vec![ev.honest(1)]));
+        // One record vouches for its own cluster and transaction only.
+        let sp = ev.honest(1);
+        let quorum = ev.topo.certificate_quorum();
+        assert!(sp
+            .vouches(&ev.keys, quorum, ClusterId(1), ev.txn.id)
+            .is_ok());
+        assert!(sp
+            .vouches(&ev.keys, quorum, ClusterId(2), ev.txn.id)
+            .is_err());
+        let other = TxnId::new(ClientId(0), 2);
+        assert!(sp.vouches(&ev.keys, quorum, ClusterId(1), other).is_err());
+    }
+
+    #[test]
+    fn evidence_naming_another_transaction_supports_nothing() {
+        let ev = Evidence::new();
+        let signers = [0, 1].map(|i| ReplicaId::new(ClusterId(2), i));
+        let other = ev.record(2, TxnId::new(ClientId(0), 2), &signers);
+        assert!(!ev.supports(Outcome::Committed, vec![ev.honest(1), other.clone()]));
+        assert!(!ev.supports(Outcome::Aborted, vec![other]));
+    }
+
+    #[test]
+    fn evidence_signed_outside_its_cluster_supports_nothing() {
+        let ev = Evidence::new();
+        // Cluster 2's record, one of whose two signers is cluster 1's.
+        let signers = [
+            ReplicaId::new(ClusterId(2), 0),
+            ReplicaId::new(ClusterId(1), 0),
+        ];
+        let forged = ev.record(2, ev.txn.id, &signers);
+        assert!(!ev.supports(Outcome::Committed, vec![ev.honest(1), forged]));
+    }
+
+    #[test]
+    fn evidence_below_f_plus_one_signatures_supports_nothing() {
+        let ev = Evidence::new();
+        let thin = ev.record(2, ev.txn.id, &[ReplicaId::new(ClusterId(2), 0)]);
+        assert!(!ev.supports(Outcome::Committed, vec![ev.honest(1), thin.clone()]));
+        assert!(!ev.supports(Outcome::Aborted, vec![thin]));
+    }
+
+    #[test]
+    fn a_commit_missing_a_participants_record_is_unsupported() {
+        let ev = Evidence::new();
+        assert!(!ev.supports(Outcome::Committed, vec![ev.honest(1)]));
+        // The checker's own record covers no one else.
+        assert!(!ev.supports(Outcome::Committed, vec![ev.honest(0), ev.honest(2)]));
+        assert!(!ev.supports(Outcome::Committed, vec![]));
     }
 
     #[test]

@@ -308,3 +308,71 @@ fn share_state_is_dropped_with_its_prepare_group() {
     }
     assert!(dep.metrics().fleet_counter("node.shares_never_verified") > 0);
 }
+
+/// Admission and 2PC are the leader's: a replica that does not lead
+/// forwards each of the four leader-only messages once, unchanged, to
+/// the replica that does, which handles it rather than forwarding it
+/// again. The forwarded client request is admitted there.
+#[test]
+fn a_follower_forwards_each_leader_only_message_to_its_leader() {
+    use transedge_core::batch::{CdVector, Transaction, WriteOp};
+    use transedge_core::messages::PrepareVote;
+    use transedge_core::records::{Outcome, SignedPrepared};
+
+    let config = DeploymentConfig::for_testing();
+    let topo = config.topo.clone();
+    let mut dep = Deployment::build(config, vec![]);
+    let follower = ReplicaId::new(ClusterId(0), 1);
+    let leader = dep.node(follower).cluster_leader();
+    assert_ne!(leader, follower);
+    let outsider = NodeId::Client(ClientId(99));
+    let txn = Transaction {
+        id: TxnId::new(ClientId(99), 1),
+        reads: vec![],
+        writes: vec![WriteOp {
+            key: keys_on(&topo, ClusterId(0), 1, 0)[0].clone(),
+            value: Value::from("f"),
+        }],
+    };
+    // Unsigned 2PC evidence: the leader drops it once it arrives.
+    let prepare = SignedPrepared {
+        cluster: ClusterId(1),
+        txn: txn.id,
+        prepared_in: BatchNum(1),
+        cd: CdVector::new(topo.n_clusters()),
+        sigs: vec![],
+    };
+    let messages = [
+        NetMsg::CommitRequest {
+            txn: txn.clone(),
+            reply_to: outsider,
+        },
+        NetMsg::CoordinatorPrepare {
+            txn: txn.clone(),
+            coordinator: ClusterId(1),
+            prepare: prepare.clone(),
+        },
+        NetMsg::Prepared {
+            vote: PrepareVote::Yes(prepare),
+        },
+        NetMsg::CommitOutcome {
+            txn: txn.id,
+            coordinator: ClusterId(1),
+            outcome: Outcome::Aborted,
+            prepared: vec![],
+        },
+    ];
+    for msg in messages {
+        let kind = msg.kind();
+        let sent = dep.sim.stats().kind(kind).messages;
+        dep.sim.inject(outsider, NodeId::Replica(follower), msg);
+        dep.run_until(SimTime(dep.sim.now().0 + 100_000));
+        assert_eq!(
+            dep.sim.stats().kind(kind).messages,
+            sent + 2,
+            "{kind}: the injected message and one forward"
+        );
+    }
+    assert_eq!(dep.node(leader).stats.txns_admitted, 1);
+    assert_eq!(dep.node(follower).stats.txns_admitted, 0);
+}
