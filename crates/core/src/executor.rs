@@ -220,15 +220,17 @@ impl Executor {
     /// state instead of recomputing it: this executor takes its own
     /// copy of the store, the tree, the last CD vector and LCE and the
     /// applied count. Its identity, signature memo, 2PC bookkeeping,
-    /// speculation and freshness window stay its own. The copied tree
-    /// keeps `source`'s hash seed.
+    /// speculation and freshness window stay its own.
     ///
     /// The copies are values but cost O(1) in the number of keys: they
-    /// share their tables with `source` until either side writes, and
-    /// the writer then copies the table it writes. The tree is written
-    /// by applying a batch that changes a key (speculatively too) or by
-    /// rolling one back, the store by a committed write; a batch that
-    /// changes no key copies nothing.
+    /// share their chunks (the tree's and the store's tables, split by
+    /// key-hash prefix) with `source`, and a side that writes copies
+    /// only the chunks its write touches. The tree is written by
+    /// applying a batch that changes a key (speculatively too) or by
+    /// rolling one back, which copies the subtree chunk of each touched
+    /// key and the top chunk above them; the store by a committed
+    /// write, which copies the chunk of each key it writes. A batch
+    /// that changes no key copies nothing.
     pub fn adopt_genesis(&mut self, source: &Executor) {
         assert_eq!(source.applied, 1, "source must hold exactly genesis");
         assert_eq!(self.applied, 0, "genesis must precede all batches");

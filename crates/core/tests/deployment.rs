@@ -3,16 +3,16 @@
 //! actor.
 
 use transedge_common::{
-    BatchNum, ClientId, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimTime, Value,
+    BatchNum, ClientId, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimTime, TxnId, Value,
 };
 use transedge_consensus::BftValue;
-use transedge_core::batch::Batch;
+use transedge_core::batch::{Batch, Transaction, WriteOp};
 use transedge_core::client::ClientOp;
-use transedge_core::executor::Executor;
+use transedge_core::executor::{Executor, RejectReason};
 use transedge_core::node::TransEdgeNode;
 use transedge_core::setup::{generate_data, Deployment, DeploymentConfig};
-use transedge_crypto::merkle::value_digest;
-use transedge_crypto::SigStats;
+use transedge_crypto::merkle::{value_digest, verify_proof, Verified};
+use transedge_crypto::{Digest, SigStats};
 
 #[test]
 fn genesis_batches_are_certified_per_cluster() {
@@ -233,4 +233,150 @@ fn independent_preloads_agree_on_genesis() {
     assert_eq!(BftValue::digest(&genesis_a), BftValue::digest(&genesis_b));
     assert_eq!(a.tree.root_at(0), b.tree.root_at(0));
     assert_eq!(genesis_a.header.merkle_root, a.tree.root_at(0));
+}
+
+#[test]
+fn replicas_that_write_agree_keep_genesis_and_never_see_a_siblings_speculation() {
+    let config = DeploymentConfig::for_testing();
+    let topo = config.topo.clone();
+    let keys_of = |cluster| -> Vec<Key> {
+        (0u32..)
+            .map(Key::from_u32)
+            .filter(|k| topo.partition_of(k) == cluster)
+            .take(8)
+            .collect()
+    };
+    // One writer per cluster: every partition takes writes, so every
+    // replica copies the chunks those writes touch and shares the rest.
+    let scripts: Vec<Vec<ClientOp>> = topo
+        .clusters()
+        .map(|cluster| {
+            keys_of(cluster)[..6]
+                .chunks(2)
+                .enumerate()
+                .map(|(i, pair)| ClientOp::ReadWrite {
+                    reads: vec![],
+                    writes: pair
+                        .iter()
+                        .map(|k| (k.clone(), Value::from(format!("w{i}").as_str())))
+                        .collect(),
+                })
+                .collect()
+        })
+        .collect();
+    let mut dep = Deployment::build(config, scripts);
+    dep.run_until_done(SimTime(120_000_000));
+    let depth = dep.config.node.tree_depth;
+    for cluster in topo.clusters() {
+        let replicas: Vec<ReplicaId> = topo.replicas_of(cluster).collect();
+        let keys = keys_of(cluster);
+        let applied = replicas
+            .iter()
+            .map(|&r| dep.node(r).exec.applied_batches())
+            .min()
+            .unwrap();
+        let first = &dep.node(replicas[0]).exec;
+        assert_ne!(
+            first.tree.root_at(applied - 1),
+            first.tree.root_at(0),
+            "{cluster} applied no write"
+        );
+        for &r in &replicas {
+            let exec = &dep.node(r).exec;
+            for version in 0..applied {
+                assert_eq!(
+                    exec.tree.root_at(version),
+                    first.tree.root_at(version),
+                    "{r} at {version}"
+                );
+            }
+            // Genesis still proves what was preloaded.
+            for key in &keys {
+                let (_, value) = dep.data.iter().find(|(k, _)| k == key).unwrap();
+                let proof = exec.tree.prove_at(key, 0);
+                assert_eq!(
+                    verify_proof(&exec.tree.root_at(0), depth, key, &proof).unwrap(),
+                    Verified::Present(value_digest(value)),
+                    "{r}: genesis proof of {key:?}"
+                );
+            }
+        }
+
+        // A follower speculates on a batch writing a key no replica has
+        // written (its chunk still shared), then rolls it back: once
+        // because the batch's root is wrong, once after accepting it.
+        let (sealer, follower) = (replicas[1], replicas[2]);
+        let now = dep.sim.now();
+        let txn = Transaction {
+            id: TxnId::new(ClientId(u32::MAX), 0),
+            reads: vec![],
+            writes: vec![WriteOp {
+                key: keys[7].clone(),
+                value: Value::from("speculative"),
+            }],
+        };
+        let sealer_exec = exec_mut(&mut dep, sealer);
+        let slot = BatchNum(sealer_exec.applied_batches());
+        let honest = sealer_exec.seal_batch(vec![txn], vec![], &[], now);
+        sealer_exec.rollback_speculation();
+        let mut forged = honest.clone();
+        forged.header.merkle_root = Digest([0xEE; 32]);
+
+        let reads = |dep: &Deployment| -> Vec<_> {
+            replicas
+                .iter()
+                .map(|&r| {
+                    let exec = &dep.node(r).exec;
+                    let latest = exec.tree.latest_version();
+                    let at = |version| {
+                        (
+                            exec.tree.root_at(version),
+                            exec.tree.prove_multi(&keys, version),
+                            exec.store.versions(&keys[7]).map(<[_]>::to_vec),
+                        )
+                    };
+                    (latest, at(0), at(slot.0))
+                })
+                .collect()
+        };
+        let before = reads(&dep);
+        let follower_exec = exec_mut(&mut dep, follower);
+        assert_eq!(
+            follower_exec.validate_batch(slot, &forged, now),
+            Err(RejectReason::BadRoot)
+        );
+        assert!(
+            reads(&dep) == before,
+            "a rejected speculation stayed behind"
+        );
+
+        let follower_exec = exec_mut(&mut dep, follower);
+        assert_eq!(follower_exec.validate_batch(slot, &honest, now), Ok(()));
+        assert_eq!(
+            follower_exec.tree.root_at(slot.0),
+            honest.header.merkle_root
+        );
+        let during = reads(&dep);
+        for (i, &r) in replicas.iter().enumerate() {
+            if r == follower {
+                assert!(during[i] != before[i], "{r} did not speculate");
+            } else {
+                assert!(during[i] == before[i], "{r} saw {follower}'s speculation");
+            }
+        }
+        exec_mut(&mut dep, follower).rollback_speculation();
+        assert!(
+            reads(&dep) == before,
+            "a rolled-back speculation stayed behind"
+        );
+    }
+}
+
+/// Replica `r`'s executor, to drive by hand.
+fn exec_mut(dep: &mut Deployment, r: ReplicaId) -> &mut Executor {
+    &mut dep
+        .sim
+        .actor_as_mut::<TransEdgeNode>(NodeId::Replica(r))
+        .expect("a replica")
+        .exec
 }

@@ -17,45 +17,41 @@
 //! Layout: every node and bucket slot holds its newest
 //! `(version, payload)` inline and its older versions in a boxed list
 //! behind it, ascending by version. Almost every read asks for the
-//! newest version, and most slots are written in one version only, so a
-//! lookup is one map probe and the older list of such a slot is `None`,
-//! one null pointer; an older version costs a binary search. A slot's
-//! list is created on its first overwrite at room for one version and
-//! then grows as a `Vec` does, and a rollback that empties it frees it.
-//! A new bucket, too, starts with room for exactly one entry: most
+//! newest version, and most slots are written in one version only, so
+//! the older list of such a slot is `None`, one null pointer; an older
+//! version costs a binary search. A slot's list is created on its first
+//! overwrite at room for one version and then grows as a `Vec` does,
+//! and a rollback that empties it frees it. A new bucket, too, starts
+//! with room for just the entries its first version writes: most
 //! buckets of a replica's tree hold one key.
 //!
-//! All nodes below the root share one map, keyed by `level << MAX_DEPTH
-//! | index`, so the map's power-of-two capacity is rounded up once for
-//! the whole tree rather than once per level; buckets have a map of
-//! their own. Each version's root sits in a list of its own, one
-//! `(version, root)` entry per applied version, so a version that
-//! changes no key writes to neither map.
+//! The slots are split into chunks by the top 8 bits of their index,
+//! which are the first byte of every key hash below them: each of 256
+//! chunks holds the buckets and nodes of one subtree whose root sits 8
+//! levels below the tree's, and one more chunk holds the (at most 254)
+//! nodes above those subtrees, which every write's path crosses. (A
+//! tree shallower than 8 levels keeps every slot in that top chunk.) A
+//! chunk keeps its buckets and its nodes each in two arrays: the slot
+//! keys ascending — bucket index, and `level << MAX_DEPTH | index` for
+//! a node — and the slots at the same positions, sized to what they
+//! hold and searched by bisection, which no choice of keys can degrade.
+//! Each version's root sits in a list of its own, one `(version, root)`
+//! entry per applied version, so a version that changes no key writes
+//! to no chunk.
 //!
-//! Both maps sit behind an [`Arc`], so a clone shares them and costs
-//! O(1) in the maps' size: a cluster's simulated replicas, which start
-//! from one genesis tree, hold it once. A tree copies a shared map on
-//! its first write to it ([`Arc::make_mut`]): applying a version that
-//! changes at least one key, or rolling such a version back. Each clone
-//! keeps its own root list and undo record, so clones stay
-//! independent values.
-//!
-//! The maps are keyed by node key and bucket index and hashed with one
-//! folded multiply instead of SipHash. Bucket indices are prefixes of
-//! key hashes, so whoever chooses keys can grind them to choose indices;
-//! each new tree draws a random seed (from [`RandomState`]) that the
-//! hash mixes in, so which indices collide in a map cannot be predicted
-//! from outside the process. A clone keeps its source's seed: the seed
-//! only has to be unknown outside the process, so trees that share one
-//! (a cluster's simulated replicas, which start from one genesis tree)
-//! are no easier to grind than trees that do not.
+//! Each chunk sits behind its own [`Arc`], and so does the table of
+//! them, so a clone shares them all and costs O(1) in the tree's size:
+//! a cluster's simulated replicas, which start from one genesis tree,
+//! hold it once. A tree copies a shared chunk when it first writes to
+//! it ([`Arc::make_mut`]), so applying a version, or rolling one back,
+//! copies only the chunks on the touched keys' paths: a one-key version
+//! copies one subtree chunk and the top chunk. Each clone keeps its own
+//! root list and undo record, so clones stay independent values.
 //!
 //! [`VersionedMerkleTree::rollback`] undoes one speculation: the tree
 //! keeps a single undo record — the latest version and the buckets it
 //! touched — and rolling back consumes it, in O(touched paths).
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::Arc;
 
 use transedge_common::Key;
@@ -67,6 +63,22 @@ use crate::merkle::{
 };
 use crate::range::{RangeProof, ScanRange};
 use crate::sha2::sha256;
+
+/// How many top bits of a slot's index pick its chunk.
+const CHUNK_BITS: u32 = 8;
+
+/// The chunk of the nodes fewer than [`CHUNK_BITS`] levels below the
+/// root; the subtree chunks come before it.
+const TOP: usize = 1 << CHUNK_BITS;
+
+/// The chunk of the slot at `index` on a level whose indices have
+/// `bits` bits: its subtree's, or [`TOP`] above the subtrees.
+fn chunk_of(bits: u32, index: u64) -> usize {
+    match bits.checked_sub(CHUNK_BITS) {
+        Some(below) => (index >> below) as usize,
+        None => TOP,
+    }
+}
 
 /// One slot's versions: the newest inline, older ones behind it.
 #[derive(Clone)]
@@ -100,15 +112,10 @@ impl<T> Versioned<T> {
         older[..idx].last().map(|(_, t)| t)
     }
 
-    /// Record `payload` as `version`, which is not older than the
-    /// newest: it replaces the newest of the same version, or pushes it
-    /// down into the older list, which the first push creates with room
-    /// for one.
+    /// Record `payload` as `version`, which is newer than the newest:
+    /// the newest moves down into the older list, which the first push
+    /// creates with room for one.
     fn set(&mut self, version: u64, payload: T) {
-        if self.version == version {
-            self.newest = payload;
-            return;
-        }
         debug_assert!(self.version < version);
         let prev = std::mem::replace(&mut self.newest, payload);
         self.older
@@ -137,66 +144,68 @@ impl<T> Versioned<T> {
     }
 }
 
-/// Index (a bucket index or a [`node_key`]) → versions, hashed by
-/// [`IndexHash`].
-type IndexMap<T> = HashMap<u64, Versioned<T>, IndexHash>;
-
-/// Builds [`IndexHasher`]s that share one per-tree random seed.
-#[derive(Clone, Copy)]
-struct IndexHash {
-    seed: u64,
+/// Slot key (a bucket index or a [`node_key`]) → versions: the keys
+/// ascending in one array, which a lookup bisects, and each slot's
+/// versions at the same position in another.
+#[derive(Clone, Default)]
+struct Slots<T> {
+    keys: Vec<u64>,
+    versions: Vec<Versioned<T>>,
 }
 
-impl BuildHasher for IndexHash {
-    type Hasher = IndexHasher;
-
-    fn build_hasher(&self) -> IndexHasher {
-        IndexHasher(self.seed)
-    }
-}
-
-/// Folded-multiply hash of a `u64`: the two halves of the 128-bit
-/// product of `(state ^ word)` and an odd constant, XORed together.
-struct IndexHasher(u64);
-
-impl Hasher for IndexHasher {
-    fn write_u64(&mut self, word: u64) {
-        const MUL: u64 = 0x5851_f42d_4c95_7f2d;
-        let product = u128::from(self.0 ^ word) * u128::from(MUL);
-        self.0 = product as u64 ^ (product >> 64) as u64;
+impl<T> Slots<T> {
+    /// The versions at slot `key`, if it was ever written.
+    fn get(&self, key: u64) -> Option<&Versioned<T>> {
+        let pos = self.keys.binary_search(&key).ok()?;
+        Some(&self.versions[pos])
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(byte.into());
+    /// Record every `(slot key, payload)` of `writes` as `version`,
+    /// leaving `writes` empty. New slots go into room reserved for
+    /// exactly them.
+    fn put_all(&mut self, writes: &mut Vec<(u64, T)>, version: u64) {
+        let fresh = writes
+            .iter()
+            .filter(|(key, _)| self.keys.binary_search(key).is_err())
+            .count();
+        self.keys.reserve_exact(fresh);
+        self.versions.reserve_exact(fresh);
+        for (key, payload) in writes.drain(..) {
+            match self.keys.binary_search(&key) {
+                Ok(pos) => self.versions[pos].set(version, payload),
+                Err(pos) => {
+                    self.keys.insert(pos, key);
+                    self.versions.insert(pos, Versioned::new(version, payload));
+                }
+            }
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Record `payload` as `version` at `index`.
-fn put<T>(map: &mut IndexMap<T>, index: u64, version: u64, payload: T) {
-    match map.entry(index) {
-        Entry::Occupied(slot) => slot.into_mut().set(version, payload),
-        Entry::Vacant(slot) => {
-            slot.insert(Versioned::new(version, payload));
+    /// Undo [`Self::put_all`] of `version` at slot `key`.
+    fn unput(&mut self, key: u64, version: u64) {
+        if let Ok(pos) = self.keys.binary_search(&key) {
+            if !self.versions[pos].pop(version) {
+                self.keys.remove(pos);
+                self.versions.remove(pos);
+            }
         }
     }
-}
 
-/// Undo [`put`] of `version` at `index`.
-fn unput<T>(map: &mut IndexMap<T>, index: u64, version: u64) {
-    if let Entry::Occupied(mut slot) = map.entry(index) {
-        if !slot.get_mut().pop(version) {
-            slot.remove();
-        }
+    /// Give back the room of slots a rollback removed.
+    fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.versions.shrink_to_fit();
     }
 }
 
-/// The one map key of the node at `index` on `level`: the index takes
+/// The buckets and nodes of one subtree, or the nodes above them all.
+#[derive(Clone, Default)]
+struct Chunk {
+    buckets: Slots<Vec<BucketEntry>>,
+    nodes: Slots<Digest>,
+}
+
+/// The one slot key of the node at `index` on `level`: the index takes
 /// the low [`MAX_DEPTH`] bits and the level the bits above them.
 fn node_key(level: usize, index: u64) -> u64 {
     ((level as u64) << MAX_DEPTH) | index
@@ -205,44 +214,63 @@ fn node_key(level: usize, index: u64) -> u64 {
 /// The digest of the node at `index` on `level` as of `version`: the
 /// empty subtree's if `nodes` holds none by then.
 fn node_in(
-    nodes: &IndexMap<Digest>,
+    nodes: &Slots<Digest>,
     defaults: &[Digest],
     level: usize,
     index: u64,
     version: u64,
 ) -> Digest {
     nodes
-        .get(&node_key(level, index))
+        .get(node_key(level, index))
         .and_then(|n| n.at(version))
         .copied()
         .unwrap_or(defaults[level])
 }
 
-/// The digest of the node at `index` on `level` (above the leaves) as
-/// of `version`, hashed from its two children.
-fn parent_in(
-    nodes: &IndexMap<Digest>,
-    defaults: &[Digest],
-    level: usize,
-    index: u64,
-    version: u64,
-) -> Digest {
-    let left = node_in(nodes, defaults, level - 1, index << 1, version);
-    let right = node_in(nodes, defaults, level - 1, (index << 1) | 1, version);
-    hash_node(&left, &right)
+/// Fold the new digests `frontier` of level `from`, `(index, digest)`
+/// ascending, up to level `to`: push each new parent digest to `out` as
+/// `(node key, digest)`, level by level, so `out` stays ascending, and
+/// leave the new digests of level `to` in `frontier`. A frontier node's
+/// sibling is its frontier neighbour if that is new too, else `old`.
+fn fold(
+    frontier: &mut Vec<(u64, Digest)>,
+    from: usize,
+    to: usize,
+    old: impl Fn(usize, u64) -> Digest,
+    out: &mut Vec<(u64, Digest)>,
+) {
+    for level in from..to {
+        // Parents overwrite the frontier in place: the write position
+        // never passes the read position.
+        let (mut read, mut write) = (0, 0);
+        while read < frontier.len() {
+            let (idx, digest) = frontier[read];
+            read += 1;
+            let (left, right) = if idx & 1 == 1 {
+                (old(level, idx - 1), digest)
+            } else if frontier.get(read).is_some_and(|&(next, _)| next == idx + 1) {
+                read += 1;
+                (digest, frontier[read - 1].1)
+            } else {
+                (digest, old(level, idx + 1))
+            };
+            let parent = (idx >> 1, hash_node(&left, &right));
+            out.push((node_key(level + 1, parent.0), parent.1));
+            frontier[write] = parent;
+            write += 1;
+        }
+        frontier.truncate(write);
+    }
 }
 
 /// The versioned tree. Versions are the batch numbers of the SMR log.
 #[derive(Clone)]
 pub struct VersionedMerkleTree {
     depth: u32,
-    /// bucket index → versioned entry lists, shared with clones until
-    /// one of them writes.
-    buckets: Arc<IndexMap<Vec<BucketEntry>>>,
-    /// [`node_key`]`(level, index)` → versioned digests, every level
-    /// below the root in one map (level 0 = leaves), shared like
-    /// `buckets`.
-    nodes: Arc<IndexMap<Digest>>,
+    /// The subtree chunks in tree order, then the [`TOP`] chunk, each
+    /// shared with clones until one of them writes to it; so is the
+    /// table of them.
+    chunks: Arc<[Arc<Chunk>; TOP + 1]>,
     /// `(version, root)` of every applied version, ascending by
     /// version: the last entry is the latest version.
     roots: Vec<(u64, Digest)>,
@@ -261,13 +289,11 @@ impl VersionedMerkleTree {
             u64::from(depth).leading_zeros() >= MAX_DEPTH,
             "depth {depth} overflows a node key"
         );
-        let hash = IndexHash {
-            seed: RandomState::new().build_hasher().finish(),
-        };
+        // Every chunk starts as one shared empty chunk.
+        let empty = Arc::default();
         VersionedMerkleTree {
             depth,
-            buckets: Arc::new(HashMap::with_hasher(hash)),
-            nodes: Arc::new(HashMap::with_hasher(hash)),
+            chunks: Arc::new(std::array::from_fn(|_| Arc::clone(&empty))),
             roots: Vec::new(),
             defaults: empty_subtrees(),
             undo: None,
@@ -287,12 +313,32 @@ impl VersionedMerkleTree {
         bucket_of(key_hash, self.depth)
     }
 
+    /// The chunk of the slot at `index` on `level` (0 = leaves and
+    /// buckets).
+    fn chunk(&self, level: usize, index: u64) -> &Chunk {
+        &self.chunks[chunk_of(self.depth - level as u32, index)]
+    }
+
     fn bucket_at(&self, index: u64, version: u64) -> Option<&Vec<BucketEntry>> {
-        self.buckets.get(&index).and_then(|b| b.at(version))
+        self.chunk(0, index)
+            .buckets
+            .get(index)
+            .and_then(|b| b.at(version))
     }
 
     fn node_at(&self, level: usize, index: u64, version: u64) -> Digest {
-        node_in(&self.nodes, self.defaults, level, index, version)
+        node_in(
+            &self.chunk(level, index).nodes,
+            self.defaults,
+            level,
+            index,
+            version,
+        )
+    }
+
+    /// Chunk `c` to write, copied first if it is shared.
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        Arc::make_mut(&mut Arc::make_mut(&mut self.chunks)[c])
     }
 
     /// Apply a batch of `(key, value_hash)` updates as `version`,
@@ -309,7 +355,7 @@ impl VersionedMerkleTree {
         );
         let mut updates = updates.into_iter().peekable();
         // A version that changes no key keeps the latest root and writes
-        // to neither map, so a tree that shares them keeps sharing.
+        // to no chunk, so a tree that shares them keeps sharing.
         let (root, dirty) = if updates.peek().is_none() {
             (self.root_at(version), Vec::new())
         } else {
@@ -320,66 +366,86 @@ impl VersionedMerkleTree {
         root
     }
 
-    /// Write `updates` (at least one) into the maps as `version`,
-    /// returning the new root and the buckets the version touched.
+    /// Write `updates` (at least one) into the chunks as `version`,
+    /// returning the new root and the buckets the version touched,
+    /// ascending. Each touched subtree chunk takes its buckets and nodes
+    /// in one pass; the top chunk takes the paths above them last.
     fn write_version<'a>(
         &mut self,
         version: u64,
         updates: impl Iterator<Item = (&'a Key, Digest)>,
     ) -> (Digest, Vec<u64>) {
-        let buckets = Arc::make_mut(&mut self.buckets);
-        let nodes = Arc::make_mut(&mut self.nodes);
-        let (depth, defaults) = (self.depth as usize, self.defaults);
+        let (depth, defaults) = (self.depth, self.defaults);
+        // `(bucket, key hash, value hash)` by bucket and key hash; the
+        // stable sort keeps a key written twice in order, so the last
+        // write wins.
+        let mut writes: Vec<(u64, Digest, Digest)> = updates
+            .map(|(key, value_hash)| {
+                let key_hash = sha256(key.as_bytes());
+                (bucket_of(&key_hash, depth), key_hash, value_hash)
+            })
+            .collect();
+        writes.sort_by_key(|&(bucket, key_hash, _)| (bucket, key_hash));
+        // The level whose nodes root the subtree chunks: every level
+        // below it and the buckets share their subtree's chunk.
+        let split = depth.saturating_sub(CHUNK_BITS) as usize;
         let mut dirty: Vec<u64> = Vec::new();
-        for (key, value_hash) in updates {
-            let key_hash = sha256(key.as_bytes());
-            let idx = bucket_of(&key_hash, self.depth);
-            let bucket = match buckets.entry(idx) {
+        let mut buckets: Vec<(u64, Vec<BucketEntry>)> = Vec::new();
+        let mut frontier: Vec<(u64, Digest)> = Vec::new();
+        let mut nodes: Vec<(u64, Digest)> = Vec::new();
+        let mut top: Vec<(u64, Digest)> = Vec::new();
+        for run in writes.chunk_by(|a, b| chunk_of(depth, a.0) == chunk_of(depth, b.0)) {
+            let c = chunk_of(depth, run[0].0);
+            for group in run.chunk_by(|a, b| a.0 == b.0) {
+                let idx = group[0].0;
                 // Start the new bucket version from the latest contents.
-                Entry::Occupied(slot) => {
-                    let slot = slot.into_mut();
-                    if slot.version != version {
-                        let snapshot = slot.newest.clone();
-                        slot.set(version, snapshot);
-                        dirty.push(idx);
+                let mut bucket = match self.chunks[c].buckets.get(idx) {
+                    Some(slot) => slot.newest.clone(),
+                    None => Vec::with_capacity(group.len()),
+                };
+                for &(_, key_hash, value_hash) in group {
+                    match bucket.binary_search_by(|e| e.key_hash.cmp(&key_hash)) {
+                        Ok(pos) => bucket[pos].value_hash = value_hash,
+                        Err(pos) => bucket.insert(
+                            pos,
+                            BucketEntry {
+                                key_hash,
+                                value_hash,
+                            },
+                        ),
                     }
-                    &mut slot.newest
                 }
-                Entry::Vacant(slot) => {
-                    dirty.push(idx);
-                    let bucket = Vec::with_capacity(1);
-                    &mut slot.insert(Versioned::new(version, bucket)).newest
-                }
-            };
-            match bucket.binary_search_by(|e| e.key_hash.cmp(&key_hash)) {
-                Ok(pos) => bucket[pos].value_hash = value_hash,
-                Err(pos) => bucket.insert(
-                    pos,
-                    BucketEntry {
-                        key_hash,
-                        value_hash,
-                    },
-                ),
+                let leaf = hash_leaf(&bucket);
+                dirty.push(idx);
+                frontier.push((idx, leaf));
+                nodes.push((node_key(0, idx), leaf));
+                buckets.push((idx, bucket));
             }
+            let chunk = self.chunk_mut(c);
+            chunk.buckets.put_all(&mut buckets, version);
+            let old = &chunk.nodes;
+            fold(
+                &mut frontier,
+                0,
+                split,
+                |level, index| node_in(old, defaults, level, index, version),
+                &mut nodes,
+            );
+            chunk.nodes.put_all(&mut nodes, version);
+            top.append(&mut frontier);
         }
-        // Recompute dirty paths level by level, up to the root's
-        // children. The frontier stays sorted and distinct, so halving
-        // it in place keeps it sorted and only adjacent duplicates need
-        // dropping.
-        let mut frontier = dirty.clone();
-        frontier.sort_unstable();
-        for &idx in &frontier {
-            let leaf = hash_leaf(&buckets[&idx].newest);
-            put(nodes, node_key(0, idx), version, leaf);
-        }
-        for level in 1..depth {
-            halve(&mut frontier);
-            for &parent in &frontier {
-                let digest = parent_in(nodes, defaults, level, parent, version);
-                put(nodes, node_key(level, parent), version, digest);
-            }
-        }
-        (parent_in(nodes, defaults, depth, 0, version), dirty)
+        // Above the subtrees, up to the root, which goes to the root
+        // list rather than a chunk.
+        fold(
+            &mut top,
+            split,
+            depth as usize,
+            |level, index| self.node_at(level, index, version),
+            &mut nodes,
+        );
+        let (_, root) = nodes.pop().expect("the fold ends at the root");
+        self.chunk_mut(TOP).nodes.put_all(&mut nodes, version);
+        (root, dirty)
     }
 
     /// Undo the *latest* version (speculative batch rejected / view
@@ -400,21 +466,21 @@ impl VersionedMerkleTree {
         };
         // The undo record's version is the latest, whose root is last.
         self.roots.pop();
-        if frontier.is_empty() {
-            return;
-        }
-        frontier.sort_unstable();
-        let buckets = Arc::make_mut(&mut self.buckets);
-        let nodes = Arc::make_mut(&mut self.nodes);
-        for &idx in &frontier {
-            unput(buckets, idx, version);
-            unput(nodes, node_key(0, idx), version);
-        }
-        for level in 1..self.depth as usize {
-            halve(&mut frontier);
-            for &parent in &frontier {
-                unput(nodes, node_key(level, parent), version);
+        for level in 0..self.depth as usize {
+            let bits = self.depth - level as u32;
+            for run in frontier.chunk_by(|&a, &b| chunk_of(bits, a) == chunk_of(bits, b)) {
+                let chunk = self.chunk_mut(chunk_of(bits, run[0]));
+                for &idx in run {
+                    if level == 0 {
+                        chunk.buckets.unput(idx, version);
+                    }
+                    chunk.nodes.unput(node_key(level, idx), version);
+                }
+                // A slot the version created is gone: give back its room.
+                chunk.buckets.shrink_to_fit();
+                chunk.nodes.shrink_to_fit();
             }
+            halve(&mut frontier);
         }
     }
 
@@ -510,11 +576,18 @@ impl VersionedMerkleTree {
             range.last,
             self.depth
         );
+        // The window's buckets, chunk by chunk in tree order.
         let mut occupied = Vec::new();
-        for idx in range.first..=range.last {
-            if let Some(bucket) = self.bucket_at(idx, version) {
-                if !bucket.is_empty() {
-                    occupied.push((idx, bucket.clone()));
+        let chunks = chunk_of(self.depth, range.first)..=chunk_of(self.depth, range.last);
+        for chunk in &self.chunks[chunks] {
+            let Slots { keys, versions } = &chunk.buckets;
+            let from = keys.partition_point(|&idx| idx < range.first);
+            for (idx, slot) in keys[from..].iter().zip(&versions[from..]) {
+                if *idx > range.last {
+                    break;
+                }
+                if let Some(bucket) = slot.at(version).filter(|b| !b.is_empty()) {
+                    occupied.push((*idx, bucket.clone()));
                 }
             }
         }
@@ -576,17 +649,75 @@ mod tests {
 
     #[test]
     fn matches_plain_tree_roots() {
-        let mut vt = VersionedMerkleTree::with_depth(8);
-        let mut pt = MerkleTree::with_depth(8);
-        for batch in 0..5u64 {
-            let updates: Vec<(Key, Digest)> = (0..20)
-                .map(|i| (k(batch as u32 * 20 + i), vh(&format!("{batch}-{i}"))))
-                .collect();
-            let root = vt.apply_batch(batch, updates.iter().map(|(k, d)| (k, *d)));
-            pt.batch_update(updates.iter().map(|(k, d)| (k, *d)));
-            assert_eq!(root, pt.root(), "batch {batch}");
-            assert_eq!(vt.root_at(batch), pt.root());
+        // Below CHUNK_BITS every slot sits in the top chunk; from it on
+        // the buckets spread over the subtree chunks.
+        for depth in 1..=16 {
+            let mut vt = VersionedMerkleTree::with_depth(depth);
+            let mut pt = MerkleTree::with_depth(depth);
+            for batch in 0..4u64 {
+                let updates: Vec<(Key, Digest)> = (0..300)
+                    .map(|i| {
+                        (
+                            k((batch as u32 * 97 + i) % 500),
+                            vh(&format!("{batch}-{i}")),
+                        )
+                    })
+                    .collect();
+                let root = vt.apply_batch(batch, updates.iter().map(|(k, d)| (k, *d)));
+                pt.batch_update(updates.iter().map(|(k, d)| (k, *d)));
+                assert_eq!(root, pt.root(), "depth {depth}, batch {batch}");
+                assert_eq!(vt.root_at(batch), root);
+            }
+            let key = k(7);
+            assert_eq!(
+                verify_proof(&vt.root_at(3), depth, &key, &vt.prove_at(&key, 3)).unwrap(),
+                verify_proof(&pt.root(), depth, &key, &pt.prove(&key)).unwrap(),
+                "depth {depth}"
+            );
         }
+    }
+
+    #[test]
+    fn range_proofs_across_chunk_boundaries_verify() {
+        use crate::range::{verify_range_proof, MAX_RANGE_BUCKETS};
+        const DEPTH: u32 = 16;
+        let mut vt = VersionedMerkleTree::with_depth(DEPTH);
+        let all: Vec<Key> = (0..2_000).map(k).collect();
+        vt.apply_batch(0, all.iter().map(|key| (key, vh("a"))));
+        vt.apply_batch(1, all.iter().step_by(7).map(|key| (key, vh("b"))));
+        let buckets: Vec<u64> = all
+            .iter()
+            .map(|key| bucket_of(&sha256(key.as_bytes()), DEPTH))
+            .collect();
+        let chunk = 1u64 << (DEPTH - CHUNK_BITS);
+        let last = (1u64 << DEPTH) - 1;
+        let mut windows = vec![
+            ScanRange::new(0, chunk - 1),
+            ScanRange::new(last + 1 - MAX_RANGE_BUCKETS, last),
+        ];
+        for boundary in (1..1u64 << CHUNK_BITS).map(|c| c * chunk) {
+            windows.push(ScanRange::new(boundary - 3, boundary + 2));
+            windows.push(ScanRange::new(boundary - 1, boundary));
+            windows.push(ScanRange::new(
+                boundary.saturating_sub(3 * chunk / 2),
+                (boundary + 3 * chunk / 2).min(last),
+            ));
+        }
+        let mut crossed = 0;
+        for range in &windows {
+            for version in [0, 1] {
+                let proof = vt.prove_range(range, version);
+                let entries = verify_range_proof(&vt.root_at(version), DEPTH, range, &proof)
+                    .unwrap_or_else(|e| panic!("{range:?} at {version}: {e:?}"));
+                let inside = buckets
+                    .iter()
+                    .filter(|&&b| range.contains_bucket(b))
+                    .count();
+                assert_eq!(entries.len(), inside, "{range:?} at {version}");
+                crossed += usize::from(proof.occupied.len() > 1);
+            }
+        }
+        assert!(crossed > 256, "windows must carry buckets on both sides");
     }
 
     #[test]
@@ -670,24 +801,53 @@ mod tests {
 
     #[test]
     fn a_clone_rolls_back_without_touching_its_source() {
-        let mut a = VersionedMerkleTree::with_depth(8);
-        a.apply_batch(0, [(&k(1), vh("a")), (&k(2), vh("b"))]);
-        a.apply_batch(1, [(&k(1), vh("c")), (&k(7), vh("x"))]);
-        let (root, proof) = (a.root_at(1), a.prove_at(&k(7), 1));
-        let mut b = a.clone();
-        b.rollback(1);
-        assert_eq!(b.latest_version(), Some(0));
-        assert_eq!(b.get_at(&k(7), 1), None);
-        assert_eq!(a.latest_version(), Some(1));
-        assert_eq!(a.root_at(1), root);
-        assert_eq!(a.prove_at(&k(7), 1), proof);
-        assert_eq!(
-            verify_proof(&root, 8, &k(7), &a.prove_at(&k(7), 1)).unwrap(),
-            Verified::Present(vh("x"))
-        );
-        // The source still holds its own undo record.
-        a.rollback(1);
-        assert_eq!(a.root_at(1), b.root_at(1));
+        // At depth 8 every bucket is a chunk of its own; at depth 16 the
+        // keys spread over many subtree chunks below the top chunk.
+        for depth in [8, 16] {
+            let mut a = VersionedMerkleTree::with_depth(depth);
+            let all: Vec<Key> = (0..600).map(k).collect();
+            a.apply_batch(0, all[..500].iter().map(|key| (key, vh("a"))));
+            // Overwrites and new keys.
+            a.apply_batch(1, all[450..].iter().map(|key| (key, vh("b"))));
+            // Every bucket, in the widest windows a range proof may cover.
+            let width = crate::range::MAX_RANGE_BUCKETS.min(1 << depth);
+            let windows: Vec<ScanRange> = (0..(1 << depth) / width)
+                .map(|w| ScanRange::new(w * width, (w + 1) * width - 1))
+                .collect();
+            let reads = |t: &VersionedMerkleTree| {
+                [0, 1].map(|v| {
+                    let ranges: Vec<RangeProof> =
+                        windows.iter().map(|r| t.prove_range(r, v)).collect();
+                    (t.root_at(v), ranges, t.prove_multi(&all, v))
+                })
+            };
+            let before = reads(&a);
+            let mut b = a.clone();
+            b.rollback(1);
+            assert_eq!(b.latest_version(), Some(0));
+            assert_eq!(a.latest_version(), Some(1));
+            assert_eq!(b.root_at(1), a.root_at(0));
+            assert_eq!(b.get_at(&all[550], 1), None);
+            assert!(
+                reads(&a) == before,
+                "depth {depth}: the source's reads moved"
+            );
+            assert_eq!(
+                verify_proof(&a.root_at(1), depth, &all[550], &a.prove_at(&all[550], 1)).unwrap(),
+                Verified::Present(vh("b"))
+            );
+            // The clone applies a different version 1 without touching
+            // the source either.
+            b.apply_batch(1, [(&all[3], vh("c"))]);
+            assert!(
+                reads(&a) == before,
+                "depth {depth}: the source's reads moved"
+            );
+            assert_ne!(b.root_at(1), a.root_at(1));
+            // The source still holds its own undo record.
+            a.rollback(1);
+            assert_eq!(a.root_at(1), a.root_at(0));
+        }
     }
 
     #[test]

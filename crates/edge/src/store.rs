@@ -13,18 +13,21 @@
 //! read-write transactions (§4, "non-interference").
 //!
 //! Rows are keyed by SHA-256 of the key, the leaf order of the
-//! partition's Merkle tree, so one ordered map serves both point reads
+//! partition's Merkle tree, so one ordered table serves both point reads
 //! (which hash the key first: one SHA-256 block) and range scans (which
 //! walk a hash interval). Like the tree's bucket entries, this relies on
 //! distinct keys having distinct hashes.
 //!
-//! The rows sit behind an [`Arc`], so a clone shares them and costs
-//! O(1) in the number of keys: a cluster's simulated replicas, which
-//! start from one genesis store, hold it once. A store copies shared
-//! rows on its first [`VersionedStore::write`] ([`Arc::make_mut`]).
+//! The table is split into 256 chunks by the first byte of the key
+//! hash, the same split as the tree's subtree chunks: each a `Vec` of
+//! rows sorted by hash and sized to what it holds, behind its own
+//! [`Arc`], and the table of chunks behind one more. A clone shares them
+//! and costs O(1) in the number of keys: a cluster's simulated
+//! replicas, which start from one genesis store, hold it once. A
+//! [`VersionedStore::write`] copies only the chunk it writes to, when
+//! that chunk is still shared ([`Arc::make_mut`]).
 
-use std::collections::BTreeMap;
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 use transedge_common::{BatchNum, Key, Value};
@@ -38,18 +41,43 @@ pub struct Version {
     pub value: Value,
 }
 
+/// How many chunks the rows are split into: one per first byte of the
+/// key hash.
+const CHUNKS: usize = 256;
+
+/// One key's row.
+#[derive(Clone, Debug)]
+struct Row {
+    /// SHA-256(key), the row's place in tree order.
+    hash: Digest,
+    key: Key,
+    /// Ascending by batch; created with room for the first version.
+    versions: Vec<Version>,
+}
+
 /// A multi-version map: each key holds its committed versions ordered
 /// by ascending batch number. At most one version per key per batch
 /// (conflicting writes can never share a batch — Definition 3.1).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct VersionedStore {
-    /// SHA-256(key) → (key, versions), ordered by hash. This is the leaf
-    /// order of the partition's Merkle tree, so iterating a contiguous
-    /// hash interval enumerates exactly the rows a Merkle range proof
-    /// commits to. A key's row is created on its first write, with room
-    /// for that one version, and never removed. Shared with clones until
-    /// one of them writes.
-    rows: Arc<BTreeMap<Digest, (Key, Vec<Version>)>>,
+    /// The rows by the first byte of their hash, each chunk ascending by
+    /// hash. Read in chunk order, that is the leaf order of the
+    /// partition's Merkle tree, so a contiguous hash interval enumerates
+    /// exactly the rows a Merkle range proof commits to. A key's row is
+    /// created on its first write and never removed. Each chunk, and the
+    /// table of them, is shared with clones until one of them writes to
+    /// it.
+    chunks: Arc<[Arc<Vec<Row>>; CHUNKS]>,
+}
+
+impl Default for VersionedStore {
+    fn default() -> Self {
+        // Every chunk starts as one shared empty chunk.
+        let empty = Arc::default();
+        VersionedStore {
+            chunks: Arc::new(std::array::from_fn(|_| Arc::clone(&empty))),
+        }
+    }
 }
 
 impl VersionedStore {
@@ -61,9 +89,30 @@ impl VersionedStore {
     /// version for an *earlier* batch is written after a later one —
     /// batches commit in log order, so that would be a protocol bug.
     pub fn write(&mut self, key: Key, value: Value, batch: BatchNum) {
-        let (_, versions) = Arc::make_mut(&mut self.rows)
-            .entry(sha256(key.as_bytes()))
-            .or_insert_with(|| (key, Vec::with_capacity(1)));
+        let hash = sha256(key.as_bytes());
+        let chunks = Arc::make_mut(&mut self.chunks);
+        let rows = Arc::make_mut(&mut chunks[usize::from(hash.0[0])]);
+        let pos = match rows.binary_search_by(|row| row.hash.cmp(&hash)) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                // Room grows by an eighth: exact while a chunk is small,
+                // and a large chunk is not copied on every new key.
+                if rows.len() == rows.capacity() {
+                    rows.reserve_exact(rows.len() / 8 + 1);
+                }
+                let versions = Vec::with_capacity(1);
+                rows.insert(
+                    pos,
+                    Row {
+                        hash,
+                        key,
+                        versions,
+                    },
+                );
+                pos
+            }
+        };
+        let versions = &mut rows[pos].versions;
         if let Some(last) = versions.last_mut() {
             assert!(
                 batch >= last.batch,
@@ -97,18 +146,38 @@ impl VersionedStore {
     /// whose hash falls in `hashes` and that is visible at the
     /// consistent cut of `batch`, with the version visible there.
     ///
-    /// `O(log keys + rows in range)`: the rows are already in tree
-    /// order, so the map narrows straight to the window and a verified
-    /// range scan only pays for what it returns. Callers derive `hashes`
-    /// from a `ScanRange` via `ScanRange::digest_bounds`.
+    /// `O(chunks in range × log rows per chunk + rows in range)`: the
+    /// rows are already in tree order, so each chunk the window spans
+    /// narrows straight to it and a verified range scan only pays for
+    /// what it returns. Callers derive `hashes` from a `ScanRange` via
+    /// `ScanRange::digest_bounds`.
     pub fn range_at<R: RangeBounds<Digest>>(
         &self,
         hashes: R,
         batch: BatchNum,
     ) -> impl Iterator<Item = (&Key, &Version)> {
-        self.rows
-            .range(hashes)
-            .filter_map(move |(_, (key, versions))| visible_at(versions, batch).map(|v| (key, v)))
+        let window = (hashes.start_bound().cloned(), hashes.end_bound().cloned());
+        let chunk = |bound: &Bound<Digest>, unbounded: usize| match bound {
+            Bound::Included(hash) | Bound::Excluded(hash) => usize::from(hash.0[0]),
+            Bound::Unbounded => unbounded,
+        };
+        let (first, last) = (chunk(&window.0, 0), chunk(&window.1, CHUNKS - 1));
+        self.chunks
+            .iter()
+            .take(last + 1)
+            .skip(first)
+            .flat_map(move |rows| {
+                let below = |row: &Row| match &window.0 {
+                    Bound::Included(start) => row.hash < *start,
+                    Bound::Excluded(start) => row.hash <= *start,
+                    Bound::Unbounded => false,
+                };
+                // The rows from `from` on are in the window, then above it.
+                let from = rows.partition_point(below);
+                let len = rows[from..].partition_point(|row| window.contains(&row.hash));
+                &rows[from..from + len]
+            })
+            .filter_map(move |row| visible_at(&row.versions, batch).map(|v| (&row.key, v)))
     }
 
     /// Batch of the last committed write to `key` (conflict rule 1 of
@@ -121,9 +190,10 @@ impl VersionedStore {
     /// serializability checker reconstructs per-key write order from
     /// this).
     pub fn versions(&self, key: &Key) -> Option<&[Version]> {
-        self.rows
-            .get(&sha256(key.as_bytes()))
-            .map(|(_, versions)| versions.as_slice())
+        let hash = sha256(key.as_bytes());
+        let rows = &self.chunks[usize::from(hash.0[0])];
+        let pos = rows.binary_search_by(|row| row.hash.cmp(&hash)).ok()?;
+        Some(&rows[pos].versions)
     }
 }
 
@@ -231,6 +301,57 @@ mod tests {
         assert_eq!(below.len(), 16);
         let above: Vec<_> = s.range_at(mid.., BatchNum(1)).collect();
         assert_eq!(above.len(), 16);
+    }
+
+    #[test]
+    fn range_at_matches_an_ordered_map_across_every_chunk_boundary() {
+        use std::collections::BTreeMap;
+        use Bound::{Excluded, Included, Unbounded};
+        let mut s = VersionedStore::new();
+        let mut reference = BTreeMap::new();
+        for i in 0..2_000u32 {
+            let batch = BatchNum(u64::from(i % 3));
+            s.write(k(i), v(&format!("{i}")), batch);
+            reference.insert(sha256(k(i).as_bytes()), (k(i), batch));
+        }
+        let check = |window: (Bound<Digest>, Bound<Digest>)| {
+            for batch in [0, 1, 2].map(BatchNum) {
+                let got: Vec<&Key> = s.range_at(window, batch).map(|(key, _)| key).collect();
+                let want: Vec<&Key> = reference
+                    .range(window)
+                    .filter(|(_, (_, written))| *written <= batch)
+                    .map(|(_, (key, _))| key)
+                    .collect();
+                assert_eq!(got, want, "{window:?} at {batch}");
+            }
+        };
+        check((Unbounded, Unbounded));
+        let hashes: Vec<Digest> = reference.keys().copied().collect();
+        // An empty window, on a row.
+        check((Included(hashes[9]), Excluded(hashes[9])));
+        let mut boundaries = 0;
+        for at in (1..hashes.len()).filter(|&i| hashes[i - 1].0[0] != hashes[i].0[0]) {
+            boundaries += 1;
+            let (last, first) = (hashes[at - 1], hashes[at]);
+            let mut edge = [0u8; 32];
+            edge[0] = first.0[0];
+            let edge = Digest(edge);
+            // Straddling the boundary, by rows and by the chunk's first
+            // possible hash.
+            check((Included(last), Included(first)));
+            check((
+                Included(hashes[at.saturating_sub(3)]),
+                Excluded(hashes[(at + 3).min(hashes.len() - 1)]),
+            ));
+            check((Excluded(hashes[at.saturating_sub(3)]), Included(first)));
+            check((Excluded(last), Unbounded));
+            check((Unbounded, Excluded(first)));
+            check((Included(edge), Included(first)));
+            check((Unbounded, Excluded(edge)));
+            // Empty: nothing lies between adjacent rows.
+            check((Excluded(last), Excluded(first)));
+        }
+        assert_eq!(boundaries, 255, "2 000 keys fill every chunk");
     }
 
     fn key_u32(key: &Key) -> u32 {

@@ -4,10 +4,11 @@
 //! of bytes per key, a second version of a key costs a bounded number
 //! of bytes more, and a rolled-back version leaves nothing behind. A
 //! clone (what a cluster's other replicas take of the genesis its first
-//! replica preloaded) shares the tree's and the store's tables until it
-//! writes, so it and an empty version applied to it copy no table. Its
-//! own test binary: the counting allocator is global, and the count is
-//! per thread so the harness's own threads cannot leak into it.
+//! replica preloaded) shares the tree's and the store's chunks, so it
+//! and an empty version applied to it copy none, and a one-key write to
+//! it copies only the chunks that key touches. Its own test binary: the
+//! counting allocator is global, and the count is per thread so the
+//! harness's own threads cannot leak into it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -215,4 +216,42 @@ fn an_empty_version_applied_to_a_clone_copies_no_table() {
     );
     assert_eq!(copy.root_at(1), root);
     assert_eq!(tree.latest_version(), Some(0));
+}
+
+#[test]
+fn a_write_to_a_clone_copies_only_the_chunks_it_touches() {
+    let data = Data::new();
+    let mut tree = VersionedMerkleTree::with_depth(DEPTH);
+    tree.apply_batch(0, data.first());
+    let store = data.first_store();
+    let key = &data.keys[7];
+    let asked = [data.keys[3].clone(), key.clone(), data.keys[1_999].clone()];
+    let (root, proof, latest) = (
+        tree.root_at(0),
+        tree.prove_multi(&asked, 0),
+        store.get_latest(key).cloned(),
+    );
+
+    let before = live();
+    let (mut tree_copy, mut store_copy) = (tree.clone(), store.clone());
+    tree_copy.apply_batch(1, [(key, data.digests[1][7])]);
+    store_copy.write(key.clone(), data.values[1][7].clone(), BatchNum(1));
+    let grown = live() - before;
+    // One subtree chunk and the top chunk of the tree, one chunk of the
+    // store and the tables of chunks: tens of kilobytes. The whole tree
+    // and store of 2 000 keys are more than a megabyte and a half.
+    assert!(
+        grown <= 64 * 1024,
+        "a one-key write to a clone of the tree and store holds {grown} B"
+    );
+    assert_eq!(
+        store_copy.get_latest(key).map(|v| v.batch),
+        Some(BatchNum(1))
+    );
+    assert_ne!(tree_copy.root_at(1), root);
+    // The source reads as it did.
+    assert_eq!(tree.latest_version(), Some(0));
+    assert_eq!(tree.root_at(1), root);
+    assert_eq!(tree.prove_multi(&asked, 1), proof);
+    assert_eq!(store.get_latest(key).cloned(), latest);
 }
