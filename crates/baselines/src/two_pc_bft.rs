@@ -25,6 +25,7 @@ mod tests {
     use super::*;
     use transedge_common::{ClusterId, Key, SimTime, Value};
     use transedge_core::metrics::OpKind;
+    use transedge_core::ReadQuery;
 
     fn keys_on(
         topo: &transedge_common::ClusterTopology,
@@ -38,21 +39,40 @@ mod tests {
             .collect()
     }
 
+    /// A point read at the latest snapshot commits through 2PC/BFT
+    /// whether it is written as the `ReadOnly` sugar or as the `Query`
+    /// it stands for: admitted like any transaction, never served as a
+    /// snapshot read.
     #[test]
     fn baseline_rot_commits_and_is_tagged_read_only() {
         let config = DeploymentConfig::for_testing();
         let topo = config.topo.clone();
         let k0 = keys_on(&topo, ClusterId(0), 1);
         let k1 = keys_on(&topo, ClusterId(1), 1);
-        let ops = vec![ClientOp::ReadOnly {
-            keys: vec![k0[0].clone(), k1[0].clone()],
-        }];
-        let mut dep = build_two_pc_bft(config, vec![ops]);
-        dep.run_until_done(SimTime(60_000_000));
-        let samples = dep.samples();
-        assert_eq!(samples.len(), 1);
-        assert!(samples[0].committed);
-        assert_eq!(samples[0].kind, OpKind::ReadOnly);
+        let keys = vec![k0[0].clone(), k1[0].clone()];
+        let reads = [
+            ClientOp::ReadOnly { keys: keys.clone() },
+            ClientOp::Query {
+                query: ReadQuery::point(keys),
+            },
+        ];
+        for op in reads {
+            let mut dep = build_two_pc_bft(config.clone(), vec![vec![op.clone()]]);
+            dep.run_until_done(SimTime(60_000_000));
+            let samples = dep.samples();
+            assert_eq!(samples.len(), 1, "{op:?}");
+            assert!(samples[0].committed, "{op:?}");
+            assert_eq!(samples[0].kind, OpKind::ReadOnly, "{op:?}");
+            let replicas: Vec<_> = topo.all_replicas().map(|r| dep.node(r)).collect();
+            assert!(
+                replicas.iter().any(|node| node.stats.txns_admitted > 0),
+                "{op:?} went through admission"
+            );
+            assert!(
+                replicas.iter().all(|node| node.stats.rot_served == 0),
+                "{op:?} was served as a snapshot read"
+            );
+        }
     }
 
     #[test]

@@ -123,33 +123,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fluent builder for non-default topologies used by tests and benches.
-#[derive(Default)]
-pub struct TopologyBuilder {
-    n_clusters: Option<u16>,
-    f: Option<u16>,
-}
-
-impl TopologyBuilder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn clusters(mut self, n: u16) -> Self {
-        self.n_clusters = Some(n);
-        self
-    }
-
-    pub fn fault_tolerance(mut self, f: u16) -> Self {
-        self.f = Some(f);
-        self
-    }
-
-    pub fn build(self) -> Result<ClusterTopology> {
-        ClusterTopology::new(self.n_clusters.unwrap_or(5), self.f.unwrap_or(2))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,14 +188,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_to_paper_setup() {
-        let t = TopologyBuilder::new().build().unwrap();
-        assert_eq!(t, ClusterTopology::paper_default());
-        let t = TopologyBuilder::new()
-            .clusters(3)
-            .fault_tolerance(1)
-            .build()
-            .unwrap();
-        assert_eq!(t.replicas_per_cluster(), 4);
+    fn paper_default_is_five_clusters_tolerating_two() {
+        assert_eq!(
+            ClusterTopology::new(5, 2).unwrap(),
+            ClusterTopology::paper_default()
+        );
+        assert_eq!(
+            ClusterTopology::new(3, 1).unwrap().replicas_per_cluster(),
+            4
+        );
     }
 }

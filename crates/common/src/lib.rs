@@ -17,7 +17,7 @@ pub mod time;
 pub mod value;
 pub mod wire;
 
-pub use config::{ClusterTopology, TopologyBuilder};
+pub use config::ClusterTopology;
 pub use error::{Result, TransEdgeError};
 pub use ids::{BatchNum, ClientId, ClusterId, EdgeId, Epoch, NodeId, ReplicaId, TxnId, ViewNum};
 pub use time::{SimDuration, SimTime};

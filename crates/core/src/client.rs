@@ -18,7 +18,7 @@
 //! cross-partition dependency check (Algorithm 2) with an explicit
 //! LCE floor — the round-2 semantics, uniform across shapes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use transedge_common::{
@@ -42,6 +42,7 @@ use crate::deps::{self, Plan, RotView, Step};
 use crate::edge_select::EdgeSelector;
 use crate::messages::NetMsg;
 use crate::metrics::{OpKind, TxnSample};
+use crate::setup::DeploymentConfig;
 
 /// One scripted client operation.
 #[derive(Clone, Debug)]
@@ -83,21 +84,6 @@ pub struct ClientConfig {
     /// commit-free snapshot protocol. Samples keep `OpKind::ReadOnly`
     /// so harnesses compare like for like.
     pub rot_via_2pc: bool,
-    /// Candidate edge read nodes per partition (untrusted caches;
-    /// responses still verify end to end). The client's [`EdgeSelector`]
-    /// rotates over them, skipping any it demoted — on consecutive
-    /// timeouts, one verified byzantine rejection or a directory hint —
-    /// and partitions without candidates (or with every candidate demoted)
-    /// are read from the cluster itself. Verification failures and
-    /// retries always fall back to real replicas, so a byzantine edge
-    /// cannot wedge a client.
-    pub edges: HashMap<ClusterId, Vec<NodeId>>,
-    /// Take part in the gossiped edge directory: pull the fleet's
-    /// evidence at startup (fleet-wide demotions land *before* the
-    /// first contact), and push signed rejection evidence after
-    /// verification failures so other clients get the same head start.
-    /// Hints only — correctness never depends on them.
-    pub directory: bool,
     /// Send a fresh cross-partition query to *one* edge contact instead
     /// of fanning out per partition; this picks the target and nothing
     /// else. The contact serves the query one part per partition, each
@@ -127,8 +113,6 @@ impl Default for ClientConfig {
             max_retries: 20,
             record_results: false,
             rot_via_2pc: false,
-            edges: HashMap::new(),
-            directory: false,
             single_contact: false,
             start_delay: SimDuration(0),
             subscribe: false,
@@ -492,8 +476,13 @@ pub struct ClientActor {
     read_rr: u64,
     /// Edge selection for read-only rounds.
     pub edge_selector: EdgeSelector,
-    /// Directory participation (when `config.directory`): holds the
-    /// ingested fleet state, signs this client's rejection evidence.
+    /// Directory participation (when the deployment's edge tier
+    /// gossips): holds the ingested fleet state, signs this client's
+    /// rejection evidence. It pulls the fleet's evidence at startup
+    /// (fleet-wide demotions land *before* the first contact), and
+    /// pushes signed rejection evidence after verification failures so
+    /// other clients get the same head start. Hints only — correctness
+    /// never depends on them.
     directory: Option<DirectoryAgent>,
     /// Startup: a directory pull is outstanding; the first op starts
     /// when the answer arrives (or the seed timer gives up waiting).
@@ -510,29 +499,38 @@ pub struct ClientActor {
 }
 
 impl ClientActor {
+    /// A client of `deployment`, behaving as `config` (the deployment's
+    /// base client config with this client's profile layered over it).
     pub fn new(
         id: ClientId,
-        topo: ClusterTopology,
+        deployment: &DeploymentConfig,
         keys: KeyStore,
         keypair: Keypair,
         config: ClientConfig,
-        verify: VerifyParams,
         ops: Vec<ClientOp>,
     ) -> Self {
-        // Seed the selector's tie-breaking with the client id so a
-        // fleet of clients spreads over the edge tier from the start.
+        // Every client knows every edge (untrusted caches; responses
+        // still verify end to end) of each partition. Its selector,
+        // seeded by client id so a fleet of clients spreads over the
+        // tier from the start, skips any it demoted — on consecutive
+        // timeouts, one verified byzantine rejection or a directory
+        // hint — and partitions without a candidate left are read from
+        // the cluster itself. Verification failures and retries always
+        // fall back to real replicas, so a byzantine edge cannot wedge
+        // a client.
         let mut edge_selector = EdgeSelector::new(id.0 as u64);
-        for (cluster, edges) in &config.edges {
-            for edge in edges {
-                edge_selector.register(*cluster, *edge);
-            }
+        for edge in deployment.edge_ids() {
+            edge_selector.register(edge.cluster, NodeId::Edge(edge));
         }
-        let directory = config
-            .directory
+        // A gossiping edge tier makes clients take part: startup pull
+        // and evidence push.
+        let verify = deployment.verify_params();
+        let gossips = deployment.edge.per_cluster > 0 && deployment.edge.directory.is_some();
+        let directory = gossips
             .then(|| DirectoryAgent::new(NodeId::Client(id), keypair, ReadVerifier::new(verify)));
         ClientActor {
             id,
-            topo,
+            topo: deployment.topo.clone(),
             certs: VerifiedCerts::new(keys.with_memo()),
             feeds: BTreeMap::new(),
             anchors: BTreeMap::new(),
@@ -602,11 +600,11 @@ impl ClientActor {
     /// the client).
     fn boot(&mut self, ctx: &mut Context<'_, NetMsg>) {
         if self.directory.is_some() {
-            let mut clusters: Vec<ClusterId> = self.config.edges.keys().copied().collect();
-            clusters.sort_unstable();
-            let target = clusters
-                .into_iter()
-                .find_map(|cluster| self.edge_selector.pick(cluster, ctx.now()));
+            let now = ctx.now();
+            let target = self
+                .topo
+                .clusters()
+                .find_map(|cluster| self.edge_selector.pick(cluster, now));
             if let Some(target) = target {
                 ctx.send(target, NetMsg::DirectoryPull);
                 self.waiting_seed = true;
@@ -679,11 +677,21 @@ impl ClientActor {
         let mut op = self.ops[self.next_op].clone();
         let op_index = self.next_op;
         self.next_op += 1;
-        // 2PC/BFT baseline: a read-only transaction is just a
-        // read-write transaction with an empty write set.
+        // 2PC/BFT baseline: a point read at the latest snapshot, sugar
+        // or spelled out, is just a read-write transaction with an
+        // empty write set.
         let mut forced_kind = None;
         if self.config.rot_via_2pc {
-            if let ClientOp::ReadOnly { keys } = op {
+            if let ClientOp::ReadOnly { keys }
+            | ClientOp::Query {
+                query:
+                    ReadQuery {
+                        consistency: SnapshotPolicy::Latest,
+                        shape: QueryShape::Point { keys },
+                        ..
+                    },
+            } = op
+            {
                 forced_kind = Some(OpKind::ReadOnly);
                 op = ClientOp::ReadWrite {
                     reads: keys,
@@ -1113,10 +1121,7 @@ impl ClientActor {
                         // Push to a *healthy* edge: the selector's best
                         // pick (the offender was just demoted above),
                         // scanning clusters in order for determinism.
-                        let mut clusters: Vec<ClusterId> =
-                            self.config.edges.keys().copied().collect();
-                        clusters.sort_unstable();
-                        let peer = clusters.into_iter().find_map(|c| {
+                        let peer = self.topo.clusters().find_map(|c| {
                             self.edge_selector
                                 .pick(c, now)
                                 .filter(|t| t.as_edge().is_some_and(|e| e != subject))

@@ -1,31 +1,31 @@
 //! Typed, validated deployment configuration for the edge tier and
 //! the scripted clients.
 //!
-//! [`EdgeConfig`] is one builder that groups related knobs into typed
-//! sub-configs — [`CacheConfig`] for replay-cache sizing,
-//! [`DirectoryPlan`]/[`FeedPlan`] for the gossip and feed subsystems —
-//! and validates the combination once, at [`EdgeConfigBuilder::build`],
+//! [`EdgeConfig`] is one builder that groups related knobs — a
+//! [`CacheConfig`] for replay-cache sizing, and the gossip and feed
+//! planes' periods, each present only when that plane runs — and
+//! validates the combination once, at [`EdgeConfigBuilder::build`],
 //! instead of letting an impossible mix (a zero-capacity cache, a zero
 //! gossip period) surface as a confusing runtime failure deep inside a
-//! harness. What an edge can work out is not a knob: the age past
-//! which it forwards instead of replaying is a third of the
-//! deployment's freshness window
-//! ([`crate::edge_node::EdgeNodeParams::freshness_window`]). Nor is
-//! which edge lies: every deployed edge is honest, and a test that
-//! needs a liar wraps one (`transedge_scenario::liar`).
+//! harness. Edges and clients read it, with the rest of the
+//! [`crate::setup::DeploymentConfig`], where it is stated. What an edge
+//! can work out is not a knob: the age past which it forwards instead
+//! of replaying is a third of the deployment's freshness window
+//! ([`crate::node::NodeConfig::freshness_window`]). Nor is which edge
+//! lies: every deployed edge is honest, and a test that needs a liar
+//! wraps one (`transedge_scenario::liar`).
 //!
-//! [`ClientProfile`] does the same for the ad-hoc client booleans:
-//! instead of mutating `ClientConfig` fields one by one, a harness
-//! names the profile it wants (`subscriber`, `single_contact`, a
-//! start delay) and [`ClientProfile::apply`] layers it over the
-//! deployment's base client config.
+//! [`ClientProfile`] does the same for the per-client switches: instead
+//! of mutating `ClientConfig` fields one by one, a harness names the
+//! profile it wants (`subscriber`, `single_contact`, a start delay) and
+//! [`ClientProfile::apply`] layers it over the deployment's base client
+//! config.
 
 use std::fmt;
 
 use transedge_common::SimDuration;
 
 use crate::client::ClientConfig;
-use crate::edge_node::{DirectoryPlan, FeedPlan};
 
 /// Replay-cache sizing for one edge node.
 #[derive(Clone, Copy, Debug)]
@@ -56,11 +56,18 @@ pub struct EdgeConfig {
     pub per_cluster: usize,
     /// Replay-cache sizing.
     pub cache: CacheConfig,
-    /// Gossiped conviction directory.
-    pub directory: DirectoryPlan,
+    /// Gossiped conviction directory, when it runs: the anti-entropy
+    /// period (each edge pushes a delta — missing records plus a state
+    /// summary — to one rotating peer per round). It carries rejection
+    /// evidence only; where an edge forwards a miss does not depend on
+    /// it. Clients take part whenever edges are deployed.
+    pub directory: Option<SimDuration>,
     /// Certified commit-feed subscription (push invalidation +
-    /// freshness attachments).
-    pub feed: FeedPlan,
+    /// freshness attachments), when it runs: the lease-renewal period.
+    /// `FeedSubscribe` is re-sent with the current feed head, and the
+    /// replica replays any retained suffix the edge missed (crash,
+    /// partition, dropped push).
+    pub feed: Option<SimDuration>,
 }
 
 impl EdgeConfig {
@@ -69,8 +76,8 @@ impl EdgeConfig {
         EdgeConfig {
             per_cluster: 0,
             cache: CacheConfig::default(),
-            directory: DirectoryPlan::disabled(),
-            feed: FeedPlan::disabled(),
+            directory: None,
+            feed: None,
         }
     }
 
@@ -95,9 +102,9 @@ impl EdgeConfig {
 pub enum ConfigError {
     /// A deployed edge tier needs a non-zero answer capacity.
     NoCacheCapacity,
-    /// The gossip directory is enabled with a zero anti-entropy period.
+    /// The gossip directory runs with a zero anti-entropy period.
     ZeroGossipInterval,
-    /// The commit feed is enabled with a zero lease-renewal period.
+    /// The commit feed runs with a zero lease-renewal period.
     ZeroFeedInterval,
 }
 
@@ -142,14 +149,14 @@ impl EdgeConfigBuilder {
     /// Run the gossip directory (anti-entropy push every `interval`);
     /// clients take part.
     pub fn gossip_directory(mut self, interval: SimDuration) -> Self {
-        self.config.directory = DirectoryPlan::gossip(interval);
+        self.config.directory = Some(interval);
         self
     }
 
     /// Subscribe every edge to its home cluster's certified commit
     /// feed, renewing the lease at `interval`.
     pub fn commit_feed(mut self, interval: SimDuration) -> Self {
-        self.config.feed = FeedPlan::subscribed(interval);
+        self.config.feed = Some(interval);
         self
     }
 
@@ -159,10 +166,10 @@ impl EdgeConfigBuilder {
         if c.per_cluster > 0 && c.cache.capacity == 0 {
             return Err(ConfigError::NoCacheCapacity);
         }
-        if c.directory.enabled && c.directory.gossip_interval == SimDuration::ZERO {
+        if c.directory == Some(SimDuration::ZERO) {
             return Err(ConfigError::ZeroGossipInterval);
         }
-        if c.feed.enabled && c.feed.resubscribe_interval == SimDuration::ZERO {
+        if c.feed == Some(SimDuration::ZERO) {
             return Err(ConfigError::ZeroFeedInterval);
         }
         Ok(self.config)
@@ -175,11 +182,6 @@ impl EdgeConfigBuilder {
 /// it already enabled); the start delay takes the later of the two.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientProfile {
-    /// Keep full results (values read) for inspection by tests.
-    pub record_results: bool,
-    /// Baseline mode: read-only ops via BFT + 2PC instead of the
-    /// commit-free snapshot protocol.
-    pub rot_via_2pc: bool,
     /// Send fresh cross-partition queries whole to one edge contact,
     /// which answers each partition separately under the one request
     /// id (picks the target only; see `ClientConfig::single_contact`).
@@ -194,16 +196,6 @@ pub struct ClientProfile {
 impl ClientProfile {
     pub fn new() -> Self {
         ClientProfile::default()
-    }
-
-    pub fn record_results(mut self) -> Self {
-        self.record_results = true;
-        self
-    }
-
-    pub fn rot_via_2pc(mut self) -> Self {
-        self.rot_via_2pc = true;
-        self
     }
 
     pub fn single_contact(mut self) -> Self {
@@ -225,8 +217,6 @@ impl ClientProfile {
     /// Layer this profile over a base client config.
     pub fn apply(&self, base: &ClientConfig) -> ClientConfig {
         let mut config = base.clone();
-        config.record_results |= self.record_results;
-        config.rot_via_2pc |= self.rot_via_2pc;
         config.single_contact |= self.single_contact;
         config.subscribe |= self.subscribe;
         if self.start_delay > config.start_delay {
@@ -261,6 +251,13 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::ZeroGossipInterval
+        );
+        assert_eq!(
+            EdgeConfig::builder()
+                .commit_feed(SimDuration::ZERO)
+                .build()
+                .unwrap_err(),
+            ConfigError::ZeroFeedInterval
         );
     }
 

@@ -68,101 +68,18 @@ use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
     verify_object, Body, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ReplayCache, VerifyParams,
+    ReadResponse, ReadVerifier, ReplayCache,
 };
 use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase};
 use transedge_simnet::{Actor, Context};
 
 use crate::messages::NetMsg;
+use crate::setup::DeploymentConfig;
 
 /// Gossip timer token.
 const TOKEN_GOSSIP: u64 = 1;
 /// Commit-feed lease-renewal timer token.
 const TOKEN_FEED: u64 = 2;
-
-/// The gossip-directory configuration of a deployment's edges.
-#[derive(Clone, Debug)]
-pub struct DirectoryPlan {
-    /// Run the gossip directory at all. It carries rejection evidence
-    /// only; where an edge forwards a miss does not depend on it.
-    pub enabled: bool,
-    /// Anti-entropy period (each edge pushes a delta — missing records
-    /// plus a state summary — to one rotating peer per round).
-    pub gossip_interval: SimDuration,
-}
-
-impl DirectoryPlan {
-    /// No directory (the pre-directory deployment shape).
-    pub fn disabled() -> Self {
-        DirectoryPlan {
-            enabled: false,
-            gossip_interval: SimDuration::from_millis(50),
-        }
-    }
-
-    /// Gossip at the given push period.
-    pub fn gossip(interval: SimDuration) -> Self {
-        DirectoryPlan {
-            enabled: true,
-            gossip_interval: interval,
-        }
-    }
-}
-
-/// The certified commit-feed subscription of a deployment's edges.
-#[derive(Clone, Debug)]
-pub struct FeedPlan {
-    /// Subscribe to the home cluster's certified commit feed at all.
-    pub enabled: bool,
-    /// Lease-renewal period: `FeedSubscribe` is re-sent with the
-    /// current feed head, and the replica replays any retained suffix
-    /// the edge missed (crash, partition, dropped push).
-    pub resubscribe_interval: SimDuration,
-}
-
-impl FeedPlan {
-    /// No subscription — every freshness question goes upstream (the
-    /// pre-feed deployment shape).
-    pub fn disabled() -> Self {
-        FeedPlan {
-            enabled: false,
-            resubscribe_interval: SimDuration::from_millis(100),
-        }
-    }
-
-    /// Subscribe, renewing the lease at the given period.
-    pub fn subscribed(interval: SimDuration) -> Self {
-        FeedPlan {
-            enabled: true,
-            resubscribe_interval: interval,
-        }
-    }
-}
-
-/// Everything an [`EdgeReadNode`] needs beyond its identity.
-#[derive(Clone, Debug)]
-pub struct EdgeNodeParams {
-    /// Per-cluster replay-cache capacity in answers.
-    pub cache_capacity: usize,
-    /// Certified headers retained per cluster cache.
-    pub max_cached_batches: usize,
-    /// Deployment tree depth (what the node's verifier checks proofs
-    /// against).
-    pub tree_depth: u32,
-    /// Deployment freshness window: what evidence is re-verified
-    /// against, and — a third of it — the age past which a cached
-    /// answer is not replayed but forwarded upstream, refreshing the
-    /// cache. The third keeps every honest replay inside the window
-    /// its client checks, whatever window the deployment runs.
-    pub freshness_window: SimDuration,
-    /// Gossip directory.
-    pub directory: DirectoryPlan,
-    /// Certified commit-feed subscription.
-    pub feed: FeedPlan,
-    /// Every edge in the deployment: gossip peers, and the
-    /// same-partition candidates of a cold state transfer.
-    pub peers: Vec<EdgeId>,
-}
 
 transedge_obs::counters! {
     /// Serving counters for the harnesses.
@@ -233,8 +150,10 @@ pub struct EdgeReadNode {
     /// normal traffic, foreign clusters' from couriered query parts —
     /// which is what makes a warm single-contact query one LAN hop.
     caches: PartitionCaches,
-    directory_plan: DirectoryPlan,
-    feed_plan: FeedPlan,
+    /// The deployment's gossip period, when its directory runs.
+    gossip_every: Option<SimDuration>,
+    /// The deployment's feed lease-renewal period, when edges subscribe.
+    feed_every: Option<SimDuration>,
     /// The disk image `on_start` re-admits: what the caches of the
     /// crashed edge this node replaces held (empty for a first boot or
     /// a cold restart). [`crate::setup::Deployment`] plays the disk.
@@ -242,6 +161,8 @@ pub struct EdgeReadNode {
     /// The same trusted checker clients run — feed deltas pass
     /// `verify_delta` before touching any cache.
     verifier: ReadVerifier,
+    /// Every edge in the deployment: gossip peers, and the
+    /// same-partition candidates of a cold state transfer.
     peers: Vec<EdgeId>,
     directory: Option<DirectoryAgent>,
     /// upstream req id → the replica asked, the only node whose answer
@@ -259,32 +180,24 @@ pub struct EdgeReadNode {
 }
 
 impl EdgeReadNode {
-    pub fn new(
-        me: EdgeId,
-        topo: ClusterTopology,
-        keys: KeyStore,
-        keypair: Keypair,
-        params: EdgeNodeParams,
-    ) -> Self {
-        let verifier = ReadVerifier::new(VerifyParams {
-            tree_depth: params.tree_depth,
-            freshness_window: params.freshness_window,
-            quorum: topo.certificate_quorum(),
-        });
-        let directory = params
+    /// An edge of `config`'s tier: its caches, planes and verifier are
+    /// the deployment's.
+    pub fn new(me: EdgeId, config: &DeploymentConfig, keys: KeyStore, keypair: Keypair) -> Self {
+        let verifier = ReadVerifier::new(config.verify_params());
+        let edge = &config.edge;
+        let directory = edge
             .directory
-            .enabled
-            .then(|| DirectoryAgent::new(NodeId::Edge(me), keypair, verifier));
+            .map(|_| DirectoryAgent::new(NodeId::Edge(me), keypair, verifier));
         EdgeReadNode {
             me,
-            topo,
+            topo: config.topo.clone(),
             keys: keys.with_memo(),
-            caches: PartitionCaches::new(params.cache_capacity, params.max_cached_batches),
-            directory_plan: params.directory,
-            feed_plan: params.feed,
+            caches: PartitionCaches::new(edge.cache.capacity, edge.cache.max_batches),
+            gossip_every: edge.directory,
+            feed_every: edge.feed,
             image: Vec::new(),
             verifier,
-            peers: params.peers,
+            peers: config.edge_ids().collect(),
             directory,
             pending: HashMap::new(),
             transfer: None,
@@ -594,7 +507,10 @@ impl EdgeReadNode {
     }
 
     /// The oldest batch timestamp replayed at `now`: a third of the
-    /// freshness window back. Anything older is forwarded upstream.
+    /// deployment's freshness window back. Anything older is forwarded
+    /// upstream, refreshing the cache. The third keeps every honest
+    /// replay inside the window its client checks, whatever window the
+    /// deployment runs.
     fn replay_floor(&self, now: SimTime) -> SimTime {
         let staleness = self.verifier.params.freshness_window.as_micros() / 3;
         SimTime(now.as_micros().saturating_sub(staleness))
@@ -777,12 +693,12 @@ impl Actor<NetMsg> for EdgeReadNode {
         // already finds a warm cache.
         self.hydrate(ctx);
         self.request_sibling_transfer(ctx);
-        if self.directory_plan.enabled {
-            ctx.set_timer(self.directory_plan.gossip_interval, TOKEN_GOSSIP);
+        if let Some(period) = self.gossip_every {
+            ctx.set_timer(period, TOKEN_GOSSIP);
         }
-        if self.feed_plan.enabled {
+        if let Some(period) = self.feed_every {
             self.subscribe_feed(ctx);
-            ctx.set_timer(self.feed_plan.resubscribe_interval, TOKEN_FEED);
+            ctx.set_timer(period, TOKEN_FEED);
         }
     }
 
@@ -833,12 +749,17 @@ impl Actor<NetMsg> for EdgeReadNode {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, NetMsg>) {
-        if token == TOKEN_GOSSIP {
+        let period = if token == TOKEN_GOSSIP {
             self.gossip_round(ctx);
-            ctx.set_timer(self.directory_plan.gossip_interval, TOKEN_GOSSIP);
+            self.gossip_every
         } else if token == TOKEN_FEED {
             self.subscribe_feed(ctx);
-            ctx.set_timer(self.feed_plan.resubscribe_interval, TOKEN_FEED);
+            self.feed_every
+        } else {
+            None
+        };
+        if let Some(period) = period {
+            ctx.set_timer(period, token);
         }
     }
 }

@@ -17,8 +17,12 @@ pub enum PrepareVote {
     /// Prepared: the `f+1`-signed prepared record with the piggybacked
     /// CD vector.
     Yes(SignedPrepared),
-    /// Refused (conflict): signed by the participant's leader only — an
-    /// abort vote is always safe to accept, so it needs no quorum.
+    /// Refused (conflict): one signature over [`abort_vote_statement`].
+    /// The participant's leader signs it, but the coordinator accepts a
+    /// No signed by any one replica of the named cluster, with no
+    /// quorum and whoever sent it, so one byzantine replica can abort
+    /// a transaction its cluster would prepare (ROADMAP
+    /// `[abort-vote]`).
     No {
         cluster: ClusterId,
         txn: TxnId,

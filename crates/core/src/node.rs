@@ -963,8 +963,10 @@ impl TransEdgeNode {
             PrepareVote::No { cluster, txn, sig } => {
                 ctx.charge(|c| SimDuration(c.ed25519_verify.0));
                 let stmt = abort_vote_statement(*cluster, *txn);
-                // The no-vote is leader-signed; accept a signature from
-                // any replica of that cluster (leader rotation).
+                // An honest No is leader-signed; one signature from any
+                // replica of that cluster is accepted here (leaders
+                // rotate), whoever sent it, so one byzantine replica's
+                // No aborts the transaction (ROADMAP `[abort-vote]`).
                 let ok = self
                     .topo
                     .replicas_of(*cluster)

@@ -15,7 +15,7 @@ use transedge_simnet::{CostModel, FaultPlan, LatencyModel, PartitionHandle, Simu
 
 use crate::client::{ClientActor, ClientConfig, ClientOp};
 use crate::config::{ClientProfile, EdgeConfig};
-use crate::edge_node::{EdgeNodeParams, EdgeReadNode};
+use crate::edge_node::EdgeReadNode;
 use crate::messages::NetMsg;
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
@@ -73,6 +73,23 @@ impl DeploymentConfig {
             ..Default::default()
         }
     }
+
+    /// What clients and edges check proofs against: the nodes'
+    /// parameters.
+    pub fn verify_params(&self) -> VerifyParams {
+        VerifyParams {
+            tree_depth: self.node.tree_depth,
+            freshness_window: self.node.freshness_window,
+            quorum: self.topo.certificate_quorum(),
+        }
+    }
+
+    /// Every edge of the tier, partition by partition.
+    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.topo.clusters().flat_map(move |cluster| {
+            (0..self.edge.per_cluster).map(move |index| EdgeId::new(cluster, index as u16))
+        })
+    }
 }
 
 /// The 32-byte root seed every deployment keypair derives from.
@@ -90,20 +107,6 @@ fn edge_keypair(seed: &[u8; 32], id: EdgeId) -> Keypair {
         seed,
         &format!("edge/{}/{}", id.cluster.0, id.index),
     ))
-}
-
-/// The actor parameters of one edge node, as the deployment config
-/// describes them (shared by first build and crash-restart rebuild).
-fn edge_node_params(config: &DeploymentConfig, peers: Vec<EdgeId>) -> EdgeNodeParams {
-    EdgeNodeParams {
-        cache_capacity: config.edge.cache.capacity,
-        max_cached_batches: config.edge.cache.max_batches,
-        tree_depth: config.node.tree_depth,
-        freshness_window: config.node.freshness_window,
-        directory: config.edge.directory.clone(),
-        feed: config.edge.feed.clone(),
-        peers,
-    }
 }
 
 /// Deterministic initial dataset: `Key::from_u32(i)` for `i in
@@ -174,15 +177,14 @@ impl Deployment {
         // §2): the gossip directory's rejection evidence is signed by
         // its witness, so forged or relayed-and-altered gossip fails
         // verification at every honest receiver.
-        let mut edge_secrets: Vec<(EdgeId, Keypair)> = Vec::new();
-        for cluster in config.topo.clusters() {
-            for index in 0..config.edge.per_cluster {
-                let id = EdgeId::new(cluster, index as u16);
+        let edge_secrets: Vec<(EdgeId, Keypair)> = config
+            .edge_ids()
+            .map(|id| {
                 let kp = edge_keypair(&seed, id);
                 keys.register(NodeId::Edge(id), kp.public());
-                edge_secrets.push((id, kp));
-            }
-        }
+                (id, kp)
+            })
+            .collect();
         let client_secrets: Vec<Keypair> = (0..clients.len())
             .map(|i| {
                 let kp = Keypair::from_seed(derive_seed(&seed, &format!("client/{i}")));
@@ -247,52 +249,23 @@ impl Deployment {
         // Edge read tier (untrusted caches fronting each partition).
         let edge_ids: Vec<EdgeId> = edge_secrets.iter().map(|(id, _)| *id).collect();
         for (id, keypair) in edge_secrets {
-            let node = EdgeReadNode::new(
-                id,
-                config.topo.clone(),
-                keys.clone(),
-                keypair,
-                edge_node_params(&config, edge_ids.clone()),
-            );
+            let node = EdgeReadNode::new(id, &config, keys.clone(), keypair);
             sim.add_actor(NodeId::Edge(id), Box::new(node));
         }
-        // Clients check proofs at the nodes' parameters.
-        let verify = VerifyParams {
-            tree_depth: config.node.tree_depth,
-            freshness_window: config.node.freshness_window,
-            quorum: config.topo.certificate_quorum(),
-        };
         let mut client_ids = Vec::new();
         for (i, plan) in clients.into_iter().enumerate() {
             let id = ClientId(i as u32);
             client_ids.push(id);
-            let mut client_config = match &plan.profile {
+            let client_config = match &plan.profile {
                 Some(profile) => profile.apply(&config.client),
                 None => config.client.clone(),
             };
-            if config.edge.per_cluster > 0 {
-                // Every client knows every edge of each partition; its
-                // selector (seeded by client id) spreads load and fails
-                // over on timeouts or byzantine rejections.
-                for cluster in config.topo.clusters() {
-                    let edges: Vec<NodeId> = (0..config.edge.per_cluster)
-                        .map(|e| NodeId::Edge(EdgeId::new(cluster, e as u16)))
-                        .collect();
-                    client_config.edges.insert(cluster, edges);
-                }
-                // A directory-enabled edge tier makes clients take
-                // part: startup pull + evidence push.
-                if config.edge.directory.enabled {
-                    client_config.directory = true;
-                }
-            }
             let client = ClientActor::new(
                 id,
-                config.topo.clone(),
+                &config,
                 keys.clone(),
                 client_secrets[i].clone(),
                 client_config,
-                verify,
                 plan.ops,
             );
             sim.add_actor(NodeId::Client(id), Box::new(client));
@@ -414,10 +387,9 @@ impl Deployment {
         let seed = root_seed(self.config.seed);
         let mut node = EdgeReadNode::new(
             edge,
-            self.topo.clone(),
+            &self.config,
             self.keys.clone(),
             edge_keypair(&seed, edge),
-            edge_node_params(&self.config, self.edge_ids.clone()),
         );
         node.restore_image(image);
         self.sim.add_actor(NodeId::Edge(edge), Box::new(node));

@@ -199,7 +199,6 @@ impl InvariantMonitor {
         if self.expected_byzantine.is_empty() {
             return Ok(ConvergenceReport::default());
         }
-        let gossip = dep.config.edge.directory.gossip_interval;
         let mut learned: Vec<SimTime> = Vec::new();
         let mut informed_edges = 0usize;
         for &edge in &dep.edge_ids {
@@ -226,8 +225,14 @@ impl InvariantMonitor {
             }
             informed_edges += 1;
         }
-        let rounds = match (learned.iter().min(), learned.iter().max()) {
-            (Some(first), Some(last)) if last > first => {
+        // Only a gossiping tier learns anything, so only then is there a
+        // period to count rounds in.
+        let rounds = match (
+            dep.config.edge.directory,
+            learned.iter().min(),
+            learned.iter().max(),
+        ) {
+            (Some(gossip), Some(first), Some(last)) if last > first => {
                 (last.saturating_since(*first).as_micros() as f64 / gossip.as_micros() as f64)
                     .ceil()
             }
