@@ -67,8 +67,8 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    verify_object, Body, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ReplayCache,
+    Body, CertifiedDelta, PartitionCaches, QueryShape, ReadQuery, ReadResponse, ReadVerifier,
+    ReplayCache,
 };
 use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase};
 use transedge_simnet::{Actor, Context};
@@ -117,26 +117,6 @@ transedge_obs::counters! {
             /// replica push is a claim like any other — nothing is applied
             /// until it recomputes under its certificate).
             bad_deltas_dropped,
-            /// Disk-image objects re-admitted through the verifier at restart
-            /// and returned to the replay caches.
-            hydrate_admitted,
-            /// Disk-image objects whose proof chain failed at restart — the
-            /// disk lied, and the verifier gate held.
-            hydrate_rejected,
-            /// Disk-image objects dropped at restart only because they aged
-            /// past the freshness window during the outage (honest history, not
-            /// tampering — counted apart so tests can tell the two apart).
-            hydrate_stale,
-            /// State-transfer requests sent to a sibling because a start — a
-            /// first boot, a cold or a corrupt restart — left the home
-            /// partition cold.
-            sibling_transfers,
-            /// Sibling-transfer objects that passed the verifier and were
-            /// admitted.
-            sibling_objects_admitted,
-            /// Sibling-transfer objects the verifier refused — a sibling is an
-            /// untrusted edge like any other.
-            sibling_objects_rejected,
         }
     }
 }
@@ -154,23 +134,15 @@ pub struct EdgeReadNode {
     gossip_every: Option<SimDuration>,
     /// The deployment's feed lease-renewal period, when edges subscribe.
     feed_every: Option<SimDuration>,
-    /// The disk image `on_start` re-admits: what the caches of the
-    /// crashed edge this node replaces held (empty for a first boot or
-    /// a cold restart). [`crate::setup::Deployment`] plays the disk.
-    image: Vec<ReadResponse>,
     /// The same trusted checker clients run — feed deltas pass
     /// `verify_delta` before touching any cache.
     verifier: ReadVerifier,
-    /// Every edge in the deployment: gossip peers, and the
-    /// same-partition candidates of a cold state transfer.
+    /// Every edge in the deployment: the gossip peers.
     peers: Vec<EdgeId>,
     directory: Option<DirectoryAgent>,
     /// upstream req id → the replica asked, the only node whose answer
     /// is admitted.
     pending: HashMap<u64, NodeId>,
-    /// The cold-bootstrap transfer in flight: the sibling asked and
-    /// the request id — the only `StateTransferResp` admitted, once.
-    transfer: Option<(NodeId, u64)>,
     next_req: u64,
     /// Round-robin over replicas for upstream fetches.
     upstream_rr: u64,
@@ -195,12 +167,10 @@ impl EdgeReadNode {
             caches: PartitionCaches::new(edge.cache.capacity, edge.cache.max_batches),
             gossip_every: edge.directory,
             feed_every: edge.feed,
-            image: Vec::new(),
             verifier,
             peers: config.edge_ids().collect(),
             directory,
             pending: HashMap::new(),
-            transfer: None,
             next_req: 0,
             upstream_rr: 0,
             gossip_rr: me.index as u64,
@@ -216,12 +186,6 @@ impl EdgeReadNode {
     /// The gossip directory participant, when the plan enables one.
     pub fn directory(&self) -> Option<&DirectoryAgent> {
         self.directory.as_ref()
-    }
-
-    /// Mutable directory access — tests seed a restarted edge, before
-    /// its `on_start` runs, with what the fleet already knows.
-    pub fn directory_mut(&mut self) -> Option<&mut DirectoryAgent> {
-        self.directory.as_mut()
     }
 
     fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache {
@@ -242,19 +206,10 @@ impl EdgeReadNode {
         self.caches.get(cluster)?.feed().newest()
     }
 
-    /// This node's disk image: every answer its replay caches hold, in
-    /// cluster order, each cache's least recently used first. The
-    /// deployment takes it on crash and hands it to the replacement via
-    /// [`EdgeReadNode::restore_image`].
-    pub fn image(&self) -> Vec<ReadResponse> {
+    /// Every answer this node's replay caches hold, in cluster order,
+    /// each cache's least recently used first (a read-only view).
+    pub fn cached_answers(&self) -> Vec<ReadResponse> {
         self.caches.iter().flat_map(|(_, c)| c.objects()).collect()
-    }
-
-    /// Attach the image of the crashed edge this node replaces. Must
-    /// run before the actor starts — `on_start` is where it is
-    /// re-admitted.
-    pub fn restore_image(&mut self, image: Vec<ReadResponse>) {
-        self.image = image;
     }
 
     fn upstream_replica(&mut self, cluster: ClusterId) -> NodeId {
@@ -365,144 +320,6 @@ impl EdgeReadNode {
     fn absorb(&mut self, result: &ReadResponse) {
         if result.anchor().is_some() {
             self.cache_for(result.cluster()).admit(result);
-        }
-    }
-
-    /// The one way an object from disk or a sibling gets into a cache:
-    /// charge the re-verification — certificate signatures plus one hash
-    /// pass over the body, the same work the client-side verifier models
-    /// for a network response — run the object's own proof chain, and
-    /// admit it into its partition's replay cache only if that passes.
-    fn admit_verified(
-        &mut self,
-        object: &ReadResponse,
-        ctx: &mut Context<'_, NetMsg>,
-    ) -> Result<(), ReadRejection> {
-        let sigs = object.anchor().map_or(0, |(_, cert)| cert.sigs.len());
-        let body = object.wire_size();
-        ctx.charge(|c| {
-            SimDuration(c.ed25519_verify.0 * sigs as u64 + c.sha256_cost(body.max(1)).0)
-        });
-        verify_object(&self.verifier, &self.keys, object, ctx.now())?;
-        self.caches.cache_for(object.cluster()).admit(object);
-        Ok(())
-    }
-
-    /// Restart: re-admit every object of the disk image through the
-    /// client-grade verifier. Disk is untrusted input — an object whose
-    /// proof chain fails is dropped (never served); mere staleness (the
-    /// outage outlived the freshness window) drops it too but is
-    /// counted as honest aging.
-    fn hydrate(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        for object in std::mem::take(&mut self.image) {
-            match self.admit_verified(&object, ctx) {
-                Ok(()) => self.stats.hydrate_admitted += 1,
-                Err(ReadRejection::StaleTimestamp) => self.stats.hydrate_stale += 1,
-                Err(_) => self.stats.hydrate_rejected += 1,
-            }
-        }
-    }
-
-    /// Where a cold bootstrap asks for state: the first peer fronting
-    /// our own partition that the directory (when one runs and already
-    /// knows anything) has neither convicted nor struck. `None` when no
-    /// such peer is left — every object would be re-verified anyway, so
-    /// asking a known liar only wastes the one transfer.
-    fn transfer_source(&self) -> Option<NodeId> {
-        let healthy = |e: EdgeId| {
-            self.directory
-                .as_ref()
-                .is_none_or(|agent| !agent.knows_byzantine(e) && !agent.struck(NodeId::Edge(e)))
-        };
-        self.peers
-            .iter()
-            .copied()
-            .find(|e| e.cluster == self.me.cluster && *e != self.me && healthy(*e))
-            .map(NodeId::Edge)
-    }
-
-    /// Cold-start bootstrap: if hydration produced no servable coverage
-    /// for the home partition, ask one healthy same-partition peer for
-    /// what its caches hold instead of faulting every first read
-    /// upstream — the replicas see one transfer, not a thundering herd.
-    fn request_sibling_transfer(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let warm = self
-            .caches
-            .get(self.me.cluster)
-            .is_some_and(|c| c.latest_batch().is_some());
-        if warm {
-            return;
-        }
-        let Some(sibling) = self.transfer_source() else {
-            return;
-        };
-        self.next_req += 1;
-        self.stats.sibling_transfers += 1;
-        self.transfer = Some((sibling, self.next_req));
-        ctx.send(
-            sibling,
-            NetMsg::StateTransfer {
-                req: self.next_req,
-                cluster: self.me.cluster,
-            },
-        );
-    }
-
-    /// A cold peer asked for our answers of `cluster`: answer from the
-    /// replay cache (certified material only — the receiver re-verifies
-    /// every object anyway, so a byzantine responder gains nothing).
-    fn on_state_transfer(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        cluster: ClusterId,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let objects = self
-            .caches
-            .get(cluster)
-            .map(ReplayCache::objects)
-            .unwrap_or_default();
-        if objects.is_empty() {
-            return; // nothing to offer; the peer's reads fall back upstream
-        }
-        ctx.send(
-            from,
-            NetMsg::StateTransferResp {
-                req,
-                cluster,
-                objects,
-            },
-        );
-    }
-
-    /// A sibling's transfer answer, taken only from the sibling asked
-    /// under the request id used, once — anything else could make this
-    /// node pay a verification per pushed object and fill its cache
-    /// with valid sections of the pusher's choosing. Every object is
-    /// re-verified through the client-grade chain before touching a
-    /// cache — a sibling is an untrusted edge like any other.
-    fn on_state_transfer_resp(
-        &mut self,
-        from: NodeId,
-        req: u64,
-        cluster: ClusterId,
-        objects: Vec<ReadResponse>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        if self.transfer != Some((from, req)) {
-            return;
-        }
-        self.transfer = None;
-        for object in objects {
-            if object.cluster() != cluster {
-                self.stats.sibling_objects_rejected += 1;
-                continue;
-            }
-            match self.admit_verified(&object, ctx) {
-                Ok(()) => self.stats.sibling_objects_admitted += 1,
-                Err(_) => self.stats.sibling_objects_rejected += 1,
-            }
         }
     }
 
@@ -686,13 +503,6 @@ impl RegisterMetrics for EdgeReadNode {
 
 impl Actor<NetMsg> for EdgeReadNode {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        // Persistence first: a restarted edge re-admits its disk image
-        // through the verifier before anything else runs, and asks a
-        // sibling for verified state if the image yielded nothing (a
-        // first boot is a cold start) — so the first client request
-        // already finds a warm cache.
-        self.hydrate(ctx);
-        self.request_sibling_transfer(ctx);
         if let Some(period) = self.gossip_every {
             ctx.set_timer(period, TOKEN_GOSSIP);
         }
@@ -727,14 +537,6 @@ impl Actor<NetMsg> for EdgeReadNode {
                 }
             }
             NetMsg::FeedDelta { delta } => self.on_feed_delta(*delta, ctx),
-            NetMsg::StateTransfer { req, cluster } => {
-                self.on_state_transfer(from, req, cluster, ctx)
-            }
-            NetMsg::StateTransferResp {
-                req,
-                cluster,
-                objects,
-            } => self.on_state_transfer_resp(from, req, cluster, objects, ctx),
             NetMsg::DirectoryPull => {
                 if let Some(agent) = &mut self.directory {
                     // Always answered, records or not: the client holds

@@ -145,21 +145,6 @@ pub enum NetMsg {
     /// the reply, and wait for it — so it is answered even when empty).
     DirectoryPull,
 
-    // ---- edge restart state-transfer (edge ↔ edge) --------------------
-    /// A cold (or corrupted-disk) edge asking a healthy same-partition
-    /// peer for the answers of `cluster` its caches hold, instead of
-    /// faulting every post-restart read upstream to the replicas.
-    StateTransfer { req: u64, cluster: ClusterId },
-    /// The sibling's offer: its cached answers for the cluster, full.
-    /// Untrusted like any edge payload — the requester re-verifies
-    /// every answer through the client-grade verifier before admitting
-    /// it to a cache.
-    StateTransferResp {
-        req: u64,
-        cluster: ClusterId,
-        objects: Vec<ReadResponse>,
-    },
-
     // ---- intra-cluster ----------------------------------------------
     /// Consensus traffic.
     Bft(Box<BftMsg<Batch>>),
@@ -220,8 +205,6 @@ impl NetMsg {
             NetMsg::FeedDelta { .. } => "feed-delta",
             NetMsg::DirectoryDeltaGossip { .. } => "directory-delta-gossip",
             NetMsg::DirectoryPull => "directory-pull",
-            NetMsg::StateTransfer { .. } => "state-transfer",
-            NetMsg::StateTransferResp { .. } => "state-transfer-resp",
             NetMsg::Bft(m) => m.kind(),
             NetMsg::SegmentSigs { .. } => "segment-sigs",
             NetMsg::SigResend { .. } => "sig-resend",
@@ -309,10 +292,6 @@ impl SimMessage for NetMsg {
             NetMsg::FeedDelta { delta } => 8 + delta.wire_size(),
             NetMsg::DirectoryDeltaGossip { delta } => 8 + delta.wire_size(),
             NetMsg::DirectoryPull => 8,
-            NetMsg::StateTransfer { .. } => 16,
-            NetMsg::StateTransferResp { objects, .. } => {
-                16 + objects.iter().map(ReadResponse::wire_size).sum::<usize>()
-            }
             NetMsg::Bft(m) => bft_size(m),
             NetMsg::SegmentSigs { prepared_sigs, .. } => 16 + prepared_sigs.len() * 76,
             NetMsg::SigResend { .. } => 12,

@@ -1383,16 +1383,12 @@ impl Actor<NetMsg> for TransEdgeNode {
             // routing bug in the sender — drop. Directory gossip is an
             // edge/client affair; replicas are not in the fleet, and a
             // replica *publishes* feed deltas, it never consumes them.
-            // State transfer is edge-to-edge: replicas hold the real
-            // store and never trade cached answers.
             NetMsg::OccReadResp { .. }
             | NetMsg::TxnResult { .. }
             | NetMsg::ReadResult { .. }
             | NetMsg::FeedDelta { .. }
             | NetMsg::DirectoryDeltaGossip { .. }
-            | NetMsg::DirectoryPull
-            | NetMsg::StateTransfer { .. }
-            | NetMsg::StateTransferResp { .. } => {}
+            | NetMsg::DirectoryPull => {}
         }
     }
 

@@ -19,7 +19,7 @@ use crate::edge_node::EdgeReadNode;
 use crate::messages::NetMsg;
 use crate::metrics::TxnSample;
 use crate::node::{NodeConfig, TransEdgeNode};
-use transedge_edge::{ReadResponse, VerifyParams};
+use transedge_edge::VerifyParams;
 
 /// Everything needed to build a deployment.
 #[derive(Clone)]
@@ -348,14 +348,6 @@ impl Deployment {
             .expect("edge actor")
     }
 
-    /// Mutable access to an edge read node actor (tests seed a
-    /// restarted edge's directory before its `on_start` runs).
-    pub fn edge_node_mut(&mut self, edge: EdgeId) -> &mut EdgeReadNode {
-        self.sim
-            .actor_as_mut::<EdgeReadNode>(NodeId::Edge(edge))
-            .expect("edge actor")
-    }
-
     /// Run the simulation up to (and including) `limit` — the
     /// scripting primitive crash/restart harnesses interleave with
     /// [`Deployment::crash_edge`] / [`Deployment::restart_edge`].
@@ -365,33 +357,25 @@ impl Deployment {
 
     /// Simulated crash of one edge node: the actor — replay caches,
     /// pending maps, directory state, every in-flight message to it —
-    /// is destroyed. Only its disk image survives: the answers its
-    /// replay caches held ([`EdgeReadNode::image`]), returned to the
-    /// caller, which plays the role of the disk until
-    /// [`Deployment::restart_edge`] hands it to the replacement.
-    pub fn crash_edge(&mut self, edge: EdgeId) -> Vec<ReadResponse> {
-        let image = self.edge_node(edge).image();
-        self.sim.remove_actor(NodeId::Edge(edge));
-        image
+    /// is destroyed, and nothing of it survives. Panics if the edge is
+    /// not running.
+    pub fn crash_edge(&mut self, edge: EdgeId) {
+        let removed = self.sim.remove_actor(NodeId::Edge(edge));
+        assert!(removed.is_some(), "crash of {edge}, which is not running");
     }
 
-    /// Restart a crashed edge over a disk image: the one
-    /// [`Deployment::crash_edge`] returned for a warm restart, an empty
-    /// one for a cold restart. The replacement re-derives its
-    /// deterministic identity keypair (its peers and the key store
-    /// already know it), and its `on_start` re-admits the image through
-    /// the verifier — trusting nothing written before the crash — then
-    /// falls back to a verified sibling state-transfer if the image
-    /// yielded nothing servable.
-    pub fn restart_edge(&mut self, edge: EdgeId, image: Vec<ReadResponse>) {
+    /// Restart a crashed edge cold, exactly as it first booted: its
+    /// caches start empty and refill by forwarding. The replacement
+    /// re-derives its deterministic identity keypair (its peers and the
+    /// key store already know it). Panics if the edge is running.
+    pub fn restart_edge(&mut self, edge: EdgeId) {
         let seed = root_seed(self.config.seed);
-        let mut node = EdgeReadNode::new(
+        let node = EdgeReadNode::new(
             edge,
             &self.config,
             self.keys.clone(),
             edge_keypair(&seed, edge),
         );
-        node.restore_image(image);
         self.sim.add_actor(NodeId::Edge(edge), Box::new(node));
     }
 

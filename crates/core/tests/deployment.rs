@@ -1,9 +1,10 @@
 //! Deployment-level invariants: genesis certification and copying,
-//! determinism, configuration plumbing, and one signature memo per
-//! actor.
+//! determinism, configuration plumbing, one signature memo per actor,
+//! and the guards on crashing and restarting an edge.
 
 use transedge_common::{
-    BatchNum, ClientId, ClusterId, ClusterTopology, Key, NodeId, ReplicaId, SimTime, TxnId, Value,
+    BatchNum, ClientId, ClusterId, ClusterTopology, EdgeId, Key, NodeId, ReplicaId, SimTime, TxnId,
+    Value,
 };
 use transedge_consensus::BftValue;
 use transedge_core::batch::{Batch, Transaction, WriteOp};
@@ -11,6 +12,7 @@ use transedge_core::client::ClientOp;
 use transedge_core::executor::{Executor, RejectReason};
 use transedge_core::node::TransEdgeNode;
 use transedge_core::setup::{generate_data, Deployment, DeploymentConfig};
+use transedge_core::EdgeConfig;
 use transedge_crypto::merkle::{value_digest, verify_proof, Verified};
 use transedge_crypto::{Digest, SigStats};
 
@@ -379,4 +381,30 @@ fn exec_mut(dep: &mut Deployment, r: ReplicaId) -> &mut Executor {
         .actor_as_mut::<TransEdgeNode>(NodeId::Replica(r))
         .expect("a replica")
         .exec
+}
+
+/// A deployment with one edge per cluster and no client.
+fn with_edges() -> (Deployment, EdgeId) {
+    let mut config = DeploymentConfig::for_testing();
+    config.edge = EdgeConfig::builder()
+        .per_cluster(1)
+        .build()
+        .expect("edge config");
+    let dep = Deployment::build(config, vec![]);
+    (dep, EdgeId::new(ClusterId(0), 0))
+}
+
+#[test]
+#[should_panic(expected = "not running")]
+fn crashing_an_edge_that_is_not_running_panics() {
+    let (mut dep, edge) = with_edges();
+    dep.crash_edge(edge);
+    dep.crash_edge(edge);
+}
+
+#[test]
+#[should_panic(expected = "duplicate actor")]
+fn restarting_a_running_edge_panics() {
+    let (mut dep, edge) = with_edges();
+    dep.restart_edge(edge);
 }

@@ -5,8 +5,8 @@
 //! `Certificate::verify` is a pure function of the certificate's bytes
 //! under a key directory fixed at setup, so a trusted party may
 //! remember that one exact certificate passed. A [`KeyStore`] answers
-//! every certificate it is asked about (edges, hydration, directory
-//! evidence, the benchmark's ladder): its signatures in one batch, and
+//! every certificate it is asked about (edges, directory evidence,
+//! the benchmark's ladder): its signatures in one batch, and
 //! — on an actor's handle ([`KeyStore::with_memo`]) — each signature
 //! the handle already accepted from memory, whatever certificate carried
 //! it. [`VerifiedCerts`] sits above that and answers a repeated

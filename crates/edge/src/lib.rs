@@ -24,7 +24,7 @@
 //! (`transedge_crypto::range`), so the verifier can also check
 //! **completeness** — an untrusted node cannot omit a row inside a
 //! scanned window undetected. One answer shape is what the wire
-//! carries, what the caches hold and what the disk stores.
+//! carries and what the caches hold.
 //!
 //! * [`pipeline`] — the serving side. [`pipeline::SnapshotSource`]
 //!   abstracts a replica's multi-version store + versioned Merkle tree;
@@ -43,11 +43,6 @@
 //!   and windows it absorbed from upstream, one exact-match LRU per
 //!   answer kind, replayed to clients who verify them end to end;
 //!   [`replay::PartitionCaches`] keeps one such cache per partition.
-//! * [`persist`] — the same answers on disk: an edge's disk image is
-//!   its replay caches' answers
-//!   ([`replay::ReplayCache::objects`]), and a restart or a sibling
-//!   transfer re-admits each one through [`persist::verify_object`],
-//!   like any network response.
 //! * [`query`] — the unified typed read protocol: one
 //!   [`query::ReadQuery`] ([`query::SnapshotPolicy`] ×
 //!   [`query::QueryShape`] × [`query::PageToken`]) names every read —
@@ -93,7 +88,6 @@
 pub mod cache;
 pub mod certs;
 pub mod feed;
-pub mod persist;
 pub mod pipeline;
 pub mod query;
 pub mod replay;
@@ -104,7 +98,6 @@ pub mod verifier;
 pub use cache::{CacheStats, LruCache};
 pub use certs::{QuorumCheck, VerifiedCerts};
 pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
-pub use persist::verify_object;
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
     Anchor, Body, Chase, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse,

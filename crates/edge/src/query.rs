@@ -483,7 +483,7 @@ impl ReadQuery {
 /// [`ReadQuery::held`], plus the same body. A held answer carries no
 /// header and no certificate; its receiver rebuilds the full answer
 /// from its own verified copy ([`ReadResponse::rebuild`]) and verifies
-/// that. Only full answers enter a cache or a disk image.
+/// that. Only full answers enter a cache.
 ///
 /// # Examples
 ///
@@ -625,8 +625,8 @@ impl ReadResponse {
     }
 
     /// Structural wire size (the bandwidth model's, and the one size
-    /// every answer is charged: on the network, in a state transfer and
-    /// in an evidence record): the certified anchor ([`anchor_size`]) or
+    /// every answer is charged: on the network and in an evidence
+    /// record): the certified anchor ([`anchor_size`]) or
     /// the held reference to it ([`HELD_ANCHOR_SIZE`]), then the body —
     /// a section body's structural size equals its wire image
     /// byte for byte — and, on a point body, the feed tail sent (a

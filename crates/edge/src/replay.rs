@@ -59,9 +59,8 @@ transedge_obs::counters! {
             /// Cached answers (point answers, scan windows) dropped
             /// because their batch aged past `max_batches` — eviction, as
             /// opposed to `fragments_invalidated` (a delta proved the
-            /// answer superseded). Either way the answer is gone from the
-            /// edge's disk image too, which is the cache itself
-            /// ([`ReplayCache::objects`]).
+            /// answer superseded). Either way the answer is gone from
+            /// [`ReplayCache::objects`] too.
             evicted_entries,
         }
     }
@@ -74,7 +73,7 @@ pub struct ReplayCache {
     commitments: BTreeMap<BatchNum, (CommittedHeader, Certificate)>,
     /// `(sorted unique keys, batch)` → the section body admitted for
     /// exactly that key set. Bodies are shared by reference with
-    /// in-flight responses and the disk image.
+    /// in-flight responses.
     points: LruCache<(Vec<Key>, BatchNum), MultiProofBody>,
     /// `(window, batch)` → the scan proof admitted for that window.
     scans: LruCache<(ScanRange, BatchNum), ScanProof>,
@@ -313,8 +312,8 @@ impl ReplayCache {
     /// Every cached answer rebuilt as the full answer it was admitted as —
     /// its body or window under its batch's retained commitment and
     /// certificate — least recently used first within each kind, point
-    /// answers before scan windows. This is the edge's disk image: what
-    /// a restart re-admits and what a cold sibling is offered.
+    /// answers before scan windows: what the cache holds, for whoever
+    /// inspects it.
     pub fn objects(&self) -> Vec<ReadResponse> {
         let points =
             (self.points.iter()).map(|((_, batch), body)| self.answer(*batch, body.clone()));

@@ -194,7 +194,7 @@ pub fn cert_size(cert: &Certificate) -> usize {
 
 /// Wire size of a certified anchor: the header, the digest of the
 /// segments it omits, and the certificate over both. Every full answer
-/// (on the wire, on disk or in an evidence record) and every certified
+/// (on the wire or in an evidence record) and every certified
 /// delta carries one, and all of them are sized by this function (414 B at five partitions
 /// under a two-signature certificate).
 pub fn anchor_size(commitment: &CommittedHeader, cert: &Certificate) -> usize {

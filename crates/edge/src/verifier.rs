@@ -19,8 +19,7 @@
 //!
 //! Every answer has one shape — an [`Anchor`] and a [`Body`] proven
 //! against its root ([`ReadResponse`]) — whether it comes from a
-//! replica, an edge replay, a hydrated disk image, or a sibling's state
-//! transfer, and one chain runs for all of them: steps 1–4 on the
+//! replica or an edge replay, and one chain runs for both: steps 1–4 on the
 //! anchor (`check_commitment`), then step 5 on the body against the
 //! anchor's root — a point body's multiproof (`prove_section`) or a scan
 //! window's range proof (`prove_scan`). A point answer mixing batches,

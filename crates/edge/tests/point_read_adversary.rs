@@ -269,6 +269,12 @@ proptest! {
         let mut rerooted = section.clone();
         anchor_mut(&mut rerooted).0.header.merkle_root = p.headers[0].header.merkle_root;
         prop_assert_eq!(rejection(&p, &keys, rerooted), ReadRejection::BadCertificate);
+        // A replica's real signature over another statement in place
+        // of one signature of the quorum.
+        let mut resigned = section.clone();
+        let signer = p.topo.replicas_of(ClusterId(0)).next().unwrap();
+        anchor_mut(&mut resigned).1.sigs[0].1 = p.secrets[&signer].sign(b"not the accept statement");
+        prop_assert_eq!(rejection(&p, &keys, resigned), ReadRejection::BadCertificate);
         for (name, forged) in common::rewritten(anchor_of(&section).0) {
             let mut rewritten = section.clone();
             anchor_mut(&mut rewritten).0 = forged;

@@ -4,21 +4,19 @@
 //!
 //! The worked examples pin the replay rules (whole or nothing, exact
 //! key sets only, staleness and round-2 floors, push invalidation,
-//! batch aging, the answer capacity, the disk image a restart
-//! re-admits); the property test drives serve → cache → replay → verify
+//! batch aging, the answer capacity, the cached answers an edge
+//! exposes); the property test drives serve → cache → replay → verify
 //! end to end against a plain `BTreeMap` model of the write history.
 
 mod common;
 
 use std::collections::BTreeMap;
 
-use common::{body, Partition};
+use common::{anchor_of, body, Partition};
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, Value};
 use transedge_crypto::ScanRange;
-use transedge_edge::{
-    verify_object, Body, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotPolicy,
-};
+use transedge_edge::{Body, QueryAnswer, ReadQuery, ReadResponse, ReplayCache, SnapshotPolicy};
 
 fn two_batch_partition() -> Partition {
     let mut p = Partition::new();
@@ -242,31 +240,43 @@ fn a_delta_drops_every_older_answer_it_touches() {
     assert_eq!(untouched.expect("cached").batch(), BatchNum(0));
 }
 
-/// An edge's disk image is its cache: `objects` rebuilds every cached
-/// answer under its batch's certificate, least recently used first
-/// within each kind, each one passing the check a restart runs — and an
-/// answer a delta superseded leaves the image with the cache entry.
+/// `objects` rebuilds every cached answer under its batch's
+/// certificate, least recently used first within each kind, each one
+/// verifying as the answer to its own key set or window — and an answer
+/// a delta superseded leaves with the cache entry. A held answer of
+/// either shape, which names an anchor instead of carrying one, adds
+/// nothing.
 #[test]
-fn the_disk_image_is_the_cached_answers() {
+fn objects_are_the_cached_answers_each_verifying_on_its_own() {
     let p = two_batch_partition();
     let mut replay: ReplayCache = ReplayCache::new(1024, 8);
     let (pair, single) = (
         p.section(&[k(1), k(2)], BatchNum(0)),
         p.section(&[k(7)], BatchNum(0)),
     );
+    let scan = p.scan(ScanRange::new(0, 255), BatchNum(1));
     replay.admit(&pair);
     replay.admit(&single);
-    replay.admit(&p.scan(ScanRange::new(0, 255), BatchNum(1)));
+    replay.admit(&scan);
+    for full in [&pair, &scan] {
+        let held = full.clone().held_by(Some(anchor_of(full).1.digest));
+        assert!(held.anchor().is_none());
+        replay.admit(&held);
+    }
     // A replay is a touch: the pair becomes the most recently used.
     let keys = body(&pair).keys().to_vec();
     assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_some());
     let shapes = |replay: &ReplayCache| -> Vec<(BatchNum, Vec<Key>)> {
-        let image = replay.objects();
-        for object in &image {
-            let verdict = verify_object(&p.verifier(), &p.keys, object, SimTime(2_500));
-            assert_eq!(verdict, Ok(()));
+        let objects = replay.objects();
+        for object in &objects {
+            let query = match &object.body {
+                Body::Point { body, .. } => ReadQuery::point(body.keys().to_vec()),
+                Body::Scan(scan) => ReadQuery::scan(ClusterId(0), scan.range),
+            };
+            let verdict = p.verdict(ClusterId(0), &query, object, SimTime(2_500));
+            assert!(verdict.is_ok(), "{verdict:?}");
         }
-        image
+        objects
             .iter()
             .map(|object| match &object.body {
                 Body::Point { body, .. } => (object.batch(), body.keys().to_vec()),
@@ -280,7 +290,7 @@ fn the_disk_image_is_the_cached_answers() {
         shapes(&replay),
         [single.clone(), (BatchNum(0), keys), window.clone()]
     );
-    // Batch 1 changed key 1: the pair is superseded, on disk too.
+    // Batch 1 changed key 1: the pair is superseded, gone here too.
     replay.apply_delta(p.delta(BatchNum(1)));
     assert_eq!(shapes(&replay), [single, window]);
 }

@@ -154,8 +154,8 @@ fn ms(millis: u64) -> SimTime {
 }
 
 /// Edge churn: two edges per cluster; one edge per cluster crashes
-/// mid-workload and restarts later over its disk image (warm
-/// hydration through the verifier). Reads ride out the churn on the
+/// mid-workload and restarts later cold, its caches empty until
+/// forwarded answers refill them. Reads ride out the churn on the
 /// surviving sibling or the replicas.
 pub fn churn() -> CampaignOutcome {
     let edge = EdgeConfig::builder()

@@ -5,14 +5,11 @@ use transedge_common::{ClusterId, EdgeId, NodeId, ReplicaId, SimDuration, SimTim
 /// One scheduled chaos action against a running deployment.
 #[derive(Clone, Debug)]
 pub enum ScenarioEvent {
-    /// Fail-stop one edge node: the actor and every in-flight message
-    /// to it are destroyed; only its disk image — the answers its
-    /// replay caches held — survives (held by the runner for the
-    /// matching [`ScenarioEvent::EdgeRestart`]).
+    /// Fail-stop one edge node: the actor, its caches and every
+    /// in-flight message to it are destroyed.
     EdgeCrash { edge: EdgeId },
-    /// Restart a previously crashed edge over its disk image (verified
-    /// hydration, then a sibling transfer if its home partition is
-    /// still cold).
+    /// Restart a previously crashed edge cold: its caches start empty
+    /// and refill by forwarding, as on a first boot.
     EdgeRestart { edge: EdgeId },
     /// Cut every link between the `a` and `b` node sets from this
     /// instant until the [`ScenarioEvent::PartitionHeal`] naming the

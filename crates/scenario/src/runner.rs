@@ -3,8 +3,8 @@
 
 use std::collections::HashMap;
 
-use transedge_common::{EdgeId, NodeId, SimTime};
-use transedge_core::{ClientActor, Deployment, ReadResponse};
+use transedge_common::{NodeId, SimTime};
+use transedge_core::{ClientActor, Deployment};
 use transedge_simnet::PartitionHandle;
 use transedge_workload::WorkloadSpec;
 
@@ -15,14 +15,12 @@ use crate::monitor::{InvariantMonitor, InvariantViolation};
 /// Applies a scenario's events at their scheduled instants, sweeping
 /// the [`InvariantMonitor`] after each one and once more when every
 /// client finished. State that must outlive single events lives here:
-/// crashed edges' disk images (for the matching warm restart) and
 /// name → handle bindings of imposed partitions.
 pub struct ScenarioRunner {
     scenario: Scenario,
     /// The campaign workload — required by
     /// [`ScenarioEvent::HotKeyShift`] to regenerate client tails.
     workload: Option<WorkloadSpec>,
-    images: HashMap<EdgeId, Vec<ReadResponse>>,
     partitions: HashMap<String, PartitionHandle>,
 }
 
@@ -31,7 +29,6 @@ impl ScenarioRunner {
         ScenarioRunner {
             scenario,
             workload: None,
-            images: HashMap::new(),
             partitions: HashMap::new(),
         }
     }
@@ -88,17 +85,8 @@ impl ScenarioRunner {
         event: &ScenarioEvent,
     ) {
         match event {
-            ScenarioEvent::EdgeCrash { edge } => {
-                let image = dep.crash_edge(*edge);
-                self.images.insert(*edge, image);
-            }
-            ScenarioEvent::EdgeRestart { edge } => {
-                let image = self
-                    .images
-                    .remove(edge)
-                    .unwrap_or_else(|| panic!("EdgeRestart of {edge:?} without a prior EdgeCrash"));
-                dep.restart_edge(*edge, image);
-            }
+            ScenarioEvent::EdgeCrash { edge } => dep.crash_edge(*edge),
+            ScenarioEvent::EdgeRestart { edge } => dep.restart_edge(*edge),
             ScenarioEvent::PartitionStart { name, a, b } => {
                 let handle = dep.impose_partition(a.iter().copied(), b.iter().copied());
                 self.partitions.insert(name.clone(), handle);

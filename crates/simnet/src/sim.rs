@@ -112,8 +112,8 @@ impl<M: SimMessage + 'static> Simulation<M> {
 
     /// Tear an actor down mid-run (a crash the harness controls, as
     /// opposed to a [`FaultPlan`] crash where the actor stays
-    /// registered but deaf). The removed actor is returned so the
-    /// harness can salvage state that survives the crash. Events still
+    /// registered but deaf). The removed actor is returned, `None` when
+    /// no actor was registered under `id`. Events still
     /// queued for the id are dropped harmlessly when they surface
     /// (dispatch ignores unknown targets), and the id
     /// may be re-registered later via [`Simulation::add_actor`], which

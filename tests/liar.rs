@@ -1,5 +1,5 @@
 //! Each lie of `transedge_scenario::liar`, told once over honest
-//! answers a warmed edge cached (`EdgeReadNode::image`): a point
+//! answers a warmed edge cached (`EdgeReadNode::cached_answers`): a point
 //! section with a feed tail, a section of absent keys, and a scan
 //! window. Every answer a lie changes fails `ReadVerifier::verify_query`
 //! with the rejection class named in its test; an answer a lie cannot
@@ -94,9 +94,9 @@ fn warmed() -> Warmed {
     let edge = dep.edge_node(dep.edge_ids[0]);
     assert_eq!(dep.edge_ids[0].cluster, C0);
     let head = edge.feed_head(C0).expect("a feed head").clone();
-    let image = edge.image();
+    let cached = edge.cached_answers();
     let section_of = |keys: &[Key]| {
-        image
+        cached
             .iter()
             .find_map(|object| match &object.body {
                 Body::Point { body, .. } if body.keys() == keys => Some(object.clone()),
@@ -111,7 +111,7 @@ fn warmed() -> Warmed {
     let mut absent_sorted = absent.clone();
     absent_sorted.sort();
     let absent_section = section_of(&absent_sorted);
-    let bundle = image
+    let bundle = cached
         .iter()
         .find(|object| matches!(object.body, Body::Scan(_)))
         .cloned()

@@ -117,11 +117,9 @@ const REGISTERED_NAMES: &str = "\
        directory.delta_records_sent directory.delta_replies_sent directory.evidence_accepted \
        directory.evidence_rejected directory.gossip_ingested directory.senders_struck \
        edge.bad_deltas_dropped edge.feed_deltas_received edge.foreign_forward_replica \
-       edge.foreign_subs edge.forwarded edge.gather_requests edge.hydrate_admitted \
-       edge.hydrate_rejected edge.hydrate_stale edge.keys_from_cache edge.keys_requested \
-       edge.requests edge.scan_requests edge.scans_forwarded edge.scans_from_cache \
-       edge.served_from_cache edge.sibling_objects_admitted edge.sibling_objects_rejected \
-       edge.sibling_transfers \
+       edge.foreign_subs edge.forwarded edge.gather_requests edge.keys_from_cache \
+       edge.keys_requested edge.requests edge.scan_requests edge.scans_forwarded \
+       edge.scans_from_cache edge.served_from_cache \
        messages_delivered messages_dropped messages_sent \
        node.batches_proposed node.chases_sent node.deltas_published node.deltas_replayed \
        node.rot_fetches_served node.rot_scans_rejected node.rot_scans_served node.rot_served \

@@ -7,7 +7,9 @@
 //! by client-side verification and becomes cryptographic evidence the
 //! directory gossips fleet-wide, exactly like a forged proof.
 
-use transedge::common::{ClusterId, ClusterTopology, Key, NodeId, SimDuration, SimTime, Value};
+use transedge::common::{
+    ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimDuration, SimTime, Value,
+};
 use transedge::core::client::ClientOp;
 use transedge::core::metrics::OpKind;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
@@ -278,9 +280,9 @@ fn a_second_read_is_sent_only_the_deltas_since_the_first() {
     // gap, and it does not grow past its cap.
     run_until_ops(&mut dep, reader, 3);
     let before = state(&dep).2.unwrap();
-    let _lost = dep.crash_edge(edge);
+    dep.crash_edge(edge);
     dep.run_until(SimTime(dep.sim.now().0 + 50_000));
-    dep.restart_edge(edge, Vec::new());
+    dep.restart_edge(edge);
     dep.run_until_done(SimTime(600_000_000));
     let client = dep.client(reader);
     assert_eq!(client.stats.verification_failures, 0);
@@ -305,6 +307,9 @@ fn a_second_read_is_sent_only_the_deltas_since_the_first() {
 /// ask for attachments) leaves the reader exposed to stale cached
 /// snapshots — the round-2 dependency fetch fires. This is what the
 /// feed attachment is eliminating.
+///
+/// Every answer partition 1's edge caches is of the hot key, so the
+/// feed supersedes every one: at the end that edge holds nothing.
 #[test]
 fn unsubscribed_control_still_pays_round_two() {
     let mut config = DeploymentConfig::for_testing();
@@ -334,6 +339,15 @@ fn unsubscribed_control_still_pays_round_two() {
         "without the subscription the same interval must exercise round 2"
     );
     assert_eq!(reader.stats.freshness_upgrades, 0);
+
+    let edge = dep.edge_node(EdgeId::new(ClusterId(1), 0));
+    let replay: Vec<_> = edge.replay_stats().collect();
+    let admitted: u64 = replay.iter().map(|(_, r)| r.admitted).sum();
+    let invalidated: u64 = replay.iter().map(|(_, r)| r.fragments_invalidated).sum();
+    assert!(admitted > 0, "the edge cached answers");
+    assert_eq!(invalidated, admitted, "the feed superseded every one");
+    let held = edge.cached_answers();
+    assert!(held.is_empty(), "{} superseded answers held", held.len());
 }
 
 /// A byzantine edge that tampers with the feed attachment (injecting a

@@ -682,7 +682,7 @@ fn parked_round_two_read_is_answered_at_an_applied_batch() {
             let node = dep.edge_node(edge);
             assert_eq!(node.stats.forwarded, 1);
             assert_eq!(node.pending_upstream(), 0, "the edge took its copy");
-            assert_eq!(node.image().len(), 1);
+            assert_eq!(node.cached_answers().len(), 1);
         }
     }
 }
@@ -1943,8 +1943,8 @@ fn answers_no_part_is_waiting_for_are_dropped_unread() {
 
         let contact = EdgeId::new(ClusterId(0), 0);
         let section_of = |edge: EdgeId, cluster: ClusterId| {
-            let image = dep.edge_node(edge).image();
-            let section = image.into_iter().find(|object| {
+            let cached = dep.edge_node(edge).cached_answers();
+            let section = cached.into_iter().find(|object| {
                 matches!(object.body, Body::Point { .. }) && object.cluster() == cluster
             });
             section.expect("a cached section")
@@ -2268,7 +2268,7 @@ fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
         let contact = EdgeId::new(ClusterId(0), 0);
         let body = dep
             .edge_node(contact)
-            .image()
+            .cached_answers()
             .into_iter()
             .find_map(|object| match object.body {
                 Body::Point { body, .. } => Some(body),
@@ -2533,9 +2533,9 @@ fn a_cold_read_through_an_edge_is_answered_by_the_replica() {
         let node = dep.edge_node(*edge);
         assert_eq!(node.stats.forwarded, 1);
         assert_eq!(node.pending_upstream(), 0, "the edge took its copy");
-        let image = node.image();
-        assert_eq!(image.len(), 1, "{edge} cached one answer");
-        assert_eq!(image[0].cluster(), edge.cluster);
+        let cached = node.cached_answers();
+        assert_eq!(cached.len(), 1, "{edge} cached one answer");
+        assert_eq!(cached[0].cluster(), edge.cluster);
     }
 
     // The wrapped client is not a `ClientActor` to the deployment, so
@@ -2914,7 +2914,7 @@ fn a_second_certified_history_of_a_held_batch_fails_the_read_closed() {
     let edge = EdgeId::new(ClusterId(0), 0);
     let genuine = dep
         .edge_node(edge)
-        .image()
+        .cached_answers()
         .into_iter()
         .find(|object| matches!(object.body, Body::Point { .. }))
         .expect("a cached section");

@@ -183,17 +183,6 @@ const NEVER_MOVED: &[(&str, &str)] = &[
         "replay.freshness_refused",
         "touched entries are invalidated first",
     ),
-    // Churn restarts edges over the disks they crashed with, inside
-    // the freshness window: nothing to reject, nothing aged, no cold
-    // edge to transfer state to — a first boot asks its sibling, whose
-    // caches are still empty (tests/persistence.rs does all three).
-    ("edge.hydrate_rejected", "disks are never corrupted"),
-    (
-        "edge.hydrate_stale",
-        "restart is inside the freshness window",
-    ),
-    ("edge.sibling_objects_admitted", "no edge starts cold"),
-    ("edge.sibling_objects_rejected", "no edge starts cold"),
     // Honest clients send well-formed scan windows.
     ("node.rot_scans_rejected", "no malformed window is sent"),
     // No campaign crashes a leader (tests/fault_tolerance.rs and
