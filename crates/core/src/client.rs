@@ -4,19 +4,19 @@
 //! A client actor executes a scripted sequence of operations
 //! ([`ClientOp`]), one at a time (closed loop — the paper's "2 clients
 //! running 10 threads" maps to 20 such actors). Every read-only shape —
-//! point snapshot reads, verified range scans, paginated multi-window
-//! scans, cross-partition scatter-gather — runs through one
+//! point snapshot reads, verified range scans of one window per
+//! partition, cross-partition scatter-gather — runs through one
 //! `ReadSession`: it plans per-partition sub-queries from a
 //! [`ReadQuery`] ([`ReadQuery::split`], the split a contact edge runs
-//! too), sends every one of them — first round, page, restart, retry,
+//! too), sends every one of them — first round, restart, retry,
 //! resend — through one `dispatch` (via the [`EdgeSelector`], or whole
 //! to one edge contact), credits each answer to the part its certified
 //! header names, verifies it end to end in one `on_part_result`
 //! (`ReadVerifier::verify_query`: certificates, Merkle proofs,
-//! completeness, snapshot pins), stitches the verified sections into
-//! one result, and re-runs partitions whose snapshots fail the
-//! cross-partition dependency check (Algorithm 2) with an explicit
-//! LCE floor — the round-2 semantics, uniform across shapes.
+//! completeness), stitches the verified sections into one result, and
+//! re-runs partitions whose snapshots fail the cross-partition
+//! dependency check (Algorithm 2) with an explicit LCE floor — the
+//! round-2 semantics, uniform across shapes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,8 +30,8 @@ use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    same_batch_conflict, Body, CertifiedDelta, Chase, CommittedHeader, FeedWindow, PageToken,
-    QueryAnswer, QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
+    same_batch_conflict, Body, CertifiedDelta, Chase, CommittedHeader, FeedWindow, QueryAnswer,
+    QueryShape, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy,
     VerifiedCerts, VerifyParams,
 };
 use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase, TraceContext, TraceId};
@@ -64,7 +64,7 @@ pub enum ClientOp {
         range: ScanRange,
     },
     /// The full typed read API: any [`ReadQuery`] — multi-partition
-    /// point sets, paginated scans, scatter-gather, snapshot policies.
+    /// point sets, scatter-gather scans, snapshot policies.
     Query { query: ReadQuery },
 }
 
@@ -136,8 +136,6 @@ pub struct QueryOutcome {
     pub snapshot: Vec<(ClusterId, BatchNum)>,
     /// Did the cross-partition dependency check force a second round?
     pub needed_round2: bool,
-    /// Verified scan pages across all partitions.
-    pub pages: u32,
 }
 
 /// Completed read-write transaction result (when `record_results`).
@@ -168,14 +166,10 @@ struct PartState {
     /// Round-2 LCE floor ([`Epoch::NONE`] until the dependency check
     /// demands one).
     floor: Epoch,
-    /// Scan continuation: the next page's token.
-    token: Option<PageToken>,
-    /// Verified pages so far (scan parts).
-    pages: u32,
     /// The certified snapshot views of the partition's answer
-    /// ([`deps::Part::menu`]): the served view (a scan's first page's),
-    /// then with a verified feed attachment one per delta — held ones,
-    /// then sent ones — up to the head. Empty until the part answers.
+    /// ([`deps::Part::menu`]): the served view, then with a verified
+    /// feed attachment one per delta — held ones, then sent ones — up
+    /// to the head. Empty until the part answers.
     views: Vec<RotView>,
     /// The entry of `views` the part holds: the head until
     /// [`deps::plan`] settles a lower consistent cut.
@@ -206,8 +200,6 @@ impl PartState {
             cluster,
             shape,
             floor: Epoch::NONE,
-            token: None,
-            pages: 0,
             views: Vec::new(),
             cut: 0,
             fed: false,
@@ -241,13 +233,9 @@ impl PartState {
     }
 
     /// Restart this partition from scratch at a new LCE floor (round
-    /// two: its snapshot failed the dependency check; or a pinned page
-    /// aged past the freshness window) — a scan re-paginates from page
-    /// one, the path every point read takes.
+    /// two: its snapshot failed the dependency check).
     fn restart_at_floor(&mut self, floor: Epoch) {
         self.floor = floor;
-        self.token = None;
-        self.pages = 0;
         self.views.clear();
         self.cut = 0;
         self.fed = false;
@@ -259,8 +247,8 @@ impl PartState {
 
 /// The planner/assembler behind every read shape: one session per
 /// in-flight [`ReadQuery`]. It owns the per-partition sub-query plan —
-/// each part carrying its own in-flight request, pagination state and
-/// verified results awaiting the final stitch.
+/// each part carrying its own in-flight request and verified results
+/// awaiting the final stitch.
 struct ReadSession {
     query: ReadQuery,
     round: u8,
@@ -284,8 +272,7 @@ impl ReadSession {
     }
 
     /// The wire sub-query currently owed by `cluster`: the original
-    /// query restricted to that partition, at the part's floor and
-    /// page position.
+    /// query restricted to that partition, at the part's floor.
     fn subquery(&self, cluster: ClusterId) -> ReadQuery {
         let part = self.part(cluster);
         let consistency = if part.floor.is_none() {
@@ -296,7 +283,6 @@ impl ReadSession {
         ReadQuery {
             consistency,
             shape: part.shape.clone(),
-            page: part.token,
             feed: self.query.feed_for(cluster),
             held: self
                 .query
@@ -414,7 +400,7 @@ transedge_obs::counters! {
             chase_dropped,
             retries,
             gave_up,
-            /// Verified scan responses (pages) accepted.
+            /// Verified scan windows accepted.
             scans_accepted,
             /// Cross-partition queries sent to a single edge contact.
             gathers_sent,
@@ -741,8 +727,7 @@ impl ClientActor {
                 self.start_query(op_index, query, ctx);
             }
             ClientOp::RangeScan { cluster, range } => {
-                let query = ReadQuery::scatter_scan(vec![cluster], range, range.width());
-                self.start_query(op_index, query, ctx);
+                self.start_query(op_index, ReadQuery::scan(cluster, range), ctx);
             }
             ClientOp::Query { query } => self.start_query(op_index, query, ctx),
         }
@@ -863,6 +848,25 @@ impl ClientActor {
             return;
         }
         let start = ctx.now();
+        // A scan no honest replica serves — outside the leaf space or
+        // wider than one window — fails before any send: asking would
+        // only retry until the op gives up.
+        let unservable = match &session.query.shape {
+            QueryShape::Scan { range, .. } => !range.is_valid_for_depth(self.verify.tree_depth),
+            QueryShape::Point { .. } => false,
+        };
+        if unservable {
+            let phase = Phase::Query(session);
+            let inflight = Inflight {
+                op_index,
+                kind,
+                start,
+                attempts: 0,
+                phase,
+            };
+            self.fail_op(inflight, SpanPhase::Queue, "unservable", ctx);
+            return;
+        }
         // Single contact: hand the whole multi-partition query to one
         // edge — it splits it as we did, fetches what it misses from
         // each partition's replicas, and sends each partition's answer
@@ -947,15 +951,14 @@ impl ClientActor {
     }
 
     /// Route a verified [`QueryAnswer`] into its partition's state:
-    /// record the snapshot view, stash values/rows, advance pagination
-    /// bookkeeping. Returns `true` when the part still owes pages.
+    /// record the snapshot view, stash values/rows.
     fn ingest_answer(
         &mut self,
         part: &mut PartState,
         answer: QueryAnswer,
         response: &ReadResponse,
         feed_run: &[Arc<CertifiedDelta>],
-    ) -> bool {
+    ) {
         match answer {
             QueryAnswer::Values(values) => {
                 // A verified feed attachment proves the served values
@@ -982,31 +985,22 @@ impl ClientActor {
                     .extend(feed_run.iter().map(|d| view_of(&d.commitment.header)));
                 part.cut = part.views.len().saturating_sub(1);
                 part.values = values;
-                part.done = true;
             }
-            QueryAnswer::Rows { rows, next } => {
+            QueryAnswer::Rows(rows) => {
                 self.stats.scans_accepted += 1;
-                if let (Some((commitment, _)), []) = (response.anchor(), &part.views[..]) {
+                if let Some((commitment, _)) = response.anchor() {
                     part.views.push(view_of(&commitment.header));
                 }
-                part.rows.extend(rows);
-                part.pages += 1;
-                match next {
-                    Some(token) => {
-                        part.token = Some(token);
-                        part.done = false;
-                    }
-                    None => part.done = true,
-                }
+                part.rows = rows;
             }
         }
-        !part.done
+        part.done = true;
     }
 
     /// One partition's answer arrived: verify it against the owing
-    /// sub-query, advance pagination, or blame and retry. An answer
-    /// whose anchor forks the partition's history comes back as the
-    /// [`ReadRejection::Fork`] the whole read fails on.
+    /// sub-query, or blame and retry. An answer whose anchor forks the
+    /// partition's history comes back as the [`ReadRejection::Fork`]
+    /// the whole read fails on.
     fn on_part_result(
         &mut self,
         session: &mut ReadSession,
@@ -1028,7 +1022,7 @@ impl ClientActor {
         );
         // Charge what the check did — the signatures it actually
         // verified, not the ones the response carried — before anything
-        // below sends, so a next page or a retry departs after it.
+        // below sends, so a retry departs after it.
         let sig_checks = self.certs.sig_checks() - checked;
         let leaves = leaf_hashes(response);
         ctx.charge(|c| SimDuration(c.ed25519_verify.0 * sig_checks + c.merkle_verify.0 * leaves));
@@ -1046,38 +1040,17 @@ impl ClientActor {
                         .record_success(edge.cluster, pending.target);
                 }
                 let part = session.part_mut(cluster);
-                if self.ingest_answer(part, answer, response, &feed_run) {
-                    // Next page: back through the selector — the pinned
-                    // batch keeps the snapshot consistent even when a
-                    // different node serves it.
-                    let target = self.read_target(cluster, now);
-                    self.dispatch(session, &[cluster], target, ctx);
-                }
+                self.ingest_answer(part, answer, response, &feed_run);
             }
             // Two certified histories of one batch: the server may be
             // honest and no other could answer better, so the read fails
             // closed — no retry, nobody demoted, no directory evidence.
             Err(fork @ ReadRejection::Fork { .. }) => return Err(fork),
-            // A pinned page continuation whose batch aged past the
-            // freshness window. The timestamp is in the certified header
-            // and the pin forces the batch, so every server would have
-            // answered the same: nobody is blamed. *No* server can make
-            // the pinned batch fresher either, so re-asking with the
-            // same token would loop until the op gives up. Restart this
-            // partition's pagination from page one at its current
-            // floor; a fresh batch re-pins the snapshot.
-            Err(ReadRejection::StaleTimestamp) if sub.page.is_some() => {
-                let part = session.part_mut(cluster);
-                part.restart_at_floor(part.floor);
-                let target = self.read_target(cluster, now);
-                self.dispatch(session, &[cluster], target, ctx);
-            }
             Err(rejection) => {
                 // Verification failed: blame the target (demoting a
                 // byzantine edge) and re-ask a real replica of the same
-                // cluster (byzantine server evasion). The sub-query is
-                // normally unchanged — pagination resumes exactly where
-                // the lie was caught.
+                // cluster (byzantine server evasion) the unchanged
+                // sub-query.
                 self.stats.verification_failures += 1;
                 if let Some(tc) = session.query.trace {
                     let me = NodeId::Client(self.id);
@@ -1180,8 +1153,8 @@ impl ClientActor {
     /// smaller demand another part's replica chased) is dropped. Any
     /// other answer — for a partition the request does not owe, a
     /// repeat for a part already verified, a late one from a previous
-    /// round or page, or a held answer naming an anchor other than the
-    /// newest held here — is dropped unread too: never verified, nobody
+    /// round, or a held answer naming an anchor other than the newest
+    /// held here — is dropped unread too: never verified, nobody
     /// blamed, and the part's retry re-asks.
     fn on_read_result(&mut self, req: u64, response: ReadResponse, ctx: &mut Context<'_, NetMsg>) {
         let Some(mut inflight) = self.inflight.take() else {
@@ -1399,7 +1372,6 @@ impl ClientActor {
                 },
                 snapshot,
                 needed_round2,
-                pages: session.parts.iter().map(|p| p.pages).sum(),
             });
         }
         self.inflight = None;
@@ -1497,7 +1469,6 @@ impl Actor<NetMsg> for ClientActor {
     }
 
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
-        let _ = from;
         match msg {
             NetMsg::OccReadResp {
                 req,
@@ -1516,9 +1487,17 @@ impl Actor<NetMsg> for ClientActor {
                     else {
                         return;
                     };
-                    if outstanding.remove(&req).is_none() {
+                    // Only a replica of the asked key's partition
+                    // answers, and only for the key it was asked.
+                    let owner = |asked: &Key| self.topo.partition_of(asked);
+                    let owed = outstanding.get(&req).is_some_and(|asked| {
+                        *asked == key
+                            && matches!(from, NodeId::Replica(r) if r.cluster == owner(asked))
+                    });
+                    if !owed {
                         return;
                     }
+                    outstanding.remove(&req);
                     collected.insert(key, (value, version));
                     outstanding.is_empty()
                 };

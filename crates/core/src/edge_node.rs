@@ -370,10 +370,10 @@ impl EdgeReadNode {
         self.send_result(to, req, result, held, ctx);
     }
 
-    /// Serve `cluster`'s scan part from the replay cache — the page's
-    /// window cached at the pinned batch (page continuations) or at any
-    /// batch passing the LCE/staleness floors — or forward it
-    /// upstream, absorbing the certified answer on the way back.
+    /// Serve `cluster`'s scan part from the replay cache — the window
+    /// cached at any batch passing the LCE/staleness floors — or
+    /// forward it upstream, absorbing the certified answer on the way
+    /// back.
     fn on_scan_query(
         &mut self,
         to: NodeId,
@@ -382,16 +382,14 @@ impl EdgeReadNode {
         query: ReadQuery,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        self.stats.scan_requests += 1;
-        let Some(window) = query.scan_window() else {
-            // Malformed page token: the replica would reject it too;
-            // dropping it here saves the upstream hop.
+        let QueryShape::Scan { range, .. } = &query.shape else {
             return;
         };
+        self.stats.scan_requests += 1;
         let freshness_floor = self.replay_floor(ctx.now());
         let min_lce = query.min_lce();
         let cache = self.cache_for(cluster);
-        let replayed = cache.replay_scan(&window, query.pinned_batch(), min_lce, freshness_floor);
+        let replayed = cache.replay_scan(range, min_lce, freshness_floor);
         if let Some(result) = replayed {
             self.stats.scans_from_cache += 1;
             let held = query.held_for(cluster);

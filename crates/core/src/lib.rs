@@ -34,7 +34,7 @@
 //!   contact;
 //! * [`client`] — the client library/actor: OCC read-write
 //!   transactions, and the unified proof-carrying read protocol — a
-//!   `ReadSession` plans any `ReadQuery` (point sets, paginated scans,
+//!   `ReadSession` plans any `ReadQuery` (point sets, scans,
 //!   scatter-gather) into per-partition sub-queries
 //!   (`ReadQuery::split`), fans them out through the edge selector or
 //!   sends them whole to one edge contact, credits each response to
@@ -70,6 +70,4 @@ pub use setup::{Deployment, DeploymentConfig};
 // The unified read-query protocol types, re-exported from the edge
 // subsystem so client code can name a query without a direct
 // `transedge-edge` dependency.
-pub use transedge_edge::{
-    PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
-};
+pub use transedge_edge::{QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy};

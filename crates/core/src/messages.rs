@@ -93,8 +93,7 @@ pub enum NetMsg {
     /// The unified read-query request: one typed message for every
     /// proof-carrying read shape — round-1 point reads
     /// (`SnapshotPolicy::Latest`), round-2 dependency fetches
-    /// (`SnapshotPolicy::MinEpoch`), verified range scans,
-    /// paginated scan continuations (`ReadQuery::page`), whole
+    /// (`SnapshotPolicy::MinEpoch`), verified range scans, whole
     /// multi-partition queries sent to one edge contact, and subscriber
     /// reads naming the feed deltas they already hold
     /// (`ReadQuery::feed`). Every read names the certified anchors its
@@ -284,8 +283,8 @@ impl SimMessage for NetMsg {
             NetMsg::CommitRequest { txn, .. } => 9 + txn_size(txn),
             NetMsg::TxnResult { .. } => 24,
             // Computed structurally from the shape (keys, scan range
-            // bounds, page window), policy, and page token — the old
-            // per-shape variants used flat constants for scans.
+            // bounds) and policy — the old per-shape variants used flat
+            // constants for scans.
             NetMsg::Read { query, .. } => 8 + query.wire_size(),
             NetMsg::ReadResult { result, .. } => 8 + result.wire_size(),
             NetMsg::FeedSubscribe { .. } => 16,
@@ -403,34 +402,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_query_size_accounts_for_range_and_page() {
+    fn scan_query_size_accounts_for_range() {
         use transedge_crypto::ScanRange;
-        use transedge_edge::PageToken;
         // The scan request is not a flat constant: it carries the
         // encoded range bounds (16 bytes) on top of the envelope…
         let range = ScanRange::new(0, 63);
         let scan = NetMsg::Read {
             req: 1,
-            query: ReadQuery::scatter_scan(vec![], range, range.width()),
+            query: ReadQuery::scatter_scan(vec![], range),
         };
         assert!(scan.size_bytes() >= 8 + 16);
-        // …and a paginated continuation carries its token too.
-        let paged = NetMsg::Read {
-            req: 1,
-            query: ReadQuery::scan(ClusterId(0), ScanRange::new(0, 63)).with_page(PageToken {
-                batch: BatchNum(2),
-                resume: 32,
-            }),
-        };
-        assert!(paged.size_bytes() > scan.size_bytes());
-        // Scatter queries grow with the cluster list.
+        // …and scatter queries grow with the cluster list.
         let scatter = NetMsg::Read {
             req: 1,
-            query: ReadQuery::scatter_scan(
-                (0u16..5).map(ClusterId).collect(),
-                ScanRange::new(0, 63),
-                64,
-            ),
+            query: ReadQuery::scatter_scan((0u16..5).map(ClusterId).collect(), range),
         };
         assert!(scatter.size_bytes() > scan.size_bytes());
     }
@@ -458,11 +443,11 @@ mod tests {
 
     /// Every message in flight occupies the size of the largest
     /// variant, so a read answer's shape sets the size of all of them.
-    /// Pinned at what both measured on a 64-bit target before answers
-    /// became one `{ anchor, body }` struct: neither may grow.
+    /// Pinned at what each measured on a 64-bit target: neither may
+    /// grow.
     #[test]
     fn message_and_answer_sizes_do_not_grow() {
-        assert!(std::mem::size_of::<NetMsg>() <= 208);
+        assert!(std::mem::size_of::<NetMsg>() <= 176);
         assert!(std::mem::size_of::<ReadResponse>() <= 48);
     }
 

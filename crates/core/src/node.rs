@@ -169,10 +169,9 @@ pub struct TransEdgeNode {
     sigs: SigAggregation,
     // ---- read-only ----
     /// Unified parking lot: queries that cannot be served yet (no batch
-    /// applied, LCE floor not reached, pinned batch not applied) wait
-    /// here and are retried after every applied batch — §4.3.4: the
-    /// dependency stems from a commit elsewhere, so our commit is
-    /// inevitable.
+    /// applied, LCE floor not reached) wait here and are retried after
+    /// every applied batch — §4.3.4: the dependency stems from a commit
+    /// elsewhere, so our commit is inevitable.
     pending_reads: Vec<(NodeId, u64, ReadQuery)>,
     /// The edge read subsystem's serving pipeline: section bodies and
     /// scan windows, memoised per exact key set (or window) and batch.
@@ -1063,15 +1062,12 @@ impl TransEdgeNode {
                 ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * body.keys().len() as u64));
                 Body::from(body)
             }
-            QueryShape::Scan { .. } => {
-                let Some(window) = query.scan_window() else {
-                    return;
-                };
+            QueryShape::Scan { range, .. } => {
                 let misses_before = self.read_pipeline.scan_stats().misses;
-                let scan = self.read_pipeline.serve_scan(&self.exec, &window, at_batch);
+                let scan = self.read_pipeline.serve_scan(&self.exec, range, at_batch);
                 let misses = self.read_pipeline.scan_stats().misses - misses_before;
                 // A cold scan proof hashes every leaf of the window.
-                ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * window.width()));
+                ctx.charge(|c| SimDuration(c.merkle_prove.0 * misses * range.width()));
                 Body::from(scan)
             }
         };
@@ -1079,13 +1075,10 @@ impl TransEdgeNode {
         send_answer(to, req, direct, held, result, ctx);
     }
 
-    /// The batch a query's snapshot policy (and page pin) resolves to
-    /// right now, or `None` when it cannot be served yet and must park.
+    /// The batch a query's snapshot policy resolves to right now, or
+    /// `None` when it cannot be served yet and must park.
     fn resolve_snapshot(&self, query: &ReadQuery) -> Option<BatchNum> {
         let applied = self.exec.applied_batches();
-        if let Some(pinned) = query.pinned_batch() {
-            return (applied > pinned.0).then_some(pinned);
-        }
         match query.consistency {
             SnapshotPolicy::MinEpoch(e) if !e.is_none() => {
                 deps::first_batch_with_lce(self.applied_log(), |(b, _)| b.header.lce, e)
@@ -1097,8 +1090,8 @@ impl TransEdgeNode {
     /// The unified read dispatch: one entry point for every
     /// proof-carrying read shape — round-1 point reads, round-2
     /// dependency fetches, verified scans (with the same LCE-floor
-    /// semantics), paginated scan continuations, and scatter-gather
-    /// sub-queries. Queries whose snapshot is not servable yet park in
+    /// semantics), and scatter-gather sub-queries. Queries whose
+    /// snapshot is not servable yet park in
     /// [`TransEdgeNode::pending_reads`], reply address and all, and are
     /// retried after every applied batch. Each is served once: to the
     /// asker, and to the client it names in `reply_to`, if any.
@@ -1123,14 +1116,8 @@ impl TransEdgeNode {
                 }
                 None => self.pending_reads.push((from, req, query)),
             },
-            QueryShape::Scan { .. } => {
-                let Some(window) = query.scan_window() else {
-                    // A malformed page token: an honest client cannot
-                    // have sent it.
-                    self.stats.rot_scans_rejected += 1;
-                    return;
-                };
-                if !window.is_valid_for_depth(self.config.tree_depth) {
+            QueryShape::Scan { range, .. } => {
+                if !range.is_valid_for_depth(self.config.tree_depth) {
                     // Never serve (or park) a malformed window.
                     self.stats.rot_scans_rejected += 1;
                     return;

@@ -26,8 +26,8 @@ use crate::merkle::{bucket_of, empty_subtrees, hash_leaf, hash_node, BucketEntry
 use crate::sha2::sha256;
 
 /// Widest range (in buckets) a prover will produce or a verifier will
-/// accept. Bounds both proof size and the verifier's hashing work; wide
-/// scans paginate into consecutive windows instead.
+/// accept, and so the widest one verified scan reads. Bounds both proof
+/// size and the verifier's hashing work.
 pub const MAX_RANGE_BUCKETS: u64 = 1 << 12;
 
 /// A contiguous, inclusive window `[first, last]` of Merkle-tree bucket

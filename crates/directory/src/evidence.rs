@@ -160,24 +160,14 @@ pub fn query_fingerprint(query: &ReadQuery) -> Digest {
             h.update(b"point");
             hash_keys(&mut h, keys);
         }
-        QueryShape::Scan {
-            clusters,
-            range,
-            window,
-        } => {
+        QueryShape::Scan { clusters, range } => {
             h.update(b"scan");
             for c in clusters {
                 h.update(&c.0.to_le_bytes());
             }
             h.update(&range.first.to_le_bytes());
             h.update(&range.last.to_le_bytes());
-            h.update(&window.to_le_bytes());
         }
-    }
-    if let Some(token) = &query.page {
-        h.update(b"page");
-        h.update(&token.batch.0.to_le_bytes());
-        h.update(&token.resume.to_le_bytes());
     }
     if let Some(cursors) = &query.feed {
         h.update(b"fresh");

@@ -45,9 +45,9 @@
 //!   [`replay::PartitionCaches`] keeps one such cache per partition.
 //! * [`query`] — the unified typed read protocol: one
 //!   [`query::ReadQuery`] ([`query::SnapshotPolicy`] ×
-//!   [`query::QueryShape`] × [`query::PageToken`]) names every read —
-//!   point reads, LCE-floored round-2 fetches, verified scans,
-//!   paginated multi-window scans, multi-partition queries.
+//!   [`query::QueryShape`]) names every read — point reads,
+//!   LCE-floored round-2 fetches, verified scans of one window per
+//!   partition, multi-partition queries.
 //!   [`query::ReadQuery::split`] is the one split of a query into
 //!   per-partition parts, shared by the client's planner and a contact
 //!   edge, and each part is answered by one [`query::ReadResponse`]
@@ -61,7 +61,7 @@
 //!   node could forge is caught here and reported as a
 //!   [`verifier::ReadRejection`]. Its `verify_query` entry point runs
 //!   the one section check (or the scan check) for the query's shape
-//!   and enforces the snapshot floor and page tokens on top.
+//!   and enforces the snapshot floor on top.
 //! * [`certs`] — who answers the chain's one quorum question:
 //!   [`certs::QuorumCheck`], implemented by a `KeyStore` (every
 //!   certificate checked, its signatures in one batch, each signature
@@ -100,8 +100,7 @@ pub use certs::{QuorumCheck, VerifiedCerts};
 pub use feed::{FeedCursor, FeedWindow, Pushed, MAX_FEED_DELTAS};
 pub use pipeline::{multi_snapshot, scan_snapshot, ReadPipeline, SnapshotSource};
 pub use query::{
-    Anchor, Body, Chase, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
-    SnapshotPolicy,
+    Anchor, Body, Chase, QueryAnswer, QueryShape, ReadQuery, ReadResponse, SnapshotPolicy,
 };
 pub use replay::{PartitionCaches, ReplayCache, ReplayStats};
 pub use response::{

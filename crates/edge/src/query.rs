@@ -8,25 +8,21 @@
 //!
 //! * a [`QueryShape`] — point reads over a key set (which may span
 //!   partitions) or a range scan over the tree order of one or more
-//!   partitions (scatter-gather);
+//!   partitions (scatter-gather), one proven window of at most
+//!   [`MAX_RANGE_BUCKETS`](transedge_crypto::range::MAX_RANGE_BUCKETS)
+//!   buckets per partition;
 //! * a [`SnapshotPolicy`] — serve the latest snapshot, or the earliest
 //!   snapshot whose LCE reaches a dependency floor (round two of
 //!   Algorithm 2, uniform across shapes: scans get the same LCE-floor
-//!   semantics as point reads);
-//! * an optional [`PageToken`] — multi-window scans resume from a
-//!   bucket bound *pinned to the batch the first window was served at*,
-//!   so a paginated scan is one consistent snapshot even when its pages
-//!   are served by different untrusted nodes.
+//!   semantics as point reads).
 //!
 //! Servers answer with a [`ReadResponse`]; the single verifier entry
 //! point [`crate::ReadVerifier::verify_query`] dispatches to the
-//! section/scan proof checks and enforces the policy and the page pin,
-//! so an untrusted node cannot splice pages across batches or downgrade
-//! a floor without being caught.
+//! section/scan proof checks and enforces the policy, so an untrusted
+//! node cannot downgrade a floor without being caught.
 
 use transedge_common::{BatchNum, ClusterId, ClusterTopology, Epoch, Key, NodeId, Value};
 use transedge_consensus::Certificate;
-use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{Digest, ScanRange};
 use transedge_obs::TraceContext;
 
@@ -85,7 +81,6 @@ impl SnapshotPolicy {
 /// let scan = QueryShape::Scan {
 ///     clusters: vec![ClusterId(0), ClusterId(1)], // scatter-gather
 ///     range: ScanRange::new(0, 1023),
-///     window: 256, // served as four consecutive pages per cluster
 /// };
 /// assert!(matches!(point, QueryShape::Point { .. }));
 /// assert!(matches!(scan, QueryShape::Scan { .. }));
@@ -97,45 +92,15 @@ pub enum QueryShape {
     /// verified answers (with a cross-partition dependency check).
     Point { keys: Vec<Key> },
     /// A verified range scan of the same tree-order window on each
-    /// named partition (scatter-gather when more than one). A `range`
-    /// wider than `window` buckets is served as consecutive pages, each
-    /// at most `window` (and never more than
-    /// [`MAX_RANGE_BUCKETS`]) wide, pinned to one
-    /// snapshot via [`PageToken`].
+    /// named partition (scatter-gather when more than one), served as
+    /// one proven window per partition. No honest replica answers a
+    /// `range` that fails [`ScanRange::is_valid_for_depth`]: outside
+    /// the leaf space, or wider than
+    /// [`MAX_RANGE_BUCKETS`](transedge_crypto::range::MAX_RANGE_BUCKETS).
     Scan {
         clusters: Vec<ClusterId>,
         range: ScanRange,
-        /// Maximum buckets per page (clamped to `1..=MAX_RANGE_BUCKETS`).
-        window: u64,
     },
-}
-
-/// Resume bound for a multi-window scan: the batch the scan is pinned
-/// to and the first bucket of the next page.
-///
-/// The token is what keeps pagination snapshot-consistent across pages
-/// served by *different untrusted nodes*: the verifier rejects a page
-/// at any batch other than `batch` (no splice across batches) and a
-/// token whose `resume` has been moved outside the query's remaining
-/// range (no silent replay of already-scanned buckets).
-///
-/// # Examples
-///
-/// ```
-/// use transedge_common::BatchNum;
-/// use transedge_edge::PageToken;
-///
-/// let token = PageToken { batch: BatchNum(3), resume: 256 };
-/// assert_eq!(token.batch, BatchNum(3));
-/// assert_eq!(token.resume, 256);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PageToken {
-    /// Batch the first page was served (and verified) at; every later
-    /// page must be served at exactly this batch.
-    pub batch: BatchNum,
-    /// First tree-order bucket of the next page.
-    pub resume: u64,
 }
 
 /// One other point part of a client's read, named on a round-two (or
@@ -163,9 +128,8 @@ impl Chase {
     }
 }
 
-/// One typed read query: shape, snapshot policy, and (for scan
-/// continuations) the page to resume from. The single client-facing
-/// entry point of the proof-carrying read protocol.
+/// One typed read query: shape and snapshot policy. The single
+/// client-facing entry point of the proof-carrying read protocol.
 ///
 /// # Examples
 ///
@@ -176,16 +140,12 @@ impl Chase {
 ///
 /// // A snapshot point read (keys may span partitions).
 /// let rot = ReadQuery::point(vec![Key::from_u32(1), Key::from_u32(2)]);
-/// assert!(rot.page.is_none());
+/// assert!(rot.scan_clusters().is_empty());
 ///
-/// // A paginated scatter-gather scan with a round-2 LCE floor.
-/// let scan = ReadQuery::scatter_scan(
-///     vec![ClusterId(0), ClusterId(1)],
-///     ScanRange::new(0, 511),
-///     128,
-/// )
-/// .with_policy(SnapshotPolicy::MinEpoch(Epoch(0)));
-/// assert_eq!(scan.scan_window().unwrap(), ScanRange::new(0, 127));
+/// // A scatter-gather scan with a round-2 LCE floor.
+/// let scan = ReadQuery::scatter_scan(vec![ClusterId(0), ClusterId(1)], ScanRange::new(0, 511))
+///     .with_policy(SnapshotPolicy::MinEpoch(Epoch(0)));
+/// assert_eq!(scan.min_lce(), Epoch(0));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReadQuery {
@@ -193,8 +153,6 @@ pub struct ReadQuery {
     pub consistency: SnapshotPolicy,
     /// What is being read.
     pub shape: QueryShape,
-    /// Scan continuation: resume from this page, pinned to its batch.
-    pub page: Option<PageToken>,
     /// Subscription mode (`Some`): ask the serving edge to attach its
     /// verified delta-feed tail as a freshness certificate
     /// ([`Body::Point`]'s `fresh` field), proving the served
@@ -243,7 +201,6 @@ impl ReadQuery {
         ReadQuery {
             consistency: SnapshotPolicy::Latest,
             shape: QueryShape::Point { keys },
-            page: None,
             feed: None,
             held: Vec::new(),
             reply_to: None,
@@ -252,24 +209,18 @@ impl ReadQuery {
         }
     }
 
-    /// A single-partition scan of `range` at the latest snapshot,
-    /// served in one window (the classic verified scan).
+    /// A single-partition scan of `range` at the latest snapshot (the
+    /// classic verified scan).
     pub fn scan(cluster: ClusterId, range: ScanRange) -> Self {
-        Self::scatter_scan(vec![cluster], range, MAX_RANGE_BUCKETS)
+        Self::scatter_scan(vec![cluster], range)
     }
 
     /// A scan of the same `range` on every cluster in `clusters`
-    /// (scatter-gather), paginated into windows of at most `window`
-    /// buckets.
-    pub fn scatter_scan(clusters: Vec<ClusterId>, range: ScanRange, window: u64) -> Self {
+    /// (scatter-gather).
+    pub fn scatter_scan(clusters: Vec<ClusterId>, range: ScanRange) -> Self {
         ReadQuery {
             consistency: SnapshotPolicy::Latest,
-            shape: QueryShape::Scan {
-                clusters,
-                range,
-                window,
-            },
-            page: None,
+            shape: QueryShape::Scan { clusters, range },
             feed: None,
             held: Vec::new(),
             reply_to: None,
@@ -284,12 +235,6 @@ impl ReadQuery {
         self
     }
 
-    /// Continue a paginated scan from `token` (builder style).
-    pub fn with_page(mut self, token: PageToken) -> Self {
-        self.page = Some(token);
-        self
-    }
-
     /// Ask the serving edge to attach its delta-feed tail as a
     /// freshness certificate (builder style; subscription mode, nothing
     /// held yet).
@@ -298,42 +243,16 @@ impl ReadQuery {
         self
     }
 
-    /// The exact batch this query is pinned to, if any: its page
-    /// token's. Only a scan continuation pins a batch.
-    pub fn pinned_batch(&self) -> Option<BatchNum> {
-        self.page.as_ref().map(|t| t.batch)
-    }
-
     /// The LCE floor imposed by the snapshot policy.
     pub fn min_lce(&self) -> Epoch {
         self.consistency.min_lce()
-    }
-
-    /// The effective window of the *current page* of a scan query:
-    /// starts at the page token's resume bound (or the range start for
-    /// the first page) and extends at most `window` buckets, clamped to
-    /// the query range and the protocol cap. `None` for point queries
-    /// and for tokens whose resume bound lies outside the range.
-    pub fn scan_window(&self) -> Option<ScanRange> {
-        let QueryShape::Scan { range, window, .. } = &self.shape else {
-            return None;
-        };
-        let width = (*window).clamp(1, MAX_RANGE_BUCKETS);
-        let start = self.page.as_ref().map_or(range.first, |t| t.resume);
-        if start < range.first || start > range.last {
-            return None;
-        }
-        Some(ScanRange::new(
-            start,
-            range.last.min(start.saturating_add(width - 1)),
-        ))
     }
 
     /// The query split into one part per partition it touches,
     /// ascending by partition: each part is this query restricted to
     /// its partition — the point keys the partition owns (in query
     /// order), or the scan of that partition alone — with this query's
-    /// policy, page, reply address, trace and that partition's feed
+    /// policy, reply address, trace and that partition's feed
     /// cursors and held anchor, and no chase entries. The one
     /// split there is: a client plans its parts with it, and an edge
     /// taking a whole query as a single contact serves the same parts.
@@ -342,7 +261,6 @@ impl ReadQuery {
             let query = ReadQuery {
                 consistency: self.consistency,
                 shape,
-                page: self.page,
                 feed: self.feed_for(cluster),
                 held: self
                     .held_for(cluster)
@@ -369,11 +287,7 @@ impl ReadQuery {
                     .map(|(cluster, keys)| part(cluster, QueryShape::Point { keys }))
                     .collect()
             }
-            QueryShape::Scan {
-                clusters,
-                range,
-                window,
-            } => {
+            QueryShape::Scan { clusters, range } => {
                 let mut clusters = clusters.clone();
                 clusters.sort_unstable();
                 clusters.dedup();
@@ -383,7 +297,6 @@ impl ReadQuery {
                         let shape = QueryShape::Scan {
                             clusters: vec![cluster],
                             range: *range,
-                            window: *window,
                         };
                         part(cluster, shape)
                     })
@@ -433,8 +346,8 @@ impl ReadQuery {
     }
 
     /// Wire-size estimate for the simulator's bandwidth model, computed
-    /// structurally from the shape (keys, scan bounds, window), the
-    /// policy, the page token, the feed cursors, the held anchors, the
+    /// structurally from the shape (keys, scan bounds), the policy,
+    /// the feed cursors, the held anchors, the
     /// reply address and the chase entries — never a flat constant.
     pub fn wire_size(&self) -> usize {
         let policy = match self.consistency {
@@ -447,7 +360,6 @@ impl ReadQuery {
             0 => 0,
             _ => 2 + self.chase.iter().map(Chase::wire_size).sum::<usize>(),
         };
-        let page = if self.page.is_some() { 17 } else { 1 };
         // Absent is one byte; a cursor is a cluster and two batches.
         let feed = self.feed.as_ref().map_or(1, |c| 5 + c.len() * 18);
         // A `u16` count (one anchor per partition at most), then a
@@ -464,9 +376,9 @@ impl ReadQuery {
         let trace = if self.trace.is_some() { 17 } else { 1 };
         let shape = match &self.shape {
             QueryShape::Point { keys } => 4 + keys.iter().map(|k| k.len() + 4).sum::<usize>(),
-            QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16 + 8,
+            QueryShape::Scan { clusters, .. } => 4 + clusters.len() * 2 + 16,
         };
-        policy + page + feed + held + reply_to + chase + trace + shape
+        policy + feed + held + reply_to + chase + trace + shape
     }
 }
 
@@ -656,58 +568,14 @@ pub enum QueryAnswer {
     /// Point reads: `(key, value)` in request order, absent keys proven
     /// absent.
     Values(Vec<(Key, Option<Value>)>),
-    /// One verified scan page: the complete committed rows of the page
-    /// window, plus the token for the next page (`None` when the range
-    /// is exhausted).
-    Rows {
-        rows: Vec<(Key, Value)>,
-        next: Option<PageToken>,
-    },
+    /// One verified scan window: its complete committed rows, in tree
+    /// order.
+    Rows(Vec<(Key, Value)>),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scan_window_pages_through_the_range() {
-        let q = ReadQuery::scatter_scan(vec![ClusterId(0)], ScanRange::new(0, 1023), 256);
-        assert_eq!(q.scan_window(), Some(ScanRange::new(0, 255)));
-        let page2 = q.clone().with_page(PageToken {
-            batch: BatchNum(5),
-            resume: 256,
-        });
-        assert_eq!(page2.scan_window(), Some(ScanRange::new(256, 511)));
-        assert_eq!(page2.pinned_batch(), Some(BatchNum(5)));
-        // The final page is clamped to the range end.
-        let last = q.clone().with_page(PageToken {
-            batch: BatchNum(5),
-            resume: 1000,
-        });
-        assert_eq!(last.scan_window(), Some(ScanRange::new(1000, 1023)));
-        // A resume bound outside the range has no window.
-        let bad = q.with_page(PageToken {
-            batch: BatchNum(5),
-            resume: 2048,
-        });
-        assert_eq!(bad.scan_window(), None);
-    }
-
-    #[test]
-    fn window_clamps_to_protocol_cap() {
-        let q = ReadQuery::scatter_scan(
-            vec![ClusterId(0)],
-            ScanRange::new(0, 3 * MAX_RANGE_BUCKETS),
-            u64::MAX,
-        );
-        assert_eq!(
-            q.scan_window(),
-            Some(ScanRange::new(0, MAX_RANGE_BUCKETS - 1))
-        );
-        // A zero window still makes progress.
-        let tiny = ReadQuery::scatter_scan(vec![ClusterId(0)], ScanRange::new(4, 9), 0);
-        assert_eq!(tiny.scan_window(), Some(ScanRange::new(4, 4)));
-    }
 
     #[test]
     fn wire_size_scales_with_shape() {
@@ -720,14 +588,8 @@ mod tests {
         let scatter = ReadQuery::scatter_scan(
             vec![ClusterId(0), ClusterId(1), ClusterId(2)],
             ScanRange::new(0, 63),
-            64,
         );
         assert!(scatter.wire_size() > scan.wire_size());
-        let paged = scan.clone().with_page(PageToken {
-            batch: BatchNum(1),
-            resume: 32,
-        });
-        assert!(paged.wire_size() > scan.wire_size());
         // A reply address costs its node id and request id on top of
         // the one-byte absent tag.
         let mut direct = small.clone();
@@ -772,19 +634,5 @@ mod tests {
             assert_eq!(named, expect);
         }
         assert_eq!(query.held_for(ClusterId(1)), None);
-    }
-
-    #[test]
-    fn policy_floors_and_pins() {
-        assert_eq!(SnapshotPolicy::MinEpoch(Epoch(3)).min_lce(), Epoch(3));
-        // Only a page token pins a batch, whatever the policy.
-        let q = ReadQuery::scan(ClusterId(0), ScanRange::new(0, 7))
-            .with_policy(SnapshotPolicy::MinEpoch(Epoch(1)));
-        assert_eq!(q.pinned_batch(), None);
-        let q = q.with_page(PageToken {
-            batch: BatchNum(2),
-            resume: 4,
-        });
-        assert_eq!(q.pinned_batch(), Some(BatchNum(2)));
     }
 }

@@ -161,23 +161,14 @@ impl ReplayCache {
     /// Try to answer a scan for `range` from cache: the window admitted
     /// for exactly `range` at the newest admitted batch passing the LCE
     /// and timestamp floors — the client's verifier accepts no other.
-    ///
-    /// With `pinned` (a page continuation) only a window cached at
-    /// **exactly that batch** may serve and the floors are ignored —
-    /// no newer batch is an acceptable substitute, because the client's
-    /// verifier rejects any other batch as a snapshot-pin mismatch.
     pub fn replay_scan(
         &mut self,
         range: &ScanRange,
-        pinned: Option<BatchNum>,
         min_lce: Epoch,
         min_timestamp: SimTime,
     ) -> Option<ReadResponse> {
-        let candidates = match pinned {
-            Some(batch) => vec![batch],
-            None => self.passing_batches(min_lce, min_timestamp),
-        };
-        let (batch, scan) = candidates
+        let (batch, scan) = self
+            .passing_batches(min_lce, min_timestamp)
             .into_iter()
             .find_map(|batch| Some((batch, self.scans.get(&(*range, batch))?.clone())))?;
         Some(self.answer(batch, scan))

@@ -33,9 +33,9 @@
 //! here as it arrives: its receiver first rebuilds it around its own
 //! copy of the anchor it names ([`ReadResponse::rebuild`]) and passes
 //! the full answer through the same chain. Every step then runs again
-//! against that copy — freshness, the LCE floor, page pins and proofs
-//! included — except that step 2's quorum check ran when the anchor was
-//! first accepted, so it is answered from the client's memo. Handed a
+//! against that copy — freshness, the LCE floor and proofs included —
+//! except that step 2's quorum check ran when the anchor was first
+//! accepted, so it is answered from the client's memo. Handed a
 //! held answer directly, the verifier rejects it as
 //! [`ReadRejection::ShapeMismatch`].
 //!
@@ -54,7 +54,7 @@ use crate::certs::QuorumCheck;
 use crate::feed::FeedWindow;
 #[cfg(doc)]
 use crate::query::Anchor;
-use crate::query::{Body, PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
+use crate::query::{Body, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
     changed_keys_digest, CertifiedDelta, CommittedHeader, MultiProofBody, ScanProof,
 };
@@ -127,15 +127,6 @@ pub enum ReadRejection {
     /// The response payload does not match the query's shape (a scan
     /// answered with a point section or vice versa).
     ShapeMismatch,
-    /// The query pinned an exact snapshot (a [`crate::PageToken`]) and
-    /// the response was served at a different batch — the page-splice
-    /// attack: mixing pages of one scan across batches would produce a
-    /// row set no single snapshot ever held.
-    SnapshotPinMismatch { pinned: BatchNum, got: BatchNum },
-    /// A page token's resume bound lies outside the query's range
-    /// (moved backwards to or before the first window, or past the
-    /// end) — a tampered or replayed token.
-    PageOutOfRange { resume: u64, range: ScanRange },
     /// A certified delta's changed key set does not hash to the
     /// commitment's certified delta digest (a key added, dropped, or
     /// reordered), or a freshness feed's deltas touch a queried key —
@@ -445,23 +436,16 @@ impl ReadVerifier {
     /// check a [`ReadResponse`] against the [`ReadQuery`] (one
     /// per-partition sub-query) it answers, dispatching to the section
     /// or scan proof chain and enforcing the query's snapshot policy
-    /// and page pin on top:
+    /// on top:
     ///
     /// * shape: the payload must match the query's shape
     ///   ([`ReadRejection::ShapeMismatch`]);
-    /// * page token: the resume bound must lie inside the query's range
-    ///   past its first window ([`ReadRejection::PageOutOfRange`] — a
-    ///   tampered or replayed token), and the response must be served
-    ///   at exactly the token's batch
-    ///   ([`ReadRejection::SnapshotPinMismatch`] — the page-splice
-    ///   attack);
     /// * policy: [`crate::SnapshotPolicy::MinEpoch`] becomes the LCE
     ///   floor of the underlying chain (scans included — the round-two
     ///   semantics point reads always had).
     ///
-    /// On success returns the verified [`QueryAnswer`]; for scans it
-    /// includes the [`PageToken`] for the next page, pinned to the
-    /// batch this page verified at.
+    /// On success returns the verified [`QueryAnswer`]: a point
+    /// query's values, or every committed row of a scan's range.
     pub fn verify_query(
         &self,
         keys: &impl QuorumCheck,
@@ -550,44 +534,9 @@ impl ReadVerifier {
                 Ok(QueryAnswer::Values(values))
             }
             (QueryShape::Scan { range, .. }, Some(anchor), Body::Scan(scan)) => {
-                let served = &anchor.0.header;
-                if let Some(PageToken { resume, .. }) = query.page {
-                    // The first page starts at `range.first` with no
-                    // token, so a legitimate token always resumes
-                    // strictly inside the range: anything at or before
-                    // the start is a token moved backwards (replaying
-                    // already-scanned buckets), anything past the end a
-                    // fabricated continuation.
-                    if resume <= range.first || resume > range.last {
-                        return Err(ReadRejection::PageOutOfRange {
-                            resume,
-                            range: *range,
-                        });
-                    }
-                }
-                let Some(window) = query.scan_window() else {
-                    return Err(ReadRejection::PageOutOfRange {
-                        resume: query.page.as_ref().map_or(range.first, |t| t.resume),
-                        range: *range,
-                    });
-                };
-                if let Some(pinned) = query.pinned_batch() {
-                    let got = served.num;
-                    if got != pinned {
-                        return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-                    }
-                }
                 self.check_commitment(keys, expected_cluster, anchor, min_lce, now)?;
-                let rows = self.prove_scan(&served.merkle_root, scan, &window)?;
-                let next = if window.last < range.last {
-                    Some(PageToken {
-                        batch: served.num,
-                        resume: window.last + 1,
-                    })
-                } else {
-                    None
-                };
-                Ok(QueryAnswer::Rows { rows, next })
+                let rows = self.prove_scan(&anchor.0.header.merkle_root, scan, range)?;
+                Ok(QueryAnswer::Rows(rows))
             }
             _ => Err(ReadRejection::ShapeMismatch),
         }

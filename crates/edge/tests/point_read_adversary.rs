@@ -17,8 +17,8 @@ use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MerkleTree, ScanRange};
 use transedge_edge::{
-    same_batch_conflict, Anchor, Body, CertifiedDelta, CommittedHeader, PageToken, QueryAnswer,
-    ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource, HELD_ANCHOR_SIZE,
+    same_batch_conflict, Anchor, Body, CertifiedDelta, CommittedHeader, QueryAnswer, ReadQuery,
+    ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource, HELD_ANCHOR_SIZE,
 };
 
 /// Batch `n` is stamped `T0 + n` seconds — far enough from zero that a
@@ -404,14 +404,12 @@ fn every_rejection_variant_is_reachable() {
             ReadRejection::IncompleteScan { .. } => "IncompleteScan",
             ReadRejection::ScanRowMismatch(_) => "ScanRowMismatch",
             ReadRejection::ShapeMismatch => "ShapeMismatch",
-            ReadRejection::SnapshotPinMismatch { .. } => "SnapshotPinMismatch",
-            ReadRejection::PageOutOfRange { .. } => "PageOutOfRange",
             ReadRejection::BadDelta => "BadDelta",
             ReadRejection::FeedSpliced { .. } => "FeedSpliced",
             ReadRejection::Fork { .. } => "Fork",
         }
     }
-    const ALL: [&str; 18] = [
+    const ALL: [&str; 16] = [
         "BadCertificate",
         "BadDelta",
         "BadProof",
@@ -420,12 +418,10 @@ fn every_rejection_variant_is_reachable() {
         "Fork",
         "IncompleteScan",
         "MissingKey",
-        "PageOutOfRange",
         "PhantomValue",
         "ScanRangeNotCovered",
         "ScanRowMismatch",
         "ShapeMismatch",
-        "SnapshotPinMismatch",
         "StaleSnapshot",
         "StaleTimestamp",
         "ValueMismatch",
@@ -491,18 +487,6 @@ fn every_rejection_variant_is_reachable() {
     let mut swapped = p.scan(range, SERVED);
     scan_mut(&mut swapped).rows[0].1 = Value::from("forged");
     seen.push(scan(&scan_query, swapped));
-    let paged = ReadQuery::scatter_scan(vec![ClusterId(0)], range, 64);
-    let replayed_token = paged.clone().with_page(PageToken {
-        batch: SERVED,
-        resume: 0,
-    });
-    seen.push(scan(&replayed_token, p.scan(ScanRange::new(0, 63), SERVED)));
-    // Page splice: page two pinned at one batch, answered at another.
-    let pinned = paged.with_page(PageToken {
-        batch: BatchNum(3),
-        resume: 64,
-    });
-    seen.push(scan(&pinned, p.scan(ScanRange::new(64, 127), SERVED)));
     // Fork: a second header certified under the served batch number,
     // next to the anchor a reader already holds.
     let (forked, forked_cert) = second_history(&p, &section);

@@ -319,7 +319,7 @@ fn capacity_counts_answers_and_recency_keeps_the_hot_one() {
             replay.admit(&p.scan(range, batch));
             let section = replay.replay(&hot_keys, Epoch::NONE, SimTime::ZERO);
             assert_eq!(section.expect("hot answer").batch(), batch, "admission {i}");
-            let scan = replay.replay_scan(&hot_range, None, Epoch::NONE, SimTime::ZERO);
+            let scan = replay.replay_scan(&hot_range, Epoch::NONE, SimTime::ZERO);
             assert_eq!(scan.expect("hot window").batch(), batch, "admission {i}");
             assert!(replay.fragment_count() <= CAPACITY);
             assert!(replay.scan_window_count() <= CAPACITY);

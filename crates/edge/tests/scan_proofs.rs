@@ -10,6 +10,7 @@ use common::{anchor_mut, anchor_of, scan_mut, scan_of, Partition};
 
 use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
+use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{sha256, Digest, ScanRange};
 use transedge_edge::{QueryAnswer, ReadQuery, ReadRejection, ReadResponse};
 
@@ -38,7 +39,7 @@ impl Partition {
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
         let query = ReadQuery::scan(cluster, *requested);
         match self.verdict(cluster, &query, answer, now)? {
-            QueryAnswer::Rows { rows, next: None } => Ok(rows),
+            QueryAnswer::Rows(rows) => Ok(rows),
             other => panic!("a one-window scan yields its rows, got {other:?}"),
         }
     }
@@ -226,4 +227,23 @@ fn scan_rejection_classes_are_typed() {
     // Wrong partition.
     let wrong = p.verify_as(ClusterId(1), &honest, &range, SimTime(2_500));
     assert!(matches!(wrong, Err(ReadRejection::WrongCluster { .. })));
+
+    // A query no honest replica serves, one bucket wider than a window:
+    // every answer is rejected, and none panics the checker — the
+    // honest window is not the one asked, and relabelled as the wide
+    // one it names no provable range.
+    let wide = ScanRange::new(0, MAX_RANGE_BUCKETS);
+    assert_eq!(
+        p.verify(&honest, &wide),
+        Err(ReadRejection::ScanRangeNotCovered {
+            requested: wide,
+            proven: range,
+        })
+    );
+    let mut relabelled = honest.clone();
+    scan_mut(&mut relabelled).range = wide;
+    assert_eq!(
+        p.verify(&relabelled, &wide),
+        Err(ReadRejection::BadRangeProof)
+    );
 }

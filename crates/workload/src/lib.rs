@@ -241,9 +241,9 @@ mod tests {
     fn scatter_scan_mix_emits_unified_queries() {
         use transedge_core::{QueryShape, ReadQuery};
         let t = topo();
-        // Two partitions, four pages per scan → every op is a unified
-        // paginated scatter-gather query.
-        let spec = WorkloadSpec::scatter_scans(t.clone(), 64, 2, 4);
+        // Two partitions → every op is a unified scatter-gather query
+        // of one aligned window.
+        let spec = WorkloadSpec::scatter_scans(t.clone(), 64, 2);
         let ops = spec.generate(64, 17);
         assert!(!ops.is_empty());
         for op in &ops {
@@ -253,22 +253,16 @@ mod tests {
             else {
                 panic!("scatter scans must be unified queries, got {op:?}");
             };
-            let QueryShape::Scan {
-                clusters,
-                range,
-                window,
-            } = shape
-            else {
+            let QueryShape::Scan { clusters, range } = shape else {
                 panic!("scan shape expected");
             };
             assert_eq!(clusters.len(), 2);
-            assert_eq!(*window, 64);
-            assert_eq!(range.width(), 256, "4 windows of 64 buckets");
-            assert!(range.is_valid_for_depth(spec.tree_depth) || range.width() > 64);
-            assert_eq!(range.first % 256, 0, "ranges are aligned");
+            assert_eq!(range.width(), 64);
+            assert!(range.is_valid_for_depth(spec.tree_depth));
+            assert_eq!(range.first % 64, 0, "ranges are aligned");
         }
-        // Single-partition single-page specs keep the classic sugar.
-        for op in WorkloadSpec::scatter_scans(t, 128, 1, 1).generate(16, 3) {
+        // Single-partition specs keep the classic sugar.
+        for op in WorkloadSpec::scatter_scans(t, 128, 1).generate(16, 3) {
             assert!(matches!(op, ClientOp::RangeScan { .. }));
         }
     }

@@ -70,10 +70,6 @@ pub struct WorkloadSpec {
     /// single-partition scan; more emits unified scatter-gather
     /// queries).
     pub scan_clusters: usize,
-    /// Pages per scan: the scanned range spans `scan_pages` consecutive
-    /// `scan_buckets`-wide windows, paginated by the client session
-    /// under one pinned snapshot (1 = single-window scans).
-    pub scan_pages: u64,
     /// Merkle tree depth of the deployment the script will run against
     /// (scan windows must stay inside its `2^depth` leaf space).
     pub tree_depth: u32,
@@ -116,7 +112,6 @@ impl WorkloadSpec {
             scan_pct: 0,
             scan_buckets: 256,
             scan_clusters: 1,
-            scan_pages: 1,
             tree_depth: transedge_core::node::DEFAULT_TREE_DEPTH,
             unified_points: false,
             hot_offset: 0,
@@ -184,21 +179,14 @@ impl WorkloadSpec {
         }
     }
 
-    /// 100% unified scan queries: each scatters the same `pages`-window
-    /// range (windows of `scan_buckets` buckets) over `clusters`
-    /// partitions, paginated under one pinned snapshot per partition.
-    pub fn scatter_scans(
-        topo: ClusterTopology,
-        scan_buckets: u64,
-        clusters: usize,
-        pages: u64,
-    ) -> Self {
+    /// 100% unified scan queries: each scatters the same
+    /// `scan_buckets`-wide window over `clusters` partitions.
+    pub fn scatter_scans(topo: ClusterTopology, scan_buckets: u64, clusters: usize) -> Self {
         assert!(clusters >= 1 && clusters <= topo.n_clusters());
         WorkloadSpec {
             scan_pct: 100,
             scan_buckets,
             scan_clusters: clusters,
-            scan_pages: pages.max(1),
             ..Self::paper_default(topo)
         }
     }
@@ -371,32 +359,28 @@ impl WorkloadSpec {
         }
     }
 
-    /// A verified scan: an aligned range of `scan_pages` consecutive
-    /// `scan_buckets`-wide windows over `scan_clusters` partitions.
-    /// Alignment keeps the window vocabulary small so repeated scans
-    /// hit edge caches; the paper has no scan workload — this drives
-    /// the extension query types. Single-partition single-window scans
-    /// use the classic [`ClientOp::RangeScan`] sugar; anything larger
-    /// becomes a unified [`ClientOp::Query`] (paginated and/or
-    /// scatter-gather).
+    /// A verified scan: an aligned `scan_buckets`-wide window over
+    /// `scan_clusters` partitions. Alignment keeps the window
+    /// vocabulary small so repeated scans hit edge caches; the paper
+    /// has no scan workload — this drives the extension query types.
+    /// Single-partition scans use the classic [`ClientOp::RangeScan`]
+    /// sugar; scatter-gather ones become a unified [`ClientOp::Query`].
     fn gen_scan(&self, rng: &mut SmallRng) -> ClientOp {
         let n = self.scan_clusters.clamp(1, self.topo.n_clusters().max(1));
         let clusters = self.pick_clusters(rng, n);
         let leaves = 1u64 << self.tree_depth;
         let window = self.scan_buckets.clamp(1, leaves.min(MAX_RANGE_BUCKETS));
-        let pages = self.scan_pages.max(1);
-        let span = (window * pages).min(leaves);
-        let slots = (leaves / span).max(1);
-        let start = rng.gen_range(0..slots) * span;
-        let range = ScanRange::new(start, (start + span - 1).min(leaves - 1));
-        if clusters.len() == 1 && pages == 1 {
+        let slots = (leaves / window).max(1);
+        let start = rng.gen_range(0..slots) * window;
+        let range = ScanRange::new(start, (start + window - 1).min(leaves - 1));
+        if clusters.len() == 1 {
             ClientOp::RangeScan {
                 cluster: clusters[0],
                 range,
             }
         } else {
             ClientOp::Query {
-                query: ReadQuery::scatter_scan(clusters, range, window),
+                query: ReadQuery::scatter_scan(clusters, range),
             }
         }
     }

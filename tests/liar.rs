@@ -140,7 +140,7 @@ fn warmed() -> Warmed {
             response: absent_section,
         },
         scan: Answer {
-            query: ReadQuery::scatter_scan(vec![C0], range, range.width()),
+            query: ReadQuery::scan(C0, range),
             response: bundle,
         },
         head,

@@ -436,52 +436,61 @@ fn partly_cached_request_is_forwarded_whole() {
     assert_eq!(metrics.counter_value("net", "net.read-point.messages"), 10);
 }
 
-/// The pinned-page script, run to completion. One replica of cluster 0
-/// is cut off from its cluster while a write commits batch 1; the edge
-/// forwards page one of a 2 × 32-bucket scan to a current replica
-/// (served at batch 1), then page two — whose token pins batch 1 — to
-/// the lagging one, which parks it like any other unservable query.
-/// The partition heals at 300 ms and a later write (400 ms) lets the
-/// healed replica notice it is behind, catch up and answer. Returns the
-/// deployment, the scanned range and the key batch 1 wrote inside it.
-fn pinned_page_scan(freshness_window: SimDuration) -> (Deployment, ScanRange, Key) {
+/// A floored scan parks at a lagging replica. One replica of cluster 0
+/// is cut off from its cluster while a distributed write commits at
+/// both partitions, lifting cluster 0's LCE past genesis; the edge
+/// forwards a `MinEpoch(0)` scan to the lagging replica — its upstream
+/// round-robin starts at replica 1 — which has applied genesis alone
+/// and parks the scan like any other unservable query. The partition
+/// heals at 300 ms and a later write (400 ms) lets the healed replica
+/// notice it is behind, catch up and answer. The scan waited, it did
+/// not retry, and its rows are the committed window at the batch it
+/// was served at, the write included.
+#[test]
+fn min_epoch_scan_parks_at_a_lagging_replica_and_completes_after_heal() {
+    use transedge::edge::SnapshotSource;
+
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
-    config.node.freshness_window = freshness_window;
     config.client.record_results = true;
     // The reader must outwait the partition, not retry around it.
     config.client.retry_after = SimDuration::from_secs(5);
     config.edge = EdgeConfig::honest(1);
     let topo = config.topo.clone();
-    // Two 32-bucket pages; the written key lies inside the range, the
-    // late writer's outside it.
+    // The written key lies inside the window, the late writer's
+    // outside it.
     let range = window_on(&topo, ClusterId(0));
     let inside = keys_on(&topo, ClusterId(0), 1).remove(0);
+    let remote = keys_on(&topo, ClusterId(1), 1).remove(0);
     let outside = keys_on(&topo, ClusterId(0), 64)
         .into_iter()
         .find(|k| !range.contains_key(k, SCAN_DEPTH))
         .expect("a key outside a 64-bucket window");
-    let write = |key: &Key, value: &str| ClientOp::ReadWrite {
-        reads: vec![],
-        writes: vec![(key.clone(), Value::from(value))],
-    };
     let reader = ClientPlan::ops(vec![
-        write(&inside, "v1"),
+        ClientOp::ReadWrite {
+            reads: vec![],
+            writes: vec![
+                (inside.clone(), Value::from("v1")),
+                (remote, Value::from("v1")),
+            ],
+        },
         ClientOp::Query {
-            query: ReadQuery::scatter_scan(vec![ClusterId(0)], range, 32),
+            query: ReadQuery::scan(ClusterId(0), range)
+                .with_policy(SnapshotPolicy::MinEpoch(transedge::common::Epoch(0))),
         },
     ]);
     // A later write is what lets the healed replica notice it is
     // behind and fetch the decided prefix.
     let heal_at = SimTime(300_000);
     let late_writer = ClientPlan::with_profile(
-        vec![write(&outside, "v2")],
+        vec![ClientOp::ReadWrite {
+            reads: vec![],
+            writes: vec![(outside, Value::from("v2"))],
+        }],
         ClientProfile::new().start_delay(SimDuration::from_millis(400)),
     );
     let mut dep = Deployment::build_custom(config, vec![reader, late_writer]);
-    // The edge's upstream round-robin sends its first forward to
-    // replica 1 and its second — page two — to replica 2.
-    let lagging = ReplicaId::new(ClusterId(0), 2);
+    let lagging = ReplicaId::new(ClusterId(0), 1);
     let rest = topo
         .replicas_of(ClusterId(0))
         .filter(|r| *r != lagging)
@@ -492,77 +501,29 @@ fn pinned_page_scan(freshness_window: SimDuration) -> (Deployment, ScanRange, Ke
     let e0 = EdgeId::new(ClusterId(0), 0);
     let reader_id = dep.client_ids[0];
     assert_eq!(dep.node(lagging).exec.applied_batches(), 1, "genesis only");
-    assert_eq!(dep.node(lagging).parked_reads(), 1, "page two is parked");
+    assert_eq!(dep.node(lagging).parked_reads(), 1, "the scan is parked");
     assert_eq!(dep.edge_node(e0).pending_upstream(), 1);
-    assert_eq!(dep.edge_node(e0).stats.scans_forwarded, 2);
-    assert_eq!(dep.client(reader_id).stats.scans_accepted, 1, "page one");
+    assert_eq!(dep.edge_node(e0).stats.scans_forwarded, 1);
     assert!(dep.client(reader_id).query_results.is_empty());
 
     dep.heal_partition(cut);
     dep.run_until_done(SimTime(600_000_000));
     assert_eq!(dep.node(lagging).parked_reads(), 0);
+    assert_eq!(dep.node(lagging).stats.rot_scans_served, 1);
     assert_eq!(dep.edge_node(e0).pending_upstream(), 0);
-    (dep, range, inside)
-}
-
-/// The rows [`pinned_page_scan`] must return: the preloaded window with
-/// batch 1's write applied.
-fn pinned_page_rows(dep: &Deployment, range: &ScanRange, inside: &Key) -> Vec<(Key, Value)> {
-    let mut want = expected_rows(&dep.data, &dep.topo, ClusterId(0), range);
-    for (key, value) in &mut want {
-        if key == inside {
-            *value = Value::from("v1");
-        }
-    }
-    want
-}
-
-/// Pinned-page liveness: page two of a paginated scan carries a token
-/// pinning the batch page one verified at, so a replica that has not
-/// applied that batch yet parks the page like any other unservable
-/// query and answers once it catches up — nothing falls back, nothing
-/// is lost. The scan completes, both pages verified at batch 1, only
-/// after the partition heals.
-#[test]
-fn pinned_page_parks_at_a_lagging_replica_and_completes_after_heal() {
-    let (dep, range, inside) = pinned_page_scan(SimDuration::from_secs(30));
-    let client = dep.client(dep.client_ids[0]);
+    let client = dep.client(reader_id);
     assert_eq!(client.stats.verification_failures, 0);
     assert_eq!(client.stats.retries, 0, "the scan waited, it did not retry");
     let [scan] = &client.query_results[..] else {
         panic!("one scan, got {}", client.query_results.len());
     };
-    assert_eq!(scan.pages, 2);
-    assert_eq!(scan.snapshot, [(ClusterId(0), BatchNum(1))]);
-    let want = pinned_page_rows(&dep, &range, &inside);
-    assert_eq!(scan.rows, [(ClusterId(0), want)]);
-    let replica = dep.node(ReplicaId::new(ClusterId(0), 2));
-    assert_eq!(replica.stats.rot_scans_served, 1);
-}
-
-/// Nobody is blamed for a pinned page that aged out. Under a 250 ms
-/// freshness window the parked page two comes back ≈ 400 ms old: its
-/// timestamp is in the certified header and the pin forces the batch,
-/// so every server would have answered the same `StaleTimestamp`. The
-/// client restarts the partition from page one through the selector —
-/// no verification failure counted, no edge demoted — and the edge,
-/// whose replay floor is a third of that window, forwards the restart
-/// instead of replaying its equally aged page one. The scan completes
-/// at the late writer's batch.
-#[test]
-fn aged_pinned_page_restarts_the_scan_and_blames_nobody() {
-    let (dep, range, inside) = pinned_page_scan(SimDuration::from_millis(250));
-    let client = dep.client(dep.client_ids[0]);
-    assert_eq!(client.stats.verification_failures, 0);
-    assert_eq!(client.edge_selector.demotions(), 0);
-    assert_eq!(client.stats.gave_up, 0);
-    assert_eq!(client.stats.scans_accepted, 3, "page one twice, page two");
-    let [scan] = &client.query_results[..] else {
-        panic!("one scan, got {}", client.query_results.len());
+    let [(ClusterId(0), batch)] = scan.snapshot[..] else {
+        panic!("one partition's snapshot, got {:?}", scan.snapshot);
     };
-    assert_eq!(scan.pages, 2);
-    assert_eq!(scan.snapshot, [(ClusterId(0), BatchNum(2))]);
-    let want = pinned_page_rows(&dep, &range, &inside);
+    assert!(batch.0 >= 1, "MinEpoch(0) skips genesis");
+    let current = dep.node(ReplicaId::new(ClusterId(0), 0));
+    let want = current.exec.rows_at(&range, batch);
+    assert!(want.contains(&(inside, Value::from("v1"))));
     assert_eq!(scan.rows, [(ClusterId(0), want)]);
 }
 
@@ -910,6 +871,43 @@ fn an_edge_does_not_cache_a_result_it_did_not_ask_for() {
     assert_eq!(stats.forwarded, 1, "the read went upstream");
 }
 
+/// A client takes an OCC read's answer only from a replica of the asked
+/// key's partition, and only for that key: an answer pushed by a node
+/// outside the deployment, naming another key, under the id of the
+/// outstanding read, is dropped and the read waits for its replica.
+#[test]
+fn an_occ_read_answer_from_outside_is_dropped() {
+    let mut config = DeploymentConfig::for_testing();
+    config.latency = transedge::simnet::LatencyModel::paper_default();
+    config.client.record_results = true;
+    let topo = config.topo.clone();
+    let [asked, injected] = <[Key; 2]>::try_from(keys_on(&topo, ClusterId(0), 2)).unwrap();
+    let txn = ClientOp::ReadWrite {
+        reads: vec![asked.clone()],
+        writes: vec![(asked.clone(), Value::from("w"))],
+    };
+    let mut dep = Deployment::build(config, vec![vec![txn]]);
+    // The client has sent its one read (request id 1).
+    dep.run_until(SimTime(1));
+    let client = NodeId::Client(dep.client_ids[0]);
+    let outsider = NodeId::Client(transedge::common::ClientId(77));
+    let forged = NetMsg::OccReadResp {
+        req: 1,
+        key: injected,
+        value: Some(Value::from("forged")),
+        version: transedge::common::Epoch(0),
+    };
+    dep.sim.inject(outsider, client, forged);
+    dep.run_until_done(SimTime(600_000_000));
+    let client = dep.client(dep.client_ids[0]);
+    let [outcome] = &client.txn_outcomes[..] else {
+        panic!("one transaction, got {}", client.txn_outcomes.len());
+    };
+    let genesis = dep.data.iter().find(|(k, _)| *k == asked).map(|(_, v)| v);
+    assert_eq!(outcome.reads, [(asked, genesis.cloned())]);
+    assert!(outcome.committed);
+}
+
 /// Commit-freedom: serving read-only transactions generates no
 /// consensus traffic — batch production is driven by writes only.
 #[test]
@@ -944,6 +942,7 @@ fn read_only_transactions_produce_no_batches() {
 // Verified range scans (completeness proofs over the tree order)
 // ---------------------------------------------------------------------
 
+use transedge::crypto::range::MAX_RANGE_BUCKETS;
 use transedge::crypto::{sha256, ScanRange};
 
 /// The deployment's tree depth, which scan windows are expressed
@@ -1111,9 +1110,66 @@ fn scan_omitting_edge_is_rejected_and_demoted() {
     }
 }
 
+/// A scan no honest replica serves fails at once: one that starts past
+/// the leaf space and one a bucket wider than a window each end
+/// uncommitted before any request leaves — sent, either would only be
+/// retried until the op gave up.
+#[test]
+fn an_unservable_scan_fails_before_any_send() {
+    let leaves = 1u64 << SCAN_DEPTH;
+    for range in [
+        ScanRange::new(leaves, leaves + 7),
+        ScanRange::new(0, MAX_RANGE_BUCKETS),
+    ] {
+        let config = DeploymentConfig::for_testing();
+        let scan = ClientOp::RangeScan {
+            cluster: ClusterId(0),
+            range,
+        };
+        let mut dep = Deployment::build(config, vec![vec![scan]]);
+        dep.run_until_done(SimTime(600_000_000));
+        let client = dep.client(dep.client_ids[0]);
+        assert_eq!(client.stats.retries, 0, "{range:?}");
+        let [sample] = &client.samples[..] else {
+            panic!("{range:?}: one op, got {}", client.samples.len());
+        };
+        assert_eq!(sample.kind, OpKind::RangeScan);
+        assert!(!sample.committed, "{range:?}");
+        let metrics = dep.metrics();
+        assert_eq!(
+            metrics.counter_value("net", "net.read-scan.messages"),
+            0,
+            "{range:?}: no read was sent"
+        );
+    }
+}
+
+/// The replica's own guard on outside input: a scan one bucket wider
+/// than a window, under a floor it could not meet yet, is dropped and
+/// counted — neither served nor parked.
+#[test]
+fn a_replica_drops_a_scan_wider_than_a_window() {
+    let config = DeploymentConfig::for_testing();
+    let mut dep = Deployment::build(config, vec![]);
+    let replica = ReplicaId::new(ClusterId(0), 0);
+    let query = ReadQuery::scan(ClusterId(0), ScanRange::new(0, MAX_RANGE_BUCKETS))
+        .with_policy(SnapshotPolicy::MinEpoch(transedge::common::Epoch(5)));
+    let outsider = NodeId::Client(transedge::common::ClientId(77));
+    dep.sim.inject(
+        outsider,
+        NodeId::Replica(replica),
+        NetMsg::Read { req: 1, query },
+    );
+    dep.run_until(SimTime(1_000_000));
+    let node = dep.node(replica);
+    assert_eq!(node.stats.rot_scans_rejected, 1);
+    assert_eq!(node.stats.rot_scans_served, 0);
+    assert_eq!(node.parked_reads(), 0);
+}
+
 // ---------------------------------------------------------------------
-// The unified ReadQuery protocol: paginated scatter-gather scans under
-// a snapshot-policy floor, through untrusted edges.
+// The unified ReadQuery protocol: scatter-gather scans under a
+// snapshot-policy floor, through untrusted edges.
 // ---------------------------------------------------------------------
 
 use transedge::core::{QueryShape, ReadQuery, SnapshotPolicy};
@@ -1121,27 +1177,19 @@ use transedge::core::{QueryShape, ReadQuery, SnapshotPolicy};
 /// Build the acceptance-scenario deployment: writers raising the LCE
 /// above `NONE` on both partitions (their keys kept *outside* the
 /// scanned windows so ground truth stays the preloaded data), plus one
-/// reader issuing a single unified query: a paginated scan (two
-/// windows per partition) scattered over both partitions, under
-/// `SnapshotPolicy::MinEpoch` — the scan analogue of a round-2 floor.
+/// reader issuing a single unified query: a 64-bucket scan scattered
+/// over both partitions, under `SnapshotPolicy::MinEpoch` — the scan
+/// analogue of a round-2 floor.
 fn unified_query_scenario(
     config: &mut transedge::core::setup::DeploymentConfig,
 ) -> (Vec<Vec<ClientOp>>, ReadQuery, [ScanRange; 2]) {
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
     let topo = config.topo.clone();
-    // One paginated range per partition: two aligned 32-bucket windows.
+    // One aligned 64-bucket window per partition.
     let ranges = [
-        {
-            let w = window_on(&topo, ClusterId(0));
-            let start = w.first - (w.first % 64);
-            ScanRange::new(start, start + 63)
-        },
-        {
-            let w = window_on(&topo, ClusterId(1));
-            let start = w.first - (w.first % 64);
-            ScanRange::new(start, start + 63)
-        },
+        window_on(&topo, ClusterId(0)),
+        window_on(&topo, ClusterId(1)),
     ];
     // The scatter query scans the *same* bucket range on both
     // partitions; pick the one holding cluster 0's keys (cluster 1's
@@ -1152,9 +1200,7 @@ fn unified_query_scenario(
         shape: QueryShape::Scan {
             clusters: vec![ClusterId(0), ClusterId(1)],
             range,
-            window: 32,
         },
-        page: None,
         feed: None,
         held: Vec::new(),
         reply_to: None,
@@ -1193,11 +1239,11 @@ fn unified_query_scenario(
 }
 
 /// The tentpole acceptance scenario, honest half: one `ReadQuery`
-/// spanning two partitions with a paginated scan under
+/// spanning two partitions with a scan under
 /// `SnapshotPolicy::MinEpoch`, served through edges, every section
 /// verified against its own certified root.
 #[test]
-fn unified_paginated_scatter_query_under_min_epoch() {
+fn unified_scatter_scan_under_min_epoch() {
     let mut config = DeploymentConfig::for_testing();
     config.edge = EdgeConfig::honest(1);
     let (scripts, query, _) = unified_query_scenario(&mut config);
@@ -1221,8 +1267,6 @@ fn unified_paginated_scatter_query_under_min_epoch() {
             batch.0
         );
     }
-    // Two 32-bucket pages per partition.
-    assert_eq!(result.pages, 4, "2 windows × 2 partitions");
     // Rows are complete and correct per partition: exactly the
     // preloaded rows of the scanned range (writers stayed outside it).
     let QueryShape::Scan { range, .. } = query.shape else {
@@ -1233,7 +1277,7 @@ fn unified_paginated_scatter_query_under_min_epoch() {
         let want = expected_rows(&dep.data, &topo, *cluster, &range);
         assert_eq!(
             rows, &want,
-            "{cluster}: stitched pages must equal the committed window"
+            "{cluster}: rows must equal the committed window"
         );
     }
     assert!(
@@ -1249,12 +1293,12 @@ fn unified_paginated_scatter_query_under_min_epoch() {
     assert!(edge_scans >= 1, "the query must route through the edges");
 }
 
-/// Round two of a paginated scatter scan: cross-partition writers keep
-/// committing *inside* the scanned range, so a reader's two partition
-/// snapshots fail the dependency check and the lagging partition is
-/// re-read at a raised LCE floor — from page one, the path every point
-/// read takes. Each partition's stitched rows must be exactly what that
-/// partition had committed at the snapshot batch the result records.
+/// Round two of a scatter scan: cross-partition writers keep committing
+/// *inside* the scanned range, so a reader's two partition snapshots
+/// fail the dependency check and the lagging partition's window is
+/// re-read whole at a raised LCE floor, the path every point read
+/// takes. Each partition's rows must be exactly what that partition had
+/// committed at the snapshot batch the result records.
 #[test]
 fn scan_round_two_restarts_from_page_one_at_the_raised_floor() {
     use transedge::edge::SnapshotSource;
@@ -1264,7 +1308,7 @@ fn scan_round_two_restarts_from_page_one_at_the_raised_floor() {
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
     let topo = config.topo.clone();
-    // Two 2048-bucket pages per partition.
+    // One window of the widest servable range per partition.
     let range = ScanRange::new(0, 4095);
     let inside = |cluster: ClusterId| -> Vec<Key> {
         (0u32..10_000)
@@ -1293,7 +1337,7 @@ fn scan_round_two_restarts_from_page_one_at_the_raised_floor() {
                 .collect()
         })
         .collect();
-    let query = ReadQuery::scatter_scan(vec![ClusterId(0), ClusterId(1)], range, 2048);
+    let query = ReadQuery::scatter_scan(vec![ClusterId(0), ClusterId(1)], range);
     scripts.push(vec![ClientOp::Query { query }; SCANS]);
     let mut dep = Deployment::build(config, scripts);
     dep.run_until_done(SimTime(600_000_000));
@@ -1306,9 +1350,6 @@ fn scan_round_two_restarts_from_page_one_at_the_raised_floor() {
     let mut moved = false;
     for result in &reader.query_results {
         round2 += u64::from(result.needed_round2);
-        // Whatever round a partition's answer came from, it was
-        // paginated in full.
-        assert_eq!(result.pages, 4, "2 pages × 2 partitions");
         assert_eq!(result.snapshot.len(), 2);
         for ((cluster, rows), (pinned, batch)) in result.rows.iter().zip(&result.snapshot) {
             assert_eq!(cluster, pinned);
@@ -1324,18 +1365,18 @@ fn scan_round_two_restarts_from_page_one_at_the_raised_floor() {
     }
     assert!(moved, "the writers must have changed the scanned rows");
     assert!(round2 > 0, "no scan needed round two");
-    // Round two re-paginated: a restarted partition's two round-1
-    // pages were accepted, discarded, and fetched again at the floor.
+    // Round two re-read: a restarted partition's round-1 window was
+    // accepted, discarded, and fetched again at the floor.
     assert!(
-        reader.stats.scans_accepted >= 4 * SCANS as u64 + 2 * round2,
-        "{} pages accepted for {SCANS} scans, {round2} of them with a round two",
+        reader.stats.scans_accepted >= 2 * SCANS as u64 + round2,
+        "{} windows accepted for {SCANS} scans, {round2} of them with a round two",
         reader.stats.scans_accepted
     );
 }
 
 /// The tentpole acceptance scenario, byzantine half: the same query
 /// with one byzantine edge in the fan-out (omitting a row from a
-/// scanned page, the completeness attack) is rejected, the edge
+/// scanned window, the completeness attack) is rejected, the edge
 /// demoted on cryptographic evidence, and the query retried to success
 /// with complete, correct rows.
 #[test]
@@ -1375,7 +1416,6 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
     assert_eq!(reader.query_results.len(), 1);
     let result = &reader.query_results[0];
     assert_eq!(result.snapshot.len(), 2);
-    assert_eq!(result.pages, 4);
     let QueryShape::Scan { range, .. } = query.shape else {
         unreachable!()
     };
@@ -1383,7 +1423,7 @@ fn unified_query_with_byzantine_edge_in_fanout_recovers() {
         let want = expected_rows(&dep.data, &topo, *cluster, &range);
         assert_eq!(
             rows, &want,
-            "{cluster}: no omission may survive — accepted pages must be complete"
+            "{cluster}: no omission may survive — accepted windows must be complete"
         );
     }
     assert!(!result.rows[0].1.is_empty());

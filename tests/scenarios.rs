@@ -110,7 +110,7 @@ fn coalition_campaign_convicts_every_member() {
 }
 
 /// What no campaign deploys: the paper mix with a fifth of the ops
-/// paginated two-partition scans, through one feed-fed edge per
+/// two-partition scans, through one feed-fed edge per
 /// cluster whose cache holds a fraction of the keys; of four clients
 /// two subscribe and one sends its reads whole to a single contact.
 fn mixed_feed_and_scan_counters() -> BTreeMap<String, u64> {
@@ -130,7 +130,6 @@ fn mixed_feed_and_scan_counters() -> BTreeMap<String, u64> {
     spec.value_size = config.value_size;
     spec.scan_pct = 20;
     spec.scan_clusters = 2;
-    spec.scan_pages = 2;
     let plans = spec
         .generate_fleet(4, 40, 4205)
         .into_iter()
