@@ -6,10 +6,11 @@
 //!   same hierarchical system as TransEdge, but read-only transactions
 //!   are executed as ordinary transactions through BFT agreement and
 //!   two-phase commit. Implemented by running the real TransEdge stack
-//!   with the client's `rot_via_2pc` baseline mode, exactly as the
-//!   paper constructs it ("The 2PC/BFT system has the same structure as
-//!   TransEdge, however, the system performs read-only transactions by
-//!   coordinating with other leaders in other partitions").
+//!   on scripts whose point reads are rewritten into read-write
+//!   transactions with no writes, exactly as the paper constructs it
+//!   ("The 2PC/BFT system has the same structure as TransEdge, however,
+//!   the system performs read-only transactions by coordinating with
+//!   other leaders in other partitions").
 //! * [`augustus`] — an Augustus-style system (Padilha & Pedone,
 //!   EuroSys'13): BFT-ordered mini-transactions per partition, client-
 //!   coordinated cross-partition voting with `2f+1` signed replica

@@ -9,15 +9,41 @@
 
 use transedge_core::client::ClientOp;
 use transedge_core::setup::{Deployment, DeploymentConfig};
+use transedge_core::{QueryShape, ReadQuery, SnapshotPolicy};
 
 /// Build a deployment whose clients run read-only operations through
-/// 2PC/BFT. Everything else matches [`Deployment::build`].
-pub fn build_two_pc_bft(
-    mut config: DeploymentConfig,
-    client_ops: Vec<Vec<ClientOp>>,
-) -> Deployment {
-    config.client.rot_via_2pc = true;
-    Deployment::build(config, client_ops)
+/// 2PC/BFT: every point read at the latest snapshot in `client_ops` —
+/// the `ReadOnly` sugar or the `Query` it stands for — becomes a
+/// read-write transaction with no writes, which the client tags
+/// `OpKind::ReadOnly`. Everything else matches [`Deployment::build`].
+/// Only the scripts are rewritten: a tail handed to
+/// [`Deployment::retarget_client_ops`] would run TransEdge reads.
+pub fn build_two_pc_bft(config: DeploymentConfig, client_ops: Vec<Vec<ClientOp>>) -> Deployment {
+    let scripts = client_ops
+        .into_iter()
+        .map(|ops| ops.into_iter().map(via_2pc).collect())
+        .collect();
+    Deployment::build(config, scripts)
+}
+
+/// A point read at the latest snapshot as a read-write transaction with
+/// an empty write set; any other op as it is.
+fn via_2pc(op: ClientOp) -> ClientOp {
+    match op {
+        ClientOp::ReadOnly { keys }
+        | ClientOp::Query {
+            query:
+                ReadQuery {
+                    consistency: SnapshotPolicy::Latest,
+                    shape: QueryShape::Point { keys },
+                    ..
+                },
+        } => ClientOp::ReadWrite {
+            reads: keys,
+            writes: vec![],
+        },
+        op => op,
+    }
 }
 
 #[cfg(test)]
@@ -104,6 +130,39 @@ mod tests {
             baseline_latency > te_latency,
             "2PC/BFT ROT ({baseline_latency}) must exceed TransEdge ROT ({te_latency})"
         );
+    }
+
+    /// The baseline is the script rewrite and nothing else: its read
+    /// runs exactly as the same keys read by a read-write transaction
+    /// with no writes on a plain deployment, and both are tagged
+    /// read-only.
+    #[test]
+    fn baseline_rot_is_a_read_write_transaction_without_writes() {
+        let mut config = DeploymentConfig::for_testing();
+        config.latency = transedge_simnet::LatencyModel::paper_default();
+        let topo = config.topo.clone();
+        let k0 = keys_on(&topo, ClusterId(0), 3);
+        let k1 = keys_on(&topo, ClusterId(1), 3);
+        let reads: Vec<Vec<Key>> = (0..3).map(|i| vec![k0[i].clone(), k1[i].clone()]).collect();
+        let rots = reads
+            .iter()
+            .map(|keys| ClientOp::ReadOnly { keys: keys.clone() })
+            .collect();
+        let txns = reads
+            .into_iter()
+            .map(|reads| ClientOp::ReadWrite {
+                reads,
+                writes: vec![],
+            })
+            .collect();
+        let mut baseline = build_two_pc_bft(config.clone(), vec![rots]);
+        baseline.run_until_done(SimTime(60_000_000));
+        let mut plain = Deployment::build(config, vec![txns]);
+        plain.run_until_done(SimTime(60_000_000));
+        let (baseline, plain) = (baseline.samples(), plain.samples());
+        assert_eq!(plain.len(), 3);
+        assert!(plain.iter().all(|s| s.kind == OpKind::ReadOnly));
+        assert_eq!(format!("{baseline:?}"), format!("{plain:?}"));
     }
 
     #[test]

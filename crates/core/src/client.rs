@@ -38,6 +38,7 @@ use transedge_obs::{MetricRegistry, RegisterMetrics, SpanPhase, TraceContext, Tr
 use transedge_simnet::{Actor, Context};
 
 use crate::batch::{BatchHeader, ReadOp, Transaction, WriteOp};
+use crate::config::ClientProfile;
 use crate::deps::{self, Plan, RotView, Step};
 use crate::edge_select::EdgeSelector;
 use crate::messages::NetMsg;
@@ -68,8 +69,10 @@ pub enum ClientOp {
     Query { query: ReadQuery },
 }
 
-/// Client-side configuration. Verification parameters are not in it:
-/// a client checks proofs at its deployment's node parameters.
+/// What a deployment's clients share. Verification parameters are not
+/// in it (a client checks proofs at its deployment's node parameters),
+/// nor is what one client does differently from another
+/// ([`ClientProfile`]).
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// Re-send unanswered requests after this long.
@@ -78,32 +81,6 @@ pub struct ClientConfig {
     pub max_retries: u32,
     /// Keep full results (values read) for inspection by tests.
     pub record_results: bool,
-    /// Baseline mode (the paper's "2PC/BFT" comparator, §3.5/§5):
-    /// execute read-only operations as ordinary read-write transactions
-    /// through BFT agreement and two-phase commit instead of the
-    /// commit-free snapshot protocol. Samples keep `OpKind::ReadOnly`
-    /// so harnesses compare like for like.
-    pub rot_via_2pc: bool,
-    /// Send a fresh cross-partition query to *one* edge contact instead
-    /// of fanning out per partition; this picks the target and nothing
-    /// else. The contact serves the query one part per partition, each
-    /// answer an ordinary response under the one request id, verified
-    /// here against its own partition's certified root. A part that
-    /// fails is re-asked of a replica like any rejected answer, and one
-    /// that never comes is resent when the retry timer fires.
-    pub single_contact: bool,
-    /// Delay before the first operation (and the directory pull) —
-    /// lets harnesses stagger clients so gossip has rounds to spread.
-    pub start_delay: SimDuration,
-    /// Subscription mode: ask serving edges to attach their verified
-    /// delta-feed tail to point responses as a freshness certificate.
-    /// A verified attachment upgrades the partition's snapshot view to
-    /// the feed head, so the cross-partition dependency check passes
-    /// without the round-2 MinEpoch re-fetch — warm reads of a
-    /// subscribed client stay one round even under heavy writes.
-    /// Nothing is trusted: the feed verifies under replica certificates
-    /// like every other response part.
-    pub subscribe: bool,
 }
 
 impl Default for ClientConfig {
@@ -112,10 +89,6 @@ impl Default for ClientConfig {
             retry_after: SimDuration::from_millis(500),
             max_retries: 20,
             record_results: false,
-            rot_via_2pc: false,
-            single_contact: false,
-            start_delay: SimDuration(0),
-            subscribe: false,
         }
     }
 }
@@ -451,6 +424,8 @@ pub struct ClientActor {
     /// verified. One entry per partition, no capacity knob.
     anchors: BTreeMap<ClusterId, (CommittedHeader, Certificate)>,
     pub config: ClientConfig,
+    /// What this client does differently from the rest of the fleet.
+    pub profile: ClientProfile,
     /// The deployment's verification parameters.
     verify: VerifyParams,
     ops: Vec<ClientOp>,
@@ -485,14 +460,13 @@ pub struct ClientActor {
 }
 
 impl ClientActor {
-    /// A client of `deployment`, behaving as `config` (the deployment's
-    /// base client config with this client's profile layered over it).
+    /// A client of `deployment`, running `ops` as `profile` says.
     pub fn new(
         id: ClientId,
         deployment: &DeploymentConfig,
         keys: KeyStore,
         keypair: Keypair,
-        config: ClientConfig,
+        profile: ClientProfile,
         ops: Vec<ClientOp>,
     ) -> Self {
         // Every client knows every edge (untrusted caches; responses
@@ -520,7 +494,8 @@ impl ClientActor {
             certs: VerifiedCerts::new(keys.with_memo()),
             feeds: BTreeMap::new(),
             anchors: BTreeMap::new(),
-            config,
+            config: deployment.client.clone(),
+            profile,
             verify,
             ops,
             next_op: 0,
@@ -639,7 +614,13 @@ impl ClientActor {
             .unwrap_or_else(|| self.leader_of(cluster))
     }
 
+    /// A transaction that reads and writes nothing is a read-only one
+    /// (how the 2PC/BFT baseline runs its reads); the rest go by the
+    /// partitions they touch.
     fn classify(&self, reads: &[Key], writes: &[(Key, Value)]) -> OpKind {
+        if writes.is_empty() && !reads.is_empty() {
+            return OpKind::ReadOnly;
+        }
         let mut parts: Vec<ClusterId> = reads
             .iter()
             .map(|k| self.topo.partition_of(k))
@@ -660,34 +641,12 @@ impl ClientActor {
         if self.inflight.is_some() || self.next_op >= self.ops.len() {
             return;
         }
-        let mut op = self.ops[self.next_op].clone();
+        let op = self.ops[self.next_op].clone();
         let op_index = self.next_op;
         self.next_op += 1;
-        // 2PC/BFT baseline: a point read at the latest snapshot, sugar
-        // or spelled out, is just a read-write transaction with an
-        // empty write set.
-        let mut forced_kind = None;
-        if self.config.rot_via_2pc {
-            if let ClientOp::ReadOnly { keys }
-            | ClientOp::Query {
-                query:
-                    ReadQuery {
-                        consistency: SnapshotPolicy::Latest,
-                        shape: QueryShape::Point { keys },
-                        ..
-                    },
-            } = op
-            {
-                forced_kind = Some(OpKind::ReadOnly);
-                op = ClientOp::ReadWrite {
-                    reads: keys,
-                    writes: vec![],
-                };
-            }
-        }
         match op {
             ClientOp::ReadWrite { reads, writes } => {
-                let kind = forced_kind.unwrap_or_else(|| self.classify(&reads, &writes));
+                let kind = self.classify(&reads, &writes);
                 let mut outstanding = BTreeMap::new();
                 for key in &reads {
                     let req = self.req_id();
@@ -802,7 +761,7 @@ impl ClientActor {
     ) {
         // Subscription mode: every point query asks its serving edge
         // for the verified feed tail (freshness certificate).
-        if self.config.subscribe && matches!(query.shape, QueryShape::Point { .. }) {
+        if self.profile.subscribe && matches!(query.shape, QueryShape::Point { .. }) {
             query = query.with_feed_freshness();
         }
         let parts: Vec<PartState> = query
@@ -872,7 +831,7 @@ impl ClientActor {
         // each partition's replicas, and sends each partition's answer
         // as soon as it has it; each is verified here against its own
         // partition's root.
-        let contact = if self.config.single_contact && session.parts.len() > 1 {
+        let contact = if self.profile.single_contact && session.parts.len() > 1 {
             session.parts.iter().find_map(|p| {
                 self.edge_selector
                     .pick(p.cluster, start)
@@ -1454,15 +1413,15 @@ impl RegisterMetrics for ClientActor {
 }
 
 const TIMER_BASE: u64 = 1_000_000;
-/// Deferred start (`ClientConfig::start_delay`).
+/// Deferred start (`ClientProfile::start_delay`).
 const TIMER_BOOT: u64 = 999_998;
 /// Bound on waiting for the startup directory pull.
 const TIMER_SEED: u64 = 999_999;
 
 impl Actor<NetMsg> for ClientActor {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        if self.config.start_delay > SimDuration(0) {
-            ctx.set_timer(self.config.start_delay, TIMER_BOOT);
+        if self.profile.start_delay > SimDuration(0) {
+            ctx.set_timer(self.profile.start_delay, TIMER_BOOT);
         } else {
             self.boot(ctx);
         }

@@ -15,17 +15,15 @@
 //! lies: every deployed edge is honest, and a test that needs a liar
 //! wraps one (`transedge_scenario::liar`).
 //!
-//! [`ClientProfile`] does the same for the per-client switches: instead
-//! of mutating `ClientConfig` fields one by one, a harness names the
-//! profile it wants (`subscriber`, `single_contact`, a start delay) and
-//! [`ClientProfile::apply`] layers it over the deployment's base client
-//! config.
+//! [`ClientProfile`] holds what one client does differently from the
+//! rest of the fleet (`subscriber`, `single_contact`, a start delay):
+//! a harness names it per client in its [`crate::setup::ClientPlan`],
+//! and it is the only home of those switches. What every client
+//! shares is the deployment's [`crate::client::ClientConfig`].
 
 use std::fmt;
 
 use transedge_common::SimDuration;
-
-use crate::client::ClientConfig;
 
 /// Replay-cache sizing for one edge node.
 #[derive(Clone, Copy, Debug)]
@@ -176,20 +174,29 @@ impl EdgeConfigBuilder {
     }
 }
 
-/// A named bundle of per-client behaviour toggles, layered over the
-/// deployment's base [`ClientConfig`] by [`ClientProfile::apply`].
-/// Booleans only switch behaviour *on* (the base config keeps anything
-/// it already enabled); the start delay takes the later of the two.
+/// What one client does differently from the rest of the fleet; the
+/// default is a plain client that starts at once.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientProfile {
-    /// Send fresh cross-partition queries whole to one edge contact,
-    /// which answers each partition separately under the one request
-    /// id (picks the target only; see `ClientConfig::single_contact`).
+    /// Send a fresh cross-partition query to *one* edge contact instead
+    /// of fanning out per partition; this picks the target and nothing
+    /// else. The contact serves the query one part per partition, each
+    /// answer an ordinary response under the one request id, verified
+    /// against its own partition's certified root. A part that fails is
+    /// re-asked of a replica like any rejected answer, and one that
+    /// never comes is resent when the retry timer fires.
     pub single_contact: bool,
-    /// Subscription mode: ask edges for feed-tail freshness
-    /// attachments to skip round 2 on warm reads.
+    /// Subscription mode: ask serving edges to attach their verified
+    /// delta-feed tail to point responses as a freshness certificate.
+    /// A verified attachment upgrades the partition's snapshot view to
+    /// the feed head, so the cross-partition dependency check passes
+    /// without the round-2 MinEpoch re-fetch — warm reads of a
+    /// subscribed client stay one round even under heavy writes.
+    /// Nothing is trusted: the feed verifies under replica certificates
+    /// like every other response part.
     pub subscribe: bool,
-    /// Delay before the first operation (and the directory pull).
+    /// Delay before the first operation (and the directory pull) —
+    /// lets harnesses stagger clients so gossip has rounds to spread.
     pub start_delay: SimDuration,
 }
 
@@ -212,17 +219,6 @@ impl ClientProfile {
     pub fn start_delay(mut self, delay: SimDuration) -> Self {
         self.start_delay = delay;
         self
-    }
-
-    /// Layer this profile over a base client config.
-    pub fn apply(&self, base: &ClientConfig) -> ClientConfig {
-        let mut config = base.clone();
-        config.single_contact |= self.single_contact;
-        config.subscribe |= self.subscribe;
-        if self.start_delay > config.start_delay {
-            config.start_delay = self.start_delay;
-        }
-        config
     }
 }
 
@@ -258,26 +254,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::ZeroFeedInterval
-        );
-    }
-
-    #[test]
-    fn profile_layers_over_base() {
-        let base = ClientConfig {
-            record_results: true,
-            start_delay: SimDuration::from_millis(100),
-            ..ClientConfig::default()
-        };
-        let profile = ClientProfile::new()
-            .subscriber()
-            .start_delay(SimDuration::from_millis(50));
-        let layered = profile.apply(&base);
-        assert!(layered.record_results, "base switches survive");
-        assert!(layered.subscribe, "profile switches apply");
-        assert_eq!(
-            layered.start_delay,
-            SimDuration::from_millis(100),
-            "later of the two delays wins"
         );
     }
 }

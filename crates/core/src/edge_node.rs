@@ -373,7 +373,9 @@ impl EdgeReadNode {
     /// Serve `cluster`'s scan part from the replay cache — the window
     /// cached at any batch passing the LCE/staleness floors — or
     /// forward it upstream, absorbing the certified answer on the way
-    /// back.
+    /// back. A window no replica serves (outside the leaf space or wider
+    /// than one window) is dropped, as a replica drops it: forwarded, it
+    /// would hold a pending entry no answer ever clears.
     fn on_scan_query(
         &mut self,
         to: NodeId,
@@ -386,6 +388,9 @@ impl EdgeReadNode {
             return;
         };
         self.stats.scan_requests += 1;
+        if !range.is_valid_for_depth(self.verifier.params.tree_depth) {
+            return;
+        }
         let freshness_floor = self.replay_floor(ctx.now());
         let min_lce = query.min_lce();
         let cache = self.cache_for(cluster);

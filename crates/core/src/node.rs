@@ -38,6 +38,10 @@ const TOKEN_PROGRESS: u64 = 2;
 /// every scan as out-of-range, which surfaces only as client give-ups).
 pub const DEFAULT_TREE_DEPTH: u32 = 16;
 
+/// How long a follower waits for the leader to make progress before it
+/// votes to change views.
+const LEADER_TIMEOUT: SimDuration = SimDuration::from_millis(400);
+
 /// How many certified commit-feed entries a replica retains for
 /// catching up (re)subscribers. A subscriber further behind than this
 /// gets only the retained suffix; its next queries repair the gap
@@ -53,8 +57,6 @@ pub struct NodeConfig {
     pub batch_interval: SimDuration,
     /// Batch processing trigger: admitted transaction count.
     pub max_batch_size: usize,
-    /// Leader progress timeout before a view-change vote.
-    pub leader_timeout: SimDuration,
     /// §4.4.2 freshness window for batch timestamps.
     pub freshness_window: SimDuration,
     /// Merkle tree depth (2^depth buckets).
@@ -66,7 +68,6 @@ impl Default for NodeConfig {
         NodeConfig {
             batch_interval: SimDuration::from_millis(5),
             max_batch_size: 2000,
-            leader_timeout: SimDuration::from_millis(400),
             freshness_window: SimDuration::from_secs(30),
             tree_depth: DEFAULT_TREE_DEPTH,
         }
@@ -1292,7 +1293,7 @@ impl RegisterMetrics for TransEdgeNode {
 impl Actor<NetMsg> for TransEdgeNode {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
         ctx.set_timer(self.config.batch_interval, TOKEN_BATCH);
-        ctx.set_timer(self.config.leader_timeout, TOKEN_PROGRESS);
+        ctx.set_timer(LEADER_TIMEOUT, TOKEN_PROGRESS);
     }
 
     fn on_message(&mut self, from: NodeId, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
@@ -1397,7 +1398,7 @@ impl Actor<NetMsg> for TransEdgeNode {
                 }
                 self.forwarded_since_check = false;
                 self.last_progress_check = delivered;
-                ctx.set_timer(self.config.leader_timeout, TOKEN_PROGRESS);
+                ctx.set_timer(LEADER_TIMEOUT, TOKEN_PROGRESS);
             }
             _ => {}
         }

@@ -131,15 +131,13 @@ pub struct Deployment {
     pub data: Vec<(Key, Value)>,
 }
 
-/// One client of a deployment: its script plus an optional behaviour
-/// profile layered over the base `DeploymentConfig::client` — what lets
-/// a harness stagger start times or flip single-contact mode for one
-/// client only.
+/// One client of a deployment: its script plus what it does
+/// differently from the rest of the fleet — what lets a harness stagger
+/// start times or flip single-contact mode for one client only.
 #[derive(Clone)]
 pub struct ClientPlan {
     pub ops: Vec<ClientOp>,
-    /// Typed behaviour profile — the way to flip one client into
-    /// subscriber/single-contact/staggered-start mode.
+    /// The client's profile; `None` runs the default one.
     pub profile: Option<ClientProfile>,
 }
 
@@ -256,16 +254,12 @@ impl Deployment {
         for (i, plan) in clients.into_iter().enumerate() {
             let id = ClientId(i as u32);
             client_ids.push(id);
-            let client_config = match &plan.profile {
-                Some(profile) => profile.apply(&config.client),
-                None => config.client.clone(),
-            };
             let client = ClientActor::new(
                 id,
                 &config,
                 keys.clone(),
                 client_secrets[i].clone(),
-                client_config,
+                plan.profile.unwrap_or_default(),
                 plan.ops,
             );
             sim.add_actor(NodeId::Client(id), Box::new(client));

@@ -6,8 +6,8 @@
 
 use transedge_common::{ClusterId, ClusterTopology, EdgeId, Key, NodeId, SimTime};
 use transedge_core::client::ClientOp;
-use transedge_core::setup::{Deployment, DeploymentConfig};
-use transedge_core::EdgeConfig;
+use transedge_core::setup::{ClientPlan, Deployment, DeploymentConfig};
+use transedge_core::{ClientProfile, EdgeConfig};
 use transedge_obs::{CompletedTrace, SpanPhase};
 
 fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key> {
@@ -47,7 +47,6 @@ fn assert_well_formed(trace: &CompletedTrace) {
 fn single_contact_sub_queries_hang_under_the_gather_serve_span() {
     const OPS: usize = 3;
     let mut config = DeploymentConfig::for_testing();
-    config.client.single_contact = true;
     config.edge = EdgeConfig::honest(1);
     let topo = config.topo.clone();
     let mut keys = keys_on(&topo, ClusterId(0), 2);
@@ -55,7 +54,8 @@ fn single_contact_sub_queries_hang_under_the_gather_serve_span() {
     let script: Vec<ClientOp> = (0..OPS)
         .map(|_| ClientOp::ReadOnly { keys: keys.clone() })
         .collect();
-    let mut dep = Deployment::build(config, vec![script]);
+    let plan = ClientPlan::with_profile(script, ClientProfile::new().single_contact());
+    let mut dep = Deployment::build_custom(config, vec![plan]);
     dep.run_until_done(SimTime(600_000_000));
 
     let traces = dep.completed_traces();

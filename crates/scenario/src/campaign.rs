@@ -76,7 +76,6 @@ fn base_config(edge: EdgeConfig, seed: u64) -> DeploymentConfig {
             record_results: true,
             retry_after: SimDuration::from_millis(100),
             max_retries: 100,
-            ..ClientConfig::default()
         },
         latency: LatencyModel::paper_default(),
         cost: CostModel::zero(),

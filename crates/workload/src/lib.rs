@@ -30,29 +30,18 @@ mod tests {
     }
 
     #[test]
-    fn scatter_points_emit_unified_cross_partition_queries() {
-        use transedge_core::{QueryShape, ReadQuery};
+    fn scatter_points_span_their_partitions() {
         let t = topo();
         let spec = WorkloadSpec::scatter_points(t.clone(), 4, 2);
         for op in spec.generate(48, 11) {
-            let ClientOp::Query {
-                query: ReadQuery { shape, .. },
-            } = op
-            else {
-                panic!("scatter points must be unified queries, got {op:?}");
-            };
-            let QueryShape::Point { keys } = shape else {
-                panic!("point shape expected");
+            let ClientOp::ReadOnly { keys } = op else {
+                panic!("scatter points must be point reads, got {op:?}");
             };
             assert!(!keys.is_empty() && keys.len() <= 4);
             let mut clusters: Vec<_> = keys.iter().map(|k| t.partition_of(k)).collect();
             clusters.sort_unstable();
             clusters.dedup();
-            assert_eq!(clusters.len(), 2, "each query spans two partitions");
-        }
-        // The knob off keeps the classic sugar.
-        for op in WorkloadSpec::read_only(t, 4, 2).generate(16, 11) {
-            assert!(matches!(op, ClientOp::ReadOnly { .. }));
+            assert_eq!(clusters.len(), 2, "each read spans two partitions");
         }
     }
 
@@ -233,36 +222,6 @@ mod tests {
         assert!(distinct.len() < scans.len());
         // 100%-scan constructor emits nothing but scans.
         for op in WorkloadSpec::scans(t, 128).generate(32, 5) {
-            assert!(matches!(op, ClientOp::RangeScan { .. }));
-        }
-    }
-
-    #[test]
-    fn scatter_scan_mix_emits_unified_queries() {
-        use transedge_core::{QueryShape, ReadQuery};
-        let t = topo();
-        // Two partitions → every op is a unified scatter-gather query
-        // of one aligned window.
-        let spec = WorkloadSpec::scatter_scans(t.clone(), 64, 2);
-        let ops = spec.generate(64, 17);
-        assert!(!ops.is_empty());
-        for op in &ops {
-            let ClientOp::Query {
-                query: ReadQuery { shape, .. },
-            } = op
-            else {
-                panic!("scatter scans must be unified queries, got {op:?}");
-            };
-            let QueryShape::Scan { clusters, range } = shape else {
-                panic!("scan shape expected");
-            };
-            assert_eq!(clusters.len(), 2);
-            assert_eq!(range.width(), 64);
-            assert!(range.is_valid_for_depth(spec.tree_depth));
-            assert_eq!(range.first % 64, 0, "ranges are aligned");
-        }
-        // Single-partition specs keep the classic sugar.
-        for op in WorkloadSpec::scatter_scans(t, 128, 1).generate(16, 3) {
             assert!(matches!(op, ClientOp::RangeScan { .. }));
         }
     }

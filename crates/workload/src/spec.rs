@@ -4,7 +4,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use transedge_common::{ClusterId, ClusterTopology, Key, Value};
 use transedge_core::client::ClientOp;
-use transedge_core::ReadQuery;
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::ScanRange;
 
@@ -39,7 +38,11 @@ pub enum KeyDistribution {
     Zipfian { theta: f64 },
 }
 
-/// Everything needed to generate a client script.
+/// Everything needed to generate a client script. Each op has one
+/// spelling: a point read is [`ClientOp::ReadOnly`], a scan a
+/// single-partition [`ClientOp::RangeScan`] (a scan scattered over
+/// several partitions is written by hand as a `ClientOp::Query` of
+/// `ReadQuery::scatter_scan`).
 #[derive(Clone, Debug)]
 pub struct WorkloadSpec {
     pub topo: ClusterTopology,
@@ -66,19 +69,9 @@ pub struct WorkloadSpec {
     /// aligned to multiples of this width so repeated scans revisit the
     /// same windows and edge caches get reuse.
     pub scan_buckets: u64,
-    /// Partitions each scan scatters over (1 = the classic
-    /// single-partition scan; more emits unified scatter-gather
-    /// queries).
-    pub scan_clusters: usize,
     /// Merkle tree depth of the deployment the script will run against
     /// (scan windows must stay inside its `2^depth` leaf space).
     pub tree_depth: u32,
-    /// Emit read-only transactions as unified [`ReadQuery`] point
-    /// queries (`ClientOp::Query`) instead of the `ReadOnly` sugar —
-    /// what single-contact experiments
-    /// drive. Identical semantics; the typed form is what the
-    /// directory/forwarding benches measure.
-    pub unified_points: bool,
     /// Rotation applied to the zipfian rank → key mapping within each
     /// cluster pool. Two specs differing only in `hot_offset` skew the
     /// same total mass onto *different* keys — a flash crowd moving to
@@ -111,9 +104,7 @@ impl WorkloadSpec {
             distribution: KeyDistribution::Uniform,
             scan_pct: 0,
             scan_buckets: 256,
-            scan_clusters: 1,
             tree_depth: transedge_core::node::DEFAULT_TREE_DEPTH,
-            unified_points: false,
             hot_offset: 0,
         }
     }
@@ -127,19 +118,16 @@ impl WorkloadSpec {
         }
     }
 
-    /// 100% cross-partition point queries through the unified query
-    /// API: `keys` keys spread over `clusters` partitions per query,
-    /// emitted as `ClientOp::Query` — the workload the edge-tier
-    /// scatter-gather (single-contact) experiments run.
+    /// 100% cross-partition point reads: `keys` keys spread over
+    /// `clusters` partitions per read — the workload the edge-tier
+    /// scatter-gather (single-contact) experiments run. The same spec
+    /// as [`WorkloadSpec::read_only`].
     pub fn scatter_points(topo: ClusterTopology, keys: usize, clusters: usize) -> Self {
-        WorkloadSpec {
-            unified_points: true,
-            ..Self::read_only(topo, keys, clusters)
-        }
+        Self::read_only(topo, keys, clusters)
     }
 
-    /// Throughput mode: 100% *single-partition* unified point queries
-    /// of `keys` keys each. With `keys` at or above the serving tier's
+    /// Throughput mode: 100% *single-partition* point reads of `keys`
+    /// keys each. With `keys` at or above the serving tier's
     /// multiproof threshold every request is answered by one coalesced
     /// Merkle multiproof, which is what the ops/sec benches measure.
     pub fn throughput_points(topo: ClusterTopology, keys: usize) -> Self {
@@ -175,18 +163,6 @@ impl WorkloadSpec {
         WorkloadSpec {
             scan_pct: 100,
             scan_buckets,
-            ..Self::paper_default(topo)
-        }
-    }
-
-    /// 100% unified scan queries: each scatters the same
-    /// `scan_buckets`-wide window over `clusters` partitions.
-    pub fn scatter_scans(topo: ClusterTopology, scan_buckets: u64, clusters: usize) -> Self {
-        assert!(clusters >= 1 && clusters <= topo.n_clusters());
-        WorkloadSpec {
-            scan_pct: 100,
-            scan_buckets,
-            scan_clusters: clusters,
             ..Self::paper_default(topo)
         }
     }
@@ -350,39 +326,21 @@ impl WorkloadSpec {
                 keys.push(key);
             }
         }
-        if self.unified_points {
-            ClientOp::Query {
-                query: ReadQuery::point(keys),
-            }
-        } else {
-            ClientOp::ReadOnly { keys }
-        }
+        ClientOp::ReadOnly { keys }
     }
 
-    /// A verified scan: an aligned `scan_buckets`-wide window over
-    /// `scan_clusters` partitions. Alignment keeps the window
-    /// vocabulary small so repeated scans hit edge caches; the paper
-    /// has no scan workload — this drives the extension query types.
-    /// Single-partition scans use the classic [`ClientOp::RangeScan`]
-    /// sugar; scatter-gather ones become a unified [`ClientOp::Query`].
+    /// A verified scan: an aligned `scan_buckets`-wide window of one
+    /// partition. Alignment keeps the window vocabulary small so
+    /// repeated scans hit edge caches; the paper has no scan workload —
+    /// this drives the extension query type.
     fn gen_scan(&self, rng: &mut SmallRng) -> ClientOp {
-        let n = self.scan_clusters.clamp(1, self.topo.n_clusters().max(1));
-        let clusters = self.pick_clusters(rng, n);
+        let cluster = self.pick_clusters(rng, 1)[0];
         let leaves = 1u64 << self.tree_depth;
         let window = self.scan_buckets.clamp(1, leaves.min(MAX_RANGE_BUCKETS));
         let slots = (leaves / window).max(1);
         let start = rng.gen_range(0..slots) * window;
         let range = ScanRange::new(start, (start + window - 1).min(leaves - 1));
-        if clusters.len() == 1 {
-            ClientOp::RangeScan {
-                cluster: clusters[0],
-                range,
-            }
-        } else {
-            ClientOp::Query {
-                query: ReadQuery::scatter_scan(clusters, range),
-            }
-        }
+        ClientOp::RangeScan { cluster, range }
     }
 
     fn gen_local_rw(

@@ -40,7 +40,6 @@ fn main() {
     let mut config = DeploymentConfig::for_testing();
     config.latency = LatencyModel::paper_default();
     config.client.record_results = true;
-    config.client.single_contact = true;
     let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
         .per_cluster(2)
@@ -66,7 +65,9 @@ fn main() {
             query: ReadQuery::point(cross.clone()),
         })
         .collect();
-    let late = ClientProfile::new().start_delay(SimDuration::from_millis(500));
+    let late = ClientProfile::new()
+        .single_contact()
+        .start_delay(SimDuration::from_millis(500));
     let mut dep = Deployment::build_custom(
         config,
         vec![

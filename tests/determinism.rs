@@ -105,7 +105,6 @@ fn leader_crash_once() -> Fingerprint {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.latency.jitter_frac = 0.9;
-    config.node.leader_timeout = SimDuration::from_millis(100);
     config.client.retry_after = SimDuration::from_millis(250);
     config.client.max_retries = 100;
     let keys = keys_on(&config.topo, ClusterId(0), 16);
@@ -140,7 +139,6 @@ fn two_pc_leader_crash_once() -> Fingerprint {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.latency.jitter_frac = 0.9;
-    config.node.leader_timeout = SimDuration::from_millis(100);
     config.client.retry_after = SimDuration::from_millis(250);
     config.client.max_retries = 100;
     let zero = keys_on(&config.topo, ClusterId(0), 16);

@@ -81,7 +81,6 @@ fn read_only_path_survives_crashed_leader() {
     // read path); the cluster elects a new leader for writes.
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
-    config.node.leader_timeout = transedge::common::SimDuration::from_millis(150);
     config.client.retry_after = transedge::common::SimDuration::from_millis(200);
     let topo = config.topo.clone();
     let k0 = keys_on(&topo, ClusterId(0), 2);
@@ -113,7 +112,6 @@ fn progress_resumes_after_leader_crash_mid_stream() {
     // the remaining transactions commit under the new leader.
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
-    config.node.leader_timeout = transedge::common::SimDuration::from_millis(100);
     config.client.retry_after = transedge::common::SimDuration::from_millis(250);
     config.client.max_retries = 100;
     let topo = config.topo.clone();

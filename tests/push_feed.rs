@@ -369,7 +369,6 @@ fn tampered_feed_delta_is_rejected_and_demotes_fleet_wide() {
         .gossip_directory(SimDuration::from_millis(20))
         .build()
         .expect("edge config");
-    config.client.subscribe = true;
     let topo = config.topo.clone();
     let c0 = ClusterId(0);
     let k0 = keys_on(&topo, c0, 8);
@@ -390,12 +389,13 @@ fn tampered_feed_delta_is_rejected_and_demotes_fleet_wide() {
     };
     // Client B starts after A's evidence had many gossip rounds to
     // spread across the fleet.
-    let late = ClientProfile::new().start_delay(SimDuration::from_millis(700));
+    let subscriber = ClientProfile::new().subscriber();
+    let late = subscriber.start_delay(SimDuration::from_millis(700));
     let mut dep = Deployment::build_custom(
         config,
         vec![
             ClientPlan::ops(writer),
-            ClientPlan::ops(reads(150)),
+            ClientPlan::with_profile(reads(150), subscriber),
             ClientPlan::with_profile(reads(15), late),
         ],
     );

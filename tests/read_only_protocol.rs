@@ -22,6 +22,62 @@ fn keys_on(topo: &ClusterTopology, cluster: ClusterId, count: usize) -> Vec<Key>
         .collect()
 }
 
+/// A deployment of one single-contact client running `ops`.
+fn single_contact_deployment(config: DeploymentConfig, ops: Vec<ClientOp>) -> Deployment {
+    let profile = ClientProfile::new().single_contact();
+    Deployment::build_custom(config, vec![ClientPlan::with_profile(ops, profile)])
+}
+
+/// `ReadOnly { keys }` is sugar for `Query { query:
+/// ReadQuery::point(keys) }`: on one deployment and seed, a script in
+/// either spelling runs one timeline — the same samples, the same
+/// verified results and the same traffic.
+#[test]
+fn a_point_read_runs_one_timeline_in_either_spelling() {
+    let run = |spell: fn(Vec<Key>) -> ClientOp| {
+        let mut config = DeploymentConfig::for_testing();
+        config.latency = transedge::simnet::LatencyModel::paper_default();
+        config.client.record_results = true;
+        config.edge = EdgeConfig::honest(1);
+        let topo = config.topo.clone();
+        let k0 = keys_on(&topo, ClusterId(0), 4);
+        let k1 = keys_on(&topo, ClusterId(1), 4);
+        let writer = (0..10)
+            .map(|i| ClientOp::ReadWrite {
+                reads: vec![],
+                writes: vec![
+                    (k0[i % 4].clone(), Value::from("w")),
+                    (k1[i % 4].clone(), Value::from("w")),
+                ],
+            })
+            .collect();
+        let reader = (0..20)
+            .map(|i| spell(vec![k0[i % 4].clone(), k1[(i + 1) % 4].clone()]))
+            .collect();
+        let mut dep = Deployment::build(config, vec![writer, reader]);
+        dep.run_until_done(SimTime(600_000_000));
+        let results = &dep.client(dep.client_ids[1]).query_results;
+        assert_eq!(results.len(), 20);
+        let net = dep.sim.stats();
+        (
+            format!("{:?}", dep.samples()),
+            format!("{results:?}"),
+            (
+                net.messages_sent,
+                net.messages_delivered,
+                net.messages_dropped,
+                net.bytes_sent,
+                net.per_kind.clone(),
+            ),
+        )
+    };
+    let sugar = run(|keys| ClientOp::ReadOnly { keys });
+    let spelled = run(|keys| ClientOp::Query {
+        query: ReadQuery::point(keys),
+    });
+    assert_eq!(sugar, spelled);
+}
+
 /// Round 2 actually triggers under concurrent cross-partition commits,
 /// and never needs a third round in this workload; results stay
 /// verified.
@@ -1167,6 +1223,43 @@ fn a_replica_drops_a_scan_wider_than_a_window() {
     assert_eq!(node.parked_reads(), 0);
 }
 
+/// The edge's guard on the same input: windows wider than the protocol
+/// allows or outside the leaf space are dropped before the cache and
+/// before any forward, so they leave no pending upstream entry behind
+/// and never reach a replica.
+#[test]
+fn an_edge_drops_a_scan_no_replica_serves() {
+    let mut config = DeploymentConfig::for_testing();
+    config.edge = EdgeConfig::honest(1);
+    let leaves = 1u64 << config.node.tree_depth;
+    let topo = config.topo.clone();
+    let mut dep = Deployment::build(config, vec![]);
+    let edge = EdgeId::new(ClusterId(0), 0);
+    let outsider = NodeId::Client(transedge::common::ClientId(77));
+    let wide = ScanRange::new(0, 5000);
+    assert!(wide.width() > MAX_RANGE_BUCKETS);
+    let past_the_leaves = ScanRange::new(leaves, leaves + 63);
+    let ranges = std::iter::repeat_n(wide, 5).chain([past_the_leaves]);
+    for (req, range) in ranges.enumerate() {
+        let query = ReadQuery::scan(ClusterId(0), range);
+        dep.sim.inject(
+            outsider,
+            NodeId::Edge(edge),
+            NetMsg::Read {
+                req: req as u64,
+                query,
+            },
+        );
+    }
+    dep.run_until(SimTime(10_000_000));
+    let node = dep.edge_node(edge);
+    assert_eq!(node.pending_upstream(), 0);
+    assert_eq!(node.stats.scans_forwarded, 0);
+    for replica in topo.all_replicas() {
+        assert_eq!(dep.node(replica).stats.rot_scans_rejected, 0, "{replica}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // The unified ReadQuery protocol: scatter-gather scans under a
 // snapshot-policy floor, through untrusted edges.
@@ -1644,7 +1737,6 @@ fn two_partition_query_served_through_single_edge_contact() {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
-    config.client.single_contact = true;
     config.edge = EdgeConfig::builder()
         .per_cluster(1)
         .gossip_directory(SimDuration::from_millis(20))
@@ -1659,7 +1751,7 @@ fn two_partition_query_served_through_single_edge_contact() {
             query: ReadQuery::point(keys.clone()),
         })
         .collect();
-    let mut dep = Deployment::build(config, vec![ops]);
+    let mut dep = single_contact_deployment(config, ops);
     // The first query is cold (the contact forwards both parts); when
     // it completes the second is already on the wire.
     run_until_results(&mut dep, 1);
@@ -1742,7 +1834,6 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
     let mut config = DeploymentConfig::for_testing();
     config.latency = transedge::simnet::LatencyModel::paper_default();
     config.client.record_results = true;
-    config.client.single_contact = true;
     // The contact: the best edge of the first partition in sort order.
     let byz = EdgeId::new(ClusterId(0), 0);
     config.edge = EdgeConfig::builder()
@@ -1759,7 +1850,7 @@ fn tampered_forwarded_section_is_rejected_at_the_client() {
             query: ReadQuery::point(keys.clone()),
         })
         .collect();
-    let mut dep = Deployment::build(config, vec![ops]);
+    let mut dep = single_contact_deployment(config, ops);
     liar::install(&mut dep, NodeId::Edge(byz), Lie::TamperValue);
 
     // The first query goes whole to the lying contact, which fetches
@@ -1820,7 +1911,6 @@ fn cold_gather_asks_each_partitions_replicas_with_or_without_a_directory() {
         let mut config = DeploymentConfig::for_testing();
         config.latency = transedge::simnet::LatencyModel::paper_default();
         config.client.record_results = true;
-        config.client.single_contact = true;
         let mut edge = EdgeConfig::builder().per_cluster(1);
         if directory {
             edge = edge.gossip_directory(SimDuration::from_millis(20));
@@ -1834,7 +1924,7 @@ fn cold_gather_asks_each_partitions_replicas_with_or_without_a_directory() {
                 query: ReadQuery::point(keys.clone()),
             })
             .collect();
-        let mut dep = Deployment::build(config, vec![ops]);
+        let mut dep = single_contact_deployment(config, ops);
         dep.run_until_done(SimTime(600_000_000));
 
         let client = dep.client(dep.client_ids[0]);
@@ -1881,7 +1971,6 @@ fn single_contact_works_without_a_directory() {
 
     let mut config = DeploymentConfig::for_testing();
     config.client.record_results = true;
-    config.client.single_contact = true;
     config.edge = EdgeConfig::honest(1);
     let topo = config.topo.clone();
     let mut keys = keys_on(&topo, ClusterId(0), 2);
@@ -1891,7 +1980,7 @@ fn single_contact_works_without_a_directory() {
             query: ReadQuery::point(keys.clone()),
         })
         .collect();
-    let mut dep = Deployment::build(config, vec![ops]);
+    let mut dep = single_contact_deployment(config, ops);
     dep.run_until_done(SimTime(600_000_000));
 
     let client = dep.client(dep.client_ids[0]);
@@ -1964,7 +2053,6 @@ fn answers_no_part_is_waiting_for_are_dropped_unread() {
         let mut config = DeploymentConfig::for_testing();
         config.topo = ClusterTopology::new(3, 1).expect("topology");
         config.client.record_results = true;
-        config.client.single_contact = true;
         config.edge = EdgeConfig::honest(1);
         let topo = config.topo.clone();
         let k0 = keys_on(&topo, ClusterId(0), 1);
@@ -1978,7 +2066,7 @@ fn answers_no_part_is_waiting_for_are_dropped_unread() {
         // whose partition-0 part is a cache hit at the contact while
         // its partition-1 part is still upstream.
         let ops = vec![point(k0.clone()), point(k2), point([k0, k1].concat())];
-        let mut dep = Deployment::build(config, vec![ops]);
+        let mut dep = single_contact_deployment(config, ops);
         run_until_results(&mut dep, 2);
 
         let contact = EdgeId::new(ClusterId(0), 0);
@@ -2059,7 +2147,6 @@ fn crashed_contact_is_resent_around_and_demoted() {
 
     let mut config = DeploymentConfig::for_testing();
     config.client.record_results = true;
-    config.client.single_contact = true;
     config.edge = EdgeConfig::honest(1);
     let threshold = u64::from(transedge::core::edge_select::FAILURE_THRESHOLD);
     let topo = config.topo.clone();
@@ -2070,7 +2157,7 @@ fn crashed_contact_is_resent_around_and_demoted() {
             query: ReadQuery::point(keys.clone()),
         })
         .collect();
-    let mut dep = Deployment::build(config, vec![ops]);
+    let mut dep = single_contact_deployment(config, ops);
     let contact = NodeId::Edge(EdgeId::new(ClusterId(0), 0));
     dep.sim.crash_node(contact);
     dep.run_until_done(SimTime(600_000_000));
@@ -2286,7 +2373,6 @@ fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
         let mut config = DeploymentConfig::for_testing();
         config.topo = ClusterTopology::new(3, 1).expect("topology");
         config.client.record_results = true;
-        config.client.single_contact = true;
         config.edge = EdgeConfig::honest(1);
         let topo = config.topo.clone();
         let [k0, k1, k2] = [0, 1, 2].map(|c| keys_on(&topo, ClusterId(c), 2));
@@ -2302,7 +2388,7 @@ fn held_answers_naming_an_anchor_not_held_are_dropped_unread() {
             point(vec![k1[0].clone()]),
             point(vec![k0[1].clone(), k1[1].clone(), k2[0].clone()]),
         ];
-        let mut dep = Deployment::build(config, vec![ops]);
+        let mut dep = single_contact_deployment(config, ops);
         run_until_results(&mut dep, 2);
 
         let contact = EdgeId::new(ClusterId(0), 0);

@@ -7,9 +7,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-use transedge::common::{SimDuration, SimTime};
+use transedge::common::{ClusterId, SimDuration, SimTime};
+use transedge::core::client::ClientOp;
 use transedge::core::setup::{ClientPlan, Deployment, DeploymentConfig};
-use transedge::core::{CacheConfig, ClientProfile, EdgeConfig};
+use transedge::core::{CacheConfig, ClientProfile, EdgeConfig, ReadQuery};
 use transedge::scenario::campaign::{self, CampaignOutcome, MAX_DEMOTION_ROUNDS};
 use transedge::workload::WorkloadSpec;
 
@@ -129,10 +130,18 @@ fn mixed_feed_and_scan_counters() -> BTreeMap<String, u64> {
     spec.n_keys = config.n_keys;
     spec.value_size = config.value_size;
     spec.scan_pct = 20;
-    spec.scan_clusters = 2;
+    // Each generated window is scanned on its partition and the next.
+    let n = config.topo.n_clusters() as u16;
+    let scatter = |op| match op {
+        ClientOp::RangeScan { cluster, range } => ClientOp::Query {
+            query: ReadQuery::scatter_scan(vec![cluster, ClusterId((cluster.0 + 1) % n)], range),
+        },
+        op => op,
+    };
     let plans = spec
         .generate_fleet(4, 40, 4205)
         .into_iter()
+        .map(|ops| ops.into_iter().map(scatter).collect())
         .enumerate()
         .map(|(client, ops)| match client {
             0 | 2 => ClientPlan::with_profile(ops, ClientProfile::new().subscriber()),
@@ -153,12 +162,9 @@ const NEVER_MOVED: &[(&str, &str)] = &[
     // Liveness: with 100 (campaigns) or 20 (mixed) retries every op
     // finishes; no test anywhere drives a client to give up.
     ("client.gave_up", "every op completes"),
-    // Theorem 4.6; the benchmark's mixed-rw and feed-churn do move it
-    // (ROADMAP `[third-round]`), these five runs do not.
-    ("client.third_round_needed", "[third-round]"),
-    // No run here reaches a third round, so no round-two answer has a
-    // dependency to chase (the benchmark's mixed-rw does;
-    // tests/read_only_protocol.rs asserts chases there).
+    // No replica here chases a dependency, though the mixed run takes
+    // one third round (ROADMAP `[third-round]`); the benchmark's
+    // mixed-rw chases, and tests/read_only_protocol.rs asserts chases.
     ("client.chase_waits", "[third-round]"),
     ("client.chase_early", "[third-round]"),
     ("client.chase_dropped", "[third-round]"),
