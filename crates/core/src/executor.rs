@@ -949,21 +949,28 @@ mod tests {
     fn rot_serving_with_proofs() {
         use transedge_crypto::merkle::Verified;
         use transedge_crypto::verify_multi_proof;
-        use transedge_edge::multi_snapshot;
+        use transedge_edge::{multi_snapshot, SnapshotSource as _};
+        // A served body leaves out the entry of each value it carries;
+        // the tree's own multiproof still holds it.
         let mut exec = single_cluster_exec();
         let b0 = exec.seal_batch(vec![local_txn(1, &[(1, "a")])], vec![], &[], SimTime(0));
         exec.apply_batch(&b0);
         let b1 = exec.seal_batch(vec![local_txn(2, &[(1, "b")])], vec![], &[], SimTime(0));
         exec.apply_batch(&b1);
         // Serve at batch 0: old value with a valid proof against root 0.
-        let body = multi_snapshot(&exec, &[Key::from_u32(1)], BatchNum(0));
+        let keys = [Key::from_u32(1)];
+        let body = multi_snapshot(&exec, &keys, BatchNum(0));
         assert_eq!(body.values(), [Some(Value::from("a"))]);
-        let got = verify_multi_proof(&b0.header.merkle_root, 8, body.keys(), body.proof()).unwrap();
+        assert!(body.proof().buckets.iter().all(|b| b.entries.is_empty()));
+        let proof = exec.prove_multi(&keys, BatchNum(0));
+        let got = verify_multi_proof(&b0.header.merkle_root, 8, &keys, &proof).unwrap();
         assert_eq!(got, [Verified::Present(value_digest(&Value::from("a")))]);
         // Serve at batch 1: new value against root 1.
-        let body = multi_snapshot(&exec, &[Key::from_u32(1)], BatchNum(1));
+        let body = multi_snapshot(&exec, &keys, BatchNum(1));
         assert_eq!(body.values(), [Some(Value::from("b"))]);
-        assert!(verify_multi_proof(&b1.header.merkle_root, 8, body.keys(), body.proof()).is_ok());
+        let proof = exec.prove_multi(&keys, BatchNum(1));
+        let got = verify_multi_proof(&b1.header.merkle_root, 8, &keys, &proof).unwrap();
+        assert_eq!(got, [Verified::Present(value_digest(&Value::from("b")))]);
     }
 
     #[test]

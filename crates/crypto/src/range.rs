@@ -121,6 +121,11 @@ impl Decode for ScanRange {
 /// *all* `width` leaves (absent buckets hash as empty), so the proof
 /// pins the committed row set exactly — nothing in the window can be
 /// hidden, added, or moved without breaking the root.
+///
+/// Every entry is a row's `(sha256(key), value_digest(value))`, so a
+/// reader sent the rows needs only `left` and `right`: the edge's scan
+/// window ships those and the rows, and its verifier rebuilds
+/// `occupied` from the rows before calling [`verify_range_proof`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RangeProof {
     /// `(bucket index, sorted entries)` for every non-empty bucket in
@@ -131,19 +136,6 @@ pub struct RangeProof {
     pub left: Vec<Digest>,
     /// Right-boundary siblings, bottom-up, for even right edges.
     pub right: Vec<Digest>,
-}
-
-impl RangeProof {
-    /// Size in bytes when wire-encoded — used by the simulator's
-    /// message-size-aware latency model.
-    pub fn encoded_len(&self) -> usize {
-        12 + self
-            .occupied
-            .iter()
-            .map(|(_, entries)| 12 + entries.len() * 64)
-            .sum::<usize>()
-            + (self.left.len() + self.right.len()) * 32
-    }
 }
 
 impl Encode for RangeProof {
@@ -493,8 +485,5 @@ mod tests {
         let range = ScanRange::new(2, 13);
         roundtrip(&range);
         roundtrip(&t.prove_range(&range, 0));
-        // encoded_len is exact for the encoder above.
-        let p = t.prove_range(&range, 0);
-        assert_eq!(p.encoded_len(), p.encode_to_vec().len());
     }
 }

@@ -26,7 +26,7 @@ use transedge_common::{ClusterId, EdgeId, Encode as _, Key, NodeId, SimTime, Wir
 use transedge_crypto::{sha256, Digest, KeyStore, Keypair, Sha256, Signature};
 use transedge_edge::{
     Anchor, Body, CertifiedDelta, CommittedHeader, QueryShape, ReadQuery, ReadRejection,
-    ReadResponse, ReadVerifier, ScanProof, SnapshotPolicy,
+    ReadResponse, ReadVerifier, SnapshotPolicy,
 };
 
 /// Is this rejection class *cryptographic* — does producing it require
@@ -42,32 +42,10 @@ pub fn is_cryptographic(rejection: &ReadRejection) -> bool {
         ReadRejection::BadCertificate
             | ReadRejection::BadProof
             | ReadRejection::ValueMismatch(_)
-            | ReadRejection::PhantomValue(_)
             | ReadRejection::BadRangeProof
-            | ReadRejection::IncompleteScan { .. }
-            | ReadRejection::ScanRowMismatch(_)
             | ReadRejection::BadDelta
             | ReadRejection::FeedSpliced { .. }
     )
-}
-
-fn hash_scan(h: &mut Sha256, scan: &ScanProof) {
-    h.update(&scan.range.first.to_le_bytes());
-    h.update(&scan.range.last.to_le_bytes());
-    for (key, value) in &scan.rows {
-        h.update(key.as_bytes());
-        h.update(value.as_bytes());
-    }
-    for (idx, entries) in &scan.proof.occupied {
-        h.update(&idx.to_le_bytes());
-        for entry in entries {
-            h.update(&entry.key_hash.0);
-            h.update(&entry.value_hash.0);
-        }
-    }
-    for sibling in scan.proof.left.iter().chain(scan.proof.right.iter()) {
-        h.update(&sibling.0);
-    }
 }
 
 /// Hash a freshness feed: each delta's certified digest, certificate,
@@ -107,8 +85,9 @@ fn hash_anchor(
 /// certificates, rows, window bounds, freshness feeds — changes it, so
 /// the witness's signature over the fingerprint pins the evidence to
 /// *this* response: a relay cannot swap in a different payload under
-/// the signature. A point body is hashed as its wire image, which
-/// covers keys, value slots and the multiproof byte for byte. A held
+/// the signature. A point body and a scan window are each hashed as
+/// their wire image, which covers keys, value slots or rows, and the
+/// proof, byte for byte. A held
 /// answer is fingerprinted by its reference — an honest witness files
 /// the full answer it rebuilt, and a held one never verifies as
 /// cryptographic evidence.
@@ -132,7 +111,7 @@ pub fn response_fingerprint(response: &ReadResponse) -> Digest {
         }
         Body::Scan(scan) => {
             h.update(b"scan");
-            hash_scan(&mut h, scan);
+            h.update(&scan.encode_to_vec());
         }
     }
     h.finalize()

@@ -128,7 +128,7 @@ impl World {
             values[0] = Some(Value::from("forged-by-edge"));
         }
         let proof = self.tree.prove_multi(keys, self.base.header.num.0);
-        let body = MultiProofBody::new(keys.to_vec(), values, proof);
+        let body = MultiProofBody::stripped(keys.to_vec(), values, proof);
         ReadResponse::full(self.base.clone(), self.cert.clone(), body)
     }
 

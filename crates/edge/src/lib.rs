@@ -20,11 +20,13 @@
 //! key included) with one deduplicated Merkle multiproof. A replica
 //! answers with a body for exactly the keys asked; an edge replays the
 //! cached body admitted for exactly those, or forwards the question
-//! whole. A **scan** body is a [`ScanProof`]: a Merkle *range* proof
+//! whole. A **scan** body is a [`ScanProof`]: the window's rows and the
+//! boundary siblings of a Merkle *range* proof
 //! (`transedge_crypto::range`), so the verifier can also check
 //! **completeness** — an untrusted node cannot omit a row inside a
-//! scanned window undetected. One answer shape is what the wire
-//! carries and what the caches hold.
+//! scanned window undetected. Neither body carries a bucket entry the
+//! verifier can recompute from a key and value it was sent. One answer
+//! shape is what the wire carries and what the caches hold.
 //!
 //! * [`pipeline`] — the serving side. [`pipeline::SnapshotSource`]
 //!   abstracts a replica's multi-version store + versioned Merkle tree;

@@ -37,25 +37,25 @@ pub trait SnapshotSource {
 }
 
 /// Assemble a proof-carrying range scan for `range` at `batch`,
-/// straight from the source (no caching). The single implementation of
-/// scan serving; the cached pipeline funnels through it.
+/// straight from the source (no caching): the window's rows and its
+/// range proof's boundary siblings, the bucket entries the verifier
+/// rebuilds from the rows dropped. The single implementation of scan
+/// serving; the cached pipeline funnels through it.
 pub fn scan_snapshot<S: SnapshotSource + ?Sized>(
     src: &S,
     range: &ScanRange,
     batch: BatchNum,
 ) -> ScanProof {
-    ScanProof {
-        range: *range,
-        rows: src.rows_at(range, batch),
-        proof: src.prove_range(range, batch),
-    }
+    let proof = src.prove_range(range, batch);
+    ScanProof::stripped(*range, src.rows_at(range, batch), proof)
 }
 
 /// Build the section body for `keys` at `batch`, straight from the
 /// source (no caching): the keys are sorted and deduplicated, their
 /// values read at the cut, and **one** multiproof generated for the
-/// whole set. The single implementation of point serving; the cached
-/// pipeline funnels through it.
+/// whole set, less the entries the verifier recomputes from the values
+/// ([`MultiProofBody::stripped`]). The single implementation of point
+/// serving; the cached pipeline funnels through it.
 pub fn multi_snapshot<S: SnapshotSource + ?Sized>(
     src: &S,
     keys: &[Key],
@@ -78,7 +78,7 @@ fn prove_sorted<S: SnapshotSource + ?Sized>(
 ) -> MultiProofBody {
     let values = sorted.iter().map(|k| src.value_at(k, batch)).collect();
     let proof = src.prove_multi(&sorted, batch);
-    MultiProofBody::new(sorted, values, proof)
+    MultiProofBody::stripped(sorted, values, proof)
 }
 
 /// The serving pipeline a replica (or any node with a
@@ -193,9 +193,19 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use crate::store::VersionedStore;
-    use transedge_common::Encode as _;
-    use transedge_crypto::merkle::{value_digest, Verified};
-    use transedge_crypto::{verify_multi_proof, VersionedMerkleTree};
+    use crate::verifier::{ReadVerifier, VerifyParams};
+    use transedge_common::{Encode as _, SimDuration};
+    use transedge_crypto::merkle::value_digest;
+    use transedge_crypto::VersionedMerkleTree;
+
+    /// The client's checker for this source's depth-8 tree.
+    fn verifier() -> ReadVerifier {
+        ReadVerifier::new(VerifyParams {
+            tree_depth: 8,
+            freshness_window: SimDuration::from_secs(30),
+            quorum: 1,
+        })
+    }
 
     /// A real store+tree source, with a probe counting proof requests.
     struct TestSource {
@@ -268,24 +278,24 @@ mod tests {
             let body = multi_snapshot(&src, &asked, BatchNum(batch));
             assert_eq!(body.keys().len(), 3);
             assert!(body.keys().windows(2).all(|w| w[0] < w[1]));
-            let verdicts =
-                verify_multi_proof(&src.tree.root_at(batch), 8, body.keys(), body.proof()).unwrap();
+            let root = src.tree.root_at(batch);
+            let values = verifier().prove_section(&root, &body, body.keys()).unwrap();
             // Key 1: overwritten in batch 1.
             let want1 = Value::from(if batch == 0 { "a" } else { "a2" });
             let i1 = body.keys().binary_search(&Key::from_u32(1)).unwrap();
-            assert_eq!(body.values()[i1], Some(want1.clone()));
-            assert_eq!(verdicts[i1], Verified::Present(value_digest(&want1)));
+            assert_eq!(values[i1], (Key::from_u32(1), Some(want1)));
             // Key 9: absent, with a verifying non-inclusion proof.
             let i9 = body.keys().binary_search(&Key::from_u32(9)).unwrap();
-            assert_eq!(body.values()[i9], None);
-            assert_eq!(verdicts[i9], Verified::Absent);
+            assert_eq!(values[i9], (Key::from_u32(9), None));
+            // Every committed key is carried with its value, so no
+            // bucket entry travels.
+            assert!(body.proof().buckets.iter().all(|b| b.entries.is_empty()));
             assert_eq!(body.encoded_len(), body.encode_to_vec().len());
         }
     }
 
     #[test]
     fn serve_scan_memoises_per_range_and_batch() {
-        use transedge_crypto::verify_range_proof;
         let src = TestSource::with_batches(&[&[(1, "a"), (2, "b"), (3, "c")], &[(2, "b2")]]);
         let mut pipeline = ReadPipeline::new(1024);
         let range = ScanRange::new(0, 255);
@@ -296,9 +306,9 @@ mod tests {
             .rows
             .iter()
             .any(|(k, v)| k == &Key::from_u32(2) && v == &Value::from("b2")));
-        // Rows and proof agree and verify against the batch-1 root.
-        let entries = verify_range_proof(&src.tree.root_at(1), 8, &range, &cold.proof).unwrap();
-        assert_eq!(entries.len(), cold.rows.len());
+        // Rows and siblings verify against the batch-1 root.
+        let rows = verifier().prove_scan(&src.tree.root_at(1), &cold, &range);
+        assert_eq!(rows.unwrap(), cold.rows);
         // Warm pass: no new proof generation, same answer.
         let warm = pipeline.serve_scan(&src, &range, BatchNum(1));
         assert_eq!(

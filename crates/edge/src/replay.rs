@@ -113,20 +113,6 @@ impl ReplayCache {
                 self.stats.admitted += 1;
             }
             Body::Scan(scan) => {
-                // The window is unverified upstream input. One whose row
-                // count disagrees with what its own proof commits to
-                // would fail every client's rows-versus-entries count
-                // check on replay, and the mismatch is detectable
-                // locally — do not cache it.
-                let proven_rows: usize = scan
-                    .proof
-                    .occupied
-                    .iter()
-                    .map(|(_, entries)| entries.len())
-                    .sum();
-                if scan.rows.len() != proven_rows {
-                    return;
-                }
                 self.scans.insert((scan.range, batch), (**scan).clone());
                 self.stats.scans_admitted += 1;
             }

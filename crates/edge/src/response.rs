@@ -8,7 +8,8 @@ use transedge_common::{
     BatchNum, ClusterId, Decode, Encode, Epoch, Key, Result, SimTime, Value, WireReader, WireWriter,
 };
 use transedge_consensus::Certificate;
-use transedge_crypto::{Digest, MultiProof, RangeProof, ScanRange, Sha256};
+use transedge_crypto::merkle::{value_digest, BucketEntry};
+use transedge_crypto::{sha256, Digest, MultiProof, RangeProof, ScanRange, Sha256};
 
 /// Domain-separated digest over a batch's changed key set (sorted,
 /// deduplicated). A [`BatchHeader`] certifies it as its `delta_digest`:
@@ -253,6 +254,13 @@ impl CertifiedDelta {
 /// against the snapshot root at once. A one-key body is the classic
 /// single inclusion proof.
 ///
+/// The multiproof ships without the bucket entry of any key the body
+/// carries a value for: that entry is `(sha256(key),
+/// value_digest(value))`, which the verifier recomputes from the key
+/// and value it was sent and puts back into the key's bucket before
+/// folding. A proven-absent key has no entry to drop, and the entries
+/// of keys the body does not prove (bucket neighbours) still travel.
+///
 /// A body is immutable once built: its parts are reachable only through
 /// accessors, and the canonical wire image that content addresses and
 /// evidence fingerprints hash is encoded from those same parts on
@@ -280,9 +288,64 @@ impl Encode for MultiProofBody {
 }
 
 impl MultiProofBody {
-    /// Build a body with one value slot per key. Honest builders pass
-    /// `keys` sorted and deduplicated; the verifier rejects anything
-    /// else.
+    /// The body a prover ships for `keys`, `values` and the multiproof
+    /// its tree made over `keys`: each carried value's own bucket entry
+    /// is dropped from the proof. Honest provers pass `keys` sorted and
+    /// deduplicated; the verifier rejects anything else.
+    pub fn stripped(keys: Vec<Key>, values: Vec<Option<Value>>, mut proof: MultiProof) -> Self {
+        let mut carried: Vec<Digest> = keys
+            .iter()
+            .zip(&values)
+            .filter(|(_, value)| value.is_some())
+            .map(|(key, _)| sha256(key.as_bytes()))
+            .collect();
+        carried.sort_unstable();
+        for bucket in &mut proof.buckets {
+            bucket
+                .entries
+                .retain(|e| carried.binary_search(&e.key_hash).is_err());
+        }
+        MultiProofBody::new(keys, values, proof)
+    }
+
+    /// The multiproof this body was stripped from: each carried value's
+    /// entry `(sha256(key), value_digest(value))` back in its key's
+    /// bucket at its sorted place, for the verifier to fold. `None` when
+    /// a bucket the keys need is not carried, or already ships a carried
+    /// key's own entry (a second encoding of one proof). The verifier's
+    /// half of [`MultiProofBody::stripped`].
+    pub fn restored(&self, depth: u32) -> Option<MultiProof> {
+        // In key-hash order the keys come bucket by bucket, and the n-th
+        // run of one bucket is the proof's n-th carried bucket.
+        let hashed = self.keys().iter().map(|k| sha256(k.as_bytes()));
+        let mut keys: Vec<(Digest, &Option<Value>)> = hashed.zip(self.values()).collect();
+        keys.sort_unstable_by_key(|(key_hash, _)| *key_hash);
+        let bucket = |(key_hash, _): &(Digest, _)| ScanRange::bucket_of_hash(key_hash, depth);
+        let mut proof = self.proof().clone();
+        for (slot, run) in keys.chunk_by(|a, b| bucket(a) == bucket(b)).enumerate() {
+            let entries = &mut proof.buckets.get_mut(slot)?.entries;
+            for (key_hash, value) in run {
+                let Some(value) = value else { continue };
+                let at = entries
+                    .binary_search_by(|e| e.key_hash.cmp(key_hash))
+                    .err()?;
+                let (key_hash, value_hash) = (*key_hash, value_digest(value));
+                entries.insert(
+                    at,
+                    BucketEntry {
+                        key_hash,
+                        value_hash,
+                    },
+                );
+            }
+        }
+        Some(proof)
+    }
+
+    /// A body from the parts it travels as, one value slot per key:
+    /// `proof` is taken as shipped, carried values' entries already
+    /// dropped ([`MultiProofBody::stripped`] builds it from a tree's
+    /// proof).
     pub fn new(keys: Vec<Key>, values: Vec<Option<Value>>, proof: MultiProof) -> Self {
         assert_eq!(keys.len(), values.len(), "one value slot per key");
         MultiProofBody {
@@ -304,7 +367,8 @@ impl MultiProofBody {
         &self.parts.values
     }
 
-    /// The one multiproof covering every key in [`Self::keys`].
+    /// The one multiproof covering every key in [`Self::keys`], less
+    /// the entries of the values the body carries.
     pub fn proof(&self) -> &MultiProof {
         &self.parts.proof
     }
@@ -335,31 +399,81 @@ impl MultiProofBody {
 }
 
 /// A proof-carrying range scan: every committed row of a contiguous
-/// tree-order window, plus the Merkle range proof that makes the set
-/// *complete* — an untrusted server cannot omit a row in `range`
-/// without breaking the proof against the certified root. `range` is
-/// the window actually proven, which the verifier requires to be the
-/// window the client requested.
+/// tree-order window, plus the boundary siblings that fold the window
+/// up to the certified root. It carries nothing the verifier can
+/// compute: the window's occupied buckets, and every entry in them, are
+/// recomputed from the rows (`(sha256(key), value_digest(value))`,
+/// grouped by bucket), so the rows themselves are what the fold
+/// authenticates — an untrusted server cannot omit, add, alter or
+/// reorder a row in `range` without missing the root. `range` is the
+/// window actually proven, which the verifier requires to be the window
+/// the client requested.
 #[derive(Clone, Debug)]
 pub struct ScanProof {
     /// The proven window, in tree order (bucket indices).
     pub range: ScanRange,
     /// Every committed `(key, value)` in the window at the snapshot
-    /// batch, ascending in tree order — one row per proof entry.
+    /// batch, strictly ascending by key hash (tree order): one encoding
+    /// verifies.
     pub rows: Vec<(Key, Value)>,
-    /// Completeness proof binding `rows` to the certified root.
-    pub proof: RangeProof,
+    /// Left-boundary siblings, bottom-up ([`RangeProof::left`]).
+    pub left: Vec<Digest>,
+    /// Right-boundary siblings, bottom-up ([`RangeProof::right`]).
+    pub right: Vec<Digest>,
+}
+
+impl Encode for ScanProof {
+    fn encode(&self, w: &mut WireWriter) {
+        self.range.encode(w);
+        w.put_seq(&self.rows);
+        w.put_seq(&self.left);
+        w.put_seq(&self.right);
+    }
 }
 
 impl ScanProof {
-    /// Wire-size estimate for the simulator's bandwidth model.
+    /// The window a prover ships for `rows` under its tree's range
+    /// `proof`: the boundary siblings only, the occupied buckets left
+    /// for the verifier to rebuild from the rows.
+    pub fn stripped(range: ScanRange, rows: Vec<(Key, Value)>, proof: RangeProof) -> Self {
+        ScanProof {
+            range,
+            rows,
+            left: proof.left,
+            right: proof.right,
+        }
+    }
+
+    /// The range proof this window was stripped from: its occupied
+    /// buckets rebuilt from the rows, each row's entry `(sha256(key),
+    /// value_digest(value))` in the bucket its key hash names, bucket
+    /// by bucket in the order sent, beside the shipped siblings. Rows
+    /// out of strict key-hash order repeat a bucket or unsort one,
+    /// which the range proof's verifier rejects. The verifier's half of
+    /// [`ScanProof::stripped`].
+    pub(crate) fn range_proof(&self, depth: u32) -> RangeProof {
+        let entry = |(key, value): &(Key, Value)| BucketEntry {
+            key_hash: sha256(key.as_bytes()),
+            value_hash: value_digest(value),
+        };
+        let entries: Vec<BucketEntry> = self.rows.iter().map(entry).collect();
+        let bucket = |e: &BucketEntry| ScanRange::bucket_of_hash(&e.key_hash, depth);
+        let runs = entries.chunk_by(|a, b| bucket(a) == bucket(b));
+        let occupied = runs.map(|run| (bucket(&run[0]), run.to_vec())).collect();
+        let (left, right) = (self.left.clone(), self.right.clone());
+        RangeProof {
+            occupied,
+            left,
+            right,
+        }
+    }
+
+    /// Exact wire size, computed structurally (equals
+    /// `encode_to_vec().len()`): the window, the length-prefixed rows
+    /// and the two length-prefixed sibling lists.
     pub fn encoded_len(&self) -> usize {
-        16 + self
-            .rows
-            .iter()
-            .map(|(k, v)| k.len() + v.len() + 8)
-            .sum::<usize>()
-            + self.proof.encoded_len()
+        let rows = self.rows.iter().map(|(k, v)| 8 + k.len() + v.len());
+        16 + 4 + rows.sum::<usize>() + 8 + (self.left.len() + self.right.len()) * 32
     }
 }
 
@@ -446,6 +560,67 @@ mod tests {
         };
         assert_eq!(anchor_size(&commitment, &cert), 414);
         assert_eq!(HELD_ANCHOR_SIZE, 10);
+    }
+
+    /// The two bodies' structural sizes are their encodings' lengths,
+    /// pinned at depth 10 over 256 committed 4 B keys with 8 B values: a
+    /// one-key section, a section with an absent key and two keys in one
+    /// bucket, and a 256-bucket window. A section is 64 B (one bucket
+    /// entry) smaller per carried value than with its tree's whole
+    /// multiproof; a window carries rows and boundary siblings only.
+    #[test]
+    fn section_and_window_sizes() {
+        use transedge_crypto::VersionedMerkleTree;
+
+        const DEPTH: u32 = 10;
+        let value = |i: u32| Value::from(format!("{i:08}").as_str());
+        let mut tree = VersionedMerkleTree::with_depth(DEPTH);
+        let writes: Vec<(Key, Digest)> = (0..256)
+            .map(|i| (Key::from_u32(i), value_digest(&value(i))))
+            .collect();
+        tree.apply_batch(0, writes.iter().map(|(k, d)| (k, *d)));
+        // Keys are big-endian, so numeric order is key order.
+        let section = |asked: &[u32]| {
+            let keys: Vec<Key> = asked.iter().copied().map(Key::from_u32).collect();
+            let values: Vec<_> = asked.iter().map(|&i| (i < 256).then(|| value(i))).collect();
+            let proof = tree.prove_multi(&keys, 0);
+            let whole = MultiProofBody::new(keys.clone(), values.clone(), proof.clone());
+            let body = MultiProofBody::stripped(keys, values, proof.clone());
+            assert_eq!(body.restored(DEPTH), Some(proof));
+            assert_eq!(body.encoded_len(), body.encode_to_vec().len());
+            let carried = body.values().iter().flatten().count();
+            assert_eq!(whole.encoded_len() - body.encoded_len(), 64 * carried);
+            body.encoded_len()
+        };
+        let bucket = |i: u32| ScanRange::bucket_of(&Key::from_u32(i), DEPTH);
+        let (a, b) = (0..256)
+            .flat_map(|a| (a + 1..256).map(move |b| (a, b)))
+            .find(|&(a, b)| bucket(a) == bucket(b))
+            .expect("two of 256 keys share one of 1 024 buckets");
+        // 12 B of key list, 17 of value slots, and a 306 B proof: one
+        // bucket emptied to its 4 B count, a 2 B slot bitmap and nine
+        // siblings.
+        assert_eq!(section(&[7]), 335);
+        // Two carried keys sharing a bucket and one absent key: 28 B of
+        // keys, 31 of slots, and two emptied buckets, a 3 B bitmap and
+        // 15 siblings in a 503 B proof.
+        assert_eq!(section(&[a, b, 1_000]), 562);
+
+        let range = ScanRange::new(256, 511);
+        let mut rows: Vec<(Key, Value)> = (0..256)
+            .filter(|&i| range.contains_key(&Key::from_u32(i), DEPTH))
+            .map(|i| (Key::from_u32(i), value(i)))
+            .collect();
+        rows.sort_by_key(|(k, _)| sha256(k.as_bytes()));
+        let proof = tree.prove_range(&range, 0);
+        let window = ScanProof::stripped(range, rows, proof.clone());
+        assert_eq!(window.range_proof(DEPTH), proof);
+        assert_eq!(window.encoded_len(), window.encode_to_vec().len());
+        // The range, 60 rows of 20 B under a 4 B count, and one
+        // sibling on either side.
+        assert_eq!(window.rows.len(), 60);
+        assert_eq!((window.left.len(), window.right.len()), (1, 1));
+        assert_eq!(window.encoded_len(), 1_292);
     }
 
     #[test]

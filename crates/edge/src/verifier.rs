@@ -13,9 +13,10 @@
 //! 4. the snapshot's LCE reaches the requested floor (round two of
 //!    Algorithm 2 — an edge node cannot silently downgrade a
 //!    dependency fetch);
-//! 5. the section's multiproof verifies against the certified root,
-//!    every value slot agrees with its proven verdict, and every
-//!    requested key is among the proven ones.
+//! 5. the section's multiproof, with each carried value's entry
+//!    recomputed from the key and value and put back in its bucket,
+//!    verifies against the certified root; every key sent as absent is
+//!    proven absent; and every requested key is among the proven ones.
 //!
 //! Every answer has one shape — an [`Anchor`] and a [`Body`] proven
 //! against its root ([`ReadResponse`]) — whether it comes from a
@@ -45,8 +46,8 @@
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_consensus::Certificate;
-use transedge_crypto::merkle::{value_digest, Verified};
-use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, Digest, ScanRange};
+use transedge_crypto::merkle::Verified;
+use transedge_crypto::{verify_multi_proof, verify_range_proof, Digest, ScanRange};
 
 use std::sync::Arc;
 
@@ -90,17 +91,19 @@ pub enum ReadRejection {
     /// (an honest response paired with the wrong query looks the same)
     /// — not demotion evidence.
     MissingKey(Key),
-    /// The section's body is malformed or its multiproof does not verify
-    /// against the certified root: unsorted/duplicated proven keys, a
-    /// dropped or substituted sibling, a spliced bucket, a key dropped
-    /// from under its proof — every single-element mutation of a body
-    /// other than a value slot lands here.
+    /// The section's body is malformed or does not fold to the certified
+    /// root once its carried values' entries are recomputed into it:
+    /// unsorted/duplicated proven keys, a dropped or substituted
+    /// sibling, a spliced bucket, a key dropped from under its proof, a
+    /// value that is not the committed one (tampered, or conjured for an
+    /// absent key), a value withheld together with its entry, or a
+    /// proof that still ships a carried value's own entry (one encoding
+    /// verifies per root and key set).
     BadProof,
-    /// Proof shows the key present, but the value does not hash to the
-    /// proven digest (or is missing).
+    /// The proof shows the key present, but the section sends it as
+    /// absent: its entry travels in the bucket while its value slot is
+    /// empty.
     ValueMismatch(Key),
-    /// Proof shows the key absent, but a value was attached anyway.
-    PhantomValue(Key),
     /// The proven scan window is not the requested one. Narrower is a
     /// *boundary truncation*: shrinking the proven window is how a
     /// server would hide rows at the edges of a scan while every
@@ -111,19 +114,13 @@ pub enum ReadRejection {
         requested: ScanRange,
         proven: ScanRange,
     },
-    /// The scan's completeness proof does not verify against the
-    /// certified root (malformed, tampered, or spliced from a different
-    /// batch's tree — the torn-scan attack).
+    /// The window's rows and boundary siblings do not fold to the
+    /// certified root: a row omitted (the *omission* attack a point
+    /// proof can never catch), injected, altered, duplicated, out of
+    /// strict key-hash order or from outside the window; a sibling
+    /// forged, missing or spare; or a window spliced from a different
+    /// batch's tree (the torn-scan attack).
     BadRangeProof,
-    /// The row list does not match the proven window's committed
-    /// content: the proof commits to `proven` entries but `returned`
-    /// rows came back. Fewer rows than entries is the *omission*
-    /// attack a point proof can never catch.
-    IncompleteScan { proven: usize, returned: usize },
-    /// A returned row does not hash to the committed entry at its
-    /// position in the window (wrong value, out of tree order, or a
-    /// duplicated/foreign row).
-    ScanRowMismatch(Key),
     /// The response payload does not match the query's shape (a scan
     /// answered with a point section or vice versa).
     ShapeMismatch,
@@ -339,12 +336,13 @@ impl ReadVerifier {
     /// (steps 1–4 passed). The body must
     ///
     /// * carry a sorted, duplicate-free key list whose **one**
-    ///   multiproof verifies against `root`
-    ///   ([`ReadRejection::BadProof`]);
-    /// * attach to every proven key — requested or not — a value slot
-    ///   agreeing with its verdict (`Some` ↔ proven present and hashing
-    ///   to the proven digest, `None` ↔ proven absent), so a tampered
-    ///   slot anywhere in a replayed superset is caught;
+    ///   multiproof, once every carried value's entry `(sha256(key),
+    ///   value_digest(value))` is put back into its key's bucket
+    ///   ([`MultiProofBody::restored`]), verifies against `root` ([`ReadRejection::BadProof`]) — so
+    ///   every value slot, requested or not, is folded into the root,
+    ///   and a tampered or conjured value misses it;
+    /// * send as absent (`None`) only keys the proof shows absent
+    ///   ([`ReadRejection::ValueMismatch`]);
     /// * prove every key in `expected_keys`
     ///   ([`ReadRejection::MissingKey`]).
     ///
@@ -359,16 +357,13 @@ impl ReadVerifier {
         if !body.keys().windows(2).all(|w| w[0] < w[1]) {
             return Err(ReadRejection::BadProof);
         }
-        let verdicts = verify_multi_proof(root, self.params.tree_depth, body.keys(), body.proof())
+        let depth = self.params.tree_depth;
+        let proof = body.restored(depth).ok_or(ReadRejection::BadProof)?;
+        let verdicts = verify_multi_proof(root, depth, body.keys(), &proof)
             .map_err(|_| ReadRejection::BadProof)?;
         for ((key, value), verdict) in body.keys().iter().zip(body.values()).zip(&verdicts) {
-            match (verdict, value) {
-                (Verified::Present(digest), Some(v)) if value_digest(v) == *digest => {}
-                (Verified::Present(_), _) => return Err(ReadRejection::ValueMismatch(key.clone())),
-                (Verified::Absent, None) => {}
-                (Verified::Absent, Some(_)) => {
-                    return Err(ReadRejection::PhantomValue(key.clone()))
-                }
+            if value.is_none() && *verdict != Verified::Absent {
+                return Err(ReadRejection::ValueMismatch(key.clone()));
             }
         }
         expected_keys
@@ -381,7 +376,7 @@ impl ReadVerifier {
             .collect()
     }
 
-    /// Steps 5–7 of a scan answer, against its anchor's certified `root`
+    /// Steps 5–6 of a scan answer, against its anchor's certified `root`
     /// (steps 1–4 passed). A scan must prove **completeness**: that the
     /// returned rows are *all* the committed rows of the requested
     /// window — an untrusted edge must not be able to silently omit one.
@@ -389,13 +384,15 @@ impl ReadVerifier {
     /// 5. the *proven* window **is** the *requested* one — checked
     ///    before any proof work, so every later step reasons about one
     ///    range (anything narrower is a boundary truncation);
-    /// 6. the Merkle range proof verifies against `root`, yielding the
-    ///    committed entry list of the window;
-    /// 7. the returned rows match that entry list **exactly** — same
-    ///    count, each row hashing to its entry, in tree order. Any
-    ///    omitted, injected, reordered, or tampered row breaks this.
+    /// 6. the window's occupied buckets, rebuilt from the rows
+    ///    (`(sha256(key), value_digest(value))`, grouped by bucket in
+    ///    the order sent: [`ScanProof::range_proof`]), and its boundary
+    ///    siblings fold to `root`. The
+    ///    range proof recomputes every leaf of the window, so any
+    ///    omitted, injected, reordered, duplicated, foreign or tampered
+    ///    row misses the root.
     ///
-    /// On success every proven row is a returned row.
+    /// On success every committed row of the window is a returned row.
     pub(crate) fn prove_scan(
         &self,
         root: &Digest,
@@ -409,27 +406,13 @@ impl ReadVerifier {
                 proven: scan.range,
             });
         }
-        // 6. Completeness proof against the certified root: the complete
-        // committed entry list of the window, in tree order.
-        let entries = verify_range_proof(root, self.params.tree_depth, requested, &scan.proof)
+        // 6. The rows are the window's committed content: hashed into
+        // their buckets, they and the siblings fold to the root.
+        let depth = self.params.tree_depth;
+        let proof = scan.range_proof(depth);
+        verify_range_proof(root, depth, requested, &proof)
             .map_err(|_| ReadRejection::BadRangeProof)?;
-        // 7. Rows ↔ entries, exactly. The entry list is the complete
-        // committed content of the window (step 6), so matching it
-        // one-to-one in order rules out omission, injection, and
-        // duplication in a single pass.
-        let rows = &scan.rows;
-        if rows.len() != entries.len() {
-            return Err(ReadRejection::IncompleteScan {
-                proven: entries.len(),
-                returned: rows.len(),
-            });
-        }
-        for ((key, value), entry) in rows.iter().zip(&entries) {
-            if sha256(key.as_bytes()) != entry.key_hash || value_digest(value) != entry.value_hash {
-                return Err(ReadRejection::ScanRowMismatch(key.clone()));
-            }
-        }
-        Ok(rows.clone())
+        Ok(scan.rows.clone())
     }
 
     /// The single verifier entry point of the unified read protocol:

@@ -653,7 +653,7 @@ fn nothing_is_appended_unless_every_check_passes() {
             common::with_feed(tampered_section, honest()),
             NOW,
             held.clone(),
-            ReadRejection::ValueMismatch(keys[0].clone()),
+            ReadRejection::BadProof,
         ),
         (
             query_with(touched.clone(), &held),

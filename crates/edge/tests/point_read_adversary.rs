@@ -17,8 +17,9 @@ use transedge_common::{BatchNum, ClusterId, Encode as _, Epoch, Key, SimDuration
 use transedge_consensus::Certificate;
 use transedge_crypto::{Digest, MerkleTree, ScanRange};
 use transedge_edge::{
-    same_batch_conflict, Anchor, Body, CertifiedDelta, CommittedHeader, QueryAnswer, ReadQuery,
-    ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource, HELD_ANCHOR_SIZE,
+    same_batch_conflict, Anchor, Body, CertifiedDelta, CommittedHeader, MultiProofBody,
+    QueryAnswer, ReadQuery, ReadRejection, ReadResponse, SnapshotPolicy, SnapshotSource,
+    HELD_ANCHOR_SIZE,
 };
 
 /// Batch `n` is stamped `T0 + n` seconds — far enough from zero that a
@@ -132,28 +133,36 @@ proptest! {
 
         let (k, v, proof) = parts(&section);
         prop_assert_eq!(body(&section).encoded_len(), body(&section).encode_to_vec().len());
+        // The multiproof as the tree makes it, every entry included.
+        let full = p.tree.prove_multi(&k, SERVED.0);
         for i in 0..k.len() {
-            // Value forgery: a present slot swapped for a lie is a
-            // ValueMismatch, a conjured value on a proven absence a
-            // PhantomValue — requested or not (the narrow query).
+            // Value forgery: a present slot swapped for a lie, or a
+            // value conjured on a proven absence, is hashed into the
+            // fold and misses the root — requested or not (the narrow
+            // query).
             let mut vals = v.clone();
-            let expect = match &vals[i] {
-                Some(_) => ReadRejection::ValueMismatch(k[i].clone()),
-                None => ReadRejection::PhantomValue(k[i].clone()),
-            };
             vals[i] = Some(Value::from("forged"));
             let forged = rebuild(&section, k.clone(), vals, proof.clone());
-            prop_assert_eq!(rejection(&p, &keys, forged.clone()), expect.clone());
-            prop_assert_eq!(rejection(&p, &keys[..1], forged), expect);
-            // A value withheld from a proven-present key.
+            prop_assert_eq!(rejection(&p, &keys, forged.clone()), ReadRejection::BadProof);
+            prop_assert_eq!(rejection(&p, &keys[..1], forged), ReadRejection::BadProof);
             if v[i].is_some() {
+                // A value withheld from a present key: its entry is
+                // missing from the bucket, so the fold misses the root.
                 let mut vals = v.clone();
                 vals[i] = None;
-                let forged = rebuild(&section, k.clone(), vals, proof.clone());
+                let forged = rebuild(&section, k.clone(), vals.clone(), proof.clone());
+                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
+                // Withheld with its entry shipped instead, the fold
+                // holds and shows the key present: sent as absent.
+                let shipped = MultiProofBody::stripped(k.clone(), vals, full.clone());
                 prop_assert_eq!(
-                    rejection(&p, &keys, forged),
+                    rejection(&p, &keys, p.wrap(shipped.clone(), SERVED)),
                     ReadRejection::ValueMismatch(k[i].clone())
                 );
+                // The value and its own entry both shipped: a second
+                // encoding of the honest answer.
+                let forged = rebuild(&section, k.clone(), v.clone(), shipped.proof().clone());
+                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
             }
             // Dropped key: the key and its slot go, the proof
             // stays — it no longer matches the advertised set. In
@@ -220,17 +229,14 @@ proptest! {
             let forged = rebuild(&section, k.clone(), v.clone(), bitmap);
             prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
         }
-        // Bucket tamper: a rewritten digest inside a proven bucket.
+        // Bucket tamper: a rewritten digest of a bucket neighbour the
+        // section ships.
         for bi in 0..proof.buckets.len() {
             for ei in 0..proof.buckets[bi].entries.len() {
                 let mut forged_proof = proof.clone();
                 forged_proof.buckets[bi].entries[ei].value_hash = Digest([0xAB; 32]);
                 let forged = rebuild(&section, k.clone(), v.clone(), forged_proof);
-                let err = rejection(&p, &keys, forged);
-                prop_assert!(
-                    matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
-                    "{:?}", err
-                );
+                prop_assert_eq!(rejection(&p, &keys, forged), ReadRejection::BadProof);
             }
         }
         // A key list out of order or repeated is malformed before
@@ -251,10 +257,7 @@ proptest! {
         // under batch 1's certified commitment.
         let stale = p.section(&keys, BatchNum(0));
         let err = rejection(&p, &keys, p.wrap(body(&stale).clone(), SERVED));
-        prop_assert!(
-            matches!(err, ReadRejection::BadProof | ReadRejection::ValueMismatch(_)),
-            "{:?}", err
-        );
+        prop_assert_eq!(err, ReadRejection::BadProof);
 
         // Forged certificate: below quorum, for another slot, or real
         // but over a header whose root was rewritten (the stale-root
@@ -398,29 +401,23 @@ fn every_rejection_variant_is_reachable() {
             ReadRejection::MissingKey(_) => "MissingKey",
             ReadRejection::BadProof => "BadProof",
             ReadRejection::ValueMismatch(_) => "ValueMismatch",
-            ReadRejection::PhantomValue(_) => "PhantomValue",
             ReadRejection::ScanRangeNotCovered { .. } => "ScanRangeNotCovered",
             ReadRejection::BadRangeProof => "BadRangeProof",
-            ReadRejection::IncompleteScan { .. } => "IncompleteScan",
-            ReadRejection::ScanRowMismatch(_) => "ScanRowMismatch",
             ReadRejection::ShapeMismatch => "ShapeMismatch",
             ReadRejection::BadDelta => "BadDelta",
             ReadRejection::FeedSpliced { .. } => "FeedSpliced",
             ReadRejection::Fork { .. } => "Fork",
         }
     }
-    const ALL: [&str; 16] = [
+    const ALL: [&str; 13] = [
         "BadCertificate",
         "BadDelta",
         "BadProof",
         "BadRangeProof",
         "FeedSpliced",
         "Fork",
-        "IncompleteScan",
         "MissingKey",
-        "PhantomValue",
         "ScanRangeNotCovered",
-        "ScanRowMismatch",
         "ShapeMismatch",
         "StaleSnapshot",
         "StaleTimestamp",
@@ -457,15 +454,13 @@ fn every_rejection_variant_is_reachable() {
         rebuild(&section, sk.clone(), sv.clone(), forged),
         NOW,
     ));
-    let lie = |slot: usize| {
-        let mut vals = sv.clone();
-        vals[slot] = Some(Value::from("forged"));
-        rebuild(&section, sk.clone(), vals, sproof.clone())
-    };
-    let absent = sk.iter().position(|key| *key == k(900)).unwrap();
+    // A present key sent as absent, its entry shipped in its bucket.
     let present = sk.iter().position(|key| *key == k(1)).unwrap();
-    seen.push(point(&plain, lie(present), NOW));
-    seen.push(point(&plain, lie(absent), NOW));
+    let mut withheld = sv.clone();
+    withheld[present] = None;
+    let full = p.tree.prove_multi(&sk, SERVED.0);
+    let shipped = MultiProofBody::stripped(sk.clone(), withheld, full);
+    seen.push(point(&plain, p.wrap(shipped, SERVED), NOW));
     let fresh = |feed: Vec<CertifiedDelta>| with_feed(section.clone(), feed);
     let mut edited = p.delta(BatchNum(2));
     edited.changed.clear();
@@ -478,12 +473,6 @@ fn every_rejection_variant_is_reachable() {
     let scan = |q: &ReadQuery, answer| p.verdict(ClusterId(0), q, &answer, NOW).unwrap_err();
     seen.push(scan(&plain, p.scan(range, SERVED)));
     seen.push(scan(&scan_query, p.scan(ScanRange::new(0, 63), SERVED)));
-    let mut bad_proof = p.scan(range, SERVED);
-    scan_mut(&mut bad_proof).proof.occupied[0].1[0].value_hash = Digest([0xEE; 32]);
-    seen.push(scan(&scan_query, bad_proof));
-    let mut omitted = p.scan(range, SERVED);
-    scan_mut(&mut omitted).rows.pop();
-    seen.push(scan(&scan_query, omitted));
     let mut swapped = p.scan(range, SERVED);
     scan_mut(&mut swapped).rows[0].1 = Value::from("forged");
     seen.push(scan(&scan_query, swapped));

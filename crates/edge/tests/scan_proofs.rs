@@ -1,8 +1,11 @@
 //! Property tests for the scan chain of `ReadVerifier::verify_query`: across random
 //! partition contents and random windows, *no* single-row omission,
-//! boundary truncation, or cross-batch splice of an otherwise-valid
-//! range proof survives verification — and the honest scan always
-//! verifies to exactly the committed rows of the window.
+//! reordered, duplicated or foreign row, spare or missing boundary
+//! sibling, boundary truncation, or cross-batch splice of an
+//! otherwise-valid window survives verification — and the honest scan
+//! always verifies to exactly the committed rows of the window. A
+//! window ships its rows and boundary siblings only; the verifier
+//! rebuilds the occupied buckets from the rows.
 
 mod common;
 
@@ -12,7 +15,9 @@ use proptest::prelude::*;
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
 use transedge_crypto::{sha256, Digest, ScanRange};
-use transedge_edge::{QueryAnswer, ReadQuery, ReadRejection, ReadResponse};
+use transedge_edge::{
+    QueryAnswer, ReadQuery, ReadRejection, ReadResponse, ScanProof, SnapshotSource,
+};
 
 /// Shallow tree: 64 buckets → dense windows and bucket collisions.
 const DEPTH: u32 = 6;
@@ -88,35 +93,61 @@ proptest! {
         expected.sort_by_key(|(k, _)| sha256(k.as_bytes()));
         prop_assert_eq!(&rows, &expected);
 
-        // 1a. Omit any single returned row → IncompleteScan. Every
-        // surviving row still matches the proof individually; only the
-        // completeness count catches the hole.
-        for i in 0..scan_of(&honest).rows.len() {
+        // 1. Omit any single returned row. Every surviving row is
+        // committed; only the fold of the whole window, whose buckets
+        // the verifier rebuilds from the rows, misses the root.
+        let forged = |edit: &dyn Fn(&mut ScanProof)| {
             let mut b = honest.clone();
-            scan_mut(&mut b).rows.remove(i);
-            prop_assert!(matches!(
-                p.verify(&b, &range),
-                Err(ReadRejection::IncompleteScan { .. })
-            ), "omitting row {i} must be rejected");
-        }
-
-        // 1b. Omit a single *proof* leaf entry as well (hiding the row
-        // and its commitment together) → the root no longer folds.
-        for bi in 0..scan_of(&honest).proof.occupied.len() {
-            for ei in 0..scan_of(&honest).proof.occupied[bi].1.len() {
-                let mut b = honest.clone();
-                let removed = scan_mut(&mut b).proof.occupied[bi].1.remove(ei);
-                if scan_mut(&mut b).proof.occupied[bi].1.is_empty() {
-                    scan_mut(&mut b).proof.occupied.remove(bi);
-                }
-                scan_mut(&mut b)
-                    .rows
-                    .retain(|(k, _)| sha256(k.as_bytes()) != removed.key_hash);
-                prop_assert!(matches!(
-                    p.verify(&b, &range),
-                    Err(ReadRejection::BadRangeProof)
-                ), "omitting proof entry must break the root");
+            edit(scan_mut(&mut b));
+            p.verify(&b, &range)
+        };
+        let n = scan_of(&honest).rows.len();
+        for i in 0..n {
+            prop_assert_eq!(
+                forged(&|s| { s.rows.remove(i); }),
+                Err(ReadRejection::BadRangeProof),
+                "omitting row {}", i
+            );
+            // A duplicated row, and two rows out of strict key-hash
+            // order: the same row set in another encoding.
+            prop_assert_eq!(
+                forged(&|s| s.rows.insert(i, s.rows[i].clone())),
+                Err(ReadRejection::BadRangeProof),
+                "duplicating row {}", i
+            );
+            if i + 1 < n {
+                prop_assert_eq!(
+                    forged(&|s| s.rows.swap(i, i + 1)),
+                    Err(ReadRejection::BadRangeProof),
+                    "swapping rows {} and {}", i, i + 1
+                );
             }
+        }
+        // A committed row of a neighbouring window, added at the edge
+        // it borders (so key-hash order still holds).
+        let top = (1u64 << DEPTH) - 1;
+        let rows_of = |first, last| p.rows_at(&ScanRange::new(first, last), BatchNum(1));
+        if let Some(row) = (range.last < top).then(|| rows_of(range.last + 1, top)).and_then(|r| r.first().cloned()) {
+            prop_assert_eq!(
+                forged(&|s| s.rows.push(row.clone())),
+                Err(ReadRejection::BadRangeProof)
+            );
+        }
+        if let Some(row) = (range.first > 0).then(|| rows_of(0, range.first - 1)).and_then(|r| r.last().cloned()) {
+            prop_assert_eq!(
+                forged(&|s| s.rows.insert(0, row.clone())),
+                Err(ReadRejection::BadRangeProof)
+            );
+        }
+        // A spare or a missing boundary sibling, on either side.
+        let spare = Digest([0xAB; 32]);
+        prop_assert_eq!(forged(&|s| s.left.push(spare)), Err(ReadRejection::BadRangeProof));
+        prop_assert_eq!(forged(&|s| s.right.push(spare)), Err(ReadRejection::BadRangeProof));
+        if !scan_of(&honest).left.is_empty() {
+            prop_assert_eq!(forged(&|s| { s.left.pop(); }), Err(ReadRejection::BadRangeProof));
+        }
+        if !scan_of(&honest).right.is_empty() {
+            prop_assert_eq!(forged(&|s| { s.right.pop(); }), Err(ReadRejection::BadRangeProof));
         }
 
         // 2. Boundary truncation: a proof for a narrower window...
@@ -138,7 +169,8 @@ proptest! {
             // either — decided before any proof work, so gutting the
             // proof does not change the verdict.
             let mut gutted = honest.clone();
-            scan_mut(&mut gutted).proof.occupied.clear();
+            scan_mut(&mut gutted).rows.clear();
+            scan_mut(&mut gutted).left.clear();
             for wider in [&honest, &gutted] {
                 prop_assert_eq!(
                     p.verify(wider, &narrow),
@@ -171,34 +203,23 @@ fn scan_rejection_classes_are_typed() {
     let honest = p.scan(range, BatchNum(1));
     assert!(!scan_of(&honest).rows.is_empty());
 
-    // Tampered row value: the row no longer hashes to its entry.
+    // Tampered row value: the row's recomputed entry misses the root.
     let mut b = honest.clone();
     scan_mut(&mut b).rows[0].1 = Value::from("forged");
-    let key = scan_mut(&mut b).rows[0].0.clone();
-    assert_eq!(
-        p.verify(&b, &range),
-        Err(ReadRejection::ScanRowMismatch(key))
-    );
+    assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadRangeProof));
 
-    // Injected phantom row: count exceeds the proven window.
+    // Injected phantom row: an entry the committed window lacks.
     let mut b = honest.clone();
     scan_mut(&mut b)
         .rows
         .push((Key::from_u32(9_999), Value::from("phantom")));
-    assert!(matches!(
-        p.verify(&b, &range),
-        Err(ReadRejection::IncompleteScan { .. })
-    ));
+    assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadRangeProof));
 
-    // Reordered rows: tree order is part of the match.
-    if scan_of(&honest).rows.len() > 1 {
-        let mut b = honest.clone();
-        scan_mut(&mut b).rows.reverse();
-        assert!(matches!(
-            p.verify(&b, &range),
-            Err(ReadRejection::ScanRowMismatch(_))
-        ));
-    }
+    // Reordered rows: strict key-hash order is the one encoding.
+    assert!(scan_of(&honest).rows.len() > 1);
+    let mut b = honest.clone();
+    scan_mut(&mut b).rows.reverse();
+    assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadRangeProof));
 
     // Forged root with the real certificate.
     let mut b = honest.clone();

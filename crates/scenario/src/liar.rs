@@ -157,22 +157,19 @@ impl Lie {
 
     /// Doctor a scan window.
     fn doctor_scan(self, scan: &mut ScanProof) -> bool {
-        let (rows, proof) = (&mut scan.rows, &mut scan.proof);
         match self {
-            Lie::TamperValue => rows.first_mut().map(|(_, v)| *v = Value::from(FORGED)),
-            Lie::ForgeProof => proof
-                .occupied
+            Lie::TamperValue => scan.rows.first_mut().map(|(_, v)| *v = Value::from(FORGED)),
+            Lie::ForgeProof => scan
+                .left
                 .first_mut()
-                .and_then(|(_, entries)| entries.first_mut())
-                .map(|entry| &mut entry.value_hash)
-                .or_else(|| proof.left.first_mut())
-                .or_else(|| proof.right.first_mut())
+                .or_else(|| scan.right.first_mut())
                 .map(|digest| digest.0[0] ^= 0xFF),
             // The completeness attack: drop a row but keep the honest
-            // proof. Every surviving row still verifies — only the
-            // verifier's rows-versus-proof count check catches the hole.
-            Lie::OmitKey if !rows.is_empty() => {
-                rows.remove(rows.len() / 2);
+            // siblings. Every surviving row is committed — only the
+            // fold of the whole window, whose occupied buckets the
+            // verifier rebuilds from the rows, misses the root.
+            Lie::OmitKey if !scan.rows.is_empty() => {
+                scan.rows.remove(scan.rows.len() / 2);
                 Some(())
             }
             _ => None,

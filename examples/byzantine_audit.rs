@@ -15,7 +15,7 @@ use transedge::core::client::ClientOp;
 use transedge::core::setup::{Deployment, DeploymentConfig};
 use transedge::crypto::merkle::{value_digest, Verified};
 use transedge::crypto::verify_multi_proof;
-use transedge::edge::{BatchHeader, CdVector, CommittedHeader};
+use transedge::edge::{BatchHeader, CdVector, CommittedHeader, MultiProofBody};
 
 fn main() {
     // Stand up a deployment and commit a value so there is real,
@@ -43,8 +43,9 @@ fn main() {
     let keys = deployment.keys.clone();
     let quorum = topo.certificate_quorum();
 
-    // A real response verifies end to end.
-    let proof = body.proof();
+    // A real response verifies end to end. The body ships no bucket
+    // entry for the value it carries: the client rebuilds it from the
+    // key and the value, so the value itself is folded into the root.
     let value = body.values()[0].clone().expect("value present");
     // The replica's own engine holds the decided batch + certificate.
     let sim = &deployment.sim;
@@ -58,28 +59,32 @@ fn main() {
     // replica would send.
     let root = { replica.exec.tree.root_at(at.0) };
     let depth = config.node.tree_depth;
-    match verify_multi_proof(&root, depth, body.keys(), proof).as_deref() {
+    let proof = body.restored(depth).expect("a well-formed body");
+    match verify_multi_proof(&root, depth, body.keys(), &proof).as_deref() {
         Ok([Verified::Present(vh)]) if *vh == value_digest(&value) => {
             println!("✓ honest response: Merkle proof verifies, value hash matches");
         }
         other => panic!("honest response failed?! {other:?}"),
     }
 
-    // Forgery 1: lie about the value.
-    let forged_value = Value::from("forged-value");
-    let ok = matches!(
-        verify_multi_proof(&root, depth, body.keys(), proof).as_deref(),
-        Ok([Verified::Present(vh)]) if *vh == value_digest(&forged_value)
+    // Forgery 1: lie about the value. Its rebuilt entry misses the root.
+    let forged = MultiProofBody::new(
+        body.keys().to_vec(),
+        vec![Some(Value::from("forged-value"))],
+        body.proof().clone(),
     );
+    let rejected = forged
+        .restored(depth)
+        .is_none_or(|p| verify_multi_proof(&root, depth, forged.keys(), &p).is_err());
     println!(
         "✗ forged value:        {}",
-        if ok {
-            "ACCEPTED (BUG!)"
+        if rejected {
+            "rejected — root mismatch"
         } else {
-            "rejected — value hash mismatch"
+            "ACCEPTED (BUG!)"
         }
     );
-    assert!(!ok);
+    assert!(rejected);
 
     // Forgery 2: tamper with the proof path.
     // Every proof has a first fold slot: flip whether its sibling is
